@@ -5,7 +5,7 @@ GO ?= go
 
 # Tier-1 packages: the race gate ROADMAP.md and the acceptance criteria
 # name explicitly. `make race` extends it to the whole module.
-RACE_PKGS = ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore
+RACE_PKGS = ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec
 
 .PHONY: all build test race race-tier1 vet lint vet-json vet-bench chaos chaos-race crashsweep crashsweep-race rebuildsweep rebuildsweep-race graysweep graysweep-race ingestsweep ingestsweep-race adversarysweep adversarysweep-race fuzz-smoke benchjson benchsmoke check clean
 
@@ -123,7 +123,8 @@ adversarysweep-race:
 
 # fuzz-smoke runs each wire-codec fuzz target for a short bounded stint —
 # transport frames, the rebuild manifest, the redo journal, the storage page
-# list, and the ingest wire ack. The seeded corpora alone run in ordinary
+# list, the ingest wire ack, and the page-backed column decoder against the
+# boxed-row one. The seeded corpora alone run in ordinary
 # `go test`; this target adds coverage-guided exploration.
 FUZZTIME ?= 5s
 FUZZ_TARGETS = \
@@ -131,7 +132,8 @@ FUZZ_TARGETS = \
 	FuzzDecodeManifest:./internal/securestore \
 	FuzzDecodeJournal:./internal/securestore \
 	FuzzDecodePageList:./internal/storageengine \
-	FuzzWireAck:./internal/ingest
+	FuzzWireAck:./internal/ingest \
+	FuzzDecodeColumn:./internal/schema
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		name=$${t%%:*}; pkg=$${t#*:}; \
@@ -147,11 +149,16 @@ benchjson:
 
 # benchsmoke is the CI-sized slice: the JSON emitter must produce a valid
 # record at a tiny scale factor, the batched scan path must stay
-# row-identical to the sequential one, and the vectorized executor must stay
-# row-identical to — and strictly cheaper than — row-at-a-time execution.
+# row-identical to the sequential one, the vectorized executor must stay
+# row-identical to — and strictly cheaper than — row-at-a-time execution,
+# every evaluated query's work counters must match the committed record, the
+# window scan must match the row scan at every window size, and the layer
+# benchmarks (table scan, predicate kernels) must still run.
 benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
-	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch' ./internal/bench
+	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
+	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec
+	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate' -benchtime 1x ./internal/engine ./internal/sql/exec
 
 check: build vet lint test race-tier1 chaos-race crashsweep-race rebuildsweep-race graysweep-race ingestsweep-race adversarysweep-race
 

@@ -38,13 +38,17 @@ func (t *Table) Scan(fn func(schema.Row) error) error {
 	return t.heap.Scan(fn)
 }
 
-// ScanBatch implements exec.BatchRelation: rows stream out of the heap in
-// windows of batchRows, wrapped as columnar batches. The underlying window
-// slice is reused between callbacks (see pager.HeapFile.ScanRows), so
-// consumers must copy out any Row headers they retain.
+// ScanBatch implements exec.BatchRelation: the heap is delivered in windows
+// of batchRows rows (0 means exec.DefaultBatchRows) as page-backed batches,
+// whose rows stay encoded in their verified plaintext pages until the
+// consumer decodes a column or boxes the rows it keeps. A batch is only valid
+// during its callback.
 func (t *Table) ScanBatch(batchRows int, fn func(*exec.Batch) error) error {
-	return t.heap.ScanRows(batchRows, func(rows []schema.Row) error {
-		return fn(exec.NewBatch(t.Sch, rows))
+	if batchRows <= 0 {
+		batchRows = exec.DefaultBatchRows
+	}
+	return t.heap.ScanWindows(batchRows, t.Sch.Len(), func(w *schema.RowWindow) error {
+		return fn(exec.NewWindowBatch(t.Sch, w))
 	})
 }
 

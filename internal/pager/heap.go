@@ -186,68 +186,80 @@ func (h *HeapFile) appendAllTo(w pageWriter, rows []schema.Row) error {
 
 // Scan calls fn for every row in heap order. Returning a non-nil error from
 // fn stops the scan; ErrStopScan stops it without reporting an error.
-//
-// With a ScanConfig whose BatchPages > 1 the scan becomes a pipeline: pages
-// are fetched through PageStore.ReadPages in fixed batches, and with
-// Prefetch > 0 a single producer goroutine keeps up to Prefetch batches in
-// flight ahead of row decoding, overlapping device reads with decrypt/verify
-// of earlier batches. The producer fetches batches strictly in heap order
-// through a buffered channel, so the sequence of device operations — which
-// the fault-injection framework keys its deterministic streams on — is a
-// pure function of how far the consumer got, never of goroutine scheduling.
 func (h *HeapFile) Scan(fn func(schema.Row) error) error {
-	if h.scan.BatchPages > 1 && len(h.pages) > 1 {
-		return h.scanBatched(fn)
-	}
-	for _, idx := range h.pages {
-		buf, err := h.store.ReadPage(idx)
-		if err != nil {
-			return fmt.Errorf("pager: heap page %d: %w", idx, err)
-		}
-		if err := h.scanPage(idx, buf, fn); err != nil {
-			if err == ErrStopScan {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
+	return stopped(h.scanPages(func(idx uint32, buf []byte) error {
+		return scanPage(idx, buf, fn)
+	}))
 }
 
-// ScanRows delivers the heap's rows in windows of at most batchRows rows,
-// layered over Scan so the device-operation order (and thus every
-// deterministic fault/adversary stream keyed on it) is identical whichever
-// entry point drives a table scan. The window slice is reused between
-// callbacks: consumers that retain rows must copy them out (copying the
-// schema.Row headers is enough — row backing arrays are never reused).
-func (h *HeapFile) ScanRows(batchRows int, fn func([]schema.Row) error) error {
-	if batchRows <= 0 {
-		batchRows = 1
+// ScanWindows delivers the heap's rows in windows of batchRows consecutive
+// rows (the last one short), still encoded in their verified plaintext
+// pages: each row is walked once to index its fields (failing closed on any
+// malformed field, like Scan), and the consumer decodes only the columns and
+// rows it needs from the window. It reads pages exactly as Scan does, so the
+// device-operation order — and every deterministic fault/adversary stream
+// keyed on it — is identical whichever entry point drives a table scan. The
+// window is reused between callbacks and must not be retained. width is the
+// table's column count.
+func (h *HeapFile) ScanWindows(batchRows, width int, fn func(*schema.RowWindow) error) error {
+	if batchRows < 1 {
+		return fmt.Errorf("pager: scan window of %d rows", batchRows)
 	}
-	win := make([]schema.Row, 0, batchRows)
-	if err := h.Scan(func(r schema.Row) error {
-		win = append(win, r)
-		if len(win) == batchRows {
-			err := fn(win)
-			win = win[:0]
+	win := schema.NewRowWindow(width)
+	err := h.scanPages(func(idx uint32, buf []byte) error {
+		rows, end, err := pageExtent(idx, buf)
+		if err != nil {
 			return err
+		}
+		pos := heapHeaderSize
+		for i := 0; i < rows; i++ {
+			if pos >= end {
+				return fmt.Errorf("pager: heap page %d truncated at row %d", idx, i)
+			}
+			if pos, err = win.AppendRow(buf[:end], pos); err != nil {
+				return fmt.Errorf("pager: heap page %d row %d: %w", idx, i, err)
+			}
+			if win.Len() == batchRows {
+				if err := fn(win); err != nil {
+					return err
+				}
+				win.Reset()
+			}
 		}
 		return nil
-	}); err != nil {
-		return err
+	})
+	if err == nil && win.Len() > 0 {
+		err = fn(win)
 	}
-	if len(win) > 0 {
-		return fn(win)
-	}
-	return nil
+	return stopped(err)
 }
 
-// scanPage decodes one fetched page and feeds its rows to fn. It returns
-// ErrStopScan unchanged so callers can distinguish early stop from failure.
-func (h *HeapFile) scanPage(idx uint32, buf []byte, fn func(schema.Row) error) error {
+// stopped maps the early-stop sentinel to a clean end of scan.
+func stopped(err error) error {
+	if err == ErrStopScan {
+		return nil
+	}
+	return err
+}
+
+// pageExtent reads a fetched heap page's header: its row count and the
+// offset one past its last used byte.
+func pageExtent(idx uint32, buf []byte) (rows, end int, err error) {
 	rows, used := pageHeader(buf)
+	end = heapHeaderSize + used
+	if end > len(buf) {
+		return 0, 0, fmt.Errorf("pager: heap page %d claims %d used bytes", idx, used)
+	}
+	return rows, end, nil
+}
+
+// scanPage decodes one fetched page and feeds its rows to fn.
+func scanPage(idx uint32, buf []byte, fn func(schema.Row) error) error {
+	rows, end, err := pageExtent(idx, buf)
+	if err != nil {
+		return err
+	}
 	pos := heapHeaderSize
-	end := heapHeaderSize + used
 	for i := 0; i < rows; i++ {
 		if pos >= end {
 			return fmt.Errorf("pager: heap page %d truncated at row %d", idx, i)
@@ -264,58 +276,79 @@ func (h *HeapFile) scanPage(idx uint32, buf []byte, fn func(schema.Row) error) e
 	return nil
 }
 
-// scanBatch is one unit of the scan pipeline: a fetched page range, or the
-// error that ended fetching.
-type scanBatch struct {
-	idxs []uint32
-	bufs [][]byte
-	err  error
-}
-
-// scanBatched is the pipelined scan body.
-func (h *HeapFile) scanBatched(fn func(schema.Row) error) error {
+// scanPages calls fn with every page of the heap, verified and decrypted, in
+// heap order; an error from fn (ErrStopScan included) ends the scan and is
+// returned unchanged.
+//
+// With a ScanConfig whose BatchPages > 1 the scan becomes a pipeline: pages
+// are fetched through PageStore.ReadPages in fixed batches, and with
+// Prefetch > 0 a single producer goroutine keeps up to Prefetch batches in
+// flight ahead of the consumer, overlapping device reads with decrypt/verify
+// of earlier batches. The producer fetches batches strictly in heap order
+// through a buffered channel, so the sequence of device operations — which
+// the fault-injection framework keys its deterministic streams on — is a
+// pure function of how far the consumer got, never of goroutine scheduling.
+func (h *HeapFile) scanPages(fn func(idx uint32, buf []byte) error) error {
 	bp := h.scan.BatchPages
-	if h.scan.Prefetch <= 0 {
-		// Synchronous batches: amortized verification without read-ahead.
-		for start := 0; start < len(h.pages); start += bp {
-			end := start + bp
-			if end > len(h.pages) {
-				end = len(h.pages)
-			}
-			idxs := h.pages[start:end]
-			bufs, err := h.store.ReadPages(idxs)
+	if bp <= 1 || len(h.pages) <= 1 {
+		for _, idx := range h.pages {
+			buf, err := h.store.ReadPage(idx)
 			if err != nil {
-				return fmt.Errorf("pager: heap pages %d..%d: %w", idxs[0], idxs[len(idxs)-1], err)
+				return fmt.Errorf("pager: heap page %d: %w", idx, err)
 			}
-			for i, idx := range idxs {
-				if err := h.scanPage(idx, bufs[i], fn); err != nil {
-					if err == ErrStopScan {
-						return nil
-					}
-					return err
-				}
+			if err := fn(idx, buf); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
 
-	ch := make(chan scanBatch, h.scan.Prefetch)
+	// One unit of the pipeline: a fetched page range, or the error that
+	// ended fetching.
+	type pageBatch struct {
+		idxs []uint32
+		bufs [][]byte
+		err  error
+	}
+	fetch := func(start int) pageBatch {
+		idxs := h.pages[start:min(start+bp, len(h.pages))]
+		bufs, err := h.store.ReadPages(idxs)
+		return pageBatch{idxs: idxs, bufs: bufs, err: err}
+	}
+	consume := func(b pageBatch) error {
+		if b.err != nil {
+			return fmt.Errorf("pager: heap pages %d..%d: %w", b.idxs[0], b.idxs[len(b.idxs)-1], b.err)
+		}
+		for i, idx := range b.idxs {
+			if err := fn(idx, b.bufs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	if h.scan.Prefetch <= 0 {
+		// Synchronous batches: amortized verification without read-ahead.
+		for start := 0; start < len(h.pages); start += bp {
+			if err := consume(fetch(start)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	ch := make(chan pageBatch, h.scan.Prefetch)
 	done := make(chan struct{})
 	go func() {
 		defer close(ch)
 		for start := 0; start < len(h.pages); start += bp {
-			end := start + bp
-			if end > len(h.pages) {
-				end = len(h.pages)
-			}
-			idxs := h.pages[start:end]
-			bufs, err := h.store.ReadPages(idxs)
+			b := fetch(start)
 			select {
-			case ch <- scanBatch{idxs: idxs, bufs: bufs, err: err}:
+			case ch <- b:
 			case <-done:
 				return
 			}
-			if err != nil {
+			if b.err != nil {
 				return
 			}
 		}
@@ -323,16 +356,8 @@ func (h *HeapFile) scanBatched(fn func(schema.Row) error) error {
 	defer close(done)
 
 	for b := range ch {
-		if b.err != nil {
-			return fmt.Errorf("pager: heap pages %d..%d: %w", b.idxs[0], b.idxs[len(b.idxs)-1], b.err)
-		}
-		for i, idx := range b.idxs {
-			if err := h.scanPage(idx, b.bufs[i], fn); err != nil {
-				if err == ErrStopScan {
-					return nil
-				}
-				return err
-			}
+		if err := consume(b); err != nil {
+			return err
 		}
 	}
 	return nil

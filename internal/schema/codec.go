@@ -92,7 +92,7 @@ func DecodeRow(buf []byte) (Row, int, error) {
 				return nil, 0, fmt.Errorf("schema: bad string length at column %d", i)
 			}
 			pos += sz
-			if uint64(pos)+l > uint64(len(buf)) {
+			if l > uint64(len(buf)-pos) { // not pos+l: a forged length must not wrap
 				return nil, 0, fmt.Errorf("schema: truncated string at column %d", i)
 			}
 			row = append(row, value.Str(string(buf[pos:pos+int(l)])))

@@ -1,0 +1,316 @@
+package schema
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
+	"ironsafe/internal/value"
+)
+
+// RowWindow is a window of consecutive encoded rows that still live in the
+// buffers they were read from (verified plaintext heap pages). It is the
+// late-materializing half of the row codec: AppendRow makes one structural
+// pass over a row — every field, referenced or not, with DecodeRow's checks
+// and error texts — and records where each field starts; after that Col
+// decodes one column of the whole window straight into a typed vector and
+// AppendRows boxes only the rows and columns a consumer keeps.
+//
+// A window is reused: Reset empties it but keeps its index and vector
+// storage, so a scan allocates them once. Vectors returned by Col are
+// therefore valid only until the next Reset. Buffers are only read.
+type RowWindow struct {
+	width int
+	segs  []rowSeg
+	// offs holds, per row, the offset of each of its width fields' kind
+	// bytes within the row's buffer.
+	offs []uint16
+	cols []windowCol
+	all  []int // the identity column list, for AppendRows(…, nil)
+}
+
+// rowSeg is a run of window rows sharing one buffer; end is the window row
+// index one past the run.
+type rowSeg struct {
+	buf []byte
+	end int
+}
+
+// windowCol is one column's reusable vector storage. A column settles on
+// one representation, so in practice one of the four arrays is ever grown.
+type windowCol struct {
+	vec    ColVec
+	fresh  bool // vec holds the current window
+	ints   []int64
+	floats []float64
+	strs   []string
+	boxed  []value.Value
+	// dict holds the first maxDict distinct values of a string column, so a
+	// low-cardinality column (l_shipmode, o_orderstatus) fills its vectors
+	// with shared strings instead of allocating one per element.
+	dict map[string]string
+}
+
+// maxDict bounds a column's dictionary; a column with more distinct values
+// than this stops consulting it.
+const maxDict = 32
+
+// str returns b as a string, shared with earlier equal values of the column
+// while the column stays low-cardinality.
+func (c *windowCol) str(b []byte) string {
+	if len(c.dict) > maxDict {
+		return string(b)
+	}
+	if s, ok := c.dict[string(b)]; ok { // the lookup does not allocate
+		return s
+	}
+	if c.dict == nil {
+		c.dict = map[string]string{}
+	}
+	s := string(b)
+	c.dict[s] = s // the entry past maxDict closes the dictionary
+	return s
+}
+
+// maxWindowBuf bounds the buffers a window indexes: field offsets are kept
+// in 16 bits (heap pages are 4 KiB).
+const maxWindowBuf = math.MaxUint16 + 1
+
+// NewRowWindow returns an empty window over rows of width columns.
+func NewRowWindow(width int) *RowWindow {
+	w := &RowWindow{width: width, cols: make([]windowCol, width), all: make([]int, width)}
+	for i := range w.all {
+		w.all[i] = i
+	}
+	return w
+}
+
+// Len returns the number of rows in the window.
+func (w *RowWindow) Len() int {
+	if len(w.segs) == 0 {
+		return 0
+	}
+	return w.segs[len(w.segs)-1].end
+}
+
+// Reset empties the window, keeping its storage for the next one.
+func (w *RowWindow) Reset() {
+	clear(w.segs) // drop the page references
+	w.segs = w.segs[:0]
+	w.offs = w.offs[:0]
+	for i := range w.cols {
+		w.cols[i].fresh = false
+	}
+}
+
+// AppendRow indexes the row encoded at buf[pos:], which must end within buf,
+// and returns the position after it. It fails exactly where DecodeRow would,
+// and additionally on a row whose column count is not the window's width.
+func (w *RowWindow) AppendRow(buf []byte, pos int) (int, error) {
+	if len(buf) > maxWindowBuf {
+		return 0, fmt.Errorf("schema: row buffer of %d bytes exceeds the %d-byte window limit", len(buf), maxWindowBuf)
+	}
+	if len(buf)-pos < 2 {
+		return 0, fmt.Errorf("schema: short row header")
+	}
+	if n := int(binary.LittleEndian.Uint16(buf[pos:])); n != w.width {
+		return 0, fmt.Errorf("schema: row has %d columns, want %d", n, w.width)
+	}
+	pos += 2
+	base := len(w.offs)
+	w.offs = slices.Grow(w.offs, w.width)[:base+w.width]
+	for i, offs := 0, w.offs[base:]; i < w.width; i++ {
+		if pos >= len(buf) {
+			w.offs = w.offs[:base]
+			return 0, fmt.Errorf("schema: truncated row at column %d", i)
+		}
+		offs[i] = uint16(pos)
+		next, err := skipField(buf, pos, i)
+		if err != nil {
+			w.offs = w.offs[:base]
+			return 0, err
+		}
+		pos = next
+	}
+	if last := len(w.segs) - 1; last >= 0 && &w.segs[last].buf[0] == &buf[0] {
+		w.segs[last].end++
+	} else {
+		w.segs = append(w.segs, rowSeg{buf: buf, end: w.Len() + 1})
+	}
+	return pos, nil
+}
+
+// skipField validates the field of column col whose kind byte is at buf[pos]
+// and returns the position after it.
+func skipField(buf []byte, pos, col int) (int, error) {
+	kind := value.Kind(buf[pos])
+	pos++
+	switch kind {
+	case value.KindNull:
+	case value.KindInt, value.KindDate:
+		_, sz := binary.Uvarint(buf[pos:])
+		if sz <= 0 {
+			return 0, fmt.Errorf("schema: bad varint at column %d", col)
+		}
+		pos += sz
+	case value.KindFloat:
+		if pos+8 > len(buf) {
+			return 0, fmt.Errorf("schema: truncated float at column %d", col)
+		}
+		pos += 8
+	case value.KindString:
+		l, sz := binary.Uvarint(buf[pos:])
+		if sz <= 0 {
+			return 0, fmt.Errorf("schema: bad string length at column %d", col)
+		}
+		pos += sz
+		if l > uint64(len(buf)-pos) { // not pos+l: a forged length must not wrap
+			return 0, fmt.Errorf("schema: truncated string at column %d", col)
+		}
+		pos += int(l)
+	case value.KindBool:
+		if pos >= len(buf) {
+			return 0, fmt.Errorf("schema: truncated bool at column %d", col)
+		}
+		pos++
+	default:
+		return 0, fmt.Errorf("schema: unknown kind %d at column %d", kind, col)
+	}
+	return pos, nil
+}
+
+// The field readers below run on fields AppendRow already validated, so they
+// cannot fail.
+
+func fieldInt(buf []byte, pos int) int64 {
+	v, _ := binary.Varint(buf[pos+1:])
+	return v
+}
+
+func fieldFloat(buf []byte, pos int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf[pos+1:]))
+}
+
+func fieldBytes(buf []byte, pos int) []byte {
+	l, sz := binary.Uvarint(buf[pos+1:])
+	start := pos + 1 + sz
+	return buf[start : start+int(l)]
+}
+
+func fieldString(buf []byte, pos int) string { return string(fieldBytes(buf, pos)) }
+
+func fieldBool(buf []byte, pos int) bool { return buf[pos+1] != 0 }
+
+// fieldValue boxes the field whose kind byte is at buf[pos], as DecodeRow
+// would.
+func fieldValue(buf []byte, pos int) value.Value {
+	switch value.Kind(buf[pos]) {
+	case value.KindInt:
+		return value.Int(fieldInt(buf, pos))
+	case value.KindDate:
+		return value.Date(fieldInt(buf, pos))
+	case value.KindFloat:
+		return value.Float(fieldFloat(buf, pos))
+	case value.KindString:
+		return value.Str(fieldString(buf, pos))
+	case value.KindBool:
+		return value.Bool(fieldBool(buf, pos))
+	}
+	return value.Null()
+}
+
+// Col decodes column col of the window into a vector, choosing the
+// representation as FromRows does: unboxed when every row holds the same
+// non-null kind, boxed otherwise. The vector is memoized until Reset and its
+// storage reused by later windows.
+func (w *RowWindow) Col(col int) *ColVec {
+	c := &w.cols[col]
+	if c.fresh {
+		return &c.vec
+	}
+	c.fresh = true
+	n := w.Len()
+	kind := value.KindNull
+	if n > 0 {
+		kind = value.Kind(w.segs[0].buf[w.offs[col]])
+	}
+	uniform := true
+	switch kind {
+	case value.KindInt, value.KindDate:
+		c.ints = resize(c.ints, n)
+		uniform = w.fill(col, kind, func(r int, buf []byte, pos int) { c.ints[r] = fieldInt(buf, pos) })
+		c.vec = ColVec{Kind: kind, Ints: c.ints, n: n}
+	case value.KindBool:
+		c.ints = resize(c.ints, n)
+		uniform = w.fill(col, kind, func(r int, buf []byte, pos int) {
+			c.ints[r] = 0
+			if fieldBool(buf, pos) {
+				c.ints[r] = 1
+			}
+		})
+		c.vec = ColVec{Kind: kind, Ints: c.ints, n: n}
+	case value.KindFloat:
+		c.floats = resize(c.floats, n)
+		uniform = w.fill(col, kind, func(r int, buf []byte, pos int) { c.floats[r] = fieldFloat(buf, pos) })
+		c.vec = ColVec{Kind: kind, Floats: c.floats, n: n}
+	case value.KindString:
+		c.strs = resize(c.strs, n)
+		uniform = w.fill(col, kind, func(r int, buf []byte, pos int) { c.strs[r] = c.str(fieldBytes(buf, pos)) })
+		c.vec = ColVec{Kind: kind, Strs: c.strs, n: n}
+	default:
+		uniform = false
+	}
+	if !uniform {
+		c.boxed = resize(c.boxed, n)
+		w.fill(col, value.KindNull, func(r int, buf []byte, pos int) { c.boxed[r] = fieldValue(buf, pos) })
+		c.vec = ColVec{Boxed: c.boxed, n: n}
+	}
+	return &c.vec
+}
+
+// fill calls set for column col of every row, in order. With a non-null kind
+// it stops and reports false at the first row holding any other kind.
+func (w *RowWindow) fill(col int, kind value.Kind, set func(r int, buf []byte, pos int)) bool {
+	r := 0
+	for _, s := range w.segs {
+		for ; r < s.end; r++ {
+			pos := int(w.offs[r*w.width+col])
+			if kind != value.KindNull && value.Kind(s.buf[pos]) != kind {
+				return false
+			}
+			set(r, s.buf, pos)
+		}
+	}
+	return true
+}
+
+// resize returns s with length n, reallocating only to grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// AppendRows boxes the rows at the ascending window positions sel, keeping
+// only columns cols (nil: every column) in that order, and appends them to
+// dst. The rows own their storage.
+func (w *RowWindow) AppendRows(dst []Row, sel []int, cols []int) []Row {
+	if cols == nil {
+		cols = w.all
+	}
+	si := 0
+	for _, r := range sel {
+		for r >= w.segs[si].end {
+			si++
+		}
+		buf, base := w.segs[si].buf, r*w.width
+		row := make(Row, len(cols))
+		for j, c := range cols {
+			row[j] = fieldValue(buf, int(w.offs[base+c]))
+		}
+		dst = append(dst, row)
+	}
+	return dst
+}

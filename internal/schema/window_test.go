@@ -1,0 +1,363 @@
+package schema
+
+import (
+	"encoding/binary"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"ironsafe/internal/value"
+)
+
+// encodeRun encodes rows back to back, as a heap page holds them.
+func encodeRun(rows []Row) []byte {
+	var buf []byte
+	for _, r := range rows {
+		buf = EncodeRow(buf, r)
+	}
+	return buf
+}
+
+// windowOf indexes count rows of data (all of one width) into a window,
+// failing where the structural pass fails.
+func windowOf(data []byte, count, width int) (*RowWindow, error) {
+	w := NewRowWindow(width)
+	pos := 0
+	for i := 0; i < count; i++ {
+		next, err := w.AppendRow(data, pos)
+		if err != nil {
+			return nil, err
+		}
+		pos = next
+	}
+	return w, nil
+}
+
+// sameVec reports whether two vectors hold the same values in the same
+// representation.
+func sameVec(a, b *ColVec) bool {
+	if a.Len() != b.Len() || a.Kind != b.Kind ||
+		(a.Ints != nil) != (b.Ints != nil) || (a.Floats != nil) != (b.Floats != nil) || (a.Strs != nil) != (b.Strs != nil) {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if !sameValue(a.Value(i), b.Value(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameValue is struct equality with NaN payloads compared by bits.
+func sameValue(a, b value.Value) bool {
+	if a.Kind() == value.KindFloat && b.Kind() == value.KindFloat {
+		return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+	}
+	return a == b
+}
+
+func sameRows(a, b []Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if !sameValue(a[i][j], b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkWindow compares every page-backed access against the boxed-row
+// reference: Col against FromRows, AppendRows against projecting rows.
+func checkWindow(t *testing.T, w *RowWindow, rows []Row, cols []int) {
+	t.Helper()
+	if w.Len() != len(rows) {
+		t.Fatalf("window holds %d rows, want %d", w.Len(), len(rows))
+	}
+	for _, c := range cols {
+		if got, want := w.Col(c), FromRows(rows, c); !sameVec(got, want) {
+			t.Errorf("Col(%d) = %+v, FromRows = %+v", c, got, want)
+		}
+	}
+	var sel, odd []int
+	for i := range rows {
+		sel = append(sel, i)
+		if i%2 == 1 {
+			odd = append(odd, i)
+		}
+	}
+	for _, s := range [][]int{sel, odd, nil} {
+		var want []Row
+		for _, i := range s {
+			r := make(Row, len(cols))
+			for j, c := range cols {
+				r[j] = rows[i][c]
+			}
+			want = append(want, r)
+		}
+		if got := w.AppendRows(nil, s, cols); !sameRows(got, want) {
+			t.Errorf("AppendRows(sel=%v, cols=%v) = %v, want %v", s, cols, got, want)
+		}
+	}
+	if got := w.AppendRows(nil, sel, nil); !sameRows(got, rows) {
+		t.Errorf("AppendRows(all columns) = %v, want %v", got, rows)
+	}
+}
+
+// corpusRows are the decoder's awkward inputs: NULLs, kinds mixed within one
+// column, empty strings, ten-byte varints, every kind.
+func corpusRows() [][]Row {
+	return [][]Row{
+		{ // uniform, every kind
+			{value.Int(1), value.Float(1.5), value.Str("a"), value.Date(9000), value.Bool(true)},
+			{value.Int(-2), value.Float(-0.0), value.Str(""), value.Date(-1), value.Bool(false)},
+			{value.Int(math.MinInt64), value.Float(math.Inf(1)), value.Str(strings.Repeat("x", 300)), value.Date(math.MaxInt64), value.Bool(true)},
+		},
+		{ // NULLs: leading, trailing, whole column
+			{value.Null(), value.Str("x"), value.Null()},
+			{value.Int(1), value.Null(), value.Null()},
+			{value.Int(2), value.Str("y"), value.Null()},
+		},
+		{ // kinds mixed within a column
+			{value.Int(1), value.Str("s")},
+			{value.Date(1), value.Float(2)},
+			{value.Float(1), value.Bool(true)},
+		},
+		{{value.Str("")}, {value.Str("")}},
+		{},
+	}
+}
+
+func TestRowWindowMatchesFromRows(t *testing.T) {
+	for _, rows := range corpusRows() {
+		width := 0
+		if len(rows) > 0 {
+			width = len(rows[0])
+		}
+		w, err := windowOf(encodeRun(rows), len(rows), width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, width)
+		for i := range all {
+			all[i] = i
+		}
+		checkWindow(t, w, rows, all)
+		if width > 1 {
+			checkWindow(t, w, rows, []int{width - 1, 0})
+		}
+		checkWindow(t, w, rows, []int{})
+	}
+}
+
+// TestRowWindowAcrossBuffersAndReset pins the two ways windows meet pages: one
+// window spanning several buffers, and one buffer split across windows, with
+// vector storage reused in between.
+func TestRowWindowAcrossBuffersAndReset(t *testing.T) {
+	var rows []Row
+	for i := 0; i < 10; i++ {
+		rows = append(rows, Row{value.Int(int64(i)), value.Str(strings.Repeat("p", i)), value.Float(float64(i) / 4)})
+	}
+	pageA, pageB := encodeRun(rows[:4]), encodeRun(rows[4:])
+	w := NewRowWindow(3)
+	add := func(buf []byte, pos, n int) int {
+		for i := 0; i < n; i++ {
+			next, err := w.AppendRow(buf, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos = next
+		}
+		return pos
+	}
+	add(pageA, 0, 4)
+	pos := add(pageB, 0, 3) // window 1: all of A, the first three rows of B
+	checkWindow(t, w, rows[:7], []int{0, 1, 2})
+	ints := w.Col(0).Ints
+	w.Reset()
+	add(pageB, pos, 3) // window 2: the rest of B
+	checkWindow(t, w, rows[7:], []int{0, 1, 2})
+	if got := w.Col(0).Ints; &got[0] != &ints[0] {
+		t.Error("the second window did not reuse the first one's vector storage")
+	}
+	w.Reset()
+	if w.Len() != 0 {
+		t.Errorf("reset window holds %d rows", w.Len())
+	}
+}
+
+func TestRowWindowRejectsMalformedRows(t *testing.T) {
+	good := EncodeRow(nil, Row{value.Int(7), value.Str("abc")})
+	tenByte := EncodeRow(nil, Row{value.Int(math.MinInt64), value.Str("")})
+	overlong := append([]byte{2, 0, byte(value.KindInt)}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
+	cases := []struct {
+		name string
+		buf  []byte
+		want string
+	}{
+		{"short header", good[:1], "schema: short row header"},
+		{"truncated before a column", good[:4], "schema: truncated row at column 1"},
+		{"string overruns the buffer", good[:len(good)-1], "schema: truncated string at column 1"},
+		{"unterminated varint", tenByte[:6], "schema: bad varint at column 0"},
+		{"overlong varint", overlong, "schema: bad varint at column 0"},
+		{"unknown kind", []byte{2, 0, byte(value.KindInt), 2, 99}, "schema: unknown kind 99 at column 1"},
+		{"truncated float", []byte{2, 0, byte(value.KindFloat), 1, 2, 3}, "schema: truncated float at column 0"},
+		{"truncated bool", []byte{2, 0, byte(value.KindNull), byte(value.KindBool)}, "schema: truncated bool at column 1"},
+		{"string length that wraps pos+len", []byte{2, 0, byte(value.KindNull), byte(value.KindString), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "schema: truncated string at column 1"},
+		{"wrong width", EncodeRow(nil, Row{value.Int(1)}), "schema: row has 1 columns, want 2"},
+	}
+	for _, tc := range cases {
+		w := NewRowWindow(2)
+		_, err := w.AppendRow(tc.buf, 0)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+		if w.Len() != 0 {
+			t.Errorf("%s: the failed row was indexed", tc.name)
+		}
+		// Where DecodeRow fails, it fails with the same text.
+		if _, _, derr := DecodeRow(tc.buf); derr != nil && derr.Error() != tc.want {
+			t.Errorf("%s: DecodeRow says %q", tc.name, derr)
+		}
+	}
+	if _, err := NewRowWindow(2).AppendRow(make([]byte, maxWindowBuf+1), 0); err == nil {
+		t.Error("a buffer beyond the 16-bit offset range was accepted")
+	}
+}
+
+// FuzzDecodeColumn holds the page-backed decoder to the boxed-row one on any
+// byte string: over data read as count back-to-back rows, either DecodeRows
+// succeeds on rows of one width and every Col / AppendRows agrees with
+// FromRows / the rows themselves, or both decoders fail.
+func FuzzDecodeColumn(f *testing.F) {
+	for _, rows := range corpusRows() {
+		f.Add(encodeRun(rows), uint16(len(rows)), uint32(0b1011))
+	}
+	var full []Row // a full heap page of rows
+	for i := 0; encodedLen(full) < 4000; i++ {
+		full = append(full, Row{value.Int(int64(i)), value.Str("lineitem"), value.Float(0.05), value.Date(9000 + int64(i))})
+	}
+	f.Add(encodeRun(full), uint16(len(full)), uint32(0b0101))
+	f.Add([]byte{}, uint16(0), uint32(1))                                                       // zero-row page
+	f.Add([]byte{1, 0, 1}, uint16(1), uint32(1))                                                // varint cut short
+	f.Add([]byte{1, 0, 3, 5, 'a'}, uint16(1), uint32(1))                                        // string overrunning the page
+	f.Add(encodeRun([]Row{{value.Int(1)}, {value.Int(1), value.Int(2)}}), uint16(2), uint32(1)) // ragged widths
+
+	f.Fuzz(func(t *testing.T, data []byte, count uint16, colMask uint32) {
+		if len(data) > maxWindowBuf {
+			return
+		}
+		var hdr [binary.MaxVarintLen64]byte
+		ref, refErr := DecodeRows(append(hdr[:binary.PutUvarint(hdr[:], uint64(count))], data...))
+		width := 0
+		if refErr == nil && len(ref) > 0 {
+			width = len(ref[0])
+			for _, r := range ref {
+				if len(r) != width {
+					refErr = errRagged
+				}
+			}
+		}
+		w, err := windowOf(data, int(count), width)
+		if refErr != nil {
+			if err == nil {
+				t.Fatalf("the window accepted rows DecodeRows rejects (%v)", refErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("the window rejected rows DecodeRows accepts: %v", err)
+		}
+		var cols []int
+		for c := 0; c < width; c++ {
+			if colMask&(1<<(c%32)) != 0 {
+				cols = append(cols, c)
+			}
+		}
+		if cols == nil {
+			cols = []int{}
+		}
+		checkWindow(t, w, ref, cols)
+	})
+}
+
+var errRagged = &raggedError{}
+
+type raggedError struct{}
+
+func (*raggedError) Error() string { return "rows of different widths" }
+
+func encodedLen(rows []Row) int {
+	n := 0
+	for _, r := range rows {
+		n += EncodedSize(r)
+	}
+	return n
+}
+
+// TestRowWindowVectorsAreTyped pins the representation rule on the decoder
+// itself (FromRows has the same test through exec.Batch).
+func TestRowWindowVectorsAreTyped(t *testing.T) {
+	rows := corpusRows()[0]
+	w, err := windowOf(encodeRun(rows), len(rows), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		kind   value.Kind
+		ints   bool
+		floats bool
+		strs   bool
+	}{
+		{value.KindInt, true, false, false},
+		{value.KindFloat, false, true, false},
+		{value.KindString, false, false, true},
+		{value.KindDate, true, false, false},
+		{value.KindBool, true, false, false},
+	}
+	for c, wc := range want {
+		v := w.Col(c)
+		got := []any{v.Kind, v.Ints != nil, v.Floats != nil, v.Strs != nil, v.Boxed != nil}
+		if !reflect.DeepEqual(got, []any{wc.kind, wc.ints, wc.floats, wc.strs, false}) {
+			t.Errorf("column %d: kind/ints/floats/strs/boxed = %v", c, got)
+		}
+	}
+}
+
+// TestRowWindowStringDictionary pins the column dictionary: a low-cardinality
+// string column decodes without allocating a string per element once its
+// values have been seen, and a column with more distinct values than the
+// dictionary holds still decodes correctly.
+func TestRowWindowStringDictionary(t *testing.T) {
+	modes := []string{"MAIL", "SHIP", "AIR REG"}
+	var rows []Row
+	for i := 0; i < 300; i++ {
+		rows = append(rows, Row{value.Str(modes[i%len(modes)]), value.Str(strings.Repeat("k", 1+i%(2*maxDict)))})
+	}
+	data := encodeRun(rows)
+	w := NewRowWindow(2)
+	load := func() {
+		w.Reset()
+		for i, pos := 0, 0; i < len(rows); i++ {
+			next, err := w.AppendRow(data, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos = next
+		}
+	}
+	load()
+	checkWindow(t, w, rows, []int{0, 1})
+	if allocs := testing.AllocsPerRun(10, func() { load(); w.Col(0) }); allocs > 5 {
+		t.Errorf("decoding a 3-value string column of %d rows allocates %.0f times", len(rows), allocs)
+	}
+	load()
+	checkWindow(t, w, rows, []int{1, 0})
+}

@@ -219,8 +219,10 @@ func (s *Store) verifyBatch(idxs []uint32, recordMACs [][]byte) error {
 	}
 
 	hashed := 0
+	mac := s.treeMAC()
 	for k, idx := range idxs {
-		leaf := s.leafHash(idx, recordMACs[k])
+		mac.Reset()
+		leaf := leafMAC(mac, idx, recordMACs[k])
 		hashed++
 		if !hmac.Equal(leaf, s.levels[0][idx]) {
 			s.meter.MerkleHashes.Add(int64(hashed))
@@ -252,7 +254,8 @@ func (s *Store) verifyBatch(idxs []uint32, recordMACs [][]byte) error {
 			if hi > len(s.levels[lvl-1]) {
 				hi = len(s.levels[lvl-1])
 			}
-			node := s.hashNode(lvl, parent, s.levels[lvl-1][lo:hi])
+			mac.Reset()
+			node := nodeMAC(mac, lvl, parent, s.levels[lvl-1][lo:hi])
 			hashed++
 			if !hmac.Equal(node, s.levels[lvl][parent]) {
 				s.meter.MerkleHashes.Add(int64(hashed))

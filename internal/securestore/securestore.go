@@ -11,7 +11,6 @@
 package securestore
 
 import (
-	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -21,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 
 	"ironsafe/internal/pager"
@@ -105,6 +105,8 @@ type Store struct {
 	rootKey []byte // device-bound root-tag key
 	jnlKey  []byte // journal-record authentication key
 
+	block cipher.Block // AES keyed with encKey, built once at open; safe for concurrent use
+
 	mu        sync.Mutex
 	levels    [][][]byte // levels[0] = leaves; last level = [root]
 	nextAlloc uint32     // committed page count
@@ -177,6 +179,11 @@ func newStore(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *s
 		}
 		*k.dst = key
 	}
+	block, err := aes.NewCipher(s.encKey)
+	if err != nil {
+		return nil, fmt.Errorf("securestore: page cipher: %w", err)
+	}
+	s.block = block
 	return s, nil
 }
 
@@ -311,10 +318,19 @@ func (s *Store) rebuildLevels(leaves [][]byte) {
 	}
 }
 
+// treeMAC returns a fresh Merkle-node HMAC. A caller hashing many nodes under
+// one lock hold (verifyBatch) keeps one, resetting it between nodeMAC /
+// leafMAC calls, instead of keying a new one per node.
+func (s *Store) treeMAC() hash.Hash { return hmac.New(sha256.New, s.treeKey) }
+
 // hashNode computes an internal node HMAC over its children. The level and
 // index are bound into the MAC so nodes cannot be transplanted.
 func (s *Store) hashNode(level, idx int, children [][]byte) []byte {
-	mac := hmac.New(sha256.New, s.treeKey)
+	return nodeMAC(s.treeMAC(), level, idx, children)
+}
+
+// nodeMAC is hashNode over a fresh or reset treeMAC.
+func nodeMAC(mac hash.Hash, level, idx int, children [][]byte) []byte {
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], uint64(level))
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(idx))
@@ -327,7 +343,11 @@ func (s *Store) hashNode(level, idx int, children [][]byte) []byte {
 
 // leafHash computes the Merkle leaf for a page record.
 func (s *Store) leafHash(idx uint32, recordMAC []byte) []byte {
-	mac := hmac.New(sha256.New, s.treeKey)
+	return leafMAC(s.treeMAC(), idx, recordMAC)
+}
+
+// leafMAC is leafHash over a fresh or reset treeMAC.
+func leafMAC(mac hash.Hash, idx uint32, recordMAC []byte) []byte {
 	mac.Write([]byte("leaf|"))
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], idx)
@@ -600,12 +620,8 @@ func (s *Store) sealPage(idx uint32, plain []byte) (record, recordMAC []byte, er
 	if _, err := rand.Read(iv); err != nil {
 		return nil, nil, err
 	}
-	block, err := aes.NewCipher(s.encKey)
-	if err != nil {
-		return nil, nil, err
-	}
 	ct := make([]byte, pager.PageSize)
-	cipher.NewCBCEncrypter(block, iv).CryptBlocks(ct, plain)
+	cipher.NewCBCEncrypter(s.block, iv).CryptBlocks(ct, plain)
 	mac := s.pageMAC(idx, iv, ct)
 	record = make([]byte, 0, recordSize)
 	record = append(record, iv...)
@@ -629,12 +645,8 @@ func (s *Store) openPage(idx uint32, record []byte) (plain, recordMAC []byte, er
 	if !hmac.Equal(mac, want) {
 		return nil, nil, fmt.Errorf("%w: page %d HMAC mismatch", ErrIntegrity, idx)
 	}
-	block, err := aes.NewCipher(s.encKey)
-	if err != nil {
-		return nil, nil, err
-	}
 	plain = make([]byte, pager.PageSize)
-	cipher.NewCBCDecrypter(block, iv).CryptBlocks(plain, ct)
+	cipher.NewCBCDecrypter(s.block, iv).CryptBlocks(plain, ct)
 	return plain, mac, nil
 }
 
@@ -651,11 +663,7 @@ func (s *Store) pageMAC(idx uint32, iv, ct []byte) []byte {
 }
 
 func (s *Store) sealPageGCM(idx uint32, plain []byte) (record, recordMAC []byte, err error) {
-	block, err := aes.NewCipher(s.encKey)
-	if err != nil {
-		return nil, nil, err
-	}
-	gcm, err := cipher.NewGCM(block)
+	gcm, err := cipher.NewGCM(s.block)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -673,11 +681,7 @@ func (s *Store) sealPageGCM(idx uint32, plain []byte) (record, recordMAC []byte,
 }
 
 func (s *Store) openPageGCM(idx uint32, record []byte) (plain, recordMAC []byte, err error) {
-	block, err := aes.NewCipher(s.encKey)
-	if err != nil {
-		return nil, nil, err
-	}
-	gcm, err := cipher.NewGCM(block)
+	gcm, err := cipher.NewGCM(s.block)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -697,4 +701,4 @@ func (s *Store) openPageGCM(idx uint32, record []byte) (plain, recordMAC []byte,
 
 // Equal reports whether two byte slices match in constant time (exported for
 // tests of detection paths).
-func Equal(a, b []byte) bool { return bytes.Equal(a, b) }
+func Equal(a, b []byte) bool { return hmac.Equal(a, b) }

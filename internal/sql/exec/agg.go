@@ -165,7 +165,7 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 				end = len(in.Rows)
 			}
 			bt := NewBatch(in.Sch, in.Rows[off:end])
-			sel := fullSel(bt.Len())
+			sel := b.fullSel(bt.Len())
 			keyCols := make([]*schema.ColVec, len(groupBy))
 			for i, ge := range groupBy {
 				cv, err := ctx.evalVec(ge, bt, sel)

@@ -136,7 +136,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 					end = len(input.Rows)
 				}
 				bt := NewBatch(input.Sch, input.Rows[off:end])
-				sel := fullSel(bt.Len())
+				sel := b.fullSel(bt.Len())
 				cols := make([]*schema.ColVec, len(items))
 				for i := range items {
 					cv, err := ctx.evalVec(itemExprs[i], bt, sel)
@@ -349,44 +349,35 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env) (*Result, []ast.Expr, err
 		return &Result{Sch: schema.New(), Rows: []schema.Row{{}}}, conjs, nil
 	}
 
-	rels := make([]*Result, len(sel.From))
-	for i, ref := range sel.From {
-		r, err := b.buildRef(ref, env)
-		if err != nil {
-			return nil, nil, err
-		}
-		rels[i] = r
-	}
-
 	used := make([]bool, len(conjs))
 	complex := make([]bool, len(conjs))
 	for i, c := range conjs {
 		complex[i] = containsSubquery(c) || containsAggregate(c)
 	}
 
-	// Single-table pushdown (skipped for right sides of outer joins, where
+	// Each FROM entry is built with its single-table conjuncts pushed into
+	// it, claimed in FROM order (right sides of outer joins take none: there
 	// WHERE semantics differ from ON semantics).
-	for i, rel := range rels {
-		if j := sel.From[i].Join; j != nil && j.Kind == ast.JoinLeftOuter {
-			continue
-		}
-		var push []ast.Expr
-		for j, c := range conjs {
-			if used[j] || complex[j] {
-				continue
+	rels := make([]*Result, len(sel.From))
+	for i, ref := range sel.From {
+		outer := ref.Join != nil && ref.Join.Kind == ast.JoinLeftOuter
+		r, err := b.buildRef(ref, env, func(sch *schema.Schema) ast.Expr {
+			var push []ast.Expr
+			for j, c := range conjs {
+				if outer || used[j] || complex[j] {
+					continue
+				}
+				if refsIn(c, sch) && resolvableIn(c, sch, env, true) {
+					push = append(push, c)
+					used[j] = true
+				}
 			}
-			if refsIn(c, rel.Sch) && resolvableIn(c, rel.Sch, env, true) {
-				push = append(push, c)
-				used[j] = true
-			}
+			return ast.JoinConjuncts(push)
+		})
+		if err != nil {
+			return nil, nil, err
 		}
-		if len(push) > 0 {
-			filtered, err := b.applyFilter(rel, ast.JoinConjuncts(push), env)
-			if err != nil {
-				return nil, nil, err
-			}
-			rels[i] = filtered
-		}
+		rels[i] = r
 	}
 
 	explicit := false
@@ -631,40 +622,94 @@ func splitEquiKey(c ast.Expr, left, right *schema.Schema, env *Env) (ast.Expr, a
 	return nil, nil, false
 }
 
-// buildRef materializes one FROM entry with a qualified schema.
-func (b *builder) buildRef(ref ast.TableRef, env *Env) (*Result, error) {
+// buildRef materializes one FROM entry with a qualified schema, filtered by
+// the conjuncts pushed down to it: pushdown(sch) claims them given the
+// entry's schema and returns their conjunction (nil for none).
+//
+// A stored table in vector mode is scanned late-materializing: per window
+// the predicate runs over column vectors decoded straight from the pages,
+// and only the rows it keeps are boxed, narrowed to the columns the statement
+// references anywhere.
+func (b *builder) buildRef(ref ast.TableRef, env *Env, pushdown func(*schema.Schema) ast.Expr) (*Result, error) {
 	if ref.Subquery != nil {
 		sub, err := b.buildSelect(ref.Subquery, env)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Sch: sub.Sch.Qualify(ref.Name()), Rows: sub.Rows}, nil
+		res := &Result{Sch: sub.Sch.Qualify(ref.Name()), Rows: sub.Rows}
+		if pred := pushdown(res.Sch); pred != nil {
+			return b.applyFilter(res, pred, env)
+		}
+		return res, nil
 	}
 	rel, err := b.cat.Relation(ref.Table)
 	if err != nil {
 		return nil, err
 	}
-	var rows []schema.Row
-	if br, ok := rel.(BatchRelation); ok && b.vec() {
-		if err := br.ScanBatch(b.batchRows, func(bt *Batch) error {
-			rows = append(rows, bt.Rows...) // copy out: the window is reused
-			b.chargeBatch(int64(bt.Len()))
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	} else {
+	full := rel.Schema().Qualify(ref.Name())
+	res := &Result{Sch: full}
+	scanned := 0
+	br, ok := rel.(BatchRelation)
+	if !ok || !b.vec() {
 		//ironsafe:allow rowloop -- the sanctioned fallback: ExecBatchRows=1 and relations without ScanBatch take the row-at-a-time scan
 		if err := rel.Scan(func(r schema.Row) error {
-			rows = append(rows, r)
+			res.Rows = append(res.Rows, r)
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		b.chargeRows(int64(len(rows)))
+		scanned = len(res.Rows)
+		b.chargeRows(int64(scanned))
+		b.trace.addf("scan %s as %s -> %d rows", ref.Table, ref.Name(), scanned)
+		if pred := pushdown(full); pred != nil {
+			return b.applyFilter(res, pred, env)
+		}
+		return res, nil
 	}
-	b.trace.addf("scan %s as %s -> %d rows", ref.Table, ref.Name(), len(rows))
-	return &Result{Sch: rel.Schema().Qualify(ref.Name()), Rows: rows}, nil
+
+	if b.refs == nil {
+		b.refs = collectRefs(b.stmt)
+	}
+	cols := b.refs.keep(ref.Table, full)
+	if cols != nil {
+		res.Sch = &schema.Schema{Columns: make([]schema.Column, len(cols))}
+		for j, c := range cols {
+			res.Sch.Columns[j] = full.Columns[c]
+		}
+	}
+	pred := pushdown(res.Sch)
+	fused := pred != nil && supportsVec(pred)
+	// The predicate reads table columns, so it resolves against the full
+	// schema whatever the scan's output keeps.
+	ctx := newCtx(b, full, env)
+	var survivors []int
+	if err := br.ScanBatch(b.batchRows, func(bt *Batch) error {
+		n := bt.Len()
+		scanned += n
+		b.chargeBatch(int64(n))
+		keep := b.fullSel(n)
+		if fused {
+			v, err := ctx.evalVec(pred, bt, keep)
+			if err != nil {
+				return err
+			}
+			survivors = selectTrue(v, n, survivors[:0])
+			keep = survivors
+			b.chargeBatch(int64(n))
+		}
+		res.Rows = bt.AppendRows(res.Rows, keep, cols)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	b.trace.addf("scan %s as %s -> %d rows", ref.Table, ref.Name(), scanned)
+	switch {
+	case fused:
+		b.trace.addf("filter %s: %d -> %d rows", pred, scanned, len(res.Rows))
+	case pred != nil:
+		return b.applyFilter(res, pred, env)
+	}
+	return res, nil
 }
 
 // applyFilter keeps rows where pred is true.
@@ -678,21 +723,15 @@ func (b *builder) applyFilter(in *Result, pred ast.Expr, env *Env) (*Result, err
 	if b.vec() && supportsVec(pred) {
 		// Selection-vector evaluation: one dispatch per batch, no per-row
 		// context copies, output rows shared with the input by reference.
+		var keep []int
 		for off := 0; off < len(in.Rows); off += b.batchRows {
-			end := off + b.batchRows
-			if end > len(in.Rows) {
-				end = len(in.Rows)
-			}
-			bt := NewBatch(in.Sch, in.Rows[off:end])
-			v, err := ctx.evalVec(pred, bt, fullSel(bt.Len()))
+			bt := NewBatch(in.Sch, in.Rows[off:min(off+b.batchRows, len(in.Rows))])
+			v, err := ctx.evalVec(pred, bt, b.fullSel(bt.Len()))
 			if err != nil {
 				return nil, err
 			}
-			for i := 0; i < bt.Len(); i++ {
-				if truthy(v.Value(i)) {
-					out.Rows = append(out.Rows, bt.Rows[i])
-				}
-			}
+			keep = selectTrue(v, bt.Len(), keep[:0])
+			out.Rows = bt.AppendRows(out.Rows, keep, nil)
 			b.chargeBatch(int64(bt.Len()))
 		}
 	} else {
@@ -724,7 +763,7 @@ func (b *builder) forEachKeyedRow(res *Result, keys []ast.Expr, env *Env, fn fun
 				end = len(res.Rows)
 			}
 			bt := NewBatch(res.Sch, res.Rows[off:end])
-			sel := fullSel(bt.Len())
+			sel := b.fullSel(bt.Len())
 			keyCols := make([]*schema.ColVec, len(keys))
 			for i, e := range keys {
 				cv, err := ctx.evalVec(e, bt, sel)

@@ -122,14 +122,14 @@ func Run(sel *ast.Select, cat Catalog, meter *simtime.Meter) (*Result, error) {
 // RunBatched is Run with an explicit operator batch size: 0 means
 // DefaultBatchRows, 1 forces the row-at-a-time path everywhere.
 func RunBatched(sel *ast.Select, cat Catalog, meter *simtime.Meter, batchRows int) (*Result, error) {
-	b := &builder{cat: cat, meter: meter, batchRows: normBatchRows(batchRows)}
+	b := &builder{cat: cat, meter: meter, batchRows: normBatchRows(batchRows), stmt: sel}
 	return b.buildSelect(sel, nil)
 }
 
 // RunWithEnv executes sel with an outer binding environment (used for
 // fallback correlated-subquery evaluation).
 func RunWithEnv(sel *ast.Select, cat Catalog, meter *simtime.Meter, env *Env) (*Result, error) {
-	b := &builder{cat: cat, meter: meter, batchRows: DefaultBatchRows}
+	b := &builder{cat: cat, meter: meter, batchRows: DefaultBatchRows, stmt: sel}
 	return b.buildSelect(sel, env)
 }
 
@@ -171,6 +171,13 @@ type builder struct {
 	meter     *simtime.Meter
 	trace     *Trace
 	batchRows int
+
+	// stmt is the top-level statement; refs is the set of columns it
+	// references, computed from stmt on the first table scan.
+	stmt *ast.Select
+	refs *colRefs
+
+	ident []int // the identity selection vector, grown on demand
 }
 
 // vec reports whether operators should take their vectorized paths.

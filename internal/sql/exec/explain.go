@@ -41,7 +41,7 @@ func (t *Trace) Lines() []string {
 // Explain executes sel and returns both its result and the execution trace.
 func Explain(sel *ast.Select, cat Catalog, meter *simtime.Meter) (*Result, *Trace, error) {
 	tr := &Trace{}
-	b := &builder{cat: cat, meter: meter, trace: tr, batchRows: DefaultBatchRows}
+	b := &builder{cat: cat, meter: meter, trace: tr, batchRows: DefaultBatchRows, stmt: sel}
 	res, err := b.buildSelect(sel, nil)
 	if err != nil {
 		return nil, tr, err

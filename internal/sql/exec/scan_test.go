@@ -1,0 +1,379 @@
+package exec
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"ironsafe/internal/schema"
+	"ironsafe/internal/simtime"
+	"ironsafe/internal/sql/ast"
+	"ironsafe/internal/sql/parser"
+	"ironsafe/internal/value"
+)
+
+// lineitemish builds n rows shaped like the lineitem columns the pushed TPC-H
+// predicates read. With nulls set, every fifth value of every column is NULL,
+// which forces the boxed fallbacks.
+func lineitemish(n int, nulls bool) *MemRelation {
+	modes := []string{"MAIL", "SHIP", "AIR", "AIR REG", "TRUCK", "RAIL", "FOB"}
+	instr := []string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"}
+	base := value.DaysFromCivil(1993, 6, 1)
+	rel := &MemRelation{Sch: schema.New(
+		schema.Col("l_orderkey", value.KindInt),
+		schema.Col("l_quantity", value.KindFloat),
+		schema.Col("l_discount", value.KindFloat),
+		schema.Col("l_shipdate", value.KindDate),
+		schema.Col("l_commitdate", value.KindDate),
+		schema.Col("l_receiptdate", value.KindDate),
+		schema.Col("l_shipmode", value.KindString),
+		schema.Col("l_shipinstruct", value.KindString),
+		schema.Col("l_size", value.KindInt),
+		schema.Col("l_flag", value.KindBool),
+		schema.Col("l_comment", value.KindString), // never referenced below
+	)}
+	for i := 0; i < n; i++ {
+		row := schema.Row{
+			value.Int(int64(i)),
+			value.Float(float64(1 + i%50)),
+			value.Float(float64(i%11) / 100),
+			value.Date(base + int64(i*7%900)),
+			value.Date(base + int64(i*11%900)),
+			value.Date(base + int64(i*13%900)),
+			value.Str(modes[i%len(modes)]),
+			value.Str(instr[i%len(instr)]),
+			value.Int(int64(i % 50)),
+			value.Bool(i%3 == 0),
+			value.Str(fmt.Sprintf("comment %d", i)),
+		}
+		if nulls {
+			for c := range row {
+				if (i+c)%5 == 0 {
+					row[c] = value.Null()
+				}
+			}
+		}
+		rel.Rows = append(rel.Rows, row)
+	}
+	return rel
+}
+
+// pushedShapes are the predicate shapes of the 26 pushed-down TPC-H
+// fragments (and their close variants), over lineitemish.
+var pushedShapes = []string{
+	"l_shipdate > date '1995-03-15'",
+	"l_shipdate >= date '1994-01-01' AND l_shipdate < date '1994-01-01' + interval '1' year",
+	"l_shipdate >= date '1994-01-01' AND l_shipdate < date '1994-01-01' + interval '1' year AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24",
+	"l_shipdate BETWEEN date '1995-01-01' AND date '1996-12-31'",
+	"l_shipdate NOT BETWEEN date '1995-01-01' AND date '1996-12-31'",
+	"l_commitdate < l_receiptdate",
+	"l_shipmode IN ('MAIL', 'SHIP') AND l_commitdate < l_receiptdate AND l_shipdate < l_commitdate AND l_receiptdate >= date '1994-01-01'",
+	"l_shipmode = 'MAIL'",
+	"l_shipmode <> 'MAIL'",
+	"l_shipmode = 'MAIL' OR l_shipmode = 'SHIP' OR l_shipmode = 'MAIL'",
+	"l_shipinstruct LIKE '%PERSON'",
+	"l_shipinstruct NOT LIKE 'DELIVER%'",
+	"l_shipmode < l_shipinstruct",
+	"l_size = 15 AND l_shipinstruct LIKE '%COD'",
+	"l_size IN (49, 14, 23, 45, 19, 3, 36, 9)",
+	"l_size NOT IN (1, 2, 3)",
+	"l_size BETWEEN 1 AND 5",
+	"l_quantity IN (1, 2.0, 3)",
+	"l_quantity >= 1 AND l_quantity <= 11 AND l_shipmode IN ('AIR', 'AIR REG') AND l_shipinstruct = 'DELIVER IN PERSON' OR l_quantity >= 10 AND l_quantity <= 20 AND l_shipmode IN ('AIR', 'AIR REG')",
+	"NOT (l_size < 10)",
+	"NOT (l_size < 10 OR l_shipmode = 'RAIL')",
+	"l_flag = true",
+	"l_flag AND l_size > 20",
+	"l_flag OR l_size > 40",
+	"24 > l_quantity",
+}
+
+// boxedShapes still take a boxed path somewhere (a constant or NULL operand
+// the typed kernels leave to the general code); they must agree all the same.
+var boxedShapes = []string{
+	"1 < 2 AND l_size > 47",
+	"l_size IN (1, NULL, 3)",
+	"l_size > 47 OR NULL",
+	"l_shipmode LIKE l_shipinstruct",
+	"l_size = 7.5",
+}
+
+// TestPushedPredicatesRunTyped pins the point of the typed kernels: over
+// NULL-free typed columns every pushed predicate shape evaluates to a typed
+// boolean vector — no boxed intermediate anywhere in the tree — and that
+// vector agrees with the scalar evaluator row by row. Over NULL-bearing
+// columns the same predicates fall back to the boxed kernels and still agree.
+func TestPushedPredicatesRunTyped(t *testing.T) {
+	for _, nulls := range []bool{false, true} {
+		rel := lineitemish(200, nulls)
+		b := &builder{batchRows: DefaultBatchRows}
+		ctx := newCtx(b, rel.Sch, nil)
+		bt := NewBatch(rel.Sch, rel.Rows)
+		for _, text := range pushedShapes {
+			sel, err := parser.ParseSelect("SELECT l_orderkey FROM lineitem WHERE " + text)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			v, err := ctx.evalVec(sel.Where, bt, b.fullSel(bt.Len()))
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			if !nulls && boolInts(v) == nil {
+				t.Errorf("%s: evaluated to a boxed vector over typed columns", text)
+			}
+			for i, row := range rel.Rows {
+				want, err := ctx.withRow(row).eval(sel.Where)
+				if err != nil {
+					t.Fatalf("%s row %d: %v", text, i, err)
+				}
+				if got := v.Value(i); got != want {
+					t.Fatalf("%s row %d (nulls=%v): vector %v, scalar %v", text, i, nulls, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPushedPredicatesBatchInvariance runs the same shapes end to end through
+// the scan, across batch sizes and against row mode.
+func TestPushedPredicatesBatchInvariance(t *testing.T) {
+	for _, nulls := range []bool{false, true} {
+		cat := memCatalog{"lineitem": lineitemish(200, nulls)}
+		for _, text := range append(append([]string{}, pushedShapes...), boxedShapes...) {
+			sel, err := parser.ParseSelect("SELECT l_orderkey, l_shipmode FROM lineitem WHERE " + text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref *Result
+			var refSnap simtime.Snapshot
+			for _, size := range []int{1, 7, 64, DefaultBatchRows} {
+				var m simtime.Meter
+				res, err := RunBatched(sel, cat, &m, size)
+				if err != nil {
+					t.Fatalf("%s (batch=%d): %v", text, size, err)
+				}
+				snap := m.Snapshot()
+				snap.Batches = 0
+				if ref == nil {
+					ref, refSnap = res, snap
+					continue
+				}
+				if !reflect.DeepEqual(res.Rows, ref.Rows) {
+					t.Errorf("%s (nulls=%v): batch=%d returns %d rows, row mode %d", text, nulls, size, len(res.Rows), len(ref.Rows))
+				}
+				if snap != refSnap {
+					t.Errorf("%s: batch=%d accounting %+v, row mode %+v", text, size, snap, refSnap)
+				}
+			}
+		}
+	}
+}
+
+// TestConstSubexpressionLaziness pins that hoisting a column-free
+// subexpression does not evaluate what the row path never reaches: the
+// failing constant sits behind a branch no row takes.
+func TestConstSubexpressionLaziness(t *testing.T) {
+	cat := memCatalog{"lineitem": lineitemish(20, false)}
+	for _, sql := range []string{
+		"SELECT l_orderkey FROM lineitem WHERE l_size < 0 AND 1 / 0 > 1",
+		"SELECT CASE WHEN l_size < 0 THEN 1 / 0 ELSE 2 END FROM lineitem",
+		"SELECT l_orderkey FROM lineitem WHERE l_size >= 0 OR l_size IN (1, 1 / 0)",
+	} {
+		sel, err := parser.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{1, DefaultBatchRows} {
+			if _, err := RunBatched(sel, cat, nil, size); err != nil {
+				t.Errorf("%s (batch=%d): %v", sql, size, err)
+			}
+		}
+	}
+	sel, _ := parser.ParseSelect("SELECT l_orderkey FROM lineitem WHERE l_size >= 0 AND 1 / 0 > 1")
+	for _, size := range []int{1, DefaultBatchRows} {
+		if _, err := RunBatched(sel, cat, nil, size); err == nil {
+			t.Errorf("batch=%d: a reached division by zero did not fail", size)
+		}
+	}
+}
+
+// TestReferencedColumns pins the statement-level analysis: which columns of
+// which table a scan may drop, for the shapes where a reference is easy to
+// miss.
+func TestReferencedColumns(t *testing.T) {
+	cat := testCatalog()
+	cases := []struct {
+		sql  string
+		want map[string]string // table -> kept columns ("*" = all)
+	}{
+		{"SELECT name FROM users WHERE age > 30", map[string]string{"users": "name age"}},
+		{"SELECT * FROM users", map[string]string{"users": "*"}},
+		{"SELECT count(*) FROM orders", map[string]string{"orders": ""}},
+		{"SELECT u.name FROM users u WHERE EXISTS (SELECT * FROM orders o WHERE o.uid = u.id)",
+			map[string]string{"users": "id name", "orders": "*"}},
+		{"SELECT name FROM users WHERE id IN (SELECT uid FROM orders WHERE amount > 30)",
+			map[string]string{"users": "id name", "orders": "uid amount"}},
+		{"SELECT name, (SELECT max(amount) FROM orders o WHERE o.uid = u.id) FROM users u",
+			map[string]string{"users": "id name", "orders": "uid amount"}},
+		{"SELECT country AS c, count(*) FROM users GROUP BY 1 ORDER BY c",
+			map[string]string{"users": "country"}},
+		{"SELECT x.total FROM (SELECT uid, sum(amount) AS total FROM orders GROUP BY uid) x ORDER BY x.total",
+			map[string]string{"orders": "uid amount"}},
+		{"SELECT u.name FROM users u LEFT JOIN orders o ON o.uid = u.id AND o.status = 'OK'",
+			map[string]string{"users": "id name", "orders": "uid status"}},
+		// Conservative by design: a name keeps its column in every table.
+		{"SELECT i.sku FROM items i, orders o WHERE i.oid = 100",
+			map[string]string{"items": "oid sku", "orders": "oid"}},
+	}
+	for _, tc := range cases {
+		sel, err := parser.ParseSelect(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		refs := collectRefs(sel)
+		for table, want := range tc.want {
+			sch := cat[table].Sch
+			got := "*"
+			if cols := refs.keep(table, sch); cols != nil {
+				names := make([]string, len(cols))
+				for i, c := range cols {
+					names[i] = sch.Columns[c].Name
+				}
+				got = strings.Join(names, " ")
+			}
+			if got != want {
+				t.Errorf("%s: %s keeps %q, want %q", tc.sql, table, got, want)
+			}
+		}
+	}
+}
+
+// TestColumnPruningNeverDropsAReference runs the shapes where a referenced
+// column is easiest to lose — correlated EXISTS / IN / scalar subqueries,
+// SELECT *, ORDER BY an alias, positional GROUP BY, derived tables, outer
+// joins — with pruning (vector mode) and without (row mode): the rows must be
+// identical, and a pruned-but-needed column would surface as an unknown
+// column error.
+func TestColumnPruningNeverDropsAReference(t *testing.T) {
+	queries := []string{
+		"SELECT * FROM users ORDER BY id",
+		"SELECT * FROM users u, orders o WHERE o.uid = u.id ORDER BY o.oid",
+		"SELECT name FROM users u WHERE EXISTS (SELECT * FROM orders o WHERE o.uid = u.id AND o.amount > 60) ORDER BY name",
+		"SELECT name FROM users u WHERE NOT EXISTS (SELECT 1 FROM orders o WHERE o.uid = u.id) ORDER BY name",
+		"SELECT name FROM users WHERE id IN (SELECT uid FROM orders WHERE status = 'OK') ORDER BY name",
+		"SELECT name FROM users u WHERE u.age > (SELECT avg(age) FROM users) ORDER BY name",
+		"SELECT name, (SELECT sum(amount) FROM orders o WHERE o.uid = u.id) AS spent FROM users u ORDER BY spent DESC, name",
+		"SELECT o.oid FROM orders o WHERE o.amount > (SELECT avg(o2.amount) FROM orders o2 WHERE o2.uid = o.uid) ORDER BY o.oid",
+		"SELECT country AS c, count(*) AS n FROM users GROUP BY 1 ORDER BY n DESC, c",
+		"SELECT country, sum(age) AS total FROM users GROUP BY country ORDER BY total",
+		"SELECT x.uid, x.total FROM (SELECT uid, sum(amount) AS total FROM orders GROUP BY uid) x WHERE x.total > 30 ORDER BY x.uid",
+		"SELECT u.name, o.oid FROM users u LEFT JOIN orders o ON o.uid = u.id AND o.status = 'OK' ORDER BY u.name, o.oid",
+		"SELECT count(*) FROM orders",
+		"SELECT count(*) FROM users u, orders o",
+		"SELECT u.name, i.sku FROM users u, orders o, items i WHERE o.uid = u.id AND i.oid = o.oid AND i.qty > 1 ORDER BY u.name, i.sku",
+	}
+	for _, sql := range queries {
+		sel, err := parser.ParseSelect(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		row, err := RunBatched(sel, testCatalog(), nil, 1)
+		if err != nil {
+			t.Fatalf("%s (row mode): %v", sql, err)
+		}
+		for _, size := range []int{2, DefaultBatchRows} {
+			vec, err := RunBatched(sel, testCatalog(), nil, size)
+			if err != nil {
+				t.Fatalf("%s (batch=%d): %v", sql, size, err)
+			}
+			if !reflect.DeepEqual(vec.Rows, row.Rows) || !reflect.DeepEqual(vec.Sch, row.Sch) {
+				t.Errorf("%s (batch=%d):\n  got:  %v\n  want: %v", sql, size, vec.Rows, row.Rows)
+			}
+		}
+	}
+}
+
+// TestScanPrunesAndFiltersInOnePass pins what the fused scan hands on: narrow
+// rows of the referenced columns only, already filtered, with the trace lines
+// and the two per-window charges of the scan + filter pair it replaced.
+func TestScanPrunesAndFiltersInOnePass(t *testing.T) {
+	sel, err := parser.ParseSelect("SELECT l_orderkey FROM lineitem WHERE l_size = 7 AND l_shipmode = 'MAIL'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m simtime.Meter
+	tr := &Trace{}
+	b := &builder{cat: memCatalog{"lineitem": lineitemish(100, false)}, meter: &m, trace: tr, batchRows: 40, stmt: sel}
+	res, remaining, err := b.buildFrom(sel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(remaining) != 0 {
+		t.Errorf("conjuncts left after pushdown: %v", remaining)
+	}
+	var names []string
+	for _, c := range res.Sch.Columns {
+		names = append(names, c.Name)
+	}
+	sort.Strings(names)
+	if want := []string{"lineitem.l_orderkey", "lineitem.l_shipmode", "lineitem.l_size"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("scan schema %v, want %v", names, want)
+	}
+	for _, r := range res.Rows {
+		if len(r) != 3 || r[2].AsInt() != 7 || r[1].AsString() != "MAIL" {
+			t.Errorf("scan kept row %v", r)
+		}
+	}
+	want := []string{
+		"scan lineitem as lineitem -> 100 rows",
+		fmt.Sprintf("filter %s: 100 -> %d rows", ast.JoinConjuncts(ast.SplitConjuncts(sel.Where)), len(res.Rows)),
+	}
+	if got := tr.Lines(); !reflect.DeepEqual(got, want) {
+		t.Errorf("trace %q, want %q", got, want)
+	}
+	// Three windows (40, 40, 20), each charged once for the scan and once
+	// for the filter.
+	if snap := m.Snapshot(); snap.Batches != 6 || snap.TuplesProcessed != 200 || snap.TupleWork != 200 {
+		t.Errorf("charges %+v, want 6 batches over 200 tuples", snap)
+	}
+}
+
+// BenchmarkEvalVecPredicate times the pushed q6, q12 and q19 lineitem
+// predicates over one full window of typed column vectors: the filter kernel
+// alone, with the columns already decoded.
+func BenchmarkEvalVecPredicate(b *testing.B) {
+	preds := map[string]string{
+		"q6":  pushedShapes[2],
+		"q12": "l_shipmode IN ('MAIL', 'SHIP') AND l_commitdate < l_receiptdate AND l_shipdate < l_commitdate AND l_receiptdate >= date '1994-01-01' AND l_receiptdate < date '1994-01-01' + interval '1' year",
+		"q19": "l_quantity >= 1 AND l_quantity <= 11 AND l_shipmode IN ('AIR', 'AIR REG') AND l_shipinstruct = 'DELIVER IN PERSON' OR l_quantity >= 10 AND l_quantity <= 20 AND l_shipmode IN ('AIR', 'AIR REG') AND l_shipinstruct = 'DELIVER IN PERSON' OR l_quantity >= 20 AND l_quantity <= 30 AND l_shipmode IN ('AIR', 'AIR REG') AND l_shipinstruct = 'DELIVER IN PERSON'",
+	}
+	rel := lineitemish(DefaultBatchRows, false)
+	for _, name := range []string{"q6", "q12", "q19"} {
+		sel, err := parser.ParseSelect("SELECT l_orderkey FROM lineitem WHERE " + preds[name])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			bld := &builder{batchRows: DefaultBatchRows}
+			ctx := newCtx(bld, rel.Sch, nil)
+			bt := NewBatch(rel.Sch, rel.Rows)
+			for c := range rel.Sch.Columns {
+				bt.Col(c) // decode outside the timed loop
+			}
+			sel0 := bld.fullSel(bt.Len())
+			var keep []int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := ctx.evalVec(sel.Where, bt, sel0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				keep = selectTrue(v, bt.Len(), keep[:0])
+			}
+			b.ReportMetric(float64(len(keep)), "rows-kept")
+		})
+	}
+}

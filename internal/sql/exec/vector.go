@@ -8,15 +8,20 @@ import (
 	"ironsafe/internal/value"
 )
 
-// Batch is one columnar operator batch: a window of materialized rows plus
-// lazily extracted per-column vectors. Filters pass row membership downstream
-// via selection vectors (position lists) rather than copying data, so output
-// rows are the same schema.Row values the row-at-a-time path would produce —
-// byte-identical results by construction.
+// Batch is one columnar operator batch. It has two forms. A row-backed batch
+// is a window of materialized rows plus lazily extracted per-column vectors;
+// operators over intermediate results use it, and filters pass row
+// membership downstream via selection vectors (position lists) rather than
+// copying data, so output rows are the same schema.Row values the
+// row-at-a-time path would produce — byte-identical results by construction.
+// A page-backed batch is a window of a stored table whose rows are still
+// encoded in their verified plaintext pages (Rows is nil): Col decodes one
+// column on demand, AppendRows boxes only what the scan keeps.
 type Batch struct {
 	Sch  *schema.Schema
 	Rows []schema.Row
 
+	win  *schema.RowWindow
 	cols []*schema.ColVec
 }
 
@@ -27,11 +32,24 @@ func NewBatch(sch *schema.Schema, rows []schema.Row) *Batch {
 	return &Batch{Sch: sch, Rows: rows}
 }
 
+// NewWindowBatch wraps a window of encoded rows as a page-backed batch.
+func NewWindowBatch(sch *schema.Schema, win *schema.RowWindow) *Batch {
+	return &Batch{Sch: sch, win: win}
+}
+
 // Len returns the number of rows in the batch.
-func (bt *Batch) Len() int { return len(bt.Rows) }
+func (bt *Batch) Len() int {
+	if bt.win != nil {
+		return bt.win.Len()
+	}
+	return len(bt.Rows)
+}
 
 // Col lazily columnarizes column i, memoizing the vector.
 func (bt *Batch) Col(i int) *schema.ColVec {
+	if bt.win != nil {
+		return bt.win.Col(i)
+	}
 	if bt.cols == nil {
 		bt.cols = make([]*schema.ColVec, bt.Sch.Len())
 	}
@@ -39,6 +57,32 @@ func (bt *Batch) Col(i int) *schema.ColVec {
 		bt.cols[i] = schema.FromRows(bt.Rows, i)
 	}
 	return bt.cols[i]
+}
+
+// AppendRows appends the batch's rows at the ascending positions sel,
+// narrowed to columns cols (nil: every column), to dst. A row-backed batch
+// shares its rows by reference when no column is dropped.
+func (bt *Batch) AppendRows(dst []schema.Row, sel []int, cols []int) []schema.Row {
+	if bt.win != nil {
+		return bt.win.AppendRows(dst, sel, cols)
+	}
+	if cols == nil {
+		if len(sel) == len(bt.Rows) { // ascending and distinct: the identity
+			return append(dst, bt.Rows...)
+		}
+		for _, i := range sel {
+			dst = append(dst, bt.Rows[i])
+		}
+		return dst
+	}
+	for _, i := range sel {
+		row := make(schema.Row, len(cols))
+		for j, c := range cols {
+			row[j] = bt.Rows[i][c]
+		}
+		dst = append(dst, row)
+	}
+	return dst
 }
 
 // vecKeyAt concatenates the hash key for row j from extracted key columns,
@@ -55,13 +99,55 @@ func vecKeyAt(cols []*schema.ColVec, j int) (string, bool) {
 	return key, false
 }
 
-// fullSel returns the identity selection vector [0, n).
-func fullSel(n int) []int {
-	sel := make([]int, n)
-	for i := range sel {
-		sel[i] = i
+// fullSel returns the identity selection vector [0, n). It is one shared
+// array, grown on demand: kernels only ever read their selection.
+func (b *builder) fullSel(n int) []int {
+	for i := len(b.ident); i < n; i++ {
+		b.ident = append(b.ident, i)
 	}
-	return sel
+	return b.ident[:n]
+}
+
+// boolInts returns the 0/1 array of a typed (hence NULL-free) boolean
+// vector, or nil for any other vector.
+func boolInts(cv *schema.ColVec) []int64 {
+	if cv.Const || cv.Kind != value.KindBool {
+		return nil
+	}
+	return cv.Ints
+}
+
+// selectTrue appends to dst the positions in [0, n) where the predicate
+// vector v is true.
+func selectTrue(v *schema.ColVec, n int, dst []int) []int {
+	if ints := boolInts(v); ints != nil {
+		for i, t := range ints[:n] {
+			if t != 0 {
+				dst = append(dst, i)
+			}
+		}
+		return dst
+	}
+	for i := 0; i < n; i++ {
+		if truthy(v.Value(i)) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// isConstExpr reports whether e reads no column and runs no subquery or
+// function, so that it has one value for every row of a batch.
+func isConstExpr(e ast.Expr) bool {
+	konst := true
+	ast.Walk(e, func(x ast.Expr) bool {
+		switch x.(type) {
+		case *ast.ColumnRef, *ast.FuncCall, *ast.Exists, *ast.InSubquery, *ast.ScalarSubquery:
+			konst = false
+		}
+		return konst
+	})
+	return konst
 }
 
 // supportsVec reports whether e can be evaluated by evalVec. Subquery nodes
@@ -181,6 +267,16 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 			return schema.ConstVec(v, n), nil
 		}
 	}
+	// A column-free subexpression (date '1994-01-01' + interval '1' year) has
+	// one value per batch: compute it once, as the row path would for any
+	// selected row.
+	if _, lit := e.(*ast.Literal); !lit && len(sel) > 0 && isConstExpr(e) {
+		v, err := c.eval(e)
+		if err != nil {
+			return nil, err
+		}
+		return schema.ConstVec(v, n), nil
+	}
 	switch x := e.(type) {
 	case *ast.Literal:
 		return schema.ConstVec(x.Value, n), nil
@@ -206,6 +302,13 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 		v, err := c.evalVec(x.Expr, bt, sel)
 		if err != nil {
 			return nil, err
+		}
+		if ints := boolInts(v); ints != nil && x.Op == "NOT" {
+			out := make([]int64, n)
+			for _, i := range sel {
+				out[i] = 1 - ints[i]
+			}
+			return schema.IntVec(value.KindBool, out), nil
 		}
 		out := schema.NewColVec(n)
 		for _, i := range sel {
@@ -255,6 +358,9 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 		if err != nil {
 			return nil, err
 		}
+		if out, ok := betweenVecFast(v, lo, hi, x.Not, n, sel); ok {
+			return out, nil
+		}
 		out := schema.NewColVec(n)
 		for _, i := range sel {
 			vv, lv, hv := v.Value(i), lo.Value(i), hi.Value(i)
@@ -283,6 +389,17 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 		if err != nil {
 			return nil, err
 		}
+		if tv, ok := typedOf(v); ok && tv.strs != nil {
+			if tp, ok := typedOf(p); ok && tp.konst && tp.kind == value.KindString {
+				out := make([]int64, n)
+				for _, i := range sel {
+					if likeMatch(tv.strs[i], tp.ks) != x.Not {
+						out[i] = 1
+					}
+				}
+				return schema.IntVec(value.KindBool, out), nil
+			}
+		}
 		out := schema.NewColVec(n)
 		for _, i := range sel {
 			vv, pv := v.Value(i), p.Value(i)
@@ -300,6 +417,9 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 		lhs, err := c.evalVec(x.Expr, bt, sel)
 		if err != nil {
 			return nil, err
+		}
+		if out, ok := c.inListVecFast(x, lhs, n, sel); ok {
+			return out, nil
 		}
 		out := schema.NewColVec(n)
 		pending := make([]int, 0, len(sel))
@@ -421,36 +541,62 @@ func (c *evalCtx) evalVecBinary(x *ast.BinaryExpr, bt *Batch, sel []int) (*schem
 		if err != nil {
 			return nil, err
 		}
-		out := schema.NewColVec(n)
 		// Short-circuit where two-valued: only undecided positions see the
-		// right side, mirroring the row path's laziness (and its errors).
+		// right side, mirroring the row path's laziness (and its errors). A
+		// decided position holds FALSE under AND, TRUE under OR.
+		isOr := x.Op == ast.OpOr
+		decided := value.Bool(isOr)
+		lb := boolInts(l)
 		var undecided []int
 		for _, i := range sel {
-			lv := l.Value(i)
-			if !lv.IsNull() && lv.Kind() == value.KindBool {
-				if x.Op == ast.OpAnd && !lv.AsBool() {
-					out.Set(i, value.Bool(false))
+			if lb != nil {
+				if (lb[i] != 0) == isOr {
 					continue
 				}
-				if x.Op == ast.OpOr && lv.AsBool() {
-					out.Set(i, value.Bool(true))
-					continue
-				}
+			} else if lv := l.Value(i); !lv.IsNull() && lv.Kind() == value.KindBool && lv.AsBool() == isOr {
+				continue
 			}
 			undecided = append(undecided, i)
 		}
-		if len(undecided) > 0 {
-			r, err := c.evalVec(x.Right, bt, undecided)
+		if len(undecided) == 0 {
+			if lb != nil {
+				return l, nil
+			}
+			out := schema.NewColVec(n)
+			for _, i := range sel {
+				out.Set(i, decided)
+			}
+			return out, nil
+		}
+		r, err := c.evalVec(x.Right, bt, undecided)
+		if err != nil {
+			return nil, err
+		}
+		if rb := boolInts(r); lb != nil && rb != nil {
+			// Both sides two-valued: an undecided position takes the right
+			// side's value, a decided one keeps the left's.
+			out := make([]int64, n)
+			for _, i := range sel {
+				out[i] = lb[i]
+			}
+			for _, i := range undecided {
+				out[i] = rb[i]
+			}
+			return schema.IntVec(value.KindBool, out), nil
+		}
+		out := schema.NewColVec(n)
+		u := 0
+		for _, i := range sel {
+			if u == len(undecided) || undecided[u] != i {
+				out.Set(i, decided)
+				continue
+			}
+			u++
+			v, err := logic3(x.Op, l.Value(i), r.Value(i))
 			if err != nil {
 				return nil, err
 			}
-			for _, i := range undecided {
-				v, err := logic3(x.Op, l.Value(i), r.Value(i))
-				if err != nil {
-					return nil, err
-				}
-				out.Set(i, v)
-			}
+			out.Set(i, v)
 		}
 		return out, nil
 	}
@@ -611,144 +757,266 @@ func cmpHolds(op ast.BinaryOp, cmp int) bool {
 	}
 }
 
-// intVecOf extracts an int64 view for typed kernels: a slice (per-element)
-// or a constant, for Int-kind data only.
-func intVecOf(cv *schema.ColVec) (data []int64, konst int64, isConst, ok bool) {
-	if cv.Const {
-		v := cv.Value(0)
-		if !v.IsNull() && v.Kind() == value.KindInt {
-			return nil, v.AsInt(), true, true
-		}
-		return nil, 0, false, false
-	}
-	if cv.Ints != nil && cv.Kind == value.KindInt {
-		return cv.Ints, 0, false, true
-	}
-	return nil, 0, false, false
+// typedVec is a NULL-free typed view of a vector for the typed kernels: a
+// flat array or one constant, of kind Int, Date or Bool (integers), Float, or
+// String.
+type typedVec struct {
+	kind   value.Kind
+	konst  bool
+	ints   []int64
+	floats []float64
+	strs   []string
+	ki     int64
+	kf     float64
+	ks     string
 }
 
-func floatVecOf(cv *schema.ColVec) (data []float64, konst float64, isConst, ok bool) {
-	if cv.Const {
-		v := cv.Value(0)
-		if !v.IsNull() && v.Kind() == value.KindFloat {
-			return nil, v.AsFloat(), true, true
-		}
-		return nil, 0, false, false
+// typedOf views cv for the typed kernels; boxed vectors and NULL constants
+// have no such view.
+func typedOf(cv *schema.ColVec) (typedVec, bool) {
+	switch {
+	case cv.Const:
+		return typedConst(cv.Value(0))
+	case cv.Ints != nil:
+		return typedVec{kind: cv.Kind, ints: cv.Ints}, true
+	case cv.Floats != nil:
+		return typedVec{kind: value.KindFloat, floats: cv.Floats}, true
+	case cv.Strs != nil:
+		return typedVec{kind: value.KindString, strs: cv.Strs}, true
 	}
-	if cv.Floats != nil {
-		return cv.Floats, 0, false, true
-	}
-	return nil, 0, false, false
+	return typedVec{}, false
 }
 
-// cmpVecFast runs typed comparison kernels for Int×Int and Float×Float
-// (vector or constant operands, no NULLs by construction). Mixed kinds,
-// strings, dates, bools, and boxed vectors use the general path, which
-// preserves value.Compare's coercion and error semantics exactly.
-func cmpVecFast(op ast.BinaryOp, l, r *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
-	if li, lc, lIsC, lok := intVecOf(l); lok {
-		if ri, rc, rIsC, rok := intVecOf(r); rok {
-			out := make([]int64, n)
-			at := func(d []int64, k int64, isC bool, i int) int64 {
-				if isC {
-					return k
-				}
-				return d[i]
-			}
-			for _, i := range sel {
-				a, bv := at(li, lc, lIsC, i), at(ri, rc, rIsC, i)
-				cmp := 0
-				if a < bv {
-					cmp = -1
-				} else if a > bv {
-					cmp = 1
-				}
-				if cmpHolds(op, cmp) {
-					out[i] = 1
-				}
-			}
-			return schema.IntVec(value.KindBool, out), true
+// typedConst views a non-NULL value as a constant operand.
+func typedConst(v value.Value) (typedVec, bool) {
+	t := typedVec{kind: v.Kind(), konst: true}
+	switch v.Kind() {
+	case value.KindInt, value.KindDate, value.KindBool:
+		t.ki = v.AsInt()
+	case value.KindFloat:
+		t.kf = v.AsFloat()
+	case value.KindString:
+		t.ks = v.AsString()
+	default:
+		return t, false
+	}
+	return t, true
+}
+
+// sameKind makes k comparable with a vector of the given kind the way
+// value.Compare would, reporting whether it can: equal kinds compare
+// directly, and an Int constant widens to Float. Every other pairing keeps
+// value.Compare's coercion and error semantics on the general path.
+func (k *typedVec) sameKind(kind value.Kind) bool {
+	if k.konst && k.kind == value.KindInt && kind == value.KindFloat {
+		k.kind, k.kf = value.KindFloat, float64(k.ki)
+	}
+	return k.kind == kind
+}
+
+// cmp3 orders a and b as value.Compare does (NaN compares equal to
+// everything), as an index into a three-entry table: 0 less, 1 equal,
+// 2 greater.
+func cmp3[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return 0
+	case a > b:
+		return 2
+	}
+	return 1
+}
+
+// cmpKernel writes op's 0/1 truth value into out at the positions in sel. A
+// nil array stands for the constant beside it.
+func cmpKernel[T int64 | float64 | string](op ast.BinaryOp, l []T, lk T, r []T, rk T, out []int64, sel []int) {
+	var holds [3]int64
+	for cmp := range holds {
+		if cmpHolds(op, cmp-1) {
+			holds[cmp] = 1
 		}
 	}
-	if lf, lc, lIsC, lok := floatVecOf(l); lok {
-		if rf, rc, rIsC, rok := floatVecOf(r); rok {
-			out := make([]int64, n)
-			at := func(d []float64, k float64, isC bool, i int) float64 {
-				if isC {
-					return k
-				}
-				return d[i]
-			}
-			for _, i := range sel {
-				a, bv := at(lf, lc, lIsC, i), at(rf, rc, rIsC, i)
-				cmp := 0
-				if a < bv {
-					cmp = -1
-				} else if a > bv {
-					cmp = 1
-				}
-				if cmpHolds(op, cmp) {
-					out[i] = 1
-				}
-			}
-			return schema.IntVec(value.KindBool, out), true
+	switch {
+	case l != nil && r != nil:
+		for _, i := range sel {
+			out[i] = holds[cmp3(l[i], r[i])]
+		}
+	case l != nil:
+		for _, i := range sel {
+			out[i] = holds[cmp3(l[i], rk)]
+		}
+	case r != nil:
+		for _, i := range sel {
+			out[i] = holds[cmp3(lk, r[i])]
+		}
+	default:
+		for _, i := range sel {
+			out[i] = holds[cmp3(lk, rk)]
 		}
 	}
-	return nil, false
+}
+
+// cmpVecFast runs typed comparison kernels where both operands are typed (a
+// vector or a constant, no NULLs by construction) and of one kind — Int,
+// Date, Bool, Float or String — or a Float against an Int constant. Other
+// mixed kinds and boxed vectors use the general path, which preserves
+// value.Compare's coercion and error semantics exactly.
+func cmpVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
+	l, ok := typedOf(lv)
+	if !ok {
+		return nil, false
+	}
+	r, ok := typedOf(rv)
+	if !ok || !(r.sameKind(l.kind) || l.sameKind(r.kind)) {
+		return nil, false
+	}
+	out := make([]int64, n)
+	switch l.kind {
+	case value.KindFloat:
+		cmpKernel(op, l.floats, l.kf, r.floats, r.kf, out, sel)
+	case value.KindString:
+		cmpKernel(op, l.strs, l.ks, r.strs, r.ks, out, sel)
+	default:
+		cmpKernel(op, l.ints, l.ki, r.ints, r.ki, out, sel)
+	}
+	return schema.IntVec(value.KindBool, out), true
+}
+
+// betweenKernel writes [NOT] lo <= v[i] <= hi into out, ordering as cmp3.
+func betweenKernel[T int64 | float64 | string](v []T, lo, hi T, not bool, out []int64, sel []int) {
+	for _, i := range sel {
+		if (cmp3(v[i], lo) >= 1 && cmp3(v[i], hi) <= 1) != not {
+			out[i] = 1
+		}
+	}
+}
+
+// betweenVecFast is BETWEEN for a typed vector against constant bounds of its
+// kind.
+func betweenVecFast(vv, lov, hiv *schema.ColVec, not bool, n int, sel []int) (*schema.ColVec, bool) {
+	v, ok := typedOf(vv)
+	if !ok || v.konst {
+		return nil, false
+	}
+	lo, ok := typedOf(lov)
+	if !ok || !lo.konst || !lo.sameKind(v.kind) {
+		return nil, false
+	}
+	hi, ok := typedOf(hiv)
+	if !ok || !hi.konst || !hi.sameKind(v.kind) {
+		return nil, false
+	}
+	out := make([]int64, n)
+	switch v.kind {
+	case value.KindFloat:
+		betweenKernel(v.floats, lo.kf, hi.kf, not, out, sel)
+	case value.KindString:
+		betweenKernel(v.strs, lo.ks, hi.ks, not, out, sel)
+	default:
+		betweenKernel(v.ints, lo.ki, hi.ki, not, out, sel)
+	}
+	return schema.IntVec(value.KindBool, out), true
+}
+
+// inKernel writes [NOT] v[i] IN items into out, equality as cmp3.
+func inKernel[T int64 | float64 | string](v []T, items []T, not bool, out []int64, sel []int) {
+	for _, i := range sel {
+		found := false
+		for _, it := range items {
+			if cmp3(v[i], it) == 1 {
+				found = true
+				break
+			}
+		}
+		if found != not {
+			out[i] = 1
+		}
+	}
+}
+
+// inListVecFast is IN for a typed vector against a list of non-NULL
+// constants of its kind: with nothing NULL and nothing that can fail, the
+// ordered lazy walk of the general path reduces to a membership test.
+func (c *evalCtx) inListVecFast(x *ast.InList, lhs *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
+	v, ok := typedOf(lhs)
+	if !ok || v.konst {
+		return nil, false
+	}
+	var ints []int64
+	var floats []float64
+	var strs []string
+	for _, item := range x.Items {
+		if !isConstExpr(item) {
+			return nil, false
+		}
+		iv, err := c.eval(item)
+		if err != nil {
+			return nil, false // the general path decides whether it is reached
+		}
+		k, ok := typedConst(iv)
+		if !ok || !k.sameKind(v.kind) {
+			return nil, false
+		}
+		ints, floats, strs = append(ints, k.ki), append(floats, k.kf), append(strs, k.ks)
+	}
+	out := make([]int64, n)
+	switch v.kind {
+	case value.KindFloat:
+		inKernel(v.floats, floats, x.Not, out, sel)
+	case value.KindString:
+		inKernel(v.strs, strs, x.Not, out, sel)
+	default:
+		inKernel(v.ints, ints, x.Not, out, sel)
+	}
+	return schema.IntVec(value.KindBool, out), true
+}
+
+// arithKernel writes l op r (op one of + - *) into out at the positions in
+// sel. A nil array stands for the constant beside it.
+func arithKernel[T int64 | float64](op ast.BinaryOp, l []T, lk T, r []T, rk T, out []T, sel []int) {
+	for _, i := range sel {
+		a, b := lk, rk
+		if l != nil {
+			a = l[i]
+		}
+		if r != nil {
+			b = r[i]
+		}
+		switch op {
+		case ast.OpAdd:
+			out[i] = a + b
+		case ast.OpSub:
+			out[i] = a - b
+		default:
+			out[i] = a * b
+		}
+	}
 }
 
 // arithVecFast runs typed + - * kernels for Int×Int and Float×Float.
 // Division and modulo keep value.Arith's exactness and zero-divide handling;
 // mixed kinds coerce through the general path.
-func arithVecFast(op ast.BinaryOp, l, r *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
+func arithVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
 	if op != ast.OpAdd && op != ast.OpSub && op != ast.OpMul {
 		return nil, false
 	}
-	if li, lc, lIsC, lok := intVecOf(l); lok {
-		if ri, rc, rIsC, rok := intVecOf(r); rok {
-			out := make([]int64, n)
-			for _, i := range sel {
-				a, bv := lc, rc
-				if !lIsC {
-					a = li[i]
-				}
-				if !rIsC {
-					bv = ri[i]
-				}
-				switch op {
-				case ast.OpAdd:
-					out[i] = a + bv
-				case ast.OpSub:
-					out[i] = a - bv
-				default:
-					out[i] = a * bv
-				}
-			}
-			return schema.IntVec(value.KindInt, out), true
-		}
+	l, ok := typedOf(lv)
+	if !ok {
+		return nil, false
 	}
-	if lf, lc, lIsC, lok := floatVecOf(l); lok {
-		if rf, rc, rIsC, rok := floatVecOf(r); rok {
-			out := make([]float64, n)
-			for _, i := range sel {
-				a, bv := lc, rc
-				if !lIsC {
-					a = lf[i]
-				}
-				if !rIsC {
-					bv = rf[i]
-				}
-				switch op {
-				case ast.OpAdd:
-					out[i] = a + bv
-				case ast.OpSub:
-					out[i] = a - bv
-				default:
-					out[i] = a * bv
-				}
-			}
-			return schema.FloatVec(out), true
-		}
+	r, ok := typedOf(rv)
+	if !ok || l.kind != r.kind {
+		return nil, false
+	}
+	switch l.kind {
+	case value.KindInt:
+		out := make([]int64, n)
+		arithKernel(op, l.ints, l.ki, r.ints, r.ki, out, sel)
+		return schema.IntVec(value.KindInt, out), true
+	case value.KindFloat:
+		out := make([]float64, n)
+		arithKernel(op, l.floats, l.kf, r.floats, r.kf, out, sel)
+		return schema.FloatVec(out), true
 	}
 	return nil, false
 }
