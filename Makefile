@@ -5,9 +5,9 @@ GO ?= go
 
 # Tier-1 packages: the race gate ROADMAP.md and the acceptance criteria
 # name explicitly. `make race` extends it to the whole module.
-RACE_PKGS = ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec
+RACE_PKGS = ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/storageengine ./internal/hostengine
 
-.PHONY: all build test race race-tier1 vet lint vet-json vet-bench chaos chaos-race crashsweep crashsweep-race rebuildsweep rebuildsweep-race graysweep graysweep-race ingestsweep ingestsweep-race adversarysweep adversarysweep-race fuzz-smoke benchjson benchsmoke check clean
+.PHONY: all build test race race-tier1 vet lint vet-json vet-bench chaos chaos-race crashsweep crashsweep-race rebuildsweep rebuildsweep-race graysweep graysweep-race ingestsweep ingestsweep-race adversarysweep adversarysweep-race fuzz-smoke benchjson benchsmoke bench-e2e check clean
 
 all: check
 
@@ -123,8 +123,9 @@ adversarysweep-race:
 
 # fuzz-smoke runs each wire-codec fuzz target for a short bounded stint —
 # transport frames, the rebuild manifest, the redo journal, the storage page
-# list, the ingest wire ack, and the page-backed column decoder against the
-# boxed-row one. The seeded corpora alone run in ordinary
+# list, the ingest wire ack, the page-backed column decoder against the
+# boxed-row one, and the retained offload reply against the boxed decoder. The
+# seeded corpora alone run in ordinary
 # `go test`; this target adds coverage-guided exploration.
 FUZZTIME ?= 5s
 FUZZ_TARGETS = \
@@ -133,7 +134,8 @@ FUZZ_TARGETS = \
 	FuzzDecodeJournal:./internal/securestore \
 	FuzzDecodePageList:./internal/storageengine \
 	FuzzWireAck:./internal/ingest \
-	FuzzDecodeColumn:./internal/schema
+	FuzzDecodeColumn:./internal/schema \
+	FuzzDecodeResult:./internal/sql/exec
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		name=$${t%%:*}; pkg=$${t#*:}; \
@@ -152,13 +154,25 @@ benchjson:
 # row-identical to the sequential one, the vectorized executor must stay
 # row-identical to — and strictly cheaper than — row-at-a-time execution,
 # every evaluated query's work counters must match the committed record, the
-# window scan must match the row scan at every window size, and the layer
-# benchmarks (table scan, predicate kernels) must still run.
+# window scan must match the row scan at every window size, every fragment's
+# encoded reply must be the boxed execution's bytes, the host's scan over a
+# retained reply must match the scan over boxed rows, and the layer benchmarks
+# (table scan, predicate kernels, fragment shipment, host scan of a shipment)
+# must still run.
 benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
 	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
-	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec
-	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate' -benchtime 1x ./internal/engine ./internal/sql/exec
+	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped' -benchtime 1x ./internal/engine ./internal/sql/exec ./internal/storageengine
+
+# bench-e2e runs the repository benchmark (BENCHMARK.json; see
+# benchmark/README.md) once per workload: the timed run's end-to-end metrics,
+# both clocks, correctness checked against the hons oracle.
+BENCH_SECONDS ?= 20
+bench-e2e:
+	@for w in scs-scan scs-subquery hos-join scs-gdpr-short scs-ingest-mixed; do \
+		$(GO) run ./benchmark -workload $$w -seed 1 -seconds $(BENCH_SECONDS) || exit 1; \
+	done
 
 check: build vet lint test race-tier1 chaos-race crashsweep-race rebuildsweep-race graysweep-race ingestsweep-race adversarysweep-race
 

@@ -63,8 +63,8 @@ func TestEpochFencedZombieReplyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-readmission offload: %v", err)
 	}
-	if len(res.Rows) != 1 {
-		t.Errorf("post-readmission rows = %d, want 1", len(res.Rows))
+	if res.NumRows() != 1 {
+		t.Errorf("post-readmission rows = %d, want 1", res.NumRows())
 	}
 }
 
@@ -242,7 +242,7 @@ func TestRebuildReadmitsRolledBackNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("offload after readmission: %v", err)
 	}
-	if len(res.Rows) != 2 {
-		t.Errorf("rebuilt replica rows = %d, want 2 (donor's full state)", len(res.Rows))
+	if res.NumRows() != 2 {
+		t.Errorf("rebuilt replica rows = %d, want 2 (donor's full state)", res.NumRows())
 	}
 }

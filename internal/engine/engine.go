@@ -278,16 +278,35 @@ func (db *DB) Execute(sqlText string) (*exec.Result, error) {
 	return db.ExecuteStmt(stmt)
 }
 
+// ExecuteFragment is Execute for a statement whose result is only ever
+// encoded and shipped: a SELECT runs as exec.RunFragment, so its result may be
+// in the encoded form.
+func (db *DB) ExecuteFragment(sqlText string) (*exec.Result, error) {
+	stmt, err := parser.Parse(sqlText)
+	if err != nil {
+		return nil, err
+	}
+	if s, ok := stmt.(*ast.Select); ok {
+		return db.runSelect(s, exec.RunFragment)
+	}
+	return db.ExecuteStmt(stmt)
+}
+
+// runSelect runs s under the reader lock with the configured batch size.
+func (db *DB) runSelect(s *ast.Select, run func(*ast.Select, exec.Catalog, *simtime.Meter, int) (*exec.Result, error)) (*exec.Result, error) {
+	db.execMu.RLock()
+	defer db.execMu.RUnlock()
+	db.mu.RLock()
+	batch := db.execBatch
+	db.mu.RUnlock()
+	return run(s, db, db.meter, batch)
+}
+
 // ExecuteStmt runs a parsed statement.
 func (db *DB) ExecuteStmt(stmt ast.Statement) (*exec.Result, error) {
 	switch s := stmt.(type) {
 	case *ast.Select:
-		db.execMu.RLock()
-		defer db.execMu.RUnlock()
-		db.mu.RLock()
-		batch := db.execBatch
-		db.mu.RUnlock()
-		return exec.RunBatched(s, db, db.meter, batch)
+		return db.runSelect(s, exec.RunBatched)
 	case *ast.CreateTable:
 		db.execMu.Lock()
 		defer db.execMu.Unlock()

@@ -542,8 +542,8 @@ func (h *Host) raceOffload(prov NodeProvider, lat LatencyObserver, hedger Hedgin
 // absorbShipped registers one offload result in the shipped catalog with
 // enclave and accounting bookkeeping.
 func (h *Host) absorbShipped(cat shippedCatalog, outcome *SplitOutcome, table string, res *exec.Result, wire int64) {
-	cat[table] = &exec.MemRelation{Sch: res.Sch, Rows: res.Rows}
-	outcome.RowsShipped += int64(len(res.Rows))
+	cat[table] = res
+	outcome.RowsShipped += int64(res.NumRows())
 	outcome.BytesShipped += wire
 	outcome.Offloads++
 	if h.enclave != nil {
@@ -596,7 +596,9 @@ func (h *Host) ExecuteLocal(db *engine.DB, sqlText string) (*exec.Result, error)
 	return res, err
 }
 
-type shippedCatalog map[string]*exec.MemRelation
+// shippedCatalog holds the offload replies as the host query's base tables,
+// each in the form it arrived in.
+type shippedCatalog map[string]exec.Relation
 
 func (c shippedCatalog) Relation(name string) (exec.Relation, error) {
 	r, ok := c[strings.ToLower(name)]

@@ -38,7 +38,7 @@ func (n *LocalNode) NodeID() string {
 // Offload implements StorageNode.
 func (n *LocalNode) Offload(sql string) (*exec.Result, int64, error) {
 	reqBytes := int64(len(sql)) + 64 // request frame incl. channel overhead
-	res, err := n.Server.ExecOffload(sql)
+	res, err := n.Server.ExecFragment(sql)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -51,12 +51,12 @@ func (n *LocalNode) Offload(sql string) (*exec.Result, int64, error) {
 	if n.StorageMeter != nil {
 		n.StorageMeter.BytesReceived.Add(reqBytes)
 		n.StorageMeter.BytesSent.Add(wire)
-		n.StorageMeter.RowsShipped.Add(int64(len(res.Rows)))
+		n.StorageMeter.RowsShipped.Add(int64(res.NumRows()))
 	}
 	if n.HostMeter != nil {
 		n.HostMeter.BytesSent.Add(reqBytes)
 		n.HostMeter.BytesReceived.Add(wire)
-		n.HostMeter.RowsShipped.Add(int64(len(res.Rows)))
+		n.HostMeter.RowsShipped.Add(int64(res.NumRows()))
 	}
 	return res, wire, nil
 }
@@ -228,7 +228,10 @@ func (n *RemoteNode) Offload(sql string) (*exec.Result, int64, error) {
 		return nil, 0, n.broken
 	}
 	n.lastEpoch = binary.LittleEndian.Uint64(payload[:8])
-	res, err := exec.DecodeResult(payload[8:])
+	// The reply stays encoded: RetainResult checks every row's structure here,
+	// inside the offload leg, so a malformed reply poisons the channel and
+	// fails over before anything is registered with the host query.
+	res, err := exec.RetainResult(payload[8:])
 	if err != nil {
 		n.broken = err
 		return nil, 0, err

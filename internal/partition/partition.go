@@ -70,7 +70,7 @@ type tableInfo struct {
 // cannot push anything for are shipped whole.
 func SplitQuery(sel *ast.Select, src SchemaSource) (*Split, error) {
 	tables := map[string]*tableInfo{}
-	if err := collect(sel, src, tables, nil); err != nil {
+	if err := collect(sel, src, tables, nil, false); err != nil {
 		return nil, err
 	}
 	names := make([]string, 0, len(tables))
@@ -176,14 +176,17 @@ func (s *scope) local(r *refInfo) bool {
 }
 
 // collect walks one SELECT (recursing into derived tables and subqueries)
-// and accumulates per-table columns and pushable predicates.
-func collect(sel *ast.Select, src SchemaSource, tables map[string]*tableInfo, parent *scope) error {
+// and accumulates per-table columns and pushable predicates. existsBody marks
+// the body of an EXISTS: existence needs no output column, so a * among its
+// items asks nothing of its tables and the columns its conditions reference
+// are the whole ship list.
+func collect(sel *ast.Select, src SchemaSource, tables map[string]*tableInfo, parent *scope, existsBody bool) error {
 	sc := &scope{parent: parent}
 	for _, r := range sel.From {
 		if r.Subquery != nil {
 			// A derived table's body sees only its own and enclosing
 			// scopes; columns it exposes are not base-table columns.
-			if err := collect(r.Subquery, src, tables, parent); err != nil {
+			if err := collect(r.Subquery, src, tables, parent, false); err != nil {
 				return err
 			}
 			continue
@@ -237,15 +240,15 @@ func collect(sel *ast.Select, src SchemaSource, tables map[string]*tableInfo, pa
 					tables[r.table].cols[strings.ToLower(q.Name)] = true
 				}
 			case *ast.Exists:
-				if err := collect(q.Subquery, src, tables, sc); err != nil && subErr == nil {
+				if err := collect(q.Subquery, src, tables, sc, true); err != nil && subErr == nil {
 					subErr = err
 				}
 			case *ast.InSubquery:
-				if err := collect(q.Subquery, src, tables, sc); err != nil && subErr == nil {
+				if err := collect(q.Subquery, src, tables, sc, false); err != nil && subErr == nil {
 					subErr = err
 				}
 			case *ast.ScalarSubquery:
-				if err := collect(q.Subquery, src, tables, sc); err != nil && subErr == nil {
+				if err := collect(q.Subquery, src, tables, sc, false); err != nil && subErr == nil {
 					subErr = err
 				}
 			}
@@ -255,7 +258,7 @@ func collect(sel *ast.Select, src SchemaSource, tables map[string]*tableInfo, pa
 	if subErr != nil {
 		return subErr
 	}
-	if star {
+	if star && !existsBody {
 		for _, r := range refs {
 			tables[r.table].allCols = true
 		}

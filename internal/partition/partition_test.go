@@ -319,3 +319,119 @@ func TestBeneficialHeuristic(t *testing.T) {
 		t.Error("projection pruning alone should count as beneficial")
 	}
 }
+
+// TestExistsBodiesShipWhatTheyRead: existence needs no output column, so a *
+// in an EXISTS / NOT EXISTS body asks nothing of its tables — they ship the
+// columns the body's conditions read, correlated columns go to the outer
+// table they belong to — while every other * keeps its meaning.
+func TestExistsBodiesShipWhatTheyRead(t *testing.T) {
+	src := tpchSchemas(t)
+	cases := []struct {
+		name string
+		sql  string
+		want map[string]string // table -> offload SQL
+	}{
+		{"q4", tpch.Queries[4], map[string]string{
+			"lineitem": "SELECT l_commitdate, l_orderkey, l_receiptdate FROM lineitem WHERE (l_commitdate < l_receiptdate)",
+		}},
+		{"q21: l1 joined, l2 under EXISTS, l3 under NOT EXISTS", tpch.Queries[21], map[string]string{
+			"lineitem": "SELECT l_commitdate, l_orderkey, l_receiptdate, l_suppkey FROM lineitem",
+		}},
+		{"nested EXISTS, inner body correlated two levels up",
+			`SELECT c_name FROM customer WHERE EXISTS (SELECT * FROM orders WHERE o_custkey = c_custkey
+				AND NOT EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_suppkey = c_nationkey))`,
+			map[string]string{
+				"customer": "SELECT c_custkey, c_name, c_nationkey FROM customer",
+				"orders":   "SELECT o_custkey, o_orderkey FROM orders",
+				"lineitem": "SELECT l_orderkey, l_suppkey FROM lineitem",
+			}},
+		{"body joining two tables",
+			`SELECT s_name FROM supplier WHERE EXISTS (SELECT * FROM partsupp, part
+				WHERE ps_suppkey = s_suppkey AND ps_partkey = p_partkey AND p_size > 40)`,
+			map[string]string{
+				"supplier": "SELECT s_name, s_suppkey FROM supplier",
+				"partsupp": "SELECT ps_partkey, ps_suppkey FROM partsupp",
+				"part":     "SELECT p_partkey, p_size FROM part WHERE (p_size > 40)",
+			}},
+		{"EXISTS under a derived table",
+			`SELECT x.o_orderkey FROM (SELECT o_orderkey FROM orders WHERE EXISTS
+				(SELECT * FROM lineitem WHERE l_orderkey = o_orderkey AND l_quantity > 49)) x`,
+			map[string]string{
+				"orders":   "SELECT o_orderkey FROM orders",
+				"lineitem": "SELECT l_orderkey, l_quantity FROM lineitem WHERE (l_quantity > 49)",
+			}},
+		{"a non-star item in the body is still evaluated, so still shipped",
+			`SELECT n_name FROM nation WHERE EXISTS (SELECT *, r_comment FROM region WHERE r_regionkey = n_regionkey)`,
+			map[string]string{"region": "SELECT r_comment, r_regionkey FROM region"}},
+		{"a body that reads nothing of its table ships it whole",
+			`SELECT n_name FROM nation WHERE EXISTS (SELECT * FROM region)`,
+			map[string]string{"region": "SELECT * FROM region"}},
+		{"a derived table's * inside an EXISTS body is a real one",
+			`SELECT n_name FROM nation WHERE EXISTS (SELECT * FROM (SELECT * FROM region) r WHERE r.r_regionkey = n_regionkey)`,
+			map[string]string{"region": "SELECT * FROM region"}},
+		{"top-level * ships every column",
+			`SELECT * FROM nation WHERE EXISTS (SELECT * FROM region WHERE r_regionkey = n_regionkey)`,
+			map[string]string{
+				"nation": "SELECT * FROM nation",
+				"region": "SELECT r_regionkey FROM region",
+			}},
+		{"IN body keeps its *",
+			`SELECT n_name FROM nation WHERE n_regionkey IN (SELECT * FROM region)`,
+			map[string]string{"region": "SELECT * FROM region"}},
+		{"scalar body keeps its *",
+			`SELECT n_name FROM nation WHERE n_regionkey = (SELECT * FROM region WHERE r_name = 'ASIA')`,
+			map[string]string{"region": "SELECT * FROM region WHERE (r_name = 'ASIA')"}},
+	}
+	for _, tc := range cases {
+		s := split(t, tc.sql)
+		for table, want := range tc.want {
+			ship := shipFor(s, table)
+			if ship == nil {
+				t.Errorf("%s: %s not shipped", tc.name, table)
+				continue
+			}
+			if ship.SQL != want {
+				t.Errorf("%s: %s ships\n  %s\nwant\n  %s", tc.name, table, ship.SQL, want)
+			}
+		}
+	}
+	// The two fragments that used to cross the link sixteen columns wide now
+	// count as pruned for the offload heuristic.
+	for _, qn := range []int{4, 21} {
+		s := split(t, tpch.Queries[qn])
+		if l := shipFor(s, "lineitem"); len(l.Columns) == 0 || len(l.Columns) > 4 {
+			t.Errorf("q%d: lineitem ships columns %v", qn, l.Columns)
+		}
+		if h := s.Hint(src); !h.ColumnsPruned || !s.Beneficial(src) {
+			t.Errorf("q%d: hint %+v", qn, h)
+		}
+	}
+}
+
+// TestNoExistsBodySetsAllCols pins the rule at its source: collecting an
+// EXISTS body never marks a table as shipping every column, whatever its
+// items are, while the same SELECT collected as any other body does.
+func TestNoExistsBodySetsAllCols(t *testing.T) {
+	src := tpchSchemas(t)
+	for _, body := range []string{
+		"SELECT * FROM lineitem WHERE l_quantity > 1",
+		"SELECT *, l_tax FROM lineitem, orders WHERE l_orderkey = o_orderkey",
+		"SELECT * FROM lineitem l1 WHERE EXISTS (SELECT * FROM lineitem l2 WHERE l2.l_orderkey = l1.l_orderkey)",
+	} {
+		sel, err := parser.ParseSelect(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, exists := range []bool{true, false} {
+			tables := map[string]*tableInfo{}
+			if err := collect(sel, src, tables, nil, exists); err != nil {
+				t.Fatal(err)
+			}
+			for name, ti := range tables {
+				if ti.allCols == exists {
+					t.Errorf("%s collected with existsBody=%v: %s allCols=%v", body, exists, name, ti.allCols)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -112,24 +113,40 @@ func DecodeRow(buf []byte) (Row, int, error) {
 
 // EncodeRows encodes a batch of rows with a uvarint count prefix.
 func EncodeRows(rows []Row) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(rows)))
-	out := append([]byte{}, tmp[:n]...)
+	out := binary.AppendUvarint(nil, uint64(len(rows)))
 	for _, r := range rows {
 		out = EncodeRow(out, r)
 	}
 	return out
 }
 
+// ErrRowCount reports a batch header claiming more rows than the bytes
+// behind it can hold.
+var ErrRowCount = errors.New("schema: row count exceeds the batch body")
+
+// BatchHeader reads the count prefix of a batch written by EncodeRows and
+// returns the count and the position of the first row. The count comes from
+// outside, so it is checked against the smallest a row can be (its two-byte
+// column count) before anyone sizes anything by it.
+func BatchHeader(buf []byte) (count, pos int, err error) {
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 {
+		return 0, 0, fmt.Errorf("schema: bad batch header")
+	}
+	if n > uint64(len(buf)-sz)/2 {
+		return 0, 0, fmt.Errorf("%w: %d rows in %d bytes", ErrRowCount, n, len(buf)-sz)
+	}
+	return int(n), sz, nil
+}
+
 // DecodeRows decodes a batch written by EncodeRows.
 func DecodeRows(buf []byte) ([]Row, error) {
-	count, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("schema: bad batch header")
+	count, pos, err := BatchHeader(buf)
+	if err != nil {
+		return nil, err
 	}
-	pos := sz
 	rows := make([]Row, 0, count)
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		r, n, err := DecodeRow(buf[pos:])
 		if err != nil {
 			return nil, fmt.Errorf("schema: row %d: %w", i, err)

@@ -84,6 +84,19 @@ func (s *Schema) Qualify(alias string) *Schema {
 	return out
 }
 
+// Select returns a schema holding s's columns at positions cols, in that
+// order; nil selects every column and returns s itself.
+func (s *Schema) Select(cols []int) *Schema {
+	if cols == nil {
+		return s
+	}
+	out := &Schema{Columns: make([]Column, len(cols))}
+	for i, c := range cols {
+		out.Columns[i] = s.Columns[c]
+	}
+	return out
+}
+
 // Concat returns a schema holding s's columns followed by t's.
 func (s *Schema) Concat(t *Schema) *Schema {
 	out := &Schema{Columns: make([]Column, 0, len(s.Columns)+len(t.Columns))}

@@ -2,6 +2,9 @@ package schema
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -121,6 +124,26 @@ func TestRowsCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, rows) {
 		t.Errorf("batch roundtrip mismatch")
+	}
+}
+
+// TestDecodeRowsForgedCount: the count prefix comes from outside, so a body
+// that cannot hold that many rows is refused before anything is sized by it
+// (2^62 rows used to panic in make).
+func TestDecodeRowsForgedCount(t *testing.T) {
+	body := EncodeRows([]Row{sampleRow(), sampleRow()})[1:]
+	for _, count := range []uint64{uint64(len(body))/2 + 1, 1 << 31, 1 << 62, math.MaxUint64} {
+		buf := append(binary.AppendUvarint(nil, count), body...)
+		if _, err := DecodeRows(buf); !errors.Is(err, ErrRowCount) {
+			t.Errorf("count %d over %d bytes: error %v, want ErrRowCount", count, len(body), err)
+		}
+	}
+	// A count the bytes could hold still fails row by row, typed as before.
+	if _, err := DecodeRows(append(binary.AppendUvarint(nil, 3), body...)); err == nil || errors.Is(err, ErrRowCount) {
+		t.Errorf("three rows claimed over two: error %v", err)
+	}
+	if rows, err := DecodeRows([]byte{0}); err != nil || len(rows) != 0 {
+		t.Errorf("empty batch: %v, %v", rows, err)
 	}
 }
 

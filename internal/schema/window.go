@@ -141,6 +141,32 @@ func (w *RowWindow) AppendRow(buf []byte, pos int) (int, error) {
 	return pos, nil
 }
 
+// Fill empties the window and indexes up to max rows encoded back to back at
+// buf[pos:] (the layout EncodeRows writes after its count), returning the
+// position after the last one. buf may be of any size: the window cuts it
+// into segments of at most maxWindowBuf bytes that begin at a row, so a row
+// is never indexed across a cut.
+func (w *RowWindow) Fill(buf []byte, pos, max int) (int, error) {
+	w.Reset()
+	seg := pos // where the current segment begins in buf
+	for i := 0; i < max; i++ {
+		end := min(seg+maxWindowBuf, len(buf))
+		next, err := w.AppendRow(buf[seg:end], pos-seg)
+		if err != nil && pos > seg && end < len(buf) {
+			// The segment may have cut this row short (every check in
+			// AppendRow is a bounds check, so a cut row fails, it is never
+			// misread): begin a new segment at it.
+			seg, end = pos, min(pos+maxWindowBuf, len(buf))
+			next, err = w.AppendRow(buf[seg:end], 0)
+		}
+		if err != nil {
+			return 0, err // w.Len() rows were indexed before the bad one
+		}
+		pos = seg + next
+	}
+	return pos, nil
+}
+
 // skipField validates the field of column col whose kind byte is at buf[pos]
 // and returns the position after it.
 func skipField(buf []byte, pos, col int) (int, error) {
@@ -283,6 +309,36 @@ func (w *RowWindow) fill(col int, kind value.Kind, set func(r int, buf []byte, p
 		}
 	}
 	return true
+}
+
+// AppendEncoded is AppendRows without the boxing: it appends the rows at the
+// ascending window positions sel, keeping only columns cols (nil: every
+// column) in that order, to dst in the row codec. Fields are copied as they
+// are, so over rows EncodeRow wrote the result is byte for byte EncodeRow of
+// the rows AppendRows would box.
+func (w *RowWindow) AppendEncoded(dst []byte, sel []int, cols []int) []byte {
+	if cols == nil {
+		cols = w.all
+	}
+	si := 0
+	for _, r := range sel {
+		for r >= w.segs[si].end {
+			si++
+		}
+		buf, offs := w.segs[si].buf, w.offs[r*w.width:(r+1)*w.width]
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(cols)))
+		for _, c := range cols {
+			start := int(offs[c])
+			var end int
+			if c+1 < w.width {
+				end = int(offs[c+1])
+			} else {
+				end, _ = skipField(buf, start, c) // validated by AppendRow
+			}
+			dst = append(dst, buf[start:end]...)
+		}
+	}
+	return dst
 }
 
 // resize returns s with length n, reallocating only to grow.

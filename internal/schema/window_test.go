@@ -1,7 +1,9 @@
 package schema
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -75,9 +77,20 @@ func sameRows(a, b []Row) bool {
 }
 
 // checkWindow compares every page-backed access against the boxed-row
-// reference: Col against FromRows, AppendRows against projecting rows.
+// reference: Col against FromRows, AppendRows against projecting rows,
+// AppendEncoded against the projected rows once decoded. Field bytes are
+// copied, not re-encoded, so over canonical input (what EncodeRow wrote) the
+// output must also equal the projected rows' encoding byte for byte; a
+// non-minimal varint or a bool byte other than 0/1 is carried as it came.
 func checkWindow(t *testing.T, w *RowWindow, rows []Row, cols []int) {
 	t.Helper()
+	checkEncoded := func(got []byte, want []Row, what string) {
+		t.Helper()
+		dec, err := DecodeRows(append(binary.AppendUvarint(nil, uint64(len(want))), got...))
+		if err != nil || !sameRows(dec, want) {
+			t.Errorf("%s decodes to %v (%v), want %v", what, dec, err, want)
+		}
+	}
 	if w.Len() != len(rows) {
 		t.Fatalf("window holds %d rows, want %d", w.Len(), len(rows))
 	}
@@ -105,9 +118,32 @@ func checkWindow(t *testing.T, w *RowWindow, rows []Row, cols []int) {
 		if got := w.AppendRows(nil, s, cols); !sameRows(got, want) {
 			t.Errorf("AppendRows(sel=%v, cols=%v) = %v, want %v", s, cols, got, want)
 		}
+		checkEncoded(w.AppendEncoded(nil, s, cols), want, fmt.Sprintf("AppendEncoded(sel=%v, cols=%v)", s, cols))
 	}
 	if got := w.AppendRows(nil, sel, nil); !sameRows(got, rows) {
 		t.Errorf("AppendRows(all columns) = %v, want %v", got, rows)
+	}
+	checkEncoded(w.AppendEncoded(nil, sel, nil), rows, "AppendEncoded(all columns)")
+}
+
+// checkCanonical is checkWindow for a window over bytes EncodeRow wrote:
+// there AppendEncoded must produce EncodeRow's bytes exactly, after whatever
+// dst already held.
+func checkCanonical(t *testing.T, w *RowWindow, rows []Row, cols []int) {
+	t.Helper()
+	checkWindow(t, w, rows, cols)
+	var sel []int
+	var want []Row
+	for i := 0; i < len(rows); i += 2 {
+		sel = append(sel, i)
+		r := make(Row, len(cols))
+		for j, c := range cols {
+			r[j] = rows[i][c]
+		}
+		want = append(want, r)
+	}
+	if got := w.AppendEncoded([]byte("kept"), sel, cols); !bytes.Equal(got, append([]byte("kept"), encodeRun(want)...)) {
+		t.Errorf("AppendEncoded(sel=%v, cols=%v) is not EncodeRow's bytes for %v", sel, cols, want)
 	}
 }
 
@@ -149,11 +185,11 @@ func TestRowWindowMatchesFromRows(t *testing.T) {
 		for i := range all {
 			all[i] = i
 		}
-		checkWindow(t, w, rows, all)
+		checkCanonical(t, w, rows, all)
 		if width > 1 {
-			checkWindow(t, w, rows, []int{width - 1, 0})
+			checkCanonical(t, w, rows, []int{width - 1, 0})
 		}
-		checkWindow(t, w, rows, []int{})
+		checkCanonical(t, w, rows, []int{})
 	}
 }
 
@@ -190,6 +226,57 @@ func TestRowWindowAcrossBuffersAndReset(t *testing.T) {
 	w.Reset()
 	if w.Len() != 0 {
 		t.Errorf("reset window holds %d rows", w.Len())
+	}
+}
+
+// TestRowWindowFill walks a buffer several times the 16-bit offset range —
+// so rows straddle every 64 KiB cut — in windows of several sizes: every
+// window must hold exactly the rows DecodeRows finds there.
+func TestRowWindowFill(t *testing.T) {
+	var rows []Row
+	for i := 0; i < 5000; i++ {
+		rows = append(rows, Row{value.Int(int64(i)), value.Str(strings.Repeat("s", i%61)), value.Null(), value.Float(float64(i))})
+	}
+	data := encodeRun(rows)
+	if len(data) < 3*maxWindowBuf {
+		t.Fatalf("the buffer is only %d bytes", len(data))
+	}
+	for _, size := range []int{1, 7, 4096, len(rows)} {
+		w := NewRowWindow(4)
+		pos := 0
+		for done := 0; done < len(rows); done += w.Len() {
+			n := min(size, len(rows)-done)
+			next, err := w.Fill(data, pos, n)
+			if err != nil {
+				t.Fatalf("size %d, row %d: %v", size, done, err)
+			}
+			if w.Len() != n {
+				t.Fatalf("size %d: window of %d rows, want %d", size, w.Len(), n)
+			}
+			checkCanonical(t, w, rows[done:done+n], []int{3, 1})
+			pos = next
+		}
+		if pos != len(data) {
+			t.Errorf("size %d: the walk ended at %d of %d bytes", size, pos, len(data))
+		}
+	}
+
+	// A row cut short by the end of the buffer fails as DecodeRow fails, and
+	// the rows before it stay indexed.
+	w := NewRowWindow(4)
+	cut := len(data) - 3
+	_, err := w.Fill(data[:cut], 0, len(rows))
+	_, _, want := DecodeRow(data[len(data)-EncodedSize(rows[len(rows)-1]) : cut])
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("truncated buffer: error %v, DecodeRow says %v", err, want)
+	}
+	if w.Len() != len(rows)-1 {
+		t.Errorf("truncated buffer: %d rows indexed before the bad one, want %d", w.Len(), len(rows)-1)
+	}
+	// A single row beyond the offset range cannot be indexed.
+	huge := EncodeRow(nil, Row{value.Str(strings.Repeat("h", maxWindowBuf))})
+	if _, err := NewRowWindow(1).Fill(append(EncodeRow(nil, Row{value.Int(1)}), huge...), 0, 2); err == nil {
+		t.Error("a row larger than a segment was accepted")
 	}
 }
 

@@ -23,6 +23,14 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 	}
 
 	items := expandStars(sel.Items, input.Sch)
+	outSch := schema.New()
+	for i, it := range items {
+		outSch.Columns = append(outSch.Columns, schema.Col(displayName(it, i), inferKind(it.Expr, input.Sch, env)))
+	}
+	if cols := bareColumns(sel, items, input.Sch); cols != nil {
+		return b.selectColumns(sel, input, cols, outSch), nil
+	}
+
 	aliasMap := map[string]ast.Expr{}
 	for _, it := range items {
 		if it.Alias != "" && it.Expr != nil {
@@ -69,16 +77,44 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 		}
 	}
 
-	outSch := schema.New()
-	for i, it := range items {
-		outSch.Columns = append(outSch.Columns, schema.Col(displayName(it, i), inferKind(it.Expr, input.Sch, env)))
-	}
-
+	// Output rows go straight into the result; only an ORDER BY needs them
+	// held beside their sort keys first. DISTINCT keeps the first of equal
+	// rows as they are emitted.
 	type outRow struct {
 		row  schema.Row
 		keys []value.Value
 	}
-	var out []outRow
+	ordered := len(sel.OrderBy) > 0
+	res := &Result{Sch: outSch}
+	var sorted []outRow
+	reserve := func(n int) {
+		if ordered {
+			sorted = make([]outRow, 0, n)
+		} else {
+			res.Rows = make([]schema.Row, 0, n)
+		}
+	}
+	var seen map[string]bool
+	if sel.Distinct {
+		seen = map[string]bool{}
+	}
+	emit := func(row schema.Row, keys []value.Value) {
+		if seen != nil {
+			k := ""
+			for _, v := range row {
+				k += v.HashKey() + "\x00"
+			}
+			if seen[k] {
+				return
+			}
+			seen[k] = true
+		}
+		if ordered {
+			sorted = append(sorted, outRow{row: row, keys: keys})
+		} else {
+			res.Rows = append(res.Rows, row)
+		}
+	}
 
 	if hasAgg {
 		specs := collectAggregates(all)
@@ -91,6 +127,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 			return nil, err
 		}
 		b.trace.addf("hash aggregate (%d keys, %d aggregates): %d -> %d groups", len(groupBy), len(specs), len(input.Rows), len(maps))
+		reserve(len(maps))
 		gctx := newCtxWith(b, input.Sch, env, nil, subs)
 		for gi, m := range maps {
 			ctx := gctx.withRow(reps[gi]).withAgg(m)
@@ -115,13 +152,14 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, outRow{row: row, keys: keys})
+			emit(row, keys)
 		}
 	} else {
 		subs, err := b.prepareSubqueries(all, input.Sch, env)
 		if err != nil {
 			return nil, err
 		}
+		reserve(len(input.Rows))
 		ctx := newCtxWith(b, input.Sch, env, nil, subs)
 		itemExprs := make([]ast.Expr, len(items))
 		for i, it := range items {
@@ -159,13 +197,13 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 						row[i] = cols[i].Value(j)
 					}
 					var keys []value.Value
-					if len(orderExprs) > 0 {
+					if ordered {
 						keys = make([]value.Value, len(orderExprs))
 						for i := range orderExprs {
 							keys[i] = keyCols[i].Value(j)
 						}
 					}
-					out = append(out, outRow{row: row, keys: keys})
+					emit(row, keys)
 				}
 				b.chargeBatch(int64(bt.Len()))
 			}
@@ -184,36 +222,20 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				out = append(out, outRow{row: row, keys: keys})
+				emit(row, keys)
 			}
 			b.chargeRows(int64(len(input.Rows)))
 		}
 	}
 
-	if sel.Distinct {
-		seen := map[string]bool{}
-		dedup := out[:0]
-		for _, r := range out {
-			k := ""
-			for _, v := range r.row {
-				k += v.HashKey() + "\x00"
-			}
-			if !seen[k] {
-				seen[k] = true
-				dedup = append(dedup, r)
-			}
-		}
-		out = dedup
-	}
-
-	if len(sel.OrderBy) > 0 {
+	if ordered {
 		desc := make([]bool, len(sel.OrderBy))
 		for i, o := range sel.OrderBy {
 			desc[i] = o.Desc
 		}
-		sort.SliceStable(out, func(i, j int) bool {
+		sort.SliceStable(sorted, func(i, j int) bool {
 			for k := range desc {
-				c := value.MustCompare(out[i].keys[k], out[j].keys[k])
+				c := value.MustCompare(sorted[i].keys[k], sorted[j].keys[k])
 				if c == 0 {
 					continue
 				}
@@ -224,22 +246,87 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 			}
 			return false
 		})
-		b.chargeWork(int64(len(out)))
+		b.chargeWork(int64(len(sorted)))
+		b.trace.addf("sort %d rows by %d keys", len(sorted), len(sel.OrderBy))
+		res.Rows = make([]schema.Row, len(sorted))
+		for i, r := range sorted {
+			res.Rows[i] = r.row
+		}
 	}
+	b.limit(sel, res)
+	return res, nil
+}
 
-	if len(sel.OrderBy) > 0 {
-		b.trace.addf("sort %d rows by %d keys", len(out), len(sel.OrderBy))
-	}
-	if sel.Limit >= 0 && len(out) > sel.Limit {
-		out = out[:sel.Limit]
+// limit cuts a boxed result to the statement's LIMIT. The kept rows are
+// copied out, so that a result of ten rows does not hold on to the thousand
+// it was cut from.
+func (b *builder) limit(sel *ast.Select, res *Result) {
+	if sel.Limit >= 0 && len(res.Rows) > sel.Limit {
+		res.Rows = append(make([]schema.Row, 0, sel.Limit), res.Rows[:sel.Limit]...)
 		b.trace.addf("limit %d", sel.Limit)
 	}
+}
 
-	res := &Result{Sch: outSch, Rows: make([]schema.Row, len(out))}
-	for i, r := range out {
-		res.Rows[i] = r.row
+// plainSelect reports whether everything sel does after its FROM and WHERE is
+// in its select list: no DISTINCT, ORDER BY or grouping.
+func plainSelect(sel *ast.Select) bool {
+	return !sel.Distinct && len(sel.OrderBy) == 0 && len(sel.GroupBy) == 0 && sel.Having == nil
+}
+
+// bareColumns returns, for a plain SELECT whose projection merely selects
+// columns of its input — every item a column reference that resolves in the
+// input schema — the input position of each output column; nil for any other
+// statement.
+func bareColumns(sel *ast.Select, items []ast.SelectItem, sch *schema.Schema) []int {
+	if !plainSelect(sel) {
+		return nil
 	}
-	return res, nil
+	cols := make([]int, len(items))
+	for i, it := range items {
+		ref, ok := it.Expr.(*ast.ColumnRef)
+		if !ok {
+			return nil
+		}
+		if cols[i] = sch.IndexOf(ref.FullName()); cols[i] < 0 {
+			return nil // an outer column, or unknown: the evaluator decides
+		}
+	}
+	return cols
+}
+
+// selectColumns is the projection of a statement that merely selects columns
+// (see bareColumns): nothing is computed, so no vector is built and no value
+// is re-boxed. Selecting every input column in order hands the input rows on
+// as they are, in whichever form they are in — boxed rows are never written
+// after they are built, which is what lets filters and joins share them
+// already. Anything else copies the chosen values, once. It charges what the
+// computed projection charges for the same input.
+func (b *builder) selectColumns(sel *ast.Select, input *Result, cols []int, outSch *schema.Schema) *Result {
+	n := input.NumRows()
+	if b.vec() {
+		for off := 0; off < n; off += b.batchRows {
+			b.chargeBatch(int64(min(b.batchRows, n-off)))
+		}
+	} else {
+		b.chargeRows(int64(n))
+	}
+	identity := len(cols) == input.Sch.Len()
+	for i, c := range cols {
+		identity = identity && c == i
+	}
+	res := &Result{Sch: outSch}
+	if identity {
+		b.trace.addf("project: pass-through")
+		res.Rows, res.enc, res.n = input.Rows, input.enc, input.n
+		if res.Rows == nil && res.enc == nil {
+			res.Rows = []schema.Row{}
+		}
+	} else {
+		b.trace.addf("project: %d of %d columns", len(cols), input.Sch.Len())
+		res.Rows = NewBatch(input.Sch, input.Rows).AppendRows(make([]schema.Row, 0, n), b.fullSel(n), cols)
+	}
+	b.limit(sel, res) // the scan only encodes for a statement without LIMIT
+	return res
 }
 
 func evalOrderKeys(ctx *evalCtx, orderExprs []ast.Expr) ([]value.Value, error) {
@@ -355,13 +442,33 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env) (*Result, []ast.Expr, err
 		complex[i] = containsSubquery(c) || containsAggregate(c)
 	}
 
+	// A statement that merely selects columns of its one table hands that
+	// projection to the table's scan, provided the scan consumed the whole
+	// WHERE clause (nothing downstream needs a column the projection drops):
+	// the scan then emits the statement's rows, and the top-level statement of
+	// a storage-side fragment may leave them encoded.
+	var out *scanOutput
+	if len(sel.From) == 1 && plainSelect(sel) {
+		out = &scanOutput{
+			encode: b.fragment && sel == b.stmt && sel.Limit < 0,
+			columns: func(full *schema.Schema, keep []int) ([]int, bool) {
+				for _, u := range used {
+					if !u {
+						return nil, false
+					}
+				}
+				return scanColumns(sel.Items, full, keep)
+			},
+		}
+	}
+
 	// Each FROM entry is built with its single-table conjuncts pushed into
 	// it, claimed in FROM order (right sides of outer joins take none: there
 	// WHERE semantics differ from ON semantics).
 	rels := make([]*Result, len(sel.From))
 	for i, ref := range sel.From {
 		outer := ref.Join != nil && ref.Join.Kind == ast.JoinLeftOuter
-		r, err := b.buildRef(ref, env, func(sch *schema.Schema) ast.Expr {
+		r, err := b.buildRef(ref, env, out, func(sch *schema.Schema) ast.Expr {
 			var push []ast.Expr
 			for j, c := range conjs {
 				if outer || used[j] || complex[j] {
@@ -622,6 +729,49 @@ func splitEquiKey(c ast.Expr, left, right *schema.Schema, env *Env) (ast.Expr, a
 	return nil, nil, false
 }
 
+// scanOutput is what a statement that merely selects columns of one table
+// asks of that table's scan.
+type scanOutput struct {
+	// columns returns the table columns to emit, in order (nil: all), given
+	// the table's schema and the columns the scan would keep anyway. It is
+	// consulted after the pushdown and reports false when the scan's rows are
+	// not the statement's.
+	columns func(full *schema.Schema, keep []int) ([]int, bool)
+	// encode asks for the rows in the encoded form.
+	encode bool
+}
+
+// scanColumns resolves a bare select list against the scanned table: a lone
+// * keeps what the scan keeps, distinct column references name their columns
+// in select order (nil when that is every column in table order). Anything
+// else (a * beside other items would expand over the narrowed scan; a
+// repeated column would make its own name ambiguous) is left to the
+// projection.
+func scanColumns(items []ast.SelectItem, full *schema.Schema, keep []int) ([]int, bool) {
+	if len(items) == 1 && items[0].Star {
+		return keep, true
+	}
+	cols := make([]int, len(items))
+	taken := make([]bool, full.Len())
+	whole := len(items) == full.Len()
+	for i, it := range items {
+		ref, ok := it.Expr.(*ast.ColumnRef)
+		if !ok {
+			return nil, false
+		}
+		c := full.IndexOf(ref.FullName())
+		if c < 0 || taken[c] {
+			return nil, false
+		}
+		cols[i], taken[c] = c, true
+		whole = whole && c == i
+	}
+	if whole {
+		return nil, true
+	}
+	return cols, true
+}
+
 // buildRef materializes one FROM entry with a qualified schema, filtered by
 // the conjuncts pushed down to it: pushdown(sch) claims them given the
 // entry's schema and returns their conjunction (nil for none).
@@ -629,8 +779,10 @@ func splitEquiKey(c ast.Expr, left, right *schema.Schema, env *Env) (ast.Expr, a
 // A stored table in vector mode is scanned late-materializing: per window
 // the predicate runs over column vectors decoded straight from the pages,
 // and only the rows it keeps are boxed, narrowed to the columns the statement
-// references anywhere.
-func (b *builder) buildRef(ref ast.TableRef, env *Env, pushdown func(*schema.Schema) ast.Expr) (*Result, error) {
+// references anywhere — or, when the statement is nothing but this scan (out,
+// nil otherwise), to exactly its select list, and then possibly not boxed at
+// all.
+func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, pushdown func(*schema.Schema) ast.Expr) (*Result, error) {
 	if ref.Subquery != nil {
 		sub, err := b.buildSelect(ref.Subquery, env)
 		if err != nil {
@@ -671,14 +823,16 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, pushdown func(*schema.Sch
 		b.refs = collectRefs(b.stmt)
 	}
 	cols := b.refs.keep(ref.Table, full)
-	if cols != nil {
-		res.Sch = &schema.Schema{Columns: make([]schema.Column, len(cols))}
-		for j, c := range cols {
-			res.Sch.Columns[j] = full.Columns[c]
-		}
-	}
+	res.Sch = full.Select(cols)
 	pred := pushdown(res.Sch)
 	fused := pred != nil && supportsVec(pred)
+	encode := false
+	if out != nil && (pred == nil || fused) {
+		if c, ok := out.columns(full, cols); ok {
+			cols, encode = c, out.encode
+			res.Sch = full.Select(cols)
+		}
+	}
 	// The predicate reads table columns, so it resolves against the full
 	// schema whatever the scan's output keeps.
 	ctx := newCtx(b, full, env)
@@ -697,7 +851,12 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, pushdown func(*schema.Sch
 			keep = survivors
 			b.chargeBatch(int64(n))
 		}
-		res.Rows = bt.AppendRows(res.Rows, keep, cols)
+		if encode {
+			res.enc = bt.AppendEncoded(res.enc, keep, cols)
+			res.n += len(keep)
+		} else {
+			res.Rows = bt.AppendRows(res.Rows, keep, cols)
+		}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -705,9 +864,12 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, pushdown func(*schema.Sch
 	b.trace.addf("scan %s as %s -> %d rows", ref.Table, ref.Name(), scanned)
 	switch {
 	case fused:
-		b.trace.addf("filter %s: %d -> %d rows", pred, scanned, len(res.Rows))
+		b.trace.addf("filter %s: %d -> %d rows", pred, scanned, res.NumRows())
 	case pred != nil:
 		return b.applyFilter(res, pred, env)
+	}
+	if encode {
+		b.trace.addf("fragment: encoded reply, %d rows", res.n)
 	}
 	return res, nil
 }

@@ -70,10 +70,46 @@ func scanRowBatches(sch *schema.Schema, rows []schema.Row, batchRows int, fn fun
 	return nil
 }
 
-// Result is a fully materialized intermediate or final result.
+// Result is a fully materialized intermediate or final result. It has two
+// forms, as Batch has. The boxed form holds Rows. The encoded form (Rows nil)
+// holds the same rows back to back in the row codec, exactly as the reply wire
+// carries them: a storage-side fragment that merely ships columns of one table
+// produces it straight from the verified pages, and the host keeps a reply in
+// it, so a shipped row is boxed only if the host's own scan keeps it. Both
+// forms are relations; operators other than the scan only ever see boxed
+// results.
 type Result struct {
 	Sch  *schema.Schema
 	Rows []schema.Row
+
+	enc []byte // the encoded form: n rows of Sch.Len() columns each
+	n   int
+}
+
+// NumRows returns the number of rows in either form.
+func (r *Result) NumRows() int {
+	if r.enc != nil {
+		return r.n
+	}
+	return len(r.Rows)
+}
+
+// Boxed returns the result with its rows materialized: r itself unless it is
+// in the encoded form.
+func (r *Result) Boxed() (*Result, error) {
+	if r.enc == nil {
+		return r, nil
+	}
+	out := &Result{Sch: r.Sch, Rows: make([]schema.Row, 0, r.n)}
+	every := make([]int, min(r.n, DefaultBatchRows))
+	for i := range every {
+		every[i] = i
+	}
+	_, err := r.scanEncoded(len(every), func(bt *Batch) error {
+		out.Rows = bt.AppendRows(out.Rows, every[:bt.Len()], nil)
+		return nil
+	})
+	return out, err
 }
 
 // Schema implements Relation.
@@ -81,12 +117,43 @@ func (r *Result) Schema() *schema.Schema { return r.Sch }
 
 // Scan implements Relation.
 func (r *Result) Scan(fn func(schema.Row) error) error {
-	return scanRows(r.Rows, fn)
+	boxed, err := r.Boxed()
+	if err != nil {
+		return err
+	}
+	return scanRows(boxed.Rows, fn)
 }
 
-// ScanBatch implements BatchRelation.
+// ScanBatch implements BatchRelation. The encoded form is delivered as
+// page-backed batches, like a stored table: windows over the retained bytes.
 func (r *Result) ScanBatch(batchRows int, fn func(*Batch) error) error {
-	return scanRowBatches(r.Sch, r.Rows, batchRows, fn)
+	if r.enc == nil {
+		return scanRowBatches(r.Sch, r.Rows, batchRows, fn)
+	}
+	_, err := r.scanEncoded(batchRows, fn)
+	return err
+}
+
+// scanEncoded delivers the encoded form window by window and returns the
+// position after its last row. Indexing a window checks every field of every
+// row as DecodeRow does, so one pass with a callback that does nothing is the
+// structural validation of bytes that came from outside.
+func (r *Result) scanEncoded(batchRows int, fn func(*Batch) error) (int, error) {
+	if batchRows <= 0 {
+		batchRows = DefaultBatchRows
+	}
+	win := schema.NewRowWindow(r.Sch.Len())
+	pos := 0
+	for left := r.n; left > 0; left -= win.Len() {
+		var err error
+		if pos, err = win.Fill(r.enc, pos, min(batchRows, left)); err != nil {
+			return 0, fmt.Errorf("exec: result row %d: %w", r.n-left+win.Len(), err)
+		}
+		if err := fn(NewWindowBatch(r.Sch, win)); err != nil {
+			return 0, err
+		}
+	}
+	return pos, nil
 }
 
 // MemRelation is an in-memory named relation (host-side temp tables).
@@ -123,6 +190,16 @@ func Run(sel *ast.Select, cat Catalog, meter *simtime.Meter) (*Result, error) {
 // DefaultBatchRows, 1 forces the row-at-a-time path everywhere.
 func RunBatched(sel *ast.Select, cat Catalog, meter *simtime.Meter, batchRows int) (*Result, error) {
 	b := &builder{cat: cat, meter: meter, batchRows: normBatchRows(batchRows), stmt: sel}
+	return b.buildSelect(sel, nil)
+}
+
+// RunFragment is RunBatched for the storage side of a split execution, where
+// the result is only ever encoded and sent: a statement that merely ships
+// columns of one stored table, every WHERE conjunct evaluated inside the scan,
+// returns in the encoded form — no row of it is boxed. Any other statement
+// returns exactly what RunBatched returns.
+func RunFragment(sel *ast.Select, cat Catalog, meter *simtime.Meter, batchRows int) (*Result, error) {
+	b := &builder{cat: cat, meter: meter, batchRows: normBatchRows(batchRows), stmt: sel, fragment: true}
 	return b.buildSelect(sel, nil)
 }
 
@@ -176,6 +253,9 @@ type builder struct {
 	// references, computed from stmt on the first table scan.
 	stmt *ast.Select
 	refs *colRefs
+	// fragment marks a storage-side fragment, whose top-level scan may hand
+	// its rows on encoded (see RunFragment).
+	fragment bool
 
 	ident []int // the identity selection vector, grown on demand
 }

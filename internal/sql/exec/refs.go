@@ -15,22 +15,24 @@ import (
 // exactly as over the unpruned tables.
 type colRefs struct {
 	names map[string]bool // lower-cased ColumnRef names, at every nesting level
-	stars map[string]bool // lower-cased base tables under a SELECT with a * item
+	// stars holds the lower-cased base tables under a SELECT with a * item.
+	// The body of an EXISTS is exempt: existence reads no output column.
+	stars map[string]bool
 }
 
 // collectRefs gathers the columns sel references, subqueries and derived
 // tables included.
 func collectRefs(sel *ast.Select) *colRefs {
 	r := &colRefs{names: map[string]bool{}, stars: map[string]bool{}}
-	r.addSelect(sel)
+	r.addSelect(sel, false)
 	return r
 }
 
-func (r *colRefs) addSelect(sel *ast.Select) {
+func (r *colRefs) addSelect(sel *ast.Select, existsBody bool) {
 	for _, it := range sel.Items {
 		if it.Star {
 			for _, ref := range sel.From {
-				if ref.Subquery == nil {
+				if ref.Subquery == nil && !existsBody {
 					r.stars[strings.ToLower(ref.Table)] = true
 				}
 			}
@@ -40,7 +42,7 @@ func (r *colRefs) addSelect(sel *ast.Select) {
 	}
 	for _, ref := range sel.From {
 		if ref.Subquery != nil {
-			r.addSelect(ref.Subquery)
+			r.addSelect(ref.Subquery, false)
 		}
 		if ref.Join != nil {
 			r.addExpr(ref.Join.On)
@@ -62,11 +64,11 @@ func (r *colRefs) addExpr(e ast.Expr) {
 		case *ast.ColumnRef:
 			r.names[strings.ToLower(q.Name)] = true
 		case *ast.Exists:
-			r.addSelect(q.Subquery)
+			r.addSelect(q.Subquery, true)
 		case *ast.InSubquery:
-			r.addSelect(q.Subquery)
+			r.addSelect(q.Subquery, false)
 		case *ast.ScalarSubquery:
-			r.addSelect(q.Subquery)
+			r.addSelect(q.Subquery, false)
 		}
 		return true
 	})

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -212,6 +211,13 @@ func TestReferencedColumns(t *testing.T) {
 		{"SELECT * FROM users", map[string]string{"users": "*"}},
 		{"SELECT count(*) FROM orders", map[string]string{"orders": ""}},
 		{"SELECT u.name FROM users u WHERE EXISTS (SELECT * FROM orders o WHERE o.uid = u.id)",
+			map[string]string{"users": "id name", "orders": "uid"}},
+		{"SELECT u.name FROM users u WHERE NOT EXISTS (SELECT *, o.amount FROM orders o WHERE o.uid = u.id AND EXISTS (SELECT * FROM items i WHERE i.oid = o.oid))",
+			map[string]string{"users": "id name", "orders": "oid uid amount", "items": "oid"}},
+		// Only the EXISTS body itself is exempt: a * one level down is a real one.
+		{"SELECT u.name FROM users u WHERE EXISTS (SELECT * FROM (SELECT * FROM orders) o WHERE o.uid = u.id)",
+			map[string]string{"users": "id name", "orders": "*"}},
+		{"SELECT name FROM users WHERE id IN (SELECT * FROM orders)",
 			map[string]string{"users": "id name", "orders": "*"}},
 		{"SELECT name FROM users WHERE id IN (SELECT uid FROM orders WHERE amount > 30)",
 			map[string]string{"users": "id name", "orders": "uid amount"}},
@@ -262,6 +268,11 @@ func TestColumnPruningNeverDropsAReference(t *testing.T) {
 		"SELECT * FROM users u, orders o WHERE o.uid = u.id ORDER BY o.oid",
 		"SELECT name FROM users u WHERE EXISTS (SELECT * FROM orders o WHERE o.uid = u.id AND o.amount > 60) ORDER BY name",
 		"SELECT name FROM users u WHERE NOT EXISTS (SELECT 1 FROM orders o WHERE o.uid = u.id) ORDER BY name",
+		"SELECT name FROM users u WHERE NOT EXISTS (SELECT * FROM orders o WHERE o.uid = u.id) ORDER BY name",
+		"SELECT name FROM users u WHERE EXISTS (SELECT * FROM orders) ORDER BY name",
+		"SELECT name FROM users u WHERE EXISTS (SELECT *, o.status FROM orders o WHERE o.uid = u.id AND NOT EXISTS (SELECT * FROM items i WHERE i.oid = o.oid AND i.qty > 2)) ORDER BY name",
+		"SELECT name FROM users u WHERE EXISTS (SELECT * FROM orders o, items i WHERE o.uid = u.id AND i.oid = o.oid AND i.qty > 1) ORDER BY name",
+		"SELECT name FROM users u WHERE EXISTS (SELECT * FROM (SELECT * FROM orders) o WHERE o.uid = u.id AND o.amount > 60) ORDER BY name",
 		"SELECT name FROM users WHERE id IN (SELECT uid FROM orders WHERE status = 'OK') ORDER BY name",
 		"SELECT name FROM users u WHERE u.age > (SELECT avg(age) FROM users) ORDER BY name",
 		"SELECT name, (SELECT sum(amount) FROM orders o WHERE o.uid = u.id) AS spent FROM users u ORDER BY spent DESC, name",
@@ -295,48 +306,80 @@ func TestColumnPruningNeverDropsAReference(t *testing.T) {
 	}
 }
 
-// TestScanPrunesAndFiltersInOnePass pins what the fused scan hands on: narrow
-// rows of the referenced columns only, already filtered, with the trace lines
-// and the two per-window charges of the scan + filter pair it replaced.
+// TestScanPrunesAndFiltersInOnePass pins what the fused scan hands on: rows
+// already filtered and narrowed — to the statement's select list when the
+// statement is nothing but the scan, to the columns it references anywhere
+// when something downstream still reads them — with the trace lines and the
+// two per-window charges of the scan + filter pair it replaced.
 func TestScanPrunesAndFiltersInOnePass(t *testing.T) {
-	sel, err := parser.ParseSelect("SELECT l_orderkey FROM lineitem WHERE l_size = 7 AND l_shipmode = 'MAIL'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m simtime.Meter
-	tr := &Trace{}
-	b := &builder{cat: memCatalog{"lineitem": lineitemish(100, false)}, meter: &m, trace: tr, batchRows: 40, stmt: sel}
-	res, remaining, err := b.buildFrom(sel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remaining) != 0 {
-		t.Errorf("conjuncts left after pushdown: %v", remaining)
-	}
-	var names []string
-	for _, c := range res.Sch.Columns {
-		names = append(names, c.Name)
-	}
-	sort.Strings(names)
-	if want := []string{"lineitem.l_orderkey", "lineitem.l_shipmode", "lineitem.l_size"}; !reflect.DeepEqual(names, want) {
-		t.Errorf("scan schema %v, want %v", names, want)
-	}
-	for _, r := range res.Rows {
-		if len(r) != 3 || r[2].AsInt() != 7 || r[1].AsString() != "MAIL" {
-			t.Errorf("scan kept row %v", r)
+	rel := lineitemish(100, false)
+	var kept []int64
+	for _, r := range rel.Rows {
+		if r[8].AsInt() == 7 && r[6].AsString() == "MAIL" {
+			kept = append(kept, r[0].AsInt())
 		}
 	}
-	want := []string{
-		"scan lineitem as lineitem -> 100 rows",
-		fmt.Sprintf("filter %s: 100 -> %d rows", ast.JoinConjuncts(ast.SplitConjuncts(sel.Where)), len(res.Rows)),
-	}
-	if got := tr.Lines(); !reflect.DeepEqual(got, want) {
-		t.Errorf("trace %q, want %q", got, want)
-	}
-	// Three windows (40, 40, 20), each charged once for the scan and once
-	// for the filter.
-	if snap := m.Snapshot(); snap.Batches != 6 || snap.TuplesProcessed != 200 || snap.TupleWork != 200 {
-		t.Errorf("charges %+v, want 6 batches over 200 tuples", snap)
+	for _, tc := range []struct {
+		sql     string
+		columns []string
+		left    int // conjuncts the scan could not take
+	}{
+		{"SELECT l_orderkey FROM lineitem WHERE l_size = 7 AND l_shipmode = 'MAIL'",
+			[]string{"lineitem.l_orderkey"}, 0},
+		{"SELECT l_shipmode, l_orderkey FROM lineitem WHERE l_size = 7 AND l_shipmode = 'MAIL'",
+			[]string{"lineitem.l_shipmode", "lineitem.l_orderkey"}, 0},
+		// A conjunct is left for later: the scan keeps what it reads.
+		{"SELECT l_orderkey FROM lineitem WHERE l_size = 7 AND l_shipmode = 'MAIL' AND l_quantity < (SELECT 100)",
+			[]string{"lineitem.l_orderkey", "lineitem.l_quantity", "lineitem.l_shipmode", "lineitem.l_size"}, 1},
+		// Not a bare select list: the projection still has work to do.
+		{"SELECT l_orderkey + 1 FROM lineitem WHERE l_size = 7 AND l_shipmode = 'MAIL'",
+			[]string{"lineitem.l_orderkey", "lineitem.l_shipmode", "lineitem.l_size"}, 0},
+	} {
+		sel, err := parser.ParseSelect(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m simtime.Meter
+		tr := &Trace{}
+		b := &builder{cat: memCatalog{"lineitem": rel}, meter: &m, trace: tr, batchRows: 40, stmt: sel}
+		res, remaining, err := b.buildFrom(sel, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(remaining) != tc.left {
+			t.Errorf("%s: conjuncts left after pushdown: %v", tc.sql, remaining)
+		}
+		var names []string
+		for _, c := range res.Sch.Columns {
+			names = append(names, c.Name)
+		}
+		if !reflect.DeepEqual(names, tc.columns) {
+			t.Errorf("%s: scan schema %v, want %v", tc.sql, names, tc.columns)
+		}
+		key := res.Sch.IndexOf("l_orderkey")
+		var got []int64
+		for _, r := range res.Rows {
+			if len(r) != len(tc.columns) {
+				t.Errorf("%s: scan kept row %v", tc.sql, r)
+			}
+			got = append(got, r[key].AsInt())
+		}
+		if !reflect.DeepEqual(got, kept) {
+			t.Errorf("%s: scan kept orders %v, want %v", tc.sql, got, kept)
+		}
+		pushed := ast.SplitConjuncts(sel.Where)[:2]
+		want := []string{
+			"scan lineitem as lineitem -> 100 rows",
+			fmt.Sprintf("filter %s: 100 -> %d rows", ast.JoinConjuncts(pushed), len(res.Rows)),
+		}
+		if got := tr.Lines(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: trace %q, want %q", tc.sql, got, want)
+		}
+		// Three windows (40, 40, 20), each charged once for the scan and once
+		// for the filter.
+		if snap := m.Snapshot(); snap.Batches != 6 || snap.TuplesProcessed != 200 || snap.TupleWork != 200 {
+			t.Errorf("%s: charges %+v, want 6 batches over 200 tuples", tc.sql, snap)
+		}
 	}
 }
 

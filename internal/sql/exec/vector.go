@@ -85,6 +85,18 @@ func (bt *Batch) AppendRows(dst []schema.Row, sel []int, cols []int) []schema.Ro
 	return dst
 }
 
+// AppendEncoded appends the rows AppendRows would box to dst in the row codec
+// instead, without boxing any for a page-backed batch.
+func (bt *Batch) AppendEncoded(dst []byte, sel []int, cols []int) []byte {
+	if bt.win != nil {
+		return bt.win.AppendEncoded(dst, sel, cols)
+	}
+	for _, row := range bt.AppendRows(nil, sel, cols) {
+		dst = schema.EncodeRow(dst, row)
+	}
+	return dst
+}
+
 // vecKeyAt concatenates the hash key for row j from extracted key columns,
 // mirroring evalKey: any NULL component voids the key.
 func vecKeyAt(cols []*schema.ColVec, j int) (string, bool) {

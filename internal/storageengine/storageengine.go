@@ -242,15 +242,27 @@ func (s *Server) sessionKey(sessionID string) ([]byte, bool) {
 	return k, ok
 }
 
-// ExecOffload runs one offloaded query fragment on the local engine,
-// applying the memory-budget spill model.
-func (s *Server) ExecOffload(sql string) (*exec.Result, error) {
-	res, err := s.DB().Execute(sql)
+// ExecFragment runs one offloaded query fragment on the local engine,
+// applying the memory-budget spill model. The result is what the reply
+// encodes: a fragment that merely ships columns of one table returns in the
+// encoded form (exec.Result), with no row boxed.
+func (s *Server) ExecFragment(sql string) (*exec.Result, error) {
+	res, err := s.DB().ExecuteFragment(sql)
 	if err != nil {
 		return nil, fmt.Errorf("storageengine: offload: %w", err)
 	}
 	s.chargeSpill(res)
 	return res, nil
+}
+
+// ExecOffload is ExecFragment with the rows boxed, for callers that read
+// them in place (the storage-only configuration, tools, tests).
+func (s *Server) ExecOffload(sql string) (*exec.Result, error) {
+	res, err := s.ExecFragment(sql)
+	if err != nil {
+		return nil, err
+	}
+	return res.Boxed()
 }
 
 // chargeSpill models constrained memory (Fig 11): when an offloaded query's
@@ -263,10 +275,8 @@ func (s *Server) chargeSpill(res *exec.Result) {
 	if s.cfg.MemoryBudget <= 0 {
 		return
 	}
-	var bytes int64
-	for _, r := range res.Rows {
-		bytes += int64(len(r) * 16) // coarse in-memory row estimate
-	}
+	// Coarse in-memory estimate: 16 bytes a value.
+	bytes := int64(res.NumRows()) * int64(res.Sch.Len()) * 16
 	if bytes <= s.cfg.MemoryBudget {
 		return
 	}
@@ -376,7 +386,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 				sc.Send("budget", nil)
 				continue
 			}
-			res, err := s.ExecOffload(string(payload[8:]))
+			res, err := s.ExecFragment(string(payload[8:]))
 			if err != nil {
 				sc.Send("error", []byte(err.Error()))
 				continue
@@ -386,7 +396,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 				sc.Send("error", []byte(err.Error()))
 				continue
 			}
-			s.cfg.Meter.RowsShipped.Add(int64(len(res.Rows)))
+			s.cfg.Meter.RowsShipped.Add(int64(res.NumRows()))
 			// The reply is stamped with this node's membership epoch; the
 			// host rejects any stamp that differs from the cluster's.
 			out := make([]byte, 8, 8+len(blob))
