@@ -124,7 +124,8 @@ adversarysweep-race:
 # fuzz-smoke runs each wire-codec fuzz target for a short bounded stint —
 # transport frames, the rebuild manifest, the redo journal, the storage page
 # list, the ingest wire ack, the page-backed column decoder against the
-# boxed-row one, and the retained offload reply against the boxed decoder. The
+# boxed-row one, the retained offload reply against the boxed decoder, and the
+# executor's key table against a map keyed by value.HashKey. The
 # seeded corpora alone run in ordinary
 # `go test`; this target adds coverage-guided exploration.
 FUZZTIME ?= 5s
@@ -135,7 +136,8 @@ FUZZ_TARGETS = \
 	FuzzDecodePageList:./internal/storageengine \
 	FuzzWireAck:./internal/ingest \
 	FuzzDecodeColumn:./internal/schema \
-	FuzzDecodeResult:./internal/sql/exec
+	FuzzDecodeResult:./internal/sql/exec \
+	FuzzKeyTable:./internal/sql/exec
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		name=$${t%%:*}; pkg=$${t#*:}; \
@@ -156,14 +158,15 @@ benchjson:
 # every evaluated query's work counters must match the committed record, the
 # window scan must match the row scan at every window size, every fragment's
 # encoded reply must be the boxed execution's bytes, the host's scan over a
-# retained reply must match the scan over boxed rows, and the layer benchmarks
-# (table scan, predicate kernels, fragment shipment, host scan of a shipment)
-# must still run.
+# retained reply must match the scan over boxed rows, the key table must agree
+# with value.HashKey and the hash join with a nested loop, and the layer
+# benchmarks (table scan, predicate kernels, fragment shipment, host scan of a
+# shipment, hash join, group-by) must still run.
 benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
 	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
-	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
-	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped' -benchtime 1x ./internal/engine ./internal/sql/exec ./internal/storageengine
+	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HashJoin|GroupBy' -benchtime 1x ./internal/engine ./internal/sql/exec ./internal/storageengine
 
 # bench-e2e runs the repository benchmark (BENCHMARK.json; see
 # benchmark/README.md) once per workload: the timed run's end-to-end metrics,

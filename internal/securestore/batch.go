@@ -129,8 +129,9 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 		workers = len(miss)
 	}
 	if workers <= 1 {
+		mac := s.pageMACer()
 		for k := range miss {
-			plains[k], macs[k], errs[k] = s.openPage(idxs[miss[k]], records[k])
+			plains[k], macs[k], errs[k] = s.openPage(&mac, idxs[miss[k]], records[k])
 		}
 	} else {
 		var next atomic.Int64
@@ -139,12 +140,13 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
+				mac := s.pageMACer()
 				for {
 					k := int(next.Add(1)) - 1
 					if k >= len(miss) {
 						return
 					}
-					plains[k], macs[k], errs[k] = s.openPage(idxs[miss[k]], records[k])
+					plains[k], macs[k], errs[k] = s.openPage(&mac, idxs[miss[k]], records[k])
 				}
 			}()
 		}

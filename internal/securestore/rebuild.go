@@ -124,7 +124,8 @@ func (s *Store) readPageLocked(idx uint32) ([]byte, error) {
 		return nil, err
 	}
 	s.meter.PagesRead.Add(1)
-	plain, recordMAC, err := s.openPage(idx, record)
+	mac := s.pageMACer()
+	plain, recordMAC, err := s.openPage(&mac, idx, record)
 	if err != nil {
 		return nil, err
 	}

@@ -504,7 +504,8 @@ func (s *Store) ReadPage(idx uint32) ([]byte, error) {
 		return nil, err
 	}
 	s.meter.PagesRead.Add(1)
-	plain, recordMAC, err := s.openPage(idx, record)
+	mac := s.pageMACer()
+	plain, recordMAC, err := s.openPage(&mac, idx, record)
 	if err != nil {
 		return nil, err
 	}
@@ -611,8 +612,9 @@ func (s *Store) VerifyAll() error {
 	return nil
 }
 
-// sealPage encrypts and MACs a plaintext page.
-func (s *Store) sealPage(idx uint32, plain []byte) (record, recordMAC []byte, err error) {
+// sealPage encrypts and MACs a plaintext page; mac is the caller's (see
+// pageMACer).
+func (s *Store) sealPage(mac *pageMACer, idx uint32, plain []byte) (record, recordMAC []byte, err error) {
 	if s.opts.GCM {
 		return s.sealPageGCM(idx, plain)
 	}
@@ -622,16 +624,17 @@ func (s *Store) sealPage(idx uint32, plain []byte) (record, recordMAC []byte, er
 	}
 	ct := make([]byte, pager.PageSize)
 	cipher.NewCBCEncrypter(s.block, iv).CryptBlocks(ct, plain)
-	mac := s.pageMAC(idx, iv, ct)
+	recordMAC = mac.sum(idx, iv, ct)
 	record = make([]byte, 0, recordSize)
 	record = append(record, iv...)
 	record = append(record, ct...)
-	record = append(record, mac...)
-	return record, mac, nil
+	record = append(record, recordMAC...)
+	return record, recordMAC, nil
 }
 
-// openPage verifies and decrypts a stored record.
-func (s *Store) openPage(idx uint32, record []byte) (plain, recordMAC []byte, err error) {
+// openPage verifies and decrypts a stored record; mac is the caller's (see
+// pageMACer).
+func (s *Store) openPage(mac *pageMACer, idx uint32, record []byte) (plain, recordMAC []byte, err error) {
 	if s.opts.GCM {
 		return s.openPageGCM(idx, record)
 	}
@@ -640,26 +643,43 @@ func (s *Store) openPage(idx uint32, record []byte) (plain, recordMAC []byte, er
 	}
 	iv := record[:ivSize]
 	ct := record[ivSize : ivSize+pager.PageSize]
-	mac := record[ivSize+pager.PageSize:]
-	want := s.pageMAC(idx, iv, ct)
-	if !hmac.Equal(mac, want) {
+	recordMAC = record[ivSize+pager.PageSize:]
+	if !hmac.Equal(recordMAC, mac.sum(idx, iv, ct)) {
 		return nil, nil, fmt.Errorf("%w: page %d HMAC mismatch", ErrIntegrity, idx)
 	}
 	plain = make([]byte, pager.PageSize)
 	cipher.NewCBCDecrypter(s.block, iv).CryptBlocks(plain, ct)
-	return plain, mac, nil
+	return plain, recordMAC, nil
 }
 
-// pageMAC computes HMAC-SHA-512 over (index, IV, ciphertext); binding the
-// index prevents page transplantation.
-func (s *Store) pageMAC(idx uint32, iv, ct []byte) []byte {
-	mac := hmac.New(sha512.New, s.macKey)
+// pageMACer computes page-record MACs under the store's MAC key. Keying an
+// HMAC-SHA-512 costs two compressions and five allocations, so whoever seals
+// or opens pages in a loop — a commit, a decrypt worker — holds one pageMACer
+// for the loop: it keys its HMAC on first use and resets it for each later
+// one. A caller with a single page pays exactly what a fresh HMAC costs, and
+// one that never MACs (GCM records carry their own tag) pays nothing. Not for
+// concurrent use.
+type pageMACer struct {
+	key []byte
+	mac hash.Hash
+}
+
+func (s *Store) pageMACer() pageMACer { return pageMACer{key: s.macKey} }
+
+// sum computes HMAC-SHA-512 over (index, IV, ciphertext); binding the index
+// prevents page transplantation.
+func (m *pageMACer) sum(idx uint32, iv, ct []byte) []byte {
+	if m.mac == nil {
+		m.mac = hmac.New(sha512.New, m.key)
+	} else {
+		m.mac.Reset()
+	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], idx)
-	mac.Write(b[:])
-	mac.Write(iv)
-	mac.Write(ct)
-	return mac.Sum(nil)
+	m.mac.Write(b[:])
+	m.mac.Write(iv)
+	m.mac.Write(ct)
+	return m.mac.Sum(nil)
 }
 
 func (s *Store) sealPageGCM(idx uint32, plain []byte) (record, recordMAC []byte, err error) {

@@ -43,13 +43,13 @@ type accumulator struct {
 	sumI     int64
 	isFloat  bool
 	min, max value.Value
-	distinct map[string]bool
+	distinct *keyTable
 }
 
 func newAccumulator(call *ast.FuncCall) *accumulator {
 	a := &accumulator{call: call, min: value.Null(), max: value.Null()}
 	if call.Distinct {
-		a.distinct = map[string]bool{}
+		a.distinct = newKeyTable(1, 0, false)
 	}
 	return a
 }
@@ -75,11 +75,9 @@ func (a *accumulator) addValue(v value.Value) error {
 		return nil // aggregates ignore NULL inputs
 	}
 	if a.distinct != nil {
-		k := v.HashKey()
-		if a.distinct[k] {
+		if n := a.distinct.n; a.distinct.id([]value.Value{v}, true) < n {
 			return nil
 		}
-		a.distinct[k] = true
 	}
 	a.count++
 	switch a.call.Name {
@@ -138,12 +136,25 @@ type group struct {
 	accs    []*accumulator
 }
 
-// aggregate groups in by groupBy (empty = one global group) and computes
-// specs; returns one substitution map and representative row per group.
+// aggregate groups in by groupBy (empty = one global group, which needs no
+// key table) and computes specs; returns one substitution map and
+// representative row per group, in order of first appearance.
 func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env *Env, subs map[ast.Expr]*subEval) ([]map[string]value.Value, []schema.Row, error) {
 	ctx := newCtxWith(b, in.Sch, env, nil, subs)
-	groups := map[string]*group{}
-	var order []string // deterministic group order (first appearance)
+	var groups []*group // by key id
+	var table *keyTable
+	if len(groupBy) > 0 {
+		table = newKeyTable(len(groupBy), 0, true)
+	}
+	// Ids are dense in order of first appearance: a row whose id is
+	// len(groups) opens the next group.
+	newGroup := func(keyVals []value.Value, row schema.Row) {
+		g := &group{keyVals: keyVals, repRow: row, accs: make([]*accumulator, len(specs))}
+		for i, s := range specs {
+			g.accs[i] = newAccumulator(s.call)
+		}
+		groups = append(groups, g)
+	}
 
 	vecOK := b.vec() && supportsVecAll(groupBy)
 	if vecOK {
@@ -156,17 +167,18 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 	}
 	if vecOK {
 		// Vectorized grouping: group keys and aggregate arguments are
-		// extracted column-wise per batch, then rows probe the group table
+		// extracted column-wise per batch, then rows fold into their groups
 		// in order (first appearance still fixes the output order, and the
 		// sequential fold preserves float summation order).
+		keyCols := make([]*schema.ColVec, len(groupBy))
+		argCols := make([]*schema.ColVec, len(specs))
+		var ids []int32
+		if table != nil {
+			ids = make([]int32, min(b.batchRows, len(in.Rows)))
+		}
 		for off := 0; off < len(in.Rows); off += b.batchRows {
-			end := off + b.batchRows
-			if end > len(in.Rows) {
-				end = len(in.Rows)
-			}
-			bt := NewBatch(in.Sch, in.Rows[off:end])
+			bt := NewBatch(in.Sch, in.Rows[off:min(off+b.batchRows, len(in.Rows))])
 			sel := b.fullSel(bt.Len())
-			keyCols := make([]*schema.ColVec, len(groupBy))
 			for i, ge := range groupBy {
 				cv, err := ctx.evalVec(ge, bt, sel)
 				if err != nil {
@@ -174,7 +186,6 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 				}
 				keyCols[i] = cv
 			}
-			argCols := make([]*schema.ColVec, len(specs))
 			for i, s := range specs {
 				if s.call.Star {
 					continue
@@ -185,25 +196,22 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 				}
 				argCols[i] = cv
 			}
+			if table != nil {
+				table.ids(keyCols, bt.Len(), true, ids)
+			}
 			for j := 0; j < bt.Len(); j++ {
-				keyVals := make([]value.Value, len(groupBy))
-				keyStr := ""
-				for i := range groupBy {
-					v := keyCols[i].Value(j)
-					keyVals[i] = v
-					keyStr += v.HashKey() + "\x00"
+				var id int32
+				if table != nil {
+					id = ids[j]
 				}
-				g, ok := groups[keyStr]
-				if !ok {
-					g = &group{keyVals: keyVals, repRow: bt.Rows[j]}
-					g.accs = make([]*accumulator, len(specs))
-					for i, s := range specs {
-						g.accs[i] = newAccumulator(s.call)
+				if int(id) == len(groups) {
+					keyVals := make([]value.Value, len(groupBy))
+					for i, cv := range keyCols {
+						keyVals[i] = cv.Value(j)
 					}
-					groups[keyStr] = g
-					order = append(order, keyStr)
+					newGroup(keyVals, bt.Rows[j])
 				}
-				for si, acc := range g.accs {
+				for si, acc := range groups[id].accs {
 					if acc.call.Star {
 						acc.count++
 						continue
@@ -216,29 +224,24 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 			b.chargeBatch(int64(bt.Len()))
 		}
 	} else {
+		keyVals := make([]value.Value, len(groupBy))
 		for _, row := range in.Rows {
 			rc := ctx.withRow(row)
-			keyVals := make([]value.Value, len(groupBy))
-			keyStr := ""
 			for i, ge := range groupBy {
 				v, err := rc.eval(ge)
 				if err != nil {
 					return nil, nil, err
 				}
 				keyVals[i] = v
-				keyStr += v.HashKey() + "\x00"
 			}
-			g, ok := groups[keyStr]
-			if !ok {
-				g = &group{keyVals: keyVals, repRow: row}
-				g.accs = make([]*accumulator, len(specs))
-				for i, s := range specs {
-					g.accs[i] = newAccumulator(s.call)
-				}
-				groups[keyStr] = g
-				order = append(order, keyStr)
+			var id int32
+			if table != nil {
+				id = table.id(keyVals, true)
 			}
-			for _, acc := range g.accs {
+			if int(id) == len(groups) {
+				newGroup(append([]value.Value(nil), keyVals...), row)
+			}
+			for _, acc := range groups[id].accs {
 				if err := acc.add(ctx, row); err != nil {
 					return nil, nil, err
 				}
@@ -249,19 +252,12 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 
 	// Global aggregation over zero rows still yields one group.
 	if len(groupBy) == 0 && len(groups) == 0 {
-		g := &group{}
-		g.accs = make([]*accumulator, len(specs))
-		for i, s := range specs {
-			g.accs[i] = newAccumulator(s.call)
-		}
-		groups[""] = g
-		order = append(order, "")
+		newGroup(nil, nil)
 	}
 
 	maps := make([]map[string]value.Value, 0, len(groups))
 	reps := make([]schema.Row, 0, len(groups))
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range groups {
 		m := make(map[string]value.Value, len(groupBy)+len(specs))
 		for i, ge := range groupBy {
 			m[ge.String()] = g.keyVals[i]

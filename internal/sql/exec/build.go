@@ -94,20 +94,15 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 			res.Rows = make([]schema.Row, 0, n)
 		}
 	}
-	var seen map[string]bool
+	var seen *keyTable
 	if sel.Distinct {
-		seen = map[string]bool{}
+		seen = newKeyTable(len(items), 0, true)
 	}
 	emit := func(row schema.Row, keys []value.Value) {
 		if seen != nil {
-			k := ""
-			for _, v := range row {
-				k += v.HashKey() + "\x00"
-			}
-			if seen[k] {
+			if n := seen.n; seen.id(row, true) < n {
 				return
 			}
-			seen[k] = true
 		}
 		if ordered {
 			sorted = append(sorted, outRow{row: row, keys: keys})
@@ -303,13 +298,7 @@ func bareColumns(sel *ast.Select, items []ast.SelectItem, sch *schema.Schema) []
 // computed projection charges for the same input.
 func (b *builder) selectColumns(sel *ast.Select, input *Result, cols []int, outSch *schema.Schema) *Result {
 	n := input.NumRows()
-	if b.vec() {
-		for off := 0; off < n; off += b.batchRows {
-			b.chargeBatch(int64(min(b.batchRows, n-off)))
-		}
-	} else {
-		b.chargeRows(int64(n))
-	}
+	b.chargePass(n, nil)
 	identity := len(cols) == input.Sch.Len()
 	for i, c := range cols {
 		identity = identity && c == i
@@ -494,15 +483,19 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env) (*Result, []ast.Expr, err
 		}
 	}
 
-	var cur *Result
-	var err error
-	if explicit {
-		cur, err = b.assembleSequential(sel.From, rels, conjs, used, complex, env)
-	} else {
-		cur, err = b.assembleGreedy(rels, conjs, used, complex, env)
-	}
-	if err != nil {
-		return nil, nil, err
+	cur := rels[0] // a lone entry is the FROM clause's result as it stands
+	if len(rels) > 1 {
+		var chain *joinChain
+		var err error
+		if explicit {
+			chain, err = b.assembleSequential(sel.From, rels, conjs, used, complex, env)
+		} else {
+			chain, err = b.assembleGreedy(rels, conjs, used, complex, env)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		cur = b.materialize(chain)
 	}
 
 	var remaining []ast.Expr
@@ -557,9 +550,10 @@ func factorCommonDisjuncts(conjs []ast.Expr) []ast.Expr {
 }
 
 // assembleSequential joins refs strictly left to right (required when
-// explicit JOIN clauses are present).
-func (b *builder) assembleSequential(refs []ast.TableRef, rels []*Result, conjs []ast.Expr, used, complex []bool, env *Env) (*Result, error) {
-	cur := rels[0]
+// explicit JOIN clauses are present). Inner joins extend the chain; a left
+// outer join materializes it and starts a new one from its output.
+func (b *builder) assembleSequential(refs []ast.TableRef, rels []*Result, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
+	cur := chainOf(rels[0])
 	for i := 1; i < len(refs); i++ {
 		right := rels[i]
 		if j := refs[i].Join; j != nil {
@@ -567,12 +561,12 @@ func (b *builder) assembleSequential(refs []ast.TableRef, rels []*Result, conjs 
 			var keysL, keysR, residual []ast.Expr
 			var rightOnly []ast.Expr
 			for _, c := range onConjs {
-				if kl, kr, ok := splitEquiKey(c, cur.Sch, right.Sch, env); ok {
+				if kl, kr, ok := splitEquiKey(c, cur.sch, right.Sch, env); ok {
 					keysL = append(keysL, kl)
 					keysR = append(keysR, kr)
 					continue
 				}
-				if refsIn(c, right.Sch) && resolvableIn(c, right.Sch, env, true) && !refsIn(c, cur.Sch) {
+				if refsIn(c, right.Sch) && resolvableIn(c, right.Sch, env, true) && !refsIn(c, cur.sch) {
 					rightOnly = append(rightOnly, c)
 					continue
 				}
@@ -587,11 +581,14 @@ func (b *builder) assembleSequential(refs []ast.TableRef, rels []*Result, conjs 
 			}
 			var err error
 			if j.Kind == ast.JoinLeftOuter {
-				cur, err = b.hashLeftJoin(cur, right, keysL, keysR, ast.JoinConjuncts(residual), env)
+				var out *Result
+				if out, err = b.hashLeftJoin(b.materialize(cur), right, keysL, keysR, ast.JoinConjuncts(residual), env); err == nil {
+					cur = chainOf(out)
+				}
 			} else {
 				cur, err = b.hashInnerJoin(cur, right, keysL, keysR, env)
 				if err == nil && len(residual) > 0 {
-					cur, err = b.applyFilter(cur, ast.JoinConjuncts(residual), env)
+					cur, err = b.filterChain(cur, ast.JoinConjuncts(residual), env)
 				}
 			}
 			if err != nil {
@@ -605,48 +602,50 @@ func (b *builder) assembleSequential(refs []ast.TableRef, rels []*Result, conjs 
 			}
 		}
 		// Apply any WHERE conjuncts that just became resolvable.
-		var post []ast.Expr
-		for j, c := range conjs {
-			if used[j] || complex[j] {
-				continue
-			}
-			if resolvableIn(c, cur.Sch, env, true) {
-				post = append(post, c)
-				used[j] = true
-			}
-		}
-		if len(post) > 0 {
-			var err error
-			cur, err = b.applyFilter(cur, ast.JoinConjuncts(post), env)
-			if err != nil {
-				return nil, err
-			}
+		var err error
+		if cur, err = b.filterResolvable(cur, conjs, used, complex, env); err != nil {
+			return nil, err
 		}
 	}
 	return cur, nil
 }
 
-// assembleGreedy orders comma-joined relations by equi-join connectivity to
-// avoid cross products (TPC-H lists tables in arbitrary order).
-func (b *builder) assembleGreedy(rels []*Result, conjs []ast.Expr, used, complex []bool, env *Env) (*Result, error) {
-	remaining := map[int]bool{}
-	for i := 1; i < len(rels); i++ {
-		remaining[i] = true
+// filterResolvable applies the unused WHERE conjuncts that resolve in cur.
+func (b *builder) filterResolvable(cur *joinChain, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
+	var post []ast.Expr
+	for j, c := range conjs {
+		if used[j] || complex[j] {
+			continue
+		}
+		if resolvableIn(c, cur.sch, env, true) {
+			post = append(post, c)
+			used[j] = true
+		}
 	}
-	cur := rels[0]
-	for len(remaining) > 0 {
+	if len(post) == 0 {
+		return cur, nil
+	}
+	return b.filterChain(cur, ast.JoinConjuncts(post), env)
+}
+
+// assembleGreedy orders comma-joined relations by equi-join connectivity to
+// avoid cross products (TPC-H lists tables in arbitrary order). Every choice
+// breaks ties towards the lowest FROM position, so the row order is a
+// function of the statement and the data.
+func (b *builder) assembleGreedy(rels []*Result, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
+	joined := make([]bool, len(rels))
+	cur := chainOf(rels[0])
+	for n := 1; n < len(rels); n++ {
 		pick := -1
-		for i := range remaining {
-			if hasEquiLink(conjs, used, complex, cur.Sch, rels[i].Sch, env) {
-				if pick < 0 || i < pick {
-					pick = i
-				}
+		for i := 1; i < len(rels) && pick < 0; i++ {
+			if !joined[i] && hasEquiLink(conjs, used, complex, cur.sch, rels[i].Sch, env) {
+				pick = i
 			}
 		}
 		if pick < 0 {
 			// No connecting predicate: cross join the smallest relation.
-			for i := range remaining {
-				if pick < 0 || len(rels[i].Rows) < len(rels[pick].Rows) {
+			for i := 1; i < len(rels); i++ {
+				if !joined[i] && (pick < 0 || len(rels[i].Rows) < len(rels[pick].Rows)) {
 					pick = i
 				}
 			}
@@ -656,20 +655,20 @@ func (b *builder) assembleGreedy(rels []*Result, conjs []ast.Expr, used, complex
 		if err != nil {
 			return nil, err
 		}
-		delete(remaining, pick)
+		joined[pick] = true
 	}
 	return cur, nil
 }
 
 // joinWithWhere joins cur with right using applicable WHERE equi-conjuncts,
 // then applies newly-resolvable WHERE conjuncts.
-func (b *builder) joinWithWhere(cur, right *Result, conjs []ast.Expr, used, complex []bool, env *Env) (*Result, error) {
+func (b *builder) joinWithWhere(cur *joinChain, right *Result, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
 	var keysL, keysR []ast.Expr
 	for j, c := range conjs {
 		if used[j] || complex[j] {
 			continue
 		}
-		if kl, kr, ok := splitEquiKey(c, cur.Sch, right.Sch, env); ok {
+		if kl, kr, ok := splitEquiKey(c, cur.sch, right.Sch, env); ok {
 			keysL = append(keysL, kl)
 			keysR = append(keysR, kr)
 			used[j] = true
@@ -679,20 +678,7 @@ func (b *builder) joinWithWhere(cur, right *Result, conjs []ast.Expr, used, comp
 	if err != nil {
 		return nil, err
 	}
-	var post []ast.Expr
-	for j, c := range conjs {
-		if used[j] || complex[j] {
-			continue
-		}
-		if resolvableIn(c, out.Sch, env, true) {
-			post = append(post, c)
-			used[j] = true
-		}
-	}
-	if len(post) > 0 {
-		return b.applyFilter(out, ast.JoinConjuncts(post), env)
-	}
-	return out, nil
+	return b.filterResolvable(out, conjs, used, complex, env)
 }
 
 // hasEquiLink reports whether an unused equality conjunct connects the two
@@ -910,162 +896,6 @@ func (b *builder) applyFilter(in *Result, pred ast.Expr, env *Env) (*Result, err
 	}
 	b.trace.addf("filter %s: %d -> %d rows", pred, len(in.Rows), len(out.Rows))
 	return out, nil
-}
-
-// forEachKeyedRow computes the concatenated hash key for every row of res
-// (rows with a NULL key component are skipped, as in evalKey) and calls
-// fn(key, row) in row order. When the keys vectorize it extracts them
-// column-wise per batch; either way it charges one operator pass over res.
-func (b *builder) forEachKeyedRow(res *Result, keys []ast.Expr, env *Env, fn func(key string, row schema.Row)) error {
-	ctx := newCtx(b, res.Sch, env)
-	if b.vec() && supportsVecAll(keys) {
-		for off := 0; off < len(res.Rows); off += b.batchRows {
-			end := off + b.batchRows
-			if end > len(res.Rows) {
-				end = len(res.Rows)
-			}
-			bt := NewBatch(res.Sch, res.Rows[off:end])
-			sel := b.fullSel(bt.Len())
-			keyCols := make([]*schema.ColVec, len(keys))
-			for i, e := range keys {
-				cv, err := ctx.evalVec(e, bt, sel)
-				if err != nil {
-					return err
-				}
-				keyCols[i] = cv
-			}
-			for j := 0; j < bt.Len(); j++ {
-				key, null := vecKeyAt(keyCols, j)
-				if !null {
-					fn(key, bt.Rows[j])
-				}
-			}
-			b.chargeBatch(int64(bt.Len()))
-		}
-		return nil
-	}
-	for _, row := range res.Rows {
-		key, null, err := evalKey(ctx.withRow(row), keys)
-		if err != nil {
-			return err
-		}
-		if !null {
-			fn(key, row)
-		}
-	}
-	b.chargeRows(int64(len(res.Rows)))
-	return nil
-}
-
-// hashInnerJoin equi-joins two results; with no keys it degrades to a cross
-// product.
-func (b *builder) hashInnerJoin(left, right *Result, keysL, keysR []ast.Expr, env *Env) (*Result, error) {
-	outSch := left.Sch.Concat(right.Sch)
-	out := &Result{Sch: outSch}
-	if len(keysL) == 0 {
-		for _, lr := range left.Rows {
-			for _, rr := range right.Rows {
-				out.Rows = append(out.Rows, concatRows(lr, rr))
-			}
-		}
-		n := int64(len(left.Rows)*len(right.Rows)) + 1
-		if b.vec() {
-			b.chargeBatch(n)
-		} else {
-			b.chargeRows(n)
-		}
-		b.trace.addf("cross join: %d x %d -> %d rows", len(left.Rows), len(right.Rows), len(out.Rows))
-		return out, nil
-	}
-	table := make(map[string][]schema.Row, len(right.Rows))
-	if err := b.forEachKeyedRow(right, keysR, env, func(key string, rr schema.Row) {
-		table[key] = append(table[key], rr)
-	}); err != nil {
-		return nil, err
-	}
-	if err := b.forEachKeyedRow(left, keysL, env, func(key string, lr schema.Row) {
-		for _, rr := range table[key] {
-			out.Rows = append(out.Rows, concatRows(lr, rr))
-		}
-	}); err != nil {
-		return nil, err
-	}
-	// Emitted rows are data work, not operator dispatches.
-	b.chargeTuples(int64(len(out.Rows)))
-	b.trace.addf("hash join on [%s]: %d x %d -> %d rows", exprsText(keysL), len(left.Rows), len(right.Rows), len(out.Rows))
-	return out, nil
-}
-
-// hashLeftJoin performs LEFT OUTER JOIN with ON keys plus a residual ON
-// predicate; unmatched left rows are null-extended.
-func (b *builder) hashLeftJoin(left, right *Result, keysL, keysR []ast.Expr, residual ast.Expr, env *Env) (*Result, error) {
-	outSch := left.Sch.Concat(right.Sch)
-	out := &Result{Sch: outSch}
-	table := make(map[string][]schema.Row, len(right.Rows))
-	if err := b.forEachKeyedRow(right, keysR, env, func(key string, rr schema.Row) {
-		table[key] = append(table[key], rr)
-	}); err != nil {
-		return nil, err
-	}
-	var subs map[ast.Expr]*subEval
-	if residual != nil {
-		var err error
-		subs, err = b.prepareSubqueries([]ast.Expr{residual}, outSch, env)
-		if err != nil {
-			return nil, err
-		}
-	}
-	octx := newCtxWith(b, outSch, env, nil, subs)
-	lctx2 := newCtx(b, left.Sch, env)
-	nulls := make(schema.Row, right.Sch.Len())
-	for i := range nulls {
-		nulls[i] = value.Null()
-	}
-	for _, lr := range left.Rows {
-		matched := false
-		var candidates []schema.Row
-		if len(keysL) == 0 {
-			candidates = right.Rows
-		} else {
-			key, null, err := evalKey(lctx2.withRow(lr), keysL)
-			if err != nil {
-				return nil, err
-			}
-			if !null {
-				candidates = table[key]
-			}
-		}
-		for _, rr := range candidates {
-			joined := concatRows(lr, rr)
-			if residual != nil {
-				v, err := octx.withRow(joined).eval(residual)
-				if err != nil {
-					return nil, err
-				}
-				if !truthy(v) {
-					continue
-				}
-			}
-			matched = true
-			out.Rows = append(out.Rows, joined)
-		}
-		if !matched {
-			out.Rows = append(out.Rows, concatRows(lr, nulls))
-		}
-	}
-	// The probe with its residual + null-extension edge cases stays
-	// row-at-a-time in both modes; only the build side vectorizes.
-	b.chargeRows(int64(len(left.Rows)))
-	b.chargeTuples(int64(len(out.Rows)))
-	b.trace.addf("left outer join on [%s]: %d x %d -> %d rows", exprsText(keysL), len(left.Rows), len(right.Rows), len(out.Rows))
-	return out, nil
-}
-
-func concatRows(a, b schema.Row) schema.Row {
-	out := make(schema.Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
 }
 
 // Format renders a result as aligned text (debug/CLI helper).

@@ -206,3 +206,41 @@ func TestPositionalGroupAndOrder(t *testing.T) {
 		t.Errorf("oob positional = %v", res.Rows)
 	}
 }
+
+// TestKeysWithNULBytes pins that multi-column keys are compared column by
+// column. The rows a = ("a\x00\x03b", "c") and b = ("a", "b\x00\x03c") differ in
+// both columns, but their HashKeys joined by "\x00" — the key the executor used
+// to build — are the same string.
+func TestKeysWithNULBytes(t *testing.T) {
+	sch := func(c1, c2 string) *schema.Schema {
+		return schema.New(schema.Col(c1, value.KindString), schema.Col(c2, value.KindString))
+	}
+	ra := schema.Row{value.Str("a\x00\x03b"), value.Str("c")}
+	rb := schema.Row{value.Str("a"), value.Str("b\x00\x03c")}
+	cat := memCatalog{
+		"a":    &MemRelation{Sch: sch("x", "y"), Rows: []schema.Row{ra}},
+		"b":    &MemRelation{Sch: sch("p", "q"), Rows: []schema.Row{rb}},
+		"both": &MemRelation{Sch: sch("x", "y"), Rows: []schema.Row{ra, rb, ra}},
+	}
+	for _, batch := range []int{0, 1} {
+		count := func(sql string) int64 {
+			return mustRun(t, sql, cat, nil, batch).Rows[0][0].AsInt()
+		}
+		if n := count("SELECT count(*) FROM a, b WHERE x = p AND y = q"); n != 0 {
+			t.Errorf("batch %d: inner join matched %d rows, want 0", batch, n)
+		}
+		if n := count("SELECT count(p) FROM a LEFT OUTER JOIN b ON x = p AND y = q"); n != 0 {
+			t.Errorf("batch %d: left join matched %d rows, want 0", batch, n)
+		}
+		if n := count("SELECT count(*) FROM a WHERE EXISTS (SELECT * FROM b WHERE p = x AND q = y)"); n != 0 {
+			t.Errorf("batch %d: correlated EXISTS matched %d rows, want 0", batch, n)
+		}
+		groups := mustRun(t, "SELECT x, y, count(*) FROM both GROUP BY x, y", cat, nil, batch)
+		if len(groups.Rows) != 2 || groups.Rows[0][2].AsInt() != 2 || groups.Rows[1][2].AsInt() != 1 {
+			t.Errorf("batch %d: GROUP BY x, y = %v, want two groups of 2 and 1", batch, groups.Rows)
+		}
+		if distinct := mustRun(t, "SELECT DISTINCT x, y FROM both", cat, nil, batch); len(distinct.Rows) != 2 {
+			t.Errorf("batch %d: DISTINCT kept %d rows, want 2", batch, len(distinct.Rows))
+		}
+	}
+}

@@ -1,0 +1,138 @@
+package exec_test
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"ironsafe/internal/schema"
+	"ironsafe/internal/sql/ast"
+	"ironsafe/internal/sql/exec"
+	"ironsafe/internal/sql/parser"
+	"ironsafe/internal/tpch"
+)
+
+// The join and group-by layer benchmarks (ROADMAP A(1)) run TPC-H's join and
+// aggregation shapes at SF 0.01 over in-memory relations, so that nothing but
+// the operators is timed: no storage, no page crypto. Every relation holds
+// exactly the columns its statement names, already filtered, which is what a
+// scan hands the join — rows shared by reference, not copied. The file uses
+// only the package's exported API, so the same file measures any commit.
+
+type benchCatalog map[string]*exec.MemRelation
+
+func (c benchCatalog) Relation(name string) (exec.Relation, error) {
+	r, ok := c[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("no table %q", name)
+	}
+	return r, nil
+}
+
+var tpchOnce = sync.OnceValue(func() benchCatalog {
+	d := tpch.Generate(0.01)
+	cat := benchCatalog{}
+	for _, ddl := range tpch.DDL {
+		st, err := parser.Parse(ddl)
+		if err != nil {
+			panic(err)
+		}
+		ct := st.(*ast.CreateTable)
+		sch := schema.New()
+		for _, col := range ct.Columns {
+			sch.Columns = append(sch.Columns, schema.Col(col.Name, col.Kind))
+		}
+		name := strings.ToLower(ct.Name)
+		cat[name] = &exec.MemRelation{Sch: sch, Rows: d.Rows(name)}
+	}
+	return cat
+})
+
+// shaped runs sql over the TPC-H tables and holds the result as a relation.
+func shaped(tb testing.TB, sql string) *exec.MemRelation {
+	tb.Helper()
+	sel, err := parser.ParseSelect(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := exec.RunBatched(sel, tpchOnce(), nil, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &exec.MemRelation{Sch: res.Sch, Rows: res.Rows}
+}
+
+// benchStatement times sql over cat. A join statement selects count(*) first
+// and wants that many joined rows; a grouping statement wants that many groups.
+func benchStatement(b *testing.B, cat benchCatalog, sql string, want int) {
+	b.Helper()
+	sel, err := parser.ParseSelect(sql)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := exec.RunBatched(sel, cat, nil, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got := len(res.Rows)
+		if got == 1 {
+			got = int(res.Rows[0][0].AsInt())
+		}
+		if got != want {
+			b.Fatalf("%d rows, want %d", got, want)
+		}
+	}
+}
+
+// BenchmarkHashJoin times the three join shapes that carry hos-join: q5's
+// orders-of-1994 x lineitem (2 409 x 59 882 -> 9 523, the small side on the
+// left), q8's eleven parts x lineitem (11 x 59 882 -> 326), and q7's chain of
+// five joins whose 19 307 rows a nation-pair filter then cuts to 43.
+func BenchmarkHashJoin(b *testing.B) {
+	b.Run("q5-2409x59882", func(b *testing.B) {
+		cat := benchCatalog{"lineitem": shaped(b, "SELECT l_orderkey, l_extendedprice, l_discount FROM lineitem"),
+			"orders": shaped(b, "SELECT o_orderkey, o_custkey FROM orders WHERE o_orderdate >= date '1994-01-01' AND o_orderdate < date '1995-01-01'")}
+		benchStatement(b, cat, `SELECT count(*), sum(o_custkey), sum(l_extendedprice * (1 - l_discount))
+			FROM orders, lineitem WHERE o_orderkey = l_orderkey`, 9523)
+	})
+	b.Run("q8-11x59882", func(b *testing.B) {
+		cat := benchCatalog{"lineitem": shaped(b, "SELECT l_partkey, l_extendedprice, l_discount FROM lineitem"),
+			"part": shaped(b, "SELECT p_partkey FROM part WHERE p_type = 'ECONOMY ANODIZED STEEL'")}
+		benchStatement(b, cat, `SELECT count(*), sum(l_extendedprice * (1 - l_discount))
+			FROM part, lineitem WHERE p_partkey = l_partkey`, 326)
+	})
+	b.Run("q7-five-joins", func(b *testing.B) {
+		cat := benchCatalog{
+			"supplier": shaped(b, "SELECT s_suppkey, s_nationkey FROM supplier"),
+			"lineitem": shaped(b, "SELECT l_orderkey, l_suppkey, l_extendedprice, l_discount FROM lineitem WHERE l_shipdate BETWEEN date '1995-01-01' AND date '1996-12-31'"),
+			"orders":   shaped(b, "SELECT o_orderkey, o_custkey FROM orders"),
+			"customer": shaped(b, "SELECT c_custkey, c_nationkey FROM customer"),
+			"nation":   shaped(b, "SELECT n_nationkey, n_name FROM nation"),
+		}
+		benchStatement(b, cat, `SELECT count(*), sum(l_extendedprice * (1 - l_discount))
+			FROM supplier, lineitem, orders, customer, nation n1, nation n2
+			WHERE s_suppkey = l_suppkey AND o_orderkey = l_orderkey AND c_custkey = o_custkey
+			  AND s_nationkey = n1.n_nationkey AND c_nationkey = n2.n_nationkey
+			  AND ((n1.n_name = 'FRANCE' AND n2.n_name = 'GERMANY') OR (n1.n_name = 'GERMANY' AND n2.n_name = 'FRANCE'))`, 43)
+	})
+}
+
+// BenchmarkGroupBy times grouped aggregation at its two extremes: q18's
+// lineitem by order key (59 882 rows -> 15 000 groups, a new group every four
+// rows) and q1's two flags (59 882 rows -> 4 groups, every row an existing
+// group).
+func BenchmarkGroupBy(b *testing.B) {
+	b.Run("q18-15000-groups", func(b *testing.B) {
+		cat := benchCatalog{"lineitem": shaped(b, "SELECT l_orderkey, l_quantity FROM lineitem")}
+		benchStatement(b, cat, "SELECT l_orderkey, sum(l_quantity) FROM lineitem GROUP BY l_orderkey", 15000)
+	})
+	b.Run("q1-4-groups", func(b *testing.B) {
+		cat := benchCatalog{"lineitem": shaped(b, "SELECT l_returnflag, l_linestatus, l_quantity, l_extendedprice FROM lineitem")}
+		benchStatement(b, cat, `SELECT l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), count(*)
+			FROM lineitem GROUP BY l_returnflag, l_linestatus`, 4)
+	})
+}

@@ -18,27 +18,34 @@ import (
 // remaining outer-referencing conjuncts are evaluated per candidate row at
 // lookup time. This turns the paper's TPC-H correlated subqueries (q2, q4,
 // q21, ...) from per-row re-execution into a single build plus O(1) probes.
+// The grouping is a keyTable over the inner keys — the build side of a hash
+// semi-join — and every cache below is indexed by its ids.
 type subEval struct {
 	b   *builder
 	sel *ast.Select
 
 	uncorrelated bool
-	cached       *Result // memoized full execution (uncorrelated)
-	inSet        map[string]bool
+	cached       *Result   // memoized full execution (uncorrelated)
+	inSet        *keyTable // its non-NULL first-column values
 	inHasNull    bool
 
 	inner     *Result // materialized FROM + inner-only filter, full width
 	keysInner []ast.Expr
 	keysOuter []ast.Expr
 	residual  ast.Expr
-	groups    map[string][]schema.Row
+	// Inner rows grouped by key: the rows of key id are
+	// inner.Rows[pos[start[id]:start[id+1]]].
+	keys       *keyTable
+	start, pos []int32
+	outerVals  []value.Value // the outer row's key
+	cand       []schema.Row  // the outer row's candidates
 
 	// outerEnv/ictx are reused across outer rows: the chain's schemas are
 	// fixed per operator, only the bound row changes.
 	outerEnv *Env
 	ictx     *evalCtx
 
-	scalarCache map[string]value.Value
+	scalarCache map[int32]value.Value // by key id
 }
 
 // prepareSubqueries walks exprs and builds a subEval for every subquery node
@@ -76,7 +83,7 @@ func (b *builder) prepareSubqueries(exprs []ast.Expr, outerSch *schema.Schema, e
 
 // prepareSub analyses and (for the correlated case) materializes a subquery.
 func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, env *Env) (*subEval, error) {
-	se := &subEval{b: b, sel: sel, scalarCache: map[string]value.Value{}}
+	se := &subEval{b: b, sel: sel, scalarCache: map[int32]value.Value{}}
 
 	// Determine the inner scope schema without executing joins yet.
 	innerScope, err := b.scopeSchema(sel, env)
@@ -138,23 +145,18 @@ func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, env *Env)
 	}
 	se.inner = inner
 	se.residual = ast.JoinConjuncts(residual)
-	se.groups = map[string][]schema.Row{}
-	ctx := newCtx(b, inner.Sch, env)
-	for _, row := range inner.Rows {
-		rc := ctx.withRow(row)
-		key, null, err := evalKey(rc, se.keysInner)
-		if err != nil {
-			return nil, err
-		}
-		if null {
-			continue // NULL keys never match an equi-correlation
-		}
-		se.groups[key] = append(se.groups[key], row)
+	// NULL keys never match an equi-correlation: they get no id.
+	se.keys = newKeyTable(len(se.keysInner), len(inner.Rows), false)
+	ids, err := b.keyIDs(se.keys, chainOf(inner), se.keysInner, env, true)
+	if err != nil {
+		return nil, err
 	}
-	// Correlated-subquery group building stays row-at-a-time in both modes.
+	se.start, se.pos = groupPositions(ids, se.keys.n)
+	se.outerVals = make([]value.Value, len(se.keysOuter))
+	// Group building is charged row-at-a-time in both modes.
 	b.chargeRows(int64(len(inner.Rows)))
 	b.trace.addf("subquery: decorrelated on %d key(s) [%s], %d inner rows in %d groups, residual=%v",
-		len(se.keysInner), exprsText(se.keysInner), len(inner.Rows), len(se.groups), se.residual != nil)
+		len(se.keysInner), exprsText(se.keysInner), len(inner.Rows), se.keys.n, se.residual != nil)
 	se.outerEnv = &Env{Parent: env, Sch: outerSch}
 	se.ictx = newCtx(b, inner.Sch, se.outerEnv)
 	return se, nil
@@ -184,22 +186,6 @@ func (b *builder) scopeSchema(sel *ast.Select, env *Env) (*schema.Schema, error)
 	return scope, nil
 }
 
-// evalKey evaluates a key expression list to a hash string; null reports a
-// NULL component.
-func evalKey(c *evalCtx, keys []ast.Expr) (key string, null bool, err error) {
-	for _, k := range keys {
-		v, err := c.eval(k)
-		if err != nil {
-			return "", false, err
-		}
-		if v.IsNull() {
-			return "", true, nil
-		}
-		key += v.HashKey() + "\x00"
-	}
-	return key, false, nil
-}
-
 // ensureCached runs an uncorrelated subquery once.
 func (se *subEval) ensureCached(c *evalCtx) error {
 	if se.cached != nil {
@@ -213,34 +199,47 @@ func (se *subEval) ensureCached(c *evalCtx) error {
 	return nil
 }
 
-// candidates returns the inner rows matching the outer row's correlation key
-// and passing the residual predicate, paired with the inner schema.
-func (se *subEval) candidates(c *evalCtx) ([]schema.Row, *schema.Schema, error) {
-	key, null, err := evalKey(c, se.keysOuter)
-	if err != nil {
-		return nil, nil, err
+// outerKey looks the outer row's correlation key up among the inner keys:
+// its id, or -1 when it has a NULL component or no inner row shares it.
+func (se *subEval) outerKey(c *evalCtx) (int32, error) {
+	for i, k := range se.keysOuter {
+		v, err := c.eval(k)
+		if err != nil {
+			return -1, err
+		}
+		se.outerVals[i] = v
 	}
-	if null {
-		return nil, se.inner.Sch, nil
+	return se.keys.id(se.outerVals, false), nil
+}
+
+// candidates returns the inner rows of key id (see outerKey) that pass the
+// residual predicate for the current outer row. The slice is reused by the
+// next call.
+func (se *subEval) candidates(c *evalCtx, id int32) ([]schema.Row, error) {
+	se.cand = se.cand[:0]
+	if id < 0 {
+		return se.cand, nil
 	}
-	rows := se.groups[key]
+	group := se.pos[se.start[id]:se.start[id+1]]
 	if se.residual == nil {
-		return rows, se.inner.Sch, nil
+		for _, p := range group {
+			se.cand = append(se.cand, se.inner.Rows[p])
+		}
+		return se.cand, nil
 	}
 	se.outerEnv.Row = c.row
-	ictx := se.ictx
-	var out []schema.Row
-	for _, r := range rows {
-		v, err := ictx.withRow(r).eval(se.residual)
+	for _, p := range group {
+		r := se.inner.Rows[p]
+		v, err := se.ictx.withRow(r).eval(se.residual)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if truthy(v) {
-			out = append(out, r)
+			se.cand = append(se.cand, r)
 		}
 	}
-	se.b.chargeWork(int64(len(rows)))
-	return out, se.inner.Sch, nil
+	se.b.chargeWork(int64(len(group)))
+	return se.cand, nil
 }
 
 // exists evaluates EXISTS semantics for the current outer row.
@@ -251,11 +250,15 @@ func (se *subEval) exists(c *evalCtx) (bool, error) {
 		}
 		return len(se.cached.Rows) > 0, nil
 	}
-	rows, _, err := se.candidates(c)
-	if err != nil {
+	id, err := se.outerKey(c)
+	if err != nil || id < 0 {
 		return false, err
 	}
-	return len(rows) > 0, nil
+	if se.residual == nil {
+		return true, nil // an id has at least one inner row
+	}
+	rows, err := se.candidates(c, id)
+	return len(rows) > 0, err
 }
 
 // in evaluates x [NOT] IN (subquery) with SQL three-valued semantics.
@@ -268,7 +271,7 @@ func (se *subEval) in(c *evalCtx, lhs value.Value, not bool) (value.Value, error
 			return value.Null(), err
 		}
 		if se.inSet == nil {
-			se.inSet = map[string]bool{}
+			se.inSet = newKeyTable(1, len(se.cached.Rows), false)
 			for _, r := range se.cached.Rows {
 				if len(r) == 0 {
 					continue
@@ -277,10 +280,10 @@ func (se *subEval) in(c *evalCtx, lhs value.Value, not bool) (value.Value, error
 					se.inHasNull = true
 					continue
 				}
-				se.inSet[r[0].HashKey()] = true
+				se.inSet.id(r[:1], true)
 			}
 		}
-		if se.inSet[lhs.HashKey()] {
+		if se.inSet.id([]value.Value{lhs}, false) >= 0 {
 			return value.Bool(!not), nil
 		}
 		if se.inHasNull {
@@ -289,7 +292,11 @@ func (se *subEval) in(c *evalCtx, lhs value.Value, not bool) (value.Value, error
 		return value.Bool(not), nil
 	}
 
-	rows, sch, err := se.candidates(c)
+	id, err := se.outerKey(c)
+	if err != nil {
+		return value.Null(), err
+	}
+	rows, err := se.candidates(c, id)
 	if err != nil {
 		return value.Null(), err
 	}
@@ -298,7 +305,7 @@ func (se *subEval) in(c *evalCtx, lhs value.Value, not bool) (value.Value, error
 	}
 	item := se.sel.Items[0].Expr
 	se.outerEnv.Row = c.row
-	ictx := newCtx(se.b, sch, se.outerEnv)
+	ictx := newCtx(se.b, se.inner.Sch, se.outerEnv)
 	sawNull := false
 	for _, r := range rows {
 		v, err := ictx.withRow(r).eval(item)
@@ -345,25 +352,23 @@ func (se *subEval) scalar(c *evalCtx) (value.Value, error) {
 	}
 	item := se.sel.Items[0].Expr
 
-	// Memoizable when the only outer dependence is the hash key.
-	var memoKey string
-	if se.residual == nil {
-		key, null, err := evalKey(c, se.keysOuter)
-		if err != nil {
-			return value.Null(), err
-		}
-		if !null {
-			if v, ok := se.scalarCache[key]; ok {
-				return v, nil
-			}
-			memoKey = key
-		}
-	}
-
-	rows, sch, err := se.candidates(c)
+	id, err := se.outerKey(c)
 	if err != nil {
 		return value.Null(), err
 	}
+	// Memoizable when the only outer dependence is the hash key. A key no
+	// inner row shares has no id to memoize under and no rows to compute over.
+	memo := se.residual == nil && id >= 0
+	if memo {
+		if v, ok := se.scalarCache[id]; ok {
+			return v, nil
+		}
+	}
+	rows, err := se.candidates(c, id)
+	if err != nil {
+		return value.Null(), err
+	}
+	sch := se.inner.Sch
 	outerChain := &Env{Parent: c.env, Sch: c.sch, Row: c.row}
 
 	var out value.Value
@@ -404,8 +409,8 @@ func (se *subEval) scalar(c *evalCtx) (value.Value, error) {
 			}
 		}
 	}
-	if memoKey != "" {
-		se.scalarCache[memoKey] = out
+	if memo {
+		se.scalarCache[id] = out
 	}
 	return out, nil
 }

@@ -16,13 +16,16 @@ import (
 // row-at-a-time path would produce — byte-identical results by construction.
 // A page-backed batch is a window of a stored table whose rows are still
 // encoded in their verified plaintext pages (Rows is nil): Col decodes one
-// column on demand, AppendRows boxes only what the scan keeps.
+// column on demand, AppendRows boxes only what the scan keeps. A third form,
+// internal to join chains (see joinChain.batch), has columns only.
 type Batch struct {
 	Sch  *schema.Schema
 	Rows []schema.Row
 
 	win  *schema.RowWindow
 	cols []*schema.ColVec
+
+	chain *chainBatch
 }
 
 // NewBatch wraps a row window as a batch. The window is NOT copied: batches
@@ -42,6 +45,9 @@ func (bt *Batch) Len() int {
 	if bt.win != nil {
 		return bt.win.Len()
 	}
+	if bt.chain != nil {
+		return bt.chain.n
+	}
 	return len(bt.Rows)
 }
 
@@ -49,6 +55,9 @@ func (bt *Batch) Len() int {
 func (bt *Batch) Col(i int) *schema.ColVec {
 	if bt.win != nil {
 		return bt.win.Col(i)
+	}
+	if bt.chain != nil {
+		return bt.chain.col(i)
 	}
 	if bt.cols == nil {
 		bt.cols = make([]*schema.ColVec, bt.Sch.Len())
@@ -95,20 +104,6 @@ func (bt *Batch) AppendEncoded(dst []byte, sel []int, cols []int) []byte {
 		dst = schema.EncodeRow(dst, row)
 	}
 	return dst
-}
-
-// vecKeyAt concatenates the hash key for row j from extracted key columns,
-// mirroring evalKey: any NULL component voids the key.
-func vecKeyAt(cols []*schema.ColVec, j int) (string, bool) {
-	key := ""
-	for _, cv := range cols {
-		v := cv.Value(j)
-		if v.IsNull() {
-			return "", true
-		}
-		key += v.HashKey() + "\x00"
-	}
-	return key, false
 }
 
 // fullSel returns the identity selection vector [0, n). It is one shared
