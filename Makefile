@@ -7,12 +7,16 @@ GO ?= go
 # name explicitly. `make race` extends it to the whole module.
 RACE_PKGS = ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/storageengine ./internal/hostengine
 
-.PHONY: all build test race race-tier1 vet lint vet-json vet-bench chaos chaos-race crashsweep crashsweep-race rebuildsweep rebuildsweep-race graysweep graysweep-race ingestsweep ingestsweep-race adversarysweep adversarysweep-race fuzz-smoke benchjson benchsmoke bench-e2e check clean
+.PHONY: all build fmt-check test race race-tier1 vet lint vet-json vet-bench chaos chaos-race crashsweep crashsweep-race rebuildsweep rebuildsweep-race graysweep graysweep-race ingestsweep ingestsweep-race adversarysweep adversarysweep-race fuzz-smoke benchjson benchsmoke bench-e2e check clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when gofmt would rewrite any file of the module.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -159,14 +163,16 @@ benchjson:
 # window scan must match the row scan at every window size, every fragment's
 # encoded reply must be the boxed execution's bytes, the host's scan over a
 # retained reply must match the scan over boxed rows, the key table must agree
-# with value.HashKey and the hash join with a nested loop, and the layer
-# benchmarks (table scan, predicate kernels, fragment shipment, host scan of a
-# shipment, hash join, group-by) must still run.
+# with value.HashKey and the hash join with a nested loop, a semi-join reduced
+# scan must leave the nested loop's rows and reduce the TPC-H scans it is pinned
+# to, conjuncts hoisted out of an OR must plan one way, and the layer benchmarks
+# (table scan, predicate kernels, fragment shipment, host scan of a shipment,
+# hash join, group-by, semi-join reduced scan) must still run.
 benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
 	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
-	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
-	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HashJoin|GroupBy' -benchtime 1x ./internal/engine ./internal/sql/exec ./internal/storageengine
+	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain|SemiReduction|CommonDisjuncts' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HashJoin|GroupBy|ScanSemiReduce' -benchtime 1x ./internal/engine ./internal/sql/exec ./internal/storageengine
 
 # bench-e2e runs the repository benchmark (BENCHMARK.json; see
 # benchmark/README.md) once per workload: the timed run's end-to-end metrics,
@@ -177,7 +183,7 @@ bench-e2e:
 		$(GO) run ./benchmark -workload $$w -seed 1 -seconds $(BENCH_SECONDS) || exit 1; \
 	done
 
-check: build vet lint test race-tier1 chaos-race crashsweep-race rebuildsweep-race graysweep-race ingestsweep-race adversarysweep-race
+check: build fmt-check vet lint test race-tier1 chaos-race crashsweep-race rebuildsweep-race graysweep-race ingestsweep-race adversarysweep-race
 
 clean:
 	$(GO) clean ./...

@@ -297,9 +297,9 @@ func checkGuardedUse(pass *Pass, f *ast.File, fd *ast.FuncDecl, g guardedAssign,
 type readKind int
 
 const (
-	readHandled readKind = iota // propagated, returned, or fail-closed branch
-	readLogged                  // argument to a log-like call only
-	readFailOpen                // checked, but the failure branch continues
+	readHandled  readKind = iota // propagated, returned, or fail-closed branch
+	readLogged                   // argument to a log-like call only
+	readFailOpen                 // checked, but the failure branch continues
 )
 
 // classifyErrRead decides how one use of the error contributes to handling.

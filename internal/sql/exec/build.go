@@ -451,13 +451,46 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env) (*Result, []ast.Expr, err
 		}
 	}
 
+	explicit := false
+	for _, ref := range sel.From[1:] {
+		if ref.Join != nil {
+			explicit = true
+		}
+	}
+
 	// Each FROM entry is built with its single-table conjuncts pushed into
 	// it, claimed in FROM order (right sides of outer joins take none: there
-	// WHERE semantics differ from ON semantics).
+	// WHERE semantics differ from ON semantics). In a comma-joined list a
+	// stored table's scan is also offered the keys of each earlier entry that
+	// lost rows to its own scan and that an equality links it to (semiReducer)
+	// — no outer reference: splitEquiKey gets no env — which the join applies.
 	rels := make([]*Result, len(sel.From))
+	semi := make([]semiScan, len(sel.From))
 	for i, ref := range sel.From {
 		outer := ref.Join != nil && ref.Join.Kind == ast.JoinLeftOuter
-		r, err := b.buildRef(ref, env, out, func(sch *schema.Schema) ast.Expr {
+		if i > 0 && b.vec() && !explicit {
+			semi[i].reducers = func(sch *schema.Schema) (rds []*semiReducer) {
+				for j := 0; j < i; j++ {
+					if !semi[j].lost {
+						continue
+					}
+					rd := &semiReducer{name: sel.From[j].Name(), src: rels[j]}
+					for k, c := range conjs {
+						if used[k] || complex[k] {
+							continue
+						}
+						if ks, kd, ok := splitEquiKey(c, rels[j].Sch, sch, nil); ok {
+							rd.srcKeys, rd.keys = append(rd.srcKeys, ks), append(rd.keys, kd)
+						}
+					}
+					if len(rd.keys) > 0 && supportsVecAll(rd.keys) {
+						rds = append(rds, rd)
+					}
+				}
+				return rds
+			}
+		}
+		r, err := b.buildRef(ref, env, out, &semi[i], func(sch *schema.Schema) ast.Expr {
 			var push []ast.Expr
 			for j, c := range conjs {
 				if outer || used[j] || complex[j] {
@@ -476,13 +509,6 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env) (*Result, []ast.Expr, err
 		rels[i] = r
 	}
 
-	explicit := false
-	for _, ref := range sel.From[1:] {
-		if ref.Join != nil {
-			explicit = true
-		}
-	}
-
 	cur := rels[0] // a lone entry is the FROM clause's result as it stands
 	if len(rels) > 1 {
 		var chain *joinChain
@@ -490,7 +516,7 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env) (*Result, []ast.Expr, err
 		if explicit {
 			chain, err = b.assembleSequential(sel.From, rels, conjs, used, complex, env)
 		} else {
-			chain, err = b.assembleGreedy(rels, conjs, used, complex, env)
+			chain, err = b.assembleGreedy(rels, semi, conjs, used, complex, env)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -524,23 +550,23 @@ func factorCommonDisjuncts(conjs []ast.Expr) []ast.Expr {
 		if len(disjuncts) < 2 {
 			continue
 		}
-		common := map[string]ast.Expr{}
-		for _, cj := range ast.SplitConjuncts(disjuncts[0]) {
-			common[cj.String()] = cj
-		}
+		// absent holds the first branch's conjuncts that some other branch
+		// lacks; the rest are common and are hoisted in the order written there.
+		first := ast.SplitConjuncts(disjuncts[0])
+		absent := map[string]bool{}
 		for _, d := range disjuncts[1:] {
 			present := map[string]bool{}
 			for _, cj := range ast.SplitConjuncts(d) {
 				present[cj.String()] = true
 			}
-			for k := range common {
-				if !present[k] {
-					delete(common, k)
+			for _, cj := range first {
+				if k := cj.String(); !present[k] {
+					absent[k] = true
 				}
 			}
 		}
-		for k, cj := range common {
-			if !seen[k] {
+		for _, cj := range first {
+			if k := cj.String(); !absent[k] && !seen[k] {
 				seen[k] = true
 				out = append(out, cj)
 			}
@@ -632,7 +658,7 @@ func (b *builder) filterResolvable(cur *joinChain, conjs []ast.Expr, used, compl
 // avoid cross products (TPC-H lists tables in arbitrary order). Every choice
 // breaks ties towards the lowest FROM position, so the row order is a
 // function of the statement and the data.
-func (b *builder) assembleGreedy(rels []*Result, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
+func (b *builder) assembleGreedy(rels []*Result, semi []semiScan, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
 	joined := make([]bool, len(rels))
 	cur := chainOf(rels[0])
 	for n := 1; n < len(rels); n++ {
@@ -643,9 +669,10 @@ func (b *builder) assembleGreedy(rels []*Result, conjs []ast.Expr, used, complex
 			}
 		}
 		if pick < 0 {
-			// No connecting predicate: cross join the smallest relation.
+			// No connecting predicate: cross join the smallest relation, by
+			// the size its scan would have left it without semi-join reduction.
 			for i := 1; i < len(rels); i++ {
-				if !joined[i] && (pick < 0 || len(rels[i].Rows) < len(rels[pick].Rows)) {
+				if !joined[i] && (pick < 0 || len(rels[i].Rows)+semi[i].cut < len(rels[pick].Rows)+semi[pick].cut) {
 					pick = i
 				}
 			}
@@ -768,7 +795,7 @@ func scanColumns(items []ast.SelectItem, full *schema.Schema, keep []int) ([]int
 // references anywhere — or, when the statement is nothing but this scan (out,
 // nil otherwise), to exactly its select list, and then possibly not boxed at
 // all.
-func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, pushdown func(*schema.Schema) ast.Expr) (*Result, error) {
+func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *semiScan, pushdown func(*schema.Schema) ast.Expr) (*Result, error) {
 	if ref.Subquery != nil {
 		sub, err := b.buildSelect(ref.Subquery, env)
 		if err != nil {
@@ -823,6 +850,11 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, pushdown
 	// schema whatever the scan's output keeps.
 	ctx := newCtx(b, full, env)
 	var survivors []int
+	passed := 0 // rows the predicate kept: what the scan holds unless a reducer rejects some
+	var reducers []*semiReducer
+	if semi.reducers != nil && (pred == nil || fused) {
+		reducers = semi.reducers(res.Sch)
+	}
 	if err := br.ScanBatch(b.batchRows, func(bt *Batch) error {
 		n := bt.Len()
 		scanned += n
@@ -837,6 +869,13 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, pushdown
 			keep = survivors
 			b.chargeBatch(int64(n))
 		}
+		passed += len(keep)
+		for _, rd := range reducers {
+			var err error
+			if keep, err = rd.reduce(b, ctx, bt, keep); err != nil {
+				return err
+			}
+		}
 		if encode {
 			res.enc = bt.AppendEncoded(res.enc, keep, cols)
 			res.n += len(keep)
@@ -850,14 +889,81 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, pushdown
 	b.trace.addf("scan %s as %s -> %d rows", ref.Table, ref.Name(), scanned)
 	switch {
 	case fused:
-		b.trace.addf("filter %s: %d -> %d rows", pred, scanned, res.NumRows())
+		b.trace.addf("filter %s: %d -> %d rows", pred, scanned, passed)
 	case pred != nil:
 		return b.applyFilter(res, pred, env)
 	}
+	for _, rd := range reducers {
+		if rd.probed > 0 {
+			b.trace.addf("semi-join reduce on [%s] from %s: %d -> %d rows (%d probed)", exprsText(rd.keys), rd.name, rd.in, rd.in-rd.rejected, rd.probed)
+		}
+	}
+	semi.lost, semi.cut = res.NumRows() < scanned, passed-res.NumRows()
 	if encode {
 		b.trace.addf("fragment: encoded reply, %d rows", res.n)
 	}
 	return res, nil
+}
+
+// semiScan is what buildFrom asks of one FROM entry's scan — the reducers the
+// entries before it offer, given its schema; nil for none — and learns from it.
+type semiScan struct {
+	reducers func(*schema.Schema) []*semiReducer
+	lost     bool // the scan kept fewer rows than it read: its keys can reduce a later scan
+	cut      int  // rows the reducers rejected
+}
+
+// semiReducer drops from a running table scan the rows whose key an earlier
+// FROM entry does not hold: the join would drop them, after they were boxed.
+// The join still applies the equality, so the reducer may pass any row it
+// likes, and it goes by what it observes alone. It costs a pass over src to
+// build and a probe per row, so src's keys are collected only once more rows
+// have reached the reducer than src holds, and after a window in which it kept
+// more rows than it rejected it sits out twice as many windows as the last time.
+type semiReducer struct {
+	name          string // src's name in the statement
+	src           *Result
+	srcKeys, keys []ast.Expr // paired: src's side, the scanned entry's side
+	t             *keyTable  // src's keys, once built
+
+	in, probed, rejected int // rows that reached the reducer; of those, probed; of those, rejected
+	nap, sleep           int // windows sat out last time, and still to sit out
+	sel                  []int
+}
+
+// reduce returns the positions among keep of bt's rows that may join src. The
+// result is valid until the next call.
+func (rd *semiReducer) reduce(b *builder, ctx *evalCtx, bt *Batch, keep []int) ([]int, error) {
+	if rd.in += len(keep); len(keep) == 0 || rd.in <= rd.src.NumRows() {
+		return keep, nil
+	}
+	if rd.sleep > 0 {
+		rd.sleep--
+		return keep, nil
+	}
+	if rd.t == nil {
+		rd.t = newKeyTable(len(rd.keys), rd.src.NumRows(), false)
+		if _, err := b.keyIDs(rd.t, chainOf(rd.src), rd.srcKeys, nil, true); err != nil {
+			return nil, err
+		}
+		b.chargePass(rd.src.NumRows(), rd.srcKeys)
+	}
+	cols := make([]*schema.ColVec, len(rd.keys))
+	for i, e := range rd.keys {
+		var err error
+		if cols[i], err = ctx.evalVec(e, bt, keep); err != nil {
+			return nil, err
+		}
+	}
+	rd.sel = rd.t.filter(cols, keep, rd.sel[:0])
+	b.chargeBatch(int64(len(keep)))
+	rd.probed += len(keep)
+	rd.rejected += len(keep) - len(rd.sel)
+	if rd.nap = 2*rd.nap + 1; 2*len(rd.sel) <= len(keep) {
+		rd.nap = 0
+	}
+	rd.sleep = rd.nap
+	return rd.sel, nil
 }
 
 // applyFilter keeps rows where pred is true.

@@ -109,3 +109,28 @@ func TestNilTraceSafe(t *testing.T) {
 		t.Error("nil trace rendered content")
 	}
 }
+
+// TestCommonDisjunctsHoistInOrder plans a statement of TPC-H q19's shape — a
+// join key and two single-table conjuncts repeated in every OR branch — many
+// times over: the conjuncts hoisted out of the OR reach the pushdown in the
+// order the first branch wrote them, so there is one trace, not one per map
+// iteration order.
+func TestCommonDisjunctsHoistInOrder(t *testing.T) {
+	sql := `SELECT count(*) FROM orders o, users u WHERE
+		   (u.id = o.uid AND u.country = 'DE' AND o.status IN ('OK', 'PENDING') AND o.amount < 90 AND o.odate < date '1996-06-01')
+		OR (u.id = o.uid AND u.country = 'PT' AND o.status IN ('OK', 'PENDING') AND o.amount < 90 AND o.odate < date '1996-06-01')
+		OR (u.id = o.uid AND u.country = 'UK' AND o.status IN ('OK', 'PENDING') AND o.amount < 90 AND o.odate < date '1996-06-01')`
+	res, first := explain(t, sql)
+	if got := res.Rows[0][0].AsInt(); got != 3 {
+		t.Errorf("count = %d, want 3", got)
+	}
+	want := "filter (((o.status IN ('OK', 'PENDING')) AND (o.amount < 90)) AND (o.odate < date '1996-06-01')): 5 -> 4 rows"
+	if !strings.Contains(first, want) || !strings.Contains(first, "hash join on [o.uid]") {
+		t.Errorf("want the common conjuncts pushed down in the order written, %q, and the common key joined on:\n%s", want, first)
+	}
+	for i := 0; i < 50; i++ {
+		if _, again := explain(t, sql); again != first {
+			t.Fatalf("run %d planned differently:\n%s\nfirst:\n%s", i, again, first)
+		}
+	}
+}

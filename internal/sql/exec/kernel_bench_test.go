@@ -20,7 +20,7 @@ import (
 // scan hands the join — rows shared by reference, not copied. The file uses
 // only the package's exported API, so the same file measures any commit.
 
-type benchCatalog map[string]*exec.MemRelation
+type benchCatalog map[string]exec.Relation
 
 func (c benchCatalog) Relation(name string) (exec.Relation, error) {
 	r, ok := c[strings.ToLower(name)]
@@ -135,4 +135,34 @@ func BenchmarkGroupBy(b *testing.B) {
 		benchStatement(b, cat, `SELECT l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), count(*)
 			FROM lineitem GROUP BY l_returnflag, l_linestatus`, 4)
 	})
+}
+
+// BenchmarkScanSemiReduce times a lineitem scan filtered by the join keys of
+// the FROM entry before it. Lineitem is held as a retained reply, whose rows —
+// like a stored table's — are boxed only if the scan keeps them, and is joined
+// to the orders of 1 % and of 16 % of the customers (scattered over the table,
+// as q3's, q5's and q10's are) and to all orders but the first. The last
+// source's reducer rejects next to nothing: it is built once the scan has
+// passed more rows than there are orders and then probes every other window,
+// every fourth, … — that case prices a reducer that does not pay.
+func BenchmarkScanSemiReduce(b *testing.B) {
+	li := shaped(b, "SELECT l_orderkey, l_partkey, l_suppkey, l_quantity, l_extendedprice, l_discount, l_shipdate FROM lineitem")
+	blob, err := exec.EncodeResult(&exec.Result{Sch: li.Sch, Rows: li.Rows})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lineitem, err := exec.RetainResult(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := benchCatalog{"lineitem": lineitem, "orders": shaped(b, "SELECT o_orderkey, o_custkey FROM orders")}
+	for _, c := range []struct{ name, pred string }{
+		{"1pct", "o_custkey <= 15"}, {"16pct", "o_custkey <= 240"}, {"100pct", "o_orderkey > 1"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			from := " FROM orders, lineitem WHERE o_orderkey = l_orderkey AND " + c.pred
+			want := shaped(b, "SELECT count(*)"+from).Rows[0][0].AsInt()
+			benchStatement(b, cat, "SELECT count(*), sum(l_extendedprice * (1 - l_discount))"+from, int(want))
+		})
+	}
 }

@@ -173,6 +173,20 @@ func (t *keyTable) ids(cols []*schema.ColVec, n int, insert bool, out []int32) {
 	}
 }
 
+// filter appends to dst the positions of sel whose tuple — the elements of
+// cols there — is in the table: the semi-join probe. Like ids it boxes nothing.
+func (t *keyTable) filter(cols []*schema.ColVec, sel, dst []int) []int {
+	for _, j := range sel {
+		for c, cv := range cols {
+			t.probe[c] = vecPart(cv, j)
+		}
+		if t.lookup(false) >= 0 {
+			dst = append(dst, j)
+		}
+	}
+	return dst
+}
+
 // lookup is id for the tuple in t.probe.
 func (t *keyTable) lookup(insert bool) int32 {
 	var h uint64
