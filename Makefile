@@ -7,7 +7,7 @@ GO ?= go
 # name explicitly. `make race` extends it to the whole module.
 RACE_PKGS = ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/storageengine ./internal/hostengine
 
-.PHONY: all build fmt-check test race race-tier1 vet lint vet-json vet-bench chaos chaos-race crashsweep crashsweep-race rebuildsweep rebuildsweep-race graysweep graysweep-race ingestsweep ingestsweep-race adversarysweep adversarysweep-race fuzz-smoke benchjson benchsmoke bench-e2e check clean
+.PHONY: all build fmt-check test race race-tier1 vet lint vet-json vet-bench sweep sweep-race fuzz-smoke benchjson benchsmoke bench-e2e check clean
 
 all: check
 
@@ -59,71 +59,54 @@ vet-bench:
 		echo "vet-bench: exceeded $(VET_BENCH_LIMIT)s budget"; exit 1; \
 	fi
 
-# chaos runs the fault-injection suite (see DESIGN.md, "Fault model &
-# resilience"): seeded faults on every channel of a 2-node cluster, with
-# zero-hang / zero-wrong-result / per-seed-determinism invariants.
-chaos:
-	$(GO) test -count=1 ./internal/chaos ./internal/faultinject ./internal/resilience
+# sweep runs one of the six fault/attack suites, selected by S; sweep-race is
+# the same run under the race detector (`make sweep S=gray`, `make sweep-race
+# S=gray`). Each suite is a -run pattern over the packages that hold its
+# tests; `check` and ci.yml run all six under race. The sweeps of
+# internal/chaos also compare their per-seed digests with
+# internal/chaos/testdata/digests.json (see DESIGN.md, "Fault & adversary
+# model").
+#
+#   chaos      seeded faults on every channel of a 2-node cluster, with
+#              zero-hang / zero-wrong-result / per-seed-determinism invariants.
+#   crash      a power cut at every block-write boundary of a journaled
+#              workload, clean and torn, must recover to exactly the old or the
+#              new anchored state — plus the journal's adversarial tests.
+#   rebuild    the attested anti-entropy rebuild end to end, plus a fault sweep
+#              that cuts the transfer at every channel operation and every
+#              device write — each point must leave the target either fully
+#              consistent with the donor or still quarantined.
+#   gray       one node of a 3-node cluster browns out (slow, not dead) and
+#              recovers — deadline budgets, latency soft-ejection, hedged
+#              offloads and overload backpressure must carry the run.
+#   ingest     the group-commit pipeline's unit and wire tests, a power cut at
+#              every write boundary of the streaming write path, node kills
+#              mid-batch with restart + readmission, concurrent ingest beside
+#              browned-out reads, audit-trail determinism, and the earlyack
+#              analyzer that pins ack-after-commit at the source level.
+#   adversary  a seeded MITM mounts replay, duplication, reordering, splicing,
+#              forged frames and banners, stale medium reads and whole-medium
+#              rollback at every protocol step — every attack absorbed or
+#              surfaced typed, zero wrong rows, zero unbacked acks, zero hangs.
+SWEEPS = chaos crash rebuild gray ingest adversary
+PKGS_chaos     = ./internal/chaos ./internal/faultinject ./internal/resilience
+RUN_crash      = PowerCut|Sweep|Torn|Journal|Crash
+PKGS_crash     = ./internal/chaos ./internal/faultinject ./internal/securestore
+RUN_rebuild    = Rebuild|Epoch|Membership|Quiesce|Readmit
+PKGS_rebuild   = ./internal/chaos ./internal/securestore .
+RUN_gray       = Gray|Budget|Hedge|Latency|Eject|Overload|Queue|Pressure|Tail
+PKGS_gray      = ./internal/chaos ./internal/resilience ./internal/hostengine ./internal/ctl ./internal/monitor
+RUN_ingest     = Ingest|GroupCommit|Earlyack|StatementSweep
+PKGS_ingest    = ./internal/ingest ./internal/chaos ./internal/securestore ./internal/analysis .
+RUN_adversary  = Adversary|Mitm|ForgedBanner|Classify|NonceReuse
+PKGS_adversary = ./internal/adversary ./internal/chaos ./internal/ctl ./internal/hostengine ./internal/analysis
 
-chaos-race:
-	$(GO) test -race -count=1 ./internal/chaos ./internal/faultinject ./internal/resilience
+sweep:
+	@test -n "$(PKGS_$(S))" || { echo "usage: make sweep S=<one of: $(SWEEPS)>"; exit 2; }
+	$(GO) test $(SWEEP_FLAGS) -count=1 $(if $(RUN_$(S)),-run '$(RUN_$(S))') $(PKGS_$(S))
 
-# crashsweep runs the deterministic power-cut sweep (see DESIGN.md,
-# "Durability & crash consistency"): a power cut at every block-write
-# boundary of a journaled workload, clean and torn, must recover to exactly
-# the old or the new anchored state — plus the journal's adversarial tests.
-crashsweep:
-	$(GO) test -count=1 -run 'PowerCut|Sweep|Torn|Journal|Crash' ./internal/chaos ./internal/faultinject ./internal/securestore
-
-crashsweep-race:
-	$(GO) test -race -count=1 -run 'PowerCut|Sweep|Torn|Journal|Crash' ./internal/chaos ./internal/faultinject ./internal/securestore
-
-# rebuildsweep runs the replica-repair suite (see DESIGN.md, "Replica repair
-# & membership epochs"): the attested anti-entropy rebuild end to end, plus a
-# deterministic fault sweep that cuts the transfer at every channel operation
-# and every device write — each point must leave the target either fully
-# consistent with the donor or still quarantined, never half-admitted.
-rebuildsweep:
-	$(GO) test -count=1 -run 'Rebuild|Epoch|Membership|Quiesce|Readmit' ./internal/chaos ./internal/securestore .
-
-rebuildsweep-race:
-	$(GO) test -race -count=1 -run 'Rebuild|Epoch|Membership|Quiesce|Readmit' ./internal/chaos ./internal/securestore .
-
-# graysweep runs the gray-failure suite (see DESIGN.md, "Gray failures &
-# tail tolerance"): one node of a 3-node cluster browns out (slow, not
-# dead) and recovers — deadline budgets, latency soft-ejection, hedged
-# offloads, and overload backpressure must carry the run with zero hangs,
-# zero wrong results, and per-seed-deterministic digests.
-graysweep:
-	$(GO) test -count=1 -run 'Gray|Budget|Hedge|Latency|Eject|Overload|Queue|Pressure|Tail' ./internal/chaos ./internal/resilience ./internal/hostengine ./internal/ctl ./internal/monitor
-
-graysweep-race:
-	$(GO) test -race -count=1 -run 'Gray|Budget|Hedge|Latency|Eject|Overload|Queue|Pressure|Tail' ./internal/chaos ./internal/resilience ./internal/hostengine ./internal/ctl ./internal/monitor
-
-# ingestsweep runs the durable-ingest suite (see DESIGN.md, "Streaming
-# ingest & the acked-write contract"): the group-commit pipeline's unit and
-# wire tests, a power cut at every write boundary of the streaming write
-# path, node kills mid-batch with restart + readmission, concurrent ingest
-# beside browned-out reads, audit-trail determinism, and the earlyack
-# analyzer that pins ack-after-commit at the source level.
-ingestsweep:
-	$(GO) test -count=1 -run 'Ingest|GroupCommit|Earlyack|StatementSweep' ./internal/ingest ./internal/chaos ./internal/securestore ./internal/analysis .
-
-ingestsweep-race:
-	$(GO) test -race -count=1 -run 'Ingest|GroupCommit|Earlyack|StatementSweep' ./internal/ingest ./internal/chaos ./internal/securestore ./internal/analysis .
-
-# adversarysweep runs the active-adversary conformance suite (see DESIGN.md,
-# "Active-adversary model & conformance"): a seeded MITM mounts replay,
-# duplication, reordering, cross-session splicing, forged frames, forged
-# banners, stale medium reads, and whole-medium rollback at every protocol
-# step of a multi-node run — every attack must be absorbed or surface typed,
-# with zero wrong rows, zero unbacked acks, zero hangs, and per-seed
-# byte-identical digests.
-adversarysweep:
-	$(GO) test -count=1 -run 'Adversary|Mitm|ForgedBanner|Classify|NonceReuse' ./internal/adversary ./internal/chaos ./internal/ctl ./internal/hostengine ./internal/analysis
-
-adversarysweep-race:
-	$(GO) test -race -count=1 -run 'Adversary|Mitm|ForgedBanner|Classify|NonceReuse' ./internal/adversary ./internal/chaos ./internal/ctl ./internal/hostengine ./internal/analysis
+sweep-race:
+	@$(MAKE) --no-print-directory sweep S=$(S) SWEEP_FLAGS=-race
 
 # fuzz-smoke runs each wire-codec fuzz target for a short bounded stint —
 # transport frames, the rebuild manifest, the redo journal, the storage page
@@ -183,7 +166,8 @@ bench-e2e:
 		$(GO) run ./benchmark -workload $$w -seed 1 -seconds $(BENCH_SECONDS) || exit 1; \
 	done
 
-check: build fmt-check vet lint test race-tier1 chaos-race crashsweep-race rebuildsweep-race graysweep-race ingestsweep-race adversarysweep-race
+check: build fmt-check vet lint test race-tier1
+	@for s in $(SWEEPS); do $(MAKE) --no-print-directory sweep-race S=$$s || exit 1; done
 
 clean:
 	$(GO) clean ./...

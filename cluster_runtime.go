@@ -224,8 +224,7 @@ func (c *Cluster) ReattestStorage(id string) error {
 
 // sessionProvider hands the host engine live storage nodes for one query,
 // with health gating and fresh channels per attempt. It implements
-// hostengine.NodeProvider plus the optional budget, latency, and hedging
-// interfaces.
+// hostengine.NodeProvider.
 type sessionProvider struct {
 	c          *Cluster
 	authorized []string // monitor-authorized node IDs, in proof order
@@ -277,10 +276,10 @@ func (p *sessionProvider) CandidateIDs() []string {
 	return p.c.health.Prioritize(out)
 }
 
-// QueryBudget implements hostengine.BudgetedProvider.
+// QueryBudget implements hostengine.NodeProvider.
 func (p *sessionProvider) QueryBudget() *resilience.Budget { return p.budget }
 
-// NodeNow implements hostengine.LatencyObserver: the per-node clock offload
+// NodeNow implements hostengine.NodeProvider: the per-node clock offload
 // legs are timed on. With a LatencyClock configured (sweeps) it is fully
 // virtual and deterministic; otherwise it is real monotonic time.
 func (p *sessionProvider) NodeNow(id string) time.Duration {
@@ -291,7 +290,7 @@ func (p *sessionProvider) NodeNow(id string) time.Duration {
 	return time.Since(p.c.start)
 }
 
-// ReportLatency implements hostengine.LatencyObserver, feeding the health
+// ReportLatency implements hostengine.NodeProvider, feeding the health
 // tracker's EWMA and its cohort-median ejection logic. A no-op unless tail
 // tolerance is on: real-clock samples would make ejection state (and with it
 // candidate ordering) depend on the host machine's speed.
@@ -302,7 +301,7 @@ func (p *sessionProvider) ReportLatency(id string, d time.Duration) {
 	p.c.health.ReportLatency(id, d)
 }
 
-// PlanHedge implements hostengine.HedgingProvider. It grants a hedge when a
+// PlanHedge implements hostengine.NodeProvider. It grants a hedge when a
 // healthy alternate replica exists, the cluster is not browned out, and a
 // cluster-wide hedge slot is free. The trigger depends on the primary's
 // standing: an ejected primary is hedged immediately (delay 0 — we already
@@ -347,10 +346,10 @@ func (p *sessionProvider) PlanHedge(primary string, candidates []string) (string
 	return hedge, delay, true
 }
 
-// HedgeDone implements hostengine.HedgingProvider, releasing the slot.
+// HedgeDone implements hostengine.NodeProvider, releasing the slot.
 func (p *sessionProvider) HedgeDone() { <-p.c.hedgeSem }
 
-// JoinLoser implements hostengine.HedgingProvider: under a virtual latency
+// JoinLoser implements hostengine.NodeProvider: under a virtual latency
 // clock the race must drain both legs in-line and report them in fixed order,
 // or goroutine scheduling would leak into the EWMA state and the digest.
 func (p *sessionProvider) JoinLoser() bool { return p.c.res.LatencyClock != nil }
@@ -444,7 +443,7 @@ func (p *sessionProvider) Report(id string, ok bool) {
 	}
 }
 
-// DetachLeg implements hostengine.LegDetacher: it removes the abandoned
+// DetachLeg implements hostengine.NodeProvider: it removes the abandoned
 // loser's exact channel from the cache so the loser finishes on a private
 // channel while subsequent Connects dial fresh. The identity compare matters:
 // if a failure report already evicted node and a replacement was cached, the

@@ -9,7 +9,7 @@
 //	ironsafe-bench -exp all  -sf 0.005
 //
 // Experiments: fig6 fig7 fig8 fig9a fig9b fig9c fig10 fig11 fig12 table2
-// table3 table4 ingest json all. The json experiment writes the machine-readable
+// table3 table4 json all. The json experiment writes the machine-readable
 // BENCH_results.json (per-query times for all five Table 2 configurations,
 // scs cost-breakdown fractions, and scan-pipeline counters) so the perf
 // trajectory is trackable across PRs; `make benchjson` regenerates it.
@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig6..fig12, table2..table4, ingest, json, all)")
+	exp := flag.String("exp", "all", "experiment to run (fig6..fig12, table2..table4, json, all)")
 	sf := flag.Float64("sf", 0.005, "TPC-H scale factor")
 	queriesFlag := flag.String("queries", "", "comma-separated query numbers (default: the paper's 16)")
 	jsonPath := flag.String("json", "BENCH_results.json", "output path of the json experiment")
@@ -139,18 +139,6 @@ func main() {
 			return err
 		}
 		bench.PrintFig12(os.Stdout, rows)
-		return nil
-	})
-	run("ingest", func() error {
-		res, err := bench.Ingest(4, 50)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ingest: durable streaming-write throughput (wall-clock, acked writes)")
-		fmt.Printf("  %d clients x %d records: %.0f records/s, ack p50 %.0fus p95 %.0fus\n",
-			res.Clients, res.Records/res.Clients, res.RecordsPerSecond, res.AckP50Micros, res.AckP95Micros)
-		fmt.Printf("  %d batches over %d RPMB writes (%.2f batches/write, %.2f records/write)\n",
-			res.Batches, res.RPMBWrites, res.BatchesPerRPMB, res.RecordsPerRPMB)
 		return nil
 	})
 	run("table3", func() error {

@@ -102,7 +102,7 @@ func main() {
 
 	var adv *adversary.Engine
 	if *advSeed != 0 {
-		adv = adversary.SoakEngine(*advSeed)
+		adv = adversary.NewEngine(*advSeed, adversary.SoakRules()...)
 		fmt.Fprintf(os.Stderr, "ironsafe-host: ADVERSARIAL SOAK on storage offload channels (seed %d)\n", *advSeed)
 	}
 

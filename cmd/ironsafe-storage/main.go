@@ -21,6 +21,7 @@ import (
 
 	"ironsafe/internal/adversary"
 	"ironsafe/internal/ctl"
+	"ironsafe/internal/faultinject"
 	"ironsafe/internal/ingest"
 	"ironsafe/internal/pager"
 	"ironsafe/internal/resilience"
@@ -91,7 +92,7 @@ func main() {
 	// turn every one of those into a typed refusal — a node that answers a
 	// query from a stale image has failed the paper's rollback guarantee.
 	if *advSeed != 0 {
-		adv := adversary.NewEngine(*advSeed)
+		adv := faultinject.NewPlan(*advSeed)
 		cfg.MediumWrapper = func(node string, dev pager.BlockDevice) pager.BlockDevice {
 			wrapped := adversary.WrapDevice(dev, node+":medium", adv)
 			wrapped.Capture()

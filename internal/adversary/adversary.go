@@ -3,12 +3,14 @@
 // transport channels, control-plane connections, and the raw storage medium —
 // and mounts *semantic* protocol attacks rather than random corruption.
 //
-// Where faultinject models accidents (resets, stalls, bit flips), adversary
-// models the paper's real threat: privileged software that records, replays,
-// reorders, duplicates, splices, and forges whole protocol units. Every
-// attack is decided by a per-site xorshift stream keyed by (seed, site), so a
-// fixed seed mounts exactly the same attack sequence — the conformance
-// sweep's byte-identical digests rest on this.
+// Where faultinject's wrappers mount accidents (resets, stalls, bit flips),
+// adversary mounts the paper's real threat: privileged software that records,
+// replays, reorders, duplicates, splices, and forges whole protocol units.
+// What to attack, and when, is decided by the same seeded faultinject.Plan
+// the accidents come from — the attack classes are rule classes of that plan
+// — so a fixed seed mounts exactly the same attack sequence. This package
+// holds only what is the attacker's own: the library of recorded frames, the
+// protocol-unit stepper on a connection, and the capturing medium.
 //
 // The attacks are deliberately *valid-looking*: a replayed frame is a real
 // frame the peer once sent (just at the wrong time), a spliced frame is a
@@ -19,107 +21,10 @@
 package adversary
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
+
+	"ironsafe/internal/faultinject"
 )
-
-// Class enumerates the semantic attack classes.
-type Class int
-
-const (
-	// None means the unit passes unharmed.
-	None Class = iota
-	// Replay substitutes the unit with an earlier frame recorded on the
-	// same leg. Frames recorded before a channel was re-dialed belong to a
-	// *previous session* (fresh handshake, fresh keys), so a replay across a
-	// redial is a cross-session replay; within one session it is a stale
-	// retransmission. Either way the sequence-bound AEAD must reject it —
-	// including replayed offload replies whose sealed payload carries a
-	// stale epoch or stale budget prefix.
-	Replay
-	// Duplicate delivers the genuine unit and then injects a byte-identical
-	// copy behind it, so the *next* exchange on the channel finds a stale
-	// valid frame where its reply should be.
-	Duplicate
-	// Reorder holds the genuine unit back and delivers an out-of-order
-	// frame (a recorded one, or a forgery when none exists) in its place;
-	// the held unit is released in front of the next one.
-	Reorder
-	// Splice substitutes a frame recorded on a DIFFERENT leg — cross-
-	// session, cross-node traffic stitched into this channel. At the
-	// preamble or handshake step it splices another session's identity into
-	// the connection setup.
-	Splice
-	// Inject prepends a forged ciphertext frame of plausible shape before
-	// the genuine unit.
-	Inject
-	// Banner forges a plaintext pre-handshake overload banner (0x01 +
-	// retry-after) on a control-plane connection — the one protocol unit an
-	// off-path attacker can fabricate without any key material.
-	Banner
-	// StaleRead is the medium-level attack: a read of a block that changed
-	// since the adversary's capture returns the captured *valid old* image.
-	StaleRead
-	// Rollback is recorded when the harness reverts the whole medium to a
-	// captured valid old state (Device.Rollback).
-	Rollback
-)
-
-// String names a class for traces and stats.
-func (c Class) String() string {
-	switch c {
-	case None:
-		return "none"
-	case Replay:
-		return "replay"
-	case Duplicate:
-		return "duplicate"
-	case Reorder:
-		return "reorder"
-	case Splice:
-		return "splice"
-	case Inject:
-		return "inject"
-	case Banner:
-		return "banner"
-	case StaleRead:
-		return "stale-read"
-	case Rollback:
-		return "rollback"
-	}
-	return fmt.Sprintf("Class(%d)", int(c))
-}
-
-// Rule arms one attack class against matching legs. Legs are hierarchical
-// strings like "storage-01:read", "storage-01:write:preamble", or
-// "ctl:ingest:read:banner"; a Rule matches when Site is a substring of the
-// leg, mirroring faultinject's matching so sweep configs compose the same
-// way.
-type Rule struct {
-	// Site substring to match ("" matches everything).
-	Site string
-	// Class to mount.
-	Class Class
-	// Prob is the per-unit attack probability (0..1]. Rules on one unit
-	// occupy disjoint bands of a single uniform draw, so probabilities add.
-	Prob float64
-	// After skips the leg's first After units (lets handshakes complete, or
-	// targets them specifically with After: 0).
-	After int
-	// MaxCount bounds attacks from this rule per leg stream (0 = unlimited).
-	MaxCount int
-}
-
-// Decision is one resolved attack.
-type Decision struct {
-	Class Class
-	Leg   string
-	// Bits is deterministic entropy for the attack body (forged frame
-	// contents, library index, forged retry-after).
-	Bits uint64
-}
 
 // maxLibraryPerLeg bounds recorded frames per leg; maxLibraryTotal bounds the
 // cross-leg splice pool. Oldest entries are evicted first.
@@ -133,145 +38,29 @@ type libFrame struct {
 	frame []byte
 }
 
-// Engine is a deterministic attack plan plus the adversary's recording
-// library. Safe for concurrent use; determinism holds as long as each leg's
-// units occur in a deterministic order (the conformance sweep runs its
-// traffic sequentially for exactly this reason).
+// Engine is an attack plan plus the adversary's recording library: the
+// embedded plan decides which protocol unit of which leg is attacked with
+// which class, the library holds the genuine units attacks are mounted from.
+// Safe for concurrent use; determinism holds as long as each leg's units
+// occur in a deterministic order (the conformance sweep runs its traffic
+// sequentially for exactly this reason).
 type Engine struct {
-	seed uint64
+	*faultinject.Plan
 
-	mu      sync.Mutex
-	rules   []Rule
-	streams map[string]*stream
-	counts  map[Class]int
-	log     []string
-	perLeg  map[string][][]byte
-	pool    []libFrame
-}
-
-type stream struct {
-	rng       uint64
-	ops       int
-	ruleCount map[int]int
+	mu     sync.Mutex
+	perLeg map[string][][]byte
+	pool   []libFrame
 }
 
 // NewEngine creates an engine from a seed and initial rules. Rules may also
-// be armed later with Arm (drills target one protocol step at a time).
-func NewEngine(seed uint64, rules ...Rule) *Engine {
-	return &Engine{
-		seed:    seed,
-		rules:   rules,
-		streams: map[string]*stream{},
-		counts:  map[Class]int{},
-		perLeg:  map[string][][]byte{},
-	}
+// be armed later with Arm.
+func NewEngine(seed uint64, rules ...faultinject.Rule) *Engine {
+	return &Engine{Plan: faultinject.NewPlan(seed, rules...), perLeg: map[string][][]byte{}}
 }
 
-// Arm appends a rule to the plan. Calling it at a deterministic point in the
-// run keeps the whole schedule reproducible.
-func (e *Engine) Arm(r Rule) {
-	e.mu.Lock()
-	e.rules = append(e.rules, r)
-	e.mu.Unlock()
-}
-
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func xorshift(x uint64) uint64 {
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	return x
-}
-
-func (e *Engine) stream(leg string) *stream {
-	s, ok := e.streams[leg]
-	if !ok {
-		seed := e.seed ^ fnv1a(leg)
-		if seed == 0 {
-			seed = 1
-		}
-		s = &stream{rng: seed, ruleCount: map[int]int{}}
-		e.streams[leg] = s
-	}
-	return s
-}
-
-func (s *stream) next() (float64, uint64) {
-	s.rng = xorshift(s.rng)
-	bits := s.rng * 0x2545f4914f6cdd1d
-	return float64(bits>>11) / float64(1<<53), bits
-}
-
-// Decide returns the attack (if any) to mount on leg's next protocol unit.
-// Exactly one rule can fire per unit; rules are consulted in order over
-// disjoint probability bands of one draw.
-func (e *Engine) Decide(leg string) Decision {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := e.stream(leg)
-	op := s.ops
-	s.ops++
-	u, bits := s.next()
-	for i, r := range e.rules {
-		if r.Class == None || r.Prob <= 0 {
-			continue
-		}
-		if r.Site != "" && !strings.Contains(leg, r.Site) {
-			continue
-		}
-		if op < r.After {
-			continue
-		}
-		if r.MaxCount > 0 && s.ruleCount[i] >= r.MaxCount {
-			continue
-		}
-		if u >= r.Prob {
-			u -= r.Prob
-			continue
-		}
-		s.ruleCount[i]++
-		e.counts[r.Class]++
-		e.log = append(e.log, fmt.Sprintf("%s@%s#%d", r.Class, leg, op))
-		return Decision{Class: r.Class, Leg: leg, Bits: bits}
-	}
-	return Decision{Class: None, Leg: leg}
-}
-
-// OpsAt reports how many units leg has decided so far — the conformance
-// sweep counts a clean pass's units per leg, then replays with an attack
-// armed at each ordinal.
-func (e *Engine) OpsAt(leg string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s, ok := e.streams[leg]; ok {
-		return s.ops
-	}
-	return 0
-}
-
-// Legs lists every leg that has decided at least one unit, sorted.
-func (e *Engine) Legs() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.streams))
-	for leg := range e.streams {
-		out = append(out, leg)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Record adds a genuine observed unit to the adversary's library so later
+// Remember adds a genuine observed unit to the adversary's library so later
 // Replay/Splice decisions have real material to mount.
-func (e *Engine) Record(leg string, frame []byte) {
+func (e *Engine) Remember(leg string, frame []byte) {
 	cp := append([]byte(nil), frame...)
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -286,109 +75,59 @@ func (e *Engine) Record(leg string, frame []byte) {
 	}
 }
 
-// RecordedSameLeg returns a deterministic earlier frame recorded on leg, or
-// nil when the library is empty for it.
-func (e *Engine) RecordedSameLeg(leg string, bits uint64) []byte {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	frames := e.perLeg[leg]
-	if len(frames) == 0 {
-		return nil
-	}
-	return append([]byte(nil), frames[int(bits%uint64(len(frames)))]...)
-}
+// anySize lifts the size restriction of a library lookup.
+const anySize = -1
 
-// RecordedOtherLeg returns a deterministic frame recorded on any leg other
-// than leg (cross-session splice material), or nil when none exists.
-func (e *Engine) RecordedOtherLeg(leg string, bits uint64) []byte {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var candidates [][]byte
-	for _, lf := range e.pool {
-		if lf.leg != leg {
-			candidates = append(candidates, lf.frame)
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	return append([]byte(nil), candidates[int(bits%uint64(len(candidates)))]...)
-}
-
-// RecordedSameLegSized is RecordedSameLeg restricted to units of exactly
-// size bytes — identity units (preambles, public keys) can only be
+// sameLeg returns a deterministic earlier frame recorded on leg, or nil when
+// the library holds none. size restricts the choice to units of exactly that
+// many bytes — identity units (preambles, public keys) can only be
 // substituted by same-shaped material.
-func (e *Engine) RecordedSameLegSized(leg string, bits uint64, size int) []byte {
+func (e *Engine) sameLeg(leg string, bits uint64, size int) []byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var candidates [][]byte
 	for _, f := range e.perLeg[leg] {
-		if len(f) == size {
+		if size == anySize || len(f) == size {
 			candidates = append(candidates, f)
 		}
 	}
-	return pickSized(candidates, bits)
+	return pick(candidates, bits)
 }
 
-// RecordedOtherLegSized is RecordedOtherLeg restricted to units of exactly
-// size bytes.
-func (e *Engine) RecordedOtherLegSized(leg string, bits uint64, size int) []byte {
+// otherLeg returns a deterministic frame recorded on any leg other than leg
+// (cross-session splice material), or nil when none exists; size as in
+// sameLeg.
+func (e *Engine) otherLeg(leg string, bits uint64, size int) []byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var candidates [][]byte
 	for _, lf := range e.pool {
-		if lf.leg != leg && len(lf.frame) == size {
+		if lf.leg != leg && (size == anySize || len(lf.frame) == size) {
 			candidates = append(candidates, lf.frame)
 		}
 	}
-	return pickSized(candidates, bits)
+	return pick(candidates, bits)
 }
 
-func pickSized(candidates [][]byte, bits uint64) []byte {
+func pick(candidates [][]byte, bits uint64) []byte {
 	if len(candidates) == 0 {
 		return nil
 	}
 	return append([]byte(nil), candidates[int(bits%uint64(len(candidates)))]...)
 }
 
-// Note appends a harness-mounted attack (medium rollback, scripted drills)
-// to the trace so Stats and Trace cover every class exercised.
-func (e *Engine) Note(class Class, leg string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.counts[class]++
-	e.log = append(e.log, fmt.Sprintf("%s@%s", class, leg))
-}
-
-// Stats returns attacks mounted per class.
-func (e *Engine) Stats() map[Class]int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[Class]int, len(e.counts))
-	for k, v := range e.counts {
-		out[k] = v
+// SoakRules is the broad-spectrum rule set the deployment binaries arm for
+// adversarial soak runs (ironsafe-host -adversary-seed; the sweep's broad
+// phase uses its own tuning of the same shape): every frame attack class at a
+// low per-unit probability, skipping each leg's first two units so handshakes
+// complete and the attacks land on authenticated traffic, where fail-closed
+// behaviour — not connection refusal — is the property under test.
+func SoakRules() []faultinject.Rule {
+	return []faultinject.Rule{
+		{Site: ":read", Class: faultinject.Replay, Prob: 0.05, After: 2},
+		{Site: ":read", Class: faultinject.Duplicate, Prob: 0.04, After: 2},
+		{Site: ":read", Class: faultinject.Reorder, Prob: 0.03, After: 2},
+		{Site: ":write", Class: faultinject.Inject, Prob: 0.04, After: 2},
+		{Site: ":write", Class: faultinject.Splice, Prob: 0.03, After: 2},
 	}
-	return out
-}
-
-// ClassesMounted returns the distinct classes mounted so far, sorted.
-func (e *Engine) ClassesMounted() []Class {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var out []Class
-	for c, n := range e.counts {
-		if n > 0 {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Trace returns the attack log in order — part of the conformance sweep's
-// determinism digest.
-func (e *Engine) Trace() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]string(nil), e.log...)
 }

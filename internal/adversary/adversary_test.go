@@ -4,11 +4,12 @@ import (
 	"reflect"
 	"testing"
 
+	"ironsafe/internal/faultinject"
 	"ironsafe/internal/pager"
 )
 
-func drive(e *Engine, legs []string) []Decision {
-	var out []Decision
+func drive(e *Engine, legs []string) []faultinject.Fault {
+	var out []faultinject.Fault
 	for _, leg := range legs {
 		out = append(out, e.Decide(leg))
 	}
@@ -16,10 +17,10 @@ func drive(e *Engine, legs []string) []Decision {
 }
 
 func TestAdversaryEngineDeterministicSchedule(t *testing.T) {
-	rules := []Rule{
-		{Site: ":read", Class: Replay, Prob: 0.2},
-		{Site: ":read", Class: Duplicate, Prob: 0.2},
-		{Site: ":write", Class: Inject, Prob: 0.3, After: 1},
+	rules := []faultinject.Rule{
+		{Site: ":read", Class: faultinject.Replay, Prob: 0.2},
+		{Site: ":read", Class: faultinject.Duplicate, Prob: 0.2},
+		{Site: ":write", Class: faultinject.Inject, Prob: 0.3, After: 1},
 	}
 	legs := []string{
 		"storage-01:read", "storage-01:write", "storage-01:read",
@@ -42,7 +43,7 @@ func TestAdversaryEngineDeterministicSchedule(t *testing.T) {
 	attacked := false
 	for seed := uint64(1); seed < 32 && !attacked; seed++ {
 		for _, d := range drive(NewEngine(seed, rules...), legs) {
-			if d.Class != None {
+			if d.Class != faultinject.None {
 				attacked = true
 				break
 			}
@@ -54,10 +55,10 @@ func TestAdversaryEngineDeterministicSchedule(t *testing.T) {
 }
 
 func TestAdversaryEngineRuleBounds(t *testing.T) {
-	e := NewEngine(3, Rule{Site: "x", Class: Replay, Prob: 1, After: 2, MaxCount: 2})
+	e := NewEngine(3, faultinject.Rule{Site: "x", Class: faultinject.Replay, Prob: 1, After: 2, MaxCount: 2})
 	var fired int
 	for i := 0; i < 10; i++ {
-		if e.Decide("node:x:read").Class == Replay {
+		if e.Decide("node:x:read").Class == faultinject.Replay {
 			fired++
 			if i < 2 {
 				t.Fatalf("rule fired at op %d despite After: 2", i)
@@ -67,7 +68,7 @@ func TestAdversaryEngineRuleBounds(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("rule fired %d times, want exactly MaxCount=2", fired)
 	}
-	if e.Decide("other-leg").Class != None {
+	if e.Decide("other-leg").Class != faultinject.None {
 		t.Fatal("rule matched a leg not containing Site")
 	}
 	if got := e.OpsAt("node:x:read"); got != 10 {
@@ -77,22 +78,22 @@ func TestAdversaryEngineRuleBounds(t *testing.T) {
 
 func TestAdversaryEngineLibraryLookups(t *testing.T) {
 	e := NewEngine(1)
-	e.Record("a:read", []byte("frame-one"))
-	e.Record("a:read", make([]byte, 32))
-	e.Record("b:read", []byte("frame-two"))
-	if e.RecordedSameLeg("c:read", 5) != nil {
+	e.Remember("a:read", []byte("frame-one"))
+	e.Remember("a:read", make([]byte, 32))
+	e.Remember("b:read", []byte("frame-two"))
+	if e.sameLeg("c:read", 5, anySize) != nil {
 		t.Fatal("empty leg returned material")
 	}
-	if got := e.RecordedSameLegSized("a:read", 5, 32); len(got) != 32 {
+	if got := e.sameLeg("a:read", 5, 32); len(got) != 32 {
 		t.Fatalf("sized same-leg lookup = %d bytes, want 32", len(got))
 	}
-	if got := e.RecordedOtherLegSized("b:read", 5, 32); len(got) != 32 {
+	if got := e.otherLeg("b:read", 5, 32); len(got) != 32 {
 		t.Fatalf("sized other-leg lookup = %d bytes, want 32", len(got))
 	}
-	if e.RecordedOtherLegSized("a:read", 5, 32) != nil {
+	if e.otherLeg("a:read", 5, 32) != nil {
 		t.Fatal("other-leg lookup returned material recorded on the same leg")
 	}
-	got := e.RecordedOtherLeg("a:read", 0)
+	got := e.otherLeg("a:read", 0, anySize)
 	if string(got) != "frame-two" {
 		t.Fatalf("other-leg lookup = %q, want frame-two", got)
 	}
@@ -100,7 +101,7 @@ func TestAdversaryEngineLibraryLookups(t *testing.T) {
 
 func TestAdversaryDeviceStaleReadServesCapturedImage(t *testing.T) {
 	eng := NewEngine(1)
-	dev := WrapDevice(pager.NewMemDevice(), "medium:test", eng)
+	dev := WrapDevice(pager.NewMemDevice(), "medium:test", eng.Plan)
 	if err := dev.WriteBlock(0, []byte("old-state")); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestAdversaryDeviceStaleReadServesCapturedImage(t *testing.T) {
 
 func TestAdversaryDeviceRevertRestoresValidOldState(t *testing.T) {
 	eng := NewEngine(1)
-	dev := WrapDevice(pager.NewMemDevice(), "medium:test", eng)
+	dev := WrapDevice(pager.NewMemDevice(), "medium:test", eng.Plan)
 	if err := dev.WriteBlock(0, []byte("keep")); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestAdversaryDeviceRevertRestoresValidOldState(t *testing.T) {
 		t.Fatalf("untouched block = %q, %v; want keep", got, err)
 	}
 	stats := eng.Stats()
-	if stats[Rollback] != 1 {
+	if stats[faultinject.Rollback] != 1 {
 		t.Fatalf("rollback not traced: %v", stats)
 	}
 }

@@ -2,10 +2,10 @@ package adversary
 
 import (
 	"encoding/binary"
-	"io"
 	"net"
 	"sync"
-	"time"
+
+	"ironsafe/internal/faultinject"
 )
 
 // Profile names the wire protocol spoken across a wrapped connection, so the
@@ -57,9 +57,11 @@ const (
 // server→client units. Each direction runs its own unit parser and consults
 // the engine once per unit; attacks substitute, duplicate, hold, or prepend
 // whole recorded or forged units. The conn never stalls on its own — timing
-// attacks belong to faultinject; this layer mounts only semantic ones.
+// faults belong to faultinject.Conn; this layer mounts only semantic ones.
 type Conn struct {
-	inner   net.Conn
+	// The wrapped conn. Close, addresses and deadlines pass through, so the
+	// victim's deadlines keep bounding every read and write under attack.
+	net.Conn
 	eng     *Engine
 	site    string
 	profile Profile
@@ -87,7 +89,7 @@ type dirState struct {
 // WrapConn interposes the adversary on conn. site names the channel in legs
 // and rule matching ("storage-01", "rebuild:storage-02", "ctl:ingest").
 func WrapConn(inner net.Conn, site string, profile Profile, eng *Engine) *Conn {
-	c := &Conn{inner: inner, eng: eng, site: site, profile: profile}
+	c := &Conn{Conn: inner, eng: eng, site: site, profile: profile}
 	c.rd.leg = site + ":read"
 	c.wr.leg = site + ":write"
 	switch profile {
@@ -106,15 +108,12 @@ func WrapConn(inner net.Conn, site string, profile Profile, eng *Engine) *Conn {
 
 var _ net.Conn = (*Conn)(nil)
 
-// forgeFrame fabricates a plausible ciphertext frame from deterministic bits.
-func forgeFrame(bits uint64) []byte {
+// forgeFrame fabricates a plausible ciphertext frame from the decision's
+// deterministic entropy.
+func forgeFrame(dec faultinject.Fault) []byte {
 	frame := make([]byte, frameHeaderLen+forgedFrameBody)
 	binary.BigEndian.PutUint32(frame, forgedFrameBody)
-	x := bits | 1
-	for i := frameHeaderLen; i < len(frame); i++ {
-		x = xorshift(x)
-		frame[i] = byte(x)
-	}
+	dec.Fill(frame[frameHeaderLen:])
 	return frame
 }
 
@@ -128,26 +127,16 @@ func forgeBanner(bits uint64) []byte {
 	return b
 }
 
-// subLeg derives the per-step decision leg so sweeps can target the
+// stepLeg suffixes a leg with the protocol step, so sweeps can target the
 // handshake units independently of steady-state frames.
-func subLeg(leg string, st step) string {
-	switch st {
-	case stepBanner:
-		return leg + ":banner"
-	case stepPreamble:
-		return leg + ":preamble"
-	case stepPubkey:
-		return leg + ":pubkey"
-	}
-	return leg
-}
+var stepLeg = [...]string{stepBanner: ":banner", stepPreamble: ":preamble", stepPubkey: ":pubkey", stepFrame: ""}
 
 // attack resolves one unit through the engine: the genuine unit was just
 // assembled on d's current step; the return value is what the peer (or the
 // local reader) actually gets. Steps advance here, so the parser and the
 // attack schedule can never drift apart.
 func (c *Conn) attack(d *dirState, unit []byte) []byte {
-	leg := subLeg(d.leg, d.step)
+	leg := d.leg + stepLeg[d.step]
 	dec := c.eng.Decide(leg)
 
 	// Whatever happens, a Reorder-parked unit is released first: it rides
@@ -160,7 +149,7 @@ func (c *Conn) attack(d *dirState, unit []byte) []byte {
 
 	switch d.step {
 	case stepBanner:
-		if dec.Class == Banner {
+		if dec.Class == faultinject.Banner {
 			out = append(out, forgeBanner(dec.Bits)...)
 		} else {
 			out = append(out, unit...)
@@ -173,16 +162,16 @@ func (c *Conn) attack(d *dirState, unit []byte) []byte {
 		// classes are frame-shaped and pass the unit through.
 		sub := unit
 		switch dec.Class {
-		case Replay:
-			if r := c.eng.RecordedSameLegSized(leg, dec.Bits, len(unit)); r != nil {
+		case faultinject.Replay:
+			if r := c.eng.sameLeg(leg, dec.Bits, len(unit)); r != nil {
 				sub = r
 			}
-		case Splice:
-			if r := c.eng.RecordedOtherLegSized(leg, dec.Bits, len(unit)); r != nil {
+		case faultinject.Splice:
+			if r := c.eng.otherLeg(leg, dec.Bits, len(unit)); r != nil {
 				sub = r
 			}
 		}
-		c.eng.Record(leg, unit)
+		c.eng.Remember(leg, unit)
 		if d.step == stepPreamble {
 			d.step = stepPubkey
 		} else {
@@ -193,46 +182,46 @@ func (c *Conn) attack(d *dirState, unit []byte) []byte {
 
 	// Steady-state AEAD frame.
 	switch dec.Class {
-	case Replay:
-		sub := c.eng.RecordedSameLeg(leg, dec.Bits)
+	case faultinject.Replay:
+		sub := c.eng.sameLeg(leg, dec.Bits, anySize)
 		if sub == nil {
-			sub = forgeFrame(dec.Bits)
+			sub = forgeFrame(dec)
 		}
-		c.eng.Record(leg, unit) // the suppressed genuine frame joins the library
+		c.eng.Remember(leg, unit) // the suppressed genuine frame joins the library
 		return append(out, sub...)
-	case Splice:
-		sub := c.eng.RecordedOtherLeg(leg, dec.Bits)
+	case faultinject.Splice:
+		sub := c.eng.otherLeg(leg, dec.Bits, anySize)
 		if sub == nil {
 			// No foreign material yet: a same-leg frame from an earlier
 			// (re-keyed) session is still a cross-session splice; failing
 			// that, forge.
-			if sub = c.eng.RecordedSameLeg(leg, dec.Bits); sub == nil {
-				sub = forgeFrame(dec.Bits)
+			if sub = c.eng.sameLeg(leg, dec.Bits, anySize); sub == nil {
+				sub = forgeFrame(dec)
 			}
 		}
-		c.eng.Record(leg, unit)
+		c.eng.Remember(leg, unit)
 		return append(out, sub...)
-	case Duplicate:
-		c.eng.Record(leg, unit)
+	case faultinject.Duplicate:
+		c.eng.Remember(leg, unit)
 		out = append(out, unit...)
 		return append(out, unit...)
-	case Reorder:
+	case faultinject.Reorder:
 		// Park the genuine frame; something older (recorded, else forged)
 		// takes its place. The parked frame is released before the next
 		// unit — frames k and k+1 arrive swapped.
-		swap := c.eng.RecordedSameLeg(leg, dec.Bits)
+		swap := c.eng.sameLeg(leg, dec.Bits, anySize)
 		if swap == nil {
-			swap = forgeFrame(dec.Bits)
+			swap = forgeFrame(dec)
 		}
-		c.eng.Record(leg, unit)
+		c.eng.Remember(leg, unit)
 		d.held = append([]byte(nil), unit...)
 		return append(out, swap...)
-	case Inject:
-		c.eng.Record(leg, unit)
-		out = append(out, forgeFrame(dec.Bits)...)
+	case faultinject.Inject:
+		c.eng.Remember(leg, unit)
+		out = append(out, forgeFrame(dec)...)
 		return append(out, unit...)
 	}
-	c.eng.Record(leg, unit)
+	c.eng.Remember(leg, unit)
 	return append(out, unit...)
 }
 
@@ -290,7 +279,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 	d.mu.Lock()
 	if d.raw {
 		d.mu.Unlock()
-		return c.inner.Write(b)
+		return c.Conn.Write(b)
 	}
 	d.pending = append(d.pending, b...)
 	var outbound []byte
@@ -312,7 +301,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 	}
 	d.mu.Unlock()
 	if len(outbound) > 0 {
-		if _, err := c.inner.Write(outbound); err != nil {
+		if _, err := c.Conn.Write(outbound); err != nil {
 			return 0, err
 		}
 	}
@@ -329,7 +318,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 	defer d.mu.Unlock()
 	for len(d.out) == 0 {
 		if d.raw {
-			return c.inner.Read(b)
+			return c.Conn.Read(b)
 		}
 		if err := c.assembleLocked(d); err != nil {
 			return 0, err
@@ -356,19 +345,16 @@ func (c *Conn) assembleLocked(d *dirState) error {
 			return nil
 		}
 		if n > 0 {
-			unit := buf[:n:n]
-			if n < len(buf) {
-				// More than one unit arrived in one gulp: keep the tail in
-				// the queue raw? No — re-run the parser on it next round.
-				d.out = append(d.out, c.attack(d, unit)...)
-				rest := append([]byte(nil), buf[n:]...)
-				buf = rest
-				continue
+			d.out = append(d.out, c.attack(d, buf[:n:n])...)
+			if n == len(buf) {
+				return nil
 			}
-			d.out = append(d.out, c.attack(d, unit)...)
-			return nil
+			// More than one unit arrived in one gulp: run the parser on the
+			// tail too.
+			buf = append([]byte(nil), buf[n:]...)
+			continue
 		}
-		rn, err := c.inner.Read(tmp)
+		rn, err := c.Conn.Read(tmp)
 		if rn > 0 {
 			buf = append(buf, tmp[:rn]...)
 			continue
@@ -380,29 +366,7 @@ func (c *Conn) assembleLocked(d *dirState) error {
 				d.out = append(d.out, buf...)
 				return nil
 			}
-			if err == io.EOF {
-				return io.EOF
-			}
 			return err
 		}
 	}
 }
-
-// Close implements net.Conn.
-func (c *Conn) Close() error { return c.inner.Close() }
-
-// LocalAddr implements net.Conn.
-func (c *Conn) LocalAddr() net.Addr { return c.inner.LocalAddr() }
-
-// RemoteAddr implements net.Conn.
-func (c *Conn) RemoteAddr() net.Addr { return c.inner.RemoteAddr() }
-
-// SetDeadline implements net.Conn, forwarded so the victim's deadlines keep
-// bounding every read and write under attack.
-func (c *Conn) SetDeadline(t time.Time) error { return c.inner.SetDeadline(t) }
-
-// SetReadDeadline implements net.Conn.
-func (c *Conn) SetReadDeadline(t time.Time) error { return c.inner.SetReadDeadline(t) }
-
-// SetWriteDeadline implements net.Conn.
-func (c *Conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ironsafe/internal/faultinject"
 	"ironsafe/internal/transport"
 )
 
@@ -78,7 +79,7 @@ func exchange(cli *transport.SecureConn, payload string) (string, error) {
 func TestMitmReplayedReplyFailsClosed(t *testing.T) {
 	// Client read-leg frame stream: op0 = server key-confirm, op1 = reply 1,
 	// op2 = reply 2 (attacked; library holds two genuine frames by then).
-	eng := NewEngine(11, Rule{Site: ":read", Class: Replay, Prob: 1, After: 2, MaxCount: 1})
+	eng := NewEngine(11, faultinject.Rule{Site: ":read", Class: faultinject.Replay, Prob: 1, After: 2, MaxCount: 1})
 	cli, _ := mitmPipe(t, eng, "node-r")
 	if got, err := exchange(cli, "one"); err != nil || got != "one" {
 		t.Fatalf("clean exchange: %q, %v", got, err)
@@ -87,7 +88,7 @@ func TestMitmReplayedReplyFailsClosed(t *testing.T) {
 	if !errors.Is(err, transport.ErrAuth) {
 		t.Fatalf("replayed reply produced %v, want transport.ErrAuth", err)
 	}
-	if eng.Stats()[Replay] != 1 {
+	if eng.Stats()[faultinject.Replay] != 1 {
 		t.Fatalf("replay not traced: %v", eng.Stats())
 	}
 }
@@ -96,7 +97,7 @@ func TestMitmReplayedReplyFailsClosed(t *testing.T) {
 // queues a byte-identical copy behind it. The copy must not be consumed as
 // the answer to the next request.
 func TestMitmDuplicatedReplyFailsClosed(t *testing.T) {
-	eng := NewEngine(5, Rule{Site: ":read", Class: Duplicate, Prob: 1, After: 1, MaxCount: 1})
+	eng := NewEngine(5, faultinject.Rule{Site: ":read", Class: faultinject.Duplicate, Prob: 1, After: 1, MaxCount: 1})
 	cli, _ := mitmPipe(t, eng, "node-d")
 	if got, err := exchange(cli, "one"); err != nil || got != "one" {
 		t.Fatalf("duplicated genuine reply must still arrive intact: %q, %v", got, err)
@@ -113,7 +114,7 @@ func TestMitmDuplicatedReplyFailsClosed(t *testing.T) {
 // TestMitmReorderedReplyFailsClosed swaps the first reply with older
 // recorded material; the out-of-order frame must be rejected.
 func TestMitmReorderedReplyFailsClosed(t *testing.T) {
-	eng := NewEngine(9, Rule{Site: ":read", Class: Reorder, Prob: 1, After: 1, MaxCount: 1})
+	eng := NewEngine(9, faultinject.Rule{Site: ":read", Class: faultinject.Reorder, Prob: 1, After: 1, MaxCount: 1})
 	cli, _ := mitmPipe(t, eng, "node-o")
 	_, err := exchange(cli, "one")
 	if !errors.Is(err, transport.ErrAuth) {
@@ -126,7 +127,7 @@ func TestMitmReorderedReplyFailsClosed(t *testing.T) {
 // the channel down, surfacing as a send/recv error at the client — never as
 // a processed request.
 func TestMitmInjectedRequestFailsClosed(t *testing.T) {
-	eng := NewEngine(13, Rule{Site: ":write", Class: Inject, Prob: 1, After: 2, MaxCount: 1})
+	eng := NewEngine(13, faultinject.Rule{Site: ":write", Class: faultinject.Inject, Prob: 1, After: 2, MaxCount: 1})
 	cli, serverErr := mitmPipe(t, eng, "node-i")
 	if got, err := exchange(cli, "one"); err != nil || got != "one" {
 		t.Fatalf("clean exchange: %q, %v", got, err)
@@ -154,7 +155,7 @@ func TestMitmSplicedHandshakeFailsConfirmation(t *testing.T) {
 
 	// Session B: the server public key the client reads is replaced by one
 	// of session A's recorded keys.
-	eng.Arm(Rule{Site: "node-b:read:pubkey", Class: Splice, Prob: 1, MaxCount: 1})
+	eng.Arm(faultinject.Rule{Site: "node-b:read:pubkey", Class: faultinject.Splice, Prob: 1, MaxCount: 1})
 	clientRaw, serverRaw := net.Pipe()
 	wrapped := WrapConn(clientRaw, "node-b", TransportProfile, eng)
 	serverErr := make(chan error, 1)
@@ -181,7 +182,7 @@ func TestMitmSplicedHandshakeFailsConfirmation(t *testing.T) {
 // and checks the forgery is exactly what a client would parse: overloaded,
 // with a hostile retry-after.
 func TestMitmForgedBannerIsOnlyPlaintextSurface(t *testing.T) {
-	eng := NewEngine(23, Rule{Site: ":read:banner", Class: Banner, Prob: 1, MaxCount: 1})
+	eng := NewEngine(23, faultinject.Rule{Site: ":read:banner", Class: faultinject.Banner, Prob: 1, MaxCount: 1})
 	clientRaw, serverRaw := net.Pipe()
 	wrapped := WrapConn(clientRaw, "ctl", CtlProfile, eng)
 	go func() {
@@ -200,7 +201,7 @@ func TestMitmForgedBannerIsOnlyPlaintextSurface(t *testing.T) {
 	if retryMS < 1<<30 {
 		t.Fatalf("forged retry-after = %d ms, want a hostile (huge) delay", retryMS)
 	}
-	if eng.Stats()[Banner] != 1 {
+	if eng.Stats()[faultinject.Banner] != 1 {
 		t.Fatalf("banner forgery not traced: %v", eng.Stats())
 	}
 }

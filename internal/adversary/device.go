@@ -3,6 +3,7 @@ package adversary
 import (
 	"sync"
 
+	"ironsafe/internal/faultinject"
 	"ironsafe/internal/pager"
 )
 
@@ -14,9 +15,10 @@ import (
 // byte integrity — is the defense under test: every stale image is a real
 // block the store once wrote.
 type Device struct {
-	inner pager.BlockDevice
-	eng   *Engine
-	site  string
+	// NumBlocks passes through: the live medium size.
+	pager.BlockDevice
+	plan *faultinject.Plan
+	site string
 
 	mu        sync.Mutex
 	capturing bool
@@ -28,10 +30,11 @@ type Device struct {
 	staleReads int
 }
 
-// WrapDevice interposes the adversary on dev. site names the medium in the
-// trace ("medium:storage-02").
-func WrapDevice(dev pager.BlockDevice, site string, eng *Engine) *Device {
-	return &Device{inner: dev, eng: eng, site: site, shadow: map[uint32][]byte{}}
+// WrapDevice interposes the adversary on dev. site names the medium in
+// plan's trace ("medium:storage-02"); the medium attacks are scripted by the
+// harness, so the plan only records them.
+func WrapDevice(dev pager.BlockDevice, site string, plan *faultinject.Plan) *Device {
+	return &Device{BlockDevice: dev, plan: plan, site: site, shadow: map[uint32][]byte{}}
 }
 
 var _ pager.BlockDevice = (*Device)(nil)
@@ -72,11 +75,11 @@ func (d *Device) Rollback() error {
 		if img == nil {
 			continue
 		}
-		if err := d.inner.WriteBlock(idx, img); err != nil {
+		if err := d.BlockDevice.WriteBlock(idx, img); err != nil {
 			return err
 		}
 	}
-	d.eng.Note(Rollback, d.site)
+	d.plan.Record(faultinject.Rollback, d.site)
 	return nil
 }
 
@@ -93,10 +96,10 @@ func (d *Device) ReadBlock(idx uint32) ([]byte, error) {
 	}
 	d.mu.Unlock()
 	if stale != nil {
-		d.eng.Note(StaleRead, d.site)
+		d.plan.Record(faultinject.StaleRead, d.site)
 		return stale, nil
 	}
-	return d.inner.ReadBlock(idx)
+	return d.BlockDevice.ReadBlock(idx)
 }
 
 // WriteBlock records the pre-image on the first post-capture write to each
@@ -107,7 +110,7 @@ func (d *Device) WriteBlock(idx uint32, data []byte) error {
 	_, seen := d.shadow[idx]
 	d.mu.Unlock()
 	if capture && !seen {
-		pre, err := d.inner.ReadBlock(idx)
+		pre, err := d.BlockDevice.ReadBlock(idx)
 		if err != nil {
 			pre = nil
 		}
@@ -117,8 +120,5 @@ func (d *Device) WriteBlock(idx uint32, data []byte) error {
 		}
 		d.mu.Unlock()
 	}
-	return d.inner.WriteBlock(idx, data)
+	return d.BlockDevice.WriteBlock(idx, data)
 }
-
-// NumBlocks reports the live medium size.
-func (d *Device) NumBlocks() uint32 { return d.inner.NumBlocks() }

@@ -24,10 +24,6 @@ var boundaryTrustedPrefixes = []string{
 	"internal/securestore",
 	"internal/storageengine",
 	"internal/hostengine",
-	// faultinject wraps the attestation path (it must corrupt reports the
-	// monitor then rejects), so it sees the report types — never key
-	// material.
-	"internal/faultinject",
 	// chaos boots simulated TrustZone storage devices for the power-cut
 	// crash sweep; it drives the boot/derive APIs, never key material.
 	"internal/chaos",

@@ -8,11 +8,13 @@ import (
 // rawnetExemptPrefixes are the wrapper layers that legitimately touch raw
 // connections and raw dials: resilience owns dialing (timeouts, retry,
 // health accounting), transport owns deadline-armed frame I/O, and
-// faultinject wraps net.Conn beneath the AEAD boundary to inject faults.
+// faultinject and adversary wrap net.Conn beneath the AEAD boundary to mount
+// the one fault plan's accidents and attacks.
 var rawnetExemptPrefixes = []string{
 	"internal/resilience",
 	"internal/transport",
 	"internal/faultinject",
+	"internal/adversary",
 }
 
 // rawnetDialFuncs are the package-level net dial entry points. Every one of

@@ -73,43 +73,3 @@ func TestExecBatchMatchesRowModeTPCH(t *testing.T) {
 			vecBatches, rowBatches)
 	}
 }
-
-// TestExecBatchResultsGate pins the BENCH_results.json exec_batch section:
-// present, internally consistent, and showing the vectorized pipeline
-// strictly cheaper than row-at-a-time on the simulated cost model.
-func TestExecBatchResultsGate(t *testing.T) {
-	queries := []int{6, 14, 19}
-	res, err := CollectResults(testSF, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb := res.ExecBatch
-	if eb == nil {
-		t.Fatal("exec_batch section missing from results")
-	}
-	if eb.BatchRows <= 1 {
-		t.Errorf("batch_rows = %d, want > 1", eb.BatchRows)
-	}
-	if eb.VecGeomeanMicros <= 0 || eb.RowGeomeanMicros <= 0 {
-		t.Fatalf("geomeans: vec %v, row %v", eb.VecGeomeanMicros, eb.RowGeomeanMicros)
-	}
-	if eb.VecGeomeanMicros != res.GeomeanMicros["scs"] {
-		t.Errorf("vec geomean %v is not the scs series %v (scs must run vectorized by default)",
-			eb.VecGeomeanMicros, res.GeomeanMicros["scs"])
-	}
-	// The hard perf gate: batching must beat row-at-a-time by a real margin
-	// on the scan-heavy queries, not round to parity.
-	if eb.Speedup < 1.3 {
-		t.Errorf("vectorized speedup = %.3f, want >= 1.3", eb.Speedup)
-	}
-	for _, qn := range queries {
-		key := keyFor(qn)
-		v, r := eb.VecTimesMicros[key], eb.RowTimesMicros[key]
-		if v <= 0 || r <= 0 {
-			t.Errorf("%s: times vec=%v row=%v", key, v, r)
-		}
-		if v >= r {
-			t.Errorf("%s: vectorized (%vµs) not cheaper than row-mode (%vµs)", key, v, r)
-		}
-	}
-}

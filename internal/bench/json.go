@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ironsafe"
-	"ironsafe/internal/sql/exec"
 	"ironsafe/internal/tpch"
 )
 
@@ -28,49 +27,6 @@ type Results struct {
 	// ScsScan holds the scan-pipeline counters per query under scs
 	// (storage-side, per-query deltas).
 	ScsScan map[string]ScanCounters `json:"scs_scan"`
-	// ScsTail maps query class (SQL shape) to its tail-latency summary under
-	// scs, as reported by the monitor's tail telemetry.
-	ScsTail map[string]TailClass `json:"scs_tail"`
-	// TailEjections / TailReadmissions count latency-outlier soft-ejection
-	// events observed during the scs run.
-	TailEjections    int `json:"tail_ejections"`
-	TailReadmissions int `json:"tail_readmissions"`
-	// Ingest is the streaming-ingest throughput series: acked-write rate,
-	// ack latency percentiles, and group-commit RPMB amortization.
-	Ingest *IngestResult `json:"ingest"`
-	// ExecBatch compares the vectorized operator pipeline (the default)
-	// against row-at-a-time execution (ExecBatchRows=1) under scs.
-	ExecBatch *ExecBatchResults `json:"exec_batch"`
-}
-
-// ExecBatchResults is the vectorized-executor comparison: the same scs
-// cluster and queries, run once with the default columnar batches and once
-// with the row-at-a-time pipeline. Rows are byte-identical by construction
-// (the differential test enforces it); only the amortization differs —
-// per-tuple operator dispatch and per-row enclave-boundary accounting versus
-// one charge per ~4096-row batch.
-type ExecBatchResults struct {
-	// BatchRows is the vectorized pipeline's batch size.
-	BatchRows int `json:"batch_rows"`
-	// VecGeomeanMicros / RowGeomeanMicros are the scs geometric-mean
-	// latencies under each pipeline; Speedup is row/vec.
-	VecGeomeanMicros float64 `json:"vec_geomean_micros"`
-	RowGeomeanMicros float64 `json:"row_geomean_micros"`
-	Speedup          float64 `json:"speedup"`
-	// VecTimesMicros / RowTimesMicros are the per-query latencies, keyed "q<N>".
-	VecTimesMicros map[string]float64 `json:"vec_times_micros"`
-	RowTimesMicros map[string]float64 `json:"row_times_micros"`
-}
-
-// TailClass is one query class's tail-latency record: exact nearest-rank
-// percentiles over the class's simulated latencies, plus hedging activity.
-type TailClass struct {
-	Queries   int     `json:"queries"`
-	P50Micros float64 `json:"p50_micros"`
-	P95Micros float64 `json:"p95_micros"`
-	P99Micros float64 `json:"p99_micros"`
-	Hedges    int     `json:"hedges"`
-	HedgeWins int     `json:"hedge_wins"`
 }
 
 // Breakdown is one query's Figure 8 cost split (fractions sum to 1).
@@ -86,8 +42,6 @@ type ScanCounters struct {
 	ScanBatches       int64 `json:"scan_batches"`
 	MerkleHashes      int64 `json:"merkle_hashes"`
 	MerkleHashesSaved int64 `json:"merkle_hashes_saved"`
-	PlainCacheHits    int64 `json:"plain_cache_hits"`
-	PlainCacheMisses  int64 `json:"plain_cache_misses"`
 }
 
 // jsonQueryKey names a query in the JSON maps.
@@ -114,7 +68,6 @@ func CollectResults(sf float64, queries []int) (*Results, error) {
 		GeomeanMicros: map[string]float64{},
 		ScsBreakdown:  map[string]Breakdown{},
 		ScsScan:       map[string]ScanCounters{},
-		ScsTail:       map[string]TailClass{},
 	}
 	for _, m := range jsonModes {
 		mode := m
@@ -150,8 +103,6 @@ func CollectResults(sf float64, queries []int) (*Results, error) {
 					ScanBatches:       stats.Storage.ScanBatches,
 					MerkleHashes:      stats.Storage.MerkleHashes,
 					MerkleHashesSaved: stats.Storage.MerkleHashesSaved,
-					PlainCacheHits:    stats.Storage.PlainCacheHits,
-					PlainCacheMisses:  stats.Storage.PlainCacheMisses,
 				}
 			}
 		}
@@ -159,72 +110,6 @@ func CollectResults(sf float64, queries []int) (*Results, error) {
 		if n > 0 {
 			res.GeomeanMicros[mode.String()] = math.Exp(logSum / float64(n))
 		}
-		if mode == ironsafe.IronSafe {
-			tail := c.Monitor.TailReportNow()
-			for _, tc := range tail.Classes {
-				res.ScsTail[tc.Class] = TailClass{
-					Queries:   tc.Queries,
-					P50Micros: float64(tc.P50) / float64(time.Microsecond),
-					P95Micros: float64(tc.P95) / float64(time.Microsecond),
-					P99Micros: float64(tc.P99) / float64(time.Microsecond),
-					Hedges:    tc.Hedges,
-					HedgeWins: tc.HedgeWins,
-				}
-			}
-			res.TailEjections = tail.Ejections
-			res.TailReadmissions = tail.Readmissions
-		}
 	}
-	eb, err := collectExecBatch(data, queries, res.TimesMicros[ironsafe.IronSafe.String()], res.GeomeanMicros[ironsafe.IronSafe.String()])
-	if err != nil {
-		return nil, fmt.Errorf("results exec_batch: %w", err)
-	}
-	res.ExecBatch = eb
-
-	ing, err := Ingest(4, 50)
-	if err != nil {
-		return nil, fmt.Errorf("results ingest: %w", err)
-	}
-	res.Ingest = ing
 	return res, nil
-}
-
-// collectExecBatch reruns the scs queries with the row-at-a-time executor
-// (ExecBatchRows=1) and pairs them with the vectorized series the main loop
-// already measured (the scs run uses the default batched pipeline).
-func collectExecBatch(data *tpch.Data, queries []int, vecTimes map[string]float64, vecGeomean float64) (*ExecBatchResults, error) {
-	c, err := newCluster(ironsafe.IronSafe, data, func(cfg *ironsafe.Config) {
-		cfg.ExecBatchRows = 1
-	})
-	if err != nil {
-		return nil, err
-	}
-	eb := &ExecBatchResults{
-		BatchRows:        exec.DefaultBatchRows,
-		VecGeomeanMicros: vecGeomean,
-		VecTimesMicros:   map[string]float64{},
-		RowTimesMicros:   map[string]float64{},
-	}
-	logSum, n := 0.0, 0
-	for _, qn := range queries {
-		key := jsonQueryKey(qn)
-		eb.VecTimesMicros[key] = vecTimes[key]
-		t, _, err := runQuery(c, tpch.Queries[qn])
-		if err != nil {
-			return nil, fmt.Errorf("row-mode q%d: %w", qn, err)
-		}
-		us := float64(t) / float64(time.Microsecond)
-		eb.RowTimesMicros[key] = us
-		if us > 0 {
-			logSum += math.Log(us)
-			n++
-		}
-	}
-	if n > 0 {
-		eb.RowGeomeanMicros = math.Exp(logSum / float64(n))
-	}
-	if eb.VecGeomeanMicros > 0 {
-		eb.Speedup = eb.RowGeomeanMicros / eb.VecGeomeanMicros
-	}
-	return eb, nil
 }

@@ -106,14 +106,6 @@ func TestCollectResults(t *testing.T) {
 			t.Errorf("%s: ScanBatches = %d, want > 0 (batching is the default)", keyFor(qn), sc.ScanBatches)
 		}
 	}
-	if len(res.ScsTail) == 0 {
-		t.Fatal("scs tail summary missing")
-	}
-	for class, tc := range res.ScsTail {
-		if tc.Queries <= 0 || tc.P50Micros <= 0 || tc.P99Micros < tc.P50Micros {
-			t.Errorf("tail class %s: %+v", class, tc)
-		}
-	}
 	blob, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)

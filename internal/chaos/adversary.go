@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -27,10 +26,10 @@ import (
 	"ironsafe"
 	"ironsafe/internal/adversary"
 	"ironsafe/internal/ctl"
+	"ironsafe/internal/faultinject"
 	"ironsafe/internal/ingest"
 	"ironsafe/internal/pager"
 	"ironsafe/internal/resilience"
-	"ironsafe/internal/tpch"
 )
 
 // AdversaryConfig scripts one active-adversary conformance run.
@@ -39,41 +38,27 @@ type AdversaryConfig struct {
 	Seed uint64
 	// Queries is the broad-phase query count (0 means 12).
 	Queries int
-	// Nodes is the storage node count (0 means 2).
-	Nodes int
 	// MaxSteps bounds how deep into each frame stream the targeted grid
 	// plants its per-step attacks (0 means 2: the key-confirmation frame and
 	// the first data frame).
 	MaxSteps int
 	// IngestRecords is the ctl-ingest drill's record count (0 means 10).
 	IngestRecords int
-	// QueryTimeout is the per-operation hang watchdog (0 means 30s).
-	QueryTimeout time.Duration
-	// IOTimeout bounds each channel Send/Recv (0 means 250ms).
-	IOTimeout time.Duration
-	// ScaleFactor is the TPC-H volume (0 means 0.001).
-	ScaleFactor float64
 }
 
 // AdversaryReport is the full run record.
 type AdversaryReport struct {
 	// Mounted lists the distinct attack classes actually mounted; Attacks is
 	// their total count.
-	Mounted []adversary.Class
+	Mounted []faultinject.Class
 	Attacks int
 	// Cells is how many targeted grid cells ran (one attack class at one
 	// protocol step each).
 	Cells int
-	// Succeeded / Failed partition the watchdogged queries.
-	Succeeded, Failed int
-	// WrongResults counts successful queries whose rows differed from the
-	// attack-free reference (must be zero — the core fail-closed invariant).
-	WrongResults int
-	// Hangs counts watchdog firings (must be zero).
-	Hangs int
-	// Untyped counts failures that did not map to a known error class
-	// (must be zero: every refusal is typed).
-	Untyped int
+	// Tally partitions the watchdogged queries and counts the broken
+	// invariants; WrongResults == 0 is the core fail-closed one. Hangs and
+	// Untyped also count guarded control operations and ctl dials.
+	Tally
 	// AckViolations counts ingest acks not backed by durable rows on every
 	// replica (must be zero: a forged or replayed ack may never stand).
 	AckViolations int
@@ -86,36 +71,23 @@ func (c *AdversaryConfig) fill() {
 	if c.Queries == 0 {
 		c.Queries = 12
 	}
-	if c.Nodes == 0 {
-		c.Nodes = 2
-	}
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 2
 	}
 	if c.IngestRecords == 0 {
 		c.IngestRecords = 10
 	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = 30 * time.Second
-	}
-	if c.IOTimeout == 0 {
-		c.IOTimeout = 250 * time.Millisecond
-	}
-	if c.ScaleFactor == 0 {
-		c.ScaleFactor = 0.001
-	}
 }
 
-// adversaryHarness carries the state every phase shares: the generated data,
+// adversaryHarness carries the state every phase shares: the harness with
 // the attack-free reference digests, the running report, and the digest
 // accumulator all phase outcomes and traces feed.
 type adversaryHarness struct {
-	cfg      *AdversaryConfig
-	data     *tpch.Data
-	expected []string // reference row digests, indexed like QueryMix
-	rep      *AdversaryReport
-	acc      hash.Hash
-	mounted  map[adversary.Class]int
+	*harness
+	cfg     *AdversaryConfig
+	rep     *AdversaryReport
+	acc     hash.Hash
+	mounted map[faultinject.Class]int
 }
 
 // RunAdversary executes one scripted adversary run and returns its report.
@@ -128,29 +100,14 @@ type adversaryHarness struct {
 func RunAdversary(cfg AdversaryConfig) (*AdversaryReport, error) {
 	cfg.fill()
 	h := &adversaryHarness{
+		harness: newHarness(ironsafe.IronSafe, 2),
 		cfg:     &cfg,
-		data:    tpch.Generate(cfg.ScaleFactor),
 		rep:     &AdversaryReport{},
 		acc:     sha256.New(),
-		mounted: map[adversary.Class]int{},
+		mounted: map[faultinject.Class]int{},
 	}
-
-	// Attack-free reference: defines the correct rows for the query mix.
-	ref, _, err := h.cluster(nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("adversary sweep: reference cluster: %w", err)
-	}
-	if err := h.load(ref, accessPolicy); err != nil {
-		return nil, err
-	}
-	refSession := ref.NewSession(clientKey)
-	h.expected = make([]string, len(QueryMix))
-	for i, qn := range QueryMix {
-		r, err := refSession.Query(tpch.Queries[qn])
-		if err != nil {
-			return nil, fmt.Errorf("adversary sweep: reference q%d: %w", qn, err)
-		}
-		h.expected[i] = digestRows(r.Result)
+	if err := h.reference(accessPolicy); err != nil {
+		return nil, fmt.Errorf("adversary sweep: %w", err)
 	}
 
 	for _, phase := range []func() error{
@@ -161,123 +118,44 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryReport, error) {
 		}
 	}
 
-	for cls, n := range h.mounted {
-		if n > 0 {
-			h.rep.Mounted = append(h.rep.Mounted, cls)
-			h.rep.Attacks += n
-		}
+	h.rep.Mounted = classesOf(h.mounted)
+	for _, n := range h.mounted {
+		h.rep.Attacks += n
 	}
-	sort.Slice(h.rep.Mounted, func(i, j int) bool { return h.rep.Mounted[i] < h.rep.Mounted[j] })
 	h.rep.Digest = hex.EncodeToString(h.acc.Sum(nil))
 	return h.rep, nil
 }
 
-// cluster builds a secure cluster with the adversary interposed: eng wraps
-// every channel (query and rebuild legs both dial through ConnWrapper), and
-// medEng wraps every node's raw medium, returning the wrapped devices by
-// node so the medium drills can drive them.
-func (h *adversaryHarness) cluster(eng, medEng *adversary.Engine) (*ironsafe.Cluster, map[string]*adversary.Device, error) {
-	rc := resilience.Config{
-		HandshakeTimeout: 500 * time.Millisecond,
-		IOTimeout:        h.cfg.IOTimeout,
-		// Sleep stays nil: retries back off virtually, so the run's pacing
-		// never depends on the wall clock.
-	}
-	ic := ironsafe.Config{
-		Mode:         ironsafe.IronSafe,
-		StorageNodes: h.cfg.Nodes,
-		Resilience:   &rc,
-	}
-	if eng != nil {
-		ic.ChannelTransport = true
-		ic.ConnWrapper = func(site string, conn net.Conn) net.Conn {
-			return adversary.WrapConn(conn, site, adversary.StorageProfile, eng)
-		}
-	}
-	var devs map[string]*adversary.Device
-	if medEng != nil {
-		devs = map[string]*adversary.Device{}
-		var mu sync.Mutex
-		ic.StorageDeviceWrapper = func(node string, dev pager.BlockDevice) pager.BlockDevice {
-			d := adversary.WrapDevice(dev, "medium:"+node, medEng)
-			mu.Lock()
-			devs[node] = d
-			mu.Unlock()
-			return d
-		}
-	}
-	c, err := ironsafe.NewCluster(ic)
-	return c, devs, err
-}
-
-func (h *adversaryHarness) load(c *ironsafe.Cluster, policy string) error {
-	if err := c.LoadTPCHData(h.data); err != nil {
-		return err
-	}
-	return c.SetAccessPolicy(policy)
-}
-
-// advOutcome is one watchdogged query's normalized result.
-type advOutcome struct {
-	ok        bool
-	class     string
-	rowsOK    bool
-	failovers int
+// mitm is the substrate of the channel phases: eng's protocol-aware
+// man-in-the-middle on every storage channel (query and rebuild legs both
+// dial through it).
+func mitm(eng *adversary.Engine) substrate {
+	return substrate{conn: func(site string, conn net.Conn) net.Conn {
+		return adversary.WrapConn(conn, site, adversary.StorageProfile, eng)
+	}}
 }
 
 // runQuery submits one query from the mix under the hang watchdog and folds
 // the outcome into the report's invariant counters.
-func (h *adversaryHarness) runQuery(session *ironsafe.Session, mix int) advOutcome {
-	type qr struct {
-		res *ironsafe.QueryResult
-		err error
-	}
-	ch := make(chan qr, 1)
-	go func() {
-		r, err := session.Query(tpch.Queries[QueryMix[mix]])
-		ch <- qr{r, err}
-	}()
-	select {
-	case r := <-ch:
-		o := advOutcome{class: classify(r.err)}
-		if r.err == nil {
-			o.ok = true
-			o.rowsOK = digestRows(r.res.Result) == h.expected[mix]
-			o.failovers = r.res.Stats.Failovers
-			h.rep.Succeeded++
-			if !o.rowsOK {
-				h.rep.WrongResults++
-			}
-		} else {
-			h.rep.Failed++
-			if o.class == "untyped" {
-				h.rep.Untyped++
-			}
-		}
-		return o
-	case <-time.After(h.cfg.QueryTimeout): //ironsafe:allow wallclock -- hang watchdog, the invariant under test
-		h.rep.Hangs++
-		return advOutcome{class: "hang"}
-	}
+func (h *adversaryHarness) runQuery(session *ironsafe.Session, mix int) Outcome {
+	o, _ := h.query(session, 0, mix, &h.rep.Tally)
+	return o
 }
 
 // guard runs a cluster operation (rebuild, restart) under the hang watchdog:
 // an attacked control operation that wedges is as broken as a wedged query.
 func (h *adversaryHarness) guard(what string, f func() error) error {
-	ch := make(chan error, 1)
-	go func() { ch <- f() }()
-	select {
-	case err := <-ch:
-		return err
-	case <-time.After(h.cfg.QueryTimeout): //ironsafe:allow wallclock -- hang watchdog, the invariant under test
+	err, ok := watch(f)
+	if !ok {
 		h.rep.Hangs++
 		return fmt.Errorf("adversary sweep: %s hung", what)
 	}
+	return err
 }
 
 // absorb folds an engine's attack trace into the digest and its per-class
 // counts into the report.
-func (h *adversaryHarness) absorb(tag string, eng *adversary.Engine) {
+func (h *adversaryHarness) absorb(tag string, eng *faultinject.Plan) {
 	for _, line := range eng.Trace() {
 		fmt.Fprintf(h.acc, "%s %s\n", tag, line)
 	}
@@ -291,27 +169,24 @@ func (h *adversaryHarness) absorb(tag string, eng *adversary.Engine) {
 // attacks over whatever protocol states the run passes through.
 func (h *adversaryHarness) phaseBroad() error {
 	eng := adversary.NewEngine(h.cfg.Seed,
-		adversary.Rule{Site: ":read", Class: adversary.Replay, Prob: 0.04, After: 2},
-		adversary.Rule{Site: ":read", Class: adversary.Duplicate, Prob: 0.03, After: 2},
-		adversary.Rule{Site: ":read", Class: adversary.Reorder, Prob: 0.02, After: 2},
-		adversary.Rule{Site: ":write", Class: adversary.Inject, Prob: 0.03, After: 2},
-		adversary.Rule{Site: ":write", Class: adversary.Splice, Prob: 0.02, After: 2},
+		faultinject.Rule{Site: ":read", Class: faultinject.Replay, Prob: 0.04, After: 2},
+		faultinject.Rule{Site: ":read", Class: faultinject.Duplicate, Prob: 0.03, After: 2},
+		faultinject.Rule{Site: ":read", Class: faultinject.Reorder, Prob: 0.02, After: 2},
+		faultinject.Rule{Site: ":write", Class: faultinject.Inject, Prob: 0.03, After: 2},
+		faultinject.Rule{Site: ":write", Class: faultinject.Splice, Prob: 0.02, After: 2},
 	)
-	c, _, err := h.cluster(eng, nil)
+	c, err := h.cluster(mitm(eng))
 	if err != nil {
 		return fmt.Errorf("adversary sweep: broad cluster: %w", err)
-	}
-	if err := h.load(c, accessPolicy); err != nil {
-		return err
 	}
 	session := c.NewSession(clientKey)
 	for qi := 0; qi < h.cfg.Queries; qi++ {
 		mix := qi % len(QueryMix)
 		o := h.runQuery(session, mix)
 		fmt.Fprintf(h.acc, "A q%02d mix=%d ok=%t class=%s rows-ok=%t failovers=%d\n",
-			qi, mix, o.ok, o.class, o.ok && o.rowsOK, o.failovers)
+			qi, mix, o.OK, o.Class, h.rowsOK(o), o.Failovers)
 	}
-	h.absorb("A", eng)
+	h.absorb("A", eng.Plan)
 	return nil
 }
 
@@ -325,17 +200,14 @@ func (h *adversaryHarness) phaseGrid() error {
 	const gridMix = 2 // QueryMix[2] == q6: the cheapest query in the mix
 
 	probe := adversary.NewEngine(h.cfg.Seed)
-	c, _, err := h.cluster(probe, nil)
+	c, err := h.cluster(mitm(probe))
 	if err != nil {
 		return fmt.Errorf("adversary sweep: probe cluster: %w", err)
 	}
-	if err := h.load(c, accessPolicy); err != nil {
-		return err
+	if o := h.runQuery(c.NewSession(clientKey), gridMix); !h.rowsOK(o) {
+		return fmt.Errorf("adversary sweep: clean probe failed (class=%s)", o.Class)
 	}
-	if o := h.runQuery(c.NewSession(clientKey), gridMix); !o.ok || !o.rowsOK {
-		return fmt.Errorf("adversary sweep: clean probe failed (class=%s)", o.class)
-	}
-	ids := nodeIDs(h.cfg.Nodes)
+	ids := nodeIDs(h.nodes)
 	gridNode := ids[0]
 	for _, id := range ids {
 		if probe.OpsAt(id+":read") > probe.OpsAt(gridNode+":read") {
@@ -343,9 +215,9 @@ func (h *adversaryHarness) phaseGrid() error {
 		}
 	}
 
-	frameClasses := []adversary.Class{
-		adversary.Replay, adversary.Duplicate, adversary.Reorder,
-		adversary.Splice, adversary.Inject,
+	frameClasses := []faultinject.Class{
+		faultinject.Replay, faultinject.Duplicate, faultinject.Reorder,
+		faultinject.Splice, faultinject.Inject,
 	}
 	cell := 0
 	for _, dir := range []string{":read", ":write"} {
@@ -356,7 +228,7 @@ func (h *adversaryHarness) phaseGrid() error {
 		}
 		for _, cls := range frameClasses {
 			for step := 0; step < steps; step++ {
-				if err := h.gridCell(cell, gridMix, adversary.Rule{
+				if err := h.gridCell(cell, gridMix, faultinject.Rule{
 					Site: leg, Class: cls, Prob: 1, After: step, MaxCount: 1,
 				}); err != nil {
 					return err
@@ -368,8 +240,8 @@ func (h *adversaryHarness) phaseGrid() error {
 	// Identity steps: Replay mounts a unit recorded from a previous session,
 	// Splice stitches a different session's unit into this connection setup.
 	for _, sub := range []string{":read:pubkey", ":write:pubkey", ":write:preamble"} {
-		for _, cls := range []adversary.Class{adversary.Replay, adversary.Splice} {
-			if err := h.gridCell(cell, gridMix, adversary.Rule{
+		for _, cls := range []faultinject.Class{faultinject.Replay, faultinject.Splice} {
+			if err := h.gridCell(cell, gridMix, faultinject.Rule{
 				Site: gridNode + sub, Class: cls, Prob: 1, MaxCount: 1,
 			}); err != nil {
 				return err
@@ -381,20 +253,17 @@ func (h *adversaryHarness) phaseGrid() error {
 	return nil
 }
 
-func (h *adversaryHarness) gridCell(idx, mix int, rule adversary.Rule) error {
+func (h *adversaryHarness) gridCell(idx, mix int, rule faultinject.Rule) error {
 	eng := adversary.NewEngine(h.cfg.Seed^(uint64(idx+1)*0x9e3779b97f4a7c15), rule)
 	seedIdentityMaterial(eng, rule)
-	c, _, err := h.cluster(eng, nil)
+	c, err := h.cluster(mitm(eng))
 	if err != nil {
 		return fmt.Errorf("adversary sweep: cell %d cluster: %w", idx, err)
 	}
-	if err := h.load(c, accessPolicy); err != nil {
-		return err
-	}
 	o := h.runQuery(c.NewSession(clientKey), mix)
 	fmt.Fprintf(h.acc, "B cell=%02d %s@%s+%d ok=%t class=%s rows-ok=%t failovers=%d\n",
-		idx, rule.Class, rule.Site, rule.After, o.ok, o.class, o.ok && o.rowsOK, o.failovers)
-	h.absorb(fmt.Sprintf("B%02d", idx), eng)
+		idx, rule.Class, rule.Site, rule.After, o.OK, o.Class, h.rowsOK(o), o.Failovers)
+	h.absorb(fmt.Sprintf("B%02d", idx), eng.Plan)
 	return nil
 }
 
@@ -402,34 +271,46 @@ func (h *adversaryHarness) gridCell(idx, mix int, rule adversary.Rule) error {
 // identity units so identity-step Replay/Splice cells have real-shaped
 // material to mount: a stale session's preamble, a stale session's 32-byte
 // public key. Frame cells need nothing — the engine records live frames.
-func seedIdentityMaterial(eng *adversary.Engine, rule adversary.Rule) {
+func seedIdentityMaterial(eng *adversary.Engine, rule faultinject.Rule) {
 	switch {
 	case strings.HasSuffix(rule.Site, ":pubkey"):
 		old := make([]byte, 32)
 		for i := range old {
 			old[i] = byte(i*37 + 11)
 		}
-		eng.Record(rule.Site, old)
-		eng.Record("previous-session:pubkey", old)
+		eng.Remember(rule.Site, old)
+		eng.Remember("previous-session:pubkey", old)
 	case strings.HasSuffix(rule.Site, ":preamble"):
 		// Shaped exactly like a live query-session preamble: 1-byte length +
 		// "sess-NNNNNN-hhhhhhhh" (20 bytes).
 		sid := "sess-999999-deadbeef"
 		pre := append([]byte{byte(len(sid))}, sid...)
-		eng.Record(rule.Site, pre)
-		eng.Record("previous-session:preamble", pre)
+		eng.Remember(rule.Site, pre)
+		eng.Remember("previous-session:preamble", pre)
 	}
 }
 
 // advListener adapts a channel of pipe ends to net.Listener so a real
-// ctl.Server serves MITM-wrapped in-memory connections.
+// ctl.Server serves MITM-wrapped in-memory connections. The phase that owns
+// it dials only while it is open and closes it once.
 type advListener struct {
-	mu     sync.Mutex
-	ch     chan net.Conn
-	closed bool
+	ch chan net.Conn
+	// served counts server-side pipe ends the ctl server has not closed yet;
+	// a handler still applying a record keeps its connection open.
+	served sync.WaitGroup
 }
 
-func newAdvListener() *advListener { return &advListener{ch: make(chan net.Conn, 8)} }
+// servedConn reports the ctl server's Close of one accepted connection.
+type servedConn struct {
+	net.Conn
+	once sync.Once
+	done func()
+}
+
+func (c *servedConn) Close() error {
+	c.once.Do(c.done)
+	return c.Conn.Close()
+}
 
 func (l *advListener) Accept() (net.Conn, error) {
 	c, ok := <-l.ch
@@ -440,12 +321,7 @@ func (l *advListener) Accept() (net.Conn, error) {
 }
 
 func (l *advListener) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.closed {
-		l.closed = true
-		close(l.ch)
-	}
+	close(l.ch)
 	return nil
 }
 
@@ -455,15 +331,8 @@ func (l *advListener) Addr() net.Addr { return advAddr{} }
 // the client half.
 func (l *advListener) dial() net.Conn {
 	a, b := net.Pipe()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		a.Close()
-		b.Close()
-		return a
-	}
-	l.ch <- b
-	l.mu.Unlock()
+	l.served.Add(1)
+	l.ch <- &servedConn{Conn: b, done: l.served.Done}
 	return a
 }
 
@@ -480,24 +349,16 @@ func (advAddr) String() string  { return "adv-pipe" }
 // as an acked-but-absent record, which this audit catches.
 func (h *adversaryHarness) phaseIngest() error {
 	eng := adversary.NewEngine(h.cfg.Seed^0xA5A5A5A5A5A5A5A5,
-		adversary.Rule{Site: "ctl:ingest:read:banner", Class: adversary.Banner, Prob: 1, MaxCount: 1},
-		adversary.Rule{Site: "ctl:ingest:read", Class: adversary.Replay, Prob: 0.12, After: 3, MaxCount: 2},
-		adversary.Rule{Site: "ctl:ingest:read", Class: adversary.Duplicate, Prob: 0.10, After: 3, MaxCount: 2},
-		adversary.Rule{Site: "ctl:ingest:write", Class: adversary.Inject, Prob: 0.10, After: 3, MaxCount: 2},
+		faultinject.Rule{Site: "ctl:ingest:read:banner", Class: faultinject.Banner, Prob: 1, MaxCount: 1},
+		faultinject.Rule{Site: "ctl:ingest:read", Class: faultinject.Replay, Prob: 0.12, After: 3, MaxCount: 2},
+		faultinject.Rule{Site: "ctl:ingest:read", Class: faultinject.Duplicate, Prob: 0.10, After: 3, MaxCount: 2},
+		faultinject.Rule{Site: "ctl:ingest:write", Class: faultinject.Inject, Prob: 0.10, After: 3, MaxCount: 2},
 	)
-	c, _, err := h.cluster(nil, nil)
+	c, err := h.cluster(substrate{policy: ingestAccessPolicy})
 	if err != nil {
 		return fmt.Errorf("adversary sweep: ingest cluster: %w", err)
 	}
-	if err := h.load(c, ingestAccessPolicy); err != nil {
-		return err
-	}
-	for _, s := range c.Storage {
-		if _, err := s.DB().Execute("CREATE TABLE ingest_ev (id INTEGER, client TEXT, note TEXT)"); err != nil {
-			return err
-		}
-	}
-	pipe, err := c.IngestPipeline(ingest.Config{BatchMax: 4, QueueMax: 256})
+	pipe, err := ingestPipeline(c, ingest.Config{BatchMax: 4, QueueMax: 256})
 	if err != nil {
 		return err
 	}
@@ -507,7 +368,7 @@ func (h *adversaryHarness) phaseIngest() error {
 	srv := ctl.NewServer(psk)
 	srv.HandshakeTimeout = 2 * time.Second
 	ingest.RegisterCtl(srv, pipe)
-	ln := newAdvListener()
+	ln := &advListener{ch: make(chan net.Conn)}
 	defer ln.Close()
 	go srv.Serve(ln)
 
@@ -567,6 +428,14 @@ func (h *adversaryHarness) phaseIngest() error {
 	}
 	cli.Close()
 
+	// Quiesce: a client that gave up on an attacked reply leaves the server
+	// still applying that record. Whether an unacked record lands is legal
+	// either way, but the audit below must not race it — every client end is
+	// closed, so each handler finishes its record and closes its connection.
+	if err := h.guard("ctl quiesce", func() error { ln.served.Wait(); return nil }); err != nil {
+		return err
+	}
+
 	// The forged-ack audit: every acked insert is durable on every replica.
 	ackedCount := 0
 	for ri, ok := range acked {
@@ -584,21 +453,12 @@ func (h *adversaryHarness) phaseIngest() error {
 			}
 		}
 	}
-	// And the replicas agree with each other byte-for-byte logically.
-	var first string
-	for i, s := range c.Storage {
-		d, err := ingestTableDigest(s.DB(), "ingest_ev")
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			first = d
-		} else if d != first {
-			return fmt.Errorf("adversary sweep: ingest replica %d diverged", i)
-		}
+	first, err := replicasAgree(c)
+	if err != nil {
+		return fmt.Errorf("adversary sweep: ingest: %w", err)
 	}
 	fmt.Fprintf(h.acc, "C final %s acked=%d violations=%d\n", first, ackedCount, h.rep.AckViolations)
-	h.absorb("C", eng)
+	h.absorb("C", eng.Plan)
 	return nil
 }
 
@@ -608,20 +468,18 @@ func (h *adversaryHarness) phaseIngest() error {
 // readmission), then a whole-medium rollback to the captured state (same
 // refusal), then an honest restore that must readmit cleanly.
 func (h *adversaryHarness) phaseMedium() error {
-	eng := adversary.NewEngine(h.cfg.Seed ^ 0x5D5D5D5D5D5D5D5D)
-	c, devs, err := h.cluster(nil, eng)
+	plan := faultinject.NewPlan(h.cfg.Seed ^ 0x5D5D5D5D5D5D5D5D)
+	devs := map[string]*adversary.Device{}
+	c, err := h.cluster(substrate{device: func(node string, dev pager.BlockDevice) pager.BlockDevice {
+		devs[node] = adversary.WrapDevice(dev, "medium:"+node, plan)
+		return devs[node]
+	}})
 	if err != nil {
 		return fmt.Errorf("adversary sweep: medium cluster: %w", err)
 	}
-	if err := h.load(c, accessPolicy); err != nil {
-		return err
-	}
-	ids := nodeIDs(h.cfg.Nodes)
+	ids := nodeIDs(h.nodes)
 	victim := ids[len(ids)-1]
 	dev := devs[victim]
-	if dev == nil {
-		return fmt.Errorf("adversary sweep: no wrapped medium for %s", victim)
-	}
 
 	// Capture now, then evolve the media past this point so the captured
 	// images are genuinely stale valid states — mirroring chaos.Run.
@@ -641,21 +499,15 @@ func (h *adversaryHarness) phaseMedium() error {
 	// at readmission (the full sweep does) — and the refusal must be typed.
 	c.KillStorage(victim)
 	dev.ArmStaleReads(1 << 20)
-	refusedAt := ""
-	switch err := h.guard("stale-read restart", func() error { return c.RestartStorage(victim, nil) }); {
-	case errors.Is(err, ironsafe.ErrNodeNotReadmitted):
-		refusedAt = "reopen"
-	case err != nil:
-		return fmt.Errorf("adversary sweep: stale-read restart refusal had wrong type: %w", err)
-	default:
-		if err := c.ReattestStorage(victim); err == nil {
-			return errors.New("adversary sweep: node serving stale reads was readmitted")
-		} else if !errors.Is(err, ironsafe.ErrNodeNotReadmitted) {
-			return fmt.Errorf("adversary sweep: stale-read refusal had wrong type: %w", err)
-		}
-		refusedAt = "readmission"
+	refusal, err := h.mustRefuse(c, victim, "stale-read")
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(h.acc, "D stale-read refused at %s\n", refusedAt)
+	if refusal != nil {
+		fmt.Fprintf(h.acc, "D stale-read refused at reopen\n")
+	} else {
+		fmt.Fprintf(h.acc, "D stale-read refused at readmission\n")
+	}
 
 	// Disarm; the medium underneath was never altered, so an honest reopen
 	// readmits and serves correct rows.
@@ -667,9 +519,9 @@ func (h *adversaryHarness) phaseMedium() error {
 		return fmt.Errorf("adversary sweep: honest readmission after stale reads: %w", err)
 	}
 	o := h.runQuery(session, 0)
-	fmt.Fprintf(h.acc, "D post-stale ok=%t class=%s rows-ok=%t\n", o.ok, o.class, o.ok && o.rowsOK)
-	if !o.ok || !o.rowsOK {
-		return fmt.Errorf("adversary sweep: post-stale query wrong (class=%s)", o.class)
+	fmt.Fprintf(h.acc, "D post-stale ok=%t class=%s rows-ok=%t\n", o.OK, o.Class, h.rowsOK(o))
+	if !h.rowsOK(o) {
+		return fmt.Errorf("adversary sweep: post-stale query wrong (class=%s)", o.Class)
 	}
 
 	// Whole-medium rollback to the captured valid old state.
@@ -677,17 +529,12 @@ func (h *adversaryHarness) phaseMedium() error {
 	if err := dev.Rollback(); err != nil {
 		return err
 	}
-	switch err := h.guard("rollback restart", func() error { return c.RestartStorage(victim, nil) }); {
-	case errors.Is(err, ironsafe.ErrNodeNotReadmitted):
-		fmt.Fprintf(h.acc, "D rollback refused at reopen class=%s\n", classify(err))
-	case err != nil:
-		return fmt.Errorf("adversary sweep: rollback restart refusal had wrong type: %w", err)
-	default:
-		if err := c.ReattestStorage(victim); err == nil {
-			return errors.New("adversary sweep: rolled-back node was readmitted")
-		} else if !errors.Is(err, ironsafe.ErrNodeNotReadmitted) {
-			return fmt.Errorf("adversary sweep: rollback refusal had wrong type: %w", err)
-		}
+	if refusal, err = h.mustRefuse(c, victim, "rollback"); err != nil {
+		return err
+	}
+	if refusal != nil {
+		fmt.Fprintf(h.acc, "D rollback refused at reopen class=%s\n", classify(refusal))
+	} else {
 		fmt.Fprintf(h.acc, "D rollback refused at readmission\n")
 	}
 
@@ -699,12 +546,33 @@ func (h *adversaryHarness) phaseMedium() error {
 		return fmt.Errorf("adversary sweep: honest restore refused: %w", err)
 	}
 	o = h.runQuery(session, 0)
-	fmt.Fprintf(h.acc, "D restored ok=%t class=%s rows-ok=%t\n", o.ok, o.class, o.ok && o.rowsOK)
-	if !o.ok || !o.rowsOK {
-		return fmt.Errorf("adversary sweep: post-restore query wrong (class=%s)", o.class)
+	fmt.Fprintf(h.acc, "D restored ok=%t class=%s rows-ok=%t\n", o.OK, o.Class, h.rowsOK(o))
+	if !h.rowsOK(o) {
+		return fmt.Errorf("adversary sweep: post-restore query wrong (class=%s)", o.Class)
 	}
-	h.absorb("D", eng)
+	h.absorb("D", plan)
 	return nil
+}
+
+// mustRefuse restarts the killed victim over its attacked medium — a valid
+// old state — and demands the typed refusal: at reopen (journal recovery
+// detects the stale anchor; the refusal is returned) or, the reopen having
+// accepted the medium, at readmission (the full integrity sweep does).
+func (h *adversaryHarness) mustRefuse(c *ironsafe.Cluster, victim, attack string) (reopenRefusal, err error) {
+	err = h.guard(attack+" restart", func() error { return c.RestartStorage(victim, nil) })
+	if errors.Is(err, ironsafe.ErrNodeNotReadmitted) {
+		return err, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("adversary sweep: %s restart refusal had wrong type: %w", attack, err)
+	}
+	if err = c.ReattestStorage(victim); err == nil {
+		return nil, fmt.Errorf("adversary sweep: node under %s was readmitted", attack)
+	}
+	if !errors.Is(err, ironsafe.ErrNodeNotReadmitted) {
+		return nil, fmt.Errorf("adversary sweep: %s refusal had wrong type: %w", attack, err)
+	}
+	return nil, nil
 }
 
 // phaseRebuild attacks the rebuild transfer itself: the import leg toward the
@@ -715,21 +583,18 @@ func (h *adversaryHarness) phaseMedium() error {
 // required.
 func (h *adversaryHarness) phaseRebuild() error {
 	eng := adversary.NewEngine(h.cfg.Seed ^ 0xEBEBEBEBEBEBEBEB)
-	c, _, err := h.cluster(eng, nil)
+	c, err := h.cluster(mitm(eng))
 	if err != nil {
 		return fmt.Errorf("adversary sweep: rebuild cluster: %w", err)
 	}
-	if err := h.load(c, accessPolicy); err != nil {
-		return err
-	}
-	ids := nodeIDs(h.cfg.Nodes)
+	ids := nodeIDs(h.nodes)
 	victim, donor := ids[len(ids)-1], ids[0]
 	c.KillStorage(victim)
 
 	// Each rebuild attempt dials fresh legs with fresh keys, so a replayed
 	// unit is cross-session material by construction.
-	eng.Arm(adversary.Rule{Site: "rebuild:" + victim, Class: adversary.Replay, Prob: 1, MaxCount: 2})
-	eng.Arm(adversary.Rule{Site: "rebuild:" + donor, Class: adversary.Splice, Prob: 1, MaxCount: 2})
+	eng.Arm(faultinject.Rule{Site: "rebuild:" + victim, Class: faultinject.Replay, Prob: 1, MaxCount: 2})
+	eng.Arm(faultinject.Rule{Site: "rebuild:" + donor, Class: faultinject.Splice, Prob: 1, MaxCount: 2})
 
 	var rbErr error
 	for attempt := 0; attempt < 6; attempt++ {
@@ -753,10 +618,10 @@ func (h *adversaryHarness) phaseRebuild() error {
 		return fmt.Errorf("adversary sweep: rebuilt node refused: %w", err)
 	}
 	o := h.runQuery(c.NewSession(clientKey), 0)
-	fmt.Fprintf(h.acc, "E rebuilt ok=%t class=%s rows-ok=%t\n", o.ok, o.class, o.ok && o.rowsOK)
-	if !o.ok || !o.rowsOK {
-		return fmt.Errorf("adversary sweep: post-rebuild query wrong (class=%s)", o.class)
+	fmt.Fprintf(h.acc, "E rebuilt ok=%t class=%s rows-ok=%t\n", o.OK, o.Class, h.rowsOK(o))
+	if !h.rowsOK(o) {
+		return fmt.Errorf("adversary sweep: post-rebuild query wrong (class=%s)", o.Class)
 	}
-	h.absorb("E", eng)
+	h.absorb("E", eng.Plan)
 	return nil
 }

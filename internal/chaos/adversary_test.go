@@ -1,9 +1,10 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 
-	"ironsafe/internal/adversary"
+	"ironsafe/internal/faultinject"
 )
 
 // adversaryTestConfig keeps the in-tree runs affordable; the Makefile sweep
@@ -37,17 +38,18 @@ func TestAdversaryConformance(t *testing.T) {
 	if rep.AckViolations != 0 {
 		t.Errorf("ack violations = %d, want 0", rep.AckViolations)
 	}
+	checkPinned(t, "RunAdversary/seed=7", rep.Digest)
 	if rep.Cells == 0 || rep.Attacks == 0 {
 		t.Errorf("cells = %d, attacks = %d; the grid must have run", rep.Cells, rep.Attacks)
 	}
-	mounted := map[adversary.Class]bool{}
+	mounted := map[faultinject.Class]bool{}
 	for _, cls := range rep.Mounted {
 		mounted[cls] = true
 	}
-	for _, cls := range []adversary.Class{
-		adversary.Replay, adversary.Duplicate, adversary.Reorder,
-		adversary.Splice, adversary.Inject, adversary.Banner,
-		adversary.StaleRead, adversary.Rollback,
+	for _, cls := range []faultinject.Class{
+		faultinject.Replay, faultinject.Duplicate, faultinject.Reorder,
+		faultinject.Splice, faultinject.Inject, faultinject.Banner,
+		faultinject.StaleRead, faultinject.Rollback,
 	} {
 		if !mounted[cls] {
 			t.Errorf("attack class %s was never mounted", cls)
@@ -71,6 +73,7 @@ func TestAdversaryDeterminism(t *testing.T) {
 		if first.Digest != second.Digest {
 			t.Errorf("seed %d digests differ: %s vs %s", seed, first.Digest, second.Digest)
 		}
+		checkPinned(t, fmt.Sprintf("RunAdversary/seed=%d", seed), first.Digest)
 		if first.Attacks != second.Attacks {
 			t.Errorf("seed %d attack counts differ: %d vs %d", seed, first.Attacks, second.Attacks)
 		}

@@ -18,8 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
-	"time"
+	"sort"
 
 	"ironsafe"
 	"ironsafe/internal/ctl"
@@ -30,7 +29,6 @@ import (
 	"ironsafe/internal/resilience"
 	"ironsafe/internal/securestore"
 	"ironsafe/internal/sql/exec"
-	"ironsafe/internal/tpch"
 	"ironsafe/internal/transport"
 )
 
@@ -42,23 +40,9 @@ type Config struct {
 	Queries int
 	// Mode is the cluster configuration under attack.
 	Mode ironsafe.Mode
-	// Nodes is the storage node count (0 means 2).
-	Nodes int
-	// Rules arm the fault classes; see DefaultRules.
-	Rules []faultinject.Rule
-	// CrashRestartAfter is how many queries after a crash the node is
-	// restarted and re-attested (0 means 3).
-	CrashRestartAfter int
 	// RollbackAt scripts a kill + restart-with-stale-medium drill before
 	// that query index; negative disables it.
 	RollbackAt int
-	// QueryTimeout is the per-query hang watchdog (0 means 30s).
-	QueryTimeout time.Duration
-	// IOTimeout bounds each Send/Recv so stalled peers fail fast
-	// (0 means 250ms).
-	IOTimeout time.Duration
-	// ScaleFactor is the TPC-H volume (0 means 0.001).
-	ScaleFactor float64
 }
 
 // QueryMix is the rotation of TPC-H queries the run submits — the subset the
@@ -73,10 +57,14 @@ const (
 	accessPolicy = "read :- sessionKeyIs(chaosclient)"
 )
 
-// DefaultRules arm every channel fault class at low, steady rates, letting
+// crashRestartAfter is how many queries after a crash the node is restarted
+// and re-attested.
+const crashRestartAfter = 3
+
+// chaosRules arm every channel fault class at low, steady rates, letting
 // handshakes mostly complete (After) so faults spread across the protocol
 // rather than all landing on byte one.
-func DefaultRules() []faultinject.Rule {
+func chaosRules() []faultinject.Rule {
 	return []faultinject.Rule{
 		{Site: ":read", Class: faultinject.Corrupt, Prob: 0.02},
 		{Site: ":read", Class: faultinject.Truncate, Prob: 0.015},
@@ -99,8 +87,8 @@ type Outcome struct {
 	RowDigest string
 	Failovers int
 	Fallback  bool
-	// Hedges counts hedged offload races within the query (gray sweep only;
-	// the fail-stop digest predates the field and does not cover it).
+	// Hedges counts hedged offload races within the query (only the gray
+	// sweep's digest covers it; the fail-stop digest predates the field).
 	Hedges int
 }
 
@@ -112,109 +100,68 @@ type Report struct {
 	// Digest commits to every outcome plus the fault trace: two runs with
 	// the same Config must produce the same digest.
 	Digest string
-	// Hangs counts watchdog firings (must be zero).
-	Hangs int
-	// WrongResults counts successful queries whose rows differed from the
-	// fault-free reference (must be zero).
-	WrongResults int
-	// Succeeded / Failed partition the outcomes.
-	Succeeded, Failed int
-	// Untyped counts failures that did not map to a known error class
-	// (must be zero: every failure is fail-fast AND typed).
-	Untyped int
+	// Tally partitions the outcomes and counts the broken invariants.
+	Tally
 }
 
-func (c *Config) fill() {
-	if c.Nodes == 0 {
-		c.Nodes = 2
-	}
-	if c.CrashRestartAfter == 0 {
-		c.CrashRestartAfter = 3
-	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = 30 * time.Second
-	}
-	if c.IOTimeout == 0 {
-		c.IOTimeout = 250 * time.Millisecond
-	}
-	if c.ScaleFactor == 0 {
-		c.ScaleFactor = 0.001
-	}
-	if c.Rules == nil {
-		c.Rules = DefaultRules()
-	}
-}
-
-// classify maps an error to its stable class token.
-func classify(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, ironsafe.ErrNodeNotReadmitted):
-		// Checked before ErrRebuilding: a readmission refusal may wrap the
-		// store's rebuild-marker error and must keep its own class.
-		return "not-readmitted"
-	case errors.Is(err, ironsafe.ErrEpochFenced):
-		return "epoch-fenced"
-	case errors.Is(err, ironsafe.ErrNodeNotDown):
-		return "not-down"
-	case errors.Is(err, securestore.ErrRebuilding):
-		return "rebuilding"
-	case errors.Is(err, hostengine.ErrAllNodesFailed):
-		return "all-nodes-failed"
-	case errors.Is(err, ironsafe.ErrNoStorage):
-		return "no-storage"
-	case errors.Is(err, resilience.ErrCircuitOpen):
-		return "circuit-open"
-	case errors.Is(err, resilience.ErrNodeDown):
-		return "node-down"
-	case errors.Is(err, resilience.ErrBudgetExhausted):
-		return "budget-exhausted"
-	case errors.Is(err, resilience.ErrExhausted):
-		return "exhausted"
-	case errors.Is(err, transport.ErrAuth):
-		return "channel-auth"
-	case errors.Is(err, transport.ErrFrameTooLarge):
-		return "channel-framing"
-	case errors.Is(err, transport.ErrMalformed):
-		return "channel-malformed"
+// errorClasses maps typed errors to stable class tokens; classify returns the
+// first match, so order is part of the contract.
+var errorClasses = []struct {
+	class string
+	errs  []error
+}{
+	// Checked before ErrRebuilding: a readmission refusal may wrap the
+	// store's rebuild-marker error and must keep its own class.
+	{"not-readmitted", []error{ironsafe.ErrNodeNotReadmitted}},
+	{"epoch-fenced", []error{ironsafe.ErrEpochFenced}},
+	{"not-down", []error{ironsafe.ErrNodeNotDown}},
+	{"rebuilding", []error{securestore.ErrRebuilding}},
+	{"all-nodes-failed", []error{hostengine.ErrAllNodesFailed}},
+	{"no-storage", []error{ironsafe.ErrNoStorage}},
+	{"circuit-open", []error{resilience.ErrCircuitOpen}},
+	{"node-down", []error{resilience.ErrNodeDown}},
+	{"budget-exhausted", []error{resilience.ErrBudgetExhausted}},
+	{"exhausted", []error{resilience.ErrExhausted}},
+	{"channel-auth", []error{transport.ErrAuth}},
+	{"channel-framing", []error{transport.ErrFrameTooLarge}},
+	{"channel-malformed", []error{transport.ErrMalformed}},
 	// A torn channel — the peer closed mid-exchange, typically because it
 	// detected an attack on its side and failed closed. The tear itself is a
 	// recognizable condition, not an untyped leak; retry and failover absorb
 	// it like any connection loss.
-	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF),
-		errors.Is(err, io.ErrClosedPipe), errors.Is(err, net.ErrClosed):
-		return "channel-torn"
+	{"channel-torn", []error{io.EOF, io.ErrUnexpectedEOF, io.ErrClosedPipe, net.ErrClosed}},
 	// Adversary-path classes: every way the secure store can refuse
 	// tampered, stale, or rolled-back state must classify, so the adversary
 	// sweep can assert no attack ever surfaces untyped.
-	case errors.Is(err, securestore.ErrFreshness):
-		return "freshness"
-	case errors.Is(err, securestore.ErrIntegrity):
-		return "integrity"
-	case errors.Is(err, securestore.ErrJournalCorrupt):
-		return "journal-corrupt"
-	case errors.Is(err, securestore.ErrRebuildMismatch):
-		return "rebuild-mismatch"
-	case errors.Is(err, faultinject.ErrInjected):
-		return "injected"
+	{"freshness", []error{securestore.ErrFreshness}},
+	{"integrity", []error{securestore.ErrIntegrity}},
+	{"journal-corrupt", []error{securestore.ErrJournalCorrupt}},
+	{"rebuild-mismatch", []error{securestore.ErrRebuildMismatch}},
+	{"injected", []error{faultinject.ErrInjected}},
 	// Write-path classes: the ingest sweep demands that every refusal on the
 	// streaming write path is as typed as the read path's.
-	case errors.Is(err, ctl.ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, monitor.ErrDenied):
-		return "denied"
-	case errors.Is(err, ingest.ErrNotDML):
-		return "not-dml"
-	case errors.Is(err, ingest.ErrClosed):
-		return "ingest-closed"
-	case errors.Is(err, ingest.ErrDiverged):
-		return "ingest-diverged"
-	case errors.Is(err, securestore.ErrStoreFailed):
-		return "store-failed"
-	default:
-		return "untyped"
+	{"overloaded", []error{ctl.ErrOverloaded}},
+	{"denied", []error{monitor.ErrDenied}},
+	{"not-dml", []error{ingest.ErrNotDML}},
+	{"ingest-closed", []error{ingest.ErrClosed}},
+	{"ingest-diverged", []error{ingest.ErrDiverged}},
+	// Last: a poisoning commit wraps its cause, which keeps its own class.
+	{"store-failed", []error{securestore.ErrStoreFailed}},
+}
+
+// classify maps an error to its stable class token.
+func classify(err error) string {
+	if err == nil {
+		return "ok"
 	}
+	for _, c := range errorClasses {
+		for _, e := range c.errs {
+			if errors.Is(err, e) {
+				return c.class
+			}
+		}
+	}
+	return "untyped"
 }
 
 func digestRows(res *exec.Result) string {
@@ -226,91 +173,50 @@ func digestRows(res *exec.Result) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-func newCluster(cfg *Config, plan *faultinject.Plan) (*ironsafe.Cluster, error) {
-	rc := resilience.Config{
-		HandshakeTimeout: 500 * time.Millisecond,
-		IOTimeout:        cfg.IOTimeout,
-		// Sleep stays nil: retries back off virtually, so the chaos run's
-		// pacing never depends on the wall clock.
+// faultyConns is the substrate of the accident sweeps: every storage channel
+// wrapped in plan's faultinject.Conn.
+func faultyConns(plan *faultinject.Plan) func(string, net.Conn) net.Conn {
+	return func(node string, conn net.Conn) net.Conn {
+		return faultinject.WrapConn(conn, node, plan)
 	}
-	ic := ironsafe.Config{
-		Mode:         cfg.Mode,
-		StorageNodes: cfg.Nodes,
-		Resilience:   &rc,
-	}
-	if plan != nil {
-		ic.ChannelTransport = true
-		ic.ConnWrapper = func(node string, conn net.Conn) net.Conn {
-			return faultinject.WrapConn(conn, node, plan)
-		}
-	}
-	return ironsafe.NewCluster(ic)
 }
 
 // Run executes one scripted chaos run and returns its report.
 func Run(cfg Config) (*Report, error) {
-	cfg.fill()
-	data := tpch.Generate(cfg.ScaleFactor)
-
-	// Reference run: same data, same mode, no faults. Defines the correct
-	// rows for every query in the mix.
-	ref, err := newCluster(&cfg, nil)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: reference cluster: %w", err)
-	}
-	if err := ref.LoadTPCHData(data); err != nil {
-		return nil, err
-	}
-	if err := ref.SetAccessPolicy(accessPolicy); err != nil {
-		return nil, err
-	}
-	refSession := ref.NewSession(clientKey)
-	expected := make([]string, len(QueryMix))
-	for i, qn := range QueryMix {
-		r, err := refSession.Query(tpch.Queries[qn])
-		if err != nil {
-			return nil, fmt.Errorf("chaos: reference q%d: %w", qn, err)
-		}
-		expected[i] = digestRows(r.Result)
+	h := newHarness(cfg.Mode, 2)
+	if err := h.reference(accessPolicy); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
 
 	// Cluster under attack.
-	plan := faultinject.NewPlan(cfg.Seed, cfg.Rules...)
-	c, err := newCluster(&cfg, plan)
+	plan := faultinject.NewPlan(cfg.Seed, chaosRules()...)
+	c, err := h.cluster(substrate{conn: faultyConns(plan)})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: cluster: %w", err)
 	}
-	if err := c.LoadTPCHData(data); err != nil {
-		return nil, err
-	}
-	if err := c.SetAccessPolicy(accessPolicy); err != nil {
-		return nil, err
-	}
 
-	// Evolve the secure media past load state so a rollback to the
-	// pre-marker snapshot is genuinely stale (SELECT-only workloads would
-	// otherwise leave nothing for the freshness check to catch). Applied
-	// identically on every node to keep replicas equivalent.
-	stale := make(map[string]*ironsafe.MediumSnapshot)
-	for _, id := range nodeIDs(cfg.Nodes) {
-		snap, err := c.SnapshotStorage(id)
-		if err != nil {
-			return nil, err
-		}
-		stale[id] = snap
+	// Snapshot the rollback drill's victim (the last node), then evolve the
+	// secure media past load state so a rollback to the pre-marker snapshot
+	// is genuinely stale (SELECT-only workloads would otherwise leave nothing
+	// for the freshness check to catch). The marker is applied identically on
+	// every node to keep replicas equivalent.
+	victim := nodeIDs(h.nodes)[h.nodes-1]
+	stale, err := c.SnapshotStorage(victim)
+	if err != nil {
+		return nil, err
 	}
 	if err := markMedia(c); err != nil {
 		return nil, err
 	}
 
 	// Crash scheduling: the plan's crash callback downs the node; the run
-	// loop restarts + re-attests it CrashRestartAfter queries later.
+	// loop restarts + re-attests it crashRestartAfter queries later.
 	restartAt := map[string]int{}
 	queryIdx := 0
 	plan.OnCrash = func(node string) {
 		c.KillStorage(node)
 		if _, scheduled := restartAt[node]; !scheduled {
-			restartAt[node] = queryIdx + cfg.CrashRestartAfter
+			restartAt[node] = queryIdx + crashRestartAfter
 		}
 	}
 
@@ -320,7 +226,7 @@ func Run(cfg Config) (*Report, error) {
 		// Scripted rollback drill: kill a node, restart it from the stale
 		// snapshot, and require readmission to refuse it.
 		if queryIdx == cfg.RollbackAt {
-			if err := rollbackDrill(c, plan, stale); err != nil {
+			if err := rollbackDrill(c, plan, victim, stale); err != nil {
 				return nil, err
 			}
 		}
@@ -337,44 +243,11 @@ func Run(cfg Config) (*Report, error) {
 				}
 			}
 		}
-
-		mix := queryIdx % len(QueryMix)
-		out := Outcome{Query: queryIdx, SQL: mix}
-		type qr struct {
-			res *ironsafe.QueryResult
-			err error
-		}
-		ch := make(chan qr, 1)
-		go func() {
-			r, err := session.Query(tpch.Queries[QueryMix[mix]])
-			ch <- qr{r, err}
-		}()
-		select {
-		case r := <-ch:
-			out.Class = classify(r.err)
-			if r.err == nil {
-				out.OK = true
-				out.RowDigest = digestRows(r.res.Result)
-				out.Failovers = r.res.Stats.Failovers
-				out.Fallback = r.res.Stats.HostFallback
-				rep.Succeeded++
-				if out.RowDigest != expected[mix] {
-					rep.WrongResults++
-				}
-			} else {
-				rep.Failed++
-				if out.Class == "untyped" {
-					rep.Untyped++
-				}
-			}
-		case <-time.After(cfg.QueryTimeout): //ironsafe:allow wallclock -- hang watchdog, the invariant under test
-			out.Class = "hang"
-			rep.Hangs++
-		}
+		out, _ := h.query(session, queryIdx, queryIdx%len(QueryMix), &rep.Tally)
 		rep.Outcomes = append(rep.Outcomes, out)
 	}
 
-	rep.Classes = plan.ClassesInjected()
+	rep.Classes = classesOf(plan.Stats())
 	rep.Digest = digestRun(rep, plan)
 	return rep, nil
 }
@@ -402,15 +275,13 @@ func markMedia(c *ironsafe.Cluster) error {
 	return nil
 }
 
-// rollbackDrill kills the last node, restarts it from its stale pre-marker
+// rollbackDrill kills the victim, restarts it from its stale pre-marker
 // snapshot, and verifies the cluster refuses it; the node then restarts from
 // honest state and rejoins. On secure configurations the refusal now lands
 // at RestartStorage itself: the reopen runs the secure store's journal
 // recovery, which distinguishes a mid-commit crash (recoverable) from a
 // rolled-back medium (ErrFreshness) before re-attestation even starts.
-func rollbackDrill(c *ironsafe.Cluster, plan *faultinject.Plan, stale map[string]*ironsafe.MediumSnapshot) error {
-	ids := nodeIDs(len(c.Storage))
-	victim := ids[len(ids)-1]
+func rollbackDrill(c *ironsafe.Cluster, plan *faultinject.Plan, victim string, stale *ironsafe.MediumSnapshot) error {
 	good, err := c.SnapshotStorage(victim)
 	if err != nil {
 		return err
@@ -418,7 +289,7 @@ func rollbackDrill(c *ironsafe.Cluster, plan *faultinject.Plan, stale map[string
 	c.KillStorage(victim)
 	plan.Record(faultinject.Crash, "drill:"+victim)
 	secureStore := c.Mode() == ironsafe.IronSafe || c.Mode() == ironsafe.StorageOnlySecure
-	switch err := c.RestartStorage(victim, stale[victim]); {
+	switch err := c.RestartStorage(victim, stale); {
 	case errors.Is(err, ironsafe.ErrNodeNotReadmitted):
 		if !secureStore {
 			return fmt.Errorf("chaos: non-secure store refused a restart: %w", err)
@@ -447,17 +318,35 @@ func rollbackDrill(c *ironsafe.Cluster, plan *faultinject.Plan, stale map[string
 	return nil
 }
 
+// classesOf lists the classes stats counted at least once, in class order —
+// the acceptance gates ("≥ 6 fault classes", "every attack class mounted").
+func classesOf(stats map[faultinject.Class]int) []faultinject.Class {
+	var out []faultinject.Class
+	for c, n := range stats {
+		if n > 0 {
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// digestLines commits to a sequence of lines, each newline-terminated.
+func digestLines(lines []string) string {
+	acc := sha256.New()
+	for _, line := range lines {
+		io.WriteString(acc, line)
+		acc.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(acc.Sum(nil))
+}
+
 // digestRun commits to the run: every outcome line plus the fault trace.
 func digestRun(rep *Report, plan *faultinject.Plan) string {
-	var b strings.Builder
+	var lines []string
 	for _, o := range rep.Outcomes {
-		fmt.Fprintf(&b, "q%03d mix=%d ok=%t class=%s rows=%s failovers=%d fallback=%t\n",
-			o.Query, o.SQL, o.OK, o.Class, o.RowDigest, o.Failovers, o.Fallback)
+		lines = append(lines, fmt.Sprintf("q%03d mix=%d ok=%t class=%s rows=%s failovers=%d fallback=%t",
+			o.Query, o.SQL, o.OK, o.Class, o.RowDigest, o.Failovers, o.Fallback))
 	}
-	for _, line := range plan.Trace() {
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	return digestLines(append(lines, plan.Trace()...))
 }

@@ -45,6 +45,7 @@ func TestChaosSuiteInvariants(t *testing.T) {
 	if len(rep.Outcomes) != cfg.Queries {
 		t.Errorf("outcomes = %d, want %d", len(rep.Outcomes), cfg.Queries)
 	}
+	checkPinned(t, "Run/seed=42,queries=60,rollback=20", rep.Digest)
 	t.Logf("chaos: %d ok / %d failed, classes %v, digest %s",
 		rep.Succeeded, rep.Failed, rep.Classes, rep.Digest[:16])
 }
@@ -73,6 +74,8 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 	if c.Digest == a.Digest {
 		t.Error("different seeds produced identical runs (faults not seed-driven?)")
 	}
+	checkPinned(t, "Run/seed=7,queries=24,rollback=10", a.Digest)
+	checkPinned(t, "Run/seed=8,queries=24,rollback=10", c.Digest)
 }
 
 // TestStorageKillMidOffloadSurvived crashes storage-01 on its first offload

@@ -1,17 +1,11 @@
 package chaos
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"net"
-	"strings"
 	"time"
 
 	"ironsafe"
 	"ironsafe/internal/faultinject"
-	"ironsafe/internal/resilience"
-	"ironsafe/internal/tpch"
 )
 
 // GrayConfig scripts one gray-failure run: a cluster where one node does not
@@ -24,27 +18,24 @@ type GrayConfig struct {
 	Seed uint64
 	// Queries is how many queries to submit (rotating through QueryMix).
 	Queries int
-	// Nodes is the storage node count (0 means 3 — ejection needs a cohort).
-	Nodes int
 	// GrayNode is the victim (default storage-01: the proof-order primary, so
 	// its brown-out exercises both ejection and hedged races).
 	GrayNode string
-	// SlowOps bounds the victim's Slow injections per channel leg; once
-	// exhausted the node runs clean again, so the run must observe recovery
-	// (readmission) as well as ejection. 0 means 30 — roughly the first
-	// third of the default run, leaving the rest for the probe-driven EWMA
-	// decay to readmit the node.
-	SlowOps int
-	// StallOps bounds the victim's Stall injections (deadline-bounded hangs;
-	// these consume retry budget). 0 means 2.
-	StallOps int
-	// QueryTimeout is the per-query hang watchdog (0 means 30s).
-	QueryTimeout time.Duration
-	// IOTimeout bounds each Send/Recv so stalls fail fast (0 means 250ms).
-	IOTimeout time.Duration
-	// ScaleFactor is the TPC-H volume (0 means 0.001).
-	ScaleFactor float64
 }
+
+const (
+	// grayNodes is the storage node count: ejection needs a cohort.
+	grayNodes = 3
+	// graySlowOps bounds the victim's Slow injections per channel leg; once
+	// exhausted the node runs clean again, so the run must observe recovery
+	// (readmission) as well as ejection: roughly the first third of the
+	// default run, leaving the rest for the probe-driven EWMA decay to
+	// readmit the node.
+	graySlowOps = 30
+	// grayStallOps bounds the victim's Stall injections (deadline-bounded
+	// hangs; these consume retry budget).
+	grayStallOps = 2
+)
 
 // GrayReport is the full gray-failure run record.
 type GrayReport struct {
@@ -56,10 +47,8 @@ type GrayReport struct {
 	// trace's global ordering is scheduling-dependent even though each
 	// stream (and every outcome) is not.
 	Digest string
-	// Invariant counters (must all be zero).
-	Hangs, WrongResults, Untyped int
-	// Succeeded / Failed partition the outcomes.
-	Succeeded, Failed int
+	// Tally partitions the outcomes and counts the broken invariants.
+	Tally
 	// BudgetExhausted counts queries refused because their deadline budget
 	// ran dry — bounded overrun, never a hang.
 	BudgetExhausted int
@@ -85,26 +74,8 @@ func (c *GrayConfig) fill() {
 	if c.Queries == 0 {
 		c.Queries = 48
 	}
-	if c.Nodes == 0 {
-		c.Nodes = 3
-	}
 	if c.GrayNode == "" {
 		c.GrayNode = "storage-01"
-	}
-	if c.SlowOps == 0 {
-		c.SlowOps = 30
-	}
-	if c.StallOps == 0 {
-		c.StallOps = 2
-	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = 30 * time.Second
-	}
-	if c.IOTimeout == 0 {
-		c.IOTimeout = 250 * time.Millisecond
-	}
-	if c.ScaleFactor == 0 {
-		c.ScaleFactor = 0.001
 	}
 }
 
@@ -115,129 +86,53 @@ func grayRules(cfg *GrayConfig) []faultinject.Rule {
 	read := "conn:" + cfg.GrayNode + ":read"
 	write := "conn:" + cfg.GrayNode + ":write"
 	return []faultinject.Rule{
-		{Site: read, Class: faultinject.Slow, Prob: 0.9, MaxCount: cfg.SlowOps},
-		{Site: write, Class: faultinject.Slow, Prob: 0.9, MaxCount: cfg.SlowOps},
-		{Site: read, Class: faultinject.Stall, Prob: 0.05, After: 4, MaxCount: cfg.StallOps},
+		{Site: read, Class: faultinject.Slow, Prob: 0.9, MaxCount: graySlowOps},
+		{Site: write, Class: faultinject.Slow, Prob: 0.9, MaxCount: graySlowOps},
+		{Site: read, Class: faultinject.Stall, Prob: 0.05, After: 4, MaxCount: grayStallOps},
 	}
-}
-
-// newGrayCluster builds the cluster under test. With a plan, the resilience
-// layer runs in full tail-tolerance mode with the plan's virtual per-node
-// clocks as the latency source — ejection and hedging decisions then follow
-// the seeded fault schedule exactly, never the host machine's speed.
-func newGrayCluster(cfg *GrayConfig, plan *faultinject.Plan) (*ironsafe.Cluster, error) {
-	rc := resilience.Config{
-		HandshakeTimeout: 500 * time.Millisecond,
-		IOTimeout:        cfg.IOTimeout,
-		// Sleep stays nil: retries back off virtually.
-	}
-	ic := ironsafe.Config{
-		Mode:         ironsafe.IronSafe,
-		StorageNodes: cfg.Nodes,
-		Resilience:   &rc,
-	}
-	if plan != nil {
-		rc.LatencyClock = plan.NodeVirtualNow
-		ic.ChannelTransport = true
-		ic.ConnWrapper = func(node string, conn net.Conn) net.Conn {
-			return faultinject.WrapConn(conn, node, plan)
-		}
-	}
-	return ironsafe.NewCluster(ic)
 }
 
 // RunGray executes one scripted gray-failure run and returns its report.
 func RunGray(cfg GrayConfig) (*GrayReport, error) {
 	cfg.fill()
-	data := tpch.Generate(cfg.ScaleFactor)
-
-	// Reference run: same data, no faults, defines the correct rows.
-	ref, err := newGrayCluster(&cfg, nil)
-	if err != nil {
-		return nil, fmt.Errorf("gray: reference cluster: %w", err)
-	}
-	if err := ref.LoadTPCHData(data); err != nil {
-		return nil, err
-	}
-	if err := ref.SetAccessPolicy(accessPolicy); err != nil {
-		return nil, err
-	}
-	refSession := ref.NewSession(clientKey)
-	expected := make([]string, len(QueryMix))
-	for i, qn := range QueryMix {
-		r, err := refSession.Query(tpch.Queries[qn])
-		if err != nil {
-			return nil, fmt.Errorf("gray: reference q%d: %w", qn, err)
-		}
-		expected[i] = digestRows(r.Result)
+	h := newHarness(ironsafe.IronSafe, grayNodes)
+	if err := h.reference(accessPolicy); err != nil {
+		return nil, fmt.Errorf("gray: %w", err)
 	}
 
-	// Cluster under brown-out.
+	// Cluster under brown-out: the resilience layer runs in full
+	// tail-tolerance mode with the plan's virtual per-node clocks as the
+	// latency source — ejection and hedging decisions then follow the seeded
+	// fault schedule exactly, never the host machine's speed.
 	plan := faultinject.NewPlan(cfg.Seed, grayRules(&cfg)...)
-	c, err := newGrayCluster(&cfg, plan)
+	c, err := h.cluster(substrate{conn: faultyConns(plan), latencyClock: plan.NodeVirtualNow})
 	if err != nil {
 		return nil, fmt.Errorf("gray: cluster: %w", err)
-	}
-	if err := c.LoadTPCHData(data); err != nil {
-		return nil, err
-	}
-	if err := c.SetAccessPolicy(accessPolicy); err != nil {
-		return nil, err
 	}
 
 	rep := &GrayReport{}
 	session := c.NewSession(clientKey)
 	for queryIdx := 0; queryIdx < cfg.Queries; queryIdx++ {
-		mix := queryIdx % len(QueryMix)
-		out := Outcome{Query: queryIdx, SQL: mix}
-		type qr struct {
-			res *ironsafe.QueryResult
-			err error
+		out, res := h.query(session, queryIdx, queryIdx%len(QueryMix), &rep.Tally)
+		if res != nil {
+			rep.Hedges += res.Stats.Hedges
+			rep.HedgeWins += res.Stats.HedgeWins
 		}
-		ch := make(chan qr, 1)
-		go func() {
-			r, err := session.Query(tpch.Queries[QueryMix[mix]])
-			ch <- qr{r, err}
-		}()
-		select {
-		case r := <-ch:
-			out.Class = classify(r.err)
-			if r.err == nil {
-				out.OK = true
-				out.RowDigest = digestRows(r.res.Result)
-				out.Failovers = r.res.Stats.Failovers
-				out.Hedges = r.res.Stats.Hedges
-				rep.Succeeded++
-				rep.Hedges += r.res.Stats.Hedges
-				rep.HedgeWins += r.res.Stats.HedgeWins
-				if out.RowDigest != expected[mix] {
-					rep.WrongResults++
-				}
-			} else {
-				rep.Failed++
-				if out.Class == "untyped" {
-					rep.Untyped++
-				}
-				if out.Class == "budget-exhausted" {
-					rep.BudgetExhausted++
-				}
-			}
-		case <-time.After(cfg.QueryTimeout): //ironsafe:allow wallclock -- hang watchdog, the invariant under test
-			out.Class = "hang"
-			rep.Hangs++
+		if out.Class == "budget-exhausted" {
+			rep.BudgetExhausted++
 		}
 		rep.Outcomes = append(rep.Outcomes, out)
-		if ejectedNow(c, cfg.GrayNode) {
+		if c.Health().Ejected(cfg.GrayNode) {
 			rep.GrayEjectedDuringRun = true
 		}
 	}
 
-	rep.GrayEjectedAtEnd = ejectedNow(c, cfg.GrayNode)
+	rep.GrayEjectedAtEnd = c.Health().Ejected(cfg.GrayNode)
 	tail := c.Monitor.TailReportNow()
 	rep.Ejections = tail.Ejections
 	rep.Readmissions = tail.Readmissions
 	rep.GrayVirtualEnd = plan.NodeVirtualNow(cfg.GrayNode)
-	for _, id := range nodeIDs(cfg.Nodes) {
+	for _, id := range nodeIDs(grayNodes) {
 		if id == cfg.GrayNode {
 			continue
 		}
@@ -249,19 +144,12 @@ func RunGray(cfg GrayConfig) (*GrayReport, error) {
 	return rep, nil
 }
 
-// ejectedNow reports whether node is currently in the cluster's soft-ejected
-// set.
-func ejectedNow(c *ironsafe.Cluster, node string) bool {
-	return c.Health().Ejected(node)
-}
-
 // digestGrayRun commits to the deterministic outcome fields only.
 func digestGrayRun(rep *GrayReport) string {
-	var b strings.Builder
+	var lines []string
 	for _, o := range rep.Outcomes {
-		fmt.Fprintf(&b, "q%03d mix=%d ok=%t class=%s rows=%s failovers=%d hedges=%d\n",
-			o.Query, o.SQL, o.OK, o.Class, o.RowDigest, o.Failovers, o.Hedges)
+		lines = append(lines, fmt.Sprintf("q%03d mix=%d ok=%t class=%s rows=%s failovers=%d hedges=%d",
+			o.Query, o.SQL, o.OK, o.Class, o.RowDigest, o.Failovers, o.Hedges))
 	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	return digestLines(lines)
 }

@@ -57,6 +57,7 @@ func TestGraySweepInvariants(t *testing.T) {
 		t.Errorf("gray virtual clock %v not ahead of healthy max %v — no brown-out?",
 			rep.GrayVirtualEnd, rep.HealthyVirtualMax)
 	}
+	checkPinned(t, "RunGray/seed=42,queries=40", rep.Digest)
 	t.Logf("gray: %d ok / %d failed, hedges %d (wins %d), eject/readmit %d/%d, digest %s",
 		rep.Succeeded, rep.Failed, rep.Hedges, rep.HedgeWins,
 		rep.Ejections, rep.Readmissions, rep.Digest[:16])
@@ -96,4 +97,6 @@ func TestGraySweepDeterministicPerSeed(t *testing.T) {
 	if c.Digest == a.Digest {
 		t.Error("different victims produced identical runs (digest blind to the brown-out?)")
 	}
+	checkPinned(t, "RunGray/seed=7,queries=24", a.Digest)
+	checkPinned(t, "RunGray/seed=7,queries=24,gray=storage-02", c.Digest)
 }

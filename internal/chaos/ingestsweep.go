@@ -28,7 +28,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"ironsafe"
 	"ironsafe/internal/engine"
@@ -41,7 +40,6 @@ import (
 	"ironsafe/internal/sql/exec"
 	"ironsafe/internal/storageengine"
 	"ironsafe/internal/tee/trustzone"
-	"ironsafe/internal/tpch"
 )
 
 // ingestClientKey gets the write rule in ingestAccessPolicy; the chaos read
@@ -56,19 +54,8 @@ const (
 type IngestConfig struct {
 	// Seed drives payloads, fault schedules, and torn-write offsets.
 	Seed uint64
-	// Clients is the phase-A concurrent submitter count (0 means 4).
-	Clients int
-	// Records is how many records each phase-A client streams (0 means 6):
-	// Records-1 three-row INSERTs followed by one whole-range UPDATE.
-	Records int
-	// Reads is how many TPC-H queries run concurrently in phase A (0 = 12).
-	Reads int
 	// Tear also sweeps phase B with every k-th write torn mid-block.
 	Tear bool
-	// QueryTimeout is the hang watchdog (0 means 30s).
-	QueryTimeout time.Duration
-	// ScaleFactor is the TPC-H volume for phase A (0 means 0.001).
-	ScaleFactor float64
 }
 
 // IngestReport is the full sweep record.
@@ -79,8 +66,9 @@ type IngestReport struct {
 	Acked, Nacked                               int
 	Batches, Coalesced                          uint64
 	ReadsOK, ReadsFailed, WrongReads, TornReads int
-	// Phase B mirrors SweepReport, driven through the ingest write path.
-	Writes, Points, LandedOld, LandedNew int
+	// Phase B: the power-cut sweep driven through the ingest write path; its
+	// steps are the records.
+	CrashPoints
 	// Phase C: node kills ridden out via restart + NodeRecovered.
 	Kills int
 	// Invariant counters across all phases (must be zero).
@@ -90,27 +78,19 @@ type IngestReport struct {
 	Digest string
 }
 
-func (c *IngestConfig) fill() {
-	if c.Clients == 0 {
-		c.Clients = 4
-	}
-	if c.Records == 0 {
-		c.Records = 6
-	}
-	if c.Reads == 0 {
-		c.Reads = 12
-	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = 30 * time.Second
-	}
-	if c.ScaleFactor == 0 {
-		c.ScaleFactor = 0.001
-	}
-}
+// The shape of phase A.
+const (
+	// ingestClients is the concurrent submitter count.
+	ingestClients = 4
+	// ingestRecords is how many records each client streams: all but the
+	// last are three-row INSERTs, the last one whole-range UPDATE.
+	ingestRecords = 6
+	// ingestReads is how many TPC-H queries run concurrently.
+	ingestReads = 12
+)
 
 // RunIngest executes the sweep, failing on the first broken invariant.
 func RunIngest(cfg IngestConfig) (*IngestReport, error) {
-	cfg.fill()
 	rep := &IngestReport{}
 	acc := sha256.New()
 	if err := runIngestPhaseA(&cfg, rep, acc); err != nil {
@@ -157,6 +137,35 @@ func ingestTableDigest(db *engine.DB, table string) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// ingestPipeline creates the ingest_ev table on every node of c — replicas
+// apply the same batches — and opens the cluster's ingest pipeline.
+func ingestPipeline(c *ironsafe.Cluster, cfg ingest.Config) (*ingest.Pipeline, error) {
+	for _, s := range c.Storage {
+		if _, err := s.DB().Execute("CREATE TABLE ingest_ev (id INTEGER, client TEXT, note TEXT)"); err != nil {
+			return nil, err
+		}
+	}
+	return c.IngestPipeline(cfg)
+}
+
+// replicasAgree digests ingest_ev on every node of c and demands they match:
+// the replicas must agree byte-for-byte logically.
+func replicasAgree(c *ironsafe.Cluster) (string, error) {
+	var first string
+	for i, s := range c.Storage {
+		d, err := ingestTableDigest(s.DB(), "ingest_ev")
+		if err != nil {
+			return "", err
+		}
+		if i == 0 {
+			first = d
+		} else if d != first {
+			return "", fmt.Errorf("replica %d diverged from the authority", i)
+		}
+	}
+	return first, nil
+}
+
 // ingestBrownOutRules arm bounded Slow faults plus a couple of stalls on the
 // primary's channel legs — the read path browns out while ingest (in-process)
 // keeps committing. The sequential reader is the only consumer of these fault
@@ -173,50 +182,18 @@ func ingestBrownOutRules() []faultinject.Rule {
 // Clients write disjoint id ranges, so the final table state is independent
 // of commit interleaving and the phase digests deterministically.
 func runIngestPhaseA(cfg *IngestConfig, rep *IngestReport, acc hash.Hash) error {
-	data := tpch.Generate(cfg.ScaleFactor)
-	base := &Config{Mode: ironsafe.IronSafe, Nodes: 2}
-	base.fill()
-
-	// Fault-free reference for the concurrent read mix.
-	ref, err := newCluster(base, nil)
-	if err != nil {
-		return fmt.Errorf("ingest sweep: reference cluster: %w", err)
-	}
-	if err := ref.LoadTPCHData(data); err != nil {
-		return err
-	}
-	if err := ref.SetAccessPolicy(ingestAccessPolicy); err != nil {
-		return err
-	}
-	refSession := ref.NewSession(clientKey)
-	expected := make([]string, len(QueryMix))
-	for i, qn := range QueryMix {
-		r, err := refSession.Query(tpch.Queries[qn])
-		if err != nil {
-			return fmt.Errorf("ingest sweep: reference q%d: %w", qn, err)
-		}
-		expected[i] = digestRows(r.Result)
+	h := newHarness(ironsafe.IronSafe, 2)
+	if err := h.reference(ingestAccessPolicy); err != nil {
+		return fmt.Errorf("ingest sweep: %w", err)
 	}
 
 	// Cluster under ingest + brown-out.
 	plan := faultinject.NewPlan(cfg.Seed, ingestBrownOutRules()...)
-	c, err := newCluster(base, plan)
+	c, err := h.cluster(substrate{conn: faultyConns(plan), policy: ingestAccessPolicy})
 	if err != nil {
 		return fmt.Errorf("ingest sweep: cluster: %w", err)
 	}
-	if err := c.LoadTPCHData(data); err != nil {
-		return err
-	}
-	if err := c.SetAccessPolicy(ingestAccessPolicy); err != nil {
-		return err
-	}
-	// The ingest table exists on every node: replicas apply the same batches.
-	for _, s := range c.Storage {
-		if _, err := s.DB().Execute("CREATE TABLE ingest_ev (id INTEGER, client TEXT, note TEXT)"); err != nil {
-			return err
-		}
-	}
-	pipe, err := c.IngestPipeline(ingest.Config{BatchMax: 8, QueueMax: 1024})
+	pipe, err := ingestPipeline(c, ingest.Config{BatchMax: 8, QueueMax: 1024})
 	if err != nil {
 		return err
 	}
@@ -228,16 +205,16 @@ func runIngestPhaseA(cfg *IngestConfig, rep *IngestReport, acc hash.Hash) error 
 		class    string
 		affected int
 	}
-	outcomes := make([][]recOutcome, cfg.Clients)
+	outcomes := make([][]recOutcome, ingestClients)
 	var wg sync.WaitGroup
-	for ci := 0; ci < cfg.Clients; ci++ {
+	for ci := 0; ci < ingestClients; ci++ {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
 			name := fmt.Sprintf("c%02d", ci)
-			for ri := 0; ri < cfg.Records; ri++ {
+			for ri := 0; ri < ingestRecords; ri++ {
 				var sql string
-				if ri < cfg.Records-1 {
+				if ri < ingestRecords-1 {
 					b := ci*100000 + ri*10
 					sql = fmt.Sprintf(
 						"INSERT INTO ingest_ev (id, client, note) VALUES (%d, '%s', '%s'), (%d, '%s', '%s'), (%d, '%s', '%s')",
@@ -260,34 +237,10 @@ func runIngestPhaseA(cfg *IngestConfig, rep *IngestReport, acc hash.Hash) error 
 
 	// Concurrent reader: the TPC-H mix under brown-out, with the hang
 	// watchdog, plus the torn-batch snapshot probe between queries.
+	var reads Tally
 	session := c.NewSession(clientKey)
-	for qi := 0; qi < cfg.Reads; qi++ {
-		mix := qi % len(QueryMix)
-		type qr struct {
-			res *ironsafe.QueryResult
-			err error
-		}
-		ch := make(chan qr, 1)
-		go func() {
-			r, err := session.Query(tpch.Queries[QueryMix[mix]])
-			ch <- qr{r, err}
-		}()
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				rep.ReadsOK++
-				if digestRows(r.res.Result) != expected[mix] {
-					rep.WrongReads++
-				}
-			} else {
-				rep.ReadsFailed++
-				if classify(r.err) == "untyped" {
-					rep.Untyped++
-				}
-			}
-		case <-time.After(cfg.QueryTimeout): //ironsafe:allow wallclock -- hang watchdog, the invariant under test
-			rep.Hangs++
-		}
+	for qi := 0; qi < ingestReads; qi++ {
+		h.query(session, qi, qi%len(QueryMix), &reads)
 		// Snapshot probe: mid-batch state must never be visible, so a torn
 		// multi-row insert would betray itself as a count that is not a
 		// multiple of 3 (the UPDATE records do not change counts).
@@ -302,16 +255,13 @@ func runIngestPhaseA(cfg *IngestConfig, rep *IngestReport, acc hash.Hash) error 
 		}
 	}
 
+	rep.ReadsOK, rep.ReadsFailed, rep.WrongReads = reads.Succeeded, reads.Failed, reads.WrongResults
+	rep.Hangs += reads.Hangs
+	rep.Untyped += reads.Untyped
+
 	// Wait out the writers, watchdog-bounded: an acked-write pipeline that
 	// hangs under brown-out is as broken as one that loses data.
-	writersDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(writersDone)
-	}()
-	select {
-	case <-writersDone:
-	case <-time.After(cfg.QueryTimeout): //ironsafe:allow wallclock -- hang watchdog, the invariant under test
+	if _, ok := watch(func() struct{} { wg.Wait(); return struct{}{} }); !ok {
 		rep.Hangs++
 		return errors.New("ingest sweep: phase A writers hung")
 	}
@@ -335,8 +285,7 @@ func runIngestPhaseA(cfg *IngestConfig, rep *IngestReport, acc hash.Hash) error 
 
 	// Acked-set == recovered-set: every acked insert's rows are present, on
 	// every node, and the replicas agree byte-for-byte logically.
-	wantRows := int64(cfg.Clients * 3 * (cfg.Records - 1))
-	digests := make([]string, len(c.Storage))
+	wantRows := int64(ingestClients * 3 * (ingestRecords - 1))
 	for i, s := range c.Storage {
 		res, err := s.DB().Execute("SELECT count(*) FROM ingest_ev")
 		if err != nil {
@@ -345,14 +294,12 @@ func runIngestPhaseA(cfg *IngestConfig, rep *IngestReport, acc hash.Hash) error 
 		if n := res.Rows[0][0].AsInt(); n != wantRows {
 			return fmt.Errorf("ingest sweep: node %d holds %d rows, want %d (acked writes lost or duplicated)", i, n, wantRows)
 		}
-		if digests[i], err = ingestTableDigest(s.DB(), "ingest_ev"); err != nil {
-			return err
-		}
-		if digests[i] != digests[0] {
-			return fmt.Errorf("ingest sweep: replica %d diverged from the authority", i)
-		}
 	}
-	fmt.Fprintf(acc, "A final %s\n", digests[0])
+	final, err := replicasAgree(c)
+	if err != nil {
+		return fmt.Errorf("ingest sweep: %w", err)
+	}
+	fmt.Fprintf(acc, "A final %s\n", final)
 	return nil
 }
 
@@ -372,156 +319,48 @@ func (n *ingestSweepNode) Seq() uint64 { return n.s.Seq() }
 // runIngestPhaseB sweeps a power cut over every device-write boundary of the
 // pipeline's write path — one record per batch, covering appends, rewrites,
 // and catalog persists — and checks every recovery against the acked-write
-// contract.
+// contract: a single submitter streams the records through a fresh pipeline,
+// and the cut models whole-process death — OnNodeDown closes the pipeline, so
+// the interrupted record nacks with ErrClosed and no later record is
+// accepted. Recovery must land on a record boundary, catalog loading and
+// scanning included.
 func runIngestPhaseB(cfg *IngestConfig, rep *IngestReport, acc hash.Hash) error {
-	nw, meter, err := bootSweepDevice()
-	if err != nil {
-		return err
-	}
 	records := stmtSweepWorkload(cfg.Seed)
-
-	// Fault-free reference: write count, ack-seq discipline, and the state
-	// digest at every record boundary.
-	refCut := faultinject.NewPowerCut(pager.NewMemDevice(), "ingestsweep")
-	s, db, err := stmtSweepSetup(refCut, nw, meter, 0, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	pipe, err := ingest.New(ingest.Config{Nodes: []ingest.Node{&ingestSweepNode{"n0", db, s}}})
-	if err != nil {
-		return err
-	}
-	boundaries := make([]string, 0, len(records)+1)
-	d, err := sweepDigest(s)
-	if err != nil {
-		return err
-	}
-	boundaries = append(boundaries, d)
-	refCut.Arm(0, false, 1) // count workload writes only
-	baseSeq := s.Seq()
-	for i, sql := range records {
-		ack, err := pipe.Submit(ingest.Record{Client: ingestClientKey, SQL: sql})
-		if err != nil {
-			return fmt.Errorf("ingest sweep: reference record %d: %w", i, err)
-		}
-		if ack.Seq != baseSeq+uint64(i)+1 {
-			return fmt.Errorf("ingest sweep: record %d acked seq %d, want %d (ack does not name its anchor)",
-				i, ack.Seq, baseSeq+uint64(i)+1)
-		}
-		if d, err = sweepDigest(s); err != nil {
-			return err
-		}
-		boundaries = append(boundaries, d)
-	}
-	pipe.Close()
-	writes := refCut.Writes()
-	rep.Writes = writes
-	for _, b := range boundaries {
-		acc.Write([]byte(b))
-	}
-
-	tears := []bool{false}
-	if cfg.Tear {
-		tears = append(tears, true)
-	}
-	slot := uint16(1)
-	for _, tear := range tears {
-		for k := 1; k <= writes; k++ {
-			landed, err := runIngestCrashPoint(cfg, nw, meter, slot, k, tear, records, boundaries)
+	sw := crashSweep{
+		node: "ingestsweep", seed: cfg.Seed, tear: cfg.Tear, steps: len(records),
+		died:      func(err error) bool { return errors.Is(err, ingest.ErrClosed) },
+		recovered: stmtSweepRecovered,
+		setUp: func(env *sweepEnv, dev pager.BlockDevice, slot uint16) (*securestore.Store, func(int) error, error) {
+			s, db, err := stmtSweepSetup(env, dev, slot, cfg.Seed)
 			if err != nil {
+				return nil, nil, err
+			}
+			var pipe *ingest.Pipeline
+			pipe, err = ingest.New(ingest.Config{
+				Nodes:      []ingest.Node{&ingestSweepNode{"n0", db, s}},
+				OnNodeDown: func(string, error) { pipe.Close() }, // power loss kills the process too
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			baseSeq := s.Seq()
+			return s, func(i int) error {
+				ack, err := pipe.Submit(ingest.Record{Client: ingestClientKey, SQL: records[i]})
+				if err == nil && ack.Seq != baseSeq+uint64(i)+1 {
+					err = fmt.Errorf("record %d acked seq %d, want %d (ack does not name its anchor)",
+						i, ack.Seq, baseSeq+uint64(i)+1)
+				}
 				return err
-			}
-			rep.Points++
-			if landedIsNew(landed) {
-				rep.LandedNew++
-			} else {
-				rep.LandedOld++
-			}
-			acc.Write([]byte{'B', byte(k), byte(k >> 8), b2b(tear), byte(landed.boundary)})
-			slot++
-		}
+			}, nil
+		},
 	}
+	res, err := sw.run()
+	if err != nil {
+		return fmt.Errorf("ingest sweep: phase B: %w", err)
+	}
+	rep.CrashPoints = *res
+	res.digestTo(acc, "B")
 	return nil
-}
-
-// runIngestCrashPoint streams the records through a fresh pipeline with a
-// power cut armed at write k. The cut models whole-process death: OnNodeDown
-// closes the pipeline, so the interrupted record nacks and no later record is
-// accepted. Recovery must land on a record boundary covering every ack.
-func runIngestCrashPoint(cfg *IngestConfig, nw *trustzone.NormalWorld, meter *simtime.Meter, slot uint16, k int, tear bool, records, boundaries []string) (landing, error) {
-	var l landing
-	medium := pager.NewMemDevice()
-	cut := faultinject.NewPowerCut(medium, "ingestsweep")
-	s, db, err := stmtSweepSetup(cut, nw, meter, slot, cfg.Seed)
-	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: setup: %w", k, tear, err)
-	}
-	var pipe *ingest.Pipeline
-	pipe, err = ingest.New(ingest.Config{
-		Nodes:      []ingest.Node{&ingestSweepNode{"n0", db, s}},
-		OnNodeDown: func(string, error) { pipe.Close() }, // power loss kills the process too
-	})
-	if err != nil {
-		return l, err
-	}
-	cut.Arm(k, tear, cfg.Seed)
-
-	failed, acked := -1, -1
-	for i, sql := range records {
-		if _, err := pipe.Submit(ingest.Record{Client: ingestClientKey, SQL: sql}); err != nil {
-			if !errors.Is(err, ingest.ErrClosed) {
-				return l, fmt.Errorf("k=%d tear=%t: record %d nacked with a non-shutdown error: %w", k, tear, i, err)
-			}
-			failed = i
-			break
-		}
-		acked = i
-	}
-	if failed < 0 {
-		return l, fmt.Errorf("k=%d tear=%t: stream completed despite the armed cut (writes=%d)", k, tear, cut.Writes())
-	}
-	l.failed = failed
-
-	// Power back on: the recovered store must digest to the interrupted
-	// record's pre- or post-image — catalog loading and scanning included —
-	// and the landing must cover every acked record.
-	cut.Disarm()
-	cut.Revive()
-	opts := securestore.Options{RPMBSlot: slot}
-	s2, err := securestore.Open(medium, nw, meter, opts)
-	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovery reopen failed: %w", k, tear, err)
-	}
-	if err := s2.VerifyAll(); err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovered store failed verification: %w", k, tear, err)
-	}
-	db2, err := engine.Open(s2, meter)
-	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovered catalog failed to load: %w", k, tear, err)
-	}
-	tab, err := db2.Table("ev")
-	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovered catalog lost table ev: %w", k, tear, err)
-	}
-	if _, err := tab.Count(); err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovered heap does not scan: %w", k, tear, err)
-	}
-	d, err := sweepDigest(s2)
-	if err != nil {
-		return l, err
-	}
-	switch d {
-	case boundaries[failed]:
-		l.boundary = failed
-	case boundaries[failed+1]:
-		l.boundary = failed + 1
-	default:
-		return l, fmt.Errorf("k=%d tear=%t: recovered state matches neither boundary of record %d — torn record survived recovery", k, tear, failed)
-	}
-	if l.boundary <= acked {
-		return l, fmt.Errorf("k=%d tear=%t: acked record %d missing from recovered state (landed at boundary %d)", k, tear, acked, l.boundary)
-	}
-	return l, nil
 }
 
 // runIngestPhaseC kills the authority mid-batch, then the replica mid-batch,
@@ -609,21 +448,18 @@ func runIngestPhaseC(cfg *IngestConfig, rep *IngestReport, acc hash.Hash) error 
 			ack ingest.Ack
 			err error
 		}
-		ch := make(chan sr, 1)
-		go func() {
+		out, ok := watch(func() sr {
 			ack, err := pipe.Submit(ingest.Record{Client: ingestClientKey, SQL: r.sql})
-			ch <- sr{ack, err}
-		}()
-		select {
-		case out := <-ch:
-			if out.err != nil {
-				return fmt.Errorf("ingest sweep: phase C record %d nacked: %w", i, out.err)
-			}
-			fmt.Fprintf(acc, "C r%02d seq=%d affected=%d\n", i, out.ack.Seq, out.ack.Affected)
-		case <-time.After(cfg.QueryTimeout): //ironsafe:allow wallclock -- hang watchdog, the invariant under test
+			return sr{ack, err}
+		})
+		if !ok {
 			rep.Hangs++
 			return fmt.Errorf("ingest sweep: phase C record %d hung across the node kill", i)
 		}
+		if out.err != nil {
+			return fmt.Errorf("ingest sweep: phase C record %d nacked: %w", i, out.err)
+		}
+		fmt.Fprintf(acc, "C r%02d seq=%d affected=%d\n", i, out.ack.Seq, out.ack.Affected)
 	}
 
 	if got := pipe.Batches(); got != uint64(len(records)) {

@@ -43,6 +43,7 @@ func TestIngestSweep(t *testing.T) {
 	if rep.Acked == 0 || rep.Batches == 0 {
 		t.Errorf("phase A acked %d records in %d batches, want both nonzero", rep.Acked, rep.Batches)
 	}
+	checkPinned(t, "RunIngest/seed=42,tear", rep.Digest)
 	t.Logf("ingest sweep: %d acked (%d batches, %d coalesced), reads %d ok / %d failed, %d points (%d old / %d new), %d kills, digest %s",
 		rep.Acked, rep.Batches, rep.Coalesced, rep.ReadsOK, rep.ReadsFailed,
 		rep.Points, rep.LandedOld, rep.LandedNew, rep.Kills, rep.Digest[:16])
@@ -71,4 +72,6 @@ func TestIngestSweepDeterministicPerSeed(t *testing.T) {
 	if c.Digest == a.Digest {
 		t.Error("different seeds produced identical sweeps (payloads not seed-driven?)")
 	}
+	checkPinned(t, "RunIngest/seed=7,tear", a.Digest)
+	checkPinned(t, "RunIngest/seed=8,tear", c.Digest)
 }

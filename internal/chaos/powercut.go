@@ -3,28 +3,20 @@
 // The secure store's redo journal claims that a power cut at ANY block-write
 // boundary leaves the medium recoverable to exactly the last or the next
 // anchored transaction state — never a torn in-between, never a silent
-// rollback. The sweep proves it exhaustively: it first runs a deterministic
-// multi-transaction workload fault-free, counting every device write and
-// recording the state digest at each transaction boundary; then, for every
-// write index k (and, optionally, with the k-th write torn mid-block instead
-// of dropped), it replays the workload over a faultinject.PowerCut armed at k,
-// revives the medium, reopens the store — which runs journal recovery against
-// the RPMB anchor — and asserts the recovered state digests to exactly one of
-// the two boundary states flanking the interrupted transaction. The whole
-// sweep folds into one digest that is byte-identical for a fixed seed.
+// rollback. The sweep proves it exhaustively over a deterministic
+// multi-transaction workload of raw store transactions (crashSweep is the
+// driver); the whole sweep folds into one digest that is byte-identical for
+// a fixed seed.
 package chaos
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 
 	"ironsafe/internal/faultinject"
 	"ironsafe/internal/pager"
 	"ironsafe/internal/securestore"
-	"ironsafe/internal/simtime"
-	"ironsafe/internal/tee/trustzone"
 )
 
 // SweepConfig scripts one power-cut sweep.
@@ -40,16 +32,9 @@ type SweepConfig struct {
 	Tear bool
 }
 
-// SweepReport summarizes a sweep.
+// SweepReport summarizes a sweep; its steps are the transactions.
 type SweepReport struct {
-	// Writes is the workload's total device-write count — the sweep's k range.
-	Writes int
-	// Points is the number of crash points exercised (Writes, doubled if
-	// torn cuts are swept too).
-	Points int
-	// LandedOld / LandedNew count crash points that recovered to the state
-	// before vs after the interrupted transaction.
-	LandedOld, LandedNew int
+	CrashPoints
 	// Digest commits to every (k, torn, landed-state) triple plus the
 	// boundary digests; byte-identical across runs with the same config.
 	Digest string
@@ -64,205 +49,53 @@ func (c *SweepConfig) fill() {
 	}
 }
 
-// bootSweepDevice boots one TrustZone storage device for the sweep. All runs
-// share it: media are independent MemDevices and each run anchors in its own
-// RPMB slot, so the expensive boot (key generation, image verification)
-// happens once.
-func bootSweepDevice() (*trustzone.NormalWorld, *simtime.Meter, error) {
-	vendor, err := trustzone.NewVendor("sweep-vendor")
-	if err != nil {
-		return nil, nil, err
-	}
-	device, err := trustzone.NewDevice("sweep-storage", vendor)
-	if err != nil {
-		return nil, nil, err
-	}
-	atf := vendor.SignImage("atf", "2.4", []byte("atf"))
-	tos := vendor.SignImage("optee", "3.4", []byte("optee"))
-	nwImg := trustzone.FirmwareImage{Name: "nw", Version: "1.0", Code: []byte("storage stack")}
-	var m simtime.Meter
-	_, nw, err := device.Boot(atf, tos, nwImg, &m)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nw, &m, nil
-}
+// injectedDeath is the death of a step that runs on the cut medium itself.
+func injectedDeath(err error) bool { return errors.Is(err, faultinject.ErrInjected) }
 
-// sweepPage deterministically derives the plaintext transaction t writes to
-// page p.
-func sweepPage(seed uint64, t, p int) []byte {
-	h := sha256.Sum256([]byte{
-		byte(seed), byte(seed >> 8), byte(seed >> 16), byte(seed >> 24),
-		byte(seed >> 32), byte(seed >> 40), byte(seed >> 48), byte(seed >> 56),
-		byte(t), byte(t >> 8), byte(p), byte(p >> 8),
-	})
-	return h[:]
-}
-
-// sweepDigest canonically hashes the store's visible plaintext state.
-func sweepDigest(s *securestore.Store) (string, error) {
-	h := sha256.New()
-	n := s.NumPages()
-	h.Write([]byte{byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24)})
-	for i := uint32(0); i < n; i++ {
-		p, err := s.ReadPage(i)
-		if err != nil {
-			return "", err
-		}
-		h.Write(p)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+// sweepLandingDigest is the digest of the raw and the statement sweep: the
+// sweep's outcome and nothing else.
+func sweepLandingDigest(res *CrashPoints) string {
+	acc := sha256.New()
+	res.digestTo(acc, "")
+	return hex.EncodeToString(acc.Sum(nil))
 }
 
 // RunSweep executes the power-cut sweep and fails on the first crash point
 // whose recovery is not exactly-old-or-new.
 func RunSweep(cfg SweepConfig) (*SweepReport, error) {
 	cfg.fill()
-	nw, meter, err := bootSweepDevice()
-	if err != nil {
-		return nil, err
-	}
-
-	// Fault-free reference: total write count plus the digest of every
-	// transaction-boundary state.
-	ref := faultinject.NewPowerCut(pager.NewMemDevice(), "sweep")
-	ref.Arm(0, false, 1)
-	s, err := securestore.Open(ref, nw, meter, securestore.Options{RPMBSlot: 0})
-	if err != nil {
-		return nil, err
-	}
-	boundaries := make([]string, 0, cfg.Txns+1)
-	d, err := sweepDigest(s)
-	if err != nil {
-		return nil, err
-	}
-	boundaries = append(boundaries, d)
-	for t := 0; t < cfg.Txns; t++ {
-		if _, err := sweepTxn(&cfg, s, t); err != nil {
-			return nil, err
-		}
-		if d, err = sweepDigest(s); err != nil {
-			return nil, err
-		}
-		boundaries = append(boundaries, d)
-	}
-	writes := ref.Writes()
-
-	rep := &SweepReport{Writes: writes}
-	acc := sha256.New()
-	for _, b := range boundaries {
-		acc.Write([]byte(b))
-	}
-
-	tears := []bool{false}
-	if cfg.Tear {
-		tears = append(tears, true)
-	}
-	slot := uint16(1)
-	for _, tear := range tears {
-		for k := 1; k <= writes; k++ {
-			landed, err := runCrashPoint(&cfg, nw, meter, slot, k, tear, boundaries)
+	sw := crashSweep{
+		node: "sweep", seed: cfg.Seed, tear: cfg.Tear, steps: cfg.Txns,
+		died: injectedDeath,
+		setUp: func(env *sweepEnv, dev pager.BlockDevice, slot uint16) (*securestore.Store, func(int) error, error) {
+			s, err := securestore.Open(dev, env.nw, env.meter, securestore.Options{RPMBSlot: slot})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			rep.Points++
-			if landedIsNew(landed) {
-				rep.LandedNew++
-			} else {
-				rep.LandedOld++
-			}
-			acc.Write([]byte{byte(k), byte(k >> 8), b2b(tear), byte(landed.boundary)})
-			slot++
-		}
+			return s, func(t int) error { return sweepTxn(&cfg, s, t) }, nil
+		},
 	}
-	rep.Digest = hex.EncodeToString(acc.Sum(nil))
-	return rep, nil
+	res, err := sw.run()
+	if err != nil {
+		return nil, err
+	}
+	return &SweepReport{CrashPoints: *res, Digest: sweepLandingDigest(res)}, nil
 }
 
 // sweepTxn runs one transaction of the workload (t-th overwrite pass).
-func sweepTxn(cfg *SweepConfig, s *securestore.Store, t int) (int, error) {
+func sweepTxn(cfg *SweepConfig, s *securestore.Store, t int) error {
 	txn := s.Begin()
 	for p := 0; p < cfg.PagesPerTxn; p++ {
 		idx := uint32(p)
 		var err error
 		if t == 0 {
 			if idx, err = txn.Allocate(); err != nil {
-				return t, err
+				return err
 			}
 		}
 		if err = txn.WritePage(idx, sweepPage(cfg.Seed, t, p)); err != nil {
-			return t, err
+			return err
 		}
 	}
-	return t, txn.Commit()
-}
-
-// landing records where one crash point recovered to.
-type landing struct {
-	boundary int // index into the boundary-digest list
-	failed   int // the transaction the cut interrupted
-}
-
-func landedIsNew(l landing) bool { return l.boundary == l.failed+1 }
-
-func b2b(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// runCrashPoint replays the workload with a power cut at write k, then
-// recovers and classifies the landed state.
-func runCrashPoint(cfg *SweepConfig, nw *trustzone.NormalWorld, meter *simtime.Meter, slot uint16, k int, tear bool, boundaries []string) (landing, error) {
-	var l landing
-	medium := pager.NewMemDevice()
-	cut := faultinject.NewPowerCut(medium, "sweep")
-	opts := securestore.Options{RPMBSlot: slot}
-	s, err := securestore.Open(cut, nw, meter, opts)
-	if err != nil {
-		return l, err
-	}
-	cut.Arm(k, tear, cfg.Seed)
-
-	failed := -1
-	for t := 0; t < cfg.Txns; t++ {
-		if _, err := sweepTxn(cfg, s, t); err != nil {
-			if !errors.Is(err, faultinject.ErrInjected) {
-				return l, fmt.Errorf("k=%d tear=%t: txn %d died of a non-injected error: %w", k, tear, t, err)
-			}
-			failed = t
-			break
-		}
-	}
-	if failed < 0 {
-		return l, fmt.Errorf("k=%d tear=%t: workload completed despite the armed cut (writes=%d)", k, tear, cut.Writes())
-	}
-	l.failed = failed
-
-	// Power back on and recover: reopen must always succeed (a crash is not
-	// a rollback) and must land on exactly the old or the new boundary state
-	// of the interrupted transaction.
-	cut.Disarm()
-	cut.Revive()
-	s2, err := securestore.Open(medium, nw, meter, opts)
-	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovery reopen failed: %w", k, tear, err)
-	}
-	if err := s2.VerifyAll(); err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovered store failed verification: %w", k, tear, err)
-	}
-	d, err := sweepDigest(s2)
-	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: digesting recovered state: %w", k, tear, err)
-	}
-	switch d {
-	case boundaries[failed]:
-		l.boundary = failed
-	case boundaries[failed+1]:
-		l.boundary = failed + 1
-	default:
-		return l, fmt.Errorf("k=%d tear=%t: recovered state matches neither boundary of txn %d — torn state survived recovery", k, tear, failed)
-	}
-	return l, nil
+	return txn.Commit()
 }

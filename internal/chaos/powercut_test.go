@@ -28,6 +28,7 @@ func TestPowerCutSweepEveryBoundary(t *testing.T) {
 	if rep.LandedNew == 0 {
 		t.Error("no crash point replayed the journaled transaction (redo never ran?)")
 	}
+	checkPinned(t, "RunSweep/seed=42,tear", rep.Digest)
 	t.Logf("sweep: %d writes, %d points, %d landed old / %d landed new, digest %s",
 		rep.Writes, rep.Points, rep.LandedOld, rep.LandedNew, rep.Digest[:16])
 }
@@ -56,6 +57,8 @@ func TestPowerCutSweepDeterministicPerSeed(t *testing.T) {
 	if c.Digest == a.Digest {
 		t.Error("different seeds produced identical sweeps (workload not seed-driven?)")
 	}
+	checkPinned(t, "RunSweep/seed=7,txns=3,pages=2,tear", a.Digest)
+	checkPinned(t, "RunSweep/seed=8,txns=3,pages=2,tear", c.Digest)
 }
 
 // TestClusterPowerCutCrashReadmitted cuts power to storage-02 in the middle

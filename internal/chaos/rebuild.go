@@ -15,18 +15,14 @@
 package chaos
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"ironsafe"
 	"ironsafe/internal/faultinject"
 	"ironsafe/internal/pager"
-	"ironsafe/internal/resilience"
 	"ironsafe/internal/storageengine"
 	"ironsafe/internal/tpch"
 )
@@ -38,10 +34,6 @@ type RebuildConfig struct {
 	// Stride sweeps every Stride-th fault point (0 means every point) —
 	// the knob trading coverage for runtime.
 	Stride int
-	// IOTimeout bounds each channel Send/Recv (0 means 250ms).
-	IOTimeout time.Duration
-	// ScaleFactor is the TPC-H volume (0 means 0.001).
-	ScaleFactor float64
 }
 
 // RebuildReport summarizes a sweep.
@@ -68,81 +60,34 @@ type RebuildReport struct {
 	Trace []string
 }
 
-func (c *RebuildConfig) fill() {
-	if c.Stride == 0 {
-		c.Stride = 1
-	}
-	if c.IOTimeout == 0 {
-		c.IOTimeout = 250 * time.Millisecond
-	}
-	if c.ScaleFactor == 0 {
-		c.ScaleFactor = 0.001
-	}
-}
-
-// planHolder lets the sweep swap fault plans between rebuild cycles: the
-// cluster's ConnWrapper consults it at channel-wrap time, so each cycle's
-// fresh channels see that cycle's plan (and a fresh per-site op stream).
-type planHolder struct {
-	mu   sync.Mutex
-	plan *faultinject.Plan
-}
-
-func (h *planHolder) set(p *faultinject.Plan) {
-	h.mu.Lock()
-	h.plan = p
-	h.mu.Unlock()
-}
-
-func (h *planHolder) get() *faultinject.Plan {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.plan
-}
-
-// newRebuildCluster boots the two-node IronSafe cluster under sweep: channel
-// transport with holder-driven fault wrapping, and a PowerCut under every
-// storage medium (collected into cuts) for the device sweep.
-func newRebuildCluster(cfg *RebuildConfig, holder *planHolder, cuts map[string]*faultinject.PowerCut) (*ironsafe.Cluster, error) {
-	rc := resilience.Config{
-		HandshakeTimeout: 500 * time.Millisecond,
-		IOTimeout:        cfg.IOTimeout,
-	}
-	ic := ironsafe.Config{
-		Mode:             ironsafe.IronSafe,
-		StorageNodes:     2,
-		Resilience:       &rc,
-		ChannelTransport: true,
-		ConnWrapper: func(node string, conn net.Conn) net.Conn {
-			if p := holder.get(); p != nil {
+// RunRebuildSweep executes the rebuild fault sweep and fails on the first
+// point that violates the all-or-quarantined invariant.
+func RunRebuildSweep(cfg RebuildConfig) (*RebuildReport, error) {
+	cfg.Stride = max(cfg.Stride, 1)
+	// The two-node IronSafe cluster under sweep: a PowerCut under every
+	// storage medium (collected into cuts) for the device sweep, and
+	// holder-driven fault wrapping on every channel — the sweep swaps fault
+	// plans between rebuild cycles, the wrapper consults the holder at
+	// channel-wrap time, so each cycle's fresh channels see that cycle's plan
+	// (and a fresh per-site op stream).
+	var holder atomic.Pointer[faultinject.Plan]
+	cuts := map[string]*faultinject.PowerCut{}
+	h := newHarness(ironsafe.IronSafe, 2)
+	c, err := h.cluster(substrate{
+		conn: func(node string, conn net.Conn) net.Conn {
+			if p := holder.Load(); p != nil {
 				return faultinject.WrapConn(conn, node, p)
 			}
 			return conn
 		},
-		StorageDeviceWrapper: func(node string, dev pager.BlockDevice) pager.BlockDevice {
+		device: func(node string, dev pager.BlockDevice) pager.BlockDevice {
 			cut := faultinject.NewPowerCut(dev, node)
 			cuts[node] = cut
 			return cut
 		},
-	}
-	return ironsafe.NewCluster(ic)
-}
-
-// RunRebuildSweep executes the rebuild fault sweep and fails on the first
-// point that violates the all-or-quarantined invariant.
-func RunRebuildSweep(cfg RebuildConfig) (*RebuildReport, error) {
-	cfg.fill()
-	holder := &planHolder{}
-	cuts := map[string]*faultinject.PowerCut{}
-	c, err := newRebuildCluster(&cfg, holder, cuts)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: rebuild cluster: %w", err)
-	}
-	if err := c.LoadTPCHData(tpch.Generate(cfg.ScaleFactor)); err != nil {
-		return nil, err
-	}
-	if err := c.SetAccessPolicy(accessPolicy); err != nil {
-		return nil, err
 	}
 	ids := nodeIDs(2)
 	donor, target := ids[0], ids[1]
@@ -209,14 +154,14 @@ func RunRebuildSweep(cfg RebuildConfig) (*RebuildReport, error) {
 		return nil, err
 	}
 	countPlan := faultinject.NewPlan(cfg.Seed)
-	holder.set(countPlan)
+	holder.Store(countPlan)
 	cuts[target].Arm(0, false, 1)
 	if err := c.RebuildStorage(target, donor); err != nil {
 		return nil, fmt.Errorf("chaos: fault-free rebuild failed: %w", err)
 	}
 	rep.DeviceWrites = cuts[target].Writes()
 	cuts[target].Disarm()
-	holder.set(nil)
+	holder.Store(nil)
 	donorReadSite := "conn:" + storageengine.RebuildSessionPrefix + donor + ":read"
 	targetWriteSite := "conn:" + storageengine.RebuildSessionPrefix + target + ":write"
 	rep.DonorReadOps = countPlan.OpsAt(donorReadSite)
@@ -263,9 +208,9 @@ func RunRebuildSweep(cfg RebuildConfig) (*RebuildReport, error) {
 			}
 			plan := faultinject.NewPlan(cfg.Seed,
 				faultinject.Rule{Site: cc.site, Class: cc.class, Prob: 1, After: k - 1, MaxCount: 1})
-			holder.set(plan)
+			holder.Store(plan)
 			err := c.RebuildStorage(target, donor)
-			holder.set(nil)
+			holder.Store(nil)
 			if err != nil {
 				return nil, fmt.Errorf("chaos: %s k=%d not absorbed: %w", cc.name, k, err)
 			}
@@ -315,11 +260,6 @@ func RunRebuildSweep(cfg RebuildConfig) (*RebuildReport, error) {
 		}
 	}
 
-	acc := sha256.New()
-	for _, line := range rep.Trace {
-		acc.Write([]byte(line))
-		acc.Write([]byte{'\n'})
-	}
-	rep.Digest = hex.EncodeToString(acc.Sum(nil))
+	rep.Digest = digestLines(rep.Trace)
 	return rep, nil
 }

@@ -28,6 +28,7 @@ func TestRebuildFaultMatrixDeterministic(t *testing.T) {
 	if a.Digest != b.Digest {
 		t.Errorf("sweep not deterministic:\n  run1 %s\n  run2 %s", a.Digest, b.Digest)
 	}
+	checkPinned(t, "RunRebuildSweep/seed=0xB1D5,stride=13", a.Digest)
 	if a.Points != b.Points || a.DeviceWrites != b.DeviceWrites {
 		t.Errorf("sweep shape differs across runs: %+v vs %+v", a, b)
 	}
@@ -47,4 +48,5 @@ func TestRebuildReadmitNarrowStride(t *testing.T) {
 	if rep.Refused == 0 {
 		t.Error("device sweep exercised zero cut points")
 	}
+	checkPinned(t, "RunRebuildSweep/seed=7,stride=97", rep.Digest)
 }

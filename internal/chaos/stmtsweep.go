@@ -8,17 +8,12 @@
 package chaos
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 
 	"ironsafe/internal/engine"
-	"ironsafe/internal/faultinject"
 	"ironsafe/internal/pager"
 	"ironsafe/internal/securestore"
-	"ironsafe/internal/simtime"
-	"ironsafe/internal/tee/trustzone"
 )
 
 // StatementSweepConfig scripts one statement-level power-cut sweep.
@@ -31,11 +26,9 @@ type StatementSweepConfig struct {
 
 // StatementSweepReport summarizes a statement sweep.
 type StatementSweepReport struct {
-	// Writes is the workload's device-write count (the k range); Statements
-	// is how many DML statements the workload runs.
-	Writes, Statements int
-	// Points, LandedOld, LandedNew mirror SweepReport.
-	Points, LandedOld, LandedNew int
+	CrashPoints
+	// Statements is how many DML statements — the steps — the workload runs.
+	Statements int
 	// Digest commits to every (k, torn, landing) plus the boundary digests.
 	Digest string
 }
@@ -60,12 +53,12 @@ func stmtSweepWorkload(seed uint64) []string {
 
 // stmtSweepSetup opens a store+engine over the cut device and loads the
 // fixed pre-workload state. Runs unarmed: setup writes are not swept.
-func stmtSweepSetup(cut *faultinject.PowerCut, nw *trustzone.NormalWorld, meter *simtime.Meter, slot uint16, seed uint64) (*securestore.Store, *engine.DB, error) {
-	s, err := securestore.Open(cut, nw, meter, securestore.Options{RPMBSlot: slot})
+func stmtSweepSetup(env *sweepEnv, dev pager.BlockDevice, slot uint16, seed uint64) (*securestore.Store, *engine.DB, error) {
+	s, err := securestore.Open(dev, env.nw, env.meter, securestore.Options{RPMBSlot: slot})
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := engine.Open(s, meter)
+	db, err := engine.Open(s, env.meter)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -82,131 +75,46 @@ func stmtSweepSetup(cut *faultinject.PowerCut, nw *trustzone.NormalWorld, meter 
 	return s, db, nil
 }
 
+// stmtSweepRecovered checks what a digest cannot: the recovered catalog must
+// load and the ev heap must scan cleanly, so a heap committed without its
+// catalog (or vice versa) is caught here.
+func stmtSweepRecovered(env *sweepEnv, s *securestore.Store) error {
+	db, err := engine.Open(s, env.meter)
+	if err != nil {
+		return fmt.Errorf("recovered catalog failed to load: %w", err)
+	}
+	tab, err := db.Table("ev")
+	if err != nil {
+		return fmt.Errorf("recovered catalog lost table ev: %w", err)
+	}
+	if _, err := tab.Count(); err != nil {
+		return fmt.Errorf("recovered heap does not scan: %w", err)
+	}
+	return nil
+}
+
 // RunStatementSweep executes the statement-level power-cut sweep and fails
 // on the first crash point whose recovery is not a whole-statement boundary.
 func RunStatementSweep(cfg StatementSweepConfig) (*StatementSweepReport, error) {
-	nw, meter, err := bootSweepDevice()
-	if err != nil {
-		return nil, err
-	}
 	stmts := stmtSweepWorkload(cfg.Seed)
-
-	// Fault-free reference: write count plus per-statement boundary digests.
-	refCut := faultinject.NewPowerCut(pager.NewMemDevice(), "stmtsweep")
-	s, db, err := stmtSweepSetup(refCut, nw, meter, 0, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	boundaries := make([]string, 0, len(stmts)+1)
-	d, err := sweepDigest(s)
-	if err != nil {
-		return nil, err
-	}
-	boundaries = append(boundaries, d)
-	refCut.Arm(0, false, 1) // count workload writes only
-	for _, sql := range stmts {
-		if _, err := db.Execute(sql); err != nil {
-			return nil, fmt.Errorf("reference run: %s: %w", sql, err)
-		}
-		if d, err = sweepDigest(s); err != nil {
-			return nil, err
-		}
-		boundaries = append(boundaries, d)
-	}
-	writes := refCut.Writes()
-
-	rep := &StatementSweepReport{Writes: writes, Statements: len(stmts)}
-	acc := sha256.New()
-	for _, b := range boundaries {
-		acc.Write([]byte(b))
-	}
-	tears := []bool{false}
-	if cfg.Tear {
-		tears = append(tears, true)
-	}
-	slot := uint16(1)
-	for _, tear := range tears {
-		for k := 1; k <= writes; k++ {
-			landed, err := runStmtCrashPoint(&cfg, nw, meter, slot, k, tear, stmts, boundaries)
+	sw := crashSweep{
+		node: "stmtsweep", seed: cfg.Seed, tear: cfg.Tear, steps: len(stmts),
+		died:      injectedDeath,
+		recovered: stmtSweepRecovered,
+		setUp: func(env *sweepEnv, dev pager.BlockDevice, slot uint16) (*securestore.Store, func(int) error, error) {
+			s, db, err := stmtSweepSetup(env, dev, slot, cfg.Seed)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			rep.Points++
-			if landedIsNew(landed) {
-				rep.LandedNew++
-			} else {
-				rep.LandedOld++
-			}
-			acc.Write([]byte{byte(k), byte(k >> 8), b2b(tear), byte(landed.boundary)})
-			slot++
-		}
+			return s, func(i int) error {
+				_, err := db.Execute(stmts[i])
+				return err
+			}, nil
+		},
 	}
-	rep.Digest = hex.EncodeToString(acc.Sum(nil))
-	return rep, nil
-}
-
-// runStmtCrashPoint replays the DML workload with a power cut at write k,
-// recovers, and classifies the landed state against the statement boundaries.
-func runStmtCrashPoint(cfg *StatementSweepConfig, nw *trustzone.NormalWorld, meter *simtime.Meter, slot uint16, k int, tear bool, stmts, boundaries []string) (landing, error) {
-	var l landing
-	medium := pager.NewMemDevice()
-	cut := faultinject.NewPowerCut(medium, "stmtsweep")
-	_, db, err := stmtSweepSetup(cut, nw, meter, slot, cfg.Seed)
+	res, err := sw.run()
 	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: setup: %w", k, tear, err)
+		return nil, err
 	}
-	cut.Arm(k, tear, cfg.Seed)
-
-	failed := -1
-	for i, sql := range stmts {
-		if _, err := db.Execute(sql); err != nil {
-			if !errors.Is(err, faultinject.ErrInjected) {
-				return l, fmt.Errorf("k=%d tear=%t: statement %d died of a non-injected error: %w", k, tear, i, err)
-			}
-			failed = i
-			break
-		}
-	}
-	if failed < 0 {
-		return l, fmt.Errorf("k=%d tear=%t: workload completed despite the armed cut (writes=%d)", k, tear, cut.Writes())
-	}
-	l.failed = failed
-
-	// Power back on: journal recovery must land the store on the statement's
-	// pre- or post-image — and the catalog must load and scan cleanly, so a
-	// heap committed without its catalog (or vice versa) is caught here.
-	cut.Disarm()
-	cut.Revive()
-	opts := securestore.Options{RPMBSlot: slot}
-	s2, err := securestore.Open(medium, nw, meter, opts)
-	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovery reopen failed: %w", k, tear, err)
-	}
-	if err := s2.VerifyAll(); err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovered store failed verification: %w", k, tear, err)
-	}
-	db2, err := engine.Open(s2, meter)
-	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovered catalog failed to load: %w", k, tear, err)
-	}
-	tab, err := db2.Table("ev")
-	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovered catalog lost table ev: %w", k, tear, err)
-	}
-	if _, err := tab.Count(); err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: recovered heap does not scan: %w", k, tear, err)
-	}
-	d, err := sweepDigest(s2)
-	if err != nil {
-		return l, fmt.Errorf("k=%d tear=%t: digesting recovered state: %w", k, tear, err)
-	}
-	switch d {
-	case boundaries[failed]:
-		l.boundary = failed
-	case boundaries[failed+1]:
-		l.boundary = failed + 1
-	default:
-		return l, fmt.Errorf("k=%d tear=%t: recovered state matches neither boundary of statement %d — torn statement survived recovery", k, tear, failed)
-	}
-	return l, nil
+	return &StatementSweepReport{CrashPoints: *res, Statements: len(stmts), Digest: sweepLandingDigest(res)}, nil
 }

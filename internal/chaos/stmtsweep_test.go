@@ -21,6 +21,7 @@ func TestStatementSweepEveryBoundary(t *testing.T) {
 	if rep.LandedNew == 0 {
 		t.Error("no crash point replayed a statement's journaled commit (redo never ran?)")
 	}
+	checkPinned(t, "RunStatementSweep/seed=42,tear", rep.Digest)
 	t.Logf("statement sweep: %d statements, %d writes, %d points, %d landed old / %d landed new, digest %s",
 		rep.Statements, rep.Writes, rep.Points, rep.LandedOld, rep.LandedNew, rep.Digest[:16])
 }
@@ -48,4 +49,6 @@ func TestStatementSweepDeterministicPerSeed(t *testing.T) {
 	if c.Digest == a.Digest {
 		t.Error("different seeds produced identical sweeps (workload not seed-driven?)")
 	}
+	checkPinned(t, "RunStatementSweep/seed=7,tear", a.Digest)
+	checkPinned(t, "RunStatementSweep/seed=8,tear", c.Digest)
 }

@@ -14,9 +14,9 @@ import (
 // deadline-guarded caller always unblocks, and an unguarded one hangs
 // exactly the way a real hung peer would make it hang.
 type Conn struct {
-	inner net.Conn
-	node  string
-	plan  *Plan
+	net.Conn // the wrapped conn; addresses pass through
+	node     string
+	plan     *Plan
 
 	mu        sync.Mutex
 	readDL    time.Time
@@ -31,7 +31,7 @@ type Conn struct {
 // fault sites ("conn:<node>:read" / "conn:<node>:write") and is what the
 // crash callback receives.
 func WrapConn(inner net.Conn, node string, plan *Plan) *Conn {
-	return &Conn{inner: inner, node: node, plan: plan, done: make(chan struct{})}
+	return &Conn{Conn: inner, node: node, plan: plan, done: make(chan struct{})}
 }
 
 var _ net.Conn = (*Conn)(nil)
@@ -45,13 +45,8 @@ func (c *Conn) fail(f Fault) error {
 		c.poisoned = true
 		c.poisonErr = err
 	}
-	closed := c.closed
-	c.closed = true
 	c.mu.Unlock()
-	if !closed {
-		close(c.done)
-		c.inner.Close()
-	}
+	c.Close()
 	return err
 }
 
@@ -82,41 +77,49 @@ func (c *Conn) stall(read bool) error {
 	}
 }
 
-func (c *Conn) checkPoison() error {
+// begin decides the next operation on one direction and mounts the classes
+// that act before any byte moves: a poisoned conn, Reset, Crash and Stall end
+// the operation with an error, Slow delays it.
+func (c *Conn) begin(read bool) (Fault, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.poisoned {
-		return c.poisonErr
+	poisoned, err := c.poisoned, c.poisonErr
+	c.mu.Unlock()
+	if poisoned {
+		return Fault{}, err
 	}
-	return nil
-}
-
-// Read implements net.Conn with fault injection.
-func (c *Conn) Read(b []byte) (int, error) {
-	if err := c.checkPoison(); err != nil {
-		return 0, err
+	site := "conn:" + c.node + ":write"
+	if read {
+		site = "conn:" + c.node + ":read"
 	}
-	f := c.plan.Decide("conn:" + c.node + ":read")
+	f := c.plan.Decide(site)
 	switch f.Class {
 	case Reset:
-		return 0, c.fail(f)
+		return f, c.fail(f)
 	case Crash:
 		err := c.fail(f)
 		c.plan.notifyCrash(c.node)
-		return 0, err
+		return f, err
 	case Stall:
-		return 0, c.stall(true)
+		return f, c.stall(read)
 	case Slow:
 		if d := c.plan.SlowDelay; d > 0 {
 			time.Sleep(d) //ironsafe:allow wallclock -- injected slow-peer latency, bounded below the I/O deadline
 		}
 	}
-	n, err := c.inner.Read(b)
+	return f, nil
+}
+
+// Read implements net.Conn with fault injection.
+func (c *Conn) Read(b []byte) (int, error) {
+	f, err := c.begin(true)
+	if err != nil {
+		return 0, err
+	}
+	n, err := c.Conn.Read(b)
 	switch f.Class {
 	case Corrupt:
 		if n > 0 {
-			bit := f.Bit % (n * 8)
-			b[bit/8] ^= 1 << (bit % 8)
+			f.flip(b[:n])
 		}
 	case Truncate:
 		if n > 1 {
@@ -130,40 +133,27 @@ func (c *Conn) Read(b []byte) (int, error) {
 
 // Write implements net.Conn with fault injection.
 func (c *Conn) Write(b []byte) (int, error) {
-	if err := c.checkPoison(); err != nil {
+	f, err := c.begin(false)
+	if err != nil {
 		return 0, err
 	}
-	f := c.plan.Decide("conn:" + c.node + ":write")
 	switch f.Class {
-	case Reset:
-		return 0, c.fail(f)
-	case Crash:
-		err := c.fail(f)
-		c.plan.notifyCrash(c.node)
-		return 0, err
-	case Stall:
-		return 0, c.stall(false)
-	case Slow:
-		if d := c.plan.SlowDelay; d > 0 {
-			time.Sleep(d) //ironsafe:allow wallclock -- injected slow-peer latency, bounded below the I/O deadline
-		}
 	case Corrupt:
 		if len(b) > 0 {
 			// Flip one bit of the outgoing bytes (never the caller's buffer).
 			tainted := append([]byte(nil), b...)
-			bit := f.Bit % (len(tainted) * 8)
-			tainted[bit/8] ^= 1 << (bit % 8)
-			return c.inner.Write(tainted)
+			f.flip(tainted)
+			return c.Conn.Write(tainted)
 		}
 	case Truncate:
 		if len(b) > 1 {
-			n, _ := c.inner.Write(b[:len(b)/2])
+			n, _ := c.Conn.Write(b[:len(b)/2])
 			c.fail(f)
 			return n, &InjectedError{Class: Truncate, Site: f.Site}
 		}
 		return 0, c.fail(f)
 	}
-	return c.inner.Write(b)
+	return c.Conn.Write(b)
 }
 
 // Close implements net.Conn.
@@ -175,14 +165,8 @@ func (c *Conn) Close() error {
 	if !closed {
 		close(c.done)
 	}
-	return c.inner.Close()
+	return c.Conn.Close()
 }
-
-// LocalAddr implements net.Conn.
-func (c *Conn) LocalAddr() net.Addr { return c.inner.LocalAddr() }
-
-// RemoteAddr implements net.Conn.
-func (c *Conn) RemoteAddr() net.Addr { return c.inner.RemoteAddr() }
 
 // SetDeadline implements net.Conn, tracking the deadline for stalls and
 // forwarding it to the wrapped conn.
@@ -190,7 +174,7 @@ func (c *Conn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.readDL, c.writeDL = t, t
 	c.mu.Unlock()
-	return c.inner.SetDeadline(t)
+	return c.Conn.SetDeadline(t)
 }
 
 // SetReadDeadline implements net.Conn.
@@ -198,7 +182,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.readDL = t
 	c.mu.Unlock()
-	return c.inner.SetReadDeadline(t)
+	return c.Conn.SetReadDeadline(t)
 }
 
 // SetWriteDeadline implements net.Conn.
@@ -206,5 +190,5 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.writeDL = t
 	c.mu.Unlock()
-	return c.inner.SetWriteDeadline(t)
+	return c.Conn.SetWriteDeadline(t)
 }

@@ -4,47 +4,55 @@ import (
 	"time"
 
 	"ironsafe/internal/pager"
-	"ironsafe/internal/tee/trustzone"
 )
 
 // Device wraps a pager.BlockDevice and injects faults into block I/O: Reset
 // and Crash surface as I/O errors, Corrupt flips a bit in the data read
-// (the secure store's MAC/Merkle verification must catch it), Slow delays
-// the access. Stall/Truncate make no sense at block granularity and are
-// treated as Reset.
+// (the secure store's MAC/Merkle verification must catch it), TornWrite
+// persists a prefix of the block, Slow delays the access. Stall/Truncate make
+// no sense at block granularity and are treated as Reset.
 type Device struct {
-	inner pager.BlockDevice
-	node  string
-	plan  *Plan
+	// NumBlocks passes through unfaulted: sizing queries are metadata, not
+	// I/O.
+	pager.BlockDevice
+	node string
+	plan *Plan
 }
 
 // WrapDevice instruments dev; sites are "device:<node>:read" and
 // "device:<node>:write".
 func WrapDevice(inner pager.BlockDevice, node string, plan *Plan) *Device {
-	return &Device{inner: inner, node: node, plan: plan}
+	return &Device{BlockDevice: inner, node: node, plan: plan}
 }
 
-var _ pager.BlockDevice = (*Device)(nil)
+// failStop mounts the fault classes that act before a block access reaches
+// the medium: Reset — and Stall and Truncate, which make no sense at block
+// granularity — fail it, Crash fails it and downs the node, Slow delays it
+// and lets it proceed.
+func (p *Plan) failStop(f Fault, node string) error {
+	switch f.Class {
+	case Reset, Stall, Truncate:
+		return &InjectedError{Class: Reset, Site: f.Site}
+	case Crash:
+		p.notifyCrash(node)
+		return &InjectedError{Class: Crash, Site: f.Site}
+	case Slow:
+		if w := p.SlowDelay; w > 0 {
+			time.Sleep(w) //ironsafe:allow wallclock -- injected slow-medium latency
+		}
+	}
+	return nil
+}
 
 // ReadBlock implements pager.BlockDevice.
 func (d *Device) ReadBlock(idx uint32) ([]byte, error) {
 	f := d.plan.Decide("device:" + d.node + ":read")
-	switch f.Class {
-	case Reset, Stall, Truncate:
-		return nil, &InjectedError{Class: Reset, Site: f.Site}
-	case Crash:
-		err := &InjectedError{Class: Crash, Site: f.Site}
-		d.plan.notifyCrash(d.node)
+	if err := d.plan.failStop(f, d.node); err != nil {
 		return nil, err
-	case Slow:
-		if w := d.plan.SlowDelay; w > 0 {
-			time.Sleep(w) //ironsafe:allow wallclock -- injected slow-medium latency
-		}
 	}
-	b, err := d.inner.ReadBlock(idx)
+	b, err := d.BlockDevice.ReadBlock(idx)
 	if err == nil && f.Class == Corrupt && len(b) > 0 {
-		bit := f.Bit % (len(b) * 8)
-		b[bit/8] ^= 1 << (bit % 8)
+		f.flip(b)
 	}
 	return b, err
 }
@@ -52,31 +60,26 @@ func (d *Device) ReadBlock(idx uint32) ([]byte, error) {
 // WriteBlock implements pager.BlockDevice.
 func (d *Device) WriteBlock(idx uint32, data []byte) error {
 	f := d.plan.Decide("device:" + d.node + ":write")
-	switch f.Class {
-	case Reset, Stall, Truncate:
-		return &InjectedError{Class: Reset, Site: f.Site}
-	case Crash:
-		err := &InjectedError{Class: Crash, Site: f.Site}
-		d.plan.notifyCrash(d.node)
+	if err := d.plan.failStop(f, d.node); err != nil {
 		return err
-	case TornWrite:
-		// Persist a deterministic prefix of the new data over the old
-		// contents, then fail the write — the medium now holds a torn block.
-		old, rerr := d.inner.ReadBlock(idx)
-		if rerr != nil {
-			old = nil
-		}
-		cut := tornCut(f.Bit, len(data))
-		if werr := d.inner.WriteBlock(idx, tornMerge(old, data, cut)); werr != nil {
-			return werr
-		}
-		return &InjectedError{Class: TornWrite, Site: f.Site}
-	case Slow:
-		if w := d.plan.SlowDelay; w > 0 {
-			time.Sleep(w) //ironsafe:allow wallclock -- injected slow-medium latency
-		}
 	}
-	return d.inner.WriteBlock(idx, data)
+	if f.Class == TornWrite {
+		return tearWrite(d.BlockDevice, idx, data, f.bit(), f.Site)
+	}
+	return d.BlockDevice.WriteBlock(idx, data)
+}
+
+// tearWrite persists a deterministic prefix of the new data over the block's
+// old contents, then fails the write — the medium now holds a torn block.
+func tearWrite(dev pager.BlockDevice, idx uint32, data []byte, bit int, site string) error {
+	old, err := dev.ReadBlock(idx)
+	if err != nil {
+		old = nil
+	}
+	if err := dev.WriteBlock(idx, tornMerge(old, data, tornCut(bit, len(data)))); err != nil {
+		return err
+	}
+	return &InjectedError{Class: TornWrite, Site: site}
 }
 
 // tornCut derives the deterministic tear offset for a block of n bytes:
@@ -100,54 +103,4 @@ func tornMerge(old, data []byte, cut int) []byte {
 		torn = append(torn, old[cut:]...)
 	}
 	return torn
-}
-
-// NumBlocks implements pager.BlockDevice (never faulted: sizing queries are
-// metadata, not I/O).
-func (d *Device) NumBlocks() uint32 { return d.inner.NumBlocks() }
-
-// Attester is the attestation call surface the injector wraps — the shape
-// of monitor.StorageAttester's Attest method.
-type Attester interface {
-	Attest(challenge []byte) (*trustzone.AttestationReport, error)
-}
-
-// FaultyAttester injects faults into the attestation path: Reset/Crash
-// fail the challenge-response, Slow delays it, Corrupt flips a bit in the
-// report's signature so verification must reject it.
-type FaultyAttester struct {
-	inner Attester
-	node  string
-	plan  *Plan
-}
-
-// WrapAttester instruments att; the site is "attest:<node>".
-func WrapAttester(inner Attester, node string, plan *Plan) *FaultyAttester {
-	return &FaultyAttester{inner: inner, node: node, plan: plan}
-}
-
-// Attest implements the attestation call with fault injection.
-func (a *FaultyAttester) Attest(challenge []byte) (*trustzone.AttestationReport, error) {
-	f := a.plan.Decide("attest:" + a.node)
-	switch f.Class {
-	case Reset, Stall, Truncate:
-		return nil, &InjectedError{Class: Reset, Site: f.Site}
-	case Crash:
-		err := &InjectedError{Class: Crash, Site: f.Site}
-		a.plan.notifyCrash(a.node)
-		return nil, err
-	case Slow:
-		if w := a.plan.SlowDelay; w > 0 {
-			time.Sleep(w) //ironsafe:allow wallclock -- injected slow attestation
-		}
-	}
-	rep, err := a.inner.Attest(challenge)
-	if err == nil && f.Class == Corrupt && len(rep.Signature) > 0 {
-		r := *rep
-		r.Signature = append([]byte(nil), rep.Signature...)
-		bit := f.Bit % (len(r.Signature) * 8)
-		r.Signature[bit/8] ^= 1 << (bit % 8)
-		return &r, nil
-	}
-	return rep, err
 }

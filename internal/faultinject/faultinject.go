@@ -1,15 +1,19 @@
-// Package faultinject is IronSafe's deterministic fault-injection
-// framework: a seed-driven Plan decides, per instrumented operation, whether
-// to inject a connection reset, an indefinite stall, a corrupted or
-// truncated frame, slow-peer latency, a node crash, or (via the chaos
-// harness) a restart with rolled-back state. Decisions come from per-site
-// xorshift streams keyed by (seed, site), so for a fixed seed the same
-// sequence of operations experiences exactly the same faults — the chaos
-// suite's byte-for-byte reproducibility rests on this, not on wall-clock
+// Package faultinject is IronSafe's deterministic fault plane: a seed-driven
+// Plan decides, per instrumented operation, whether the untrusted substrate
+// beneath it misbehaves and how. Accident and attack are rule classes of the
+// one Plan, not two engines. The accident classes — a connection reset, an
+// indefinite stall, a corrupted or truncated frame, slow-peer latency, a node
+// crash, a torn block write, a restart with rolled-back state — are mounted
+// by this package's wrappers; the attack classes — replay, duplication,
+// reordering, splicing and forgery of whole protocol units, stale medium
+// reads — by package adversary's, which asks the same Plan. Decisions come
+// from per-site xorshift streams keyed by (seed, site), so for a fixed seed
+// the same sequence of operations experiences exactly the same faults — the
+// sweeps' byte-for-byte reproducibility rests on this, not on wall-clock
 // timing.
 //
 // The package wraps the repo's untrusted substrates — net.Conn channels and
-// pager.BlockDevice media — and the attestation path. It never touches the
+// pager.BlockDevice media. It never touches the
 // real clock except to honor I/O deadlines already armed by the resilience
 // layer (stalls must end when the victim's deadline fires, or the test for
 // "no query ever hangs" would be meaningless).
@@ -18,13 +22,14 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Class enumerates the injectable fault classes.
+// Class enumerates the injectable fault and attack classes. A wrapper acts
+// on the classes it knows and passes an operation through unharmed on any
+// other, so a rule reaches only the wrappers that can mount its class.
 type Class int
 
 const (
@@ -48,37 +53,64 @@ const (
 	// crash callback marks the node dead until it restarts and
 	// re-attests.
 	Crash
-	// Rollback is recorded when the chaos harness restarts a node with a
-	// stale medium snapshot; the secure store must refuse it.
+	// Rollback is recorded when a harness reverts a medium to a valid old
+	// state — a restart from a stale snapshot, or adversary.Device.Rollback;
+	// the secure store must refuse it.
 	Rollback
 	// TornWrite persists only a prefix of the block being written (the
 	// suffix keeps its prior contents) and then fails the operation — a
 	// power cut tearing a sector-buffered write mid-block. The store's
 	// journal recovery must land on exactly the old or the new state.
 	TornWrite
+
+	// The attack classes: semantic, valid-looking tampering with whole
+	// protocol units, mounted by package adversary.
+
+	// Replay substitutes the unit with an earlier frame recorded on the
+	// same leg. Frames recorded before a channel was re-dialed belong to a
+	// *previous session* (fresh handshake, fresh keys), so a replay across a
+	// redial is a cross-session replay; within one session it is a stale
+	// retransmission. Either way the sequence-bound AEAD must reject it —
+	// including replayed offload replies whose sealed payload carries a
+	// stale epoch or stale budget prefix.
+	Replay
+	// Duplicate delivers the genuine unit and then injects a byte-identical
+	// copy behind it, so the *next* exchange on the channel finds a stale
+	// valid frame where its reply should be.
+	Duplicate
+	// Reorder holds the genuine unit back and delivers an out-of-order
+	// frame (a recorded one, or a forgery when none exists) in its place;
+	// the held unit is released in front of the next one.
+	Reorder
+	// Splice substitutes a frame recorded on a DIFFERENT leg — cross-
+	// session, cross-node traffic stitched into this channel. At the
+	// preamble or handshake step it splices another session's identity into
+	// the connection setup.
+	Splice
+	// Inject prepends a forged ciphertext frame of plausible shape before
+	// the genuine unit.
+	Inject
+	// Banner forges a plaintext pre-handshake overload banner (0x01 +
+	// retry-after) on a control-plane connection — the one protocol unit an
+	// off-path attacker can fabricate without any key material.
+	Banner
+	// StaleRead is the medium-level attack: a read of a block that changed
+	// since the adversary's capture returns the captured *valid old* image.
+	StaleRead
 )
 
-// String names a class for logs and stats.
+var classNames = [...]string{
+	None: "none", Reset: "reset", Stall: "stall", Corrupt: "corrupt",
+	Truncate: "truncate", Slow: "slow", Crash: "crash", Rollback: "rollback",
+	TornWrite: "torn-write", Replay: "replay", Duplicate: "duplicate",
+	Reorder: "reorder", Splice: "splice", Inject: "inject", Banner: "banner",
+	StaleRead: "stale-read",
+}
+
+// String names a class for logs, stats and trace lines.
 func (c Class) String() string {
-	switch c {
-	case None:
-		return "none"
-	case Reset:
-		return "reset"
-	case Stall:
-		return "stall"
-	case Corrupt:
-		return "corrupt"
-	case Truncate:
-		return "truncate"
-	case Slow:
-		return "slow"
-	case Crash:
-		return "crash"
-	case Rollback:
-		return "rollback"
-	case TornWrite:
-		return "torn-write"
+	if c >= 0 && int(c) < len(classNames) {
+		return classNames[c]
 	}
 	return fmt.Sprintf("Class(%d)", int(c))
 }
@@ -100,9 +132,11 @@ func (e *InjectedError) Error() string {
 // Unwrap ties every injected error to ErrInjected.
 func (e *InjectedError) Unwrap() error { return ErrInjected }
 
-// Rule arms one fault class against matching sites. Sites are hierarchical
-// strings like "conn:storage-01:read" or "device:storage-02:ReadBlock";
-// a Rule matches when Site is a substring of the operation's site.
+// Rule arms one class against matching sites. Sites are hierarchical strings
+// like "conn:storage-01:read", "device:storage-02:write", or — for protocol
+// units under attack — "storage-01:write:preamble" and
+// "ctl:ingest:read:banner"; a Rule matches when Site is a substring of the
+// operation's site.
 type Rule struct {
 	// Site substring to match ("" matches everything).
 	Site string
@@ -127,8 +161,30 @@ type Rule struct {
 type Fault struct {
 	Class Class
 	Site  string
-	// Bit is the deterministic bit offset for Corrupt faults.
-	Bit int
+	// Bits is the decision's deterministic entropy: the bit a Corrupt fault
+	// flips, a torn write's cut offset, the library index and forged bytes
+	// of an attack.
+	Bits uint64
+}
+
+// bit is the non-negative offset Corrupt and TornWrite faults derive their
+// position from.
+func (f Fault) bit() int { return int(f.Bits>>16) & 0x7fffffff }
+
+// flip inverts the fault's bit of b in place.
+func (f Fault) flip(b []byte) {
+	bit := f.bit() % (len(b) * 8)
+	b[bit/8] ^= 1 << (bit % 8)
+}
+
+// Fill overwrites b with the byte stream the fault's entropy expands to —
+// the body of a forged frame.
+func (f Fault) Fill(b []byte) {
+	x := f.Bits | 1
+	for i := range b {
+		x = xorshift(x)
+		b[i] = byte(x)
+	}
 }
 
 // Plan is a deterministic fault plan: rules plus per-site decision streams.
@@ -136,8 +192,7 @@ type Fault struct {
 // operations occur in a deterministic order (the chaos suite runs queries
 // sequentially for exactly this reason).
 type Plan struct {
-	seed  uint64
-	rules []Rule
+	seed uint64
 
 	// SlowDelay is how long a Slow fault delays the operation (real time;
 	// keep it far below the victim's IOTimeout so Slow degrades but never
@@ -160,6 +215,7 @@ type Plan struct {
 	OnCrash func(node string)
 
 	mu      sync.Mutex
+	rules   []Rule
 	streams map[string]*stream
 	counts  map[Class]int
 	log     []string
@@ -184,6 +240,15 @@ func NewPlan(seed uint64, rules ...Rule) *Plan {
 		streams:      map[string]*stream{},
 		counts:       map[Class]int{},
 	}
+}
+
+// Arm appends a rule to the plan (drills target one protocol step at a time).
+// Calling it at a deterministic point in the run keeps the whole schedule
+// reproducible.
+func (p *Plan) Arm(r Rule) {
+	p.mu.Lock()
+	p.rules = append(p.rules, r)
+	p.mu.Unlock()
 }
 
 // fnv1a hashes a site name into the stream seed.
@@ -262,7 +327,7 @@ func (p *Plan) Decide(site string) Fault {
 		case Stall:
 			s.vnanos += int64(p.StallPenalty)
 		}
-		return Fault{Class: r.Class, Site: site, Bit: int(bits>>16) & 0x7fffffff}
+		return Fault{Class: r.Class, Site: site, Bits: bits}
 	}
 	return Fault{Class: None, Site: site}
 }
@@ -284,9 +349,9 @@ func (p *Plan) NodeVirtualNow(node string) time.Duration {
 	return time.Duration(sum)
 }
 
-// OpsAt reports how many operations site has decided so far — the chaos
-// rebuild sweep counts a clean pass's operations per site, then replays with
-// a fault armed at each ordinal.
+// OpsAt reports how many operations site has decided so far — the rebuild
+// and adversary sweeps count a clean pass's operations per site, then replay
+// with a fault armed at each ordinal.
 func (p *Plan) OpsAt(site string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -296,8 +361,9 @@ func (p *Plan) OpsAt(site string) int {
 	return 0
 }
 
-// Record counts a fault the harness injected itself (Crash scheduling,
-// Rollback restarts) so Stats covers every class exercised.
+// Record counts a fault a harness or wrapper mounted itself (Crash
+// scheduling, Rollback restarts, stale medium reads) so Stats and Trace cover
+// every class exercised.
 func (p *Plan) Record(class Class, site string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -313,21 +379,6 @@ func (p *Plan) Stats() map[Class]int {
 	for k, v := range p.counts {
 		out[k] = v
 	}
-	return out
-}
-
-// ClassesInjected returns the distinct classes injected so far, sorted by
-// class value — the chaos acceptance gate ("≥ 6 fault classes").
-func (p *Plan) ClassesInjected() []Class {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []Class
-	for c, n := range p.counts {
-		if n > 0 {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -15,8 +15,9 @@ import (
 // suite's crash-consistency sweep proves the secure store's journal recovery
 // deterministic at all of them.
 type PowerCut struct {
-	inner pager.BlockDevice
-	node  string
+	// NumBlocks passes through: metadata, never faulted.
+	pager.BlockDevice
+	node string
 
 	mu     sync.Mutex
 	armed  bool
@@ -32,7 +33,7 @@ var _ pager.BlockDevice = (*PowerCut)(nil)
 // NewPowerCut wraps inner; the device starts live and unarmed, passing all
 // I/O through while counting nothing.
 func NewPowerCut(inner pager.BlockDevice, node string) *PowerCut {
-	return &PowerCut{inner: inner, node: node}
+	return &PowerCut{BlockDevice: inner, node: node}
 }
 
 // Arm resets the write counter and schedules the power cut at the failAt-th
@@ -86,7 +87,7 @@ func (p *PowerCut) ReadBlock(idx uint32) ([]byte, error) {
 	if dead {
 		return nil, &InjectedError{Class: Crash, Site: "powercut:" + p.node + ":read"}
 	}
-	return p.inner.ReadBlock(idx)
+	return p.BlockDevice.ReadBlock(idx)
 }
 
 // WriteBlock implements pager.BlockDevice.
@@ -98,7 +99,7 @@ func (p *PowerCut) WriteBlock(idx uint32, data []byte) error {
 	}
 	if !p.armed {
 		p.mu.Unlock()
-		return p.inner.WriteBlock(idx, data)
+		return p.BlockDevice.WriteBlock(idx, data)
 	}
 	p.writes++
 	fire := p.failAt > 0 && p.writes == p.failAt
@@ -112,21 +113,10 @@ func (p *PowerCut) WriteBlock(idx uint32, data []byte) error {
 	}
 	p.mu.Unlock()
 	if !fire {
-		return p.inner.WriteBlock(idx, data)
+		return p.BlockDevice.WriteBlock(idx, data)
 	}
 	if tear {
-		old, rerr := p.inner.ReadBlock(idx)
-		if rerr != nil {
-			old = nil
-		}
-		cut := tornCut(int(cutBits&0x7fffffff), len(data))
-		if werr := p.inner.WriteBlock(idx, tornMerge(old, data, cut)); werr != nil {
-			return werr
-		}
-		return &InjectedError{Class: TornWrite, Site: p.site()}
+		return tearWrite(p.BlockDevice, idx, data, int(cutBits&0x7fffffff), p.site())
 	}
 	return &InjectedError{Class: Crash, Site: p.site()}
 }
-
-// NumBlocks implements pager.BlockDevice (metadata, never faulted).
-func (p *PowerCut) NumBlocks() uint32 { return p.inner.NumBlocks() }

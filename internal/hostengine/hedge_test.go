@@ -13,9 +13,11 @@ import (
 	"ironsafe/internal/tpch"
 )
 
-// hedgeProvider is a scriptable NodeProvider implementing the optional
-// budget / latency / hedging interfaces.
+// hedgeProvider is a NodeProvider with a scriptable budget, latency clock
+// and hedge plan; it hands out a fresh node per Connect, so it detaches
+// nothing.
 type hedgeProvider struct {
+	plainProvider
 	r   *rig
 	ids []string
 	bud *resilience.Budget
@@ -275,9 +277,10 @@ func TestHedgeFanOutRespectsConcurrencyCap(t *testing.T) {
 
 // cachingHedgeProvider mimics the cluster's sessionProvider: one live node
 // cached per id across Connects, failure reports dropping the cached entry,
-// and LegDetacher so abandoned hedge losers finish on a detached private
-// node while subsequent Connects get a fresh one.
+// and DetachLeg so abandoned hedge losers finish on a detached private node
+// while subsequent Connects get a fresh one.
 type cachingHedgeProvider struct {
+	plainProvider
 	r   *rig
 	ids []string
 

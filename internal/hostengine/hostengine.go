@@ -160,11 +160,14 @@ func (h *Host) ExecuteSplit(sqlText string, nodes []StorageNode) (*exec.Result, 
 	return res, outcome, nil
 }
 
-// NodeProvider supplies storage nodes for failover-aware split execution.
-// Unlike a static []StorageNode, a provider can hand out a FRESH channel per
-// attempt — essential after a fault, because an AEAD channel that saw a
-// corrupted or dropped frame is unrecoverably desynchronized and must be
-// replaced, not retried.
+// NodeProvider supplies storage nodes for failover-aware split execution and
+// carries the tail-tolerance policy that goes with them: the query's deadline
+// budget, the latency feed, hedge planning, and quarantine of an abandoned
+// hedge leg. Unlike a static []StorageNode, a provider can hand out a FRESH
+// channel per attempt — essential after a fault, because an AEAD channel that
+// saw a corrupted or dropped frame is unrecoverably desynchronized and must
+// be replaced, not retried. A provider without tail tolerance returns a nil
+// budget, ignores latencies, never grants a hedge, and has nothing to detach.
 type NodeProvider interface {
 	// CandidateIDs returns the node IDs currently eligible for offloads, in
 	// a deterministic order (the chaos suite's reproducibility depends on
@@ -176,31 +179,21 @@ type NodeProvider interface {
 	Connect(id string) (StorageNode, error)
 	// Report records an offload outcome for health tracking.
 	Report(id string, ok bool)
-}
 
-// ErrAllNodesFailed reports that every candidate node failed an offload.
-var ErrAllNodesFailed = errors.New("hostengine: offload failed on all storage nodes")
-
-// BudgetedProvider optionally supplies a per-query deadline budget: each
-// offload attempt (including hedge legs) charges it, and execution fails
-// typed — wrapping resilience.ErrBudgetExhausted — the moment it runs dry,
-// so a gray-failing node cannot drag a query through unbounded failovers.
-type BudgetedProvider interface {
+	// QueryBudget is the per-query deadline budget (nil = unbounded): each
+	// offload attempt (including hedge legs) charges it, and execution fails
+	// typed — wrapping resilience.ErrBudgetExhausted — the moment it runs
+	// dry, so a gray-failing node cannot drag a query through unbounded
+	// failovers.
 	QueryBudget() *resilience.Budget
-}
 
-// LatencyObserver optionally receives per-leg offload latencies for the
-// gray-failure estimator. NodeNow supplies the per-node clock the latency is
-// measured on (real monotonic in production, the fault plan's virtual clock
-// in the chaos suite) so the executor itself never reads time.
-type LatencyObserver interface {
+	// NodeNow is the per-node clock offload latency is measured on (real
+	// monotonic in production, the fault plan's virtual clock in the chaos
+	// suite), so the executor itself never reads time; ReportLatency receives
+	// each leg's latency for the gray-failure estimator.
 	NodeNow(id string) time.Duration
 	ReportLatency(id string, d time.Duration)
-}
 
-// HedgingProvider optionally plans hedged offloads: racing a slow fragment
-// on a second replica and taking the first epoch-valid reply.
-type HedgingProvider interface {
 	// PlanHedge decides whether the attempt on primary should be raced
 	// against a replica drawn from candidates. It returns the hedge node, a
 	// delay before the hedge leg launches (0 = race immediately — the
@@ -218,35 +211,32 @@ type HedgingProvider interface {
 	// counters and health reports deterministic (the chaos-sweep mode);
 	// production abandons the loser for latency.
 	JoinLoser() bool
-}
 
-// LegDetacher is implemented by providers that cache live channels across
-// Connect calls. When a hedged race abandons its losing leg, that leg's
-// Offload is still in flight on the loser's channel — if the provider kept
-// the channel cached, the next Connect to the same node would hand the main
-// loop a channel with a foreign request outstanding, and the new offload
-// could consume the loser's in-order reply (wrong fragment's rows). DetachLeg
-// removes the loser's channel from the provider BEFORE the race returns, so
-// subsequent Connects establish a fresh one while the loser finishes on its
-// now-private channel.
-//
-// Abandon-mode races (JoinLoser false) on a caching provider REQUIRE this
-// interface; providers that hand out a fresh node per Connect don't need it.
-type LegDetacher interface {
+	// DetachLeg matters to providers that cache live channels across Connect
+	// calls. When a hedged race abandons its losing leg, that leg's Offload
+	// is still in flight on the loser's channel — if the provider kept the
+	// channel cached, the next Connect to the same node would hand the main
+	// loop a channel with a foreign request outstanding, and the new offload
+	// could consume the loser's in-order reply (wrong fragment's rows).
 	// DetachLeg quarantines node — the exact channel the abandoned loser leg
-	// holds — and registers an outstanding background drain. The provider
-	// must drop node from its cache only if it is still the cached channel
-	// for id (identity compare: a failure report may already have evicted it
-	// and cached a replacement that is NOT the loser's). The returned settle
-	// MUST be called exactly once, when the loser leg lands: it feeds the
-	// breaker (when reportable — a leg that never connected was already
-	// reported by Connect), closes the quarantined channel, and deregisters
-	// the drain. Settle deliberately bypasses the provider's Report path: a
-	// failure report there would drop — and close, possibly mid-use —
-	// whatever fresh channel the main loop has cached for id since the
-	// detach.
+	// holds — BEFORE the race returns, and registers an outstanding
+	// background drain. The provider must drop node from its cache only if
+	// it is still the cached channel for id (identity compare: a failure
+	// report may already have evicted it and cached a replacement that is
+	// NOT the loser's). The returned settle MUST be called exactly once,
+	// when the loser leg lands: it feeds the breaker (when reportable — a
+	// leg that never connected was already reported by Connect), closes the
+	// quarantined channel, and deregisters the drain. Settle deliberately
+	// bypasses the provider's Report path: a failure report there would drop
+	// — and close, possibly mid-use — whatever fresh channel the main loop
+	// has cached for id since the detach. A provider that hands out a fresh
+	// node per Connect returns nil: the loser is then reported through
+	// Report when it lands.
 	DetachLeg(id string, node StorageNode) (settle func(ok, reportable bool))
 }
+
+// ErrAllNodesFailed reports that every candidate node failed an offload.
+var ErrAllNodesFailed = errors.New("hostengine: offload failed on all storage nodes")
 
 // legState is the handshake between one race leg and the race loop that may
 // abandon it. The leg publishes its connected node before sending; an
@@ -281,12 +271,9 @@ type legResult struct {
 // shipped fragment is offloaded to its round-robin node, and on failure is
 // re-offloaded to the next surviving candidate over a fresh channel. Only
 // when every candidate fails does the query fail — with a typed error, never
-// a hang.
-//
-// Providers may additionally implement BudgetedProvider (per-query deadline
-// budget), LatencyObserver (EWMA latency feed), and HedgingProvider (race a
-// slow fragment on a second replica, first epoch-valid reply wins). All
-// three are optional; a plain NodeProvider gets the PR-2 behavior.
+// a hang. The provider's budget bounds the attempts, its latency feed sees
+// every leg, and its hedge plan may race a slow fragment on a second replica
+// (first epoch-valid reply wins).
 func (h *Host) ExecuteSplitProvider(sqlText string, prov NodeProvider) (*exec.Result, *SplitOutcome, error) {
 	sel, err := parser.ParseSelect(sqlText)
 	if err != nil {
@@ -296,12 +283,7 @@ func (h *Host) ExecuteSplitProvider(sqlText string, prov NodeProvider) (*exec.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	var bud *resilience.Budget
-	if bp, ok := prov.(BudgetedProvider); ok {
-		bud = bp.QueryBudget()
-	}
-	lat, _ := prov.(LatencyObserver)
-	hedger, _ := prov.(HedgingProvider)
+	bud := prov.QueryBudget()
 
 	outcome := &SplitOutcome{Split: split}
 	cat := shippedCatalog{}
@@ -323,17 +305,17 @@ func (h *Host) ExecuteSplitProvider(sqlText string, prov NodeProvider) (*exec.Re
 			var hedgeID string
 			var hedgeDelay time.Duration
 			doHedge := false
-			if hedger != nil && len(ids) > 1 {
+			if len(ids) > 1 {
 				rest := make([]string, 0, len(ids)-1)
 				for k := 1; k < len(ids); k++ {
 					rest = append(rest, ids[(i+j+k)%len(ids)])
 				}
-				hedgeID, hedgeDelay, doHedge = hedger.PlanHedge(id, rest)
+				hedgeID, hedgeDelay, doHedge = prov.PlanHedge(id, rest)
 			}
 			var win legResult
 			if doHedge {
 				var hedged bool
-				win, hedged = h.raceOffload(prov, lat, hedger, bud, ship.SQL, id, hedgeID, hedgeDelay)
+				win, hedged = h.raceOffload(prov, bud, ship.SQL, id, hedgeID, hedgeDelay)
 				if hedged {
 					outcome.Hedges++
 					if win.err == nil && win.id == hedgeID {
@@ -341,8 +323,8 @@ func (h *Host) ExecuteSplitProvider(sqlText string, prov NodeProvider) (*exec.Re
 					}
 				}
 			} else {
-				win = h.offloadLeg(prov, lat, ship.SQL, id, nil)
-				reportLeg(prov, lat, win)
+				win = h.offloadLeg(prov, ship.SQL, id, nil)
+				reportLeg(prov, win)
 			}
 			if win.err != nil {
 				lastErr = win.err
@@ -368,15 +350,12 @@ func (h *Host) ExecuteSplitProvider(sqlText string, prov NodeProvider) (*exec.Re
 }
 
 // offloadLeg runs one offload attempt against id, measuring its latency on
-// the observer's per-node clock. st (nil outside hedged races) is the
+// the provider's per-node clock. st (nil outside hedged races) is the
 // abandonment handshake: the leg publishes its node before sending and bows
 // out — before creating an in-flight request anyone would have to quarantine
 // — if the race was decided while it was still connecting.
-func (h *Host) offloadLeg(prov NodeProvider, lat LatencyObserver, sql, id string, st *legState) legResult {
-	var start time.Duration
-	if lat != nil {
-		start = lat.NodeNow(id)
-	}
+func (h *Host) offloadLeg(prov NodeProvider, sql, id string, st *legState) legResult {
+	start := prov.NodeNow(id)
 	node, err := prov.Connect(id)
 	if err != nil {
 		return legResult{id: id, err: fmt.Errorf("connect %s: %w", id, err)}
@@ -398,21 +377,19 @@ func (h *Host) offloadLeg(prov NodeProvider, lat LatencyObserver, sql, id string
 	if err != nil {
 		leg.err = fmt.Errorf("offload to %s: %w", id, err)
 	}
-	if lat != nil {
-		leg.lat = lat.NodeNow(id) - start
-	}
+	leg.lat = prov.NodeNow(id) - start
 	return leg
 }
 
 // reportLeg feeds one completed leg back into health tracking: the breaker
 // outcome and, when the leg got far enough to measure, its latency.
-func reportLeg(prov NodeProvider, lat LatencyObserver, leg legResult) {
+func reportLeg(prov NodeProvider, leg legResult) {
 	if !leg.connected {
 		return
 	}
 	prov.Report(leg.id, leg.err == nil)
-	if lat != nil && leg.lat >= 0 {
-		lat.ReportLatency(leg.id, leg.lat)
+	if leg.lat >= 0 {
+		prov.ReportLatency(leg.id, leg.lat)
 	}
 }
 
@@ -426,10 +403,10 @@ func reportLeg(prov NodeProvider, lat LatencyObserver, leg legResult) {
 // hedge order (deterministic health state); otherwise the loser is drained
 // in the background. Returns the winning (or least-bad) leg and whether the
 // hedge leg actually launched.
-func (h *Host) raceOffload(prov NodeProvider, lat LatencyObserver, hedger HedgingProvider, bud *resilience.Budget, sql, primary, hedge string, delay time.Duration) (legResult, bool) {
+func (h *Host) raceOffload(prov NodeProvider, bud *resilience.Budget, sql, primary, hedge string, delay time.Duration) (legResult, bool) {
 	ch := make(chan legResult, 2)
 	states := map[string]*legState{primary: {}, hedge: {}}
-	go func() { ch <- h.offloadLeg(prov, lat, sql, primary, states[primary]) }()
+	go func() { ch <- h.offloadLeg(prov, sql, primary, states[primary]) }()
 
 	hedgeLaunched := false
 	launchHedge := func() {
@@ -437,7 +414,7 @@ func (h *Host) raceOffload(prov NodeProvider, lat LatencyObserver, hedger Hedgin
 			return // budget dry: the race degrades to a plain attempt
 		}
 		hedgeLaunched = true
-		go func() { ch <- h.offloadLeg(prov, lat, sql, hedge, states[hedge]) }()
+		go func() { ch <- h.offloadLeg(prov, sql, hedge, states[hedge]) }()
 	}
 	var timer <-chan time.Time
 	if delay <= 0 {
@@ -467,7 +444,7 @@ func (h *Host) raceOffload(prov NodeProvider, lat LatencyObserver, hedger Hedgin
 				// the next candidate without burning a hedge slot.
 				timer = nil
 			}
-			if haveWinner && pending > 0 && !hedger.JoinLoser() {
+			if haveWinner && pending > 0 && !prov.JoinLoser() {
 				// Abandon the loser: drain and report it off the query path,
 				// releasing the hedge slot when it lands. The handshake below
 				// runs BEFORE the race returns — before the main loop can
@@ -489,25 +466,23 @@ func (h *Host) raceOffload(prov NodeProvider, lat LatencyObserver, hedger Hedgin
 				st.mu.Unlock()
 				var settle func(ok, reportable bool)
 				if loserNode != nil {
-					if det, ok := prov.(LegDetacher); ok {
-						settle = det.DetachLeg(loser, loserNode)
-					}
+					settle = prov.DetachLeg(loser, loserNode)
 				}
 				go func() {
 					leg := <-ch
 					switch {
 					case settle != nil:
-						if lat != nil && leg.connected && leg.lat >= 0 {
-							lat.ReportLatency(leg.id, leg.lat)
+						if leg.connected && leg.lat >= 0 {
+							prov.ReportLatency(leg.id, leg.lat)
 						}
 						settle(leg.err == nil, leg.connected)
 					case !leg.aborted:
-						reportLeg(prov, lat, leg)
+						reportLeg(prov, leg)
 					}
-					hedger.HedgeDone()
+					prov.HedgeDone()
 				}()
 				for _, l := range legs {
-					reportLeg(prov, lat, l)
+					reportLeg(prov, l)
 				}
 				return winner, hedgeLaunched
 			}
@@ -527,9 +502,9 @@ func (h *Host) raceOffload(prov NodeProvider, lat LatencyObserver, hedger Hedgin
 		legs[0], legs[1] = legs[1], legs[0]
 	}
 	for _, l := range legs {
-		reportLeg(prov, lat, l)
+		reportLeg(prov, l)
 	}
-	hedger.HedgeDone()
+	prov.HedgeDone()
 	for i := range legs {
 		if legs[i].err == nil {
 			return legs[i], hedgeLaunched

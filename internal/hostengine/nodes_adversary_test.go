@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ironsafe/internal/adversary"
+	"ironsafe/internal/faultinject"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/exec"
 	"ironsafe/internal/transport"
@@ -23,8 +24,8 @@ import (
 // desynced exchange.
 func TestAdversaryDuplicatedReplyRejectedNotConsumed(t *testing.T) {
 	key := []byte("storage-session-key")
-	eng := adversary.NewEngine(5, adversary.Rule{
-		Site: ":read", Class: adversary.Duplicate, Prob: 1, After: 1, MaxCount: 1,
+	eng := adversary.NewEngine(5, faultinject.Rule{
+		Site: ":read", Class: faultinject.Duplicate, Prob: 1, After: 1, MaxCount: 1,
 	})
 	clientRaw, serverRaw := net.Pipe()
 	wrapped := adversary.WrapConn(clientRaw, "node-x", adversary.StorageProfile, eng)
@@ -128,6 +129,7 @@ func replyingPeer(t *testing.T, conn net.Conn, key, body []byte) {
 // malformedProvider offers a node whose replies authenticate but do not
 // parse, ahead of an honest replica.
 type malformedProvider struct {
+	plainProvider
 	r       *rig
 	bad     *RemoteNode
 	reports []string

@@ -3,13 +3,29 @@ package hostengine
 import (
 	"errors"
 	"testing"
+	"time"
 
+	"ironsafe/internal/resilience"
 	"ironsafe/internal/sql/exec"
 	"ironsafe/internal/tpch"
 )
 
+// plainProvider is the tail-tolerance half of NodeProvider switched off: no
+// budget, no latency feed, never a hedge, nothing cached to detach. The test
+// fakes embed it and override what they script.
+type plainProvider struct{}
+
+func (plainProvider) QueryBudget() *resilience.Budget                          { return nil }
+func (plainProvider) NodeNow(string) time.Duration                             { return 0 }
+func (plainProvider) ReportLatency(string, time.Duration)                      {}
+func (plainProvider) PlanHedge(string, []string) (string, time.Duration, bool) { return "", 0, false }
+func (plainProvider) HedgeDone()                                               {}
+func (plainProvider) JoinLoser() bool                                          { return false }
+func (plainProvider) DetachLeg(string, StorageNode) func(ok, reportable bool)  { return nil }
+
 // flakyProvider serves nodes from a rig but scripts per-node failures.
 type flakyProvider struct {
+	plainProvider
 	r *rig
 	// failFor[id] > 0: the next N offloads through that id fail.
 	failFor map[string]int

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"ironsafe/internal/ctl"
-	"ironsafe/internal/faultinject"
 	"ironsafe/internal/monitor"
 	"ironsafe/internal/resilience"
 	"ironsafe/internal/securestore"
@@ -46,8 +45,8 @@ type Node interface {
 	Name() string
 	// Apply executes the batch atomically (one store commit). A semantic
 	// error means the batch is rejected with the store untouched; an error
-	// matching faultinject.ErrInjected or securestore.ErrStoreFailed means
-	// the NODE failed mid-batch and must be restarted.
+	// matching securestore.ErrStoreFailed means the NODE failed mid-batch and
+	// must be restarted.
 	Apply(stmts []ast.Statement) ([]*exec.Result, error)
 	// Seq is the node's durable commit sequence (0 on non-secure stores).
 	Seq() uint64
@@ -532,10 +531,10 @@ func (p *Pipeline) batchAt(i int) []ast.Statement {
 	return p.batches[i]
 }
 
-// isNodeFailure distinguishes node crashes (injected device faults, a store
-// poisoned mid-commit) from semantic rejections of the batch itself.
+// isNodeFailure distinguishes node crashes (a store poisoned by a commit
+// that died on its medium) from semantic rejections of the batch itself.
 func isNodeFailure(err error) bool {
-	return errors.Is(err, faultinject.ErrInjected) || errors.Is(err, securestore.ErrStoreFailed)
+	return errors.Is(err, securestore.ErrStoreFailed)
 }
 
 // affectedOf extracts one statement's affected-row count from batch results;

@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,33 +30,42 @@ type env struct {
 
 func newEnv(t *testing.T, name string, withCut bool) *env {
 	t.Helper()
-	vendor, err := trustzone.NewVendor("acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m simtime.Meter
-	e := &env{meter: &m}
-	cfg := storageengine.Config{
-		DeviceID: name, Vendor: vendor,
-		Location: "EU", FWVersion: "3.4",
-		Secure: true, Meter: &m,
-	}
+	e := &env{}
+	var wrap func(string, pager.BlockDevice) pager.BlockDevice
 	if withCut {
-		cfg.MediumWrapper = func(node string, dev pager.BlockDevice) pager.BlockDevice {
+		wrap = func(node string, dev pager.BlockDevice) pager.BlockDevice {
 			if e.cut == nil {
 				e.cut = faultinject.NewPowerCut(dev, node)
 			}
 			return e.cut
 		}
 	}
-	e.srv, err = storageengine.New(cfg)
+	e.srv, e.meter = newServer(t, name, wrap)
+	return e
+}
+
+// newServer boots one secure storage server holding the ev table, its medium
+// passed through wrap when set.
+func newServer(t *testing.T, name string, wrap func(string, pager.BlockDevice) pager.BlockDevice) (*storageengine.Server, *simtime.Meter) {
+	t.Helper()
+	vendor, err := trustzone.NewVendor("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.srv.DB().Execute("CREATE TABLE ev (id INTEGER, note TEXT)"); err != nil {
+	var m simtime.Meter
+	srv, err := storageengine.New(storageengine.Config{
+		DeviceID: name, Vendor: vendor,
+		Location: "EU", FWVersion: "3.4",
+		Secure: true, Meter: &m,
+		MediumWrapper: wrap,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	if _, err := srv.DB().Execute("CREATE TABLE ev (id INTEGER, note TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	return srv, &m
 }
 
 func rowCount(t *testing.T, srv *storageengine.Server) int {
@@ -410,6 +420,91 @@ func TestIngestNodeCrashRecovery(t *testing.T) {
 		t.Fatal("submit hung after recovery")
 	}
 	if n := rowCount(t, e.srv); n != 2 {
+		t.Errorf("ev has %d rows, want 2", n)
+	}
+}
+
+// eioDevice is a plain medium whose writes fail while broken is set: a real
+// device's I/O error, which is not the fault package's sentinel.
+type eioDevice struct {
+	pager.BlockDevice
+	broken atomic.Bool
+}
+
+var errEIO = errors.New("input/output error")
+
+func (d *eioDevice) WriteBlock(idx uint32, data []byte) error {
+	if d.broken.Load() {
+		return errEIO
+	}
+	return d.BlockDevice.WriteBlock(idx, data)
+}
+
+// TestIngestPlainDeviceFailureIsNodeFailure: the commit that dies on a plain
+// failing device reports the node down — it is not read as a semantic
+// rejection, so the group is neither nacked nor split and recommitted.
+func TestIngestPlainDeviceFailureIsNodeFailure(t *testing.T) {
+	var dev *eioDevice
+	srv, _ := newServer(t, "storage-01", func(_ string, inner pager.BlockDevice) pager.BlockDevice {
+		if dev == nil {
+			dev = &eioDevice{BlockDevice: inner}
+		}
+		return dev
+	})
+	downs := make(chan error, 1)
+	p, err := New(Config{
+		Nodes:      []Node{NewServerNode(srv)},
+		OnNodeDown: func(_ string, cause error) { downs <- cause },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	var group []*pending
+	for _, sql := range []string{
+		"INSERT INTO ev (id, note) VALUES (1, 'x')",
+		"INSERT INTO ev (id, note) VALUES (2, 'y')",
+	} {
+		stmt, err := parser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		group = append(group, &pending{stmt: stmt, ch: make(chan outcome, 1)})
+	}
+	dev.broken.Store(true)
+	go p.commitGroup(group)
+
+	select {
+	case cause := <-downs:
+		if !errors.Is(cause, errEIO) {
+			t.Errorf("node-down cause %v does not carry the device error", cause)
+		}
+	case out := <-group[0].ch:
+		t.Fatalf("device failure settled the record (ack %+v, err %v) instead of reporting the node down", out.ack, out.err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("node failure never reported")
+	}
+	dev.broken.Store(false)
+	if err := srv.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	p.NodeRecovered("storage-01")
+
+	for i, pd := range group {
+		select {
+		case out := <-pd.ch:
+			if out.err != nil {
+				t.Errorf("record %d nacked after recovery: %v", i, out.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("record %d hung after recovery", i)
+		}
+	}
+	if got := p.Batches(); got != 1 {
+		t.Errorf("committed %d batches, want the one group (a device failure is not a reason to split)", got)
+	}
+	if n := rowCount(t, srv); n != 2 {
 		t.Errorf("ev has %d rows, want 2", n)
 	}
 }

@@ -345,21 +345,27 @@ func (t *Txn) Commit() error {
 	jrec := &journalRecord{Seq: s.seq, PrevTag: prevTag, PostTag: postTag, PostN: newN, Entries: entries}
 	//ironsafe:allow journalbypass -- this IS the journal commit write
 	if err := s.dev.WriteBlock(journalBlock, s.encodeJournal(jrec)); err != nil {
-		s.failed = err
-		return fmt.Errorf("securestore: journal write: %w", err)
+		return s.poison(fmt.Errorf("securestore: journal write: %w", err))
 	}
 	if err := s.applyEntries(jrec); err != nil {
-		s.failed = err
-		return err
+		return s.poison(err)
 	}
 	s.meter.PagesWritten.Add(int64(len(entries)))
 	s.meter.PagesEncrypted.Add(int64(len(entries)))
 	// One anchor advance per transaction — the group-commit win.
 	if err := s.anchorRoot(); err != nil {
-		s.failed = err
-		return err
+		return s.poison(err)
 	}
 	return nil
+}
+
+// poison marks the store failed by a commit that died on the medium and
+// returns ErrStoreFailed wrapping the cause: the commit that poisons the
+// store says so itself, so a caller needs no knowledge of the device's error
+// values to tell a dead node from a rejected transaction. Caller holds s.mu.
+func (s *Store) poison(err error) error {
+	s.failed = err
+	return fmt.Errorf("%w: %w", ErrStoreFailed, err)
 }
 
 // applyEntries performs the in-place writes of a journal record: data blocks,
