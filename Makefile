@@ -7,7 +7,7 @@ GO ?= go
 # name explicitly. `make race` extends it to the whole module.
 RACE_PKGS = ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/storageengine ./internal/hostengine
 
-.PHONY: all build fmt-check test race race-tier1 vet lint vet-json vet-bench sweep sweep-race fuzz-smoke benchjson benchsmoke bench-e2e check clean
+.PHONY: all build fmt-check test race race-tier1 vet lint vet-json vet-bench sweep sweep-race fuzz-smoke benchjson benchsmoke bench-layers bench-e2e benchmark check clean
 
 all: check
 
@@ -156,6 +156,21 @@ benchsmoke:
 	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
 	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain|SemiReduction|CommonDisjuncts' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
 	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HashJoin|GroupBy|ScanSemiReduce' -benchtime 1x ./internal/engine ./internal/sql/exec ./internal/storageengine
+
+# bench-layers runs the data path's layer benchmarks, bottom up: the secure
+# store's batched read, page open and page seal (CBC+HMAC and GCM), the
+# predicate kernels, the table scan over a real secure store, and fragment
+# shipment. ns/op, B/op and allocs/op per layer; `make bench-layers
+# BENCHTIME=1x` is the CI smoke run.
+BENCHTIME ?= 1s
+bench-layers:
+	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|SealPage|EvalVecPredicate|TableScan|ShipFragment' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/sql/exec ./internal/engine ./internal/storageengine
+
+# benchmark runs one workload of the repository benchmark the way the driver
+# does (`make benchmark W=scs-scan`): the timed run only, no trace.
+benchmark:
+	@test -n "$(W)" || { echo "usage: make benchmark W=<scs-scan|scs-subquery|hos-join|scs-gdpr-short|scs-ingest-mixed>"; exit 2; }
+	$(GO) run ./benchmark --workload $(W) --seed 1 --seconds 20 --trace 0
 
 # bench-e2e runs the repository benchmark (BENCHMARK.json; see
 # benchmark/README.md) once per workload: the timed run's end-to-end metrics,

@@ -512,8 +512,12 @@ func (c *Cluster) connectNode(srv *storageengine.Server, id, sessionID string, s
 // keep paying full handshake timeouts against a stalled peer.
 func (c *Cluster) dialNodeChannel(srv *storageengine.Server, site, sessionID string, sessionKey []byte, bud *resilience.Budget) (*hostengine.RemoteNode, error) {
 	hostSide, storageSide := net.Pipe()
-	//ironsafe:allow policypath -- ServeConn only executes fragments arriving over the monitor-keyed channel; the session key it requires is minted by Authorize, so the policy decision dominates at runtime one hop upstream
-	go srv.ServeConn(storageSide)
+	served := make(chan struct{}) // closed when the serving goroutine returns; the node's Close waits for it
+	go func() {
+		defer close(served)
+		//ironsafe:allow policypath -- ServeConn only executes fragments arriving over the monitor-keyed channel; the session key it requires is minted by Authorize, so the policy decision dominates at runtime one hop upstream
+		srv.ServeConn(storageSide)
+	}()
 	var conn net.Conn = hostSide
 	if c.cfg.ConnWrapper != nil {
 		conn = c.cfg.ConnWrapper(site, hostSide)
@@ -533,6 +537,7 @@ func (c *Cluster) dialNodeChannel(srv *storageengine.Server, site, sessionID str
 		node.SetBaseIOTimeout(c.res.IOTimeout)
 	}
 	node.SetBudget(bud)
+	node.ServedBy(served)
 	return node, nil
 }
 

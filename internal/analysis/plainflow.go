@@ -32,8 +32,10 @@ var plainflowRules = &taintRules{
 		// Secure-store read path: results carry verified plaintext.
 		{name: "ReadPage", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0},
 		{name: "ReadPages", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0},
-		{name: "openPage", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0},
-		{name: "openPageGCM", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0},
+		// openPage decrypts in place: after openPage(pc, idx, record) the
+		// record buffer holds the page too, not only result 0.
+		{name: "openPage", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
+		{name: "openPageGCM", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
 		// TEE key derivation and unsealing: results are key material.
 		{name: "DeriveKey", modPrefixes: []string{"internal/securestore", "internal/tee"}, taint: TaintKey, result: 0},
 		{name: "DeriveStorageKey", modPrefixes: []string{"internal/tee"}, taint: TaintKey, result: 0},
@@ -52,6 +54,11 @@ var plainflowRules = &taintRules{
 		{name: "Seal", modPrefixes: []string{"internal/tee"}, stdPaths: []string{"crypto/cipher"}},
 		{name: "Sum", stdPaths: []string{"crypto/sha256", "crypto/hmac", "hash"}},
 		{name: "Sum256", stdPaths: []string{"crypto/sha256"}},
+	},
+	send: &sinkRule{
+		bad:  TaintPlaintext | TaintKey,
+		what: "channel send",
+		fix:  "hand a sealed record, a digest or an index to another goroutine — not decrypted contents or keys",
 	},
 	sinks: []*sinkRule{
 		{

@@ -74,6 +74,10 @@ type funcRule struct {
 	taint Taint
 	// result (sources only): which result index is tainted; -1 = all.
 	result int
+	// taintsArg (sources only), when positive, is the 1-based position of an
+	// argument the call leaves holding the taint too: a source that works in
+	// place, as openPage decrypts the record it is handed.
+	taintsArg int
 }
 
 func (r *funcRule) nameMatches(name string) bool {
@@ -110,6 +114,9 @@ type taintRules struct {
 	sources    []*funcRule
 	sanitizers []*funcRule
 	sinks      []*sinkRule
+	// send, when set, makes every channel send a sink for its bad kinds: a
+	// value sent leaves the function's control as surely as one written.
+	send *sinkRule
 }
 
 // calleeFunc resolves the function or method a call targets, or nil when
@@ -292,6 +299,11 @@ type taintEngine struct {
 	rules        *taintRules
 	useSummaries bool
 	vars         map[types.Object]Taint
+	// grew records that taintObj changed the state since propagate last
+	// cleared it — by an assignment, or by a call tainting an argument as a
+	// side effect of being evaluated (copy, in-place sources), wherever in an
+	// expression it sits.
+	grew bool
 }
 
 const maxTaintIters = 8
@@ -336,15 +348,12 @@ func (e *taintEngine) rootObj(lvalue ast.Expr) types.Object {
 	return nil
 }
 
-func (e *taintEngine) taintObj(obj types.Object, t Taint) bool {
-	if obj == nil || t == 0 {
-		return false
-	}
-	if e.vars[obj]&t == t {
-		return false
+func (e *taintEngine) taintObj(obj types.Object, t Taint) {
+	if obj == nil || t == 0 || e.vars[obj]&t == t {
+		return
 	}
 	e.vars[obj] |= t
-	return true
+	e.grew = true
 }
 
 // exprTaint computes the taint of an expression under the current state.
@@ -458,6 +467,9 @@ func (e *taintEngine) callTaint(call *ast.CallExpr) []Taint {
 	for _, r := range e.rules.sources {
 		if ruleMatches(e.pkg.Module, e.info(), e.file, r, call) {
 			matched = true
+			if r.taintsArg > 0 && r.taintsArg <= len(call.Args) {
+				e.taintObj(e.rootObj(call.Args[r.taintsArg-1]), r.taint)
+			}
 			if r.result < 0 {
 				for i := range out {
 					out[i] |= r.taint
@@ -543,65 +555,63 @@ func (e *taintEngine) argTaint(args []ast.Expr, i, nparams int) Taint {
 // state changed. Function literals are analyzed inline: captured variables
 // share the engine's state.
 func (e *taintEngine) propagate(body ast.Node) bool {
-	changed := false
+	e.grew = false
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch stmt := n.(type) {
 		case *ast.AssignStmt:
-			changed = e.assign(stmt.Lhs, stmt.Rhs) || changed
+			e.assign(stmt.Lhs, stmt.Rhs)
 		case *ast.ValueSpec:
 			if len(stmt.Values) > 0 {
 				lhs := make([]ast.Expr, len(stmt.Names))
 				for i, id := range stmt.Names {
 					lhs[i] = id
 				}
-				changed = e.assign(lhs, stmt.Values) || changed
+				e.assign(lhs, stmt.Values)
 			}
 		case *ast.RangeStmt:
 			t := e.exprTaint(stmt.X)
 			if t != 0 {
 				if stmt.Key != nil {
-					changed = e.taintObj(e.rootObj(stmt.Key), t) || changed
+					e.taintObj(e.rootObj(stmt.Key), t)
 				}
 				if stmt.Value != nil {
-					changed = e.taintObj(e.rootObj(stmt.Value), t) || changed
+					e.taintObj(e.rootObj(stmt.Value), t)
 				}
 			}
 		case *ast.ExprStmt:
-			// For side effects: copy(dst, tainted).
-			if call, ok := stmt.X.(*ast.CallExpr); ok && calleeName(call) == "copy" && len(call.Args) == 2 {
-				changed = e.taintObj(e.rootObj(call.Args[0]), e.exprTaint(call.Args[1])) || changed
+			// For side effects: copy(dst, tainted), openPage(pc, idx, record).
+			if call, ok := stmt.X.(*ast.CallExpr); ok {
+				e.callTaint(call)
 			}
 		}
 		return true
 	})
-	return changed
+	return e.grew
 }
 
 // assign joins right-hand taint into left-hand roots, handling the
 // multi-value call/assert/index forms.
-func (e *taintEngine) assign(lhs, rhs []ast.Expr) bool {
-	changed := false
+func (e *taintEngine) assign(lhs, rhs []ast.Expr) {
 	if len(rhs) == 1 && len(lhs) > 1 {
 		switch r := ast.Unparen(rhs[0]).(type) {
 		case *ast.CallExpr:
 			ts := e.callTaint(r)
 			for i := range lhs {
 				if i < len(ts) {
-					changed = e.taintObj(e.rootObj(lhs[i]), ts[i]) || changed
+					e.taintObj(e.rootObj(lhs[i]), ts[i])
 				}
 			}
 		default:
 			// v, ok := m[k] / x.(T) / <-ch: the value is lhs[0].
-			changed = e.taintObj(e.rootObj(lhs[0]), e.exprTaint(rhs[0])) || changed
+			e.taintObj(e.rootObj(lhs[0]), e.exprTaint(rhs[0]))
 		}
-		return changed
+		return
 	}
 	for i := range lhs {
 		if i < len(rhs) {
-			changed = e.taintObj(e.rootObj(lhs[i]), e.exprTaint(rhs[i])) || changed
+			e.taintObj(e.rootObj(lhs[i]), e.exprTaint(rhs[i]))
 		}
 	}
-	return changed
 }
 
 // run seeds the engine and propagates to a fixpoint.
@@ -621,6 +631,12 @@ func (e *taintEngine) run(body ast.Node, seed map[types.Object]Taint) {
 func (e *taintEngine) checkSinks(body ast.Node) []sinkHit {
 	var hits []sinkHit
 	ast.Inspect(body, func(n ast.Node) bool {
+		if send, ok := n.(*ast.SendStmt); ok && e.rules.send != nil {
+			if t := e.exprTaint(send.Value) & (e.rules.send.bad | taintTracer); t != 0 {
+				hits = append(hits, sinkHit{pos: send.Arrow, taint: t, rule: e.rules.send})
+			}
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true

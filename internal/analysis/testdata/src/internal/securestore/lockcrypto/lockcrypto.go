@@ -92,3 +92,27 @@ func (s *store) callersHoldMu(idx uint32, record []byte) ([]byte, error) {
 	plain, _, err := s.openPage(idx, record)
 	return plain, err
 }
+
+type pageCrypto struct{}
+
+func (s *store) getCrypto() *pageCrypto   { return &pageCrypto{} }
+func (s *store) putCrypto(pc *pageCrypto) {}
+
+// pooledStateUnderLock takes the pooled crypto state under the mutex: with the
+// pool empty that keys an HMAC inside the critical section.
+func (s *store) pooledStateUnderLock() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pc := s.getCrypto() // want "while holding the store mutex"
+	s.putCrypto(pc)
+}
+
+// pooledStateThenLock is the sanctioned shape, as readPagesAt has it: take the
+// state and open pages off the lock, re-lock to verify, hand the state back.
+func (s *store) pooledStateThenLock(idx uint32, record []byte) {
+	pc := s.getCrypto()
+	defer s.putCrypto(pc)
+	_, _, _ = s.openPage(idx, record)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+}

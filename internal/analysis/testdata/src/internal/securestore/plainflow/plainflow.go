@@ -14,6 +14,14 @@ func (s *Store) ReadPage(id uint32) ([]byte, error) { return make([]byte, 8), ni
 
 func (s *Store) sealPage(p []byte) []byte { return append([]byte(nil), p...) }
 
+type pageCrypto struct{}
+
+// openPage decrypts record in place, as the real one does: the page it
+// returns is a view of the buffer it was handed.
+func (s *Store) openPage(pc *pageCrypto, idx uint32, record []byte) (plain, mac []byte, err error) {
+	return record[:8], record[8:], nil
+}
+
 func DeriveKey(label string) []byte { return make([]byte, 32) }
 
 func WriteBlock(id uint32, b []byte) error { return nil }
@@ -86,4 +94,40 @@ func sendKeyBad(c *SecureConn) {
 func logKeyBad() {
 	k := DeriveKey("storage")
 	log.Println(k) // want "key material reaches log/print call"
+}
+
+// In-place open: once openPage has run, the record buffer it was handed holds
+// the page. Writing that buffer back, logging it or handing it to another
+// goroutine is a leak even though the result was never touched.
+func openedRecordWrittenBack(s *Store, record []byte) {
+	_, _, err := s.openPage(nil, 4, record)
+	if err != nil {
+		return
+	}
+	WriteBlock(4, record) // want "verified plaintext reaches raw device write"
+}
+
+func openedRecordLogged(s *Store, record []byte) {
+	s.openPage(nil, 4, record)
+	log.Printf("record=%x", record[:16]) // want "verified plaintext reaches log/print call"
+}
+
+func openedRecordSent(s *Store, record []byte, out chan []byte) {
+	plain, _, _ := s.openPage(nil, 4, record)
+	out <- record // want "verified plaintext reaches channel send"
+	out <- plain  // want "verified plaintext reaches channel send"
+}
+
+// Sealed again, the page may go anywhere; and a record that was only read,
+// never opened, is ciphertext still.
+func openedRecordResealed(s *Store, record []byte, out chan []byte) {
+	plain, _, _ := s.openPage(nil, 4, record)
+	sealed := s.sealPage(plain)
+	WriteBlock(4, sealed)
+	out <- s.sealPage(record)
+}
+
+func unopenedRecordForwarded(record []byte, out chan []byte) {
+	WriteBlock(5, record)
+	out <- record
 }

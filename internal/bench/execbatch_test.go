@@ -1,12 +1,23 @@
 package bench
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
 	"ironsafe"
+	"ironsafe/internal/sql/exec"
 	"ironsafe/internal/tpch"
 )
+
+// TestMain runs the package — the vectorized-vs-row differential below, the
+// golden counters, the batched-vs-sequential scan check — with the executor
+// poisoning every vector it recycles, so a loop that keeps one past its batch
+// returns wrong rows here instead of passing by luck.
+func TestMain(m *testing.M) {
+	exec.PoisonRecycledVectors = true
+	os.Exit(m.Run())
+}
 
 // TestExecBatchMatchesRowModeTPCH is the acceptance gate for the vectorized
 // executor: on the full evaluated TPC-H suite (plus q1) the default batched
@@ -26,9 +37,21 @@ func TestExecBatchMatchesRowModeTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A window of 7 rows ends inside every page, run and group: the batch
+	// boundaries the default size almost never exercises.
+	seven, err := newCluster(ironsafe.IronSafe, data, func(cfg *ironsafe.Config) {
+		cfg.ExecBatchRows = 7
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	queries := append([]int{1}, tpch.EvaluatedQueries...)
 	var vecBatches, rowBatches int64
 	for _, qn := range queries {
+		qr7, err := seven.NewSession(benchClient).Query(tpch.Queries[qn])
+		if err != nil {
+			t.Fatalf("q%d batch=7: %v", qn, err)
+		}
 		qrV, err := vec.NewSession(benchClient).Query(tpch.Queries[qn])
 		if err != nil {
 			t.Fatalf("q%d vectorized: %v", qn, err)
@@ -40,6 +63,9 @@ func TestExecBatchMatchesRowModeTPCH(t *testing.T) {
 		if len(qrV.Result.Rows) != len(qrR.Result.Rows) {
 			t.Fatalf("q%d: vectorized %d rows, row-mode %d rows",
 				qn, len(qrV.Result.Rows), len(qrR.Result.Rows))
+		}
+		if !reflect.DeepEqual(qr7.Result.Rows, qrR.Result.Rows) {
+			t.Fatalf("q%d: batch=7 returns %d rows that differ from row mode's %d", qn, len(qr7.Result.Rows), len(qrR.Result.Rows))
 		}
 		for i := range qrV.Result.Rows {
 			if !reflect.DeepEqual(qrV.Result.Rows[i], qrR.Result.Rows[i]) {

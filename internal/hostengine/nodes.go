@@ -104,7 +104,19 @@ type RemoteNode struct {
 	// runtime already evicts reported-failed channels, so a poisoned node is
 	// never reused for a fresh query.
 	broken error
+
+	// served, when set (ServedBy), is closed once the goroutine serving the
+	// peer end of an in-process channel has returned.
+	served <-chan struct{}
 }
+
+// ServedBy names the goroutine that serves this channel's peer end in the
+// same process: done is closed when it has returned, and Close waits for it
+// after a goodbye the peer took. A runtime that starts such a goroutine per
+// query owns it; without the wait, one P that never idles runs each new
+// query's goroutines ahead of the finished ones, which then pile up by the
+// hundred, runnable and one step from exiting.
+func (n *RemoteNode) ServedBy(done <-chan struct{}) { n.served = done }
 
 // SetBudget attaches the per-query deadline budget enforced on this channel.
 func (n *RemoteNode) SetBudget(b *resilience.Budget) { n.budget = b }
@@ -253,7 +265,13 @@ func (n *RemoteNode) Close() error {
 	n.reqMu.Lock()
 	defer n.reqMu.Unlock()
 	byeErr := n.Conn.Send("bye", nil)
-	return errors.Join(byeErr, n.Conn.Close())
+	err := errors.Join(byeErr, n.Conn.Close())
+	if byeErr == nil && n.served != nil {
+		// The peer read the goodbye, or the closed pipe: either ends its
+		// serving loop, with nothing left that can block.
+		<-n.served
+	}
+	return err
 }
 
 // BlockFetcher serves raw medium blocks remotely — the NFS-like access path

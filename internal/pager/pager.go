@@ -21,7 +21,11 @@ const PageSize = 4096
 // store's encrypted records are larger than PageSize).
 type BlockDevice interface {
 	// ReadBlock returns the contents of block idx. Reading a never-written
-	// block returns ErrBlockNotFound.
+	// block returns ErrBlockNotFound. The slice is the caller's own: the
+	// device keeps no reference to it and a later read is unaffected by what
+	// the caller writes into it. The fault planes rely on that to flip bits
+	// in a read, the secure store to decrypt a record in the buffer it came
+	// in; a wrapper that passes an inner device's slice on inherits it.
 	ReadBlock(idx uint32) ([]byte, error)
 	// WriteBlock replaces the contents of block idx.
 	WriteBlock(idx uint32, data []byte) error
@@ -119,12 +123,17 @@ func (d *MemDevice) RestoreBlocks(snap map[uint32][]byte) {
 // PageStore is the page-level interface the database engine consumes. Both
 // the plain pager and the secure store implement it.
 type PageStore interface {
-	// ReadPage returns the 4 KiB logical page at idx.
+	// ReadPage returns the 4 KiB logical page at idx. The slice is the
+	// caller's own: the store keeps no reference to it, so heap-file code
+	// may write into it, and appending to it never reaches bytes that belong
+	// to anything else (the secure store's page is the middle of the record
+	// it was read in, its capacity cut at PageSize).
 	ReadPage(idx uint32) ([]byte, error)
-	// ReadPages returns the logical pages at idxs, in order. Implementations
-	// may amortize per-page costs (verification, enclave transitions) across
-	// the batch, but must return exactly what per-page ReadPage calls would,
-	// and must fail the whole batch on any per-page error.
+	// ReadPages returns the logical pages at idxs, in order, each as ReadPage
+	// would and no two sharing a byte. Implementations may amortize per-page
+	// costs (verification, enclave transitions) across the batch, but must
+	// return exactly what per-page ReadPage calls would, and must fail the
+	// whole batch on any per-page error.
 	ReadPages(idxs []uint32) ([][]byte, error)
 	// WritePage replaces the logical page at idx. len(data) must be
 	// <= PageSize; shorter pages are zero-padded.

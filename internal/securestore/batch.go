@@ -43,7 +43,7 @@ func (s *Store) ReadPages(idxs []uint32) ([][]byte, error) {
 		return nil, nil
 	}
 	for attempt := 0; attempt < readPagesRetries; attempt++ {
-		out, retry, err := s.readPagesAt(idxs)
+		out, retry, err := s.readPagesAt(idxs, min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
 		if err != nil {
 			return nil, err
 		}
@@ -54,9 +54,12 @@ func (s *Store) ReadPages(idxs []uint32) ([][]byte, error) {
 	return nil, ErrSnapshotRetry
 }
 
-// readPagesAt runs one batched read attempt. retry reports that a concurrent
-// commit moved the store past the snapshot this attempt fetched at.
-func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error) {
+// readPagesAt runs one batched read attempt, opening its records on up to
+// workers goroutines — ReadPages passes as many as can run at once, so one P
+// (the benchmark's timed run, any one-P deployment) opens them inline. retry
+// reports that a concurrent commit moved the store past the snapshot this
+// attempt fetched at.
+func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry bool, err error) {
 	out = make([][]byte, len(idxs))
 
 	// Snapshot the commit sequence and satisfy what we can from the
@@ -103,8 +106,11 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 	// Fetch the missing records sequentially, in index order: the device-
 	// operation sequence must stay a deterministic function of the request,
 	// because the fault-injection framework keys its per-site streams on it.
-	miss := make([]int, 0, misses)
-	records := make([][]byte, 0, misses)
+	// Each record is the caller's own buffer (pager.BlockDevice), and the
+	// only one its page ever gets: openPage decrypts it in place.
+	pc := s.getCrypto()
+	defer s.putCrypto(pc)
+	pc.miss, pc.idxs, pc.records = pc.miss[:0], pc.idxs[:0], pc.records[:0]
 	for i, idx := range idxs {
 		if out[i] != nil {
 			continue
@@ -113,25 +119,20 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 		if rerr != nil {
 			return nil, false, rerr
 		}
-		miss = append(miss, i)
-		records = append(records, record)
+		pc.miss, pc.idxs, pc.records = append(pc.miss, i), append(pc.idxs, idx), append(pc.records, record)
 	}
+	miss, records := pc.miss, pc.records
 	s.meter.PagesRead.Add(int64(len(miss)))
 
-	// Decrypt + authenticate outside the lock, across up to NumCPU workers.
-	// Errors are collected per page and reported for the lowest page index,
-	// so the outcome does not depend on goroutine scheduling.
-	plains := make([][]byte, len(miss))
-	macs := make([][]byte, len(miss))
-	errs := make([]error, len(miss))
-	workers := runtime.NumCPU()
-	if workers > len(miss) {
-		workers = len(miss)
-	}
-	if workers <= 1 {
-		mac := s.pageMACer()
+	// Decrypt + authenticate outside the lock. Errors are collected per page
+	// and reported for the lowest page index, so the outcome depends neither
+	// on the worker count nor on goroutine scheduling. An opened record's slot
+	// keeps only its MAC, which is what verifyBatch reads.
+	pc.errs = append(pc.errs[:0], make([]error, len(miss))...)
+	errs := pc.errs
+	if workers = min(workers, len(miss)); workers <= 1 {
 		for k := range miss {
-			plains[k], macs[k], errs[k] = s.openPage(&mac, idxs[miss[k]], records[k])
+			out[miss[k]], records[k], errs[k] = s.openPage(pc, pc.idxs[k], records[k])
 		}
 	} else {
 		var next atomic.Int64
@@ -140,13 +141,14 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				mac := s.pageMACer()
+				wpc := s.getCrypto()
+				defer s.putCrypto(wpc)
 				for {
 					k := int(next.Add(1)) - 1
 					if k >= len(miss) {
 						return
 					}
-					plains[k], macs[k], errs[k] = s.openPage(&mac, idxs[miss[k]], records[k])
+					out[miss[k]], records[k], errs[k] = s.openPage(wpc, pc.idxs[k], records[k])
 				}
 			}()
 		}
@@ -154,7 +156,7 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 	}
 	for k, oerr := range errs {
 		if oerr != nil {
-			return nil, false, fmt.Errorf("securestore: batched read of page %d: %w", idxs[miss[k]], oerr)
+			return nil, false, fmt.Errorf("securestore: batched read of page %d: %w", pc.idxs[k], oerr)
 		}
 	}
 	s.meter.PagesDecrypted.Add(int64(len(miss)))
@@ -170,17 +172,12 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 	if s.seq != seq0 {
 		return nil, true, nil
 	}
-	leafIdxs := make([]uint32, len(miss))
-	for k, i := range miss {
-		leafIdxs[k] = idxs[i]
-	}
-	if err := s.verifyBatch(leafIdxs, macs); err != nil {
+	if err := s.verifyBatch(pc.idxs, records); err != nil {
 		return nil, false, err
 	}
-	for k, i := range miss {
-		out[i] = plains[k]
-		if s.cache != nil {
-			s.cache.put(idxs[i], plains[k])
+	if s.cache != nil {
+		for _, i := range miss {
+			s.cache.put(idxs[i], out[i])
 		}
 	}
 	return out, false, nil
@@ -203,7 +200,10 @@ func (s *Store) verifyBatch(idxs []uint32, recordMACs [][]byte) error {
 	// Price the sequential baseline first, against the pre-batch verified
 	// map, simulating the marks per-page calls would have left as they went.
 	baseline := 0
-	seen := map[[2]int]bool{}
+	var seen map[[2]int]bool
+	if s.opts.CacheVerifiedSubtrees {
+		seen = map[[2]int]bool{}
+	}
 	for _, idx := range idxs {
 		baseline++ // leaf hash
 		i := int(idx)
@@ -224,7 +224,7 @@ func (s *Store) verifyBatch(idxs []uint32, recordMACs [][]byte) error {
 	mac := s.treeMAC()
 	for k, idx := range idxs {
 		mac.Reset()
-		leaf := leafMAC(mac, idx, recordMACs[k])
+		leaf := leafMAC(mac, mac.sum[:0], idx, recordMACs[k])
 		hashed++
 		if !hmac.Equal(leaf, s.levels[0][idx]) {
 			s.meter.MerkleHashes.Add(int64(hashed))
@@ -257,7 +257,7 @@ func (s *Store) verifyBatch(idxs []uint32, recordMACs [][]byte) error {
 				hi = len(s.levels[lvl-1])
 			}
 			mac.Reset()
-			node := nodeMAC(mac, lvl, parent, s.levels[lvl-1][lo:hi])
+			node := nodeMAC(mac, mac.sum[:0], lvl, parent, s.levels[lvl-1][lo:hi])
 			hashed++
 			if !hmac.Equal(node, s.levels[lvl][parent]) {
 				s.meter.MerkleHashes.Add(int64(hashed))

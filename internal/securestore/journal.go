@@ -256,11 +256,10 @@ func (t *Txn) Commit() error {
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	entries := make([]journalEntry, 0, len(idxs))
-	mac := s.pageMACer()
+	pc := s.getCrypto()
+	defer s.putCrypto(pc)
 	for _, idx := range idxs {
-		plain := make([]byte, pager.PageSize)
-		copy(plain, t.pages[idx])
-		record, recordMAC, err := s.sealPage(&mac, idx, plain)
+		record, recordMAC, err := s.sealPage(pc, idx, t.pages[idx])
 		if err != nil {
 			return err
 		}
@@ -286,7 +285,7 @@ func (t *Txn) Commit() error {
 			continue
 		}
 		//ironsafe:allow lockcrypto -- gap-fill seals only reserved-but-unwritten zero pages, bounded by the reservation high-water mark
-		record, recordMAC, err := s.sealPage(&mac, idx, make([]byte, pager.PageSize))
+		record, recordMAC, err := s.sealPage(pc, idx, nil)
 		if err != nil {
 			return err
 		}

@@ -124,8 +124,9 @@ func (s *Store) readPageLocked(idx uint32) ([]byte, error) {
 		return nil, err
 	}
 	s.meter.PagesRead.Add(1)
-	mac := s.pageMACer()
-	plain, recordMAC, err := s.openPage(&mac, idx, record)
+	pc := s.getCrypto()
+	plain, recordMAC, err := s.openPage(pc, idx, record)
+	s.putCrypto(pc)
 	if err != nil {
 		return nil, err
 	}

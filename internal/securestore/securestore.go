@@ -105,7 +105,9 @@ type Store struct {
 	rootKey []byte // device-bound root-tag key
 	jnlKey  []byte // journal-record authentication key
 
-	block cipher.Block // AES keyed with encKey, built once at open; safe for concurrent use
+	block   cipher.Block // AES keyed with encKey, built once at open; safe for concurrent use
+	gcm     cipher.AEAD  // AES-GCM over block for the cipher ablation (nil otherwise); safe for concurrent use
+	cryptos sync.Pool    // idle *pageCrypto, the per-worker page-crypto states
 
 	mu        sync.Mutex
 	levels    [][][]byte // levels[0] = leaves; last level = [root]
@@ -184,6 +186,11 @@ func newStore(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *s
 		return nil, fmt.Errorf("securestore: page cipher: %w", err)
 	}
 	s.block = block
+	if opts.GCM {
+		if s.gcm, err = cipher.NewGCM(block); err != nil {
+			return nil, fmt.Errorf("securestore: page AEAD: %w", err)
+		}
+	}
 	return s, nil
 }
 
@@ -318,42 +325,47 @@ func (s *Store) rebuildLevels(leaves [][]byte) {
 	}
 }
 
-// treeMAC returns a fresh Merkle-node HMAC. A caller hashing many nodes under
-// one lock hold (verifyBatch) keeps one, resetting it between nodeMAC /
+// treeMAC is a Merkle-node HMAC and the scratch its inputs and sums are built
+// in, so that hashing a node allocates nothing. A caller hashing many nodes
+// under one lock hold (verifyBatch) keeps one, resetting it between nodeMAC /
 // leafMAC calls, instead of keying a new one per node.
-func (s *Store) treeMAC() hash.Hash { return hmac.New(sha256.New, s.treeKey) }
+type treeMAC struct {
+	hash.Hash
+	hdr [16]byte
+	sum [nodeSize]byte
+}
+
+func (s *Store) treeMAC() *treeMAC { return &treeMAC{Hash: hmac.New(sha256.New, s.treeKey)} }
 
 // hashNode computes an internal node HMAC over its children. The level and
 // index are bound into the MAC so nodes cannot be transplanted.
 func (s *Store) hashNode(level, idx int, children [][]byte) []byte {
-	return nodeMAC(s.treeMAC(), level, idx, children)
+	return nodeMAC(s.treeMAC(), nil, level, idx, children)
 }
 
-// nodeMAC is hashNode over a fresh or reset treeMAC.
-func nodeMAC(mac hash.Hash, level, idx int, children [][]byte) []byte {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(level))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(idx))
-	mac.Write(hdr[:])
+// nodeMAC is hashNode over a fresh or reset treeMAC, appended to dst.
+func nodeMAC(mac *treeMAC, dst []byte, level, idx int, children [][]byte) []byte {
+	binary.LittleEndian.PutUint64(mac.hdr[0:8], uint64(level))
+	binary.LittleEndian.PutUint64(mac.hdr[8:16], uint64(idx))
+	mac.Write(mac.hdr[:])
 	for _, c := range children {
 		mac.Write(c)
 	}
-	return mac.Sum(nil)
+	return mac.Sum(dst)
 }
 
 // leafHash computes the Merkle leaf for a page record.
 func (s *Store) leafHash(idx uint32, recordMAC []byte) []byte {
-	return leafMAC(s.treeMAC(), idx, recordMAC)
+	return leafMAC(s.treeMAC(), nil, idx, recordMAC)
 }
 
-// leafMAC is leafHash over a fresh or reset treeMAC.
-func leafMAC(mac hash.Hash, idx uint32, recordMAC []byte) []byte {
-	mac.Write([]byte("leaf|"))
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], idx)
-	mac.Write(b[:])
+// leafMAC is leafHash over a fresh or reset treeMAC, appended to dst.
+func leafMAC(mac *treeMAC, dst []byte, idx uint32, recordMAC []byte) []byte {
+	n := copy(mac.hdr[:], "leaf|")
+	binary.LittleEndian.PutUint32(mac.hdr[n:], idx)
+	mac.Write(mac.hdr[:n+4])
 	mac.Write(recordMAC)
-	return mac.Sum(nil)
+	return mac.Sum(dst)
 }
 
 // root returns the current tree root (the empty-store root is a fixed tag).
@@ -504,8 +516,9 @@ func (s *Store) ReadPage(idx uint32) ([]byte, error) {
 		return nil, err
 	}
 	s.meter.PagesRead.Add(1)
-	mac := s.pageMACer()
-	plain, recordMAC, err := s.openPage(&mac, idx, record)
+	pc := s.getCrypto()
+	plain, recordMAC, err := s.openPage(pc, idx, record)
+	s.putCrypto(pc)
 	if err != nil {
 		return nil, err
 	}
@@ -612,111 +625,137 @@ func (s *Store) VerifyAll() error {
 	return nil
 }
 
-// sealPage encrypts and MACs a plaintext page; mac is the caller's (see
-// pageMACer).
-func (s *Store) sealPage(mac *pageMACer, idx uint32, plain []byte) (record, recordMAC []byte, err error) {
+// sealPage encrypts and MACs a plaintext page of at most PageSize bytes
+// (shorter pages are zero-padded) into one freshly allocated record, IV ‖
+// ciphertext ‖ MAC; recordMAC is the record's tail. pc is the caller's.
+func (s *Store) sealPage(pc *pageCrypto, idx uint32, plain []byte) (record, recordMAC []byte, err error) {
 	if s.opts.GCM {
-		return s.sealPageGCM(idx, plain)
+		return s.sealPageGCM(pc, idx, plain)
 	}
-	iv := make([]byte, ivSize)
+	record = make([]byte, ivSize+pager.PageSize, recordSize)
+	iv, ct := record[:ivSize], record[ivSize:]
 	if _, err := rand.Read(iv); err != nil {
 		return nil, nil, err
 	}
-	ct := make([]byte, pager.PageSize)
-	cipher.NewCBCEncrypter(s.block, iv).CryptBlocks(ct, plain)
-	recordMAC = mac.sum(idx, iv, ct)
-	record = make([]byte, 0, recordSize)
-	record = append(record, iv...)
-	record = append(record, ct...)
-	record = append(record, recordMAC...)
-	return record, recordMAC, nil
+	copy(ct, plain)
+	pc.enc.SetIV(iv)
+	pc.enc.CryptBlocks(ct, ct)
+	record = pc.sum(record, idx, iv, ct)
+	return record, record[ivSize+pager.PageSize:], nil
 }
 
-// openPage verifies and decrypts a stored record; mac is the caller's (see
-// pageMACer).
-func (s *Store) openPage(mac *pageMACer, idx uint32, record []byte) (plain, recordMAC []byte, err error) {
+// openPage verifies a stored record and decrypts it in place: record must be
+// the caller's own (every BlockDevice hands out an owned copy), and once the
+// MAC has passed — not a byte is decrypted before — its ciphertext bytes
+// become the plaintext page, returned with len == cap == PageSize so that no
+// append can run into the MAC behind it. recordMAC is the record's tail. A
+// record that fails is as it was handed in (a GCM one with its page bytes
+// cleared by the AEAD). pc is the caller's.
+func (s *Store) openPage(pc *pageCrypto, idx uint32, record []byte) (plain, recordMAC []byte, err error) {
 	if s.opts.GCM {
-		return s.openPageGCM(idx, record)
+		return s.openPageGCM(pc, idx, record)
 	}
 	if len(record) != recordSize {
 		return nil, nil, fmt.Errorf("%w: page %d record size %d", ErrIntegrity, idx, len(record))
 	}
 	iv := record[:ivSize]
-	ct := record[ivSize : ivSize+pager.PageSize]
+	ct := record[ivSize : ivSize+pager.PageSize : ivSize+pager.PageSize]
 	recordMAC = record[ivSize+pager.PageSize:]
-	if !hmac.Equal(recordMAC, mac.sum(idx, iv, ct)) {
+	if !hmac.Equal(recordMAC, pc.sum(pc.scratch[:0], idx, iv, ct)) {
 		return nil, nil, fmt.Errorf("%w: page %d HMAC mismatch", ErrIntegrity, idx)
 	}
-	plain = make([]byte, pager.PageSize)
-	cipher.NewCBCDecrypter(s.block, iv).CryptBlocks(plain, ct)
-	return plain, recordMAC, nil
+	pc.dec.SetIV(iv)
+	pc.dec.CryptBlocks(ct, ct)
+	return ct, recordMAC, nil
 }
 
-// pageMACer computes page-record MACs under the store's MAC key. Keying an
-// HMAC-SHA-512 costs two compressions and five allocations, so whoever seals
-// or opens pages in a loop — a commit, a decrypt worker — holds one pageMACer
-// for the loop: it keys its HMAC on first use and resets it for each later
-// one. A caller with a single page pays exactly what a fresh HMAC costs, and
-// one that never MACs (GCM records carry their own tag) pays nothing. Not for
-// concurrent use.
-type pageMACer struct {
-	key []byte
-	mac hash.Hash
+// pageCrypto is one worker's page-crypto state: the HMAC-SHA-512 keyed with
+// the store's MAC key (keying one costs two compressions and five
+// allocations), a CBC encrypter and decrypter over the store's AES block that
+// SetIV re-arms for each page, and the scratch a computed MAC is compared
+// from. Whoever seals or opens pages — a commit, a read, a decrypt worker —
+// takes one with getCrypto and hands it back with putCrypto, so a page costs
+// no keying and no allocation beyond its record. It also carries the index
+// scratch of the batch its holder reads (readPagesAt). A GCM store's is only
+// that scratch: the AEAD is stateless. Not for concurrent use.
+type pageCrypto struct {
+	mac      hash.Hash
+	enc, dec cbcMode
+	idx      [4]byte
+	scratch  [macSize]byte
+
+	miss    []int    // positions in the request of the pages not served from the cache
+	idxs    []uint32 // their page indices
+	records [][]byte // their records as the device returned them, then their MACs
+	errs    []error  // the outcome of opening each
 }
 
-func (s *Store) pageMACer() pageMACer { return pageMACer{key: s.macKey} }
+// cbcMode is what crypto/cipher's CBC modes are beyond a cipher.BlockMode.
+type cbcMode interface {
+	cipher.BlockMode
+	SetIV([]byte)
+}
 
-// sum computes HMAC-SHA-512 over (index, IV, ciphertext); binding the index
-// prevents page transplantation.
-func (m *pageMACer) sum(idx uint32, iv, ct []byte) []byte {
-	if m.mac == nil {
-		m.mac = hmac.New(sha512.New, m.key)
-	} else {
-		m.mac.Reset()
+// getCrypto takes an idle pageCrypto, or builds one.
+func (s *Store) getCrypto() *pageCrypto {
+	pc, _ := s.cryptos.Get().(*pageCrypto)
+	if pc == nil {
+		pc = &pageCrypto{}
+		if !s.opts.GCM {
+			pc.mac = hmac.New(sha512.New, s.macKey)
+			pc.enc = cipher.NewCBCEncrypter(s.block, pc.scratch[:ivSize]).(cbcMode)
+			pc.dec = cipher.NewCBCDecrypter(s.block, pc.scratch[:ivSize]).(cbcMode)
+		}
 	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], idx)
-	m.mac.Write(b[:])
-	m.mac.Write(iv)
-	m.mac.Write(ct)
-	return m.mac.Sum(nil)
+	return pc
 }
 
-func (s *Store) sealPageGCM(idx uint32, plain []byte) (record, recordMAC []byte, err error) {
-	gcm, err := cipher.NewGCM(s.block)
-	if err != nil {
-		return nil, nil, err
-	}
-	nonce := make([]byte, gcm.NonceSize())
+// putCrypto hands pc back. The records of the last batch are dropped first:
+// an idle state must not keep pages alive.
+func (s *Store) putCrypto(pc *pageCrypto) {
+	clear(pc.records)
+	s.cryptos.Put(pc)
+}
+
+// sum appends HMAC-SHA-512 over (index, IV, ciphertext) to dst; binding the
+// index prevents page transplantation.
+func (pc *pageCrypto) sum(dst []byte, idx uint32, iv, ct []byte) []byte {
+	pc.mac.Reset()
+	binary.LittleEndian.PutUint32(pc.idx[:], idx)
+	pc.mac.Write(pc.idx[:])
+	pc.mac.Write(iv)
+	pc.mac.Write(ct)
+	return pc.mac.Sum(dst)
+}
+
+const gcmNonceSize, gcmTagSize = 12, 16
+
+func (s *Store) sealPageGCM(pc *pageCrypto, idx uint32, plain []byte) (record, recordMAC []byte, err error) {
+	record = make([]byte, gcmNonceSize+pager.PageSize, gcmNonceSize+pager.PageSize+gcmTagSize)
+	nonce, page := record[:gcmNonceSize], record[gcmNonceSize:]
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, nil, err
 	}
-	var ad [4]byte
-	binary.LittleEndian.PutUint32(ad[:], idx)
+	copy(page, plain)
+	binary.LittleEndian.PutUint32(pc.idx[:], idx)
 	//ironsafe:allow noncereuse -- fresh 96-bit crypto/rand nonce per seal, stored with the record; collision odds stay below 2^-32 past 2^32 page writes
-	ct := gcm.Seal(nil, nonce, plain, ad[:])
-	record = append(append([]byte{}, nonce...), ct...)
+	record = s.gcm.Seal(nonce, nonce, page, pc.idx[:])
 	// The GCM tag (last 16 bytes) doubles as the record MAC for leaves.
-	return record, ct[len(ct)-16:], nil
+	return record, record[len(record)-gcmTagSize:], nil
 }
 
-func (s *Store) openPageGCM(idx uint32, record []byte) (plain, recordMAC []byte, err error) {
-	gcm, err := cipher.NewGCM(s.block)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(record) < gcm.NonceSize()+16 {
+func (s *Store) openPageGCM(pc *pageCrypto, idx uint32, record []byte) (plain, recordMAC []byte, err error) {
+	if len(record) < gcmNonceSize+gcmTagSize {
 		return nil, nil, fmt.Errorf("%w: page %d record too short", ErrIntegrity, idx)
 	}
-	nonce, ct := record[:gcm.NonceSize()], record[gcm.NonceSize():]
-	var ad [4]byte
-	binary.LittleEndian.PutUint32(ad[:], idx)
+	nonce, ct := record[:gcmNonceSize], record[gcmNonceSize:]
+	binary.LittleEndian.PutUint32(pc.idx[:], idx)
 	//ironsafe:allow noncereuse -- nonce travels inside the record and is authenticated by the GCM tag; freshness comes from the Merkle root + RPMB anchor, not the nonce
-	plain, err = gcm.Open(nil, nonce, ct, ad[:])
+	plain, err = s.gcm.Open(ct[:0], nonce, ct, pc.idx[:])
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: page %d GCM auth failed", ErrIntegrity, idx)
 	}
-	return plain, ct[len(ct)-16:], nil
+	return plain[:len(plain):len(plain)], ct[len(ct)-gcmTagSize:], nil
 }
 
 // Equal reports whether two byte slices match in constant time (exported for

@@ -177,6 +177,7 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 			ids = make([]int32, min(b.batchRows, len(in.Rows)))
 		}
 		for off := 0; off < len(in.Rows); off += b.batchRows {
+			ctx.nextBatch()
 			bt := NewBatch(in.Sch, in.Rows[off:min(off+b.batchRows, len(in.Rows))])
 			sel := b.fullSel(bt.Len())
 			for i, ge := range groupBy {

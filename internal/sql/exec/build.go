@@ -168,6 +168,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 				if end > len(input.Rows) {
 					end = len(input.Rows)
 				}
+				ctx.nextBatch()
 				bt := NewBatch(input.Sch, input.Rows[off:end])
 				sel := b.fullSel(bt.Len())
 				cols := make([]*schema.ColVec, len(items))
@@ -849,13 +850,13 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 	// The predicate reads table columns, so it resolves against the full
 	// schema whatever the scan's output keeps.
 	ctx := newCtx(b, full, env)
-	var survivors []int
 	passed := 0 // rows the predicate kept: what the scan holds unless a reducer rejects some
 	var reducers []*semiReducer
 	if semi.reducers != nil && (pred == nil || fused) {
 		reducers = semi.reducers(res.Sch)
 	}
 	if err := br.ScanBatch(b.batchRows, func(bt *Batch) error {
+		ctx.nextBatch()
 		n := bt.Len()
 		scanned += n
 		b.chargeBatch(int64(n))
@@ -865,8 +866,7 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 			if err != nil {
 				return err
 			}
-			survivors = selectTrue(v, n, survivors[:0])
-			keep = survivors
+			keep = selectTrue(v, n, ctx.sel(n))
 			b.chargeBatch(int64(n))
 		}
 		passed += len(keep)
@@ -928,11 +928,10 @@ type semiReducer struct {
 
 	in, probed, rejected int // rows that reached the reducer; of those, probed; of those, rejected
 	nap, sleep           int // windows sat out last time, and still to sit out
-	sel                  []int
 }
 
 // reduce returns the positions among keep of bt's rows that may join src. The
-// result is valid until the next call.
+// result is valid as long as the scan's batch is (ctx.nextBatch).
 func (rd *semiReducer) reduce(b *builder, ctx *evalCtx, bt *Batch, keep []int) ([]int, error) {
 	if rd.in += len(keep); len(keep) == 0 || rd.in <= rd.src.NumRows() {
 		return keep, nil
@@ -955,15 +954,15 @@ func (rd *semiReducer) reduce(b *builder, ctx *evalCtx, bt *Batch, keep []int) (
 			return nil, err
 		}
 	}
-	rd.sel = rd.t.filter(cols, keep, rd.sel[:0])
+	sel := rd.t.filter(cols, keep, ctx.sel(bt.Len()))
 	b.chargeBatch(int64(len(keep)))
 	rd.probed += len(keep)
-	rd.rejected += len(keep) - len(rd.sel)
-	if rd.nap = 2*rd.nap + 1; 2*len(rd.sel) <= len(keep) {
+	rd.rejected += len(keep) - len(sel)
+	if rd.nap = 2*rd.nap + 1; 2*len(sel) <= len(keep) {
 		rd.nap = 0
 	}
 	rd.sleep = rd.nap
-	return rd.sel, nil
+	return sel, nil
 }
 
 // applyFilter keeps rows where pred is true.
@@ -977,14 +976,14 @@ func (b *builder) applyFilter(in *Result, pred ast.Expr, env *Env) (*Result, err
 	if b.vec() && supportsVec(pred) {
 		// Selection-vector evaluation: one dispatch per batch, no per-row
 		// context copies, output rows shared with the input by reference.
-		var keep []int
 		for off := 0; off < len(in.Rows); off += b.batchRows {
+			ctx.nextBatch()
 			bt := NewBatch(in.Sch, in.Rows[off:min(off+b.batchRows, len(in.Rows))])
 			v, err := ctx.evalVec(pred, bt, b.fullSel(bt.Len()))
 			if err != nil {
 				return nil, err
 			}
-			keep = selectTrue(v, bt.Len(), keep[:0])
+			keep := selectTrue(v, bt.Len(), ctx.sel(bt.Len()))
 			out.Rows = bt.AppendRows(out.Rows, keep, nil)
 			b.chargeBatch(int64(bt.Len()))
 		}

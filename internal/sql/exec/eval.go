@@ -23,6 +23,8 @@ type evalCtx struct {
 	// memo caches column-reference resolution per operator: schema lookups
 	// are case-insensitive linear scans, far too slow to repeat per row.
 	memo map[*ast.ColumnRef]colRes
+
+	vs *vecScratch // evalVec's arrays for the current batch; nil until one is taken
 }
 
 // colRes is a memoized resolution: envDepth < 0 means the local schema.

@@ -122,15 +122,14 @@ func (b *builder) filterChain(c *joinChain, pred ast.Expr, env *Env) (*joinChain
 	}
 	ctx := newCtx(b, c.sch, env)
 	var keep []int32
-	var sel []int
 	for off := 0; off < c.n; off += b.batchRows {
+		ctx.nextBatch()
 		bt := c.batch(off, min(off+b.batchRows, c.n))
 		v, err := ctx.evalVec(pred, bt, b.fullSel(bt.Len()))
 		if err != nil {
 			return nil, err
 		}
-		sel = selectTrue(v, bt.Len(), sel[:0])
-		for _, j := range sel {
+		for _, j := range selectTrue(v, bt.Len(), ctx.sel(bt.Len())) {
 			keep = append(keep, int32(off+j))
 		}
 		b.chargeBatch(int64(bt.Len()))
@@ -161,6 +160,7 @@ func (b *builder) keyIDs(t *keyTable, c *joinChain, keys []ast.Expr, env *Env, i
 	if b.vec() && supportsVecAll(keys) {
 		cols := make([]*schema.ColVec, len(keys))
 		for off := 0; off < c.n; off += b.batchRows {
+			ctx.nextBatch()
 			bt := c.batch(off, min(off+b.batchRows, c.n))
 			sel := b.fullSel(bt.Len())
 			for i, e := range keys {

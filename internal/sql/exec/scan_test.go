@@ -387,17 +387,9 @@ func TestScanPrunesAndFiltersInOnePass(t *testing.T) {
 // predicates over one full window of typed column vectors: the filter kernel
 // alone, with the columns already decoded.
 func BenchmarkEvalVecPredicate(b *testing.B) {
-	preds := map[string]string{
-		"q6":  pushedShapes[2],
-		"q12": "l_shipmode IN ('MAIL', 'SHIP') AND l_commitdate < l_receiptdate AND l_shipdate < l_commitdate AND l_receiptdate >= date '1994-01-01' AND l_receiptdate < date '1994-01-01' + interval '1' year",
-		"q19": "l_quantity >= 1 AND l_quantity <= 11 AND l_shipmode IN ('AIR', 'AIR REG') AND l_shipinstruct = 'DELIVER IN PERSON' OR l_quantity >= 10 AND l_quantity <= 20 AND l_shipmode IN ('AIR', 'AIR REG') AND l_shipinstruct = 'DELIVER IN PERSON' OR l_quantity >= 20 AND l_quantity <= 30 AND l_shipmode IN ('AIR', 'AIR REG') AND l_shipinstruct = 'DELIVER IN PERSON'",
-	}
 	rel := lineitemish(DefaultBatchRows, false)
 	for _, name := range []string{"q6", "q12", "q19"} {
-		sel, err := parser.ParseSelect("SELECT l_orderkey FROM lineitem WHERE " + preds[name])
-		if err != nil {
-			b.Fatal(err)
-		}
+		where := mustWhere(b, scanPredicates[name])
 		b.Run(name, func(b *testing.B) {
 			bld := &builder{batchRows: DefaultBatchRows}
 			ctx := newCtx(bld, rel.Sch, nil)
@@ -410,11 +402,12 @@ func BenchmarkEvalVecPredicate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v, err := ctx.evalVec(sel.Where, bt, sel0)
+				ctx.nextBatch()
+				v, err := ctx.evalVec(where, bt, sel0)
 				if err != nil {
 					b.Fatal(err)
 				}
-				keep = selectTrue(v, bt.Len(), keep[:0])
+				keep = selectTrue(v, bt.Len(), ctx.sel(bt.Len()))
 			}
 			b.ReportMetric(float64(len(keep)), "rows-kept")
 		})

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
@@ -224,6 +225,90 @@ func supportsVecAll(exprs []ast.Expr) bool {
 	return true
 }
 
+// vecScratch is where evalVec takes the arrays it builds for one batch —
+// typed result vectors and selection lists — so that a loop over batches
+// allocates them for its first batch only, as RowWindow.Col reuses column
+// storage across windows. The lifetime rule: a vector returned by evalVec,
+// and a list taken with sel, is valid until the loop that owns the batch
+// calls nextBatch on the context. Six loops own a batch: the fused scan
+// (semiReducer.reduce runs inside it, on its batch), the vectorized
+// projection, applyFilter, aggregate, filterChain and keyIDs. Each calls
+// nextBatch as it moves to a batch and keeps nothing of the last one but what
+// it boxed or copied out.
+type vecScratch struct {
+	ints   recycled[int64]
+	floats recycled[float64]
+	sels   recycled[int]
+}
+
+// recycled hands out its arrays in order, making one where it has none or
+// one too small, and starts over from the first after recycle.
+type recycled[T any] struct {
+	bufs [][]T
+	used int
+}
+
+// take returns the next array, resized to n elements: zeroed, as make would
+// hand it out, or holding whatever the last batch left.
+func (r *recycled[T]) take(n int, zeroed bool) []T {
+	if r.used == len(r.bufs) {
+		r.bufs = append(r.bufs, nil)
+	}
+	if cap(r.bufs[r.used]) < n {
+		r.bufs[r.used] = make([]T, n)
+	} else if zeroed {
+		clear(r.bufs[r.used][:n])
+	}
+	r.used++
+	return r.bufs[r.used-1][:n]
+}
+
+// recycle makes every array available again, first overwriting what was
+// handed out with poison under the PoisonRecycledVectors test hook.
+func (r *recycled[T]) recycle(poison T) {
+	if PoisonRecycledVectors {
+		for _, buf := range r.bufs[:r.used] {
+			buf = buf[:cap(buf)]
+			for i := range buf {
+				buf[i] = poison
+			}
+		}
+	}
+	r.used = 0
+}
+
+// PoisonRecycledVectors is a test hook: when set (before any query runs),
+// nextBatch overwrites every vector it recycles — NaN floats, positions no
+// batch has — so that a caller holding one past its lifetime computes garbage
+// or panics instead of passing by luck.
+var PoisonRecycledVectors bool
+
+func (c *evalCtx) scratch() *vecScratch {
+	if c.vs == nil {
+		c.vs = &vecScratch{}
+	}
+	return c.vs
+}
+
+// ints returns a zeroed result array of n elements (kernels write only their
+// selection), floats its float64 twin, sel an empty selection list with room
+// for n positions; all valid until nextBatch. Callers pass sel the batch
+// length, not the selection's: a list sized by what one window happened to
+// select would be remade for the next.
+func (c *evalCtx) ints(n int) []int64     { return c.scratch().ints.take(n, true) }
+func (c *evalCtx) floats(n int) []float64 { return c.scratch().floats.take(n, true) }
+func (c *evalCtx) sel(n int) []int        { return c.scratch().sels.take(n, false)[:0] }
+
+// nextBatch ends the lifetime of every vector and list handed out since the
+// last call (see vecScratch).
+func (c *evalCtx) nextBatch() {
+	if c.vs != nil {
+		c.vs.ints.recycle(0x5a5a5a5a5a5a5a5a)
+		c.vs.floats.recycle(math.NaN())
+		c.vs.sels.recycle(-1)
+	}
+}
+
 // resolveColumnIdx memoizes column resolution without touching row data, for
 // kernels that read whole vectors.
 func (c *evalCtx) resolveColumnIdx(x *ast.ColumnRef) (colRes, error) {
@@ -311,7 +396,7 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 			return nil, err
 		}
 		if ints := boolInts(v); ints != nil && x.Op == "NOT" {
-			out := make([]int64, n)
+			out := c.ints(n)
 			for _, i := range sel {
 				out[i] = 1 - ints[i]
 			}
@@ -365,7 +450,7 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 		if err != nil {
 			return nil, err
 		}
-		if out, ok := betweenVecFast(v, lo, hi, x.Not, n, sel); ok {
+		if out, ok := c.betweenVecFast(v, lo, hi, x.Not, n, sel); ok {
 			return out, nil
 		}
 		out := schema.NewColVec(n)
@@ -398,7 +483,7 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 		}
 		if tv, ok := typedOf(v); ok && tv.strs != nil {
 			if tp, ok := typedOf(p); ok && tp.konst && tp.kind == value.KindString {
-				out := make([]int64, n)
+				out := c.ints(n)
 				for _, i := range sel {
 					if likeMatch(tv.strs[i], tp.ks) != x.Not {
 						out[i] = 1
@@ -429,7 +514,7 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 			return out, nil
 		}
 		out := schema.NewColVec(n)
-		pending := make([]int, 0, len(sel))
+		pending := c.sel(n)
 		for _, i := range sel {
 			if !lhs.Value(i).IsNull() {
 				pending = append(pending, i) // null lhs stays NULL in out
@@ -444,7 +529,7 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 			if err != nil {
 				return nil, err
 			}
-			var next []int
+			next := c.sel(n)
 			for _, i := range pending {
 				ivv := iv.Value(i)
 				if ivv.IsNull() {
@@ -482,7 +567,7 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 			if err != nil {
 				return nil, err
 			}
-			var matched, rest []int
+			matched, rest := c.sel(n), c.sel(n)
 			for _, i := range remaining {
 				cv := cond.Value(i)
 				if !cv.IsNull() && cv.Kind() == value.KindBool && cv.AsBool() {
@@ -554,7 +639,7 @@ func (c *evalCtx) evalVecBinary(x *ast.BinaryExpr, bt *Batch, sel []int) (*schem
 		isOr := x.Op == ast.OpOr
 		decided := value.Bool(isOr)
 		lb := boolInts(l)
-		var undecided []int
+		undecided := c.sel(n)
 		for _, i := range sel {
 			if lb != nil {
 				if (lb[i] != 0) == isOr {
@@ -582,7 +667,7 @@ func (c *evalCtx) evalVecBinary(x *ast.BinaryExpr, bt *Batch, sel []int) (*schem
 		if rb := boolInts(r); lb != nil && rb != nil {
 			// Both sides two-valued: an undecided position takes the right
 			// side's value, a decided one keeps the left's.
-			out := make([]int64, n)
+			out := c.ints(n)
 			for _, i := range sel {
 				out[i] = lb[i]
 			}
@@ -636,7 +721,7 @@ func (c *evalCtx) evalVecBinary(x *ast.BinaryExpr, bt *Batch, sel []int) (*schem
 	}
 	switch x.Op {
 	case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
-		if out, ok := cmpVecFast(x.Op, l, r, n, sel); ok {
+		if out, ok := c.cmpVecFast(x.Op, l, r, n, sel); ok {
 			return out, nil
 		}
 		out := schema.NewColVec(n)
@@ -653,7 +738,7 @@ func (c *evalCtx) evalVecBinary(x *ast.BinaryExpr, bt *Batch, sel []int) (*schem
 		}
 		return out, nil
 	case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpMod:
-		if out, ok := arithVecFast(x.Op, l, r, n, sel); ok {
+		if out, ok := c.arithVecFast(x.Op, l, r, n, sel); ok {
 			return out, nil
 		}
 		var opc byte
@@ -705,7 +790,7 @@ func (c *evalCtx) evalVecSubstring(x *ast.Substring, bt *Batch, sel []int) (*sch
 	out := schema.NewColVec(n)
 	// FOR is evaluated only where expr and FROM are non-null, mirroring the
 	// row path's laziness.
-	var need []int
+	need := c.sel(n)
 	for _, i := range sel {
 		if !v.Value(i).IsNull() && !from.Value(i).IsNull() {
 			need = append(need, i)
@@ -868,7 +953,7 @@ func cmpKernel[T int64 | float64 | string](op ast.BinaryOp, l []T, lk T, r []T, 
 // Date, Bool, Float or String — or a Float against an Int constant. Other
 // mixed kinds and boxed vectors use the general path, which preserves
 // value.Compare's coercion and error semantics exactly.
-func cmpVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
+func (c *evalCtx) cmpVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
 	l, ok := typedOf(lv)
 	if !ok {
 		return nil, false
@@ -877,7 +962,7 @@ func cmpVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) (*sche
 	if !ok || !(r.sameKind(l.kind) || l.sameKind(r.kind)) {
 		return nil, false
 	}
-	out := make([]int64, n)
+	out := c.ints(n)
 	switch l.kind {
 	case value.KindFloat:
 		cmpKernel(op, l.floats, l.kf, r.floats, r.kf, out, sel)
@@ -900,7 +985,7 @@ func betweenKernel[T int64 | float64 | string](v []T, lo, hi T, not bool, out []
 
 // betweenVecFast is BETWEEN for a typed vector against constant bounds of its
 // kind.
-func betweenVecFast(vv, lov, hiv *schema.ColVec, not bool, n int, sel []int) (*schema.ColVec, bool) {
+func (c *evalCtx) betweenVecFast(vv, lov, hiv *schema.ColVec, not bool, n int, sel []int) (*schema.ColVec, bool) {
 	v, ok := typedOf(vv)
 	if !ok || v.konst {
 		return nil, false
@@ -913,7 +998,7 @@ func betweenVecFast(vv, lov, hiv *schema.ColVec, not bool, n int, sel []int) (*s
 	if !ok || !hi.konst || !hi.sameKind(v.kind) {
 		return nil, false
 	}
-	out := make([]int64, n)
+	out := c.ints(n)
 	switch v.kind {
 	case value.KindFloat:
 		betweenKernel(v.floats, lo.kf, hi.kf, not, out, sel)
@@ -966,7 +1051,7 @@ func (c *evalCtx) inListVecFast(x *ast.InList, lhs *schema.ColVec, n int, sel []
 		}
 		ints, floats, strs = append(ints, k.ki), append(floats, k.kf), append(strs, k.ks)
 	}
-	out := make([]int64, n)
+	out := c.ints(n)
 	switch v.kind {
 	case value.KindFloat:
 		inKernel(v.floats, floats, x.Not, out, sel)
@@ -1003,7 +1088,7 @@ func arithKernel[T int64 | float64](op ast.BinaryOp, l []T, lk T, r []T, rk T, o
 // arithVecFast runs typed + - * kernels for Int×Int and Float×Float.
 // Division and modulo keep value.Arith's exactness and zero-divide handling;
 // mixed kinds coerce through the general path.
-func arithVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
+func (c *evalCtx) arithVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
 	if op != ast.OpAdd && op != ast.OpSub && op != ast.OpMul {
 		return nil, false
 	}
@@ -1017,11 +1102,11 @@ func arithVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) (*sc
 	}
 	switch l.kind {
 	case value.KindInt:
-		out := make([]int64, n)
+		out := c.ints(n)
 		arithKernel(op, l.ints, l.ki, r.ints, r.ki, out, sel)
 		return schema.IntVec(value.KindInt, out), true
 	case value.KindFloat:
-		out := make([]float64, n)
+		out := c.floats(n)
 		arithKernel(op, l.floats, l.kf, r.floats, r.kf, out, sel)
 		return schema.FloatVec(out), true
 	}
