@@ -148,23 +148,26 @@ benchjson:
 # retained reply must match the scan over boxed rows, the key table must agree
 # with value.HashKey and the hash join with a nested loop, a semi-join reduced
 # scan must leave the nested loop's rows and reduce the TPC-H scans it is pinned
-# to, conjuncts hoisted out of an OR must plan one way, and the layer benchmarks
+# to, the subquery kernels must agree with nested loops and an IN set reduce a
+# scan without running its subquery twice or earlier than a failure would show,
+# conjuncts hoisted out of an OR must plan one way, and the layer benchmarks
 # (table scan, predicate kernels, fragment shipment, host scan of a shipment,
-# hash join, group-by, semi-join reduced scan) must still run.
+# hash join, group-by, semi-join reduced scan, subquery-reduced scans) must
+# still run.
 benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
 	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
-	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain|SemiReduction|CommonDisjuncts' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
-	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HashJoin|GroupBy|ScanSemiReduce' -benchtime 1x ./internal/engine ./internal/sql/exec ./internal/storageengine
+	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain|SemiReduction|CommonDisjuncts|Subquery' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HashJoin|GroupBy|ScanSemiReduce|Subquery' -benchtime 1x ./internal/engine ./internal/sql/exec ./internal/storageengine
 
 # bench-layers runs the data path's layer benchmarks, bottom up: the secure
 # store's batched read, page open and page seal (CBC+HMAC and GCM), the
-# predicate kernels, the table scan over a real secure store, and fragment
-# shipment. ns/op, B/op and allocs/op per layer; `make bench-layers
+# predicate kernels, the table scan over a real secure store, fragment
+# shipment, and the host phases a subquery's key set reduces. ns/op, B/op and allocs/op per layer; `make bench-layers
 # BENCHTIME=1x` is the CI smoke run.
 BENCHTIME ?= 1s
 bench-layers:
-	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|SealPage|EvalVecPredicate|TableScan|ShipFragment' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/sql/exec ./internal/engine ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|SealPage|EvalVecPredicate|TableScan|ShipFragment|SubqueryReduce' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/sql/exec ./internal/engine ./internal/storageengine
 
 # benchmark runs one workload of the repository benchmark the way the driver
 # does (`make benchmark W=scs-scan`): the timed run only, no trace.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ironsafe/internal/schema"
@@ -9,9 +10,10 @@ import (
 	"ironsafe/internal/value"
 )
 
-// buildSelect plans and executes one SELECT (possibly a subquery).
-func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
-	input, remaining, err := b.buildFrom(sel, env)
+// buildSelect plans and executes one SELECT (possibly a subquery). offers are
+// semi-join reducers for its FROM entries' scans from outside the statement.
+func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer) (*Result, error) {
+	input, remaining, err := b.buildFrom(sel, env, offers)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +115,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 
 	if hasAgg {
 		specs := collectAggregates(all)
-		subs, err := b.prepareSubqueries(append(append([]ast.Expr{}, all...), groupBy...), input.Sch, env)
+		subs, err := b.prepareSubqueries(append(append([]ast.Expr{}, all...), groupBy...), input.Sch, nil, env)
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +152,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 			emit(row, keys)
 		}
 	} else {
-		subs, err := b.prepareSubqueries(all, input.Sch, env)
+		subs, err := b.prepareSubqueries(all, input.Sch, input, env)
 		if err != nil {
 			return nil, err
 		}
@@ -419,8 +421,9 @@ func substituteAliases(e ast.Expr, aliases map[string]ast.Expr, sch *schema.Sche
 
 // buildFrom materializes the FROM clause, consuming WHERE conjuncts usable
 // for pushdown and join keys; it returns the joined input and the leftover
-// conjuncts.
-func (b *builder) buildFrom(sel *ast.Select, env *Env) (*Result, []ast.Expr, error) {
+// conjuncts. offers are reducers whose source is not a FROM entry, each for
+// the scan of the one entry that resolves its keys.
+func (b *builder) buildFrom(sel *ast.Select, env *Env, offers []*semiReducer) (*Result, []ast.Expr, error) {
 	conjs := factorCommonDisjuncts(ast.SplitConjuncts(sel.Where))
 	if len(sel.From) == 0 {
 		return &Result{Sch: schema.New(), Rows: []schema.Row{{}}}, conjs, nil
@@ -464,13 +467,30 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env) (*Result, []ast.Expr, err
 	// WHERE semantics differ from ON semantics). In a comma-joined list a
 	// stored table's scan is also offered the keys of each earlier entry that
 	// lost rows to its own scan and that an equality links it to (semiReducer)
-	// — no outer reference: splitEquiKey gets no env — which the join applies.
+	// — no outer reference: splitEquiKey gets no env — which the join applies,
+	// and the offers whose keys it resolves.
 	rels := make([]*Result, len(sel.From))
 	semi := make([]semiScan, len(sel.From))
+	reducing := b.vec() && !explicit
+	offered := append(offers, b.inSetOffers(conjs, reducing, env)...)
 	for i, ref := range sel.From {
 		outer := ref.Join != nil && ref.Join.Kind == ast.JoinLeftOuter
-		if i > 0 && b.vec() && !explicit {
+		if reducing && i+len(offered) > 0 {
 			semi[i].reducers = func(sch *schema.Schema) (rds []*semiReducer) {
+				for k, rd := range offered {
+					if rd == nil || !supportsVecAll(rd.keys) || !keysIn(rd.keys, sch) {
+						continue
+					}
+					if rd.sub != nil {
+						// The subquery runs now. If it fails the scan goes unreduced
+						// and the filter, should a row reach it, runs into the failure.
+						if rd.t, _ = rd.sub.values(newCtx(b, nil, env)); rd.t == nil {
+							continue
+						}
+					}
+					offered[k] = nil
+					rds = append(rds, rd)
+				}
 				for j := 0; j < i; j++ {
 					if !semi[j].lost {
 						continue
@@ -913,18 +933,26 @@ type semiScan struct {
 	cut      int  // rows the reducers rejected
 }
 
-// semiReducer drops from a running table scan the rows whose key an earlier
-// FROM entry does not hold: the join would drop them, after they were boxed.
-// The join still applies the equality, so the reducer may pass any row it
-// likes, and it goes by what it observes alone. It costs a pass over src to
-// build and a probe per row, so src's keys are collected only once more rows
-// have reached the reducer than src holds, and after a window in which it kept
-// more rows than it rejected it sits out twice as many windows as the last time.
+// semiReducer drops from a running table scan the rows whose key its source
+// does not hold. The source is an earlier FROM entry (the join would drop the
+// row, after it was boxed), the input rows of the operator that evaluates a
+// decorrelated subquery, for the subquery's inner scan (env: what their keys
+// are evaluated in; no outer row ever looks the inner row up), or the set of
+// an uncorrelated `e IN (subquery)` conjunct (sub; the filter would drop the
+// row). The operator downstream still applies the condition, so the reducer
+// may pass any row it likes, and it goes by what it observes alone. It costs a
+// pass over src to build and a probe per row, so src's keys are collected only
+// once more rows have reached the reducer than src holds — if that fails the
+// reducer retires, and the operator downstream meets the failure if it gets
+// that far — and after a window in which it kept more rows than it rejected it
+// sits out twice as many windows as the last time.
 type semiReducer struct {
-	name          string // src's name in the statement
+	name          string // the source's name in the statement
 	src           *Result
+	env           *Env
+	sub           *subEval
 	srcKeys, keys []ast.Expr // paired: src's side, the scanned entry's side
-	t             *keyTable  // src's keys, once built
+	t             *keyTable  // the source's keys, once built
 
 	in, probed, rejected int // rows that reached the reducer; of those, probed; of those, rejected
 	nap, sleep           int // windows sat out last time, and still to sit out
@@ -933,7 +961,7 @@ type semiReducer struct {
 // reduce returns the positions among keep of bt's rows that may join src. The
 // result is valid as long as the scan's batch is (ctx.nextBatch).
 func (rd *semiReducer) reduce(b *builder, ctx *evalCtx, bt *Batch, keep []int) ([]int, error) {
-	if rd.in += len(keep); len(keep) == 0 || rd.in <= rd.src.NumRows() {
+	if rd.in += len(keep); len(keep) == 0 || rd.t == nil && rd.in <= rd.src.NumRows() {
 		return keep, nil
 	}
 	if rd.sleep > 0 {
@@ -942,8 +970,9 @@ func (rd *semiReducer) reduce(b *builder, ctx *evalCtx, bt *Batch, keep []int) (
 	}
 	if rd.t == nil {
 		rd.t = newKeyTable(len(rd.keys), rd.src.NumRows(), false)
-		if _, err := b.keyIDs(rd.t, chainOf(rd.src), rd.srcKeys, nil, true); err != nil {
-			return nil, err
+		if _, err := b.keyIDs(rd.t, chainOf(rd.src), rd.srcKeys, rd.env, true); err != nil {
+			rd.sleep = math.MaxInt
+			return keep, nil
 		}
 		b.chargePass(rd.src.NumRows(), rd.srcKeys)
 	}
@@ -965,9 +994,45 @@ func (rd *semiReducer) reduce(b *builder, ctx *evalCtx, bt *Batch, keep []int) (
 	return sel, nil
 }
 
+// inSetOffers prepares each top-level conjunct `e IN (subquery)` whose
+// subquery is the same for every row ahead of the filter that evaluates it
+// (b.pre hands the subquery over, so it still runs once) and offers its set to
+// the scan of the entry that holds e. A subquery that cannot be prepared is
+// left to the filter, which reports why. Nothing is prepared where no scan
+// is reduced.
+func (b *builder) inSetOffers(conjs []ast.Expr, reducing bool, env *Env) (offers []*semiReducer) {
+	for _, c := range conjs {
+		x, ok := c.(*ast.InSubquery)
+		if !ok || x.Not || !reducing {
+			continue
+		}
+		se, _, err := b.analyzeSub(x.Subquery, nil, env)
+		if err != nil || !se.uncorrelated {
+			continue
+		}
+		if b.pre == nil {
+			b.pre = map[ast.Expr]*subEval{}
+		}
+		if b.pre[x] = se; !se.perRow {
+			offers = append(offers, &semiReducer{name: "IN (<subquery>)", sub: se, keys: []ast.Expr{x.Expr}})
+		}
+	}
+	return offers
+}
+
+// keysIn reports whether every key reads sch and nothing else.
+func keysIn(keys []ast.Expr, sch *schema.Schema) bool {
+	for _, k := range keys {
+		if !refsIn(k, sch) || !resolvableIn(k, sch, nil, false) {
+			return false
+		}
+	}
+	return true
+}
+
 // applyFilter keeps rows where pred is true.
 func (b *builder) applyFilter(in *Result, pred ast.Expr, env *Env) (*Result, error) {
-	subs, err := b.prepareSubqueries([]ast.Expr{pred}, in.Sch, env)
+	subs, err := b.prepareSubqueries([]ast.Expr{pred}, in.Sch, in, env)
 	if err != nil {
 		return nil, err
 	}

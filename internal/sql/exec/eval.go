@@ -497,12 +497,8 @@ func likeMatch(s, pattern string) bool {
 func containsSubquery(e ast.Expr) bool {
 	found := false
 	ast.Walk(e, func(x ast.Expr) bool {
-		switch x.(type) {
-		case *ast.Exists, *ast.InSubquery, *ast.ScalarSubquery:
-			found = true
-			return false
-		}
-		return true
+		found = found || subqueryOf(x) != nil
+		return !found
 	})
 	return found
 }

@@ -257,6 +257,10 @@ type builder struct {
 	// its rows on encoded (see RunFragment).
 	fragment bool
 
+	// pre holds the subqueries prepared ahead of the operator that evaluates
+	// them (buildFrom), by their node; prepareSubqueries takes them over.
+	pre map[ast.Expr]*subEval
+
 	ident []int // the identity selection vector, grown on demand
 }
 

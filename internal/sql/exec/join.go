@@ -293,7 +293,7 @@ func (b *builder) hashLeftJoin(left, right *Result, keysL, keysR []ast.Expr, res
 	var subs map[ast.Expr]*subEval
 	if residual != nil {
 		var err error
-		subs, err = b.prepareSubqueries([]ast.Expr{residual}, outSch, env)
+		subs, err = b.prepareSubqueries([]ast.Expr{residual}, outSch, nil, env)
 		if err != nil {
 			return nil, err
 		}

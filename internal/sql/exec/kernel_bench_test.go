@@ -146,15 +146,7 @@ func BenchmarkGroupBy(b *testing.B) {
 // passed more rows than there are orders and then probes every other window,
 // every fourth, … — that case prices a reducer that does not pay.
 func BenchmarkScanSemiReduce(b *testing.B) {
-	li := shaped(b, "SELECT l_orderkey, l_partkey, l_suppkey, l_quantity, l_extendedprice, l_discount, l_shipdate FROM lineitem")
-	blob, err := exec.EncodeResult(&exec.Result{Sch: li.Sch, Rows: li.Rows})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lineitem, err := exec.RetainResult(blob)
-	if err != nil {
-		b.Fatal(err)
-	}
+	lineitem := retained(b, "SELECT l_orderkey, l_partkey, l_suppkey, l_quantity, l_extendedprice, l_discount, l_shipdate FROM lineitem")
 	cat := benchCatalog{"lineitem": lineitem, "orders": shaped(b, "SELECT o_orderkey, o_custkey FROM orders")}
 	for _, c := range []struct{ name, pred string }{
 		{"1pct", "o_custkey <= 15"}, {"16pct", "o_custkey <= 240"}, {"100pct", "o_orderkey > 1"},
@@ -165,4 +157,49 @@ func BenchmarkScanSemiReduce(b *testing.B) {
 			benchStatement(b, cat, "SELECT count(*), sum(l_extendedprice * (1 - l_discount))"+from, int(want))
 		})
 	}
+}
+
+// retained holds the rows of sql as a retained reply: like a stored table's,
+// its rows are boxed only if the scan keeps them.
+func retained(b *testing.B, sql string) exec.Relation {
+	rel := shaped(b, sql)
+	blob, err := exec.EncodeResult(&exec.Result{Sch: rel.Sch, Rows: rel.Rows})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := exec.RetainResult(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// BenchmarkSubqueryReduce times the host phases a subquery's key set reduces,
+// over the tables as scs ships them: q4's EXISTS (607 orders of one quarter
+// probe a cache of 37 895 late lineitems, of which the orders' keys leave
+// 1 558 to box and group), q18's IN (a set of one order key cuts the orders
+// scan to 1 row and, through it, lineitem's to 7), and the case a reducer must
+// sit out — every lineitem asks for its order among those of 16 % of the
+// customers, an outer twenty-five times the inner.
+func BenchmarkSubqueryReduce(b *testing.B) {
+	b.Run("q4-exists", func(b *testing.B) {
+		cat := benchCatalog{"orders": shaped(b, "SELECT o_orderkey, o_orderdate, o_orderpriority FROM orders"),
+			"lineitem": retained(b, "SELECT l_orderkey, l_commitdate, l_receiptdate FROM lineitem WHERE l_commitdate < l_receiptdate")}
+		benchStatement(b, cat, tpch.Queries[4], 5)
+	})
+	b.Run("q18-in", func(b *testing.B) {
+		cat := benchCatalog{"customer": shaped(b, "SELECT c_custkey, c_name FROM customer"),
+			"orders":   retained(b, "SELECT o_orderkey, o_custkey, o_orderdate, o_totalprice FROM orders"),
+			"lineitem": retained(b, "SELECT l_orderkey, l_quantity FROM lineitem")}
+		benchStatement(b, cat, `SELECT count(*), sum(l_quantity) FROM customer, orders, lineitem
+			WHERE o_orderkey IN (SELECT l_orderkey FROM lineitem GROUP BY l_orderkey HAVING sum(l_quantity) > 300)
+			  AND c_custkey = o_custkey AND o_orderkey = l_orderkey`, 7)
+	})
+	b.Run("outer-exceeds-inner", func(b *testing.B) {
+		cat := benchCatalog{"lineitem": shaped(b, "SELECT l_orderkey, l_quantity FROM lineitem"),
+			"orders": retained(b, "SELECT o_orderkey, o_custkey FROM orders")}
+		want := shaped(b, "SELECT count(*) FROM orders, lineitem WHERE o_orderkey = l_orderkey AND o_custkey <= 240").Rows[0][0].AsInt()
+		benchStatement(b, cat, `SELECT count(*), sum(l_quantity) FROM lineitem
+			WHERE EXISTS (SELECT * FROM orders WHERE o_orderkey = l_orderkey AND o_custkey <= 240)`, int(want))
+	})
 }

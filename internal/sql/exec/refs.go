@@ -29,49 +29,47 @@ func collectRefs(sel *ast.Select) *colRefs {
 }
 
 func (r *colRefs) addSelect(sel *ast.Select, existsBody bool) {
-	for _, it := range sel.Items {
-		if it.Star {
-			for _, ref := range sel.From {
-				if ref.Subquery == nil && !existsBody {
-					r.stars[strings.ToLower(ref.Table)] = true
-				}
-			}
-			continue
-		}
-		r.addExpr(it.Expr)
-	}
 	for _, ref := range sel.From {
 		if ref.Subquery != nil {
 			r.addSelect(ref.Subquery, false)
 		}
-		if ref.Join != nil {
-			r.addExpr(ref.Join.On)
+		for _, it := range sel.Items {
+			if it.Star && ref.Subquery == nil && !existsBody {
+				r.stars[strings.ToLower(ref.Table)] = true
+			}
 		}
 	}
-	r.addExpr(sel.Where)
-	for _, g := range sel.GroupBy {
-		r.addExpr(g)
-	}
-	r.addExpr(sel.Having)
-	for _, o := range sel.OrderBy {
-		r.addExpr(o.Expr)
-	}
-}
-
-func (r *colRefs) addExpr(e ast.Expr) {
-	ast.Walk(e, func(x ast.Expr) bool {
-		switch q := x.(type) {
-		case *ast.ColumnRef:
-			r.names[strings.ToLower(q.Name)] = true
-		case *ast.Exists:
-			r.addSelect(q.Subquery, true)
-		case *ast.InSubquery:
-			r.addSelect(q.Subquery, false)
-		case *ast.ScalarSubquery:
-			r.addSelect(q.Subquery, false)
+	eachExpr(sel, func(x ast.Expr) bool {
+		if ref, ok := x.(*ast.ColumnRef); ok {
+			r.names[strings.ToLower(ref.Name)] = true
+		} else if sub := subqueryOf(x); sub != nil {
+			_, exists := x.(*ast.Exists)
+			r.addSelect(sub, exists)
 		}
 		return true
 	})
+}
+
+// eachExpr walks (ast.Walk) the expressions sel itself evaluates: its select
+// list, ON conditions, WHERE, GROUP BY, HAVING and ORDER BY. Derived tables
+// and subquery bodies are statements of their own.
+func eachExpr(sel *ast.Select, fn func(ast.Expr) bool) {
+	ast.Walk(sel.Where, fn)
+	ast.Walk(sel.Having, fn)
+	for _, it := range sel.Items {
+		ast.Walk(it.Expr, fn)
+	}
+	for _, ref := range sel.From {
+		if ref.Join != nil {
+			ast.Walk(ref.Join.On, fn)
+		}
+	}
+	for _, g := range sel.GroupBy {
+		ast.Walk(g, fn)
+	}
+	for _, o := range sel.OrderBy {
+		ast.Walk(o.Expr, fn)
+	}
 }
 
 // keep returns the positions of table's columns the statement references, or

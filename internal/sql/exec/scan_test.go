@@ -342,7 +342,7 @@ func TestScanPrunesAndFiltersInOnePass(t *testing.T) {
 		var m simtime.Meter
 		tr := &Trace{}
 		b := &builder{cat: memCatalog{"lineitem": rel}, meter: &m, trace: tr, batchRows: 40, stmt: sel}
-		res, remaining, err := b.buildFrom(sel, nil)
+		res, remaining, err := b.buildFrom(sel, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

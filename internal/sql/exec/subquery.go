@@ -19,12 +19,15 @@ import (
 // lookup time. This turns the paper's TPC-H correlated subqueries (q2, q4,
 // q21, ...) from per-row re-execution into a single build plus O(1) probes.
 // The grouping is a keyTable over the inner keys — the build side of a hash
-// semi-join — and every cache below is indexed by its ids.
+// semi-join — and every cache below is indexed by its ids. A subquery whose
+// WHERE clause is uncorrelated but which names an outer column elsewhere is
+// run again for every outer row (perRow): nothing of it is memoized.
 type subEval struct {
 	b   *builder
 	sel *ast.Select
 
 	uncorrelated bool
+	perRow       bool
 	cached       *Result   // memoized full execution (uncorrelated)
 	inSet        *keyTable // its non-NULL first-column values
 	inHasNull    bool
@@ -48,47 +51,61 @@ type subEval struct {
 	scalarCache map[int32]value.Value // by key id
 }
 
+// subqueryOf returns the body of a subquery node, nil for any other expression.
+func subqueryOf(e ast.Expr) *ast.Select {
+	switch q := e.(type) {
+	case *ast.Exists:
+		return q.Subquery
+	case *ast.InSubquery:
+		return q.Subquery
+	case *ast.ScalarSubquery:
+		return q.Subquery
+	}
+	return nil
+}
+
 // prepareSubqueries walks exprs and builds a subEval for every subquery node
-// found, given the enclosing operator's input schema and environment.
-func (b *builder) prepareSubqueries(exprs []ast.Expr, outerSch *schema.Schema, env *Env) (map[ast.Expr]*subEval, error) {
+// found, given the enclosing operator's input schema and environment — and
+// its input rows, where it holds them and evaluates exprs over nothing else:
+// their correlation keys then reduce the subquery's inner scan (prepareSub).
+// A subquery buildFrom prepared ahead (b.pre) is taken over as it is.
+func (b *builder) prepareSubqueries(exprs []ast.Expr, outerSch *schema.Schema, outer *Result, env *Env) (map[ast.Expr]*subEval, error) {
 	subs := map[ast.Expr]*subEval{}
 	var firstErr error
 	for _, e := range exprs {
 		ast.Walk(e, func(x ast.Expr) bool {
-			if firstErr != nil {
+			sel := subqueryOf(x)
+			if firstErr != nil || sel == nil {
+				return firstErr == nil
+			}
+			if _, in := x.(*ast.InSubquery); in && (len(sel.Items) != 1 || sel.Items[0].Star) {
+				firstErr = errors.New("exec: IN subquery must select exactly one column")
 				return false
 			}
-			var sel *ast.Select
-			switch q := x.(type) {
-			case *ast.Exists:
-				sel = q.Subquery
-			case *ast.InSubquery:
-				sel = q.Subquery
-			case *ast.ScalarSubquery:
-				sel = q.Subquery
-			default:
-				return true
-			}
-			se, err := b.prepareSub(sel, outerSch, env)
-			if err != nil {
-				firstErr = err
-				return false
+			se, ahead := b.pre[x]
+			if ahead {
+				delete(b.pre, x)
+			} else {
+				se, firstErr = b.prepareSub(sel, outerSch, outer, env)
 			}
 			subs[x] = se
-			return true // LHS of InSubquery may itself contain subqueries
+			return firstErr == nil // LHS of InSubquery may itself contain subqueries
 		})
 	}
 	return subs, firstErr
 }
 
-// prepareSub analyses and (for the correlated case) materializes a subquery.
-func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, env *Env) (*subEval, error) {
+// analyzeSub classifies a subquery's WHERE conjuncts against the inner scope
+// and the outer chain (outerSch nil: the environment alone) without running
+// anything: inner-only conjuncts are returned, correlation keys and the
+// residual are set on the subEval.
+func (b *builder) analyzeSub(sel *ast.Select, outerSch *schema.Schema, env *Env) (*subEval, []ast.Expr, error) {
 	se := &subEval{b: b, sel: sel, scalarCache: map[int32]value.Value{}}
 
 	// Determine the inner scope schema without executing joins yet.
 	innerScope, err := b.scopeSchema(sel, env)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	outerChain := &Env{Parent: env, Sch: outerSch}
 
@@ -117,34 +134,88 @@ func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, env *Env)
 				}
 			}
 			if !resolvableIn(c, innerScope, outerChain, true) {
-				return nil, fmt.Errorf("exec: subquery predicate %s references unknown columns", c)
+				return nil, nil, fmt.Errorf("exec: subquery predicate %s references unknown columns", c)
 			}
 			residual = append(residual, c)
 		}
 	}
-
+	se.residual = ast.JoinConjuncts(residual)
 	if len(se.keysInner) == 0 && len(residual) == 0 {
-		se.uncorrelated = true
-		b.trace.addf("subquery: uncorrelated, executed once and cached")
-		return se, nil // executed lazily on first use
+		// Memoized only if nothing else of it reads the outer row either.
+		se.uncorrelated, se.perRow = true, !b.closed(sel, innerScope, nil, env)
+		if se.perRow {
+			b.trace.addf("subquery: outer reference outside WHERE, executed per outer row")
+		} else {
+			b.trace.addf("subquery: uncorrelated, executed once and cached")
+		}
 	}
+	return se, innerOnly, nil
+}
 
-	// Correlated: materialize FROM + inner-only predicates at full width.
+// closed reports whether every column sel names — in its select list, ON
+// conditions, WHERE, GROUP BY, HAVING, ORDER BY, derived tables and nested
+// subqueries — resolves in its own FROM clause (scope; nil: computed here), in
+// a scope between it and the subquery being analysed (within), in its select
+// list's aliases, or in env, which is fixed while the operator runs. Only then
+// is its result the same for every outer row.
+func (b *builder) closed(sel *ast.Select, scope *schema.Schema, within []*schema.Schema, env *Env) bool {
+	if scope == nil {
+		var err error
+		if scope, err = b.scopeSchema(sel, env); err != nil {
+			return false
+		}
+	}
+	scopes := append(within[:len(within):len(within)], scope)
+	ok := true
+	for _, ref := range sel.From {
+		ok = ok && (ref.Subquery == nil || b.closed(ref.Subquery, nil, within, env))
+	}
+	eachExpr(sel, func(x ast.Expr) bool {
+		if ref, isRef := x.(*ast.ColumnRef); isRef {
+			found := env.Resolvable(ref.FullName())
+			for _, s := range scopes {
+				found = found || s.IndexOf(ref.FullName()) >= 0
+			}
+			for _, it := range sel.Items {
+				found = found || it.Alias == ref.Name && ref.Qualifier == ""
+			}
+			ok = ok && found
+		} else if sub := subqueryOf(x); sub != nil {
+			ok = ok && b.closed(sub, nil, scopes, env)
+		}
+		return ok
+	})
+	return ok
+}
+
+// prepareSub analyses a subquery and, for the correlated case, materializes
+// its inner side — of which only the rows whose key some row of outer (the
+// operator's input, nil when it is not at hand) holds are ever looked up, so
+// outer's keys are offered to the inner scan as a semi-join reducer.
+func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, outer *Result, env *Env) (*subEval, error) {
+	se, innerOnly, err := b.analyzeSub(sel, outerSch, env)
+	if err != nil || se.uncorrelated {
+		return se, err // an uncorrelated subquery is executed lazily on first use
+	}
 	if len(sel.GroupBy) > 0 {
 		return nil, errors.New("exec: correlated subqueries with GROUP BY are not supported")
 	}
+	// Materialize FROM + inner-only predicates at full width.
 	innerSel := &ast.Select{
 		Items: []ast.SelectItem{{Star: true}},
 		From:  sel.From,
 		Where: ast.JoinConjuncts(innerOnly),
 		Limit: -1,
 	}
-	inner, err := b.buildSelect(innerSel, env)
+	var offers []*semiReducer
+	if outer != nil && len(se.keysInner) > 0 {
+		offers = []*semiReducer{{name: "<outer>", src: outer, env: env, srcKeys: se.keysOuter, keys: se.keysInner}}
+	}
+	inner, err := b.buildSelect(innerSel, env, offers...)
 	if err != nil {
 		return nil, err
 	}
 	se.inner = inner
-	se.residual = ast.JoinConjuncts(residual)
 	// NULL keys never match an equi-correlation: they get no id.
 	se.keys = newKeyTable(len(se.keysInner), len(inner.Rows), false)
 	ids, err := b.keyIDs(se.keys, chainOf(inner), se.keysInner, env, true)
@@ -186,17 +257,36 @@ func (b *builder) scopeSchema(sel *ast.Select, env *Env) (*schema.Schema, error)
 	return scope, nil
 }
 
-// ensureCached runs an uncorrelated subquery once.
+// ensureCached runs an uncorrelated subquery: once, or for every outer row
+// when it reads the outer row outside its WHERE clause.
 func (se *subEval) ensureCached(c *evalCtx) error {
-	if se.cached != nil {
+	if se.cached != nil && !se.perRow {
 		return nil
 	}
 	res, err := se.b.buildSelect(se.sel, &Env{Parent: c.env, Sch: c.sch, Row: c.row})
 	if err != nil {
 		return err
 	}
-	se.cached = res
+	se.cached, se.inSet, se.inHasNull = res, nil, false
 	return nil
+}
+
+// values returns the non-NULL values an uncorrelated IN subquery selects.
+func (se *subEval) values(c *evalCtx) (*keyTable, error) {
+	if err := se.ensureCached(c); err != nil {
+		return nil, err
+	}
+	if se.inSet == nil {
+		se.inSet = newKeyTable(1, len(se.cached.Rows), false)
+		for _, r := range se.cached.Rows {
+			if r[0].IsNull() {
+				se.inHasNull = true
+				continue
+			}
+			se.inSet.id(r[:1], true)
+		}
+	}
+	return se.inSet, nil
 }
 
 // outerKey looks the outer row's correlation key up among the inner keys:
@@ -263,30 +353,19 @@ func (se *subEval) exists(c *evalCtx) (bool, error) {
 
 // in evaluates x [NOT] IN (subquery) with SQL three-valued semantics.
 func (se *subEval) in(c *evalCtx, lhs value.Value, not bool) (value.Value, error) {
-	if lhs.IsNull() {
-		return value.Null(), nil
-	}
 	if se.uncorrelated {
-		if err := se.ensureCached(c); err != nil {
+		set, err := se.values(c)
+		if err != nil {
 			return value.Null(), err
 		}
-		if se.inSet == nil {
-			se.inSet = newKeyTable(1, len(se.cached.Rows), false)
-			for _, r := range se.cached.Rows {
-				if len(r) == 0 {
-					continue
-				}
-				if r[0].IsNull() {
-					se.inHasNull = true
-					continue
-				}
-				se.inSet.id(r[:1], true)
-			}
-		}
-		if se.inSet.id([]value.Value{lhs}, false) >= 0 {
+		switch {
+		case len(se.cached.Rows) == 0:
+			return value.Bool(not), nil // in no set at all, whatever lhs is
+		case lhs.IsNull():
+			return value.Null(), nil
+		case set.id([]value.Value{lhs}, false) >= 0:
 			return value.Bool(!not), nil
-		}
-		if se.inHasNull {
+		case se.inHasNull:
 			return value.Null(), nil
 		}
 		return value.Bool(not), nil
@@ -300,8 +379,8 @@ func (se *subEval) in(c *evalCtx, lhs value.Value, not bool) (value.Value, error
 	if err != nil {
 		return value.Null(), err
 	}
-	if len(se.sel.Items) != 1 || se.sel.Items[0].Star {
-		return value.Null(), errors.New("exec: IN subquery must select exactly one column")
+	if lhs.IsNull() && len(rows) > 0 {
+		return value.Null(), nil // against no row at all it is simply not in
 	}
 	item := se.sel.Items[0].Expr
 	se.outerEnv.Row = c.row
