@@ -111,8 +111,9 @@ sweep-race:
 # fuzz-smoke runs each wire-codec fuzz target for a short bounded stint —
 # transport frames, the rebuild manifest, the redo journal, the storage page
 # list, the ingest wire ack, the page-backed column decoder against the
-# boxed-row one, the retained offload reply against the boxed decoder, and the
-# executor's key table against a map keyed by value.HashKey. The
+# boxed-row one, the retained offload reply against the boxed decoder, the
+# executor's key table against a map keyed by value.HashKey, and the engine's
+# catalog root page as an unauthenticated medium hands it back. The
 # seeded corpora alone run in ordinary
 # `go test`; this target adds coverage-guided exploration.
 FUZZTIME ?= 5s
@@ -124,7 +125,8 @@ FUZZ_TARGETS = \
 	FuzzWireAck:./internal/ingest \
 	FuzzDecodeColumn:./internal/schema \
 	FuzzDecodeResult:./internal/sql/exec \
-	FuzzKeyTable:./internal/sql/exec
+	FuzzKeyTable:./internal/sql/exec \
+	FuzzCatalogRoot:./internal/engine
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		name=$${t%%:*}; pkg=$${t#*:}; \
@@ -152,22 +154,24 @@ benchjson:
 # scan without running its subquery twice or earlier than a failure would show,
 # conjuncts hoisted out of an OR must plan one way, and the layer benchmarks
 # (table scan, predicate kernels, fragment shipment, host scan of a shipment,
-# hash join, group-by, semi-join reduced scan, subquery-reduced scans) must
-# still run.
+# hash join, group-by, semi-join reduced scan, subquery-reduced scans, the
+# store commit and the insert acknowledgement) must still run.
 benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
 	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
 	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain|SemiReduction|CommonDisjuncts|Subquery' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
-	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HashJoin|GroupBy|ScanSemiReduce|Subquery' -benchtime 1x ./internal/engine ./internal/sql/exec ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HashJoin|GroupBy|ScanSemiReduce|Subquery|Commit|InsertAck' -benchtime 1x ./internal/securestore ./internal/engine ./internal/sql/exec ./internal/storageengine
 
 # bench-layers runs the data path's layer benchmarks, bottom up: the secure
-# store's batched read, page open and page seal (CBC+HMAC and GCM), the
-# predicate kernels, the table scan over a real secure store, fragment
-# shipment, and the host phases a subquery's key set reduces. ns/op, B/op and allocs/op per layer; `make bench-layers
-# BENCHTIME=1x` is the CI smoke run.
+# store's batched read, page open, page seal (CBC+HMAC and GCM) and commit (1
+# and 256 pages into 1 k and 16 k pages), the predicate kernels, the table
+# scan and the single-row insert acknowledgement over a real secure store,
+# fragment shipment, and the host phases a subquery's key set reduces. ns/op,
+# B/op and allocs/op per layer; `make bench-layers BENCHTIME=1x` is the CI
+# smoke run.
 BENCHTIME ?= 1s
 bench-layers:
-	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|SealPage|EvalVecPredicate|TableScan|ShipFragment|SubqueryReduce' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/sql/exec ./internal/engine ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|SealPage|Commit|EvalVecPredicate|TableScan|InsertAck|ShipFragment|SubqueryReduce' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/sql/exec ./internal/engine ./internal/storageengine
 
 # benchmark runs one workload of the repository benchmark the way the driver
 # does (`make benchmark W=scs-scan`): the timed run only, no trace.

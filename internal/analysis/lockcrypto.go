@@ -24,7 +24,7 @@ var lockcryptoPkgFuncs = map[string]map[string]bool{
 // lockcryptoLocalHelpers names the store's own page seal/open helpers, which
 // wrap the primitives above and are equally forbidden under the mutex —
 // getCrypto among them: it keys an HMAC whenever the pool has no idle state. Tree
-// hashing (leafHash/hashNode/rootTag) is deliberately NOT listed: the Merkle
+// hashing (leafMAC/nodeMAC/rootTag) is deliberately NOT listed: the Merkle
 // tree is mutex-protected state, so hashing it under the lock is inherent.
 var lockcryptoLocalHelpers = map[string]bool{
 	"sealPage":    true,

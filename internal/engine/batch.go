@@ -92,8 +92,8 @@ func (o *overlayStore) NumPages() uint32 { return o.max }
 
 // batchCtx is one open atomic batch: an overlay store plus shadow tables.
 // Statement execution mutates only the shadows; commit persists the catalog
-// into the same transaction, commits it, and installs the shadows into the
-// live catalog. Abort leaves the database untouched.
+// into the same transaction when the batch changed it, commits, and installs
+// the shadows into the live catalog. Abort leaves the database untouched.
 type batchCtx struct {
 	db      *DB
 	ov      *overlayStore
@@ -101,6 +101,7 @@ type batchCtx struct {
 	shadows map[string]*Table
 	dropped map[string]bool
 	created map[string]bool
+	catalog []*Table // the catalog this batch staged; nil when the store's already holds it
 }
 
 func (db *DB) newBatch(ts pager.TxnStore) *batchCtx {
@@ -152,6 +153,9 @@ func (b *batchCtx) commit() error {
 	}
 	b.db.mu.Lock()
 	defer b.db.mu.Unlock()
+	if b.catalog != nil {
+		b.db.noteCatalog(b.catalog)
+	}
 	for key := range b.dropped {
 		delete(b.db.tables, key)
 	}
@@ -173,7 +177,10 @@ func (b *batchCtx) commit() error {
 
 // persistCatalog writes the catalog as it will look after the batch —
 // shadow page lists where touched, live ones elsewhere, dropped tables
-// omitted — through the batch transaction.
+// omitted — through the batch transaction, unless the store's catalog holds
+// exactly that already. A batch that staged no page at all persists it
+// regardless: every batch is one store commit, which is what the ingest
+// pipeline's sequence arithmetic counts.
 func (b *batchCtx) persistCatalog() error {
 	b.db.mu.RLock()
 	tables := make([]*Table, 0, len(b.db.tables)+len(b.created))
@@ -189,12 +196,17 @@ func (b *batchCtx) persistCatalog() error {
 		}
 		seen[key] = true
 	}
-	b.db.mu.RUnlock()
 	for key, sh := range b.shadows {
 		if !seen[key] && !b.dropped[key] {
 			tables = append(tables, sh)
 		}
 	}
+	held := b.db.catalogHolds(tables)
+	b.db.mu.RUnlock()
+	if held && len(b.ov.staged) > 0 {
+		return nil
+	}
+	b.catalog = tables
 	return writeCatalog(b.ov, tables)
 }
 

@@ -23,7 +23,7 @@ type secureEnv struct {
 	db    *DB
 }
 
-func newSecureEnv(t *testing.T) *secureEnv {
+func newSecureEnv(t testing.TB) *secureEnv {
 	t.Helper()
 	vendor, err := trustzone.NewVendor("acme")
 	if err != nil {

@@ -8,6 +8,7 @@ package engine
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -67,6 +68,9 @@ type DB struct {
 	tables    map[string]*Table
 	scanCfg   pager.ScanConfig
 	execBatch int // executor batch size (0 = exec.DefaultBatchRows, 1 = row-at-a-time)
+	// cataloged is what the store's catalog records, by lower-case table
+	// name; nil until this DB has loaded or written one.
+	cataloged map[string]catalogEntry
 
 	// execMu serializes writers against readers: SELECTs run concurrently,
 	// DDL/DML take the write lock (SQLite-style multi-reader/one-writer).
@@ -109,15 +113,30 @@ func Open(store pager.PageStore, meter *simtime.Meter) (*DB, error) {
 	return db, nil
 }
 
+// ErrCatalogCorrupt reports a catalog root page whose counts cannot describe
+// a catalog: a store that does not authenticate its pages (a plain pager
+// medium) hands the root back as it finds it.
+var ErrCatalogCorrupt = errors.New("engine: catalog root corrupt")
+
 func (db *DB) loadCatalog() error {
 	root, err := db.store.ReadPage(0)
 	if err != nil {
 		return fmt.Errorf("engine: reading catalog root: %w", err)
 	}
+	if len(root) < pager.PageSize {
+		return fmt.Errorf("%w: root page of %d bytes", ErrCatalogCorrupt, len(root))
+	}
 	length := binary.LittleEndian.Uint32(root[0:4])
 	npages := binary.LittleEndian.Uint32(root[4:8])
+	db.cataloged = map[string]catalogEntry{}
 	if length == 0 {
 		return nil
+	}
+	if npages > catalogPagesMax {
+		return fmt.Errorf("%w: claims %d catalog pages, a root holds %d", ErrCatalogCorrupt, npages, catalogPagesMax)
+	}
+	if uint64(length) > uint64(npages)*pager.PageSize {
+		return fmt.Errorf("%w: claims %d catalog bytes in %d pages", ErrCatalogCorrupt, length, npages)
 	}
 	var blob []byte
 	for i := uint32(0); i < npages; i++ {
@@ -129,7 +148,7 @@ func (db *DB) loadCatalog() error {
 		blob = append(blob, page...)
 	}
 	if uint32(len(blob)) < length {
-		return fmt.Errorf("engine: catalog truncated (%d < %d)", len(blob), length)
+		return fmt.Errorf("%w: catalog truncated (%d < %d)", ErrCatalogCorrupt, len(blob), length)
 	}
 	var rec catalogRecord
 	if err := json.Unmarshal(blob[:length], &rec); err != nil {
@@ -149,6 +168,7 @@ func (db *DB) loadCatalog() error {
 			db:   db,
 		}
 	}
+	db.noteCatalog(db.liveTables())
 	return nil
 }
 
@@ -182,12 +202,60 @@ type catalogWriter interface {
 	Allocate() (uint32, error)
 }
 
-func (db *DB) persistCatalog() error {
+// catalogEntry is what the catalog records of one table beside its name.
+type catalogEntry struct {
+	sch   *schema.Schema
+	pages []uint32
+}
+
+// catalogHolds reports whether the store's catalog already records exactly
+// tables — the same set, each with the schema and the page list it has now —
+// so that writing it again would change nothing a load reads. It is the one
+// question the transactional and the plain write path ask before they
+// persist: a commit that appended to a page with room pays for that page and
+// not for the schema. The caller holds db.mu.
+func (db *DB) catalogHolds(tables []*Table) bool {
+	if db.cataloged == nil || len(tables) != len(db.cataloged) {
+		return false
+	}
+	for _, t := range tables {
+		e, ok := db.cataloged[strings.ToLower(t.Name)]
+		if !ok || e.sch != t.Sch || !t.heap.HasPages(e.pages) {
+			return false
+		}
+	}
+	return true
+}
+
+// noteCatalog records that the store's catalog now holds tables. The caller
+// holds db.mu exclusively (or is Open, before the DB is shared).
+func (db *DB) noteCatalog(tables []*Table) {
+	db.cataloged = make(map[string]catalogEntry, len(tables))
+	for _, t := range tables {
+		db.cataloged[strings.ToLower(t.Name)] = catalogEntry{sch: t.Sch, pages: t.heap.Pages()}
+	}
+}
+
+func (db *DB) liveTables() []*Table {
 	tables := make([]*Table, 0, len(db.tables))
 	for _, t := range db.tables {
 		tables = append(tables, t)
 	}
-	return writeCatalog(db.store, tables)
+	return tables
+}
+
+// persistCatalog writes the live catalog to the store unless the store's
+// already holds it. The caller holds db.mu exclusively.
+func (db *DB) persistCatalog() error {
+	tables := db.liveTables()
+	if db.catalogHolds(tables) {
+		return nil
+	}
+	if err := writeCatalog(db.store, tables); err != nil {
+		return err
+	}
+	db.noteCatalog(tables)
+	return nil
 }
 
 // writeCatalog persists the catalog for the given tables through w. Tables

@@ -3,6 +3,7 @@ package pager
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ironsafe/internal/schema"
 )
@@ -50,6 +51,9 @@ func OpenHeapFile(store PageStore, pages []uint32) *HeapFile {
 
 // Pages returns the heap's page list for catalog persistence.
 func (h *HeapFile) Pages() []uint32 { return append([]uint32(nil), h.pages...) }
+
+// HasPages reports whether pages is the heap's page list, without copying it.
+func (h *HeapFile) HasPages(pages []uint32) bool { return slices.Equal(h.pages, pages) }
 
 // NumPages returns how many pages the heap occupies.
 func (h *HeapFile) NumPages() int { return len(h.pages) }

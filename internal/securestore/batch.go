@@ -279,16 +279,6 @@ func (s *Store) verifyBatch(idxs []uint32, recordMACs [][]byte) error {
 	return nil
 }
 
-// invalidatePath drops the verified marks of every ancestor of leaf idx.
-// The caller holds s.mu.
-func (s *Store) invalidatePath(idx int) {
-	a := s.opts.arity()
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		idx /= a
-		delete(s.verified, [2]int{lvl, idx})
-	}
-}
-
 // CacheBytes reports the current size of the verified-plaintext page cache.
 // Hosts running the store inside an SGX enclave add this to TreeBytes when
 // sizing the enclave working set against the EPC limit.

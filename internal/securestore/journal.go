@@ -29,11 +29,13 @@ package securestore
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ironsafe/internal/pager"
@@ -81,7 +83,12 @@ type journalRecord struct {
 
 // encodeJournal serializes and authenticates a record under the journal key.
 func (s *Store) encodeJournal(j *journalRecord) []byte {
+	size := len(journalMagic) + 8 + len(j.PrevTag) + len(j.PostTag) + 4 + 4 + sha256.Size
+	for _, e := range j.Entries {
+		size += 12 + len(e.RecordMAC) + len(e.Record)
+	}
 	var b bytes.Buffer
+	b.Grow(size) // one allocation, not a doubling chain that copies every record
 	b.Write(journalMagic)
 	var u64 [8]byte
 	binary.LittleEndian.PutUint64(u64[:], j.Seq)
@@ -254,7 +261,7 @@ func (t *Txn) Commit() error {
 			maxIdx = idx
 		}
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
 	entries := make([]journalEntry, 0, len(idxs))
 	pc := s.getCrypto()
 	defer s.putCrypto(pc)
@@ -265,6 +272,10 @@ func (t *Txn) Commit() error {
 		}
 		entries = append(entries, journalEntry{Idx: idx, RecordMAC: recordMAC, Record: record})
 	}
+	// The commit's two HMACs are keyed out here too, once each: mac hashes
+	// every leaf, node and mirrored leaf of the commit, rootMAC its pre- and
+	// post-state tags.
+	mac, rootMAC := s.treeMAC(), hmac.New(sha256.New, s.rootKey)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -276,12 +287,10 @@ func (t *Txn) Commit() error {
 	// the new high-water mark but never written become real sealed zero
 	// pages, so the persisted leaf set is always dense and reopenable.
 	oldN := s.nextAlloc
-	newN := oldN
-	if maxIdx+1 > newN {
-		newN = maxIdx + 1
-	}
+	newN := max(oldN, maxIdx+1)
+	staged := len(entries)
 	for idx := oldN; idx < newN; idx++ {
-		if _, staged := t.pages[idx]; staged {
+		if _, ok := t.pages[idx]; ok {
 			continue
 		}
 		//ironsafe:allow lockcrypto -- gap-fill seals only reserved-but-unwritten zero pages, bounded by the reservation high-water mark
@@ -291,53 +300,43 @@ func (t *Txn) Commit() error {
 		}
 		entries = append(entries, journalEntry{Idx: idx, RecordMAC: recordMAC, Record: record})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Idx < entries[j].Idx })
-
-	prevTag := s.rootTag()
-
-	// Update the in-memory tree to the post-state.
-	if int(newN) > len(s.levels[0]) {
-		grown := make([][]byte, newN)
-		copy(grown, s.levels[0])
-		s.levels[0] = grown
+	if len(entries) > staged {
+		slices.SortFunc(entries, func(a, b journalEntry) int { return cmp.Compare(a.Idx, b.Idx) })
 	}
+
+	prevTag := s.rootTagWith(rootMAC)
+
+	// Update the in-memory tree to the post-state: the written leaves, then
+	// their ancestors. Growth also shifts the child range of the boundary
+	// node at each level — the old tail leaf's ancestors — so that leaf joins
+	// the dirty set; the gap-fill above makes entries dense over [oldN, newN),
+	// so every node growth adds has a dirty leaf below it.
+	if grow := int(newN) - len(s.levels[0]); grow > 0 {
+		s.levels[0] = append(s.levels[0], make([][]byte, grow)...)
+	}
+	dirty := make([]int, 0, len(entries)+1)
 	for _, e := range entries {
-		s.levels[0][e.Idx] = s.leafHash(e.Idx, e.RecordMAC)
+		mac.Reset()
+		s.levels[0][e.Idx] = leafMAC(mac, s.levels[0][e.Idx][:0], e.Idx, e.RecordMAC)
+		dirty = append(dirty, int(e.Idx))
 	}
 	if newN > oldN && oldN > 0 {
-		// Growth can shift the child range of the boundary node; refresh
-		// the old tail's parent chain before the new leaves'.
-		s.updatePath(int(oldN) - 1)
+		if at, found := slices.BinarySearch(dirty, int(oldN)-1); !found {
+			dirty = slices.Insert(dirty, at, int(oldN)-1)
+		}
 	}
-	for _, e := range entries {
-		s.updatePath(int(e.Idx))
-	}
+	s.updateAncestors(mac, dirty)
 	s.nextAlloc = newN
 	if s.nextReserve < newN {
 		s.nextReserve = newN
 	}
 	s.seq++
-	// Drop verified marks only for subtrees this transaction actually
-	// touched: the ancestors of every written leaf, plus the old tail leaf's
-	// path when growth changed the boundary node's child range. The gap-fill
-	// above makes entries dense over [oldN, newN), so together these cover
-	// every internal node whose value changed; unrelated subtrees stay warm
-	// across commits. (Recovery and rebuild still reset the whole map — see
-	// readMediumState.)
-	if len(s.verified) > 0 {
-		for _, e := range entries {
-			s.invalidatePath(int(e.Idx))
-		}
-		if newN > oldN && oldN > 0 {
-			s.invalidatePath(int(oldN) - 1)
-		}
-	}
 	if s.cache != nil {
 		for _, e := range entries {
 			s.cache.invalidate(e.Idx)
 		}
 	}
-	postTag := s.rootTag()
+	postTag := s.rootTagWith(rootMAC)
 
 	// Journal first: once this write completes the transaction is durable;
 	// a crash at any later point replays it from here.
@@ -346,13 +345,13 @@ func (t *Txn) Commit() error {
 	if err := s.dev.WriteBlock(journalBlock, s.encodeJournal(jrec)); err != nil {
 		return s.poison(fmt.Errorf("securestore: journal write: %w", err))
 	}
-	if err := s.applyEntries(jrec); err != nil {
+	if err := s.applyEntries(mac, jrec); err != nil {
 		return s.poison(err)
 	}
 	s.meter.PagesWritten.Add(int64(len(entries)))
 	s.meter.PagesEncrypted.Add(int64(len(entries)))
 	// One anchor advance per transaction — the group-commit win.
-	if err := s.anchorRoot(); err != nil {
+	if err := s.anchorRoot(postTag); err != nil {
 		return s.poison(err)
 	}
 	return nil
@@ -370,8 +369,9 @@ func (s *Store) poison(err error) error {
 // applyEntries performs the in-place writes of a journal record: data blocks,
 // meta-region leaf mirror (batched one write per meta block), and the header.
 // It is the shared redo path of commit and crash recovery, and must stay
-// idempotent: recovery may re-run it over a partially applied medium.
-func (s *Store) applyEntries(j *journalRecord) error {
+// idempotent: recovery may re-run it over a partially applied medium. mac is
+// the caller's tree HMAC, which the mirrored leaves are computed with.
+func (s *Store) applyEntries(mac *treeMAC, j *journalRecord) error {
 	for _, e := range j.Entries {
 		//ironsafe:allow journalbypass -- in-place data write ordered after the journal record
 		if err := s.dev.WriteBlock(e.Idx, e.Record); err != nil {
@@ -401,7 +401,8 @@ func (s *Store) applyEntries(j *journalRecord) error {
 		}
 		for _, e := range byBlock[blk] {
 			off := int(e.Idx%leavesPerMetaBlock) * nodeSize
-			copy(buf[off:off+nodeSize], s.leafHash(e.Idx, e.RecordMAC))
+			mac.Reset()
+			leafMAC(mac, buf[off:off:off+nodeSize], e.Idx, e.RecordMAC) // appended in place
 		}
 		//ironsafe:allow journalbypass -- leaf-mirror write ordered after the journal record
 		if err := s.dev.WriteBlock(blk, buf); err != nil {
@@ -466,7 +467,7 @@ func (s *Store) recoverState(anchored []byte) error {
 // result against the record's post-state tag; advance then moves the anchor
 // forward. Redo is idempotent — a crash during recovery just reruns it.
 func (s *Store) redo(j *journalRecord, advance bool) error {
-	if err := s.applyEntries(j); err != nil {
+	if err := s.applyEntries(s.treeMAC(), j); err != nil {
 		return err
 	}
 	if err := s.readMediumState(); err != nil {
@@ -476,7 +477,7 @@ func (s *Store) redo(j *journalRecord, advance bool) error {
 		return fmt.Errorf("%w: journal replay did not reproduce the recorded post-state", ErrFreshness)
 	}
 	if advance {
-		if err := s.anchorRoot(); err != nil {
+		if err := s.anchorRoot(j.PostTag); err != nil {
 			return err
 		}
 	}

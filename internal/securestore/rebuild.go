@@ -376,11 +376,11 @@ func (s *Store) FinalizeImport(m *RebuildManifest) error {
 			s.failed = err
 			return fmt.Errorf("securestore: seq-adoption journal write: %w", err)
 		}
-		if err := s.applyEntries(jrec); err != nil {
+		if err := s.applyEntries(s.treeMAC(), jrec); err != nil {
 			s.failed = err
 			return err
 		}
-		if err := s.anchorRoot(); err != nil {
+		if err := s.anchorRoot(postTag); err != nil {
 			s.failed = err
 			return err
 		}

@@ -242,7 +242,7 @@ func (s *Store) load() error {
 		if s.nextAlloc != 0 || s.seq != 0 {
 			return fmt.Errorf("%w: medium carries state but the anchor is empty", ErrFreshness)
 		}
-		return s.anchorRoot()
+		return s.anchorRoot(s.rootTag())
 	}
 	return s.recoverState(anchored)
 }
@@ -308,17 +308,14 @@ func (s *Store) readMediumState() error {
 // rebuildLevels constructs the in-memory (untrusted-mirror) tree from leaves.
 func (s *Store) rebuildLevels(leaves [][]byte) {
 	a := s.opts.arity()
+	mac := s.treeMAC()
 	s.levels = [][][]byte{leaves}
 	cur := leaves
 	for len(cur) > 1 {
 		next := make([][]byte, (len(cur)+a-1)/a)
 		for i := range next {
-			lo := i * a
-			hi := lo + a
-			if hi > len(cur) {
-				hi = len(cur)
-			}
-			next[i] = s.hashNode(len(s.levels), i, cur[lo:hi])
+			mac.Reset()
+			next[i] = nodeMAC(mac, nil, len(s.levels), i, cur[i*a:min(i*a+a, len(cur))])
 		}
 		s.levels = append(s.levels, next)
 		cur = next
@@ -326,9 +323,9 @@ func (s *Store) rebuildLevels(leaves [][]byte) {
 }
 
 // treeMAC is a Merkle-node HMAC and the scratch its inputs and sums are built
-// in, so that hashing a node allocates nothing. A caller hashing many nodes
-// under one lock hold (verifyBatch) keeps one, resetting it between nodeMAC /
-// leafMAC calls, instead of keying a new one per node.
+// in, so that hashing a node allocates nothing. Whoever hashes more than one
+// node — a read's path, a batch's frontier, a commit's dirty set, a load —
+// keys one and resets it between nodeMAC / leafMAC calls.
 type treeMAC struct {
 	hash.Hash
 	hdr [16]byte
@@ -337,13 +334,15 @@ type treeMAC struct {
 
 func (s *Store) treeMAC() *treeMAC { return &treeMAC{Hash: hmac.New(sha256.New, s.treeKey)} }
 
-// hashNode computes an internal node HMAC over its children. The level and
-// index are bound into the MAC so nodes cannot be transplanted.
+// hashNode computes one internal node HMAC over its children under a freshly
+// keyed treeMAC.
 func (s *Store) hashNode(level, idx int, children [][]byte) []byte {
 	return nodeMAC(s.treeMAC(), nil, level, idx, children)
 }
 
-// nodeMAC is hashNode over a fresh or reset treeMAC, appended to dst.
+// nodeMAC appends an internal node's HMAC over its children to dst, under a
+// fresh or reset treeMAC. The level and index are bound into the MAC so nodes
+// cannot be transplanted.
 func nodeMAC(mac *treeMAC, dst []byte, level, idx int, children [][]byte) []byte {
 	binary.LittleEndian.PutUint64(mac.hdr[0:8], uint64(level))
 	binary.LittleEndian.PutUint64(mac.hdr[8:16], uint64(idx))
@@ -354,12 +353,8 @@ func nodeMAC(mac *treeMAC, dst []byte, level, idx int, children [][]byte) []byte
 	return mac.Sum(dst)
 }
 
-// leafHash computes the Merkle leaf for a page record.
-func (s *Store) leafHash(idx uint32, recordMAC []byte) []byte {
-	return leafMAC(s.treeMAC(), nil, idx, recordMAC)
-}
-
-// leafMAC is leafHash over a fresh or reset treeMAC, appended to dst.
+// leafMAC appends the Merkle leaf of a page record — its index and record MAC
+// — to dst, under a fresh or reset treeMAC.
 func leafMAC(mac *treeMAC, dst []byte, idx uint32, recordMAC []byte) []byte {
 	n := copy(mac.hdr[:], "leaf|")
 	binary.LittleEndian.PutUint32(mac.hdr[n:], idx)
@@ -382,7 +377,13 @@ func (s *Store) root() []byte {
 // identical content but different commit histories carry different tags, so
 // a stale journal record can never masquerade as the bridge to the anchor.
 func (s *Store) rootTag() []byte {
-	mac := hmac.New(sha256.New, s.rootKey)
+	return s.rootTagWith(hmac.New(sha256.New, s.rootKey))
+}
+
+// rootTagWith is rootTag under the caller's HMAC keyed with the root key, so
+// that a commit keys one for its pre- and its post-state tag.
+func (s *Store) rootTagWith(mac hash.Hash) []byte {
+	mac.Reset()
 	mac.Write([]byte("root|"))
 	mac.Write(s.root())
 	var b [12]byte
@@ -392,9 +393,9 @@ func (s *Store) rootTag() []byte {
 	return mac.Sum(nil)
 }
 
-// anchorRoot writes the current root tag to the anchor.
-func (s *Store) anchorRoot() error {
-	if err := s.anchor.StoreRoot(s.rootTag()); err != nil {
+// anchorRoot writes tag, the current state's root tag, to the anchor.
+func (s *Store) anchorRoot(tag []byte) error {
+	if err := s.anchor.StoreRoot(tag); err != nil {
 		return fmt.Errorf("securestore: anchoring root: %w", err)
 	}
 	return nil
@@ -460,41 +461,43 @@ func (s *Store) WritePage(idx uint32, data []byte) error {
 	return t.Commit()
 }
 
-// updatePath recomputes internal nodes from leaf idx to the root, charging
-// one HMAC per recomputed node.
-func (s *Store) updatePath(idx int) {
+// updateAncestors brings the tree above a commit's dirty leaves — sorted,
+// distinct, already rewritten in levels[0] — to the post-state, level by level
+// over the distinct parents: a node several dirty leaves share is hashed
+// once, so a commit of k leaves into a store of N costs at most k·log N node
+// HMACs (all under mac, keyed once by the caller) however large N is.
+// MerkleHashes is charged the nodes recomputed, and exactly those nodes lose
+// their verified mark. A level that growth lengthens grows by append, so a
+// store that grows one page per commit does not copy a level per commit. The
+// caller holds s.mu.
+func (s *Store) updateAncestors(mac *treeMAC, dirty []int) {
 	a := s.opts.arity()
+	hashed := 0
 	lvl := 1
-	for len(s.levels[lvl-1]) > 1 {
+	for ; len(s.levels[lvl-1]) > 1; lvl++ {
 		below := s.levels[lvl-1]
-		want := (len(below) + a - 1) / a
-		if lvl >= len(s.levels) {
-			s.levels = append(s.levels, make([][]byte, want))
-		} else if len(s.levels[lvl]) != want {
-			grown := make([][]byte, want)
-			copy(grown, s.levels[lvl])
-			if len(s.levels[lvl]) > want {
-				grown = grown[:want]
-			}
-			s.levels[lvl] = grown
+		if lvl == len(s.levels) {
+			s.levels = append(s.levels, nil)
 		}
-		idx /= a
-		// Recompute the written node and any nodes invalidated by growth.
-		for i := range s.levels[lvl] {
-			if s.levels[lvl][i] == nil || i == idx {
-				clo, chi := i*a, i*a+a
-				if chi > len(below) {
-					chi = len(below)
-				}
-				s.levels[lvl][i] = s.hashNode(lvl, i, below[clo:chi])
-				s.meter.MerkleHashes.Add(1)
-			}
+		if grow := (len(below)+a-1)/a - len(s.levels[lvl]); grow > 0 {
+			s.levels[lvl] = append(s.levels[lvl], make([][]byte, grow)...)
 		}
-		lvl++
+		nodes := s.levels[lvl]
+		parents := dirty[:0]
+		for _, i := range dirty {
+			p := i / a
+			if len(parents) > 0 && parents[len(parents)-1] == p {
+				continue
+			}
+			parents = append(parents, p)
+			mac.Reset()
+			nodes[p] = nodeMAC(mac, nodes[p][:0], lvl, p, below[p*a:min(p*a+a, len(below))])
+			delete(s.verified, [2]int{lvl, p})
+		}
+		hashed += len(parents)
+		dirty = parents
 	}
-	// Trim unreachable levels (a shrink cannot happen today, but keep the
-	// invariant that the top level is the root).
-	s.levels = s.levels[:lvl]
+	s.meter.MerkleHashes.Add(int64(hashed))
 }
 
 // ReadPage fetches, authenticates, decrypts, and freshness-checks a page.
@@ -537,7 +540,8 @@ func (s *Store) ReadPage(idx uint32) ([]byte, error) {
 // With CacheVerifiedSubtrees, verification stops at an already-verified
 // ancestor.
 func (s *Store) verifyPath(idx uint32, recordMAC []byte) error {
-	leaf := s.leafHash(idx, recordMAC)
+	mac := s.treeMAC()
+	leaf := leafMAC(mac, mac.sum[:0], idx, recordMAC)
 	s.meter.MerkleHashes.Add(1)
 	if !hmac.Equal(leaf, s.levels[0][idx]) {
 		return fmt.Errorf("%w: page %d leaf mismatch", ErrIntegrity, idx)
@@ -554,7 +558,8 @@ func (s *Store) verifyPath(idx uint32, recordMAC []byte) error {
 		if hi > len(s.levels[lvl-1]) {
 			hi = len(s.levels[lvl-1])
 		}
-		node := s.hashNode(lvl, parent, s.levels[lvl-1][lo:hi])
+		mac.Reset()
+		node := nodeMAC(mac, mac.sum[:0], lvl, parent, s.levels[lvl-1][lo:hi])
 		s.meter.MerkleHashes.Add(1)
 		if !hmac.Equal(node, s.levels[lvl][parent]) {
 			return fmt.Errorf("%w: page %d merkle node (%d,%d) mismatch", ErrIntegrity, idx, lvl, parent)
