@@ -7,7 +7,7 @@ GO ?= go
 # name explicitly. `make race` extends it to the whole module.
 RACE_PKGS = ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/storageengine ./internal/hostengine
 
-.PHONY: all build fmt-check test race race-tier1 vet lint vet-json vet-bench sweep sweep-race fuzz-smoke benchjson benchsmoke bench-layers bench-e2e benchmark check clean
+.PHONY: all build fmt-check loc test race race-tier1 vet lint vet-json vet-bench sweep sweep-race fuzz-smoke benchjson benchsmoke bench-layers bench-e2e benchmark check clean
 
 all: check
 
@@ -17,6 +17,14 @@ build:
 # fmt-check fails when gofmt would rewrite any file of the module.
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
+
+# loc prints the non-test Go lines of every package and of the module
+# (`_test.go` files and testdata/ excluded): the figures ROADMAP.md and every
+# simplicity gate quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 test:
 	$(GO) test ./...

@@ -16,8 +16,6 @@ type ScanTelemetry struct {
 	ScanBatches       int64
 	MerkleHashes      int64
 	MerkleHashesSaved int64
-	PlainCacheHits    int64
-	PlainCacheMisses  int64
 }
 
 // ReportScanTelemetry records a node's current scan-pipeline counters,
@@ -33,8 +31,6 @@ func (m *Monitor) ReportScanTelemetry(node string, snap simtime.Snapshot) {
 		ScanBatches:       snap.ScanBatches,
 		MerkleHashes:      snap.MerkleHashes,
 		MerkleHashesSaved: snap.MerkleHashesSaved,
-		PlainCacheHits:    snap.PlainCacheHits,
-		PlainCacheMisses:  snap.PlainCacheMisses,
 	}
 }
 

@@ -20,8 +20,6 @@ func TestScanTelemetryReport(t *testing.T) {
 	meter.ScanBatches.Add(7)
 	meter.MerkleHashes.Add(100)
 	meter.MerkleHashesSaved.Add(42)
-	meter.PlainCacheHits.Add(3)
-	meter.PlainCacheMisses.Add(9)
 	m.ReportScanTelemetry("storage-02", meter.Snapshot())
 	m.ReportScanTelemetry("storage-01", simtime.Snapshot{})
 
@@ -33,8 +31,7 @@ func TestScanTelemetryReport(t *testing.T) {
 		t.Fatalf("reports not sorted by node: %v, %v", got[0].Node, got[1].Node)
 	}
 	r := got[1]
-	if r.ScanBatches != 7 || r.MerkleHashes != 100 || r.MerkleHashesSaved != 42 ||
-		r.PlainCacheHits != 3 || r.PlainCacheMisses != 9 {
+	if r.ScanBatches != 7 || r.MerkleHashes != 100 || r.MerkleHashesSaved != 42 {
 		t.Fatalf("telemetry mismatch: %+v", r)
 	}
 

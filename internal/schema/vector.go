@@ -26,10 +26,10 @@ type ColVec struct {
 	n int
 }
 
-// NewColVec returns a boxed vector of n SQL NULLs, for kernels that build
-// output element-wise via Set.
-func NewColVec(n int) *ColVec {
-	return &ColVec{Boxed: make([]value.Value, n), n: n}
+// BoxedVec wraps vals as a boxed vector, for output built element-wise via
+// Set; a zero element is SQL NULL.
+func BoxedVec(vals []value.Value) *ColVec {
+	return &ColVec{Boxed: vals, n: len(vals)}
 }
 
 // ConstVec returns a length-n vector whose every element is v.
@@ -131,5 +131,5 @@ func (cv *ColVec) Value(i int) value.Value {
 }
 
 // Set stores v at element i. Only boxed non-const vectors are writable; Set
-// is the output primitive paired with NewColVec.
+// is the output primitive paired with BoxedVec.
 func (cv *ColVec) Set(i int, v value.Value) { cv.Boxed[i] = v }

@@ -16,9 +16,7 @@ import (
 // pipeline & verification batching"): ReadPages fetches a whole run of
 // pages, decrypts and authenticates them in a bounded worker pool outside
 // the store mutex, then performs one batched Merkle verification that hashes
-// each shared ancestor exactly once instead of once per page. A verified
-// batch may be retained in a bounded plaintext cache so re-scans skip the
-// device, the crypto, and the tree walk entirely.
+// each shared ancestor exactly once instead of once per page.
 
 // ErrSnapshotRetry reports that a batched read raced concurrent commits
 // repeatedly: every attempt observed a commit-sequence bump between fetching
@@ -62,8 +60,7 @@ func (s *Store) ReadPages(idxs []uint32) ([][]byte, error) {
 func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry bool, err error) {
 	out = make([][]byte, len(idxs))
 
-	// Snapshot the commit sequence and satisfy what we can from the
-	// verified-plaintext cache, all under one lock hold.
+	// Snapshot the commit sequence.
 	s.mu.Lock()
 	if s.failed != nil {
 		ferr := s.failed
@@ -81,58 +78,37 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 		}
 	}
 	seq0 := s.seq
-	var hits, misses int64
-	for i, idx := range idxs {
-		if s.cache != nil {
-			if plain, ok := s.cache.get(idx); ok {
-				out[i] = plain
-				hits++
-				continue
-			}
-		}
-		misses++
-	}
 	s.mu.Unlock()
 
 	s.meter.ScanBatches.Add(1)
-	if s.cache != nil {
-		s.meter.PlainCacheHits.Add(hits)
-		s.meter.PlainCacheMisses.Add(misses)
-	}
-	if misses == 0 {
-		return out, false, nil
-	}
 
-	// Fetch the missing records sequentially, in index order: the device-
-	// operation sequence must stay a deterministic function of the request,
-	// because the fault-injection framework keys its per-site streams on it.
-	// Each record is the caller's own buffer (pager.BlockDevice), and the
-	// only one its page ever gets: openPage decrypts it in place.
+	// Fetch the records sequentially, in index order: the device-operation
+	// sequence must stay a deterministic function of the request, because the
+	// fault-injection framework keys its per-site streams on it. Each record
+	// is the caller's own buffer (pager.BlockDevice), and the only one its
+	// page ever gets: openPage decrypts it in place.
 	pc := s.getCrypto()
 	defer s.putCrypto(pc)
-	pc.miss, pc.idxs, pc.records = pc.miss[:0], pc.idxs[:0], pc.records[:0]
-	for i, idx := range idxs {
-		if out[i] != nil {
-			continue
-		}
+	pc.records = pc.records[:0]
+	for _, idx := range idxs {
 		record, rerr := s.dev.ReadBlock(idx)
 		if rerr != nil {
 			return nil, false, rerr
 		}
-		pc.miss, pc.idxs, pc.records = append(pc.miss, i), append(pc.idxs, idx), append(pc.records, record)
+		pc.records = append(pc.records, record)
 	}
-	miss, records := pc.miss, pc.records
-	s.meter.PagesRead.Add(int64(len(miss)))
+	records := pc.records
+	s.meter.PagesRead.Add(int64(len(idxs)))
 
 	// Decrypt + authenticate outside the lock. Errors are collected per page
 	// and reported for the lowest page index, so the outcome depends neither
 	// on the worker count nor on goroutine scheduling. An opened record's slot
 	// keeps only its MAC, which is what verifyBatch reads.
-	pc.errs = append(pc.errs[:0], make([]error, len(miss))...)
+	pc.errs = append(pc.errs[:0], make([]error, len(idxs))...)
 	errs := pc.errs
-	if workers = min(workers, len(miss)); workers <= 1 {
-		for k := range miss {
-			out[miss[k]], records[k], errs[k] = s.openPage(pc, pc.idxs[k], records[k])
+	if workers = min(workers, len(idxs)); workers <= 1 {
+		for k, idx := range idxs {
+			out[k], records[k], errs[k] = s.openPage(pc, idx, records[k])
 		}
 	} else {
 		var next atomic.Int64
@@ -145,10 +121,10 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 				defer s.putCrypto(wpc)
 				for {
 					k := int(next.Add(1)) - 1
-					if k >= len(miss) {
+					if k >= len(idxs) {
 						return
 					}
-					out[miss[k]], records[k], errs[k] = s.openPage(wpc, pc.idxs[k], records[k])
+					out[k], records[k], errs[k] = s.openPage(wpc, idxs[k], records[k])
 				}
 			}()
 		}
@@ -156,10 +132,10 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 	}
 	for k, oerr := range errs {
 		if oerr != nil {
-			return nil, false, fmt.Errorf("securestore: batched read of page %d: %w", pc.idxs[k], oerr)
+			return nil, false, fmt.Errorf("securestore: batched read of page %d: %w", idxs[k], oerr)
 		}
 	}
-	s.meter.PagesDecrypted.Add(int64(len(miss)))
+	s.meter.PagesDecrypted.Add(int64(len(idxs)))
 
 	// Verify the whole batch against one tree state. A commit may have landed
 	// while we were off the lock: its records on the medium no longer match
@@ -172,13 +148,8 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 	if s.seq != seq0 {
 		return nil, true, nil
 	}
-	if err := s.verifyBatch(pc.idxs, records); err != nil {
+	if err := s.verifyBatch(idxs, records); err != nil {
 		return nil, false, err
-	}
-	if s.cache != nil {
-		for _, i := range miss {
-			s.cache.put(idxs[i], out[i])
-		}
 	}
 	return out, false, nil
 }
@@ -277,107 +248,6 @@ func (s *Store) verifyBatch(idxs []uint32, recordMACs [][]byte) error {
 	}
 	s.meter.MerkleVerifies.Add(int64(len(idxs)))
 	return nil
-}
-
-// CacheBytes reports the current size of the verified-plaintext page cache.
-// Hosts running the store inside an SGX enclave add this to TreeBytes when
-// sizing the enclave working set against the EPC limit.
-func (s *Store) CacheBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cache == nil {
-		return 0
-	}
-	return s.cache.bytes
-}
-
-// plainCache is a byte-capped cache of verified plaintext pages with clock
-// (second-chance) eviction. All methods are called with the store mutex
-// held; entries are copied on the way in and out because heap-file code
-// mutates the buffers it is handed.
-type plainCache struct {
-	capBytes int64
-	bytes    int64
-	entries  map[uint32]*plainEntry
-	ring     []uint32 // clock ring of resident page indices
-	hand     int
-}
-
-type plainEntry struct {
-	data []byte
-	ref  bool // second-chance bit
-}
-
-func newPlainCache(capBytes int64) *plainCache {
-	return &plainCache{capBytes: capBytes, entries: map[uint32]*plainEntry{}}
-}
-
-func (c *plainCache) get(idx uint32) ([]byte, bool) {
-	e, ok := c.entries[idx]
-	if !ok {
-		return nil, false
-	}
-	e.ref = true
-	return append([]byte(nil), e.data...), true
-}
-
-func (c *plainCache) put(idx uint32, plain []byte) {
-	if c.capBytes < int64(len(plain)) {
-		return // cache too small to ever hold a page
-	}
-	if e, ok := c.entries[idx]; ok {
-		c.bytes += int64(len(plain)) - int64(len(e.data))
-		e.data = append([]byte(nil), plain...)
-		e.ref = true
-		c.evict()
-		return
-	}
-	c.entries[idx] = &plainEntry{data: append([]byte(nil), plain...)}
-	c.ring = append(c.ring, idx)
-	c.bytes += int64(len(plain))
-	c.evict()
-}
-
-// evict advances the clock hand until the cache fits its byte cap: a
-// referenced entry gets its second chance (bit cleared, hand moves on), an
-// unreferenced one is dropped.
-func (c *plainCache) evict() {
-	for c.bytes > c.capBytes && len(c.ring) > 0 {
-		if c.hand >= len(c.ring) {
-			c.hand = 0
-		}
-		idx := c.ring[c.hand]
-		e, ok := c.entries[idx]
-		if !ok {
-			// Slot belongs to an invalidated entry; compact it away.
-			c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
-			continue
-		}
-		if e.ref {
-			e.ref = false
-			c.hand++
-			continue
-		}
-		delete(c.entries, idx)
-		c.bytes -= int64(len(e.data))
-		c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
-	}
-}
-
-// invalidate drops one page (its ring slot is lazily reclaimed by evict).
-func (c *plainCache) invalidate(idx uint32) {
-	if e, ok := c.entries[idx]; ok {
-		c.bytes -= int64(len(e.data))
-		delete(c.entries, idx)
-	}
-}
-
-// clear empties the cache.
-func (c *plainCache) clear() {
-	c.entries = map[uint32]*plainEntry{}
-	c.ring = c.ring[:0]
-	c.hand = 0
-	c.bytes = 0
 }
 
 // compile-time interface check: the secure store satisfies the batched

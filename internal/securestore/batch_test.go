@@ -45,7 +45,6 @@ func TestReadPagesMatchesReadPage(t *testing.T) {
 		{"arity8", Options{Arity: 8}},
 		{"gcm", Options{GCM: true}},
 		{"verifiedSubtrees", Options{CacheVerifiedSubtrees: true}},
-		{"plainCache", Options{PlainCacheBytes: 64 * pager.PageSize}},
 	}
 	batches := [][]uint32{
 		nil,
@@ -192,97 +191,6 @@ func TestBatchedVerificationSavesHashes(t *testing.T) {
 	}
 }
 
-// TestPlainCacheServesRescans pins the verified-plaintext cache: a re-scan of
-// a cached batch touches neither the device nor the cipher nor the tree, and
-// a commit to a cached page invalidates exactly that page.
-func TestPlainCacheServesRescans(t *testing.T) {
-	e := newEnv(t)
-	s := e.open(t, Options{PlainCacheBytes: 64 * pager.PageSize})
-	want := fillPages(t, s, 16)
-	all := make([]uint32, 16)
-	for i := range all {
-		all[i] = uint32(i)
-	}
-	if _, err := s.ReadPages(all); err != nil {
-		t.Fatal(err)
-	}
-	if s.CacheBytes() != 16*pager.PageSize {
-		t.Fatalf("CacheBytes = %d after caching 16 pages", s.CacheBytes())
-	}
-
-	before := e.meter.Snapshot()
-	got, err := s.ReadPages(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := e.meter.Snapshot().Sub(before)
-	if d.PagesRead != 0 || d.PagesDecrypted != 0 || d.MerkleHashes != 0 {
-		t.Fatalf("re-scan did work: PagesRead=%d PagesDecrypted=%d MerkleHashes=%d",
-			d.PagesRead, d.PagesDecrypted, d.MerkleHashes)
-	}
-	if d.PlainCacheHits != 16 || d.PlainCacheMisses != 0 {
-		t.Fatalf("hits=%d misses=%d, want 16/0", d.PlainCacheHits, d.PlainCacheMisses)
-	}
-	for i := range all {
-		if !bytes.HasPrefix(got[i], []byte(want[i])) {
-			t.Fatalf("cached page %d corrupted", i)
-		}
-	}
-
-	// Callers own the returned buffers: scribbling on one must not poison
-	// the cache.
-	got[3][0] = 'X'
-	clean, err := s.ReadPages([]uint32{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(clean[0], []byte(want[3])) {
-		t.Fatal("cache returned aliased buffer; caller write leaked in")
-	}
-
-	// Commit to page 6: exactly one page re-fetched on the next scan.
-	txn := s.Begin()
-	if err := txn.WritePage(6, []byte("fresh-contents")); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	before = e.meter.Snapshot()
-	got, err = s.ReadPages(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d = e.meter.Snapshot().Sub(before)
-	if d.PlainCacheMisses != 1 || d.PagesRead != 1 {
-		t.Fatalf("after committing page 6: misses=%d PagesRead=%d, want 1/1", d.PlainCacheMisses, d.PagesRead)
-	}
-	if !bytes.HasPrefix(got[6], []byte("fresh-contents")) {
-		t.Fatal("stale cached page served after commit")
-	}
-}
-
-// TestPlainCacheEvictsUnderCap pins the byte cap and clock eviction: the
-// cache never exceeds its budget no matter how many pages flow through.
-func TestPlainCacheEvictsUnderCap(t *testing.T) {
-	const capBytes = 4 * pager.PageSize
-	e := newEnv(t)
-	s := e.open(t, Options{PlainCacheBytes: capBytes})
-	fillPages(t, s, 24)
-	for lo := uint32(0); lo+8 <= 24; lo += 4 {
-		idxs := []uint32{lo, lo + 1, lo + 2, lo + 3, lo + 4, lo + 5, lo + 6, lo + 7}
-		if _, err := s.ReadPages(idxs); err != nil {
-			t.Fatal(err)
-		}
-		if cb := s.CacheBytes(); cb > capBytes {
-			t.Fatalf("cache grew to %d bytes, cap %d", cb, capBytes)
-		}
-	}
-	if s.CacheBytes() == 0 {
-		t.Fatal("cache empty after scans; eviction dropped everything")
-	}
-}
-
 // TestReadPagesConcurrentWithCommits races whole-range batched reads against
 // a committing writer under the race detector. Every successful batch must be
 // a single transaction-boundary snapshot — all pages from one generation —
@@ -290,7 +198,7 @@ func TestPlainCacheEvictsUnderCap(t *testing.T) {
 func TestReadPagesConcurrentWithCommits(t *testing.T) {
 	const pages = 12
 	e := newEnv(t)
-	s := e.open(t, Options{PlainCacheBytes: 8 * pager.PageSize})
+	s := e.open(t, Options{})
 	fillPages(t, s, pages)
 	all := make([]uint32, pages)
 	for i := range all {

@@ -331,11 +331,6 @@ func (t *Txn) Commit() error {
 		s.nextReserve = newN
 	}
 	s.seq++
-	if s.cache != nil {
-		for _, e := range entries {
-			s.cache.invalidate(e.Idx)
-		}
-	}
 	postTag := s.rootTagWith(rootMAC)
 
 	// Journal first: once this write completes the transaction is durable;

@@ -61,13 +61,6 @@ type Options struct {
 	GCM bool
 	// RPMBSlot selects the RPMB address holding the root tag.
 	RPMBSlot uint16
-	// PlainCacheBytes caps the verified-plaintext page cache (batch.go);
-	// 0 disables it. Cached pages skip the device read, the decryption, and
-	// the Merkle walk entirely, and are invalidated precisely when a commit
-	// overwrites them. The cache lives inside the trust boundary, so hosts
-	// running the store in an SGX enclave must count CacheBytes toward the
-	// enclave working set (the Fig 9a EPC paging model).
-	PlainCacheBytes int64
 }
 
 func (o Options) arity() int {
@@ -118,7 +111,6 @@ type Store struct {
 	nextReserve uint32
 	seq         uint64          // commit sequence number, bound into the root tag
 	verified    map[[2]int]bool // (level, index) -> verified since last write
-	cache       *plainCache     // verified-plaintext page cache; nil when disabled
 	failed      error           // set when a commit died mid-flight; poisons the store
 
 	// rebuilding is set while the on-medium rebuild marker (rebuild.go) is
@@ -162,9 +154,6 @@ func newStore(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *s
 		return nil, errors.New("securestore: meter required")
 	}
 	s := &Store{dev: dev, keys: keys, anchor: anchor, meter: meter, opts: opts, verified: map[[2]int]bool{}}
-	if opts.PlainCacheBytes > 0 {
-		s.cache = newPlainCache(opts.PlainCacheBytes)
-	}
 	for _, k := range []struct {
 		label string
 		dst   *[]byte
@@ -259,9 +248,6 @@ func (s *Store) readMediumState() error {
 		s.seq = 0
 		s.rebuildLevels(nil)
 		s.verified = map[[2]int]bool{}
-		if s.cache != nil {
-			s.cache.clear()
-		}
 		return nil
 	}
 	if err != nil {
@@ -297,11 +283,8 @@ func (s *Store) readMediumState() error {
 	}
 	s.rebuildLevels(leaves)
 	// The medium was re-read wholesale (open, journal redo, rebuild import):
-	// everything previously verified or cached describes a different state.
+	// everything previously verified describes a different state.
 	s.verified = map[[2]int]bool{}
-	if s.cache != nil {
-		s.cache.clear()
-	}
 	return nil
 }
 
@@ -680,7 +663,7 @@ func (s *Store) openPage(pc *pageCrypto, idx uint32, record []byte) (plain, reco
 // SetIV re-arms for each page, and the scratch a computed MAC is compared
 // from. Whoever seals or opens pages — a commit, a read, a decrypt worker —
 // takes one with getCrypto and hands it back with putCrypto, so a page costs
-// no keying and no allocation beyond its record. It also carries the index
+// no keying and no allocation beyond its record. It also carries the record
 // scratch of the batch its holder reads (readPagesAt). A GCM store's is only
 // that scratch: the AEAD is stateless. Not for concurrent use.
 type pageCrypto struct {
@@ -689,9 +672,7 @@ type pageCrypto struct {
 	idx      [4]byte
 	scratch  [macSize]byte
 
-	miss    []int    // positions in the request of the pages not served from the cache
-	idxs    []uint32 // their page indices
-	records [][]byte // their records as the device returned them, then their MACs
+	records [][]byte // the batch's records as the device returned them, then their MACs
 	errs    []error  // the outcome of opening each
 }
 

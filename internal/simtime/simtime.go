@@ -39,8 +39,6 @@ type Meter struct {
 	Batches            atomic.Int64 // executor operator-batch dispatches (vectorized pipeline)
 	ScanBatches        atomic.Int64 // batched multi-page reads issued by the scan pipeline
 	MerkleHashesSaved  atomic.Int64 // HMAC evaluations avoided by batched verification
-	PlainCacheHits     atomic.Int64 // verified-plaintext page cache hits
-	PlainCacheMisses   atomic.Int64 // verified-plaintext page cache misses
 }
 
 // Snapshot is an immutable copy of a Meter's counters.
@@ -64,8 +62,6 @@ type Snapshot struct {
 	Batches            int64
 	ScanBatches        int64
 	MerkleHashesSaved  int64
-	PlainCacheHits     int64
-	PlainCacheMisses   int64
 }
 
 // Snapshot captures the current counter values.
@@ -90,8 +86,6 @@ func (m *Meter) Snapshot() Snapshot {
 		Batches:            m.Batches.Load(),
 		ScanBatches:        m.ScanBatches.Load(),
 		MerkleHashesSaved:  m.MerkleHashesSaved.Load(),
-		PlainCacheHits:     m.PlainCacheHits.Load(),
-		PlainCacheMisses:   m.PlainCacheMisses.Load(),
 	}
 }
 
@@ -123,8 +117,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		Batches:            s.Batches - o.Batches,
 		ScanBatches:        s.ScanBatches - o.ScanBatches,
 		MerkleHashesSaved:  s.MerkleHashesSaved - o.MerkleHashesSaved,
-		PlainCacheHits:     s.PlainCacheHits - o.PlainCacheHits,
-		PlainCacheMisses:   s.PlainCacheMisses - o.PlainCacheMisses,
 	}
 }
 

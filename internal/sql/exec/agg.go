@@ -156,16 +156,13 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 		groups = append(groups, g)
 	}
 
-	vecOK := b.vec() && supportsVecAll(groupBy)
-	if vecOK {
-		for _, s := range specs {
-			if !s.call.Star && (len(s.call.Args) != 1 || !supportsVec(s.call.Args[0])) {
-				vecOK = false
-				break
-			}
+	pass := append([]ast.Expr{}, groupBy...)
+	for _, s := range specs {
+		if !s.call.Star {
+			pass = append(pass, s.call.Args[0])
 		}
 	}
-	if vecOK {
+	if b.vec() {
 		// Vectorized grouping: group keys and aggregate arguments are
 		// extracted column-wise per batch, then rows fold into their groups
 		// in order (first appearance still fixes the output order, and the
@@ -222,7 +219,6 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 					}
 				}
 			}
-			b.chargeBatch(int64(bt.Len()))
 		}
 	} else {
 		keyVals := make([]value.Value, len(groupBy))
@@ -248,8 +244,8 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 				}
 			}
 		}
-		b.chargeRows(int64(len(in.Rows)))
 	}
+	b.chargePass(len(in.Rows), pass)
 
 	// Global aggregation over zero rows still yields one group.
 	if len(groupBy) == 0 && len(groups) == 0 {

@@ -40,26 +40,29 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 		}
 	}
 	// Positional references (GROUP BY 1, ORDER BY 2) resolve to select
-	// items before alias substitution.
-	positional := func(e ast.Expr) ast.Expr {
-		lit, ok := e.(*ast.Literal)
-		if !ok || lit.Value.Kind() != value.KindInt {
-			return e
+	// items before alias substitution; an integer literal there is nothing else.
+	resolve := func(clause string, e ast.Expr) (ast.Expr, error) {
+		if lit, ok := e.(*ast.Literal); ok && lit.Value.Kind() == value.KindInt {
+			n := lit.Value.AsInt()
+			if n < 1 || n > int64(len(items)) {
+				return nil, fmt.Errorf("exec: %s position %d is not in the select list", clause, n)
+			}
+			e = items[n-1].Expr
 		}
-		n := int(lit.Value.AsInt())
-		if n >= 1 && n <= len(items) && items[n-1].Expr != nil {
-			return items[n-1].Expr
-		}
-		return e
+		return substituteAliases(e, aliasMap, input.Sch), nil
 	}
 	groupBy := make([]ast.Expr, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
-		groupBy[i] = substituteAliases(positional(g), aliasMap, input.Sch)
+		if groupBy[i], err = resolve("GROUP BY", g); err != nil {
+			return nil, err
+		}
 	}
 	having := substituteAliases(sel.Having, aliasMap, input.Sch)
 	orderExprs := make([]ast.Expr, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {
-		orderExprs[i] = substituteAliases(positional(o.Expr), aliasMap, input.Sch)
+		if orderExprs[i], err = resolve("ORDER BY", o.Expr); err != nil {
+			return nil, err
+		}
 	}
 
 	// Collect every expression evaluated after the FROM/WHERE stage.
@@ -162,7 +165,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 		for i, it := range items {
 			itemExprs[i] = it.Expr
 		}
-		if b.vec() && supportsVecAll(itemExprs) && supportsVecAll(orderExprs) {
+		if b.vec() {
 			// Vectorized projection: each output column (and order key) is
 			// computed as a whole vector per batch.
 			for off := 0; off < len(input.Rows); off += b.batchRows {
@@ -203,7 +206,6 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 					}
 					emit(row, keys)
 				}
-				b.chargeBatch(int64(bt.Len()))
 			}
 		} else {
 			for _, in := range input.Rows {
@@ -222,8 +224,8 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 				}
 				emit(row, keys)
 			}
-			b.chargeRows(int64(len(input.Rows)))
 		}
+		b.chargePass(len(input.Rows), append(itemExprs, orderExprs...))
 	}
 
 	if ordered {
@@ -478,7 +480,7 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env, offers []*semiReducer) (*
 		if reducing && i+len(offered) > 0 {
 			semi[i].reducers = func(sch *schema.Schema) (rds []*semiReducer) {
 				for k, rd := range offered {
-					if rd == nil || !supportsVecAll(rd.keys) || !keysIn(rd.keys, sch) {
+					if rd == nil || !keysIn(rd.keys, sch) {
 						continue
 					}
 					if rd.sub != nil {
@@ -504,7 +506,7 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env, offers []*semiReducer) (*
 							rd.srcKeys, rd.keys = append(rd.srcKeys, ks), append(rd.keys, kd)
 						}
 					}
-					if len(rd.keys) > 0 && supportsVecAll(rd.keys) {
+					if len(rd.keys) > 0 {
 						rds = append(rds, rd)
 					}
 				}
@@ -859,9 +861,8 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 	cols := b.refs.keep(ref.Table, full)
 	res.Sch = full.Select(cols)
 	pred := pushdown(res.Sch)
-	fused := pred != nil && supportsVec(pred)
 	encode := false
-	if out != nil && (pred == nil || fused) {
+	if out != nil {
 		if c, ok := out.columns(full, cols); ok {
 			cols, encode = c, out.encode
 			res.Sch = full.Select(cols)
@@ -872,7 +873,7 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 	ctx := newCtx(b, full, env)
 	passed := 0 // rows the predicate kept: what the scan holds unless a reducer rejects some
 	var reducers []*semiReducer
-	if semi.reducers != nil && (pred == nil || fused) {
+	if semi.reducers != nil {
 		reducers = semi.reducers(res.Sch)
 	}
 	if err := br.ScanBatch(b.batchRows, func(bt *Batch) error {
@@ -881,7 +882,7 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 		scanned += n
 		b.chargeBatch(int64(n))
 		keep := b.fullSel(n)
-		if fused {
+		if pred != nil {
 			v, err := ctx.evalVec(pred, bt, keep)
 			if err != nil {
 				return err
@@ -907,11 +908,8 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 		return nil, err
 	}
 	b.trace.addf("scan %s as %s -> %d rows", ref.Table, ref.Name(), scanned)
-	switch {
-	case fused:
+	if pred != nil {
 		b.trace.addf("filter %s: %d -> %d rows", pred, scanned, passed)
-	case pred != nil:
-		return b.applyFilter(res, pred, env)
 	}
 	for _, rd := range reducers {
 		if rd.probed > 0 {
@@ -1020,10 +1018,11 @@ func (b *builder) inSetOffers(conjs []ast.Expr, reducing bool, env *Env) (offers
 	return offers
 }
 
-// keysIn reports whether every key reads sch and nothing else.
+// keysIn reports whether every key reads sch and nothing else: no other
+// scope, and no subquery, which the scan has not prepared.
 func keysIn(keys []ast.Expr, sch *schema.Schema) bool {
 	for _, k := range keys {
-		if !refsIn(k, sch) || !resolvableIn(k, sch, nil, false) {
+		if !refsIn(k, sch) || !resolvableIn(k, sch, nil, false) || containsSubquery(k) {
 			return false
 		}
 	}
@@ -1038,9 +1037,9 @@ func (b *builder) applyFilter(in *Result, pred ast.Expr, env *Env) (*Result, err
 	}
 	ctx := newCtxWith(b, in.Sch, env, nil, subs)
 	out := &Result{Sch: in.Sch}
-	if b.vec() && supportsVec(pred) {
-		// Selection-vector evaluation: one dispatch per batch, no per-row
-		// context copies, output rows shared with the input by reference.
+	if b.vec() {
+		// Selection-vector evaluation: no per-row context copies, output rows
+		// shared with the input by reference.
 		for off := 0; off < len(in.Rows); off += b.batchRows {
 			ctx.nextBatch()
 			bt := NewBatch(in.Sch, in.Rows[off:min(off+b.batchRows, len(in.Rows))])
@@ -1050,7 +1049,6 @@ func (b *builder) applyFilter(in *Result, pred ast.Expr, env *Env) (*Result, err
 			}
 			keep := selectTrue(v, bt.Len(), ctx.sel(bt.Len()))
 			out.Rows = bt.AppendRows(out.Rows, keep, nil)
-			b.chargeBatch(int64(bt.Len()))
 		}
 	} else {
 		for _, row := range in.Rows {
@@ -1062,8 +1060,8 @@ func (b *builder) applyFilter(in *Result, pred ast.Expr, env *Env) (*Result, err
 				out.Rows = append(out.Rows, row)
 			}
 		}
-		b.chargeRows(int64(len(in.Rows)))
 	}
+	b.chargePass(len(in.Rows), []ast.Expr{pred})
 	b.trace.addf("filter %s: %d -> %d rows", pred, len(in.Rows), len(out.Rows))
 	return out, nil
 }

@@ -200,10 +200,27 @@ func TestPositionalGroupAndOrder(t *testing.T) {
 	if res.Rows[0][0].AsString() != "OK" || res.Rows[0][1].AsInt() != 4 {
 		t.Errorf("first group = %v", res.Rows[0])
 	}
-	// A literal that is not a valid position stays a constant key.
-	res = q(t, "SELECT name FROM users ORDER BY 99, name")
-	if len(res.Rows) != 4 || res.Rows[0][0].AsString() != "alice" {
-		t.Errorf("oob positional = %v", res.Rows)
+	res = q(t, "SELECT name FROM users ORDER BY 1")
+	if len(res.Rows) != 4 || res.Rows[0][0].AsString() != "alice" || res.Rows[3][0].AsString() != "dave" {
+		t.Errorf("ORDER BY 1 = %v", res.Rows)
+	}
+	res = q(t, "SELECT count(*), country FROM users GROUP BY 2")
+	if len(res.Rows) != 3 || res.Rows[0][0].AsInt() != 2 || res.Rows[0][1].AsString() != "DE" {
+		t.Errorf("GROUP BY 2 = %v", res.Rows)
+	}
+	// An integer literal that is not a valid position is an error, not a
+	// constant key that leaves the rows unsorted or in one group.
+	for sql, want := range map[string]string{
+		"SELECT name FROM users ORDER BY 9":                 "exec: ORDER BY position 9 is not in the select list",
+		"SELECT name FROM users ORDER BY 0, name":           "exec: ORDER BY position 0 is not in the select list",
+		"SELECT count(*) FROM users GROUP BY 7":             "exec: GROUP BY position 7 is not in the select list",
+		"SELECT country, count(*) FROM users GROUP BY 1, 3": "exec: GROUP BY position 3 is not in the select list",
+	} {
+		for _, batch := range []int{0, 1, 7} {
+			if _, err := RunBatched(mustParse(t, sql), testCatalog(), nil, batch); err == nil || err.Error() != want {
+				t.Errorf("%s (batch %d): error %v, want %q", sql, batch, err, want)
+			}
+		}
 	}
 }
 

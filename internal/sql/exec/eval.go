@@ -60,43 +60,59 @@ func (c *evalCtx) withRow(row schema.Row) *evalCtx {
 	return &cp
 }
 
-// resolveColumn finds a column in the local schema or environment chain,
-// memoizing the result.
-func (c *evalCtx) resolveColumn(x *ast.ColumnRef) (value.Value, error) {
+// resolveColumnIdx finds a column in the local schema or the environment
+// chain, memoizing the result, without touching row data.
+func (c *evalCtx) resolveColumnIdx(x *ast.ColumnRef) (colRes, error) {
 	if c.memo != nil {
 		if r, ok := c.memo[x]; ok {
-			if r.envDepth < 0 {
-				return c.row[r.idx], nil
-			}
-			env := c.env
-			for d := 0; d < r.envDepth; d++ {
-				env = env.Parent
-			}
-			return env.Row[r.idx], nil
+			return r, nil
 		}
 	}
 	name := x.FullName()
 	if c.sch != nil {
 		if idx := c.sch.IndexOf(name); idx >= 0 {
+			r := colRes{idx: idx, envDepth: -1}
 			if c.memo != nil {
-				c.memo[x] = colRes{idx: idx, envDepth: -1}
+				c.memo[x] = r
 			}
-			return c.row[idx], nil
+			return r, nil
 		}
 	}
 	depth := 0
 	for env := c.env; env != nil; env = env.Parent {
 		if env.Sch != nil {
 			if idx := env.Sch.IndexOf(name); idx >= 0 {
+				r := colRes{idx: idx, envDepth: depth}
 				if c.memo != nil {
-					c.memo[x] = colRes{idx: idx, envDepth: depth}
+					c.memo[x] = r
 				}
-				return env.Row[idx], nil
+				return r, nil
 			}
 		}
 		depth++
 	}
-	return value.Null(), errColumn(name)
+	return colRes{}, errColumn(name)
+}
+
+// resolveColumn reads a column of the current row or of an outer one.
+func (c *evalCtx) resolveColumn(x *ast.ColumnRef) (value.Value, error) {
+	r, err := c.resolveColumnIdx(x)
+	if err != nil {
+		return value.Null(), err
+	}
+	if r.envDepth < 0 {
+		return c.row[r.idx], nil
+	}
+	return c.outer(r), nil
+}
+
+// outer reads a column resolved in the environment chain.
+func (c *evalCtx) outer(r colRes) value.Value {
+	env := c.env
+	for d := 0; d < r.envDepth; d++ {
+		env = env.Parent
+	}
+	return env.Row[r.idx]
 }
 
 // eval computes the value of e. Boolean results use three-valued logic with
@@ -347,22 +363,7 @@ func (c *evalCtx) evalBinary(x *ast.BinaryExpr) (value.Value, error) {
 		if err != nil {
 			return value.Null(), err
 		}
-		var out bool
-		switch x.Op {
-		case ast.OpEq:
-			out = cmp == 0
-		case ast.OpNe:
-			out = cmp != 0
-		case ast.OpLt:
-			out = cmp < 0
-		case ast.OpLe:
-			out = cmp <= 0
-		case ast.OpGt:
-			out = cmp > 0
-		case ast.OpGe:
-			out = cmp >= 0
-		}
-		return value.Bool(out), nil
+		return value.Bool(cmpHolds(x.Op, cmp)), nil
 	case ast.OpAdd:
 		return value.Arith('+', l, r)
 	case ast.OpSub:
@@ -394,6 +395,12 @@ func (c *evalCtx) evalSubstring(x *ast.Substring) (value.Value, error) {
 	if v.IsNull() || from.IsNull() {
 		return value.Null(), nil
 	}
+	if v.Kind() != value.KindString {
+		return value.Null(), fmt.Errorf("exec: SUBSTRING on %s", v.Kind())
+	}
+	if from.Kind() != value.KindInt {
+		return value.Null(), fmt.Errorf("exec: SUBSTRING on %s position", from.Kind())
+	}
 	s := v.AsString()
 	start := int(from.AsInt()) - 1 // SQL is 1-based
 	if start < 0 {
@@ -410,6 +417,9 @@ func (c *evalCtx) evalSubstring(x *ast.Substring) (value.Value, error) {
 		}
 		if n.IsNull() {
 			return value.Null(), nil
+		}
+		if n.Kind() != value.KindInt {
+			return value.Null(), fmt.Errorf("exec: SUBSTRING on %s length", n.Kind())
 		}
 		end = start + int(n.AsInt())
 		if end > len(s) {

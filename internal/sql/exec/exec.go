@@ -3,13 +3,16 @@
 // by both the host engine and the storage engine: scans, filters, hash and
 // nested-loop joins (inner and left outer), hash aggregation with the SQL
 // aggregate functions, sorting, limiting, and decorrelated subquery
-// evaluation. Hot operators (scan, filter, projection, hash join, hash
-// aggregation) run vectorized over columnar batches (vector.go); the long
-// tail (correlated subqueries, expressions the vectorizer rejects) falls
-// back to row-at-a-time evaluation behind the same interfaces. Work is
-// charged to a simtime.Meter so split executions can be priced by the cost
-// model — one dispatch charge per batch in vectorized mode, one per row in
-// fallback mode.
+// evaluation. There is one expression evaluator, eval (eval.go). In vector
+// mode every operator (scan, filter, projection, hash join, hash aggregation)
+// takes its batch path over columnar batches, and evalVec (vector.go) is
+// typed kernels and selection-vector plumbing over that evaluator: what has
+// no kernel — subquery probes included — is eval at each selected position.
+// An operator's row-at-a-time twin runs under ExecBatchRows = 1 alone, as the
+// whole-query reference the differential tests compare with. Work is charged
+// to a simtime.Meter so split executions can be priced by the cost model —
+// one dispatch per batch, and one per row in row mode and for a pass that
+// holds a subquery probe (chargePass).
 package exec
 
 import (

@@ -464,12 +464,31 @@ func TestSubstringFunc(t *testing.T) {
 	}
 }
 
+// TestErrors is the error-path table: a statement the client got wrong comes
+// back as a typed error — never a panic, never rows — at every batch size,
+// whichever operator (projection, pushed predicate, join filter) meets it.
 func TestErrors(t *testing.T) {
-	qErr(t, "SELECT nope FROM users")
-	qErr(t, "SELECT name FROM missing_table")
-	qErr(t, "SELECT u.name FROM users u WHERE other.col = 1")
-	qErr(t, "SELECT sum(name) FROM users")                                      // sum over string
-	qErr(t, "SELECT name FROM users WHERE name = (SELECT id, name FROM users)") // 2-col scalar
+	for sql, want := range map[string]string{
+		"SELECT nope FROM users":                                                                 "unknown column",
+		"SELECT name FROM missing_table":                                                         "no table",
+		"SELECT u.name FROM users u WHERE other.col = 1":                                         "unknown column",
+		"SELECT sum(name) FROM users":                                                            "SUM over VARCHAR",
+		"SELECT name FROM users WHERE name = (SELECT id, name FROM users)":                       "scalar subquery",
+		"SELECT substring(age FROM 1) FROM users":                                                "exec: SUBSTRING on INTEGER",
+		"SELECT substring(name FROM 'x') FROM users":                                             "exec: SUBSTRING on VARCHAR position",
+		"SELECT substring(name FROM 1.5) FROM users":                                             "exec: SUBSTRING on DOUBLE position",
+		"SELECT substring(name FROM 1 FOR 'a') FROM users":                                       "exec: SUBSTRING on VARCHAR length",
+		"SELECT name FROM users WHERE substring(age FROM 1) = 'a'":                               "exec: SUBSTRING on INTEGER",
+		"SELECT name FROM users WHERE substring(name FROM 1 FOR 1.5) = 'a'":                      "exec: SUBSTRING on DOUBLE length",
+		"SELECT name FROM users, orders WHERE id = uid AND substring(name FROM amount) = status": "exec: SUBSTRING on DOUBLE position",
+	} {
+		for _, batch := range []int{0, 1, 7} {
+			_, err := RunBatched(mustParse(t, sql), testCatalog(), nil, batch)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s (batch %d): error %v, want one containing %q", sql, batch, err, want)
+			}
+		}
+	}
 }
 
 func TestAmbiguousColumnError(t *testing.T) {

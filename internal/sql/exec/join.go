@@ -109,11 +109,12 @@ func (b *builder) materialize(c *joinChain) *Result {
 	return out
 }
 
-// filterChain keeps the chain's rows where pred is true. A vectorizable predicate
-// over a joined chain reads gathered columns and compacts the position
-// vectors; anything else runs applyFilter over the materialized rows.
+// filterChain keeps the chain's rows where pred is true. Over a joined chain
+// the predicate reads gathered columns and compacts the position vectors —
+// unless it holds a subquery probe, which needs its outer row whole: then, as
+// in row mode, applyFilter runs over the materialized rows.
 func (b *builder) filterChain(c *joinChain, pred ast.Expr, env *Env) (*joinChain, error) {
-	if len(c.parts) == 1 || !b.vec() || !supportsVec(pred) {
+	if len(c.parts) == 1 || !b.vec() || containsSubquery(pred) {
 		res, err := b.applyFilter(b.materialize(c), pred, env)
 		if err != nil {
 			return nil, err
@@ -138,10 +139,16 @@ func (b *builder) filterChain(c *joinChain, pred ast.Expr, env *Env) (*joinChain
 	return c.pick(keep), nil
 }
 
-// chargePass charges one operator pass over n rows: a dispatch per batch
-// where the operator's expressions vectorize, one per row where they do not.
+// chargePass charges one operator pass over n rows, evaluating exprs (nil
+// entries allowed): a dispatch per row in row mode and where the pass holds a
+// subquery probe — a hash semi-join's lookup, made once per row — and one per
+// batch otherwise.
 func (b *builder) chargePass(n int, exprs []ast.Expr) {
-	if !b.vec() || !supportsVecAll(exprs) {
+	perRow := !b.vec()
+	for _, e := range exprs {
+		perRow = perRow || e != nil && containsSubquery(e)
+	}
+	if perRow {
 		b.chargeRows(int64(n))
 		return
 	}
@@ -151,13 +158,13 @@ func (b *builder) chargePass(n int, exprs []ast.Expr) {
 }
 
 // keyIDs evaluates the key expressions over every row of c and returns each
-// row's id in t (see keyTable.id). Keys that vectorize are extracted
-// column-wise per batch; the row evaluator needs whole rows, so for it c must
-// be a lone part. It charges nothing.
+// row's id in t (see keyTable.id). Keys are extracted column-wise per batch;
+// the row-mode evaluator needs whole rows, so for it c must be a lone part. It
+// charges nothing.
 func (b *builder) keyIDs(t *keyTable, c *joinChain, keys []ast.Expr, env *Env, insert bool) ([]int32, error) {
 	out := make([]int32, c.n)
 	ctx := newCtx(b, c.sch, env)
-	if b.vec() && supportsVecAll(keys) {
+	if b.vec() {
 		cols := make([]*schema.ColVec, len(keys))
 		for off := 0; off < c.n; off += b.batchRows {
 			ctx.nextBatch()
@@ -213,7 +220,7 @@ func (b *builder) hashInnerJoin(left *joinChain, right *Result, keysL, keysR []a
 		b.trace.addf("cross join: %d x %d -> %d rows", len(lres.Rows), len(right.Rows), len(out.Rows))
 		return chainOf(out), nil
 	}
-	if !b.vec() || !supportsVecAll(keysL) {
+	if !b.vec() {
 		left = chainOf(b.materialize(left))
 	}
 	rc := chainOf(right)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,46 +90,199 @@ var pushedShapes = []string{
 	"24 > l_quantity",
 }
 
-// boxedShapes still take a boxed path somewhere (a constant or NULL operand
-// the typed kernels leave to the general code); they must agree all the same.
+// boxedShapes go through eval somewhere — a constant or NULL operand the typed
+// kernels do not fit, a node that has no kernel — and must agree all the same.
 var boxedShapes = []string{
 	"1 < 2 AND l_size > 47",
 	"l_size IN (1, NULL, 3)",
 	"l_size > 47 OR NULL",
 	"l_shipmode LIKE l_shipinstruct",
 	"l_size = 7.5",
+	"l_size % 4 >= 2",
+	"l_quantity / 2 > 10 AND l_size > 5",
+	"l_shipmode || l_shipinstruct = 'MAILNONE'",
+	"l_shipdate + interval '1' month > l_commitdate",
+	"extract(year from l_shipdate) = 1994 OR extract(month from l_commitdate) = 7",
+	"substring(l_shipmode from 1 for 1) = 'M'",
+	"l_size IS NULL OR l_quantity IS NOT NULL AND l_size > 30",
+	"-l_size < -40",
+	"NOT (l_size % 2 = 0)",
+	"CASE WHEN l_size > 25 THEN l_flag WHEN l_size > 10 THEN l_size % 3 = 0 END",
 }
 
-// TestPushedPredicatesRunTyped pins the point of the typed kernels: over
-// NULL-free typed columns every pushed predicate shape evaluates to a typed
-// boolean vector — no boxed intermediate anywhere in the tree — and that
-// vector agrees with the scalar evaluator row by row. Over NULL-bearing
-// columns the same predicates fall back to the boxed kernels and still agree.
+// kernelShapes generates, per operand kind, every shape a typed kernel serves
+// — the six comparisons, BETWEEN, IN-list, LIKE, NOT, AND/OR and + - * — with
+// each operand a column vector or a constant, over lineitemish's columns.
+// typed reports that over NULL-free columns the shape's result must be a typed
+// vector: the kernel ran, nothing in the tree went through eval.
+type kernelShape struct {
+	text  string
+	typed bool
+}
+
+func kernelShapes(rng *rand.Rand) []kernelShape {
+	kinds := []struct {
+		cols, consts []string
+		arith        bool // + - * has a kernel for the kind
+		mixed        bool // Int constants against a Float column: compared typed, added boxed
+	}{
+		{cols: []string{"l_orderkey", "l_size"}, consts: []string{"7", "23", "150"}, arith: true},
+		{cols: []string{"l_quantity", "l_discount"}, consts: []string{"0.05", "24.0", "3.5"}, arith: true},
+		{cols: []string{"l_shipdate", "l_commitdate", "l_receiptdate"}, consts: []string{"date '1994-01-01'", "date '1995-03-15'", "date '1995-06-17'"}},
+		{cols: []string{"l_flag", "l_flag"}, consts: []string{"true", "false"}},
+		{cols: []string{"l_shipmode", "l_shipinstruct"}, consts: []string{"'MAIL'", "'NONE'", "'SHIP'"}},
+		{cols: []string{"l_quantity", "l_discount"}, consts: []string{"1", "11", "24"}, arith: true, mixed: true},
+	}
+	pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
+	var out, preds []kernelShape
+	for _, k := range kinds {
+		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+			preds = append(preds,
+				kernelShape{pick(k.cols) + " " + op + " " + pick(k.consts), true},
+				kernelShape{pick(k.consts) + " " + op + " " + pick(k.cols), true},
+				kernelShape{k.cols[0] + " " + op + " " + k.cols[1], true})
+		}
+		for _, not := range []string{" ", " NOT "} {
+			preds = append(preds,
+				kernelShape{pick(k.cols) + not + "BETWEEN " + k.consts[0] + " AND " + k.consts[1], true},
+				kernelShape{pick(k.cols) + not + "IN (" + strings.Join(k.consts, ", ") + ")", true},
+				// A vector bound has no kernel: eval, and the same answer.
+				kernelShape{k.cols[0] + not + "BETWEEN " + k.consts[0] + " AND " + k.cols[1], false})
+		}
+		if k.arith {
+			for _, op := range []string{"+", "-", "*"} {
+				out = append(out,
+					kernelShape{k.cols[0] + " " + op + " " + k.cols[1], true},
+					kernelShape{pick(k.cols) + " " + op + " " + pick(k.consts), !k.mixed},
+					kernelShape{pick(k.consts) + " " + op + " " + pick(k.cols), !k.mixed},
+					kernelShape{"(" + k.cols[0] + " " + op + " " + pick(k.consts) + ") " + op + " " + k.cols[1] + " < " + pick(k.consts), !k.mixed})
+			}
+		}
+	}
+	for _, pat := range []string{"'%PERSON'", "'_AIL'", "'%A%R%'", "'NONE'"} {
+		preds = append(preds,
+			kernelShape{"l_shipinstruct LIKE " + pat, true},
+			kernelShape{"l_shipmode NOT LIKE " + pat, true})
+	}
+	for i := 0; i < 40; i++ {
+		l, r := preds[rng.Intn(len(preds))], preds[rng.Intn(len(preds))]
+		switch i % 4 {
+		case 0:
+			out = append(out, kernelShape{"NOT (" + l.text + ")", l.typed})
+		case 1:
+			out = append(out, kernelShape{"(" + l.text + ") AND (" + r.text + ")", l.typed && r.typed})
+		case 2:
+			out = append(out, kernelShape{"(" + l.text + ") OR (" + r.text + ")", l.typed && r.typed})
+		default:
+			out = append(out, kernelShape{"NOT ((" + l.text + ") AND (" + r.text + ")) OR " + l.text, l.typed && r.typed})
+		}
+	}
+	return append(out, preds...)
+}
+
+// batchForm is a batch beside the boxed rows it stands for.
+type batchForm struct {
+	bt   *Batch
+	rows []schema.Row
+}
+
+// batchForms returns rel's rows as the three forms a batch reaches evalVec in:
+// row-backed, a page-backed window over their encoding, and a join chain whose
+// two parts split the columns and whose position vectors are a shuffle.
+func batchForms(t *testing.T, rng *rand.Rand, rel *MemRelation) map[string]batchForm {
+	t.Helper()
+	n, width := len(rel.Rows), rel.Sch.Len()
+	var enc []byte
+	for _, r := range rel.Rows {
+		enc = schema.EncodeRow(enc, r)
+	}
+	win := schema.NewRowWindow(width)
+	if _, err := win.Fill(enc, 0, n); err != nil || win.Len() != n {
+		t.Fatalf("window over %d rows: %d filled, %v", n, win.Len(), err)
+	}
+	const split = 4
+	left := &Result{Sch: rel.Sch.Select(seqInts(0, split))}
+	right := &Result{Sch: rel.Sch.Select(seqInts(split, width))}
+	for _, r := range rel.Rows {
+		left.Rows, right.Rows = append(left.Rows, r[:split]), append(right.Rows, r[split:])
+	}
+	chain := &joinChain{sch: rel.Sch, parts: []*Result{left, right}, idx: make([][]int32, 2), n: n}
+	shuffled := make([]schema.Row, n)
+	for k, at := range rng.Perm(n) {
+		chain.idx[0], chain.idx[1] = append(chain.idx[0], int32(at)), append(chain.idx[1], int32(at))
+		shuffled[k] = rel.Rows[at]
+	}
+	return map[string]batchForm{
+		"row-backed":  {NewBatch(rel.Sch, rel.Rows), rel.Rows},
+		"page-backed": {NewWindowBatch(rel.Sch, win), rel.Rows},
+		"join-chain":  {chain.batch(0, n), shuffled},
+	}
+}
+
+func seqInts(lo, hi int) []int {
+	var out []int
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// TestPushedPredicatesRunTyped holds the kernels to eval, which is the
+// reference now that it is the only implementation of the language: for the
+// pushed TPC-H predicate shapes and for every generated kernel shape × operand
+// kind × {vector, constant}, over NULL-free and NULL-bearing columns, in each
+// of the three batch forms, evalVec agrees with eval at every selected
+// position — and over NULL-free columns a shape served by kernels evaluates to
+// a typed vector, no boxed intermediate anywhere in the tree.
 func TestPushedPredicatesRunTyped(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	shapes := kernelShapes(rng)
+	for _, text := range pushedShapes {
+		shapes = append(shapes, kernelShape{text, true})
+	}
+	for _, text := range boxedShapes {
+		shapes = append(shapes, kernelShape{text, false})
+	}
+	exprs := make([]ast.Expr, len(shapes))
+	for i, sh := range shapes {
+		sel, err := parser.ParseSelect("SELECT " + sh.text + " FROM lineitem")
+		if err != nil {
+			t.Fatalf("%s: %v", sh.text, err)
+		}
+		exprs[i] = sel.Items[0].Expr
+	}
 	for _, nulls := range []bool{false, true} {
 		rel := lineitemish(200, nulls)
-		b := &builder{batchRows: DefaultBatchRows}
-		ctx := newCtx(b, rel.Sch, nil)
-		bt := NewBatch(rel.Sch, rel.Rows)
-		for _, text := range pushedShapes {
-			sel, err := parser.ParseSelect("SELECT l_orderkey FROM lineitem WHERE " + text)
-			if err != nil {
-				t.Fatalf("%s: %v", text, err)
-			}
-			v, err := ctx.evalVec(sel.Where, bt, b.fullSel(bt.Len()))
-			if err != nil {
-				t.Fatalf("%s: %v", text, err)
-			}
-			if !nulls && boolInts(v) == nil {
-				t.Errorf("%s: evaluated to a boxed vector over typed columns", text)
-			}
-			for i, row := range rel.Rows {
-				want, err := ctx.withRow(row).eval(sel.Where)
-				if err != nil {
-					t.Fatalf("%s row %d: %v", text, i, err)
+		for name, form := range batchForms(t, rng, rel) {
+			b := &builder{batchRows: DefaultBatchRows}
+			ctx := newCtx(b, rel.Sch, nil)
+			for k, sh := range shapes {
+				// Every position, or a random ascending subset of them.
+				sel := b.fullSel(form.bt.Len())
+				if k%2 == 1 {
+					sel = nil
+					for i := 0; i < form.bt.Len(); i++ {
+						if rng.Intn(3) > 0 {
+							sel = append(sel, i)
+						}
+					}
 				}
-				if got := v.Value(i); got != want {
-					t.Fatalf("%s row %d (nulls=%v): vector %v, scalar %v", text, i, nulls, got, want)
+				ctx.nextBatch()
+				v, err := ctx.evalVec(exprs[k], form.bt, sel)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, sh.text, err)
+				}
+				if typed := !v.Const && (v.Ints != nil || v.Floats != nil); sh.typed && !nulls && !typed {
+					t.Errorf("%s, %s: evaluated to a boxed vector over typed columns", name, sh.text)
+				}
+				for _, i := range sel {
+					want, err := ctx.withRow(form.rows[i]).eval(exprs[k])
+					if err != nil {
+						t.Fatalf("%s, %s row %d: %v", name, sh.text, i, err)
+					}
+					if got := v.Value(i); got != want {
+						t.Fatalf("%s, %s row %d (nulls=%v): vector %v, scalar %v", name, sh.text, i, nulls, got, want)
+					}
 				}
 			}
 		}

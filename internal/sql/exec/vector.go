@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math"
 
 	"ironsafe/internal/schema"
@@ -158,86 +157,19 @@ func isConstExpr(e ast.Expr) bool {
 	return konst
 }
 
-// supportsVec reports whether e can be evaluated by evalVec. Subquery nodes
-// and function calls take the row-at-a-time fallback; everything else in the
-// expression grammar has a vectorized kernel.
-func supportsVec(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.Literal, *ast.ColumnRef:
-		return true
-	case *ast.BinaryExpr:
-		// Date ± INTERVAL keeps the interval literal on the right; the
-		// interval itself is not an evaluable expression.
-		if _, ok := x.Right.(*ast.IntervalExpr); ok && (x.Op == ast.OpAdd || x.Op == ast.OpSub) {
-			return supportsVec(x.Left)
-		}
-		return supportsVec(x.Left) && supportsVec(x.Right)
-	case *ast.UnaryExpr:
-		return supportsVec(x.Expr)
-	case *ast.IsNull:
-		return supportsVec(x.Expr)
-	case *ast.Between:
-		return supportsVec(x.Expr) && supportsVec(x.Lo) && supportsVec(x.Hi)
-	case *ast.Like:
-		return supportsVec(x.Expr) && supportsVec(x.Pattern)
-	case *ast.InList:
-		if !supportsVec(x.Expr) {
-			return false
-		}
-		for _, it := range x.Items {
-			if !supportsVec(it) {
-				return false
-			}
-		}
-		return true
-	case *ast.CaseExpr:
-		for _, w := range x.Whens {
-			if !supportsVec(w.Cond) || !supportsVec(w.Result) {
-				return false
-			}
-		}
-		if x.Else != nil {
-			return supportsVec(x.Else)
-		}
-		return true
-	case *ast.Extract:
-		return supportsVec(x.Expr)
-	case *ast.Substring:
-		if !supportsVec(x.Expr) || !supportsVec(x.From) {
-			return false
-		}
-		if x.For != nil {
-			return supportsVec(x.For)
-		}
-		return true
-	}
-	return false
-}
-
-// supportsVecAll reports whether every expression vectorizes (nil entries are
-// vacuously fine).
-func supportsVecAll(exprs []ast.Expr) bool {
-	for _, e := range exprs {
-		if e != nil && !supportsVec(e) {
-			return false
-		}
-	}
-	return true
-}
-
 // vecScratch is where evalVec takes the arrays it builds for one batch —
-// typed result vectors and selection lists — so that a loop over batches
-// allocates them for its first batch only, as RowWindow.Col reuses column
-// storage across windows. The lifetime rule: a vector returned by evalVec,
-// and a list taken with sel, is valid until the loop that owns the batch
-// calls nextBatch on the context. Six loops own a batch: the fused scan
-// (semiReducer.reduce runs inside it, on its batch), the vectorized
-// projection, applyFilter, aggregate, filterChain and keyIDs. Each calls
-// nextBatch as it moves to a batch and keeps nothing of the last one but what
-// it boxed or copied out.
+// result vectors and selection lists — so that a loop over batches allocates
+// them for its first batch only, as RowWindow.Col reuses column storage
+// across windows. The lifetime rule: a vector returned by evalVec, and a list
+// taken with sel, is valid until the loop that owns the batch calls nextBatch
+// on the context. Six loops own a batch: the fused scan (semiReducer.reduce
+// runs inside it, on its batch), the vectorized projection, applyFilter,
+// aggregate, filterChain and keyIDs. Each calls nextBatch as it moves to a
+// batch and keeps nothing of the last one but what it boxed or copied out.
 type vecScratch struct {
 	ints   recycled[int64]
 	floats recycled[float64]
+	vals   recycled[value.Value]
 	sels   recycled[int]
 }
 
@@ -279,8 +211,8 @@ func (r *recycled[T]) recycle(poison T) {
 
 // PoisonRecycledVectors is a test hook: when set (before any query runs),
 // nextBatch overwrites every vector it recycles — NaN floats, positions no
-// batch has — so that a caller holding one past its lifetime computes garbage
-// or panics instead of passing by luck.
+// batch has, a string no table holds — so that a caller holding one past its
+// lifetime computes garbage or panics instead of passing by luck.
 var PoisonRecycledVectors bool
 
 func (c *evalCtx) scratch() *vecScratch {
@@ -291,13 +223,16 @@ func (c *evalCtx) scratch() *vecScratch {
 }
 
 // ints returns a zeroed result array of n elements (kernels write only their
-// selection), floats its float64 twin, sel an empty selection list with room
-// for n positions; all valid until nextBatch. Callers pass sel the batch
-// length, not the selection's: a list sized by what one window happened to
-// select would be remade for the next.
+// selection), floats its float64 twin, boxed a vector of n NULLs to Set, sel
+// an empty selection list with room for n positions; all valid until
+// nextBatch. Callers pass sel the batch length, not the selection's: a list
+// sized by what one window happened to select would be remade for the next.
 func (c *evalCtx) ints(n int) []int64     { return c.scratch().ints.take(n, true) }
 func (c *evalCtx) floats(n int) []float64 { return c.scratch().floats.take(n, true) }
 func (c *evalCtx) sel(n int) []int        { return c.scratch().sels.take(n, false)[:0] }
+func (c *evalCtx) boxed(n int) *schema.ColVec {
+	return schema.BoxedVec(c.scratch().vals.take(n, true))
+}
 
 // nextBatch ends the lifetime of every vector and list handed out since the
 // last call (see vecScratch).
@@ -305,53 +240,79 @@ func (c *evalCtx) nextBatch() {
 	if c.vs != nil {
 		c.vs.ints.recycle(0x5a5a5a5a5a5a5a5a)
 		c.vs.floats.recycle(math.NaN())
+		c.vs.vals.recycle(value.Str("\x00recycled"))
 		c.vs.sels.recycle(-1)
 	}
 }
 
-// resolveColumnIdx memoizes column resolution without touching row data, for
-// kernels that read whole vectors.
-func (c *evalCtx) resolveColumnIdx(x *ast.ColumnRef) (colRes, error) {
-	if c.memo != nil {
-		if r, ok := c.memo[x]; ok {
-			return r, nil
-		}
+// evalVec computes e over the batch positions listed in sel, returning a
+// dense vector of length bt.Len() whose unselected positions are never read.
+// It is total, and it is not a second evaluator: eval is the one
+// implementation of the expression language. Where e has a vector form (vec),
+// that is the answer; everywhere else — a node vec does not serve, a kernel
+// whose operands turn out boxed — it is eval at each selected position
+// (evalRows), with eval's three-valued logic, laziness and errors by
+// construction. Only the order in which an erroring query surfaces its error
+// may differ from row mode (by element, not by row); either way the query
+// aborts.
+func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, error) {
+	if v, err := c.vec(e, bt, sel); v != nil || err != nil {
+		return v, err
 	}
-	name := x.FullName()
-	if c.sch != nil {
-		if idx := c.sch.IndexOf(name); idx >= 0 {
-			r := colRes{idx: idx, envDepth: -1}
-			if c.memo != nil {
-				c.memo[x] = r
-			}
-			return r, nil
-		}
-	}
-	depth := 0
-	for env := c.env; env != nil; env = env.Parent {
-		if env.Sch != nil {
-			if idx := env.Sch.IndexOf(name); idx >= 0 {
-				r := colRes{idx: idx, envDepth: depth}
-				if c.memo != nil {
-					c.memo[x] = r
-				}
-				return r, nil
-			}
-		}
-		depth++
-	}
-	return colRes{}, errColumn(name)
+	return c.evalRows(e, bt, sel)
 }
 
-// evalVec computes e over the batch positions listed in sel, returning a
-// dense vector of length bt.Len() whose unselected positions are NULL (and
-// never read). Semantics mirror evalCtx.eval exactly — same three-valued
-// logic, same laziness (AND/OR right sides, CASE arms, IN items, SUBSTRING
-// FOR), same error conditions — so a query produces identical rows and
-// identical TupleWork whichever path runs. Only the order in which an
-// erroring query surfaces its error may differ (by element, not by row);
-// either way the query aborts.
-func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, error) {
+// evalRows is eval at each selected position, through a view of the batch as
+// that position's row: the row itself where the batch holds rows; where it
+// does not (a page-backed window, a join chain — neither ever reaches a
+// subquery probe, which needs its outer row whole), a scratch row holding the
+// position's element of each column e reads.
+func (c *evalCtx) evalRows(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, error) {
+	out := c.boxed(bt.Len())
+	rc := *c
+	var reads []int
+	if bt.Rows == nil {
+		rc.row = c.scratch().vals.take(c.sch.Len(), true)
+		ast.Walk(e, func(x ast.Expr) bool {
+			if ref, ok := x.(*ast.ColumnRef); ok {
+				// A column that does not resolve is eval's to report.
+				if r, err := c.resolveColumnIdx(ref); err == nil && r.envDepth < 0 {
+					reads = append(reads, r.idx)
+				}
+			}
+			return true
+		})
+	}
+	for _, i := range sel {
+		if bt.Rows != nil {
+			rc.row = bt.Rows[i]
+		}
+		for _, col := range reads {
+			rc.row[col] = bt.Col(col).Value(i)
+		}
+		v, err := rc.eval(e)
+		if err != nil {
+			return nil, err
+		}
+		out.Set(i, v)
+	}
+	return out, nil
+}
+
+// vec is what evalVec owns, because it makes a batch cheaper than its rows:
+// literals and column references as whole vectors, a column-free
+// subexpression computed once, the selection-vector plumbing of AND/OR and
+// CASE — which hands a right side or an arm to evalVec at exactly the
+// positions eval's laziness would reach, so that kernels run beneath them —
+// and the typed kernels: comparison, + - *, NOT, BETWEEN, LIKE and IN-list
+// over operands that have vector forms themselves and come out typed and
+// NULL-free. It returns nil for every other node and for a kernel whose
+// operands do not fit; having evaluated those operands as vectors first costs
+// nothing but the vectors, since no operand of a kernel is ever evaluated by
+// eval here — the plumbing excepted, and with it a subquery probe, which is
+// charged per call: a kernel node that holds one has no vector form. An error
+// is an operand's, which eval evaluates unconditionally too.
+func (c *evalCtx) vec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, error) {
 	n := bt.Len()
 	// Post-aggregation substitution takes priority, as in eval.
 	if c.agg != nil {
@@ -381,452 +342,205 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 		if r.envDepth < 0 {
 			return bt.Col(r.idx), nil
 		}
-		env := c.env
-		for d := 0; d < r.envDepth; d++ {
-			env = env.Parent
-		}
-		return schema.ConstVec(env.Row[r.idx], n), nil
-
-	case *ast.BinaryExpr:
-		return c.evalVecBinary(x, bt, sel)
-
-	case *ast.UnaryExpr:
-		v, err := c.evalVec(x.Expr, bt, sel)
-		if err != nil {
-			return nil, err
-		}
-		if ints := boolInts(v); ints != nil && x.Op == "NOT" {
-			out := c.ints(n)
-			for _, i := range sel {
-				out[i] = 1 - ints[i]
-			}
-			return schema.IntVec(value.KindBool, out), nil
-		}
-		out := schema.NewColVec(n)
-		for _, i := range sel {
-			vv := v.Value(i)
-			if vv.IsNull() {
-				continue
-			}
-			if x.Op == "NOT" {
-				if vv.Kind() != value.KindBool {
-					return nil, fmt.Errorf("exec: NOT applied to %s", vv.Kind())
-				}
-				out.Set(i, value.Bool(!vv.AsBool()))
-				continue
-			}
-			switch vv.Kind() {
-			case value.KindInt:
-				out.Set(i, value.Int(-vv.AsInt()))
-			case value.KindFloat:
-				out.Set(i, value.Float(-vv.AsFloat()))
-			default:
-				return nil, fmt.Errorf("exec: unary minus on %s", vv.Kind())
-			}
-		}
-		return out, nil
-
-	case *ast.IsNull:
-		v, err := c.evalVec(x.Expr, bt, sel)
-		if err != nil {
-			return nil, err
-		}
-		out := schema.NewColVec(n)
-		for _, i := range sel {
-			out.Set(i, value.Bool(v.Value(i).IsNull() != x.Not))
-		}
-		return out, nil
-
-	case *ast.Between:
-		v, err := c.evalVec(x.Expr, bt, sel)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := c.evalVec(x.Lo, bt, sel)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := c.evalVec(x.Hi, bt, sel)
-		if err != nil {
-			return nil, err
-		}
-		if out, ok := c.betweenVecFast(v, lo, hi, x.Not, n, sel); ok {
-			return out, nil
-		}
-		out := schema.NewColVec(n)
-		for _, i := range sel {
-			vv, lv, hv := v.Value(i), lo.Value(i), hi.Value(i)
-			if vv.IsNull() || lv.IsNull() || hv.IsNull() {
-				continue
-			}
-			cl, err := value.Compare(vv, lv)
-			if err != nil {
-				return nil, err
-			}
-			ch, err := value.Compare(vv, hv)
-			if err != nil {
-				return nil, err
-			}
-			in := cl >= 0 && ch <= 0
-			out.Set(i, value.Bool(in != x.Not))
-		}
-		return out, nil
-
-	case *ast.Like:
-		v, err := c.evalVec(x.Expr, bt, sel)
-		if err != nil {
-			return nil, err
-		}
-		p, err := c.evalVec(x.Pattern, bt, sel)
-		if err != nil {
-			return nil, err
-		}
-		if tv, ok := typedOf(v); ok && tv.strs != nil {
-			if tp, ok := typedOf(p); ok && tp.konst && tp.kind == value.KindString {
-				out := c.ints(n)
-				for _, i := range sel {
-					if likeMatch(tv.strs[i], tp.ks) != x.Not {
-						out[i] = 1
-					}
-				}
-				return schema.IntVec(value.KindBool, out), nil
-			}
-		}
-		out := schema.NewColVec(n)
-		for _, i := range sel {
-			vv, pv := v.Value(i), p.Value(i)
-			if vv.IsNull() || pv.IsNull() {
-				continue
-			}
-			if vv.Kind() != value.KindString || pv.Kind() != value.KindString {
-				return nil, fmt.Errorf("exec: LIKE on %s and %s", vv.Kind(), pv.Kind())
-			}
-			out.Set(i, value.Bool(likeMatch(vv.AsString(), pv.AsString()) != x.Not))
-		}
-		return out, nil
-
-	case *ast.InList:
-		lhs, err := c.evalVec(x.Expr, bt, sel)
-		if err != nil {
-			return nil, err
-		}
-		if out, ok := c.inListVecFast(x, lhs, n, sel); ok {
-			return out, nil
-		}
-		out := schema.NewColVec(n)
-		pending := c.sel(n)
-		for _, i := range sel {
-			if !lhs.Value(i).IsNull() {
-				pending = append(pending, i) // null lhs stays NULL in out
-			}
-		}
-		sawNull := make([]bool, n)
-		for _, item := range x.Items {
-			if len(pending) == 0 {
-				break
-			}
-			iv, err := c.evalVec(item, bt, pending)
-			if err != nil {
-				return nil, err
-			}
-			next := c.sel(n)
-			for _, i := range pending {
-				ivv := iv.Value(i)
-				if ivv.IsNull() {
-					sawNull[i] = true
-					next = append(next, i)
-					continue
-				}
-				cmp, err := value.Compare(lhs.Value(i), ivv)
-				if err != nil {
-					return nil, err
-				}
-				if cmp == 0 {
-					out.Set(i, value.Bool(!x.Not))
-				} else {
-					next = append(next, i)
-				}
-			}
-			pending = next
-		}
-		for _, i := range pending {
-			if !sawNull[i] {
-				out.Set(i, value.Bool(x.Not))
-			}
-		}
-		return out, nil
+		return schema.ConstVec(c.outer(r), n), nil
 
 	case *ast.CaseExpr:
-		out := schema.NewColVec(n)
-		remaining := sel
-		for _, w := range x.Whens {
-			if len(remaining) == 0 {
-				break
-			}
-			cond, err := c.evalVec(w.Cond, bt, remaining)
-			if err != nil {
-				return nil, err
-			}
-			matched, rest := c.sel(n), c.sel(n)
-			for _, i := range remaining {
-				cv := cond.Value(i)
-				if !cv.IsNull() && cv.Kind() == value.KindBool && cv.AsBool() {
-					matched = append(matched, i)
-				} else {
-					rest = append(rest, i)
-				}
-			}
-			if len(matched) > 0 {
-				rv, err := c.evalVec(w.Result, bt, matched)
-				if err != nil {
-					return nil, err
-				}
-				for _, i := range matched {
-					out.Set(i, rv.Value(i))
-				}
-			}
-			remaining = rest
-		}
-		if x.Else != nil && len(remaining) > 0 {
-			ev, err := c.evalVec(x.Else, bt, remaining)
-			if err != nil {
-				return nil, err
-			}
-			for _, i := range remaining {
-				out.Set(i, ev.Value(i))
-			}
-		}
-		return out, nil
+		return c.evalVecCase(x, bt, sel)
 
-	case *ast.Extract:
-		v, err := c.evalVec(x.Expr, bt, sel)
-		if err != nil {
+	case *ast.BinaryExpr:
+		if x.Op == ast.OpAnd || x.Op == ast.OpOr {
+			return c.evalVecLogic(x, bt, sel)
+		}
+	}
+	if len(c.subs) > 0 && containsSubquery(e) {
+		return nil, nil
+	}
+	// operands returns the vector forms of exprs, nil if one has none.
+	operands := func(exprs ...ast.Expr) ([]*schema.ColVec, error) {
+		vecs := make([]*schema.ColVec, len(exprs))
+		for i, x := range exprs {
+			var err error
+			if vecs[i], err = c.vec(x, bt, sel); vecs[i] == nil {
+				return nil, err
+			}
+		}
+		return vecs, nil
+	}
+	switch x := e.(type) {
+	case *ast.BinaryExpr:
+		fast := c.cmpVecFast
+		switch x.Op {
+		case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
+		case ast.OpAdd, ast.OpSub, ast.OpMul:
+			if _, interval := x.Right.(*ast.IntervalExpr); interval {
+				return nil, nil
+			}
+			fast = c.arithVecFast
+		default:
+			return nil, nil
+		}
+		v, err := operands(x.Left, x.Right)
+		if v == nil {
 			return nil, err
 		}
-		out := schema.NewColVec(n)
-		for _, i := range sel {
-			var ev value.Value
-			var err error
-			if x.Field == "YEAR" {
-				ev, err = value.ExtractYear(v.Value(i))
-			} else {
-				ev, err = value.ExtractMonth(v.Value(i))
-			}
-			if err != nil {
-				return nil, err
-			}
-			out.Set(i, ev)
-		}
-		return out, nil
+		return fast(x.Op, v[0], v[1], n, sel), nil
 
-	case *ast.Substring:
-		return c.evalVecSubstring(x, bt, sel)
+	case *ast.UnaryExpr:
+		if x.Op != "NOT" {
+			return nil, nil
+		}
+		v, err := operands(x.Expr)
+		if v == nil || boolInts(v[0]) == nil {
+			return nil, err
+		}
+		ints, out := boolInts(v[0]), c.ints(n)
+		for _, i := range sel {
+			out[i] = 1 - ints[i]
+		}
+		return schema.IntVec(value.KindBool, out), nil
+
+	case *ast.Between:
+		v, err := operands(x.Expr, x.Lo, x.Hi)
+		if v == nil {
+			return nil, err
+		}
+		return c.betweenVecFast(v[0], v[1], v[2], x.Not, n, sel), nil
+
+	case *ast.Like:
+		v, err := operands(x.Expr, x.Pattern)
+		if v == nil {
+			return nil, err
+		}
+		tv, ok := typedOf(v[0])
+		tp, okp := typedOf(v[1])
+		if !ok || tv.strs == nil || !okp || !tp.konst || tp.kind != value.KindString {
+			return nil, nil
+		}
+		out := c.ints(n)
+		for _, i := range sel {
+			if likeMatch(tv.strs[i], tp.ks) != x.Not {
+				out[i] = 1
+			}
+		}
+		return schema.IntVec(value.KindBool, out), nil
+
+	case *ast.InList:
+		v, err := operands(x.Expr)
+		if v == nil {
+			return nil, err
+		}
+		return c.inListVecFast(x, v[0], n, sel), nil
 	}
-	return nil, fmt.Errorf("exec: cannot vectorize %T", e)
+	return nil, nil
 }
 
-func (c *evalCtx) evalVecBinary(x *ast.BinaryExpr, bt *Batch, sel []int) (*schema.ColVec, error) {
+// evalVecCase is CASE: each arm is evaluated at the positions whose condition
+// chose it and nowhere else, as eval returns from the first true WHEN.
+func (c *evalCtx) evalVecCase(x *ast.CaseExpr, bt *Batch, sel []int) (*schema.ColVec, error) {
 	n := bt.Len()
-	switch x.Op {
-	case ast.OpAnd, ast.OpOr:
-		l, err := c.evalVec(x.Left, bt, sel)
+	out := c.boxed(n)
+	remaining := sel
+	for _, w := range x.Whens {
+		if len(remaining) == 0 {
+			break
+		}
+		cond, err := c.evalVec(w.Cond, bt, remaining)
 		if err != nil {
 			return nil, err
 		}
-		// Short-circuit where two-valued: only undecided positions see the
-		// right side, mirroring the row path's laziness (and its errors). A
-		// decided position holds FALSE under AND, TRUE under OR.
-		isOr := x.Op == ast.OpOr
-		decided := value.Bool(isOr)
-		lb := boolInts(l)
-		undecided := c.sel(n)
-		for _, i := range sel {
-			if lb != nil {
-				if (lb[i] != 0) == isOr {
-					continue
-				}
-			} else if lv := l.Value(i); !lv.IsNull() && lv.Kind() == value.KindBool && lv.AsBool() == isOr {
-				continue
+		matched, rest := c.sel(n), c.sel(n)
+		for _, i := range remaining {
+			if truthy(cond.Value(i)) {
+				matched = append(matched, i)
+			} else {
+				rest = append(rest, i)
 			}
-			undecided = append(undecided, i)
 		}
-		if len(undecided) == 0 {
-			if lb != nil {
-				return l, nil
-			}
-			out := schema.NewColVec(n)
-			for _, i := range sel {
-				out.Set(i, decided)
-			}
-			return out, nil
-		}
-		r, err := c.evalVec(x.Right, bt, undecided)
-		if err != nil {
-			return nil, err
-		}
-		if rb := boolInts(r); lb != nil && rb != nil {
-			// Both sides two-valued: an undecided position takes the right
-			// side's value, a decided one keeps the left's.
-			out := c.ints(n)
-			for _, i := range sel {
-				out[i] = lb[i]
-			}
-			for _, i := range undecided {
-				out[i] = rb[i]
-			}
-			return schema.IntVec(value.KindBool, out), nil
-		}
-		out := schema.NewColVec(n)
-		u := 0
-		for _, i := range sel {
-			if u == len(undecided) || undecided[u] != i {
-				out.Set(i, decided)
-				continue
-			}
-			u++
-			v, err := logic3(x.Op, l.Value(i), r.Value(i))
+		if len(matched) > 0 {
+			rv, err := c.evalVec(w.Result, bt, matched)
 			if err != nil {
 				return nil, err
 			}
-			out.Set(i, v)
+			for _, i := range matched {
+				out.Set(i, rv.Value(i))
+			}
 		}
-		return out, nil
+		remaining = rest
 	}
+	if x.Else != nil && len(remaining) > 0 {
+		ev, err := c.evalVec(x.Else, bt, remaining)
+		if err != nil {
+			return nil, err
+		}
+		for _, i := range remaining {
+			out.Set(i, ev.Value(i))
+		}
+	}
+	return out, nil
+}
 
+// evalVecLogic is AND/OR: the right side is evaluated at the positions the
+// left side leaves undecided and nowhere else, as eval short-circuits. A
+// decided position holds FALSE under AND, TRUE under OR.
+func (c *evalCtx) evalVecLogic(x *ast.BinaryExpr, bt *Batch, sel []int) (*schema.ColVec, error) {
+	n := bt.Len()
 	l, err := c.evalVec(x.Left, bt, sel)
 	if err != nil {
 		return nil, err
 	}
-
-	// Date +/- INTERVAL.
-	if iv, ok := x.Right.(*ast.IntervalExpr); ok && (x.Op == ast.OpAdd || x.Op == ast.OpSub) {
-		iN := iv.N
-		if x.Op == ast.OpSub {
-			iN = -iN
-		}
-		out := schema.NewColVec(n)
-		for _, i := range sel {
-			v, err := value.AddInterval(l.Value(i), iN, iv.Unit)
-			if err != nil {
-				return nil, err
-			}
-			out.Set(i, v)
-		}
-		return out, nil
-	}
-
-	r, err := c.evalVec(x.Right, bt, sel)
-	if err != nil {
-		return nil, err
-	}
-	switch x.Op {
-	case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
-		if out, ok := c.cmpVecFast(x.Op, l, r, n, sel); ok {
-			return out, nil
-		}
-		out := schema.NewColVec(n)
-		for _, i := range sel {
-			lv, rv := l.Value(i), r.Value(i)
-			if lv.IsNull() || rv.IsNull() {
-				continue
-			}
-			cmp, err := value.Compare(lv, rv)
-			if err != nil {
-				return nil, err
-			}
-			out.Set(i, value.Bool(cmpHolds(x.Op, cmp)))
-		}
-		return out, nil
-	case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpMod:
-		if out, ok := c.arithVecFast(x.Op, l, r, n, sel); ok {
-			return out, nil
-		}
-		var opc byte
-		switch x.Op {
-		case ast.OpAdd:
-			opc = '+'
-		case ast.OpSub:
-			opc = '-'
-		case ast.OpMul:
-			opc = '*'
-		case ast.OpDiv:
-			opc = '/'
-		default:
-			opc = '%'
-		}
-		out := schema.NewColVec(n)
-		for _, i := range sel {
-			v, err := value.Arith(opc, l.Value(i), r.Value(i))
-			if err != nil {
-				return nil, err
-			}
-			out.Set(i, v)
-		}
-		return out, nil
-	case ast.OpConcat:
-		out := schema.NewColVec(n)
-		for _, i := range sel {
-			lv, rv := l.Value(i), r.Value(i)
-			if lv.IsNull() || rv.IsNull() {
-				continue
-			}
-			out.Set(i, value.Str(lv.String()+rv.String()))
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("exec: unknown operator %v", x.Op)
-}
-
-func (c *evalCtx) evalVecSubstring(x *ast.Substring, bt *Batch, sel []int) (*schema.ColVec, error) {
-	n := bt.Len()
-	v, err := c.evalVec(x.Expr, bt, sel)
-	if err != nil {
-		return nil, err
-	}
-	from, err := c.evalVec(x.From, bt, sel)
-	if err != nil {
-		return nil, err
-	}
-	out := schema.NewColVec(n)
-	// FOR is evaluated only where expr and FROM are non-null, mirroring the
-	// row path's laziness.
-	need := c.sel(n)
+	isOr := x.Op == ast.OpOr
+	decided := value.Bool(isOr)
+	lb := boolInts(l)
+	undecided := c.sel(n)
 	for _, i := range sel {
-		if !v.Value(i).IsNull() && !from.Value(i).IsNull() {
-			need = append(need, i)
+		if lb != nil {
+			if (lb[i] != 0) == isOr {
+				continue
+			}
+		} else if lv := l.Value(i); !lv.IsNull() && lv.Kind() == value.KindBool && lv.AsBool() == isOr {
+			continue
 		}
+		undecided = append(undecided, i)
 	}
-	var forVec *schema.ColVec
-	if x.For != nil && len(need) > 0 {
-		forVec, err = c.evalVec(x.For, bt, need)
+	if len(undecided) == 0 {
+		if lb != nil {
+			return l, nil
+		}
+		out := c.boxed(n)
+		for _, i := range sel {
+			out.Set(i, decided)
+		}
+		return out, nil
+	}
+	r, err := c.evalVec(x.Right, bt, undecided)
+	if err != nil {
+		return nil, err
+	}
+	if rb := boolInts(r); lb != nil && rb != nil {
+		// Both sides two-valued: an undecided position takes the right
+		// side's value, a decided one keeps the left's.
+		out := c.ints(n)
+		for _, i := range sel {
+			out[i] = lb[i]
+		}
+		for _, i := range undecided {
+			out[i] = rb[i]
+		}
+		return schema.IntVec(value.KindBool, out), nil
+	}
+	out := c.boxed(n)
+	u := 0
+	for _, i := range sel {
+		if u == len(undecided) || undecided[u] != i {
+			out.Set(i, decided)
+			continue
+		}
+		u++
+		v, err := logic3(x.Op, l.Value(i), r.Value(i))
 		if err != nil {
 			return nil, err
 		}
-	}
-	for _, i := range need {
-		s := v.Value(i).AsString()
-		start := int(from.Value(i).AsInt()) - 1 // SQL is 1-based
-		if start < 0 {
-			start = 0
-		}
-		if start > len(s) {
-			start = len(s)
-		}
-		end := len(s)
-		if forVec != nil {
-			nv := forVec.Value(i)
-			if nv.IsNull() {
-				continue // stays NULL
-			}
-			end = start + int(nv.AsInt())
-			if end > len(s) {
-				end = len(s)
-			}
-			if end < start {
-				end = start
-			}
-		}
-		out.Set(i, value.Str(s[start:end]))
+		out.Set(i, v)
 	}
 	return out, nil
 }
@@ -897,8 +611,8 @@ func typedConst(v value.Value) (typedVec, bool) {
 
 // sameKind makes k comparable with a vector of the given kind the way
 // value.Compare would, reporting whether it can: equal kinds compare
-// directly, and an Int constant widens to Float. Every other pairing keeps
-// value.Compare's coercion and error semantics on the general path.
+// directly, and an Int constant widens to Float. Every other pairing is left
+// to value.Compare's coercion and error semantics (eval).
 func (k *typedVec) sameKind(kind value.Kind) bool {
 	if k.konst && k.kind == value.KindInt && kind == value.KindFloat {
 		k.kind, k.kf = value.KindFloat, float64(k.ki)
@@ -951,16 +665,16 @@ func cmpKernel[T int64 | float64 | string](op ast.BinaryOp, l []T, lk T, r []T, 
 // cmpVecFast runs typed comparison kernels where both operands are typed (a
 // vector or a constant, no NULLs by construction) and of one kind — Int,
 // Date, Bool, Float or String — or a Float against an Int constant. Other
-// mixed kinds and boxed vectors use the general path, which preserves
-// value.Compare's coercion and error semantics exactly.
-func (c *evalCtx) cmpVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
+// mixed kinds and boxed vectors are left to eval, and with it value.Compare's
+// coercion and error semantics.
+func (c *evalCtx) cmpVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) *schema.ColVec {
 	l, ok := typedOf(lv)
 	if !ok {
-		return nil, false
+		return nil
 	}
 	r, ok := typedOf(rv)
 	if !ok || !(r.sameKind(l.kind) || l.sameKind(r.kind)) {
-		return nil, false
+		return nil
 	}
 	out := c.ints(n)
 	switch l.kind {
@@ -971,7 +685,7 @@ func (c *evalCtx) cmpVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel 
 	default:
 		cmpKernel(op, l.ints, l.ki, r.ints, r.ki, out, sel)
 	}
-	return schema.IntVec(value.KindBool, out), true
+	return schema.IntVec(value.KindBool, out)
 }
 
 // betweenKernel writes [NOT] lo <= v[i] <= hi into out, ordering as cmp3.
@@ -985,18 +699,18 @@ func betweenKernel[T int64 | float64 | string](v []T, lo, hi T, not bool, out []
 
 // betweenVecFast is BETWEEN for a typed vector against constant bounds of its
 // kind.
-func (c *evalCtx) betweenVecFast(vv, lov, hiv *schema.ColVec, not bool, n int, sel []int) (*schema.ColVec, bool) {
+func (c *evalCtx) betweenVecFast(vv, lov, hiv *schema.ColVec, not bool, n int, sel []int) *schema.ColVec {
 	v, ok := typedOf(vv)
 	if !ok || v.konst {
-		return nil, false
+		return nil
 	}
 	lo, ok := typedOf(lov)
 	if !ok || !lo.konst || !lo.sameKind(v.kind) {
-		return nil, false
+		return nil
 	}
 	hi, ok := typedOf(hiv)
 	if !ok || !hi.konst || !hi.sameKind(v.kind) {
-		return nil, false
+		return nil
 	}
 	out := c.ints(n)
 	switch v.kind {
@@ -1007,7 +721,7 @@ func (c *evalCtx) betweenVecFast(vv, lov, hiv *schema.ColVec, not bool, n int, s
 	default:
 		betweenKernel(v.ints, lo.ki, hi.ki, not, out, sel)
 	}
-	return schema.IntVec(value.KindBool, out), true
+	return schema.IntVec(value.KindBool, out)
 }
 
 // inKernel writes [NOT] v[i] IN items into out, equality as cmp3.
@@ -1027,27 +741,27 @@ func inKernel[T int64 | float64 | string](v []T, items []T, not bool, out []int6
 }
 
 // inListVecFast is IN for a typed vector against a list of non-NULL
-// constants of its kind: with nothing NULL and nothing that can fail, the
-// ordered lazy walk of the general path reduces to a membership test.
-func (c *evalCtx) inListVecFast(x *ast.InList, lhs *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
+// constants of its kind: with nothing NULL and nothing that can fail, eval's
+// ordered lazy walk reduces to a membership test.
+func (c *evalCtx) inListVecFast(x *ast.InList, lhs *schema.ColVec, n int, sel []int) *schema.ColVec {
 	v, ok := typedOf(lhs)
 	if !ok || v.konst {
-		return nil, false
+		return nil
 	}
 	var ints []int64
 	var floats []float64
 	var strs []string
 	for _, item := range x.Items {
 		if !isConstExpr(item) {
-			return nil, false
+			return nil
 		}
 		iv, err := c.eval(item)
 		if err != nil {
-			return nil, false // the general path decides whether it is reached
+			return nil // eval decides whether it is reached
 		}
 		k, ok := typedConst(iv)
 		if !ok || !k.sameKind(v.kind) {
-			return nil, false
+			return nil
 		}
 		ints, floats, strs = append(ints, k.ki), append(floats, k.kf), append(strs, k.ks)
 	}
@@ -1060,7 +774,7 @@ func (c *evalCtx) inListVecFast(x *ast.InList, lhs *schema.ColVec, n int, sel []
 	default:
 		inKernel(v.ints, ints, x.Not, out, sel)
 	}
-	return schema.IntVec(value.KindBool, out), true
+	return schema.IntVec(value.KindBool, out)
 }
 
 // arithKernel writes l op r (op one of + - *) into out at the positions in
@@ -1085,30 +799,26 @@ func arithKernel[T int64 | float64](op ast.BinaryOp, l []T, lk T, r []T, rk T, o
 	}
 }
 
-// arithVecFast runs typed + - * kernels for Int×Int and Float×Float.
-// Division and modulo keep value.Arith's exactness and zero-divide handling;
-// mixed kinds coerce through the general path.
-func (c *evalCtx) arithVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) (*schema.ColVec, bool) {
-	if op != ast.OpAdd && op != ast.OpSub && op != ast.OpMul {
-		return nil, false
-	}
+// arithVecFast runs the typed + - * kernels for Int×Int and Float×Float; mixed
+// kinds coerce through value.Arith (eval).
+func (c *evalCtx) arithVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) *schema.ColVec {
 	l, ok := typedOf(lv)
 	if !ok {
-		return nil, false
+		return nil
 	}
 	r, ok := typedOf(rv)
 	if !ok || l.kind != r.kind {
-		return nil, false
+		return nil
 	}
 	switch l.kind {
 	case value.KindInt:
 		out := c.ints(n)
 		arithKernel(op, l.ints, l.ki, r.ints, r.ki, out, sel)
-		return schema.IntVec(value.KindInt, out), true
+		return schema.IntVec(value.KindInt, out)
 	case value.KindFloat:
 		out := c.floats(n)
 		arithKernel(op, l.floats, l.kf, r.floats, r.kf, out, sel)
-		return schema.FloatVec(out), true
+		return schema.FloatVec(out)
 	}
-	return nil, false
+	return nil
 }

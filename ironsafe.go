@@ -111,10 +111,6 @@ type Config struct {
 	// exchange columnar batches of up to this many rows. 0 means the default
 	// (exec.DefaultBatchRows, 4096); 1 restores the row-at-a-time pipeline.
 	ExecBatchRows int
-	// PlainCacheBytes caps the secure store's verified-plaintext page cache;
-	// 0 disables it. On hos the cache lives inside the enclave and counts
-	// toward the EPC working set.
-	PlainCacheBytes int64
 	// Locations and firmware versions, checked by execution policies.
 	HostLocation    string
 	StorageLocation string
@@ -271,7 +267,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				Arity:                 cfg.MerkleArity,
 				CacheVerifiedSubtrees: cfg.CacheVerifiedSubtrees,
 				GCM:                   cfg.GCMPages,
-				PlainCacheBytes:       cfg.PlainCacheBytes,
 			},
 			MemoryBudget:  cfg.StorageMemoryBudget,
 			Cores:         cfg.StorageCores,
@@ -381,19 +376,16 @@ func (c *Cluster) initHostDB() error {
 			Arity:                 c.cfg.MerkleArity,
 			CacheVerifiedSubtrees: c.cfg.CacheVerifiedSubtrees,
 			GCM:                   c.cfg.GCMPages,
-			PlainCacheBytes:       c.cfg.PlainCacheBytes,
 		})
 		if err != nil {
 			return err
 		}
-		// Both the Merkle tree and the verified-plaintext cache live inside
-		// the enclave, so both count toward the EPC working set (Fig 9a).
+		// The Merkle tree lives inside the enclave, so it counts toward the
+		// EPC working set (Fig 9a).
 		store = &hostengine.EnclavePageStore{
-			Inner:   inner,
-			Enclave: c.Host.Enclave(),
-			TreeBytes: func() int64 {
-				return inner.TreeBytes() + inner.CacheBytes()
-			},
+			Inner:     inner,
+			Enclave:   c.Host.Enclave(),
+			TreeBytes: inner.TreeBytes,
 		}
 	} else {
 		store = pager.NewPager(remote, c.HostMeter, 256)
