@@ -103,7 +103,7 @@ func TestScanWindowsMatchesScan(t *testing.T) {
 					for i := range sel {
 						sel[i] = i
 					}
-					*out = w.AppendRows(*out, sel, nil)
+					*out = w.AppendRows(*out, 0, sel, nil)
 					return nil
 				})
 			})

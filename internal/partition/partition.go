@@ -4,7 +4,12 @@
 // consumes the shipped, filtered tables. The host query is the original
 // query verbatim — the host catalog simply resolves base-table names to the
 // shipped subsets, and because every pushed predicate also remains in the
-// host query, re-filtering is idempotent and the split is always correct.
+// host query, re-filtering is idempotent. That makes the split correct where
+// dropping a row before the joins is the same as dropping it after them, which
+// is every FROM entry but the NULL-supplying side of a LEFT OUTER JOIN: a row
+// missing there turns a match into a NULL extension that a WHERE conjunct such
+// as `b.id IS NULL` then accepts. No WHERE conjunct is pushed to such an entry
+// (exec.buildFrom draws the same line for its own pushdown).
 package partition
 
 import (
@@ -124,6 +129,7 @@ type refInfo struct {
 	name  string // alias or table name in scope
 	table string // base table name
 	sch   *schema.Schema
+	outer bool // the NULL-supplying side of a LEFT OUTER JOIN: takes no WHERE pushdown
 }
 
 // scope is a lexical FROM scope, chained to enclosing query scopes so
@@ -196,7 +202,8 @@ func collect(sel *ast.Select, src SchemaSource, tables map[string]*tableInfo, pa
 			return err
 		}
 		key := strings.ToLower(r.Table)
-		sc.refs = append(sc.refs, &refInfo{name: r.Name(), table: key, sch: sch})
+		outer := r.Join != nil && r.Join.Kind == ast.JoinLeftOuter
+		sc.refs = append(sc.refs, &refInfo{name: r.Name(), table: key, sch: sch, outer: outer})
 		if _, ok := tables[key]; !ok {
 			tables[key] = &tableInfo{name: key, sch: sch, cols: map[string]bool{}}
 		}
@@ -269,8 +276,9 @@ func collect(sel *ast.Select, src SchemaSource, tables map[string]*tableInfo, pa
 	refPred := map[*refInfo]ast.Expr{}
 	for _, c := range conjs {
 		if target, ok := pushableTo(c, sc); ok {
-			p := stripQualifiers(c)
-			andInto(refPred, target, p)
+			if !target.outer {
+				andInto(refPred, target, stripQualifiers(c))
+			}
 			continue
 		}
 		// OR conjunct: if every disjunct constrains ref r, the OR of the
@@ -281,6 +289,9 @@ func collect(sel *ast.Select, src SchemaSource, tables map[string]*tableInfo, pa
 			continue
 		}
 		for _, r := range refs {
+			if r.outer {
+				continue
+			}
 			var parts []ast.Expr
 			complete := true
 			for _, d := range disjuncts {

@@ -435,3 +435,38 @@ func TestNoExistsBodySetsAllCols(t *testing.T) {
 		}
 	}
 }
+
+// TestLeftJoinedEntryTakesNoWherePushdown: a WHERE conjunct over the
+// NULL-supplying side of a LEFT OUTER JOIN is not a filter on that table — it
+// runs after the NULL extension, and `o_orderkey IS NULL` accepts exactly the
+// rows the extension makes. Shipping orders filtered by it ships no orders, so
+// every customer comes out NULL-extended. Such an entry is shipped whole, by
+// its columns; the left side still takes its conjuncts, and so does an inner
+// join's right side.
+func TestLeftJoinedEntryTakesNoWherePushdown(t *testing.T) {
+	for _, where := range []string{
+		"o_orderkey IS NULL",
+		"o_orderkey IS NULL OR o_totalprice > 5",
+		"o_totalprice > 5",
+		"(o_totalprice > 5 AND c_acctbal > 0) OR (o_totalprice < 1 AND c_acctbal < 0)",
+	} {
+		s := split(t, `SELECT c_custkey, o_orderkey FROM customer LEFT OUTER JOIN orders ON c_custkey = o_custkey
+			WHERE c_acctbal <> 0 AND (`+where+`)`)
+		o := shipFor(s, "orders")
+		if o == nil || o.Predicate != nil {
+			t.Errorf("WHERE %s: orders shipped as %q, want no predicate", where, o.SQL)
+		}
+		for _, col := range []string{"o_custkey", "o_orderkey"} {
+			if !strings.Contains(o.SQL, col) {
+				t.Errorf("WHERE %s: orders shipped as %q, without %s", where, o.SQL, col)
+			}
+		}
+		if c := shipFor(s, "customer"); c == nil || c.Predicate == nil || !strings.Contains(c.SQL, "c_acctbal <> 0") {
+			t.Errorf("WHERE %s: customer shipped as %q, want its conjunct pushed", where, c.SQL)
+		}
+	}
+	s := split(t, `SELECT c_custkey FROM customer JOIN orders ON c_custkey = o_custkey WHERE o_totalprice > 5`)
+	if o := shipFor(s, "orders"); o == nil || o.Predicate == nil {
+		t.Errorf("an inner join's right side shipped as %q, want its conjunct pushed", o.SQL)
+	}
+}

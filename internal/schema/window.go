@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"ironsafe/internal/value"
 )
@@ -37,15 +38,10 @@ type rowSeg struct {
 	end int
 }
 
-// windowCol is one column's reusable vector storage. A column settles on
-// one representation, so in practice one of the four arrays is ever grown.
+// windowCol is one column's reusable vector storage.
 type windowCol struct {
-	vec    ColVec
-	fresh  bool // vec holds the current window
-	ints   []int64
-	floats []float64
-	strs   []string
-	boxed  []value.Value
+	ColBuf
+	fresh bool // vec holds the current window
 	// dict holds the first maxDict distinct values of a string column, so a
 	// low-cardinality column (l_shipmode, o_orderstatus) fills its vectors
 	// with shared strings instead of allocating one per element.
@@ -56,21 +52,21 @@ type windowCol struct {
 // than this stops consulting it.
 const maxDict = 32
 
-// str returns b as a string, shared with earlier equal values of the column
-// while the column stays low-cardinality.
-func (c *windowCol) str(b []byte) string {
+// str returns b as a string shared with earlier equal values of the column,
+// while the column stays low-cardinality; false once it has not.
+func (c *windowCol) str(b []byte) (string, bool) {
 	if len(c.dict) > maxDict {
-		return string(b)
+		return "", false
 	}
 	if s, ok := c.dict[string(b)]; ok { // the lookup does not allocate
-		return s
+		return s, true
 	}
 	if c.dict == nil {
 		c.dict = map[string]string{}
 	}
 	s := string(b)
 	c.dict[s] = s // the entry past maxDict closes the dictionary
-	return s
+	return s, true
 }
 
 // maxWindowBuf bounds the buffers a window indexes: field offsets are kept
@@ -148,6 +144,9 @@ func (w *RowWindow) AppendRow(buf []byte, pos int) (int, error) {
 // is never indexed across a cut.
 func (w *RowWindow) Fill(buf []byte, pos, max int) (int, error) {
 	w.Reset()
+	// Room for every field offset at once; a row is at least its header and a
+	// kind byte per column, which bounds what a forged count can reserve.
+	w.offs = slices.Grow(w.offs, min(max, (len(buf)-pos)/(2+w.width))*w.width)
 	seg := pos // where the current segment begins in buf
 	for i := 0; i < max; i++ {
 		end := min(seg+maxWindowBuf, len(buf))
@@ -282,7 +281,27 @@ func (w *RowWindow) Col(col int) *ColVec {
 		c.vec = ColVec{Kind: kind, Floats: c.floats, n: n}
 	case value.KindString:
 		c.strs = resize(c.strs, n)
-		uniform = w.fill(col, kind, func(r int, buf []byte, pos int) { c.strs[r] = c.str(fieldBytes(buf, pos)) })
+		shared, size := true, 0
+		uniform = w.fill(col, kind, func(r int, buf []byte, pos int) {
+			b := fieldBytes(buf, pos)
+			if size += len(b); shared {
+				c.strs[r], shared = c.str(b)
+			}
+		})
+		if uniform && !shared {
+			// A high-cardinality column (o_comment, p_name): one string holds
+			// the window's values back to back and the elements are cut from
+			// it, so the column costs one allocation, not one per row.
+			var all strings.Builder
+			all.Grow(size)
+			w.fill(col, kind, func(r int, buf []byte, pos int) { all.Write(fieldBytes(buf, pos)) })
+			end := 0
+			w.fill(col, kind, func(r int, buf []byte, pos int) {
+				start := end
+				end += len(fieldBytes(buf, pos))
+				c.strs[r] = all.String()[start:end]
+			})
+		}
 		c.vec = ColVec{Kind: kind, Strs: c.strs, n: n}
 	default:
 		uniform = false
@@ -312,16 +331,17 @@ func (w *RowWindow) fill(col int, kind value.Kind, set func(r int, buf []byte, p
 }
 
 // AppendEncoded is AppendRows without the boxing: it appends the rows at the
-// ascending window positions sel, keeping only columns cols (nil: every
-// column) in that order, to dst in the row codec. Fields are copied as they
+// ascending window positions base+sel[k], keeping only columns cols (nil:
+// every column) in that order, to dst in the row codec. Fields are copied as they
 // are, so over rows EncodeRow wrote the result is byte for byte EncodeRow of
 // the rows AppendRows would box.
-func (w *RowWindow) AppendEncoded(dst []byte, sel []int, cols []int) []byte {
+func (w *RowWindow) AppendEncoded(dst []byte, base int, sel []int, cols []int) []byte {
 	if cols == nil {
 		cols = w.all
 	}
 	si := 0
 	for _, r := range sel {
+		r += base
 		for r >= w.segs[si].end {
 			si++
 		}
@@ -349,15 +369,16 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// AppendRows boxes the rows at the ascending window positions sel, keeping
-// only columns cols (nil: every column) in that order, and appends them to
-// dst. The rows own their storage.
-func (w *RowWindow) AppendRows(dst []Row, sel []int, cols []int) []Row {
+// AppendRows boxes the rows at the ascending window positions base+sel[k],
+// keeping only columns cols (nil: every column) in that order, and appends
+// them to dst. The rows own their storage.
+func (w *RowWindow) AppendRows(dst []Row, base int, sel []int, cols []int) []Row {
 	if cols == nil {
 		cols = w.all
 	}
 	si := 0
 	for _, r := range sel {
+		r += base
 		for r >= w.segs[si].end {
 			si++
 		}
@@ -369,4 +390,32 @@ func (w *RowWindow) AppendRows(dst []Row, sel []int, cols []int) []Row {
 		dst = append(dst, row)
 	}
 	return dst
+}
+
+// AppendCol is the column-wise twin of AppendRows: it appends column col of
+// the rows at the ascending window positions base+sel[k] to the vector dst
+// (see ColVec.Append) — from the column's vector where Col has decoded it for
+// this window, else field by field, so that a column nobody evaluates is
+// decoded for the kept rows only.
+func (w *RowWindow) AppendCol(dst *ColVec, col, base int, sel []int) {
+	c := &w.cols[col]
+	if c.fresh {
+		dst.AppendSel(&c.vec, base, sel)
+		return
+	}
+	si := 0
+	for _, r := range sel {
+		r += base
+		for r >= w.segs[si].end {
+			si++
+		}
+		buf, pos := w.segs[si].buf, int(w.offs[r*w.width+col])
+		if value.Kind(buf[pos]) != value.KindString {
+			dst.Append(fieldValue(buf, pos))
+		} else if s, ok := c.str(fieldBytes(buf, pos)); ok {
+			dst.Append(value.Str(s))
+		} else {
+			dst.Append(value.Str(fieldString(buf, pos)))
+		}
+	}
 }

@@ -115,15 +115,15 @@ func checkWindow(t *testing.T, w *RowWindow, rows []Row, cols []int) {
 			}
 			want = append(want, r)
 		}
-		if got := w.AppendRows(nil, s, cols); !sameRows(got, want) {
+		if got := w.AppendRows(nil, 0, s, cols); !sameRows(got, want) {
 			t.Errorf("AppendRows(sel=%v, cols=%v) = %v, want %v", s, cols, got, want)
 		}
-		checkEncoded(w.AppendEncoded(nil, s, cols), want, fmt.Sprintf("AppendEncoded(sel=%v, cols=%v)", s, cols))
+		checkEncoded(w.AppendEncoded(nil, 0, s, cols), want, fmt.Sprintf("AppendEncoded(sel=%v, cols=%v)", s, cols))
 	}
-	if got := w.AppendRows(nil, sel, nil); !sameRows(got, rows) {
+	if got := w.AppendRows(nil, 0, sel, nil); !sameRows(got, rows) {
 		t.Errorf("AppendRows(all columns) = %v, want %v", got, rows)
 	}
-	checkEncoded(w.AppendEncoded(nil, sel, nil), rows, "AppendEncoded(all columns)")
+	checkEncoded(w.AppendEncoded(nil, 0, sel, nil), rows, "AppendEncoded(all columns)")
 }
 
 // checkCanonical is checkWindow for a window over bytes EncodeRow wrote:
@@ -142,7 +142,7 @@ func checkCanonical(t *testing.T, w *RowWindow, rows []Row, cols []int) {
 		}
 		want = append(want, r)
 	}
-	if got := w.AppendEncoded([]byte("kept"), sel, cols); !bytes.Equal(got, append([]byte("kept"), encodeRun(want)...)) {
+	if got := w.AppendEncoded([]byte("kept"), 0, sel, cols); !bytes.Equal(got, append([]byte("kept"), encodeRun(want)...)) {
 		t.Errorf("AppendEncoded(sel=%v, cols=%v) is not EncodeRow's bytes for %v", sel, cols, want)
 	}
 }
@@ -447,4 +447,85 @@ func TestRowWindowStringDictionary(t *testing.T) {
 	}
 	load()
 	checkWindow(t, w, rows, []int{1, 0})
+}
+
+// TestColumnBuildersMatchFromRows holds the column-wise paths to the row-wise
+// reference over the decoder's awkward inputs and over a column whose strings
+// outgrow the dictionary: a vector built by AppendCol — from the fields, and
+// from the column's decoded vector; every row, every other row, none; at an
+// offset into a longer window — by ColVec.Append, or by Gather through a
+// position vector (a negative position a NULL) holds the values, in the
+// representation, that FromRows gives for the same rows; Slice cuts them.
+func TestColumnBuildersMatchFromRows(t *testing.T) {
+	corpus := corpusRows()
+	var many []Row
+	for i := 0; i < 3*maxDict; i++ {
+		many = append(many, Row{value.Str(fmt.Sprintf("high cardinality %d", i)), value.Str([]string{"low", "cardinality"}[i%2])})
+	}
+	for _, rows := range append(corpus, many) {
+		if len(rows) == 0 {
+			continue
+		}
+		width := len(rows[0])
+		lead := Row(make([]value.Value, width)) // a row of NULLs ahead of the rows: base 1
+		var sel, odd []int
+		var at []int32
+		for i := range rows {
+			sel = append(sel, i)
+			if at = append(at, int32(len(rows)-1-i)); i%2 == 1 {
+				odd = append(odd, i)
+				at[i] = -1
+			}
+		}
+		for c := 0; c < width; c++ {
+			for _, decoded := range []bool{false, true} {
+				for _, s := range [][]int{sel, odd, nil} {
+					w, err := windowOf(encodeRun(append([]Row{lead}, rows...)), len(rows)+1, width)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if decoded {
+						w.Col(c)
+					}
+					var picked []Row
+					var got, appended ColVec
+					for _, i := range s {
+						picked = append(picked, rows[i])
+						appended.Append(rows[i][c])
+					}
+					w.AppendCol(&got, c, 1, s[:len(s)/2])
+					w.AppendCol(&got, c, 1, s[len(s)/2:])
+					if want := FromRows(picked, c); len(s) > 0 && (!sameVec(&got, want) || !sameVec(&appended, want)) {
+						t.Errorf("column %d of %v at %v (decoded=%v): AppendCol = %+v, Append = %+v, FromRows = %+v", c, rows, s, decoded, got, appended, want)
+					}
+					if got.Len() != len(s) || appended.Len() != len(s) {
+						t.Errorf("column %d at %v: %d and %d elements, want %d", c, s, got.Len(), appended.Len(), len(s))
+					}
+				}
+			}
+			whole := FromRows(rows, c)
+			var reversed []Row
+			for _, a := range at {
+				r := Row(make([]value.Value, width))
+				if a >= 0 {
+					r = rows[a]
+				}
+				reversed = append(reversed, r)
+			}
+			var buf ColBuf
+			buf.Gather(whole, at[:1]) // the buffer is reused
+			if got, want := buf.Gather(whole, at), FromRows(reversed, c); !sameVec(got, want) {
+				t.Errorf("column %d of %v: Gather(%v) = %+v, want %+v", c, rows, at, got, want)
+			}
+			if got, want := whole.Slice(1, len(rows)), FromRows(rows[1:], c); len(rows) > 1 && got.Len() != want.Len() {
+				t.Errorf("column %d: Slice holds %d elements, want %d", c, got.Len(), want.Len())
+			} else {
+				for i := 0; i < got.Len(); i++ {
+					if !sameValue(got.Value(i), rows[1+i][c]) {
+						t.Errorf("column %d: Slice element %d = %v, want %v", c, i, got.Value(i), rows[1+i][c])
+					}
+				}
+			}
+		}
+	}
 }

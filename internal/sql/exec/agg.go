@@ -35,55 +35,92 @@ func collectAggregates(exprs []ast.Expr) []aggSpec {
 	return specs
 }
 
-// accumulator incrementally computes one aggregate.
-type accumulator struct {
-	call     *ast.FuncCall
-	count    int64
-	sumF     float64
-	sumI     int64
-	isFloat  bool
-	min, max value.Value
-	distinct *keyTable
+// aggBinding substitutes, while the select list, HAVING and ORDER BY are
+// evaluated after aggregation, the current group's values for the expressions
+// they were computed from: the GROUP BY expressions and the aggregate calls,
+// each with a slot in vals. An expression is matched by its text, wherever and
+// however often it is written, but is rendered once: each node's slot — or that
+// it has none — is remembered by the node.
+type aggBinding struct {
+	byText map[string]int
+	byNode map[ast.Expr]int // -1: not substituted
+	vals   []value.Value    // the current group's values: GROUP BY's, then the aggregates'
 }
 
-func newAccumulator(call *ast.FuncCall) *accumulator {
-	a := &accumulator{call: call, min: value.Null(), max: value.Null()}
-	if call.Distinct {
-		a.distinct = newKeyTable(1, 0, false)
+func newAggBinding(groupBy []ast.Expr, specs []aggSpec) *aggBinding {
+	a := &aggBinding{byText: map[string]int{}, byNode: map[ast.Expr]int{}, vals: make([]value.Value, len(groupBy)+len(specs))}
+	for i, ge := range groupBy {
+		a.byText[ge.String()] = i
+	}
+	for i, s := range specs {
+		a.byText[s.key] = len(groupBy) + i
 	}
 	return a
 }
 
-// add folds one input row into the accumulator.
-func (a *accumulator) add(c *evalCtx, row schema.Row) error {
-	if a.call.Star {
-		a.count++
-		return nil
+// lookup returns the value bound to e, if e is substituted. A nil binding
+// substitutes nothing.
+func (a *aggBinding) lookup(e ast.Expr) (value.Value, bool) {
+	if a == nil {
+		return value.Value{}, false
 	}
-	v, err := c.withRow(row).eval(a.call.Args[0])
-	if err != nil {
-		return err
+	slot, seen := a.byNode[e]
+	if !seen {
+		var ok bool
+		if slot, ok = a.byText[e.String()]; !ok {
+			slot = -1
+		}
+		a.byNode[e] = slot
 	}
-	return a.addValue(v)
+	if slot < 0 {
+		return value.Value{}, false
+	}
+	return a.vals[slot], true
 }
 
-// addValue folds one already-evaluated argument value — the vectorized
-// aggregation path extracts the argument column per batch and feeds elements
-// here, so both paths share the accumulation (and its summation order).
-func (a *accumulator) addValue(v value.Value) error {
+// accumulator incrementally computes one aggregate over one group. The zero
+// accumulator is empty (but see aggState.open for DISTINCT).
+type accumulator struct {
+	count    int64
+	sumF     float64
+	sumI     int64
+	isFloat  bool
+	best     value.Value // MIN's or MAX's value so far
+	distinct *keyTable
+}
+
+// aggState is one aggregate call's accumulators, one per group, in one slab.
+type aggState struct {
+	call *ast.FuncCall
+	accs []accumulator
+}
+
+// open adds the accumulator of a new group.
+func (s *aggState) open() {
+	var a accumulator
+	if s.call.Distinct {
+		a.distinct = newKeyTable(1, 0, false)
+	}
+	s.accs = append(schema.Room(s.accs, 1), a)
+}
+
+// add folds one evaluated argument value into group g. Both execution modes
+// feed it in row order, so they share the accumulation and its summation order.
+func (s *aggState) add(g int, v value.Value) error {
 	if v.IsNull() {
 		return nil // aggregates ignore NULL inputs
 	}
+	a := &s.accs[g]
 	if a.distinct != nil {
 		if n := a.distinct.n; a.distinct.id([]value.Value{v}, true) < n {
 			return nil
 		}
 	}
 	a.count++
-	switch a.call.Name {
+	switch s.call.Name {
 	case "SUM", "AVG":
 		if !v.IsNumeric() {
-			return fmt.Errorf("exec: %s over %s", a.call.Name, v.Kind())
+			return fmt.Errorf("exec: %s over %s", s.call.Name, v.Kind())
 		}
 		if v.Kind() == value.KindFloat {
 			a.isFloat = true
@@ -92,20 +129,21 @@ func (a *accumulator) addValue(v value.Value) error {
 			a.sumI += v.AsInt()
 		}
 	case "MIN":
-		if a.min.IsNull() || value.MustCompare(v, a.min) < 0 {
-			a.min = v
+		if a.best.IsNull() || value.MustCompare(v, a.best) < 0 {
+			a.best = v
 		}
 	case "MAX":
-		if a.max.IsNull() || value.MustCompare(v, a.max) > 0 {
-			a.max = v
+		if a.best.IsNull() || value.MustCompare(v, a.best) > 0 {
+			a.best = v
 		}
 	}
 	return nil
 }
 
-// result finalizes the aggregate value.
-func (a *accumulator) result() value.Value {
-	switch a.call.Name {
+// result finalizes group g's aggregate value.
+func (s *aggState) result(g int) value.Value {
+	a := &s.accs[g]
+	switch s.call.Name {
 	case "COUNT":
 		return value.Int(a.count)
 	case "SUM":
@@ -121,66 +159,79 @@ func (a *accumulator) result() value.Value {
 			return value.Null()
 		}
 		return value.Float((a.sumF + float64(a.sumI)) / float64(a.count))
-	case "MIN":
-		return a.min
-	case "MAX":
-		return a.max
+	case "MIN", "MAX":
+		return a.best
 	}
 	return value.Null()
 }
 
-// group is one aggregation group under construction.
-type group struct {
-	keyVals []value.Value
-	repRow  schema.Row // representative input row (lenient column resolution)
-	accs    []*accumulator
+// grouped is the outcome of an aggregation pass: per group, in order of first
+// appearance, its GROUP BY values, the input row that opened it — the
+// representative the select list reads a non-aggregated column from — and one
+// accumulator per aggregate.
+type grouped struct {
+	n    int
+	keys []value.Value // the GROUP BY values, group after group
+	rep  []int32       // -1: the one group of an input without rows
+	aggs []aggState
+}
+
+// open adds a group that input row rep is the first of, with room for its
+// nk GROUP BY values.
+func (gr *grouped) open(rep, nk int) {
+	gr.n++
+	gr.rep, gr.keys = append(gr.rep, int32(rep)), schema.Room(gr.keys, nk)
+	for i := range gr.aggs {
+		gr.aggs[i].open()
+	}
+}
+
+// bind stores group g's values in a binding's slots.
+func (gr *grouped) bind(vals []value.Value, g int) {
+	nk := len(vals) - len(gr.aggs)
+	copy(vals, gr.keys[g*nk:(g+1)*nk])
+	for i := range gr.aggs {
+		vals[nk+i] = gr.aggs[i].result(g)
+	}
 }
 
 // aggregate groups in by groupBy (empty = one global group, which needs no
-// key table) and computes specs; returns one substitution map and
-// representative row per group, in order of first appearance.
-func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env *Env, subs map[ast.Expr]*subEval) ([]map[string]value.Value, []schema.Row, error) {
-	ctx := newCtxWith(b, in.Sch, env, nil, subs)
-	var groups []*group // by key id
+// key table) and computes specs.
+func (b *builder) aggregate(in *joinChain, groupBy []ast.Expr, specs []aggSpec, env *Env, subs map[ast.Expr]*subEval) (*grouped, error) {
+	ctx := newCtxWith(b, in.sch, env, nil, subs)
+	gr := &grouped{aggs: make([]aggState, len(specs))}
 	var table *keyTable
 	if len(groupBy) > 0 {
 		table = newKeyTable(len(groupBy), 0, true)
 	}
-	// Ids are dense in order of first appearance: a row whose id is
-	// len(groups) opens the next group.
-	newGroup := func(keyVals []value.Value, row schema.Row) {
-		g := &group{keyVals: keyVals, repRow: row, accs: make([]*accumulator, len(specs))}
-		for i, s := range specs {
-			g.accs[i] = newAccumulator(s.call)
-		}
-		groups = append(groups, g)
-	}
-
 	pass := append([]ast.Expr{}, groupBy...)
-	for _, s := range specs {
+	for i, s := range specs {
+		gr.aggs[i].call = s.call
 		if !s.call.Star {
 			pass = append(pass, s.call.Args[0])
 		}
 	}
+	// Ids are dense in order of first appearance: a row whose id is gr.n opens
+	// the next group.
 	if b.vec() {
 		// Vectorized grouping: group keys and aggregate arguments are
-		// extracted column-wise per batch, then rows fold into their groups
-		// in order (first appearance still fixes the output order, and the
-		// sequential fold preserves float summation order).
+		// extracted column-wise per batch of the chain, then rows fold into
+		// their groups in order (first appearance still fixes the output order,
+		// and the sequential fold preserves float summation order).
 		keyCols := make([]*schema.ColVec, len(groupBy))
 		argCols := make([]*schema.ColVec, len(specs))
 		var ids []int32
 		if table != nil {
-			ids = make([]int32, min(b.batchRows, len(in.Rows)))
+			ids = make([]int32, min(b.batchRows, in.n))
 		}
-		for off := 0; off < len(in.Rows); off += b.batchRows {
+		for off := 0; off < in.n; off += b.batchRows {
 			ctx.nextBatch()
-			bt := NewBatch(in.Sch, in.Rows[off:min(off+b.batchRows, len(in.Rows))])
+			bt := in.batch(off, min(off+b.batchRows, in.n))
 			sel := b.fullSel(bt.Len())
 			for i, ge := range groupBy {
 				cv, err := ctx.evalVec(ge, bt, sel)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				keyCols[i] = cv
 			}
@@ -190,7 +241,7 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 				}
 				cv, err := ctx.evalVec(s.call.Args[0], bt, sel)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				argCols[i] = cv
 			}
@@ -198,85 +249,66 @@ func (b *builder) aggregate(in *Result, groupBy []ast.Expr, specs []aggSpec, env
 				table.ids(keyCols, bt.Len(), true, ids)
 			}
 			for j := 0; j < bt.Len(); j++ {
-				var id int32
+				id := 0
 				if table != nil {
-					id = ids[j]
+					id = int(ids[j])
 				}
-				if int(id) == len(groups) {
-					keyVals := make([]value.Value, len(groupBy))
-					for i, cv := range keyCols {
-						keyVals[i] = cv.Value(j)
+				if id == gr.n {
+					gr.open(off+j, len(keyCols))
+					for _, cv := range keyCols {
+						gr.keys = append(gr.keys, cv.Value(j))
 					}
-					newGroup(keyVals, bt.Rows[j])
 				}
-				for si, acc := range groups[id].accs {
-					if acc.call.Star {
-						acc.count++
-						continue
-					}
-					if err := acc.addValue(argCols[si].Value(j)); err != nil {
-						return nil, nil, err
+				for si := range gr.aggs {
+					st := &gr.aggs[si]
+					if st.call.Star {
+						st.accs[id].count++
+					} else if err := st.add(id, argCols[si].Value(j)); err != nil {
+						return nil, err
 					}
 				}
 			}
 		}
 	} else {
 		keyVals := make([]value.Value, len(groupBy))
-		for _, row := range in.Rows {
+		for n, row := range in.parts[0].Rows {
 			rc := ctx.withRow(row)
 			for i, ge := range groupBy {
 				v, err := rc.eval(ge)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				keyVals[i] = v
 			}
-			var id int32
+			id := 0
 			if table != nil {
-				id = table.id(keyVals, true)
+				id = int(table.id(keyVals, true))
 			}
-			if int(id) == len(groups) {
-				newGroup(append([]value.Value(nil), keyVals...), row)
+			if id == gr.n {
+				gr.open(n, len(keyVals))
+				gr.keys = append(gr.keys, keyVals...)
 			}
-			for _, acc := range groups[id].accs {
-				if err := acc.add(ctx, row); err != nil {
-					return nil, nil, err
+			for si := range gr.aggs {
+				st := &gr.aggs[si]
+				if st.call.Star {
+					st.accs[id].count++
+					continue
+				}
+				v, err := rc.eval(st.call.Args[0])
+				if err != nil {
+					return nil, err
+				}
+				if err := st.add(id, v); err != nil {
+					return nil, err
 				}
 			}
 		}
 	}
-	b.chargePass(len(in.Rows), pass)
+	b.chargePass(in.n, pass)
 
 	// Global aggregation over zero rows still yields one group.
-	if len(groupBy) == 0 && len(groups) == 0 {
-		newGroup(nil, nil)
+	if len(groupBy) == 0 && gr.n == 0 {
+		gr.open(-1, 0)
 	}
-
-	maps := make([]map[string]value.Value, 0, len(groups))
-	reps := make([]schema.Row, 0, len(groups))
-	for _, g := range groups {
-		m := make(map[string]value.Value, len(groupBy)+len(specs))
-		for i, ge := range groupBy {
-			m[ge.String()] = g.keyVals[i]
-		}
-		for i, s := range specs {
-			m[s.key] = g.accs[i].result()
-		}
-		maps = append(maps, m)
-		reps = append(reps, g.repRow)
-	}
-	return maps, reps, nil
-}
-
-// aggregateRows computes a single aggregate call over a row set (used by
-// correlated scalar subqueries).
-func aggregateRows(b *builder, call *ast.FuncCall, sch *schema.Schema, rows []schema.Row, env *Env) (value.Value, error) {
-	acc := newAccumulator(call)
-	ctx := newCtx(b, sch, env)
-	for _, r := range rows {
-		if err := acc.add(ctx, r); err != nil {
-			return value.Null(), err
-		}
-	}
-	return acc.result(), nil
+	return gr, nil
 }

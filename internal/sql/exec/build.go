@@ -4,33 +4,41 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/value"
 )
 
-// buildSelect plans and executes one SELECT (possibly a subquery). offers are
-// semi-join reducers for its FROM entries' scans from outside the statement.
+// buildInput executes a statement's FROM and WHERE clauses: the joined input
+// of its select list. offers are semi-join reducers for its FROM entries' scans
+// from outside the statement; emit lets the scan of a statement that merely
+// selects columns of its one table emit the statement's rows itself.
+func (b *builder) buildInput(sel *ast.Select, env *Env, emit bool, offers []*semiReducer) (*joinChain, error) {
+	input, remaining, err := b.buildFrom(sel, env, emit, offers)
+	if err == nil && len(remaining) > 0 {
+		input, err = b.filter(input, ast.JoinConjuncts(remaining), env)
+	}
+	return input, err
+}
+
+// buildSelect plans and executes one SELECT (possibly a subquery). The result
+// is boxed — the select list is where rows are made — or, for the fragment
+// that merely ships columns, encoded.
 func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer) (*Result, error) {
-	input, remaining, err := b.buildFrom(sel, env, offers)
+	input, err := b.buildInput(sel, env, true, offers)
 	if err != nil {
 		return nil, err
 	}
-	if len(remaining) > 0 {
-		input, err = b.applyFilter(input, ast.JoinConjuncts(remaining), env)
-		if err != nil {
-			return nil, err
-		}
-	}
 
-	items := expandStars(sel.Items, input.Sch)
+	items := expandStars(sel.Items, input.sch)
 	outSch := schema.New()
 	for i, it := range items {
-		outSch.Columns = append(outSch.Columns, schema.Col(displayName(it, i), inferKind(it.Expr, input.Sch, env)))
+		outSch.Columns = append(outSch.Columns, schema.Col(displayName(it, i), inferKind(it.Expr, input.sch, env)))
 	}
-	if cols := bareColumns(sel, items, input.Sch); cols != nil {
-		return b.selectColumns(sel, input, cols, outSch), nil
+	if res := b.passThrough(sel, items, input, outSch); res != nil {
+		return res, nil
 	}
 
 	aliasMap := map[string]ast.Expr{}
@@ -49,7 +57,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 			}
 			e = items[n-1].Expr
 		}
-		return substituteAliases(e, aliasMap, input.Sch), nil
+		return substituteAliases(e, aliasMap, input.sch), nil
 	}
 	groupBy := make([]ast.Expr, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
@@ -57,7 +65,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 			return nil, err
 		}
 	}
-	having := substituteAliases(sel.Having, aliasMap, input.Sch)
+	having := substituteAliases(sel.Having, aliasMap, input.sch)
 	orderExprs := make([]ast.Expr, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {
 		if orderExprs[i], err = resolve("ORDER BY", o.Expr); err != nil {
@@ -99,6 +107,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 			res.Rows = make([]schema.Row, 0, n)
 		}
 	}
+	batched := 0 // rows emitted out of per-batch arrays (the vectorized projection)
 	var seen *keyTable
 	if sel.Distinct {
 		seen = newKeyTable(len(items), 0, true)
@@ -115,22 +124,46 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 			res.Rows = append(res.Rows, row)
 		}
 	}
+	// project emits the select list, beside the order keys, over ctx's row.
+	exprs := make([]ast.Expr, 0, len(items)+len(orderExprs))
+	for _, it := range items {
+		exprs = append(exprs, it.Expr)
+	}
+	exprs = append(exprs, orderExprs...)
+	project := func(ctx *evalCtx) error {
+		vals := make([]value.Value, len(exprs))
+		for i, e := range exprs {
+			v, err := ctx.eval(e)
+			if err != nil {
+				return err
+			}
+			vals[i] = v
+		}
+		emit(vals[:len(items):len(items)], vals[len(items):])
+		return nil
+	}
 
 	if hasAgg {
 		specs := collectAggregates(all)
-		subs, err := b.prepareSubqueries(append(append([]ast.Expr{}, all...), groupBy...), input.Sch, nil, env)
+		subs, err := b.prepareSubqueries(append(append([]ast.Expr{}, all...), groupBy...), input.sch, nil, env)
 		if err != nil {
 			return nil, err
 		}
-		maps, reps, err := b.aggregate(input, groupBy, specs, env, subs)
+		groups, err := b.aggregate(input, groupBy, specs, env, subs)
 		if err != nil {
 			return nil, err
 		}
-		b.trace.addf("hash aggregate (%d keys, %d aggregates): %d -> %d groups", len(groupBy), len(specs), len(input.Rows), len(maps))
-		reserve(len(maps))
-		gctx := newCtxWith(b, input.Sch, env, nil, subs)
-		for gi, m := range maps {
-			ctx := gctx.withRow(reps[gi]).withAgg(m)
+		b.trace.addf("hash aggregate (%d keys, %d aggregates): %d -> %d groups", len(groupBy), len(specs), input.n, groups.n)
+		reserve(groups.n)
+		// One context serves every group: the binding's slots take the group's
+		// values, the row its representative's columns.
+		binding := newAggBinding(groupBy, specs)
+		ctx := newCtxWith(b, input.sch, env, binding, subs)
+		ctx.row = make(schema.Row, input.sch.Len())
+		rep := input.view(ctx.row, 0, ctx.reads(all...))
+		for g := 0; g < groups.n; g++ {
+			groups.bind(binding.vals, g)
+			rep.load(int(groups.rep[g]))
 			if having != nil {
 				hv, err := ctx.eval(having)
 				if err != nil {
@@ -140,92 +173,44 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 					continue
 				}
 			}
-			row := make(schema.Row, len(items))
-			for i, it := range items {
-				v, err := ctx.eval(it.Expr)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			keys, err := evalOrderKeys(ctx, orderExprs)
-			if err != nil {
+			if err := project(ctx); err != nil {
 				return nil, err
 			}
-			emit(row, keys)
 		}
 	} else {
-		subs, err := b.prepareSubqueries(all, input.Sch, input, env)
+		subs, err := b.prepareSubqueries(all, input.sch, input, env)
 		if err != nil {
 			return nil, err
 		}
-		reserve(len(input.Rows))
-		ctx := newCtxWith(b, input.Sch, env, nil, subs)
-		itemExprs := make([]ast.Expr, len(items))
-		for i, it := range items {
-			itemExprs[i] = it.Expr
-		}
+		reserve(input.n)
+		ctx := newCtxWith(b, input.sch, env, nil, subs)
 		if b.vec() {
 			// Vectorized projection: each output column (and order key) is
-			// computed as a whole vector per batch.
-			for off := 0; off < len(input.Rows); off += b.batchRows {
-				end := off + b.batchRows
-				if end > len(input.Rows) {
-					end = len(input.Rows)
-				}
+			// computed as a whole vector per batch, and the batch's rows are
+			// boxed from them, each beside its order keys.
+			cols := make([]*schema.ColVec, len(exprs))
+			for off := 0; off < input.n; off += b.batchRows {
 				ctx.nextBatch()
-				bt := NewBatch(input.Sch, input.Rows[off:end])
+				bt := input.batch(off, min(off+b.batchRows, input.n))
 				sel := b.fullSel(bt.Len())
-				cols := make([]*schema.ColVec, len(items))
-				for i := range items {
-					cv, err := ctx.evalVec(itemExprs[i], bt, sel)
-					if err != nil {
+				for i, e := range exprs {
+					if cols[i], err = ctx.evalVec(e, bt, sel); err != nil {
 						return nil, err
 					}
-					cols[i] = cv
 				}
-				keyCols := make([]*schema.ColVec, len(orderExprs))
-				for i, e := range orderExprs {
-					cv, err := ctx.evalVec(e, bt, sel)
-					if err != nil {
-						return nil, err
-					}
-					keyCols[i] = cv
+				for slab := boxed(cols, sel); len(slab) > 0; slab = slab[len(exprs):] {
+					emit(slab[:len(items):len(items)], slab[len(items):len(exprs)])
 				}
-				for j := 0; j < bt.Len(); j++ {
-					row := make(schema.Row, len(items))
-					for i := range items {
-						row[i] = cols[i].Value(j)
-					}
-					var keys []value.Value
-					if ordered {
-						keys = make([]value.Value, len(orderExprs))
-						for i := range orderExprs {
-							keys[i] = keyCols[i].Value(j)
-						}
-					}
-					emit(row, keys)
-				}
+				batched += bt.Len()
 			}
 		} else {
-			for _, in := range input.Rows {
-				rc := ctx.withRow(in)
-				row := make(schema.Row, len(items))
-				for i, it := range items {
-					v, err := rc.eval(it.Expr)
-					if err != nil {
-						return nil, err
-					}
-					row[i] = v
-				}
-				keys, err := evalOrderKeys(rc, orderExprs)
-				if err != nil {
+			for _, in := range input.parts[0].Rows {
+				if err := project(ctx.withRow(in)); err != nil {
 					return nil, err
 				}
-				emit(row, keys)
 			}
 		}
-		b.chargePass(len(input.Rows), append(itemExprs, orderExprs...))
+		b.chargePass(input.n, exprs)
 	}
 
 	if ordered {
@@ -254,6 +239,25 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 		}
 	}
 	b.limit(sel, res)
+	if sel == b.stmt {
+		// The statement's result outlives the statement, and what it keeps
+		// alive should be its own size: a row that DISTINCT or LIMIT left of a
+		// batch is copied out of the batch's array, and a string — which may
+		// be cut from the one string that holds a whole window's column
+		// (RowWindow.Col) — out of that. The rows are the select list's own, so
+		// they can be rewritten.
+		for k, row := range res.Rows {
+			if len(res.Rows) < batched {
+				row = row.Clone()
+				res.Rows[k] = row
+			}
+			for i, v := range row {
+				if v.Kind() == value.KindString {
+					row[i] = value.Str(strings.Clone(v.AsString()))
+				}
+			}
+		}
+	}
 	return res, nil
 }
 
@@ -273,69 +277,31 @@ func plainSelect(sel *ast.Select) bool {
 	return !sel.Distinct && len(sel.OrderBy) == 0 && len(sel.GroupBy) == 0 && sel.Having == nil
 }
 
-// bareColumns returns, for a plain SELECT whose projection merely selects
-// columns of its input — every item a column reference that resolves in the
-// input schema — the input position of each output column; nil for any other
-// statement.
-func bareColumns(sel *ast.Select, items []ast.SelectItem, sch *schema.Schema) []int {
-	if !plainSelect(sel) {
+// passThrough is the projection of a plain SELECT whose select list names
+// every input column in order, over an input that is one boxed or encoded
+// result — a derived table, rows a relation held boxed, the rows the statement's
+// own scan emitted (see scanOutput): nothing is computed, and the rows are
+// handed on as they are, in whichever form they are in — boxed rows are never
+// written after they are built. It charges what the computed projection
+// charges for the same input. For every other statement it returns nil.
+func (b *builder) passThrough(sel *ast.Select, items []ast.SelectItem, input *joinChain, outSch *schema.Schema) *Result {
+	in := input.parts[0]
+	if !plainSelect(sel) || len(items) != input.sch.Len() || len(input.parts) > 1 || input.idx[0] != nil || in.cols != nil {
 		return nil
 	}
-	cols := make([]int, len(items))
 	for i, it := range items {
-		ref, ok := it.Expr.(*ast.ColumnRef)
-		if !ok {
-			return nil
-		}
-		if cols[i] = sch.IndexOf(ref.FullName()); cols[i] < 0 {
-			return nil // an outer column, or unknown: the evaluator decides
+		if ref, ok := it.Expr.(*ast.ColumnRef); !ok || input.sch.IndexOf(ref.FullName()) != i {
+			return nil // computed, reordered, an outer column, or unknown: the evaluator decides
 		}
 	}
-	return cols
-}
-
-// selectColumns is the projection of a statement that merely selects columns
-// (see bareColumns): nothing is computed, so no vector is built and no value
-// is re-boxed. Selecting every input column in order hands the input rows on
-// as they are, in whichever form they are in — boxed rows are never written
-// after they are built, which is what lets filters and joins share them
-// already. Anything else copies the chosen values, once. It charges what the
-// computed projection charges for the same input.
-func (b *builder) selectColumns(sel *ast.Select, input *Result, cols []int, outSch *schema.Schema) *Result {
-	n := input.NumRows()
-	b.chargePass(n, nil)
-	identity := len(cols) == input.Sch.Len()
-	for i, c := range cols {
-		identity = identity && c == i
-	}
-	res := &Result{Sch: outSch}
-	if identity {
-		b.trace.addf("project: pass-through")
-		res.Rows, res.enc, res.n = input.Rows, input.enc, input.n
-		if res.Rows == nil && res.enc == nil {
-			res.Rows = []schema.Row{}
-		}
-	} else {
-		b.trace.addf("project: %d of %d columns", len(cols), input.Sch.Len())
-		res.Rows = NewBatch(input.Sch, input.Rows).AppendRows(make([]schema.Row, 0, n), b.fullSel(n), cols)
+	b.chargePass(input.n, nil)
+	b.trace.addf("project: pass-through")
+	res := &Result{Sch: outSch, Rows: in.Rows, enc: in.enc, n: in.n}
+	if res.Rows == nil && res.enc == nil {
+		res.Rows = []schema.Row{}
 	}
 	b.limit(sel, res) // the scan only encodes for a statement without LIMIT
 	return res
-}
-
-func evalOrderKeys(ctx *evalCtx, orderExprs []ast.Expr) ([]value.Value, error) {
-	if len(orderExprs) == 0 {
-		return nil, nil
-	}
-	keys := make([]value.Value, len(orderExprs))
-	for i, e := range orderExprs {
-		v, err := ctx.eval(e)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
-	}
-	return keys, nil
 }
 
 // expandStars replaces SELECT * items with one item per input column.
@@ -421,14 +387,14 @@ func substituteAliases(e ast.Expr, aliases map[string]ast.Expr, sch *schema.Sche
 	}
 }
 
-// buildFrom materializes the FROM clause, consuming WHERE conjuncts usable
-// for pushdown and join keys; it returns the joined input and the leftover
+// buildFrom executes the FROM clause, consuming WHERE conjuncts usable for
+// pushdown and join keys; it returns the joined input and the leftover
 // conjuncts. offers are reducers whose source is not a FROM entry, each for
-// the scan of the one entry that resolves its keys.
-func (b *builder) buildFrom(sel *ast.Select, env *Env, offers []*semiReducer) (*Result, []ast.Expr, error) {
+// the scan of the one entry that resolves its keys; emit is buildInput's.
+func (b *builder) buildFrom(sel *ast.Select, env *Env, emit bool, offers []*semiReducer) (*joinChain, []ast.Expr, error) {
 	conjs := factorCommonDisjuncts(ast.SplitConjuncts(sel.Where))
 	if len(sel.From) == 0 {
-		return &Result{Sch: schema.New(), Rows: []schema.Row{{}}}, conjs, nil
+		return chainOf(&Result{Sch: schema.New(), Rows: []schema.Row{{}}}), conjs, nil
 	}
 
 	used := make([]bool, len(conjs))
@@ -443,7 +409,7 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env, offers []*semiReducer) (*
 	// the scan then emits the statement's rows, and the top-level statement of
 	// a storage-side fragment may leave them encoded.
 	var out *scanOutput
-	if len(sel.From) == 1 && plainSelect(sel) {
+	if emit && len(sel.From) == 1 && plainSelect(sel) {
 		out = &scanOutput{
 			encode: b.fragment && sel == b.stmt && sel.Limit < 0,
 			columns: func(full *schema.Schema, keep []int) ([]int, bool) {
@@ -471,7 +437,7 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env, offers []*semiReducer) (*
 	// lost rows to its own scan and that an equality links it to (semiReducer)
 	// — no outer reference: splitEquiKey gets no env — which the join applies,
 	// and the offers whose keys it resolves.
-	rels := make([]*Result, len(sel.From))
+	rels := make([]*joinChain, len(sel.From))
 	semi := make([]semiScan, len(sel.From))
 	reducing := b.vec() && !explicit
 	offered := append(offers, b.inSetOffers(conjs, reducing, env)...)
@@ -502,7 +468,7 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env, offers []*semiReducer) (*
 						if used[k] || complex[k] {
 							continue
 						}
-						if ks, kd, ok := splitEquiKey(c, rels[j].Sch, sch, nil); ok {
+						if ks, kd, ok := splitEquiKey(c, rels[j].sch, sch, nil); ok {
 							rd.srcKeys, rd.keys = append(rd.srcKeys, ks), append(rd.keys, kd)
 						}
 					}
@@ -534,17 +500,18 @@ func (b *builder) buildFrom(sel *ast.Select, env *Env, offers []*semiReducer) (*
 
 	cur := rels[0] // a lone entry is the FROM clause's result as it stands
 	if len(rels) > 1 {
-		var chain *joinChain
 		var err error
 		if explicit {
-			chain, err = b.assembleSequential(sel.From, rels, conjs, used, complex, env)
+			cur, err = b.assembleSequential(sel.From, rels, conjs, used, complex, env)
 		} else {
-			chain, err = b.assembleGreedy(rels, semi, conjs, used, complex, env)
+			cur, err = b.assembleGreedy(rels, semi, conjs, used, complex, env)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-		cur = b.materialize(chain)
+		if b.vec() {
+			b.trace.addf("join chain: %d joins, %d rows x %d columns by position", cur.joins, cur.n, cur.sch.Len())
+		}
 	}
 
 	var remaining []ast.Expr
@@ -599,10 +566,9 @@ func factorCommonDisjuncts(conjs []ast.Expr) []ast.Expr {
 }
 
 // assembleSequential joins refs strictly left to right (required when
-// explicit JOIN clauses are present). Inner joins extend the chain; a left
-// outer join materializes it and starts a new one from its output.
-func (b *builder) assembleSequential(refs []ast.TableRef, rels []*Result, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
-	cur := chainOf(rels[0])
+// explicit JOIN clauses are present).
+func (b *builder) assembleSequential(refs []ast.TableRef, rels []*joinChain, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
+	cur := rels[0]
 	for i := 1; i < len(refs); i++ {
 		right := rels[i]
 		if j := refs[i].Join; j != nil {
@@ -610,12 +576,12 @@ func (b *builder) assembleSequential(refs []ast.TableRef, rels []*Result, conjs 
 			var keysL, keysR, residual []ast.Expr
 			var rightOnly []ast.Expr
 			for _, c := range onConjs {
-				if kl, kr, ok := splitEquiKey(c, cur.sch, right.Sch, env); ok {
+				if kl, kr, ok := splitEquiKey(c, cur.sch, right.sch, env); ok {
 					keysL = append(keysL, kl)
 					keysR = append(keysR, kr)
 					continue
 				}
-				if refsIn(c, right.Sch) && resolvableIn(c, right.Sch, env, true) && !refsIn(c, cur.sch) {
+				if refsIn(c, right.sch) && resolvableIn(c, right.sch, env, true) && !refsIn(c, cur.sch) {
 					rightOnly = append(rightOnly, c)
 					continue
 				}
@@ -623,21 +589,18 @@ func (b *builder) assembleSequential(refs []ast.TableRef, rels []*Result, conjs 
 			}
 			if len(rightOnly) > 0 {
 				var err error
-				right, err = b.applyFilter(right, ast.JoinConjuncts(rightOnly), env)
+				right, err = b.filter(right, ast.JoinConjuncts(rightOnly), env)
 				if err != nil {
 					return nil, err
 				}
 			}
 			var err error
 			if j.Kind == ast.JoinLeftOuter {
-				var out *Result
-				if out, err = b.hashLeftJoin(b.materialize(cur), right, keysL, keysR, ast.JoinConjuncts(residual), env); err == nil {
-					cur = chainOf(out)
-				}
+				cur, err = b.hashLeftJoin(cur, right, keysL, keysR, ast.JoinConjuncts(residual), env)
 			} else {
 				cur, err = b.hashInnerJoin(cur, right, keysL, keysR, env)
 				if err == nil && len(residual) > 0 {
-					cur, err = b.filterChain(cur, ast.JoinConjuncts(residual), env)
+					cur, err = b.filter(cur, ast.JoinConjuncts(residual), env)
 				}
 			}
 			if err != nil {
@@ -674,20 +637,20 @@ func (b *builder) filterResolvable(cur *joinChain, conjs []ast.Expr, used, compl
 	if len(post) == 0 {
 		return cur, nil
 	}
-	return b.filterChain(cur, ast.JoinConjuncts(post), env)
+	return b.filter(cur, ast.JoinConjuncts(post), env)
 }
 
 // assembleGreedy orders comma-joined relations by equi-join connectivity to
 // avoid cross products (TPC-H lists tables in arbitrary order). Every choice
 // breaks ties towards the lowest FROM position, so the row order is a
 // function of the statement and the data.
-func (b *builder) assembleGreedy(rels []*Result, semi []semiScan, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
+func (b *builder) assembleGreedy(rels []*joinChain, semi []semiScan, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
 	joined := make([]bool, len(rels))
-	cur := chainOf(rels[0])
+	cur := rels[0]
 	for n := 1; n < len(rels); n++ {
 		pick := -1
 		for i := 1; i < len(rels) && pick < 0; i++ {
-			if !joined[i] && hasEquiLink(conjs, used, complex, cur.sch, rels[i].Sch, env) {
+			if !joined[i] && hasEquiLink(conjs, used, complex, cur.sch, rels[i].sch, env) {
 				pick = i
 			}
 		}
@@ -695,7 +658,7 @@ func (b *builder) assembleGreedy(rels []*Result, semi []semiScan, conjs []ast.Ex
 			// No connecting predicate: cross join the smallest relation, by
 			// the size its scan would have left it without semi-join reduction.
 			for i := 1; i < len(rels); i++ {
-				if !joined[i] && (pick < 0 || len(rels[i].Rows)+semi[i].cut < len(rels[pick].Rows)+semi[pick].cut) {
+				if !joined[i] && (pick < 0 || rels[i].n+semi[i].cut < rels[pick].n+semi[pick].cut) {
 					pick = i
 				}
 			}
@@ -712,13 +675,13 @@ func (b *builder) assembleGreedy(rels []*Result, semi []semiScan, conjs []ast.Ex
 
 // joinWithWhere joins cur with right using applicable WHERE equi-conjuncts,
 // then applies newly-resolvable WHERE conjuncts.
-func (b *builder) joinWithWhere(cur *joinChain, right *Result, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
+func (b *builder) joinWithWhere(cur, right *joinChain, conjs []ast.Expr, used, complex []bool, env *Env) (*joinChain, error) {
 	var keysL, keysR []ast.Expr
 	for j, c := range conjs {
 		if used[j] || complex[j] {
 			continue
 		}
-		if kl, kr, ok := splitEquiKey(c, cur.sch, right.Sch, env); ok {
+		if kl, kr, ok := splitEquiKey(c, cur.sch, right.sch, env); ok {
 			keysL = append(keysL, kl)
 			keysR = append(keysR, kr)
 			used[j] = true
@@ -808,27 +771,29 @@ func scanColumns(items []ast.SelectItem, full *schema.Schema, keep []int) ([]int
 	return cols, true
 }
 
-// buildRef materializes one FROM entry with a qualified schema, filtered by
-// the conjuncts pushed down to it: pushdown(sch) claims them given the
-// entry's schema and returns their conjunction (nil for none).
+// buildRef executes one FROM entry with a qualified schema, filtered by the
+// conjuncts pushed down to it: pushdown(sch) claims them given the entry's
+// schema and returns their conjunction (nil for none).
 //
-// A stored table in vector mode is scanned late-materializing: per window
-// the predicate runs over column vectors decoded straight from the pages,
-// and only the rows it keeps are boxed, narrowed to the columns the statement
-// references anywhere — or, when the statement is nothing but this scan (out,
-// nil otherwise), to exactly its select list, and then possibly not boxed at
-// all.
-func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *semiScan, pushdown func(*schema.Schema) ast.Expr) (*Result, error) {
+// A stored table in vector mode is scanned late-materializing: per window the
+// predicate runs over column vectors decoded straight from the pages, and only
+// the rows it keeps are copied, column by column, into the entry's vectors,
+// narrowed to the columns the statement references anywhere. When the
+// statement is nothing but this scan (out, nil otherwise) the scan emits its
+// select list instead: the kept rows boxed, or encoded.
+func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *semiScan, pushdown func(*schema.Schema) ast.Expr) (*joinChain, error) {
+	filtered := func(res *Result) (*joinChain, error) {
+		if pred := pushdown(res.Sch); pred != nil {
+			return b.filter(chainOf(res), pred, env)
+		}
+		return chainOf(res), nil
+	}
 	if ref.Subquery != nil {
 		sub, err := b.buildSelect(ref.Subquery, env)
 		if err != nil {
 			return nil, err
 		}
-		res := &Result{Sch: sub.Sch.Qualify(ref.Name()), Rows: sub.Rows}
-		if pred := pushdown(res.Sch); pred != nil {
-			return b.applyFilter(res, pred, env)
-		}
-		return res, nil
+		return filtered(&Result{Sch: sub.Sch.Qualify(ref.Name()), Rows: sub.Rows})
 	}
 	rel, err := b.cat.Relation(ref.Table)
 	if err != nil {
@@ -849,10 +814,7 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 		scanned = len(res.Rows)
 		b.chargeRows(int64(scanned))
 		b.trace.addf("scan %s as %s -> %d rows", ref.Table, ref.Name(), scanned)
-		if pred := pushdown(full); pred != nil {
-			return b.applyFilter(res, pred, env)
-		}
-		return res, nil
+		return filtered(res)
 	}
 
 	if b.refs == nil {
@@ -861,11 +823,20 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 	cols := b.refs.keep(ref.Table, full)
 	res.Sch = full.Select(cols)
 	pred := pushdown(res.Sch)
-	encode := false
+	emit, encode := false, false
 	if out != nil {
 		if c, ok := out.columns(full, cols); ok {
-			cols, encode = c, out.encode
+			cols, emit, encode = c, true, out.encode
 			res.Sch = full.Select(cols)
+		}
+	}
+	if !emit {
+		if cols == nil {
+			cols = b.fullSel(full.Len())
+		}
+		res.cols = make([]*schema.ColVec, len(cols))
+		for i := range res.cols {
+			res.cols[i] = &schema.ColVec{}
 		}
 	}
 	// The predicate reads table columns, so it resolves against the full
@@ -876,6 +847,10 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 	if semi.reducers != nil {
 		reducers = semi.reducers(res.Sch)
 	}
+	// A result's vectors are its own — no next window recycles them — so while
+	// a scan of one keeps every row it copies nothing: its columns are shared.
+	src, held := rel.(*Result)
+	share := held && !emit
 	if err := br.ScanBatch(b.batchRows, func(bt *Batch) error {
 		ctx.nextBatch()
 		n := bt.Len()
@@ -897,15 +872,36 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 				return err
 			}
 		}
-		if encode {
+		switch {
+		case encode:
 			res.enc = bt.AppendEncoded(res.enc, keep, cols)
-			res.n += len(keep)
-		} else {
+		case emit:
 			res.Rows = bt.AppendRows(res.Rows, keep, cols)
+		case share && len(keep) == n:
+		default:
+			for i, c := range cols {
+				for off := 0; share && off < res.n; off += b.batchRows {
+					res.cols[i].AppendSel(src.col(c), off, b.fullSel(min(b.batchRows, res.n-off)))
+				}
+				bt.AppendCol(res.cols[i], c, keep)
+			}
+			share = false
+		}
+		res.n += len(keep)
+		if PoisonRecycledVectors && bt.win != nil && !held {
+			for c := range full.Columns {
+				bt.Col(c).Poison()
+			}
 		}
 		return nil
 	}); err != nil {
 		return nil, err
+	}
+	for i, c := range cols {
+		if !share {
+			break
+		}
+		res.cols[i] = src.col(c)
 	}
 	b.trace.addf("scan %s as %s -> %d rows", ref.Table, ref.Name(), scanned)
 	if pred != nil {
@@ -916,11 +912,11 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 			b.trace.addf("semi-join reduce on [%s] from %s: %d -> %d rows (%d probed)", exprsText(rd.keys), rd.name, rd.in, rd.in-rd.rejected, rd.probed)
 		}
 	}
-	semi.lost, semi.cut = res.NumRows() < scanned, passed-res.NumRows()
+	semi.lost, semi.cut = res.n < scanned, passed-res.n
 	if encode {
 		b.trace.addf("fragment: encoded reply, %d rows", res.n)
 	}
-	return res, nil
+	return chainOf(res), nil
 }
 
 // semiScan is what buildFrom asks of one FROM entry's scan — the reducers the
@@ -946,7 +942,7 @@ type semiScan struct {
 // sits out twice as many windows as the last time.
 type semiReducer struct {
 	name          string // the source's name in the statement
-	src           *Result
+	src           *joinChain
 	env           *Env
 	sub           *subEval
 	srcKeys, keys []ast.Expr // paired: src's side, the scanned entry's side
@@ -959,7 +955,7 @@ type semiReducer struct {
 // reduce returns the positions among keep of bt's rows that may join src. The
 // result is valid as long as the scan's batch is (ctx.nextBatch).
 func (rd *semiReducer) reduce(b *builder, ctx *evalCtx, bt *Batch, keep []int) ([]int, error) {
-	if rd.in += len(keep); len(keep) == 0 || rd.t == nil && rd.in <= rd.src.NumRows() {
+	if rd.in += len(keep); len(keep) == 0 || rd.t == nil && rd.in <= rd.src.n {
 		return keep, nil
 	}
 	if rd.sleep > 0 {
@@ -967,12 +963,12 @@ func (rd *semiReducer) reduce(b *builder, ctx *evalCtx, bt *Batch, keep []int) (
 		return keep, nil
 	}
 	if rd.t == nil {
-		rd.t = newKeyTable(len(rd.keys), rd.src.NumRows(), false)
-		if _, err := b.keyIDs(rd.t, chainOf(rd.src), rd.srcKeys, rd.env, true); err != nil {
+		rd.t = newKeyTable(len(rd.keys), rd.src.n, false)
+		if _, err := b.keyIDs(rd.t, rd.src, rd.srcKeys, rd.env, true); err != nil {
 			rd.sleep = math.MaxInt
 			return keep, nil
 		}
-		b.chargePass(rd.src.NumRows(), rd.srcKeys)
+		b.chargePass(rd.src.n, rd.srcKeys)
 	}
 	cols := make([]*schema.ColVec, len(rd.keys))
 	for i, e := range rd.keys {
@@ -1027,43 +1023,6 @@ func keysIn(keys []ast.Expr, sch *schema.Schema) bool {
 		}
 	}
 	return true
-}
-
-// applyFilter keeps rows where pred is true.
-func (b *builder) applyFilter(in *Result, pred ast.Expr, env *Env) (*Result, error) {
-	subs, err := b.prepareSubqueries([]ast.Expr{pred}, in.Sch, in, env)
-	if err != nil {
-		return nil, err
-	}
-	ctx := newCtxWith(b, in.Sch, env, nil, subs)
-	out := &Result{Sch: in.Sch}
-	if b.vec() {
-		// Selection-vector evaluation: no per-row context copies, output rows
-		// shared with the input by reference.
-		for off := 0; off < len(in.Rows); off += b.batchRows {
-			ctx.nextBatch()
-			bt := NewBatch(in.Sch, in.Rows[off:min(off+b.batchRows, len(in.Rows))])
-			v, err := ctx.evalVec(pred, bt, b.fullSel(bt.Len()))
-			if err != nil {
-				return nil, err
-			}
-			keep := selectTrue(v, bt.Len(), ctx.sel(bt.Len()))
-			out.Rows = bt.AppendRows(out.Rows, keep, nil)
-		}
-	} else {
-		for _, row := range in.Rows {
-			v, err := ctx.withRow(row).eval(pred)
-			if err != nil {
-				return nil, err
-			}
-			if truthy(v) {
-				out.Rows = append(out.Rows, row)
-			}
-		}
-	}
-	b.chargePass(len(in.Rows), []ast.Expr{pred})
-	b.trace.addf("filter %s: %d -> %d rows", pred, len(in.Rows), len(out.Rows))
-	return out, nil
 }
 
 // Format renders a result as aligned text (debug/CLI helper).

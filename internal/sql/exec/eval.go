@@ -10,15 +10,15 @@ import (
 )
 
 // evalCtx evaluates expressions against one row, an outer environment, and
-// (after aggregation) a substitution map from expression text to computed
-// aggregate/group values.
+// (after aggregation) the current group's aggregate and GROUP BY values, which
+// stand in for the expressions they were computed from.
 type evalCtx struct {
 	b    *builder
 	sch  *schema.Schema
 	row  schema.Row
 	env  *Env
-	agg  map[string]value.Value // post-aggregation substitutions by Expr.String()
-	subs map[ast.Expr]*subEval  // prepared subquery evaluators
+	agg  *aggBinding           // post-aggregation substitutions; nil outside aggregation
+	subs map[ast.Expr]*subEval // prepared subquery evaluators
 
 	// memo caches column-reference resolution per operator: schema lookups
 	// are case-insensitive linear scans, far too slow to repeat per row.
@@ -40,18 +40,11 @@ func newCtx(b *builder, sch *schema.Schema, env *Env) *evalCtx {
 }
 
 // newCtxWith is newCtx plus aggregate substitutions and prepared subqueries.
-func newCtxWith(b *builder, sch *schema.Schema, env *Env, agg map[string]value.Value, subs map[ast.Expr]*subEval) *evalCtx {
+func newCtxWith(b *builder, sch *schema.Schema, env *Env, agg *aggBinding, subs map[ast.Expr]*subEval) *evalCtx {
 	c := newCtx(b, sch, env)
 	c.agg = agg
 	c.subs = subs
 	return c
-}
-
-// withAgg returns a copy bound to a different aggregate substitution map.
-func (c *evalCtx) withAgg(agg map[string]value.Value) *evalCtx {
-	cp := *c
-	cp.agg = agg
-	return &cp
 }
 
 func (c *evalCtx) withRow(row schema.Row) *evalCtx {
@@ -120,10 +113,8 @@ func (c *evalCtx) outer(r colRes) value.Value {
 func (c *evalCtx) eval(e ast.Expr) (value.Value, error) {
 	// Post-aggregation substitution takes priority so that e.g. sum(x)
 	// resolves to the computed aggregate.
-	if c.agg != nil {
-		if v, ok := c.agg[e.String()]; ok {
-			return v, nil
-		}
+	if v, ok := c.agg.lookup(e); ok {
+		return v, nil
 	}
 	switch x := e.(type) {
 	case *ast.Literal:

@@ -1,18 +1,19 @@
 // Package exec plans and executes SELECT statements against a catalog of
-// relations. It provides the Volcano-style (materializing) operator set used
-// by both the host engine and the storage engine: scans, filters, hash and
-// nested-loop joins (inner and left outer), hash aggregation with the SQL
-// aggregate functions, sorting, limiting, and decorrelated subquery
-// evaluation. There is one expression evaluator, eval (eval.go). In vector
-// mode every operator (scan, filter, projection, hash join, hash aggregation)
-// takes its batch path over columnar batches, and evalVec (vector.go) is
-// typed kernels and selection-vector plumbing over that evaluator: what has
-// no kernel — subquery probes included — is eval at each selected position.
-// An operator's row-at-a-time twin runs under ExecBatchRows = 1 alone, as the
-// whole-query reference the differential tests compare with. Work is charged
-// to a simtime.Meter so split executions can be priced by the cost model —
-// one dispatch per batch, and one per row in row mode and for a pass that
-// holds a subquery probe (chargePass).
+// relations. It provides the operator set used by both the host engine and the
+// storage engine: scans, filters, hash and nested-loop joins (inner and left
+// outer), hash aggregation with the SQL aggregate functions, sorting, limiting,
+// and decorrelated subquery evaluation. There is one expression evaluator, eval
+// (eval.go). In vector mode every operator takes its batch path, evalVec
+// (vector.go) is typed kernels and selection-vector plumbing over that
+// evaluator — what has no kernel, subquery probes included, is eval at each
+// selected position — and what flows from one operator to the next is column
+// vectors and positions in them (Result's columnar form, joinChain): a value is
+// boxed into a row where the select list emits it and nowhere before. An
+// operator's row-at-a-time twin runs under ExecBatchRows = 1 alone, over boxed
+// rows, as the whole-query reference the differential tests compare with. Work
+// is charged to a simtime.Meter so split executions can be priced by the cost
+// model — one dispatch per batch, and one per row in row mode and for a pass
+// that holds a subquery probe (chargePass).
 package exec
 
 import (
@@ -58,9 +59,7 @@ func scanRows(rows []schema.Row, fn func(schema.Row) error) error {
 // scanRowBatches is the single rows→batch bridge shared by every
 // materialized relation's ScanBatch method.
 func scanRowBatches(sch *schema.Schema, rows []schema.Row, batchRows int, fn func(*Batch) error) error {
-	if batchRows <= 0 {
-		batchRows = DefaultBatchRows
-	}
+	batchRows = normBatchRows(batchRows)
 	for off := 0; off < len(rows); off += batchRows {
 		end := off + batchRows
 		if end > len(rows) {
@@ -73,34 +72,42 @@ func scanRowBatches(sch *schema.Schema, rows []schema.Row, batchRows int, fn fun
 	return nil
 }
 
-// Result is a fully materialized intermediate or final result. It has two
-// forms, as Batch has. The boxed form holds Rows. The encoded form (Rows nil)
-// holds the same rows back to back in the row codec, exactly as the reply wire
-// carries them: a storage-side fragment that merely ships columns of one table
-// produces it straight from the verified pages, and the host keeps a reply in
-// it, so a shipped row is boxed only if the host's own scan keeps it. Both
-// forms are relations; operators other than the scan only ever see boxed
-// results.
+// Result is a fully materialized intermediate or final result. It has three
+// forms, and each is seen by one party. The boxed form holds Rows: what Run and
+// its siblings return, what a select list emits, and every intermediate under
+// ExecBatchRows = 1. The encoded form (Rows nil, enc set) holds the same rows
+// back to back in the row codec, exactly as the reply wire carries them: a
+// storage-side fragment that merely ships columns of one table produces it
+// straight from the verified pages, and the host keeps a reply in it, indexed
+// once (RetainResult), each column decoded whole the first time a scan of the
+// statement reads it. The columnar form (cols set) holds one whole-result
+// vector per column — unboxed unless the column holds a NULL or two kinds, as
+// RowWindow.Col decides for a window — and is the only form an intermediate
+// takes between two operators in vector mode: what a scan keeps, what a join
+// chain's position vectors point into, what a subquery's cache is made of. All
+// three are relations.
 type Result struct {
 	Sch  *schema.Schema
 	Rows []schema.Row
 
-	enc []byte // the encoded form: n rows of Sch.Len() columns each
-	n   int
+	enc  []byte // the encoded form: n rows of Sch.Len() columns each
+	n    int    // rows of the encoded and the columnar form
+	cols []*schema.ColVec
+	all  *Batch // every row as one batch: the index over enc, the vectors of Rows
 }
 
-// NumRows returns the number of rows in either form.
+// NumRows returns the number of rows in any form.
 func (r *Result) NumRows() int {
-	if r.enc != nil {
-		return r.n
+	if r.Rows != nil {
+		return len(r.Rows)
 	}
-	return len(r.Rows)
+	return r.n
 }
 
 // Boxed returns the result with its rows materialized: r itself unless it is
-// in the encoded form.
+// in the encoded or the columnar form.
 func (r *Result) Boxed() (*Result, error) {
-	if r.enc == nil {
+	if r.enc == nil && r.cols == nil {
 		return r, nil
 	}
 	out := &Result{Sch: r.Sch, Rows: make([]schema.Row, 0, r.n)}
@@ -108,11 +115,23 @@ func (r *Result) Boxed() (*Result, error) {
 	for i := range every {
 		every[i] = i
 	}
-	_, err := r.scanEncoded(len(every), func(bt *Batch) error {
+	err := r.ScanBatch(len(every), func(bt *Batch) error {
 		out.Rows = bt.AppendRows(out.Rows, every[:bt.Len()], nil)
 		return nil
 	})
 	return out, err
+}
+
+// col returns column i as one vector, decoded or extracted on first use. An
+// encoded result has been indexed by then: nothing reads one before a scan.
+func (r *Result) col(i int) *schema.ColVec {
+	if r.cols != nil {
+		return r.cols[i]
+	}
+	if r.all == nil {
+		r.all = NewBatch(r.Sch, r.Rows)
+	}
+	return r.all.Col(i)
 }
 
 // Schema implements Relation.
@@ -128,35 +147,43 @@ func (r *Result) Scan(fn func(schema.Row) error) error {
 }
 
 // ScanBatch implements BatchRelation. The encoded form is delivered as
-// page-backed batches, like a stored table: windows over the retained bytes.
+// page-backed batches, like a stored table — but over one index of the whole
+// reply, so that every scan of it cuts the same decoded columns at the same
+// boundaries.
 func (r *Result) ScanBatch(batchRows int, fn func(*Batch) error) error {
-	if r.enc == nil {
+	batchRows = normBatchRows(batchRows)
+	if r.enc == nil && r.cols == nil {
 		return scanRowBatches(r.Sch, r.Rows, batchRows, fn)
 	}
-	_, err := r.scanEncoded(batchRows, fn)
-	return err
+	if err := r.index(); err != nil {
+		return err
+	}
+	for off := 0; off < r.n; off += batchRows {
+		if err := fn(r.all.slice(off, min(off+batchRows, r.n))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// scanEncoded delivers the encoded form window by window and returns the
-// position after its last row. Indexing a window checks every field of every
-// row as DecodeRow does, so one pass with a callback that does nothing is the
+// index makes the one batch that holds every row of an encoded or columnar
+// result. For the encoded form that is the one pass over its bytes: indexing
+// checks every field of every row as DecodeRow does, so it is also the
 // structural validation of bytes that came from outside.
-func (r *Result) scanEncoded(batchRows int, fn func(*Batch) error) (int, error) {
-	if batchRows <= 0 {
-		batchRows = DefaultBatchRows
-	}
-	win := schema.NewRowWindow(r.Sch.Len())
-	pos := 0
-	for left := r.n; left > 0; left -= win.Len() {
-		var err error
-		if pos, err = win.Fill(r.enc, pos, min(batchRows, left)); err != nil {
-			return 0, fmt.Errorf("exec: result row %d: %w", r.n-left+win.Len(), err)
+func (r *Result) index() error {
+	switch {
+	case r.all != nil:
+	case r.enc == nil:
+		r.all = chainOf(r).batch(0, r.n)
+	default:
+		win := schema.NewRowWindow(r.Sch.Len())
+		end, err := win.Fill(r.enc, 0, r.n)
+		if err != nil {
+			return fmt.Errorf("exec: result row %d: %w", win.Len(), err)
 		}
-		if err := fn(NewWindowBatch(r.Sch, win)); err != nil {
-			return 0, err
-		}
+		r.enc, r.all = r.enc[:end:end], NewWindowBatch(r.Sch, win)
 	}
-	return pos, nil
+	return nil
 }
 
 // MemRelation is an in-memory named relation (host-side temp tables).

@@ -9,7 +9,7 @@ import (
 )
 
 // Trace records the physical decisions an execution made — the EXPLAIN
-// ANALYZE view of the materializing executor: scan and filter cardinalities,
+// ANALYZE view of the executor: scan and filter cardinalities,
 // join strategies and key sets, subquery decorrelation, aggregation fan-in.
 type Trace struct {
 	lines []string

@@ -6,77 +6,128 @@ import (
 	"ironsafe/internal/value"
 )
 
-// joinChain is the running result of a FROM clause's inner joins, not yet
-// materialized: the results joined so far, where the scans (or an earlier
-// materialization) put them, and per part the position of each output row's
-// source row. A join composes position vectors, a vectorized filter compacts
-// them, and only materialize copies values — once per surviving row. Its
-// schema is the parts' schemas concatenated in join order, as the row the
-// pairwise joins used to build at every step.
+// joinChain is what flows between two operators: a run of rows, each made of
+// one row from each of its parts — the results the scans produced — named by
+// position. A join composes position vectors, a filter compacts them, a left
+// outer join marks the side it NULL-extends with -1; values are only ever read,
+// a batch of one column at a time (batch) or the columns of one row (view), and
+// boxed where the select list emits them. Its schema is the parts' schemas
+// concatenated in join order, as the row the pairwise joins would build at every
+// step. In vector mode the parts are columnar and nothing between the scans and
+// the select list copies a value; under ExecBatchRows = 1 every chain is one
+// boxed result, whole and in order (materialize after every join), which the
+// row-at-a-time twins read as rows.
 type joinChain struct {
 	sch   *schema.Schema
 	parts []*Result
-	// idx[p][k] is the row of parts[p] that row k is made of. A lone part is
-	// always whole and in order, and has a nil vector.
+	// idx[p][k] is the row of parts[p] that row k is made of, negative where row
+	// k has NULLs for the part's columns; nil for a part whole and in order.
 	idx   [][]int32
 	n     int
 	joins int // joins composed into the chain, for the trace
 
-	// hdr holds, per part, the row headers of the current batch. It is scratch,
-	// handed on to the chains made from this one.
-	hdr [][]schema.Row
+	// bufs holds, by column, the storage of the current batch's gathered
+	// vectors. It is scratch, shared with the chains made from this one.
+	bufs *[]schema.ColBuf
 }
 
 func chainOf(r *Result) *joinChain {
-	return &joinChain{sch: r.Sch, parts: []*Result{r}, idx: [][]int32{nil}, n: r.NumRows()}
+	return &joinChain{sch: r.Sch, parts: []*Result{r}, idx: [][]int32{nil}, n: r.NumRows(), bufs: new([]schema.ColBuf)}
 }
 
-// batch returns rows [off, end) as a batch whose columns are gathered through
-// the position vectors on demand, into the typed vectors a row-backed batch
-// yields. It is valid until the next call.
+// batch returns rows [off, end) as a batch whose columns are cut from the
+// parts' vectors, or gathered through the position vectors, on demand. It is
+// valid until the next call on this chain or one made from it.
 func (c *joinChain) batch(off, end int) *Batch {
-	if len(c.parts) == 1 {
-		return NewBatch(c.sch, c.parts[0].Rows[off:end])
+	if PoisonRecycledVectors {
+		for i := range *c.bufs {
+			(*c.bufs)[i].Vec().Poison()
+		}
 	}
-	for len(c.hdr) < len(c.parts) {
-		c.hdr = append(c.hdr, nil)
+	for len(*c.bufs) < c.sch.Len() {
+		*c.bufs = append(*c.bufs, schema.ColBuf{})
 	}
-	return &Batch{Sch: c.sch, chain: &chainBatch{c: c, off: off, n: end - off, parts: make([]*Batch, len(c.parts))}}
+	return &Batch{Sch: c.sch, chain: c, off: off, n: end - off}
 }
 
-// chainBatch is rows [off, off+n) of a chain: per part, those rows' headers
-// gathered on demand into a row-backed batch.
-type chainBatch struct {
-	c      *joinChain
-	off, n int
-	parts  []*Batch
-}
-
-// col is Batch.Col: the column is one of one part's, extracted from that
-// part's rows at the batch's positions.
-func (bt *chainBatch) col(i int) *schema.ColVec {
-	c := bt.c
-	p := 0
-	for w := c.parts[0].Sch.Len(); i >= w; w = c.parts[p].Sch.Len() {
+// locate returns the part that holds column i and the column's position there.
+func (c *joinChain) locate(i int) (part, col int) {
+	for w := c.parts[0].Sch.Len(); i >= w; w = c.parts[part].Sch.Len() {
 		i -= w
-		p++
+		part++
 	}
-	if bt.parts[p] == nil {
-		if cap(c.hdr[p]) < bt.n {
-			c.hdr[p] = make([]schema.Row, bt.n)
-		}
-		rows := c.hdr[p][:bt.n]
-		for k, at := range c.idx[p][bt.off : bt.off+bt.n] {
-			rows[k] = c.parts[p].Rows[at]
-		}
-		bt.parts[p] = NewBatch(c.parts[p].Sch, rows)
-	}
-	return bt.parts[p].Col(i)
+	return part, i
 }
 
-// pick returns the chain of c's rows at positions keep.
+// col is Batch.Col for rows [off, off+n).
+func (c *joinChain) col(i, off, n int) *schema.ColVec {
+	p, pc := c.locate(i)
+	src := c.parts[p].col(pc)
+	if c.idx[p] == nil {
+		return src.Slice(off, off+n)
+	}
+	return (*c.bufs)[i].Gather(src, c.idx[p][off:off+n])
+}
+
+// rowView reads single rows of a chain — a join's candidate pair, a subquery's
+// candidate, a group's representative — into a row for eval, without a vector:
+// per column it holds where the value lives.
+type rowView struct {
+	row  schema.Row
+	cols []viewCol
+}
+
+type viewCol struct {
+	dst  int            // position in row
+	at   []int32        // the part's position vector
+	rows []schema.Row   // a boxed part's rows, else
+	vec  *schema.ColVec // a columnar part's vector
+	col  int            // the column's position in the part
+}
+
+// view returns a view that loads the chain's columns reads — positions in
+// row's schema, of which the chain's columns start at base; others are not the
+// chain's — into row.
+func (c *joinChain) view(row schema.Row, base int, reads []int) *rowView {
+	v := &rowView{row: row}
+	for _, r := range reads {
+		if r < base || r >= base+c.sch.Len() {
+			continue
+		}
+		p, pc := c.locate(r - base)
+		vc := viewCol{dst: r, at: c.idx[p], rows: c.parts[p].Rows, col: pc}
+		if c.parts[p].cols != nil {
+			vc.vec = c.parts[p].col(pc)
+		}
+		v.cols = append(v.cols, vc)
+	}
+	return v
+}
+
+// load reads the view's columns of chain row k; a negative k reads NULLs.
+func (v *rowView) load(k int) {
+	for i := range v.cols {
+		c := &v.cols[i]
+		p := k
+		if c.at != nil && k >= 0 {
+			p = int(c.at[k])
+		}
+		switch {
+		case p < 0:
+			v.row[c.dst] = value.Null()
+		case c.vec != nil:
+			v.row[c.dst] = c.vec.Value(p)
+		default:
+			v.row[c.dst] = c.rows[p][c.col]
+		}
+	}
+}
+
+// pick returns the chain of c's rows at positions keep; a negative position
+// is a row of NULLs.
 func (c *joinChain) pick(keep []int32) *joinChain {
-	out := &joinChain{sch: c.sch, parts: c.parts, idx: make([][]int32, len(c.parts)), n: len(keep), joins: c.joins, hdr: c.hdr}
+	out := *c
+	out.idx, out.n = make([][]int32, len(c.parts)), len(keep)
 	for p, at := range c.idx {
 		if at == nil {
 			out.idx[p] = keep
@@ -84,59 +135,92 @@ func (c *joinChain) pick(keep []int32) *joinChain {
 		}
 		out.idx[p] = make([]int32, len(keep))
 		for k, n := range keep {
-			out.idx[p][k] = at[n]
+			out.idx[p][k] = -1
+			if n >= 0 {
+				out.idx[p][k] = at[n]
+			}
 		}
 	}
-	return out
+	return &out
 }
 
-// materialize boxes the chain: one row per output row, full width, the parts'
-// values in schema order. A lone part is its own materialization.
-func (b *builder) materialize(c *joinChain) *Result {
-	if len(c.parts) == 1 {
-		return c.parts[0]
+// join returns the chain whose row k is c's row li[k] beside r's row ri[k].
+func (c *joinChain) join(li []int32, r *joinChain, ri []int32) *joinChain {
+	l, rr := c.pick(li), r.pick(ri)
+	l.sch = c.sch.Concat(r.sch)
+	l.parts = append(l.parts[:len(l.parts):len(l.parts)], rr.parts...)
+	l.idx = append(l.idx, rr.idx...)
+	l.joins += r.joins + 1
+	return l
+}
+
+// materialize boxes the chain, as row mode needs it after every join: one row
+// per output row, full width, the parts' values in schema order. A part whole
+// and in order is its own materialization.
+func (b *builder) materialize(c *joinChain) *joinChain {
+	if len(c.parts) == 1 && c.idx[0] == nil {
+		return c
 	}
 	out := &Result{Sch: c.sch, Rows: make([]schema.Row, c.n)}
 	width := c.sch.Len()
 	for k := range out.Rows {
 		row := make(schema.Row, 0, width)
 		for p, part := range c.parts {
-			row = append(row, part.Rows[c.idx[p][k]]...)
+			if at := c.idx[p][k]; at >= 0 {
+				row = append(row, part.Rows[at]...)
+			} else {
+				row = row[:len(row)+part.Sch.Len()] // NULLs
+			}
 		}
 		out.Rows[k] = row
 	}
 	b.trace.addf("join chain: %d joins, %d rows x %d columns materialized", c.joins, c.n, width)
-	return out
+	return chainOf(out)
 }
 
-// filterChain keeps the chain's rows where pred is true. Over a joined chain
-// the predicate reads gathered columns and compacts the position vectors —
-// unless it holds a subquery probe, which needs its outer row whole: then, as
-// in row mode, applyFilter runs over the materialized rows.
-func (b *builder) filterChain(c *joinChain, pred ast.Expr, env *Env) (*joinChain, error) {
-	if len(c.parts) == 1 || !b.vec() || containsSubquery(pred) {
-		res, err := b.applyFilter(b.materialize(c), pred, env)
-		if err != nil {
-			return nil, err
-		}
-		return chainOf(res), nil
+// filter keeps the chain's rows where pred is true: in vector mode the
+// predicate reads the chain's columns batch by batch and the position vectors
+// are compacted, whatever the predicate holds — a subquery probe reads its
+// outer row from evalRows' scratch row.
+func (b *builder) filter(in *joinChain, pred ast.Expr, env *Env) (*joinChain, error) {
+	subs, err := b.prepareSubqueries([]ast.Expr{pred}, in.sch, in, env)
+	if err != nil {
+		return nil, err
 	}
-	ctx := newCtx(b, c.sch, env)
-	var keep []int32
-	for off := 0; off < c.n; off += b.batchRows {
-		ctx.nextBatch()
-		bt := c.batch(off, min(off+b.batchRows, c.n))
-		v, err := ctx.evalVec(pred, bt, b.fullSel(bt.Len()))
-		if err != nil {
-			return nil, err
+	ctx := newCtxWith(b, in.sch, env, nil, subs)
+	out := in
+	if b.vec() {
+		var keep []int32
+		for off := 0; off < in.n; off += b.batchRows {
+			ctx.nextBatch()
+			bt := in.batch(off, min(off+b.batchRows, in.n))
+			v, err := ctx.evalVec(pred, bt, b.fullSel(bt.Len()))
+			if err != nil {
+				return nil, err
+			}
+			for _, j := range selectTrue(v, bt.Len(), ctx.sel(bt.Len())) {
+				keep = append(keep, int32(off+j))
+			}
 		}
-		for _, j := range selectTrue(v, bt.Len(), ctx.sel(bt.Len())) {
-			keep = append(keep, int32(off+j))
+		if len(keep) < in.n {
+			out = in.pick(keep)
 		}
-		b.chargeBatch(int64(bt.Len()))
+	} else {
+		res := &Result{Sch: in.sch}
+		for _, row := range in.parts[0].Rows {
+			v, err := ctx.withRow(row).eval(pred)
+			if err != nil {
+				return nil, err
+			}
+			if truthy(v) {
+				res.Rows = append(res.Rows, row)
+			}
+		}
+		out = chainOf(res)
 	}
-	b.trace.addf("filter %s: %d -> %d rows", pred, c.n, len(keep))
-	return c.pick(keep), nil
+	b.chargePass(in.n, []ast.Expr{pred})
+	b.trace.addf("filter %s: %d -> %d rows", pred, in.n, out.n)
+	return out, nil
 }
 
 // chargePass charges one operator pass over n rows, evaluating exprs (nil
@@ -159,8 +243,7 @@ func (b *builder) chargePass(n int, exprs []ast.Expr) {
 
 // keyIDs evaluates the key expressions over every row of c and returns each
 // row's id in t (see keyTable.id). Keys are extracted column-wise per batch;
-// the row-mode evaluator needs whole rows, so for it c must be a lone part. It
-// charges nothing.
+// the row-mode evaluator reads c's rows. It charges nothing.
 func (b *builder) keyIDs(t *keyTable, c *joinChain, keys []ast.Expr, env *Env, insert bool) ([]int32, error) {
 	out := make([]int32, c.n)
 	ctx := newCtx(b, c.sch, env)
@@ -196,124 +279,125 @@ func (b *builder) keyIDs(t *keyTable, c *joinChain, keys []ast.Expr, env *Env, i
 	return out, nil
 }
 
-// hashInnerJoin equi-joins the chain with one more result; with no keys it
-// degrades to a cross product. The key table is built over whichever input
-// has fewer rows. The output order does not depend on that choice: left row
-// order, and within one left row its matches in right row order — the right
-// rows are grouped by key id and each left row, in order, emits its group.
-// Each input is charged one pass, each emitted pair one tuple.
-func (b *builder) hashInnerJoin(left *joinChain, right *Result, keysL, keysR []ast.Expr, env *Env) (*joinChain, error) {
+// hashInnerJoin equi-joins two chains; with no keys it degrades to a cross
+// product. The key table is built over whichever input has fewer rows. The
+// output order does not depend on that choice: left row order, and within one
+// left row its matches in right row order — the right rows are grouped by key
+// id and each left row, in order, emits its group. Each input is charged one
+// pass, each emitted pair one tuple.
+func (b *builder) hashInnerJoin(left, right *joinChain, keysL, keysR []ast.Expr, env *Env) (*joinChain, error) {
+	var li, ri []int32
 	if len(keysL) == 0 {
-		lres := b.materialize(left)
-		out := &Result{Sch: lres.Sch.Concat(right.Sch)}
-		for _, lr := range lres.Rows {
-			for _, rr := range right.Rows {
-				out.Rows = append(out.Rows, concatRows(lr, rr))
+		li, ri = make([]int32, 0, left.n*right.n), make([]int32, 0, left.n*right.n)
+		for l := 0; l < left.n; l++ {
+			for r := 0; r < right.n; r++ {
+				li, ri = append(li, int32(l)), append(ri, int32(r))
 			}
 		}
-		n := int64(len(lres.Rows)*len(right.Rows)) + 1
-		if b.vec() {
+		if n := int64(len(li)) + 1; b.vec() {
 			b.chargeBatch(n)
 		} else {
 			b.chargeRows(n)
 		}
-		b.trace.addf("cross join: %d x %d -> %d rows", len(lres.Rows), len(right.Rows), len(out.Rows))
-		return chainOf(out), nil
+		b.trace.addf("cross join: %d x %d -> %d rows", left.n, right.n, len(li))
+	} else {
+		buildLeft, side := left.n < right.n, "right"
+		if buildLeft {
+			side = "left"
+		}
+		// The build side inserts its keys first; the other side only looks up.
+		t := newKeyTable(len(keysL), min(left.n, right.n), false)
+		var lid, rid []int32
+		var err error
+		if buildLeft {
+			lid, err = b.keyIDs(t, left, keysL, env, true)
+		}
+		if err == nil {
+			rid, err = b.keyIDs(t, right, keysR, env, !buildLeft)
+		}
+		if err == nil && !buildLeft {
+			lid, err = b.keyIDs(t, left, keysL, env, false)
+		}
+		if err != nil {
+			return nil, err
+		}
+		b.chargePass(right.n, keysR)
+		b.chargePass(left.n, keysL)
+		start, pos := groupPositions(rid, t.n)
+		total := 0
+		for _, id := range lid {
+			if id >= 0 {
+				total += int(start[id+1] - start[id])
+			}
+		}
+		li, ri = make([]int32, 0, total), make([]int32, 0, total)
+		for l, id := range lid {
+			if id < 0 {
+				continue
+			}
+			for _, r := range pos[start[id]:start[id+1]] {
+				li, ri = append(li, int32(l)), append(ri, r)
+			}
+		}
+		// Emitted rows are data work, not operator dispatches.
+		b.chargeTuples(int64(total))
+		b.trace.addf("hash join on [%s]: %d x %d -> %d rows, build %s", exprsText(keysL), left.n, right.n, total, side)
 	}
+	out := left.join(li, right, ri)
 	if !b.vec() {
-		left = chainOf(b.materialize(left))
+		out = b.materialize(out)
 	}
-	rc := chainOf(right)
-	buildLeft, side := left.n < rc.n, "right"
-	if buildLeft {
-		side = "left"
-	}
-	// The build side inserts its keys first; the other side only looks up.
-	t := newKeyTable(len(keysL), min(left.n, rc.n), false)
-	var lid, rid []int32
-	var err error
-	if buildLeft {
-		lid, err = b.keyIDs(t, left, keysL, env, true)
-	}
-	if err == nil {
-		rid, err = b.keyIDs(t, rc, keysR, env, !buildLeft)
-	}
-	if err == nil && !buildLeft {
-		lid, err = b.keyIDs(t, left, keysL, env, false)
-	}
-	if err != nil {
-		return nil, err
-	}
-	b.chargePass(rc.n, keysR)
-	b.chargePass(left.n, keysL)
-	start, pos := groupPositions(rid, t.n)
-	total := 0
-	for _, id := range lid {
-		if id >= 0 {
-			total += int(start[id+1] - start[id])
-		}
-	}
-	li, ri := make([]int32, 0, total), make([]int32, 0, total)
-	for l, id := range lid {
-		if id < 0 {
-			continue
-		}
-		for _, r := range pos[start[id]:start[id+1]] {
-			li, ri = append(li, int32(l)), append(ri, r)
-		}
-	}
-	// Emitted rows are data work, not operator dispatches.
-	b.chargeTuples(int64(total))
-	b.trace.addf("hash join on [%s]: %d x %d -> %d rows, build %s", exprsText(keysL), left.n, rc.n, total, side)
-	out := left.pick(li)
-	out.sch = left.sch.Concat(right.Sch)
-	out.parts = append(append([]*Result{}, left.parts...), right)
-	out.idx = append(out.idx, ri)
-	out.joins++
 	return out, nil
 }
 
 // hashLeftJoin performs LEFT OUTER JOIN with ON keys plus a residual ON
 // predicate; unmatched left rows are null-extended. The key table is always
-// built on the right.
-func (b *builder) hashLeftJoin(left, right *Result, keysL, keysR []ast.Expr, residual ast.Expr, env *Env) (*Result, error) {
-	outSch := left.Sch.Concat(right.Sch)
-	out := &Result{Sch: outSch}
+// built on the right. The probe — each left row's candidates, the residual
+// over each pair — is row at a time in both modes.
+func (b *builder) hashLeftJoin(left, right *joinChain, keysL, keysR []ast.Expr, residual ast.Expr, env *Env) (*joinChain, error) {
 	var lid, rid []int32
 	groups := int32(1)
 	if len(keysL) == 0 {
 		// Every right row is every left row's candidate: one group, id 0.
-		lid, rid = make([]int32, len(left.Rows)), make([]int32, len(right.Rows))
+		lid, rid = make([]int32, left.n), make([]int32, right.n)
 	} else {
-		t := newKeyTable(len(keysR), len(right.Rows), false)
+		t := newKeyTable(len(keysR), right.n, false)
 		var err error
-		if rid, err = b.keyIDs(t, chainOf(right), keysR, env, true); err != nil {
+		if rid, err = b.keyIDs(t, right, keysR, env, true); err != nil {
 			return nil, err
 		}
-		if lid, err = b.keyIDs(t, chainOf(left), keysL, env, false); err != nil {
+		if lid, err = b.keyIDs(t, left, keysL, env, false); err != nil {
 			return nil, err
 		}
 		groups = t.n
 	}
-	b.chargePass(len(right.Rows), keysR)
+	b.chargePass(right.n, keysR)
 	start, pos := groupPositions(rid, groups)
-	var subs map[ast.Expr]*subEval
+	// The residual reads a pair through a scratch row of the joined schema.
+	var octx *evalCtx
+	var lrow, rrow *rowView
 	if residual != nil {
-		var err error
-		subs, err = b.prepareSubqueries([]ast.Expr{residual}, outSch, nil, env)
+		outSch := left.sch.Concat(right.sch)
+		subs, err := b.prepareSubqueries([]ast.Expr{residual}, outSch, nil, env)
 		if err != nil {
 			return nil, err
 		}
+		octx = newCtxWith(b, outSch, env, nil, subs)
+		octx.row = make(schema.Row, outSch.Len())
+		reads := octx.reads(residual)
+		lrow, rrow = left.view(octx.row, 0, reads), right.view(octx.row, left.sch.Len(), reads)
 	}
-	octx := newCtxWith(b, outSch, env, nil, subs)
-	nulls := make(schema.Row, right.Sch.Len())
-	for l, lr := range left.Rows {
+	li, ri := make([]int32, 0, left.n), make([]int32, 0, left.n)
+	for l, id := range lid {
 		matched := false
-		if id := lid[l]; id >= 0 {
+		if id >= 0 {
+			if residual != nil {
+				lrow.load(l)
+			}
 			for _, r := range pos[start[id]:start[id+1]] {
-				joined := concatRows(lr, right.Rows[r])
 				if residual != nil {
-					v, err := octx.withRow(joined).eval(residual)
+					rrow.load(int(r))
+					v, err := octx.eval(residual)
 					if err != nil {
 						return nil, err
 					}
@@ -322,24 +406,21 @@ func (b *builder) hashLeftJoin(left, right *Result, keysL, keysR []ast.Expr, res
 					}
 				}
 				matched = true
-				out.Rows = append(out.Rows, joined)
+				li, ri = append(li, int32(l)), append(ri, r)
 			}
 		}
 		if !matched {
-			out.Rows = append(out.Rows, concatRows(lr, nulls))
+			li, ri = append(li, int32(l)), append(ri, -1)
 		}
 	}
 	// The residual and the null extension run row by row in both modes, and
 	// the probe is charged as that whichever way its keys were extracted.
-	b.chargeRows(int64(len(left.Rows)))
-	b.chargeTuples(int64(len(out.Rows)))
-	b.trace.addf("left outer join on [%s]: %d x %d -> %d rows", exprsText(keysL), len(left.Rows), len(right.Rows), len(out.Rows))
+	b.chargeRows(int64(left.n))
+	b.chargeTuples(int64(len(li)))
+	b.trace.addf("left outer join on [%s]: %d x %d -> %d rows", exprsText(keysL), left.n, right.n, len(li))
+	out := left.join(li, right, ri)
+	if !b.vec() {
+		out = b.materialize(out)
+	}
 	return out, nil
-}
-
-func concatRows(a, b schema.Row) schema.Row {
-	out := make(schema.Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
 }

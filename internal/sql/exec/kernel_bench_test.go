@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ironsafe/internal/partition"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/sql/exec"
@@ -202,4 +203,78 @@ func BenchmarkSubqueryReduce(b *testing.B) {
 		benchStatement(b, cat, `SELECT count(*), sum(l_quantity) FROM lineitem
 			WHERE EXISTS (SELECT * FROM orders WHERE o_orderkey = l_orderkey AND o_custkey <= 240)`, int(want))
 	})
+}
+
+// hostPhase is the host's half of TPC-H query q under scs at SF 0.01: the
+// statement, and the reply bytes of each offload the partitioner splits off it,
+// as the storage side would send them. run executes the statement over the
+// replies the way the host does — each retained as it arrives, decoded by the
+// statement's scans — and returns the result.
+type hostPhase struct {
+	sel     *ast.Select
+	replies map[string][]byte
+	shipped int // rows in all replies
+}
+
+func newHostPhase(tb testing.TB, q int) *hostPhase {
+	tb.Helper()
+	sel, err := parser.ParseSelect(tpch.Queries[q])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	schemas := partition.SchemaMap{}
+	for name, rel := range tpchOnce() {
+		schemas[name] = rel.Schema()
+	}
+	split, err := partition.SplitQuery(sel, schemas)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hp := &hostPhase{sel: split.Host, replies: map[string][]byte{}}
+	for _, ship := range split.Ships {
+		rel := shaped(tb, ship.SQL)
+		if hp.replies[ship.Table], err = exec.EncodeResult(&exec.Result{Sch: rel.Sch, Rows: rel.Rows}); err != nil {
+			tb.Fatal(err)
+		}
+		hp.shipped += len(rel.Rows)
+	}
+	return hp
+}
+
+func (hp *hostPhase) run(tb testing.TB) *exec.Result {
+	cat := benchCatalog{}
+	for table, blob := range hp.replies {
+		res, err := exec.RetainResult(blob)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cat[table] = res
+	}
+	res, err := exec.RunBatched(hp.sel, cat, nil, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// BenchmarkHostPhase times the host phases that carry scs-subquery, from the
+// replies' bytes to the result: q13 (a left outer join of 1 500 customers with
+// 15 000 orders, grouped twice), q18 (lineitem grouped into 15 000 orders for an
+// IN set that reduces a three-way join) and q21 (four scans of lineitem's reply
+// — one joined, two as EXISTS caches). allocs/op over the rows shipped is what
+// TestHostPhaseAllocBudget bounds.
+func BenchmarkHostPhase(b *testing.B) {
+	for _, q := range []int{13, 18, 21} {
+		b.Run(fmt.Sprintf("q%d", q), func(b *testing.B) {
+			hp := newHostPhase(b, q)
+			b.ReportAllocs()
+			b.ResetTimer()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				rows = len(hp.run(b).Rows)
+			}
+			b.ReportMetric(float64(hp.shipped), "rows-shipped")
+			b.ReportMetric(float64(rows), "rows-returned")
+		})
+	}
 }

@@ -42,6 +42,26 @@ func retained(t testing.TB, rel *MemRelation) *Result {
 	return res
 }
 
+// columnar returns rel's rows as a scan leaves them between two operators:
+// one vector per column.
+func columnar(t testing.TB, rel *MemRelation) *Result {
+	t.Helper()
+	sel, err := parser.ParseSelect("SELECT * FROM r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &builder{cat: memCatalog{"r": rel}, batchRows: 64, stmt: sel}
+	scan, _, err := b.buildFrom(sel, nil, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := scan.parts[0]
+	if res.cols == nil || res.Rows != nil || res.NumRows() != len(rel.Rows) {
+		t.Fatalf("the scan's output is not columnar: %d rows of %d", res.NumRows(), len(rel.Rows))
+	}
+	return &Result{Sch: rel.Sch, cols: res.cols, n: res.n}
+}
+
 func mustRun(t *testing.T, sql string, cat Catalog, m *simtime.Meter, batch int) *Result {
 	t.Helper()
 	sel, err := parser.ParseSelect(sql)
@@ -153,10 +173,11 @@ func mixedKinds(n int) *MemRelation {
 }
 
 // TestHostScanOverRetainedReply is the host-side differential of step 3: a
-// reply kept encoded and the same rows boxed in a MemRelation give identical
-// rows and identical charges through the scan, whatever the batch size —
-// typed columns, NULL-bearing ones, kinds mixed within a column, no rows at
-// all, and a reply several times the window's 64 KiB segment.
+// reply kept encoded, the same rows held as column vectors, and the same rows
+// boxed in a MemRelation give identical rows and identical charges through the
+// scan, whatever the batch size — typed columns, NULL-bearing ones, kinds mixed
+// within a column, no rows at all, and a reply several times the window's
+// 64 KiB segment.
 func TestHostScanOverRetainedReply(t *testing.T) {
 	big := lineitemish(6000, false) // ~0.5 MB encoded
 	if blob, _ := EncodeResult(&Result{Sch: big.Sch, Rows: big.Rows}); len(blob) < 4<<16 {
@@ -176,40 +197,45 @@ func TestHostScanOverRetainedReply(t *testing.T) {
 		"SELECT l_orderkey FROM lineitem WHERE l_flag AND l_size > (SELECT 25)", // a conjunct the scan cannot take
 	}
 	for name, mem := range rels {
-		enc := retained(t, mem)
+		forms := map[string]*Result{"the retained reply": retained(t, mem), "column vectors": columnar(t, mem)}
 		for _, sql := range queries {
 			for _, batch := range []int{1, 2, 7, DefaultBatchRows} {
 				if name == "big" && batch < 7 {
 					continue
 				}
-				var mm, me simtime.Meter
+				var mm simtime.Meter
 				want := mustRun(t, sql, memCatalog{"lineitem": mem}, &mm, batch)
-				got := mustRun(t, sql, relCatalog{"lineitem": enc}, &me, batch)
-				if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Sch, want.Sch) {
-					t.Errorf("%s over %s (batch=%d): %d rows from the retained reply, %d from boxed rows", sql, name, batch, len(got.Rows), len(want.Rows))
-				}
-				if mm.Snapshot() != me.Snapshot() {
-					t.Errorf("%s over %s (batch=%d): charges diverge:\n  retained: %+v\n  boxed:    %+v", sql, name, batch, me.Snapshot(), mm.Snapshot())
+				for form, rel := range forms {
+					var mf simtime.Meter
+					got := mustRun(t, sql, relCatalog{"lineitem": rel}, &mf, batch)
+					if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Sch, want.Sch) {
+						t.Errorf("%s over %s (batch=%d): %d rows from %s, %d from boxed rows", sql, name, batch, len(got.Rows), form, len(want.Rows))
+					}
+					if mm.Snapshot() != mf.Snapshot() {
+						t.Errorf("%s over %s (batch=%d): charges diverge:\n  %s: %+v\n  boxed: %+v", sql, name, batch, form, mf.Snapshot(), mm.Snapshot())
+					}
 				}
 			}
 		}
 	}
 	mixed := mixedKinds(100)
-	enc := retained(t, mixed)
-	for _, sql := range []string{"SELECT * FROM m", "SELECT v, k FROM m WHERE w IS NOT NULL", "SELECT k FROM m WHERE v IS NULL OR w IS NULL"} {
-		for _, batch := range []int{1, 2, 7, DefaultBatchRows} {
-			want := mustRun(t, sql, memCatalog{"m": mixed}, nil, batch)
-			got := mustRun(t, sql, relCatalog{"m": enc}, nil, batch)
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Errorf("%s (batch=%d): %v from the retained reply, %v from boxed rows", sql, batch, got.Rows, want.Rows)
+	for form, rel := range map[string]*Result{"the retained reply": retained(t, mixed), "column vectors": columnar(t, mixed)} {
+		for _, sql := range []string{"SELECT * FROM m", "SELECT v, k FROM m WHERE w IS NOT NULL", "SELECT k FROM m WHERE v IS NULL OR w IS NULL"} {
+			for _, batch := range []int{1, 2, 7, DefaultBatchRows} {
+				want := mustRun(t, sql, memCatalog{"m": mixed}, nil, batch)
+				got := mustRun(t, sql, relCatalog{"m": rel}, nil, batch)
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Errorf("%s (batch=%d): %v from %s, %v from boxed rows", sql, batch, got.Rows, form, want.Rows)
+				}
 			}
 		}
 	}
 }
 
-// TestResultFormsEncodeAlike: the two forms of one result are the same bytes
-// on the wire, the encoded form round-trips through both decoders, and a
-// fragment over a relation that delivers boxed batches encodes them itself.
+// TestResultFormsEncodeAlike: the three forms of one result are the same bytes
+// on the wire and the same rows through Boxed, Scan and ScanBatch, the encoded
+// form round-trips through both decoders, and a fragment over a relation that
+// delivers boxed batches encodes them itself.
 func TestResultFormsEncodeAlike(t *testing.T) {
 	for _, mem := range []*MemRelation{lineitemish(300, true), mixedKinds(50), {Sch: mixedKinds(0).Sch}} {
 		boxed := &Result{Sch: mem.Sch, Rows: mem.Rows}
@@ -217,23 +243,30 @@ func TestResultFormsEncodeAlike(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := retained(t, mem)
-		if got, _ := EncodeResult(enc); !bytes.Equal(got, want) {
-			t.Error("the encoded form re-encodes to different bytes")
-		}
-		if enc.NumRows() != len(mem.Rows) {
-			t.Errorf("NumRows = %d, want %d", enc.NumRows(), len(mem.Rows))
-		}
-		back, err := enc.Boxed()
-		if err != nil || !reflect.DeepEqual(back.Rows, append([]schema.Row{}, mem.Rows...)) {
-			t.Errorf("Boxed() = %d rows (%v), want %d", len(back.Rows), err, len(mem.Rows))
+		for form, res := range map[string]*Result{"encoded": retained(t, mem), "columnar": columnar(t, mem)} {
+			if got, _ := EncodeResult(res); !bytes.Equal(got, want) {
+				t.Errorf("the %s form encodes to different bytes", form)
+			}
+			if res.NumRows() != len(mem.Rows) {
+				t.Errorf("%s: NumRows = %d, want %d", form, res.NumRows(), len(mem.Rows))
+			}
+			back, err := res.Boxed()
+			if err != nil || !reflect.DeepEqual(back.Rows, append([]schema.Row{}, mem.Rows...)) {
+				t.Errorf("%s: Boxed() = %d rows (%v), want %d", form, len(back.Rows), err, len(mem.Rows))
+			}
+			var scanned, batched []schema.Row
+			if err := res.Scan(func(r schema.Row) error { scanned = append(scanned, r); return nil }); err != nil || !sameRows(scanned, mem.Rows) {
+				t.Errorf("%s: Scan delivered %d rows (%v)", form, len(scanned), err)
+			}
+			if err := res.ScanBatch(7, func(bt *Batch) error {
+				batched = bt.AppendRows(batched, seqInts(0, bt.Len()), nil)
+				return nil
+			}); err != nil || !sameRows(batched, mem.Rows) {
+				t.Errorf("%s: ScanBatch delivered %d rows (%v)", form, len(batched), err)
+			}
 		}
 		if b2, _ := boxed.Boxed(); b2 != boxed {
 			t.Error("Boxed() of a boxed result is not the result itself")
-		}
-		var scanned []schema.Row
-		if err := enc.Scan(func(r schema.Row) error { scanned = append(scanned, r); return nil }); err != nil || len(scanned) != len(mem.Rows) {
-			t.Errorf("Scan delivered %d rows (%v)", len(scanned), err)
 		}
 	}
 

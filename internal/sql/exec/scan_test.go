@@ -187,8 +187,10 @@ type batchForm struct {
 }
 
 // batchForms returns rel's rows as the three forms a batch reaches evalVec in:
-// row-backed, a page-backed window over their encoding, and a join chain whose
-// two parts split the columns and whose position vectors are a shuffle.
+// row-backed, a page-backed window over their encoding — whole, and the cut of
+// a longer one that a reply's scan delivers — and a join chain whose two parts
+// split the columns, one boxed and one columnar as a scan leaves it, and whose
+// position vectors are a shuffle.
 func batchForms(t *testing.T, rng *rand.Rand, rel *MemRelation) map[string]batchForm {
 	t.Helper()
 	n, width := len(rel.Rows), rel.Sch.Len()
@@ -200,22 +202,32 @@ func batchForms(t *testing.T, rng *rand.Rand, rel *MemRelation) map[string]batch
 	if _, err := win.Fill(enc, 0, n); err != nil || win.Len() != n {
 		t.Fatalf("window over %d rows: %d filled, %v", n, win.Len(), err)
 	}
+	// The same rows behind a row that is not theirs: rows [1, n+1) of a window.
+	long := schema.NewRowWindow(width)
+	if _, err := long.Fill(append(schema.EncodeRow(nil, rel.Rows[n-1]), enc...), 0, n+1); err != nil {
+		t.Fatal(err)
+	}
 	const split = 4
 	left := &Result{Sch: rel.Sch.Select(seqInts(0, split))}
-	right := &Result{Sch: rel.Sch.Select(seqInts(split, width))}
+	right := &Result{Sch: rel.Sch.Select(seqInts(split, width)), n: n}
 	for _, r := range rel.Rows {
-		left.Rows, right.Rows = append(left.Rows, r[:split]), append(right.Rows, r[split:])
+		left.Rows = append(left.Rows, r[:split])
 	}
-	chain := &joinChain{sch: rel.Sch, parts: []*Result{left, right}, idx: make([][]int32, 2), n: n}
+	whole := NewWindowBatch(rel.Sch, win)
+	for c := split; c < width; c++ {
+		right.cols = append(right.cols, &schema.ColVec{})
+		whole.AppendCol(right.cols[c-split], c, seqInts(0, n))
+	}
+	perm := make([]int32, n)
 	shuffled := make([]schema.Row, n)
 	for k, at := range rng.Perm(n) {
-		chain.idx[0], chain.idx[1] = append(chain.idx[0], int32(at)), append(chain.idx[1], int32(at))
-		shuffled[k] = rel.Rows[at]
+		perm[k], shuffled[k] = int32(at), rel.Rows[at]
 	}
 	return map[string]batchForm{
 		"row-backed":  {NewBatch(rel.Sch, rel.Rows), rel.Rows},
 		"page-backed": {NewWindowBatch(rel.Sch, win), rel.Rows},
-		"join-chain":  {chain.batch(0, n), shuffled},
+		"window-cut":  {NewWindowBatch(rel.Sch, long).slice(1, n+1), rel.Rows},
+		"join-chain":  {chainOf(left).join(perm, chainOf(right), perm).batch(0, n), shuffled},
 	}
 }
 
@@ -496,9 +508,15 @@ func TestScanPrunesAndFiltersInOnePass(t *testing.T) {
 		var m simtime.Meter
 		tr := &Trace{}
 		b := &builder{cat: memCatalog{"lineitem": rel}, meter: &m, trace: tr, batchRows: 40, stmt: sel}
-		res, remaining, err := b.buildFrom(sel, nil, nil)
+		scan, remaining, err := b.buildFrom(sel, nil, true, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The scan's rows: emitted boxed where they are the statement's, else
+		// the columns it kept.
+		res, err := scan.parts[0].Boxed()
+		if err != nil || len(scan.parts) != 1 || scan.idx[0] != nil {
+			t.Fatalf("%s: the scan's output is not one whole result (%v)", tc.sql, err)
 		}
 		if len(remaining) != tc.left {
 			t.Errorf("%s: conjuncts left after pushdown: %v", tc.sql, remaining)

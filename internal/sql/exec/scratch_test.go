@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/sql/parser"
 )
@@ -95,11 +96,42 @@ func TestLaterWindowsAllocateNoVector(t *testing.T) {
 	}
 }
 
+// recycledWindows delivers a relation's rows the way a stored table does: every
+// batch is the one RowWindow, refilled, whose column vectors the next batch
+// overwrites.
+type recycledWindows struct {
+	*MemRelation
+	fills int
+}
+
+func (r *recycledWindows) ScanBatch(batchRows int, fn func(*Batch) error) error {
+	var enc []byte
+	for _, row := range r.Rows {
+		enc = schema.EncodeRow(enc, row)
+	}
+	win := schema.NewRowWindow(r.Sch.Len())
+	for pos, left := 0, len(r.Rows); left > 0; left -= win.Len() {
+		var err error
+		if pos, err = win.Fill(enc, pos, min(batchRows, left)); err != nil {
+			return err
+		}
+		r.fills++
+		if err := fn(NewWindowBatch(r.Sch, win)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestVectorLifetime pins the scratch's rule from both sides: what a loop
 // copied out of window k is untouched by evaluating window k+1 on the same
 // context and equals a fresh context's answer, while a list held past
 // nextBatch is recycled under its holder — and, under the test hook, visibly
 // so. Arrays are handed out zeroed whatever the last batch (or the hook) left.
+// The rule reaches the result: what a scan keeps of a window it copies, so no
+// column of a Result is a vector of a window the relation recycles (the scan
+// poisons those as it leaves them), while a reply's columns, which are the
+// reply's own, are shared, not copied, by a scan that keeps every row.
 func TestVectorLifetime(t *testing.T) {
 	if !PoisonRecycledVectors {
 		t.Skip("the hook is off (benchmark run)")
@@ -136,6 +168,40 @@ func TestVectorLifetime(t *testing.T) {
 		}
 		if reflect.DeepEqual(held, copied) {
 			t.Fatalf("window %d: a list held past nextBatch survived window %d unrecycled", k, k+1)
+		}
+	}
+	for _, nulls := range []bool{false, true} {
+		mem := lineitemish(3*64+5, nulls)
+		sel := mustParse(t, "SELECT * FROM lineitem WHERE l_orderkey <> 100 AND l_quantity < (SELECT 100)")
+		recycled := &recycledWindows{MemRelation: mem}
+		reply := retained(t, mem)
+		var scans []*Result
+		for _, rel := range []Relation{recycled, reply} {
+			b := &builder{cat: relCatalog{"lineitem": rel}, batchRows: 64, stmt: sel}
+			scan, _, err := b.buildFrom(sel, nil, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scans = append(scans, scan.parts[0])
+		}
+		want := mustRun(t, "SELECT * FROM lineitem WHERE l_orderkey <> 100", memCatalog{"lineitem": mem}, nil, 1)
+		for i, name := range []string{"recycled windows", "a retained reply"} {
+			if got, err := scans[i].Boxed(); err != nil || scans[i].cols == nil || !sameRows(got.Rows, want.Rows) {
+				t.Fatalf("nulls=%v: the scan over %s kept %d rows (%v), want the %d that pass; a poisoned value is a vector held past its window", nulls, name, scans[i].NumRows(), err, len(want.Rows))
+			}
+		}
+		if recycled.fills != 4 {
+			t.Fatalf("the relation refilled its window %d times, want 4", recycled.fills)
+		}
+		all := &builder{cat: relCatalog{"lineitem": reply}, batchRows: 64, stmt: mustParse(t, "SELECT * FROM lineitem")}
+		scan, _, err := all.buildFrom(all.stmt, nil, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, cv := range scan.parts[0].cols {
+			if cv != reply.col(c) {
+				t.Errorf("nulls=%v: a scan that kept every row of a reply copied column %d", nulls, c)
+			}
 		}
 	}
 	ctx.nextBatch()

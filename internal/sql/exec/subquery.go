@@ -14,12 +14,14 @@ import (
 // Uncorrelated subqueries run once and are memoized. Correlated subqueries
 // are decorrelated: equality conjuncts linking inner columns to outer
 // expressions become hash keys, the inner side (FROM plus inner-only
-// predicates) is materialized once and grouped by those keys, and any
+// predicates) is executed once and grouped by those keys, and any
 // remaining outer-referencing conjuncts are evaluated per candidate row at
 // lookup time. This turns the paper's TPC-H correlated subqueries (q2, q4,
 // q21, ...) from per-row re-execution into a single build plus O(1) probes.
 // The grouping is a keyTable over the inner keys — the build side of a hash
-// semi-join — and every cache below is indexed by its ids. A subquery whose
+// semi-join — and every cache below is indexed by its ids; the inner side
+// stays a join chain, and a candidate is a position in it, read through a row
+// view for the columns the residual and the select list name. A subquery whose
 // WHERE clause is uncorrelated but which names an outer column elsewhere is
 // run again for every outer row (perRow): nothing of it is memoized.
 type subEval struct {
@@ -32,23 +34,29 @@ type subEval struct {
 	inSet        *keyTable // its non-NULL first-column values
 	inHasNull    bool
 
-	inner     *Result // materialized FROM + inner-only filter, full width
+	inner     *joinChain // FROM + inner-only filter, full width
 	keysInner []ast.Expr
 	keysOuter []ast.Expr
 	residual  ast.Expr
 	// Inner rows grouped by key: the rows of key id are
-	// inner.Rows[pos[start[id]:start[id+1]]].
+	// pos[start[id]:start[id+1]].
 	keys       *keyTable
 	start, pos []int32
 	outerVals  []value.Value // the outer row's key
-	cand       []schema.Row  // the outer row's candidates
+	cand       []int32       // the outer row's candidates that passed the residual
 
 	// outerEnv/ictx are reused across outer rows: the chain's schemas are
-	// fixed per operator, only the bound row changes.
+	// fixed per operator, only the bound rows change — the outer one in
+	// outerEnv, the inner candidate loaded into ictx's row through irow.
 	outerEnv *Env
 	ictx     *evalCtx
+	irow     *rowView
 
 	scalarCache map[int32]value.Value // by key id
+	// A scalar subquery over aggregates (q17's `0.2 * avg(l_quantity)`): its
+	// calls, and the binding that substitutes their values over the candidates.
+	aggs    []aggSpec
+	binding *aggBinding
 }
 
 // subqueryOf returns the body of a subquery node, nil for any other expression.
@@ -69,7 +77,7 @@ func subqueryOf(e ast.Expr) *ast.Select {
 // its input rows, where it holds them and evaluates exprs over nothing else:
 // their correlation keys then reduce the subquery's inner scan (prepareSub).
 // A subquery buildFrom prepared ahead (b.pre) is taken over as it is.
-func (b *builder) prepareSubqueries(exprs []ast.Expr, outerSch *schema.Schema, outer *Result, env *Env) (map[ast.Expr]*subEval, error) {
+func (b *builder) prepareSubqueries(exprs []ast.Expr, outerSch *schema.Schema, outer *joinChain, env *Env) (map[ast.Expr]*subEval, error) {
 	subs := map[ast.Expr]*subEval{}
 	var firstErr error
 	for _, e := range exprs {
@@ -188,11 +196,11 @@ func (b *builder) closed(sel *ast.Select, scope *schema.Schema, within []*schema
 	return ok
 }
 
-// prepareSub analyses a subquery and, for the correlated case, materializes
-// its inner side — of which only the rows whose key some row of outer (the
+// prepareSub analyses a subquery and, for the correlated case, executes its
+// inner side — of which only the rows whose key some row of outer (the
 // operator's input, nil when it is not at hand) holds are ever looked up, so
 // outer's keys are offered to the inner scan as a semi-join reducer.
-func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, outer *Result, env *Env) (*subEval, error) {
+func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, outer *joinChain, env *Env) (*subEval, error) {
 	se, innerOnly, err := b.analyzeSub(sel, outerSch, env)
 	if err != nil || se.uncorrelated {
 		return se, err // an uncorrelated subquery is executed lazily on first use
@@ -200,7 +208,7 @@ func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, outer *Re
 	if len(sel.GroupBy) > 0 {
 		return nil, errors.New("exec: correlated subqueries with GROUP BY are not supported")
 	}
-	// Materialize FROM + inner-only predicates at full width.
+	// FROM + inner-only predicates at full width: the input of `SELECT *`.
 	innerSel := &ast.Select{
 		Items: []ast.SelectItem{{Star: true}},
 		From:  sel.From,
@@ -211,25 +219,32 @@ func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, outer *Re
 	if outer != nil && len(se.keysInner) > 0 {
 		offers = []*semiReducer{{name: "<outer>", src: outer, env: env, srcKeys: se.keysOuter, keys: se.keysInner}}
 	}
-	inner, err := b.buildSelect(innerSel, env, offers...)
+	inner, err := b.buildInput(innerSel, env, false, offers)
 	if err != nil {
 		return nil, err
 	}
+	b.chargePass(inner.n, nil) // that select list's pass, though nothing is boxed for it
 	se.inner = inner
 	// NULL keys never match an equi-correlation: they get no id.
-	se.keys = newKeyTable(len(se.keysInner), len(inner.Rows), false)
-	ids, err := b.keyIDs(se.keys, chainOf(inner), se.keysInner, env, true)
+	se.keys = newKeyTable(len(se.keysInner), inner.n, false)
+	ids, err := b.keyIDs(se.keys, inner, se.keysInner, env, true)
 	if err != nil {
 		return nil, err
 	}
 	se.start, se.pos = groupPositions(ids, se.keys.n)
 	se.outerVals = make([]value.Value, len(se.keysOuter))
 	// Group building is charged row-at-a-time in both modes.
-	b.chargeRows(int64(len(inner.Rows)))
+	b.chargeRows(int64(inner.n))
 	b.trace.addf("subquery: decorrelated on %d key(s) [%s], %d inner rows in %d groups, residual=%v",
-		len(se.keysInner), exprsText(se.keysInner), len(inner.Rows), se.keys.n, se.residual != nil)
+		len(se.keysInner), exprsText(se.keysInner), inner.n, se.keys.n, se.residual != nil)
 	se.outerEnv = &Env{Parent: env, Sch: outerSch}
-	se.ictx = newCtx(b, inner.Sch, se.outerEnv)
+	se.ictx = newCtx(b, inner.sch, se.outerEnv)
+	se.ictx.row = make(schema.Row, inner.sch.Len())
+	reads := []ast.Expr{se.residual}
+	for _, it := range sel.Items {
+		reads = append(reads, it.Expr)
+	}
+	se.irow = inner.view(se.ictx.row, 0, se.ictx.reads(reads...))
 	return se, nil
 }
 
@@ -302,30 +317,27 @@ func (se *subEval) outerKey(c *evalCtx) (int32, error) {
 	return se.keys.id(se.outerVals, false), nil
 }
 
-// candidates returns the inner rows of key id (see outerKey) that pass the
-// residual predicate for the current outer row. The slice is reused by the
-// next call.
-func (se *subEval) candidates(c *evalCtx, id int32) ([]schema.Row, error) {
-	se.cand = se.cand[:0]
+// candidates returns the inner rows — positions in the inner chain — of key
+// id (see outerKey) that pass the residual predicate for the current outer
+// row. The slice is reused by the next call.
+func (se *subEval) candidates(c *evalCtx, id int32) ([]int32, error) {
 	if id < 0 {
-		return se.cand, nil
+		return nil, nil
 	}
 	group := se.pos[se.start[id]:se.start[id+1]]
 	if se.residual == nil {
-		for _, p := range group {
-			se.cand = append(se.cand, se.inner.Rows[p])
-		}
-		return se.cand, nil
+		return group, nil
 	}
+	se.cand = se.cand[:0]
 	se.outerEnv.Row = c.row
 	for _, p := range group {
-		r := se.inner.Rows[p]
-		v, err := se.ictx.withRow(r).eval(se.residual)
+		se.irow.load(int(p))
+		v, err := se.ictx.eval(se.residual)
 		if err != nil {
 			return nil, err
 		}
 		if truthy(v) {
-			se.cand = append(se.cand, r)
+			se.cand = append(se.cand, p)
 		}
 	}
 	se.b.chargeWork(int64(len(group)))
@@ -384,10 +396,10 @@ func (se *subEval) in(c *evalCtx, lhs value.Value, not bool) (value.Value, error
 	}
 	item := se.sel.Items[0].Expr
 	se.outerEnv.Row = c.row
-	ictx := newCtx(se.b, se.inner.Sch, se.outerEnv)
 	sawNull := false
-	for _, r := range rows {
-		v, err := ictx.withRow(r).eval(item)
+	for _, p := range rows {
+		se.irow.load(int(p))
+		v, err := se.ictx.eval(item)
 		if err != nil {
 			return value.Null(), err
 		}
@@ -447,31 +459,44 @@ func (se *subEval) scalar(c *evalCtx) (value.Value, error) {
 	if err != nil {
 		return value.Null(), err
 	}
-	sch := se.inner.Sch
-	outerChain := &Env{Parent: c.env, Sch: c.sch, Row: c.row}
+	se.outerEnv.Row = c.row
 
 	var out value.Value
 	if containsAggregate(item) {
-		// The item may be any expression over aggregates (q17's
-		// `0.2 * avg(l_quantity)`): compute each aggregate over the
-		// candidate rows, then evaluate the expression with the results
-		// substituted.
-		specs := collectAggregates([]ast.Expr{item})
-		aggVals := make(map[string]value.Value, len(specs))
-		for _, sp := range specs {
-			v, err := aggregateRows(se.b, sp.call, sch, rows, outerChain)
-			if err != nil {
-				return value.Null(), err
+		// The item may be any expression over aggregates: compute each
+		// aggregate over the candidate rows, then evaluate the expression with
+		// the results substituted, over the first candidate (or NULLs).
+		if se.binding == nil {
+			se.aggs = collectAggregates([]ast.Expr{item})
+			se.binding = newAggBinding(nil, se.aggs)
+		}
+		for i, sp := range se.aggs {
+			st := aggState{call: sp.call, accs: make([]accumulator, 0, 1)}
+			st.open()
+			for _, p := range rows {
+				if sp.call.Star {
+					st.accs[0].count++
+					continue
+				}
+				se.irow.load(int(p))
+				v, err := se.ictx.eval(sp.call.Args[0])
+				if err == nil {
+					err = st.add(0, v)
+				}
+				if err != nil {
+					return value.Null(), err
+				}
 			}
-			aggVals[sp.key] = v
+			se.binding.vals[i] = st.result(0)
 		}
-		ictx := newCtxWith(se.b, sch, outerChain, aggVals, nil)
-		var rep schema.Row
+		rep := -1
 		if len(rows) > 0 {
-			rep = rows[0]
+			rep = int(rows[0])
 		}
-		out, err = ictx.withRow(rep).eval(item)
-		if err != nil {
+		se.irow.load(rep)
+		actx := *se.ictx
+		actx.agg = se.binding
+		if out, err = actx.eval(item); err != nil {
 			return value.Null(), err
 		}
 	} else {
@@ -481,9 +506,8 @@ func (se *subEval) scalar(c *evalCtx) (value.Value, error) {
 		case len(rows) > 1:
 			return value.Null(), errors.New("exec: scalar subquery returned more than one row")
 		default:
-			ictx := newCtx(se.b, sch, outerChain)
-			out, err = ictx.withRow(rows[0]).eval(item)
-			if err != nil {
+			se.irow.load(int(rows[0]))
+			if out, err = se.ictx.eval(item); err != nil {
 				return value.Null(), err
 			}
 		}

@@ -8,24 +8,24 @@ import (
 	"ironsafe/internal/value"
 )
 
-// Batch is one columnar operator batch. It has two forms. A row-backed batch
-// is a window of materialized rows plus lazily extracted per-column vectors;
-// operators over intermediate results use it, and filters pass row
-// membership downstream via selection vectors (position lists) rather than
-// copying data, so output rows are the same schema.Row values the
-// row-at-a-time path would produce — byte-identical results by construction.
-// A page-backed batch is a window of a stored table whose rows are still
-// encoded in their verified plaintext pages (Rows is nil): Col decodes one
-// column on demand, AppendRows boxes only what the scan keeps. A third form,
-// internal to join chains (see joinChain.batch), has columns only.
+// Batch is one columnar operator batch. It has three forms. A row-backed batch
+// is a window of materialized rows plus lazily extracted per-column vectors: a
+// relation that holds boxed rows delivers it. A page-backed batch is a run of
+// rows still encoded in the buffers they were read from — a stored table's
+// verified plaintext pages, a reply as it arrived — behind a RowWindow (Rows is
+// nil): Col decodes one column on demand, AppendRows and AppendCol box or copy
+// only what the scan keeps. The third form is a run of a join chain's rows (see
+// joinChain.batch): columns only, gathered through the chain's position vectors
+// on demand. Filters pass row membership downstream via selection vectors
+// (position lists) rather than copying data.
 type Batch struct {
 	Sch  *schema.Schema
 	Rows []schema.Row
 
-	win  *schema.RowWindow
-	cols []*schema.ColVec
-
-	chain *chainBatch
+	win    *schema.RowWindow
+	chain  *joinChain
+	off, n int // the batch is rows [off, off+n) of win or chain
+	cols   []*schema.ColVec
 }
 
 // NewBatch wraps a row window as a batch. The window is NOT copied: batches
@@ -37,33 +37,39 @@ func NewBatch(sch *schema.Schema, rows []schema.Row) *Batch {
 
 // NewWindowBatch wraps a window of encoded rows as a page-backed batch.
 func NewWindowBatch(sch *schema.Schema, win *schema.RowWindow) *Batch {
-	return &Batch{Sch: sch, win: win}
+	return &Batch{Sch: sch, win: win, n: win.Len()}
+}
+
+// slice returns rows [off, end) of a page-backed or chain batch as a batch.
+func (bt *Batch) slice(off, end int) *Batch {
+	return &Batch{Sch: bt.Sch, win: bt.win, chain: bt.chain, off: bt.off + off, n: end - off}
 }
 
 // Len returns the number of rows in the batch.
 func (bt *Batch) Len() int {
-	if bt.win != nil {
-		return bt.win.Len()
+	if bt.Rows != nil {
+		return len(bt.Rows)
 	}
-	if bt.chain != nil {
-		return bt.chain.n
-	}
-	return len(bt.Rows)
+	return bt.n
 }
 
 // Col lazily columnarizes column i, memoizing the vector.
 func (bt *Batch) Col(i int) *schema.ColVec {
-	if bt.win != nil {
-		return bt.win.Col(i)
-	}
-	if bt.chain != nil {
-		return bt.chain.col(i)
+	if bt.win != nil && bt.n == bt.win.Len() {
+		return bt.win.Col(i) // the whole window: the vector is the window's own
 	}
 	if bt.cols == nil {
 		bt.cols = make([]*schema.ColVec, bt.Sch.Len())
 	}
 	if bt.cols[i] == nil {
-		bt.cols[i] = schema.FromRows(bt.Rows, i)
+		switch {
+		case bt.win != nil:
+			bt.cols[i] = bt.win.Col(i).Slice(bt.off, bt.off+bt.n)
+		case bt.chain != nil:
+			bt.cols[i] = bt.chain.col(i, bt.off, bt.n)
+		default:
+			bt.cols[i] = schema.FromRows(bt.Rows, i)
+		}
 	}
 	return bt.cols[i]
 }
@@ -72,10 +78,28 @@ func (bt *Batch) Col(i int) *schema.ColVec {
 // narrowed to columns cols (nil: every column), to dst. A row-backed batch
 // shares its rows by reference when no column is dropped.
 func (bt *Batch) AppendRows(dst []schema.Row, sel []int, cols []int) []schema.Row {
-	if bt.win != nil {
-		return bt.win.AppendRows(dst, sel, cols)
-	}
-	if cols == nil {
+	switch {
+	case bt.win != nil:
+		return bt.win.AppendRows(dst, bt.off, sel, cols)
+	case bt.chain != nil:
+		w := len(cols)
+		if cols == nil {
+			w = bt.Sch.Len()
+		}
+		vecs := make([]*schema.ColVec, w)
+		for j := range vecs {
+			c := j
+			if cols != nil {
+				c = cols[j]
+			}
+			vecs[j] = bt.Col(c)
+		}
+		slab := boxed(vecs, sel)
+		for k := range sel {
+			dst = append(dst, slab[k*w:(k+1)*w:(k+1)*w])
+		}
+		return dst
+	case cols == nil:
 		if len(sel) == len(bt.Rows) { // ascending and distinct: the identity
 			return append(dst, bt.Rows...)
 		}
@@ -94,11 +118,43 @@ func (bt *Batch) AppendRows(dst []schema.Row, sel []int, cols []int) []schema.Ro
 	return dst
 }
 
+// boxed returns the vectors' elements at the positions sel as rows laid end to
+// end in one array, len(vecs) values each. It is where vectors become rows: the
+// select list's emit, and Boxed at the root.
+func boxed(vecs []*schema.ColVec, sel []int) []value.Value {
+	w := len(vecs)
+	slab := make([]value.Value, len(sel)*w)
+	for j, cv := range vecs {
+		for k, i := range sel {
+			slab[k*w+j] = cv.Value(i)
+		}
+	}
+	return slab
+}
+
+// AppendCol is the column-wise twin of AppendRows: it appends column col of
+// the batch's rows at the ascending positions sel to the vector dst (see
+// schema.ColVec.Append). A page-backed batch that keeps most of its rows
+// decodes the column for all of them — one typed pass, a string column's
+// values in one allocation — and one that keeps few reads just those fields.
+func (bt *Batch) AppendCol(dst *schema.ColVec, col int, sel []int) {
+	switch {
+	case bt.win != nil && 2*len(sel) < bt.n:
+		bt.win.AppendCol(dst, col, bt.off, sel)
+	case bt.win != nil || bt.chain != nil:
+		dst.AppendSel(bt.Col(col), 0, sel)
+	default:
+		for _, i := range sel {
+			dst.Append(bt.Rows[i][col])
+		}
+	}
+}
+
 // AppendEncoded appends the rows AppendRows would box to dst in the row codec
 // instead, without boxing any for a page-backed batch.
 func (bt *Batch) AppendEncoded(dst []byte, sel []int, cols []int) []byte {
 	if bt.win != nil {
-		return bt.win.AppendEncoded(dst, sel, cols)
+		return bt.win.AppendEncoded(dst, bt.off, sel, cols)
 	}
 	for _, row := range bt.AppendRows(nil, sel, cols) {
 		dst = schema.EncodeRow(dst, row)
@@ -162,10 +218,10 @@ func isConstExpr(e ast.Expr) bool {
 // them for its first batch only, as RowWindow.Col reuses column storage
 // across windows. The lifetime rule: a vector returned by evalVec, and a list
 // taken with sel, is valid until the loop that owns the batch calls nextBatch
-// on the context. Six loops own a batch: the fused scan (semiReducer.reduce
-// runs inside it, on its batch), the vectorized projection, applyFilter,
-// aggregate, filterChain and keyIDs. Each calls nextBatch as it moves to a
-// batch and keeps nothing of the last one but what it boxed or copied out.
+// on the context. Five loops own a batch: the fused scan (semiReducer.reduce
+// runs inside it, on its batch), the vectorized projection, filter, aggregate
+// and keyIDs. Each calls nextBatch as it moves to a batch and keeps nothing of
+// the last one but what it boxed or copied out.
 type vecScratch struct {
 	ints   recycled[int64]
 	floats recycled[float64]
@@ -264,31 +320,26 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 
 // evalRows is eval at each selected position, through a view of the batch as
 // that position's row: the row itself where the batch holds rows; where it
-// does not (a page-backed window, a join chain — neither ever reaches a
-// subquery probe, which needs its outer row whole), a scratch row holding the
-// position's element of each column e reads.
+// does not (a page-backed window, a join chain), a scratch row holding the
+// position's element of each column e reads (evalCtx.reads).
 func (c *evalCtx) evalRows(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, error) {
 	out := c.boxed(bt.Len())
 	rc := *c
 	var reads []int
+	var vecs []*schema.ColVec
 	if bt.Rows == nil {
 		rc.row = c.scratch().vals.take(c.sch.Len(), true)
-		ast.Walk(e, func(x ast.Expr) bool {
-			if ref, ok := x.(*ast.ColumnRef); ok {
-				// A column that does not resolve is eval's to report.
-				if r, err := c.resolveColumnIdx(ref); err == nil && r.envDepth < 0 {
-					reads = append(reads, r.idx)
-				}
-			}
-			return true
-		})
+		reads = c.reads(e)
+		for _, col := range reads {
+			vecs = append(vecs, bt.Col(col))
+		}
 	}
 	for _, i := range sel {
 		if bt.Rows != nil {
 			rc.row = bt.Rows[i]
 		}
-		for _, col := range reads {
-			rc.row[col] = bt.Col(col).Value(i)
+		for k, col := range reads {
+			rc.row[col] = vecs[k].Value(i)
 		}
 		v, err := rc.eval(e)
 		if err != nil {
@@ -297,6 +348,32 @@ func (c *evalCtx) evalRows(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, er
 		out.Set(i, v)
 	}
 	return out, nil
+}
+
+// reads returns the columns of the context's schema that evaluating exprs over
+// one of its rows can read: the ones they name, and every column where one
+// holds a subquery, whose body reads the outer row by names of its own. A name
+// that does not resolve is eval's to report.
+func (c *evalCtx) reads(exprs ...ast.Expr) []int {
+	var cols []int
+	for _, e := range exprs {
+		if e != nil && containsSubquery(e) {
+			cols = cols[:0]
+			for i := range c.sch.Columns {
+				cols = append(cols, i)
+			}
+			return cols
+		}
+		ast.Walk(e, func(x ast.Expr) bool {
+			if ref, ok := x.(*ast.ColumnRef); ok {
+				if r, err := c.resolveColumnIdx(ref); err == nil && r.envDepth < 0 {
+					cols = append(cols, r.idx)
+				}
+			}
+			return true
+		})
+	}
+	return cols
 }
 
 // vec is what evalVec owns, because it makes a batch cheaper than its rows:
@@ -315,10 +392,8 @@ func (c *evalCtx) evalRows(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, er
 func (c *evalCtx) vec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, error) {
 	n := bt.Len()
 	// Post-aggregation substitution takes priority, as in eval.
-	if c.agg != nil {
-		if v, ok := c.agg[e.String()]; ok {
-			return schema.ConstVec(v, n), nil
-		}
+	if v, ok := c.agg.lookup(e); ok {
+		return schema.ConstVec(v, n), nil
 	}
 	// A column-free subexpression (date '1994-01-01' + interval '1' year) has
 	// one value per batch: compute it once, as the row path would for any

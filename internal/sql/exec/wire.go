@@ -17,8 +17,8 @@ type wireColumn struct {
 	Kind value.Kind `json:"kind"`
 }
 
-// EncodeResult serializes a result for transmission. Both forms of a result
-// holding the same rows serialize to the same bytes.
+// EncodeResult serializes a result for transmission. Every form of a result
+// holding the same rows serializes to the same bytes.
 func EncodeResult(r *Result) ([]byte, error) {
 	cols := make([]wireColumn, r.Sch.Len())
 	for i, c := range r.Sch.Columns {
@@ -34,7 +34,11 @@ func EncodeResult(r *Result) ([]byte, error) {
 		out = binary.AppendUvarint(out, uint64(r.n))
 		return append(out, r.enc...), nil
 	}
-	return append(out, schema.EncodeRows(r.Rows)...), nil
+	boxed, err := r.Boxed()
+	if err != nil {
+		return nil, err
+	}
+	return append(out, schema.EncodeRows(boxed.Rows)...), nil
 }
 
 // decodeHeader parses the schema header of an encoded result and returns the
@@ -73,9 +77,9 @@ func DecodeResult(buf []byte) (*Result, error) {
 
 // RetainResult reverses EncodeResult into the encoded form: it keeps buf and
 // boxes nothing. buf comes from outside, so every row is checked once here —
-// DecodeRow's checks, plus a column count equal to the header's — and a
-// result that is returned scans without error. Bytes after the last row are
-// dropped, as DecodeResult ignores them.
+// DecodeRow's checks, plus a column count equal to the header's — as the
+// result's index is built, and a result that is returned scans without error.
+// Bytes after the last row are dropped, as DecodeResult ignores them.
 func RetainResult(buf []byte) (*Result, error) {
 	sch, batch, err := decodeHeader(buf)
 	if err != nil {
@@ -89,10 +93,8 @@ func RetainResult(buf []byte) (*Result, error) {
 		return &Result{Sch: sch, Rows: []schema.Row{}}, nil
 	}
 	r := &Result{Sch: sch, enc: batch[pos:], n: count}
-	end, err := r.scanEncoded(0, func(*Batch) error { return nil })
-	if err != nil {
+	if err := r.index(); err != nil {
 		return nil, err
 	}
-	r.enc = r.enc[:end:end]
 	return r, nil
 }

@@ -3,6 +3,7 @@ package ironsafe
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -435,5 +436,62 @@ func TestScanTelemetryPublished(t *testing.T) {
 	}
 	if storage.ScanBatches == 0 {
 		t.Error("storage reported zero scan batches under the batched default")
+	}
+}
+
+// TestSplitInvarianceOverLeftJoin: where the query is split (vcs, scs) or run
+// on the storage node (sos) it returns what the host alone returns (hons, hos)
+// for WHERE conjuncts over the NULL-supplying side of a LEFT OUTER JOIN — one
+// that accepts the NULL extension, one that accepts it in one branch of an OR,
+// and a NULL-rejecting one that must still return the inner join's rows. The
+// partitioner used to push such a conjunct into that side's offload: `b.id IS
+// NULL` then shipped no row of b, and every row of a came back NULL-extended.
+func TestSplitInvarianceOverLeftJoin(t *testing.T) {
+	queries := map[string]int{ // rows expected
+		"SELECT a.id, a.id + b.id FROM a LEFT OUTER JOIN b ON a.id = b.id WHERE b.id IS NULL":          2,
+		"SELECT a.id, b.y FROM a LEFT OUTER JOIN b ON a.id = b.id WHERE b.id IS NULL OR b.y > 5":       4,
+		"SELECT a.id, b.y FROM a LEFT OUTER JOIN b ON a.id = b.id WHERE b.y > 5":                       2,
+		"SELECT a.id, b.y FROM a LEFT OUTER JOIN b ON a.id = b.id AND b.y > 5 WHERE a.y < 40":          3,
+		"SELECT count(*) FROM a LEFT OUTER JOIN b ON a.id = b.id WHERE b.y IS NULL AND a.y >= 20":      1,
+		"SELECT a.id FROM a LEFT OUTER JOIN b ON a.id = b.id WHERE b.id IS NULL AND a.id IN (2, 3, 4)": 2,
+	}
+	rows := map[string]map[Mode]string{}
+	for _, mode := range []Mode{HostOnlyNonSecure, HostOnlySecure, VanillaCS, IronSafe, StorageOnlySecure} {
+		c, err := NewCluster(Config{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetAccessPolicy("read :- sessionKeyIs(k)\nwrite :- sessionKeyIs(k)"); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, c, "CREATE TABLE a (id INTEGER, y INTEGER)")
+		mustExec(t, c, "CREATE TABLE b (id INTEGER, y INTEGER)")
+		mustExec(t, c, "INSERT INTO a VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
+		mustExec(t, c, "INSERT INTO b VALUES (1, 3), (1, 7), (3, 9), (5, 11)")
+		for sql, want := range queries {
+			qr, err := c.NewSession("k").Query(sql)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", mode, sql, err)
+			}
+			if sql[:12] != "SELECT count" && len(qr.Result.Rows) != want {
+				t.Errorf("%s: %s returns %d rows, want %d: %v", mode, sql, len(qr.Result.Rows), want, qr.Result.Rows)
+			}
+			lines := make([]string, len(qr.Result.Rows))
+			for i, r := range qr.Result.Rows {
+				lines[i] = fmt.Sprint(r)
+			}
+			sort.Strings(lines)
+			if rows[sql] == nil {
+				rows[sql] = map[Mode]string{}
+			}
+			rows[sql][mode] = strings.Join(lines, "\n")
+		}
+	}
+	for sql, byMode := range rows {
+		for mode, got := range byMode {
+			if want := byMode[HostOnlyNonSecure]; got != want {
+				t.Errorf("%s: %s returns\n%s\nhons returns\n%s", mode, sql, got, want)
+			}
+		}
 	}
 }
