@@ -286,7 +286,7 @@ func plainSelect(sel *ast.Select) bool {
 // charges for the same input. For every other statement it returns nil.
 func (b *builder) passThrough(sel *ast.Select, items []ast.SelectItem, input *joinChain, outSch *schema.Schema) *Result {
 	in := input.parts[0]
-	if !plainSelect(sel) || len(items) != input.sch.Len() || len(input.parts) > 1 || input.idx[0] != nil || in.cols != nil {
+	if !plainSelect(sel) || len(items) != input.sch.Len() || len(input.parts) > 1 || input.idx[0] != nil || input.n != in.NumRows() || in.cols != nil {
 		return nil
 	}
 	for i, it := range items {

@@ -49,16 +49,27 @@ func columnarCatalog() memCatalog {
 	return memCatalog{"t": t, "u": u, "e": &MemRelation{Sch: u.Sch}}
 }
 
+// rowsOnly is a relation that hands out boxed rows and nothing else: no
+// ScanBatch, so its scan is the row loop at every batch size and its WHERE is a
+// filter over the chain, not fused.
+type rowsOnly struct{ rel *MemRelation }
+
+func (r rowsOnly) Schema() *schema.Schema { return r.rel.Sch }
+
+func (r rowsOnly) Scan(fn func(schema.Row) error) error { return r.rel.Scan(fn) }
+
 // TestColumnarMatchesRowMode holds the columnar intermediates to the boxed
 // ones, which run under batch size 1: over statement shapes that cross every
 // operator that used to take rows — a left outer join's NULL extension and
 // residual, grouping over a join chain, EXISTS / IN / scalar subqueries and
 // their caches, a derived table, a cross join, DISTINCT, an empty input,
 // LIMIT 0 — with seeded predicates, the rows are byte-identical at batch sizes
-// 1, 7 and 4 096, over boxed relations and over the same tables held as
-// retained replies; the two input forms charge the same at every batch size;
-// and where no semi-join reducer fires (row mode forms none) vector mode
-// charges what row mode charges, dispatches aside.
+// 1, 7 and 4 096, over boxed relations, over the same tables held as retained
+// replies and over relations that can only be scanned row by row; the first two
+// input forms charge the same at every batch size; and where no semi-join
+// reducer fires (row mode forms none) vector mode charges what row mode
+// charges, dispatches aside. The fixed statements include a pass-through
+// select list over a filter that keeps nothing, some and all of one boxed part.
 func TestColumnarMatchesRowMode(t *testing.T) {
 	atoms := []string{
 		"t.g > 1", "t.s LIKE 's1%'", "t.s IS NULL", "t.s IS NOT NULL", "t.k < 10", "t.k = 4.0", "t.k IS NULL",
@@ -95,6 +106,13 @@ func TestColumnarMatchesRowMode(t *testing.T) {
 		"SELECT * FROM t LIMIT 0",
 		"SELECT g, count(*) FROM t GROUP BY g LIMIT 0",
 		"SELECT tag, count(*) FROM e GROUP BY tag",
+		"SELECT * FROM (SELECT id, x FROM t) AS d WHERE d.x > 1000000",
+		"SELECT * FROM (SELECT id, x FROM t) AS d WHERE d.x > 40",
+		"SELECT * FROM (SELECT id, x FROM t) AS d WHERE d.x >= 0",
+		"SELECT * FROM t WHERE x > 1000000",
+		"SELECT id, k, s, g, x FROM t WHERE x > 1000000 OR s IS NULL",
+		"SELECT t.id, u.id FROM t, u WHERE t.k = u.k AND t.x > 1000000",
+		"SELECT * FROM (SELECT t.id, u.v FROM t, u WHERE t.k = u.k AND t.x > 1000000) AS d",
 	}
 	rng := rand.New(rand.NewSource(22))
 	var stmts []string
@@ -116,9 +134,10 @@ func TestColumnarMatchesRowMode(t *testing.T) {
 	stmts = append(stmts, fixed...)
 
 	mem := columnarCatalog()
-	replies := relCatalog{}
+	replies, plain := relCatalog{}, relCatalog{}
 	for name, rel := range mem {
 		replies[name] = retained(t, rel)
+		plain[name] = rowsOnly{rel}
 	}
 	some := 0
 	for _, sql := range stmts {
@@ -142,7 +161,8 @@ func TestColumnarMatchesRowMode(t *testing.T) {
 				want, rowMode = boxed, snap
 				some += len(want.Rows)
 			}
-			for form, got := range map[string]*Result{"boxed relations": boxed, "retained replies": reply} {
+			forms := map[string]*Result{"boxed relations": boxed, "retained replies": reply, "row-only relations": mustRun(t, sql, plain, nil, batch)}
+			for form, got := range forms {
 				if !sameRows(got.Rows, want.Rows) {
 					t.Errorf("%s (batch %d, %s):\n got %v\nwant %v", sql, batch, form, got.Rows, want.Rows)
 				}

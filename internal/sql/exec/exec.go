@@ -123,13 +123,15 @@ func (r *Result) Boxed() (*Result, error) {
 }
 
 // col returns column i as one vector, decoded or extracted on first use. An
-// encoded result has been indexed by then: nothing reads one before a scan.
+// encoded result that reaches here unindexed is a scan's own encoding of rows
+// it read (RetainResult indexes what came from outside), so its index cannot
+// fail; it is still built here rather than assumed.
 func (r *Result) col(i int) *schema.ColVec {
 	if r.cols != nil {
 		return r.cols[i]
 	}
-	if r.all == nil {
-		r.all = NewBatch(r.Sch, r.Rows)
+	if err := r.index(); err != nil {
+		panic(err)
 	}
 	return r.all.Col(i)
 }
@@ -166,15 +168,17 @@ func (r *Result) ScanBatch(batchRows int, fn func(*Batch) error) error {
 	return nil
 }
 
-// index makes the one batch that holds every row of an encoded or columnar
-// result. For the encoded form that is the one pass over its bytes: indexing
+// index makes the one batch that holds every row of the result, in whichever
+// form it is. For the encoded form that is the one pass over its bytes: indexing
 // checks every field of every row as DecodeRow does, so it is also the
 // structural validation of bytes that came from outside.
 func (r *Result) index() error {
 	switch {
 	case r.all != nil:
-	case r.enc == nil:
+	case r.cols != nil:
 		r.all = chainOf(r).batch(0, r.n)
+	case r.enc == nil:
+		r.all = NewBatch(r.Sch, r.Rows)
 	default:
 		win := schema.NewRowWindow(r.Sch.Len())
 		end, err := win.Fill(r.enc, 0, r.n)

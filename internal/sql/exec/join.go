@@ -124,8 +124,12 @@ func (v *rowView) load(k int) {
 }
 
 // pick returns the chain of c's rows at positions keep; a negative position
-// is a row of NULLs.
+// is a row of NULLs. No rows is an empty vector, never nil: a nil position
+// vector is a part whole and in order.
 func (c *joinChain) pick(keep []int32) *joinChain {
+	if keep == nil {
+		keep = []int32{}
+	}
 	out := *c
 	out.idx, out.n = make([][]int32, len(c.parts)), len(keep)
 	for p, at := range c.idx {

@@ -289,6 +289,14 @@ func TestResultFormsEncodeAlike(t *testing.T) {
 	if !bytes.Equal(fb, bb) || mf.Snapshot() != mb.Snapshot() {
 		t.Errorf("fragment and boxed run differ: %d vs %d bytes, charges %+v vs %+v", len(fb), len(bb), mf.Snapshot(), mb.Snapshot())
 	}
+	// Nothing has indexed the scan's own encoding yet: a column read of it
+	// does, and does not see a result of no rows.
+	key := chainOf(frag).batch(0, frag.NumRows()).Col(1)
+	for k, row := range boxed.Rows {
+		if key.Len() != len(boxed.Rows) || key.Value(k) != row[1] {
+			t.Fatalf("column 1 of the unindexed fragment: %d values, want %d; or value %d differs", key.Len(), len(boxed.Rows), k)
+		}
+	}
 	// Anything that is not a bare shipment stays boxed.
 	for _, sql := range []string{
 		"SELECT l_orderkey FROM lineitem WHERE l_size > 25 LIMIT 5",
