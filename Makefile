@@ -162,7 +162,7 @@ benchjson:
 # scan without running its subquery twice or earlier than a failure would show,
 # conjuncts hoisted out of an OR must plan one way, the columnar intermediates
 # must leave row mode's rows and keep the host phases inside their allocation
-# budget, and the layer benchmarks (table scan, predicate kernels, fragment
+# budget, and the layer benchmarks (row window, table scan, predicate kernels, fragment
 # shipment, host scan of a shipment, hash join, group-by, semi-join reduced
 # scan, subquery-reduced scans, the q13 / q18 / q21 host phases, the store
 # commit and the insert acknowledgement) must still run.
@@ -170,18 +170,19 @@ benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
 	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
 	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain|SemiReduction|CommonDisjuncts|Subquery|ColumnarMatchesRowMode|HostPhaseAllocBudget|ColumnBuilders' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
-	$(GO) test -run '^$$' -bench 'TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HostPhase|HashJoin|GroupBy|ScanSemiReduce|Subquery|Commit|InsertAck' -benchtime 1x ./internal/securestore ./internal/engine ./internal/sql/exec ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'RowWindow|TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HostPhase|HashJoin|GroupBy|ScanSemiReduce|Subquery|Commit|InsertAck' -benchtime 1x ./internal/schema ./internal/securestore ./internal/engine ./internal/sql/exec ./internal/storageengine
 
 # bench-layers runs the data path's layer benchmarks, bottom up: the secure
 # store's batched read, page open, page seal (CBC+HMAC and GCM) and commit (1
-# and 256 pages into 1 k and 16 k pages), the predicate kernels, the table
+# and 256 pages into 1 k and 16 k pages), the page-backed row walk and column
+# decode (`schema.RowWindow`), the predicate kernels, the table
 # scan and the single-row insert acknowledgement over a real secure store,
 # fragment shipment, the host phases a subquery's key set reduces, and the
 # whole host phases of q13, q18 and q21 from the replies' bytes. ns/op, B/op
 # and allocs/op per layer; `make bench-layers BENCHTIME=1x` is the CI smoke run.
 BENCHTIME ?= 1s
 bench-layers:
-	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|SealPage|Commit|EvalVecPredicate|TableScan|InsertAck|ShipFragment|SubqueryReduce|HostPhase' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/sql/exec ./internal/engine ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|SealPage|Commit|RowWindow|EvalVecPredicate|TableScan|InsertAck|ShipFragment|SubqueryReduce|HostPhase' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/engine ./internal/storageengine
 
 # benchmark runs one workload of the repository benchmark the way the driver
 # does (`make benchmark W=scs-scan`): the timed run only, no trace.

@@ -57,25 +57,15 @@ func TestAdversaryConformance(t *testing.T) {
 	}
 }
 
-// TestAdversaryDeterminism re-runs the sweep for several seeds and demands
-// byte-identical digests: the attack schedule, every outcome, and every trace
-// line must be a pure function of the seed.
+// TestAdversaryDeterminism runs the sweep for several seeds and demands the
+// committed digests, byte for byte: the attack schedule, every outcome, and
+// every trace line must be a pure function of the seed.
 func TestAdversaryDeterminism(t *testing.T) {
 	for _, seed := range []uint64{3, 11, 42} {
-		first, err := RunAdversary(adversaryTestConfig(seed))
+		rep, err := RunAdversary(adversaryTestConfig(seed))
 		if err != nil {
-			t.Fatalf("seed %d run 1: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		second, err := RunAdversary(adversaryTestConfig(seed))
-		if err != nil {
-			t.Fatalf("seed %d run 2: %v", seed, err)
-		}
-		if first.Digest != second.Digest {
-			t.Errorf("seed %d digests differ: %s vs %s", seed, first.Digest, second.Digest)
-		}
-		checkPinned(t, fmt.Sprintf("RunAdversary/seed=%d", seed), first.Digest)
-		if first.Attacks != second.Attacks {
-			t.Errorf("seed %d attack counts differ: %d vs %d", seed, first.Attacks, second.Attacks)
-		}
+		checkPinned(t, fmt.Sprintf("RunAdversary/seed=%d", seed), rep.Digest)
 	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -63,9 +64,9 @@ func TestGraySweepInvariants(t *testing.T) {
 		rep.Ejections, rep.Readmissions, rep.Digest[:16])
 }
 
-// TestGraySweepDeterministicPerSeed runs the identical config twice: the
-// outcome digests — and the ejection, readmission, and hedge counters —
-// must match byte for byte. Ejection, hedging, and budget decisions all
+// TestGraySweepDeterministicPerSeed: a config's outcome digest — and its
+// ejection, readmission, and hedge counters — must be the committed ones,
+// byte for byte. Ejection, hedging, and budget decisions all
 // derive from the fault plan's virtual clocks, so the whole run replays
 // exactly. A different scripted brown-out (another victim) must diverge:
 // the hedge pattern follows which node goes gray.
@@ -74,20 +75,6 @@ func TestGraySweepDeterministicPerSeed(t *testing.T) {
 	a, err := RunGray(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	b, err := RunGray(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest != b.Digest {
-		t.Fatalf("same seed diverged:\n  run1 %s\n  run2 %s", a.Digest, b.Digest)
-	}
-	if a.Ejections != b.Ejections || a.Readmissions != b.Readmissions {
-		t.Errorf("tail events diverged: %d/%d vs %d/%d",
-			a.Ejections, a.Readmissions, b.Ejections, b.Readmissions)
-	}
-	if a.Hedges != b.Hedges {
-		t.Errorf("hedge counts diverged: %d vs %d", a.Hedges, b.Hedges)
 	}
 	cfg.GrayNode = "storage-02"
 	c, err := RunGray(cfg)
@@ -98,5 +85,6 @@ func TestGraySweepDeterministicPerSeed(t *testing.T) {
 		t.Error("different victims produced identical runs (digest blind to the brown-out?)")
 	}
 	checkPinned(t, "RunGray/seed=7,queries=24", a.Digest)
+	checkPinned(t, "RunGray/seed=7,queries=24,tail", fmt.Sprintf("ejections=%d readmissions=%d hedges=%d", a.Ejections, a.Readmissions, a.Hedges))
 	checkPinned(t, "RunGray/seed=7,queries=24,gray=storage-02", c.Digest)
 }

@@ -2,10 +2,10 @@ package chaos
 
 import "testing"
 
-// TestRebuildFaultMatrixDeterministic drives the full rebuild fault sweep
-// twice with the same seed: every fault point must uphold the
-// all-or-quarantined invariant (enforced inside RunRebuildSweep), and the two
-// reports must be byte-identical.
+// TestRebuildFaultMatrixDeterministic drives the full rebuild fault sweep:
+// every fault point must uphold the all-or-quarantined invariant (enforced
+// inside RunRebuildSweep), and the report's digest — every (point, outcome)
+// pair — must be the committed one, byte for byte.
 func TestRebuildFaultMatrixDeterministic(t *testing.T) {
 	cfg := RebuildConfig{Seed: 0xB1D5, Stride: 13}
 	a, err := RunRebuildSweep(cfg)
@@ -21,17 +21,7 @@ func TestRebuildFaultMatrixDeterministic(t *testing.T) {
 	if a.DeviceWrites == 0 || a.DonorReadOps == 0 || a.TargetWriteOps == 0 {
 		t.Errorf("clean counting cycle saw no operations: %+v", a)
 	}
-	b, err := RunRebuildSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest != b.Digest {
-		t.Errorf("sweep not deterministic:\n  run1 %s\n  run2 %s", a.Digest, b.Digest)
-	}
 	checkPinned(t, "RunRebuildSweep/seed=0xB1D5,stride=13", a.Digest)
-	if a.Points != b.Points || a.DeviceWrites != b.DeviceWrites {
-		t.Errorf("sweep shape differs across runs: %+v vs %+v", a, b)
-	}
 }
 
 // TestRebuildReadmitNarrowStride spot-checks the sweep's early fault points

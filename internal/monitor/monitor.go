@@ -626,35 +626,32 @@ func rewriteSelect(sel *ast.Select, original string, filters []string) (string, 
 	if _, err := parser.ParseExpr(conj); err != nil {
 		return "", fmt.Errorf("monitor: invalid policy filter %q: %w", conj, err)
 	}
-	// Splice at the text level, preserving the client's query otherwise.
+	// Splice at the text level, preserving the client's query otherwise: the
+	// conjunction goes after the WHERE predicate (wrapped) or becomes the WHERE,
+	// before the first GROUP BY / ORDER BY / LIMIT that follows, or at the end.
 	upper := strings.ToUpper(original)
-	whereIdx := indexTopLevel(upper, " WHERE ")
-	if whereIdx < 0 {
-		// Insert before GROUP/ORDER/LIMIT, or at the end.
-		insertAt := len(original)
-		for _, kw := range []string{" GROUP BY ", " ORDER BY ", " LIMIT "} {
-			if i := indexTopLevel(upper, kw); i >= 0 && i < insertAt {
-				insertAt = i
-			}
-		}
-		return original[:insertAt] + " WHERE " + conj + original[insertAt:], nil
-	}
-	// Wrap the existing WHERE: ... WHERE (old) AND new.
+	whereIdx, predIdx := indexTopLevel(upper, "WHERE")
 	endIdx := len(original)
-	for _, kw := range []string{" GROUP BY ", " ORDER BY ", " LIMIT "} {
-		if i := indexTopLevel(upper, kw); i > whereIdx && i < endIdx {
+	for _, kw := range [][]string{{"GROUP", "BY"}, {"ORDER", "BY"}, {"LIMIT"}} {
+		if i, _ := indexTopLevel(upper, kw...); i > whereIdx && i < endIdx {
 			endIdx = i
 		}
 	}
-	old := original[whereIdx+len(" WHERE ") : endIdx]
-	return original[:whereIdx] + " WHERE (" + old + ") AND " + conj + original[endIdx:], nil
+	if whereIdx < 0 {
+		return original[:endIdx] + " WHERE " + conj + original[endIdx:], nil
+	}
+	return original[:whereIdx] + " WHERE (" + original[predIdx:endIdx] + ") AND " + conj + original[endIdx:], nil
 }
 
-// indexTopLevel finds a keyword outside parentheses and string literals.
-func indexTopLevel(s, kw string) int {
+// indexTopLevel finds a keyword outside parentheses and string literals, its
+// words set off from each other and from what surrounds them by SQL whitespace
+// of any kind and length (a newline before WHERE, two spaces inside GROUP BY).
+// start is the whitespace character right before the keyword and end the
+// position past the one right after it; both are -1 when there is none.
+func indexTopLevel(s string, words ...string) (start, end int) {
 	depth := 0
 	inStr := false
-	for i := 0; i+len(kw) <= len(s); i++ {
+	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
 		case inStr:
@@ -667,12 +664,33 @@ func indexTopLevel(s, kw string) int {
 			depth++
 		case c == ')':
 			depth--
-		case depth == 0 && s[i:i+len(kw)] == kw:
-			return i
+		case depth == 0 && isSpace(c):
+			if end := matchWords(s, i+1, words); end >= 0 {
+				return i, end
+			}
 		}
 	}
-	return -1
+	return -1, -1
 }
+
+// matchWords matches words at s[pos:], a run of whitespace between one and the
+// next and a whitespace character after the last, and returns the position
+// past that character, or -1.
+func matchWords(s string, pos int, words []string) int {
+	for k, w := range words {
+		for k > 0 && pos < len(s) && isSpace(s[pos]) {
+			pos++
+		}
+		if !strings.HasPrefix(s[pos:], w) || pos+len(w) == len(s) || !isSpace(s[pos+len(w)]) {
+			return -1
+		}
+		pos += len(w) + 1
+	}
+	return pos
+}
+
+// isSpace reports what the SQL lexer skips between tokens.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // RevokeStorage removes a storage node from the attested set (operator
 // response to a compromise report); subsequent authorizations exclude it.

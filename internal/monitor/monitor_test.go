@@ -9,6 +9,7 @@ import (
 	"ironsafe/internal/audit"
 	"ironsafe/internal/policy"
 	"ironsafe/internal/simtime"
+	"ironsafe/internal/sql/parser"
 	"ironsafe/internal/tee/sgx"
 	"ironsafe/internal/tee/trustzone"
 )
@@ -436,14 +437,67 @@ func TestAuthorizeBadSQL(t *testing.T) {
 }
 
 func TestIndexTopLevel(t *testing.T) {
-	if i := indexTopLevel("SELECT A FROM T WHERE X", " WHERE "); i < 0 {
+	if i, _ := indexTopLevel("SELECT A FROM T WHERE X", "WHERE"); i < 0 {
 		t.Error("top-level WHERE not found")
 	}
-	if i := indexTopLevel("SELECT (SELECT B FROM U WHERE Y) FROM T", " WHERE "); i >= 0 {
+	if i, _ := indexTopLevel("SELECT (SELECT B FROM U WHERE Y) FROM T", "WHERE"); i >= 0 {
 		t.Error("nested WHERE treated as top-level")
 	}
-	if i := indexTopLevel("SELECT ' WHERE ' FROM T", " WHERE "); i >= 0 {
+	if i, _ := indexTopLevel("SELECT ' WHERE ' FROM T", "WHERE"); i >= 0 {
 		t.Error("string-literal WHERE treated as top-level")
+	}
+	if i, _ := indexTopLevel("SELECT SOMEWHERE FROM T GROUP BYE", "WHERE"); i >= 0 {
+		t.Error("a keyword inside an identifier treated as the keyword")
+	}
+	// Any run of whitespace separates: start is the character before the
+	// keyword, end the position past the one after it.
+	for _, tc := range []struct {
+		s          string
+		words      []string
+		start, end int
+	}{
+		{"A WHERE X", []string{"WHERE"}, 1, 8},
+		{"A\nWHERE\tX", []string{"WHERE"}, 1, 8},
+		{"A \r\n  WHERE  X", []string{"WHERE"}, 5, 12},
+		{"A GROUP BY X", []string{"GROUP", "BY"}, 1, 11},
+		{"A\tGROUP \n BY\nX", []string{"GROUP", "BY"}, 1, 13},
+		{"A GROUP BY", []string{"GROUP", "BY"}, -1, -1},
+		{"A GROUPBY X", []string{"GROUP", "BY"}, -1, -1},
+		{"A LIMIT", []string{"LIMIT"}, -1, -1},
+	} {
+		if start, end := indexTopLevel(tc.s, tc.words...); start != tc.start || end != tc.end {
+			t.Errorf("indexTopLevel(%q, %v) = %d, %d, want %d, %d", tc.s, tc.words, start, end, tc.start, tc.end)
+		}
+	}
+}
+
+// TestRewriteAcrossWhitespace: the policy filter is spliced into the same
+// place whatever whitespace sets the statement's keywords off — a newline or
+// tab before WHERE used to get a second WHERE appended, which does not parse.
+func TestRewriteAcrossWhitespace(t *testing.T) {
+	r := newRig(t)
+	r.attestHost(t)
+	r.attestStorage(t)
+	r.mon.SetAccessPolicy("db", policy.MustParse("read :- sessionKeyIs(K) & le(T, expiry)"))
+	const filter = "expiry >= date '1995-01-01'"
+	for sql, want := range map[string]string{
+		"SELECT pax\nFROM flights\nWHERE dest = 'PT'\nORDER BY pax":  "SELECT pax\nFROM flights WHERE (dest = 'PT') AND " + filter + "\nORDER BY pax",
+		"SELECT pax FROM flights\tWHERE\tdest = 'PT'":                "SELECT pax FROM flights WHERE (dest = 'PT') AND " + filter,
+		"SELECT pax FROM flights  WHERE  dest = 'PT'  GROUP  BY pax": "SELECT pax FROM flights  WHERE ( dest = 'PT' ) AND " + filter + " GROUP  BY pax",
+		"SELECT pax FROM flights\nGROUP\n\tBY pax\nLIMIT 5":          "SELECT pax FROM flights WHERE " + filter + "\nGROUP\n\tBY pax\nLIMIT 5",
+		"select pax from flights\r\nlimit 5":                         "select pax from flights\r WHERE " + filter + "\nlimit 5",
+	} {
+		auth, err := r.mon.Authorize(AuthRequest{Database: "db", ClientKey: "K", HostID: "host-1", SQL: sql, AccessDate: "1995-01-01"})
+		if err != nil {
+			t.Errorf("%q: %v", sql, err)
+			continue
+		}
+		if auth.RewrittenSQL != want {
+			t.Errorf("%q rewritten to\n%q, want\n%q", sql, auth.RewrittenSQL, want)
+		}
+		if _, err := parser.Parse(auth.RewrittenSQL); err != nil {
+			t.Errorf("%q: the rewrite does not parse: %v", sql, err)
+		}
 	}
 }
 

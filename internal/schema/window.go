@@ -44,28 +44,53 @@ type windowCol struct {
 	fresh bool // vec holds the current window
 	// dict holds the first maxDict distinct values of a string column, so a
 	// low-cardinality column (l_shipmode, o_orderstatus) fills its vectors
-	// with shared strings instead of allocating one per element.
-	dict map[string]string
+	// with shared strings instead of allocating one per element. Allocated by
+	// the first string looked up and kept across windows, like the vectors.
+	dict *strDict
 }
 
 // maxDict bounds a column's dictionary; a column with more distinct values
 // than this stops consulting it.
 const maxDict = 32
 
+// strDict is an open-addressed table from a value's bytes to the one string
+// made of them: slots hold 1 + an index into vals (0: empty), probed linearly
+// from a hash of the length and the leading eight bytes (of a shorter value,
+// the first, middle and last byte), and a hit is a full compare. The value
+// past maxDict closes the table, so half the slots stay empty.
+type strDict struct {
+	n     int
+	slots [64]uint8
+	vals  [maxDict + 1]string
+}
+
 // str returns b as a string shared with earlier equal values of the column,
 // while the column stays low-cardinality; false once it has not.
 func (c *windowCol) str(b []byte) (string, bool) {
-	if len(c.dict) > maxDict {
+	d := c.dict
+	if d == nil {
+		d = new(strDict)
+		c.dict = d
+	}
+	if d.n > maxDict {
 		return "", false
 	}
-	if s, ok := c.dict[string(b)]; ok { // the lookup does not allocate
-		return s, true
+	lead := uint64(len(b))
+	if len(b) >= 8 {
+		lead ^= binary.LittleEndian.Uint64(b)
+	} else if len(b) > 0 {
+		lead ^= uint64(b[0])<<8 | uint64(b[len(b)/2])<<16 | uint64(b[len(b)-1])<<24
 	}
-	if c.dict == nil {
-		c.dict = map[string]string{}
+	h := int(lead * 0x9e3779b97f4a7c15 >> 58)
+	for ; d.slots[h] != 0; h = (h + 1) % len(d.slots) {
+		if s := d.vals[d.slots[h]-1]; s == string(b) { // the conversion does not allocate
+			return s, true
+		}
 	}
 	s := string(b)
-	c.dict[s] = s // the entry past maxDict closes the dictionary
+	d.vals[d.n] = s
+	d.n++ // the entry past maxDict closes the dictionary
+	d.slots[h] = uint8(d.n)
 	return s, true
 }
 
@@ -116,12 +141,50 @@ func (w *RowWindow) AppendRow(buf []byte, pos int) (int, error) {
 	pos += 2
 	base := len(w.offs)
 	w.offs = slices.Grow(w.offs, w.width)[:base+w.width]
-	for i, offs := 0, w.offs[base:]; i < w.width; i++ {
+	offs := w.offs[base:]
+	for i := range offs {
 		if pos >= len(buf) {
 			w.offs = w.offs[:base]
 			return 0, fmt.Errorf("schema: truncated row at column %d", i)
 		}
 		offs[i] = uint16(pos)
+		// The well-formed common field, every byte of it found inside buf by
+		// its case, is stepped over here. Anything else — a longer varint, any
+		// malformed or cut field — is left to skipField, the one full validator
+		// and only writer of an error text, whose verdict the walk cannot change.
+		switch rest := buf[pos+1:]; value.Kind(buf[pos]) {
+		case value.KindNull:
+			pos++
+			continue
+		case value.KindInt, value.KindDate: // a varint of one to three bytes
+			if len(rest) > 0 && rest[0] < 0x80 {
+				pos += 2
+				continue
+			}
+			if len(rest) > 1 && rest[1] < 0x80 {
+				pos += 3
+				continue
+			}
+			if len(rest) > 2 && rest[2] < 0x80 {
+				pos += 4
+				continue
+			}
+		case value.KindFloat:
+			if len(rest) >= 8 {
+				pos += 9
+				continue
+			}
+		case value.KindString: // a length of one byte
+			if len(rest) > 0 && rest[0] < 0x80 && int(rest[0]) < len(rest) {
+				pos += 2 + int(rest[0])
+				continue
+			}
+		case value.KindBool:
+			if len(rest) > 0 {
+				pos += 2
+				continue
+			}
+		}
 		next, err := skipField(buf, pos, i)
 		if err != nil {
 			w.offs = w.offs[:base]
@@ -262,22 +325,13 @@ func (w *RowWindow) Col(col int) *ColVec {
 	}
 	uniform := true
 	switch kind {
-	case value.KindInt, value.KindDate:
+	case value.KindInt, value.KindDate, value.KindBool:
 		c.ints = resize(c.ints, n)
-		uniform = w.fill(col, kind, func(r int, buf []byte, pos int) { c.ints[r] = fieldInt(buf, pos) })
-		c.vec = ColVec{Kind: kind, Ints: c.ints, n: n}
-	case value.KindBool:
-		c.ints = resize(c.ints, n)
-		uniform = w.fill(col, kind, func(r int, buf []byte, pos int) {
-			c.ints[r] = 0
-			if fieldBool(buf, pos) {
-				c.ints[r] = 1
-			}
-		})
+		uniform = w.decode(col, kind, c.ints, nil)
 		c.vec = ColVec{Kind: kind, Ints: c.ints, n: n}
 	case value.KindFloat:
 		c.floats = resize(c.floats, n)
-		uniform = w.fill(col, kind, func(r int, buf []byte, pos int) { c.floats[r] = fieldFloat(buf, pos) })
+		uniform = w.decode(col, kind, nil, c.floats)
 		c.vec = ColVec{Kind: kind, Floats: c.floats, n: n}
 	case value.KindString:
 		c.strs = resize(c.strs, n)
@@ -312,6 +366,33 @@ func (w *RowWindow) Col(col int) *ColVec {
 		c.vec = ColVec{Boxed: c.boxed, n: n}
 	}
 	return &c.vec
+}
+
+// decode is fill for the fixed-shape kinds, without a call per element: it
+// decodes column col of every row into ints (Int, Date, Bool) or floats, and
+// stops and reports false at the first row holding any other kind.
+func (w *RowWindow) decode(col int, kind value.Kind, ints []int64, floats []float64) bool {
+	r := 0
+	for _, s := range w.segs {
+		for ; r < s.end; r++ {
+			pos := int(w.offs[r*w.width+col])
+			if value.Kind(s.buf[pos]) != kind {
+				return false
+			}
+			switch kind {
+			case value.KindFloat:
+				floats[r] = fieldFloat(s.buf, pos)
+			case value.KindBool:
+				ints[r] = 0
+				if fieldBool(s.buf, pos) {
+					ints[r] = 1
+				}
+			default:
+				ints[r] = fieldInt(s.buf, pos)
+			}
+		}
+	}
+	return true
 }
 
 // fill calls set for column col of every row, in order. With a non-null kind

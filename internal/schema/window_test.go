@@ -317,6 +317,56 @@ func TestRowWindowRejectsMalformedRows(t *testing.T) {
 	if _, err := NewRowWindow(2).AppendRow(make([]byte, maxWindowBuf+1), 0); err == nil {
 		t.Error("a buffer beyond the 16-bit offset range was accepted")
 	}
+
+	// Every boundary of the walk's inline cases: each row below ends in a field
+	// that is the last one a case takes or the first one it leaves to
+	// skipField, and is cut at every length, so the field ends exactly at the
+	// buffer's end, one byte past it, and everywhere before. At each cut the
+	// walk must say what DecodeRow says, and index the row only when whole.
+	for _, enc := range boundaryRows() {
+		for cut := 0; cut <= len(enc); cut++ {
+			w := NewRowWindow(2)
+			next, err := w.AppendRow(enc[:cut], 0)
+			row, n, derr := DecodeRow(enc[:cut])
+			if (err == nil) != (derr == nil) || (err != nil && err.Error() != derr.Error()) {
+				t.Fatalf("% x cut at %d: the walk says %v, DecodeRow says %v", enc, cut, err, derr)
+			}
+			if (err == nil) != (cut == len(enc)) {
+				t.Fatalf("% x cut at %d: error %v", enc, cut, err)
+			}
+			if err == nil {
+				if next != n {
+					t.Errorf("% x: the walk ends at %d, DecodeRow at %d", enc, next, n)
+				}
+				checkWindow(t, w, []Row{row}, []int{0, 1})
+			} else if w.Len() != 0 {
+				t.Errorf("% x cut at %d: the failed row was indexed", enc, cut)
+			}
+		}
+	}
+}
+
+// boundaryRows encodes two-column rows whose second field sits on a boundary
+// of AppendRow's inline cases: varints of one, two, three, four and ten bytes
+// (the int64 extremes among them), a non-minimal varint, strings whose length
+// takes one byte (0, 127) and two (128, and 3 written in two), a float, both
+// bools and a bool byte other than 0 / 1.
+func boundaryRows() [][]byte {
+	var out [][]byte
+	for _, v := range []value.Value{
+		value.Int(-1), value.Int(63), value.Int(64), value.Date(8191), value.Date(8192), value.Int(1 << 20), value.Int(1 << 21),
+		value.Int(math.MinInt64), value.Int(math.MaxInt64), value.Date(math.MinInt64),
+		value.Str(""), value.Str(strings.Repeat("s", 127)), value.Str(strings.Repeat("s", 128)),
+		value.Float(math.Pi), value.Bool(true), value.Bool(false), value.Null(),
+	} {
+		out = append(out, EncodeRow(nil, Row{v, v}))
+	}
+	return append(out,
+		[]byte{2, 0, byte(value.KindNull), byte(value.KindInt), 0x80, 0x80, 0x00},             // three bytes, not minimal
+		[]byte{2, 0, byte(value.KindNull), byte(value.KindDate), 0x80, 0x80, 0x80, 0x00},      // four bytes, not minimal
+		[]byte{2, 0, byte(value.KindNull), byte(value.KindString), 0x83, 0x00, 'a', 'b', 'c'}, // a short string behind a two-byte length
+		[]byte{2, 0, byte(value.KindNull), byte(value.KindBool), 7},
+	)
 }
 
 // FuzzDecodeColumn holds the page-backed decoder to the boxed-row one on any
@@ -336,6 +386,10 @@ func FuzzDecodeColumn(f *testing.F) {
 	f.Add([]byte{1, 0, 1}, uint16(1), uint32(1))                                                // varint cut short
 	f.Add([]byte{1, 0, 3, 5, 'a'}, uint16(1), uint32(1))                                        // string overrunning the page
 	f.Add(encodeRun([]Row{{value.Int(1)}, {value.Int(1), value.Int(2)}}), uint16(2), uint32(1)) // ragged widths
+	for _, enc := range boundaryRows() {                                                        // the inline cases' boundaries, whole and one byte short
+		f.Add(enc, uint16(1), uint32(0b11))
+		f.Add(enc[:len(enc)-1], uint16(1), uint32(0b11))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, count uint16, colMask uint32) {
 		if len(data) > maxWindowBuf {
@@ -447,6 +501,79 @@ func TestRowWindowStringDictionary(t *testing.T) {
 	}
 	load()
 	checkWindow(t, w, rows, []int{1, 0})
+}
+
+// TestRowWindowDictionaryEdges holds the dictionary's table to FromRows where
+// its hash or its closing rule could go wrong: values that share their length
+// and first eight bytes (one slot, told apart by the full compare), the empty
+// string, a column of exactly maxDict values (stays open: later windows
+// allocate nothing) and one whose value past maxDict arrives mid-window (closes
+// there, and stays closed and correct after Reset).
+func TestRowWindowDictionaryEdges(t *testing.T) {
+	same := []string{"", "samehead-1", "samehead-2", "samehead-", "samehead", "s", "ss"}
+	var rows []Row
+	for i := 0; i < 4*maxDict; i++ {
+		past := fmt.Sprintf("v%02d", i%maxDict)
+		if i == 2*maxDict+5 {
+			past = "the value past maxDict"
+		}
+		rows = append(rows, Row{value.Str(same[i%len(same)]), value.Str(fmt.Sprintf("v%02d", i%maxDict)), value.Str(past)})
+	}
+	data := encodeRun(rows)
+	w := NewRowWindow(3)
+	for round := 0; round < 3; round++ { // the dictionaries are reused after Reset
+		for _, size := range []int{len(rows), 7} {
+			for done, pos := 0, 0; done < len(rows); done += w.Len() {
+				next, err := w.Fill(data, pos, min(size, len(rows)-done))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkWindow(t, w, rows[done:done+w.Len()], []int{0, 1, 2})
+				pos = next
+			}
+		}
+	}
+	for c, open := range []bool{true, true, false} {
+		if got := w.cols[c].dict.n <= maxDict; got != open {
+			t.Errorf("column %d: dictionary open = %v with %d values, want %v", c, got, w.cols[c].dict.n, open)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := w.Fill(data, 0, len(rows)); err != nil {
+			t.Fatal(err)
+		}
+		w.Col(0)
+		w.Col(1)
+	}); allocs != 0 {
+		t.Errorf("decoding two open-dictionary columns allocates %.0f times a window", allocs)
+	}
+}
+
+// TestRowWindowScanAllocatesNothing is the scan kernel's allocation gate:
+// after its first window, indexing a lineitem page and decoding an Int, a
+// Float and a dictionary string column of it allocates nothing.
+func TestRowWindowScanAllocatesNothing(t *testing.T) {
+	pages, width := lineitemPages(30)
+	w := NewRowWindow(width)
+	scan := func() {
+		w.Reset()
+		for pos := 0; pos < len(pages[0]); {
+			next, err := w.AppendRow(pages[0], pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos = next
+		}
+		for _, c := range []int{0, 6, 10, 14} { // l_orderkey, l_discount, l_shipdate, l_shipmode
+			if v := w.Col(c); v.Boxed != nil || v.Len() != 30 {
+				t.Fatalf("column %d decoded boxed or short: %+v", c, v)
+			}
+		}
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(10, scan); allocs != 0 {
+		t.Errorf("a window after the first allocates %.0f times", allocs)
+	}
 }
 
 // TestColumnBuildersMatchFromRows holds the column-wise paths to the row-wise

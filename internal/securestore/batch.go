@@ -148,7 +148,7 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 	if s.seq != seq0 {
 		return nil, true, nil
 	}
-	if err := s.verifyBatch(idxs, records); err != nil {
+	if err := s.verifyBatch(pc.tree, idxs, records); err != nil {
 		return nil, false, err
 	}
 	return out, false, nil
@@ -165,7 +165,7 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 // The MerkleHashes meter charges exactly the HMACs evaluated, and
 // MerkleHashesSaved records how many the equivalent sequence of per-page
 // verifyPath calls would have evaluated on top of that.
-func (s *Store) verifyBatch(idxs []uint32, recordMACs [][]byte) error {
+func (s *Store) verifyBatch(mac *treeMAC, idxs []uint32, recordMACs [][]byte) error {
 	a := s.opts.arity()
 
 	// Price the sequential baseline first, against the pre-batch verified
@@ -192,7 +192,6 @@ func (s *Store) verifyBatch(idxs []uint32, recordMACs [][]byte) error {
 	}
 
 	hashed := 0
-	mac := s.treeMAC()
 	for k, idx := range idxs {
 		mac.Reset()
 		leaf := leafMAC(mac, mac.sum[:0], idx, recordMACs[k])

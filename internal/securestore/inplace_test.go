@@ -58,9 +58,10 @@ func TestReadPagesAllocBudget(t *testing.T) {
 			if got, max := allocatedBytes(20, read), uint64(32*perPage+8<<10); got > max {
 				t.Errorf("ReadPages(32 pages) allocates %d bytes, want <= %d (one record per page + 8 KiB per batch)", got, max)
 			}
-			// Per batch: the result slice, the tree HMAC, the frontier — eleven
-			// objects today. Under the race detector sync.Pool drops entries at
-			// random, so the crypto state is sometimes rebuilt: hence the slack.
+			// Per batch: the result slice and the frontier — three objects
+			// today; the tree HMAC is keyed once, in the pooled crypto state.
+			// Under the race detector sync.Pool drops entries at random, so
+			// that state is sometimes rebuilt: hence the slack.
 			if got := testing.AllocsPerRun(20, read); got > 32+24 {
 				t.Errorf("ReadPages(32 pages) makes %.0f allocations, want <= 32 records + 24 per batch", got)
 			}

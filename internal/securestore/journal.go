@@ -272,10 +272,10 @@ func (t *Txn) Commit() error {
 		}
 		entries = append(entries, journalEntry{Idx: idx, RecordMAC: recordMAC, Record: record})
 	}
-	// The commit's two HMACs are keyed out here too, once each: mac hashes
-	// every leaf, node and mirrored leaf of the commit, rootMAC its pre- and
-	// post-state tags.
-	mac, rootMAC := s.treeMAC(), hmac.New(sha256.New, s.rootKey)
+	// The commit's two HMACs come from out here too: mac hashes every leaf,
+	// node and mirrored leaf of the commit, rootMAC — keyed once — its pre-
+	// and post-state tags.
+	mac, rootMAC := pc.tree, hmac.New(sha256.New, s.rootKey)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -125,13 +125,13 @@ func (s *Store) readPageLocked(idx uint32) ([]byte, error) {
 	}
 	s.meter.PagesRead.Add(1)
 	pc := s.getCrypto()
+	defer s.putCrypto(pc)
 	plain, recordMAC, err := s.openPage(pc, idx, record)
-	s.putCrypto(pc)
 	if err != nil {
 		return nil, err
 	}
 	s.meter.PagesDecrypted.Add(1)
-	if err := s.verifyPath(idx, recordMAC); err != nil {
+	if err := s.verifyPath(pc.tree, idx, recordMAC); err != nil {
 		return nil, err
 	}
 	return plain, nil

@@ -306,9 +306,11 @@ func (s *Store) rebuildLevels(leaves [][]byte) {
 }
 
 // treeMAC is a Merkle-node HMAC and the scratch its inputs and sums are built
-// in, so that hashing a node allocates nothing. Whoever hashes more than one
-// node — a read's path, a batch's frontier, a commit's dirty set, a load —
-// keys one and resets it between nodeMAC / leafMAC calls.
+// in, so that hashing a node allocates nothing. Keying one costs two
+// compressions and eleven allocations, so whoever hashes nodes — a read's
+// path, a batch's frontier, a commit's dirty set — uses the one its pooled
+// pageCrypto carries, a load keys its own, and each resets it before every
+// nodeMAC / leafMAC call.
 type treeMAC struct {
 	hash.Hash
 	hdr [16]byte
@@ -503,8 +505,8 @@ func (s *Store) ReadPage(idx uint32) ([]byte, error) {
 	}
 	s.meter.PagesRead.Add(1)
 	pc := s.getCrypto()
+	defer s.putCrypto(pc)
 	plain, recordMAC, err := s.openPage(pc, idx, record)
-	s.putCrypto(pc)
 	if err != nil {
 		return nil, err
 	}
@@ -512,7 +514,7 @@ func (s *Store) ReadPage(idx uint32) ([]byte, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.verifyPath(idx, recordMAC); err != nil {
+	if err := s.verifyPath(pc.tree, idx, recordMAC); err != nil {
 		return nil, err
 	}
 	return plain, nil
@@ -522,8 +524,8 @@ func (s *Store) ReadPage(idx uint32) ([]byte, error) {
 // compares against the trusted root, charging one HMAC per node visited.
 // With CacheVerifiedSubtrees, verification stops at an already-verified
 // ancestor.
-func (s *Store) verifyPath(idx uint32, recordMAC []byte) error {
-	mac := s.treeMAC()
+func (s *Store) verifyPath(mac *treeMAC, idx uint32, recordMAC []byte) error {
+	mac.Reset()
 	leaf := leafMAC(mac, mac.sum[:0], idx, recordMAC)
 	s.meter.MerkleHashes.Add(1)
 	if !hmac.Equal(leaf, s.levels[0][idx]) {
@@ -663,11 +665,13 @@ func (s *Store) openPage(pc *pageCrypto, idx uint32, record []byte) (plain, reco
 // SetIV re-arms for each page, and the scratch a computed MAC is compared
 // from. Whoever seals or opens pages — a commit, a read, a decrypt worker —
 // takes one with getCrypto and hands it back with putCrypto, so a page costs
-// no keying and no allocation beyond its record. It also carries the record
-// scratch of the batch its holder reads (readPagesAt). A GCM store's is only
-// that scratch: the AEAD is stateless. Not for concurrent use.
+// no keying and no allocation beyond its record. It also carries the keyed
+// Merkle-node HMAC its holder verifies or commits those pages with, and the
+// record scratch of the batch its holder reads (readPagesAt). A GCM store's is
+// only those two: the AEAD is stateless. Not for concurrent use.
 type pageCrypto struct {
 	mac      hash.Hash
+	tree     *treeMAC
 	enc, dec cbcMode
 	idx      [4]byte
 	scratch  [macSize]byte
@@ -686,7 +690,7 @@ type cbcMode interface {
 func (s *Store) getCrypto() *pageCrypto {
 	pc, _ := s.cryptos.Get().(*pageCrypto)
 	if pc == nil {
-		pc = &pageCrypto{}
+		pc = &pageCrypto{tree: s.treeMAC()}
 		if !s.opts.GCM {
 			pc.mac = hmac.New(sha512.New, s.macKey)
 			pc.enc = cipher.NewCBCEncrypter(s.block, pc.scratch[:ivSize]).(cbcMode)

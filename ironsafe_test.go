@@ -3,6 +3,7 @@ package ironsafe
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -181,6 +182,70 @@ func TestReuseMapEndToEnd(t *testing.T) {
 	}
 	if len(qr.Result.Rows) != 2 || qr.Result.Rows[1][0].AsString() != "optin-svc1" {
 		t.Errorf("svc-one sees %v", qr.Result.Rows)
+	}
+}
+
+// TestPolicyFiltersAcrossWhitespace runs the examples/gdpr-sharing scenario
+// with its consumer queries laid out over lines, tabs and double spaces: the
+// hotel must see exactly the rows the single-space form returns (alice and
+// dave: bob opted out, carol expired). A newline or tab before a keyword used
+// to be refused with `unexpected trailing input "WHERE"`.
+func TestPolicyFiltersAcrossWhitespace(t *testing.T) {
+	c, err := NewCluster(Config{Mode: IronSafe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, `CREATE TABLE passengers (
+		id INTEGER, name VARCHAR(32), flight VARCHAR(8),
+		arrival DATE, expiry DATE, reuse_map INTEGER)`)
+	mustExec(t, c, `INSERT INTO passengers VALUES
+		(1, 'alice', 'IS101', '1995-06-20', '1999-01-01', 3),
+		(2, 'bob',   'IS101', '1995-06-20', '1999-01-01', 1),
+		(3, 'carol', 'IS202', '1995-06-21', '1994-01-01', 3),
+		(4, 'dave',  'IS202', '1995-06-21', '1999-01-01', 2)`)
+	if err := c.SetAccessPolicy(`
+		read  :- sessionKeyIs(Ka) | sessionKeyIs(Kb) & le(T, expiry) & reuseMap(reuse_map) & logUpdate(sharing, K, Q)
+		write :- sessionKeyIs(Ka)`); err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterService("Kb", 1)
+	hotel := c.NewSession("Kb").WithAccessDate("1995-06-17")
+	for _, forms := range [][]string{
+		{
+			"SELECT name, flight, arrival FROM passengers ORDER BY id",
+			"SELECT name, flight, arrival\nFROM passengers\nORDER BY id",
+			"SELECT name, flight, arrival FROM passengers\tORDER\tBY\tid",
+			"SELECT name, flight, arrival FROM passengers  ORDER  BY  id",
+		},
+		{
+			"SELECT name FROM passengers WHERE flight = 'IS101' OR id > 2 ORDER BY id LIMIT 3",
+			"SELECT name\nFROM passengers\nWHERE flight = 'IS101' OR id > 2\nORDER BY id\nLIMIT 3",
+			"SELECT name FROM passengers\tWHERE\tflight = 'IS101' OR id > 2\tORDER BY id\tLIMIT 3",
+			"SELECT name FROM passengers  WHERE  flight = 'IS101' OR id > 2  ORDER  BY id  LIMIT  3",
+		},
+		{
+			"SELECT flight, count(*) FROM passengers GROUP BY flight ORDER BY flight",
+			"SELECT flight, count(*)\r\nFROM passengers\r\nGROUP BY flight\r\nORDER BY flight",
+			"SELECT flight, count(*) FROM passengers\n\tGROUP\n\tBY flight\n\tORDER BY flight",
+		},
+	} {
+		want, err := hotel.Query(forms[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Result.Rows) != 2 {
+			t.Fatalf("%q: the hotel sees %v", forms[0], want.Result.Rows)
+		}
+		for _, sql := range forms[1:] {
+			got, err := hotel.Query(sql)
+			if err != nil {
+				t.Errorf("%q: %v", sql, err)
+				continue
+			}
+			if !reflect.DeepEqual(got.Result.Rows, want.Result.Rows) {
+				t.Errorf("%q returns %v, the single-space form %v", sql, got.Result.Rows, want.Result.Rows)
+			}
+		}
 	}
 }
 
