@@ -117,7 +117,7 @@ sweep-race:
 	@$(MAKE) --no-print-directory sweep S=$(S) SWEEP_FLAGS=-race
 
 # fuzz-smoke runs each wire-codec fuzz target for a short bounded stint —
-# transport frames, the rebuild manifest, the redo journal, the storage page
+# transport frames, a resuming server's first flight, the rebuild manifest, the redo journal, the storage page
 # list, the ingest wire ack, the page-backed column decoder against the
 # boxed-row one, the retained offload reply against the boxed decoder, the
 # executor's key table against a map keyed by value.HashKey, and the engine's
@@ -127,6 +127,7 @@ sweep-race:
 FUZZTIME ?= 5s
 FUZZ_TARGETS = \
 	FuzzRecv:./internal/transport \
+	FuzzHandshakeFirstFlight:./internal/transport \
 	FuzzDecodeManifest:./internal/securestore \
 	FuzzDecodeJournal:./internal/securestore \
 	FuzzDecodePageList:./internal/storageengine \
@@ -165,24 +166,28 @@ benchjson:
 # budget, and the layer benchmarks (row window, table scan, predicate kernels, fragment
 # shipment, host scan of a shipment, hash join, group-by, semi-join reduced
 # scan, subquery-reduced scans, the q13 / q18 / q21 host phases, the store
-# commit and the insert acknowledgement) must still run.
+# commit, the insert acknowledgement, the channel handshake and the audit
+# append / export) must still run.
 benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
 	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
 	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain|SemiReduction|CommonDisjuncts|Subquery|ColumnarMatchesRowMode|HostPhaseAllocBudget|ColumnBuilders' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
-	$(GO) test -run '^$$' -bench 'RowWindow|TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HostPhase|HashJoin|GroupBy|ScanSemiReduce|Subquery|Commit|InsertAck' -benchtime 1x ./internal/schema ./internal/securestore ./internal/engine ./internal/sql/exec ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'RowWindow|TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HostPhase|HashJoin|GroupBy|ScanSemiReduce|Subquery|Commit|InsertAck|Handshake|Audit' -benchtime 1x ./internal/schema ./internal/securestore ./internal/engine ./internal/sql/exec ./internal/storageengine ./internal/transport ./internal/audit
 
 # bench-layers runs the data path's layer benchmarks, bottom up: the secure
 # store's batched read, page open, page seal (CBC+HMAC and GCM) and commit (1
 # and 256 pages into 1 k and 16 k pages), the page-backed row walk and column
 # decode (`schema.RowWindow`), the predicate kernels, the table
 # scan and the single-row insert acknowledgement over a real secure store,
-# fragment shipment, the host phases a subquery's key set reduces, and the
-# whole host phases of q13, q18 and q21 from the replies' bytes. ns/op, B/op
+# fragment shipment, the host phases a subquery's key set reduces, the
+# whole host phases of q13, q18 and q21 from the replies' bytes, and what a
+# short query pays around its fragment: the channel handshake (full X25519
+# exchange and resumption, both ends over net.Pipe) and the audit log's append
+# and first export. ns/op, B/op
 # and allocs/op per layer; `make bench-layers BENCHTIME=1x` is the CI smoke run.
 BENCHTIME ?= 1s
 bench-layers:
-	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|SealPage|Commit|RowWindow|EvalVecPredicate|TableScan|InsertAck|ShipFragment|SubqueryReduce|HostPhase' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/engine ./internal/storageengine
+	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|SealPage|Commit|RowWindow|EvalVecPredicate|TableScan|InsertAck|ShipFragment|SubqueryReduce|HostPhase|Handshake|Audit' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/engine ./internal/storageengine ./internal/transport ./internal/audit
 
 # benchmark runs one workload of the repository benchmark the way the driver
 # does (`make benchmark W=scs-scan`): the timed run only, no trace.

@@ -140,12 +140,12 @@ func rebuildPassDirect(target, donor *storageengine.Server) error {
 // sites "rebuild:<donor>" and "rebuild:<target>", distinct from query
 // channels, so sweeps can fault exactly one leg at exactly one operation.
 func (c *Cluster) rebuildPassChannel(target, donor *storageengine.Server, id, donorID, sid string, key []byte) error {
-	dn, err := c.dialNodeChannel(donor, storageengine.RebuildSessionPrefix+donorID, sid, key, nil)
+	dn, err := c.dialNodeChannel(donor, storageengine.RebuildSessionPrefix+donorID, sid, key, nil, nil)
 	if err != nil {
 		return err
 	}
 	defer dn.Close()
-	tn, err := c.dialNodeChannel(target, storageengine.RebuildSessionPrefix+id, sid, key, nil)
+	tn, err := c.dialNodeChannel(target, storageengine.RebuildSessionPrefix+id, sid, key, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -15,6 +15,7 @@ import (
 	"ironsafe/internal/securestore"
 	"ironsafe/internal/sql/exec"
 	"ironsafe/internal/storageengine"
+	"ironsafe/internal/transport"
 )
 
 // This file is the cluster's resilient runtime: per-session node providers
@@ -97,8 +98,12 @@ func (c *Cluster) NodeDown(id string) bool {
 // ReattestStorage can observe the node half-killed (down but healthy, or
 // vice versa). The new epoch is broadcast to the surviving nodes only — the
 // killed node keeps serving its stale epoch, which is exactly how the host
-// unmasks it if it keeps answering. Queries in flight fail over.
+// unmasks it if it keeps answering. Queries in flight fail over. The host
+// forgets the node's resumption ticket here and at every later step of its
+// way back (RestartStorage, ReattestStorage): the first channel to a node
+// whose membership changed is a full exchange.
 func (c *Cluster) KillStorage(id string) {
+	c.tickets.Forget(id)
 	c.nodeMu.Lock()
 	already := c.down[id]
 	c.down[id] = true
@@ -169,6 +174,7 @@ func (c *Cluster) RestartStorage(id string, rollback *MediumSnapshot) error {
 	if inRebuild {
 		return fmt.Errorf("ironsafe: %s: rebuild in flight; restart refused", id)
 	}
+	c.tickets.Forget(id)
 	if rollback != nil {
 		if rollback.node != id {
 			return fmt.Errorf("ironsafe: snapshot of %q cannot restore %q", rollback.node, id)
@@ -194,6 +200,7 @@ func (c *Cluster) ReattestStorage(id string) error {
 	if srv == nil {
 		return fmt.Errorf("ironsafe: unknown storage node %q", id)
 	}
+	c.tickets.Forget(id)
 	// Integrity/freshness sweep first: a node restarted with stale state —
 	// or still carrying a rebuild marker — must be refused before it can
 	// serve a single offload.
@@ -500,7 +507,7 @@ func (c *Cluster) connectNode(srv *storageengine.Server, id, sessionID string, s
 	if !c.cfg.ChannelTransport {
 		return &hostengine.LocalNode{Server: srv, HostMeter: c.HostMeter, StorageMeter: c.StorageMeter}, nil
 	}
-	return c.dialNodeChannel(srv, id, sessionID, sessionKey, bud)
+	return c.dialNodeChannel(srv, id, sessionID, sessionKey, bud, c.tickets)
 }
 
 // dialNodeChannel handshakes a monitor-keyed secure channel to srv over an
@@ -509,8 +516,12 @@ func (c *Cluster) connectNode(srv *storageengine.Server, id, sessionID string, s
 // query channels, "rebuild:<id>" for rebuild control channels, so faults can
 // target one leg of a rebuild without touching queries. The handshake itself
 // draws on bud, so a query that has burned its budget on failovers cannot
-// keep paying full handshake timeouts against a stalled peer.
-func (c *Cluster) dialNodeChannel(srv *storageengine.Server, site, sessionID string, sessionKey []byte, bud *resilience.Budget) (*hostengine.RemoteNode, error) {
+// keep paying full handshake timeouts against a stalled peer. With tickets
+// the handshake resumes the node's last channel when it can (query channels:
+// one per query per node); nil is always the full exchange (rebuild legs,
+// whose failed passes are retried whole with no health tracker to tell).
+// Either way a failed handshake is returned, never dialled again here.
+func (c *Cluster) dialNodeChannel(srv *storageengine.Server, site, sessionID string, sessionKey []byte, bud *resilience.Budget, tickets *transport.TicketStore) (*hostengine.RemoteNode, error) {
 	hostSide, storageSide := net.Pipe()
 	served := make(chan struct{}) // closed when the serving goroutine returns; the node's Close waits for it
 	go func() {
@@ -525,7 +536,7 @@ func (c *Cluster) dialNodeChannel(srv *storageengine.Server, site, sessionID str
 	var node *hostengine.RemoteNode
 	err := resilience.WithBudgetedConnDeadline(conn, bud, c.res.HandshakeTimeout, func() error {
 		var err error
-		node, err = hostengine.NewRemoteNode(conn, site, sessionID, sessionKey, c.HostMeter)
+		node, err = hostengine.NewResumingRemoteNode(conn, site, sessionID, sessionKey, c.HostMeter, tickets)
 		return err
 	})
 	if err != nil {

@@ -177,6 +177,61 @@ func TestMitmSplicedHandshakeFailsConfirmation(t *testing.T) {
 	}
 }
 
+// TestMitmSplicedTicketFlightFailsConfirmation mounts the same splice one
+// step earlier on a resuming pair: the first flight of a resumption — ticket
+// id and nonce, riding where the public key rides — is replaced by a first
+// flight recorded on another channel. The server knows no such ticket and
+// reads the bytes as a public key, the client keys from its ticket, and key
+// confirmation fails on both sides; the ticket is spent, so the pair's next
+// channel is a full exchange, and it confirms.
+func TestMitmSplicedTicketFlightFailsConfirmation(t *testing.T) {
+	key := []byte("adversary-test-key")
+	eng := NewEngine(19)
+	cs, ss := transport.NewTicketStore(), transport.NewTicketStore()
+	dial := func(site string) (cliErr, srvErr error) {
+		clientRaw, serverRaw := net.Pipe()
+		defer clientRaw.Close()
+		serverErr := make(chan error, 1)
+		go func() {
+			defer serverRaw.Close()
+			_, err := transport.ServerResuming(serverRaw, key, nil, ss)
+			serverErr <- err
+		}()
+		_, cliErr = transport.ClientResuming(WrapConn(clientRaw, site, TransportProfile, eng), key, nil, cs, "node-b")
+		clientRaw.Close()
+		return cliErr, <-serverErr
+	}
+	// Two clean channels: a full exchange, then a resumption whose first
+	// flight joins the adversary's library beside the public keys.
+	for i := 0; i < 2; i++ {
+		if cliErr, srvErr := dial("node-a"); cliErr != nil || srvErr != nil {
+			t.Fatalf("clean channel %d: client %v, server %v", i, cliErr, srvErr)
+		}
+	}
+	if full, resumed := cs.Exchanges(); full != 1 || resumed != 1 {
+		t.Fatalf("warm-up ran %d full / %d resumed exchanges, want 1 / 1", full, resumed)
+	}
+
+	eng.Arm(faultinject.Rule{Site: "node-b:write:pubkey", Class: faultinject.Splice, Prob: 1, MaxCount: 1})
+	cliErr, srvErr := dial("node-b")
+	if cliErr == nil || !strings.Contains(cliErr.Error(), "key confirmation") {
+		t.Fatalf("client error %v, want key-confirmation failure", cliErr)
+	}
+	if !errors.Is(srvErr, transport.ErrAuth) {
+		t.Fatalf("server saw %v, want transport.ErrAuth from key confirmation", srvErr)
+	}
+	if _, resumed := cs.Exchanges(); resumed != 2 {
+		t.Fatal("the attacked channel was not a resumption")
+	}
+
+	if cliErr, srvErr := dial("node-b"); cliErr != nil || srvErr != nil {
+		t.Fatalf("channel after the attack: client %v, server %v", cliErr, srvErr)
+	}
+	if full, resumed := cs.Exchanges(); full != 2 || resumed != 2 {
+		t.Fatalf("after the attack: %d full / %d resumed exchanges, want 2 / 2", full, resumed)
+	}
+}
+
 // TestMitmForgedBannerIsOnlyPlaintextSurface forges the one protocol unit an
 // adversary can fabricate without keys — the plaintext ctl admission banner —
 // and checks the forgery is exactly what a client would parse: overloaded,

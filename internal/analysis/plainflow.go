@@ -6,11 +6,11 @@ import (
 
 // Plainflow proves plaintext confinement dataflow-style: values produced by
 // the secure store's decrypt/verify read path (verified page plaintext) and
-// by TEE key-derivation (key material) must pass an AEAD seal or MAC
-// sanitizer before reaching a transport write, a log call, or a raw device
-// write. The engine is the taint lattice in taint.go: intraprocedural
-// fixpoint plus one-call-deep summaries, so a helper that forwards its
-// argument to WriteBlock taints its callers' calls too.
+// by TEE key-derivation or the transport's ticket ratchet (key material) must
+// pass an AEAD seal or MAC sanitizer before reaching a transport write, a log
+// call, or a raw device write. The engine is the taint lattice in taint.go:
+// intraprocedural fixpoint plus one-call-deep summaries, so a helper that
+// forwards its argument to WriteBlock taints its callers' calls too.
 //
 // Design choices that bound noise: unknown calls produce CLEAN results (the
 // alternative — taint-preserving by default — drowns real findings), and
@@ -43,6 +43,9 @@ var plainflowRules = &taintRules{
 		{name: "Unseal", modPrefixes: []string{"internal/tee"}, taint: TaintKey, result: 0},
 		{name: "deriveKey", modPrefixes: []string{"internal/securestore", "internal/tee"}, taint: TaintKey, result: 0},
 		{name: "deriveSealKey", modPrefixes: []string{"internal/tee"}, taint: TaintKey, result: 0},
+		// Channel resumption: the ticket a handshake leaves opens the next
+		// channel to the same peer.
+		{name: "deriveTicket", modPrefixes: []string{"internal/transport"}, taint: TaintKey, result: 0},
 	},
 	sanitizers: []*funcRule{
 		// AEAD sealing / MAC computation launder taint: the result is

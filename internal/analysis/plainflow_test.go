@@ -15,6 +15,10 @@ func TestPlainflowAllowDirective(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Plainflow, "internal/securestore/plainflowallow")
 }
 
+func TestPlainflowTicketSecret(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.Plainflow, "internal/transport/ticketflow")
+}
+
 func TestFailopen(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Failopen, "failopen")
 }

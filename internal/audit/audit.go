@@ -3,6 +3,8 @@
 // recording. Entries form a hash chain; each entry is additionally signed by
 // the monitor, so an auditor holding the monitor's public key can verify
 // both integrity (no entry modified, reordered, or dropped) and authenticity.
+// The chain is extended when an entry is appended; the signature is made when
+// the entry first leaves the monitor (Entries, EntriesByActor, Export).
 package audit
 
 import (
@@ -45,8 +47,9 @@ func entryHash(e *Entry) []byte {
 
 // Log is an append-only hash-chained audit log.
 type Log struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	entries []Entry
+	signed  int // entries[:signed] carry their signature
 	signKey ed25519.PrivateKey
 	pubKey  ed25519.PublicKey
 }
@@ -60,7 +63,11 @@ func NewLog(key ed25519.PrivateKey) *Log {
 	return l
 }
 
-// Append adds an entry and returns its sequence number.
+// Append adds an entry and returns its sequence number. It hashes and chains
+// but does not sign: an append sits on a query's critical path, a signature
+// is only ever checked by whoever reads the trail, and Ed25519 is
+// deterministic — the bytes a reader gets are those an eager signer would
+// have stored.
 func (l *Log) Append(ts int64, actor, kind, detail string) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -75,37 +82,61 @@ func (l *Log) Append(ts int64, actor, kind, detail string) uint64 {
 		e.PrevHash = l.entries[len(l.entries)-1].Hash
 	}
 	e.Hash = entryHash(&e)
-	if l.signKey != nil {
-		e.Signature = ed25519.Sign(l.signKey, e.Hash)
-	}
 	l.entries = append(l.entries, e)
 	return e.Seq
 }
 
+// signPending signs every entry appended since the last read. Called with
+// mu held by each method that lets entries out of the log.
+func (l *Log) signPending() {
+	if l.signKey != nil {
+		for i := l.signed; i < len(l.entries); i++ {
+			l.entries[i].Signature = ed25519.Sign(l.signKey, l.entries[i].Hash)
+		}
+	}
+	l.signed = len(l.entries)
+}
+
 // Len returns the number of entries.
 func (l *Log) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return len(l.entries)
+}
+
+// detached returns e with byte slices of its own: the log's entries share
+// storage (an entry's PrevHash is its predecessor's Hash), and a reader that
+// edits what it was handed must not edit the trail.
+func detached(e Entry) Entry {
+	e.PrevHash = append([]byte(nil), e.PrevHash...)
+	e.Hash = append([]byte(nil), e.Hash...)
+	e.Signature = append([]byte(nil), e.Signature...)
+	return e
 }
 
 // Entries returns a copy of all entries (the audit trail handed to the
 // regulatory authority in the paper's workflow).
 func (l *Log) Entries() []Entry {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]Entry{}, l.entries...)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.signPending()
+	out := make([]Entry, len(l.entries))
+	for i, e := range l.entries {
+		out[i] = detached(e)
+	}
+	return out
 }
 
 // EntriesByActor filters the trail to one actor (GDPR right of access:
 // "whom has my data been shared with").
 func (l *Log) EntriesByActor(actor string) []Entry {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.signPending()
 	var out []Entry
 	for _, e := range l.entries {
 		if e.Actor == actor {
-			out = append(out, e)
+			out = append(out, detached(e))
 		}
 	}
 	return out
@@ -113,8 +144,9 @@ func (l *Log) EntriesByActor(actor string) []Entry {
 
 // Export serializes the log for external audit.
 func (l *Log) Export() ([]byte, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.signPending()
 	return json.Marshal(l.entries)
 }
 

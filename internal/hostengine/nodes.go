@@ -125,6 +125,16 @@ func (n *RemoteNode) SetBudget(b *resilience.Budget) { n.budget = b }
 // an already-established conn (TCP, an in-process pipe, or a fault-injecting
 // wrapper) and returns the node. The conn is closed on failure.
 func NewRemoteNode(conn net.Conn, nodeID, sessionID string, sessionKey []byte, meter *simtime.Meter) (*RemoteNode, error) {
+	return NewResumingRemoteNode(conn, nodeID, sessionID, sessionKey, meter, nil)
+}
+
+// NewResumingRemoteNode is NewRemoteNode for a host that dials nodeID once
+// per query: the handshake resumes from the ticket tickets holds for nodeID
+// when there is one (transport.ClientResuming) and leaves one for the next
+// dial. A failed resumption fails this call like any failed handshake — the
+// caller reports it and fails over; nothing here dials again. A nil tickets
+// always runs the full exchange.
+func NewResumingRemoteNode(conn net.Conn, nodeID, sessionID string, sessionKey []byte, meter *simtime.Meter, tickets *transport.TicketStore) (*RemoteNode, error) {
 	// Plaintext preamble naming the session, then the bound handshake.
 	if len(sessionID) > 255 {
 		conn.Close()
@@ -136,7 +146,7 @@ func NewRemoteNode(conn net.Conn, nodeID, sessionID string, sessionKey []byte, m
 		conn.Close()
 		return nil, err
 	}
-	sc, err := transport.Client(conn, sessionKey, meter)
+	sc, err := transport.ClientResuming(conn, sessionKey, meter, tickets, nodeID)
 	if err != nil {
 		conn.Close()
 		return nil, err

@@ -85,6 +85,10 @@ type Server struct {
 	mu       sync.Mutex
 	booted   bool
 	sessions map[string][]byte // session id -> key (from the monitor)
+	// tickets are the channel-resumption tickets this node has left its
+	// hosts (transport.ServerResuming). Like sessions they live in memory
+	// only: Restart drops both.
+	tickets *transport.TicketStore
 	// epoch is the cluster membership epoch this node believes is current;
 	// every offload reply carries it (rebuild.go). A fenced node misses the
 	// bump broadcast, so its replies betray their staleness to the host.
@@ -126,6 +130,7 @@ func New(cfg Config) (*Server, error) {
 		medium:   pager.NewMemDevice(),
 		booted:   true,
 		sessions: map[string][]byte{},
+		tickets:  transport.NewTicketStore(),
 	}
 	s.dev = s.medium
 	if cfg.MediumWrapper != nil {
@@ -176,8 +181,15 @@ func (s *Server) openStore() error {
 
 // Restart models the node powering back on after a crash: the store and
 // engine reopen from whatever the medium holds, running journal recovery on
-// the way up. The caller decides readmission from the returned error.
+// the way up. The caller decides readmission from the returned error. What
+// the node held in memory alone does not survive the reboot: session keys
+// the monitor installed before the crash and the resumption tickets of
+// channels served before it are gone, whether or not the store reopens.
 func (s *Server) Restart() error {
+	s.mu.Lock()
+	clear(s.sessions)
+	s.mu.Unlock()
+	s.tickets.Clear()
 	return s.openStore()
 }
 
@@ -350,7 +362,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		return // unknown session: refuse to handshake
 	}
 	rebuildSession := strings.HasPrefix(sessionID, RebuildSessionPrefix)
-	sc, err := transport.Server(conn, key, s.cfg.Meter)
+	sc, err := transport.ServerResuming(conn, key, s.cfg.Meter, s.tickets)
 	if err != nil {
 		return
 	}

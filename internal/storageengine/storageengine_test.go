@@ -135,6 +135,63 @@ func TestSessionKeyLifecycle(t *testing.T) {
 	}
 }
 
+// TestRestartForgetsVolatileSecrets: what the node held in memory alone — the
+// session keys the monitor installed, the resumption tickets of the channels
+// it served — does not survive a reboot. A host that resumes against the
+// rebooted node fails its handshake; one that starts over, under a key
+// installed since, gets its channel.
+func TestRestartForgetsVolatileSecrets(t *testing.T) {
+	s, _ := newServer(t, true)
+	seed(t, s)
+	key := []byte("monitor-issued-key")
+	host := transport.NewTicketStore()
+	dial := func() error {
+		hostSide, storageSide := net.Pipe()
+		defer hostSide.Close()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			s.ServeConn(storageSide)
+		}()
+		defer func() { <-served }()
+		if _, err := hostSide.Write(append([]byte{byte(len("sess-1"))}, "sess-1"...)); err != nil {
+			return err
+		}
+		sc, err := transport.ClientResuming(hostSide, key, nil, host, "storage-01")
+		if err != nil {
+			hostSide.Close()
+			return err
+		}
+		return sc.Send("bye", nil)
+	}
+	s.InstallSessionKey("sess-1", key)
+	for i := 0; i < 2; i++ {
+		if err := dial(); err != nil {
+			t.Fatalf("channel %d: %v", i, err)
+		}
+	}
+	if full, resumed := host.Exchanges(); full != 1 || resumed != 1 {
+		t.Fatalf("before the reboot: %d full / %d resumed handshakes, want 1 / 1", full, resumed)
+	}
+
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.sessionKey("sess-1"); ok {
+		t.Fatal("a session key survived the reboot")
+	}
+	s.InstallSessionKey("sess-1", key)
+	if err := dial(); err == nil {
+		t.Fatal("a ticket survived the reboot: the host resumed")
+	}
+	if err := dial(); err != nil {
+		t.Fatalf("full exchange after the reboot: %v", err)
+	}
+	if full, resumed := host.Exchanges(); full != 2 || resumed != 2 {
+		t.Fatalf("after the reboot: %d full / %d resumed handshakes, want 2 / 2", full, resumed)
+	}
+}
+
 func TestServeOffloadOverTCP(t *testing.T) {
 	s, _ := newServer(t, true)
 	seed(t, s)

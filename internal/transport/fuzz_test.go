@@ -119,3 +119,39 @@ func FuzzRecvRejectsTamper(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHandshakeFirstFlight feeds arbitrary bytes to a resuming server as
+// everything its client ever sends: the first flight — a ticket id it left, a
+// mangled one, a public key, less than 32 bytes — and whatever follows. The
+// server answers a flight with fresh random bytes, so no fixed input can
+// confirm: the handshake must fail, without a panic, and a ticket the flight
+// named must be spent all the same.
+func FuzzHandshakeFirstFlight(f *testing.F) {
+	key := []byte("fuzz-session-key")
+	var live ticket
+	copy(live.id[:], bytes.Repeat([]byte{0x11}, ticketIDLen))
+	copy(live.secret[:], bytes.Repeat([]byte{0x22}, 32))
+	resuming := append(append([]byte(nil), live.id[:]...), bytes.Repeat([]byte{0x33}, 32-ticketIDLen)...)
+	hello := fuzzSeal(fuzzAEAD(f), 0, "hello", nil)
+
+	f.Add(append(append([]byte(nil), resuming...), hello...))
+	f.Add(resuming)
+	f.Add(resuming[:ticketIDLen])                                   // the flight stops after the id
+	f.Add(resuming[:ticketIDLen-3])                                 // truncated id
+	f.Add(append([]byte{0x10}, resuming[1:]...))                    // one bit off a live id
+	f.Add(append(append([]byte{9}, make([]byte, 31)...), hello...)) // the X25519 base point
+	f.Add(make([]byte, 32))                                         // a low-order point
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ss := NewTicketStore()
+		ss.put(string(live.id[:]), live)
+		if _, err := ServerResuming(&fuzzWire{r: bytes.NewReader(data)}, key, nil, ss); err == nil {
+			t.Fatalf("a handshake confirmed against %d fixed bytes", len(data))
+		}
+		named := len(data) >= 32 && bytes.Equal(data[:ticketIDLen], live.id[:])
+		if _, kept := ss.take(string(live.id[:])); kept == named {
+			t.Fatalf("flight names the ticket: %v; ticket still held: %v", named, kept)
+		}
+	})
+}

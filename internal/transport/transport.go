@@ -1,9 +1,11 @@
 // Package transport implements IronSafe's trusted networking layer (§5): an
 // authenticated-encryption channel over TCP between client, host, monitor,
-// and storage system. A fresh X25519 handshake runs per connection; when the
-// trusted monitor has issued a session key, it is mixed into the key
-// schedule so the channel is cryptographically bound to the monitor-approved
-// session — a peer without the session key cannot complete the handshake.
+// and storage system. An X25519 handshake runs per connection — or, between
+// two ends that keep a TicketStore, a resumption of an earlier one
+// (resume.go); when the trusted monitor has issued a session key, it is mixed
+// into the key schedule either way, so the channel is cryptographically bound
+// to the monitor-approved session — a peer without the session key cannot
+// complete the handshake.
 package transport
 
 import (
@@ -16,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net"
 	"sync"
@@ -80,13 +83,17 @@ func (c *SecureConn) armDeadline(set func(time.Time) error) func() {
 	return func() { set(time.Time{}) }
 }
 
-// deriveKey expands the handshake secret into a directional key.
-func deriveKey(shared, sessionKey []byte, label string) []byte {
-	mac := hmac.New(sha256.New, sessionKey) // nil key is valid for HMAC
+// deriveKey expands secret material into a 32-byte key under label. mac is
+// HMAC-SHA-256 keyed with the session key (a nil key is valid for HMAC); a
+// handshake keys it once and every derivation resets it.
+func deriveKey(mac hash.Hash, label string, material ...[]byte) []byte {
+	mac.Reset()
 	mac.Write([]byte("ironsafe-transport-v1|"))
 	mac.Write([]byte(label))
 	mac.Write([]byte{'|'})
-	mac.Write(shared)
+	for _, m := range material {
+		mac.Write(m)
+	}
 	return mac.Sum(nil)
 }
 
@@ -98,44 +105,77 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// handshake runs the X25519 exchange; isClient controls key directionality.
-func handshake(conn net.Conn, sessionKey []byte, isClient bool, meter *simtime.Meter) (*SecureConn, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("transport: keygen: %w", err)
-	}
-	pub := priv.PublicKey().Bytes()
-	peer := make([]byte, 32)
-	// The exchange is strictly ordered (client writes first) so it also
-	// works over unbuffered in-process pipes.
-	if isClient {
-		if _, err := conn.Write(pub); err != nil {
-			return nil, fmt.Errorf("transport: sending handshake: %w", err)
-		}
-		if _, err := io.ReadFull(conn, peer); err != nil {
+// handshake runs the 32-bytes-each-way exchange; isClient controls key
+// directionality. With a ticket store the exchange may be a resumption
+// (resume.go): the wire shape, the order of reads and writes, the key
+// schedule under the session key and the key confirmation are the same either
+// way — only where the shared secret comes from differs. tickets may be nil
+// (always the full exchange, no ticket left); peer names the server in the
+// client's store.
+func handshake(conn net.Conn, sessionKey []byte, isClient bool, meter *simtime.Meter, tickets *TicketStore, peer string) (*SecureConn, error) {
+	// flights is the client's 32 bytes followed by the server's, in wire
+	// order: the transcript a resumed secret is bound to.
+	var flights [64]byte
+	mine, theirs := flights[:32], flights[32:]
+	key := peer // where this side's store keeps the ticket: server name, or ticket id
+	if !isClient {
+		mine, theirs = theirs, mine
+		if _, err := io.ReadFull(conn, theirs); err != nil {
 			return nil, fmt.Errorf("transport: reading handshake: %w", err)
+		}
+		// A first flight that leads with a ticket this server left is a
+		// resumption; anything else is read as an X25519 public key.
+		key = string(theirs[:ticketIDLen])
+	}
+	// The ticket is gone from the store before a byte answers it: it buys
+	// one channel, whether or not that channel confirms.
+	tk, resumed := tickets.take(key)
+	var priv *ecdh.PrivateKey
+	if resumed {
+		n := 0
+		if isClient {
+			n = copy(mine, tk.id[:])
+		}
+		if _, err := rand.Read(mine[n:]); err != nil {
+			return nil, fmt.Errorf("transport: handshake nonce: %w", err)
 		}
 	} else {
-		if _, err := io.ReadFull(conn, peer); err != nil {
+		var err error
+		if priv, err = ecdh.X25519().GenerateKey(rand.Reader); err != nil {
+			return nil, fmt.Errorf("transport: keygen: %w", err)
+		}
+		copy(mine, priv.PublicKey().Bytes())
+	}
+	// The exchange is strictly ordered (client writes first) so it also
+	// works over unbuffered in-process pipes.
+	if _, err := conn.Write(mine); err != nil {
+		return nil, fmt.Errorf("transport: sending handshake: %w", err)
+	}
+	if isClient {
+		if _, err := io.ReadFull(conn, theirs); err != nil {
 			return nil, fmt.Errorf("transport: reading handshake: %w", err)
 		}
-		if _, err := conn.Write(pub); err != nil {
-			return nil, fmt.Errorf("transport: sending handshake: %w", err)
+	}
+	mac := hmac.New(sha256.New, sessionKey)
+	var shared []byte
+	uses := 0 // resumptions on this ticket chain, this channel included
+	if resumed {
+		shared = deriveKey(mac, "resume", tk.secret[:], flights[:])
+		uses = tk.uses + 1
+	} else {
+		peerKey, err := ecdh.X25519().NewPublicKey(theirs)
+		if err != nil {
+			return nil, fmt.Errorf("transport: peer key: %w", err)
+		}
+		if shared, err = priv.ECDH(peerKey); err != nil {
+			return nil, fmt.Errorf("transport: ecdh: %w", err)
 		}
 	}
-	peerKey, err := ecdh.X25519().NewPublicKey(peer)
-	if err != nil {
-		return nil, fmt.Errorf("transport: peer key: %w", err)
-	}
-	shared, err := priv.ECDH(peerKey)
-	if err != nil {
-		return nil, fmt.Errorf("transport: ecdh: %w", err)
-	}
-	c2s, err := newAEAD(deriveKey(shared, sessionKey, "c2s"))
+	c2s, err := newAEAD(deriveKey(mac, "c2s", shared))
 	if err != nil {
 		return nil, err
 	}
-	s2c, err := newAEAD(deriveKey(shared, sessionKey, "s2c"))
+	s2c, err := newAEAD(deriveKey(mac, "s2c", shared))
 	if err != nil {
 		return nil, err
 	}
@@ -151,43 +191,58 @@ func handshake(conn net.Conn, sessionKey []byte, isClient bool, meter *simtime.M
 	}
 	// Key confirmation: each side proves it derived the same keys (and
 	// therefore held the session key) by exchanging an encrypted probe,
-	// again strictly ordered.
-	confirm := func() error {
-		if err := sc.Send("hello", nil); err != nil {
-			return fmt.Errorf("transport: key confirmation send: %w", err)
+	// again strictly ordered. Each side leaves the next ticket once the
+	// other's probe has opened; the server does so before it answers, so a
+	// client that has the answer never holds a ticket the server lacks.
+	if isClient {
+		if err := sc.confirm(); err != nil {
+			return nil, err
 		}
-		return nil
 	}
-	expect := func() error {
-		typ, _, err := sc.Recv()
-		if err != nil {
-			return fmt.Errorf("transport: key confirmation failed (wrong session key?): %w", err)
-		}
-		if typ != "hello" {
-			return errors.New("transport: unexpected key confirmation message")
-		}
-		return nil
+	if err := sc.expectConfirm(); err != nil {
+		return nil, err
 	}
-	steps := []func() error{confirm, expect}
+	if tickets != nil && uses < maxResumptions {
+		next := deriveTicket(mac, shared, uses)
+		if !isClient {
+			key = string(next.id[:])
+		}
+		tickets.put(key, next)
+	}
 	if !isClient {
-		steps = []func() error{expect, confirm}
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
+		if err := sc.confirm(); err != nil {
 			return nil, err
 		}
 	}
 	return sc, nil
 }
 
+func (c *SecureConn) confirm() error {
+	if err := c.Send("hello", nil); err != nil {
+		return fmt.Errorf("transport: key confirmation send: %w", err)
+	}
+	return nil
+}
+
+func (c *SecureConn) expectConfirm() error {
+	typ, _, err := c.Recv()
+	if err != nil {
+		return fmt.Errorf("transport: key confirmation failed (wrong session key?): %w", err)
+	}
+	if typ != "hello" {
+		return errors.New("transport: unexpected key confirmation message")
+	}
+	return nil
+}
+
 // Client performs the initiator side of the handshake.
 func Client(conn net.Conn, sessionKey []byte, meter *simtime.Meter) (*SecureConn, error) {
-	return handshake(conn, sessionKey, true, meter)
+	return handshake(conn, sessionKey, true, meter, nil, "")
 }
 
 // Server performs the responder side of the handshake.
 func Server(conn net.Conn, sessionKey []byte, meter *simtime.Meter) (*SecureConn, error) {
-	return handshake(conn, sessionKey, false, meter)
+	return handshake(conn, sessionKey, false, meter, nil, "")
 }
 
 // Send transmits one typed message.

@@ -37,6 +37,7 @@ import (
 	"ironsafe/internal/tee/sgx"
 	"ironsafe/internal/tee/trustzone"
 	"ironsafe/internal/tpch"
+	"ironsafe/internal/transport"
 )
 
 // Mode selects one of the paper's five system configurations (Table 2).
@@ -192,6 +193,9 @@ type Cluster struct {
 
 	res    resilience.Config
 	health *resilience.Tracker
+	// tickets holds the host's channel-resumption ticket for each storage
+	// node (cluster_runtime.go, dialNodeChannel).
+	tickets *transport.TicketStore
 
 	// hedgeSem is the cluster-wide hedge concurrency gate: PlanHedge takes
 	// a slot non-blockingly and HedgeDone returns it, so hedging can never
@@ -238,6 +242,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		database:     "db",
 		down:         map[string]bool{},
 		rebuilding:   map[string]bool{},
+		tickets:      transport.NewTicketStore(),
 	}
 	if cfg.Resilience != nil {
 		c.res = cfg.Resilience.WithDefaults()
