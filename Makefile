@@ -86,7 +86,8 @@ vet-bench:
 #              consistent with the donor or still quarantined.
 #   gray       one node of a 3-node cluster browns out (slow, not dead) and
 #              recovers — deadline budgets, latency soft-ejection, hedged
-#              offloads and overload backpressure must carry the run.
+#              offloads and overload backpressure must carry the run; plus
+#              the cluster's hedge-planning contract (root package).
 #   ingest     the group-commit pipeline's unit and wire tests, a power cut at
 #              every write boundary of the streaming write path, node kills
 #              mid-batch with restart + readmission, concurrent ingest beside
@@ -103,7 +104,7 @@ PKGS_crash     = ./internal/chaos ./internal/faultinject ./internal/securestore
 RUN_rebuild    = Rebuild|Epoch|Membership|Quiesce|Readmit
 PKGS_rebuild   = ./internal/chaos ./internal/securestore .
 RUN_gray       = Gray|Budget|Hedge|Latency|Eject|Overload|Queue|Pressure|Tail
-PKGS_gray      = ./internal/chaos ./internal/resilience ./internal/hostengine ./internal/ctl ./internal/monitor
+PKGS_gray      = ./internal/chaos ./internal/resilience ./internal/hostengine ./internal/ctl ./internal/monitor .
 RUN_ingest     = Ingest|GroupCommit|Earlyack|StatementSweep
 PKGS_ingest    = ./internal/ingest ./internal/chaos ./internal/securestore ./internal/analysis .
 RUN_adversary  = Adversary|Mitm|ForgedBanner|Classify|NonceReuse

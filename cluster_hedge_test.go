@@ -1,8 +1,11 @@
 package ironsafe
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
+	"ironsafe/internal/resilience"
 	"ironsafe/internal/sql/exec"
 )
 
@@ -14,65 +17,106 @@ type countingNode struct {
 
 func (n *countingNode) NodeID() string                              { return n.id }
 func (n *countingNode) Offload(string) (*exec.Result, int64, error) { return nil, 0, nil }
+func (n *countingNode) ReplyEpoch() uint64                          { return 0 }
 func (n *countingNode) Close() error                                { n.closes++; return nil }
 
-func TestSessionProviderDetachLegQuarantinesCachedChannel(t *testing.T) {
-	c, err := NewCluster(Config{Mode: IronSafe})
-	if err != nil {
-		t.Fatal(err)
+// ejectFirst feeds the health tracker latencies that soft-eject storage-01
+// against a fast cohort.
+func ejectFirst(t *testing.T, c *Cluster, cohort ...string) {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		for _, id := range cohort {
+			c.Health().ReportLatency(id, time.Millisecond)
+		}
+		c.Health().ReportLatency("storage-01", 100*time.Millisecond)
 	}
-	p := c.newSessionProvider([]string{"storage-01"}, "sid", nil)
-	loser := &countingNode{id: "storage-01"}
-	p.cached["storage-01"] = loser
+	if !c.Health().Ejected("storage-01") {
+		t.Fatal("setup: storage-01 not ejected")
+	}
+}
 
-	settle := p.DetachLeg("storage-01", loser)
-	if _, still := p.cached["storage-01"]; still {
-		t.Fatal("detached channel still cached: a later Connect would share it with the in-flight loser")
-	}
+// TestSessionProviderHedgeContract pins what the cluster's node provider
+// offers the host engine's hedged race: nothing at all without a latency
+// clock, and with one a hedge for an ejected primary only, on the first
+// alternate that is up and not ejected, at most maxHedges at a time.
+func TestSessionProviderHedgeContract(t *testing.T) {
+	ids := []string{"storage-01", "storage-02", "storage-03"}
 
-	// A replacement channel cached after the detach must survive both the
-	// loser's settle and the end-of-query close — only the detached private
-	// channel belongs to the settle.
-	fresh := &countingNode{id: "storage-01"}
-	p.cached["storage-01"] = fresh
-	settle(false, true)
-	p.drainWait()
-	if loser.closes != 1 {
-		t.Errorf("detached channel closed %d times, want exactly once at settle", loser.closes)
-	}
-	if fresh.closes != 0 {
-		t.Error("loser settle closed the replacement channel")
-	}
+	t.Run("no clock", func(t *testing.T) {
+		c, err := NewCluster(Config{Mode: IronSafe, StorageNodes: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ejectFirst(t, c, "storage-02", "storage-03")
+		p := c.newSessionProvider(ids, "sid", nil)
+		if got := p.CandidateIDs(); !reflect.DeepEqual(got, ids) {
+			t.Errorf("CandidateIDs = %v, want proof order %v", got, ids)
+		}
+		if hedge, ok := p.PlanHedge("storage-01", ids[1:]); ok {
+			t.Errorf("PlanHedge granted %s without a latency clock", hedge)
+		}
+		if now := p.NodeNow("storage-01"); now != 0 {
+			t.Errorf("NodeNow = %v without a latency clock, want 0", now)
+		}
+	})
 
-	// The loser's failure reached the breaker (two more failures open it).
-	c.Health().Report("storage-01", false)
-	c.Health().Report("storage-01", false)
-	if !c.Health().Open("storage-01") {
-		t.Error("detached loser's failure never fed the circuit breaker")
-	}
+	t.Run("clock", func(t *testing.T) {
+		clock := func(id string) time.Duration { return time.Duration(len(id)) * time.Millisecond }
+		c, err := NewCluster(Config{Mode: IronSafe, StorageNodes: 3, Resilience: &resilience.Config{LatencyClock: clock}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ejectFirst(t, c, "storage-02", "storage-03")
+		p := c.newSessionProvider(ids, "sid", nil)
+		if now := p.NodeNow("storage-01"); now != clock("storage-01") {
+			t.Errorf("NodeNow = %v, want the latency clock's %v", now, clock("storage-01"))
+		}
+		if got, want := p.CandidateIDs(), []string{"storage-02", "storage-03", "storage-01"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("CandidateIDs = %v, want the ejected node last %v", got, want)
+		}
+		if hedge, ok := p.PlanHedge("storage-02", []string{"storage-03", "storage-01"}); ok {
+			t.Errorf("PlanHedge hedged a primary that is not ejected on %s", hedge)
+		}
+		if hedge, ok := p.PlanHedge("storage-01", ids[1:]); !ok || hedge != "storage-02" {
+			t.Errorf("PlanHedge = %q, %t, want the first alternate storage-02", hedge, ok)
+		}
+		c.KillStorage("storage-02")
+		if hedge, ok := p.PlanHedge("storage-01", ids[1:]); !ok || hedge != "storage-03" {
+			t.Errorf("PlanHedge = %q, %t, want storage-03 past the down storage-02", hedge, ok)
+		}
+		if hedge, ok := p.PlanHedge("storage-01", ids[1:]); ok {
+			t.Errorf("third concurrent hedge granted on %s", hedge)
+		}
+		p.HedgeDone()
+		if _, ok := p.PlanHedge("storage-01", ids[1:]); !ok {
+			t.Error("hedge refused after HedgeDone released a slot")
+		}
+		p.HedgeDone()
+		p.HedgeDone()
+	})
 
-	// close() tears down only what is cached.
-	p.close()
-	if fresh.closes != 1 {
-		t.Errorf("close() closed the cached channel %d times, want once", fresh.closes)
-	}
-
-	// Detaching a node that is no longer the cached channel (Report evicted
-	// it and a fresh one replaced it) must leave the replacement alone, but
-	// still close the orphaned loser channel and balance drain accounting.
-	orphan := &countingNode{id: "storage-01"}
-	current := &countingNode{id: "storage-01"}
-	p.cached["storage-01"] = current
-	settle = p.DetachLeg("storage-01", orphan)
-	if p.cached["storage-01"] != current {
-		t.Error("detach with a stale node evicted the current cached channel")
-	}
-	settle(true, false)
-	p.drainWait()
-	if orphan.closes != 1 {
-		t.Errorf("orphaned loser channel closed %d times, want once", orphan.closes)
-	}
-	if current.closes != 0 {
-		t.Error("stale-node settle closed the current cached channel")
-	}
+	t.Run("close", func(t *testing.T) {
+		c, err := NewCluster(Config{Mode: IronSafe, StorageNodes: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := c.newSessionProvider(ids, "sid", nil)
+		nodes := map[string]*countingNode{}
+		for _, id := range ids {
+			nodes[id] = &countingNode{id: id}
+			p.cached[id] = &fencedNode{storageNode: nodes[id], c: c}
+		}
+		// A failure report closes and evicts its channel; close() must not
+		// close it a second time.
+		p.Report("storage-02", false)
+		p.close()
+		for id, n := range nodes {
+			if n.closes != 1 {
+				t.Errorf("%s closed %d times, want exactly once", id, n.closes)
+			}
+		}
+		if len(p.cached) != 0 {
+			t.Errorf("close() left %d cached channels", len(p.cached))
+		}
+	})
 }

@@ -25,6 +25,10 @@ import (
 // frame cap, large enough to amortize the per-chunk commit.
 const rebuildChunkPages = 8
 
+// rebuildAttempts is how many full rebuild passes RebuildStorage tries before
+// it gives up (each under the same deadline budget).
+const rebuildAttempts = 3
+
 // RebuildStorage rebuilds the quarantined node id from the live donor. The
 // donor's committed state is exported at a transaction boundary, verified
 // page by page against the donor's manifest on arrival, and applied through
@@ -87,7 +91,7 @@ func (c *Cluster) RebuildStorage(id, donorID string) error {
 
 	// Rebuild passes draw on their own deadline budget: a donor in gray
 	// failure must not drag the rebuild through unbounded full-pass retries.
-	err := resilience.RetryBudgeted(c.res, c.res.OffloadAttempts, c.res.NewQueryBudget(), func(int) error {
+	err := resilience.RetryBudgeted(c.res, rebuildAttempts, c.res.NewQueryBudget(), func(int) error {
 		return c.rebuildPass(target, donor, id, donorID, sid, key)
 	})
 	if err != nil {

@@ -39,7 +39,7 @@ func TestEpochFencedZombieReplyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := &fencedNode{StorageNode: &hostengine.LocalNode{Server: c.Storage[1]}, c: c}
+	f := &fencedNode{storageNode: &hostengine.LocalNode{Server: c.Storage[1]}, c: c}
 	if _, _, err := f.Offload(`SELECT id FROM fence`); err != nil {
 		t.Fatalf("pre-eviction offload: %v", err)
 	}

@@ -50,38 +50,17 @@ func (c *Cluster) Epoch() uint64 {
 // set) for operators and tests.
 func (c *Cluster) Health() *resilience.Tracker { return c.health }
 
-// SetBrownOut toggles brown-out mode: under overload the serving layer sheds
-// optional load first, and hedges are the first to go — every PlanHedge is
-// refused until the brown-out lifts. Primary attempts, retries, and
-// failovers are unaffected.
-func (c *Cluster) SetBrownOut(on bool) {
-	c.nodeMu.Lock()
-	c.brownout = on
-	c.nodeMu.Unlock()
-}
-
-// BrownedOut reports whether hedge shedding is active.
-func (c *Cluster) BrownedOut() bool {
-	c.nodeMu.Lock()
-	defer c.nodeMu.Unlock()
-	return c.brownout
-}
-
-// HedgeStats reports how many hedge slots were granted and how many hedge
-// requests were shed (no slot free, brown-out, or no healthy replica).
-func (c *Cluster) HedgeStats() (granted, shed int) {
-	c.nodeMu.Lock()
-	defer c.nodeMu.Unlock()
-	return c.hedgesGranted, c.hedgesShed
-}
+// maxHedges caps the cluster's in-flight hedged races, so hedging cannot
+// amplify an overload.
+const maxHedges = 2
 
 // tailTolerant reports whether the gray-failure machinery (latency EWMA,
-// soft-ejection, hedging) is active: explicitly enabled, or implied by an
-// injected virtual latency clock. When off, latency reports, candidate
-// reprioritization, and hedging are all no-ops, so clusters built by the
-// fail-stop chaos suites behave byte-for-byte as before.
+// soft-ejection, hedging) is active: only with an injected virtual latency
+// clock. When off, latency reports, candidate reprioritization, and hedging
+// are all no-ops, so nothing the machine's speed decides reaches candidate
+// order or the fail-stop sweeps' digests.
 func (c *Cluster) tailTolerant() bool {
-	return c.res.TailTolerance || c.res.LatencyClock != nil
+	return c.res.LatencyClock != nil
 }
 
 // NodeDown reports whether a storage node is currently failed/quarantined.
@@ -246,13 +225,7 @@ type sessionProvider struct {
 	// a fault is desynchronized and must be rebuilt, not reused). cacheMu
 	// guards the map: hedged races dial two legs concurrently.
 	cacheMu sync.Mutex
-	cached  map[string]hostengine.StorageNode
-
-	// drains tracks background loser drains from abandoned hedge races: each
-	// DetachLeg adds one, its settle call removes it. The detached channels
-	// are owned by their settle funcs, not the cache, so close() never tears
-	// one down under an in-flight Recv.
-	drains sync.WaitGroup
+	cached  map[string]*fencedNode
 }
 
 func (c *Cluster) newSessionProvider(authorized []string, sessionID string, sessionKey []byte) *sessionProvider {
@@ -262,7 +235,7 @@ func (c *Cluster) newSessionProvider(authorized []string, sessionID string, sess
 		sessionID:  sessionID,
 		sessionKey: sessionKey,
 		budget:     c.res.NewQueryBudget(),
-		cached:     map[string]hostengine.StorageNode{},
+		cached:     map[string]*fencedNode{},
 	}
 }
 
@@ -287,20 +260,18 @@ func (p *sessionProvider) CandidateIDs() []string {
 func (p *sessionProvider) QueryBudget() *resilience.Budget { return p.budget }
 
 // NodeNow implements hostengine.NodeProvider: the per-node clock offload
-// legs are timed on. With a LatencyClock configured (sweeps) it is fully
-// virtual and deterministic; otherwise it is real monotonic time.
+// legs are timed on — the virtual, deterministic LatencyClock when one is
+// configured (the gray sweep), 0 otherwise.
 func (p *sessionProvider) NodeNow(id string) time.Duration {
 	if clock := p.c.res.LatencyClock; clock != nil {
 		return clock(id)
 	}
-	//ironsafe:allow wallclock -- real deployments measure offload latency on the monotonic clock; sweeps inject Resilience.LatencyClock instead
-	return time.Since(p.c.start)
+	return 0
 }
 
 // ReportLatency implements hostengine.NodeProvider, feeding the health
 // tracker's EWMA and its cohort-median ejection logic. A no-op unless tail
-// tolerance is on: real-clock samples would make ejection state (and with it
-// candidate ordering) depend on the host machine's speed.
+// tolerance is on.
 func (p *sessionProvider) ReportLatency(id string, d time.Duration) {
 	if !p.c.tailTolerant() {
 		return
@@ -308,69 +279,31 @@ func (p *sessionProvider) ReportLatency(id string, d time.Duration) {
 	p.c.health.ReportLatency(id, d)
 }
 
-// PlanHedge implements hostengine.NodeProvider. It grants a hedge when a
-// healthy alternate replica exists, the cluster is not browned out, and a
-// cluster-wide hedge slot is free. The trigger depends on the primary's
-// standing: an ejected primary is hedged immediately (delay 0 — we already
-// know it is slow), a merely suspect one only after its EWMA-derived
-// threshold elapses on a real timer. Under a virtual LatencyClock timers
-// cannot fire deterministically, so only the eject-triggered form is used.
-func (p *sessionProvider) PlanHedge(primary string, candidates []string) (string, time.Duration, bool) {
+// PlanHedge implements hostengine.NodeProvider. It hedges only a primary the
+// latency estimator has ejected (it is already known to be slow), on the
+// first alternate that is neither down nor ejected, and only when a
+// cluster-wide hedge slot is free.
+func (p *sessionProvider) PlanHedge(primary string, candidates []string) (string, bool) {
 	c := p.c
-	if !c.tailTolerant() {
-		return "", 0, false
+	if !c.tailTolerant() || !c.health.Ejected(primary) {
+		return "", false
 	}
-	if c.BrownedOut() {
-		c.noteHedge(false)
-		return "", 0, false
-	}
-	hedge := ""
 	for _, id := range candidates {
-		if !c.NodeDown(id) && !c.health.Ejected(id) {
-			hedge = id
-			break
+		if c.NodeDown(id) || c.health.Ejected(id) {
+			continue
+		}
+		select {
+		case c.hedgeSem <- struct{}{}:
+			return id, true
+		default:
+			return "", false
 		}
 	}
-	if hedge == "" {
-		c.noteHedge(false)
-		return "", 0, false
-	}
-	var delay time.Duration
-	if !c.health.Ejected(primary) {
-		threshold := c.health.HedgeThreshold(primary)
-		if threshold == 0 || c.res.LatencyClock != nil {
-			return "", 0, false
-		}
-		delay = threshold
-	}
-	select {
-	case c.hedgeSem <- struct{}{}:
-	default:
-		c.noteHedge(false)
-		return "", 0, false
-	}
-	c.noteHedge(true)
-	return hedge, delay, true
+	return "", false
 }
 
 // HedgeDone implements hostengine.NodeProvider, releasing the slot.
 func (p *sessionProvider) HedgeDone() { <-p.c.hedgeSem }
-
-// JoinLoser implements hostengine.NodeProvider: under a virtual latency
-// clock the race must drain both legs in-line and report them in fixed order,
-// or goroutine scheduling would leak into the EWMA state and the digest.
-func (p *sessionProvider) JoinLoser() bool { return p.c.res.LatencyClock != nil }
-
-// noteHedge counts hedge grants and sheds for HedgeStats.
-func (c *Cluster) noteHedge(granted bool) {
-	c.nodeMu.Lock()
-	if granted {
-		c.hedgesGranted++
-	} else {
-		c.hedgesShed++
-	}
-	c.nodeMu.Unlock()
-}
 
 // Connect implements hostengine.NodeProvider.
 func (p *sessionProvider) Connect(id string) (hostengine.StorageNode, error) {
@@ -395,11 +328,19 @@ func (p *sessionProvider) Connect(id string) (hostengine.StorageNode, error) {
 		p.c.health.Report(id, false)
 		return nil, err
 	}
-	node := &fencedNode{StorageNode: inner, c: p.c}
+	node := &fencedNode{storageNode: inner, c: p.c}
 	p.cacheMu.Lock()
 	p.cached[id] = node
 	p.cacheMu.Unlock()
 	return node, nil
+}
+
+// storageNode is a channel the session provider caches: its replies carry
+// the membership epoch they were served at, and it can be closed.
+type storageNode interface {
+	hostengine.StorageNode
+	ReplyEpoch() uint64
+	Close() error
 }
 
 // fencedNode enforces membership-epoch fencing on every offload reply: a
@@ -407,30 +348,20 @@ func (p *sessionProvider) Connect(id string) (hostengine.StorageNode, error) {
 // missed an eviction, and is rejected with ErrEpochFenced. The failure flows
 // through the ordinary failover path, so the host simply retries elsewhere.
 type fencedNode struct {
-	hostengine.StorageNode
+	storageNode
 	c *Cluster
 }
 
 func (f *fencedNode) Offload(sql string) (*exec.Result, int64, error) {
-	res, wire, err := f.StorageNode.Offload(sql)
+	res, wire, err := f.storageNode.Offload(sql)
 	if err != nil {
 		return nil, wire, err
 	}
-	if ep, ok := f.StorageNode.(hostengine.EpochReporter); ok {
-		if got, want := ep.ReplyEpoch(), f.c.Epoch(); got != want {
-			return nil, wire, fmt.Errorf("%w: %s replied at epoch %d, cluster at %d",
-				ErrEpochFenced, f.NodeID(), got, want)
-		}
+	if got, want := f.ReplyEpoch(), f.c.Epoch(); got != want {
+		return nil, wire, fmt.Errorf("%w: %s replied at epoch %d, cluster at %d",
+			ErrEpochFenced, f.NodeID(), got, want)
 	}
 	return res, wire, nil
-}
-
-// Close forwards to the wrapped node so cached channels are torn down.
-func (f *fencedNode) Close() error {
-	if closer, ok := f.StorageNode.(interface{ Close() error }); ok {
-		return closer.Close()
-	}
-	return nil
 }
 
 // Report implements hostengine.NodeProvider. A failure drops the cached
@@ -443,71 +374,36 @@ func (p *sessionProvider) Report(id string, ok bool) {
 		delete(p.cached, id)
 		p.cacheMu.Unlock()
 		if cached {
-			if closer, isCloser := n.(interface{ Close() error }); isCloser {
-				closer.Close()
-			}
+			n.Close()
 		}
 	}
 }
 
-// DetachLeg implements hostengine.NodeProvider: it removes the abandoned
-// loser's exact channel from the cache so the loser finishes on a private
-// channel while subsequent Connects dial fresh. The identity compare matters:
-// if a failure report already evicted node and a replacement was cached, the
-// replacement is someone else's healthy channel and must stay. The returned
-// settle feeds the breaker directly — never through Report, whose failure
-// path would drop (and close, possibly mid-use) whatever NEW channel got
-// cached for id after the detach — then closes the quarantined channel and
-// deregisters the drain.
-func (p *sessionProvider) DetachLeg(id string, node hostengine.StorageNode) func(ok, reportable bool) {
-	p.cacheMu.Lock()
-	if p.cached[id] == node {
-		delete(p.cached, id)
-	}
-	p.cacheMu.Unlock()
-	p.drains.Add(1)
-	return func(ok, reportable bool) {
-		if reportable {
-			p.c.health.Report(id, ok)
-		}
-		if closer, isCloser := node.(interface{ Close() error }); isCloser {
-			closer.Close()
-		}
-		p.drains.Done()
-	}
-}
-
-// close tears down the provider's live channels at end of query. Channels
-// detached for abandoned hedge losers are not in the cache anymore — their
-// settle funcs close them when the loser leg lands. close deliberately does
-// NOT wait for those drains: blocking the query's return on a stalled
-// loser's timeout would reintroduce exactly the tail latency the hedge was
-// raced to hide. (drainWait exists for tests that need the settle observed.)
+// close tears down the provider's live channels at end of query.
 func (p *sessionProvider) close() {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
 	for id, n := range p.cached {
-		if closer, ok := n.(interface{ Close() error }); ok {
-			closer.Close()
-		}
+		n.Close()
 		delete(p.cached, id)
 	}
 }
 
-// drainWait blocks until every outstanding loser drain has settled.
-func (p *sessionProvider) drainWait() { p.drains.Wait() }
-
-// connectNode builds one StorageNode: a direct in-process adapter by
+// connectNode builds one storage channel: a direct in-process adapter by
 // default, or — with ChannelTransport — a real monitor-keyed secure channel
 // over an in-process pipe speaking the full wire protocol, optionally
 // wrapped by the fault-injection hook. bud (may be nil) is the query's
 // deadline budget, attached to the channel so every offload clips its
 // deadline to the remaining budget.
-func (c *Cluster) connectNode(srv *storageengine.Server, id, sessionID string, sessionKey []byte, bud *resilience.Budget) (hostengine.StorageNode, error) {
+func (c *Cluster) connectNode(srv *storageengine.Server, id, sessionID string, sessionKey []byte, bud *resilience.Budget) (storageNode, error) {
 	if !c.cfg.ChannelTransport {
 		return &hostengine.LocalNode{Server: srv, HostMeter: c.HostMeter, StorageMeter: c.StorageMeter}, nil
 	}
-	return c.dialNodeChannel(srv, id, sessionID, sessionKey, bud, c.tickets)
+	node, err := c.dialNodeChannel(srv, id, sessionID, sessionKey, bud, c.tickets)
+	if err != nil {
+		return nil, err
+	}
+	return node, nil
 }
 
 // dialNodeChannel handshakes a monitor-keyed secure channel to srv over an

@@ -92,9 +92,8 @@ type Server struct {
 
 	// Pressure, when set, is notified on overload-pressure transitions:
 	// true when the server saturates (every slot busy, or connections
-	// queued), false when the pressure drains. Binaries wire this to
-	// Cluster.SetBrownOut so optional load — hedged offloads first — sheds
-	// while the control plane is saturated.
+	// queued), false when the pressure drains. It is an observer hook:
+	// nothing in this module sheds load on it.
 	Pressure func(on bool)
 
 	// HandshakeTimeout bounds the secure-transport handshake per accepted

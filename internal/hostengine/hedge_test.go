@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,8 +13,7 @@ import (
 )
 
 // hedgeProvider is a NodeProvider with a scriptable budget, latency clock
-// and hedge plan; it hands out a fresh node per Connect, so it detaches
-// nothing.
+// and hedge plan; it hands out a fresh node per Connect.
 type hedgeProvider struct {
 	plainProvider
 	r   *rig
@@ -24,13 +22,13 @@ type hedgeProvider struct {
 
 	// fail / stale script per-node offload outcomes: fail is a generic
 	// offload failure, stale simulates the cluster's epoch-fencing wrapper
-	// rejecting a zombie's reply (the stale rows never escape the wrapper).
+	// rejecting a zombie's reply (the stale rows never escape the wrapper),
+	// slow a valid reply that takes as long as a failure.
 	fail  map[string]bool
 	stale map[string]bool
+	slow  map[string]bool
 
 	planOK   bool
-	delay    time.Duration
-	join     bool
 	capSlots int
 
 	mu            sync.Mutex
@@ -63,21 +61,21 @@ func (p *hedgeProvider) ReportLatency(id string, d time.Duration) {
 	p.latencies = append(p.latencies, fmt.Sprintf("%s:%v", id, d))
 }
 
-func (p *hedgeProvider) PlanHedge(primary string, candidates []string) (string, time.Duration, bool) {
+func (p *hedgeProvider) PlanHedge(primary string, candidates []string) (string, bool) {
 	if !p.planOK || len(candidates) == 0 {
-		return "", 0, false
+		return "", false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.capSlots > 0 && p.concurrent >= p.capSlots {
-		return "", 0, false
+		return "", false
 	}
 	p.concurrent++
 	if p.concurrent > p.maxConcurrent {
 		p.maxConcurrent = p.concurrent
 	}
 	p.granted++
-	return candidates[0], p.delay, true
+	return candidates[0], true
 }
 
 func (p *hedgeProvider) HedgeDone() {
@@ -86,8 +84,6 @@ func (p *hedgeProvider) HedgeDone() {
 	p.concurrent--
 	p.done++
 }
-
-func (p *hedgeProvider) JoinLoser() bool { return p.join }
 
 type hedgeNode struct {
 	p  *hedgeProvider
@@ -103,9 +99,9 @@ func (n *hedgeNode) Offload(sql string) (*exec.Result, int64, error) {
 		p.clock = map[string]time.Duration{}
 	}
 	fail, stale := p.fail[n.id], p.stale[n.id]
-	// Scripted per-node virtual latency: failures and fenced replies burn
-	// 10× the healthy cost.
-	if fail || stale {
+	// Scripted per-node virtual latency: failures, fenced replies and slow
+	// replies burn 10× the healthy cost.
+	if fail || stale || p.slow[n.id] {
 		p.clock[n.id] += 10 * time.Millisecond
 	} else {
 		p.clock[n.id] += time.Millisecond
@@ -128,6 +124,7 @@ func newHedgeProvider(r *rig) *hedgeProvider {
 		ids:   []string{"storage-01", "storage-02"},
 		fail:  map[string]bool{},
 		stale: map[string]bool{},
+		slow:  map[string]bool{},
 		clock: map[string]time.Duration{},
 	}
 }
@@ -156,7 +153,7 @@ func TestHedgedOffloadHedgeWinsOnFailedPrimary(t *testing.T) {
 	r := newRig(t, true, true)
 	p := newHedgeProvider(r)
 	p.fail["storage-01"] = true // primary leg always fails
-	p.planOK, p.join = true, true
+	p.planOK = true
 	res, outcome, err := r.host.ExecuteSplitProvider(tpch.Queries[1], p)
 	if err != nil {
 		t.Fatalf("hedged execution failed: %v", err)
@@ -184,7 +181,7 @@ func TestHedgedOffloadNeverReturnsStaleEpochReply(t *testing.T) {
 	r := newRig(t, true, true)
 	p := newHedgeProvider(r)
 	p.stale["storage-01"] = true
-	p.planOK, p.join = true, true
+	p.planOK = true
 	res, outcome, err := r.host.ExecuteSplitProvider(tpch.Queries[1], p)
 	if err != nil {
 		t.Fatalf("hedged execution failed: %v", err)
@@ -201,29 +198,10 @@ func TestHedgedOffloadNeverReturnsStaleEpochReply(t *testing.T) {
 	}
 }
 
-func TestHedgeNotLaunchedWhenPrimaryBeatsDelay(t *testing.T) {
-	r := newRig(t, true, true)
-	p := newHedgeProvider(r)
-	p.planOK, p.join = true, true
-	p.delay = 5 * time.Second // primary (healthy, in-process) always beats this
-	_, outcome, err := r.host.ExecuteSplitProvider(tpch.Queries[1], p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcome.Hedges != 0 {
-		t.Errorf("Hedges = %d, want 0 (primary resolved before the trigger)", outcome.Hedges)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.granted == 0 || p.granted != p.done {
-		t.Errorf("granted-but-unlaunched hedge slots must still be released: granted=%d done=%d", p.granted, p.done)
-	}
-}
-
 func TestHedgeBudgetDryDegradesToPlainAttempt(t *testing.T) {
 	r := newRig(t, true, true)
 	p := newHedgeProvider(r)
-	p.planOK, p.join = true, true
+	p.planOK = true
 	// Budget for exactly one attempt: the primary leg spends it, the hedge
 	// leg finds it dry and silently does not launch.
 	p.bud = resilience.NewBudget(10*time.Millisecond, 10*time.Millisecond)
@@ -248,7 +226,7 @@ func TestHedgeFanOutRespectsConcurrencyCap(t *testing.T) {
 	r := newRig(t, true, true)
 	p := newHedgeProvider(r)
 	p.fail["storage-01"] = true
-	p.planOK, p.join = true, true
+	p.planOK = true
 	p.capSlots = 1
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -275,202 +253,13 @@ func TestHedgeFanOutRespectsConcurrencyCap(t *testing.T) {
 	}
 }
 
-// cachingHedgeProvider mimics the cluster's sessionProvider: one live node
-// cached per id across Connects, failure reports dropping the cached entry,
-// and DetachLeg so abandoned hedge losers finish on a detached private node
-// while subsequent Connects get a fresh one.
-type cachingHedgeProvider struct {
-	plainProvider
-	r   *rig
-	ids []string
-
-	// stallFirst blocks the first node object dialed for that id until
-	// release is closed — the gray leg an abandon-mode race leaves behind.
-	// stalledIn is closed the moment that offload is in flight; Connect for
-	// every OTHER id waits on it, pinning the schedule: the race is always
-	// decided while the stalled loser is mid-offload, never before it sent.
-	stallFirst string
-	release    chan struct{}
-	stalledIn  chan struct{}
-	stallOnce  sync.Once
-
-	mu       sync.Mutex
-	cache    map[string]*trackedNode
-	nodes    []*trackedNode
-	connects map[string]int
-	settles  int
-	drains   sync.WaitGroup
-}
-
-// trackedNode records per-object offload concurrency: two offloads in
-// flight on one node object means two Send+Recv exchanges sharing a channel,
-// which is exactly the reply-crossing bug the detach exists to prevent.
-type trackedNode struct {
-	p     *cachingHedgeProvider
-	id    string
-	stall bool
-
-	inflight    int32
-	maxInflight int32
-	closed      int32
-}
-
-func (n *trackedNode) NodeID() string { return n.id }
-
-func (n *trackedNode) Offload(sql string) (*exec.Result, int64, error) {
-	cur := atomic.AddInt32(&n.inflight, 1)
-	defer atomic.AddInt32(&n.inflight, -1)
-	for {
-		max := atomic.LoadInt32(&n.maxInflight)
-		if cur <= max || atomic.CompareAndSwapInt32(&n.maxInflight, max, cur) {
-			break
-		}
-	}
-	if n.stall {
-		n.p.stallOnce.Do(func() { close(n.p.stalledIn) })
-		select {
-		case <-n.p.release:
-		case <-time.After(5 * time.Second):
-		}
-		return nil, 0, errors.New("stalled leg drained")
-	}
-	return n.p.r.node().Offload(sql)
-}
-
-func (n *trackedNode) Close() error {
-	atomic.AddInt32(&n.closed, 1)
-	return nil
-}
-
-func (p *cachingHedgeProvider) CandidateIDs() []string { return p.ids }
-
-func (p *cachingHedgeProvider) Connect(id string) (StorageNode, error) {
-	if id != p.stallFirst {
-		select {
-		case <-p.stalledIn:
-		case <-time.After(5 * time.Second):
-		}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n, ok := p.cache[id]; ok {
-		return n, nil
-	}
-	p.connects[id]++
-	n := &trackedNode{p: p, id: id, stall: id == p.stallFirst && p.connects[id] == 1}
-	p.cache[id] = n
-	p.nodes = append(p.nodes, n)
-	return n, nil
-}
-
-func (p *cachingHedgeProvider) Report(id string, ok bool) {
-	if ok {
-		return
-	}
-	p.mu.Lock()
-	n, cached := p.cache[id]
-	delete(p.cache, id)
-	p.mu.Unlock()
-	if cached {
-		n.Close()
-	}
-}
-
-func (p *cachingHedgeProvider) DetachLeg(id string, node StorageNode) func(ok, reportable bool) {
-	p.mu.Lock()
-	if n, ok := p.cache[id]; ok && StorageNode(n) == node {
-		delete(p.cache, id)
-	}
-	p.mu.Unlock()
-	p.drains.Add(1)
-	return func(legOK, reportable bool) {
-		p.mu.Lock()
-		p.settles++
-		p.mu.Unlock()
-		if tn, ok := node.(*trackedNode); ok {
-			tn.Close()
-		}
-		p.drains.Done()
-	}
-}
-
-func (p *cachingHedgeProvider) PlanHedge(primary string, candidates []string) (string, time.Duration, bool) {
-	if len(candidates) == 0 {
-		return "", 0, false
-	}
-	return candidates[0], 0, true
-}
-
-func (p *cachingHedgeProvider) HedgeDone() {}
-
-func (p *cachingHedgeProvider) JoinLoser() bool { return false }
-
-func TestAbandonedHedgeLoserDetachedFromCache(t *testing.T) {
-	// Abandon-mode regression: the loser's stalled offload stays in flight on
-	// its channel after the race returns. Later ships landing on the same
-	// node must get a FRESH channel (never the one with a foreign request
-	// outstanding), and no node object may ever carry two concurrent
-	// offloads.
-	r := newRig(t, true, true)
-	p := &cachingHedgeProvider{
-		r:          r,
-		ids:        []string{"storage-01", "storage-02"},
-		stallFirst: "storage-01",
-		release:    make(chan struct{}),
-		stalledIn:  make(chan struct{}),
-		cache:      map[string]*trackedNode{},
-		connects:   map[string]int{},
-	}
-	res, outcome, err := r.host.ExecuteSplitProvider(tpch.Queries[3], p)
-	if err != nil {
-		t.Fatalf("query failed despite healthy hedges: %v", err)
-	}
-	direct, err := r.server.DB().Execute(tpch.Queries[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(direct.Rows) {
-		t.Errorf("result %d rows, direct %d — a crossed reply may have been absorbed", len(res.Rows), len(direct.Rows))
-	}
-	if outcome.Hedges == 0 {
-		t.Fatal("setup: no hedge race fired")
-	}
-	close(p.release) // let the stalled loser drain
-	p.drains.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.connects["storage-01"] < 2 {
-		t.Errorf("stalled node never re-dialed after detach: connects=%v", p.connects)
-	}
-	if p.settles == 0 {
-		t.Error("abandoned loser never settled its detached channel")
-	}
-	var stalled *trackedNode
-	for _, n := range p.nodes {
-		if n.stall {
-			stalled = n
-		}
-	}
-	if stalled == nil {
-		t.Fatal("setup: stalled primary never dialed")
-	}
-	if atomic.LoadInt32(&stalled.closed) == 0 {
-		t.Error("detached channel never closed after its drain landed")
-	}
-	for i, n := range p.nodes {
-		if m := atomic.LoadInt32(&n.maxInflight); m > 1 {
-			t.Errorf("node object %d (%s) saw %d concurrent offloads on one channel", i, n.id, m)
-		}
-	}
-}
-
 func TestHedgeLatenciesReportedPrimaryThenHedge(t *testing.T) {
-	// JoinLoser mode reports both legs in fixed primary-then-hedge order so
-	// the EWMA state evolves deterministically.
+	// A race reports both legs in fixed primary-then-hedge order so the
+	// EWMA state evolves deterministically.
 	r := newRig(t, true, true)
 	p := newHedgeProvider(r)
 	p.fail["storage-01"] = true
-	p.planOK, p.join = true, true
+	p.planOK = true
 	_, outcome, err := r.host.ExecuteSplitProvider(tpch.Queries[1], p)
 	if err != nil {
 		t.Fatal(err)
@@ -484,5 +273,41 @@ func TestHedgeLatenciesReportedPrimaryThenHedge(t *testing.T) {
 		if p.latencies[i] != "storage-01:10ms" || p.latencies[i+1] != "storage-02:1ms" {
 			t.Fatalf("report order not primary-then-hedge: %v", p.latencies)
 		}
+	}
+}
+
+func TestHedgeRacePrimaryWinsTie(t *testing.T) {
+	// Both legs succeed and the primary is the slower one: its reply is
+	// still the one taken — "which landed first" never decides a race.
+	r := newRig(t, true, true)
+	p := newHedgeProvider(r)
+	p.slow["storage-01"] = true
+	p.planOK = true
+	res, outcome, err := r.host.ExecuteSplitProvider(tpch.Queries[1], p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := r.server.DB().Execute(tpch.Queries[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(direct.Rows) {
+		t.Errorf("result %d rows, direct %d", len(res.Rows), len(direct.Rows))
+	}
+	if outcome.Hedges == 0 || outcome.HedgeWins != 0 {
+		t.Errorf("Hedges=%d HedgeWins=%d, want races that the primary wins", outcome.Hedges, outcome.HedgeWins)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.latencies) != 2*outcome.Hedges {
+		t.Fatalf("latency reports = %v, want 2 per hedge race", p.latencies)
+	}
+	for i := 0; i < len(p.latencies); i += 2 {
+		if p.latencies[i] != "storage-01:10ms" || p.latencies[i+1] != "storage-02:1ms" {
+			t.Fatalf("report order not primary-then-hedge: %v", p.latencies)
+		}
+	}
+	if p.granted != p.done {
+		t.Errorf("hedge slot leak: granted=%d done=%d", p.granted, p.done)
 	}
 }

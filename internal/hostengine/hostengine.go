@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"ironsafe/internal/engine"
@@ -162,12 +161,12 @@ func (h *Host) ExecuteSplit(sqlText string, nodes []StorageNode) (*exec.Result, 
 
 // NodeProvider supplies storage nodes for failover-aware split execution and
 // carries the tail-tolerance policy that goes with them: the query's deadline
-// budget, the latency feed, hedge planning, and quarantine of an abandoned
-// hedge leg. Unlike a static []StorageNode, a provider can hand out a FRESH
-// channel per attempt — essential after a fault, because an AEAD channel that
-// saw a corrupted or dropped frame is unrecoverably desynchronized and must
-// be replaced, not retried. A provider without tail tolerance returns a nil
-// budget, ignores latencies, never grants a hedge, and has nothing to detach.
+// budget, the latency feed and hedge planning. Unlike a static []StorageNode,
+// a provider can hand out a FRESH channel per attempt — essential after a
+// fault, because an AEAD channel that saw a corrupted or dropped frame is
+// unrecoverably desynchronized and must be replaced, not retried. A provider
+// without tail tolerance returns a nil budget, ignores latencies and never
+// grants a hedge.
 type NodeProvider interface {
 	// CandidateIDs returns the node IDs currently eligible for offloads, in
 	// a deterministic order (the chaos suite's reproducibility depends on
@@ -187,72 +186,25 @@ type NodeProvider interface {
 	// failovers.
 	QueryBudget() *resilience.Budget
 
-	// NodeNow is the per-node clock offload latency is measured on (real
-	// monotonic in production, the fault plan's virtual clock in the chaos
-	// suite), so the executor itself never reads time; ReportLatency receives
-	// each leg's latency for the gray-failure estimator.
+	// NodeNow is the per-node clock offload latency is measured on (the
+	// fault plan's virtual clock in the gray sweep, 0 without one), so the
+	// executor itself never reads time; ReportLatency receives each leg's
+	// latency for the gray-failure estimator.
 	NodeNow(id string) time.Duration
 	ReportLatency(id string, d time.Duration)
 
 	// PlanHedge decides whether the attempt on primary should be raced
-	// against a replica drawn from candidates. It returns the hedge node, a
-	// delay before the hedge leg launches (0 = race immediately — the
-	// deterministic pre-hedge used when primary is already marked slow;
-	// >0 = launch only if primary is still outstanding after delay), and
+	// against a replica drawn from candidates, returning the hedge node and
 	// whether a hedge slot was granted. Implementations enforce the
-	// cluster-wide concurrency cap and brown-out shedding here.
-	PlanHedge(primary string, candidates []string) (hedge string, delay time.Duration, ok bool)
+	// cluster-wide concurrency cap here.
+	PlanHedge(primary string, candidates []string) (hedge string, ok bool)
 	// HedgeDone releases the slot granted by PlanHedge. Called exactly once
-	// per granted hedge, after both legs resolved or the loser was handed
-	// to a background drain.
+	// per granted hedge, after both legs resolved.
 	HedgeDone()
-	// JoinLoser reports whether the race must wait for the losing leg
-	// instead of abandoning it in the background. Joining keeps outcome
-	// counters and health reports deterministic (the chaos-sweep mode);
-	// production abandons the loser for latency.
-	JoinLoser() bool
-
-	// DetachLeg matters to providers that cache live channels across Connect
-	// calls. When a hedged race abandons its losing leg, that leg's Offload
-	// is still in flight on the loser's channel — if the provider kept the
-	// channel cached, the next Connect to the same node would hand the main
-	// loop a channel with a foreign request outstanding, and the new offload
-	// could consume the loser's in-order reply (wrong fragment's rows).
-	// DetachLeg quarantines node — the exact channel the abandoned loser leg
-	// holds — BEFORE the race returns, and registers an outstanding
-	// background drain. The provider must drop node from its cache only if
-	// it is still the cached channel for id (identity compare: a failure
-	// report may already have evicted it and cached a replacement that is
-	// NOT the loser's). The returned settle MUST be called exactly once,
-	// when the loser leg lands: it feeds the breaker (when reportable — a
-	// leg that never connected was already reported by Connect), closes the
-	// quarantined channel, and deregisters the drain. Settle deliberately
-	// bypasses the provider's Report path: a failure report there would drop
-	// — and close, possibly mid-use — whatever fresh channel the main loop
-	// has cached for id since the detach. A provider that hands out a fresh
-	// node per Connect returns nil: the loser is then reported through
-	// Report when it lands.
-	DetachLeg(id string, node StorageNode) (settle func(ok, reportable bool))
 }
 
 // ErrAllNodesFailed reports that every candidate node failed an offload.
 var ErrAllNodesFailed = errors.New("hostengine: offload failed on all storage nodes")
-
-// legState is the handshake between one race leg and the race loop that may
-// abandon it. The leg publishes its connected node before sending; an
-// abandoning winner sets abandoned and reads the node. The mutex leaves only
-// two interleavings: the winner sees the loser's exact channel (and
-// quarantines it via DetachLeg), or the loser sees abandoned while it has
-// sent nothing yet and bows out without offloading at all. Without the
-// handshake there is a window — the loser still inside Connect when the race
-// returns — where DetachLeg finds nothing to detach and the loser then parks
-// its channel in the provider's cache with a foreign request about to go out
-// on it.
-type legState struct {
-	mu        sync.Mutex
-	node      StorageNode
-	abandoned bool
-}
 
 // legResult is one leg of a (possibly hedged) offload attempt.
 type legResult struct {
@@ -262,9 +214,6 @@ type legResult struct {
 	err       error
 	lat       time.Duration
 	connected bool // Connect succeeded, so the outcome is reportable
-	// aborted marks a leg that connected but bowed out before sending
-	// because the race had already been abandoned: nothing to report.
-	aborted bool
 }
 
 // ExecuteSplitProvider is ExecuteSplit with per-ship node failover: each
@@ -272,8 +221,9 @@ type legResult struct {
 // re-offloaded to the next surviving candidate over a fresh channel. Only
 // when every candidate fails does the query fail — with a typed error, never
 // a hang. The provider's budget bounds the attempts, its latency feed sees
-// every leg, and its hedge plan may race a slow fragment on a second replica
-// (first epoch-valid reply wins).
+// every leg, and its hedge plan may race a fragment on a second replica
+// (the primary's epoch-valid reply is preferred, the hedge's taken when the
+// primary failed).
 func (h *Host) ExecuteSplitProvider(sqlText string, prov NodeProvider) (*exec.Result, *SplitOutcome, error) {
 	sel, err := parser.ParseSelect(sqlText)
 	if err != nil {
@@ -303,19 +253,18 @@ func (h *Host) ExecuteSplitProvider(sqlText string, prov NodeProvider) (*exec.Re
 				return nil, outcome, fmt.Errorf("hostengine: ship %q: %w", ship.Table, resilience.ErrBudgetExhausted)
 			}
 			var hedgeID string
-			var hedgeDelay time.Duration
 			doHedge := false
 			if len(ids) > 1 {
 				rest := make([]string, 0, len(ids)-1)
 				for k := 1; k < len(ids); k++ {
 					rest = append(rest, ids[(i+j+k)%len(ids)])
 				}
-				hedgeID, hedgeDelay, doHedge = prov.PlanHedge(id, rest)
+				hedgeID, doHedge = prov.PlanHedge(id, rest)
 			}
 			var win legResult
 			if doHedge {
 				var hedged bool
-				win, hedged = h.raceOffload(prov, bud, ship.SQL, id, hedgeID, hedgeDelay)
+				win, hedged = h.raceOffload(prov, bud, ship.SQL, id, hedgeID)
 				if hedged {
 					outcome.Hedges++
 					if win.err == nil && win.id == hedgeID {
@@ -323,7 +272,7 @@ func (h *Host) ExecuteSplitProvider(sqlText string, prov NodeProvider) (*exec.Re
 					}
 				}
 			} else {
-				win = h.offloadLeg(prov, ship.SQL, id, nil)
+				win = h.offloadLeg(prov, ship.SQL, id)
 				reportLeg(prov, win)
 			}
 			if win.err != nil {
@@ -350,27 +299,12 @@ func (h *Host) ExecuteSplitProvider(sqlText string, prov NodeProvider) (*exec.Re
 }
 
 // offloadLeg runs one offload attempt against id, measuring its latency on
-// the provider's per-node clock. st (nil outside hedged races) is the
-// abandonment handshake: the leg publishes its node before sending and bows
-// out — before creating an in-flight request anyone would have to quarantine
-// — if the race was decided while it was still connecting.
-func (h *Host) offloadLeg(prov NodeProvider, sql, id string, st *legState) legResult {
+// the provider's per-node clock.
+func (h *Host) offloadLeg(prov NodeProvider, sql, id string) legResult {
 	start := prov.NodeNow(id)
 	node, err := prov.Connect(id)
 	if err != nil {
 		return legResult{id: id, err: fmt.Errorf("connect %s: %w", id, err)}
-	}
-	if st != nil {
-		st.mu.Lock()
-		st.node = node
-		abandoned := st.abandoned
-		st.mu.Unlock()
-		if abandoned {
-			// Nothing has gone out on the channel: leave it be (cached or
-			// not, it carries no foreign request) and report nothing — an
-			// unsent attempt has no outcome or latency worth feeding back.
-			return legResult{id: id, connected: true, aborted: true}
-		}
 	}
 	res, wire, err := node.Offload(sql)
 	leg := legResult{id: id, res: res, wire: wire, err: err, connected: true}
@@ -394,124 +328,31 @@ func reportLeg(prov NodeProvider, leg legResult) {
 }
 
 // raceOffload races the fragment on primary against a hedge replica. The
-// first successful (epoch-valid — fencing happens inside the provider's node
-// wrapper, so a stale reply surfaces as an error and can never win) leg's
-// result is returned. The hedge leg launches after delay, or immediately
-// when delay is zero; if primary resolves first the hedge is never launched.
-// The hedge leg charges the budget only when it actually launches. In
-// JoinLoser mode both legs are awaited and reported in fixed primary-then-
-// hedge order (deterministic health state); otherwise the loser is drained
-// in the background. Returns the winning (or least-bad) leg and whether the
-// hedge leg actually launched.
-func (h *Host) raceOffload(prov NodeProvider, bud *resilience.Budget, sql, primary, hedge string, delay time.Duration) (legResult, bool) {
-	ch := make(chan legResult, 2)
-	states := map[string]*legState{primary: {}, hedge: {}}
-	go func() { ch <- h.offloadLeg(prov, sql, primary, states[primary]) }()
-
-	hedgeLaunched := false
-	launchHedge := func() {
-		if !bud.SpendAttempt() {
-			return // budget dry: the race degrades to a plain attempt
-		}
-		hedgeLaunched = true
-		go func() { ch <- h.offloadLeg(prov, sql, hedge, states[hedge]) }()
+// hedge leg first charges the budget; a dry budget degrades the race to a
+// plain attempt on primary. Otherwise both legs run concurrently and both are
+// awaited, then reported in fixed primary-then-hedge order so health state
+// never depends on which leg landed first. The primary's success is
+// preferred, the hedge's taken when the primary failed (fencing happens
+// inside the provider's node wrapper, so a stale reply is an error and can
+// never be taken), and with both failed the primary's error surfaces for the
+// failover loop. Returns that leg and whether the hedge leg ran.
+func (h *Host) raceOffload(prov NodeProvider, bud *resilience.Budget, sql, primary, hedge string) (legResult, bool) {
+	defer prov.HedgeDone()
+	if !bud.SpendAttempt() {
+		leg := h.offloadLeg(prov, sql, primary)
+		reportLeg(prov, leg)
+		return leg, false
 	}
-	var timer <-chan time.Time
-	if delay <= 0 {
-		launchHedge()
-	} else {
-		timer = time.After(delay) //ironsafe:allow wallclock -- genuinely real-time hedge trigger; latency accounting stays on the observer's clock
-	}
-
-	pending := 1
-	if hedgeLaunched {
-		pending = 2
-	}
-	var legs []legResult
-	var winner legResult
-	haveWinner := false
-	for pending > 0 {
-		select {
-		case leg := <-ch:
-			pending--
-			legs = append(legs, leg)
-			if leg.err == nil && !haveWinner {
-				winner, haveWinner = leg, true
-			}
-			if timer != nil {
-				// Primary resolved before the hedge trigger: on success the
-				// hedge is moot; on failure the outer failover loop handles
-				// the next candidate without burning a hedge slot.
-				timer = nil
-			}
-			if haveWinner && pending > 0 && !prov.JoinLoser() {
-				// Abandon the loser: drain and report it off the query path,
-				// releasing the hedge slot when it lands. The handshake below
-				// runs BEFORE the race returns — before the main loop can
-				// Connect to that node again — and leaves exactly two cases:
-				// the loser already published its channel (quarantine that
-				// exact channel, so its in-flight offload finishes privately
-				// and can never share a Send/Recv stream with a later
-				// fragment), or it has not connected yet (it will see
-				// abandoned and bow out without sending, so there is nothing
-				// to quarantine).
-				loser := hedge
-				if winner.id == hedge {
-					loser = primary
-				}
-				st := states[loser]
-				st.mu.Lock()
-				st.abandoned = true
-				loserNode := st.node
-				st.mu.Unlock()
-				var settle func(ok, reportable bool)
-				if loserNode != nil {
-					settle = prov.DetachLeg(loser, loserNode)
-				}
-				go func() {
-					leg := <-ch
-					switch {
-					case settle != nil:
-						if leg.connected && leg.lat >= 0 {
-							prov.ReportLatency(leg.id, leg.lat)
-						}
-						settle(leg.err == nil, leg.connected)
-					case !leg.aborted:
-						reportLeg(prov, leg)
-					}
-					prov.HedgeDone()
-				}()
-				for _, l := range legs {
-					reportLeg(prov, l)
-				}
-				return winner, hedgeLaunched
-			}
-		case <-timer:
-			timer = nil
-			launchHedge()
-			if hedgeLaunched {
-				pending++
-			}
-		}
-	}
-	// Both legs (or the only leg) resolved. Order primary-then-hedge, report
-	// deterministically, and prefer the primary's success when both legs
-	// succeeded — between two valid replies, "which landed first" is a
-	// scheduling artifact the joined mode must not leak into outcomes.
-	if len(legs) == 2 && legs[0].id != primary {
-		legs[0], legs[1] = legs[1], legs[0]
-	}
+	hedged := make(chan legResult, 1)
+	go func() { hedged <- h.offloadLeg(prov, sql, hedge) }()
+	legs := [2]legResult{h.offloadLeg(prov, sql, primary), <-hedged}
 	for _, l := range legs {
 		reportLeg(prov, l)
 	}
-	prov.HedgeDone()
-	for i := range legs {
-		if legs[i].err == nil {
-			return legs[i], hedgeLaunched
-		}
+	if legs[0].err != nil && legs[1].err == nil {
+		return legs[1], true
 	}
-	// Every leg failed: surface the primary's error for the failover loop.
-	return legs[0], hedgeLaunched
+	return legs[0], true
 }
 
 // absorbShipped registers one offload result in the shipped catalog with

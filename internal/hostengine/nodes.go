@@ -61,16 +61,12 @@ func (n *LocalNode) Offload(sql string) (*exec.Result, int64, error) {
 	return res, wire, nil
 }
 
-// ReplyEpoch implements EpochReporter.
+// ReplyEpoch reports the membership epoch stamped on the most recent reply;
+// the cluster's fencing wrapper rejects a reply whose epoch is stale.
 func (n *LocalNode) ReplyEpoch() uint64 { return n.lastEpoch.Load() }
 
-// EpochReporter is implemented by storage nodes whose offload replies carry
-// the cluster membership epoch. The cluster's fencing wrapper compares the
-// reported epoch against the current one and rejects stale replies — a node
-// that missed its eviction (a zombie) can never serve a query.
-type EpochReporter interface {
-	ReplyEpoch() uint64
-}
+// Close is a no-op: an in-process adapter holds no channel.
+func (n *LocalNode) Close() error { return nil }
 
 // RemoteNode is a StorageNode over a monitor-keyed secure channel.
 type RemoteNode struct {
@@ -261,7 +257,7 @@ func (n *RemoteNode) Offload(sql string) (*exec.Result, int64, error) {
 	return res, int64(len(payload)), nil
 }
 
-// ReplyEpoch implements EpochReporter.
+// ReplyEpoch reports the membership epoch stamped on the most recent reply.
 func (n *RemoteNode) ReplyEpoch() uint64 {
 	n.reqMu.Lock()
 	defer n.reqMu.Unlock()

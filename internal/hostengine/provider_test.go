@@ -11,17 +11,15 @@ import (
 )
 
 // plainProvider is the tail-tolerance half of NodeProvider switched off: no
-// budget, no latency feed, never a hedge, nothing cached to detach. The test
-// fakes embed it and override what they script.
+// budget, no latency feed, never a hedge. The test fakes embed it and
+// override what they script.
 type plainProvider struct{}
 
-func (plainProvider) QueryBudget() *resilience.Budget                          { return nil }
-func (plainProvider) NodeNow(string) time.Duration                             { return 0 }
-func (plainProvider) ReportLatency(string, time.Duration)                      {}
-func (plainProvider) PlanHedge(string, []string) (string, time.Duration, bool) { return "", 0, false }
-func (plainProvider) HedgeDone()                                               {}
-func (plainProvider) JoinLoser() bool                                          { return false }
-func (plainProvider) DetachLeg(string, StorageNode) func(ok, reportable bool)  { return nil }
+func (plainProvider) QueryBudget() *resilience.Budget           { return nil }
+func (plainProvider) NodeNow(string) time.Duration              { return 0 }
+func (plainProvider) ReportLatency(string, time.Duration)       {}
+func (plainProvider) PlanHedge(string, []string) (string, bool) { return "", false }
+func (plainProvider) HedgeDone()                                {}
 
 // flakyProvider serves nodes from a rig but scripts per-node failures.
 type flakyProvider struct {

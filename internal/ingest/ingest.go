@@ -79,9 +79,9 @@ type Config struct {
 	// Budget, when set, is charged one attempt per submission; an exhausted
 	// budget refuses before any parsing or policy work.
 	Budget *resilience.Budget
-	// Pressure mirrors the queue's overload state outward (PR 7 brown-out
-	// plumbing): called with true when submissions start being refused, false
-	// when the queue drains.
+	// Pressure mirrors the queue's overload state outward: called with true
+	// when submissions start being refused, false when the queue drains. It
+	// is an observer hook: nothing in this module sheds load on it.
 	Pressure func(bool)
 	// OnNodeDown fires once per node failure; the pipeline then blocks the
 	// affected batch until NodeRecovered(name) is called.

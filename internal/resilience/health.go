@@ -146,8 +146,8 @@ func (t *Tracker) Snapshot() (open, down []string) {
 
 // ReportLatency feeds one offload latency into id's EWMA estimator and
 // re-evaluates soft-ejection for the whole cohort. Latencies come from the
-// caller's clock (real monotonic in production, the fault plan's virtual
-// clock in the chaos suite), so the estimator itself never reads time.
+// caller's clock (Config.LatencyClock: the fault plan's virtual clock in the
+// gray sweep), so the estimator itself never reads time.
 func (t *Tracker) ReportLatency(id string, d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -169,19 +169,6 @@ func (t *Tracker) EWMA(id string) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return time.Duration(t.state(id).ewma)
-}
-
-// HedgeThreshold derives the hedge trigger for id: a fragment outstanding
-// past HedgeFactor× the node's EWMA is worth racing on a replica. Zero means
-// no estimate yet (caller should not hedge on it).
-func (t *Tracker) HedgeThreshold(id string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := t.state(id)
-	if s.samples == 0 {
-		return 0
-	}
-	return time.Duration(s.ewma) * time.Duration(t.cfg.HedgeFactor)
 }
 
 // evaluateEjectionLocked re-runs the cohort outlier rule: a node with enough

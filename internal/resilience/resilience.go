@@ -51,9 +51,6 @@ type Config struct {
 	IOTimeout time.Duration
 	// DialAttempts is how many times dial+handshake is retried.
 	DialAttempts int
-	// OffloadAttempts is how many nodes/retries one offloaded fragment may
-	// consume before the query degrades.
-	OffloadAttempts int
 	// RetryBase / RetryMax bound the exponential backoff envelope.
 	RetryBase time.Duration
 	RetryMax  time.Duration
@@ -78,19 +75,6 @@ type Config struct {
 	// accounting never reads the wall clock). Defaults to IOTimeout when
 	// set, else 100ms.
 	AttemptCost time.Duration
-	// QueryBudget is the total deadline budget one query's distributed path
-	// (all attempts, failovers, hedges) may spend. Defaults to
-	// 32×AttemptCost — generous enough that fail-stop retry patterns (worst
-	// case one attempt plus one fresh-channel handshake per ship per
-	// candidate) never hit it; only sustained gray failure does.
-	QueryBudget time.Duration
-	// HedgeFactor derives the hedge threshold from a node's EWMA latency: a
-	// fragment still outstanding past HedgeFactor×EWMA is worth racing on a
-	// second replica. Defaults to 3.
-	HedgeFactor int
-	// HedgeMaxConcurrent caps cluster-wide in-flight hedge legs so hedging
-	// cannot amplify an overload. Defaults to 2.
-	HedgeMaxConcurrent int
 	// EjectFactor soft-ejects a node whose EWMA latency exceeds EjectFactor×
 	// the median of the rest of the cohort (deprioritized, probed,
 	// readmitted — distinct from the fail-stop down-set). The candidate's
@@ -109,19 +93,19 @@ type Config struct {
 	// multiplicative spread). Defaults to 1ms.
 	EjectFloor time.Duration
 	// LatencyClock, when set, supplies the current per-node time used to
-	// measure offload latencies for the EWMA estimator. Nil means the real
-	// monotonic clock. The chaos suite injects a virtual clock derived from
-	// the fault plan so ejection decisions are deterministic per seed.
+	// measure offload latencies for the EWMA estimator, and switches the
+	// gray-failure machinery on: latency tracking, cohort-median
+	// soft-ejection and hedged offloads. Nil leaves all three off. The gray
+	// sweep injects a virtual clock derived from the fault plan so ejection
+	// decisions are deterministic per seed.
 	LatencyClock func(node string) time.Duration
-	// TailTolerance enables the gray-failure machinery — EWMA latency
-	// tracking, cohort-median soft-ejection, and hedged offloads — on the
-	// real monotonic clock. Off by default: real-clock latencies make
-	// candidate ordering and hedge timing depend on the host machine, which
-	// would break the chaos suites' byte-identical-per-seed digests, so
-	// deterministic harnesses either leave this off or inject LatencyClock
-	// (which implies tail tolerance with a virtual clock).
-	TailTolerance bool
 }
+
+// queryBudgetAttempts sizes the per-query deadline budget in AttemptCost
+// units: generous enough that fail-stop retry patterns (worst case one
+// attempt plus one fresh-channel handshake per ship per candidate) never hit
+// it; only sustained gray failure does.
+const queryBudgetAttempts = 32
 
 // WithDefaults returns c with zero fields replaced by production defaults.
 func (c Config) WithDefaults() Config {
@@ -135,9 +119,6 @@ func (c Config) WithDefaults() Config {
 	// deadlines are opt-in per channel role.
 	if c.DialAttempts == 0 {
 		c.DialAttempts = 3
-	}
-	if c.OffloadAttempts == 0 {
-		c.OffloadAttempts = 3
 	}
 	if c.RetryBase == 0 {
 		c.RetryBase = 20 * time.Millisecond
@@ -161,15 +142,6 @@ func (c Config) WithDefaults() Config {
 			c.AttemptCost = 100 * time.Millisecond
 		}
 	}
-	if c.QueryBudget == 0 {
-		c.QueryBudget = 32 * c.AttemptCost
-	}
-	if c.HedgeFactor == 0 {
-		c.HedgeFactor = 3
-	}
-	if c.HedgeMaxConcurrent == 0 {
-		c.HedgeMaxConcurrent = 2
-	}
 	if c.EjectFactor == 0 {
 		c.EjectFactor = 4
 	}
@@ -185,11 +157,11 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// NewQueryBudget creates the per-query deadline budget from the config's
-// QueryBudget/AttemptCost knobs (call on a WithDefaults config; a zero
-// QueryBudget yields a nil = unlimited budget).
+// NewQueryBudget creates the per-query deadline budget: queryBudgetAttempts
+// charges of AttemptCost (call on a WithDefaults config; a zero AttemptCost
+// yields a nil = unlimited budget).
 func (c Config) NewQueryBudget() *Budget {
-	return NewBudget(c.QueryBudget, c.AttemptCost)
+	return NewBudget(queryBudgetAttempts*c.AttemptCost, c.AttemptCost)
 }
 
 // RealSleep blocks for d on the real clock — deployed-binary pacing only;

@@ -20,7 +20,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"time"
 
 	"ironsafe/internal/engine"
 	"ironsafe/internal/hostengine"
@@ -95,19 +94,13 @@ type Config struct {
 	StorageMemoryBudget int64
 	// EPCLimitBytes overrides the host enclave page cache (default 96 MiB).
 	EPCLimitBytes int64
-	// MerkleArity / CacheVerifiedSubtrees / GCMPages tune the secure store
-	// (the DESIGN.md ablations).
-	MerkleArity           int
+	// CacheVerifiedSubtrees tunes the secure store (a DESIGN.md ablation).
 	CacheVerifiedSubtrees bool
-	GCMPages              bool
 	// ScanBatchPages is how many pages each batched secure read covers
 	// during table scans; 0 means 32, 1 restores the paper's sequential
-	// per-page path (one Merkle walk per page).
+	// per-page path (one Merkle walk per page). The scan pipeline holds
+	// scanPrefetchBatches fetched batches ahead of row processing.
 	ScanBatchPages int
-	// ScanPrefetchBatches is how many fetched batches the scan pipeline may
-	// hold ahead of row processing; 0 means 2, negative disables read-ahead
-	// (batches fetch synchronously).
-	ScanPrefetchBatches int
 	// ExecBatchRows is the executor batch size on both engines: operators
 	// exchange columnar batches of up to this many rows. 0 means the default
 	// (exec.DefaultBatchRows, 4096); 1 restores the row-at-a-time pipeline.
@@ -160,18 +153,15 @@ func (c *Config) fill() {
 	if c.ScanBatchPages == 0 {
 		c.ScanBatchPages = 32
 	}
-	if c.ScanPrefetchBatches == 0 {
-		c.ScanPrefetchBatches = 2
-	}
 }
+
+// scanPrefetchBatches is how many fetched batches the scan pipeline may hold
+// ahead of row processing.
+const scanPrefetchBatches = 2
 
 // scanConfig translates the cluster knobs into the pager's pipeline config.
 func (c *Config) scanConfig() pager.ScanConfig {
-	prefetch := c.ScanPrefetchBatches
-	if prefetch < 0 {
-		prefetch = 0
-	}
-	return pager.ScanConfig{BatchPages: c.ScanBatchPages, Prefetch: prefetch}
+	return pager.ScanConfig{BatchPages: c.ScanBatchPages, Prefetch: scanPrefetchBatches}
 }
 
 // Cluster is a running IronSafe deployment: monitor + host + storage.
@@ -199,20 +189,11 @@ type Cluster struct {
 
 	// hedgeSem is the cluster-wide hedge concurrency gate: PlanHedge takes
 	// a slot non-blockingly and HedgeDone returns it, so hedging can never
-	// fan out past HedgeMaxConcurrent and amplify an overload.
+	// fan out past maxHedges and amplify an overload.
 	hedgeSem chan struct{}
-	// start anchors the real monotonic clock the latency estimator falls
-	// back to when no virtual LatencyClock is configured.
-	start time.Time
 
 	nodeMu sync.Mutex
 	down   map[string]bool // nodes killed and not yet readmitted
-	// brownout sheds all hedges (the first load to go when the serving
-	// layer reports overload); hedgesGranted/hedgesShed count PlanHedge
-	// decisions for telemetry.
-	brownout      bool
-	hedgesGranted int
-	hedgesShed    int
 	// epoch is the cluster membership epoch: KillStorage bumps it and
 	// broadcasts the new value to the surviving nodes, whose offload replies
 	// carry it. A fenced node still serving from a stale epoch betrays
@@ -250,8 +231,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.res = resilience.Config{}.WithDefaults()
 	}
 	c.health = resilience.NewTracker(c.res)
-	c.hedgeSem = make(chan struct{}, c.res.HedgeMaxConcurrent)
-	c.start = time.Now() //ironsafe:allow wallclock -- monotonic base for real latency measurement; sweeps override via Resilience.LatencyClock
+	c.hedgeSem = make(chan struct{}, maxHedges)
 	var err error
 	c.vendor, err = trustzone.NewVendor("ironsafe-vendor")
 	if err != nil {
@@ -263,16 +243,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	secureStore := cfg.Mode == IronSafe || cfg.Mode == StorageOnlySecure
 	for i := 0; i < cfg.StorageNodes; i++ {
 		srv, err := storageengine.New(storageengine.Config{
-			DeviceID:  fmt.Sprintf("storage-%02d", i+1),
-			Vendor:    c.vendor,
-			Location:  cfg.StorageLocation,
-			FWVersion: cfg.StorageFW,
-			Secure:    secureStore,
-			StoreOptions: securestore.Options{
-				Arity:                 cfg.MerkleArity,
-				CacheVerifiedSubtrees: cfg.CacheVerifiedSubtrees,
-				GCM:                   cfg.GCMPages,
-			},
+			DeviceID:      fmt.Sprintf("storage-%02d", i+1),
+			Vendor:        c.vendor,
+			Location:      cfg.StorageLocation,
+			FWVersion:     cfg.StorageFW,
+			Secure:        secureStore,
+			StoreOptions:  securestore.Options{CacheVerifiedSubtrees: cfg.CacheVerifiedSubtrees},
 			MemoryBudget:  cfg.StorageMemoryBudget,
 			Cores:         cfg.StorageCores,
 			Meter:         c.StorageMeter,
@@ -377,11 +353,7 @@ func (c *Cluster) initHostDB() error {
 	if c.cfg.Mode == HostOnlySecure {
 		keys := enclaveKeySource{enclave: c.Host.Enclave()}
 		anchor := &enclaveAnchor{}
-		inner, err := securestore.OpenWith(remote, keys, anchor, c.HostMeter, securestore.Options{
-			Arity:                 c.cfg.MerkleArity,
-			CacheVerifiedSubtrees: c.cfg.CacheVerifiedSubtrees,
-			GCM:                   c.cfg.GCMPages,
-		})
+		inner, err := securestore.OpenWith(remote, keys, anchor, c.HostMeter, securestore.Options{CacheVerifiedSubtrees: c.cfg.CacheVerifiedSubtrees})
 		if err != nil {
 			return err
 		}
