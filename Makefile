@@ -7,7 +7,7 @@ GO ?= go
 # name explicitly. `make race` extends it to the whole module.
 RACE_PKGS = ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/storageengine ./internal/hostengine
 
-.PHONY: all build fmt-check loc test race race-tier1 vet lint vet-json vet-bench sweep sweep-race fuzz-smoke benchjson benchsmoke bench-layers bench-e2e benchmark check clean
+.PHONY: all build fmt-check loc test test-purego race race-tier1 vet lint vet-json vet-bench sweep sweep-race fuzz-smoke benchjson benchsmoke bench-layers bench-e2e benchmark check clean
 
 all: check
 
@@ -28,6 +28,12 @@ loc:
 
 test:
 	$(GO) test ./...
+
+# test-purego runs the secure store's tests on crypto/cipher's CBC decrypter,
+# the page-decrypt path of platforms without the amd64 AES-NI kernel
+# (cbc_amd64.s): the purego build tag leaves the kernel out.
+test-purego:
+	$(GO) test -tags purego ./internal/securestore/...
 
 race:
 	$(GO) test -race ./...
@@ -118,7 +124,8 @@ sweep-race:
 	@$(MAKE) --no-print-directory sweep S=$(S) SWEEP_FLAGS=-race
 
 # fuzz-smoke runs each wire-codec fuzz target for a short bounded stint —
-# transport frames, a resuming server's first flight, the rebuild manifest, the redo journal, the storage page
+# transport frames, a resuming server's first flight, the rebuild manifest, the
+# redo journal, the CBC-decrypt kernel against crypto/cipher, the storage page
 # list, the ingest wire ack, the page-backed column decoder against the
 # boxed-row one, the retained offload reply against the boxed decoder, the
 # executor's key table against a map keyed by value.HashKey, and the engine's
@@ -131,6 +138,7 @@ FUZZ_TARGETS = \
 	FuzzHandshakeFirstFlight:./internal/transport \
 	FuzzDecodeManifest:./internal/securestore \
 	FuzzDecodeJournal:./internal/securestore \
+	FuzzCBCDecrypt:./internal/securestore \
 	FuzzDecodePageList:./internal/storageengine \
 	FuzzWireAck:./internal/ingest \
 	FuzzDecodeColumn:./internal/schema \
@@ -164,7 +172,7 @@ benchjson:
 # scan without running its subquery twice or earlier than a failure would show,
 # conjuncts hoisted out of an OR must plan one way, the columnar intermediates
 # must leave row mode's rows and keep the host phases inside their allocation
-# budget, and the layer benchmarks (row window, table scan, predicate kernels, fragment
+# budget, and the layer benchmarks (page decryption, row window, table scan, predicate kernels, fragment
 # shipment, host scan of a shipment, hash join, group-by, semi-join reduced
 # scan, subquery-reduced scans, the q13 / q18 / q21 host phases, the store
 # commit, the insert acknowledgement, the channel handshake and the audit
@@ -173,10 +181,11 @@ benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
 	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
 	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain|SemiReduction|CommonDisjuncts|Subquery|ColumnarMatchesRowMode|HostPhaseAllocBudget|ColumnBuilders' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
-	$(GO) test -run '^$$' -bench 'RowWindow|TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HostPhase|HashJoin|GroupBy|ScanSemiReduce|Subquery|Commit|InsertAck|Handshake|Audit' -benchtime 1x ./internal/schema ./internal/securestore ./internal/engine ./internal/sql/exec ./internal/storageengine ./internal/transport ./internal/audit
+	$(GO) test -run '^$$' -bench 'CBCDecrypt|RowWindow|TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HostPhase|HashJoin|GroupBy|ScanSemiReduce|Subquery|Commit|InsertAck|Handshake|Audit' -benchtime 1x ./internal/schema ./internal/securestore ./internal/engine ./internal/sql/exec ./internal/storageengine ./internal/transport ./internal/audit
 
 # bench-layers runs the data path's layer benchmarks, bottom up: the secure
-# store's batched read, page open, page seal (CBC+HMAC and GCM) and commit (1
+# store's batched read, page open, page seal (CBC+HMAC and GCM), page
+# decryption alone (the CBC kernel and crypto/cipher's decrypter) and commit (1
 # and 256 pages into 1 k and 16 k pages), the page-backed row walk and column
 # decode (`schema.RowWindow`), the predicate kernels, the table
 # scan and the single-row insert acknowledgement over a real secure store,
@@ -188,7 +197,7 @@ benchsmoke:
 # and allocs/op per layer; `make bench-layers BENCHTIME=1x` is the CI smoke run.
 BENCHTIME ?= 1s
 bench-layers:
-	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|SealPage|Commit|RowWindow|EvalVecPredicate|TableScan|InsertAck|ShipFragment|SubqueryReduce|HostPhase|Handshake|Audit' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/engine ./internal/storageengine ./internal/transport ./internal/audit
+	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|CBCDecrypt|SealPage|Commit|RowWindow|EvalVecPredicate|TableScan|InsertAck|ShipFragment|SubqueryReduce|HostPhase|Handshake|Audit' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/engine ./internal/storageengine ./internal/transport ./internal/audit
 
 # benchmark runs one workload of the repository benchmark the way the driver
 # does (`make benchmark W=scs-scan`): the timed run only, no trace.
@@ -205,7 +214,7 @@ bench-e2e:
 		$(GO) run ./benchmark -workload $$w -seed 1 -seconds $(BENCH_SECONDS) || exit 1; \
 	done
 
-check: build fmt-check vet lint test race-tier1
+check: build fmt-check vet lint test test-purego race-tier1
 	@for s in $(SWEEPS); do $(MAKE) --no-print-directory sweep-race S=$$s || exit 1; done
 
 clean:

@@ -23,16 +23,20 @@ var lockcryptoPkgFuncs = map[string]map[string]bool{
 
 // lockcryptoLocalHelpers names the store's own page seal/open helpers, which
 // wrap the primitives above and are equally forbidden under the mutex —
-// getCrypto among them: it keys an HMAC whenever the pool has no idle state. Tree
-// hashing (leafMAC/nodeMAC/rootTag) is deliberately NOT listed: the Merkle
-// tree is mutex-protected state, so hashing it under the lock is inherent.
+// getCrypto among them: it keys an HMAC whenever the pool has no idle state —
+// and the CBC-decrypt kernel's key expansion and entry point, which do
+// openPage's AES work without crypto/cipher. Tree hashing
+// (leafMAC/nodeMAC/rootTag) is deliberately NOT listed: the Merkle tree is
+// mutex-protected state, so hashing it under the lock is inherent.
 var lockcryptoLocalHelpers = map[string]bool{
-	"sealPage":    true,
-	"openPage":    true,
-	"sealPageGCM": true,
-	"openPageGCM": true,
-	"pageMAC":     true,
-	"getCrypto":   true,
+	"sealPage":     true,
+	"openPage":     true,
+	"sealPageGCM":  true,
+	"openPageGCM":  true,
+	"pageMAC":      true,
+	"getCrypto":    true,
+	"newCBCKernel": true,
+	"cbcDecrypt":   true,
 }
 
 // Lockcrypto flags AES/HMAC page crypto performed while holding the secure
@@ -105,6 +109,10 @@ func lockcryptoCheckFunc(pass *Pass, fn *ast.FuncDecl, imports map[string]string
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
+			return true
+		}
+		if id, ok := call.Fun.(*ast.Ident); ok && lockcryptoLocalHelpers[id.Name] {
+			calls = append(calls, cryptoCall{pos: call.Pos(), name: id.Name})
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)

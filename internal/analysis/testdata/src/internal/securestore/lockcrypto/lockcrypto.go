@@ -107,6 +107,20 @@ func (s *store) pooledStateUnderLock() {
 	s.putCrypto(pc)
 }
 
+type cbcKernel struct{}
+
+func newCBCKernel(key []byte) *cbcKernel       { return &cbcKernel{} }
+func (k *cbcKernel) cbcDecrypt(iv, buf []byte) {}
+
+// kernelUnderLock expands the CBC kernel's key and decrypts with it under the
+// mutex: the AES work openPage does, without crypto/cipher.
+func (s *store) kernelUnderLock(iv, buf []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := newCBCKernel(s.encKey) // want "while holding the store mutex"
+	k.cbcDecrypt(iv, buf)       // want "while holding the store mutex"
+}
+
 // pooledStateThenLock is the sanctioned shape, as readPagesAt has it: take the
 // state and open pages off the lock, re-lock to verify, hand the state back.
 func (s *store) pooledStateThenLock(idx uint32, record []byte) {

@@ -100,6 +100,7 @@ type Store struct {
 
 	block   cipher.Block // AES keyed with encKey, built once at open; safe for concurrent use
 	gcm     cipher.AEAD  // AES-GCM over block for the cipher ablation (nil otherwise); safe for concurrent use
+	cbc     *cbcKernel   // CBC-decrypt kernel over encKey (nil for GCM and where the platform has none); safe for concurrent use
 	cryptos sync.Pool    // idle *pageCrypto, the per-worker page-crypto states
 
 	mu        sync.Mutex
@@ -170,6 +171,9 @@ func newStore(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *s
 		}
 		*k.dst = key
 	}
+	if len(s.encKey) != 32 {
+		return nil, fmt.Errorf("securestore: page key is %d bytes, AES-256 takes 32", len(s.encKey))
+	}
 	block, err := aes.NewCipher(s.encKey)
 	if err != nil {
 		return nil, fmt.Errorf("securestore: page cipher: %w", err)
@@ -179,6 +183,8 @@ func newStore(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *s
 		if s.gcm, err = cipher.NewGCM(block); err != nil {
 			return nil, fmt.Errorf("securestore: page AEAD: %w", err)
 		}
+	} else {
+		s.cbc = newCBCKernel(s.encKey)
 	}
 	return s, nil
 }
@@ -654,25 +660,34 @@ func (s *Store) openPage(pc *pageCrypto, idx uint32, record []byte) (plain, reco
 	if !hmac.Equal(recordMAC, pc.sum(pc.scratch[:0], idx, iv, ct)) {
 		return nil, nil, fmt.Errorf("%w: page %d HMAC mismatch", ErrIntegrity, idx)
 	}
-	pc.dec.SetIV(iv)
-	pc.dec.CryptBlocks(ct, ct)
+	if s.cbc != nil {
+		s.cbc.cbcDecrypt(iv, ct)
+	} else {
+		pc.dec.SetIV(iv)
+		pc.dec.CryptBlocks(ct, ct)
+	}
 	return ct, recordMAC, nil
 }
 
 // pageCrypto is one worker's page-crypto state: the HMAC-SHA-512 keyed with
 // the store's MAC key (keying one costs two compressions and five
-// allocations), a CBC encrypter and decrypter over the store's AES block that
-// SetIV re-arms for each page, and the scratch a computed MAC is compared
-// from. Whoever seals or opens pages — a commit, a read, a decrypt worker —
-// takes one with getCrypto and hands it back with putCrypto, so a page costs
-// no keying and no allocation beyond its record. It also carries the keyed
-// Merkle-node HMAC its holder verifies or commits those pages with, and the
-// record scratch of the batch its holder reads (readPagesAt). A GCM store's is
-// only those two: the AEAD is stateless. Not for concurrent use.
+// allocations), a CBC encrypter over the store's AES block that SetIV re-arms
+// for each page, and the scratch a computed MAC is compared from. Pages are
+// decrypted by the store's CBC kernel (cbc.go), which needs no per-worker
+// state; only where the platform has no kernel does it also carry
+// crypto/cipher's CBC decrypter, re-armed the same way. Sealing stays on
+// crypto/cipher everywhere: CBC encryption chains every block on the one
+// before, so eight blocks cannot be in flight. Whoever seals or opens pages —
+// a commit, a read, a decrypt worker — takes one with getCrypto and hands it
+// back with putCrypto, so a page costs no keying and no allocation beyond its
+// record. It also carries the keyed Merkle-node HMAC its holder verifies or
+// commits those pages with, and the record scratch of the batch its holder
+// reads (readPagesAt). A GCM store's is only those two: the AEAD is stateless.
+// Not for concurrent use.
 type pageCrypto struct {
 	mac      hash.Hash
 	tree     *treeMAC
-	enc, dec cbcMode
+	enc, dec cbcMode // dec nil where the store has a CBC kernel
 	idx      [4]byte
 	scratch  [macSize]byte
 
@@ -694,7 +709,9 @@ func (s *Store) getCrypto() *pageCrypto {
 		if !s.opts.GCM {
 			pc.mac = hmac.New(sha512.New, s.macKey)
 			pc.enc = cipher.NewCBCEncrypter(s.block, pc.scratch[:ivSize]).(cbcMode)
-			pc.dec = cipher.NewCBCDecrypter(s.block, pc.scratch[:ivSize]).(cbcMode)
+			if s.cbc == nil {
+				pc.dec = cipher.NewCBCDecrypter(s.block, pc.scratch[:ivSize]).(cbcMode)
+			}
 		}
 	}
 	return pc
