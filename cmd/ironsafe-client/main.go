@@ -14,26 +14,9 @@ import (
 	"os"
 	"strings"
 
+	"ironsafe/cmd/internal/deploy"
 	"ironsafe/internal/ctl"
-	"ironsafe/internal/monitor"
 )
-
-type queryReq struct {
-	ClientKey  string `json:"client_key"`
-	SQL        string `json:"sql"`
-	ExecPolicy string `json:"exec_policy,omitempty"`
-	AccessDate string `json:"access_date,omitempty"`
-}
-
-type queryResp struct {
-	Columns []string      `json:"columns"`
-	Rows    [][]string    `json:"rows"`
-	Proof   monitor.Proof `json:"proof"`
-	Session string        `json:"session"`
-	Shipped int64         `json:"rows_shipped"`
-	Bytes   int64         `json:"bytes_shipped"`
-	Rewrite string        `json:"rewritten_sql"`
-}
 
 func main() {
 	hostAddr := flag.String("host", "127.0.0.1:7103", "host engine address")
@@ -51,8 +34,8 @@ func main() {
 	if err != nil {
 		fatal("dialing host: %v", err)
 	}
-	var resp queryResp
-	if err := host.Call("query", queryReq{
+	var resp deploy.QueryResp
+	if err := host.Call("query", deploy.QueryReq{
 		ClientKey: *clientKey, SQL: *sql,
 		ExecPolicy: *execPolicy, AccessDate: *accessDate,
 	}, &resp); err != nil {

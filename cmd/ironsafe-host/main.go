@@ -18,8 +18,8 @@ import (
 	"net"
 	"os"
 	"strings"
-	"time"
 
+	"ironsafe/cmd/internal/deploy"
 	"ironsafe/internal/adversary"
 	"ironsafe/internal/ctl"
 	"ironsafe/internal/hostengine"
@@ -29,62 +29,7 @@ import (
 	"ironsafe/internal/schema"
 	"ironsafe/internal/simtime"
 	"ironsafe/internal/tee/sgx"
-	"ironsafe/internal/value"
 )
-
-type registerPlatformReq struct {
-	PlatformID string `json:"platform_id"`
-	PublicKey  []byte `json:"public_key"`
-}
-
-type registerHostReq struct {
-	Info         monitor.NodeInfo `json:"info"`
-	Quote        sgx.Quote        `json:"quote"`
-	TransportPub []byte           `json:"transport_pub"`
-}
-
-type registerHostResp struct {
-	Cert       []byte `json:"cert"`
-	MonitorPub []byte `json:"monitor_pub"`
-}
-
-type authorizeResp struct {
-	Auth            *monitor.Authorization `json:"auth"`
-	StorageDataAddr string                 `json:"storage_data_addr"`
-}
-
-type installKeyReq struct {
-	SessionID string `json:"session_id"`
-	Key       []byte `json:"key"`
-}
-
-type schemaResp struct {
-	Tables map[string][]schemaCol `json:"tables"`
-}
-
-type schemaCol struct {
-	Name string     `json:"name"`
-	Kind value.Kind `json:"kind"`
-}
-
-// queryReq is what ironsafe-client sends.
-type queryReq struct {
-	ClientKey  string `json:"client_key"`
-	SQL        string `json:"sql"`
-	ExecPolicy string `json:"exec_policy,omitempty"`
-	AccessDate string `json:"access_date,omitempty"`
-}
-
-// queryResp is the client-visible result.
-type queryResp struct {
-	Columns []string      `json:"columns"`
-	Rows    [][]string    `json:"rows"`
-	Proof   monitor.Proof `json:"proof"`
-	Session string        `json:"session"`
-	Shipped int64         `json:"rows_shipped"`
-	Bytes   int64         `json:"bytes_shipped"`
-	Rewrite string        `json:"rewritten_sql"`
-}
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7103", "client-facing listen address")
@@ -125,7 +70,7 @@ func main() {
 	}
 	// Provision the platform key (the Intel manufacturing flow), then
 	// attest the enclave.
-	if err := mon.Call("register-platform", registerPlatformReq{
+	if err := mon.Call("register-platform", deploy.RegisterPlatformReq{
 		PlatformID: "host-platform",
 		PublicKey:  platform.AttestationPublicKey(),
 	}, nil); err != nil {
@@ -135,8 +80,8 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	var reg registerHostResp
-	if err := mon.Call("register-host", registerHostReq{
+	var reg deploy.RegisterHostResp
+	if err := mon.Call("register-host", deploy.RegisterHostReq{
 		Info:         monitor.NodeInfo{ID: "host-1", Location: *location, FW: *fw},
 		Quote:        quote,
 		TransportPub: host.TransportPub(),
@@ -153,7 +98,7 @@ func main() {
 	if err != nil {
 		fatal("dialing storage control: %v", err)
 	}
-	var schemas schemaResp
+	var schemas deploy.SchemaResp
 	if err := storage.Call("schemas", nil, &schemas); err != nil {
 		fatal("fetching schemas: %v", err)
 	}
@@ -167,21 +112,20 @@ func main() {
 	}
 	host.SetSchemas(sm)
 
-	cs := ctl.NewServer(key[:])
-	hardenCtlServer(cs)
+	cs := deploy.NewCtlServer("ironsafe-host", key[:])
 	cs.Handle("query", func(req []byte) (any, error) {
-		var r queryReq
+		var r deploy.QueryReq
 		if err := json.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
-		var auth authorizeResp
+		var auth deploy.AuthorizeResp
 		if err := mon.Call("authorize", monitor.AuthRequest{
 			Database: "db", ClientKey: r.ClientKey, SQL: r.SQL,
 			ExecPolicy: r.ExecPolicy, AccessDate: r.AccessDate, HostID: "host-1",
 		}, &auth); err != nil {
 			return nil, err
 		}
-		defer mon.Call("end-session", installKeyReq{SessionID: auth.Auth.SessionID}, nil)
+		defer mon.Call("end-session", deploy.InstallKeyReq{SessionID: auth.Auth.SessionID}, nil)
 		if len(auth.Auth.StorageIDs) == 0 {
 			return nil, fmt.Errorf("no compliant storage node")
 		}
@@ -195,7 +139,7 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		out := queryResp{
+		out := deploy.QueryResp{
 			Proof:   auth.Auth.Proof,
 			Session: auth.Auth.SessionID,
 			Shipped: outcome.RowsShipped,
@@ -259,20 +203,4 @@ func dialStorage(adv *adversary.Engine, addr, nodeID, sessionID string, sessionK
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ironsafe-host: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// hardenCtlServer applies the deployment hardening knobs (kept in sync
-// across the ironsafe-monitor / ironsafe-host / ironsafe-storage binaries):
-// diagnostics to stderr, bounded concurrent connections, a handshake
-// deadline per accepted connection, and accept-error backoff.
-func hardenCtlServer(s *ctl.Server) {
-	s.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "ironsafe-host: "+format+"\n", args...)
-	}
-	s.MaxConns = 128
-	s.MaxQueue = 32
-	s.RetryAfter = time.Second
-	s.HandshakeTimeout = 3 * time.Second
-	s.AcceptBackoff = 100 * time.Millisecond
-	s.Sleep = resilience.RealSleep
 }

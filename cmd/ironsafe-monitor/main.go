@@ -20,51 +20,13 @@ import (
 	"os"
 	"time"
 
+	"ironsafe/cmd/internal/deploy"
 	"ironsafe/internal/ctl"
 	"ironsafe/internal/monitor"
 	"ironsafe/internal/policy"
-	"ironsafe/internal/resilience"
 	"ironsafe/internal/tee/sgx"
 	"ironsafe/internal/tee/trustzone"
 )
-
-type helloResp struct {
-	ID       string `json:"id"`
-	Location string `json:"location"`
-	FW       string `json:"fw"`
-	Vendor   string `json:"vendor"`
-	ROTPK    []byte `json:"rotpk"`
-}
-
-type attestReq struct {
-	Challenge []byte `json:"challenge"`
-}
-
-type installKeyReq struct {
-	SessionID string `json:"session_id"`
-	Key       []byte `json:"key"`
-}
-
-type registerPlatformReq struct {
-	PlatformID string `json:"platform_id"`
-	PublicKey  []byte `json:"public_key"`
-}
-
-type registerHostReq struct {
-	Info         monitor.NodeInfo `json:"info"`
-	Quote        sgx.Quote        `json:"quote"`
-	TransportPub []byte           `json:"transport_pub"`
-}
-
-type registerHostResp struct {
-	Cert       []byte `json:"cert"`
-	MonitorPub []byte `json:"monitor_pub"`
-}
-
-type authorizeResp struct {
-	Auth            *monitor.Authorization `json:"auth"`
-	StorageDataAddr string                 `json:"storage_data_addr"`
-}
 
 // remoteStorage adapts the storage control channel to StorageAttester.
 type remoteStorage struct {
@@ -74,7 +36,7 @@ type remoteStorage struct {
 
 func (r *remoteStorage) Attest(challenge []byte) (*trustzone.AttestationReport, error) {
 	var report trustzone.AttestationReport
-	if err := r.client.Call("attest", attestReq{Challenge: challenge}, &report); err != nil {
+	if err := r.client.Call("attest", deploy.AttestReq{Challenge: challenge}, &report); err != nil {
 		return nil, err
 	}
 	return &report, nil
@@ -104,7 +66,7 @@ func main() {
 	if err != nil {
 		fatal("dialing storage control: %v", err)
 	}
-	var hello helloResp
+	var hello deploy.HelloResp
 	if err := storage.Call("hello", nil, &hello); err != nil {
 		fatal("storage hello: %v", err)
 	}
@@ -138,10 +100,9 @@ func main() {
 	}
 	fmt.Printf("storage %s attested (normal world %s)\n", hello.ID, probe.NormalWorld)
 
-	cs := ctl.NewServer(key[:])
-	hardenCtlServer(cs)
+	cs := deploy.NewCtlServer("ironsafe-monitor", key[:])
 	cs.Handle("register-platform", func(req []byte) (any, error) {
-		var r registerPlatformReq
+		var r deploy.RegisterPlatformReq
 		if err := json.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
@@ -149,7 +110,7 @@ func main() {
 		return map[string]bool{"ok": true}, nil
 	})
 	cs.Handle("register-host", func(req []byte) (any, error) {
-		var r registerHostReq
+		var r deploy.RegisterHostReq
 		if err := json.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
@@ -158,7 +119,7 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		return registerHostResp{Cert: cert, MonitorPub: mon.PublicKey()}, nil
+		return deploy.RegisterHostResp{Cert: cert, MonitorPub: mon.PublicKey()}, nil
 	})
 	cs.Handle("authorize", func(req []byte) (any, error) {
 		var r monitor.AuthRequest
@@ -171,19 +132,19 @@ func main() {
 		}
 		// Distribute the session key to the compliant storage node(s).
 		for range auth.StorageIDs {
-			if err := storage.Call("install-key", installKeyReq{SessionID: auth.SessionID, Key: auth.SessionKey}, nil); err != nil {
+			if err := storage.Call("install-key", deploy.InstallKeyReq{SessionID: auth.SessionID, Key: auth.SessionKey}, nil); err != nil {
 				return nil, err
 			}
 		}
-		return authorizeResp{Auth: auth, StorageDataAddr: *storageData}, nil
+		return deploy.AuthorizeResp{Auth: auth, StorageDataAddr: *storageData}, nil
 	})
 	cs.Handle("end-session", func(req []byte) (any, error) {
-		var r installKeyReq
+		var r deploy.InstallKeyReq
 		if err := json.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
 		mon.EndSession(r.SessionID)
-		storage.Call("revoke-key", installKeyReq{SessionID: r.SessionID}, nil)
+		storage.Call("revoke-key", deploy.InstallKeyReq{SessionID: r.SessionID}, nil)
 		return map[string]bool{"ok": true}, nil
 	})
 	cs.Handle("audit", func([]byte) (any, error) {
@@ -210,20 +171,4 @@ func main() {
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ironsafe-monitor: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// hardenCtlServer applies the deployment hardening knobs (kept in sync
-// across the ironsafe-monitor / ironsafe-host / ironsafe-storage binaries):
-// diagnostics to stderr, bounded concurrent connections, a handshake
-// deadline per accepted connection, and accept-error backoff.
-func hardenCtlServer(s *ctl.Server) {
-	s.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "ironsafe-monitor: "+format+"\n", args...)
-	}
-	s.MaxConns = 128
-	s.MaxQueue = 32
-	s.RetryAfter = time.Second
-	s.HandshakeTimeout = 3 * time.Second
-	s.AcceptBackoff = 100 * time.Millisecond
-	s.Sleep = resilience.RealSleep
 }

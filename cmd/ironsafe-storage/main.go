@@ -17,48 +17,17 @@ import (
 	"net"
 	"os"
 	"strings"
-	"time"
 
+	"ironsafe/cmd/internal/deploy"
 	"ironsafe/internal/adversary"
-	"ironsafe/internal/ctl"
 	"ironsafe/internal/faultinject"
 	"ironsafe/internal/ingest"
 	"ironsafe/internal/pager"
-	"ironsafe/internal/resilience"
 	"ironsafe/internal/simtime"
 	"ironsafe/internal/storageengine"
 	"ironsafe/internal/tee/trustzone"
 	"ironsafe/internal/tpch"
-	"ironsafe/internal/value"
 )
-
-// wire types shared with ironsafe-monitor / ironsafe-host (kept in sync by
-// the integration test in cmd/distributed_test.go).
-type attestReq struct {
-	Challenge []byte `json:"challenge"`
-}
-
-type helloResp struct {
-	ID       string `json:"id"`
-	Location string `json:"location"`
-	FW       string `json:"fw"`
-	Vendor   string `json:"vendor"`
-	ROTPK    []byte `json:"rotpk"`
-}
-
-type installKeyReq struct {
-	SessionID string `json:"session_id"`
-	Key       []byte `json:"key"`
-}
-
-type schemaResp struct {
-	Tables map[string][]schemaCol `json:"tables"`
-}
-
-type schemaCol struct {
-	Name string     `json:"name"`
-	Kind value.Kind `json:"kind"`
-}
 
 func main() {
 	ctlAddr := flag.String("ctl", "127.0.0.1:7101", "control listen address (monitor-facing)")
@@ -113,21 +82,20 @@ func main() {
 	}
 
 	key := sha256.Sum256([]byte(*psk))
-	cs := ctl.NewServer(key[:])
-	hardenCtlServer(cs)
+	cs := deploy.NewCtlServer("ironsafe-storage", key[:])
 	cs.Handle("hello", func([]byte) (any, error) {
 		nid, loc, fwv := srv.Info()
-		return helloResp{ID: nid, Location: loc, FW: fwv, Vendor: "ironsafe-vendor", ROTPK: vendor.ROTPK}, nil
+		return deploy.HelloResp{ID: nid, Location: loc, FW: fwv, Vendor: "ironsafe-vendor", ROTPK: vendor.ROTPK}, nil
 	})
 	cs.Handle("attest", func(req []byte) (any, error) {
-		var r attestReq
+		var r deploy.AttestReq
 		if err := json.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
 		return srv.Attest(r.Challenge)
 	})
 	cs.Handle("install-key", func(req []byte) (any, error) {
-		var r installKeyReq
+		var r deploy.InstallKeyReq
 		if err := json.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
@@ -135,7 +103,7 @@ func main() {
 		return map[string]bool{"ok": true}, nil
 	})
 	cs.Handle("revoke-key", func(req []byte) (any, error) {
-		var r installKeyReq
+		var r deploy.InstallKeyReq
 		if err := json.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
@@ -143,15 +111,15 @@ func main() {
 		return map[string]bool{"ok": true}, nil
 	})
 	cs.Handle("schemas", func([]byte) (any, error) {
-		out := schemaResp{Tables: map[string][]schemaCol{}}
+		out := deploy.SchemaResp{Tables: map[string][]deploy.SchemaCol{}}
 		for _, name := range srv.DB().TableNames() {
 			tab, err := srv.DB().Table(name)
 			if err != nil {
 				return nil, err
 			}
-			var cols []schemaCol
+			var cols []deploy.SchemaCol
 			for _, c := range tab.Sch.Columns {
-				cols = append(cols, schemaCol{Name: c.Name, Kind: c.Kind})
+				cols = append(cols, deploy.SchemaCol{Name: c.Name, Kind: c.Kind})
 			}
 			out.Tables[strings.ToLower(name)] = cols
 		}
@@ -172,9 +140,7 @@ func main() {
 	// ingest goes through the host, which fronts the monitor.
 	pipe, err := ingest.New(ingest.Config{
 		Nodes: []ingest.Node{ingest.NewServerNode(srv)},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ironsafe-storage: "+format+"\n", args...)
-		},
+		Logf:  cs.Logf,
 	})
 	if err != nil {
 		fatal("%v", err)
@@ -200,20 +166,4 @@ func main() {
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ironsafe-storage: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// hardenCtlServer applies the deployment hardening knobs (kept in sync
-// across the ironsafe-monitor / ironsafe-host / ironsafe-storage binaries):
-// diagnostics to stderr, bounded concurrent connections, a handshake
-// deadline per accepted connection, and accept-error backoff.
-func hardenCtlServer(s *ctl.Server) {
-	s.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "ironsafe-storage: "+format+"\n", args...)
-	}
-	s.MaxConns = 128
-	s.MaxQueue = 32
-	s.RetryAfter = time.Second
-	s.HandshakeTimeout = 3 * time.Second
-	s.AcceptBackoff = 100 * time.Millisecond
-	s.Sleep = resilience.RealSleep
 }

@@ -1,13 +1,13 @@
 // Command ironsafe-vet runs IronSafe's repo-specific static-analysis suite:
-// the syntactic analyzers (wallclock, cryptorand, sealerr, boundary, ...)
-// plus the type-aware dataflow analyzers (plainflow, failopen, policypath)
+// the call- and import-site rules (wallclock, cryptorand, boundary, rawnet,
+// ...) plus the dataflow analyzers (plainflow, failopen, policypath)
 // described in DESIGN.md ("Static analysis & invariants"). It is a
 // standalone multichecker built on internal/analysis.
 //
 // Usage:
 //
 //	ironsafe-vet [packages]            # default ./...
-//	ironsafe-vet -only wallclock,sealerr ./internal/...
+//	ironsafe-vet -only wallclock,failopen ./internal/...
 //	ironsafe-vet -tests ./...          # analyze _test.go files too
 //	ironsafe-vet -json ./...           # machine-readable findings report
 //	ironsafe-vet -list

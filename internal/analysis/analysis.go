@@ -1,21 +1,21 @@
-// Package analysis is IronSafe's static-analysis suite: a set of
-// repo-specific vet passes that enforce the security invariants the Go
-// compiler cannot check — no wall-clock reads on the simulated cost-model
-// path, no weak randomness in security packages, no discarded errors from
-// seal/open/verify/attest calls, and no enclave-private state or raw network
-// channels leaking across the TEE boundary.
+// Package analysis is IronSafe's static-analysis suite: repo-specific vet
+// passes that enforce the security invariants the Go compiler cannot check —
+// no wall-clock reads on the simulated cost-model path, no weak randomness in
+// security packages, no unhandled errors from seal/open/verify/attest and
+// policy calls, and no enclave-private state or raw network channels leaking
+// across the TEE boundary.
 //
-// The package deliberately mirrors the golang.org/x/tools/go/analysis API
-// shape (Analyzer, Pass, Diagnostic) but is built on the standard library
-// only: this build environment vendors no third-party modules. The older
-// analyzers run syntactically over parsed ASTs with per-file import-alias
-// resolution; the dataflow analyzers (plainflow, failopen, policypath)
-// additionally consume go/types results — the loader type-checks the whole
-// module with a tolerant importer (typecheck.go) and a forward taint engine
-// with one-call-deep function summaries runs on top (taint.go). If x/tools
-// ever becomes vendorable the analyzers port to real *analysis.Analyzer
-// values almost mechanically (see DESIGN.md, "Static analysis &
-// invariants").
+// The package mirrors the golang.org/x/tools/go/analysis API shape
+// (Analyzer, Pass, Diagnostic) on the standard library only: this build
+// environment vendors no third-party modules. The loader type-checks the
+// whole module with a tolerant importer (typecheck.go), and every analyzer
+// reads go/types: the call- and import-site checks are rows of one table
+// (rules.go) whose function rules resolve uses to their function objects;
+// plainflow runs a forward taint engine with one-call-deep function summaries
+// (taint.go), whose matcher failopen and policypath share; the rest walk each
+// function's AST. If x/tools ever becomes vendorable the analyzers port to
+// real *analysis.Analyzer values almost mechanically (see DESIGN.md, "Static
+// analysis & invariants").
 //
 // # Allow directives
 //
@@ -24,12 +24,13 @@
 //
 //	//ironsafe:allow <check>[,<check>...] -- <rationale>
 //
-// where <check> is an analyzer name (wallclock, cryptorand, sealerr,
-// noncereuse, boundary, rawnet, journalbypass, readmit, lockcrypto,
-// plainflow, failopen, policypath, earlyack, rowloop, directive). The rationale text is mandatory — the
-// directive analyzer flags suppressions without one — and should say why
-// the invariant genuinely does not apply; directives are grep-able so
-// reviews can audit every escape hatch in one pass.
+// where <check> is an analyzer name (wallclock, cryptorand, noncereuse,
+// boundary, rawnet, journalbypass, readmit, budgetless, lockcrypto,
+// plainflow, failopen, policypath, earlyack, rowloop, directive). The
+// rationale text is mandatory — the directive analyzer flags suppressions
+// without one — and should say why the invariant genuinely does not apply;
+// directives are grep-able so reviews can audit every escape hatch in one
+// pass.
 package analysis
 
 import (
@@ -235,29 +236,6 @@ func importsOf(f *ast.File) map[string]string {
 	return m
 }
 
-// importSpec returns the file's ImportSpec for the exact path, or nil.
-func importSpec(f *ast.File, path string) *ast.ImportSpec {
-	for _, spec := range f.Imports {
-		if p, err := strconv.Unquote(spec.Path.Value); err == nil && p == path {
-			return spec
-		}
-	}
-	return nil
-}
-
-// localNamesFor returns every local name under which path is imported in f
-// (usually zero or one, but aliased re-imports are legal Go).
-func localNamesFor(f *ast.File, path string) []string {
-	var names []string
-	for name, p := range importsOf(f) {
-		if p == path {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 // hasPrefixPath reports whether pkg path p is exactly prefix or nested under
 // it ("internal/tee" covers "internal/tee" and "internal/tee/sgx", not
 // "internal/teeth").
@@ -266,4 +244,15 @@ func hasPrefixPath(p, prefix string) bool {
 		return true
 	}
 	return p == prefix || strings.HasPrefix(p, prefix+"/")
+}
+
+// pathInPrefixes reports whether path is under one of prefixes, where ""
+// stands for the module root package alone.
+func pathInPrefixes(path string, prefixes []string) bool {
+	for _, p := range prefixes {
+		if p == "" && path == "" || p != "" && hasPrefixPath(path, p) {
+			return true
+		}
+	}
+	return false
 }

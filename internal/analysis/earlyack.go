@@ -16,9 +16,8 @@ import (
 // a batch that was never applied) is exactly the bug class that turns a crash
 // into silent data loss: the client moves on, the record evaporates.
 //
-// The check is a syntactic dominance approximation, like the rest of the
-// older suite: it demands evidence of a checked commit lexically before the
-// delivery, not a full CFG proof. The escape hatch is the usual
+// The check is a syntactic dominance approximation: it demands evidence of a
+// checked commit lexically before the delivery, not a full CFG proof. The escape hatch is the usual
 // //ironsafe:allow earlyack directive with a rationale. The `deliver` method
 // itself (the channel-send primitive) and test files are exempt.
 var Earlyack = &Analyzer{

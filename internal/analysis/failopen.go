@@ -4,55 +4,70 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
-// Failopen flags verification errors that are assigned but then mishandled:
-// discarded without a read, overwritten before any check, or routed into a
-// log call while execution continues. Sealerr owns the blunt shapes (bare
-// call statement, blank assignment); failopen owns the subtle ones — the
-// error LOOKS handled because it has a name, but the failure path does not
-// fail closed.
-//
-// Guarded producers are Verify*/Attest* anywhere, cipher.AEAD.Open and
-// TEE/securestore Open/Unseal, and the monitor's policy entry points
-// (Decide/Evaluate/Authorize) — plus, one call deep, any module-internal
-// function whose returned error comes straight from one of those (so
-// wrapping VerifyProof in a helper does not launder the obligation).
+// Failopen flags errors from calls that carry a fail-closed obligation when
+// the failure is not handled. The blunt shapes: the call as a bare statement
+// or under go/defer, all its results assigned to blanks, or its final (error)
+// result blanked. The subtle ones, where the error LOOKS handled because it
+// has a name: discarded without a read, overwritten before any check, or
+// routed into a log call while execution continues. A dropped error from any
+// of them turns a detected attack (or an empty entropy read) into silent
+// acceptance.
 var Failopen = &Analyzer{
 	Name: "failopen",
-	Doc:  "errors from verification/attestation/policy calls must fail closed, not be dropped, shadowed, or merely logged",
+	Doc:  "errors from seal/open/verification/attestation/policy calls and rand.Read must fail closed, not be discarded, dropped, shadowed, or merely logged",
 	Run:  runFailopen,
 }
 
 // failopenGuards match the calls whose error results carry a fail-closed
-// obligation.
+// obligation: the seal/open pair, which guards every ciphertext boundary,
+// every Verify* (proofs, MACs, certificates, Merkle roots) and Attest*
+// (quotes, reports), crypto/rand.Read, and the monitor's policy entry points.
+// One call deep, so does any module-internal function whose returned error
+// comes straight from one of them (failSummary): wrapping VerifyProof in a
+// helper does not launder the obligation.
 var failopenGuards = []*funcRule{
+	{name: "Seal", anyPkg: true},
+	{name: "Open", anyPkg: true},
+	{name: "Unseal", anyPkg: true},
 	{name: "Verify*", anyPkg: true},
 	{name: "Attest*", anyPkg: true},
-	{name: "Open", modPrefixes: []string{"internal/tee", "internal/securestore"}, stdPaths: []string{"crypto/cipher"}},
-	{name: "Unseal", modPrefixes: []string{"internal/tee", "internal/securestore"}},
+	{name: "Read", stdPaths: []string{"crypto/rand"}},
 	{name: "Decide", modPrefixes: []string{""}},
 	{name: "Evaluate", modPrefixes: []string{""}},
 	{name: "Authorize", modPrefixes: []string{""}},
 }
 
 // failopenGuardName reports whether call produces a guarded error, with a
-// display name for diagnostics.
+// display name for diagnostics (rand.Read for a standard-library function).
 func failopenGuardName(pkg *Package, f *ast.File, call *ast.CallExpr) (string, bool) {
-	for _, r := range failopenGuards {
-		if ruleMatches(pkg.Module, pkg.TypesInfo, f, r, call) {
-			return calleeName(call), true
+	fn := calleeFunc(pkg.TypesInfo, call)
+	if directGuard(pkg, f, call) {
+		if fn != nil && fn.Type().(*types.Signature).Recv() == nil {
+			if _, isMod := pkg.Module.modRelOf(fn.Pkg()); !isMod {
+				return fn.Pkg().Name() + "." + fn.Name(), true
+			}
 		}
+		return calleeName(call), true
 	}
 	// One call deep: a module-internal function that just returns a guarded
 	// call's error is itself guarded.
-	if fn := calleeFunc(pkg.TypesInfo, call); fn != nil && pkg.Module != nil {
+	if fn != nil && pkg.Module != nil {
 		if _, isMod := pkg.Module.modRelOf(fn.Pkg()); isMod && pkg.Module.failSummary(fn) {
 			return fn.Name(), true
 		}
 	}
 	return "", false
+}
+
+// directGuard reports whether call matches a row of failopenGuards.
+func directGuard(pkg *Package, f *ast.File, call *ast.CallExpr) bool {
+	return slices.ContainsFunc(failopenGuards, func(r *funcRule) bool {
+		return ruleMatches(pkg.Module, pkg.TypesInfo, f, r, call)
+	})
 }
 
 // failSummary reports (cached) whether fn's returned error originates from
@@ -82,14 +97,6 @@ func failSumCompute(ref *funcDeclRef) bool {
 		return false
 	}
 	file := fileOf(ref.pkg, fd.Pos())
-	directGuard := func(call *ast.CallExpr) bool {
-		for _, r := range failopenGuards {
-			if ruleMatches(ref.pkg.Module, ref.pkg.TypesInfo, file, r, call) {
-				return true
-			}
-		}
-		return false
-	}
 	// Objects assigned (in last position) from a guarded call.
 	guardedObjs := map[types.Object]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -98,7 +105,7 @@ func failSumCompute(ref *funcDeclRef) bool {
 			return true
 		}
 		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !directGuard(call) {
+		if !ok || !directGuard(ref.pkg, file, call) {
 			return true
 		}
 		if id, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident); ok && ref.pkg.TypesInfo != nil {
@@ -118,7 +125,7 @@ func failSumCompute(ref *funcDeclRef) bool {
 		}
 		switch r := ast.Unparen(ret.Results[len(ret.Results)-1]).(type) {
 		case *ast.CallExpr:
-			if directGuard(r) {
+			if directGuard(ref.pkg, file, r) {
 				found = true
 			}
 		case *ast.Ident:
@@ -133,6 +140,7 @@ func failSumCompute(ref *funcDeclRef) bool {
 
 func runFailopen(pass *Pass) error {
 	for _, f := range pass.Files {
+		checkDiscards(pass, f)
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				checkFailopenFunc(pass, f, fd)
@@ -140,6 +148,50 @@ func runFailopen(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// checkDiscards reports the blunt shapes, where no name ever holds the error.
+func checkDiscards(pass *Pass, f *ast.File) {
+	guard := func(call *ast.CallExpr) (string, bool) { return failopenGuardName(pass.Pkg, f, call) }
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch stmt := n.(type) {
+		case *ast.ExprStmt:
+			if call, ok := stmt.X.(*ast.CallExpr); ok {
+				if name, ok := guard(call); ok {
+					pass.Reportf(call.Pos(), "result of %s call discarded; seal/verify failures must be handled", name)
+				}
+			}
+		case *ast.GoStmt:
+			if name, ok := guard(stmt.Call); ok {
+				pass.Reportf(stmt.Call.Pos(), "result of %s call discarded by go statement", name)
+			}
+		case *ast.DeferStmt:
+			if name, ok := guard(stmt.Call); ok {
+				pass.Reportf(stmt.Call.Pos(), "result of %s call discarded by defer", name)
+			}
+		case *ast.AssignStmt:
+			call, ok := ast.Unparen(stmt.Rhs[0]).(*ast.CallExpr)
+			if len(stmt.Rhs) != 1 || !ok || !isBlank(stmt.Lhs[len(stmt.Lhs)-1]) {
+				return true
+			}
+			name, ok := guard(call)
+			if !ok {
+				return true
+			}
+			if !slices.ContainsFunc(stmt.Lhs, func(e ast.Expr) bool { return !isBlank(e) }) {
+				pass.Reportf(call.Pos(), "all results of %s call assigned to blank; seal/verify failures must be handled", name)
+			} else {
+				// `n, _ := rand.Read(buf)`: the final (error) slot blanked.
+				pass.Reportf(call.Pos(), "error result of %s call assigned to blank; seal/verify failures must be handled", name)
+			}
+		}
+		return true
+	})
+}
+
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
 }
 
 // guardedAssign is one `err := Verify...(...)` site under scrutiny.
@@ -184,7 +236,7 @@ func checkFailopenFunc(pass *Pass, f *ast.File, fd *ast.FuncDecl) {
 			return true
 		}
 		id, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident)
-		if !ok || id.Name == "_" { // blank final result is sealerr's finding
+		if !ok || id.Name == "_" { // a blanked error is checkDiscards' finding
 			return true
 		}
 		obj := info.Defs[id]
@@ -209,7 +261,7 @@ func checkFailopenFunc(pass *Pass, f *ast.File, fd *ast.FuncDecl) {
 	}
 
 	for _, g := range guarded {
-		checkGuardedUse(pass, f, fd, g, writes, named)
+		checkGuardedUse(pass, fd, g, writes, named)
 	}
 }
 
@@ -219,7 +271,7 @@ func isErrorType(t types.Type) bool {
 	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
-func checkGuardedUse(pass *Pass, f *ast.File, fd *ast.FuncDecl, g guardedAssign, writes map[*ast.Ident]bool, named map[types.Object]bool) {
+func checkGuardedUse(pass *Pass, fd *ast.FuncDecl, g guardedAssign, writes map[*ast.Ident]bool, named map[types.Object]bool) {
 	info := pass.Pkg.TypesInfo
 
 	// Next write to the variable after this assignment bounds the window in
@@ -258,14 +310,14 @@ func checkGuardedUse(pass *Pass, f *ast.File, fd *ast.FuncDecl, g guardedAssign,
 			}
 		}
 		reads = inWindow
-		if bareReturn {
-			// conservatively keep: a bare return after the overwrite returns
-			// the new value, but one before it returns ours — we cannot tell
-			// lexically, so do not count it against the finding either way.
-		}
 	}
-
-	if len(reads) == 0 && !bareReturn {
+	if bareReturn {
+		// The named error result is propagated. (A bare return before an
+		// overwrite returns ours, one after it the new value; lexically we
+		// cannot tell them apart.)
+		return
+	}
+	if len(reads) == 0 {
 		if nextWrite != token.Pos(-1) {
 			pass.Reportf(g.call.Pos(), "error from %s is overwritten before being checked; verification must fail closed", g.name)
 		} else {
@@ -273,25 +325,14 @@ func checkGuardedUse(pass *Pass, f *ast.File, fd *ast.FuncDecl, g guardedAssign,
 		}
 		return
 	}
-	if bareReturn {
-		return // named error result propagated by bare return
-	}
-
-	// Classify each read; one genuinely-handled read clears the obligation.
-	logOnly := true
+	// One genuinely-handled read clears the obligation; logged reads and
+	// checks whose failure branch falls through do not.
 	for _, r := range reads {
-		switch classifyErrRead(fd.Body, r, g.obj, info) {
-		case readHandled:
+		if classifyErrRead(fd.Body, r) == readHandled {
 			return
-		case readFailOpen:
-			// keep logOnly, message distinguishes below
-		case readLogged:
-			// stays log-only
 		}
 	}
-	if logOnly {
-		pass.Reportf(g.call.Pos(), "error from %s is logged (or its failure branch falls through) without failing closed; return, abort, or record the failure", g.name)
-	}
+	pass.Reportf(g.call.Pos(), "error from %s is logged (or its failure branch falls through) without failing closed; return, abort, or record the failure", g.name)
 }
 
 type readKind int
@@ -303,7 +344,7 @@ const (
 )
 
 // classifyErrRead decides how one use of the error contributes to handling.
-func classifyErrRead(body ast.Node, id *ast.Ident, obj types.Object, info *types.Info) readKind {
+func classifyErrRead(body ast.Node, id *ast.Ident) readKind {
 	path := pathTo(body, id)
 	for i := len(path) - 1; i >= 0; i-- {
 		switch anc := path[i].(type) {

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // This file is the type-aware forward taint engine the dataflow analyzers
@@ -53,13 +55,16 @@ func (t Taint) String() string {
 	return "untainted"
 }
 
-// A funcRule matches calls to a function or method by name and defining
-// package.
+// A funcRule matches a function or method by name and defining package.
 type funcRule struct {
-	// name is the function/method name; a trailing "*" makes it a prefix.
+	// name is the function/method name; a trailing "*" makes it a prefix
+	// ("Verify*" covers Verify and VerifyProof).
 	name string
 	// recv, when non-empty, requires the receiver's named type.
 	recv string
+	// noRecv restricts the rule to package-level functions: time.After, not
+	// Time.After.
+	noRecv bool
 	// modPrefixes are module-relative package-path prefixes the callee must
 	// be defined under ("internal/securestore" covers its testdata
 	// subtrees too).
@@ -81,17 +86,10 @@ type funcRule struct {
 }
 
 func (r *funcRule) nameMatches(name string) bool {
-	if n, isPrefix := cutStar(r.name); isPrefix {
-		return len(name) > len(n) && name[:len(n)] == n
+	if n, isPrefix := strings.CutSuffix(r.name, "*"); isPrefix {
+		return strings.HasPrefix(name, n)
 	}
 	return name == r.name
-}
-
-func cutStar(s string) (string, bool) {
-	if n := len(s); n > 0 && s[n-1] == '*' {
-		return s[:n-1], true
-	}
-	return s, false
 }
 
 // A sinkRule marks a call argument position where tainted data must not
@@ -149,11 +147,8 @@ func recvTypeName(fn *types.Func) string {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	switch n := t.(type) {
-	case *types.Named:
+	if n, ok := t.(*types.Named); ok {
 		return n.Obj().Name()
-	case *types.Interface:
-		return ""
 	}
 	return ""
 }
@@ -172,35 +167,21 @@ func calleeName(call *ast.CallExpr) string {
 
 // ruleMatches reports whether call targets a function covered by r.
 func ruleMatches(mod *Module, info *types.Info, file *ast.File, r *funcRule, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil {
-		// Syntactic fallback. anyPkg rules match on name alone; stdPaths
-		// rules match a pkg-qualified selector through the import table.
-		name := calleeName(call)
-		if name == "" || !r.nameMatches(name) {
-			return false
-		}
-		if r.anyPkg {
-			return true
-		}
-		if len(r.stdPaths) > 0 && file != nil {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Obj == nil {
-					path := importsOf(file)[x.Name]
-					for _, p := range r.stdPaths {
-						if path == p {
-							return true
-						}
-					}
-				}
-			}
-		}
-		return false
+	if fn := calleeFunc(info, call); fn != nil {
+		return r.matchesFunc(mod, fn)
 	}
+	return r.matchesSyntax(mod, file, call.Fun)
+}
+
+// matchesFunc is the typed matcher: fn's name, receiver and defining package.
+func (r *funcRule) matchesFunc(mod *Module, fn *types.Func) bool {
 	if !r.nameMatches(fn.Name()) {
 		return false
 	}
 	if r.recv != "" && recvTypeName(fn) != r.recv {
+		return false
+	}
+	if r.noRecv && fn.Type().(*types.Signature).Recv() != nil {
 		return false
 	}
 	if r.anyPkg {
@@ -212,21 +193,47 @@ func ruleMatches(mod *Module, info *types.Info, file *ast.File, r *funcRule, cal
 		return true
 	}
 	if rel, isModule := mod.modRelOf(fn.Pkg()); isModule {
-		for _, p := range r.modPrefixes {
-			if hasPrefixPath(rel, p) {
-				return true
-			}
-		}
+		return r.inModule(rel)
+	}
+	return fn.Pkg() != nil && slices.Contains(r.stdPaths, fn.Pkg().Path())
+}
+
+// inModule reports whether the module-relative package path rel is under one
+// of r.modPrefixes ("" covers the whole module).
+func (r *funcRule) inModule(rel string) bool {
+	return slices.ContainsFunc(r.modPrefixes, func(p string) bool { return hasPrefixPath(rel, p) })
+}
+
+// matchesSyntax is the fallback when types do not resolve fun: anyPkg rules
+// match on name alone, the others a package-qualified selector through the
+// file's import table (a testdata load sees module packages that way).
+func (r *funcRule) matchesSyntax(mod *Module, file *ast.File, fun ast.Expr) bool {
+	var name string
+	var x ast.Expr
+	switch fun := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		name = fun.Name
+	case *ast.SelectorExpr:
+		name, x = fun.Sel.Name, fun.X
+	}
+	if name == "" || !r.nameMatches(name) {
 		return false
 	}
-	if fn.Pkg() != nil {
-		for _, p := range r.stdPaths {
-			if fn.Pkg().Path() == p {
-				return true
-			}
-		}
+	if r.anyPkg {
+		return true
 	}
-	return false
+	id, ok := x.(*ast.Ident)
+	if !ok || id.Obj != nil || file == nil {
+		return false
+	}
+	path, imported := importsOf(file)[id.Name]
+	if !imported {
+		return false
+	}
+	if rel, isModule := mod.relPath(path); isModule {
+		return r.inModule(rel)
+	}
+	return slices.Contains(r.stdPaths, path)
 }
 
 // propagatorPkgs are stdlib packages whose pure functions pass taint from
@@ -769,8 +776,9 @@ func computeTaintSummary(ref *funcDeclRef, rules *taintRules) *funcSummary {
 				continue
 			}
 			// A suppressed internal sink is a reviewed exception; callers
-			// must not re-report it.
-			if allows.allowed(currentSinkAnalyzer(rules), pkg.Fset.Position(hit.pos)) {
+			// must not re-report it. Only plainflow feeds sinks through
+			// summaries.
+			if allows.allowed("plainflow", pkg.Fset.Position(hit.pos)) {
 				continue
 			}
 			sum.paramSinks[i] = append(sum.paramSinks[i], paramSinkInfo{
@@ -783,24 +791,15 @@ func computeTaintSummary(ref *funcDeclRef, rules *taintRules) *funcSummary {
 	return sum
 }
 
-// currentSinkAnalyzer names the analyzer whose allow directives suppress
-// summary sink propagation. Today only plainflow feeds sink rules through
-// summaries.
-func currentSinkAnalyzer(rules *taintRules) string { return "plainflow" }
-
 // collectReturnTaint joins the taint of every return statement's results
 // (and named results at bare returns) into out, masked to the kinds present
 // when mask is zero or to mask otherwise.
 func collectReturnTaint(e *taintEngine, fd *ast.FuncDecl, out []Taint, mask Taint) {
 	named := namedResults(e.pkg, fd)
-	depth := 0
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FuncLit:
-			depth++
-			// Returns inside nested literals are not this function's.
-			ast.Inspect(v.Body, func(ast.Node) bool { return false })
-			return false
+			return false // returns inside nested literals are not this function's
 		case *ast.ReturnStmt:
 			if len(v.Results) == 0 {
 				for j, obj := range named {
@@ -827,7 +826,6 @@ func collectReturnTaint(e *taintEngine, fd *ast.FuncDecl, out []Taint, mask Tain
 				}
 			}
 		}
-		_ = depth
 		return true
 	})
 }

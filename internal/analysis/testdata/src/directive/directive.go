@@ -8,5 +8,5 @@ func missingRationale() {}
 //ironsafe:allow nosuchanalyzer -- justified at length // want "unknown analyzer"
 func unknownName() {}
 
-//ironsafe:allow sealerr -- fixture corpus seeds intentionally broken seals
+//ironsafe:allow failopen -- fixture corpus seeds intentionally broken seals
 func fine() {}

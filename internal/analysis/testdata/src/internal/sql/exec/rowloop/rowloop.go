@@ -40,8 +40,8 @@ func materializeBatched(rel relation) ([]row, error) {
 	return out, err
 }
 
-// namedCallback passes a named function, not an inline per-row loop body —
-// the analyzer targets the literal-callback loop idiom only.
+// namedCallback passes a named function instead of an inline loop body: it
+// is still one callback per row.
 func namedCallback(rel relation, fn func(row) error) error {
-	return rel.Scan(fn)
+	return rel.Scan(fn) // want `row-at-a-time Relation.Scan loop in the executor`
 }

@@ -2,6 +2,6 @@
 // subtrees: still flagged, with the softer remediation message.
 package plainrand
 
-import "math/rand" // want `use crypto/rand, or add this package to CryptorandAllowedPaths`
+import "math/rand" // want `use crypto/rand, or exempt this package in the cryptorand rule`
 
 func jitter() int { return rand.Intn(10) }

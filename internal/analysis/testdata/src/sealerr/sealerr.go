@@ -1,5 +1,6 @@
-// Package sealerr seeds one violation per sealerr diagnostic form, plus
-// the checked forms that must stay silent.
+// Package sealerr seeds one violation per blunt failopen shape (a guarded
+// call whose error no name ever holds), plus the checked forms that must stay
+// silent.
 package sealerr
 
 import (

@@ -1,5 +1,5 @@
-// Package sealerrallow seeds sealerr violations suppressed by allow
-// directives; the harness asserts no diagnostic survives.
+// Package sealerrallow seeds a discarded verification error suppressed by a
+// failopen allow directive; the harness asserts no diagnostic survives.
 package sealerrallow
 
 func Verify(sig []byte) error { return nil }
@@ -7,5 +7,5 @@ func Verify(sig []byte) error { return nil }
 func bestEffortRecheck() {
 	// A best-effort advisory re-verification whose failure is handled by
 	// the mandatory check that follows on the caller's path.
-	Verify(nil) //ironsafe:allow sealerr -- advisory recheck; mandatory verification happens at the monitor
+	Verify(nil) //ironsafe:allow failopen -- advisory recheck; mandatory verification happens at the monitor
 }

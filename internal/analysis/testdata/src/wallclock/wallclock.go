@@ -18,6 +18,18 @@ func aliased() {
 	_ = clock.Now() // want `real clock read time\.Now`
 }
 
+// Config injects its clock; handing it time.Now is a clock read as surely
+// as calling it.
+type Config struct {
+	Clock func() time.Time
+}
+
+func injected() Config {
+	clock := time.Now // want `real clock read time\.Now`
+	_ = clock
+	return Config{Clock: time.Now} // want `real clock read time\.Now`
+}
+
 func notTheClock() {
 	// Duration arithmetic and constants are fine: no clock is read.
 	d := 5 * time.Second

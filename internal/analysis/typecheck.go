@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/token"
@@ -261,23 +260,4 @@ func (m *Module) modRelOf(tpkg *types.Package) (string, bool) {
 		return "", false
 	}
 	return m.relPath(strings.TrimSuffix(tpkg.Path(), "_test"))
-}
-
-// typeErrorSummary renders the first few type errors for debugging output.
-func (p *Package) typeErrorSummary(max int) string {
-	if len(p.TypeErrors) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, err := range p.TypeErrors {
-		if i == max {
-			fmt.Fprintf(&b, "\n... and %d more", len(p.TypeErrors)-max)
-			break
-		}
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(err.Error())
-	}
-	return b.String()
 }
