@@ -24,18 +24,25 @@ var lockcryptoPkgFuncs = map[string]map[string]bool{
 // lockcryptoLocalHelpers names the store's own page seal/open helpers, which
 // wrap the primitives above and are equally forbidden under the mutex —
 // getCrypto among them: it keys an HMAC whenever the pool has no idle state —
-// and the CBC-decrypt kernel's key expansion and entry point, which do
-// openPage's AES work without crypto/cipher. Tree hashing
+// the CBC-decrypt kernel's key expansion and entry point, which do openPage's
+// AES work without crypto/cipher, and the MAC kernel's key setup and group
+// MAC (pageMAC8), which do its HMAC work without crypto/hmac. Tree hashing
 // (leafMAC/nodeMAC/rootTag) is deliberately NOT listed: the Merkle tree is
 // mutex-protected state, so hashing it under the lock is inherent.
 var lockcryptoLocalHelpers = map[string]bool{
 	"sealPage":     true,
+	"sealPages":    true,
+	"encryptPage":  true,
 	"openPage":     true,
+	"openMACed":    true,
+	"openGroup":    true,
 	"sealPageGCM":  true,
 	"openPageGCM":  true,
 	"pageMAC":      true,
+	"pageMAC8":     true,
 	"getCrypto":    true,
 	"newCBCKernel": true,
+	"newMACKernel": true,
 	"cbcDecrypt":   true,
 }
 

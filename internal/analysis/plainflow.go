@@ -36,6 +36,11 @@ var plainflowRules = &taintRules{
 		// record buffer holds the page too, not only result 0.
 		{name: "openPage", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
 		{name: "openPageGCM", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
+		// openMACed is openPage's in-place second half; openGroup opens a
+		// group of a batch, leaving plaintext in its records and its pages.
+		{name: "openMACed", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
+		{name: "openGroup", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, taintsArg: 3},
+		{name: "openGroup", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, taintsArg: 4},
 		// TEE key derivation and unsealing: results are key material.
 		{name: "DeriveKey", modPrefixes: []string{"internal/securestore", "internal/tee"}, taint: TaintKey, result: 0},
 		{name: "DeriveStorageKey", modPrefixes: []string{"internal/tee"}, taint: TaintKey, result: 0},
@@ -52,7 +57,10 @@ var plainflowRules = &taintRules{
 		// ciphertext or an authenticator, safe for any channel.
 		{name: "sealPage", anyPkg: true},
 		{name: "sealPageGCM", anyPkg: true},
+		{name: "sealPages", anyPkg: true},
+		{name: "encryptPage", anyPkg: true},
 		{name: "pageMAC", anyPkg: true},
+		{name: "pageMAC8", anyPkg: true},
 		{name: "aeadSeal", anyPkg: true},
 		{name: "Seal", modPrefixes: []string{"internal/tee"}, stdPaths: []string{"crypto/cipher"}},
 		{name: "Sum", stdPaths: []string{"crypto/sha256", "crypto/hmac", "hash"}},

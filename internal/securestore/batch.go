@@ -86,7 +86,7 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 	// sequence must stay a deterministic function of the request, because the
 	// fault-injection framework keys its per-site streams on it. Each record
 	// is the caller's own buffer (pager.BlockDevice), and the only one its
-	// page ever gets: openPage decrypts it in place.
+	// page ever gets: openGroup decrypts it in place.
 	pc := s.getCrypto()
 	defer s.putCrypto(pc)
 	pc.records = pc.records[:0]
@@ -100,15 +100,19 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 	records := pc.records
 	s.meter.PagesRead.Add(int64(len(idxs)))
 
-	// Decrypt + authenticate outside the lock. Errors are collected per page
-	// and reported for the lowest page index, so the outcome depends neither
-	// on the worker count nor on goroutine scheduling. An opened record's slot
-	// keeps only its MAC, which is what verifyBatch reads.
+	// Decrypt + authenticate outside the lock, in groups of eight pages — the
+	// MAC kernel's width — inline or on the worker pool, which takes whole
+	// groups. Errors are collected per page and reported for the lowest page
+	// index, so the outcome depends neither on the worker count nor on
+	// goroutine scheduling. An opened record's slot keeps only its MAC, which
+	// is what verifyBatch reads.
 	pc.errs = append(pc.errs[:0], make([]error, len(idxs))...)
 	errs := pc.errs
-	if workers = min(workers, len(idxs)); workers <= 1 {
-		for k, idx := range idxs {
-			out[k], records[k], errs[k] = s.openPage(pc, idx, records[k])
+	groups := (len(idxs) + macLanes - 1) / macLanes
+	if workers = min(workers, groups); workers <= 1 {
+		for lo := 0; lo < len(idxs); lo += macLanes {
+			hi := min(lo+macLanes, len(idxs))
+			s.openGroup(pc, idxs[lo:hi], records[lo:hi], out[lo:hi], errs[lo:hi])
 		}
 	} else {
 		var next atomic.Int64
@@ -120,11 +124,12 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 				wpc := s.getCrypto()
 				defer s.putCrypto(wpc)
 				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(idxs) {
+					lo := int(next.Add(macLanes)) - macLanes
+					if lo >= len(idxs) {
 						return
 					}
-					out[k], records[k], errs[k] = s.openPage(wpc, idxs[k], records[k])
+					hi := min(lo+macLanes, len(idxs))
+					s.openGroup(wpc, idxs[lo:hi], records[lo:hi], out[lo:hi], errs[lo:hi])
 				}
 			}()
 		}

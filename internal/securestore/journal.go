@@ -262,15 +262,11 @@ func (t *Txn) Commit() error {
 		}
 	}
 	slices.Sort(idxs)
-	entries := make([]journalEntry, 0, len(idxs))
 	pc := s.getCrypto()
 	defer s.putCrypto(pc)
-	for _, idx := range idxs {
-		record, recordMAC, err := s.sealPage(pc, idx, t.pages[idx])
-		if err != nil {
-			return err
-		}
-		entries = append(entries, journalEntry{Idx: idx, RecordMAC: recordMAC, Record: record})
+	entries, err := s.sealPages(pc, idxs, t.pages)
+	if err != nil {
+		return err
 	}
 	// The commit's two HMACs come from out here too: mac hashes every leaf,
 	// node and mirrored leaf of the commit, rootMAC — keyed once — its pre-

@@ -101,6 +101,7 @@ type Store struct {
 	block   cipher.Block // AES keyed with encKey, built once at open; safe for concurrent use
 	gcm     cipher.AEAD  // AES-GCM over block for the cipher ablation (nil otherwise); safe for concurrent use
 	cbc     *cbcKernel   // CBC-decrypt kernel over encKey (nil for GCM and where the platform has none); safe for concurrent use
+	mac8    *macKernel   // page-MAC kernel over macKey (nil for GCM and where the platform has none); safe for concurrent use
 	cryptos sync.Pool    // idle *pageCrypto, the per-worker page-crypto states
 
 	mu        sync.Mutex
@@ -185,6 +186,7 @@ func newStore(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *s
 		}
 	} else {
 		s.cbc = newCBCKernel(s.encKey)
+		s.mac8 = newMACKernel(s.macKey)
 	}
 	return s, nil
 }
@@ -628,16 +630,27 @@ func (s *Store) sealPage(pc *pageCrypto, idx uint32, plain []byte) (record, reco
 	if s.opts.GCM {
 		return s.sealPageGCM(pc, idx, plain)
 	}
-	record = make([]byte, ivSize+pager.PageSize, recordSize)
-	iv, ct := record[:ivSize], record[ivSize:]
-	if _, err := rand.Read(iv); err != nil {
+	if record, err = s.encryptPage(pc, plain); err != nil {
 		return nil, nil, err
+	}
+	// The sum appends within the record's capacity: into its MAC bytes.
+	pc.sum(record[:ivSize+pager.PageSize], idx, record[:ivSize], record[ivSize:ivSize+pager.PageSize])
+	return record, record[ivSize+pager.PageSize:], nil
+}
+
+// encryptPage is the first half of a CBC seal: a freshly allocated record
+// holding a random IV and the page encrypted under it, its MAC bytes still
+// zero. pc is the caller's.
+func (s *Store) encryptPage(pc *pageCrypto, plain []byte) ([]byte, error) {
+	record := make([]byte, recordSize)
+	iv, ct := record[:ivSize], record[ivSize:ivSize+pager.PageSize]
+	if _, err := rand.Read(iv); err != nil {
+		return nil, err
 	}
 	copy(ct, plain)
 	pc.enc.SetIV(iv)
 	pc.enc.CryptBlocks(ct, ct)
-	record = pc.sum(record, idx, iv, ct)
-	return record, record[ivSize+pager.PageSize:], nil
+	return record, nil
 }
 
 // openPage verifies a stored record and decrypts it in place: record must be
@@ -652,12 +665,23 @@ func (s *Store) openPage(pc *pageCrypto, idx uint32, record []byte) (plain, reco
 		return s.openPageGCM(pc, idx, record)
 	}
 	if len(record) != recordSize {
-		return nil, nil, fmt.Errorf("%w: page %d record size %d", ErrIntegrity, idx, len(record))
+		return nil, nil, recordSizeError(idx, record)
 	}
+	return s.openMACed(pc, idx, record, pc.sum(pc.scratch[:0], idx, record[:ivSize], record[ivSize:ivSize+pager.PageSize]))
+}
+
+func recordSizeError(idx uint32, record []byte) error {
+	return fmt.Errorf("%w: page %d record size %d", ErrIntegrity, idx, len(record))
+}
+
+// openMACed is the rest of openPage once the MAC over a whole CBC record has
+// been computed, as sum: the record's MAC is compared with it and only then
+// is the page decrypted in place.
+func (s *Store) openMACed(pc *pageCrypto, idx uint32, record, sum []byte) (plain, recordMAC []byte, err error) {
 	iv := record[:ivSize]
 	ct := record[ivSize : ivSize+pager.PageSize : ivSize+pager.PageSize]
 	recordMAC = record[ivSize+pager.PageSize:]
-	if !hmac.Equal(recordMAC, pc.sum(pc.scratch[:0], idx, iv, ct)) {
+	if !hmac.Equal(recordMAC, sum) {
 		return nil, nil, fmt.Errorf("%w: page %d HMAC mismatch", ErrIntegrity, idx)
 	}
 	if s.cbc != nil {
@@ -669,13 +693,81 @@ func (s *Store) openPage(pc *pageCrypto, idx uint32, record []byte) (plain, reco
 	return ct, recordMAC, nil
 }
 
+// kernelMACs reports whether a group of n pages of a batched read or a commit
+// has its MACs computed by the MAC kernel: where the store has one, for two
+// pages or more. A lone page costs the kernel what eight do — it is
+// throughput-bound, an idle lane as dear as a busy one — and crypto/hmac not
+// two thirds of that, so it takes the single-page path (openPage, sealPage),
+// which ReadPage and the commit's gap-fill take too.
+func (s *Store) kernelMACs(n int) bool { return s.mac8 != nil && n > 1 }
+
+// openGroup opens up to eight records of a batch — records[k] that of page
+// idxs[k] — into out and errs as openPage would one by one, and leaves each
+// opened record's slot holding its MAC. Where the MAC kernel takes the group,
+// its MACs are computed together (pageMAC8), then each page is compared and
+// decrypted on its own, so a bad record fails alone and is not decrypted.
+func (s *Store) openGroup(pc *pageCrypto, idxs []uint32, records, out [][]byte, errs []error) {
+	if !s.kernelMACs(len(idxs)) {
+		for k, idx := range idxs {
+			out[k], records[k], errs[k] = s.openPage(pc, idx, records[k])
+		}
+		return
+	}
+	sums := s.mac8.pageMAC8(&pc.lanes, idxs, records)
+	for k, idx := range idxs {
+		if len(records[k]) != recordSize {
+			errs[k] = recordSizeError(idx, records[k])
+			continue
+		}
+		out[k], records[k], errs[k] = s.openMACed(pc, idx, records[k], sums[k][:])
+	}
+}
+
+// sealPages seals the staged page images of a commit, pages[idx] for each of
+// idxs, into journal entries in idxs order, eight pages at a time. Where the
+// MAC kernel takes a group, its pages are encrypted first and their MACs
+// computed together.
+func (s *Store) sealPages(pc *pageCrypto, idxs []uint32, pages map[uint32][]byte) ([]journalEntry, error) {
+	entries := make([]journalEntry, 0, len(idxs))
+	for g := 0; g < len(idxs); g += macLanes {
+		group := idxs[g:min(g+macLanes, len(idxs))]
+		if !s.kernelMACs(len(group)) {
+			for _, idx := range group {
+				record, recordMAC, err := s.sealPage(pc, idx, pages[idx])
+				if err != nil {
+					return nil, err
+				}
+				entries = append(entries, journalEntry{Idx: idx, RecordMAC: recordMAC, Record: record})
+			}
+			continue
+		}
+		pc.records = pc.records[:0]
+		for _, idx := range group {
+			record, err := s.encryptPage(pc, pages[idx])
+			if err != nil {
+				return nil, err
+			}
+			pc.records = append(pc.records, record)
+		}
+		sums := s.mac8.pageMAC8(&pc.lanes, group, pc.records)
+		for k, record := range pc.records {
+			recordMAC := record[ivSize+pager.PageSize:]
+			copy(recordMAC, sums[k][:])
+			entries = append(entries, journalEntry{Idx: group[k], RecordMAC: recordMAC, Record: record})
+		}
+	}
+	return entries, nil
+}
+
 // pageCrypto is one worker's page-crypto state: the HMAC-SHA-512 keyed with
 // the store's MAC key (keying one costs two compressions and five
 // allocations), a CBC encrypter over the store's AES block that SetIV re-arms
 // for each page, and the scratch a computed MAC is compared from. Pages are
 // decrypted by the store's CBC kernel (cbc.go), which needs no per-worker
 // state; only where the platform has no kernel does it also carry
-// crypto/cipher's CBC decrypter, re-armed the same way. Sealing stays on
+// crypto/cipher's CBC decrypter, re-armed the same way. The MACs of batched
+// reads and commits are the MAC kernel's (mac8.go) where the platform has one,
+// computed in the lanes scratch; single pages keep the keyed HMAC. Sealing stays on
 // crypto/cipher everywhere: CBC encryption chains every block on the one
 // before, so eight blocks cannot be in flight. Whoever seals or opens pages —
 // a commit, a read, a decrypt worker — takes one with getCrypto and hands it
@@ -691,8 +783,9 @@ type pageCrypto struct {
 	idx      [4]byte
 	scratch  [macSize]byte
 
-	records [][]byte // the batch's records as the device returned them, then their MACs
-	errs    []error  // the outcome of opening each
+	lanes   macScratch // a group of eight page MACs (pageMAC8)
+	records [][]byte   // the batch's records as the device returned them, then their MACs
+	errs    []error    // the outcome of opening each
 }
 
 // cbcMode is what crypto/cipher's CBC modes are beyond a cipher.BlockMode.
