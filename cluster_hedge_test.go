@@ -1,24 +1,25 @@
 package ironsafe
 
 import (
+	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ironsafe/internal/resilience"
-	"ironsafe/internal/sql/exec"
 )
 
-// countingNode is a fake cached storage channel counting Close calls.
-type countingNode struct {
-	id     string
-	closes int
+// closeCounter is the host side of a storage channel counting Close calls.
+type closeCounter struct {
+	net.Conn
+	closes *atomic.Int32
 }
 
-func (n *countingNode) NodeID() string                              { return n.id }
-func (n *countingNode) Offload(string) (*exec.Result, int64, error) { return nil, 0, nil }
-func (n *countingNode) ReplyEpoch() uint64                          { return 0 }
-func (n *countingNode) Close() error                                { n.closes++; return nil }
+func (c closeCounter) Close() error {
+	c.closes.Add(1)
+	return c.Conn.Close()
+}
 
 // ejectFirst feeds the health tracker latencies that soft-eject storage-01
 // against a fast cohort.
@@ -96,23 +97,33 @@ func TestSessionProviderHedgeContract(t *testing.T) {
 	})
 
 	t.Run("close", func(t *testing.T) {
-		c, err := NewCluster(Config{Mode: IronSafe, StorageNodes: 3})
+		closes := map[string]*atomic.Int32{}
+		for _, id := range ids {
+			closes[id] = new(atomic.Int32)
+		}
+		c, err := NewCluster(Config{Mode: IronSafe, StorageNodes: 3, ConnWrapper: func(id string, conn net.Conn) net.Conn {
+			return closeCounter{Conn: conn, closes: closes[id]}
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := c.newSessionProvider(ids, "sid", nil)
-		nodes := map[string]*countingNode{}
+		key := []byte("sid-key")
+		for _, srv := range c.Storage {
+			srv.InstallSessionKey("sid", key)
+		}
+		p := c.newSessionProvider(ids, "sid", key)
 		for _, id := range ids {
-			nodes[id] = &countingNode{id: id}
-			p.cached[id] = &fencedNode{storageNode: nodes[id], c: c}
+			if _, err := p.Connect(id); err != nil {
+				t.Fatal(err)
+			}
 		}
 		// A failure report closes and evicts its channel; close() must not
 		// close it a second time.
 		p.Report("storage-02", false)
 		p.close()
-		for id, n := range nodes {
-			if n.closes != 1 {
-				t.Errorf("%s closed %d times, want exactly once", id, n.closes)
+		for id, n := range closes {
+			if got := n.Load(); got != 1 {
+				t.Errorf("%s closed %d times, want exactly once", id, got)
 			}
 		}
 		if len(p.cached) != 0 {

@@ -100,50 +100,13 @@ func (c *Cluster) RebuildStorage(id, donorID string) error {
 	return nil
 }
 
-// rebuildPass runs one complete rebuild attempt: manifest, begin (wipe or
-// resume), chunked transfer, finalize.
-func (c *Cluster) rebuildPass(target, donor *storageengine.Server, id, donorID, sid string, key []byte) error {
-	if !c.cfg.ChannelTransport {
-		return rebuildPassDirect(target, donor)
-	}
-	return c.rebuildPassChannel(target, donor, id, donorID, sid, key)
-}
-
-// rebuildPassDirect is the in-process path (no ChannelTransport): the same
-// verbs, invoked as method calls.
-func rebuildPassDirect(target, donor *storageengine.Server) error {
-	manifest, err := donor.ExportRebuildManifest()
-	if err != nil {
-		return err
-	}
-	m, err := securestore.DecodeManifest(manifest)
-	if err != nil {
-		return err
-	}
-	start, err := target.BeginRebuild(manifest)
-	if err != nil {
-		return err
-	}
-	for n := m.NumPages(); start < n; {
-		count := min(uint32(rebuildChunkPages), n-start)
-		pages, err := donor.ExportRebuildPages(start, count)
-		if err != nil {
-			return err
-		}
-		if err := target.ImportRebuildPages(start, pages); err != nil {
-			return err
-		}
-		start += count
-	}
-	return target.FinalizeRebuild()
-}
-
-// rebuildPassChannel moves the state over two fresh monitor-keyed secure
-// channels — donor export leg and target import leg — speaking the rebuild
+// rebuildPass runs one complete rebuild attempt — manifest, begin (wipe or
+// resume), chunked transfer, finalize — over two fresh monitor-keyed secure
+// channels, donor export leg and target import leg, speaking the rebuild
 // verbs of the wire protocol. The fault-injection hook sees the legs as
 // sites "rebuild:<donor>" and "rebuild:<target>", distinct from query
 // channels, so sweeps can fault exactly one leg at exactly one operation.
-func (c *Cluster) rebuildPassChannel(target, donor *storageengine.Server, id, donorID, sid string, key []byte) error {
+func (c *Cluster) rebuildPass(target, donor *storageengine.Server, id, donorID, sid string, key []byte) error {
 	dn, err := c.dialNodeChannel(donor, storageengine.RebuildSessionPrefix+donorID, sid, key, nil, nil)
 	if err != nil {
 		return err

@@ -7,10 +7,25 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ironsafe/internal/hostengine"
 	"ironsafe/internal/monitor"
 	"ironsafe/internal/securestore"
 )
+
+// queryChannel opens a fenced query channel to storage node id the way the
+// session provider does, under a session key installed for it alone, and
+// closes it when the test ends.
+func queryChannel(t *testing.T, c *Cluster, id string) *fencedNode {
+	t.Helper()
+	srv := c.storageByID(id)
+	key := []byte("test-session-key")
+	srv.InstallSessionKey("test-session", key)
+	n, err := c.dialNodeChannel(srv, id, "test-session", key, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return &fencedNode{RemoteNode: n, c: c}
+}
 
 // TestRestartStorageRequiresKill: restarting a live node is a membership
 // error, not a silent no-op — the node must be explicitly quarantined first.
@@ -39,7 +54,7 @@ func TestEpochFencedZombieReplyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := &fencedNode{storageNode: &hostengine.LocalNode{Server: c.Storage[1]}, c: c}
+	f := queryChannel(t, c, "storage-02")
 	if _, _, err := f.Offload(`SELECT id FROM fence`); err != nil {
 		t.Fatalf("pre-eviction offload: %v", err)
 	}
@@ -51,7 +66,8 @@ func TestEpochFencedZombieReplyRejected(t *testing.T) {
 		t.Fatalf("zombie reply = %v, want ErrEpochFenced", err)
 	}
 
-	// Readmission hands the node the current epoch; replies are accepted
+	// Readmission hands the node the current epoch; replies on a fresh
+	// channel (the restart dropped the node's session keys) are accepted
 	// again.
 	if err := c.RestartStorage("storage-02", nil); err != nil {
 		t.Fatal(err)
@@ -59,7 +75,7 @@ func TestEpochFencedZombieReplyRejected(t *testing.T) {
 	if err := c.ReattestStorage("storage-02"); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := f.Offload(`SELECT id FROM fence`)
+	res, _, err := queryChannel(t, c, "storage-02").Offload(`SELECT id FROM fence`)
 	if err != nil {
 		t.Fatalf("post-readmission offload: %v", err)
 	}
@@ -237,8 +253,7 @@ func TestRebuildReadmitsRolledBackNode(t *testing.T) {
 		t.Fatalf("readmission after rebuild: %v", err)
 	}
 
-	n := &hostengine.LocalNode{Server: c.storageByID(target)}
-	res, _, err := n.Offload(`SELECT id FROM replica ORDER BY id`)
+	res, _, err := queryChannel(t, c, target).Offload(`SELECT id FROM replica ORDER BY id`)
 	if err != nil {
 		t.Fatalf("offload after readmission: %v", err)
 	}

@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-// newChannelCluster is the running example over real monitor-keyed channels:
-// one per query per node, the path that resumes.
+// newChannelCluster is the running example with the table on every replica:
+// one channel per query per node, the path that resumes.
 func newChannelCluster(t *testing.T, nodes int) *Cluster {
 	t.Helper()
-	c, err := NewCluster(Config{Mode: IronSafe, ChannelTransport: true, StorageNodes: nodes})
+	c, err := NewCluster(Config{Mode: IronSafe, StorageNodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,24 +323,16 @@ func (p *sessionProvider) Connect(id string) (hostengine.StorageNode, error) {
 	if srv == nil {
 		return nil, fmt.Errorf("ironsafe: unknown storage node %q", id)
 	}
-	inner, err := p.c.connectNode(srv, id, p.sessionID, p.sessionKey, p.budget)
+	inner, err := p.c.dialNodeChannel(srv, id, p.sessionID, p.sessionKey, p.budget, p.c.tickets)
 	if err != nil {
 		p.c.health.Report(id, false)
 		return nil, err
 	}
-	node := &fencedNode{storageNode: inner, c: p.c}
+	node := &fencedNode{RemoteNode: inner, c: p.c}
 	p.cacheMu.Lock()
 	p.cached[id] = node
 	p.cacheMu.Unlock()
 	return node, nil
-}
-
-// storageNode is a channel the session provider caches: its replies carry
-// the membership epoch they were served at, and it can be closed.
-type storageNode interface {
-	hostengine.StorageNode
-	ReplyEpoch() uint64
-	Close() error
 }
 
 // fencedNode enforces membership-epoch fencing on every offload reply: a
@@ -348,12 +340,12 @@ type storageNode interface {
 // missed an eviction, and is rejected with ErrEpochFenced. The failure flows
 // through the ordinary failover path, so the host simply retries elsewhere.
 type fencedNode struct {
-	storageNode
+	*hostengine.RemoteNode
 	c *Cluster
 }
 
 func (f *fencedNode) Offload(sql string) (*exec.Result, int64, error) {
-	res, wire, err := f.storageNode.Offload(sql)
+	res, wire, err := f.RemoteNode.Offload(sql)
 	if err != nil {
 		return nil, wire, err
 	}
@@ -389,34 +381,18 @@ func (p *sessionProvider) close() {
 	}
 }
 
-// connectNode builds one storage channel: a direct in-process adapter by
-// default, or — with ChannelTransport — a real monitor-keyed secure channel
-// over an in-process pipe speaking the full wire protocol, optionally
-// wrapped by the fault-injection hook. bud (may be nil) is the query's
-// deadline budget, attached to the channel so every offload clips its
-// deadline to the remaining budget.
-func (c *Cluster) connectNode(srv *storageengine.Server, id, sessionID string, sessionKey []byte, bud *resilience.Budget) (storageNode, error) {
-	if !c.cfg.ChannelTransport {
-		return &hostengine.LocalNode{Server: srv, HostMeter: c.HostMeter, StorageMeter: c.StorageMeter}, nil
-	}
-	node, err := c.dialNodeChannel(srv, id, sessionID, sessionKey, bud, c.tickets)
-	if err != nil {
-		return nil, err
-	}
-	return node, nil
-}
-
-// dialNodeChannel handshakes a monitor-keyed secure channel to srv over an
+// dialNodeChannel opens a monitor-keyed secure channel to srv over an
 // in-process pipe speaking the full wire protocol, optionally wrapped by the
-// fault-injection hook. site is the name the fault hook sees — node id for
-// query channels, "rebuild:<id>" for rebuild control channels, so faults can
-// target one leg of a rebuild without touching queries. The handshake itself
-// draws on bud, so a query that has burned its budget on failovers cannot
-// keep paying full handshake timeouts against a stalled peer. With tickets
-// the handshake resumes the node's last channel when it can (query channels:
-// one per query per node); nil is always the full exchange (rebuild legs,
-// whose failed passes are retried whole with no health tracker to tell).
-// Either way a failed handshake is returned, never dialled again here.
+// fault-injection hook — the one path every split-mode offload and every
+// rebuild leg takes. site is the name the fault hook sees — node id for query
+// channels, "rebuild:<id>" for rebuild control channels, so faults can target
+// one leg of a rebuild without touching queries. The handshake itself draws on
+// bud, so a query that has burned its budget on failovers cannot keep paying
+// full handshake timeouts against a stalled peer. With tickets the handshake
+// resumes the node's last channel when it can (query channels: one per query
+// per node); nil is always the full exchange (rebuild legs, whose failed
+// passes are retried whole with no health tracker to tell). Either way a
+// failed handshake is returned, never dialled again here.
 func (c *Cluster) dialNodeChannel(srv *storageengine.Server, site, sessionID string, sessionKey []byte, bud *resilience.Budget, tickets *transport.TicketStore) (*hostengine.RemoteNode, error) {
 	hostSide, storageSide := net.Pipe()
 	served := make(chan struct{}) // closed when the serving goroutine returns; the node's Close waits for it
@@ -429,21 +405,11 @@ func (c *Cluster) dialNodeChannel(srv *storageengine.Server, site, sessionID str
 	if c.cfg.ConnWrapper != nil {
 		conn = c.cfg.ConnWrapper(site, hostSide)
 	}
-	var node *hostengine.RemoteNode
-	err := resilience.WithBudgetedConnDeadline(conn, bud, c.res.HandshakeTimeout, func() error {
-		var err error
-		node, err = hostengine.NewResumingRemoteNode(conn, site, sessionID, sessionKey, c.HostMeter, tickets)
-		return err
-	})
+	node, err := hostengine.NewRemoteNode(conn, site, sessionID, sessionKey, c.HostMeter, tickets, bud, c.res)
 	if err != nil {
 		storageSide.Close()
-		return nil, fmt.Errorf("ironsafe: channel to %s: %w", site, err)
+		return nil, err
 	}
-	if c.res.IOTimeout > 0 {
-		node.Conn.SetIOTimeout(c.res.IOTimeout)
-		node.SetBaseIOTimeout(c.res.IOTimeout)
-	}
-	node.SetBudget(bud)
 	node.ServedBy(served)
 	return node, nil
 }

@@ -29,6 +29,7 @@ import (
 	"ironsafe/internal/schema"
 	"ironsafe/internal/simtime"
 	"ironsafe/internal/tee/sgx"
+	"ironsafe/internal/transport"
 )
 
 func main() {
@@ -52,6 +53,12 @@ func main() {
 	}
 
 	var meter simtime.Meter
+	// One ticket store for every query's channel: each channel to a storage
+	// node resumes the last one's and leaves the next, so after the first
+	// query no channel pays an X25519 exchange, and the storage node holds one
+	// live ticket for this host rather than one per query.
+	tickets := transport.NewTicketStore()
+	dialCfg := resilience.Config{Sleep: resilience.RealSleep}.WithDefaults()
 	platform, err := sgx.NewPlatform("host-platform", nil)
 	if err != nil {
 		fatal("%v", err)
@@ -129,8 +136,19 @@ func main() {
 		if len(auth.Auth.StorageIDs) == 0 {
 			return nil, fmt.Errorf("no compliant storage node")
 		}
-		node, err := dialStorage(adv, auth.StorageDataAddr, auth.Auth.StorageIDs[0],
-			auth.Auth.SessionID, auth.Auth.SessionKey, &meter)
+		nodeID := auth.Auth.StorageIDs[0]
+		conn, err := resilience.DialTCP(auth.StorageDataAddr, dialCfg)
+		if err != nil {
+			return nil, err
+		}
+		if adv != nil {
+			// The seeded MITM sits between the TCP dial and the handshake, so
+			// every preamble, first flight and AEAD frame of the session
+			// crosses it; it keys its attack streams by node id, so a soak run
+			// is reproducible from the seed alone.
+			conn = adversary.WrapConn(conn, nodeID, adversary.StorageProfile, adv)
+		}
+		node, err := hostengine.NewRemoteNode(conn, nodeID, auth.Auth.SessionID, auth.Auth.SessionKey, &meter, tickets, nil, dialCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -167,37 +185,6 @@ func main() {
 	if err := cs.Serve(ln); err != nil {
 		fatal("serve: %v", err)
 	}
-}
-
-// dialStorage opens the session-bound offload channel, interposing the
-// seeded MITM when soak mode is armed: the adversary sits between the TCP
-// dial and the handshake, so every preamble, public key, and AEAD frame of
-// the session crosses it. The engine keys its attack streams by node id, so
-// a soak run is reproducible from the seed alone.
-func dialStorage(adv *adversary.Engine, addr, nodeID, sessionID string, sessionKey []byte, meter *simtime.Meter) (*hostengine.RemoteNode, error) {
-	if adv == nil {
-		return hostengine.DialStorage(addr, nodeID, sessionID, sessionKey, meter)
-	}
-	cfg := resilience.Config{Sleep: resilience.RealSleep}.WithDefaults()
-	conn, err := resilience.DialTCP(addr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	wrapped := adversary.WrapConn(conn, nodeID, adversary.StorageProfile, adv)
-	var node *hostengine.RemoteNode
-	hsErr := resilience.WithConnDeadline(wrapped, cfg.HandshakeTimeout, func() error {
-		var err error
-		node, err = hostengine.NewRemoteNode(wrapped, nodeID, sessionID, sessionKey, meter)
-		return err
-	})
-	if hsErr != nil {
-		return nil, fmt.Errorf("ironsafe-host: storage handshake with %s under adversary: %w", nodeID, hsErr)
-	}
-	if cfg.IOTimeout > 0 {
-		node.Conn.SetIOTimeout(cfg.IOTimeout)
-		node.SetBaseIOTimeout(cfg.IOTimeout)
-	}
-	return node, nil
 }
 
 func fatal(format string, args ...any) {

@@ -24,9 +24,12 @@ type goldenCounters struct {
 // a committed record: the simulated clock is priced from these counters, so
 // an operator that drops, doubles or moves a charge fails here, query by
 // query, and not only in the benchmark's simulated metrics. The record was
-// taken on the commit before the late-materializing scan and has moved once
-// since, in the link bytes of q4 and q21 when EXISTS bodies stopped shipping
-// columns nobody reads; regenerate it with -update-golden only for a change
+// taken on the commit before the late-materializing scan and has moved twice
+// since, both times in link bytes only: in q4 and q21 when EXISTS bodies
+// stopped shipping columns nobody reads, and in every query when every
+// offload began to cross the secure channel, so both sides count the frames
+// that crossed it instead of each message's length plus 64 (at most 145 B per
+// query per direction). Regenerate it with -update-golden only for a change
 // that means to move the counters.
 func TestGoldenSnapshots(t *testing.T) {
 	const path = "testdata/golden_snapshots_scs.json"

@@ -81,9 +81,8 @@ func TestStorageKillMidOffloadSurvived(t *testing.T) {
 		faultinject.Rule{Site: "conn:storage-01:read", Class: faultinject.Crash, Prob: 1, MaxCount: 1})
 	rc := chaosResilience()
 	c, err := ironsafe.NewCluster(ironsafe.Config{
-		Mode:             ironsafe.IronSafe,
-		StorageNodes:     2,
-		ChannelTransport: true,
+		Mode:         ironsafe.IronSafe,
+		StorageNodes: 2,
 		ConnWrapper: func(node string, conn net.Conn) net.Conn {
 			return faultinject.WrapConn(conn, node, plan)
 		},
@@ -201,9 +200,8 @@ func TestVanillaCSHostFallback(t *testing.T) {
 	plan := faultinject.NewPlan(1,
 		faultinject.Rule{Site: "conn:", Class: faultinject.Reset, Prob: 1})
 	c, err := ironsafe.NewCluster(ironsafe.Config{
-		Mode:             ironsafe.VanillaCS,
-		StorageNodes:     2,
-		ChannelTransport: true,
+		Mode:         ironsafe.VanillaCS,
+		StorageNodes: 2,
 		ConnWrapper: func(node string, conn net.Conn) net.Conn {
 			return faultinject.WrapConn(conn, node, plan)
 		},

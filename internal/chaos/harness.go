@@ -44,10 +44,9 @@ func newHarness(mode ironsafe.Mode, nodes int) *harness {
 }
 
 // substrate is what a sweep interposes beneath one cluster. The zero value is
-// the fault-free cluster: in-process offloads, raw media.
+// the fault-free cluster: unwrapped channels, raw media.
 type substrate struct {
-	// conn wraps every storage channel (query and rebuild legs both);
-	// setting it switches the cluster to channel transport.
+	// conn wraps every storage channel (query and rebuild legs both).
 	conn func(site string, conn net.Conn) net.Conn
 	// device wraps every node's raw medium.
 	device func(node string, dev pager.BlockDevice) pager.BlockDevice
@@ -72,7 +71,6 @@ func (h *harness) cluster(sub substrate) (*ironsafe.Cluster, error) {
 		Mode:                 h.mode,
 		StorageNodes:         h.nodes,
 		Resilience:           &rc,
-		ChannelTransport:     sub.conn != nil,
 		ConnWrapper:          sub.conn,
 		StorageDeviceWrapper: sub.device,
 	})

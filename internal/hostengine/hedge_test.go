@@ -115,7 +115,11 @@ func (n *hedgeNode) Offload(sql string) (*exec.Result, int64, error) {
 		// dropped and only the typed error escapes.
 		return nil, 0, errors.New("stale-epoch reply rejected by fence")
 	}
-	return p.r.node().Offload(sql)
+	node, err := p.r.channel()
+	if err != nil {
+		return nil, 0, err
+	}
+	return node.Offload(sql)
 }
 
 func newHedgeProvider(r *rig) *hedgeProvider {

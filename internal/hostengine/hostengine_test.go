@@ -8,6 +8,7 @@ import (
 	"ironsafe/internal/engine"
 	"ironsafe/internal/pager"
 	"ironsafe/internal/partition"
+	"ironsafe/internal/resilience"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/securestore"
 	"ironsafe/internal/simtime"
@@ -16,15 +17,16 @@ import (
 	"ironsafe/internal/tee/sgx"
 	"ironsafe/internal/tee/trustzone"
 	"ironsafe/internal/tpch"
+	"ironsafe/internal/transport"
 	"ironsafe/internal/value"
 )
 
 // rig wires a secure host to a secure storage server loaded with TPC-H data.
 type rig struct {
+	t       *testing.T
 	host    *Host
 	server  *storageengine.Server
 	hostM   *simtime.Meter
-	storM   *simtime.Meter
 	schemas partition.SchemaMap
 }
 
@@ -62,11 +64,43 @@ func newRig(t *testing.T, secureHost, secureStorage bool) *rig {
 		schemas[strings.ToLower(name)] = tab.Sch
 	}
 	host.SetSchemas(schemas)
-	return &rig{host: host, server: server, hostM: &hostM, storM: &storM, schemas: schemas}
+	server.InstallSessionKey(rigSession, rigKey)
+	return &rig{t: t, host: host, server: server, hostM: &hostM, schemas: schemas}
 }
 
+// The session every rig channel is bound to.
+const rigSession = "rig"
+
+var rigKey = []byte("rig-session-key")
+
+// channel opens a channel to the rig's server the way the cluster runtime
+// does — the server's ServeConn on the far end of an in-process pipe — and
+// closes it when the test ends. Safe to call from any goroutine.
+func (r *rig) channel() (*RemoteNode, error) {
+	hostSide, storageSide := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		r.server.ServeConn(storageSide)
+	}()
+	n, err := NewRemoteNode(hostSide, "storage-01", rigSession, rigKey, r.hostM, nil, nil, resilience.Config{})
+	if err != nil {
+		storageSide.Close()
+		return nil, err
+	}
+	n.ServedBy(served)
+	r.t.Cleanup(func() { n.Close() })
+	return n, nil
+}
+
+// node is channel for the test's own goroutine.
 func (r *rig) node() StorageNode {
-	return &LocalNode{Server: r.server, HostMeter: r.hostM, StorageMeter: r.storM}
+	r.t.Helper()
+	n, err := r.channel()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return n
 }
 
 func TestNewValidation(t *testing.T) {
@@ -174,11 +208,22 @@ func TestRemoteNodeOverTCP(t *testing.T) {
 	defer ln.Close()
 	go r.server.Serve(ln)
 
-	node, err := DialStorage(ln.Addr().String(), "storage-01", "s1", []byte("key"), r.hostM)
-	if err != nil {
-		t.Fatal(err)
+	cfg := resilience.Config{DialAttempts: 1}.WithDefaults()
+	tickets := transport.NewTicketStore()
+	dial := func() *RemoteNode {
+		t.Helper()
+		conn, err := resilience.DialTCP(ln.Addr().String(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := NewRemoteNode(conn, "storage-01", "s1", []byte("key"), r.hostM, tickets, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
 	}
-	defer node.Close()
+
+	node := dial()
 	res, outcome, err := r.host.ExecuteSplit(tpch.Queries[6], []StorageNode{node})
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +237,20 @@ func TestRemoteNodeOverTCP(t *testing.T) {
 	// Error propagation over the wire.
 	if _, _, err := node.Offload("SELECT broken FROM lineitem"); err == nil {
 		t.Error("remote error not propagated")
+	}
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The next connect resumes the first channel from the ticket it left,
+	// and the resumed channel works.
+	again := dial()
+	defer again.Close()
+	if full, resumed := tickets.Exchanges(); full != 1 || resumed != 1 {
+		t.Errorf("exchanges = %d full / %d resumed, want 1 / 1", full, resumed)
+	}
+	if res, _, err := r.host.ExecuteSplit(tpch.Queries[6], []StorageNode{again}); err != nil || len(res.Rows) != 1 {
+		t.Errorf("q6 over the resumed channel = %v, %v", res, err)
 	}
 }
 

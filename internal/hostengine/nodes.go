@@ -6,72 +6,24 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ironsafe/internal/pager"
 	"ironsafe/internal/resilience"
 	"ironsafe/internal/simtime"
 	"ironsafe/internal/sql/exec"
-	"ironsafe/internal/storageengine"
 	"ironsafe/internal/tee/sgx"
 	"ironsafe/internal/transport"
 )
-
-// LocalNode adapts an in-process storage server to StorageNode. Results are
-// still serialized through the wire codec so data-movement accounting (the
-// quantity Figures 6-8 turn on) matches a networked deployment exactly.
-type LocalNode struct {
-	Server       *storageengine.Server
-	HostMeter    *simtime.Meter
-	StorageMeter *simtime.Meter
-
-	lastEpoch atomic.Uint64 // membership epoch stamped on the most recent reply
-}
-
-// NodeID implements StorageNode.
-func (n *LocalNode) NodeID() string {
-	id, _, _ := n.Server.Info()
-	return id
-}
-
-// Offload implements StorageNode.
-func (n *LocalNode) Offload(sql string) (*exec.Result, int64, error) {
-	reqBytes := int64(len(sql)) + 64 // request frame incl. channel overhead
-	res, err := n.Server.ExecFragment(sql)
-	if err != nil {
-		return nil, 0, err
-	}
-	n.lastEpoch.Store(n.Server.Epoch())
-	blob, err := exec.EncodeResult(res)
-	if err != nil {
-		return nil, 0, err
-	}
-	wire := int64(len(blob)) + 64
-	if n.StorageMeter != nil {
-		n.StorageMeter.BytesReceived.Add(reqBytes)
-		n.StorageMeter.BytesSent.Add(wire)
-		n.StorageMeter.RowsShipped.Add(int64(res.NumRows()))
-	}
-	if n.HostMeter != nil {
-		n.HostMeter.BytesSent.Add(reqBytes)
-		n.HostMeter.BytesReceived.Add(wire)
-		n.HostMeter.RowsShipped.Add(int64(res.NumRows()))
-	}
-	return res, wire, nil
-}
-
-// ReplyEpoch reports the membership epoch stamped on the most recent reply;
-// the cluster's fencing wrapper rejects a reply whose epoch is stale.
-func (n *LocalNode) ReplyEpoch() uint64 { return n.lastEpoch.Load() }
-
-// Close is a no-op: an in-process adapter holds no channel.
-func (n *LocalNode) Close() error { return nil }
 
 // RemoteNode is a StorageNode over a monitor-keyed secure channel.
 type RemoteNode struct {
 	ID   string
 	Conn *transport.SecureConn
+
+	// meter is the host's: the channel charges it the bytes it moves, and
+	// Offload the rows each reply ships.
+	meter *simtime.Meter
 
 	// reqMu serializes whole request/response exchanges on the channel.
 	// SecureConn's own mutexes serialize individual frames, but an offload is
@@ -114,77 +66,41 @@ type RemoteNode struct {
 // hundred, runnable and one step from exiting.
 func (n *RemoteNode) ServedBy(done <-chan struct{}) { n.served = done }
 
-// SetBudget attaches the per-query deadline budget enforced on this channel.
-func (n *RemoteNode) SetBudget(b *resilience.Budget) { n.budget = b }
-
-// NewRemoteNode runs the session preamble and monitor-keyed handshake over
-// an already-established conn (TCP, an in-process pipe, or a fault-injecting
-// wrapper) and returns the node. The conn is closed on failure.
-func NewRemoteNode(conn net.Conn, nodeID, sessionID string, sessionKey []byte, meter *simtime.Meter) (*RemoteNode, error) {
-	return NewResumingRemoteNode(conn, nodeID, sessionID, sessionKey, meter, nil)
-}
-
-// NewResumingRemoteNode is NewRemoteNode for a host that dials nodeID once
-// per query: the handshake resumes from the ticket tickets holds for nodeID
-// when there is one (transport.ClientResuming) and leaves one for the next
-// dial. A failed resumption fails this call like any failed handshake — the
-// caller reports it and fails over; nothing here dials again. A nil tickets
-// always runs the full exchange.
-func NewResumingRemoteNode(conn net.Conn, nodeID, sessionID string, sessionKey []byte, meter *simtime.Meter, tickets *transport.TicketStore) (*RemoteNode, error) {
-	// Plaintext preamble naming the session, then the bound handshake.
+// NewRemoteNode opens the session-bound channel to storage node nodeID over
+// conn, a connection the caller established: TCP, an in-process pipe, or a
+// fault-injecting or adversarial wrapper of either. It is the one place the
+// host speaks the channel's opening: the plaintext preamble naming the
+// session, then the monitor-keyed handshake, both under cfg's handshake
+// deadline clipped to what bud has left. The handshake resumes from the ticket
+// tickets holds for nodeID when there is one and leaves one for the next
+// channel; nil tickets always runs the full exchange. A failed resumption
+// fails like any failed handshake — the caller reports it and fails over;
+// nothing here dials again. The node's offloads draw on bud (nil =
+// unbudgeted) under cfg's I/O timeout, and meter takes the channel's bytes and
+// the rows it ships. The conn is closed on failure.
+func NewRemoteNode(conn net.Conn, nodeID, sessionID string, sessionKey []byte, meter *simtime.Meter, tickets *transport.TicketStore, bud *resilience.Budget, cfg resilience.Config) (*RemoteNode, error) {
 	if len(sessionID) > 255 {
 		conn.Close()
 		return nil, errors.New("hostengine: session id too long")
 	}
-	pre := append([]byte{byte(len(sessionID))}, sessionID...)
-	//ironsafe:allow rawnet -- preamble write; callers arm a handshake deadline (resilience.WithConnDeadline)
-	if _, err := conn.Write(pre); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	sc, err := transport.ClientResuming(conn, sessionKey, meter, tickets, nodeID)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return &RemoteNode{ID: nodeID, Conn: sc}, nil
-}
-
-// DialStorage opens the session-bound channel to a storage server started
-// with storageengine.Server.Serve, with default dial resilience.
-func DialStorage(addr, nodeID, sessionID string, sessionKey []byte, meter *simtime.Meter) (*RemoteNode, error) {
-	cfg := resilience.Config{Sleep: resilience.RealSleep}.WithDefaults()
-	return DialStorageResilient(addr, nodeID, sessionID, sessionKey, meter, cfg)
-}
-
-// DialStorageResilient is DialStorage with an explicit resilience config:
-// the TCP dial retries with backoff and the handshake runs under a deadline
-// so a hung storage node cannot stall query admission.
-func DialStorageResilient(addr, nodeID, sessionID string, sessionKey []byte, meter *simtime.Meter, cfg resilience.Config) (*RemoteNode, error) {
-	conn, err := resilience.DialTCP(addr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var node *RemoteNode
-	//ironsafe:allow budgetless -- session-establishment dial for standalone services, no query in flight; per-query offload dials run through WithBudgetedConnDeadline in the cluster runtime
-	hsErr := resilience.WithConnDeadline(conn, cfg.HandshakeTimeout, func() error {
+	var sc *transport.SecureConn
+	err := resilience.WithBudgetedConnDeadline(conn, bud, cfg.HandshakeTimeout, func() error {
+		pre := append([]byte{byte(len(sessionID))}, sessionID...)
+		//ironsafe:allow rawnet -- preamble write under the handshake deadline armed around it
+		if _, err := conn.Write(pre); err != nil {
+			return err
+		}
 		var err error
-		node, err = NewRemoteNode(conn, nodeID, sessionID, sessionKey, meter)
+		sc, err = transport.ClientResuming(conn, sessionKey, meter, tickets, nodeID)
 		return err
 	})
-	if hsErr != nil {
-		return nil, fmt.Errorf("hostengine: storage handshake with %s: %w", nodeID, hsErr)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("hostengine: channel to %s: %w", nodeID, err)
 	}
-	if cfg.IOTimeout > 0 {
-		node.Conn.SetIOTimeout(cfg.IOTimeout)
-		node.baseIOTimeout = cfg.IOTimeout
-	}
-	return node, nil
+	sc.SetIOTimeout(cfg.IOTimeout)
+	return &RemoteNode{ID: nodeID, Conn: sc, meter: meter, budget: bud, baseIOTimeout: cfg.IOTimeout}, nil
 }
-
-// SetBaseIOTimeout records the per-message deadline the budget clipping
-// starts from (callers that arm SetIOTimeout directly should mirror it here).
-func (n *RemoteNode) SetBaseIOTimeout(d time.Duration) { n.baseIOTimeout = d }
 
 // NodeID implements StorageNode.
 func (n *RemoteNode) NodeID() string { return n.ID }
@@ -253,6 +169,9 @@ func (n *RemoteNode) Offload(sql string) (*exec.Result, int64, error) {
 	if err != nil {
 		n.broken = err
 		return nil, 0, err
+	}
+	if n.meter != nil {
+		n.meter.RowsShipped.Add(int64(res.NumRows()))
 	}
 	return res, int64(len(payload)), nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"ironsafe/internal/adversary"
 	"ironsafe/internal/faultinject"
+	"ironsafe/internal/resilience"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/exec"
 	"ironsafe/internal/transport"
@@ -63,7 +64,7 @@ func TestAdversaryDuplicatedReplyRejectedNotConsumed(t *testing.T) {
 		}
 	}()
 
-	node, err := NewRemoteNode(wrapped, "node-x", "sess", key, nil)
+	node, err := NewRemoteNode(wrapped, "node-x", "sess", key, nil, nil, nil, resilience.Config{})
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
@@ -174,7 +175,7 @@ func TestMalformedReplyFailsOverBeforeHostPhase(t *testing.T) {
 		key := []byte("storage-session-key")
 		clientRaw, serverRaw := net.Pipe()
 		go replyingPeer(t, serverRaw, key, tc.body)
-		bad, err := NewRemoteNode(clientRaw, "storage-bad", "sess", key, nil)
+		bad, err := NewRemoteNode(clientRaw, "storage-bad", "sess", key, nil, nil, nil, resilience.Config{})
 		if err != nil {
 			t.Fatalf("%s: handshake: %v", tc.name, err)
 		}

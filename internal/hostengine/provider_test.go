@@ -63,7 +63,10 @@ func (n *scriptedNode) Offload(sql string) (*exec.Result, int64, error) {
 		n.p.failFor[n.id]--
 		return nil, 0, errors.New("injected offload failure")
 	}
-	real := n.p.r.node()
+	real, err := n.p.r.channel()
+	if err != nil {
+		return nil, 0, err
+	}
 	return real.Offload(sql)
 }
 

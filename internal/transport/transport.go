@@ -264,14 +264,16 @@ func (c *SecureConn) Send(msgType string, payload []byte) error {
 	frame := make([]byte, 4+len(ct))
 	binary.BigEndian.PutUint32(frame, uint32(len(ct)))
 	copy(frame[4:], ct)
+	// Charged before the write: once the peer has the frame it may answer, and
+	// its reader may snapshot both meters, before this Write returns.
+	if c.meter != nil {
+		c.meter.BytesSent.Add(int64(len(frame)))
+	}
 	clear := c.armDeadline(c.conn.SetWriteDeadline)
 	_, err := c.conn.Write(frame)
 	clear()
 	if err != nil {
 		return fmt.Errorf("transport: write: %w", err)
-	}
-	if c.meter != nil {
-		c.meter.BytesSent.Add(int64(len(frame)))
 	}
 	return nil
 }

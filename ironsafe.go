@@ -112,13 +112,14 @@ type Config struct {
 	StorageFW       string
 	// CostModel prices meters into simulated time; nil means the default.
 	CostModel *simtime.CostModel
-	// ChannelTransport routes split-mode offloads over real monitor-keyed
-	// secure channels (in-process pipes speaking the full wire protocol)
-	// instead of direct in-process calls — the substrate the chaos suite
-	// injects faults into.
+	// ChannelTransport is ignored. Every split-mode offload and every rebuild
+	// leg crosses a monitor-keyed secure channel (an in-process pipe speaking
+	// the full wire protocol), so there is no direct path left to choose. The
+	// field remains so configurations written when there was one still
+	// compile.
 	ChannelTransport bool
-	// ConnWrapper, when set with ChannelTransport, wraps the host side of
-	// each storage channel (fault injection hook). node is the storage ID.
+	// ConnWrapper, when set, wraps the host side of each storage channel
+	// (fault injection hook). node is the storage ID.
 	ConnWrapper func(node string, conn net.Conn) net.Conn
 	// StorageDeviceWrapper, when set, wraps each storage node's raw medium
 	// before the page store opens over it (block-level fault injection —
