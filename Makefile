@@ -5,7 +5,7 @@ GO ?= go
 
 # Tier-1 packages: the race gate ROADMAP.md and the acceptance criteria
 # name explicitly. `make race` extends it to the whole module.
-RACE_PKGS = . ./internal/transport ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/storageengine ./internal/hostengine
+RACE_PKGS = . ./internal/transport ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/storageengine ./internal/hostengine ./internal/ctl ./internal/ingest
 
 .PHONY: all build fmt-check loc test test-purego race race-tier1 vet lint vet-json vet-bench sweep sweep-race fuzz-smoke benchjson benchsmoke bench-layers bench-e2e benchmark check clean
 
@@ -110,8 +110,8 @@ RUN_crash      = PowerCut|Sweep|Torn|Journal|Crash
 PKGS_crash     = ./internal/chaos ./internal/faultinject ./internal/securestore
 RUN_rebuild    = Rebuild|Epoch|Membership|Quiesce|Readmit
 PKGS_rebuild   = ./internal/chaos ./internal/securestore .
-RUN_gray       = Gray|Budget|Hedge|Latency|Eject|Overload|Queue|Pressure|Tail
-PKGS_gray      = ./internal/chaos ./internal/resilience ./internal/hostengine ./internal/ctl ./internal/monitor .
+RUN_gray       = Gray|Budget|Hedge|Latency|Eject|Overload|Queue
+PKGS_gray      = ./internal/chaos ./internal/resilience ./internal/hostengine ./internal/ctl .
 RUN_ingest     = Ingest|GroupCommit|Earlyack|StatementSweep
 PKGS_ingest    = ./internal/ingest ./internal/chaos ./internal/securestore ./internal/analysis .
 RUN_adversary  = Adversary|Mitm|ForgedBanner|Classify|NonceReuse

@@ -12,7 +12,7 @@ import (
 // acks, any further nodes replicate every batch in order. The cluster's
 // monitor gates every record (policy compliance, timely deletion, audit) and
 // the cluster epoch is bound into each authorization. Caller-supplied knobs
-// (BatchMax, QueueMax, Budget, Pressure, OnNodeDown, Logf) pass through.
+// (BatchMax, QueueMax, RetryAfter, Budget, OnNodeDown, Logf) pass through.
 func (c *Cluster) IngestPipeline(opts ingest.Config) (*ingest.Pipeline, error) {
 	if c.hostDB != nil {
 		return nil, fmt.Errorf("ironsafe: mode %s keeps data on the host; ingest targets storage-owning modes", c.cfg.Mode)

@@ -24,8 +24,9 @@ var lockcryptoPkgFuncs = map[string]map[string]bool{
 // lockcryptoLocalHelpers names the store's own page seal/open helpers, which
 // wrap the primitives above and are equally forbidden under the mutex —
 // getCrypto among them: it keys an HMAC whenever the pool has no idle state —
-// the CBC-decrypt kernel's key expansion and entry point, which do openPage's
-// AES work without crypto/cipher, and the MAC kernel's key setup and group
+// the read path's fetch-and-open step (fetchOpen), the CBC-decrypt kernel's
+// key expansion and entry point, which do openPage's AES work without
+// crypto/cipher, and the MAC kernel's key setup and group
 // MAC (pageMAC8), which do its HMAC work without crypto/hmac. Tree hashing
 // (leafMAC/nodeMAC/rootTag) is deliberately NOT listed: the Merkle tree is
 // mutex-protected state, so hashing it under the lock is inherent.
@@ -36,6 +37,7 @@ var lockcryptoLocalHelpers = map[string]bool{
 	"openPage":     true,
 	"openMACed":    true,
 	"openGroup":    true,
+	"fetchOpen":    true,
 	"sealPageGCM":  true,
 	"openPageGCM":  true,
 	"pageMAC":      true,
@@ -57,11 +59,13 @@ var lockcryptoLocalHelpers = map[string]bool{
 // The check is lexical and per-function: it tracks mu.Lock()/mu.Unlock()
 // call positions inside each function body (a deferred Unlock keeps the
 // function locked to its end) and flags crypto calls at lock depth > 0.
-// Helpers whose CALLERS hold the mutex (readPageLocked-style) have no lock
-// events of their own and are therefore not flagged — the analyzer catches
-// the lock-and-seal pattern where both appear in one function, which is how
-// the regression it guards against actually gets written. Test files are
-// exempt: tests lock deliberately to probe blocking behaviour.
+// Helpers whose CALLERS hold the mutex have no lock events of their own and
+// are therefore not flagged: readPageLocked opens its page through fetchOpen
+// under the lock the rebuild walks hold across a whole walk, because a walk
+// must see one committed state. The analyzer catches the lock-and-seal pattern where
+// both appear in one function, which is how the regression it guards against
+// actually gets written. Test files are exempt: tests lock deliberately to
+// probe blocking behaviour.
 var Lockcrypto = &Analyzer{
 	Name: "lockcrypto",
 	Doc:  "flag AES/HMAC page crypto while holding securestore's Store.mu; seal/open belongs outside the critical section",

@@ -41,6 +41,8 @@ var plainflowRules = &taintRules{
 		{name: "openMACed", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
 		{name: "openGroup", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, taintsArg: 3},
 		{name: "openGroup", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, taintsArg: 4},
+		// fetchOpen is a read's fetch-and-open step: it opens the pages into out.
+		{name: "fetchOpen", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, taintsArg: 3},
 		// TEE key derivation and unsealing: results are key material.
 		{name: "DeriveKey", modPrefixes: []string{"internal/securestore", "internal/tee"}, taint: TaintKey, result: 0},
 		{name: "DeriveStorageKey", modPrefixes: []string{"internal/tee"}, taint: TaintKey, result: 0},

@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ironsafe"
@@ -523,11 +522,4 @@ func fig12Cumulative(data *tpch.Data, queries []int, n int) (time.Duration, erro
 	cost := model.PriceCPU(snap, model.Storage, 1)
 	cost.TEE = model.PriceTEE(snap) + model.PriceBatchTransitions(snap)
 	return cost.Total(), nil
-}
-
-// SortedQueries returns the evaluated query list in order.
-func SortedQueries() []int {
-	out := append([]int{}, tpch.EvaluatedQueries...)
-	sort.Ints(out)
-	return out
 }

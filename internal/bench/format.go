@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
@@ -151,14 +150,4 @@ func fmtBytes(b int64) string {
 	default:
 		return fmt.Sprintf("%dB", b)
 	}
-}
-
-// SortedBudgets returns budgets ascending (map iteration helper).
-func SortedBudgets(m map[int64]float64) []int64 {
-	var out []int64
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -128,9 +128,7 @@ func RunGray(cfg GrayConfig) (*GrayReport, error) {
 	}
 
 	rep.GrayEjectedAtEnd = c.Health().Ejected(cfg.GrayNode)
-	tail := c.Monitor.TailReportNow()
-	rep.Ejections = tail.Ejections
-	rep.Readmissions = tail.Readmissions
+	rep.Ejections, rep.Readmissions = c.Health().TailEvents()
 	rep.GrayVirtualEnd = plan.NodeVirtualNow(cfg.GrayNode)
 	for _, id := range nodeIDs(grayNodes) {
 		if id == cfg.GrayNode {

@@ -90,12 +90,6 @@ type Server struct {
 	// clients. Zero means 1s.
 	RetryAfter time.Duration
 
-	// Pressure, when set, is notified on overload-pressure transitions:
-	// true when the server saturates (every slot busy, or connections
-	// queued), false when the pressure drains. It is an observer hook:
-	// nothing in this module sheds load on it.
-	Pressure func(on bool)
-
 	// HandshakeTimeout bounds the secure-transport handshake per accepted
 	// connection so a silent client cannot pin a serving goroutine forever.
 	// Zero disables the bound.
@@ -111,11 +105,10 @@ type Server struct {
 	semOnce sync.Once
 	sem     chan struct{}
 
-	statMu   sync.Mutex
-	active   int
-	queued   int
-	shed     int
-	pressure bool
+	statMu sync.Mutex
+	active int
+	queued int
+	shed   int
 }
 
 // NewServer creates a control server bound to the provisioning key.
@@ -145,41 +138,23 @@ func (s *Server) Stats() (active, queued, shed int) {
 	return s.active, s.queued, s.shed
 }
 
-// adjust applies one accounting delta under the stats lock and fires the
-// Pressure callback (outside the lock) on overload-pressure transitions.
+// adjust applies one accounting delta under the stats lock.
 func (s *Server) adjust(dActive, dQueued, dShed int) {
 	s.statMu.Lock()
-	fire, on, cb := s.adjustLocked(dActive, dQueued, dShed)
-	s.statMu.Unlock()
-	if fire && cb != nil {
-		cb(on)
-	}
-}
-
-// adjustLocked applies the delta and recomputes overload pressure: any
-// connection queued, or every serving slot busy. Caller holds statMu.
-func (s *Server) adjustLocked(dActive, dQueued, dShed int) (fire, on bool, cb func(bool)) {
+	defer s.statMu.Unlock()
 	s.active += dActive
 	s.queued += dQueued
 	s.shed += dShed
-	on = s.queued > 0 || (s.MaxConns > 0 && s.active >= s.MaxConns)
-	fire = on != s.pressure
-	s.pressure = on
-	return fire, on, s.Pressure
 }
 
 // tryEnqueue atomically claims a queue slot if the bounded queue has room.
 func (s *Server) tryEnqueue() bool {
 	s.statMu.Lock()
+	defer s.statMu.Unlock()
 	if s.MaxQueue <= 0 || s.queued >= s.MaxQueue {
-		s.statMu.Unlock()
 		return false
 	}
-	fire, on, cb := s.adjustLocked(0, 1, 0)
-	s.statMu.Unlock()
-	if fire && cb != nil {
-		cb(on)
-	}
+	s.queued++
 	return true
 }
 
@@ -483,10 +458,6 @@ func readBanner(conn net.Conn) error {
 		return fmt.Errorf("ctl: unexpected admission banner 0x%02x", b[0])
 	}
 }
-
-// NewClient wraps an already-established secure channel (used by tests and
-// in-process deployments).
-func NewClient(sc *transport.SecureConn) *Client { return &Client{sc: sc} }
 
 // Call sends one command and decodes the JSON response into resp (which may
 // be nil to discard).

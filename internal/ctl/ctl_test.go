@@ -219,37 +219,6 @@ func TestQueueWaitExpiryRefusesTyped(t *testing.T) {
 	}
 }
 
-func TestPressureTransitions(t *testing.T) {
-	var mu sync.Mutex
-	var transitions []bool
-	addr, _ := startServerWith(t, []byte("psk"), func(s *Server) {
-		s.MaxConns = 1
-		s.Pressure = func(on bool) {
-			mu.Lock()
-			transitions = append(transitions, on)
-			mu.Unlock()
-		}
-	})
-
-	c, err := Dial(addr, []byte("psk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One connection saturates MaxConns=1: pressure on.
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(transitions) == 1 && transitions[0]
-	})
-	c.Close()
-	// Slot drains: pressure off.
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(transitions) == 2 && !transitions[1]
-	})
-}
-
 // waitFor polls cond until it holds or the watchdog expires.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

@@ -79,10 +79,6 @@ type Config struct {
 	// Budget, when set, is charged one attempt per submission; an exhausted
 	// budget refuses before any parsing or policy work.
 	Budget *resilience.Budget
-	// Pressure mirrors the queue's overload state outward: called with true
-	// when submissions start being refused, false when the queue drains. It
-	// is an observer hook: nothing in this module sheds load on it.
-	Pressure func(bool)
 	// OnNodeDown fires once per node failure; the pipeline then blocks the
 	// affected batch until NodeRecovered(name) is called.
 	OnNodeDown func(name string, cause error)
@@ -149,14 +145,13 @@ func (pd *pending) fail(err error) { pd.ch <- outcome{err: err} }
 type Pipeline struct {
 	cfg Config
 
-	mu        sync.Mutex
-	cond      *sync.Cond // node-recovery and shutdown wakeups
-	queue     []*pending
-	leading   bool
-	pressured bool
-	closed    bool
-	fatal     error
-	down      map[int]bool
+	mu      sync.Mutex
+	cond    *sync.Cond // node-recovery and shutdown wakeups
+	queue   []*pending
+	leading bool
+	closed  bool
+	fatal   error
+	down    map[int]bool
 
 	// batches is the applied-batch log; base is each node's commit seq at
 	// pipeline start, so node i holds batches [0, Seq()-base[i]).
@@ -248,12 +243,7 @@ func (p *Pipeline) Submit(rec Record) (Ack, error) {
 	}
 	if len(p.queue) >= p.cfg.QueueMax {
 		p.stats.Overloaded++
-		fire := !p.pressured
-		p.pressured = true
 		p.mu.Unlock()
-		if fire && p.cfg.Pressure != nil {
-			p.cfg.Pressure(true)
-		}
 		return Ack{}, &ctl.OverloadedError{RetryAfter: p.cfg.RetryAfter}
 	}
 	p.stats.Submitted++
@@ -292,12 +282,7 @@ func (p *Pipeline) runLeader() {
 		}
 		if len(p.queue) == 0 {
 			p.leading = false
-			calm := p.pressured
-			p.pressured = false
 			p.mu.Unlock()
-			if calm && p.cfg.Pressure != nil {
-				p.cfg.Pressure(false)
-			}
 			return
 		}
 		n := len(p.queue)

@@ -192,20 +192,11 @@ func TestIngestCoalesces(t *testing.T) {
 }
 
 // TestIngestOverloadTyped: a full queue refuses with ctl.OverloadedError
-// carrying retry-after, and the Pressure hook sees the on/off transitions.
+// carrying retry-after.
 func TestIngestOverloadTyped(t *testing.T) {
 	e := newEnv(t, "storage-01", false)
 	gate := &gateNode{Node: NewServerNode(e.srv), release: make(chan struct{})}
-	var mu sync.Mutex
-	var transitions []bool
-	p, err := New(Config{
-		Nodes: []Node{gate}, QueueMax: 1, RetryAfter: 40 * time.Millisecond,
-		Pressure: func(on bool) {
-			mu.Lock()
-			transitions = append(transitions, on)
-			mu.Unlock()
-		},
-	})
+	p, err := New(Config{Nodes: []Node{gate}, QueueMax: 1, RetryAfter: 40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +226,6 @@ func TestIngestOverloadTyped(t *testing.T) {
 	}
 	close(gate.release)
 	wg.Wait()
-	mu.Lock()
-	got := append([]bool(nil), transitions...)
-	mu.Unlock()
-	if len(got) != 2 || !got[0] || got[1] {
-		t.Errorf("pressure transitions = %v, want [true false]", got)
-	}
 	if st := p.Stats(); st.Overloaded != 1 {
 		t.Errorf("overloaded count = %d, want 1", st.Overloaded)
 	}

@@ -90,20 +90,15 @@ type Monitor struct {
 	serviceBits map[string]int            // client key -> reuse bitmap position
 	sessions    map[string]*Session
 	seq         uint64
-	scanStats   map[string]ScanTelemetry // node -> latest scan-pipeline report
-
-	tailStats                       map[string]*tailClass // query class -> tail accumulator
-	tailEjections, tailReadmissions int                   // latest soft-ejection counters
 }
 
 // Session is an active authorized query session.
 type Session struct {
-	ID          string
-	Key         []byte
-	ClientKey   string
-	Database    string
-	StorageIDs  []string
-	CleanupDone bool
+	ID         string
+	Key        []byte
+	ClientKey  string
+	Database   string
+	StorageIDs []string
 }
 
 // New creates a monitor with a fresh signing identity.

@@ -12,22 +12,34 @@ import (
 	"ironsafe/internal/pager"
 )
 
-// This file implements the batched secure read path (see DESIGN.md, "Scan
-// pipeline & verification batching"): ReadPages fetches a whole run of
-// pages, decrypts and authenticates them in a bounded worker pool outside
-// the store mutex, then performs one batched Merkle verification that hashes
-// each shared ancestor exactly once instead of once per page.
+// This file implements the secure read path (see DESIGN.md, "Scan pipeline &
+// verification batching"): ReadPages fetches a whole run of pages, decrypts
+// and authenticates them in a bounded worker pool outside the store mutex,
+// then performs one batched Merkle verification that hashes each shared
+// ancestor exactly once instead of once per page. ReadPage is the same read
+// over one page.
 
-// ErrSnapshotRetry reports that a batched read raced concurrent commits
-// repeatedly: every attempt observed a commit-sequence bump between fetching
-// the records and verifying them against the tree. The batch as returned
-// would have mixed two transaction-boundary states, so the store refuses it.
+// ErrSnapshotRetry reports that a read raced concurrent commits repeatedly:
+// every attempt observed a commit-sequence bump between fetching the records
+// and verifying them against the tree. The pages as fetched would have mixed
+// two transaction-boundary states, so the store refuses them.
 var ErrSnapshotRetry = errors.New("securestore: batched read raced concurrent commits; retry")
 
-// readPagesRetries bounds how many times ReadPages re-fetches a batch that
-// lost the race against a concurrent commit before giving up with
+// readPagesRetries bounds how many times a read re-fetches pages that lost
+// the race against a concurrent commit before giving up with
 // ErrSnapshotRetry.
 const readPagesRetries = 4
+
+// ReadPage fetches, authenticates, decrypts, and freshness-checks one page:
+// ReadPages over that page alone, except that it is not counted as a scan
+// batch.
+func (s *Store) ReadPage(idx uint32) ([]byte, error) {
+	pages, err := s.readPages([]uint32{idx})
+	if err != nil {
+		return nil, err
+	}
+	return pages[0], nil
+}
 
 // ReadPages implements the batched half of pager.PageStore: it returns the
 // plaintext of every page in idxs, in order, or fails the whole batch. The
@@ -40,6 +52,12 @@ func (s *Store) ReadPages(idxs []uint32) ([][]byte, error) {
 	if len(idxs) == 0 {
 		return nil, nil
 	}
+	s.meter.ScanBatches.Add(1)
+	return s.readPages(idxs)
+}
+
+// readPages is ReadPages' retry loop over read attempts.
+func (s *Store) readPages(idxs []uint32) ([][]byte, error) {
 	for attempt := 0; attempt < readPagesRetries; attempt++ {
 		out, retry, err := s.readPagesAt(idxs, min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
 		if err != nil {
@@ -52,14 +70,12 @@ func (s *Store) ReadPages(idxs []uint32) ([][]byte, error) {
 	return nil, ErrSnapshotRetry
 }
 
-// readPagesAt runs one batched read attempt, opening its records on up to
-// workers goroutines — ReadPages passes as many as can run at once, so one P
-// (the benchmark's timed run, any one-P deployment) opens them inline. retry
+// readPagesAt runs one read attempt, opening its records on up to workers
+// goroutines — readPages passes as many as can run at once, so one P (the
+// benchmark's timed run, any one-P deployment) opens them inline. retry
 // reports that a concurrent commit moved the store past the snapshot this
 // attempt fetched at.
 func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry bool, err error) {
-	out = make([][]byte, len(idxs))
-
 	// Snapshot the commit sequence.
 	s.mu.Lock()
 	if s.failed != nil {
@@ -80,32 +96,73 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 	seq0 := s.seq
 	s.mu.Unlock()
 
-	s.meter.ScanBatches.Add(1)
-
-	// Fetch the records sequentially, in index order: the device-operation
-	// sequence must stay a deterministic function of the request, because the
-	// fault-injection framework keys its per-site streams on it. Each record
-	// is the caller's own buffer (pager.BlockDevice), and the only one its
-	// page ever gets: openGroup decrypts it in place.
+	// Fetch, decrypt and authenticate outside the lock.
+	out = make([][]byte, len(idxs))
 	pc := s.getCrypto()
 	defer s.putCrypto(pc)
+	if err := s.fetchOpen(pc, idxs, out, workers); err != nil {
+		return nil, false, err
+	}
+
+	// Verify the pages against one tree state. A commit may have landed while
+	// we were off the lock: its records on the medium no longer match the tree
+	// we hold, so the attempt is discarded and re-fetched.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failed != nil {
+		return nil, false, fmt.Errorf("%w: %w", ErrStoreFailed, s.failed)
+	}
+	if s.seq != seq0 {
+		return nil, true, nil
+	}
+	if err := s.verifyBatch(pc.tree, idxs, pc.records); err != nil {
+		return nil, false, err
+	}
+	return out, false, nil
+}
+
+// readPageLocked is one page's read with s.mu already held: the walks of
+// rebuild.go hold the lock across every page they read, so a whole walk sees
+// one committed state (commits need the lock end to end). No commit can land
+// between fetch and verify, so there is no snapshot to retry.
+func (s *Store) readPageLocked(idx uint32) ([]byte, error) {
+	idxs := []uint32{idx}
+	out := make([][]byte, 1)
+	pc := s.getCrypto()
+	defer s.putCrypto(pc)
+	if err := s.fetchOpen(pc, idxs, out, 1); err != nil {
+		return nil, err
+	}
+	if err := s.verifyBatch(pc.tree, idxs, pc.records); err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// fetchOpen fetches the records of idxs into pc.records and opens them into
+// out, on up to workers goroutines. The records are fetched sequentially, in
+// index order: the device-operation sequence must stay a deterministic
+// function of the request, because the fault-injection framework keys its
+// per-site streams on it. Each record is the caller's own buffer
+// (pager.BlockDevice), and the only one its page ever gets: openGroup
+// decrypts it in place, and leaves the record's slot holding only its MAC,
+// which is what verifyBatch reads.
+func (s *Store) fetchOpen(pc *pageCrypto, idxs []uint32, out [][]byte, workers int) error {
 	pc.records = pc.records[:0]
 	for _, idx := range idxs {
-		record, rerr := s.dev.ReadBlock(idx)
-		if rerr != nil {
-			return nil, false, rerr
+		record, err := s.dev.ReadBlock(idx)
+		if err != nil {
+			return err
 		}
 		pc.records = append(pc.records, record)
 	}
 	records := pc.records
 	s.meter.PagesRead.Add(int64(len(idxs)))
 
-	// Decrypt + authenticate outside the lock, in groups of eight pages — the
-	// MAC kernel's width — inline or on the worker pool, which takes whole
-	// groups. Errors are collected per page and reported for the lowest page
-	// index, so the outcome depends neither on the worker count nor on
-	// goroutine scheduling. An opened record's slot keeps only its MAC, which
-	// is what verifyBatch reads.
+	// Open in groups of eight pages — the MAC kernel's width — inline or on
+	// the worker pool, which takes whole groups. Errors are collected per page
+	// and reported for the lowest page index, so the outcome depends neither
+	// on the worker count nor on goroutine scheduling.
 	pc.errs = append(pc.errs[:0], make([]error, len(idxs))...)
 	errs := pc.errs
 	groups := (len(idxs) + macLanes - 1) / macLanes
@@ -137,26 +194,11 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 	}
 	for k, oerr := range errs {
 		if oerr != nil {
-			return nil, false, fmt.Errorf("securestore: batched read of page %d: %w", idxs[k], oerr)
+			return fmt.Errorf("securestore: reading page %d: %w", idxs[k], oerr)
 		}
 	}
 	s.meter.PagesDecrypted.Add(int64(len(idxs)))
-
-	// Verify the whole batch against one tree state. A commit may have landed
-	// while we were off the lock: its records on the medium no longer match
-	// the tree we hold, so the attempt is discarded and re-fetched.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return nil, false, fmt.Errorf("%w: %w", ErrStoreFailed, s.failed)
-	}
-	if s.seq != seq0 {
-		return nil, true, nil
-	}
-	if err := s.verifyBatch(pc.tree, idxs, records); err != nil {
-		return nil, false, err
-	}
-	return out, false, nil
+	return nil
 }
 
 // verifyBatch checks a set of leaves against the trusted in-memory tree with
@@ -164,17 +206,21 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 // and compared, then the distinct parents form a frontier that is hashed and
 // compared level by level — each internal node exactly once, no matter how
 // many pages in the batch sit below it. A batch spanning the whole leaf
-// range therefore degenerates to one full root recomputation. Any mismatch
-// fails the entire batch with ErrIntegrity. The caller holds s.mu.
+// range therefore degenerates to one full root recomputation, and a batch of
+// one page walks that page's path, stopping under CacheVerifiedSubtrees at
+// the first ancestor already verified. Any mismatch fails the entire batch
+// with ErrIntegrity. It is the store's only Merkle verifier; the caller holds
+// s.mu.
 //
 // The MerkleHashes meter charges exactly the HMACs evaluated, and
-// MerkleHashesSaved records how many the equivalent sequence of per-page
-// verifyPath calls would have evaluated on top of that.
+// MerkleHashesSaved records how many the equivalent sequence of one-page
+// verifications would have evaluated on top of that.
 func (s *Store) verifyBatch(mac *treeMAC, idxs []uint32, recordMACs [][]byte) error {
 	a := s.opts.arity()
 
 	// Price the sequential baseline first, against the pre-batch verified
-	// map, simulating the marks per-page calls would have left as they went.
+	// map, simulating the marks one-page verifications would have left as they
+	// went.
 	baseline := 0
 	var seen map[[2]int]bool
 	if s.opts.CacheVerifiedSubtrees {

@@ -191,77 +191,186 @@ func TestBatchedVerificationSavesHashes(t *testing.T) {
 	}
 }
 
-// TestReadPagesConcurrentWithCommits races whole-range batched reads against
-// a committing writer under the race detector. Every successful batch must be
-// a single transaction-boundary snapshot — all pages from one generation —
-// and the only acceptable failure is ErrSnapshotRetry.
+// TestReadPageChargesOnePath pins what a one-page read costs: its leaf and
+// one node per level up to the root — or, under CacheVerifiedSubtrees, up to
+// the first ancestor already verified — one MerkleVerifies, no saved hash
+// and no scan batch.
+func TestReadPageChargesOnePath(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		reads  []uint32
+		hashes []int64 // MerkleHashes of each read in turn, over 32 pages
+	}{
+		{"fullPath", Options{}, []uint32{0, 1, 2, 31}, []int64{6, 6, 6, 6}},
+		{"verifiedSubtrees", Options{CacheVerifiedSubtrees: true}, []uint32{0, 1, 2, 31, 31}, []int64{6, 1, 2, 5, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			s := e.open(t, tc.opts)
+			fillPages(t, s, 32)
+			for k, idx := range tc.reads {
+				before := e.meter.Snapshot()
+				if _, err := s.ReadPage(idx); err != nil {
+					t.Fatal(err)
+				}
+				d := e.meter.Snapshot().Sub(before)
+				if d.MerkleHashes != tc.hashes[k] || d.MerkleVerifies != 1 || d.MerkleHashesSaved != 0 ||
+					d.ScanBatches != 0 || d.PagesRead != 1 || d.PagesDecrypted != 1 {
+					t.Errorf("read %d (page %d): hashes=%d verifies=%d saved=%d batches=%d read=%d decrypted=%d, want %d 1 0 0 1 1",
+						k, idx, d.MerkleHashes, d.MerkleVerifies, d.MerkleHashesSaved, d.ScanBatches,
+						d.PagesRead, d.PagesDecrypted, tc.hashes[k])
+				}
+			}
+		})
+	}
+}
+
+// commitOnReadDevice commits a new version of page idx from inside the first
+// ReadBlock of that page, after it has fetched the old record: the read that
+// asked for the page holds a record the tree no longer describes.
+type commitOnReadDevice struct {
+	pager.BlockDevice
+	idx    uint32
+	commit func() error
+	fired  bool
+	err    error // the commit's outcome
+}
+
+func (d *commitOnReadDevice) ReadBlock(idx uint32) ([]byte, error) {
+	record, err := d.BlockDevice.ReadBlock(idx)
+	if idx == d.idx && !d.fired {
+		d.fired = true
+		d.err = d.commit()
+	}
+	return record, err
+}
+
+// TestReadRetriesACommitMidRead: a commit that lands between a read's device
+// fetch and its verification is a race, not tampering. Both the one-page and
+// the batched read re-fetch and return the committed page.
+func TestReadRetriesACommitMidRead(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		read func(s *Store) ([]byte, error)
+	}{
+		{"ReadPage", func(s *Store) ([]byte, error) { return s.ReadPage(1) }},
+		{"ReadPages", func(s *Store) ([]byte, error) {
+			pages, err := s.ReadPages([]uint32{1})
+			if err != nil {
+				return nil, err
+			}
+			return pages[0], nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			s := e.open(t, Options{})
+			fillPages(t, s, 4)
+			committed := []byte("page 1, committed mid-read")
+			d := &commitOnReadDevice{BlockDevice: e.dev, idx: 1}
+			d.commit = func() error { return s.WritePage(1, committed) }
+			s.dev = d
+			got, err := tc.read(s)
+			if d.err != nil {
+				t.Fatalf("mid-read commit: %v", d.err)
+			}
+			if err != nil {
+				t.Fatalf("read across a mid-read commit: %v", err)
+			}
+			if !bytes.HasPrefix(got, committed) {
+				t.Fatalf("read returned %q, want the committed page", got[:len(committed)])
+			}
+		})
+	}
+}
+
+// TestReadPagesConcurrentWithCommits races reads against a committing writer
+// under the race detector: whole-range batched reads, and one-page reads.
+// Every successful read must be a single transaction-boundary snapshot — all
+// pages from one generation — and the only acceptable failure is
+// ErrSnapshotRetry.
 func TestReadPagesConcurrentWithCommits(t *testing.T) {
 	const pages = 12
-	e := newEnv(t)
-	s := e.open(t, Options{})
-	fillPages(t, s, pages)
 	all := make([]uint32, pages)
 	for i := range all {
 		all[i] = uint32(i)
 	}
+	for _, tc := range []struct {
+		name string
+		idxs []uint32
+		read func(s *Store, idxs []uint32) ([][]byte, error)
+	}{
+		{"ReadPages", all, (*Store).ReadPages},
+		{"ReadPage", all[pages-1:], func(s *Store, idxs []uint32) ([][]byte, error) {
+			page, err := s.ReadPage(idxs[0])
+			return [][]byte{page}, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			s := e.open(t, Options{})
+			fillPages(t, s, pages)
 
-	stamp := func(gen, idx int) string { return fmt.Sprintf("gen-%04d-page-%02d", gen, idx) }
-	writeGen := func(gen int) error {
-		txn := s.Begin()
-		for i := 0; i < pages; i++ {
-			if err := txn.WritePage(uint32(i), []byte(stamp(gen, i))); err != nil {
-				return err
+			stamp := func(gen, idx int) string { return fmt.Sprintf("gen-%04d-page-%02d", gen, idx) }
+			writeGen := func(gen int) error {
+				txn := s.Begin()
+				for i := 0; i < pages; i++ {
+					if err := txn.WritePage(uint32(i), []byte(stamp(gen, i))); err != nil {
+						return err
+					}
+				}
+				return txn.Commit()
 			}
-		}
-		return txn.Commit()
-	}
-	if err := writeGen(0); err != nil {
-		t.Fatal(err)
-	}
+			if err := writeGen(0); err != nil {
+				t.Fatal(err)
+			}
 
-	const gens = 40
-	var wg sync.WaitGroup
-	wg.Add(1)
-	writerErr := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		for g := 1; g <= gens; g++ {
-			if err := writeGen(g); err != nil {
-				writerErr <- err
-				return
-			}
-		}
-	}()
+			const gens = 40
+			var wg sync.WaitGroup
+			wg.Add(1)
+			writerErr := make(chan error, 1)
+			go func() {
+				defer wg.Done()
+				for g := 1; g <= gens; g++ {
+					if err := writeGen(g); err != nil {
+						writerErr <- err
+						return
+					}
+				}
+			}()
 
-	var snapshots, retries int
-	for done := false; !done; {
-		select {
-		case err := <-writerErr:
-			t.Fatalf("writer: %v", err)
-		default:
-		}
-		got, err := s.ReadPages(all)
-		if errors.Is(err, ErrSnapshotRetry) {
-			retries++
-			continue
-		}
-		if err != nil {
-			t.Fatalf("reader: %v", err)
-		}
-		var gen int
-		if _, err := fmt.Sscanf(string(got[0][:len(stamp(0, 0))]), "gen-%04d", &gen); err != nil {
-			t.Fatalf("unparsable page stamp %q", got[0][:16])
-		}
-		for i := range got {
-			if want := stamp(gen, i); !bytes.HasPrefix(got[i], []byte(want)) {
-				t.Fatalf("torn batch: page 0 is generation %d but page %d reads %q", gen, i, got[i][:16])
+			var snapshots, retries int
+			for done := false; !done; {
+				select {
+				case err := <-writerErr:
+					t.Fatalf("writer: %v", err)
+				default:
+				}
+				got, err := tc.read(s, tc.idxs)
+				if errors.Is(err, ErrSnapshotRetry) {
+					retries++
+					continue
+				}
+				if err != nil {
+					t.Fatalf("reader: %v", err)
+				}
+				var gen int
+				if _, err := fmt.Sscanf(string(got[0][:len(stamp(0, 0))]), "gen-%04d", &gen); err != nil {
+					t.Fatalf("unparsable page stamp %q", got[0][:16])
+				}
+				for i, idx := range tc.idxs {
+					if want := stamp(gen, int(idx)); !bytes.HasPrefix(got[i], []byte(want)) {
+						t.Fatalf("torn read: generation %d, but page %d reads %q", gen, idx, got[i][:16])
+					}
+				}
+				snapshots++
+				done = gen == gens
 			}
-		}
-		snapshots++
-		done = gen == gens
+			wg.Wait()
+			t.Logf("observed %d consistent snapshots, %d snapshot retries", snapshots, retries)
+		})
 	}
-	wg.Wait()
-	t.Logf("observed %d consistent snapshots, %d snapshot retries", snapshots, retries)
 }
 
 // faultBlockDevice fails the k-th ReadBlock it sees with a deterministic

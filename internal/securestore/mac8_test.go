@@ -202,7 +202,7 @@ func TestReadPagesBlamesTheTamperedLane(t *testing.T) {
 				flipBit(t, e.dev, idx, r.off(k))
 				for _, workers := range []int{1, 4} {
 					_, _, err := s.readPagesAt(idxs, workers)
-					if !errors.Is(err, ErrIntegrity) || !strings.Contains(err.Error(), fmt.Sprintf("batched read of page %d:", idx)) {
+					if !errors.Is(err, ErrIntegrity) || !strings.Contains(err.Error(), fmt.Sprintf("reading page %d:", idx)) {
 						t.Fatalf("%d-page batch, %s of page %d (position %d) flipped, %d workers: err = %v", len(idxs), r.name, idx, k, workers, err)
 					}
 				}

@@ -113,30 +113,6 @@ func DecodeManifest(blob []byte) (*RebuildManifest, error) {
 	return m, nil
 }
 
-// readPageLocked reads, authenticates, decrypts, and freshness-checks one
-// page with s.mu already held. It is the under-lock twin of ReadPage, used
-// by the export/diff/finalize paths so a whole walk sees one consistent
-// committed state (holding the lock blocks commits, which need it
-// end-to-end).
-func (s *Store) readPageLocked(idx uint32) ([]byte, error) {
-	record, err := s.dev.ReadBlock(idx)
-	if err != nil {
-		return nil, err
-	}
-	s.meter.PagesRead.Add(1)
-	pc := s.getCrypto()
-	defer s.putCrypto(pc)
-	plain, recordMAC, err := s.openPage(pc, idx, record)
-	if err != nil {
-		return nil, err
-	}
-	s.meter.PagesDecrypted.Add(1)
-	if err := s.verifyPath(pc.tree, idx, recordMAC); err != nil {
-		return nil, err
-	}
-	return plain, nil
-}
-
 // ExportManifest walks the donor's committed pages — each re-verified
 // against the anchored root on the way — and returns the manifest a target
 // rebuilds from. The store lock is held across the whole walk, so the

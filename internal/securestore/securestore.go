@@ -316,7 +316,7 @@ func (s *Store) rebuildLevels(leaves [][]byte) {
 // treeMAC is a Merkle-node HMAC and the scratch its inputs and sums are built
 // in, so that hashing a node allocates nothing. Keying one costs two
 // compressions and eleven allocations, so whoever hashes nodes — a read's
-// path, a batch's frontier, a commit's dirty set — uses the one its pooled
+// frontier, a commit's dirty set — uses the one its pooled
 // pageCrypto carries, a load keys its own, and each resets it before every
 // nodeMAC / leafMAC call.
 type treeMAC struct {
@@ -493,79 +493,6 @@ func (s *Store) updateAncestors(mac *treeMAC, dirty []int) {
 	s.meter.MerkleHashes.Add(int64(hashed))
 }
 
-// ReadPage fetches, authenticates, decrypts, and freshness-checks a page.
-func (s *Store) ReadPage(idx uint32) ([]byte, error) {
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %w", ErrStoreFailed, err)
-	}
-	if idx >= s.nextAlloc {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("securestore: page %d not allocated", idx)
-	}
-	s.mu.Unlock()
-
-	record, err := s.dev.ReadBlock(idx)
-	if err != nil {
-		return nil, err
-	}
-	s.meter.PagesRead.Add(1)
-	pc := s.getCrypto()
-	defer s.putCrypto(pc)
-	plain, recordMAC, err := s.openPage(pc, idx, record)
-	if err != nil {
-		return nil, err
-	}
-	s.meter.PagesDecrypted.Add(1)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.verifyPath(pc.tree, idx, recordMAC); err != nil {
-		return nil, err
-	}
-	return plain, nil
-}
-
-// verifyPath recomputes the Merkle path from the page's leaf to the root and
-// compares against the trusted root, charging one HMAC per node visited.
-// With CacheVerifiedSubtrees, verification stops at an already-verified
-// ancestor.
-func (s *Store) verifyPath(mac *treeMAC, idx uint32, recordMAC []byte) error {
-	mac.Reset()
-	leaf := leafMAC(mac, mac.sum[:0], idx, recordMAC)
-	s.meter.MerkleHashes.Add(1)
-	if !hmac.Equal(leaf, s.levels[0][idx]) {
-		return fmt.Errorf("%w: page %d leaf mismatch", ErrIntegrity, idx)
-	}
-	a := s.opts.arity()
-	i := int(idx)
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		parent := i / a
-		if s.opts.CacheVerifiedSubtrees && s.verified[[2]int{lvl, parent}] {
-			s.meter.MerkleVerifies.Add(1)
-			return nil
-		}
-		lo, hi := parent*a, parent*a+a
-		if hi > len(s.levels[lvl-1]) {
-			hi = len(s.levels[lvl-1])
-		}
-		mac.Reset()
-		node := nodeMAC(mac, mac.sum[:0], lvl, parent, s.levels[lvl-1][lo:hi])
-		s.meter.MerkleHashes.Add(1)
-		if !hmac.Equal(node, s.levels[lvl][parent]) {
-			return fmt.Errorf("%w: page %d merkle node (%d,%d) mismatch", ErrIntegrity, idx, lvl, parent)
-		}
-		if s.opts.CacheVerifiedSubtrees {
-			s.verified[[2]int{lvl, parent}] = true
-		}
-		i = parent
-	}
-	s.meter.MerkleVerifies.Add(1)
-	return nil
-}
-
 // Quiesce runs fn while the store's commit lock is held. Commit holds the
 // lock across the whole journal-write → in-place-apply → anchor sequence, so
 // inside fn the medium is always at a transaction boundary: a snapshot taken
@@ -698,7 +625,7 @@ func (s *Store) openMACed(pc *pageCrypto, idx uint32, record, sum []byte) (plain
 // pages or more. A lone page costs the kernel what eight do — it is
 // throughput-bound, an idle lane as dear as a busy one — and crypto/hmac not
 // two thirds of that, so it takes the single-page path (openPage, sealPage),
-// which ReadPage and the commit's gap-fill take too.
+// which a one-page read and the commit's gap-fill take too.
 func (s *Store) kernelMACs(n int) bool { return s.mac8 != nil && n > 1 }
 
 // openGroup opens up to eight records of a batch — records[k] that of page
@@ -774,7 +701,7 @@ func (s *Store) sealPages(pc *pageCrypto, idxs []uint32, pages map[uint32][]byte
 // back with putCrypto, so a page costs no keying and no allocation beyond its
 // record. It also carries the keyed Merkle-node HMAC its holder verifies or
 // commits those pages with, and the record scratch of the batch its holder
-// reads (readPagesAt). A GCM store's is only those two: the AEAD is stateless.
+// reads (fetchOpen). A GCM store's is only those two: the AEAD is stateless.
 // Not for concurrent use.
 type pageCrypto struct {
 	mac      hash.Hash

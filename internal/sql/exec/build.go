@@ -1024,19 +1024,3 @@ func keysIn(keys []ast.Expr, sch *schema.Schema) bool {
 	}
 	return true
 }
-
-// Format renders a result as aligned text (debug/CLI helper).
-func (r *Result) Format() string {
-	out := ""
-	for _, c := range r.Sch.Columns {
-		out += fmt.Sprintf("%s\t", c.Name)
-	}
-	out += "\n"
-	for _, row := range r.Rows {
-		for _, v := range row {
-			out += v.String() + "\t"
-		}
-		out += "\n"
-	}
-	return out
-}

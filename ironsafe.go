@@ -94,8 +94,6 @@ type Config struct {
 	StorageMemoryBudget int64
 	// EPCLimitBytes overrides the host enclave page cache (default 96 MiB).
 	EPCLimitBytes int64
-	// CacheVerifiedSubtrees tunes the secure store (a DESIGN.md ablation).
-	CacheVerifiedSubtrees bool
 	// ScanBatchPages is how many pages each batched secure read covers
 	// during table scans; 0 means 32, 1 restores the paper's sequential
 	// per-page path (one Merkle walk per page). The scan pipeline holds
@@ -249,7 +247,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Location:      cfg.StorageLocation,
 			FWVersion:     cfg.StorageFW,
 			Secure:        secureStore,
-			StoreOptions:  securestore.Options{CacheVerifiedSubtrees: cfg.CacheVerifiedSubtrees},
 			MemoryBudget:  cfg.StorageMemoryBudget,
 			Cores:         cfg.StorageCores,
 			Meter:         c.StorageMeter,
@@ -354,7 +351,7 @@ func (c *Cluster) initHostDB() error {
 	if c.cfg.Mode == HostOnlySecure {
 		keys := enclaveKeySource{enclave: c.Host.Enclave()}
 		anchor := &enclaveAnchor{}
-		inner, err := securestore.OpenWith(remote, keys, anchor, c.HostMeter, securestore.Options{CacheVerifiedSubtrees: c.cfg.CacheVerifiedSubtrees})
+		inner, err := securestore.OpenWith(remote, keys, anchor, c.HostMeter, securestore.Options{})
 		if err != nil {
 			return err
 		}
@@ -421,15 +418,8 @@ func (c *Cluster) Exec(sql string) (*exec.Result, error) {
 	return res, nil
 }
 
-// LoadTPCH generates and loads the TPC-H database at the given scale factor
-// into every data-owning node.
-func (c *Cluster) LoadTPCH(sf float64) error {
-	data := tpch.Generate(sf)
-	return c.LoadTPCHData(data)
-}
-
-// LoadTPCHData loads pre-generated TPC-H data (lets benchmarks reuse one
-// generation across configurations).
+// LoadTPCHData loads pre-generated TPC-H data (tpch.Generate) into every
+// data-owning node.
 func (c *Cluster) LoadTPCHData(data *tpch.Data) error {
 	if c.hostDB != nil {
 		if err := tpch.Load(c.hostDB, data); err != nil {
@@ -472,14 +462,6 @@ func (c *Cluster) SetAccessPolicy(policySource string) error {
 // RegisterService assigns a client key its reuse-bitmap position.
 func (c *Cluster) RegisterService(clientKey string, bit int) {
 	c.Monitor.RegisterService(clientKey, bit)
-}
-
-// PublishScanTelemetry pushes the host's and storage side's current
-// scan-pipeline counters to the monitor, where ScanTelemetryReport exposes
-// them (batches issued, Merkle hashes saved, plaintext-cache hit rates).
-func (c *Cluster) PublishScanTelemetry() {
-	c.Monitor.ReportScanTelemetry("host-1", c.HostMeter.Snapshot())
-	c.Monitor.ReportScanTelemetry("storage", c.StorageMeter.Snapshot())
 }
 
 // MonitorPublicKey is what clients pin to verify proofs and audit trails.

@@ -3,7 +3,6 @@ package ironsafe
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"ironsafe/internal/hostengine"
@@ -169,46 +168,7 @@ func (s *Session) Query(sql string) (*QueryResult, error) {
 		stats.BudgetExhausted = outcome.BudgetExhausted
 	}
 	stats.Cost = c.PriceQuery(hostDelta, storageDelta, stats.Offloads)
-
-	// Tail telemetry: the query's simulated end-to-end latency (deterministic,
-	// from the cost model) under its SQL-shape class, plus the current
-	// soft-ejection counters, so operators watch tail health fleet-wide
-	// without scraping per-node state.
-	c.Monitor.ReportQueryTail(queryClass(auth.RewrittenSQL), stats.Cost.Total(), stats.Hedges, stats.HedgeWins)
-	c.Monitor.ReportTailEvents(c.health.TailEvents())
-
 	return &QueryResult{Result: res, Proof: auth.Proof, Session: auth.SessionID, Stats: stats}, nil
-}
-
-// queryClass derives a coarse, deterministic workload class from the SQL
-// shape — join vs single-table scan, aggregating or not — so tail-latency
-// percentiles group queries of comparable cost.
-func queryClass(sql string) string {
-	s := strings.ToLower(sql)
-	class := "scan"
-	if strings.Contains(s, " join ") || fromClauseHasComma(s) {
-		class = "join"
-	}
-	if strings.Contains(s, "group by") {
-		class += "-agg"
-	}
-	return class
-}
-
-// fromClauseHasComma reports whether the (lowercased) query's FROM clause
-// names more than one relation.
-func fromClauseHasComma(s string) bool {
-	i := strings.Index(s, " from ")
-	if i < 0 {
-		return false
-	}
-	rest := s[i+len(" from "):]
-	for _, stop := range []string{" where ", " group ", " order ", " limit "} {
-		if j := strings.Index(rest, stop); j >= 0 {
-			rest = rest[:j]
-		}
-	}
-	return strings.Contains(rest, ",")
 }
 
 // storageByID finds a storage server by node id.
