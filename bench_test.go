@@ -166,18 +166,6 @@ func BenchmarkFig10(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11 (E8): scs with varying storage memory budgets.
-func BenchmarkFig11(b *testing.B) {
-	for _, budget := range []int64{8 << 10, 128 << 10} {
-		c := benchCluster(b, ironsafe.IronSafe, func(cfg *ironsafe.Config) {
-			cfg.StorageMemoryBudget = budget
-		})
-		b.Run(fmt.Sprintf("budget%dKiB", budget>>10), func(b *testing.B) {
-			runQueryBench(b, c, tpch.Queries[3])
-		})
-	}
-}
-
 // BenchmarkFig12 (E9): offload throughput with multiple storage instances.
 func BenchmarkFig12(b *testing.B) {
 	for _, n := range []int{1, 4} {

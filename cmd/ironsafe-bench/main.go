@@ -8,11 +8,11 @@
 //	ironsafe-bench -exp fig6 -sf 0.01
 //	ironsafe-bench -exp all  -sf 0.005
 //
-// Experiments: fig6 fig7 fig8 fig9a fig9b fig9c fig10 fig11 fig12 table2
-// table3 table4 json all. The json experiment writes the machine-readable
-// BENCH_results.json (per-query times for all five Table 2 configurations,
-// scs cost-breakdown fractions, and scan-pipeline counters) so the perf
-// trajectory is trackable across PRs; `make benchjson` regenerates it.
+// Experiments: table2 fig6 fig7 fig8 fig9a fig9b fig9c fig10 fig12 table3
+// table4 json all; any other name exits non-zero. json writes the
+// machine-readable BENCH_results.json (per-query times for all five Table 2
+// configurations, scs cost-breakdown fractions, and scan-pipeline counters) so
+// the perf trajectory is trackable across PRs; `make benchjson` regenerates it.
 package main
 
 import (
@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -28,7 +29,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig6..fig12, table2..table4, json, all)")
+	exp := flag.String("exp", "all", "experiment to run: table2, fig6..fig10, fig12, table3, table4, json or all")
 	sf := flag.Float64("sf", 0.005, "TPC-H scale factor")
 	queriesFlag := flag.String("queries", "", "comma-separated query numbers (default: the paper's 16)")
 	jsonPath := flag.String("json", "BENCH_results.json", "output path of the json experiment")
@@ -46,7 +47,9 @@ func main() {
 		}
 	}
 
+	var names []string
 	run := func(name string, fn func() error) {
+		names = append(names, name)
 		if *exp != "all" && *exp != name {
 			return
 		}
@@ -124,15 +127,6 @@ func main() {
 		bench.PrintFig10(os.Stdout, rows, cores)
 		return nil
 	})
-	run("fig11", func() error {
-		budgets := []int64{8 << 10, 16 << 10, 128 << 10} // scaled-down 128MiB/256MiB/2GiB
-		rows, err := bench.Fig11(*sf, queries, budgets)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig11(os.Stdout, rows, budgets)
-		return nil
-	})
 	run("fig12", func() error {
 		rows, err := bench.Fig12(*sf, queries, []int{1, 2, 4, 8, 16})
 		if err != nil {
@@ -172,6 +166,9 @@ func main() {
 		fmt.Printf("wrote %s (sf=%g, %d queries, %d configs)\n", *jsonPath, *sf, len(queries), len(res.TimesMicros))
 		return nil
 	})
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		fatal("unknown experiment %q; valid: %s all", *exp, strings.Join(names, " "))
+	}
 }
 
 func fatal(format string, args ...any) {

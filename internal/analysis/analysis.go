@@ -26,11 +26,11 @@
 //
 // where <check> is an analyzer name (wallclock, cryptorand, noncereuse,
 // boundary, rawnet, journalbypass, readmit, budgetless, lockcrypto,
-// plainflow, failopen, policypath, earlyack, rowloop, directive). The
-// rationale text is mandatory — the directive analyzer flags suppressions
-// without one — and should say why the invariant genuinely does not apply;
-// directives are grep-able so reviews can audit every escape hatch in one
-// pass.
+// plainflow, failopen, policypath, earlyack, rowloop, metercharge,
+// directive). The rationale text is mandatory — the directive analyzer flags
+// suppressions without one — and should say why the invariant genuinely does
+// not apply; directives are grep-able so reviews can audit every escape hatch
+// in one pass.
 package analysis
 
 import (

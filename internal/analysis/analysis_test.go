@@ -68,7 +68,7 @@ func TestSuiteNames(t *testing.T) {
 	for _, a := range analysis.Suite() {
 		names = append(names, a.Name)
 	}
-	want := []string{"wallclock", "cryptorand", "noncereuse", "boundary", "rawnet", "journalbypass", "readmit", "budgetless", "lockcrypto", "plainflow", "failopen", "policypath", "earlyack", "rowloop", "directive"}
+	want := []string{"wallclock", "cryptorand", "noncereuse", "boundary", "rawnet", "journalbypass", "readmit", "budgetless", "lockcrypto", "plainflow", "failopen", "policypath", "earlyack", "rowloop", "metercharge", "directive"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("suite = %v, want %v", names, want)
 	}

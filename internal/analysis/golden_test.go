@@ -74,6 +74,9 @@ var golden = []goldenCase{
 	{"TestRowloopScanLoops", "rowloop", flags, "internal/sql/exec/rowloop"},
 	{"TestRowloopAllowDirective", "rowloop", allows, "internal/sql/exec/rowloopallow"},
 	{"TestRowloopScopedToExec", "rowloop", quiet, "rowloopout"},
+	{"TestMeterchargeSpillModel", "metercharge", flags, "internal/storageengine/metercharge"},
+	{"TestMeterchargeAllowDirective", "metercharge", allows, "internal/storageengine/meterchargeallow"},
+	{"TestMeterchargeOwnerCharges", "metercharge", quiet, "internal/securestore/meterowner"},
 	{"TestDirective", "directive", flags, "directive"},
 	{"TestDirectiveAllowDirective", "directive", allows, "directiveallow"},
 }
@@ -122,6 +125,9 @@ func TestEarlyackScopedToIngest(t *testing.T)           { runGolden(t) }
 func TestRowloopScanLoops(t *testing.T)                 { runGolden(t) }
 func TestRowloopAllowDirective(t *testing.T)            { runGolden(t) }
 func TestRowloopScopedToExec(t *testing.T)              { runGolden(t) }
+func TestMeterchargeSpillModel(t *testing.T)            { runGolden(t) }
+func TestMeterchargeAllowDirective(t *testing.T)        { runGolden(t) }
+func TestMeterchargeOwnerCharges(t *testing.T)          { runGolden(t) }
 func TestDirective(t *testing.T)                        { runGolden(t) }
 func TestDirectiveAllowDirective(t *testing.T)          { runGolden(t) }
 

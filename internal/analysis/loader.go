@@ -165,10 +165,10 @@ func LoadWith(root string, patterns []string, cfg LoadConfig) ([]*Package, error
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the non-test Go files of a single
-// directory into a Package with the given module-relative path, outside any
-// module (internal imports resolve to placeholders). It returns (nil, nil)
-// if the directory holds no non-test Go files.
+// LoadDir parses and type-checks the non-test Go files of one directory into
+// a Package with the given module-relative path; if dir is <root>/<path>, a
+// module import resolves to a stub under <root>, else to a placeholder. It
+// returns (nil, nil) if the directory holds no non-test Go files.
 func LoadDir(dir, path string) (*Package, error) {
 	pkgs, err := LoadDirWith(dir, path, LoadConfig{})
 	if err != nil || len(pkgs) == 0 {
@@ -184,7 +184,11 @@ func LoadDirWith(dir, path string, cfg LoadConfig) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	mod := newModule("")
+	root, ok := strings.CutSuffix(filepath.Clean(dir), string(filepath.Separator)+filepath.FromSlash(path))
+	if !ok {
+		root = ""
+	}
+	mod := newModule(root)
 	for _, pkg := range loaded {
 		pkg.Module = mod
 		key := pkg.Path

@@ -13,9 +13,9 @@ import (
 // each row says which packages it covers, whether test files count, and what
 // it matches — a use of a function (a funcRule, resolved by the same typed
 // matcher the dataflow analyzers use, so `clock := time.Now` counts as much
-// as a call and a Read on a non-net type named connStats does not) or an
-// import path. An analyzer is every row under its name; the allow directive
-// names it.
+// as a call and a Read on a non-net type named connStats does not), an import
+// path, or a shape a funcRule cannot name. An analyzer is every row under its
+// name; the allow directive names it.
 
 // A rule is one row of the table.
 type rule struct {
@@ -31,11 +31,12 @@ type rule struct {
 	funcs []*funcRule
 	// imports match import specs of these paths.
 	imports []string
-	// downDelete matches delete(<x>.down, id), the one shape of the table a
-	// funcRule cannot name: readmit's down-set removal.
+	// downDelete matches delete(<x>.down, id): readmit's down-set removal.
 	downDelete bool
-	// msg is the diagnostic: {name} is replaced by the matched function or
-	// import path, {pkg} by the package's path.
+	// counters match any method but Load on these simtime.Meter counters.
+	counters []string
+	// msg is the diagnostic: {name} is replaced by the matched function,
+	// import path or counter, {pkg} by the package's path, {exempt} by exempt.
 	msg string
 }
 
@@ -134,7 +135,17 @@ var rules = []*rule{
 		funcs: []*funcRule{{name: "Scan", modPrefixes: []string{""}}},
 		msg:   "row-at-a-time Relation.Scan loop in the executor; consume ScanBatch (batched pipeline) or annotate the sanctioned fallback with //ironsafe:allow rowloop",
 	},
+	// metercharge's owner table: a counter is charged only by the layers that do its work.
+	{analyzer: "metercharge", exempt: []string{"internal/sql/exec"}, counters: []string{"TuplesProcessed", "TupleWork", "Batches"}, msg: meterMsg},
+	{analyzer: "metercharge", exempt: []string{"internal/pager", "internal/securestore"}, counters: []string{"PagesRead", "PagesWritten", "ScanBatches"}, msg: meterMsg},
+	{analyzer: "metercharge", exempt: []string{"internal/securestore"}, counters: []string{"PagesDecrypted", "PagesEncrypted", "MerkleVerifies", "MerkleHashes", "MerkleHashesSaved"}, msg: meterMsg},
+	{analyzer: "metercharge", exempt: []string{"internal/tee/sgx"}, counters: []string{"EnclaveTransitions", "EPCFaults"}, msg: meterMsg},
+	{analyzer: "metercharge", exempt: []string{"internal/tee/trustzone"}, counters: []string{"WorldSwitches", "RPMBReads", "RPMBWrites"}, msg: meterMsg},
+	{analyzer: "metercharge", exempt: []string{"internal/transport", "internal/hostengine", "internal/storageengine"}, counters: []string{"BytesSent", "BytesReceived"}, msg: meterMsg},
+	{analyzer: "metercharge", exempt: []string{"internal/hostengine", "internal/storageengine"}, counters: []string{"RowsShipped"}, msg: meterMsg},
 }
+
+const meterMsg = "{name} charged in {pkg}, which does not do that work; only {exempt} may charge it, so a priced counter moves only for work that ran"
 
 // pkgFuncs rules the named package-level functions of one standard-library
 // package.
@@ -220,6 +231,14 @@ var Rowloop = &Analyzer{
 	Run:  runRules,
 }
 
+// Metercharge flags a work counter charged where its work is not done: a
+// priced cost with nothing under it. Test files are exempt.
+var Metercharge = &Analyzer{
+	Name: "metercharge",
+	Doc:  "flag simtime.Meter counter charges outside the layers that do the counted work",
+	Run:  runRules,
+}
+
 // runRules runs every row of pass.Analyzer over the package.
 func runRules(pass *Pass) error {
 	var rows []*rule
@@ -254,11 +273,12 @@ func runRules(pass *Pass) error {
 			case *ast.Ident:
 				matchUse(pass, f, live, v, v)
 			case *ast.CallExpr:
-				if isDownDelete(pass.Pkg.TypesInfo, v) {
-					for _, r := range live {
-						if r.downDelete {
-							r.report(pass, v.Pos(), "delete")
-						}
+				down, counter := isDownDelete(pass.Pkg.TypesInfo, v), meterCharge(pass, v)
+				for _, r := range live {
+					if r.downDelete && down {
+						r.report(pass, v.Pos(), "delete")
+					} else if slices.Contains(r.counters, counter) {
+						r.report(pass, v.Pos(), counter)
 					}
 				}
 			}
@@ -325,6 +345,18 @@ func isDownDelete(info *types.Info, call *ast.CallExpr) bool {
 	return ok && sel.Sel.Name == "down"
 }
 
+// meterCharge names the internal/simtime field a call invokes any method but
+// Load on (a Meter counter, when a row names it), or returns "".
+func meterCharge(pass *Pass, call *ast.CallExpr) string {
+	if fun, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr); fun != nil && fun.Sel.Name != "Load" {
+		field, _ := ast.Unparen(fun.X).(*ast.SelectorExpr)
+		if sel := pass.Pkg.TypesInfo.Selections[field]; sel != nil && sel.Obj().Pkg().Path() == pass.Pkg.Module.typesPath("internal/simtime") {
+			return field.Sel.Name
+		}
+	}
+	return ""
+}
+
 func (r *rule) report(pass *Pass, pos token.Pos, name string) {
-	pass.Reportf(pos, "%s", strings.NewReplacer("{name}", name, "{pkg}", pass.Path).Replace(r.msg))
+	pass.Reportf(pos, "%s", strings.NewReplacer("{name}", name, "{pkg}", pass.Path, "{exempt}", strings.Join(r.exempt, ", ")).Replace(r.msg))
 }

@@ -2,7 +2,7 @@ package analysis
 
 // Suite returns the full ironsafe-vet analyzer suite in stable order.
 func Suite() []*Analyzer {
-	return []*Analyzer{Wallclock, Cryptorand, Noncereuse, Boundary, Rawnet, Journalbypass, Readmit, Budgetless, Lockcrypto, Plainflow, Failopen, Policypath, Earlyack, Rowloop, Directive}
+	return []*Analyzer{Wallclock, Cryptorand, Noncereuse, Boundary, Rawnet, Journalbypass, Readmit, Budgetless, Lockcrypto, Plainflow, Failopen, Policypath, Earlyack, Rowloop, Metercharge, Directive}
 }
 
 // ByName resolves a comma-separated analyzer name list against the suite.

@@ -47,7 +47,7 @@ func stdlibImporter() types.ImporterFrom {
 var modulePathRE = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
 // modulePathOf reads the module path from root/go.mod, defaulting to
-// "ironsafe" when the file is absent (testdata loads have no module root).
+// "ironsafe" when the file is absent (testdata loads have no go.mod).
 func modulePathOf(root string) string {
 	if root != "" {
 		if data, err := os.ReadFile(filepath.Join(root, "go.mod")); err == nil {
@@ -63,8 +63,8 @@ func modulePathOf(root string) string {
 // they share. Analyzers reach it through Package.Module to resolve
 // cross-package function summaries.
 type Module struct {
-	// RootDir is the module root directory, "" for rootless (testdata)
-	// loads — module-internal imports then resolve to placeholders.
+	// RootDir is the module root directory (testdata/src for a golden
+	// package, or ""); an import with no package under it is a placeholder.
 	RootDir string
 	// Path is the module import path from go.mod ("ironsafe").
 	Path string

@@ -404,48 +404,6 @@ func Fig10(sf float64, queries []int, coreCounts []int) ([]Fig10Row, error) {
 	return rows, nil
 }
 
-// Fig11Row is one line of Figure 11: offloaded-query speedup vs memory.
-type Fig11Row struct {
-	Query    int
-	Speedups map[int64]float64 // budget bytes -> speedup over smallest budget
-}
-
-// Fig11 reproduces Figure 11: speedup of the offloaded portion as storage
-// memory grows (normalized to the smallest budget).
-func Fig11(sf float64, queries []int, budgets []int64) ([]Fig11Row, error) {
-	data := tpch.Generate(sf)
-	times := map[int][]time.Duration{}
-	for _, budget := range budgets {
-		scs, err := newCluster(ironsafe.IronSafe, data, func(cfg *ironsafe.Config) {
-			cfg.StorageMemoryBudget = budget
-		})
-		if err != nil {
-			return nil, err
-		}
-		model := scs.CostModel()
-		for _, qn := range queries {
-			_, stats, err := runQuery(scs, tpch.Queries[qn])
-			if err != nil {
-				return nil, fmt.Errorf("fig11 q%d budget=%d: %w", qn, budget, err)
-			}
-			// Offloaded portion only: the storage side cost.
-			storCost := model.PriceCPU(stats.Storage, model.Storage, 0)
-			storCost.TEE = model.PriceTEE(stats.Storage) + model.PriceBatchTransitions(stats.Storage)
-			times[qn] = append(times[qn], storCost.Total())
-		}
-	}
-	var rows []Fig11Row
-	for _, qn := range queries {
-		row := Fig11Row{Query: qn, Speedups: map[int64]float64{}}
-		base := times[qn][0]
-		for i, budget := range budgets {
-			row.Speedups[budget] = ratio(base, times[qn][i])
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // Fig12Row is one line point of Figure 12: storage-side scalability.
 type Fig12Row struct {
 	Instances int

@@ -133,21 +133,6 @@ func TestFig10MoreCoresHelp(t *testing.T) {
 	PrintFig10(&buf, rows, cores)
 }
 
-func TestFig11MoreMemoryHelps(t *testing.T) {
-	budgets := []int64{8 << 10, 64 << 10, 1 << 20}
-	rows, err := Fig11(testSF, []int{3, 9}, budgets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Speedups[budgets[len(budgets)-1]] < r.Speedups[budgets[0]] {
-			t.Errorf("q%d: more memory slower: %+v", r.Query, r.Speedups)
-		}
-	}
-	var buf bytes.Buffer
-	PrintFig11(&buf, rows, budgets)
-}
-
 func TestFig12NearLinear(t *testing.T) {
 	rows, err := Fig12(0.001, []int{6}, []int{1, 2, 4})
 	if err != nil {

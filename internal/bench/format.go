@@ -86,23 +86,6 @@ func PrintFig10(w io.Writer, rows []Fig10Row, coreCounts []int) {
 	}
 }
 
-// PrintFig11 renders Figure 11.
-func PrintFig11(w io.Writer, rows []Fig11Row, budgets []int64) {
-	fmt.Fprintln(w, "Figure 11: offloaded-query speedup vs storage memory (vs smallest budget)")
-	fmt.Fprintf(w, "%-6s", "query")
-	for _, b := range budgets {
-		fmt.Fprintf(w, " %9s", fmtBytes(b))
-	}
-	fmt.Fprintln(w)
-	for _, r := range rows {
-		fmt.Fprintf(w, "q%-5d", r.Query)
-		for _, b := range budgets {
-			fmt.Fprintf(w, " %8.2fx", r.Speedups[b])
-		}
-		fmt.Fprintln(w)
-	}
-}
-
 // PrintFig12 renders Figure 12.
 func PrintFig12(w io.Writer, rows []Fig12Row) {
 	fmt.Fprintln(w, "Figure 12: storage-side scalability (cumulative work, normalized; linear = ideal)")
@@ -138,16 +121,5 @@ func fmtDur(d time.Duration) string {
 		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
 	default:
 		return fmt.Sprintf("%.0fµs", float64(d)/float64(time.Microsecond))
-	}
-}
-
-func fmtBytes(b int64) string {
-	switch {
-	case b >= 1<<20:
-		return fmt.Sprintf("%dMiB", b>>20)
-	case b >= 1<<10:
-		return fmt.Sprintf("%dKiB", b>>10)
-	default:
-		return fmt.Sprintf("%dB", b)
 	}
 }

@@ -45,6 +45,24 @@ func TestGoldenSnapshots(t *testing.T) {
 		}
 		got[fmt.Sprintf("q%d", qn)] = goldenCounters{Host: qr.Stats.Host, Storage: qr.Stats.Storage}
 	}
+	// Every counted page is earned, so a regenerated record cannot take in a
+	// charge no work backs: a read-only scs query reads each page it decrypts
+	// and verifies on storage, writes none, and the host touches no page.
+	for name, g := range got {
+		s, h := g.Storage, g.Host
+		if s.PagesRead != s.PagesDecrypted || s.PagesRead != s.MerkleVerifies {
+			t.Errorf("%s: storage read %d pages, decrypted %d, verified %d", name, s.PagesRead, s.PagesDecrypted, s.MerkleVerifies)
+		}
+		if s.PagesWritten != 0 || s.PagesEncrypted != 0 {
+			t.Errorf("%s: a read-only query wrote %d pages and encrypted %d on storage", name, s.PagesWritten, s.PagesEncrypted)
+		}
+		if h.PagesRead|h.PagesWritten|h.ScanBatches|h.PagesDecrypted|h.PagesEncrypted|h.MerkleVerifies|h.MerkleHashes|h.MerkleHashesSaved != 0 {
+			t.Errorf("%s: the scs host touched pages: %+v", name, h)
+		}
+	}
+	if t.Failed() {
+		t.FailNow() // and leave the record as it is
+	}
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {

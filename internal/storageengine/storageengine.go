@@ -41,13 +41,6 @@ type Config struct {
 	Secure bool
 	// StoreOptions tunes the secure store.
 	StoreOptions securestore.Options
-	// MemoryBudget bounds memory available to one offloaded query in
-	// bytes; materialization beyond it spills, charging extra page IO
-	// (Fig 11). Zero means unlimited.
-	MemoryBudget int64
-	// Cores is the CPU count exposed for offloaded work (Fig 10); it is
-	// recorded in the meter pricing, zero means all.
-	Cores int
 	// Meter receives the node's work counters. Required.
 	Meter *simtime.Meter
 	// CacheSize is the plain pager's page cache capacity.
@@ -254,16 +247,14 @@ func (s *Server) sessionKey(sessionID string) ([]byte, bool) {
 	return k, ok
 }
 
-// ExecFragment runs one offloaded query fragment on the local engine,
-// applying the memory-budget spill model. The result is what the reply
-// encodes: a fragment that merely ships columns of one table returns in the
-// encoded form (exec.Result), with no row boxed.
+// ExecFragment runs one offloaded query fragment on the local engine. The
+// result is what the reply encodes: a fragment that merely ships columns of
+// one table returns in the encoded form (exec.Result), with no row boxed.
 func (s *Server) ExecFragment(sql string) (*exec.Result, error) {
 	res, err := s.DB().ExecuteFragment(sql)
 	if err != nil {
 		return nil, fmt.Errorf("storageengine: offload: %w", err)
 	}
-	s.chargeSpill(res)
 	return res, nil
 }
 
@@ -276,35 +267,6 @@ func (s *Server) ExecOffload(sql string) (*exec.Result, error) {
 	}
 	return res.Boxed()
 }
-
-// chargeSpill models constrained memory (Fig 11): when an offloaded query's
-// materialized output exceeds the budget, the excess spills through the
-// (secure) medium in multi-pass fashion — each spilled page is encrypted,
-// written, read back, verified, and decrypted, and the merge makes several
-// passes, exactly the work a memory-starved external sort/materialization
-// performs.
-func (s *Server) chargeSpill(res *exec.Result) {
-	if s.cfg.MemoryBudget <= 0 {
-		return
-	}
-	// Coarse in-memory estimate: 16 bytes a value.
-	bytes := int64(res.NumRows()) * int64(res.Sch.Len()) * 16
-	if bytes <= s.cfg.MemoryBudget {
-		return
-	}
-	const spillPasses = 3
-	spillPages := (bytes - s.cfg.MemoryBudget) / pager.PageSize * spillPasses
-	s.cfg.Meter.PagesWritten.Add(spillPages)
-	s.cfg.Meter.PagesRead.Add(spillPages)
-	if s.cfg.Secure {
-		s.cfg.Meter.PagesEncrypted.Add(spillPages)
-		s.cfg.Meter.PagesDecrypted.Add(spillPages)
-		s.cfg.Meter.MerkleHashes.Add(spillPages * 8)
-	}
-}
-
-// Cores reports the CPU count used when pricing this node's work.
-func (s *Server) Cores() int { return s.cfg.Cores }
 
 // Serve accepts host connections on ln. Protocol (all frames over the
 // session-key-bound secure channel):

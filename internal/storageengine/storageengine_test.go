@@ -99,30 +99,6 @@ func TestAttestationWorks(t *testing.T) {
 	}
 }
 
-func TestMemoryBudgetSpill(t *testing.T) {
-	vendor, _ := trustzone.NewVendor("acme")
-	var m simtime.Meter
-	s, err := New(Config{
-		DeviceID: "s", Vendor: vendor, Secure: false, Meter: &m,
-		MemoryBudget: 1024, // absurdly small
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed(t, s)
-	for i := 0; i < 200; i++ {
-		s.DB().Execute("INSERT INTO t VALUES (9, 'padding-row-payload')")
-	}
-	base := m.Snapshot()
-	if _, err := s.ExecOffload("SELECT * FROM t"); err != nil {
-		t.Fatal(err)
-	}
-	d := m.Snapshot().Sub(base)
-	if d.PagesWritten == 0 {
-		t.Errorf("no spill charged under tiny budget: %+v", d)
-	}
-}
-
 func TestSessionKeyLifecycle(t *testing.T) {
 	s, _ := newServer(t, false)
 	s.InstallSessionKey("sess-1", []byte("k"))

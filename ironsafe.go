@@ -89,9 +89,6 @@ type Config struct {
 	// StorageCores is the CPU count exposed per storage node (Fig 10);
 	// 0 means the cost model default (16).
 	StorageCores int
-	// StorageMemoryBudget bounds offloaded-query memory in bytes (Fig 11);
-	// 0 means unlimited.
-	StorageMemoryBudget int64
 	// EPCLimitBytes overrides the host enclave page cache (default 96 MiB).
 	EPCLimitBytes int64
 	// ScanBatchPages is how many pages each batched secure read covers
@@ -247,8 +244,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Location:      cfg.StorageLocation,
 			FWVersion:     cfg.StorageFW,
 			Secure:        secureStore,
-			MemoryBudget:  cfg.StorageMemoryBudget,
-			Cores:         cfg.StorageCores,
 			Meter:         c.StorageMeter,
 			MediumWrapper: cfg.StorageDeviceWrapper,
 			ScanConfig:    cfg.scanConfig(),
