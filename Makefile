@@ -135,9 +135,10 @@ sweep-race:
 # boxed-row one, the retained offload reply against the boxed decoder, the
 # executor's key table against a map keyed by value.HashKey, the engine's
 # catalog root page as an unauthenticated medium hands it back, and the front
-# doors every client string crosses first: the SQL parser, the policy parser
-# and the SQL lexer. The seeded corpora alone run in ordinary `go test`; this
-# target adds coverage-guided exploration.
+# doors every client string crosses first: the SQL parser, the policy parser,
+# the SQL lexer and the monitor's authorisation and policy rewrite. The seeded
+# corpora alone run in ordinary `go test`; this target adds coverage-guided
+# exploration.
 FUZZTIME ?= 5s
 FUZZ_TARGETS = \
 	FuzzRecv:./internal/transport \
@@ -154,7 +155,8 @@ FUZZ_TARGETS = \
 	FuzzCatalogRoot:./internal/engine \
 	FuzzParse:./internal/sql/parser \
 	FuzzParse:./internal/policy \
-	FuzzLex:./internal/sql/lexer
+	FuzzLex:./internal/sql/lexer \
+	FuzzAuthorize:./internal/monitor
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		name=$${t%%:*}; pkg=$${t#*:}; \

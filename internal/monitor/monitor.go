@@ -299,7 +299,8 @@ type Authorization struct {
 }
 
 // Proof is the per-query proof of integrity/authenticity (§4.2): the monitor
-// signs the environment that will execute the query.
+// signs the environment that will execute the query and, in QueryHash, the
+// SHA-256 of the statement it runs (Authorization.RewrittenSQL).
 type Proof struct {
 	SessionID  string
 	ClientKey  string
@@ -437,13 +438,18 @@ func (m *Monitor) Authorize(req AuthRequest) (*Authorization, error) {
 	}
 
 	// Policy-compliant query rewriting: AND the access-policy row filters
-	// into SELECT statements.
+	// into the parsed SELECT's WHERE and print the tree. The filters name
+	// their columns unqualified, so they bind only the base tables of a
+	// SELECT's top-level FROM: any other statement is denied.
 	rewritten := req.SQL
-	if sel, ok := stmt.(*ast.Select); ok && len(effects.RowFilters) > 0 {
-		rewritten, err = rewriteSelect(sel, req.SQL, effects.RowFilters)
-		if err != nil {
-			return nil, err
+	if len(effects.RowFilters) > 0 {
+		sel, ok := stmt.(*ast.Select)
+		if !ok || readsAround(sel) {
+			m.log.Append(m.cfg.Clock(), req.ClientKey, "denial", perm+" on "+req.Database+": row filters cannot bind the statement")
+			return nil, fmt.Errorf("%w: row filters bind no write, derived table or subquery", ErrDenied)
 		}
+		sel.Where = ast.JoinConjuncts(append([]ast.Expr{sel.Where}, effects.RowFilters...))
+		rewritten = sel.String()
 	}
 	// Data-creation compliance (§4.3 anti-patterns #1/#2): inserts into a
 	// database whose policy keys on an expiry or reuse column must supply
@@ -471,8 +477,9 @@ func (m *Monitor) Authorize(req AuthRequest) (*Authorization, error) {
 	m.sessions[id] = sess
 	m.mu.Unlock()
 
-	// Obligations: logUpdate effects plus the always-on query record.
-	qh := sha256.Sum256([]byte(req.SQL))
+	// Obligations: logUpdate effects plus the always-on query record, which
+	// like the proof binds the statement that runs.
+	qh := sha256.Sum256([]byte(rewritten))
 	for _, la := range effects.LogActions {
 		m.log.Append(m.cfg.Clock(), req.ClientKey, "sharing:"+la.Log,
 			fmt.Sprintf("fields=%s query=%s", strings.Join(la.Fields, ","), req.SQL))
@@ -546,15 +553,13 @@ func permissionFor(stmt ast.Statement) string {
 
 // checkInsertCompliance rejects INSERTs that omit columns the access policy
 // keys on (le's expiry column, reuseMap's consent bitmap). An INSERT without
-// a column list targets every table column positionally and passes. When the
-// caller supplies an access date, records whose literal expiry value is
-// already in the past are rejected too (timely-deletion at ingest: a record
-// born expired would be unreadable under the policy yet still occupy — and
-// leak through — storage).
+// a column list into such a database is rejected too: the monitor has no
+// catalog to tell which value lands in which column. When the caller supplies
+// an access date, records whose literal expiry value is already in the past
+// are rejected as well (timely-deletion at ingest: a record born expired would
+// be unreadable under the policy yet still occupy — and leak through —
+// storage).
 func checkInsertCompliance(ins *ast.Insert, p *policy.Policy, accessDate string) error {
-	if len(ins.Columns) == 0 {
-		return nil
-	}
 	have := map[string]int{}
 	for i, c := range ins.Columns {
 		have[strings.ToLower(c)] = i + 1
@@ -573,6 +578,9 @@ func checkInsertCompliance(ins *ast.Insert, p *policy.Policy, accessDate string)
 		}
 		if col == "" {
 			continue
+		}
+		if len(ins.Columns) == 0 {
+			return fmt.Errorf("monitor: positional insert: name the columns, the policy keys on %q", col)
 		}
 		pos := have[strings.ToLower(col)]
 		if pos == 0 {
@@ -614,78 +622,19 @@ func checkInsertCompliance(ins *ast.Insert, p *policy.Policy, accessDate string)
 	return nil
 }
 
-// rewriteSelect ANDs extra filter conjuncts into a SELECT's WHERE clause.
-func rewriteSelect(sel *ast.Select, original string, filters []string) (string, error) {
-	conj := strings.Join(filters, " AND ")
-	// Re-parse the filters to validate them before splicing.
-	if _, err := parser.ParseExpr(conj); err != nil {
-		return "", fmt.Errorf("monitor: invalid policy filter %q: %w", conj, err)
+// readsAround reports whether sel reads through a derived table or a
+// subquery, which row filters ANDed into its WHERE would not bind.
+func readsAround(sel *ast.Select) bool {
+	nested := false
+	for _, ref := range sel.From {
+		nested = nested || ref.Subquery != nil
 	}
-	// Splice at the text level, preserving the client's query otherwise: the
-	// conjunction goes after the WHERE predicate (wrapped) or becomes the WHERE,
-	// before the first GROUP BY / ORDER BY / LIMIT that follows, or at the end.
-	upper := strings.ToUpper(original)
-	whereIdx, predIdx := indexTopLevel(upper, "WHERE")
-	endIdx := len(original)
-	for _, kw := range [][]string{{"GROUP", "BY"}, {"ORDER", "BY"}, {"LIMIT"}} {
-		if i, _ := indexTopLevel(upper, kw...); i > whereIdx && i < endIdx {
-			endIdx = i
-		}
-	}
-	if whereIdx < 0 {
-		return original[:endIdx] + " WHERE " + conj + original[endIdx:], nil
-	}
-	return original[:whereIdx] + " WHERE (" + original[predIdx:endIdx] + ") AND " + conj + original[endIdx:], nil
+	ast.EachExpr(sel, func(x ast.Expr) bool {
+		nested = nested || ast.SubqueryOf(x) != nil
+		return !nested
+	})
+	return nested
 }
-
-// indexTopLevel finds a keyword outside parentheses and string literals, its
-// words set off from each other and from what surrounds them by SQL whitespace
-// of any kind and length (a newline before WHERE, two spaces inside GROUP BY).
-// start is the whitespace character right before the keyword and end the
-// position past the one right after it; both are -1 when there is none.
-func indexTopLevel(s string, words ...string) (start, end int) {
-	depth := 0
-	inStr := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case inStr:
-			if c == '\'' {
-				inStr = false
-			}
-		case c == '\'':
-			inStr = true
-		case c == '(':
-			depth++
-		case c == ')':
-			depth--
-		case depth == 0 && isSpace(c):
-			if end := matchWords(s, i+1, words); end >= 0 {
-				return i, end
-			}
-		}
-	}
-	return -1, -1
-}
-
-// matchWords matches words at s[pos:], a run of whitespace between one and the
-// next and a whitespace character after the last, and returns the position
-// past that character, or -1.
-func matchWords(s string, pos int, words []string) int {
-	for k, w := range words {
-		for k > 0 && pos < len(s) && isSpace(s[pos]) {
-			pos++
-		}
-		if !strings.HasPrefix(s[pos:], w) || pos+len(w) == len(s) || !isSpace(s[pos+len(w)]) {
-			return -1
-		}
-		pos += len(w) + 1
-	}
-	return pos
-}
-
-// isSpace reports what the SQL lexer skips between tokens.
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // RevokeStorage removes a storage node from the attested set (operator
 // response to a compromise report); subsequent authorizations exclude it.

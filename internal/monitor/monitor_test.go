@@ -1,14 +1,18 @@
 package monitor
 
 import (
+	"bytes"
 	"crypto/ed25519"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"ironsafe/internal/audit"
 	"ironsafe/internal/policy"
 	"ironsafe/internal/simtime"
+	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/sql/parser"
 	"ironsafe/internal/tee/sgx"
 	"ironsafe/internal/tee/trustzone"
@@ -29,7 +33,7 @@ type testRig struct {
 const hostImage = "ironsafe host engine v2.1"
 const storageImage = "ironsafe storage stack v3.4"
 
-func newRig(t *testing.T) *testRig {
+func newRig(t testing.TB) *testRig {
 	t.Helper()
 	ias := sgx.NewAttestationService()
 	platform, err := sgx.NewPlatform("host-platform", ias)
@@ -72,7 +76,7 @@ func newRig(t *testing.T) *testRig {
 }
 
 // attestHost registers the rig's host with the monitor.
-func (r *testRig) attestHost(t *testing.T) []byte {
+func (r *testRig) attestHost(t testing.TB) []byte {
 	t.Helper()
 	quote := r.hostEnc.GetQuote(HostKeyDigest(r.hostPub))
 	cert, err := r.mon.RegisterHost(NodeInfo{ID: "host-1", Location: "EU", FW: "2.1"}, quote, r.hostPub)
@@ -93,7 +97,7 @@ func (s *storageNode) Attest(challenge []byte) (*trustzone.AttestationReport, er
 }
 func (s *storageNode) Info() NodeInfo { return s.info }
 
-func (r *testRig) attestStorage(t *testing.T) {
+func (r *testRig) attestStorage(t testing.TB) {
 	t.Helper()
 	node := &storageNode{nw: r.storageNW, info: NodeInfo{ID: "storage-01", Location: "EU", FW: "3.4"}}
 	if err := r.mon.RegisterStorage("acme", node); err != nil {
@@ -289,7 +293,7 @@ func TestTimelyDeletionRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "SELECT pax FROM flights WHERE (dest = 'PT') AND expiry >= date '1995-06-17' ORDER BY pax"
+	want := "SELECT pax FROM flights WHERE ((dest = 'PT') AND (expiry >= date '1995-06-17')) ORDER BY pax"
 	if auth.RewrittenSQL != want {
 		t.Errorf("rewrite = %q\nwant %q", auth.RewrittenSQL, want)
 	}
@@ -307,30 +311,8 @@ func TestRewriteWithoutWhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auth.RewrittenSQL != "SELECT pax FROM flights WHERE expiry >= date '1995-01-01' LIMIT 5" {
+	if auth.RewrittenSQL != "SELECT pax FROM flights WHERE (expiry >= date '1995-01-01') LIMIT 5" {
 		t.Errorf("rewrite = %q", auth.RewrittenSQL)
-	}
-}
-
-func TestRewritePreservesSubqueryWhere(t *testing.T) {
-	r := newRig(t)
-	r.attestHost(t)
-	r.attestStorage(t)
-	r.mon.SetAccessPolicy("db", policy.MustParse("read :- sessionKeyIs(K) & le(T, expiry)"))
-	sql := "SELECT pax FROM flights WHERE id IN (SELECT fid FROM legs WHERE dist > 100)"
-	auth, err := r.mon.Authorize(AuthRequest{
-		Database: "db", ClientKey: "K", HostID: "host-1",
-		SQL: sql, AccessDate: "1995-01-01",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The inner WHERE must not be touched; the filter wraps the outer one.
-	if !strings.Contains(auth.RewrittenSQL, "(SELECT fid FROM legs WHERE dist > 100)") {
-		t.Errorf("inner query mangled: %q", auth.RewrittenSQL)
-	}
-	if !strings.Contains(auth.RewrittenSQL, "AND expiry >= date '1995-01-01'") {
-		t.Errorf("filter missing: %q", auth.RewrittenSQL)
 	}
 }
 
@@ -436,56 +418,25 @@ func TestAuthorizeBadSQL(t *testing.T) {
 	}
 }
 
-func TestIndexTopLevel(t *testing.T) {
-	if i, _ := indexTopLevel("SELECT A FROM T WHERE X", "WHERE"); i < 0 {
-		t.Error("top-level WHERE not found")
-	}
-	if i, _ := indexTopLevel("SELECT (SELECT B FROM U WHERE Y) FROM T", "WHERE"); i >= 0 {
-		t.Error("nested WHERE treated as top-level")
-	}
-	if i, _ := indexTopLevel("SELECT ' WHERE ' FROM T", "WHERE"); i >= 0 {
-		t.Error("string-literal WHERE treated as top-level")
-	}
-	if i, _ := indexTopLevel("SELECT SOMEWHERE FROM T GROUP BYE", "WHERE"); i >= 0 {
-		t.Error("a keyword inside an identifier treated as the keyword")
-	}
-	// Any run of whitespace separates: start is the character before the
-	// keyword, end the position past the one after it.
-	for _, tc := range []struct {
-		s          string
-		words      []string
-		start, end int
-	}{
-		{"A WHERE X", []string{"WHERE"}, 1, 8},
-		{"A\nWHERE\tX", []string{"WHERE"}, 1, 8},
-		{"A \r\n  WHERE  X", []string{"WHERE"}, 5, 12},
-		{"A GROUP BY X", []string{"GROUP", "BY"}, 1, 11},
-		{"A\tGROUP \n BY\nX", []string{"GROUP", "BY"}, 1, 13},
-		{"A GROUP BY", []string{"GROUP", "BY"}, -1, -1},
-		{"A GROUPBY X", []string{"GROUP", "BY"}, -1, -1},
-		{"A LIMIT", []string{"LIMIT"}, -1, -1},
-	} {
-		if start, end := indexTopLevel(tc.s, tc.words...); start != tc.start || end != tc.end {
-			t.Errorf("indexTopLevel(%q, %v) = %d, %d, want %d, %d", tc.s, tc.words, start, end, tc.start, tc.end)
-		}
-	}
-}
-
-// TestRewriteAcrossWhitespace: the policy filter is spliced into the same
-// place whatever whitespace sets the statement's keywords off — a newline or
-// tab before WHERE used to get a second WHERE appended, which does not parse.
+// TestRewriteAcrossWhitespace: whatever whitespace sets the statement's
+// keywords off, the filter is ANDed into the same tree and the rewrite prints
+// it one way. A comment, or a quote inside one, is not SQL: the filter lands
+// in the statement the parser reads, never behind a trailing `--`.
 func TestRewriteAcrossWhitespace(t *testing.T) {
 	r := newRig(t)
 	r.attestHost(t)
 	r.attestStorage(t)
 	r.mon.SetAccessPolicy("db", policy.MustParse("read :- sessionKeyIs(K) & le(T, expiry)"))
-	const filter = "expiry >= date '1995-01-01'"
+	const filter = "(expiry >= date '1995-01-01')"
 	for sql, want := range map[string]string{
-		"SELECT pax\nFROM flights\nWHERE dest = 'PT'\nORDER BY pax":  "SELECT pax\nFROM flights WHERE (dest = 'PT') AND " + filter + "\nORDER BY pax",
-		"SELECT pax FROM flights\tWHERE\tdest = 'PT'":                "SELECT pax FROM flights WHERE (dest = 'PT') AND " + filter,
-		"SELECT pax FROM flights  WHERE  dest = 'PT'  GROUP  BY pax": "SELECT pax FROM flights  WHERE ( dest = 'PT' ) AND " + filter + " GROUP  BY pax",
-		"SELECT pax FROM flights\nGROUP\n\tBY pax\nLIMIT 5":          "SELECT pax FROM flights WHERE " + filter + "\nGROUP\n\tBY pax\nLIMIT 5",
-		"select pax from flights\r\nlimit 5":                         "select pax from flights\r WHERE " + filter + "\nlimit 5",
+		"SELECT pax\nFROM flights\nWHERE dest = 'PT'\nORDER BY pax":     "SELECT pax FROM flights WHERE ((dest = 'PT') AND " + filter + ") ORDER BY pax",
+		"SELECT pax FROM flights\tWHERE\tdest = 'PT'":                   "SELECT pax FROM flights WHERE ((dest = 'PT') AND " + filter + ")",
+		"SELECT pax FROM flights  WHERE  dest = 'PT'  GROUP  BY pax":    "SELECT pax FROM flights WHERE ((dest = 'PT') AND " + filter + ") GROUP BY pax",
+		"SELECT pax FROM flights\nGROUP\n\tBY pax\nLIMIT 5":             "SELECT pax FROM flights WHERE " + filter + " GROUP BY pax LIMIT 5",
+		"select pax from flights\r\nlimit 5":                            "SELECT pax FROM flights WHERE " + filter + " LIMIT 5",
+		"SELECT pax FROM flights --":                                    "SELECT pax FROM flights WHERE " + filter,
+		"SELECT pax FROM flights -- '\nWHERE dest = 'PT' -- '":          "SELECT pax FROM flights WHERE ((dest = 'PT') AND " + filter + ")",
+		"SELECT pax FROM flights -- (\nWHERE dest = 'PT'\nORDER BY pax": "SELECT pax FROM flights WHERE ((dest = 'PT') AND " + filter + ") ORDER BY pax",
 	} {
 		auth, err := r.mon.Authorize(AuthRequest{Database: "db", ClientKey: "K", HostID: "host-1", SQL: sql, AccessDate: "1995-01-01"})
 		if err != nil {
@@ -495,9 +446,89 @@ func TestRewriteAcrossWhitespace(t *testing.T) {
 		if auth.RewrittenSQL != want {
 			t.Errorf("%q rewritten to\n%q, want\n%q", sql, auth.RewrittenSQL, want)
 		}
-		if _, err := parser.Parse(auth.RewrittenSQL); err != nil {
+		sel, err := parser.ParseSelect(auth.RewrittenSQL)
+		if err != nil {
 			t.Errorf("%q: the rewrite does not parse: %v", sql, err)
+			continue
 		}
+		if conj := ast.SplitConjuncts(sel.Where); len(conj) == 0 || conj[len(conj)-1].String() != filter {
+			t.Errorf("%q: the rewrite's last conjunct is not the filter: %q", sql, auth.RewrittenSQL)
+		}
+	}
+}
+
+// TestAccessDateIsAValue: the access date reaches the filter as a date or not
+// at all. Spliced as text, a quote in it turned the filter into a tautology
+// that swallowed the consent filter after it.
+func TestAccessDateIsAValue(t *testing.T) {
+	r := newRig(t)
+	r.attestHost(t)
+	r.attestStorage(t)
+	r.mon.SetAccessPolicy("db", policy.MustParse("read :- sessionKeyIs(K) & le(T, expiry) & reuseMap(reuse_map)"))
+	_, err := r.mon.Authorize(AuthRequest{Database: "db", ClientKey: "K", HostID: "host-1", SQL: "SELECT pax FROM flights",
+		AccessDate: "1995-06-17' OR date '1995-01-01' = date '1995-01-01"})
+	if !errors.Is(err, policy.ErrAccessDate) {
+		t.Errorf("injected access date = %v, want policy.ErrAccessDate", err)
+	}
+}
+
+// TestProofBindsRewrittenSQL: the proof and the audit trail's query entry
+// hash the statement that runs, not the one the client sent.
+func TestProofBindsRewrittenSQL(t *testing.T) {
+	r := newRig(t)
+	r.attestHost(t)
+	r.attestStorage(t)
+	r.mon.SetAccessPolicy("db", policy.MustParse("read :- sessionKeyIs(K) & le(T, expiry)"))
+	const sql = "SELECT pax FROM flights"
+	auth, err := r.mon.Authorize(AuthRequest{Database: "db", ClientKey: "K", HostID: "host-1", SQL: sql, AccessDate: "1995-01-01"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256([]byte(auth.RewrittenSQL))
+	if auth.RewrittenSQL == sql || !bytes.Equal(auth.Proof.QueryHash, h[:]) {
+		t.Errorf("the proof does not bind the rewrite %q", auth.RewrittenSQL)
+	}
+	entries := r.mon.AuditLog().Entries()
+	if last := entries[len(entries)-1]; last.Kind != "query" || !strings.Contains(last.Detail, fmt.Sprintf("hash=%x", h[:8])) {
+		t.Errorf("query entry %+v does not hash the rewrite", last)
+	}
+}
+
+// TestUnbindableFilteredStatementsDenied: row filters bind the base tables of
+// a SELECT's top-level FROM and nothing else, so under a filtered branch
+// every other shape is denied, typed and audited; each of these read or
+// wrote around the filters before. A positional INSERT is denied too: the
+// monitor cannot tell which of its values is the policy's column.
+func TestUnbindableFilteredStatementsDenied(t *testing.T) {
+	r := newRig(t)
+	r.attestHost(t)
+	r.attestStorage(t)
+	r.mon.SetAccessPolicy("db", policy.MustParse(
+		"read :- sessionKeyIs(Ka) | sessionKeyIs(Kb) & le(T, expiry) & reuseMap(reuse_map)\n"+
+			"write :- sessionKeyIs(Ka) | sessionKeyIs(Kc) & le(T, expiry)"))
+	r.mon.RegisterService("Kb", 1)
+	for _, tc := range []struct{ key, sql string }{
+		{"Kb", "SELECT d.name FROM (SELECT name, date '2999-01-01' AS expiry, 3 AS reuse_map FROM passengers) d"},
+		{"Kb", "SELECT a.name, (SELECT count(*) FROM passengers b) FROM passengers a"},
+		{"Kb", "SELECT name FROM passengers WHERE id = 1 OR EXISTS (SELECT 1 FROM passengers b WHERE b.expiry < date '1995-01-01')"},
+		{"Kb", "SELECT name FROM passengers WHERE id IN (SELECT id FROM legs WHERE dist > 100)"},
+		{"Kc", "UPDATE passengers SET expiry = date '2999-01-01'"},
+		{"Ka", "INSERT INTO passengers VALUES (5, 'eve', 'IS303', '1995-06-22', '1990-01-01', 3)"},
+	} {
+		before := r.mon.AuditLog().Len()
+		_, err := r.mon.Authorize(AuthRequest{Database: "db", ClientKey: tc.key, HostID: "host-1", SQL: tc.sql, AccessDate: "1995-06-17"})
+		if !errors.Is(err, ErrDenied) {
+			t.Errorf("%s: %q = %v, want ErrDenied", tc.key, tc.sql, err)
+			continue
+		}
+		if e := r.mon.AuditLog().Entries()[before:]; len(e) != 1 || e[0].Kind != "denial" {
+			t.Errorf("%s: %q: denial not audited: %+v", tc.key, tc.sql, e)
+		}
+	}
+	// The unfiltered branch runs the same shapes as sent, byte for byte.
+	const sql = "SELECT a.name, (SELECT count(*) FROM passengers b) FROM passengers a"
+	if auth, err := r.mon.Authorize(AuthRequest{Database: "db", ClientKey: "Ka", HostID: "host-1", SQL: sql}); err != nil || auth.RewrittenSQL != sql {
+		t.Errorf("Ka: %v, %+v", err, auth)
 	}
 }
 
@@ -522,12 +553,13 @@ func TestInsertComplianceChecks(t *testing.T) {
 	}); err != nil {
 		t.Errorf("compliant insert denied: %v", err)
 	}
-	// Positional insert (no column list) targets every column: allowed.
+	// Positional insert (no column list): the monitor cannot tell which
+	// value is the expiry column, so it is denied.
 	if _, err := r.mon.Authorize(AuthRequest{
 		Database: "db", ClientKey: "K", HostID: "host-1",
 		SQL: "INSERT INTO pii VALUES (1, 'a', '1999-01-01', 3)",
-	}); err != nil {
-		t.Errorf("positional insert denied: %v", err)
+	}); !errors.Is(err, ErrDenied) {
+		t.Errorf("positional insert = %v, want ErrDenied", err)
 	}
 }
 

@@ -1,7 +1,11 @@
 package policy
 
 import (
+	"errors"
 	"fmt"
+
+	"ironsafe/internal/sql/ast"
+	"ironsafe/internal/value"
 )
 
 // Env is the attested environment the monitor evaluates policies against.
@@ -30,18 +34,21 @@ type LogAction struct {
 	Fields []string // remaining arguments, e.g. K (identity) and Q (query)
 }
 
+// ErrAccessDate reports le(T, col) evaluated without a well-formed AccessDate.
+var ErrAccessDate = errors.New("policy: le(T, col) needs a YYYY-MM-DD access date")
+
 // Effects are the obligations attached to a satisfied policy.
 type Effects struct {
-	// RowFilters are SQL predicates the monitor ANDs into the client's
-	// query during policy-compliant rewriting.
-	RowFilters []string
+	// RowFilters are predicates the monitor ANDs into the client's query's
+	// WHERE during policy-compliant rewriting.
+	RowFilters []ast.Expr
 	// LogActions are audit-log obligations.
 	LogActions []LogAction
 }
 
 func (e Effects) merge(o Effects) Effects {
 	return Effects{
-		RowFilters: append(append([]string{}, e.RowFilters...), o.RowFilters...),
+		RowFilters: append(append([]ast.Expr{}, e.RowFilters...), o.RowFilters...),
 		LogActions: append(append([]LogAction{}, e.LogActions...), o.LogActions...),
 	}
 }
@@ -119,26 +126,27 @@ func evalPred(p *Pred, env Env) (bool, Effects, error) {
 	case "le":
 		// le(T, col): access time must not exceed the per-record expiry
 		// column — enforced as a row filter on the rewritten query.
-		col := p.Args[1]
+		col := &ast.ColumnRef{Name: p.Args[1]}
 		if p.Args[0] != "T" {
 			// Generality: le(colA, colB) compares two columns directly.
-			return true, Effects{RowFilters: []string{fmt.Sprintf("%s <= %s", p.Args[0], col)}}, nil
+			return true, Effects{RowFilters: []ast.Expr{&ast.BinaryExpr{Op: ast.OpLe, Left: &ast.ColumnRef{Name: p.Args[0]}, Right: col}}}, nil
 		}
-		if env.AccessDate == "" {
-			return false, Effects{}, fmt.Errorf("policy: le(T, %s) requires an access date", col)
+		access, err := value.ParseDate(env.AccessDate)
+		if err != nil {
+			return false, Effects{}, fmt.Errorf("%w: %v", ErrAccessDate, err)
 		}
-		return true, Effects{RowFilters: []string{fmt.Sprintf("%s >= date '%s'", col, env.AccessDate)}}, nil
+		return true, Effects{RowFilters: []ast.Expr{&ast.BinaryExpr{Op: ast.OpGe, Left: col, Right: &ast.Literal{Value: access}}}}, nil
 	case "reuseMap":
 		// reuseMap(col): the record's opt-in bitmap must have the
 		// client's service bit set.
-		col := p.Args[0]
 		if env.ServiceBit < 0 || env.ServiceBit > 62 {
 			return false, Effects{}, fmt.Errorf("policy: reuseMap service bit %d out of range", env.ServiceBit)
 		}
 		// Bit b of the bitmap is set iff (m % 2^(b+1)) >= 2^b — pure
 		// modulo arithmetic, valid in the engine's integer semantics.
 		mask := int64(1) << uint(env.ServiceBit)
-		return true, Effects{RowFilters: []string{fmt.Sprintf("(%s %% %d) >= %d", col, mask*2, mask)}}, nil
+		bits := &ast.BinaryExpr{Op: ast.OpMod, Left: &ast.ColumnRef{Name: p.Args[0]}, Right: &ast.Literal{Value: value.Int(mask * 2)}}
+		return true, Effects{RowFilters: []ast.Expr{&ast.BinaryExpr{Op: ast.OpGe, Left: bits, Right: &ast.Literal{Value: value.Int(mask)}}}}, nil
 	case "logUpdate":
 		return true, Effects{LogActions: []LogAction{{Log: p.Args[0], Fields: p.Args[1:]}}}, nil
 	}

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"ironsafe/internal/sql/lexer"
 )
 
 // Node is a policy condition tree node.
@@ -288,7 +290,19 @@ func (c *condParser) parsePred() (Node, error) {
 	if arity < 0 && len(args) < 1 {
 		return nil, fmt.Errorf("predicate %q needs at least one argument", name)
 	}
+	for _, a := range args {
+		if (name == "le" || name == "reuseMap") && !isColumnName(a) {
+			return nil, fmt.Errorf("predicate %q: %q is not a column name", name, a)
+		}
+	}
 	return &Pred{Name: name, Args: args}, nil
+}
+
+// isColumnName reports whether a reads as one SQL identifier, so the row
+// filter built from it names that column and nothing else.
+func isColumnName(a string) bool {
+	toks, err := lexer.Lex(a)
+	return err == nil && len(toks) == 2 && toks[0].Kind == lexer.Ident && toks[0].Text == a
 }
 
 func (c *condParser) parseArg() (string, error) {

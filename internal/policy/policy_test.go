@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -65,6 +66,10 @@ func TestParseErrors(t *testing.T) {
 		"read :- le(T)",
 		"read :- sessionKeyIs(a)\nread :- sessionKeyIs(b)",
 		"read :- logUpdate()",
+		// Row-filter columns are single SQL identifiers.
+		"read :- le(T, 'expiry OR 1 = 1')",
+		"read :- reuseMap(reuse-map)",
+		"read :- reuseMap(date)",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -150,7 +155,7 @@ func TestEvaluateOrTakesSatisfyingBranchEffects(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Kb = %v, %v", ok, err)
 	}
-	if len(eff.RowFilters) != 1 || eff.RowFilters[0] != "expiry >= date '1995-06-17'" {
+	if len(eff.RowFilters) != 1 || eff.RowFilters[0].String() != "(expiry >= date '1995-06-17')" {
 		t.Errorf("filters = %v", eff.RowFilters)
 	}
 }
@@ -161,7 +166,7 @@ func TestEvaluateReuseMap(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	if len(eff.RowFilters) != 1 || eff.RowFilters[0] != "(reuse_map % 16) >= 8" {
+	if len(eff.RowFilters) != 1 || eff.RowFilters[0].String() != "((reuse_map % 16) >= 8)" {
 		t.Errorf("filters = %v", eff.RowFilters)
 	}
 	if _, _, err := p.Evaluate("read", Env{ServiceBit: 99}); err == nil {
@@ -200,8 +205,10 @@ func TestEvaluateNot(t *testing.T) {
 
 func TestLeRequiresAccessDate(t *testing.T) {
 	p := MustParse("read :- le(T, expiry)")
-	if _, _, err := p.Evaluate("read", Env{}); err == nil {
-		t.Error("le without access date accepted")
+	for _, date := range []string{"", "1995-6-17", "1995-06-17' OR date '1995-01-01' = date '1995-01-01"} {
+		if _, _, err := p.Evaluate("read", Env{AccessDate: date}); !errors.Is(err, ErrAccessDate) {
+			t.Errorf("access date %q: err = %v, want ErrAccessDate", date, err)
+		}
 	}
 }
 
@@ -211,7 +218,7 @@ func TestLeColumnToColumn(t *testing.T) {
 	if err != nil || !ok || len(eff.RowFilters) != 1 {
 		t.Fatalf("col-col le: %v %v %v", ok, eff, err)
 	}
-	if !strings.Contains(eff.RowFilters[0], "created <= expiry") {
+	if !strings.Contains(eff.RowFilters[0].String(), "created <= expiry") {
 		t.Errorf("filter = %q", eff.RowFilters[0])
 	}
 }

@@ -3,6 +3,7 @@ package ast
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ironsafe/internal/value"
@@ -14,8 +15,8 @@ type Statement interface{ stmt() }
 // Expr is any scalar expression.
 type Expr interface {
 	expr()
-	// String renders the expression back to SQL (used by the partitioner
-	// to build offload queries and by the monitor's query rewriting).
+	// String renders the expression, subquery bodies included, as SQL that
+	// parses back to an equal tree (see Select.String).
 	String() string
 }
 
@@ -34,6 +35,77 @@ type Select struct {
 }
 
 func (*Select) stmt() {}
+
+// String renders the statement as SQL that parses back to an equal tree: the
+// monitor's policy rewrite, the partitioner's offload queries and the
+// executor's matching of expressions by text all read it.
+func (s *Select) String() string {
+	var sb strings.Builder
+	sb.WriteString("SELECT ")
+	if s.Distinct {
+		sb.WriteString("DISTINCT ")
+	}
+	for i, it := range s.Items {
+		sb.WriteString(lead(i, ""))
+		if it.Star {
+			sb.WriteString("*")
+		} else {
+			sb.WriteString(it.Expr.String() + as(it.Alias))
+		}
+	}
+	for i, ref := range s.From {
+		switch {
+		case ref.Join == nil:
+			sb.WriteString(lead(i, " FROM "))
+		case ref.Join.Kind == JoinLeftOuter:
+			sb.WriteString(" LEFT OUTER JOIN ")
+		default:
+			sb.WriteString(" JOIN ")
+		}
+		if ref.Subquery != nil {
+			sb.WriteString("(" + ref.Subquery.String() + ")")
+		}
+		sb.WriteString(ref.Table + as(ref.Alias))
+		if ref.Join != nil {
+			sb.WriteString(" ON " + ref.Join.On.String())
+		}
+	}
+	if s.Where != nil {
+		sb.WriteString(" WHERE " + s.Where.String())
+	}
+	for i, g := range s.GroupBy {
+		sb.WriteString(lead(i, " GROUP BY ") + g.String())
+	}
+	if s.Having != nil {
+		sb.WriteString(" HAVING " + s.Having.String())
+	}
+	for i, o := range s.OrderBy {
+		sb.WriteString(lead(i, " ORDER BY ") + o.Expr.String())
+		if o.Desc {
+			sb.WriteString(" DESC")
+		}
+	}
+	if s.Limit >= 0 {
+		sb.WriteString(" LIMIT " + strconv.Itoa(s.Limit))
+	}
+	return sb.String()
+}
+
+// lead is what precedes item i of a clause's list: the clause, then commas.
+func lead(i int, clause string) string {
+	if i == 0 {
+		return clause
+	}
+	return ", "
+}
+
+// as renders an alias, if there is one.
+func as(alias string) string {
+	if alias == "" {
+		return ""
+	}
+	return " AS " + alias
+}
 
 // SelectItem is one projection: an expression with an optional alias, or *.
 type SelectItem struct {
@@ -147,6 +219,13 @@ func (l *Literal) String() string {
 		return "date '" + l.Value.String() + "'"
 	case value.KindNull:
 		return "NULL"
+	case value.KindFloat:
+		// An integral float keeps its point, or it would read back as an Int.
+		f := l.Value.String()
+		if !strings.Contains(f, ".") {
+			f += ".0"
+		}
+		return f
 	default:
 		return l.Value.String()
 	}
@@ -322,7 +401,7 @@ func (i *InSubquery) String() string {
 	if i.Not {
 		not = "NOT "
 	}
-	return "(" + i.Expr.String() + " " + not + "IN (<subquery>))"
+	return "(" + i.Expr.String() + " " + not + "IN (" + i.Subquery.String() + "))"
 }
 
 // Exists is [NOT] EXISTS (SELECT ...).
@@ -336,9 +415,9 @@ func (*Exists) expr() {}
 // String implements Expr.
 func (e *Exists) String() string {
 	if e.Not {
-		return "(NOT EXISTS (<subquery>))"
+		return "(NOT EXISTS (" + e.Subquery.String() + "))"
 	}
-	return "(EXISTS (<subquery>))"
+	return "(EXISTS (" + e.Subquery.String() + "))"
 }
 
 // ScalarSubquery is (SELECT single-value ...) used as an expression.
@@ -349,7 +428,7 @@ type ScalarSubquery struct {
 func (*ScalarSubquery) expr() {}
 
 // String implements Expr.
-func (s *ScalarSubquery) String() string { return "(<scalar subquery>)" }
+func (s *ScalarSubquery) String() string { return "(" + s.Subquery.String() + ")" }
 
 // FuncCall is a function or aggregate invocation.
 type FuncCall struct {
@@ -502,6 +581,41 @@ func Walk(e Expr, fn func(Expr) bool) {
 	}
 }
 
+// EachExpr walks (Walk) the expressions sel itself evaluates: its select
+// list, ON conditions, WHERE, GROUP BY, HAVING and ORDER BY. Derived tables
+// and subquery bodies are statements of their own.
+func EachExpr(sel *Select, fn func(Expr) bool) {
+	Walk(sel.Where, fn)
+	Walk(sel.Having, fn)
+	for _, it := range sel.Items {
+		Walk(it.Expr, fn)
+	}
+	for _, ref := range sel.From {
+		if ref.Join != nil {
+			Walk(ref.Join.On, fn)
+		}
+	}
+	for _, g := range sel.GroupBy {
+		Walk(g, fn)
+	}
+	for _, o := range sel.OrderBy {
+		Walk(o.Expr, fn)
+	}
+}
+
+// SubqueryOf returns the body of a subquery node, nil for any other expression.
+func SubqueryOf(e Expr) *Select {
+	switch q := e.(type) {
+	case *Exists:
+		return q.Subquery
+	case *InSubquery:
+		return q.Subquery
+	case *ScalarSubquery:
+		return q.Subquery
+	}
+	return nil
+}
+
 // SplitConjuncts flattens a tree of ANDs into its conjunct list.
 func SplitConjuncts(e Expr) []Expr {
 	if e == nil {
@@ -524,13 +638,16 @@ func SplitDisjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// JoinConjuncts rebuilds an AND tree from conjuncts (nil for empty).
+// JoinConjuncts rebuilds a left-deep AND tree from conjuncts, skipping nil
+// ones (nil for none).
 func JoinConjuncts(conjuncts []Expr) Expr {
 	var out Expr
 	for _, c := range conjuncts {
-		if out == nil {
+		switch {
+		case c == nil:
+		case out == nil:
 			out = c
-		} else {
+		default:
 			out = &BinaryExpr{Op: OpAnd, Left: out, Right: c}
 		}
 	}

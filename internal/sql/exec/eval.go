@@ -498,7 +498,7 @@ func likeMatch(s, pattern string) bool {
 func containsSubquery(e ast.Expr) bool {
 	found := false
 	ast.Walk(e, func(x ast.Expr) bool {
-		found = found || subqueryOf(x) != nil
+		found = found || ast.SubqueryOf(x) != nil
 		return !found
 	})
 	return found

@@ -39,37 +39,15 @@ func (r *colRefs) addSelect(sel *ast.Select, existsBody bool) {
 			}
 		}
 	}
-	eachExpr(sel, func(x ast.Expr) bool {
+	ast.EachExpr(sel, func(x ast.Expr) bool {
 		if ref, ok := x.(*ast.ColumnRef); ok {
 			r.names[strings.ToLower(ref.Name)] = true
-		} else if sub := subqueryOf(x); sub != nil {
+		} else if sub := ast.SubqueryOf(x); sub != nil {
 			_, exists := x.(*ast.Exists)
 			r.addSelect(sub, exists)
 		}
 		return true
 	})
-}
-
-// eachExpr walks (ast.Walk) the expressions sel itself evaluates: its select
-// list, ON conditions, WHERE, GROUP BY, HAVING and ORDER BY. Derived tables
-// and subquery bodies are statements of their own.
-func eachExpr(sel *ast.Select, fn func(ast.Expr) bool) {
-	ast.Walk(sel.Where, fn)
-	ast.Walk(sel.Having, fn)
-	for _, it := range sel.Items {
-		ast.Walk(it.Expr, fn)
-	}
-	for _, ref := range sel.From {
-		if ref.Join != nil {
-			ast.Walk(ref.Join.On, fn)
-		}
-	}
-	for _, g := range sel.GroupBy {
-		ast.Walk(g, fn)
-	}
-	for _, o := range sel.OrderBy {
-		ast.Walk(o.Expr, fn)
-	}
 }
 
 // keep returns the positions of table's columns the statement references, or

@@ -59,19 +59,6 @@ type subEval struct {
 	binding *aggBinding
 }
 
-// subqueryOf returns the body of a subquery node, nil for any other expression.
-func subqueryOf(e ast.Expr) *ast.Select {
-	switch q := e.(type) {
-	case *ast.Exists:
-		return q.Subquery
-	case *ast.InSubquery:
-		return q.Subquery
-	case *ast.ScalarSubquery:
-		return q.Subquery
-	}
-	return nil
-}
-
 // prepareSubqueries walks exprs and builds a subEval for every subquery node
 // found, given the enclosing operator's input schema and environment — and
 // its input rows, where it holds them and evaluates exprs over nothing else:
@@ -82,7 +69,7 @@ func (b *builder) prepareSubqueries(exprs []ast.Expr, outerSch *schema.Schema, o
 	var firstErr error
 	for _, e := range exprs {
 		ast.Walk(e, func(x ast.Expr) bool {
-			sel := subqueryOf(x)
+			sel := ast.SubqueryOf(x)
 			if firstErr != nil || sel == nil {
 				return firstErr == nil
 			}
@@ -178,7 +165,7 @@ func (b *builder) closed(sel *ast.Select, scope *schema.Schema, within []*schema
 	for _, ref := range sel.From {
 		ok = ok && (ref.Subquery == nil || b.closed(ref.Subquery, nil, within, env))
 	}
-	eachExpr(sel, func(x ast.Expr) bool {
+	ast.EachExpr(sel, func(x ast.Expr) bool {
 		if ref, isRef := x.(*ast.ColumnRef); isRef {
 			found := env.Resolvable(ref.FullName())
 			for _, s := range scopes {
@@ -188,7 +175,7 @@ func (b *builder) closed(sel *ast.Select, scope *schema.Schema, within []*schema
 				found = found || it.Alias == ref.Name && ref.Qualifier == ""
 			}
 			ok = ok && found
-		} else if sub := subqueryOf(x); sub != nil {
+		} else if sub := ast.SubqueryOf(x); sub != nil {
 			ok = ok && b.closed(sub, nil, scopes, env)
 		}
 		return ok

@@ -5,7 +5,6 @@ package lexer
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // TokenKind classifies a token.
@@ -147,10 +146,11 @@ func Lex(input string) ([]Token, error) {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// Identifiers are ASCII, so a name the parser upper-cases prints as it read.
 func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 func isIdentPart(c byte) bool {
-	return c == '_' || c == '$' || unicode.IsLetter(rune(c)) || isDigit(c)
+	return isIdentStart(c) || c == '$' || isDigit(c)
 }

@@ -1,9 +1,15 @@
 package parser
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"ironsafe/internal/sql/ast"
+)
 
 // FuzzParse checks that the parser is total: arbitrary input may be rejected
-// but must never panic or hang.
+// but must never panic or hang. Every SELECT it accepts prints as SQL that
+// parses back to an equal tree.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SELECT 1",
@@ -28,6 +34,11 @@ func FuzzParse(f *testing.F) {
 		stmt, err := Parse(input)
 		if err == nil && stmt == nil {
 			t.Error("nil statement without error")
+		}
+		if sel, ok := stmt.(*ast.Select); ok {
+			if back, err := ParseSelect(sel.String()); err != nil || !reflect.DeepEqual(back, sel) {
+				t.Errorf("%q prints as %q, which does not parse back to the same tree: %v", input, sel.String(), err)
+			}
 		}
 	})
 }

@@ -46,24 +46,6 @@ func ParseSelect(sql string) (*ast.Select, error) {
 	return sel, nil
 }
 
-// ParseExpr parses a standalone scalar expression (used by tests and the
-// policy rewriter).
-func ParseExpr(sql string) (ast.Expr, error) {
-	toks, err := lexer.Lex(sql)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().Kind != lexer.EOF {
-		return nil, p.errf("unexpected trailing input %q", p.peek())
-	}
-	return e, nil
-}
-
 type parser struct {
 	toks []lexer.Token
 	pos  int

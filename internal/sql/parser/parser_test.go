@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -15,6 +16,18 @@ func mustSelect(t *testing.T, sql string) *ast.Select {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
 	return sel
+}
+
+// parseExpr parses a standalone expression as the one item of a SELECT.
+func parseExpr(sql string) (ast.Expr, error) {
+	sel, err := ParseSelect("SELECT " + sql)
+	if err != nil {
+		return nil, err
+	}
+	if len(sel.Items) != 1 || sel.Items[0].Alias != "" {
+		return nil, fmt.Errorf("%q is not one expression", sql)
+	}
+	return sel.Items[0].Expr, nil
 }
 
 func TestSimpleSelect(t *testing.T) {
@@ -102,7 +115,7 @@ func TestDerivedTable(t *testing.T) {
 }
 
 func TestOperatorPrecedence(t *testing.T) {
-	e, err := ParseExpr("1 + 2 * 3")
+	e, err := parseExpr("1 + 2 * 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +127,14 @@ func TestOperatorPrecedence(t *testing.T) {
 		t.Errorf("precedence wrong: %s", e)
 	}
 
-	e, _ = ParseExpr("a = 1 OR b = 2 AND c = 3")
+	e, _ = parseExpr("a = 1 OR b = 2 AND c = 3")
 	if e.(*ast.BinaryExpr).Op != ast.OpOr {
 		t.Errorf("OR should bind loosest: %s", e)
 	}
 }
 
 func TestDateAndInterval(t *testing.T) {
-	e, err := ParseExpr("date '1998-12-01' - interval '90' day")
+	e, err := parseExpr("date '1998-12-01' - interval '90' day")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,67 +147,67 @@ func TestDateAndInterval(t *testing.T) {
 	if iv.N != 90 || iv.Unit != "day" {
 		t.Errorf("interval = %+v", iv)
 	}
-	if _, err := ParseExpr("date 'not-a-date'"); err == nil {
+	if _, err := parseExpr("date 'not-a-date'"); err == nil {
 		t.Error("bad date literal accepted")
 	}
 }
 
 func TestBetweenLikeInIsNull(t *testing.T) {
-	e, _ := ParseExpr("x BETWEEN 1 AND 10")
+	e, _ := parseExpr("x BETWEEN 1 AND 10")
 	if _, ok := e.(*ast.Between); !ok {
 		t.Errorf("between = %T", e)
 	}
-	e, _ = ParseExpr("x NOT BETWEEN 1 AND 10")
+	e, _ = parseExpr("x NOT BETWEEN 1 AND 10")
 	if !e.(*ast.Between).Not {
 		t.Error("not between")
 	}
-	e, _ = ParseExpr("s LIKE '%promo%'")
+	e, _ = parseExpr("s LIKE '%promo%'")
 	if _, ok := e.(*ast.Like); !ok {
 		t.Errorf("like = %T", e)
 	}
-	e, _ = ParseExpr("s NOT LIKE 'x%'")
+	e, _ = parseExpr("s NOT LIKE 'x%'")
 	if !e.(*ast.Like).Not {
 		t.Error("not like")
 	}
-	e, _ = ParseExpr("x IN (1, 2, 3)")
+	e, _ = parseExpr("x IN (1, 2, 3)")
 	if il, ok := e.(*ast.InList); !ok || len(il.Items) != 3 {
 		t.Errorf("in list = %v", e)
 	}
-	e, _ = ParseExpr("x IS NOT NULL")
+	e, _ = parseExpr("x IS NOT NULL")
 	if !e.(*ast.IsNull).Not {
 		t.Error("is not null")
 	}
 }
 
 func TestSubqueries(t *testing.T) {
-	e, err := ParseExpr("x IN (SELECT y FROM t)")
+	e, err := parseExpr("x IN (SELECT y FROM t)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e.(*ast.InSubquery); !ok {
 		t.Errorf("in subquery = %T", e)
 	}
-	e, _ = ParseExpr("NOT EXISTS (SELECT 1 FROM t)")
+	e, _ = parseExpr("NOT EXISTS (SELECT 1 FROM t)")
 	if ex, ok := e.(*ast.Exists); !ok || !ex.Not {
 		t.Errorf("not exists = %v", e)
 	}
-	e, _ = ParseExpr("price = (SELECT min(p) FROM t)")
+	e, _ = parseExpr("price = (SELECT min(p) FROM t)")
 	b := e.(*ast.BinaryExpr)
 	if _, ok := b.Right.(*ast.ScalarSubquery); !ok {
 		t.Errorf("scalar subquery = %T", b.Right)
 	}
-	e, _ = ParseExpr("x NOT IN (SELECT y FROM t)")
+	e, _ = parseExpr("x NOT IN (SELECT y FROM t)")
 	if !e.(*ast.InSubquery).Not {
 		t.Error("not in subquery")
 	}
 }
 
 func TestNotNormalization(t *testing.T) {
-	e, _ := ParseExpr("NOT x IN (1,2)")
+	e, _ := parseExpr("NOT x IN (1,2)")
 	if il, ok := e.(*ast.InList); !ok || !il.Not {
 		t.Errorf("NOT IN normalization = %v", e)
 	}
-	e, _ = ParseExpr("NOT NOT a = 1")
+	e, _ = parseExpr("NOT NOT a = 1")
 	if _, ok := e.(*ast.BinaryExpr); !ok {
 		// NOT NOT x stays as nested unary; just ensure it parses.
 		if _, ok := e.(*ast.UnaryExpr); !ok {
@@ -204,24 +217,24 @@ func TestNotNormalization(t *testing.T) {
 }
 
 func TestAggregates(t *testing.T) {
-	e, _ := ParseExpr("count(*)")
+	e, _ := parseExpr("count(*)")
 	fc := e.(*ast.FuncCall)
 	if !fc.Star || fc.Name != "COUNT" || !fc.IsAggregate() {
 		t.Errorf("count(*) = %+v", fc)
 	}
-	e, _ = ParseExpr("count(DISTINCT ps_suppkey)")
+	e, _ = parseExpr("count(DISTINCT ps_suppkey)")
 	fc = e.(*ast.FuncCall)
 	if !fc.Distinct || len(fc.Args) != 1 {
 		t.Errorf("count distinct = %+v", fc)
 	}
-	e, _ = ParseExpr("sum(l_extendedprice * (1 - l_discount))")
+	e, _ = parseExpr("sum(l_extendedprice * (1 - l_discount))")
 	if !e.(*ast.FuncCall).IsAggregate() {
 		t.Error("sum is aggregate")
 	}
 }
 
 func TestCaseExpr(t *testing.T) {
-	e, err := ParseExpr("CASE WHEN a = 1 THEN 'one' WHEN a = 2 THEN 'two' ELSE 'many' END")
+	e, err := parseExpr("CASE WHEN a = 1 THEN 'one' WHEN a = 2 THEN 'two' ELSE 'many' END")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,20 +242,20 @@ func TestCaseExpr(t *testing.T) {
 	if len(ce.Whens) != 2 || ce.Else == nil {
 		t.Errorf("case = %+v", ce)
 	}
-	if _, err := ParseExpr("CASE END"); err == nil {
+	if _, err := parseExpr("CASE END"); err == nil {
 		t.Error("empty case accepted")
 	}
 }
 
 func TestExtractAndSubstring(t *testing.T) {
-	e, err := ParseExpr("extract(year from o_orderdate)")
+	e, err := parseExpr("extract(year from o_orderdate)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex := e.(*ast.Extract); ex.Field != "YEAR" {
 		t.Errorf("extract = %+v", ex)
 	}
-	e, err = ParseExpr("substring(c_phone from 1 for 2)")
+	e, err = parseExpr("substring(c_phone from 1 for 2)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +265,12 @@ func TestExtractAndSubstring(t *testing.T) {
 }
 
 func TestNegativeNumbersFolded(t *testing.T) {
-	e, _ := ParseExpr("-5")
+	e, _ := parseExpr("-5")
 	lit := e.(*ast.Literal)
 	if lit.Value.AsInt() != -5 {
 		t.Errorf("folded = %v", lit.Value)
 	}
-	e, _ = ParseExpr("-2.5")
+	e, _ = parseExpr("-2.5")
 	if e.(*ast.Literal).Value.AsFloat() != -2.5 {
 		t.Error("float fold")
 	}

@@ -191,25 +191,7 @@ func TestReuseMapEndToEnd(t *testing.T) {
 // dave: bob opted out, carol expired). A newline or tab before a keyword used
 // to be refused with `unexpected trailing input "WHERE"`.
 func TestPolicyFiltersAcrossWhitespace(t *testing.T) {
-	c, err := NewCluster(Config{Mode: IronSafe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, c, `CREATE TABLE passengers (
-		id INTEGER, name VARCHAR(32), flight VARCHAR(8),
-		arrival DATE, expiry DATE, reuse_map INTEGER)`)
-	mustExec(t, c, `INSERT INTO passengers VALUES
-		(1, 'alice', 'IS101', '1995-06-20', '1999-01-01', 3),
-		(2, 'bob',   'IS101', '1995-06-20', '1999-01-01', 1),
-		(3, 'carol', 'IS202', '1995-06-21', '1994-01-01', 3),
-		(4, 'dave',  'IS202', '1995-06-21', '1999-01-01', 2)`)
-	if err := c.SetAccessPolicy(`
-		read  :- sessionKeyIs(Ka) | sessionKeyIs(Kb) & le(T, expiry) & reuseMap(reuse_map) & logUpdate(sharing, K, Q)
-		write :- sessionKeyIs(Ka)`); err != nil {
-		t.Fatal(err)
-	}
-	c.RegisterService("Kb", 1)
-	hotel := c.NewSession("Kb").WithAccessDate("1995-06-17")
+	hotel := newPassengerCluster(t).NewSession("Kb").WithAccessDate("1995-06-17")
 	for _, forms := range [][]string{
 		{
 			"SELECT name, flight, arrival FROM passengers ORDER BY id",
@@ -244,6 +226,88 @@ func TestPolicyFiltersAcrossWhitespace(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.Result.Rows, want.Result.Rows) {
 				t.Errorf("%q returns %v, the single-space form %v", sql, got.Result.Rows, want.Result.Rows)
+			}
+		}
+	}
+}
+
+// newPassengerCluster is the examples/gdpr-sharing scenario in scs: the hotel
+// (Kb) may read only alice and dave, as bob opted out and carol expired.
+func newPassengerCluster(t *testing.T) *Cluster {
+	t.Helper()
+	c, err := NewCluster(Config{Mode: IronSafe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, `CREATE TABLE passengers (
+		id INTEGER, name VARCHAR(32), flight VARCHAR(8),
+		arrival DATE, expiry DATE, reuse_map INTEGER)`)
+	mustExec(t, c, `INSERT INTO passengers VALUES
+		(1, 'alice', 'IS101', '1995-06-20', '1999-01-01', 3),
+		(2, 'bob',   'IS101', '1995-06-20', '1999-01-01', 1),
+		(3, 'carol', 'IS202', '1995-06-21', '1994-01-01', 3),
+		(4, 'dave',  'IS202', '1995-06-21', '1999-01-01', 2)`)
+	if err := c.SetAccessPolicy(`
+		read  :- sessionKeyIs(Ka) | sessionKeyIs(Kb) & le(T, expiry) & reuseMap(reuse_map) & logUpdate(sharing, K, Q)
+		write :- sessionKeyIs(Ka)`); err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterService("Kb", 1)
+	return c
+}
+
+// TestPolicyFiltersSurviveCommentsAndQuotes: what the client writes after a
+// `--`, or inside a quote in the access date, cannot lift the hotel's filters.
+// Spliced as text, a trailing comment swallowed them, a quote inside a
+// comment hid the WHERE from the splice, and a quote in the access date
+// rewrote the expiry filter into a tautology.
+func TestPolicyFiltersSurviveCommentsAndQuotes(t *testing.T) {
+	c := newPassengerCluster(t)
+	for _, sql := range []string{
+		"SELECT name FROM passengers --",
+		"SELECT name FROM passengers -- '\nWHERE id > 0 -- '",
+	} {
+		qr, err := c.NewSession("Kb").WithAccessDate("1995-06-17").Query(sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if got := fmt.Sprint(qr.Result.Rows); got != "[[alice] [dave]]" {
+			t.Errorf("%q: the hotel sees %s, want [[alice] [dave]]", sql, got)
+		}
+	}
+	date := "1995-06-17' OR date '1995-01-01' = date '1995-01-01"
+	if qr, err := c.NewSession("Kb").WithAccessDate(date).Query("SELECT name FROM passengers"); err == nil {
+		t.Errorf("access date %q: the hotel sees %v", date, qr.Result.Rows)
+	}
+}
+
+// TestFactoringKeepsDistinctSubqueries: the planner hoists a conjunct common
+// to every branch of an OR by its printed text. Two different EXISTS (or IN)
+// subqueries printed alike, so the first was hoisted over both branches and
+// the query returned no row, in every mode.
+func TestFactoringKeepsDistinctSubqueries(t *testing.T) {
+	for _, mode := range []Mode{HostOnlyNonSecure, HostOnlySecure, VanillaCS, IronSafe, StorageOnlySecure} {
+		c, err := NewCluster(Config{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetAccessPolicy("read :- sessionKeyIs(k)"); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, c, "CREATE TABLE a (id INTEGER, k INTEGER)")
+		mustExec(t, c, "CREATE TABLE b (x INTEGER)")
+		mustExec(t, c, "INSERT INTO a VALUES (1, 1), (2, 2)")
+		mustExec(t, c, "INSERT INTO b VALUES (2)")
+		for _, sql := range []string{
+			"SELECT id FROM a WHERE (k = 1 AND EXISTS (SELECT x FROM b WHERE x = 1)) OR (k = 2 AND EXISTS (SELECT x FROM b WHERE x = 2))",
+			"SELECT id FROM a WHERE (k = 1 AND id IN (SELECT x FROM b WHERE x = 1)) OR (k = 2 AND id IN (SELECT x FROM b WHERE x = 2))",
+		} {
+			qr, err := c.NewSession("k").Query(sql)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", mode, sql, err)
+			}
+			if got := fmt.Sprint(qr.Result.Rows); got != "[[2]]" {
+				t.Errorf("%s: %s returns %s, want [[2]]", mode, sql, got)
 			}
 		}
 	}

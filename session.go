@@ -1,6 +1,8 @@
 package ironsafe
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"time"
@@ -97,8 +99,10 @@ func (s *Session) Query(sql string) (*QueryResult, error) {
 	}
 	defer c.Monitor.EndSession(auth.SessionID)
 
-	// Clients verify the proof before trusting any result.
-	if !monitor.VerifyProof(c.MonitorPublicKey(), &auth.Proof) {
+	// Clients verify the proof, and that it binds the statement that runs,
+	// before trusting any result.
+	qh := sha256.Sum256([]byte(auth.RewrittenSQL))
+	if !monitor.VerifyProof(c.MonitorPublicKey(), &auth.Proof) || !bytes.Equal(qh[:], auth.Proof.QueryHash) {
 		return nil, fmt.Errorf("ironsafe: monitor proof failed verification")
 	}
 
