@@ -11,10 +11,10 @@ import (
 	"ironsafe/internal/tpch"
 )
 
-// The secure store decrypts a record in the buffer ReadBlock returned. These
-// tests hold the two facts that makes safe, across every device the tree has:
-// a read hands out a copy its caller owns, and plaintext never reaches the
-// medium.
+// The secure store hands the record ReadBlock returned back to the page pool
+// once it has opened it, for a later read to reuse. These tests hold the two
+// facts that makes safe, across every device the tree has: a read hands out a
+// copy its caller owns, and plaintext never reaches the medium.
 
 // TestBlockDevicesReturnOwnedCopies scribbles over what ReadBlock returned,
 // reads again and demands the original, for every pager.BlockDevice

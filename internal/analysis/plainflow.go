@@ -32,12 +32,13 @@ var plainflowRules = &taintRules{
 		// Secure-store read path: results carry verified plaintext.
 		{name: "ReadPage", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0},
 		{name: "ReadPages", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0},
-		// openPage decrypts in place: after openPage(pc, idx, record) the
-		// record buffer holds the page too, not only result 0.
+		// openPage opens a record into a pooled page, result 0. The record
+		// it was handed is tainted too: a read releases it once opened, and
+		// the pool hands it on as someone's plaintext page.
 		{name: "openPage", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
 		{name: "openPageGCM", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
-		// openMACed is openPage's in-place second half; openGroup opens a
-		// group of a batch, leaving plaintext in its records and its pages.
+		// openMACed is openPage's second half; openGroup opens a group of a
+		// batch into its pages and releases its records the same way.
 		{name: "openMACed", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
 		{name: "openGroup", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, taintsArg: 3},
 		{name: "openGroup", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, taintsArg: 4},

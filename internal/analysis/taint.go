@@ -80,8 +80,8 @@ type funcRule struct {
 	// result (sources only): which result index is tainted; -1 = all.
 	result int
 	// taintsArg (sources only), when positive, is the 1-based position of an
-	// argument the call leaves holding the taint too: a source that works in
-	// place, as openPage decrypts the record it is handed.
+	// argument the call leaves holding the taint too: a source that fills
+	// what it is handed, as fetchOpen opens pages into its out slice.
 	taintsArg int
 }
 
@@ -586,7 +586,7 @@ func (e *taintEngine) propagate(body ast.Node) bool {
 				}
 			}
 		case *ast.ExprStmt:
-			// For side effects: copy(dst, tainted), openPage(pc, idx, record).
+			// For side effects: copy(dst, tainted), fetchOpen(pc, idxs, out, n).
 			if call, ok := stmt.X.(*ast.CallExpr); ok {
 				e.callTaint(call)
 			}

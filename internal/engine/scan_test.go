@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ironsafe/internal/engine"
@@ -13,6 +15,7 @@ import (
 	"ironsafe/internal/sql/parser"
 	"ironsafe/internal/tee/trustzone"
 	"ironsafe/internal/tpch"
+	"ironsafe/internal/value"
 )
 
 // secureDB opens an engine over a real secure store (TrustZone-derived keys,
@@ -104,6 +107,62 @@ func TestScanBatchWindows(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go), whose sync.Pool
+// drops a share of the pages a scan hands back.
+var raceEnabled bool
+
+// TestTableScanAllocBudget is the data path's allocation floor: a steady-state
+// Table.ScanBatch over a real secure store (32-page batches, two in flight)
+// recycles its device records and pages, so it allocates under 512 B per page
+// scanned; a page-sized object per page would be ten times that. Rows are
+// ~1 KB, four to a page, so that the window's field index — sized once per
+// scan, by rows — does not blur what a page costs.
+func TestTableScanAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pages at random under the race detector")
+	}
+	db := secureDB(t)
+	if _, err := db.Execute("CREATE TABLE wide (id INTEGER, body TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]schema.Row, 1000)
+	for i := range rows {
+		rows[i] = schema.Row{value.Int(int64(i)), value.Str(strings.Repeat(string(rune('a'+i%26)), 900))}
+	}
+	if err := db.InsertRows("wide", rows); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.Table("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.NumPages() < 200 {
+		t.Fatalf("the table spans only %d pages", tab.NumPages())
+	}
+	scanned := 0
+	scan := func() {
+		scanned = 0
+		if err := tab.ScanBatch(0, func(bt *exec.Batch) error {
+			scanned += bt.Len()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan() // warm the page pool and the crypto states
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	perPage := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(tab.NumPages())
+	if scanned != len(rows) || perPage >= 512 {
+		t.Errorf("ScanBatch over %d pages (%d rows) allocates %.0f B per page, want < 512", tab.NumPages(), scanned, perPage)
 	}
 }
 

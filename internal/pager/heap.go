@@ -192,7 +192,9 @@ func (h *HeapFile) appendAllTo(w pageWriter, rows []schema.Row) error {
 // fn stops the scan; ErrStopScan stops it without reporting an error.
 func (h *HeapFile) Scan(fn func(schema.Row) error) error {
 	return stopped(h.scanPages(func(idx uint32, buf []byte) error {
-		return scanPage(idx, buf, fn)
+		err := scanPage(idx, buf, fn) // the rows own their storage
+		Release(buf)
+		return err
 	}))
 }
 
@@ -203,18 +205,33 @@ func (h *HeapFile) Scan(fn func(schema.Row) error) error {
 // rows it needs from the window. It reads pages exactly as Scan does, so the
 // device-operation order — and every deterministic fault/adversary stream
 // keyed on it — is identical whichever entry point drives a table scan. The
-// window is reused between callbacks and must not be retained. width is the
-// table's column count.
+// window is reused between callbacks and must not be retained, and neither
+// may the pages under it: a page is released once the window holding its
+// last row has been consumed. width is the table's column count.
 func (h *HeapFile) ScanWindows(batchRows, width int, fn func(*schema.RowWindow) error) error {
 	if batchRows < 1 {
 		return fmt.Errorf("pager: scan window of %d rows", batchRows)
 	}
 	win := schema.NewRowWindow(width)
+	// held are the pages the window's rows live in, the page being indexed
+	// last.
+	var held [][]byte
+	defer func() {
+		for _, p := range held {
+			Release(p)
+		}
+	}()
 	err := h.scanPages(func(idx uint32, buf []byte) error {
 		rows, end, err := pageExtent(idx, buf)
 		if err != nil {
 			return err
 		}
+		if held == nil {
+			// Size the window's index once: a window, or the whole heap if
+			// it is smaller, of pages like the first.
+			win.Grow(min(batchRows, rows*len(h.pages)))
+		}
+		held = append(held, buf)
 		pos := heapHeaderSize
 		for i := 0; i < rows; i++ {
 			if pos >= end {
@@ -228,6 +245,10 @@ func (h *HeapFile) ScanWindows(batchRows, width int, fn func(*schema.RowWindow) 
 					return err
 				}
 				win.Reset()
+				for _, p := range held[:len(held)-1] {
+					Release(p)
+				}
+				held = append(held[:0], buf)
 			}
 		}
 		return nil

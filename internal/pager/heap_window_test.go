@@ -130,6 +130,63 @@ func TestScanWindowsMatchesScan(t *testing.T) {
 	}
 }
 
+// TestScanWindowsCopiesOutlivePages: what a consumer copies out of a window —
+// Col strings, AppendEncoded rows — survives the scan releasing the pages
+// under the window, which the next read reuses (and the race detector's build
+// scribbles over first), and equals what Scan returns.
+func TestScanWindowsCopiesOutlivePages(t *testing.T) {
+	h := NewHeapFile(NewPager(NewMemDevice(), nil, 0))
+	rows := make([]schema.Row, 300)
+	for i := range rows {
+		rows[i] = fixedRow(i)
+	}
+	if err := h.AppendAll(rows); err != nil {
+		t.Fatal(err)
+	}
+	if h.NumPages() < 3 {
+		t.Fatalf("fixture spans only %d pages", h.NumPages())
+	}
+	for _, cfg := range []ScanConfig{{}, {BatchPages: 2, Prefetch: 1}} {
+		h.SetScanConfig(cfg)
+		var want []schema.Row
+		if err := h.Scan(func(r schema.Row) error {
+			want = append(want, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var strs []string
+		var enc []byte
+		if err := h.ScanWindows(7, 3, func(w *schema.RowWindow) error {
+			strs = append(strs, w.Col(1).Strs...)
+			sel := make([]int, w.Len())
+			for i := range sel {
+				sel[i] = i
+			}
+			enc = w.AppendEncoded(enc, 0, sel, nil)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var got []schema.Row
+		for pos := 0; pos < len(enc); {
+			r, n, err := schema.DecodeRow(enc[pos:])
+			if err != nil {
+				t.Fatalf("%+v: kept row %d: %v", cfg, len(got), err)
+			}
+			got, pos = append(got, r), pos+n
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(want, rows) {
+			t.Fatalf("%+v: rows kept across windows differ from Scan's", cfg)
+		}
+		for i, s := range strs {
+			if s != want[i][1].AsString() {
+				t.Fatalf("%+v: row %d: kept string %q, Scan read %q", cfg, i, s, want[i][1].AsString())
+			}
+		}
+	}
+}
+
 // TestScanWindowsEarlyStopAndErrors pins ErrStopScan and consumer errors
 // through the window scan.
 func TestScanWindowsEarlyStopAndErrors(t *testing.T) {

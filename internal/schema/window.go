@@ -115,6 +115,10 @@ func (w *RowWindow) Len() int {
 	return w.segs[len(w.segs)-1].end
 }
 
+// Grow reserves index room for rows more rows, so that a scan which knows its
+// window size sizes the index once rather than growing it row by row.
+func (w *RowWindow) Grow(rows int) { w.offs = slices.Grow(w.offs, rows*w.width) }
+
 // Reset empties the window, keeping its storage for the next one.
 func (w *RowWindow) Reset() {
 	clear(w.segs) // drop the page references
@@ -209,7 +213,7 @@ func (w *RowWindow) Fill(buf []byte, pos, max int) (int, error) {
 	w.Reset()
 	// Room for every field offset at once; a row is at least its header and a
 	// kind byte per column, which bounds what a forged count can reserve.
-	w.offs = slices.Grow(w.offs, min(max, (len(buf)-pos)/(2+w.width))*w.width)
+	w.Grow(min(max, (len(buf)-pos)/(2+w.width)))
 	seg := pos // where the current segment begins in buf
 	for i := 0; i < max; i++ {
 		end := min(seg+maxWindowBuf, len(buf))

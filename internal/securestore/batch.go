@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -110,15 +111,26 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
+		releaseAll(out)
 		return nil, false, fmt.Errorf("%w: %w", ErrStoreFailed, s.failed)
 	}
 	if s.seq != seq0 {
+		releaseAll(out)
 		return nil, true, nil
 	}
-	if err := s.verifyBatch(pc.tree, idxs, pc.records); err != nil {
+	if err := s.verifyBatch(pc.tree, idxs, pc.macs); err != nil {
+		releaseAll(out)
 		return nil, false, err
 	}
 	return out, false, nil
+}
+
+// releaseAll hands back the pages of a read that is not returning them.
+func releaseAll(pages [][]byte) {
+	for _, p := range pages {
+		pager.Release(p)
+	}
+	clear(pages)
 }
 
 // readPageLocked is one page's read with s.mu already held: the walks of
@@ -133,7 +145,8 @@ func (s *Store) readPageLocked(idx uint32) ([]byte, error) {
 	if err := s.fetchOpen(pc, idxs, out, 1); err != nil {
 		return nil, err
 	}
-	if err := s.verifyBatch(pc.tree, idxs, pc.records); err != nil {
+	if err := s.verifyBatch(pc.tree, idxs, pc.macs); err != nil {
+		pager.Release(out[0])
 		return nil, err
 	}
 	return out[0], nil
@@ -144,9 +157,9 @@ func (s *Store) readPageLocked(idx uint32) ([]byte, error) {
 // index order: the device-operation sequence must stay a deterministic
 // function of the request, because the fault-injection framework keys its
 // per-site streams on it. Each record is the caller's own buffer
-// (pager.BlockDevice), and the only one its page ever gets: openGroup
-// decrypts it in place, and leaves the record's slot holding only its MAC,
-// which is what verifyBatch reads.
+// (pager.BlockDevice): openGroup decrypts it into a pooled page, copies its
+// MAC into pc.macs, which is what verifyBatch reads, and releases it. On an
+// error no page is handed out.
 func (s *Store) fetchOpen(pc *pageCrypto, idxs []uint32, out [][]byte, workers int) error {
 	pc.records = pc.records[:0]
 	for _, idx := range idxs {
@@ -157,6 +170,8 @@ func (s *Store) fetchOpen(pc *pageCrypto, idxs []uint32, out [][]byte, workers i
 		pc.records = append(pc.records, record)
 	}
 	records := pc.records
+	pc.macs = slices.Grow(pc.macs[:0], len(idxs))[:len(idxs)] // reuses the MAC slices
+	macs := pc.macs
 	s.meter.PagesRead.Add(int64(len(idxs)))
 
 	// Open in groups of eight pages — the MAC kernel's width — inline or on
@@ -169,7 +184,7 @@ func (s *Store) fetchOpen(pc *pageCrypto, idxs []uint32, out [][]byte, workers i
 	if workers = min(workers, groups); workers <= 1 {
 		for lo := 0; lo < len(idxs); lo += macLanes {
 			hi := min(lo+macLanes, len(idxs))
-			s.openGroup(pc, idxs[lo:hi], records[lo:hi], out[lo:hi], errs[lo:hi])
+			s.openGroup(pc, idxs[lo:hi], records[lo:hi], out[lo:hi], macs[lo:hi], errs[lo:hi])
 		}
 	} else {
 		var next atomic.Int64
@@ -186,7 +201,7 @@ func (s *Store) fetchOpen(pc *pageCrypto, idxs []uint32, out [][]byte, workers i
 						return
 					}
 					hi := min(lo+macLanes, len(idxs))
-					s.openGroup(wpc, idxs[lo:hi], records[lo:hi], out[lo:hi], errs[lo:hi])
+					s.openGroup(wpc, idxs[lo:hi], records[lo:hi], out[lo:hi], macs[lo:hi], errs[lo:hi])
 				}
 			}()
 		}
@@ -194,6 +209,7 @@ func (s *Store) fetchOpen(pc *pageCrypto, idxs []uint32, out [][]byte, workers i
 	}
 	for k, oerr := range errs {
 		if oerr != nil {
+			releaseAll(out)
 			return fmt.Errorf("securestore: reading page %d: %w", idxs[k], oerr)
 		}
 	}

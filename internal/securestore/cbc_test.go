@@ -14,7 +14,8 @@ import (
 
 // The tests of the CBC-decrypt kernel: the NIST vector, agreement with
 // crypto/cipher over random keys, IVs and lengths, decrypting in place as
-// openPage does, and that a store opens pages with the kernel wherever the
+// openPage does in the page it copied the ciphertext into, and that a store
+// opens pages with the kernel wherever the
 // platform has one and with crypto/cipher's decrypter only where it has not.
 
 func kernelOrSkip(tb testing.TB, key []byte) *cbcKernel {

@@ -12,10 +12,15 @@ import (
 	"ironsafe/internal/simtime"
 )
 
-// The tests of the in-place page open: what it allocates, that it decrypts
-// nothing before the MAC has passed, that the pages it hands out neither reach
-// the MAC behind them nor overlap, that plaintext never returns to the medium,
-// and that the outcome does not depend on how many workers open a batch.
+// The tests of the page open: what a read allocates once its pages are handed
+// back, that it decrypts nothing before the MAC has passed, that the pages it
+// hands out never overlap, that plaintext never returns to the medium, and
+// that the outcome does not depend on how many workers open a batch.
+
+// raceEnabled is set under the race detector (race_test.go), where sync.Pool
+// drops a share of what is handed back, so a read allocates what it would
+// otherwise reuse.
+var raceEnabled bool
 
 func seq32(n int) []uint32 {
 	idxs := make([]uint32, n)
@@ -37,9 +42,9 @@ func allocatedBytes(runs int, fn func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestReadPagesAllocBudget: a batched read allocates one page-sized buffer per
-// page — the device's copy of the record, which openPage decrypts in place —
-// and a bounded number of small objects per batch.
+// TestReadPagesAllocBudget: a scan-shaped loop — read 32 pages, hand them back
+// — allocates no page-sized object per page, neither the device's record nor
+// the page it opens into, and at most 8 KiB per batch.
 func TestReadPagesAllocBudget(t *testing.T) {
 	for _, opts := range []Options{{}, {GCM: true}} {
 		t.Run(fmt.Sprintf("gcm=%v", opts.GCM), func(t *testing.T) {
@@ -48,22 +53,31 @@ func TestReadPagesAllocBudget(t *testing.T) {
 			fillPages(t, s, 32)
 			idxs := seq32(32)
 			read := func() {
-				if _, _, err := s.readPagesAt(idxs, 1); err != nil {
+				pages, _, err := s.readPagesAt(idxs, 1)
+				if err != nil {
 					t.Fatal(err)
 				}
+				for _, p := range pages {
+					pager.Release(p)
+				}
 			}
-			// One buffer per page is the device's: a record rounds up to the
-			// 4864-byte size class. A second buffer per page would double it.
-			const perPage = 4864
-			if got, max := allocatedBytes(20, read), uint64(32*perPage+8<<10); got > max {
-				t.Errorf("ReadPages(32 pages) allocates %d bytes, want <= %d (one record per page + 8 KiB per batch)", got, max)
+			// Under the race detector sync.Pool drops a share of what is
+			// handed back at random, so records and pages are allocated anew.
+			if !raceEnabled {
+				if got, max := allocatedBytes(20, read), uint64(8<<10); got > max {
+					t.Errorf("ReadPages(32 pages) allocates %d bytes, want <= %d per batch", got, max)
+				}
 			}
 			// Per batch: the result slice and the frontier — three objects
-			// today; the tree HMAC is keyed once, in the pooled crypto state.
-			// Under the race detector sync.Pool drops entries at random, so
-			// that state is sometimes rebuilt: hence the slack.
-			if got := testing.AllocsPerRun(20, read); got > 32+24 {
-				t.Errorf("ReadPages(32 pages) makes %.0f allocations, want <= 32 records + 24 per batch", got)
+			// today; the tree HMAC is keyed once, in the pooled crypto state,
+			// which the race detector's sync.Pool sometimes rebuilds, with
+			// records and pages: hence the slack there.
+			want := 24.0
+			if raceEnabled {
+				want += 2 * 32
+			}
+			if got := testing.AllocsPerRun(20, read); got > want {
+				t.Errorf("ReadPages(32 pages) makes %.0f allocations, want <= %.0f per batch", got, want)
 			}
 		})
 	}
@@ -158,7 +172,8 @@ func TestTamperedRecordIsNotDecrypted(t *testing.T) {
 		}
 		e.dev.RestoreBlocks(before)
 	}
-	// GCM fails closed too; the AEAD clears what it had decrypted.
+	// GCM fails closed too, decrypting into a page of its own that it clears
+	// and releases, never into the record.
 	g := newEnv(t)
 	gs := g.open(t, Options{GCM: true})
 	fillPages(t, gs, 2)
@@ -172,44 +187,61 @@ func TestTamperedRecordIsNotDecrypted(t *testing.T) {
 	}
 }
 
-// TestPagesAreCappedAndDisjoint: a page has len == cap == PageSize, so a heap
-// append cannot run into the MAC bytes behind it, and no two pages of a batch
-// share a byte.
-func TestPagesAreCappedAndDisjoint(t *testing.T) {
+// TestPagesAreDisjoint: no two live pages share a byte of their capacity —
+// within a batch, duplicates included, or across batches read while others
+// are handed back and re-read — every page read from a recycled buffer holds
+// its own plaintext, and a write into a page never reaches the store. A
+// page's capacity past PageSize is a pooled buffer's and its caller's too;
+// no MAC sits behind it any more, so nothing caps it.
+func TestPagesAreDisjoint(t *testing.T) {
 	for _, opts := range []Options{{}, {GCM: true}} {
 		e := newEnv(t)
 		s := e.open(t, opts)
 		fillPages(t, s, 16)
-		pages, err := s.ReadPages(append(seq32(16), 3, 3)) // duplicates included
-		if err != nil {
-			t.Fatal(err)
+		read := func(idxs []uint32) [][]byte {
+			t.Helper()
+			pages, err := s.ReadPages(idxs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pages
 		}
+		live := read(append(seq32(16), 3, 3)) // duplicates included
 		one, err := s.ReadPage(9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		type span struct{ lo, hi uintptr }
-		var spans []span
-		for i, p := range append(pages, one) {
-			if len(p) != pager.PageSize || cap(p) != pager.PageSize {
-				t.Fatalf("%+v: page %d has len %d cap %d, want %d and %d", opts, i, len(p), cap(p), pager.PageSize, pager.PageSize)
-			}
-			lo := uintptr(unsafe.Pointer(&p[0]))
-			spans = append(spans, span{lo, lo + uintptr(len(p))})
-		}
-		for i, a := range spans {
-			for j, b := range spans[:i] {
-				if a.lo < b.hi && b.lo < a.hi {
-					t.Fatalf("%+v: pages %d and %d overlap", opts, j, i)
+		live = append(live, one)
+		disjoint := func(pages [][]byte) {
+			t.Helper()
+			for i, a := range pages {
+				alo := uintptr(unsafe.Pointer(&a[0]))
+				for j, b := range pages[:i] {
+					blo := uintptr(unsafe.Pointer(&b[0]))
+					if alo < blo+uintptr(cap(b)) && blo < alo+uintptr(cap(a)) {
+						t.Fatalf("%+v: live pages %d and %d overlap", opts, j, i)
+					}
 				}
 			}
 		}
+		disjoint(live)
+		for cycle := 0; cycle < 4; cycle++ {
+			idxs := seq32(16)[cycle : cycle+8]
+			held := read(idxs)
+			disjoint(append(live[:len(live):len(live)], held...))
+			for k, idx := range idxs {
+				if !bytes.Equal(held[k], live[idx]) {
+					t.Fatalf("%+v: cycle %d: page %d reads otherwise from a recycled buffer", opts, cycle, idx)
+				}
+				pager.Release(held[k])
+			}
+		}
 		// Writing into one page — what heap-file code does — changes no other read.
-		for i := range pages[4] {
-			pages[4][i] = 0xee
+		for i := range live[4] {
+			live[4][i] = 0xee
 		}
 		again, err := s.ReadPage(4)
-		if err != nil || bytes.Equal(again, pages[4]) {
+		if err != nil || bytes.Equal(again, live[4]) {
 			t.Fatalf("%+v: a caller's write into its page reached the store (err %v)", opts, err)
 		}
 	}
@@ -336,7 +368,8 @@ var benchCiphers = []struct {
 }{{"cbc-hmac", Options{}}, {"gcm", Options{GCM: true}}}
 
 // BenchmarkReadPages is the batched secure read of 32 pages from a MemDevice:
-// device copy, page open, batched Merkle verify.
+// device copy, page open, batched Merkle verify. The pages are handed back as
+// a scan hands them back, so B/op is the scan's.
 func BenchmarkReadPages(b *testing.B) {
 	for _, c := range benchCiphers {
 		b.Run(c.name, func(b *testing.B) {
@@ -347,16 +380,21 @@ func BenchmarkReadPages(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				lo := (i * 32) % 256
-				if _, err := s.ReadPages(idxs[lo : lo+32]); err != nil {
+				pages, err := s.ReadPages(idxs[lo : lo+32])
+				if err != nil {
 					b.Fatal(err)
+				}
+				for _, p := range pages {
+					pager.Release(p)
 				}
 			}
 		})
 	}
 }
 
-// BenchmarkOpenPage is one page open — MAC check, then decryption in place —
-// over a fresh copy of the record each time, as the device hands one out.
+// BenchmarkOpenPage is one page open — MAC check, then decryption into a
+// pooled page, handed back after — over a fresh copy of the record each time,
+// as the device hands one out.
 func BenchmarkOpenPage(b *testing.B) {
 	for _, c := range benchCiphers {
 		b.Run(c.name, func(b *testing.B) {
@@ -372,9 +410,11 @@ func BenchmarkOpenPage(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(record, stored)
-				if _, _, err := s.openPage(pc, 0, record); err != nil {
+				plain, _, err := s.openPage(pc, 0, record)
+				if err != nil {
 					b.Fatal(err)
 				}
+				pager.Release(plain)
 			}
 		})
 	}

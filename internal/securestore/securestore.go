@@ -543,9 +543,11 @@ func (s *Store) VerifyAll() error {
 		return err
 	}
 	for i := uint32(0); i < n; i++ {
-		if _, err := s.ReadPage(i); err != nil {
+		page, err := s.ReadPage(i)
+		if err != nil {
 			return err
 		}
+		pager.Release(page)
 	}
 	return nil
 }
@@ -580,13 +582,11 @@ func (s *Store) encryptPage(pc *pageCrypto, plain []byte) ([]byte, error) {
 	return record, nil
 }
 
-// openPage verifies a stored record and decrypts it in place: record must be
-// the caller's own (every BlockDevice hands out an owned copy), and once the
-// MAC has passed — not a byte is decrypted before — its ciphertext bytes
-// become the plaintext page, returned with len == cap == PageSize so that no
-// append can run into the MAC behind it. recordMAC is the record's tail. A
-// record that fails is as it was handed in (a GCM one with its page bytes
-// cleared by the AEAD). pc is the caller's.
+// openPage verifies a stored record and, once the MAC has passed — not a byte
+// is decrypted before — decrypts it into a pooled page (pager.Buf) of
+// PageSize bytes, the caller's to release. recordMAC is the record's tail.
+// The record is only read: one that fails is as it was handed in. pc is the
+// caller's.
 func (s *Store) openPage(pc *pageCrypto, idx uint32, record []byte) (plain, recordMAC []byte, err error) {
 	if s.opts.GCM {
 		return s.openPageGCM(pc, idx, record)
@@ -603,21 +603,24 @@ func recordSizeError(idx uint32, record []byte) error {
 
 // openMACed is the rest of openPage once the MAC over a whole CBC record has
 // been computed, as sum: the record's MAC is compared with it and only then
-// is the page decrypted in place.
+// is the page decrypted, into a pooled page. The kernel decrypts in place, so
+// there the ciphertext is copied into the page first.
 func (s *Store) openMACed(pc *pageCrypto, idx uint32, record, sum []byte) (plain, recordMAC []byte, err error) {
 	iv := record[:ivSize]
-	ct := record[ivSize : ivSize+pager.PageSize : ivSize+pager.PageSize]
+	ct := record[ivSize : ivSize+pager.PageSize]
 	recordMAC = record[ivSize+pager.PageSize:]
 	if !hmac.Equal(recordMAC, sum) {
 		return nil, nil, fmt.Errorf("%w: page %d HMAC mismatch", ErrIntegrity, idx)
 	}
+	plain = pager.Buf(pager.PageSize)
 	if s.cbc != nil {
-		s.cbc.cbcDecrypt(iv, ct)
+		copy(plain, ct)
+		s.cbc.cbcDecrypt(iv, plain)
 	} else {
 		pc.dec.SetIV(iv)
-		pc.dec.CryptBlocks(ct, ct)
+		pc.dec.CryptBlocks(plain, ct)
 	}
-	return ct, recordMAC, nil
+	return plain, recordMAC, nil
 }
 
 // kernelMACs reports whether a group of n pages of a batched read or a commit
@@ -629,24 +632,29 @@ func (s *Store) openMACed(pc *pageCrypto, idx uint32, record, sum []byte) (plain
 func (s *Store) kernelMACs(n int) bool { return s.mac8 != nil && n > 1 }
 
 // openGroup opens up to eight records of a batch — records[k] that of page
-// idxs[k] — into out and errs as openPage would one by one, and leaves each
-// opened record's slot holding its MAC. Where the MAC kernel takes the group,
-// its MACs are computed together (pageMAC8), then each page is compared and
-// decrypted on its own, so a bad record fails alone and is not decrypted.
-func (s *Store) openGroup(pc *pageCrypto, idxs []uint32, records, out [][]byte, errs []error) {
-	if !s.kernelMACs(len(idxs)) {
-		for k, idx := range idxs {
-			out[k], records[k], errs[k] = s.openPage(pc, idx, records[k])
-		}
-		return
+// idxs[k] — into out and errs as openPage would one by one, copies each
+// record's MAC into macs[k] and releases the record. Where the MAC kernel
+// takes the group, its MACs are computed together (pageMAC8), then each page
+// is compared and decrypted on its own, so a bad record fails alone and is
+// not decrypted.
+func (s *Store) openGroup(pc *pageCrypto, idxs []uint32, records, out, macs [][]byte, errs []error) {
+	var sums *[macLanes][macSize]byte
+	if s.kernelMACs(len(idxs)) {
+		sums = s.mac8.pageMAC8(&pc.lanes, idxs, records)
 	}
-	sums := s.mac8.pageMAC8(&pc.lanes, idxs, records)
 	for k, idx := range idxs {
-		if len(records[k]) != recordSize {
+		var recordMAC []byte
+		switch {
+		case sums == nil:
+			out[k], recordMAC, errs[k] = s.openPage(pc, idx, records[k])
+		case len(records[k]) != recordSize:
 			errs[k] = recordSizeError(idx, records[k])
-			continue
+		default:
+			out[k], recordMAC, errs[k] = s.openMACed(pc, idx, records[k], sums[k][:])
 		}
-		out[k], records[k], errs[k] = s.openMACed(pc, idx, records[k], sums[k][:])
+		macs[k] = append(macs[k][:0], recordMAC...)
+		pager.Release(records[k])
+		records[k] = nil
 	}
 }
 
@@ -698,11 +706,11 @@ func (s *Store) sealPages(pc *pageCrypto, idxs []uint32, pages map[uint32][]byte
 // crypto/cipher everywhere: CBC encryption chains every block on the one
 // before, so eight blocks cannot be in flight. Whoever seals or opens pages —
 // a commit, a read, a decrypt worker — takes one with getCrypto and hands it
-// back with putCrypto, so a page costs no keying and no allocation beyond its
-// record. It also carries the keyed Merkle-node HMAC its holder verifies or
-// commits those pages with, and the record scratch of the batch its holder
-// reads (fetchOpen). A GCM store's is only those two: the AEAD is stateless.
-// Not for concurrent use.
+// back with putCrypto, so a page costs no keying, and a read no allocation
+// beyond what the pool does not hand back. It also carries the keyed
+// Merkle-node HMAC its holder verifies or commits those pages with, and the
+// record scratch of the batch its holder reads (fetchOpen). A GCM store's is
+// only those two: the AEAD is stateless. Not for concurrent use.
 type pageCrypto struct {
 	mac      hash.Hash
 	tree     *treeMAC
@@ -711,7 +719,8 @@ type pageCrypto struct {
 	scratch  [macSize]byte
 
 	lanes   macScratch // a group of eight page MACs (pageMAC8)
-	records [][]byte   // the batch's records as the device returned them, then their MACs
+	records [][]byte   // the batch's records as the device returned them, until each is opened
+	macs    [][]byte   // each opened record's MAC, copied out before the record is released
 	errs    []error    // the outcome of opening each
 }
 
@@ -777,12 +786,14 @@ func (s *Store) openPageGCM(pc *pageCrypto, idx uint32, record []byte) (plain, r
 	}
 	nonce, ct := record[:gcmNonceSize], record[gcmNonceSize:]
 	binary.LittleEndian.PutUint32(pc.idx[:], idx)
+	page := pager.Buf(len(ct) - gcmTagSize)
 	//ironsafe:allow noncereuse -- nonce travels inside the record and is authenticated by the GCM tag; freshness comes from the Merkle root + RPMB anchor, not the nonce
-	plain, err = s.gcm.Open(ct[:0], nonce, ct, pc.idx[:])
+	plain, err = s.gcm.Open(page[:0], nonce, ct, pc.idx[:])
 	if err != nil {
+		pager.Release(page)
 		return nil, nil, fmt.Errorf("%w: page %d GCM auth failed", ErrIntegrity, idx)
 	}
-	return plain[:len(plain):len(plain)], ct[len(ct)-gcmTagSize:], nil
+	return plain, ct[len(ct)-gcmTagSize:], nil
 }
 
 // Equal reports whether two byte slices match in constant time (exported for
