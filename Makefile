@@ -187,13 +187,13 @@ benchjson:
 # budget, and the layer benchmarks (page decryption, page MAC, row window, table scan, predicate kernels, fragment
 # shipment, host scan of a shipment, hash join, group-by, semi-join reduced
 # scan, subquery-reduced scans, the q13 / q18 / q21 host phases, the store
-# commit, the insert acknowledgement, the channel handshake and the audit
-# append / export) must still run.
+# commit, the insert acknowledgement, the channel handshake, a message through
+# the channel and the audit append / export) must still run.
 benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
 	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|GoldenSnapshots' ./internal/bench
 	$(GO) test -count=1 -run 'ScanWindows|MalformedPlaintext|ScanBatchWindows|RowWindow|PushedPredicates|ColumnPruning|BareProjection|RetainedReply|ResultForms|FragmentReplyBytes|KeyTable|JoinMatchesNestedLoop|JoinChain|SemiReduction|CommonDisjuncts|Subquery|ColumnarMatchesRowMode|HostPhaseAllocBudget|ColumnBuilders' ./internal/pager ./internal/schema ./internal/engine ./internal/sql/exec ./internal/storageengine
-	$(GO) test -run '^$$' -bench 'CBCDecrypt|PageMAC|RowWindow|TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HostPhase|HashJoin|GroupBy|ScanSemiReduce|Subquery|Commit|InsertAck|Handshake|Audit' -benchtime 1x ./internal/schema ./internal/securestore ./internal/engine ./internal/sql/exec ./internal/storageengine ./internal/transport ./internal/audit
+	$(GO) test -run '^$$' -bench 'CBCDecrypt|PageMAC|RowWindow|TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HostPhase|HashJoin|GroupBy|ScanSemiReduce|Subquery|Commit|InsertAck|Handshake|SendRecv|Audit' -benchtime 1x ./internal/schema ./internal/securestore ./internal/engine ./internal/sql/exec ./internal/storageengine ./internal/transport ./internal/audit
 
 # bench-layers runs the data path's layer benchmarks, bottom up: the secure
 # store's batched read, page open, page seal (CBC+HMAC and GCM), page
@@ -202,15 +202,17 @@ benchsmoke:
 # and 256 pages into 1 k and 16 k pages), the page-backed row walk and column
 # decode (`schema.RowWindow`), the predicate kernels, the table
 # scan and the single-row insert acknowledgement over a real secure store,
-# fragment shipment, the host phases a subquery's key set reduces, the
+# fragment shipment (to the reply bytes, and through ServeConn and the channel
+# to the retained reply), the host phases a subquery's key set reduces, the
 # whole host phases of q13, q18 and q21 from the replies' bytes, and what a
 # short query pays around its fragment: the channel handshake (full X25519
-# exchange and resumption, both ends over net.Pipe) and the audit log's append
-# and first export. ns/op, B/op
+# exchange and resumption, both ends over net.Pipe), one 4 KiB and one 1 MiB
+# message through the channel (Send to Recv), and the audit log's append and
+# first export. ns/op, B/op
 # and allocs/op per layer; `make bench-layers BENCHTIME=1x` is the CI smoke run.
 BENCHTIME ?= 1s
 bench-layers:
-	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|CBCDecrypt|PageMAC|SealPage|Commit|RowWindow|EvalVecPredicate|TableScan|InsertAck|ShipFragment|SubqueryReduce|HostPhase|Handshake|Audit' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/engine ./internal/storageengine ./internal/transport ./internal/audit
+	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|CBCDecrypt|PageMAC|SealPage|Commit|RowWindow|EvalVecPredicate|TableScan|InsertAck|ShipFragment|SubqueryReduce|HostPhase|Handshake|SendRecv|Audit' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/engine ./internal/storageengine ./internal/transport ./internal/audit
 
 # benchmark runs one workload of the repository benchmark the way the driver
 # does (`make benchmark W=scs-scan`): the timed run only, no trace.

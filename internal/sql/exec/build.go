@@ -296,7 +296,7 @@ func (b *builder) passThrough(sel *ast.Select, items []ast.SelectItem, input *jo
 	}
 	b.chargePass(input.n, nil)
 	b.trace.addf("project: pass-through")
-	res := &Result{Sch: outSch, Rows: in.Rows, enc: in.enc, n: in.n}
+	res := &Result{Sch: outSch, Rows: in.Rows, enc: in.enc, pooled: in.pooled, n: in.n}
 	if res.Rows == nil && res.enc == nil {
 		res.Rows = []schema.Row{}
 	}
@@ -874,6 +874,9 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 		}
 		switch {
 		case encode:
+			if res.pooled == nil && len(keep) > 0 {
+				res.pooledEnc()
+			}
 			res.enc = bt.AppendEncoded(res.enc, keep, cols)
 		case emit:
 			res.Rows = bt.AppendRows(res.Rows, keep, cols)

@@ -90,10 +90,11 @@ type Result struct {
 	Sch  *schema.Schema
 	Rows []schema.Row
 
-	enc  []byte // the encoded form: n rows of Sch.Len() columns each
-	n    int    // rows of the encoded and the columnar form
-	cols []*schema.ColVec
-	all  *Batch // every row as one batch: the index over enc, the vectors of Rows
+	enc    []byte  // the encoded form: n rows of Sch.Len() columns each
+	pooled *[]byte // enc's slot in the reply pool while enc came from it (Release)
+	n      int     // rows of the encoded and the columnar form
+	cols   []*schema.ColVec
+	all    *Batch // every row as one batch: the index over enc, the vectors of Rows
 }
 
 // NumRows returns the number of rows in any form.

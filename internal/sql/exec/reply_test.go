@@ -268,6 +268,11 @@ func TestResultFormsEncodeAlike(t *testing.T) {
 		if b2, _ := boxed.Boxed(); b2 != boxed {
 			t.Error("Boxed() of a boxed result is not the result itself")
 		}
+		for form, res := range map[string]*Result{"boxed": boxed, "encoded": retained(t, mem), "columnar": columnar(t, mem)} {
+			if head, rows, err := ReplyParts(res); err != nil || !bytes.Equal(append(head, rows...), want) {
+				t.Errorf("the %s form's reply parts do not join to its encoding (%v)", form, err)
+			}
+		}
 	}
 
 	mem := lineitemish(300, false)
@@ -296,6 +301,9 @@ func TestResultFormsEncodeAlike(t *testing.T) {
 		if key.Len() != len(boxed.Rows) || key.Value(k) != row[1] {
 			t.Fatalf("column 1 of the unindexed fragment: %d values, want %d; or value %d differs", key.Len(), len(boxed.Rows), k)
 		}
+	}
+	if head, rows, err := ReplyParts(frag); err != nil || !bytes.Equal(append(head, rows...), bb) {
+		t.Errorf("the fragment's reply parts do not join to the boxed run's encoding (%v)", err)
 	}
 	// Anything that is not a bare shipment stays boxed.
 	for _, sql := range []string{
@@ -499,5 +507,31 @@ func BenchmarkHostScanShipped(b *testing.B) {
 			}
 			b.ReportMetric(float64(kept), "rows-kept")
 		})
+	}
+}
+
+// TestReleaseTakesOnlyPooledReplies: Release empties a fragment's encoded
+// reply, whose buffer came from the reply pool, once; a retained reply and the
+// boxed and columnar forms own their rows some other way, and Release leaves
+// them as they are.
+func TestReleaseTakesOnlyPooledReplies(t *testing.T) {
+	mem := lineitemish(300, false)
+	sel, _ := parser.ParseSelect("SELECT l_shipmode, l_orderkey FROM lineitem WHERE l_size > 25")
+	frag, err := RunFragment(sel, memCatalog{"lineitem": mem}, nil, 64)
+	if err != nil || frag.pooled == nil || frag.NumRows() == 0 {
+		t.Fatalf("the fragment's reply is not in a pooled buffer: %d rows, %v", frag.NumRows(), err)
+	}
+	frag.Release()
+	if frag.pooled != nil || frag.enc != nil || frag.NumRows() != 0 {
+		t.Errorf("a released reply still holds %d rows", frag.NumRows())
+	}
+	frag.Release() // a second release hands nothing back
+
+	for form, res := range map[string]*Result{"boxed": {Sch: mem.Sch, Rows: mem.Rows}, "encoded": retained(t, mem), "columnar": columnar(t, mem)} {
+		want, _ := EncodeResult(res)
+		res.Release()
+		if got, _ := EncodeResult(res); !bytes.Equal(got, want) {
+			t.Errorf("Release changed a %s result", form)
+		}
 	}
 }

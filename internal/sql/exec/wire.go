@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"ironsafe/internal/schema"
 	"ironsafe/internal/value"
@@ -17,28 +18,79 @@ type wireColumn struct {
 	Kind value.Kind `json:"kind"`
 }
 
-// EncodeResult serializes a result for transmission. Every form of a result
-// holding the same rows serializes to the same bytes.
+// EncodeResult serializes a result for transmission: ReplyParts joined. Every
+// form of a result holding the same rows serializes to the same bytes.
 func EncodeResult(r *Result) ([]byte, error) {
+	head, rows, err := ReplyParts(r)
+	if err != nil {
+		return nil, err
+	}
+	return append(head, rows...), nil
+}
+
+// ReplyParts returns the serialization of r in two parts: head, the schema
+// header and the row count, and rows, the rows in the row codec. The rows of
+// the encoded form are its bytes, not a copy, so a sender that ships them
+// releases r (Release) only once they are sent.
+func ReplyParts(r *Result) (head, rows []byte, err error) {
 	cols := make([]wireColumn, r.Sch.Len())
 	for i, c := range r.Sch.Columns {
 		cols[i] = wireColumn{Name: c.Name, Kind: c.Kind}
 	}
 	hdr, err := json.Marshal(cols)
 	if err != nil {
-		return nil, fmt.Errorf("exec: encoding result header: %w", err)
+		return nil, nil, fmt.Errorf("exec: encoding result header: %w", err)
 	}
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(hdr)))
-	out = append(out, hdr...)
+	head = make([]byte, 0, 4+len(hdr)+binary.MaxVarintLen64)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(hdr)))
+	head = append(head, hdr...)
 	if r.enc != nil {
-		out = binary.AppendUvarint(out, uint64(r.n))
-		return append(out, r.enc...), nil
+		return binary.AppendUvarint(head, uint64(r.n)), r.enc, nil
 	}
 	boxed, err := r.Boxed()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return append(out, schema.EncodeRows(boxed.Rows)...), nil
+	batch := schema.EncodeRows(boxed.Rows)
+	_, pre := binary.Uvarint(batch) // the row count's length
+	return append(head, batch[:pre]...), batch[pre:], nil
+}
+
+// replies holds the encoded forms Release handed back, each as large as the
+// largest reply it has held.
+var replies = sync.Pool{New: func() any { return new([]byte) }}
+
+// poisonReleased is set under the race detector (release_race.go): Release
+// then scribbles over an encoded form before pooling it, so a reader that
+// outlives the result reads garbage and fails loudly instead of reading a
+// later reply's rows.
+var poisonReleased bool
+
+// pooledEnc starts r's encoded form in a buffer from the reply pool.
+func (r *Result) pooledEnc() {
+	r.pooled = replies.Get().(*[]byte)
+	r.enc = (*r.pooled)[:0]
+}
+
+// Release hands the buffer of r's encoded form back to the reply pool, for a
+// later fragment's reply to grow into, and leaves r empty. Only the last
+// holder of r may release it, once nothing reads its rows any more: the
+// storage node, once the reply is sent. A result whose rows are not in a
+// buffer from the pool — a retained reply, the boxed and the columnar form —
+// is left as it is.
+func (r *Result) Release() {
+	if r.pooled == nil {
+		return
+	}
+	if poisonReleased {
+		buf := r.enc[:cap(r.enc)]
+		for i := range buf {
+			buf[i] = 0xdb
+		}
+	}
+	*r.pooled = r.enc[:0]
+	replies.Put(r.pooled)
+	r.enc, r.pooled, r.n, r.all = nil, nil, 0, nil
 }
 
 // decodeHeader parses the schema header of an encoded result and returns the

@@ -3,6 +3,7 @@ package storageengine
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"ironsafe/internal/sql/parser"
 	"ironsafe/internal/tee/trustzone"
 	"ironsafe/internal/tpch"
+	"ironsafe/internal/transport"
 )
 
 // tpchServer is a secure storage server as a cluster configures one (batched
@@ -123,13 +125,99 @@ func TestFragmentReplyBytes(t *testing.T) {
 	}
 }
 
+// serveChannel connects a host end to s over net.Pipe, through ServeConn and
+// a channel handshake, as a cluster's in-process channel is connected. The
+// channel says goodbye and waits for ServeConn at cleanup.
+func serveChannel(tb testing.TB, s *Server) *transport.SecureConn {
+	tb.Helper()
+	const session = "sess-channel"
+	key := []byte("channel-key")
+	s.InstallSessionKey(session, key)
+	host, node := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		s.ServeConn(node)
+		close(served)
+	}()
+	if _, err := host.Write(append([]byte{byte(len(session))}, session...)); err != nil {
+		tb.Fatal(err)
+	}
+	sc, err := transport.Client(host, key, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		sc.Send("bye", nil)
+		sc.Close()
+		<-served
+	})
+	return sc
+}
+
+// offloadOver ships sql over sc and retains the reply, as the host does. It
+// returns the result and the length of its serialization.
+func offloadOver(sc *transport.SecureConn, sql string) (*exec.Result, int, error) {
+	if err := sc.Send("offload", offloadFrame(sql)); err != nil {
+		return nil, 0, err
+	}
+	typ, payload, err := sc.Recv()
+	if err != nil {
+		return nil, 0, err
+	}
+	if typ != "result" || len(payload) < 8 {
+		return nil, 0, fmt.Errorf("reply %q of %d bytes: %s", typ, len(payload), payload)
+	}
+	res, err := exec.RetainResult(payload[8:])
+	return res, len(payload) - 8, err
+}
+
+// TestRetainedRepliesOutliveLaterOffloads holds three replies of one channel
+// — large, small, large — retained and unread until the last has arrived: the
+// storage node reuses its reply and frame buffers for every reply, and each
+// retained reply must still be its own bytes, the rows of the boxed execution.
+func TestRetainedRepliesOutliveLaterOffloads(t *testing.T) {
+	s, schemas := tpchServer(t, 0.002)
+	ship := func(qn int, table string) string {
+		for _, sh := range fragments(t, qn, schemas) {
+			if sh.Table == table {
+				return sh.SQL
+			}
+		}
+		t.Fatalf("q%d ships no %s", qn, table)
+		return ""
+	}
+	sc := serveChannel(t, s)
+	sqls := []string{ship(21, "lineitem"), ship(21, "nation"), ship(18, "lineitem")}
+	var held []*exec.Result
+	for _, sql := range sqls {
+		res, _, err := offloadOver(sc, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		held = append(held, res)
+	}
+	for i, sql := range sqls {
+		want, err := s.DB().Execute(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := held[i].Boxed()
+		if err != nil || len(want.Rows) == 0 || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("reply %d (%s): %d rows (%v), want the boxed execution's %d", i, sql, held[i].NumRows(), err, len(want.Rows))
+		}
+	}
+}
+
 // BenchmarkShipFragment times the storage side of the two largest shipments
 // of the subquery workload — q21's and q18's lineitem fragments, SF 0.01,
 // over a real secure store — from the statement to the reply bytes: boxed
 // (engine.DB.Execute, then EncodeResult of the rows) against encoded
-// (ExecFragment, whose result is the reply body already).
+// (ExecFragment, whose result is the reply body already, released once
+// encoded); and the whole reply path in the channel form: the offload frame
+// over net.Pipe, ServeConn's execution and reply, Recv, RetainResult.
 func BenchmarkShipFragment(b *testing.B) {
 	s, schemas := tpchServer(b, 0.01)
+	sc := serveChannel(b, s)
 	for _, qn := range []int{21, 18} {
 		var sql string
 		for _, ship := range fragments(b, qn, schemas) {
@@ -139,24 +227,40 @@ func BenchmarkShipFragment(b *testing.B) {
 		}
 		for _, form := range []struct {
 			name string
-			run  func(string) (*exec.Result, error)
+			ship func(string) (int, error) // the reply's length
 		}{
-			{"boxed", s.DB().Execute},
-			{"encoded", s.ExecFragment},
+			{"boxed", func(sql string) (int, error) {
+				res, err := s.DB().Execute(sql)
+				if err != nil {
+					return 0, err
+				}
+				reply, err := exec.EncodeResult(res)
+				return len(reply), err
+			}},
+			{"encoded", func(sql string) (int, error) {
+				res, err := s.ExecFragment(sql)
+				if err != nil {
+					return 0, err
+				}
+				reply, err := exec.EncodeResult(res)
+				res.Release()
+				return len(reply), err
+			}},
+			{"channel", func(sql string) (int, error) {
+				_, n, err := offloadOver(sc, sql)
+				return n, err
+			}},
 		} {
 			b.Run(fmt.Sprintf("q%d-lineitem-%s", qn, form.name), func(b *testing.B) {
 				b.ReportAllocs()
-				var reply []byte
+				var n int
 				for i := 0; i < b.N; i++ {
-					res, err := form.run(sql)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if reply, err = exec.EncodeResult(res); err != nil {
+					var err error
+					if n, err = form.ship(sql); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(len(reply)), "reply-bytes")
+				b.ReportMetric(float64(n), "reply-bytes")
 			})
 		}
 	}

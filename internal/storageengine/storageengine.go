@@ -365,17 +365,20 @@ func (s *Server) ServeConn(conn net.Conn) {
 				sc.Send("error", []byte(err.Error()))
 				continue
 			}
-			blob, err := exec.EncodeResult(res)
+			head, rows, err := exec.ReplyParts(res)
 			if err != nil {
 				sc.Send("error", []byte(err.Error()))
 				continue
 			}
 			s.cfg.Meter.RowsShipped.Add(int64(res.NumRows()))
 			// The reply is stamped with this node's membership epoch; the
-			// host rejects any stamp that differs from the cluster's.
-			out := make([]byte, 8, 8+len(blob))
-			binary.LittleEndian.PutUint64(out, s.Epoch())
-			sc.Send("result", append(out, blob...))
+			// host rejects any stamp that differs from the cluster's. Its rows
+			// are sent straight from the result's buffer, which goes back to
+			// the pool once the frame is written: nothing else holds res.
+			var epoch [8]byte
+			binary.LittleEndian.PutUint64(epoch[:], s.Epoch())
+			sc.Send("result", epoch[:], head, rows)
+			res.Release()
 		case "rebuild-manifest":
 			blob, err := s.ExportRebuildManifest()
 			if err != nil {

@@ -55,11 +55,26 @@ type SecureConn struct {
 	sendMu    sync.Mutex
 	sendAEAD  cipher.AEAD
 	sendSeq   uint64
+	sendNonce [nonceSize]byte
 	recvMu    sync.Mutex
 	recvAEAD  cipher.AEAD
 	recvSeq   uint64
-	recvExtra []byte
+	recvNonce [nonceSize]byte
+	recvHdr   [4]byte
 }
+
+// nonceSize is the AEAD nonce length, AES-GCM's standard 12 bytes: zeros, then
+// the frame's sequence number big-endian in the last eight.
+const nonceSize = 12
+
+// frames holds the buffers Send built its frames in, each as large as the
+// largest frame it has carried.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
+// poison is set under the race detector (frame_race.go): Send then scribbles
+// over a frame before pooling it, so a Write that kept the frame past its
+// return sends bytes the peer rejects instead of a later frame's.
+var poison bool
 
 // SetIOTimeout makes every subsequent Send and Recv arm a deadline of d on
 // the underlying connection, so a stalled or hung peer surfaces as a timeout
@@ -245,25 +260,56 @@ func Server(conn net.Conn, sessionKey []byte, meter *simtime.Meter) (*SecureConn
 	return handshake(conn, sessionKey, false, meter, nil, "")
 }
 
-// Send transmits one typed message.
-func (c *SecureConn) Send(msgType string, payload []byte) error {
+// Send transmits one typed message whose payload is parts joined, so a
+// message made of pieces is never concatenated first. The frame — length,
+// type, payload, tag — is built in one pooled buffer and sealed in place
+// (AES-GCM may seal over its own plaintext). The buffer goes back to the pool
+// once the connection's Write returns, so that Write must be done with p by
+// then, as io.Writer requires. Every Write a frame reaches is done with it:
+// net.Pipe and TCP hand p over before they return, faultinject.Conn forwards
+// p or a copy it corrupts, adversary.Conn appends p to its pending bytes, and
+// the benchmark's counting conn forwards p.
+func (c *SecureConn) Send(msgType string, parts ...[]byte) error {
 	if len(msgType) > 255 {
 		return errors.New("transport: message type too long")
 	}
-	plain := make([]byte, 0, 1+len(msgType)+len(payload))
-	plain = append(plain, byte(len(msgType)))
-	plain = append(plain, msgType...)
-	plain = append(plain, payload...)
+	n := 1 + len(msgType)
+	for _, p := range parts {
+		n += len(p)
+	}
+	buf := frames.Get().(*[]byte)
+	size := 4 + n + c.sendAEAD.Overhead()
+	if cap(*buf) < size {
+		*buf = make([]byte, size)
+	}
+	frame := (*buf)[:size]
+	frame[4] = byte(len(msgType))
+	off := 5 + copy(frame[5:], msgType)
+	for _, p := range parts {
+		off += copy(frame[off:], p)
+	}
+	err := c.sealAndWrite(frame)
+	if poison {
+		for i := range frame {
+			frame[i] = 0xdb
+		}
+	}
+	frames.Put(buf)
+	return err
+}
 
+// sealAndWrite seals frame's plaintext, everything between its length and
+// its tag, in place under the next sequence number and writes the frame.
+func (c *SecureConn) sealAndWrite(frame []byte) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	nonce := make([]byte, c.sendAEAD.NonceSize())
-	binary.BigEndian.PutUint64(nonce[len(nonce)-8:], c.sendSeq)
+	nonce := c.sendNonce[:]
+	binary.BigEndian.PutUint64(nonce[nonceSize-8:], c.sendSeq)
 	c.sendSeq++
-	ct := c.sendAEAD.Seal(nil, nonce, plain, nil)
-	frame := make([]byte, 4+len(ct))
+	plain := frame[4 : len(frame)-c.sendAEAD.Overhead()]
+	ct := c.sendAEAD.Seal(plain[:0], nonce, plain, nil)
 	binary.BigEndian.PutUint32(frame, uint32(len(ct)))
-	copy(frame[4:], ct)
+	frame = frame[:4+len(ct)]
 	// Charged before the write: once the peer has the frame it may answer, and
 	// its reader may snapshot both meters, before this Write returns.
 	if c.meter != nil {
@@ -280,16 +326,17 @@ func (c *SecureConn) Send(msgType string, payload []byte) error {
 
 // Recv receives the next message. Frames are sequenced, so drops, replays,
 // and reordering by a network attacker are detected as decryption failures.
+// The frame is opened in the buffer it was read into, and the payload is a
+// slice of that buffer: the caller's own, as no later Recv touches it.
 func (c *SecureConn) Recv() (string, []byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
 	clear := c.armDeadline(c.conn.SetReadDeadline)
 	defer clear()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.conn, c.recvHdr[:]); err != nil {
 		return "", nil, fmt.Errorf("transport: read header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.recvHdr[:])
 	if n > MaxFrame {
 		return "", nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
@@ -297,10 +344,10 @@ func (c *SecureConn) Recv() (string, []byte, error) {
 	if _, err := io.ReadFull(c.conn, ct); err != nil {
 		return "", nil, fmt.Errorf("transport: read body: %w", err)
 	}
-	nonce := make([]byte, c.recvAEAD.NonceSize())
-	binary.BigEndian.PutUint64(nonce[len(nonce)-8:], c.recvSeq)
+	nonce := c.recvNonce[:]
+	binary.BigEndian.PutUint64(nonce[nonceSize-8:], c.recvSeq)
 	c.recvSeq++
-	plain, err := c.recvAEAD.Open(nil, nonce, ct, nil)
+	plain, err := c.recvAEAD.Open(ct[:0], nonce, ct, nil)
 	if err != nil {
 		return "", nil, ErrAuth
 	}
