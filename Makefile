@@ -196,7 +196,7 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench 'CBCDecrypt|PageMAC|RowWindow|TableScan|EvalVecPredicate|ShipFragment|HostScanShipped|HostPhase|HashJoin|GroupBy|ScanSemiReduce|Subquery|Commit|InsertAck|Handshake|SendRecv|Audit' -benchtime 1x ./internal/schema ./internal/securestore ./internal/engine ./internal/sql/exec ./internal/storageengine ./internal/transport ./internal/audit
 
 # bench-layers runs the data path's layer benchmarks, bottom up: the secure
-# store's batched read, page open, page seal (CBC+HMAC and GCM), page
+# store's batched read, page open, page seal (CBC+HMAC), page
 # decryption alone (the CBC kernel and crypto/cipher's decrypter), the page MAC
 # alone (the eight-lane kernel and crypto/hmac) and commit (1
 # and 256 pages into 1 k and 16 k pages), the page-backed row walk and column

@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation: one benchmark per table
-// and figure (E1-E11 in DESIGN.md) plus the ablation benches for the design
-// choices DESIGN.md calls out. Simulated latencies (the figures' y-axes) are
+// and figure (E1-E11 in DESIGN.md) plus the ablation bench for the design
+// choice DESIGN.md calls out. Simulated latencies (the figures' y-axes) are
 // reported as custom metrics alongside wall time; run with
 //
 //	go test -bench=. -benchmem
@@ -14,10 +14,6 @@ import (
 
 	"ironsafe"
 	"ironsafe/internal/bench"
-	"ironsafe/internal/pager"
-	"ironsafe/internal/securestore"
-	"ironsafe/internal/simtime"
-	"ironsafe/internal/tee/trustzone"
 	"ironsafe/internal/tpch"
 )
 
@@ -226,100 +222,7 @@ func BenchmarkTable4(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md design choices) ---
-
-// secureStoreForBench builds a loaded secure store with options.
-func secureStoreForBench(b *testing.B, opts securestore.Options) (*securestore.Store, *simtime.Meter) {
-	b.Helper()
-	vendor, err := trustzone.NewVendor("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	dev, err := trustzone.NewDevice("bench-dev", vendor)
-	if err != nil {
-		b.Fatal(err)
-	}
-	atf := vendor.SignImage("atf", "1", []byte("atf"))
-	tos := vendor.SignImage("optee", "1", []byte("tos"))
-	var m simtime.Meter
-	_, nw, err := dev.Boot(atf, tos, trustzone.FirmwareImage{Name: "nw", Version: "1", Code: []byte("nw")}, &m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	store, err := securestore.Open(pager.NewMemDevice(), nw, &m, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 512; i++ {
-		idx, _ := store.Allocate()
-		if err := store.WritePage(idx, []byte(fmt.Sprintf("page %d", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return store, &m
-}
-
-// BenchmarkAblationMerkleArity compares binary vs wide Merkle trees: wider
-// trees shorten the verification path at the cost of larger node recomputes.
-func BenchmarkAblationMerkleArity(b *testing.B) {
-	for _, arity := range []int{2, 4, 16} {
-		store, m := secureStoreForBench(b, securestore.Options{Arity: arity})
-		b.Run(fmt.Sprintf("arity%d", arity), func(b *testing.B) {
-			base := m.Snapshot()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := store.ReadPage(uint32(i % 512)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			d := m.Snapshot().Sub(base)
-			b.ReportMetric(float64(d.MerkleHashes)/float64(b.N), "hashes/op")
-		})
-	}
-}
-
-// BenchmarkAblationFreshnessCache compares the paper's per-read full-path
-// verification with verified-subtree caching.
-func BenchmarkAblationFreshnessCache(b *testing.B) {
-	for _, cached := range []bool{false, true} {
-		store, m := secureStoreForBench(b, securestore.Options{CacheVerifiedSubtrees: cached})
-		name := "full-path"
-		if cached {
-			name = "cached-subtrees"
-		}
-		b.Run(name, func(b *testing.B) {
-			base := m.Snapshot()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := store.ReadPage(uint32(i % 512)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			d := m.Snapshot().Sub(base)
-			b.ReportMetric(float64(d.MerkleHashes)/float64(b.N), "hashes/op")
-		})
-	}
-}
-
-// BenchmarkAblationPageCipher compares CBC+HMAC-SHA-512 (the paper's
-// SQLCipher configuration) with AES-GCM.
-func BenchmarkAblationPageCipher(b *testing.B) {
-	for _, gcm := range []bool{false, true} {
-		store, _ := secureStoreForBench(b, securestore.Options{GCM: gcm})
-		name := "cbc-hmac"
-		if gcm {
-			name = "gcm"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := store.ReadPage(uint32(i % 512)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// --- Ablation bench (DESIGN.md design choices) ---
 
 // BenchmarkAblationPushdown compares split execution with predicate pushdown
 // (the partitioner's default) against shipping whole tables.

@@ -38,8 +38,6 @@ var lockcryptoLocalHelpers = map[string]bool{
 	"openMACed":    true,
 	"openGroup":    true,
 	"fetchOpen":    true,
-	"sealPageGCM":  true,
-	"openPageGCM":  true,
 	"pageMAC":      true,
 	"pageMAC8":     true,
 	"getCrypto":    true,

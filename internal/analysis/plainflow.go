@@ -36,7 +36,6 @@ var plainflowRules = &taintRules{
 		// it was handed is tainted too: a read releases it once opened, and
 		// the pool hands it on as someone's plaintext page.
 		{name: "openPage", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
-		{name: "openPageGCM", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
 		// openMACed is openPage's second half; openGroup opens a group of a
 		// batch into its pages and releases its records the same way.
 		{name: "openMACed", modPrefixes: []string{"internal/securestore"}, taint: TaintPlaintext, result: 0, taintsArg: 3},
@@ -59,7 +58,6 @@ var plainflowRules = &taintRules{
 		// AEAD sealing / MAC computation launder taint: the result is
 		// ciphertext or an authenticator, safe for any channel.
 		{name: "sealPage", anyPkg: true},
-		{name: "sealPageGCM", anyPkg: true},
 		{name: "sealPages", anyPkg: true},
 		{name: "encryptPage", anyPkg: true},
 		{name: "pageMAC", anyPkg: true},

@@ -361,17 +361,13 @@ func Dial(addr string, psk []byte) (*Client, error) {
 // admission banner is read first. An overload refusal is a *hint*, not a
 // verdict: the client backs off for the advertised retry-after — capped at
 // MaxBannerRetryAfter, since the banner is forgeable plaintext — and
-// re-dials, up to cfg.DialAttempts connections. Only after exhausting the
-// attempts does the typed *OverloadedError (errors.Is ErrOverloaded)
+// re-dials, up to resilience.DialAttempts connections. Only after exhausting
+// the attempts does the typed *OverloadedError (errors.Is ErrOverloaded)
 // surface, so a MITM forging overload banners can delay a client, never
 // terminally deny it.
 func DialResilient(addr string, psk []byte, cfg resilience.Config) (*Client, error) {
-	attempts := cfg.DialAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var lastOverload error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < resilience.DialAttempts; i++ {
 		conn, err := resilience.DialTCP(addr, cfg)
 		if err != nil {
 			return nil, err
@@ -386,7 +382,7 @@ func DialResilient(addr string, psk []byte, cfg resilience.Config) (*Client, err
 			return nil, fmt.Errorf("ctl: handshake with %s: %w", addr, err)
 		}
 		lastOverload = err
-		if i+1 < attempts && cfg.Sleep != nil {
+		if i+1 < resilience.DialAttempts && cfg.Sleep != nil {
 			cfg.Sleep(capRetryAfter(oe.RetryAfter))
 		}
 	}

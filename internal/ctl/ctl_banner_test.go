@@ -61,7 +61,7 @@ func TestForgedBannerIsBoundedHint(t *testing.T) {
 	}()
 
 	var log sleepLog
-	cfg := resilience.Config{DialAttempts: 3, Sleep: log.sleep}.WithDefaults()
+	cfg := resilience.Config{Sleep: log.sleep}.WithDefaults()
 	_, err = DialResilient(ln.Addr().String(), []byte("psk"), cfg)
 	var oe *OverloadedError
 	if !errors.As(err, &oe) || !errors.Is(err, ErrOverloaded) {
@@ -71,8 +71,8 @@ func TestForgedBannerIsBoundedHint(t *testing.T) {
 		t.Fatalf("surfaced retry-after %v exceeds cap %v", oe.RetryAfter, MaxBannerRetryAfter)
 	}
 	sleeps := log.all()
-	if len(sleeps) != 2 {
-		t.Fatalf("backoffs = %v, want one between each of 3 attempts", sleeps)
+	if len(sleeps) != resilience.DialAttempts-1 {
+		t.Fatalf("backoffs = %v, want one between each of %d attempts", sleeps, resilience.DialAttempts)
 	}
 	for _, d := range sleeps {
 		if d > MaxBannerRetryAfter || d <= 0 {
@@ -118,7 +118,7 @@ func TestForgedBannerDelaysNotDenies(t *testing.T) {
 	}()
 
 	var log sleepLog
-	cfg := resilience.Config{DialAttempts: 3, Sleep: log.sleep}.WithDefaults()
+	cfg := resilience.Config{Sleep: log.sleep}.WithDefaults()
 	c, err := DialResilient(front.Addr().String(), []byte("psk"), cfg)
 	if err != nil {
 		t.Fatalf("dial through forge-once adversary: %v", err)

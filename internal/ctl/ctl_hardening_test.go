@@ -109,7 +109,7 @@ func TestMaxConnsSheds(t *testing.T) {
 
 	// The second connection must be shed: its handshake dies because the
 	// server closes the socket without answering.
-	cfg := resilience.Config{DialAttempts: 1, HandshakeTimeout: time.Second}.WithDefaults()
+	cfg := resilience.Config{HandshakeTimeout: time.Second}.WithDefaults()
 	if _, err := DialResilient(ln.Addr().String(), []byte("psk"), cfg); err == nil {
 		t.Error("connection beyond MaxConns was served")
 	}
@@ -144,7 +144,7 @@ func TestDialResilientDeadPortTyped(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	cfg := resilience.Config{DialAttempts: 2, DialTimeout: 200 * time.Millisecond}.WithDefaults()
+	cfg := resilience.Config{}.WithDefaults()
 	start := time.Now() //ironsafe:allow wallclock -- asserting fail-fast wall time
 	_, err = DialResilient(addr, []byte("psk"), cfg)
 	if err == nil {

@@ -137,9 +137,10 @@ func TestOverloadRefusalIsTyped(t *testing.T) {
 	defer hold.Close()
 
 	// No queue configured: saturation refuses immediately, with the typed
-	// banner instead of a silent close. A single-attempt dial observes the
-	// refusal directly (multi-attempt dials retry through it by design).
-	_, err = DialResilient(addr, []byte("psk"), resilience.Config{DialAttempts: 1}.WithDefaults())
+	// banner instead of a silent close. The dial retries through each
+	// refusal by design (no Sleep: without waiting) and, once its attempts
+	// are spent, surfaces the last one.
+	_, err = DialResilient(addr, []byte("psk"), resilience.Config{}.WithDefaults())
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -147,8 +148,8 @@ func TestOverloadRefusalIsTyped(t *testing.T) {
 	if !errors.As(err, &oe) || oe.RetryAfter != 250*time.Millisecond {
 		t.Fatalf("err = %v, want advertised 250ms retry-after", err)
 	}
-	if _, _, shed := srv.Stats(); shed != 1 {
-		t.Errorf("shed = %d, want 1", shed)
+	if _, _, shed := srv.Stats(); shed != resilience.DialAttempts {
+		t.Errorf("shed = %d, want one per attempt, %d", shed, resilience.DialAttempts)
 	}
 	// The held connection still serves.
 	var n int
@@ -211,11 +212,11 @@ func TestQueueWaitExpiryRefusesTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hold.Close()
-	if _, err := DialResilient(addr, []byte("psk"), resilience.Config{DialAttempts: 1}.WithDefaults()); !errors.Is(err, ErrOverloaded) {
+	if _, err := DialResilient(addr, []byte("psk"), resilience.Config{}.WithDefaults()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("expired queue wait: err = %v, want ErrOverloaded", err)
 	}
-	if _, q, shed := srv.Stats(); q != 0 || shed != 1 {
-		t.Errorf("stats after expiry: queued=%d shed=%d, want 0, 1", q, shed)
+	if _, q, shed := srv.Stats(); q != 0 || shed != resilience.DialAttempts {
+		t.Errorf("stats after expiry: queued=%d shed=%d, want 0, one per attempt (%d)", q, shed, resilience.DialAttempts)
 	}
 }
 

@@ -28,8 +28,6 @@ type Config struct {
 	FWVersion string
 	// Platform is the SGX platform; required when Secure.
 	Platform *sgx.Platform
-	// Image is the host engine code identity measured into the enclave.
-	Image []byte
 	// Secure runs query processing inside an enclave (hos/scs); false is
 	// the non-secure baseline (hons/vcs).
 	Secure bool
@@ -64,10 +62,8 @@ func New(cfg Config) (*Host, error) {
 		if cfg.Platform == nil {
 			return nil, errors.New("hostengine: secure host requires an SGX platform")
 		}
-		img := cfg.Image
-		if len(img) == 0 {
-			img = []byte("ironsafe host engine " + cfg.FWVersion)
-		}
+		// The enclave measures the host engine's code identity at FWVersion.
+		img := []byte("ironsafe host engine " + cfg.FWVersion)
 		enc, err := cfg.Platform.CreateEnclave(img, sgx.Config{Meter: cfg.Meter, EPCLimitBytes: cfg.EPCLimitBytes})
 		if err != nil {
 			return nil, err

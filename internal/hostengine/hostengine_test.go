@@ -208,7 +208,7 @@ func TestRemoteNodeOverTCP(t *testing.T) {
 	defer ln.Close()
 	go r.server.Serve(ln)
 
-	cfg := resilience.Config{DialAttempts: 1}.WithDefaults()
+	cfg := resilience.Config{}.WithDefaults()
 	tickets := transport.NewTicketStore()
 	dial := func() *RemoteNode {
 		t.Helper()
@@ -303,7 +303,7 @@ func TestEnclavePageStoreChargesTransitionsAndEPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := securestore.OpenWith(pager.NewMemDevice(), enclaveKeySource{secret: []byte("s")}, &memAnchor{}, &m, securestore.Options{})
+	inner, err := securestore.OpenWith(pager.NewMemDevice(), enclaveKeySource{secret: []byte("s")}, &memAnchor{}, &m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,10 +149,13 @@ func (n *RemoteNode) Offload(sql string) (*exec.Result, int64, error) {
 		n.broken = err
 		return nil, 0, err
 	}
-	// "budget" and "error" replies are *completed* exchanges — the channel
-	// stays in sync and usable; only wire-level failures below poison it.
+	// "budget", "too-large" and "error" replies are *completed* exchanges —
+	// the channel stays in sync; only wire-level failures below poison it.
 	if typ == "budget" {
 		return nil, 0, fmt.Errorf("hostengine: offload to %s refused by storage: %w", n.ID, resilience.ErrBudgetExhausted)
+	}
+	if typ == "too-large" {
+		return nil, 0, fmt.Errorf("hostengine: reply from %s exceeds one frame: %w", n.ID, transport.ErrFrameTooLarge)
 	}
 	if typ == "error" {
 		return nil, 0, errors.New("hostengine: storage error: " + string(payload))
@@ -185,10 +188,15 @@ func (n *RemoteNode) ReplyEpoch() uint64 {
 
 // Close ends the channel. A failed goodbye is reported alongside the close
 // error rather than dropped: on a faulted channel it is often the first
-// (and only) signal the peer is gone.
+// (and only) signal the peer is gone. A poisoned channel gets none: its peer
+// may be blocked writing a frame this side will never read, so a goodbye
+// would wait forever, while closing fails that write and ends the peer.
 func (n *RemoteNode) Close() error {
 	n.reqMu.Lock()
 	defer n.reqMu.Unlock()
+	if n.broken != nil {
+		return n.Conn.Close()
+	}
 	byeErr := n.Conn.Send("bye", nil)
 	err := errors.Join(byeErr, n.Conn.Close())
 	if byeErr == nil && n.served != nil {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"ironsafe/internal/adversary"
 	"ironsafe/internal/faultinject"
@@ -209,4 +210,57 @@ func forgeCount(t *testing.T, blob []byte, count uint64) []byte {
 	out := append([]byte{}, blob[:4+hl]...)
 	out = binary.AppendUvarint(out, count)
 	return append(out, blob[4+hl+sz:]...)
+}
+
+// TestOversizedFrameHeaderClosesPromptly: a peer announces a frame above
+// transport.MaxFrame and then blocks writing its body. The host's Recv fails
+// typed without reading the body, the channel is poisoned, and Close returns
+// at once — it sends no goodbye, which would wait behind the peer's write.
+func TestOversizedFrameHeaderClosesPromptly(t *testing.T) {
+	key := []byte("storage-session-key")
+	clientRaw, serverRaw := net.Pipe()
+	peerDone := make(chan struct{})
+	go func() {
+		defer close(peerDone)
+		defer serverRaw.Close()
+		var l [1]byte
+		if _, err := io.ReadFull(serverRaw, l[:]); err != nil {
+			return
+		}
+		if _, err := io.ReadFull(serverRaw, make([]byte, int(l[0]))); err != nil {
+			return
+		}
+		srv, err := transport.Server(serverRaw, key, nil)
+		if err != nil {
+			return
+		}
+		if _, _, err := srv.Recv(); err != nil {
+			return
+		}
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], transport.MaxFrame+1)
+		if _, err := serverRaw.Write(hdr[:]); err != nil {
+			return
+		}
+		serverRaw.Write(make([]byte, 64<<10)) // blocks: nobody reads the body
+	}()
+	node, err := NewRemoteNode(clientRaw, "node-x", "sess", key, nil, nil, nil, resilience.Config{})
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	if _, _, err := node.Offload("SELECT 1"); !errors.Is(err, transport.ErrFrameTooLarge) {
+		t.Fatalf("offload against an oversized header: %v, want transport.ErrFrameTooLarge", err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- node.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close on a poisoned channel did not return within 5 s")
+	}
+	select {
+	case <-peerDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the peer's blocked write outlived the closed channel")
+	}
 }

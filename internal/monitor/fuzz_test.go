@@ -3,6 +3,7 @@ package monitor
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ironsafe/internal/policy"
@@ -13,7 +14,9 @@ import (
 // FuzzAuthorize drives the trust anchor's front door with a random statement
 // and access date under the examples/gdpr-sharing policy, as the producer (no
 // row filters) and as the consumer (two). Authorize must not panic and fails
-// only on a statement that does not parse, a policy error or a typed denial.
+// only on a statement that does not parse, a policy error, a typed denial, a
+// typed refusal of a request too large to parse, or a rewrite nested past the
+// parser's bound.
 // Without filters the statement runs as sent; with them, the rewrite parses
 // to a SELECT whose top-level conjuncts end with exactly those filters.
 func FuzzAuthorize(f *testing.F) {
@@ -26,6 +29,9 @@ func FuzzAuthorize(f *testing.F) {
 		{"SELECT d.name FROM (SELECT name FROM passengers) d", "1995-06-17"},
 		{"UPDATE passengers SET expiry = date '2999-01-01'", "1995-06-17"},
 		{"INSERT INTO passengers VALUES (5, 'eve', 'IS303', '1995-06-22', '1990-01-01', 3)", "1995-06-17"},
+		{"SELECT name FROM passengers WHERE " + strings.Repeat("(", 1001) + "id > 2" + strings.Repeat(")", 1001), "1995-06-17"},
+		{"SELECT name FROM passengers WHERE " + strings.Repeat("NOT ", 396) + "id > 2", "1995-06-17"},
+		{"SELECT name FROM passengers WHERE id = 0" + strings.Repeat(" OR id = 1", 390), "1995-06-17"},
 	} {
 		f.Add(seed[0], seed[1])
 	}
@@ -41,7 +47,7 @@ func FuzzAuthorize(f *testing.F) {
 		for _, key := range []string{"Ka", "Kb"} {
 			auth, err := r.mon.Authorize(AuthRequest{Database: "db", ClientKey: key, HostID: "host-1", SQL: sql, AccessDate: date})
 			if err != nil {
-				if parseErr == nil && !errors.Is(err, ErrDenied) && !errors.Is(err, policy.ErrAccessDate) {
+				if parseErr == nil && !errors.Is(err, ErrDenied) && !errors.Is(err, policy.ErrAccessDate) && !errors.Is(err, ErrRequestTooLarge) && !errors.Is(err, parser.ErrTooDeep) {
 					t.Fatalf("%s: %q (access date %q): untyped error %v", key, sql, date, err)
 				}
 				continue

@@ -343,10 +343,20 @@ func VerifyProof(monitorPub ed25519.PublicKey, p *Proof) bool {
 // ErrDenied reports a policy denial.
 var ErrDenied = errors.New("monitor: policy denied")
 
+// ErrRequestTooLarge reports request text over MaxRequestText, refused unparsed.
+var ErrRequestTooLarge = errors.New("monitor: request text too large")
+
+// MaxRequestText bounds a request's SQL and its execution policy, each: far
+// above TPC-H's longest query (under 2 KiB), far below transport.MaxFrame.
+const MaxRequestText = 256 << 10
+
 // Authorize validates the client's permissions and execution policy, rewrites
 // the query for compliance, selects compliant storage nodes, and issues
 // session credentials (Fig 5).
 func (m *Monitor) Authorize(req AuthRequest) (*Authorization, error) {
+	if len(req.SQL) > MaxRequestText || len(req.ExecPolicy) > MaxRequestText {
+		return nil, fmt.Errorf("%w: %d bytes of SQL, %d of policy", ErrRequestTooLarge, len(req.SQL), len(req.ExecPolicy))
+	}
 	stmt, err := parser.Parse(req.SQL)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: parsing query: %w", err)
@@ -449,6 +459,9 @@ func (m *Monitor) Authorize(req AuthRequest) (*Authorization, error) {
 			return nil, fmt.Errorf("%w: row filters bind no write, derived table or subquery", ErrDenied)
 		}
 		sel.Where = ast.JoinConjuncts(append([]ast.Expr{sel.Where}, effects.RowFilters...))
+		if !parser.Fits(sel) {
+			return nil, fmt.Errorf("monitor: rewriting the query: %w", parser.ErrTooDeep)
+		}
 		rewritten = sel.String()
 	}
 	// Data-creation compliance (§4.3 anti-patterns #1/#2): inserts into a

@@ -316,6 +316,43 @@ func TestRewriteWithoutWhere(t *testing.T) {
 	}
 }
 
+// TestRewritePastNestingBoundRefused: a statement that parses but that the
+// policy's row filters would lift past the parser's height bound is refused
+// typed, so no rewrite the host cannot parse leaves the monitor; one level
+// lower, the rewrite parses. The request size bound comes first.
+func TestRewritePastNestingBoundRefused(t *testing.T) {
+	r := newRig(t)
+	r.attestHost(t)
+	r.attestStorage(t)
+	r.mon.SetAccessPolicy("db", policy.MustParse("read :- sessionKeyIs(K) & le(T, expiry)"))
+	authorize := func(sql string) (*Authorization, error) {
+		return r.mon.Authorize(AuthRequest{Database: "db", ClientKey: "K", HostID: "host-1", SQL: sql, AccessDate: "1995-01-01"})
+	}
+	tallest := ""
+	for nots := 0; ; nots++ {
+		sql := "SELECT pax FROM flights WHERE " + strings.Repeat("NOT ", nots) + "pax = 'x'"
+		if _, err := parser.Parse(sql); err != nil {
+			break
+		}
+		tallest = sql
+	}
+	if _, err := authorize(tallest); !errors.Is(err, parser.ErrTooDeep) {
+		t.Fatalf("the tallest statement that parses, rewritten: %v, want parser.ErrTooDeep", err)
+	}
+	lower := strings.Replace(tallest, "NOT ", "", 1)
+	auth, err := authorize(lower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parser.ParseSelect(auth.RewrittenSQL); err != nil {
+		t.Fatalf("a rewrite the monitor issued does not parse: %v", err)
+	}
+	huge := "SELECT pax FROM flights WHERE pax = '" + strings.Repeat("x", MaxRequestText) + "'"
+	if _, err := authorize(huge); !errors.Is(err, ErrRequestTooLarge) {
+		t.Fatalf("a statement over MaxRequestText: %v, want ErrRequestTooLarge", err)
+	}
+}
+
 func TestReuseMapRewrite(t *testing.T) {
 	r := newRig(t)
 	r.attestHost(t)

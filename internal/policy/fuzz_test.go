@@ -1,6 +1,9 @@
 package policy
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParse checks the policy parser is total over arbitrary input.
 func FuzzParse(f *testing.F) {
@@ -11,6 +14,9 @@ func FuzzParse(f *testing.F) {
 		"read :- logUpdate(l, K, Q) -- comment\n; write :- reuseMap(m)",
 		"read :- ((sessionKeyIs(a)))",
 		"::- &|!()",
+		"read :- " + strings.Repeat("(", maxDepth+1) + "sessionKeyIs(a)" + strings.Repeat(")", maxDepth+1),
+		"read :- " + strings.Repeat("!", maxDepth) + "sessionKeyIs(a)",
+		"read :- sessionKeyIs(a)" + strings.Repeat(" | sessionKeyIs(b)", maxDepth),
 	} {
 		f.Add(s)
 	}

@@ -18,6 +18,7 @@
 package policy
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -161,9 +162,17 @@ func MustParse(src string) *Policy {
 
 // --- condition parser ---
 
+// ErrTooDeep reports a condition nesting '(' and '!' past maxDepth, where the
+// parser's recursion would exhaust the stack, or a tree taller than that,
+// whose rendering (one '(' per '&' and '|') would not parse again.
+var ErrTooDeep = errors.New("policy: condition nested too deeply")
+
+const maxDepth = 1000
+
 type condParser struct {
-	s   string
-	pos int
+	s     string
+	pos   int
+	depth int // '(' and '!' levels entered and not yet left
 }
 
 func parseCondition(s string) (Node, error) {
@@ -176,7 +185,26 @@ func parseCondition(s string) (Node, error) {
 	if cp.pos != len(cp.s) {
 		return nil, fmt.Errorf("trailing input at %q", cp.s[cp.pos:])
 	}
+	if !fits(n, 0) {
+		return nil, fmt.Errorf("%w: condition tree over %d levels", ErrTooDeep, maxDepth)
+	}
 	return n, nil
+}
+
+// fits reports whether the tree under n, its root at height h, fits maxDepth.
+func fits(n Node, h int) bool {
+	if h++; h > maxDepth {
+		return false
+	}
+	switch x := n.(type) {
+	case *And:
+		return fits(x.L, h) && fits(x.R, h)
+	case *Or:
+		return fits(x.L, h) && fits(x.R, h)
+	case *Not:
+		return fits(x.X, h)
+	}
+	return true
 }
 
 func (c *condParser) skipSpace() {
@@ -226,27 +254,32 @@ func (c *condParser) parseAnd() (Node, error) {
 }
 
 func (c *condParser) parseUnary() (Node, error) {
-	switch c.peekByte() {
-	case '!':
-		c.pos++
+	b := c.peekByte()
+	if b != '!' && b != '(' {
+		return c.parsePred()
+	}
+	if c.depth == maxDepth {
+		return nil, fmt.Errorf("%w: more than %d levels at offset %d", ErrTooDeep, maxDepth, c.pos)
+	}
+	c.depth++
+	defer func() { c.depth-- }()
+	c.pos++
+	if b == '!' {
 		inner, err := c.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return &Not{X: inner}, nil
-	case '(':
-		c.pos++
-		inner, err := c.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if c.peekByte() != ')' {
-			return nil, fmt.Errorf("missing ')'")
-		}
-		c.pos++
-		return inner, nil
 	}
-	return c.parsePred()
+	inner, err := c.parseOr()
+	if err != nil {
+		return nil, err
+	}
+	if c.peekByte() != ')' {
+		return nil, fmt.Errorf("missing ')'")
+	}
+	c.pos++
+	return inner, nil
 }
 
 func (c *condParser) parsePred() (Node, error) {

@@ -323,3 +323,37 @@ func TestRandomPolicyEvaluationTotal(t *testing.T) {
 		}
 	}
 }
+
+// TestNestingBound: '(' and '!' nest up to maxDepth levels and no further,
+// refused with ErrTooDeep; a chain of '&' may be as long as its rendering,
+// one parenthesis per operator, can be parsed again.
+func TestNestingBound(t *testing.T) {
+	rep := strings.Repeat
+	for _, c := range []struct {
+		name string
+		src  func(k int) string
+	}{
+		{"parentheses", func(k int) string { return "read :- " + rep("(", k) + "sessionKeyIs(a)" + rep(")", k) }},
+		{"negation", func(k int) string { return "read :- " + rep("!", k) + "sessionKeyIs(a)" }},
+		{"conjunction chain", func(k int) string { return "read :- sessionKeyIs(a)" + rep(" & sessionKeyIs(a)", k) }},
+	} {
+		for _, k := range []int{maxDepth - 1, maxDepth + 1} {
+			p, err := Parse(c.src(k))
+			if k > maxDepth {
+				if !errors.Is(err, ErrTooDeep) {
+					t.Errorf("%s at %d levels: %v, want ErrTooDeep", c.name, k, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s at %d levels: %v", c.name, k, err)
+			}
+			if _, err := Parse(p.String()); err != nil {
+				t.Errorf("%s at %d levels renders as a policy that does not parse: %v", c.name, k, err)
+			}
+		}
+	}
+	if _, err := Parse("read :- " + rep("(", 4<<20) + "sessionKeyIs(a)" + rep(")", 4<<20)); !errors.Is(err, ErrTooDeep) {
+		t.Errorf("4 Mi parentheses: %v, want ErrTooDeep", err)
+	}
+}

@@ -21,7 +21,7 @@ var ErrBudgetExhausted = errors.New("resilience: deadline budget exhausted")
 // query for 2.5 s; a budget caps the sum.
 //
 // Accounting is deliberately deterministic: callers charge explicit durations
-// (the deterministic AttemptCost per attempt, or a virtual-clock-measured
+// (the deterministic attempt cost per attempt, or a virtual-clock-measured
 // latency), never the wall clock directly, so a seeded chaos run consumes
 // byte-identical budget in every execution. Real-time enforcement rides on
 // the charges indirectly: each attempt arms its connection deadline to
@@ -118,7 +118,7 @@ func (b *Budget) SpendAttempt() bool {
 }
 
 // Refund returns unspent charge (an attempt that finished well under its
-// AttemptCost), capped at the original total so refunds cannot mint budget.
+// attempt cost), capped at the original total so refunds cannot mint budget.
 func (b *Budget) Refund(d time.Duration) {
 	if b == nil || d <= 0 {
 		return

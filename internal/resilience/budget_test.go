@@ -87,12 +87,7 @@ func TestRetryNoSleepAfterFinalFailedAttempt(t *testing.T) {
 	// a failed final attempt returns immediately instead of wasting one more
 	// backoff interval of the caller's deadline budget.
 	var sleeps int
-	cfg := Config{
-		RetryBase: time.Millisecond,
-		RetryMax:  time.Millisecond,
-		Seed:      1,
-		Sleep:     func(time.Duration) { sleeps++ },
-	}
+	cfg := Config{Sleep: func(time.Duration) { sleeps++ }}
 	err := Retry(cfg, 3, func(int) error { return fmt.Errorf("boom") })
 	if !errors.Is(err, ErrExhausted) {
 		t.Fatalf("want ErrExhausted, got %v", err)
@@ -103,7 +98,7 @@ func TestRetryNoSleepAfterFinalFailedAttempt(t *testing.T) {
 }
 
 func TestExhaustedErrorCarriesPerAttemptElapsed(t *testing.T) {
-	cfg := Config{AttemptCost: 40 * time.Millisecond, Seed: 1}
+	cfg := Config{IOTimeout: 40 * time.Millisecond}
 	boom := fmt.Errorf("boom")
 	err := Retry(cfg, 3, func(int) error { return boom })
 	var exh *ExhaustedError
@@ -115,7 +110,7 @@ func TestExhaustedErrorCarriesPerAttemptElapsed(t *testing.T) {
 	}
 	for i, d := range exh.PerAttempt {
 		if d != 40*time.Millisecond {
-			t.Fatalf("PerAttempt[%d] = %v, want deterministic AttemptCost 40ms", i, d)
+			t.Fatalf("PerAttempt[%d] = %v, want the deterministic attempt cost, IOTimeout 40ms", i, d)
 		}
 	}
 	if exh.Elapsed() != 120*time.Millisecond {
@@ -127,8 +122,8 @@ func TestExhaustedErrorCarriesPerAttemptElapsed(t *testing.T) {
 }
 
 func TestRetryBudgetedStopsWhenBudgetDry(t *testing.T) {
-	cfg := Config{AttemptCost: 10 * time.Millisecond, Seed: 1}
-	bud := NewBudget(25*time.Millisecond, cfg.AttemptCost)
+	cfg := Config{IOTimeout: 10 * time.Millisecond}
+	bud := NewBudget(25*time.Millisecond, cfg.attemptCost())
 	var calls int
 	err := RetryBudgeted(cfg, 10, bud, func(int) error { calls++; return fmt.Errorf("boom") })
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -145,8 +140,8 @@ func TestRetryBudgetedStopsWhenBudgetDry(t *testing.T) {
 }
 
 func TestRetryBudgetedSuccessUnderBudget(t *testing.T) {
-	cfg := Config{AttemptCost: 10 * time.Millisecond, Seed: 1}
-	bud := NewBudget(100*time.Millisecond, cfg.AttemptCost)
+	cfg := Config{IOTimeout: 10 * time.Millisecond}
+	bud := NewBudget(100*time.Millisecond, cfg.attemptCost())
 	attempts := 0
 	err := RetryBudgeted(cfg, 5, bud, func(i int) error {
 		attempts++
@@ -177,10 +172,10 @@ func TestWithBudgetedConnDeadline(t *testing.T) {
 	if err != nil || !ran {
 		t.Fatalf("budgeted deadline with allowance: err=%v ran=%v", err, ran)
 	}
-	// The charge is one deterministic AttemptCost, never the armed slice —
+	// The charge is one deterministic attempt cost, never the armed slice —
 	// an hour-long timeout must not drain a 20ms budget.
 	if got := bud.Remaining(); got != 10*time.Millisecond {
-		t.Fatalf("remaining = %v, want 10ms (charged one AttemptCost)", got)
+		t.Fatalf("remaining = %v, want 10ms (charged one attempt cost)", got)
 	}
 
 	// Drain and verify refusal.
@@ -208,11 +203,14 @@ func TestWithBudgetedConnDeadline(t *testing.T) {
 
 func TestNewQueryBudgetDefaults(t *testing.T) {
 	cfg := Config{IOTimeout: 250 * time.Millisecond}.WithDefaults()
-	if cfg.AttemptCost != 250*time.Millisecond {
-		t.Fatalf("AttemptCost defaults to IOTimeout, got %v", cfg.AttemptCost)
+	if got := cfg.attemptCost(); got != 250*time.Millisecond {
+		t.Fatalf("attempt cost is IOTimeout when set, got %v", got)
 	}
 	b := cfg.NewQueryBudget()
 	if b == nil || b.Total() != 8*time.Second {
-		t.Fatalf("NewQueryBudget total = %v, want 32×AttemptCost", b.Total())
+		t.Fatalf("NewQueryBudget total = %v, want 32× the attempt cost", b.Total())
+	}
+	if got := (Config{}).NewQueryBudget().Total(); got != 32*100*time.Millisecond {
+		t.Fatalf("NewQueryBudget without IOTimeout = %v, want 32×100ms", got)
 	}
 }

@@ -28,14 +28,13 @@ type nodeState struct {
 }
 
 // Tracker is a per-node health tracker with count-based circuit breaking.
-// A node's circuit opens after FailureThreshold consecutive failures; while
+// A node's circuit opens after failureThreshold consecutive failures; while
 // open, Allow rejects attempts except one deterministic probe every
-// ProbeEvery rejections (count-based half-open, so the breaker needs no
+// probeEvery rejections (count-based half-open, so the breaker needs no
 // clock and stays reproducible under the chaos suite). A successful probe
 // closes the circuit; a failed one re-opens it.
 type Tracker struct {
 	mu    sync.Mutex
-	cfg   Config
 	nodes map[string]*nodeState
 
 	// Gray-failure event counters (telemetry: how often the latency
@@ -44,9 +43,9 @@ type Tracker struct {
 	readmissions int
 }
 
-// NewTracker creates a Tracker with cfg's breaker settings.
-func NewTracker(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg.WithDefaults(), nodes: map[string]*nodeState{}}
+// NewTracker creates a Tracker with every node's circuit closed.
+func NewTracker() *Tracker {
+	return &Tracker{nodes: map[string]*nodeState{}}
 }
 
 func (t *Tracker) state(id string) *nodeState {
@@ -70,7 +69,7 @@ func (t *Tracker) Allow(id string) bool {
 		return true
 	}
 	s.blocked++
-	if s.blocked >= t.cfg.ProbeEvery {
+	if s.blocked >= probeEvery {
 		s.blocked = 0
 		return true // half-open probe
 	}
@@ -89,7 +88,7 @@ func (t *Tracker) Report(id string, ok bool) {
 		return
 	}
 	s.consecFails++
-	if s.consecFails >= t.cfg.FailureThreshold {
+	if s.consecFails >= failureThreshold {
 		s.open = true
 	}
 }
@@ -172,13 +171,13 @@ func (t *Tracker) EWMA(id string) time.Duration {
 }
 
 // evaluateEjectionLocked re-runs the cohort outlier rule: a node with enough
-// samples whose EWMA exceeds EjectFactor× the median of the REST of the
-// cohort (and the absolute EjectFloor) is soft-ejected; an ejected node
-// whose EWMA falls back under ReadmitFactor× that median (hysteresis) is
+// samples whose EWMA exceeds ejectFactor× the median of the REST of the
+// cohort (and the absolute ejectFloor) is soft-ejected; an ejected node
+// whose EWMA falls back under readmitFactor× that median (hysteresis) is
 // readmitted. Each candidate is excluded from its own comparison median —
 // including it would let a slow node inflate the very benchmark it is judged
 // against (in a 2-node cohort the inclusive median (fast+slow)/2 makes
-// ewma > EjectFactor×median unsatisfiable for any factor ≥ 2, so gray
+// ewma > ejectFactor×median unsatisfiable for any factor ≥ 2, so gray
 // failures would never eject; even larger even-sized cohorts get their
 // median dragged toward the outlier). Down nodes are outside the cohort —
 // fail-stop handling owns them.
@@ -194,22 +193,22 @@ func (t *Tracker) evaluateEjectionLocked() {
 		return // nothing to compare against
 	}
 	sort.Slice(cohort, func(i, j int) bool { return cohort[i] < cohort[j] })
-	floor := int64(t.cfg.EjectFloor)
+	floor := int64(ejectFloor)
 	for _, s := range t.nodes {
 		if s.down || s.samples == 0 {
 			continue
 		}
 		median := medianExcluding(cohort, s.ewma)
 		if !s.ejected {
-			if s.samples >= t.cfg.EjectMinSamples &&
+			if s.samples >= ejectMinSamples &&
 				s.ewma > floor &&
-				s.ewma > median*int64(t.cfg.EjectFactor) {
+				s.ewma > median*ejectFactor {
 				s.ejected = true
 				s.demotions = 0
 				t.ejections++
 			}
 		} else {
-			if s.ewma <= floor || s.ewma <= median*int64(t.cfg.ReadmitFactor) {
+			if s.ewma <= floor || s.ewma <= median*readmitFactor {
 				s.ejected = false
 				t.readmissions++
 			}
@@ -265,7 +264,7 @@ func (t *Tracker) TailEvents() (ejections, readmissions int) {
 
 // Prioritize stably partitions ids so soft-ejected nodes come last — the
 // failover and hedge orderings consult it so traffic prefers the healthy
-// cohort. Every ProbeEvery-th demotion of a node instead leaves it in place
+// cohort. Every probeEvery-th demotion of a node instead leaves it in place
 // as a count-based probe: the ejected node keeps receiving a trickle of
 // offloads, so its EWMA can recover and trigger readmission. Down/open
 // breaker state is untouched — this orders candidates, Allow gates them.
@@ -281,7 +280,7 @@ func (t *Tracker) Prioritize(ids []string) []string {
 			continue
 		}
 		s.demotions++
-		if t.cfg.ProbeEvery > 0 && s.demotions%t.cfg.ProbeEvery == 0 {
+		if s.demotions%probeEvery == 0 {
 			out = append(out, id) // probe: keep its slot this round
 			continue
 		}

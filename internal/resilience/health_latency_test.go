@@ -7,22 +7,11 @@ import (
 	"time"
 )
 
-func grayTestConfig() Config {
-	return Config{
-		FailureThreshold: 3,
-		ProbeEvery:       4,
-		EjectFactor:      4,
-		ReadmitFactor:    2,
-		EjectMinSamples:  3,
-		EjectFloor:       time.Millisecond,
-	}.WithDefaults()
-}
-
 func TestEWMAIntegerDeterministic(t *testing.T) {
 	// The estimator is pure integer arithmetic: the same report sequence
 	// must produce bit-identical EWMAs on every run.
 	run := func() time.Duration {
-		tr := NewTracker(grayTestConfig())
+		tr := NewTracker()
 		for _, d := range []time.Duration{10, 20, 40, 30, 50} {
 			tr.ReportLatency("n", d*time.Millisecond)
 		}
@@ -33,7 +22,7 @@ func TestEWMAIntegerDeterministic(t *testing.T) {
 		t.Fatalf("EWMA nondeterministic: %v vs %v", a, b)
 	}
 	// First report seeds the estimate exactly.
-	tr := NewTracker(grayTestConfig())
+	tr := NewTracker()
 	tr.ReportLatency("n", 8*time.Millisecond)
 	if got := tr.EWMA("n"); got != 8*time.Millisecond {
 		t.Fatalf("first report must seed EWMA, got %v", got)
@@ -46,7 +35,7 @@ func TestEWMAIntegerDeterministic(t *testing.T) {
 }
 
 func TestEjectionAndReadmission(t *testing.T) {
-	tr := NewTracker(grayTestConfig())
+	tr := NewTracker()
 	// Two fast cohort members, one gray node 10× slower.
 	for i := 0; i < 4; i++ {
 		tr.ReportLatency("fast-1", 2*time.Millisecond)
@@ -70,7 +59,7 @@ func TestEjectionAndReadmission(t *testing.T) {
 		t.Fatal("ejected node must still pass Allow (deprioritized, not blocked)")
 	}
 
-	// Recovery: fast reports pull the EWMA back under ReadmitFactor×median.
+	// Recovery: fast reports pull the EWMA back under readmitFactor×median.
 	for i := 0; i < 12 && tr.Ejected("slow-1"); i++ {
 		tr.ReportLatency("slow-1", 2*time.Millisecond)
 	}
@@ -86,9 +75,9 @@ func TestEjectionAndReadmission(t *testing.T) {
 func TestEjectionTwoNodeCohort(t *testing.T) {
 	// Regression: the candidate's own EWMA must not inflate its comparison
 	// median. With an inclusive median a 2-node cohort could never eject —
-	// slow > EjectFactor×(fast+slow)/2 is unsatisfiable for any factor ≥ 2 —
+	// slow > ejectFactor×(fast+slow)/2 is unsatisfiable for any factor ≥ 2 —
 	// so a gray node in a 2-replica deployment would drag queries forever.
-	tr := NewTracker(grayTestConfig())
+	tr := NewTracker()
 	for i := 0; i < 4; i++ {
 		tr.ReportLatency("fast-1", 2*time.Millisecond)
 		tr.ReportLatency("slow-1", 20*time.Millisecond)
@@ -111,7 +100,7 @@ func TestEjectionEvenCohortMedianExcludesSelf(t *testing.T) {
 	// 4-node cohort, one outlier: the inclusive even-count median would be
 	// (fast+slow)/2 = 11ms, putting the 20ms outlier under 4×median and
 	// hiding it. Against the median of the other three (2ms) it ejects.
-	tr := NewTracker(grayTestConfig())
+	tr := NewTracker()
 	for i := 0; i < 4; i++ {
 		tr.ReportLatency("fast-1", 2*time.Millisecond)
 		tr.ReportLatency("fast-2", 2*time.Millisecond)
@@ -127,23 +116,23 @@ func TestEjectionEvenCohortMedianExcludesSelf(t *testing.T) {
 }
 
 func TestEjectionHysteresis(t *testing.T) {
-	// A node hovering between ReadmitFactor× and EjectFactor× the median
+	// A node hovering between readmitFactor× and ejectFactor× the median
 	// keeps its current state — no flapping at the boundary.
-	tr := NewTracker(grayTestConfig())
+	tr := NewTracker()
 	for i := 0; i < 4; i++ {
 		tr.ReportLatency("fast-1", 4*time.Millisecond)
 		tr.ReportLatency("fast-2", 4*time.Millisecond)
 		tr.ReportLatency("mid-1", 12*time.Millisecond) // 3× median: between 2× and 4×
 	}
 	if tr.Ejected("mid-1") {
-		t.Fatal("3× median is under EjectFactor=4 — must not eject")
+		t.Fatal("3× median is under ejectFactor=4 — must not eject")
 	}
 }
 
 func TestEjectionFloor(t *testing.T) {
 	// An all-fast cohort has harmless multiplicative spread: 100µs vs 10µs
 	// is 10× the median but under the absolute 1ms floor.
-	tr := NewTracker(grayTestConfig())
+	tr := NewTracker()
 	for i := 0; i < 4; i++ {
 		tr.ReportLatency("a", 10*time.Microsecond)
 		tr.ReportLatency("b", 10*time.Microsecond)
@@ -155,17 +144,17 @@ func TestEjectionFloor(t *testing.T) {
 }
 
 func TestEjectionNeedsMinSamples(t *testing.T) {
-	tr := NewTracker(grayTestConfig())
+	tr := NewTracker()
 	tr.ReportLatency("fast-1", 2*time.Millisecond)
 	tr.ReportLatency("fast-2", 2*time.Millisecond)
 	tr.ReportLatency("slow-1", time.Second) // one outlier sample
 	if tr.Ejected("slow-1") {
-		t.Fatal("one sample must not eject (EjectMinSamples=3)")
+		t.Fatal("one sample must not eject (ejectMinSamples=3)")
 	}
 }
 
 func TestPrioritizeDemotesEjectedWithProbes(t *testing.T) {
-	tr := NewTracker(grayTestConfig())
+	tr := NewTracker()
 	for i := 0; i < 4; i++ {
 		tr.ReportLatency("a", 2*time.Millisecond)
 		tr.ReportLatency("b", 2*time.Millisecond)
@@ -175,7 +164,7 @@ func TestPrioritizeDemotesEjectedWithProbes(t *testing.T) {
 		t.Fatal("setup: c must be ejected")
 	}
 	ids := []string{"c", "a", "b"}
-	// Demotions 1..3 push c last (stable partition), the 4th (ProbeEvery=4)
+	// Demotions 1..3 push c last (stable partition), the 4th (probeEvery=4)
 	// keeps its slot as a probe.
 	for i := 0; i < 3; i++ {
 		got := tr.Prioritize(ids)
@@ -196,7 +185,7 @@ func TestTrackerConcurrentAllowReportAndLatency(t *testing.T) {
 	// Race coverage: half-open probing, latency reports, and snapshots all
 	// concurrently. Run with -race; correctness assertion is just "no panic,
 	// snapshot stays sorted".
-	tr := NewTracker(grayTestConfig())
+	tr := NewTracker()
 	ids := []string{"n1", "n2", "n3"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -228,7 +217,7 @@ func TestSnapshotOrderingStableAcrossRuns(t *testing.T) {
 	// Determinism: identical report sequences produce identical snapshots,
 	// and the ordering is sorted regardless of map iteration order.
 	run := func() ([]string, []string) {
-		tr := NewTracker(grayTestConfig())
+		tr := NewTracker()
 		for _, id := range []string{"z-node", "a-node", "m-node"} {
 			for i := 0; i < 3; i++ {
 				tr.Report(id, false)
@@ -248,14 +237,14 @@ func TestSnapshotOrderingStableAcrossRuns(t *testing.T) {
 }
 
 func TestHalfOpenProbeUnderInterleavedAllow(t *testing.T) {
-	// Deterministic probing: with ProbeEvery=4, an open circuit admits
+	// Deterministic probing: with probeEvery=4, an open circuit admits
 	// exactly every 4th blocked attempt.
-	tr := NewTracker(grayTestConfig())
+	tr := NewTracker()
 	for i := 0; i < 3; i++ {
 		tr.Report("n", false)
 	}
 	if !tr.Open("n") {
-		t.Fatal("circuit must open after FailureThreshold failures")
+		t.Fatal("circuit must open after failureThreshold failures")
 	}
 	var admitted []int
 	for i := 1; i <= 12; i++ {

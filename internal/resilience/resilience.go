@@ -8,9 +8,9 @@
 // for the wallclock analyzer), while backoff *waiting* is injectable: the
 // default Sleep is nil, which makes retries immediate — correct for the
 // deterministic chaos suite and unit tests — and the cmd binaries install
-// RealSleep for production pacing. Jitter comes from a seeded xorshift
-// stream, never from the global math/rand, so a fixed seed reproduces the
-// exact retry schedule byte for byte.
+// RealSleep for production pacing. Jitter comes from a xorshift stream with
+// a fixed seed per call site, never from the global math/rand, so every run
+// reproduces the exact retry schedule byte for byte.
 package resilience
 
 import (
@@ -37,11 +37,11 @@ var (
 )
 
 // Config tunes the resilience layer. The zero value is usable: WithDefaults
-// fills production-grade settings. All knobs are per-cluster (or per-binary)
-// so the chaos suite can shrink deadlines to milliseconds.
+// fills the handshake deadline. Each field has more than one value in use:
+// the chaos suite shrinks the deadlines to milliseconds, the binaries pace
+// retries on the real clock, and the gray sweep measures latency on a
+// virtual one.
 type Config struct {
-	// DialTimeout bounds one TCP connect attempt.
-	DialTimeout time.Duration
 	// HandshakeTimeout bounds the secure-channel handshake (preamble, key
 	// exchange, key confirmation) after the socket connects.
 	HandshakeTimeout time.Duration
@@ -49,49 +49,11 @@ type Config struct {
 	// channel. Zero disables per-message deadlines (server-side idle reads
 	// legitimately block forever).
 	IOTimeout time.Duration
-	// DialAttempts is how many times dial+handshake is retried.
-	DialAttempts int
-	// RetryBase / RetryMax bound the exponential backoff envelope.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// RetryJitter is the fraction of each delay randomized (0..1).
-	RetryJitter float64
-	// Seed drives the deterministic jitter stream.
-	Seed uint64
 	// Sleep waits between retries. Nil means no waiting (virtual backoff):
 	// the delay schedule is still computed and reported, but the caller
 	// does not block — the mode used by tests and the chaos suite. Install
 	// RealSleep in deployed binaries.
 	Sleep func(time.Duration)
-	// FailureThreshold consecutive failures open a node's circuit.
-	FailureThreshold int
-	// ProbeEvery allows one probe through an open circuit every N blocked
-	// attempts (count-based half-open, deterministic without a clock).
-	ProbeEvery int
-
-	// AttemptCost is the deterministic budget charge for one offload or
-	// retry attempt whose real duration is unknown (a stalled attempt burns
-	// exactly its armed deadline; the budget charges AttemptCost so the
-	// accounting never reads the wall clock). Defaults to IOTimeout when
-	// set, else 100ms.
-	AttemptCost time.Duration
-	// EjectFactor soft-ejects a node whose EWMA latency exceeds EjectFactor×
-	// the median of the rest of the cohort (deprioritized, probed,
-	// readmitted — distinct from the fail-stop down-set). The candidate's
-	// own EWMA is excluded from its comparison median so an outlier cannot
-	// inflate the benchmark it is judged against. Defaults to 4.
-	EjectFactor int
-	// ReadmitFactor readmits an ejected node once its EWMA falls back under
-	// ReadmitFactor× the median of the rest of the cohort (hysteresis so a
-	// node on the boundary does not flap). Defaults to 2.
-	ReadmitFactor int
-	// EjectMinSamples is the minimum latency reports a node needs before it
-	// can be ejected (no ejecting on one slow outlier). Defaults to 3.
-	EjectMinSamples int
-	// EjectFloor is an absolute latency below which a node is never ejected
-	// regardless of the cohort ratio (all-fast cohorts have harmless
-	// multiplicative spread). Defaults to 1ms.
-	EjectFloor time.Duration
 	// LatencyClock, when set, supplies the current per-node time used to
 	// measure offload latencies for the EWMA estimator, and switches the
 	// gray-failure machinery on: latency tracking, cohort-median
@@ -101,67 +63,67 @@ type Config struct {
 	LatencyClock func(node string) time.Duration
 }
 
-// queryBudgetAttempts sizes the per-query deadline budget in AttemptCost
+// DialAttempts is how many times a dial (TCP connect, or a control client's
+// connect and handshake through an overload refusal) is tried.
+const DialAttempts = 3
+
+// The layer's settings, one value each in use. A circuit opens after
+// failureThreshold consecutive failures and lets a probe through every
+// probeEvery blocked attempts (count-based, so deterministic without a
+// clock); Prioritize likewise keeps a soft-ejected node in place at every
+// probeEvery-th demotion. A node is soft-ejected once it has ejectMinSamples
+// latency reports and its EWMA exceeds both ejectFloor and ejectFactor× the
+// median of the rest of the cohort, and readmitted under ejectFloor or
+// readmitFactor× that median (hysteresis against flapping). The floor spares
+// all-fast cohorts, whose spread is harmless; the sample minimum spares a
+// node one slow outlier.
+const (
+	dialTimeout             = 2 * time.Second // one TCP connect attempt
+	defaultHandshakeTimeout = 3 * time.Second
+	retryBase               = 20 * time.Millisecond // the backoff envelope: doubling from retryBase,
+	retryMax                = 2 * time.Second       // capped at retryMax,
+	retryJitter             = 0.2                   // each delay scaled by 1 ± retryJitter/2
+	failureThreshold        = 3
+	probeEvery              = 4
+	ejectFactor             = 4
+	readmitFactor           = 2
+	ejectMinSamples         = 3
+	ejectFloor              = time.Millisecond
+	defaultAttemptCost      = 100 * time.Millisecond // an attempt's budget charge without IOTimeout
+)
+
+// queryBudgetAttempts sizes the per-query deadline budget in attempt-cost
 // units: generous enough that fail-stop retry patterns (worst case one
 // attempt plus one fresh-channel handshake per ship per candidate) never hit
 // it; only sustained gray failure does.
 const queryBudgetAttempts = 32
 
-// WithDefaults returns c with zero fields replaced by production defaults.
+// WithDefaults returns c with an unset HandshakeTimeout replaced by the
+// production default. IOTimeout deliberately keeps its zero value unless
+// set: per-message deadlines are opt-in per channel role.
 func (c Config) WithDefaults() Config {
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.HandshakeTimeout == 0 {
-		c.HandshakeTimeout = 3 * time.Second
-	}
-	// IOTimeout deliberately keeps its zero value unless set: per-message
-	// deadlines are opt-in per channel role.
-	if c.DialAttempts == 0 {
-		c.DialAttempts = 3
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 20 * time.Millisecond
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 2 * time.Second
-	}
-	if c.RetryJitter == 0 {
-		c.RetryJitter = 0.2
-	}
-	if c.FailureThreshold == 0 {
-		c.FailureThreshold = 3
-	}
-	if c.ProbeEvery == 0 {
-		c.ProbeEvery = 4
-	}
-	if c.AttemptCost == 0 {
-		if c.IOTimeout > 0 {
-			c.AttemptCost = c.IOTimeout
-		} else {
-			c.AttemptCost = 100 * time.Millisecond
-		}
-	}
-	if c.EjectFactor == 0 {
-		c.EjectFactor = 4
-	}
-	if c.ReadmitFactor == 0 {
-		c.ReadmitFactor = 2
-	}
-	if c.EjectMinSamples == 0 {
-		c.EjectMinSamples = 3
-	}
-	if c.EjectFloor == 0 {
-		c.EjectFloor = time.Millisecond
+		c.HandshakeTimeout = defaultHandshakeTimeout
 	}
 	return c
 }
 
+// attemptCost is the deterministic budget charge for one offload or retry
+// attempt whose real duration is unknown: a stalled attempt burns exactly its
+// armed deadline, so the charge is IOTimeout when set, else 100 ms, and the
+// accounting never reads the wall clock.
+func (c Config) attemptCost() time.Duration {
+	if c.IOTimeout > 0 {
+		return c.IOTimeout
+	}
+	return defaultAttemptCost
+}
+
 // NewQueryBudget creates the per-query deadline budget: queryBudgetAttempts
-// charges of AttemptCost (call on a WithDefaults config; a zero AttemptCost
-// yields a nil = unlimited budget).
+// charges of the attempt cost.
 func (c Config) NewQueryBudget() *Budget {
-	return NewBudget(queryBudgetAttempts*c.AttemptCost, c.AttemptCost)
+	cost := c.attemptCost()
+	return NewBudget(queryBudgetAttempts*cost, cost)
 }
 
 // RealSleep blocks for d on the real clock — deployed-binary pacing only;
@@ -217,47 +179,26 @@ func (r *xorshift64star) float64() float64 {
 	return float64(r.next()>>11) / float64(1<<53)
 }
 
-// Backoff computes a capped exponential retry schedule with deterministic
-// jitter. Not safe for concurrent use; create one per retry loop.
-type Backoff struct {
-	base, max time.Duration
-	jitter    float64
-	rng       *xorshift64star
-}
+// jitterStream is a retry loop's jitter stream, fixed by seed — the loop's
+// attempt count — so distinct call sites draw distinct streams.
+func jitterStream(seed uint64) *xorshift64star { return newRNG(seed*0x9e3779b97f4a7c15 + 1) }
 
-// NewBackoff builds a Backoff from the config (seed offsets allow distinct
-// streams per call site without correlating their jitter).
-func (c Config) NewBackoff(seedOffset uint64) *Backoff {
-	return &Backoff{
-		base:   c.RetryBase,
-		max:    c.RetryMax,
-		jitter: c.RetryJitter,
-		rng:    newRNG(c.Seed ^ (seedOffset*0x9e3779b97f4a7c15 + 1)),
-	}
-}
-
-// Next returns the delay before retry attempt (attempt 0 = first retry):
-// min(base<<attempt, max), with ±jitter/2 randomization.
-func (b *Backoff) Next(attempt int) time.Duration {
-	d := b.base
-	for i := 0; i < attempt && d < b.max; i++ {
+// backoff returns the delay before retry attempt (attempt 0 = first retry):
+// min(retryBase<<attempt, retryMax), with ±retryJitter/2 drawn from jitter.
+func backoff(attempt int, jitter *xorshift64star) time.Duration {
+	d := retryBase
+	for i := 0; i < attempt && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > b.max {
-		d = b.max
-	}
-	if b.jitter > 0 {
-		f := 1 + b.jitter*(b.rng.float64()-0.5)
-		d = time.Duration(float64(d) * f)
-	}
-	return d
+	d = min(d, retryMax)
+	return time.Duration(float64(d) * (1 + retryJitter*(jitter.float64()-0.5)))
 }
 
 // ExhaustedError is the typed failure Retry returns when every attempt
 // failed: it wraps ErrExhausted and the last attempt's error, and carries
 // per-attempt elapsed time so budget accounting can see where a query's
 // slice went. PerAttempt holds each attempt's deterministic charge
-// (AttemptCost per attempt, or the budget slice an attempt was armed with),
+// (the attempt cost per attempt, or the budget slice an attempt was armed with),
 // never measured wall time, so error values are reproducible per seed.
 type ExhaustedError struct {
 	// Attempts is how many times op ran before giving up.
@@ -295,7 +236,7 @@ func Retry(cfg Config, attempts int, op func(attempt int) error) error {
 }
 
 // RetryBudgeted is Retry gated by a per-query deadline budget: each attempt
-// first charges cfg.AttemptCost (via b.SpendAttempt) and the loop stops with
+// first charges the budget's attempt cost (via b.SpendAttempt) and the loop stops with
 // an error wrapping ErrBudgetExhausted the moment the budget runs dry —
 // even if attempts remain. A nil budget is unlimited, making this exactly
 // Retry. This is the sanctioned retry form inside the cluster/hostengine
@@ -304,11 +245,8 @@ func RetryBudgeted(cfg Config, attempts int, bud *Budget, op func(attempt int) e
 	if attempts <= 0 {
 		attempts = 1
 	}
-	cost := cfg.AttemptCost
-	if cost <= 0 {
-		cost = cfg.WithDefaults().AttemptCost
-	}
-	b := cfg.NewBackoff(uint64(attempts))
+	cost := cfg.attemptCost()
+	jitter := jitterStream(uint64(attempts))
 	var err error
 	var perAttempt []time.Duration
 	for i := 0; i < attempts; i++ {
@@ -326,10 +264,8 @@ func RetryBudgeted(cfg Config, attempts int, bud *Budget, op func(attempt int) e
 		if IsPermanent(err) {
 			return err
 		}
-		if i+1 < attempts {
-			if d := b.Next(i); cfg.Sleep != nil && d > 0 {
-				cfg.Sleep(d)
-			}
+		if i+1 < attempts && cfg.Sleep != nil {
+			cfg.Sleep(backoff(i, jitter))
 		}
 	}
 	return &ExhaustedError{Attempts: attempts, PerAttempt: perAttempt, Last: err}
@@ -339,10 +275,9 @@ func RetryBudgeted(cfg Config, attempts int, bud *Budget, op func(attempt int) e
 // the sanctioned replacement for naked net.Dial in distributed components
 // (enforced by the ironsafe-vet rawnet analyzer).
 func DialTCP(addr string, cfg Config) (net.Conn, error) {
-	cfg = cfg.WithDefaults()
 	var conn net.Conn
-	err := Retry(cfg, cfg.DialAttempts, func(int) error {
-		c, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+	err := Retry(cfg, DialAttempts, func(int) error {
+		c, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err != nil {
 			return err
 		}
@@ -374,7 +309,7 @@ func WithConnDeadline(conn net.Conn, d time.Duration, fn func() error) error {
 // budget: the attempt is refused with ErrBudgetExhausted when the budget is
 // dry, the armed deadline is clipped to min(d, remaining budget) so a
 // stalled peer can never burn more real time than the query has left, and
-// one deterministic AttemptCost is charged. The charge is deliberately NOT
+// one deterministic attempt cost is charged. The charge is deliberately NOT
 // the armed slice — a 3 s handshake timeout must not drain a whole query
 // budget paying for a handshake that completes instantly. A nil budget is
 // unlimited. This is the sanctioned deadline form inside the

@@ -9,7 +9,7 @@ import (
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	var delays []time.Duration
-	cfg := Config{Seed: 7, Sleep: func(d time.Duration) { delays = append(delays, d) }}.WithDefaults()
+	cfg := Config{Sleep: func(d time.Duration) { delays = append(delays, d) }}.WithDefaults()
 	calls := 0
 	err := Retry(cfg, 5, func(int) error {
 		calls++
@@ -33,7 +33,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 }
 
 func TestRetryExhaustionIsTyped(t *testing.T) {
-	cfg := Config{Seed: 1}.WithDefaults()
+	cfg := Config{}.WithDefaults()
 	boom := errors.New("boom")
 	err := Retry(cfg, 3, func(int) error { return boom })
 	if !errors.Is(err, ErrExhausted) {
@@ -45,7 +45,7 @@ func TestRetryExhaustionIsTyped(t *testing.T) {
 }
 
 func TestRetryStopsOnPermanent(t *testing.T) {
-	cfg := Config{Seed: 1}.WithDefaults()
+	cfg := Config{}.WithDefaults()
 	calls := 0
 	denied := errors.New("denied")
 	err := Retry(cfg, 5, func(int) error {
@@ -64,17 +64,16 @@ func TestRetryStopsOnPermanent(t *testing.T) {
 }
 
 func TestBackoffDeterministicPerSeed(t *testing.T) {
-	cfg := Config{Seed: 42}.WithDefaults()
-	a, b := cfg.NewBackoff(3), cfg.NewBackoff(3)
+	a, b := jitterStream(3), jitterStream(3)
 	for i := 0; i < 8; i++ {
-		if da, db := a.Next(i), b.Next(i); da != db {
+		if da, db := backoff(i, a), backoff(i, b); da != db {
 			t.Fatalf("attempt %d: %v != %v (same seed must give same schedule)", i, da, db)
 		}
 	}
-	other := Config{Seed: 43}.WithDefaults().NewBackoff(3)
+	other, again := jitterStream(4), jitterStream(3)
 	same := true
 	for i := 0; i < 8; i++ {
-		if cfg.NewBackoff(99).Next(i) != other.Next(i) {
+		if backoff(i, again) != backoff(i, other) {
 			same = false
 		}
 	}
@@ -83,18 +82,33 @@ func TestBackoffDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestBackoffCapped: the envelope starts at 20 ms and doubles per attempt up
+// to the 2 s cap, and each delay is the envelope scaled by 1 ± 0.1 drawn from
+// the call site's fixed jitter stream.
 func TestBackoffCapped(t *testing.T) {
-	cfg := Config{RetryBase: 10 * time.Millisecond, RetryMax: 80 * time.Millisecond, RetryJitter: -1, Seed: 1}
-	b := cfg.NewBackoff(0)
-	b.jitter = 0
-	if d := b.Next(20); d != 80*time.Millisecond {
-		t.Errorf("Next(20) = %v, want capped at 80ms", d)
+	b := jitterStream(0)
+	jitter := newRNG(1) // jitterStream(0)'s stream
+	for i, env := range []time.Duration{
+		20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond, 160 * time.Millisecond,
+		320 * time.Millisecond, 640 * time.Millisecond, 1280 * time.Millisecond,
+		2 * time.Second, 2 * time.Second, 2 * time.Second,
+	} {
+		want := time.Duration(float64(env) * (1 + 0.2*(jitter.float64()-0.5)))
+		got := backoff(i, b)
+		if got != want {
+			t.Fatalf("Next(%d) = %v, want %v (envelope %v)", i, got, want, env)
+		}
+		if got < env*9/10 || got > env*11/10 {
+			t.Fatalf("Next(%d) = %v, outside %v ± 10%%", i, got, env)
+		}
+	}
+	if d := backoff(40, b); d > 2200*time.Millisecond {
+		t.Errorf("Next(40) = %v, want capped at 2s ± 10%%", d)
 	}
 }
 
 func TestTrackerCircuitBreaking(t *testing.T) {
-	cfg := Config{FailureThreshold: 3, ProbeEvery: 4}
-	tr := NewTracker(cfg)
+	tr := NewTracker()
 	for i := 0; i < 3; i++ {
 		if !tr.Allow("n1") {
 			t.Fatalf("attempt %d blocked before threshold", i)
@@ -123,7 +137,7 @@ func TestTrackerCircuitBreaking(t *testing.T) {
 }
 
 func TestTrackerMarkDownBlocksUntilMarkUp(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := NewTracker()
 	tr.MarkDown("n2")
 	for i := 0; i < 20; i++ {
 		if tr.Allow("n2") {
@@ -150,8 +164,7 @@ func TestDialTCPRetriesAndTypes(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // free the port so dials are refused
 
-	cfg := Config{DialAttempts: 2, DialTimeout: 200 * time.Millisecond, Seed: 5}
-	if _, err := DialTCP(addr, cfg); !errors.Is(err, ErrExhausted) {
+	if _, err := DialTCP(addr, Config{}); !errors.Is(err, ErrExhausted) {
 		t.Errorf("dial to dead port: %v, want ErrExhausted", err)
 	}
 }

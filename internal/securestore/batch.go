@@ -223,41 +223,17 @@ func (s *Store) fetchOpen(pc *pageCrypto, idxs []uint32, out [][]byte, workers i
 // compared level by level — each internal node exactly once, no matter how
 // many pages in the batch sit below it. A batch spanning the whole leaf
 // range therefore degenerates to one full root recomputation, and a batch of
-// one page walks that page's path, stopping under CacheVerifiedSubtrees at
-// the first ancestor already verified. Any mismatch fails the entire batch
+// one page walks that page's whole path to the root: no node is trusted
+// because an earlier read checked it. Any mismatch fails the entire batch
 // with ErrIntegrity. It is the store's only Merkle verifier; the caller holds
 // s.mu.
 //
 // The MerkleHashes meter charges exactly the HMACs evaluated, and
 // MerkleHashesSaved records how many the equivalent sequence of one-page
-// verifications would have evaluated on top of that.
+// verifications would have evaluated on top of that: each of those hashes a
+// leaf and every level above it.
 func (s *Store) verifyBatch(mac *treeMAC, idxs []uint32, recordMACs [][]byte) error {
-	a := s.opts.arity()
-
-	// Price the sequential baseline first, against the pre-batch verified
-	// map, simulating the marks one-page verifications would have left as they
-	// went.
-	baseline := 0
-	var seen map[[2]int]bool
-	if s.opts.CacheVerifiedSubtrees {
-		seen = map[[2]int]bool{}
-	}
-	for _, idx := range idxs {
-		baseline++ // leaf hash
-		i := int(idx)
-		for lvl := 1; lvl < len(s.levels); lvl++ {
-			parent := i / a
-			if s.opts.CacheVerifiedSubtrees && (s.verified[[2]int{lvl, parent}] || seen[[2]int{lvl, parent}]) {
-				break
-			}
-			baseline++
-			if s.opts.CacheVerifiedSubtrees {
-				seen[[2]int{lvl, parent}] = true
-			}
-			i = parent
-		}
-	}
-
+	baseline := len(idxs) * len(s.levels)
 	hashed := 0
 	for k, idx := range idxs {
 		mac.Reset()
@@ -281,15 +257,12 @@ func (s *Store) verifyBatch(mac *treeMAC, idxs []uint32, recordMACs [][]byte) er
 		parents := frontier[:0]
 		last := -1
 		for _, i := range frontier {
-			parent := i / a
+			parent := i / arity
 			if parent == last {
 				continue
 			}
 			last = parent
-			if s.opts.CacheVerifiedSubtrees && s.verified[[2]int{lvl, parent}] {
-				continue // subtree already trusted; nothing above it to recheck
-			}
-			lo, hi := parent*a, parent*a+a
+			lo, hi := parent*arity, parent*arity+arity
 			if hi > len(s.levels[lvl-1]) {
 				hi = len(s.levels[lvl-1])
 			}
@@ -299,9 +272,6 @@ func (s *Store) verifyBatch(mac *treeMAC, idxs []uint32, recordMACs [][]byte) er
 			if !hmac.Equal(node, s.levels[lvl][parent]) {
 				s.meter.MerkleHashes.Add(int64(hashed))
 				return fmt.Errorf("%w: merkle node (%d,%d) mismatch in batch", ErrIntegrity, lvl, parent)
-			}
-			if s.opts.CacheVerifiedSubtrees {
-				s.verified[[2]int{lvl, parent}] = true
 			}
 			parents = append(parents, parent)
 		}

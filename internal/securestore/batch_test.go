@@ -33,19 +33,9 @@ func fillPages(t *testing.T, s *Store, n int) []string {
 	return want
 }
 
-// TestReadPagesMatchesReadPage pins the batched path's contract across the
-// option matrix: for any batch shape, ReadPages returns exactly what per-page
-// ReadPage calls would.
+// TestReadPagesMatchesReadPage pins the batched path's contract: for any
+// batch shape, ReadPages returns exactly what per-page ReadPage calls would.
 func TestReadPagesMatchesReadPage(t *testing.T) {
-	variants := []struct {
-		name string
-		opts Options
-	}{
-		{"default", Options{}},
-		{"arity8", Options{Arity: 8}},
-		{"gcm", Options{GCM: true}},
-		{"verifiedSubtrees", Options{CacheVerifiedSubtrees: true}},
-	}
 	batches := [][]uint32{
 		nil,
 		{0},
@@ -53,36 +43,32 @@ func TestReadPagesMatchesReadPage(t *testing.T) {
 		{0, 7, 31, 14, 2}, // unordered, spanning subtrees
 		{5, 5, 5},         // duplicates
 	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			e := newEnv(t)
-			s := e.open(t, v.opts)
-			fillPages(t, s, 32)
-			all := make([]uint32, 32)
-			for i := range all {
-				all[i] = uint32(i)
+	e := newEnv(t)
+	s := e.open(t, Options{})
+	fillPages(t, s, 32)
+	all := make([]uint32, 32)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	for round := 0; round < 2; round++ { // round 2 reads pages read before
+		for _, idxs := range append(batches, all) {
+			got, err := s.ReadPages(idxs)
+			if err != nil {
+				t.Fatalf("round %d ReadPages(%v): %v", round, idxs, err)
 			}
-			for round := 0; round < 2; round++ { // round 2 hits any caches
-				for _, idxs := range append(batches, all) {
-					got, err := s.ReadPages(idxs)
-					if err != nil {
-						t.Fatalf("round %d ReadPages(%v): %v", round, idxs, err)
-					}
-					if len(got) != len(idxs) {
-						t.Fatalf("ReadPages(%v) returned %d pages", idxs, len(got))
-					}
-					for i, idx := range idxs {
-						want, err := s.ReadPage(idx)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(got[i], want) {
-							t.Fatalf("round %d page %d: batched read diverges from ReadPage", round, idx)
-						}
-					}
+			if len(got) != len(idxs) {
+				t.Fatalf("ReadPages(%v) returned %d pages", idxs, len(got))
+			}
+			for i, idx := range idxs {
+				want, err := s.ReadPage(idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got[i], want) {
+					t.Fatalf("round %d page %d: batched read diverges from ReadPage", round, idx)
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -192,37 +178,24 @@ func TestBatchedVerificationSavesHashes(t *testing.T) {
 }
 
 // TestReadPageChargesOnePath pins what a one-page read costs: its leaf and
-// one node per level up to the root — or, under CacheVerifiedSubtrees, up to
-// the first ancestor already verified — one MerkleVerifies, no saved hash
-// and no scan batch.
+// one node per level up to the root, however recently a neighbour's path was
+// checked — one MerkleVerifies, no saved hash and no scan batch.
 func TestReadPageChargesOnePath(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		opts   Options
-		reads  []uint32
-		hashes []int64 // MerkleHashes of each read in turn, over 32 pages
-	}{
-		{"fullPath", Options{}, []uint32{0, 1, 2, 31}, []int64{6, 6, 6, 6}},
-		{"verifiedSubtrees", Options{CacheVerifiedSubtrees: true}, []uint32{0, 1, 2, 31, 31}, []int64{6, 1, 2, 5, 1}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := newEnv(t)
-			s := e.open(t, tc.opts)
-			fillPages(t, s, 32)
-			for k, idx := range tc.reads {
-				before := e.meter.Snapshot()
-				if _, err := s.ReadPage(idx); err != nil {
-					t.Fatal(err)
-				}
-				d := e.meter.Snapshot().Sub(before)
-				if d.MerkleHashes != tc.hashes[k] || d.MerkleVerifies != 1 || d.MerkleHashesSaved != 0 ||
-					d.ScanBatches != 0 || d.PagesRead != 1 || d.PagesDecrypted != 1 {
-					t.Errorf("read %d (page %d): hashes=%d verifies=%d saved=%d batches=%d read=%d decrypted=%d, want %d 1 0 0 1 1",
-						k, idx, d.MerkleHashes, d.MerkleVerifies, d.MerkleHashesSaved, d.ScanBatches,
-						d.PagesRead, d.PagesDecrypted, tc.hashes[k])
-				}
-			}
-		})
+	e := newEnv(t)
+	s := e.open(t, Options{})
+	fillPages(t, s, 32)
+	for k, idx := range []uint32{0, 1, 2, 31, 31} {
+		before := e.meter.Snapshot()
+		if _, err := s.ReadPage(idx); err != nil {
+			t.Fatal(err)
+		}
+		d := e.meter.Snapshot().Sub(before)
+		if d.MerkleHashes != 6 || d.MerkleVerifies != 1 || d.MerkleHashesSaved != 0 ||
+			d.ScanBatches != 0 || d.PagesRead != 1 || d.PagesDecrypted != 1 {
+			t.Errorf("read %d (page %d): hashes=%d verifies=%d saved=%d batches=%d read=%d decrypted=%d, want 6 1 0 0 1 1",
+				k, idx, d.MerkleHashes, d.MerkleVerifies, d.MerkleHashesSaved, d.ScanBatches,
+				d.PagesRead, d.PagesDecrypted)
+		}
 	}
 }
 

@@ -119,7 +119,7 @@ func FuzzCBCDecrypt(f *testing.F) {
 	})
 }
 
-// TestOnePageDecryptPath: a CBC store opens pages with the kernel where the
+// TestOnePageDecryptPath: a store opens pages with the kernel where the
 // platform has one — its pooled states carry no crypto/cipher decrypter for
 // openPage to reach — and with that decrypter only where it has none.
 func TestOnePageDecryptPath(t *testing.T) {
@@ -134,9 +134,6 @@ func TestOnePageDecryptPath(t *testing.T) {
 	if _, err := s.ReadPage(1); err != nil {
 		t.Fatal(err)
 	}
-	if g := newEnv(t).open(t, Options{GCM: true}); g.cbc != nil {
-		t.Fatal("a GCM store built a CBC kernel")
-	}
 }
 
 type shortKeys struct{}
@@ -148,14 +145,14 @@ func (shortKeys) DeriveKey(label string) ([]byte, error) { return make([]byte, 1
 // kernel's key expansion.
 func TestOpenRefusesNonAES256Key(t *testing.T) {
 	var m simtime.Meter
-	if _, err := OpenWith(pager.NewMemDevice(), shortKeys{}, &memAnchor{}, &m, Options{}); err == nil {
+	if _, err := OpenWith(pager.NewMemDevice(), shortKeys{}, &memAnchor{}, &m); err == nil {
 		t.Fatal("a store opened under a 16-byte page key")
 	}
 }
 
 // BenchmarkCBCDecryptPage is the decryption half of a page open, one 4 KiB
 // page in place: the kernel, and crypto/cipher's decrypter it replaces
-// (BenchmarkOpenPage/cbc-hmac less this is the MAC half).
+// (BenchmarkOpenPage less this is the MAC half).
 func BenchmarkCBCDecryptPage(b *testing.B) {
 	key := bytes.Repeat([]byte{'p'}, 32)
 	iv := make([]byte, ivSize)

@@ -17,16 +17,15 @@ import (
 // as the reference the dirty-set algorithm is compared with, node for node
 // and tag for tag.
 type pathOracle struct {
-	s      *Store // keys and arity only
+	s      *Store // keys only
 	levels [][][]byte
 }
 
 func (o *pathOracle) updatePath(idx int) {
-	a := o.s.opts.arity()
 	lvl := 1
 	for len(o.levels[lvl-1]) > 1 {
 		below := o.levels[lvl-1]
-		want := (len(below) + a - 1) / a
+		want := (len(below) + arity - 1) / arity
 		if lvl >= len(o.levels) {
 			o.levels = append(o.levels, make([][]byte, want))
 		} else if len(o.levels[lvl]) != want {
@@ -37,10 +36,10 @@ func (o *pathOracle) updatePath(idx int) {
 			}
 			o.levels[lvl] = grown
 		}
-		idx /= a
+		idx /= arity
 		for i := range o.levels[lvl] {
 			if o.levels[lvl][i] == nil || i == idx {
-				clo, chi := i*a, i*a+a
+				clo, chi := i*arity, i*arity+arity
 				if chi > len(below) {
 					chi = len(below)
 				}
@@ -72,7 +71,7 @@ func (o *pathOracle) commit(oldN, newN uint32, entries []uint32, leaves [][]byte
 
 // tag is rootTag over the oracle's tree.
 func (o *pathOracle) tag(n uint32, seq uint64) []byte {
-	ref := &Store{opts: o.s.opts, treeKey: o.s.treeKey, rootKey: o.s.rootKey, levels: o.levels, nextAlloc: n, seq: seq}
+	ref := &Store{treeKey: o.s.treeKey, rootKey: o.s.rootKey, levels: o.levels, nextAlloc: n, seq: seq}
 	return ref.rootTag()
 }
 
@@ -105,7 +104,7 @@ type treeCommit struct {
 	abortFirst int
 }
 
-func treeCommitScript(arity int) []treeCommit {
+func treeCommitScript() []treeCommit {
 	some := func(k int) func(*rand.Rand, int) []uint32 {
 		return func(r *rand.Rand, n int) []uint32 {
 			var out []uint32
@@ -130,18 +129,19 @@ func treeCommitScript(arity int) []treeCommit {
 		{name: "first page", allocate: 1},
 		{name: "second page", allocate: 1},
 		{name: "single overwrite", overwrite: some(1)},
-		{name: "grow to the arity boundary", allocate: arity - 2},
-		{name: "grow across it by one", allocate: 1},
+		{name: "grow across the second level by one", allocate: 1},
 		{name: "grow with every new page unwritten", allocate: 3, skipWrites: true},
 		{name: "single overwrite after growth", overwrite: some(1)},
-		{name: "grow across arity squared", allocate: arity*arity - 1},
-		{name: "dense run", overwrite: run(2*arity + 1)},
+		{name: "grow across the third level", allocate: 3},
+		{name: "dense run", overwrite: run(5)},
 		{name: "sparse set", overwrite: some(5)},
 		{name: "aborted reservation then growth", abortFirst: 3, allocate: 2},
 		{name: "overwrite beside growth", overwrite: some(3), allocate: 1},
 		{name: "tail overwrite", overwrite: func(_ *rand.Rand, n int) []uint32 { return []uint32{uint32(n - 1)} }},
-		{name: "grow across arity cubed", allocate: arity * arity * arity},
+		{name: "grow across the fourth level", allocate: 8},
 		{name: "sparse set in the grown tree", overwrite: some(9)},
+		{name: "grow across the fifth level, new pages unwritten", allocate: 13, skipWrites: true},
+		{name: "dense run across the fifth level", overwrite: run(17)},
 		{name: "whole store", overwrite: run(1 << 20)},
 		{name: "one more page", allocate: 1},
 		{name: "single overwrite at the end", overwrite: some(1)},
@@ -149,159 +149,156 @@ func treeCommitScript(arity int) []treeCommit {
 }
 
 // TestCommitTreeMatchesPathOracle drives a seeded sequence of commits — single
-// pages, dense runs, sparse sets, growth across arity boundaries with gap-fill,
-// an aborted reservation in between — and after each one demands that every
-// level equals a from-scratch rebuild over the leaves and the path oracle's
-// tree, that the anchored tag is the oracle's, that MerkleHashes was charged
-// the number of distinct ancestors, that no recomputed node kept a verified
-// mark, and that a verified-subtree read of the whole store still passes.
+// pages, dense runs, sparse sets, growth across five level boundaries with
+// gap-fill, an aborted reservation in between — and after each one demands
+// that every level equals a from-scratch rebuild over the leaves and the path
+// oracle's tree, that the anchored tag is the oracle's, that MerkleHashes was
+// charged the number of distinct ancestors, and that a read of the whole
+// store still passes.
 func TestCommitTreeMatchesPathOracle(t *testing.T) {
-	for _, arity := range []int{2, 4, 8} {
-		for _, seed := range []int64{1, 2} {
-			t.Run(fmt.Sprintf("arity%d/seed%d", arity, seed), func(t *testing.T) {
-				r := rand.New(rand.NewSource(seed))
-				dev := pager.NewMemDevice()
-				var m simtime.Meter
-				anchor := &memAnchor{}
-				s, err := OpenWith(dev, staticKeys{}, anchor, &m, Options{Arity: arity, CacheVerifiedSubtrees: true})
-				if err != nil {
-					t.Fatal(err)
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("arity%d/seed%d", arity, seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			dev := pager.NewMemDevice()
+			var m simtime.Meter
+			anchor := &memAnchor{}
+			s, err := OpenWith(dev, staticKeys{}, anchor, &m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := &pathOracle{s: s, levels: [][][]byte{nil}}
+			for step, c := range treeCommitScript() {
+				oldN := s.NumPages()
+				if c.abortFirst > 0 {
+					dead := s.Begin()
+					for i := 0; i < c.abortFirst; i++ {
+						dead.Allocate()
+					}
+					dead.Abort()
 				}
-				oracle := &pathOracle{s: s, levels: [][][]byte{nil}}
-				for step, c := range treeCommitScript(arity) {
-					oldN := s.NumPages()
-					if c.abortFirst > 0 {
-						dead := s.Begin()
-						for i := 0; i < c.abortFirst; i++ {
-							dead.Allocate()
-						}
-						dead.Abort()
-					}
-					txn := s.Begin()
-					written := map[uint32]bool{}
-					page := func(idx uint32) []byte {
-						return bytes.Repeat([]byte{byte(step), byte(idx)}, 64)
-					}
-					if c.overwrite != nil {
-						for _, idx := range c.overwrite(r, int(oldN)) {
-							if err := txn.WritePage(idx, page(idx)); err != nil {
-								t.Fatal(err)
-							}
-							written[idx] = true
-						}
-					}
-					maxIdx := uint32(0)
-					for i := 0; i < c.allocate; i++ {
-						idx, err := txn.Allocate()
-						if err != nil {
+				txn := s.Begin()
+				written := map[uint32]bool{}
+				page := func(idx uint32) []byte {
+					return bytes.Repeat([]byte{byte(step), byte(idx)}, 64)
+				}
+				if c.overwrite != nil {
+					for _, idx := range c.overwrite(r, int(oldN)) {
+						if err := txn.WritePage(idx, page(idx)); err != nil {
 							t.Fatal(err)
 						}
-						maxIdx = idx
-						if !c.skipWrites {
-							if err := txn.WritePage(idx, page(idx)); err != nil {
-								t.Fatal(err)
-							}
-							written[idx] = true
-						}
+						written[idx] = true
 					}
-					newN := max(oldN, maxIdx+1)
-					// The commit's entries: what it wrote, and everything in
-					// [oldN, newN) — staged, or sealed by gap-fill.
-					entries := make([]uint32, 0, len(written))
-					for idx := range written {
-						if idx < oldN {
-							entries = append(entries, idx)
-						}
+				}
+				maxIdx := uint32(0)
+				for i := 0; i < c.allocate; i++ {
+					idx, err := txn.Allocate()
+					if err != nil {
+						t.Fatal(err)
 					}
-					for idx := oldN; idx < newN; idx++ {
+					maxIdx = idx
+					if !c.skipWrites {
+						if err := txn.WritePage(idx, page(idx)); err != nil {
+							t.Fatal(err)
+						}
+						written[idx] = true
+					}
+				}
+				newN := max(oldN, maxIdx+1)
+				// The commit's entries: what it wrote, and everything in
+				// [oldN, newN) — staged, or sealed by gap-fill.
+				entries := make([]uint32, 0, len(written))
+				for idx := range written {
+					if idx < oldN {
 						entries = append(entries, idx)
 					}
-					slices.Sort(entries)
+				}
+				for idx := oldN; idx < newN; idx++ {
+					entries = append(entries, idx)
+				}
+				slices.Sort(entries)
 
-					before := m.MerkleHashes.Load()
-					if err := txn.Commit(); err != nil {
-						t.Fatalf("%s: %v", c.name, err)
-					}
-					charged := m.MerkleHashes.Load() - before
-					if got := s.NumPages(); got != newN {
-						t.Fatalf("%s: %d pages, want %d", c.name, got, newN)
-					}
+				before := m.MerkleHashes.Load()
+				if err := txn.Commit(); err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				charged := m.MerkleHashes.Load() - before
+				if got := s.NumPages(); got != newN {
+					t.Fatalf("%s: %d pages, want %d", c.name, got, newN)
+				}
 
-					// Every rewritten leaf is the leaf MAC of the record on
-					// the medium.
-					for _, idx := range entries {
-						rec, err := dev.ReadBlock(idx)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(s.levels[0][idx], leafMAC(s.treeMAC(), nil, idx, rec[len(rec)-macSize:])) {
-							t.Fatalf("%s: leaf %d is not the MAC of its record", c.name, idx)
-						}
-					}
-					rebuilt := &Store{opts: s.opts, treeKey: s.treeKey}
-					rebuilt.rebuildLevels(slices.Clone(s.levels[0]))
-					if err := sameLevels(s.levels, rebuilt.levels); err != nil {
-						t.Fatalf("%s: against rebuildLevels: %v", c.name, err)
-					}
-					oracle.commit(oldN, newN, entries, s.levels[0])
-					if err := sameLevels(s.levels, oracle.levels); err != nil {
-						t.Fatalf("%s: against the path oracle: %v", c.name, err)
-					}
-					if want := oracle.tag(newN, s.Seq()); !bytes.Equal(anchor.tag, want) {
-						t.Fatalf("%s: anchored tag differs from the path oracle's", c.name)
-					}
-
-					// Distinct ancestors of the dirty leaves, the old tail
-					// leaf among them when the store grew.
-					dirty := slices.Clone(entries)
-					if newN > oldN && oldN > 0 {
-						dirty = append(dirty, oldN-1)
-					}
-					ancestors := map[[2]int]bool{}
-					for _, idx := range dirty {
-						i := int(idx)
-						for lvl := 1; lvl < len(s.levels); lvl++ {
-							i /= arity
-							ancestors[[2]int{lvl, i}] = true
-						}
-					}
-					if int(charged) != len(ancestors) {
-						t.Fatalf("%s: commit charged %d Merkle hashes, %d distinct ancestors", c.name, charged, len(ancestors))
-					}
-					for node := range ancestors {
-						if s.verified[node] {
-							t.Fatalf("%s: recomputed node %v kept its verified mark", c.name, node)
-						}
-					}
-
-					// Reads verify against the maintained tree, and leave
-					// verified marks for the next commit to take back.
-					all := seq32(int(newN))
-					r.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-					pages, err := s.ReadPages(all)
+				// Every rewritten leaf is the leaf MAC of the record on
+				// the medium.
+				for _, idx := range entries {
+					rec, err := dev.ReadBlock(idx)
 					if err != nil {
-						t.Fatalf("%s: batched read after commit: %v", c.name, err)
+						t.Fatal(err)
 					}
-					for k, idx := range all {
-						if written[idx] && !bytes.HasPrefix(pages[k], page(idx)) {
-							t.Fatalf("%s: page %d reads back other bytes", c.name, idx)
-						}
-					}
-					if _, err := s.ReadPage(uint32(r.Intn(int(newN)))); err != nil {
-						t.Fatalf("%s: read after commit: %v", c.name, err)
+					if !bytes.Equal(s.levels[0][idx], leafMAC(s.treeMAC(), nil, idx, rec[len(rec)-macSize:])) {
+						t.Fatalf("%s: leaf %d is not the MAC of its record", c.name, idx)
 					}
 				}
-				// The medium reopens to the same tree: what was maintained
-				// incrementally is what a load rebuilds.
-				s2, err := OpenWith(dev, staticKeys{}, anchor, &m, Options{Arity: arity})
+				rebuilt := &Store{treeKey: s.treeKey}
+				rebuilt.rebuildLevels(slices.Clone(s.levels[0]))
+				if err := sameLevels(s.levels, rebuilt.levels); err != nil {
+					t.Fatalf("%s: against rebuildLevels: %v", c.name, err)
+				}
+				oracle.commit(oldN, newN, entries, s.levels[0])
+				if err := sameLevels(s.levels, oracle.levels); err != nil {
+					t.Fatalf("%s: against the path oracle: %v", c.name, err)
+				}
+				if want := oracle.tag(newN, s.Seq()); !bytes.Equal(anchor.tag, want) {
+					t.Fatalf("%s: anchored tag differs from the path oracle's", c.name)
+				}
+
+				// Distinct ancestors of the dirty leaves, the old tail
+				// leaf among them when the store grew.
+				dirty := slices.Clone(entries)
+				if newN > oldN && oldN > 0 {
+					dirty = append(dirty, oldN-1)
+				}
+				ancestors := map[[2]int]bool{}
+				for _, idx := range dirty {
+					i := int(idx)
+					for lvl := 1; lvl < len(s.levels); lvl++ {
+						i /= arity
+						ancestors[[2]int{lvl, i}] = true
+					}
+				}
+				if int(charged) != len(ancestors) {
+					t.Fatalf("%s: commit charged %d Merkle hashes, %d distinct ancestors", c.name, charged, len(ancestors))
+				}
+
+				// Reads verify against the maintained tree.
+				all := seq32(int(newN))
+				r.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+				pages, err := s.ReadPages(all)
 				if err != nil {
-					t.Fatalf("reopen: %v", err)
+					t.Fatalf("%s: batched read after commit: %v", c.name, err)
 				}
-				if err := sameLevels(s2.levels, s.levels); err != nil {
-					t.Fatalf("reopened tree: %v", err)
+				for k, idx := range all {
+					if written[idx] && !bytes.HasPrefix(pages[k], page(idx)) {
+						t.Fatalf("%s: page %d reads back other bytes", c.name, idx)
+					}
 				}
-			})
-		}
+				if _, err := s.ReadPage(uint32(r.Intn(int(newN)))); err != nil {
+					t.Fatalf("%s: read after commit: %v", c.name, err)
+				}
+			}
+			// The script grew the tree through five levels above its
+			// leaves.
+			if len(s.levels) < 6 {
+				t.Fatalf("the script grew the tree to %d levels, want 6 or more", len(s.levels))
+			}
+			// The medium reopens to the same tree: what was maintained
+			// incrementally is what a load rebuilds.
+			s2, err := OpenWith(dev, staticKeys{}, anchor, &m)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if err := sameLevels(s2.levels, s.levels); err != nil {
+				t.Fatalf("reopened tree: %v", err)
+			}
+		})
 	}
 }
 
@@ -325,7 +322,7 @@ func BenchmarkCommit(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 14} {
 		for _, k := range []int{1, 256} {
 			b.Run(fmt.Sprintf("store%d/pages%d", n, k), func(b *testing.B) {
-				s, _ := benchStore(b, Options{}, n)
+				s, _ := benchStore(b, n)
 				b.SetBytes(int64(k) * pager.PageSize)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -349,7 +346,7 @@ func TestCommitCostIndependentOfStoreSize(t *testing.T) {
 	for k, n := range []int{1 << 9, 1 << 13} {
 		dev := pager.NewMemDevice()
 		var m simtime.Meter
-		s, err := OpenWith(dev, staticKeys{}, &memAnchor{}, &m, Options{})
+		s, err := OpenWith(dev, staticKeys{}, &memAnchor{}, &m)
 		if err != nil {
 			t.Fatal(err)
 		}

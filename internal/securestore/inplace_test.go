@@ -3,7 +3,6 @@ package securestore
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -46,92 +45,84 @@ func allocatedBytes(runs int, fn func()) uint64 {
 // — allocates no page-sized object per page, neither the device's record nor
 // the page it opens into, and at most 8 KiB per batch.
 func TestReadPagesAllocBudget(t *testing.T) {
-	for _, opts := range []Options{{}, {GCM: true}} {
-		t.Run(fmt.Sprintf("gcm=%v", opts.GCM), func(t *testing.T) {
-			e := newEnv(t)
-			s := e.open(t, opts)
-			fillPages(t, s, 32)
-			idxs := seq32(32)
-			read := func() {
-				pages, _, err := s.readPagesAt(idxs, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, p := range pages {
-					pager.Release(p)
-				}
-			}
-			// Under the race detector sync.Pool drops a share of what is
-			// handed back at random, so records and pages are allocated anew.
-			if !raceEnabled {
-				if got, max := allocatedBytes(20, read), uint64(8<<10); got > max {
-					t.Errorf("ReadPages(32 pages) allocates %d bytes, want <= %d per batch", got, max)
-				}
-			}
-			// Per batch: the result slice and the frontier — three objects
-			// today; the tree HMAC is keyed once, in the pooled crypto state,
-			// which the race detector's sync.Pool sometimes rebuilds, with
-			// records and pages: hence the slack there.
-			want := 24.0
-			if raceEnabled {
-				want += 2 * 32
-			}
-			if got := testing.AllocsPerRun(20, read); got > want {
-				t.Errorf("ReadPages(32 pages) makes %.0f allocations, want <= %.0f per batch", got, want)
-			}
-		})
+	e := newEnv(t)
+	s := e.open(t, Options{})
+	fillPages(t, s, 32)
+	idxs := seq32(32)
+	read := func() {
+		pages, _, err := s.readPagesAt(idxs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pages {
+			pager.Release(p)
+		}
+	}
+	// Under the race detector sync.Pool drops a share of what is handed back
+	// at random, so records and pages are allocated anew.
+	if !raceEnabled {
+		if got, max := allocatedBytes(20, read), uint64(8<<10); got > max {
+			t.Errorf("ReadPages(32 pages) allocates %d bytes, want <= %d per batch", got, max)
+		}
+	}
+	// Per batch: the result slice and the frontier — three objects today;
+	// the tree HMAC is keyed once, in the pooled crypto state, which the race
+	// detector's sync.Pool sometimes rebuilds, with records and pages: hence
+	// the slack there.
+	want := 24.0
+	if raceEnabled {
+		want += 2 * 32
+	}
+	if got := testing.AllocsPerRun(20, read); got > want {
+		t.Errorf("ReadPages(32 pages) makes %.0f allocations, want <= %.0f per batch", got, want)
 	}
 }
 
 // TestSealPageAllocatesOneRecord: IV, ciphertext and MAC are built in the one
 // buffer that becomes the record.
 func TestSealPageAllocatesOneRecord(t *testing.T) {
-	for _, opts := range []Options{{}, {GCM: true}} {
-		e := newEnv(t)
-		s := e.open(t, opts)
-		pc := s.getCrypto()
-		plain := bytes.Repeat([]byte{0xab}, pager.PageSize)
-		got := testing.AllocsPerRun(50, func() {
-			if _, _, err := s.sealPage(pc, 7, plain); err != nil {
-				t.Fatal(err)
-			}
-		})
-		// crypto/rand, a GCM nonce and the AD bytes may each cost a tiny
-		// object; what must not come back is a second page-sized one.
-		if got > 3 {
-			t.Errorf("gcm=%v: sealPage makes %.0f allocations, want the record and at most 2 small objects", opts.GCM, got)
+	e := newEnv(t)
+	s := e.open(t, Options{})
+	pc := s.getCrypto()
+	plain := bytes.Repeat([]byte{0xab}, pager.PageSize)
+	got := testing.AllocsPerRun(50, func() {
+		if _, _, err := s.sealPage(pc, 7, plain); err != nil {
+			t.Fatal(err)
 		}
-		if got := allocatedBytes(50, func() { s.sealPage(pc, 7, plain) }); got > 4864+64 {
-			t.Errorf("gcm=%v: sealPage allocates %d bytes, want one record", opts.GCM, got)
-		}
+	})
+	// crypto/rand may cost a tiny object or two; what must not come back is
+	// a second page-sized one.
+	if got > 3 {
+		t.Errorf("sealPage makes %.0f allocations, want the record and at most 2 small objects", got)
+	}
+	if got := allocatedBytes(50, func() { s.sealPage(pc, 7, plain) }); got > 4864+64 {
+		t.Errorf("sealPage allocates %d bytes, want one record", got)
 	}
 }
 
 // TestSealOpenRoundTripShortPage: sealPage pads a short page itself, and the
 // record opens to the padded page.
 func TestSealOpenRoundTripShortPage(t *testing.T) {
-	for _, opts := range []Options{{}, {GCM: true}} {
-		e := newEnv(t)
-		s := e.open(t, opts)
-		pc := s.getCrypto()
-		record, recordMAC, err := s.sealPage(pc, 3, []byte("short"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(recordMAC, record[len(record)-len(recordMAC):]) {
-			t.Fatalf("gcm=%v: record MAC is not the record's tail", opts.GCM)
-		}
-		plain, openMAC, err := s.openPage(pc, 3, record)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append([]byte("short"), make([]byte, pager.PageSize-5)...)
-		if !bytes.Equal(plain, want) || !bytes.Equal(openMAC, recordMAC) {
-			t.Fatalf("gcm=%v: round trip lost the page or its MAC", opts.GCM)
-		}
-		if _, _, err := s.openPage(pc, 4, record); !errors.Is(err, ErrIntegrity) {
-			t.Fatalf("gcm=%v: record opened under another index: %v", opts.GCM, err)
-		}
+	e := newEnv(t)
+	s := e.open(t, Options{})
+	pc := s.getCrypto()
+	record, recordMAC, err := s.sealPage(pc, 3, []byte("short"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recordMAC, record[len(record)-len(recordMAC):]) {
+		t.Fatal("record MAC is not the record's tail")
+	}
+	plain, openMAC, err := s.openPage(pc, 3, record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte("short"), make([]byte, pager.PageSize-5)...)
+	if !bytes.Equal(plain, want) || !bytes.Equal(openMAC, recordMAC) {
+		t.Fatal("round trip lost the page or its MAC")
+	}
+	if _, _, err := s.openPage(pc, 4, record); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("record opened under another index: %v", err)
 	}
 }
 
@@ -172,19 +163,6 @@ func TestTamperedRecordIsNotDecrypted(t *testing.T) {
 		}
 		e.dev.RestoreBlocks(before)
 	}
-	// GCM fails closed too, decrypting into a page of its own that it clears
-	// and releases, never into the record.
-	g := newEnv(t)
-	gs := g.open(t, Options{GCM: true})
-	fillPages(t, gs, 2)
-	record, _ := g.dev.ReadBlock(1)
-	record[gcmNonceSize+9] ^= 0x10
-	if _, _, err := gs.openPage(gs.getCrypto(), 1, record); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("gcm ciphertext flipped: err = %v, want ErrIntegrity", err)
-	}
-	if bytes.Contains(record, []byte("batch-page-")) {
-		t.Fatal("gcm: a rejected record holds plaintext")
-	}
 }
 
 // TestPagesAreDisjoint: no two live pages share a byte of their capacity —
@@ -194,84 +172,80 @@ func TestTamperedRecordIsNotDecrypted(t *testing.T) {
 // page's capacity past PageSize is a pooled buffer's and its caller's too;
 // no MAC sits behind it any more, so nothing caps it.
 func TestPagesAreDisjoint(t *testing.T) {
-	for _, opts := range []Options{{}, {GCM: true}} {
-		e := newEnv(t)
-		s := e.open(t, opts)
-		fillPages(t, s, 16)
-		read := func(idxs []uint32) [][]byte {
-			t.Helper()
-			pages, err := s.ReadPages(idxs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return pages
-		}
-		live := read(append(seq32(16), 3, 3)) // duplicates included
-		one, err := s.ReadPage(9)
+	e := newEnv(t)
+	s := e.open(t, Options{})
+	fillPages(t, s, 16)
+	read := func(idxs []uint32) [][]byte {
+		t.Helper()
+		pages, err := s.ReadPages(idxs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		live = append(live, one)
-		disjoint := func(pages [][]byte) {
-			t.Helper()
-			for i, a := range pages {
-				alo := uintptr(unsafe.Pointer(&a[0]))
-				for j, b := range pages[:i] {
-					blo := uintptr(unsafe.Pointer(&b[0]))
-					if alo < blo+uintptr(cap(b)) && blo < alo+uintptr(cap(a)) {
-						t.Fatalf("%+v: live pages %d and %d overlap", opts, j, i)
-					}
+		return pages
+	}
+	live := read(append(seq32(16), 3, 3)) // duplicates included
+	one, err := s.ReadPage(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live = append(live, one)
+	disjoint := func(pages [][]byte) {
+		t.Helper()
+		for i, a := range pages {
+			alo := uintptr(unsafe.Pointer(&a[0]))
+			for j, b := range pages[:i] {
+				blo := uintptr(unsafe.Pointer(&b[0]))
+				if alo < blo+uintptr(cap(b)) && blo < alo+uintptr(cap(a)) {
+					t.Fatalf("live pages %d and %d overlap", j, i)
 				}
 			}
 		}
-		disjoint(live)
-		for cycle := 0; cycle < 4; cycle++ {
-			idxs := seq32(16)[cycle : cycle+8]
-			held := read(idxs)
-			disjoint(append(live[:len(live):len(live)], held...))
-			for k, idx := range idxs {
-				if !bytes.Equal(held[k], live[idx]) {
-					t.Fatalf("%+v: cycle %d: page %d reads otherwise from a recycled buffer", opts, cycle, idx)
-				}
-				pager.Release(held[k])
+	}
+	disjoint(live)
+	for cycle := 0; cycle < 4; cycle++ {
+		idxs := seq32(16)[cycle : cycle+8]
+		held := read(idxs)
+		disjoint(append(live[:len(live):len(live)], held...))
+		for k, idx := range idxs {
+			if !bytes.Equal(held[k], live[idx]) {
+				t.Fatalf("cycle %d: page %d reads otherwise from a recycled buffer", cycle, idx)
 			}
+			pager.Release(held[k])
 		}
-		// Writing into one page — what heap-file code does — changes no other read.
-		for i := range live[4] {
-			live[4][i] = 0xee
-		}
-		again, err := s.ReadPage(4)
-		if err != nil || bytes.Equal(again, live[4]) {
-			t.Fatalf("%+v: a caller's write into its page reached the store (err %v)", opts, err)
-		}
+	}
+	// Writing into one page — what heap-file code does — changes no other read.
+	for i := range live[4] {
+		live[4][i] = 0xee
+	}
+	again, err := s.ReadPage(4)
+	if err != nil || bytes.Equal(again, live[4]) {
+		t.Fatalf("a caller's write into its page reached the store (err %v)", err)
 	}
 }
 
 // TestReadsLeaveMediumCiphertext: reading decrypts in the caller's copy, never
 // in the device's block.
 func TestReadsLeaveMediumCiphertext(t *testing.T) {
-	for _, opts := range []Options{{}, {GCM: true}} {
-		e := newEnv(t)
-		s := e.open(t, opts)
-		fillPages(t, s, 16)
-		before := e.dev.SnapshotBlocks()
-		if _, err := s.ReadPages(seq32(16)); err != nil {
-			t.Fatal(err)
+	e := newEnv(t)
+	s := e.open(t, Options{})
+	fillPages(t, s, 16)
+	before := e.dev.SnapshotBlocks()
+	if _, err := s.ReadPages(seq32(16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+	after := e.dev.SnapshotBlocks()
+	if len(after) != len(before) {
+		t.Fatal("reads changed the block count")
+	}
+	for idx, b := range before {
+		if !bytes.Equal(after[idx], b) {
+			t.Fatalf("block %d changed under a read", idx)
 		}
-		if err := s.VerifyAll(); err != nil {
-			t.Fatal(err)
-		}
-		after := e.dev.SnapshotBlocks()
-		if len(after) != len(before) {
-			t.Fatalf("gcm=%v: reads changed the block count", opts.GCM)
-		}
-		for idx, b := range before {
-			if !bytes.Equal(after[idx], b) {
-				t.Fatalf("gcm=%v: block %d changed under a read", opts.GCM, idx)
-			}
-			if bytes.Contains(b, []byte("batch-page-")) {
-				t.Fatalf("gcm=%v: block %d holds plaintext", opts.GCM, idx)
-			}
+		if bytes.Contains(b, []byte("batch-page-")) {
+			t.Fatalf("block %d holds plaintext", idx)
 		}
 	}
 }
@@ -330,11 +304,11 @@ func TestReadPagesWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func benchStore(b *testing.B, opts Options, pages int) (*Store, *pager.MemDevice) {
+func benchStore(b *testing.B, pages int) (*Store, *pager.MemDevice) {
 	b.Helper()
 	dev := pager.NewMemDevice()
 	var m simtime.Meter
-	s, err := OpenWith(dev, staticKeys{}, &memAnchor{}, &m, opts)
+	s, err := OpenWith(dev, staticKeys{}, &memAnchor{}, &m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -362,33 +336,24 @@ type memAnchor struct{ tag []byte }
 func (a *memAnchor) StoreRoot(tag []byte) error      { a.tag = append([]byte(nil), tag...); return nil }
 func (a *memAnchor) LoadRoot([]byte) ([]byte, error) { return a.tag, nil }
 
-var benchCiphers = []struct {
-	name string
-	opts Options
-}{{"cbc-hmac", Options{}}, {"gcm", Options{GCM: true}}}
-
 // BenchmarkReadPages is the batched secure read of 32 pages from a MemDevice:
 // device copy, page open, batched Merkle verify. The pages are handed back as
 // a scan hands them back, so B/op is the scan's.
 func BenchmarkReadPages(b *testing.B) {
-	for _, c := range benchCiphers {
-		b.Run(c.name, func(b *testing.B) {
-			s, _ := benchStore(b, c.opts, 256)
-			idxs := seq32(256)
-			b.SetBytes(32 * pager.PageSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := (i * 32) % 256
-				pages, err := s.ReadPages(idxs[lo : lo+32])
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, p := range pages {
-					pager.Release(p)
-				}
-			}
-		})
+	s, _ := benchStore(b, 256)
+	idxs := seq32(256)
+	b.SetBytes(32 * pager.PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := (i * 32) % 256
+		pages, err := s.ReadPages(idxs[lo : lo+32])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range pages {
+			pager.Release(p)
+		}
 	}
 }
 
@@ -396,45 +361,37 @@ func BenchmarkReadPages(b *testing.B) {
 // pooled page, handed back after — over a fresh copy of the record each time,
 // as the device hands one out.
 func BenchmarkOpenPage(b *testing.B) {
-	for _, c := range benchCiphers {
-		b.Run(c.name, func(b *testing.B) {
-			s, dev := benchStore(b, c.opts, 1)
-			stored, err := dev.ReadBlock(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			record := make([]byte, len(stored))
-			pc := s.getCrypto()
-			b.SetBytes(pager.PageSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(record, stored)
-				plain, _, err := s.openPage(pc, 0, record)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pager.Release(plain)
-			}
-		})
+	s, dev := benchStore(b, 1)
+	stored, err := dev.ReadBlock(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	record := make([]byte, len(stored))
+	pc := s.getCrypto()
+	b.SetBytes(pager.PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(record, stored)
+		plain, _, err := s.openPage(pc, 0, record)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pager.Release(plain)
 	}
 }
 
 // BenchmarkSealPage is one page seal: IV, encryption, MAC, one record.
 func BenchmarkSealPage(b *testing.B) {
-	for _, c := range benchCiphers {
-		b.Run(c.name, func(b *testing.B) {
-			s, _ := benchStore(b, c.opts, 1)
-			plain := bytes.Repeat([]byte{0x5c}, pager.PageSize)
-			pc := s.getCrypto()
-			b.SetBytes(pager.PageSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.sealPage(pc, 0, plain); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s, _ := benchStore(b, 1)
+	plain := bytes.Repeat([]byte{0x5c}, pager.PageSize)
+	pc := s.getCrypto()
+	b.SetBytes(pager.PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.sealPage(pc, 0, plain); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

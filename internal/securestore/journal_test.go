@@ -375,7 +375,7 @@ func TestCrashBetweenHeaderAndAnchorRecovers(t *testing.T) {
 	// (idempotently) and advance the anchor itself.
 	e := newEnv(t)
 	anchor := &failingAnchor{inner: RPMBAnchor{NW: e.nw}}
-	s, err := OpenWith(e.dev, TZKeySource{NW: e.nw}, anchor, e.meter, Options{})
+	s, err := OpenWith(e.dev, TZKeySource{NW: e.nw}, anchor, e.meter)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func (s *Store) DiffManifest(m *RebuildManifest) ([]uint32, error) {
 // OpenRebuild is OpenRebuildWith over the TrustZone key source and RPMB
 // anchor — the storage node's configuration.
 func OpenRebuild(dev pager.BlockDevice, nw *trustzone.NormalWorld, meter *simtime.Meter, opts Options) (*Store, error) {
-	return OpenRebuildWith(dev, TZKeySource{NW: nw}, RPMBAnchor{NW: nw, Slot: opts.RPMBSlot}, meter, opts)
+	return OpenRebuildWith(dev, TZKeySource{NW: nw}, RPMBAnchor{NW: nw, Slot: opts.RPMBSlot}, meter)
 }
 
 // OpenRebuildWith opens a store for rebuild: a medium that loads cleanly
@@ -212,8 +212,8 @@ func OpenRebuild(dev pager.BlockDevice, nw *trustzone.NormalWorld, meter *simtim
 // In that case the store comes up empty WITHOUT touching the anchor: only
 // journaled import commits ever move it, so a crash between wipe and first
 // import still fails closed on the next ordinary open.
-func OpenRebuildWith(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *simtime.Meter, opts Options) (*Store, error) {
-	s, err := newStore(dev, keys, anchor, meter, opts)
+func OpenRebuildWith(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *simtime.Meter) (*Store, error) {
+	s, err := newStore(dev, keys, anchor, meter)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,6 @@ func OpenRebuildWith(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, m
 	}
 	s.nextAlloc, s.nextReserve, s.seq = 0, 0, 0
 	s.rebuildLevels(nil)
-	s.verified = map[[2]int]bool{}
 	s.rebuilding, s.markerRoot = false, nil
 	s.failed = nil
 	return s, nil

@@ -46,28 +46,15 @@ const (
 	// headerSize is the on-medium header: page count (u32) then the commit
 	// sequence number (u64), both little-endian.
 	headerSize = 12
+
+	// arity is the Merkle tree's fan-out: the paper's binary tree.
+	arity = 2
 )
 
-// Options configures a Store. The zero value gives the paper's design point.
+// Options configures a Store.
 type Options struct {
-	// Arity is the Merkle tree fan-out; 0 means 2 (binary).
-	Arity int
-	// CacheVerifiedSubtrees trusts already-verified internal nodes until
-	// the next write (the ablation in DESIGN.md). Off reproduces the
-	// paper's per-read full-path traversal.
-	CacheVerifiedSubtrees bool
-	// GCM switches page protection from AES-CBC+HMAC-SHA-512 to
-	// AES-256-GCM (cipher ablation).
-	GCM bool
 	// RPMBSlot selects the RPMB address holding the root tag.
 	RPMBSlot uint16
-}
-
-func (o Options) arity() int {
-	if o.Arity < 2 {
-		return 2
-	}
-	return o.Arity
 }
 
 // KeySource derives the store's keys from a hardware-rooted secret: the
@@ -90,7 +77,6 @@ type Store struct {
 	keys   KeySource
 	anchor RootAnchor
 	meter  *simtime.Meter
-	opts   Options
 
 	encKey  []byte // page encryption key (from secure-storage TA)
 	macKey  []byte // page HMAC key
@@ -99,9 +85,8 @@ type Store struct {
 	jnlKey  []byte // journal-record authentication key
 
 	block   cipher.Block // AES keyed with encKey, built once at open; safe for concurrent use
-	gcm     cipher.AEAD  // AES-GCM over block for the cipher ablation (nil otherwise); safe for concurrent use
-	cbc     *cbcKernel   // CBC-decrypt kernel over encKey (nil for GCM and where the platform has none); safe for concurrent use
-	mac8    *macKernel   // page-MAC kernel over macKey (nil for GCM and where the platform has none); safe for concurrent use
+	cbc     *cbcKernel   // CBC-decrypt kernel over encKey (nil where the platform has none); safe for concurrent use
+	mac8    *macKernel   // page-MAC kernel over macKey (nil where the platform has none); safe for concurrent use
 	cryptos sync.Pool    // idle *pageCrypto, the per-worker page-crypto states
 
 	mu        sync.Mutex
@@ -111,9 +96,8 @@ type Store struct {
 	// in [nextAlloc, nextReserve) are reserved by open transactions and
 	// become durable (as written or zero pages) at the next growing commit.
 	nextReserve uint32
-	seq         uint64          // commit sequence number, bound into the root tag
-	verified    map[[2]int]bool // (level, index) -> verified since last write
-	failed      error           // set when a commit died mid-flight; poisons the store
+	seq         uint64 // commit sequence number, bound into the root tag
+	failed      error  // set when a commit died mid-flight; poisons the store
 
 	// rebuilding is set while the on-medium rebuild marker (rebuild.go) is
 	// present: the store is mid-import from a donor replica and must refuse
@@ -133,13 +117,13 @@ var ErrIntegrity = errors.New("securestore: integrity violation")
 // system's configuration. Reopening a rolled-back medium fails with
 // ErrFreshness.
 func Open(dev pager.BlockDevice, nw *trustzone.NormalWorld, meter *simtime.Meter, opts Options) (*Store, error) {
-	return OpenWith(dev, TZKeySource{NW: nw}, RPMBAnchor{NW: nw, Slot: opts.RPMBSlot}, meter, opts)
+	return OpenWith(dev, TZKeySource{NW: nw}, RPMBAnchor{NW: nw, Slot: opts.RPMBSlot}, meter)
 }
 
 // OpenWith is Open with explicit key and anchor providers (used by the
 // host-only-secure configuration, where both live inside the SGX enclave).
-func OpenWith(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *simtime.Meter, opts Options) (*Store, error) {
-	s, err := newStore(dev, keys, anchor, meter, opts)
+func OpenWith(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *simtime.Meter) (*Store, error) {
+	s, err := newStore(dev, keys, anchor, meter)
 	if err != nil {
 		return nil, err
 	}
@@ -151,11 +135,11 @@ func OpenWith(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *s
 
 // newStore constructs a store and derives its keys, without loading the
 // medium (the shared front half of OpenWith and OpenRebuildWith).
-func newStore(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *simtime.Meter, opts Options) (*Store, error) {
+func newStore(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *simtime.Meter) (*Store, error) {
 	if meter == nil {
 		return nil, errors.New("securestore: meter required")
 	}
-	s := &Store{dev: dev, keys: keys, anchor: anchor, meter: meter, opts: opts, verified: map[[2]int]bool{}}
+	s := &Store{dev: dev, keys: keys, anchor: anchor, meter: meter}
 	for _, k := range []struct {
 		label string
 		dst   *[]byte
@@ -180,14 +164,8 @@ func newStore(dev pager.BlockDevice, keys KeySource, anchor RootAnchor, meter *s
 		return nil, fmt.Errorf("securestore: page cipher: %w", err)
 	}
 	s.block = block
-	if opts.GCM {
-		if s.gcm, err = cipher.NewGCM(block); err != nil {
-			return nil, fmt.Errorf("securestore: page AEAD: %w", err)
-		}
-	} else {
-		s.cbc = newCBCKernel(s.encKey)
-		s.mac8 = newMACKernel(s.macKey)
-	}
+	s.cbc = newCBCKernel(s.encKey)
+	s.mac8 = newMACKernel(s.macKey)
 	return s, nil
 }
 
@@ -255,7 +233,6 @@ func (s *Store) readMediumState() error {
 		s.nextAlloc = 0
 		s.seq = 0
 		s.rebuildLevels(nil)
-		s.verified = map[[2]int]bool{}
 		return nil
 	}
 	if err != nil {
@@ -290,23 +267,19 @@ func (s *Store) readMediumState() error {
 		s.nextReserve = n
 	}
 	s.rebuildLevels(leaves)
-	// The medium was re-read wholesale (open, journal redo, rebuild import):
-	// everything previously verified describes a different state.
-	s.verified = map[[2]int]bool{}
 	return nil
 }
 
 // rebuildLevels constructs the in-memory (untrusted-mirror) tree from leaves.
 func (s *Store) rebuildLevels(leaves [][]byte) {
-	a := s.opts.arity()
 	mac := s.treeMAC()
 	s.levels = [][][]byte{leaves}
 	cur := leaves
 	for len(cur) > 1 {
-		next := make([][]byte, (len(cur)+a-1)/a)
+		next := make([][]byte, (len(cur)+arity-1)/arity)
 		for i := range next {
 			mac.Reset()
-			next[i] = nodeMAC(mac, nil, len(s.levels), i, cur[i*a:min(i*a+a, len(cur))])
+			next[i] = nodeMAC(mac, nil, len(s.levels), i, cur[i*arity:min(i*arity+arity, len(cur))])
 		}
 		s.levels = append(s.levels, next)
 		cur = next
@@ -459,12 +432,10 @@ func (s *Store) WritePage(idx uint32, data []byte) error {
 // over the distinct parents: a node several dirty leaves share is hashed
 // once, so a commit of k leaves into a store of N costs at most k·log N node
 // HMACs (all under mac, keyed once by the caller) however large N is.
-// MerkleHashes is charged the nodes recomputed, and exactly those nodes lose
-// their verified mark. A level that growth lengthens grows by append, so a
+// MerkleHashes is charged the nodes recomputed. A level that growth lengthens grows by append, so a
 // store that grows one page per commit does not copy a level per commit. The
 // caller holds s.mu.
 func (s *Store) updateAncestors(mac *treeMAC, dirty []int) {
-	a := s.opts.arity()
 	hashed := 0
 	lvl := 1
 	for ; len(s.levels[lvl-1]) > 1; lvl++ {
@@ -472,20 +443,19 @@ func (s *Store) updateAncestors(mac *treeMAC, dirty []int) {
 		if lvl == len(s.levels) {
 			s.levels = append(s.levels, nil)
 		}
-		if grow := (len(below)+a-1)/a - len(s.levels[lvl]); grow > 0 {
+		if grow := (len(below)+arity-1)/arity - len(s.levels[lvl]); grow > 0 {
 			s.levels[lvl] = append(s.levels[lvl], make([][]byte, grow)...)
 		}
 		nodes := s.levels[lvl]
 		parents := dirty[:0]
 		for _, i := range dirty {
-			p := i / a
+			p := i / arity
 			if len(parents) > 0 && parents[len(parents)-1] == p {
 				continue
 			}
 			parents = append(parents, p)
 			mac.Reset()
-			nodes[p] = nodeMAC(mac, nodes[p][:0], lvl, p, below[p*a:min(p*a+a, len(below))])
-			delete(s.verified, [2]int{lvl, p})
+			nodes[p] = nodeMAC(mac, nodes[p][:0], lvl, p, below[p*arity:min(p*arity+arity, len(below))])
 		}
 		hashed += len(parents)
 		dirty = parents
@@ -556,9 +526,6 @@ func (s *Store) VerifyAll() error {
 // (shorter pages are zero-padded) into one freshly allocated record, IV ‖
 // ciphertext ‖ MAC; recordMAC is the record's tail. pc is the caller's.
 func (s *Store) sealPage(pc *pageCrypto, idx uint32, plain []byte) (record, recordMAC []byte, err error) {
-	if s.opts.GCM {
-		return s.sealPageGCM(pc, idx, plain)
-	}
 	if record, err = s.encryptPage(pc, plain); err != nil {
 		return nil, nil, err
 	}
@@ -588,9 +555,6 @@ func (s *Store) encryptPage(pc *pageCrypto, plain []byte) ([]byte, error) {
 // The record is only read: one that fails is as it was handed in. pc is the
 // caller's.
 func (s *Store) openPage(pc *pageCrypto, idx uint32, record []byte) (plain, recordMAC []byte, err error) {
-	if s.opts.GCM {
-		return s.openPageGCM(pc, idx, record)
-	}
 	if len(record) != recordSize {
 		return nil, nil, recordSizeError(idx, record)
 	}
@@ -709,8 +673,8 @@ func (s *Store) sealPages(pc *pageCrypto, idxs []uint32, pages map[uint32][]byte
 // back with putCrypto, so a page costs no keying, and a read no allocation
 // beyond what the pool does not hand back. It also carries the keyed
 // Merkle-node HMAC its holder verifies or commits those pages with, and the
-// record scratch of the batch its holder reads (fetchOpen). A GCM store's is
-// only those two: the AEAD is stateless. Not for concurrent use.
+// record scratch of the batch its holder reads (fetchOpen). Not for
+// concurrent use.
 type pageCrypto struct {
 	mac      hash.Hash
 	tree     *treeMAC
@@ -734,13 +698,10 @@ type cbcMode interface {
 func (s *Store) getCrypto() *pageCrypto {
 	pc, _ := s.cryptos.Get().(*pageCrypto)
 	if pc == nil {
-		pc = &pageCrypto{tree: s.treeMAC()}
-		if !s.opts.GCM {
-			pc.mac = hmac.New(sha512.New, s.macKey)
-			pc.enc = cipher.NewCBCEncrypter(s.block, pc.scratch[:ivSize]).(cbcMode)
-			if s.cbc == nil {
-				pc.dec = cipher.NewCBCDecrypter(s.block, pc.scratch[:ivSize]).(cbcMode)
-			}
+		pc = &pageCrypto{tree: s.treeMAC(), mac: hmac.New(sha512.New, s.macKey)}
+		pc.enc = cipher.NewCBCEncrypter(s.block, pc.scratch[:ivSize]).(cbcMode)
+		if s.cbc == nil {
+			pc.dec = cipher.NewCBCDecrypter(s.block, pc.scratch[:ivSize]).(cbcMode)
 		}
 	}
 	return pc
@@ -762,38 +723,6 @@ func (pc *pageCrypto) sum(dst []byte, idx uint32, iv, ct []byte) []byte {
 	pc.mac.Write(iv)
 	pc.mac.Write(ct)
 	return pc.mac.Sum(dst)
-}
-
-const gcmNonceSize, gcmTagSize = 12, 16
-
-func (s *Store) sealPageGCM(pc *pageCrypto, idx uint32, plain []byte) (record, recordMAC []byte, err error) {
-	record = make([]byte, gcmNonceSize+pager.PageSize, gcmNonceSize+pager.PageSize+gcmTagSize)
-	nonce, page := record[:gcmNonceSize], record[gcmNonceSize:]
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, nil, err
-	}
-	copy(page, plain)
-	binary.LittleEndian.PutUint32(pc.idx[:], idx)
-	//ironsafe:allow noncereuse -- fresh 96-bit crypto/rand nonce per seal, stored with the record; collision odds stay below 2^-32 past 2^32 page writes
-	record = s.gcm.Seal(nonce, nonce, page, pc.idx[:])
-	// The GCM tag (last 16 bytes) doubles as the record MAC for leaves.
-	return record, record[len(record)-gcmTagSize:], nil
-}
-
-func (s *Store) openPageGCM(pc *pageCrypto, idx uint32, record []byte) (plain, recordMAC []byte, err error) {
-	if len(record) < gcmNonceSize+gcmTagSize {
-		return nil, nil, fmt.Errorf("%w: page %d record too short", ErrIntegrity, idx)
-	}
-	nonce, ct := record[:gcmNonceSize], record[gcmNonceSize:]
-	binary.LittleEndian.PutUint32(pc.idx[:], idx)
-	page := pager.Buf(len(ct) - gcmTagSize)
-	//ironsafe:allow noncereuse -- nonce travels inside the record and is authenticated by the GCM tag; freshness comes from the Merkle root + RPMB anchor, not the nonce
-	plain, err = s.gcm.Open(page[:0], nonce, ct, pc.idx[:])
-	if err != nil {
-		pager.Release(page)
-		return nil, nil, fmt.Errorf("%w: page %d GCM auth failed", ErrIntegrity, idx)
-	}
-	return plain, ct[len(ct)-gcmTagSize:], nil
 }
 
 // Equal reports whether two byte slices match in constant time (exported for

@@ -271,88 +271,6 @@ func TestFreshnessCostGrowsWithTreeDepth(t *testing.T) {
 	}
 }
 
-func TestWideArityReducesDepth(t *testing.T) {
-	eBin := newEnv(t)
-	sBin := eBin.open(t, Options{Arity: 2})
-	eWide := newEnv(t)
-	sWide := eWide.open(t, Options{Arity: 16})
-	for i := 0; i < 64; i++ {
-		i1, _ := sBin.Allocate()
-		sBin.WritePage(i1, []byte{byte(i)})
-		i2, _ := sWide.Allocate()
-		sWide.WritePage(i2, []byte{byte(i)})
-	}
-	b1 := eBin.meter.Snapshot()
-	sBin.ReadPage(0)
-	binHashes := eBin.meter.Snapshot().Sub(b1).MerkleHashes
-	b2 := eWide.meter.Snapshot()
-	sWide.ReadPage(0)
-	wideHashes := eWide.meter.Snapshot().Sub(b2).MerkleHashes
-	if wideHashes >= binHashes {
-		t.Errorf("arity 16 path (%d hashes) should be shorter than binary (%d)", wideHashes, binHashes)
-	}
-}
-
-func TestVerifiedSubtreeCacheReducesHashes(t *testing.T) {
-	e := newEnv(t)
-	s := e.open(t, Options{CacheVerifiedSubtrees: true})
-	for i := 0; i < 64; i++ {
-		idx, _ := s.Allocate()
-		s.WritePage(idx, []byte{byte(i)})
-	}
-	base := e.meter.Snapshot()
-	s.ReadPage(0)
-	first := e.meter.Snapshot().Sub(base).MerkleHashes
-	base = e.meter.Snapshot()
-	s.ReadPage(1) // shares the full path above the leaf pair
-	second := e.meter.Snapshot().Sub(base).MerkleHashes
-	if second >= first {
-		t.Errorf("cached verify (%d) should be cheaper than first (%d)", second, first)
-	}
-	// A write invalidates exactly the written page's ancestor path: the
-	// written subtree pays the full path again, while unrelated verified
-	// subtrees stay warm across the commit (see journal.go, Commit).
-	s.WritePage(5, []byte("new"))
-	base = e.meter.Snapshot()
-	s.ReadPage(1) // disjoint from page 5 below the invalidated ancestors
-	warm := e.meter.Snapshot().Sub(base).MerkleHashes
-	if warm >= first {
-		t.Errorf("unrelated subtree went cold after commit: %d hashes, first=%d", warm, first)
-	}
-	base = e.meter.Snapshot()
-	s.ReadPage(4) // sibling of the written page: its whole path was dropped
-	third := e.meter.Snapshot().Sub(base).MerkleHashes
-	if third < first {
-		t.Errorf("post-write verify (%d) should pay full path again (first=%d)", third, first)
-	}
-	// Cache must not mask tampering of a page never yet verified.
-	if err := e.dev.Corrupt(40, ivSize+10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadPage(40); !errors.Is(err, ErrIntegrity) {
-		t.Errorf("cache masked tampering: %v", err)
-	}
-}
-
-func TestGCMModeRoundTripAndTamper(t *testing.T) {
-	e := newEnv(t)
-	s := e.open(t, Options{GCM: true})
-	idx, _ := s.Allocate()
-	s.WritePage(idx, []byte("gcm payload"))
-	got, err := s.ReadPage(idx)
-	if err != nil || !bytes.HasPrefix(got, []byte("gcm payload")) {
-		t.Fatalf("gcm roundtrip: %v", err)
-	}
-	e.dev.Corrupt(idx, 20)
-	if _, err := s.ReadPage(idx); !errors.Is(err, ErrIntegrity) {
-		t.Errorf("gcm tamper = %v", err)
-	}
-	raw, _ := e.dev.ReadBlock(idx)
-	if bytes.Contains(raw, []byte("gcm payload")) {
-		t.Error("gcm plaintext leaked")
-	}
-}
-
 func TestOversizeWriteRejected(t *testing.T) {
 	e := newEnv(t)
 	s := e.open(t, Options{})

@@ -63,85 +63,96 @@ func init() {
 // Lex tokenizes input, returning the token stream or an error with position
 // information.
 func Lex(input string) ([]Token, error) {
+	sc := NewScanner(input)
 	var toks []Token
-	i := 0
-	n := len(input)
-	for i < n {
-		c := input[i]
+	for {
+		t, err := sc.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
+	}
+}
+
+// Scanner tokenizes an input one token at a time, so a reader that stops
+// early — a parser refusing a statement — has lexed no further than it read.
+type Scanner struct {
+	input string
+	i     int // offset of the next unread byte
+}
+
+// NewScanner returns a Scanner at the start of input.
+func NewScanner(input string) Scanner { return Scanner{input: input} }
+
+// Next returns the next token, or an error with position information. At the
+// end of the input it returns EOF, on every call.
+func (s *Scanner) Next() (Token, error) {
+	input, n := s.input, len(s.input)
+	for s.i < n {
+		start := s.i
+		c := input[start]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '-' && i+1 < n && input[i+1] == '-':
+			s.i++
+		case c == '-' && start+1 < n && input[start+1] == '-':
 			// Line comment.
-			for i < n && input[i] != '\n' {
-				i++
+			for s.i < n && input[s.i] != '\n' {
+				s.i++
 			}
-		case isDigit(c) || (c == '.' && i+1 < n && isDigit(input[i+1])):
-			start := i
+		case isDigit(c) || (c == '.' && start+1 < n && isDigit(input[start+1])):
 			seenDot := false
-			for i < n && (isDigit(input[i]) || (input[i] == '.' && !seenDot)) {
-				if input[i] == '.' {
+			for s.i < n && (isDigit(input[s.i]) || (input[s.i] == '.' && !seenDot)) {
+				if input[s.i] == '.' {
 					seenDot = true
 				}
-				i++
+				s.i++
 			}
-			toks = append(toks, Token{Kind: Number, Text: input[start:i], Pos: start})
+			return Token{Kind: Number, Text: input[start:s.i], Pos: start}, nil
 		case c == '\'':
-			start := i
-			i++
+			s.i++
 			var sb strings.Builder
-			closed := false
-			for i < n {
-				if input[i] == '\'' {
-					if i+1 < n && input[i+1] == '\'' { // escaped quote
+			for s.i < n {
+				if input[s.i] == '\'' {
+					if s.i+1 < n && input[s.i+1] == '\'' { // escaped quote
 						sb.WriteByte('\'')
-						i += 2
+						s.i += 2
 						continue
 					}
-					i++
-					closed = true
-					break
+					s.i++
+					return Token{Kind: String, Text: sb.String(), Pos: start}, nil
 				}
-				sb.WriteByte(input[i])
-				i++
+				sb.WriteByte(input[s.i])
+				s.i++
 			}
-			if !closed {
-				return nil, fmt.Errorf("lexer: unterminated string at offset %d", start)
-			}
-			toks = append(toks, Token{Kind: String, Text: sb.String(), Pos: start})
+			return Token{}, fmt.Errorf("lexer: unterminated string at offset %d", start)
 		case isIdentStart(c):
-			start := i
-			for i < n && isIdentPart(input[i]) {
-				i++
+			for s.i < n && isIdentPart(input[s.i]) {
+				s.i++
 			}
-			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, Token{Kind: Keyword, Text: upper, Pos: start})
-			} else {
-				toks = append(toks, Token{Kind: Ident, Text: word, Pos: start})
+			word := input[start:s.i]
+			if upper := strings.ToUpper(word); keywords[upper] {
+				return Token{Kind: Keyword, Text: upper, Pos: start}, nil
 			}
+			return Token{Kind: Ident, Text: word, Pos: start}, nil
 		default:
-			start := i
 			// Multi-byte symbols first.
 			for _, sym := range []string{"<>", "<=", ">=", "!=", "||"} {
-				if strings.HasPrefix(input[i:], sym) {
-					toks = append(toks, Token{Kind: Symbol, Text: sym, Pos: start})
-					i += len(sym)
-					goto next
+				if strings.HasPrefix(input[start:], sym) {
+					s.i += len(sym)
+					return Token{Kind: Symbol, Text: sym, Pos: start}, nil
 				}
 			}
 			if strings.ContainsRune("+-*/(),.<>=;%", rune(c)) {
-				toks = append(toks, Token{Kind: Symbol, Text: string(c), Pos: start})
-				i++
-				goto next
+				s.i++
+				return Token{Kind: Symbol, Text: string(c), Pos: start}, nil
 			}
-			return nil, fmt.Errorf("lexer: unexpected character %q at offset %d", c, i)
-		next:
+			return Token{}, fmt.Errorf("lexer: unexpected character %q at offset %d", c, start)
 		}
 	}
-	toks = append(toks, Token{Kind: EOF, Pos: n})
-	return toks, nil
+	return Token{Kind: EOF, Pos: n}, nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"ironsafe/internal/sql/ast"
@@ -25,6 +26,12 @@ func FuzzParse(f *testing.F) {
 		"SELECT extract(year from d) - interval '3' month FROM t",
 		"(((((",
 		"SELECT a FROM t WHERE s LIKE '%\\'",
+		// Nested past the bounds, and just within them.
+		"SELECT " + strings.Repeat("(", maxDepth+1) + "1" + strings.Repeat(")", maxDepth+1),
+		"SELECT a FROM t WHERE " + strings.Repeat("NOT ", maxHeight) + "a = 1",
+		"SELECT " + strings.Repeat("- ", maxDepth) + "a FROM t",
+		"SELECT " + strings.Repeat("CASE WHEN a THEN ", 300) + "1" + strings.Repeat(" END", 300),
+		"SELECT a FROM t WHERE a = 0" + strings.Repeat(" OR a = 1", maxHeight),
 	}
 	for _, s := range seeds {
 		f.Add(s)

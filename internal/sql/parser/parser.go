@@ -12,23 +12,29 @@ import (
 	"ironsafe/internal/value"
 )
 
-// Parse parses a single SQL statement.
+// Parse parses a single SQL statement. Tokens are lexed as the parser reads
+// them, so a statement refused early costs no more than the part read.
 func Parse(sql string) (ast.Statement, error) {
-	toks, err := lexer.Lex(sql)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{sc: lexer.NewScanner(sql)}
 	stmt, err := p.parseStatement()
+	if err == nil {
+		// Allow a trailing semicolon.
+		if p.peek().Kind == lexer.Symbol && p.peek().Text == ";" {
+			p.next()
+		}
+		if p.peek().Kind != lexer.EOF {
+			err = p.errf("unexpected trailing input %q", p.peek())
+		} else if sel, ok := stmt.(*ast.Select); ok && !Fits(sel) {
+			err = fmt.Errorf("%w: expression tree over %d levels", ErrTooDeep, maxHeight)
+		}
+	}
+	// A lexical error anywhere in the input is the error, as it would be if
+	// the whole input were lexed first.
+	if lexErr := p.drain(); lexErr != nil {
+		return nil, lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	// Allow a trailing semicolon.
-	if p.peek().Kind == lexer.Symbol && p.peek().Text == ";" {
-		p.next()
-	}
-	if p.peek().Kind != lexer.EOF {
-		return nil, p.errf("unexpected trailing input %q", p.peek())
 	}
 	return stmt, nil
 }
@@ -47,22 +53,54 @@ func ParseSelect(sql string) (*ast.Select, error) {
 }
 
 type parser struct {
-	toks []lexer.Token
-	pos  int
+	sc lexer.Scanner
+	// la holds the lookahead, the next nla tokens; peek2 reads two ahead.
+	la  [2]lexer.Token
+	nla int
+	// lexErr is the scanner's error: the token stream ends there, as EOF.
+	lexErr error
+	depth  int // nesting levels entered and not yet left
 }
 
-func (p *parser) peek() lexer.Token { return p.toks[p.pos] }
-func (p *parser) peek2() lexer.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// scan reads the next token from the scanner: EOF from a lexical error on.
+func (p *parser) scan() lexer.Token {
+	if p.lexErr == nil {
+		t, err := p.sc.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
 	}
-	return p.toks[len(p.toks)-1]
+	return lexer.Token{Kind: lexer.EOF}
 }
 
+// drain lexes the rest of the input and returns its lexical error, if any.
+func (p *parser) drain() error {
+	for p.lexErr == nil && p.scan().Kind != lexer.EOF {
+	}
+	return p.lexErr
+}
+
+func (p *parser) peek() lexer.Token {
+	if p.nla == 0 {
+		p.la[0], p.nla = p.scan(), 1
+	}
+	return p.la[0]
+}
+
+func (p *parser) peek2() lexer.Token {
+	p.peek()
+	if p.nla == 1 {
+		p.la[1], p.nla = p.scan(), 2
+	}
+	return p.la[1]
+}
+
+// next consumes the next token; at EOF it stays there.
 func (p *parser) next() lexer.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.peek()
+	if t.Kind != lexer.EOF {
+		p.la[0], p.nla = p.la[1], p.nla-1
 	}
 	return t
 }
@@ -144,7 +182,9 @@ func (p *parser) parseStatement() (ast.Statement, error) {
 	}
 }
 
-func (p *parser) parseSelect() (*ast.Select, error) {
+func (p *parser) parseSelect() (*ast.Select, error) { return nested(p, p.parseSelectBody) }
+
+func (p *parser) parseSelectBody() (*ast.Select, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
@@ -335,7 +375,7 @@ func (p *parser) parseTablePrimary() (ast.TableRef, error) {
 
 // --- Expressions (precedence climbing) ---
 
-func (p *parser) parseExpr() (ast.Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (ast.Expr, error) { return nested(p, p.parseOr) }
 
 func (p *parser) parseOr() (ast.Expr, error) {
 	left, err := p.parseAnd()
@@ -369,7 +409,7 @@ func (p *parser) parseAnd() (ast.Expr, error) {
 
 func (p *parser) parseNot() (ast.Expr, error) {
 	if p.acceptKw("NOT") {
-		inner, err := p.parseNot()
+		inner, err := nested(p, p.parseNot)
 		if err != nil {
 			return nil, err
 		}
@@ -544,7 +584,7 @@ func (p *parser) parseMultiplicative() (ast.Expr, error) {
 
 func (p *parser) parseUnary() (ast.Expr, error) {
 	if p.acceptSym("-") {
-		inner, err := p.parseUnary()
+		inner, err := nested(p, p.parseUnary)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,9 @@
 package parser
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -384,5 +386,61 @@ func TestTPCHQueriesParse(t *testing.T) {
 		if _, err := ParseSelect(q); err != nil {
 			t.Errorf("query %d: %v\n%s", i, err, strings.TrimSpace(q))
 		}
+	}
+}
+
+// TestNestingBound: for each construct that nests, the parser accepts at
+// least a hundred levels, refuses the first level past its bounds with
+// ErrTooDeep, and prints the deepest statement it accepts as SQL that parses
+// back to an equal tree. 4 Mi parentheses fail the same way.
+func TestNestingBound(t *testing.T) {
+	rep := strings.Repeat
+	for _, c := range []struct {
+		name string
+		sql  func(k int) string
+	}{
+		{"parentheses", func(k int) string { return "SELECT " + rep("(", k) + "a" + rep(")", k) + " FROM t" }},
+		{"NOT", func(k int) string { return "SELECT a FROM t WHERE " + rep("NOT ", k) + "a = 1" }},
+		{"unary minus", func(k int) string { return "SELECT " + rep("- ", k) + "a FROM t" }},
+		{"CASE", func(k int) string {
+			return "SELECT " + rep("CASE WHEN a = 1 THEN ", k) + "a" + rep(" END", k) + " FROM t"
+		}},
+		{"scalar subquery", func(k int) string { return "SELECT " + rep("(SELECT ", k) + "a" + rep(" FROM t)", k) + " FROM t" }},
+		{"IN subquery", func(k int) string {
+			return "SELECT a FROM t WHERE " + rep("a IN (SELECT a FROM t WHERE ", k) + "a = 1" + rep(")", k)
+		}},
+		{"derived table", func(k int) string { return "SELECT a FROM " + rep("(SELECT a FROM ", k) + "t" + rep(") d", k) }},
+		{"OR chain", func(k int) string { return "SELECT a FROM t WHERE a = 0" + rep(" OR a = 1", k) }},
+		{"arithmetic chain", func(k int) string { return "SELECT a" + rep(" + 1", k) + " FROM t" }},
+	} {
+		accepted := func(k int) bool {
+			_, err := Parse(c.sql(k))
+			if err != nil && !errors.Is(err, ErrTooDeep) {
+				t.Fatalf("%s at %d levels: %v", c.name, k, err)
+			}
+			return err == nil
+		}
+		lo, hi := 0, 4*maxDepth // accepted(lo), !accepted(hi)
+		if !accepted(lo) || accepted(hi) {
+			t.Fatalf("%s: not refused between 0 and %d levels", c.name, hi)
+		}
+		for hi-lo > 1 {
+			if mid := (lo + hi) / 2; accepted(mid) {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		if lo < maxHeight/4 {
+			t.Errorf("%s: refused at %d levels", c.name, hi)
+		}
+		sel := mustSelect(t, c.sql(lo))
+		if back, err := ParseSelect(sel.String()); err != nil || !reflect.DeepEqual(back, sel) {
+			t.Errorf("%s: the deepest accepted statement (%d levels) does not print back: %v", c.name, lo, err)
+		}
+	}
+	deep := "SELECT " + strings.Repeat("(", 4<<20) + "1" + strings.Repeat(")", 4<<20) + " FROM t"
+	if _, err := Parse(deep); !errors.Is(err, ErrTooDeep) {
+		t.Errorf("4 Mi parentheses: %v, want ErrTooDeep", err)
 	}
 }

@@ -126,7 +126,7 @@ func (s *Server) BeginRebuild(manifest []byte) (uint32, error) {
 func (s *Server) openForImport(m *securestore.RebuildManifest) (*securestore.Store, uint32, error) {
 	s.restartMu.Lock()
 	defer s.restartMu.Unlock()
-	rs, err := securestore.OpenRebuild(s.dev, s.nw, s.cfg.Meter, s.cfg.StoreOptions)
+	rs, err := securestore.OpenRebuild(s.dev, s.nw, s.cfg.Meter, securestore.Options{})
 	if err == nil {
 		if start, ok := s.resumePoint(rs, m); ok {
 			return rs, start, nil
@@ -136,7 +136,7 @@ func (s *Server) openForImport(m *securestore.RebuildManifest) (*securestore.Sto
 	// open empty. The wipe goes to the raw medium: it is the administrative
 	// act that begins a from-scratch rebuild, not a store mutation.
 	s.medium.RestoreBlocks(nil)
-	rs, err = securestore.OpenRebuild(s.dev, s.nw, s.cfg.Meter, s.cfg.StoreOptions)
+	rs, err = securestore.OpenRebuild(s.dev, s.nw, s.cfg.Meter, securestore.Options{})
 	if err != nil {
 		return nil, 0, fmt.Errorf("storageengine: reopening wiped medium for rebuild: %w", err)
 	}

@@ -33,18 +33,11 @@ type Config struct {
 	// Location and FWVersion are the attributes execution policies check.
 	Location  string
 	FWVersion string
-	// NormalWorldImage is the measured software stack; the monitor must
-	// whitelist its measurement.
-	NormalWorldImage []byte
 	// Secure selects the secure store (scs/sos); false gives the vanilla
 	// pager (vcs/hons).
 	Secure bool
-	// StoreOptions tunes the secure store.
-	StoreOptions securestore.Options
 	// Meter receives the node's work counters. Required.
 	Meter *simtime.Meter
-	// CacheSize is the plain pager's page cache capacity.
-	CacheSize int
 	// ScanConfig tunes the table-scan pipeline (batched reads + read-ahead)
 	// for every heap on this node; the zero value keeps the sequential
 	// per-page path.
@@ -90,9 +83,12 @@ type Server struct {
 	rebuildM *securestore.RebuildManifest
 }
 
+// pagerCacheSize is the plain pager's page cache capacity, in pages.
+const pagerCacheSize = 256
+
 // New manufactures, boots, and initializes a storage server. Trusted boot
-// runs with vendor-signed ATF and OP-TEE images; the normal-world image is
-// measured into the boot chain.
+// runs with vendor-signed ATF and OP-TEE images; the normal-world image, the
+// storage stack at FWVersion, is measured into the boot chain.
 func New(cfg Config) (*Server, error) {
 	if cfg.Meter == nil {
 		return nil, errors.New("storageengine: meter required")
@@ -100,16 +96,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Vendor == nil {
 		return nil, errors.New("storageengine: vendor required")
 	}
-	if len(cfg.NormalWorldImage) == 0 {
-		cfg.NormalWorldImage = []byte("ironsafe storage stack " + cfg.FWVersion)
-	}
 	device, err := trustzone.NewDevice(cfg.DeviceID, cfg.Vendor)
 	if err != nil {
 		return nil, err
 	}
 	atf := cfg.Vendor.SignImage("atf", "2.4", []byte("arm trusted firmware"))
 	tos := cfg.Vendor.SignImage("optee", "3.4", []byte("op-tee trusted os"))
-	nwImg := trustzone.FirmwareImage{Name: "normal-world", Version: cfg.FWVersion, Code: cfg.NormalWorldImage}
+	nwImg := trustzone.FirmwareImage{Name: "normal-world", Version: cfg.FWVersion, Code: []byte("ironsafe storage stack " + cfg.FWVersion)}
 	sw, nw, err := device.Boot(atf, tos, nwImg, cfg.Meter)
 	if err != nil {
 		return nil, fmt.Errorf("storageengine: trusted boot: %w", err)
@@ -145,17 +138,13 @@ func (s *Server) openStore() error {
 	defer s.restartMu.Unlock()
 	var store pager.PageStore
 	if s.cfg.Secure {
-		ss, err := securestore.Open(s.dev, s.nw, s.cfg.Meter, s.cfg.StoreOptions)
+		ss, err := securestore.Open(s.dev, s.nw, s.cfg.Meter, securestore.Options{})
 		if err != nil {
 			return err
 		}
 		store = ss
 	} else {
-		cache := s.cfg.CacheSize
-		if cache == 0 {
-			cache = 256
-		}
-		store = pager.NewPager(s.dev, s.cfg.Meter, cache)
+		store = pager.NewPager(s.dev, s.cfg.Meter, pagerCacheSize)
 	}
 	db, err := engine.Open(store, s.cfg.Meter)
 	if err != nil {
@@ -377,8 +366,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 			// the pool once the frame is written: nothing else holds res.
 			var epoch [8]byte
 			binary.LittleEndian.PutUint64(epoch[:], s.Epoch())
-			sc.Send("result", epoch[:], head, rows)
+			err = sc.Send("result", epoch[:], head, rows)
 			res.Release()
+			if errors.Is(err, transport.ErrFrameTooLarge) {
+				// Refused before a byte was written: the channel is in step,
+				// so the host is told instead of left waiting for the frame.
+				sc.Send("too-large", nil)
+			}
 		case "rebuild-manifest":
 			blob, err := s.ExportRebuildManifest()
 			if err != nil {

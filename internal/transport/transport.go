@@ -34,8 +34,9 @@ const MaxFrame = 16 << 20
 // channel from ordinary I/O trouble and fail fast instead of retrying a
 // conversation whose AEAD state is unrecoverably desynchronized.
 var (
-	// ErrFrameTooLarge reports a length header exceeding MaxFrame — a
-	// corrupted or hostile peer; reading on would desync the stream.
+	// ErrFrameTooLarge reports a length header exceeding MaxFrame: from a
+	// peer, a corrupted or hostile one, and reading on would desync the
+	// stream; from Send, a message it refused before writing a byte.
 	ErrFrameTooLarge = errors.New("transport: frame exceeds limit")
 	// ErrAuth reports AEAD verification failure: a corrupted, replayed,
 	// reordered, or forged frame. The channel must be abandoned.
@@ -268,17 +269,22 @@ func Server(conn net.Conn, sessionKey []byte, meter *simtime.Meter) (*SecureConn
 // then, as io.Writer requires. Every Write a frame reaches is done with it:
 // net.Pipe and TCP hand p over before they return, faultinject.Conn forwards
 // p or a copy it corrupts, adversary.Conn appends p to its pending bytes, and
-// the benchmark's counting conn forwards p.
+// the benchmark's counting conn forwards p. A frame over MaxFrame, which the
+// peer's Recv refuses, fails with ErrFrameTooLarge before a buffer, a
+// sequence number or a byte is spent, so the channel stays in step.
 func (c *SecureConn) Send(msgType string, parts ...[]byte) error {
 	if len(msgType) > 255 {
 		return errors.New("transport: message type too long")
 	}
-	n := 1 + len(msgType)
+	n := 1 + len(msgType) + c.sendAEAD.Overhead()
 	for _, p := range parts {
 		n += len(p)
 	}
+	if n > MaxFrame {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
 	buf := frames.Get().(*[]byte)
-	size := 4 + n + c.sendAEAD.Overhead()
+	size := 4 + n
 	if cap(*buf) < size {
 		*buf = make([]byte, size)
 	}

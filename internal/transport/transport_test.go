@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -242,6 +243,45 @@ func TestOversizeTypeRejected(t *testing.T) {
 	longType := string(bytes.Repeat([]byte("t"), 300))
 	if err := client.Send(longType, nil); err == nil {
 		t.Error("oversize type accepted")
+	}
+}
+
+// TestSendRefusesOversizedFrame: a message whose frame the peer's Recv would
+// refuse fails typed at Send, before a byte or a sequence number is spent —
+// the largest frame that fits still goes through, and so does the next one.
+func TestSendRefusesOversizedFrame(t *testing.T) {
+	var cm simtime.Meter
+	client, server, err := Pipe(nil, &cm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overhead := 1 + len("r") + client.sendAEAD.Overhead()
+	huge := make([]byte, MaxFrame-overhead+1)
+	before := cm.BytesSent.Load() // the handshake's
+	if err := client.Send("r", huge); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("Send of a %d-byte frame: %v, want ErrFrameTooLarge", MaxFrame+1, err)
+	}
+	if sent := cm.BytesSent.Load() - before; sent != 0 {
+		t.Fatalf("a refused frame charged %d bytes", sent)
+	}
+	got := make(chan int, 2)
+	go func() {
+		for i := 0; i < 2; i++ {
+			_, p, err := server.Recv()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got <- len(p)
+		}
+	}()
+	for _, n := range []int{len(huge) - 1, 2} {
+		if err := client.Send("r", huge[:n]); err != nil {
+			t.Fatalf("Send of %d bytes: %v", n, err)
+		}
+		if m := <-got; m != n {
+			t.Fatalf("received %d bytes, sent %d", m, n)
+		}
 	}
 }
 

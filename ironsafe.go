@@ -226,7 +226,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	} else {
 		c.res = resilience.Config{}.WithDefaults()
 	}
-	c.health = resilience.NewTracker(c.res)
+	c.health = resilience.NewTracker()
 	c.hedgeSem = make(chan struct{}, maxHedges)
 	var err error
 	c.vendor, err = trustzone.NewVendor("ironsafe-vendor")
@@ -346,7 +346,7 @@ func (c *Cluster) initHostDB() error {
 	if c.cfg.Mode == HostOnlySecure {
 		keys := enclaveKeySource{enclave: c.Host.Enclave()}
 		anchor := &enclaveAnchor{}
-		inner, err := securestore.OpenWith(remote, keys, anchor, c.HostMeter, securestore.Options{})
+		inner, err := securestore.OpenWith(remote, keys, anchor, c.HostMeter)
 		if err != nil {
 			return err
 		}
