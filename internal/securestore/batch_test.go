@@ -36,40 +36,43 @@ func fillPages(t *testing.T, s *Store, n int) []string {
 // TestReadPagesMatchesReadPage pins the batched path's contract: for any
 // batch shape, ReadPages returns exactly what per-page ReadPage calls would.
 func TestReadPagesMatchesReadPage(t *testing.T) {
-	batches := [][]uint32{
-		nil,
-		{0},
-		{3, 4, 5, 6},
-		{0, 7, 31, 14, 2}, // unordered, spanning subtrees
-		{5, 5, 5},         // duplicates
-	}
-	e := newEnv(t)
-	s := e.open(t, Options{})
-	fillPages(t, s, 32)
-	all := make([]uint32, 32)
-	for i := range all {
-		all[i] = uint32(i)
-	}
-	for round := 0; round < 2; round++ { // round 2 reads pages read before
-		for _, idxs := range append(batches, all) {
-			got, err := s.ReadPages(idxs)
-			if err != nil {
-				t.Fatalf("round %d ReadPages(%v): %v", round, idxs, err)
-			}
-			if len(got) != len(idxs) {
-				t.Fatalf("ReadPages(%v) returned %d pages", idxs, len(got))
-			}
-			for i, idx := range idxs {
-				want, err := s.ReadPage(idx)
+	// The default store, the only configuration it has.
+	t.Run("default", func(t *testing.T) {
+		batches := [][]uint32{
+			nil,
+			{0},
+			{3, 4, 5, 6},
+			{0, 7, 31, 14, 2}, // unordered, spanning subtrees
+			{5, 5, 5},         // duplicates
+		}
+		e := newEnv(t)
+		s := e.open(t, Options{})
+		fillPages(t, s, 32)
+		all := make([]uint32, 32)
+		for i := range all {
+			all[i] = uint32(i)
+		}
+		for round := 0; round < 2; round++ { // round 2 reads pages read before
+			for _, idxs := range append(batches, all) {
+				got, err := s.ReadPages(idxs)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("round %d ReadPages(%v): %v", round, idxs, err)
 				}
-				if !bytes.Equal(got[i], want) {
-					t.Fatalf("round %d page %d: batched read diverges from ReadPage", round, idx)
+				if len(got) != len(idxs) {
+					t.Fatalf("ReadPages(%v) returned %d pages", idxs, len(got))
+				}
+				for i, idx := range idxs {
+					want, err := s.ReadPage(idx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got[i], want) {
+						t.Fatalf("round %d page %d: batched read diverges from ReadPage", round, idx)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestReadPagesFailClosed pins fail-closed batching: one bad page anywhere in
@@ -181,22 +184,24 @@ func TestBatchedVerificationSavesHashes(t *testing.T) {
 // one node per level up to the root, however recently a neighbour's path was
 // checked — one MerkleVerifies, no saved hash and no scan batch.
 func TestReadPageChargesOnePath(t *testing.T) {
-	e := newEnv(t)
-	s := e.open(t, Options{})
-	fillPages(t, s, 32)
-	for k, idx := range []uint32{0, 1, 2, 31, 31} {
-		before := e.meter.Snapshot()
-		if _, err := s.ReadPage(idx); err != nil {
-			t.Fatal(err)
+	t.Run("fullPath", func(t *testing.T) {
+		e := newEnv(t)
+		s := e.open(t, Options{})
+		fillPages(t, s, 32)
+		for k, idx := range []uint32{0, 1, 2, 31, 31} {
+			before := e.meter.Snapshot()
+			if _, err := s.ReadPage(idx); err != nil {
+				t.Fatal(err)
+			}
+			d := e.meter.Snapshot().Sub(before)
+			if d.MerkleHashes != 6 || d.MerkleVerifies != 1 || d.MerkleHashesSaved != 0 ||
+				d.ScanBatches != 0 || d.PagesRead != 1 || d.PagesDecrypted != 1 {
+				t.Errorf("read %d (page %d): hashes=%d verifies=%d saved=%d batches=%d read=%d decrypted=%d, want 6 1 0 0 1 1",
+					k, idx, d.MerkleHashes, d.MerkleVerifies, d.MerkleHashesSaved, d.ScanBatches,
+					d.PagesRead, d.PagesDecrypted)
+			}
 		}
-		d := e.meter.Snapshot().Sub(before)
-		if d.MerkleHashes != 6 || d.MerkleVerifies != 1 || d.MerkleHashesSaved != 0 ||
-			d.ScanBatches != 0 || d.PagesRead != 1 || d.PagesDecrypted != 1 {
-			t.Errorf("read %d (page %d): hashes=%d verifies=%d saved=%d batches=%d read=%d decrypted=%d, want 6 1 0 0 1 1",
-				k, idx, d.MerkleHashes, d.MerkleVerifies, d.MerkleHashesSaved, d.ScanBatches,
-				d.PagesRead, d.PagesDecrypted)
-		}
-	}
+	})
 }
 
 // commitOnReadDevice commits a new version of page idx from inside the first
