@@ -133,7 +133,8 @@ sweep-race:
 # kernel against crypto/hmac, the storage page
 # list, the ingest wire ack, the page-backed column decoder against the
 # boxed-row one, the retained offload reply against the boxed decoder, the
-# executor's key table against a map keyed by value.HashKey, the engine's
+# executor's key table against a map keyed by value.HashKey, its filter's
+# selections against row-at-a-time evaluation, the engine's
 # catalog root page as an unauthenticated medium hands it back, and the front
 # doors every client string crosses first: the SQL parser, the policy parser,
 # the SQL lexer and the monitor's authorisation and policy rewrite. The seeded
@@ -152,6 +153,7 @@ FUZZ_TARGETS = \
 	FuzzDecodeColumn:./internal/schema \
 	FuzzDecodeResult:./internal/sql/exec \
 	FuzzKeyTable:./internal/sql/exec \
+	FuzzWhere:./internal/sql/exec \
 	FuzzCatalogRoot:./internal/engine \
 	FuzzParse:./internal/sql/parser \
 	FuzzParse:./internal/policy \

@@ -858,11 +858,10 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 		b.chargeBatch(int64(n))
 		keep := b.fullSel(n)
 		if pred != nil {
-			v, err := ctx.evalVec(pred, bt, keep)
-			if err != nil {
+			var err error
+			if keep, err = ctx.where(pred, bt, keep); err != nil {
 				return err
 			}
-			keep = selectTrue(v, n, ctx.sel(n))
 			b.chargeBatch(int64(n))
 		}
 		passed += len(keep)

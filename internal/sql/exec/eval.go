@@ -132,13 +132,7 @@ func (c *evalCtx) eval(e ast.Expr) (value.Value, error) {
 			return value.Null(), err
 		}
 		if x.Op == "NOT" {
-			if v.IsNull() {
-				return value.Null(), nil
-			}
-			if v.Kind() != value.KindBool {
-				return value.Null(), fmt.Errorf("exec: NOT applied to %s", v.Kind())
-			}
-			return value.Bool(!v.AsBool()), nil
+			return not3(v)
 		}
 		// Unary minus.
 		if v.IsNull() {
@@ -449,6 +443,17 @@ func logic3(op ast.BinaryOp, l, r value.Value) (value.Value, error) {
 		return value.Null(), nil
 	}
 	return value.Bool(false), nil
+}
+
+// not3 applies three-valued NOT.
+func not3(v value.Value) (value.Value, error) {
+	if v.IsNull() {
+		return value.Null(), nil
+	}
+	if v.Kind() != value.KindBool {
+		return value.Null(), fmt.Errorf("exec: NOT applied to %s", v.Kind())
+	}
+	return value.Bool(!v.AsBool()), nil
 }
 
 func asBool3(v value.Value) (b, isNull bool, err error) {

@@ -198,11 +198,11 @@ func (b *builder) filter(in *joinChain, pred ast.Expr, env *Env) (*joinChain, er
 		for off := 0; off < in.n; off += b.batchRows {
 			ctx.nextBatch()
 			bt := in.batch(off, min(off+b.batchRows, in.n))
-			v, err := ctx.evalVec(pred, bt, b.fullSel(bt.Len()))
+			kept, err := ctx.where(pred, bt, b.fullSel(bt.Len()))
 			if err != nil {
 				return nil, err
 			}
-			for _, j := range selectTrue(v, bt.Len(), ctx.sel(bt.Len())) {
+			for _, j := range kept {
 				keep = append(keep, int32(off+j))
 			}
 		}

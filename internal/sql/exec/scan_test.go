@@ -191,7 +191,7 @@ type batchForm struct {
 // a longer one that a reply's scan delivers — and a join chain whose two parts
 // split the columns, one boxed and one columnar as a scan leaves it, and whose
 // position vectors are a shuffle.
-func batchForms(t *testing.T, rng *rand.Rand, rel *MemRelation) map[string]batchForm {
+func batchForms(t testing.TB, rng *rand.Rand, rel *MemRelation) map[string]batchForm {
 	t.Helper()
 	n, width := len(rel.Rows), rel.Sch.Len()
 	var enc []byte
@@ -245,7 +245,9 @@ func seqInts(lo, hi int) []int {
 // kind × {vector, constant}, over NULL-free and NULL-bearing columns, in each
 // of the three batch forms, evalVec agrees with eval at every selected
 // position — and over NULL-free columns a shape served by kernels evaluates to
-// a typed vector, no boxed intermediate anywhere in the tree.
+// a typed vector, no boxed intermediate anywhere in the tree. where, the same
+// shape in filter position, keeps exactly the selected positions eval makes
+// TRUE.
 func TestPushedPredicatesRunTyped(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	shapes := kernelShapes(rng)
@@ -287,6 +289,10 @@ func TestPushedPredicatesRunTyped(t *testing.T) {
 				if typed := !v.Const && (v.Ints != nil || v.Floats != nil); sh.typed && !nulls && !typed {
 					t.Errorf("%s, %s: evaluated to a boxed vector over typed columns", name, sh.text)
 				}
+				keep, err := ctx.where(exprs[k], form.bt, sel)
+				if err != nil {
+					t.Fatalf("%s, %s: where: %v", name, sh.text, err)
+				}
 				for _, i := range sel {
 					want, err := ctx.withRow(form.rows[i]).eval(exprs[k])
 					if err != nil {
@@ -295,10 +301,89 @@ func TestPushedPredicatesRunTyped(t *testing.T) {
 					if got := v.Value(i); got != want {
 						t.Fatalf("%s, %s row %d (nulls=%v): vector %v, scalar %v", name, sh.text, i, nulls, got, want)
 					}
+					if kept := len(keep) > 0 && keep[0] == i; kept != truthy(want) {
+						t.Fatalf("%s, %s row %d (nulls=%v): where keeps it: %v, scalar %v", name, sh.text, i, nulls, kept, want)
+					} else if kept {
+						keep = keep[1:]
+					}
+				}
+				if len(keep) > 0 {
+					t.Fatalf("%s, %s: where keeps %v, which are not selected or out of order", name, sh.text, keep)
 				}
 			}
 		}
 	}
+}
+
+// FuzzWhere holds where to eval under the connectives: AND/OR/NOT trees over
+// kernelShapes' leaves — predicates, non-boolean values, NULL and a division
+// by zero among them — over NULL-free and NULL-bearing columns, in each batch
+// form, at a random ascending selection. where keeps exactly the selected
+// positions eval makes TRUE, and fails iff eval fails at one of them.
+func FuzzWhere(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	type fixture struct {
+		sch   *schema.Schema
+		forms map[string]batchForm
+	}
+	var fixtures []fixture
+	rng := rand.New(rand.NewSource(1))
+	for _, nulls := range []bool{false, true} {
+		rel := lineitemish(48, nulls)
+		fixtures = append(fixtures, fixture{rel.Sch, batchForms(f, rng, rel)})
+	}
+	f.Fuzz(func(t *testing.T, seed int64, depth uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		leaves := append(kernelShapes(rng), kernelShape{"NULL", false}, kernelShape{"1 / 0 > 1", false}, kernelShape{"l_size % 0 = 1", false})
+		var tree func(d int) string
+		tree = func(d int) string {
+			if d == 0 || rng.Intn(5) == 0 {
+				return "(" + leaves[rng.Intn(len(leaves))].text + ")"
+			}
+			switch rng.Intn(3) {
+			case 0:
+				return "NOT " + tree(d-1)
+			case 1:
+				return "(" + tree(d-1) + " AND " + tree(d-1) + ")"
+			}
+			return "(" + tree(d-1) + " OR " + tree(d-1) + ")"
+		}
+		text := tree(int(depth%5) + 1)
+		pred := mustWhere(t, text)
+		for _, fx := range fixtures {
+			for name, form := range fx.forms {
+				var sel []int
+				for i := 0; i < form.bt.Len(); i++ {
+					if rng.Intn(4) > 0 {
+						sel = append(sel, i)
+					}
+				}
+				b := &builder{batchRows: DefaultBatchRows}
+				ctx := newCtx(b, fx.sch, nil)
+				keep, err := ctx.where(pred, form.bt, sel)
+				var want []int
+				var wantErr error
+				for _, i := range sel {
+					v, err := ctx.withRow(form.rows[i]).eval(pred)
+					if err != nil {
+						wantErr = err
+						break
+					}
+					if truthy(v) {
+						want = append(want, i)
+					}
+				}
+				switch {
+				case (err != nil) != (wantErr != nil):
+					t.Fatalf("%s, %s: where fails with %v, eval with %v", name, text, err, wantErr)
+				case err == nil && !reflect.DeepEqual(keep, want) && len(keep)+len(want) > 0:
+					t.Fatalf("%s, %s: where keeps %v, eval %v", name, text, keep, want)
+				}
+			}
+		}
+	})
 }
 
 // TestPushedPredicatesBatchInvariance runs the same shapes end to end through
@@ -356,10 +441,38 @@ func TestConstSubexpressionLaziness(t *testing.T) {
 			}
 		}
 	}
-	sel, _ := parser.ParseSelect("SELECT l_orderkey FROM lineitem WHERE l_size >= 0 AND 1 / 0 > 1")
-	for _, size := range []int{1, DefaultBatchRows} {
-		if _, err := RunBatched(sel, cat, nil, size); err == nil {
-			t.Errorf("batch=%d: a reached division by zero did not fail", size)
+	// The right side is reached wherever the left side does not decide it:
+	// where it is TRUE under AND, and where it is NULL or not a boolean under
+	// either connective (row 7's l_size is 7). After the first case no left
+	// side is TRUE under AND or FALSE under OR at any row, so only a NULL or a
+	// non-boolean reaches the right side. Each must fail with eval's error. (An
+	// AND at the top of WHERE is split into conjuncts the scan filters one
+	// after the other: those cases sit under an OR.)
+	for _, sql := range []string{
+		"SELECT l_orderkey FROM lineitem WHERE l_size >= 0 AND 1 / 0 > 1",
+		"SELECT l_orderkey FROM lineitem WHERE (CASE WHEN l_size = 7 THEN NULL ELSE l_size < 0 END AND 1 / 0 > 1) OR l_size < 0",
+		"SELECT l_orderkey FROM lineitem WHERE CASE WHEN l_size = 7 THEN NULL ELSE l_size >= 0 END OR 1 / 0 > 1",
+		"SELECT l_orderkey FROM lineitem WHERE (l_quantity AND l_size < 0) OR l_size < 0",
+		"SELECT l_orderkey FROM lineitem WHERE l_quantity OR l_size >= 0",
+	} {
+		sel, err := parser.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := cat["lineitem"]
+		var want error
+		for _, row := range rel.Rows {
+			if _, want = newCtx(&builder{}, rel.Sch, nil).withRow(row).eval(sel.Where); want != nil {
+				break
+			}
+		}
+		if want == nil {
+			t.Fatalf("%s: eval fails at no row", sql)
+		}
+		for _, size := range []int{1, DefaultBatchRows} {
+			if _, err := RunBatched(sel, cat, nil, size); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s (batch=%d): err %v, eval %v", sql, size, err, want)
+			}
 		}
 	}
 }
@@ -556,8 +669,8 @@ func TestScanPrunesAndFiltersInOnePass(t *testing.T) {
 }
 
 // BenchmarkEvalVecPredicate times the pushed q6, q12 and q19 lineitem
-// predicates over one full window of typed column vectors: the filter kernel
-// alone, with the columns already decoded.
+// predicates over one full window of typed column vectors: the filter's entry
+// point, where, alone, with the columns already decoded.
 func BenchmarkEvalVecPredicate(b *testing.B) {
 	rel := lineitemish(DefaultBatchRows, false)
 	for _, name := range []string{"q6", "q12", "q19"} {
@@ -575,11 +688,10 @@ func BenchmarkEvalVecPredicate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctx.nextBatch()
-				v, err := ctx.evalVec(where, bt, sel0)
-				if err != nil {
+				var err error
+				if keep, err = ctx.where(where, bt, sel0); err != nil {
 					b.Fatal(err)
 				}
-				keep = selectTrue(v, bt.Len(), ctx.sel(bt.Len()))
 			}
 			b.ReportMetric(float64(len(keep)), "rows-kept")
 		})

@@ -56,8 +56,10 @@ func windowsOf(rel *MemRelation, size int) []*Batch {
 }
 
 // TestLaterWindowsAllocateNoVector: the fused scan's loop — nextBatch, the
-// predicate, the survivors — allocates its result vectors and selection lists
-// for the first window and none after it.
+// predicate's survivors — allocates its selection lists for the first window
+// and none after it, and a predicate over typed columns, kernels all the way
+// down, takes no result vector at all: a filter is selections, not 0/1
+// arrays.
 func TestLaterWindowsAllocateNoVector(t *testing.T) {
 	const window = DefaultBatchRows
 	wins := windowsOf(lineitemish(4*window, false), window)
@@ -68,13 +70,16 @@ func TestLaterWindowsAllocateNoVector(t *testing.T) {
 		kept := 0
 		eval := func(bt *Batch) {
 			ctx.nextBatch()
-			v, err := ctx.evalVec(pred, bt, b.fullSel(bt.Len()))
+			keep, err := ctx.where(pred, bt, b.fullSel(bt.Len()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			kept += len(selectTrue(v, bt.Len(), ctx.sel(bt.Len())))
+			kept += len(keep)
 		}
 		eval(wins[0])
+		if len(ctx.vs.ints.bufs) != 0 || len(ctx.vs.floats.bufs) != 0 {
+			t.Errorf("%s: the filter took %d int64 and %d float64 result arrays, want none", name, len(ctx.vs.ints.bufs), len(ctx.vs.floats.bufs))
+		}
 		arrays := len(ctx.vs.ints.bufs) + len(ctx.vs.floats.bufs) + len(ctx.vs.sels.bufs)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -139,11 +144,11 @@ func TestVectorLifetime(t *testing.T) {
 	wins := windowsOf(lineitemish(3*64, false), 64)
 	pred := mustWhere(t, scanPredicates["q19"])
 	survivors := func(ctx *evalCtx, bt *Batch) []int {
-		v, err := ctx.evalVec(pred, bt, ctx.b.fullSel(bt.Len()))
+		keep, err := ctx.where(pred, bt, ctx.b.fullSel(bt.Len()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return selectTrue(v, bt.Len(), ctx.sel(bt.Len()))
+		return keep
 	}
 	b := &builder{batchRows: 64}
 	ctx := newCtx(b, wins[0].Sch, nil)

@@ -171,34 +171,6 @@ func (b *builder) fullSel(n int) []int {
 	return b.ident[:n]
 }
 
-// boolInts returns the 0/1 array of a typed (hence NULL-free) boolean
-// vector, or nil for any other vector.
-func boolInts(cv *schema.ColVec) []int64 {
-	if cv.Const || cv.Kind != value.KindBool {
-		return nil
-	}
-	return cv.Ints
-}
-
-// selectTrue appends to dst the positions in [0, n) where the predicate
-// vector v is true.
-func selectTrue(v *schema.ColVec, n int, dst []int) []int {
-	if ints := boolInts(v); ints != nil {
-		for i, t := range ints[:n] {
-			if t != 0 {
-				dst = append(dst, i)
-			}
-		}
-		return dst
-	}
-	for i := 0; i < n; i++ {
-		if truthy(v.Value(i)) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
 // isConstExpr reports whether e reads no column and runs no subquery or
 // function, so that it has one value for every row of a batch.
 func isConstExpr(e ast.Expr) bool {
@@ -378,32 +350,21 @@ func (c *evalCtx) reads(exprs ...ast.Expr) []int {
 
 // vec is what evalVec owns, because it makes a batch cheaper than its rows:
 // literals and column references as whole vectors, a column-free
-// subexpression computed once, the selection-vector plumbing of AND/OR and
-// CASE — which hands a right side or an arm to evalVec at exactly the
-// positions eval's laziness would reach, so that kernels run beneath them —
-// and the typed kernels: comparison, + - *, NOT, BETWEEN, LIKE and IN-list
-// over operands that have vector forms themselves and come out typed and
-// NULL-free. It returns nil for every other node and for a kernel whose
-// operands do not fit; having evaluated those operands as vectors first costs
-// nothing but the vectors, since no operand of a kernel is ever evaluated by
-// eval here — the plumbing excepted, and with it a subquery probe, which is
-// charged per call: a kernel node that holds one has no vector form. An error
-// is an operand's, which eval evaluates unconditionally too.
+// subexpression computed once, CASE and the predicates — evaluated as
+// selections (test), which hand a right side or an arm to the next step at
+// exactly the positions eval's laziness would reach, so that kernels run
+// beneath them — and the typed + - * kernels over operands that have vector
+// forms themselves and come out typed and NULL-free. It returns nil for every
+// other node and for a kernel whose operands do not fit; having evaluated
+// those operands as vectors first costs nothing but the vectors, since no
+// operand of a kernel is ever evaluated by eval here — the plumbing excepted,
+// and with it a subquery probe, which is charged per call: a kernel node that
+// holds one has no vector form. An error is an operand's, which eval
+// evaluates unconditionally too.
 func (c *evalCtx) vec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, error) {
 	n := bt.Len()
-	// Post-aggregation substitution takes priority, as in eval.
-	if v, ok := c.agg.lookup(e); ok {
-		return schema.ConstVec(v, n), nil
-	}
-	// A column-free subexpression (date '1994-01-01' + interval '1' year) has
-	// one value per batch: compute it once, as the row path would for any
-	// selected row.
-	if _, lit := e.(*ast.Literal); !lit && len(sel) > 0 && isConstExpr(e) {
-		v, err := c.eval(e)
-		if err != nil {
-			return nil, err
-		}
-		return schema.ConstVec(v, n), nil
+	if v, err := c.constant(e, n, sel); v != nil || err != nil {
+		return v, err
 	}
 	switch x := e.(type) {
 	case *ast.Literal:
@@ -424,89 +385,69 @@ func (c *evalCtx) vec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, error) 
 
 	case *ast.BinaryExpr:
 		if x.Op == ast.OpAnd || x.Op == ast.OpOr {
-			return c.evalVecLogic(x, bt, sel)
+			keep, v, err := c.evalVecLogic(x, bt, sel)
+			return c.truth(n, keep, v, err)
 		}
 	}
 	if len(c.subs) > 0 && containsSubquery(e) {
 		return nil, nil
 	}
-	// operands returns the vector forms of exprs, nil if one has none.
-	operands := func(exprs ...ast.Expr) ([]*schema.ColVec, error) {
-		vecs := make([]*schema.ColVec, len(exprs))
-		for i, x := range exprs {
-			var err error
-			if vecs[i], err = c.vec(x, bt, sel); vecs[i] == nil {
-				return nil, err
-			}
-		}
-		return vecs, nil
-	}
 	switch x := e.(type) {
 	case *ast.BinaryExpr:
-		fast := c.cmpVecFast
-		switch x.Op {
-		case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
-		case ast.OpAdd, ast.OpSub, ast.OpMul:
-			if _, interval := x.Right.(*ast.IntervalExpr); interval {
-				return nil, nil
-			}
-			fast = c.arithVecFast
-		default:
+		if x.Op != ast.OpAdd && x.Op != ast.OpSub && x.Op != ast.OpMul {
+			break
+		}
+		if _, interval := x.Right.(*ast.IntervalExpr); interval {
 			return nil, nil
 		}
-		v, err := operands(x.Left, x.Right)
+		v, err := c.operands(bt, sel, x.Left, x.Right)
 		if v == nil {
 			return nil, err
 		}
-		return fast(x.Op, v[0], v[1], n, sel), nil
+		return c.arithVecFast(x.Op, v[0], v[1], n, sel), nil
 
 	case *ast.UnaryExpr:
-		if x.Op != "NOT" {
-			return nil, nil
+		if x.Op == "NOT" {
+			keep, v, err := c.evalVecNot(x, bt, sel)
+			return c.truth(n, keep, v, err)
 		}
-		v, err := operands(x.Expr)
-		if v == nil || boolInts(v[0]) == nil {
-			return nil, err
-		}
-		ints, out := boolInts(v[0]), c.ints(n)
-		for _, i := range sel {
-			out[i] = 1 - ints[i]
-		}
-		return schema.IntVec(value.KindBool, out), nil
-
-	case *ast.Between:
-		v, err := operands(x.Expr, x.Lo, x.Hi)
-		if v == nil {
-			return nil, err
-		}
-		return c.betweenVecFast(v[0], v[1], v[2], x.Not, n, sel), nil
-
-	case *ast.Like:
-		v, err := operands(x.Expr, x.Pattern)
-		if v == nil {
-			return nil, err
-		}
-		tv, ok := typedOf(v[0])
-		tp, okp := typedOf(v[1])
-		if !ok || tv.strs == nil || !okp || !tp.konst || tp.kind != value.KindString {
-			return nil, nil
-		}
-		out := c.ints(n)
-		for _, i := range sel {
-			if likeMatch(tv.strs[i], tp.ks) != x.Not {
-				out[i] = 1
-			}
-		}
-		return schema.IntVec(value.KindBool, out), nil
-
-	case *ast.InList:
-		v, err := operands(x.Expr)
-		if v == nil {
-			return nil, err
-		}
-		return c.inListVecFast(x, v[0], n, sel), nil
+		return nil, nil
 	}
-	return nil, nil
+	keep, ok, err := c.kernel(e, bt, sel)
+	if !ok {
+		return nil, err
+	}
+	return c.truth(n, keep, nil, nil)
+}
+
+// constant is the vector of e where it has one value for every row of the
+// batch, nil elsewhere. Post-aggregation substitution takes priority, as in
+// eval. A column-free subexpression (date '1994-01-01' + interval '1' year)
+// is computed once, as the row path would for any selected row.
+func (c *evalCtx) constant(e ast.Expr, n int, sel []int) (*schema.ColVec, error) {
+	if v, ok := c.agg.lookup(e); ok {
+		return schema.ConstVec(v, n), nil
+	}
+	if _, lit := e.(*ast.Literal); lit || len(sel) == 0 || !isConstExpr(e) {
+		return nil, nil
+	}
+	v, err := c.eval(e)
+	if err != nil {
+		return nil, err
+	}
+	return schema.ConstVec(v, n), nil
+}
+
+// operands returns the vector forms of exprs, nil if one has none.
+func (c *evalCtx) operands(bt *Batch, sel []int, exprs ...ast.Expr) ([]*schema.ColVec, error) {
+	vecs := make([]*schema.ColVec, len(exprs))
+	for i, x := range exprs {
+		var err error
+		if vecs[i], err = c.vec(x, bt, sel); vecs[i] == nil {
+			return nil, err
+		}
+	}
+	return vecs, nil
 }
 
 // evalVecCase is CASE: each arm is evaluated at the positions whose condition
@@ -519,17 +460,9 @@ func (c *evalCtx) evalVecCase(x *ast.CaseExpr, bt *Batch, sel []int) (*schema.Co
 		if len(remaining) == 0 {
 			break
 		}
-		cond, err := c.evalVec(w.Cond, bt, remaining)
+		matched, err := c.where(w.Cond, bt, remaining)
 		if err != nil {
 			return nil, err
-		}
-		matched, rest := c.sel(n), c.sel(n)
-		for _, i := range remaining {
-			if truthy(cond.Value(i)) {
-				matched = append(matched, i)
-			} else {
-				rest = append(rest, i)
-			}
 		}
 		if len(matched) > 0 {
 			rv, err := c.evalVec(w.Result, bt, matched)
@@ -540,7 +473,7 @@ func (c *evalCtx) evalVecCase(x *ast.CaseExpr, bt *Batch, sel []int) (*schema.Co
 				out.Set(i, rv.Value(i))
 			}
 		}
-		remaining = rest
+		remaining = minus(c.sel(n), remaining, matched)
 	}
 	if x.Else != nil && len(remaining) > 0 {
 		ev, err := c.evalVec(x.Else, bt, remaining)
@@ -554,70 +487,221 @@ func (c *evalCtx) evalVecCase(x *ast.CaseExpr, bt *Batch, sel []int) (*schema.Co
 	return out, nil
 }
 
-// evalVecLogic is AND/OR: the right side is evaluated at the positions the
-// left side leaves undecided and nowhere else, as eval short-circuits. A
-// decided position holds FALSE under AND, TRUE under OR.
-func (c *evalCtx) evalVecLogic(x *ast.BinaryExpr, bt *Batch, sel []int) (*schema.ColVec, error) {
-	n := bt.Len()
-	l, err := c.evalVec(x.Left, bt, sel)
-	if err != nil {
-		return nil, err
+// where returns the ascending positions among sel at which the predicate e is
+// TRUE: a WHERE clause's survivors, a join residual's, a CASE arm's. It is
+// evalVec for a predicate in filter position, with no vector in between where
+// e is two-valued (see test).
+func (c *evalCtx) where(e ast.Expr, bt *Batch, sel []int) ([]int, error) {
+	keep, v, err := c.test(e, bt, sel)
+	if v == nil || err != nil {
+		return keep, err
 	}
-	isOr := x.Op == ast.OpOr
-	decided := value.Bool(isOr)
-	lb := boolInts(l)
-	undecided := c.sel(n)
+	return c.trueAt(v, bt.Len(), sel), nil
+}
+
+// trueAt returns the positions among sel at which v is TRUE.
+func (c *evalCtx) trueAt(v *schema.ColVec, n int, sel []int) []int {
+	keep := c.sel(n)
 	for _, i := range sel {
-		if lb != nil {
-			if (lb[i] != 0) == isOr {
-				continue
+		if truthy(v.Value(i)) {
+			keep = append(keep, i)
+		}
+	}
+	return keep
+}
+
+// test evaluates the predicate e at the positions sel. Where e comes out
+// two-valued there its answer is a selection, keep, the ascending positions
+// among sel where it is TRUE (v is nil: FALSE at the rest); anywhere else —
+// a NULL, a non-boolean — it is e's vector, v. The connectives refine
+// selections: AND runs its right side over the left side's survivors, OR over
+// the rest of sel, NOT takes the complement. The leaves are the selection
+// kernels (kernel); any other node is evalVec, a typed boolean vector refined
+// into its selection.
+func (c *evalCtx) test(e ast.Expr, bt *Batch, sel []int) ([]int, *schema.ColVec, error) {
+	v, err := c.constant(e, bt.Len(), sel)
+	if v == nil && err == nil {
+		if x, ok := e.(*ast.BinaryExpr); ok && (x.Op == ast.OpAnd || x.Op == ast.OpOr) {
+			return c.evalVecLogic(x, bt, sel)
+		}
+		if len(c.subs) == 0 || !containsSubquery(e) {
+			if x, ok := e.(*ast.UnaryExpr); ok && x.Op == "NOT" {
+				return c.evalVecNot(x, bt, sel)
 			}
-		} else if lv := l.Value(i); !lv.IsNull() && lv.Kind() == value.KindBool && lv.AsBool() == isOr {
-			continue
+			if keep, ok, err := c.kernel(e, bt, sel); ok || err != nil {
+				return keep, nil, err
+			}
 		}
-		undecided = append(undecided, i)
+		v, err = c.evalVec(e, bt, sel)
 	}
-	if len(undecided) == 0 {
-		if lb != nil {
-			return l, nil
-		}
-		out := c.boxed(n)
-		for _, i := range sel {
-			out.Set(i, decided)
-		}
-		return out, nil
-	}
-	r, err := c.evalVec(x.Right, bt, undecided)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if rb := boolInts(r); lb != nil && rb != nil {
-		// Both sides two-valued: an undecided position takes the right
-		// side's value, a decided one keeps the left's.
-		out := c.ints(n)
+	// A typed boolean vector, or a boolean constant, is two-valued.
+	if v.Kind == value.KindBool && v.Ints != nil || v.Const && v.Value(0).Kind() == value.KindBool {
+		return c.trueAt(v, bt.Len(), sel), nil, nil
+	}
+	return nil, v, nil
+}
+
+// truth is a predicate's value form, for a predicate in value position: its
+// vector where test answered with one, else the 0/1 vector of its selection.
+func (c *evalCtx) truth(n int, keep []int, v *schema.ColVec, err error) (*schema.ColVec, error) {
+	if v != nil || err != nil {
+		return v, err
+	}
+	out := c.ints(n)
+	for _, i := range keep {
+		out[i] = 1
+	}
+	return schema.IntVec(value.KindBool, out), nil
+}
+
+// evalVecLogic is AND/OR in test's form. The right side is evaluated at
+// exactly the positions eval reaches — where the left side is not FALSE
+// under AND, not TRUE under OR, NULL and non-boolean included — and nowhere
+// else. Two two-valued sides are a selection; a three-valued one is combined
+// through logic3 at those positions, and a decided position holds FALSE
+// under AND, TRUE under OR.
+func (c *evalCtx) evalVecLogic(x *ast.BinaryExpr, bt *Batch, sel []int) ([]int, *schema.ColVec, error) {
+	n := bt.Len()
+	isOr := x.Op == ast.OpOr
+	lk, l, err := c.test(x.Left, bt, sel)
+	if err != nil {
+		return nil, nil, err
+	}
+	reached := lk
+	switch {
+	case l != nil:
+		reached = c.sel(n)
 		for _, i := range sel {
-			out[i] = lb[i]
+			if lv := l.Value(i); lv.IsNull() || lv.Kind() != value.KindBool || lv.AsBool() != isOr {
+				reached = append(reached, i)
+			}
 		}
-		for _, i := range undecided {
-			out[i] = rb[i]
-		}
-		return schema.IntVec(value.KindBool, out), nil
+	case isOr:
+		reached = minus(c.sel(n), sel, lk)
 	}
+	if len(reached) == 0 { // the left side decided every position
+		if isOr {
+			return sel, nil, nil
+		}
+		return nil, nil, nil
+	}
+	rk, r, err := c.test(x.Right, bt, reached)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case l == nil && r == nil && isOr:
+		return union(c.sel(n), lk, rk), nil, nil
+	case l == nil && r == nil:
+		return rk, nil, nil
+	}
+	l, _ = c.truth(n, lk, l, nil)
+	r, _ = c.truth(n, rk, r, nil)
 	out := c.boxed(n)
 	u := 0
 	for _, i := range sel {
-		if u == len(undecided) || undecided[u] != i {
-			out.Set(i, decided)
+		if u == len(reached) || reached[u] != i {
+			out.Set(i, value.Bool(isOr))
 			continue
 		}
 		u++
 		v, err := logic3(x.Op, l.Value(i), r.Value(i))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out.Set(i, v)
 	}
-	return out, nil
+	return nil, out, nil
+}
+
+// evalVecNot is NOT in test's form: the complement within sel of a two-valued
+// operand, not3 at each position of a three-valued one.
+func (c *evalCtx) evalVecNot(x *ast.UnaryExpr, bt *Batch, sel []int) ([]int, *schema.ColVec, error) {
+	keep, v, err := c.test(x.Expr, bt, sel)
+	if err != nil {
+		return nil, nil, err
+	}
+	if v == nil {
+		return minus(c.sel(bt.Len()), sel, keep), nil, nil
+	}
+	out := c.boxed(bt.Len())
+	for _, i := range sel {
+		nv, err := not3(v.Value(i))
+		if err != nil {
+			return nil, nil, err
+		}
+		out.Set(i, nv)
+	}
+	return nil, out, nil
+}
+
+// minus appends to dst the positions of sel not in keep, an ascending subset
+// of it.
+func minus(dst, sel, keep []int) []int {
+	k := 0
+	for _, i := range sel {
+		if k < len(keep) && keep[k] == i {
+			k++
+			continue
+		}
+		dst = append(dst, i)
+	}
+	return dst
+}
+
+// union appends to dst the ascending merge of the disjoint ascending lists a
+// and b.
+func union(dst, a, b []int) []int {
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
+}
+
+// kernel runs the selection kernel of a comparison, BETWEEN, LIKE or IN-list
+// whose operands have vector forms that come out typed and NULL-free: keep is
+// the positions among sel where it holds. ok is false for every other node
+// and for operands that do not fit, which are eval's.
+func (c *evalCtx) kernel(e ast.Expr, bt *Batch, sel []int) (keep []int, ok bool, err error) {
+	var v []*schema.ColVec
+	switch x := e.(type) {
+	case *ast.BinaryExpr:
+		switch x.Op {
+		case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
+			if v, err = c.operands(bt, sel, x.Left, x.Right); v != nil {
+				keep, ok = c.cmpSel(x.Op, v[0], v[1], bt.Len(), sel)
+			}
+		}
+	case *ast.Between:
+		if v, err = c.operands(bt, sel, x.Expr, x.Lo, x.Hi); v != nil {
+			keep, ok = c.betweenSel(v[0], v[1], v[2], x.Not, bt.Len(), sel)
+		}
+	case *ast.InList:
+		if v, err = c.operands(bt, sel, x.Expr); v != nil {
+			keep, ok = c.inListSel(x, v[0], bt.Len(), sel)
+		}
+	case *ast.Like: // a string vector against a constant pattern
+		if v, err = c.operands(bt, sel, x.Expr, x.Pattern); v == nil {
+			break
+		}
+		s, oks := typedOf(v[0])
+		p, okp := typedOf(v[1])
+		if ok = oks && s.strs != nil && okp && p.konst && p.kind == value.KindString; ok {
+			keep = c.sel(bt.Len())
+			for _, i := range sel {
+				if likeMatch(s.strs[i], p.ks) != x.Not {
+					keep = append(keep, i)
+				}
+			}
+		}
+	}
+	return keep, ok, err
 }
 
 // cmpHolds maps a three-way comparison to the operator's truth value.
@@ -708,148 +792,153 @@ func cmp3[T int64 | float64 | string](a, b T) int {
 	return 1
 }
 
-// cmpKernel writes op's 0/1 truth value into out at the positions in sel. A
-// nil array stands for the constant beside it.
-func cmpKernel[T int64 | float64 | string](op ast.BinaryOp, l []T, lk T, r []T, rk T, out []int64, sel []int) {
-	var holds [3]int64
+// cmpKernel appends to keep, which has room for them, the positions in sel
+// where l op r holds. A nil array stands for the constant beside it.
+func cmpKernel[T int64 | float64 | string](op ast.BinaryOp, l []T, lk T, r []T, rk T, sel, keep []int) []int {
+	var holds [3]int
 	for cmp := range holds {
 		if cmpHolds(op, cmp-1) {
 			holds[cmp] = 1
 		}
 	}
+	// Every position is written and only a survivor is kept: no branch on
+	// the outcome.
+	out, k := keep[:len(sel)], 0
 	switch {
 	case l != nil && r != nil:
 		for _, i := range sel {
-			out[i] = holds[cmp3(l[i], r[i])]
+			out[k] = i
+			k += holds[cmp3(l[i], r[i])]
 		}
 	case l != nil:
 		for _, i := range sel {
-			out[i] = holds[cmp3(l[i], rk)]
+			out[k] = i
+			k += holds[cmp3(l[i], rk)]
 		}
 	case r != nil:
 		for _, i := range sel {
-			out[i] = holds[cmp3(lk, r[i])]
+			out[k] = i
+			k += holds[cmp3(lk, r[i])]
 		}
-	default:
-		for _, i := range sel {
-			out[i] = holds[cmp3(lk, rk)]
-		}
+	case holds[cmp3(lk, rk)] == 1:
+		k = copy(out, sel)
 	}
+	return out[:k]
 }
 
-// cmpVecFast runs typed comparison kernels where both operands are typed (a
+// cmpSel runs typed comparison kernels where both operands are typed (a
 // vector or a constant, no NULLs by construction) and of one kind — Int,
 // Date, Bool, Float or String — or a Float against an Int constant. Other
 // mixed kinds and boxed vectors are left to eval, and with it value.Compare's
 // coercion and error semantics.
-func (c *evalCtx) cmpVecFast(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) *schema.ColVec {
+func (c *evalCtx) cmpSel(op ast.BinaryOp, lv, rv *schema.ColVec, n int, sel []int) ([]int, bool) {
 	l, ok := typedOf(lv)
 	if !ok {
-		return nil
+		return nil, false
 	}
 	r, ok := typedOf(rv)
 	if !ok || !(r.sameKind(l.kind) || l.sameKind(r.kind)) {
-		return nil
+		return nil, false
 	}
-	out := c.ints(n)
 	switch l.kind {
 	case value.KindFloat:
-		cmpKernel(op, l.floats, l.kf, r.floats, r.kf, out, sel)
+		return cmpKernel(op, l.floats, l.kf, r.floats, r.kf, sel, c.sel(n)), true
 	case value.KindString:
-		cmpKernel(op, l.strs, l.ks, r.strs, r.ks, out, sel)
-	default:
-		cmpKernel(op, l.ints, l.ki, r.ints, r.ki, out, sel)
+		return cmpKernel(op, l.strs, l.ks, r.strs, r.ks, sel, c.sel(n)), true
 	}
-	return schema.IntVec(value.KindBool, out)
+	return cmpKernel(op, l.ints, l.ki, r.ints, r.ki, sel, c.sel(n)), true
 }
 
-// betweenKernel writes [NOT] lo <= v[i] <= hi into out, ordering as cmp3.
-func betweenKernel[T int64 | float64 | string](v []T, lo, hi T, not bool, out []int64, sel []int) {
+// betweenKernel appends to keep, which has room for them, the positions in
+// sel where [NOT] lo <= v[i] <= hi, ordering as cmp3.
+func betweenKernel[T int64 | float64 | string](v []T, lo, hi T, not bool, sel, keep []int) []int {
+	out, k := keep[:len(sel)], 0
 	for _, i := range sel {
+		out[k] = i
 		if (cmp3(v[i], lo) >= 1 && cmp3(v[i], hi) <= 1) != not {
-			out[i] = 1
+			k++
 		}
 	}
+	return out[:k]
 }
 
-// betweenVecFast is BETWEEN for a typed vector against constant bounds of its
+// betweenSel is BETWEEN for a typed vector against constant bounds of its
 // kind.
-func (c *evalCtx) betweenVecFast(vv, lov, hiv *schema.ColVec, not bool, n int, sel []int) *schema.ColVec {
+func (c *evalCtx) betweenSel(vv, lov, hiv *schema.ColVec, not bool, n int, sel []int) ([]int, bool) {
 	v, ok := typedOf(vv)
 	if !ok || v.konst {
-		return nil
+		return nil, false
 	}
 	lo, ok := typedOf(lov)
 	if !ok || !lo.konst || !lo.sameKind(v.kind) {
-		return nil
+		return nil, false
 	}
 	hi, ok := typedOf(hiv)
 	if !ok || !hi.konst || !hi.sameKind(v.kind) {
-		return nil
+		return nil, false
 	}
-	out := c.ints(n)
 	switch v.kind {
 	case value.KindFloat:
-		betweenKernel(v.floats, lo.kf, hi.kf, not, out, sel)
+		return betweenKernel(v.floats, lo.kf, hi.kf, not, sel, c.sel(n)), true
 	case value.KindString:
-		betweenKernel(v.strs, lo.ks, hi.ks, not, out, sel)
-	default:
-		betweenKernel(v.ints, lo.ki, hi.ki, not, out, sel)
+		return betweenKernel(v.strs, lo.ks, hi.ks, not, sel, c.sel(n)), true
 	}
-	return schema.IntVec(value.KindBool, out)
+	return betweenKernel(v.ints, lo.ki, hi.ki, not, sel, c.sel(n)), true
 }
 
-// inKernel writes [NOT] v[i] IN items into out, equality as cmp3.
-func inKernel[T int64 | float64 | string](v []T, items []T, not bool, out []int64, sel []int) {
+// inKernel appends to keep, which has room for them, the positions in sel
+// where [NOT] v[i] IN items, equality as cmp3 — equal, or a NaN on either
+// side — without ordering strings.
+func inKernel[T int64 | float64 | string](v []T, items []T, not bool, sel, keep []int) []int {
+	out, k := keep[:len(sel)], 0
 	for _, i := range sel {
 		found := false
 		for _, it := range items {
-			if cmp3(v[i], it) == 1 {
+			if x := v[i]; x == it || x != x || it != it {
 				found = true
 				break
 			}
 		}
+		out[k] = i
 		if found != not {
-			out[i] = 1
+			k++
 		}
 	}
+	return out[:k]
 }
 
-// inListVecFast is IN for a typed vector against a list of non-NULL
-// constants of its kind: with nothing NULL and nothing that can fail, eval's
-// ordered lazy walk reduces to a membership test.
-func (c *evalCtx) inListVecFast(x *ast.InList, lhs *schema.ColVec, n int, sel []int) *schema.ColVec {
+// inListSel is IN for a typed vector against a list of non-NULL constants of
+// its kind: with nothing NULL and nothing that can fail, eval's ordered lazy
+// walk reduces to a membership test.
+func (c *evalCtx) inListSel(x *ast.InList, lhs *schema.ColVec, n int, sel []int) ([]int, bool) {
 	v, ok := typedOf(lhs)
 	if !ok || v.konst {
-		return nil
+		return nil, false
 	}
 	var ints []int64
 	var floats []float64
 	var strs []string
 	for _, item := range x.Items {
 		if !isConstExpr(item) {
-			return nil
+			return nil, false
 		}
 		iv, err := c.eval(item)
 		if err != nil {
-			return nil // eval decides whether it is reached
+			return nil, false // eval decides whether it is reached
 		}
 		k, ok := typedConst(iv)
 		if !ok || !k.sameKind(v.kind) {
-			return nil
+			return nil, false
 		}
 		ints, floats, strs = append(ints, k.ki), append(floats, k.kf), append(strs, k.ks)
 	}
-	out := c.ints(n)
 	switch v.kind {
 	case value.KindFloat:
-		inKernel(v.floats, floats, x.Not, out, sel)
+		return inKernel(v.floats, floats, x.Not, sel, c.sel(n)), true
 	case value.KindString:
-		inKernel(v.strs, strs, x.Not, out, sel)
-	default:
-		inKernel(v.ints, ints, x.Not, out, sel)
+		return inKernel(v.strs, strs, x.Not, sel, c.sel(n)), true
 	}
-	return schema.IntVec(value.KindBool, out)
+	return inKernel(v.ints, ints, x.Not, sel, c.sel(n)), true
 }
 
 // arithKernel writes l op r (op one of + - *) into out at the positions in

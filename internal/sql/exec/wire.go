@@ -100,7 +100,7 @@ func decodeHeader(buf []byte) (*schema.Schema, []byte, error) {
 		return nil, nil, fmt.Errorf("exec: short result")
 	}
 	hl := binary.LittleEndian.Uint32(buf)
-	if uint64(4+hl) > uint64(len(buf)) {
+	if uint64(hl) > uint64(len(buf)-4) { // not 4+hl: it wraps a uint32
 		return nil, nil, fmt.Errorf("exec: truncated result header")
 	}
 	var cols []wireColumn

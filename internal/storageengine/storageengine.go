@@ -359,18 +359,24 @@ func (s *Server) ServeConn(conn net.Conn) {
 				sc.Send("error", []byte(err.Error()))
 				continue
 			}
-			s.cfg.Meter.RowsShipped.Add(int64(res.NumRows()))
 			// The reply is stamped with this node's membership epoch; the
 			// host rejects any stamp that differs from the cluster's. Its rows
 			// are sent straight from the result's buffer, which goes back to
-			// the pool once the frame is written: nothing else holds res.
+			// the pool once the frame is written: nothing else holds res. They
+			// are charged before the send, as the channel charges BytesSent:
+			// once the host has the reply it may snapshot the meter before
+			// Send returns.
 			var epoch [8]byte
 			binary.LittleEndian.PutUint64(epoch[:], s.Epoch())
+			shipped := int64(res.NumRows())
+			s.cfg.Meter.RowsShipped.Add(shipped)
 			err = sc.Send("result", epoch[:], head, rows)
 			res.Release()
 			if errors.Is(err, transport.ErrFrameTooLarge) {
-				// Refused before a byte was written: the channel is in step,
-				// so the host is told instead of left waiting for the frame.
+				// Refused before a byte was written: no row shipped, and the
+				// channel is in step, so the host is told instead of left
+				// waiting for the frame.
+				s.cfg.Meter.RowsShipped.Add(-shipped)
 				sc.Send("too-large", nil)
 			}
 		case "rebuild-manifest":

@@ -63,6 +63,43 @@ func TestAllModesAnswerQueries(t *testing.T) {
 	}
 }
 
+// TestProofMustBindTheStatement: a client accepts an authorization only if
+// the monitor signed its proof and the proof's hash is that of the statement
+// that runs. A signature that does not verify fails, and so does a valid one
+// over a different statement.
+func TestProofMustBindTheStatement(t *testing.T) {
+	c := newFlightCluster(t, IronSafe)
+	authorize := func(sql string) *monitor.Authorization {
+		t.Helper()
+		auth, err := c.Monitor.Authorize(monitor.AuthRequest{
+			Database: c.database, ClientKey: "Ka", SQL: sql, HostID: "host-1", Epoch: c.Epoch(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return auth
+	}
+	pub := c.MonitorPublicKey()
+	auth := authorize("SELECT pax FROM flights WHERE dest = 'PT'")
+	if !proofBindsStatement(pub, auth) {
+		t.Fatal("an untouched authorization is refused")
+	}
+	forged := *auth
+	forged.Proof.Signature = append([]byte(nil), auth.Proof.Signature...)
+	forged.Proof.Signature[0] ^= 1
+	if proofBindsStatement(pub, &forged) {
+		t.Error("a proof whose signature does not verify is accepted")
+	}
+	swapped := *auth
+	swapped.RewrittenSQL = authorize("SELECT pax FROM flights").RewrittenSQL
+	if !monitor.VerifyProof(pub, &swapped.Proof) || swapped.RewrittenSQL == auth.RewrittenSQL {
+		t.Fatal("the swapped statement's proof should still verify")
+	}
+	if proofBindsStatement(pub, &swapped) {
+		t.Error("a valid proof over another statement is accepted")
+	}
+}
+
 func TestModeString(t *testing.T) {
 	want := map[Mode]string{
 		HostOnlyNonSecure: "hons", HostOnlySecure: "hos",

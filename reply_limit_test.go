@@ -18,7 +18,7 @@ import (
 // the storage node refuses the frame before writing it and answers with a
 // typed reply — and the next query on the same cluster answers. The reply is
 // large because its rows are wide: 5 500 rows of 3.5 KB, about 19 MB against
-// the 16 MiB frame limit.
+// the 16 MiB frame limit. No row of the refused reply counts as shipped.
 func TestOversizedReplyFailsTyped(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 19 MB into the secure store")
@@ -61,8 +61,12 @@ func TestOversizedReplyFailsTyped(t *testing.T) {
 			return nil, nil
 		}
 	}
+	shipped := c.StorageMeter.RowsShipped.Load()
 	if _, err := query("SELECT id, pad FROM wide"); !errors.Is(err, transport.ErrFrameTooLarge) {
 		t.Fatalf("oversized reply: err = %v, want transport.ErrFrameTooLarge", err)
+	}
+	if moved := c.StorageMeter.RowsShipped.Load() - shipped; moved != 0 {
+		t.Fatalf("the refused reply counts %d rows shipped, want 0", moved)
 	}
 	qr, err := query("SELECT pad FROM wide WHERE id = 7")
 	if err != nil {

@@ -2,6 +2,7 @@ package ironsafe
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -79,6 +80,14 @@ type QueryResult struct {
 	Stats   QueryStats
 }
 
+// proofBindsStatement reports whether auth's proof carries the monitor's
+// signature and binds the statement that runs: its QueryHash is the SHA-256 of
+// auth.RewrittenSQL.
+func proofBindsStatement(monitorPub ed25519.PublicKey, auth *monitor.Authorization) bool {
+	qh := sha256.Sum256([]byte(auth.RewrittenSQL))
+	return monitor.VerifyProof(monitorPub, &auth.Proof) && bytes.Equal(qh[:], auth.Proof.QueryHash)
+}
+
 // Query submits one SQL query through the full IronSafe workflow (§3.1
 // steps 1-5): authorization and policy check at the monitor, partitioning
 // and offloading per the cluster mode, execution, proof verification, and
@@ -99,10 +108,8 @@ func (s *Session) Query(sql string) (*QueryResult, error) {
 	}
 	defer c.Monitor.EndSession(auth.SessionID)
 
-	// Clients verify the proof, and that it binds the statement that runs,
-	// before trusting any result.
-	qh := sha256.Sum256([]byte(auth.RewrittenSQL))
-	if !monitor.VerifyProof(c.MonitorPublicKey(), &auth.Proof) || !bytes.Equal(qh[:], auth.Proof.QueryHash) {
+	// Clients verify the proof before trusting any result.
+	if !proofBindsStatement(c.MonitorPublicKey(), auth) {
 		return nil, fmt.Errorf("ironsafe: monitor proof failed verification")
 	}
 
