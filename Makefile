@@ -5,7 +5,7 @@ GO ?= go
 
 # Tier-1 packages: the race gate ROADMAP.md and the acceptance criteria
 # name explicitly. `make race` extends it to the whole module.
-RACE_PKGS = . ./internal/transport ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/storageengine ./internal/hostengine ./internal/ctl ./internal/ingest
+RACE_PKGS = . ./internal/bufpool ./internal/transport ./internal/monitor ./internal/engine ./internal/pager ./internal/simtime ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/storageengine ./internal/hostengine ./internal/ctl ./internal/ingest
 
 .PHONY: all build fmt-check loc test test-purego race race-tier1 vet lint vet-json vet-bench sweep sweep-race fuzz-smoke benchjson benchsmoke bench-layers bench-e2e benchmark check clean
 

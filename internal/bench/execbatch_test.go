@@ -6,16 +6,17 @@ import (
 	"testing"
 
 	"ironsafe"
-	"ironsafe/internal/sql/exec"
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/tpch"
 )
 
 // TestMain runs the package — the vectorized-vs-row differential below, the
-// golden counters, the batched-vs-sequential scan check — with the executor
-// poisoning every vector it recycles, so a loop that keeps one past its batch
-// returns wrong rows here instead of passing by luck.
+// golden counters, the batched-vs-sequential scan check — under bufpool.Poison:
+// the executor poisons every vector it recycles and every released buffer is
+// scribbled, so a loop that keeps one past its batch returns wrong rows here
+// instead of passing by luck.
 func TestMain(m *testing.M) {
-	exec.PoisonRecycledVectors = true
+	bufpool.Poison = true
 	os.Exit(m.Run())
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/engine"
 	"ironsafe/internal/pager"
 	"ironsafe/internal/schema"
@@ -110,25 +111,36 @@ func TestScanBatchWindows(t *testing.T) {
 	}
 }
 
-// raceEnabled is set under the race detector (race_test.go), whose sync.Pool
-// drops a share of the pages a scan hands back.
-var raceEnabled bool
-
 // TestTableScanAllocBudget is the data path's allocation floor: a steady-state
-// Table.ScanBatch over a real secure store (32-page batches, two in flight)
-// recycles its device records and pages, so it allocates under 512 B per page
-// scanned; a page-sized object per page would be ten times that. Rows are
-// ~1 KB, four to a page, so that the window's field index — sized once per
-// scan, by rows — does not blur what a page costs.
+// Table.ScanBatch recycles its pages, so it allocates under 512 B per page
+// scanned; a page-sized object per page would be ten times that. Over a real
+// secure store (32-page batches, two in flight) the device records and the
+// opened pages go back to the pool; over the plain pager, with the table in
+// its cache, the copies of cached pages it hands out do. Rows are ~1 KB, four
+// to a page, so that the window's field index — sized once per scan, by rows —
+// does not blur what a page costs.
 func TestTableScanAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops pages at random under the race detector")
+	if bufpool.Poison {
+		t.Skip("bufpool.Poison: the race build, whose sync.Pool drops pages at random")
 	}
-	db := secureDB(t)
+	t.Run("secure", func(t *testing.T) { scanAllocBudget(t, secureDB(t), 1000) })
+	t.Run("plain", func(t *testing.T) {
+		var m simtime.Meter
+		db, err := engine.Open(pager.NewPager(pager.NewMemDevice(), &m, 256), &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanAllocBudget(t, db, 800) // 200 pages: the table fits the cache
+	})
+}
+
+// scanAllocBudget loads n wide rows into db and checks what a scan of them
+// allocates per page.
+func scanAllocBudget(t *testing.T, db *engine.DB, n int) {
 	if _, err := db.Execute("CREATE TABLE wide (id INTEGER, body TEXT)"); err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]schema.Row, 1000)
+	rows := make([]schema.Row, n)
 	for i := range rows {
 		rows[i] = schema.Row{value.Int(int64(i)), value.Str(strings.Repeat(string(rune('a'+i%26)), 900))}
 	}
@@ -139,7 +151,7 @@ func TestTableScanAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.NumPages() < 200 {
+	if tab.NumPages() < n/5 {
 		t.Fatalf("the table spans only %d pages", tab.NumPages())
 	}
 	scanned := 0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 )
 
@@ -193,7 +194,7 @@ func (h *HeapFile) appendAllTo(w pageWriter, rows []schema.Row) error {
 func (h *HeapFile) Scan(fn func(schema.Row) error) error {
 	return stopped(h.scanPages(func(idx uint32, buf []byte) error {
 		err := scanPage(idx, buf, fn) // the rows own their storage
-		Release(buf)
+		bufpool.Release(buf)
 		return err
 	}))
 }
@@ -218,7 +219,7 @@ func (h *HeapFile) ScanWindows(batchRows, width int, fn func(*schema.RowWindow) 
 	var held [][]byte
 	defer func() {
 		for _, p := range held {
-			Release(p)
+			bufpool.Release(p)
 		}
 	}()
 	err := h.scanPages(func(idx uint32, buf []byte) error {
@@ -246,7 +247,7 @@ func (h *HeapFile) ScanWindows(batchRows, width int, fn func(*schema.RowWindow) 
 				}
 				win.Reset()
 				for _, p := range held[:len(held)-1] {
-					Release(p)
+					bufpool.Release(p)
 				}
 				held = append(held[:0], buf)
 			}

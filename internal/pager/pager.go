@@ -10,52 +10,12 @@ import (
 	"fmt"
 	"sync"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/simtime"
 )
 
 // PageSize is the logical page size in bytes.
 const PageSize = 4096
-
-// bufSize is the size of a pooled buffer: a secure store's record (IV, page,
-// MAC: 4 176 bytes) rounded up to its allocation size class, so one buffer
-// holds a device record or a plaintext page.
-const bufSize = 4864
-
-// bufs holds the buffers Release handed back.
-var bufs = sync.Pool{New: func() any { return new([bufSize]byte) }}
-
-// poison is set under the race detector (buf_race.go): Release then scribbles
-// over a buffer before pooling it, so a reader that outlives its page reads
-// garbage and fails loudly instead of reading the next owner's bytes.
-var poison bool
-
-// Buf returns a buffer of n bytes, its contents undefined, for a device
-// record or a page: from the pool while n fits a pooled buffer, freshly
-// allocated otherwise. Whoever is done with it may hand it back with Release.
-func Buf(n int) []byte {
-	if n > bufSize {
-		return make([]byte, n)
-	}
-	return bufs.Get().(*[bufSize]byte)[:n]
-}
-
-// Release hands b back for a later Buf to reuse. Only the holder of the last
-// reference may release a buffer, and only once: a ReadBlock or ReadPage
-// result is its caller's own, so a reader done with one releases it. A slice
-// whose capacity is not a pooled buffer's is not one Buf handed out, and is
-// ignored.
-func Release(b []byte) {
-	if cap(b) != bufSize {
-		return
-	}
-	p := (*[bufSize]byte)(b[:bufSize])
-	if poison {
-		for i := range p {
-			p[i] = 0xdb
-		}
-	}
-	bufs.Put(p)
-}
 
 // BlockDevice is the untrusted storage medium: an addressable array of
 // blocks. Implementations may store blocks of any physical size (the secure
@@ -66,7 +26,8 @@ type BlockDevice interface {
 	// device keeps no reference to it and a later read is unaffected by what
 	// the caller writes into it. The fault planes rely on that to flip bits
 	// in a read, the secure store to release a record once it has opened it
-	// (Release); a wrapper that passes an inner device's slice on inherits it.
+	// (bufpool.Release); a wrapper that passes an inner device's slice on
+	// inherits it.
 	ReadBlock(idx uint32) ([]byte, error)
 	// WriteBlock replaces the contents of block idx.
 	WriteBlock(idx uint32, data []byte) error
@@ -98,7 +59,7 @@ func (d *MemDevice) ReadBlock(idx uint32) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrBlockNotFound, idx)
 	}
-	out := Buf(len(b))
+	out := bufpool.Take(len(b))
 	copy(out, b)
 	return out, nil
 }
@@ -169,7 +130,7 @@ type PageStore interface {
 	// ReadPage returns the 4 KiB logical page at idx. The slice is the
 	// caller's own, capacity included: the store keeps no reference to it,
 	// so heap-file code may write into it, and a scan that is done with it
-	// may hand it back with Release.
+	// may hand it back with bufpool.Release.
 	ReadPage(idx uint32) ([]byte, error)
 	// ReadPages returns the logical pages at idxs, in order, each as ReadPage
 	// would and no two sharing a byte. Implementations may amortize per-page
@@ -238,7 +199,8 @@ func NewPager(dev BlockDevice, meter *simtime.Meter, cacheCap int) *Pager {
 func (p *Pager) ReadPage(idx uint32) ([]byte, error) {
 	p.mu.Lock()
 	if b, ok := p.cache[idx]; ok {
-		out := append([]byte(nil), b...)
+		out := bufpool.Take(len(b))
+		copy(out, b)
 		p.mu.Unlock()
 		return out, nil
 	}

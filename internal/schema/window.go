@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/value"
 )
 
@@ -416,10 +417,10 @@ func (w *RowWindow) fill(col int, kind value.Kind, set func(r int, buf []byte, p
 }
 
 // AppendEncoded is AppendRows without the boxing: it appends the rows at the
-// ascending window positions base+sel[k], keeping only columns cols (nil:
-// every column) in that order, to dst in the row codec. Fields are copied as they
-// are, so over rows EncodeRow wrote the result is byte for byte EncodeRow of
-// the rows AppendRows would box.
+// ascending window positions base+sel[k], keeping only columns cols (nil: every
+// column) in that order, to dst in the row codec, growing it by bufpool.Grow.
+// Fields are copied as they are, so over rows EncodeRow wrote the result is
+// byte for byte EncodeRow of the rows AppendRows would box.
 func (w *RowWindow) AppendEncoded(dst []byte, base int, sel []int, cols []int) []byte {
 	if cols == nil {
 		cols = w.all
@@ -431,7 +432,7 @@ func (w *RowWindow) AppendEncoded(dst []byte, base int, sel []int, cols []int) [
 			si++
 		}
 		buf, offs := w.segs[si].buf, w.offs[r*w.width:(r+1)*w.width]
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(cols)))
+		dst = binary.LittleEndian.AppendUint16(bufpool.Grow(dst, 2), uint16(len(cols)))
 		for _, c := range cols {
 			start := int(offs[c])
 			var end int
@@ -440,7 +441,7 @@ func (w *RowWindow) AppendEncoded(dst []byte, base int, sel []int, cols []int) [
 			} else {
 				end, _ = skipField(buf, start, c) // validated by AppendRow
 			}
-			dst = append(dst, buf[start:end]...)
+			dst = append(bufpool.Grow(dst, end-start), buf[start:end]...)
 		}
 	}
 	return dst

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/pager"
 )
 
@@ -128,7 +129,7 @@ func (s *Store) readPagesAt(idxs []uint32, workers int) (out [][]byte, retry boo
 // releaseAll hands back the pages of a read that is not returning them.
 func releaseAll(pages [][]byte) {
 	for _, p := range pages {
-		pager.Release(p)
+		bufpool.Release(p)
 	}
 	clear(pages)
 }
@@ -146,7 +147,7 @@ func (s *Store) readPageLocked(idx uint32) ([]byte, error) {
 		return nil, err
 	}
 	if err := s.verifyBatch(pc.tree, idxs, pc.macs); err != nil {
-		pager.Release(out[0])
+		bufpool.Release(out[0])
 		return nil, err
 	}
 	return out[0], nil

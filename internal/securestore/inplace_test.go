@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/pager"
 	"ironsafe/internal/simtime"
 )
@@ -15,11 +16,6 @@ import (
 // back, that it decrypts nothing before the MAC has passed, that the pages it
 // hands out never overlap, that plaintext never returns to the medium, and
 // that the outcome does not depend on how many workers open a batch.
-
-// raceEnabled is set under the race detector (race_test.go), where sync.Pool
-// drops a share of what is handed back, so a read allocates what it would
-// otherwise reuse.
-var raceEnabled bool
 
 func seq32(n int) []uint32 {
 	idxs := make([]uint32, n)
@@ -57,12 +53,13 @@ func TestReadPagesAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range pages {
-				pager.Release(p)
+				bufpool.Release(p)
 			}
 		}
-		// Under the race detector sync.Pool drops a share of what is handed back
-		// at random, so records and pages are allocated anew.
-		if !raceEnabled {
+		// bufpool.Poison is set by the race build, whose sync.Pool drops a
+		// share of what is handed back at random, so records and pages are
+		// allocated anew.
+		if !bufpool.Poison {
 			if got, max := allocatedBytes(20, read), uint64(8<<10); got > max {
 				t.Errorf("ReadPages(32 pages) allocates %d bytes, want <= %d per batch", got, max)
 			}
@@ -72,7 +69,7 @@ func TestReadPagesAllocBudget(t *testing.T) {
 		// detector's sync.Pool sometimes rebuilds, with records and pages: hence
 		// the slack there.
 		want := 24.0
-		if raceEnabled {
+		if bufpool.Poison {
 			want += 2 * 32
 		}
 		if got := testing.AllocsPerRun(20, read); got > want {
@@ -213,7 +210,7 @@ func TestPagesAreDisjoint(t *testing.T) {
 			if !bytes.Equal(held[k], live[idx]) {
 				t.Fatalf("cycle %d: page %d reads otherwise from a recycled buffer", cycle, idx)
 			}
-			pager.Release(held[k])
+			bufpool.Release(held[k])
 		}
 	}
 	// Writing into one page — what heap-file code does — changes no other read.
@@ -355,7 +352,7 @@ func BenchmarkReadPages(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, p := range pages {
-			pager.Release(p)
+			bufpool.Release(p)
 		}
 	}
 }
@@ -380,7 +377,7 @@ func BenchmarkOpenPage(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pager.Release(plain)
+		bufpool.Release(plain)
 	}
 }
 

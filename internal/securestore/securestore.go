@@ -23,6 +23,7 @@ import (
 	"hash"
 	"sync"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/pager"
 	"ironsafe/internal/simtime"
 	"ironsafe/internal/tee/trustzone"
@@ -517,7 +518,7 @@ func (s *Store) VerifyAll() error {
 		if err != nil {
 			return err
 		}
-		pager.Release(page)
+		bufpool.Release(page)
 	}
 	return nil
 }
@@ -550,7 +551,7 @@ func (s *Store) encryptPage(pc *pageCrypto, plain []byte) ([]byte, error) {
 }
 
 // openPage verifies a stored record and, once the MAC has passed — not a byte
-// is decrypted before — decrypts it into a pooled page (pager.Buf) of
+// is decrypted before — decrypts it into a pooled page (bufpool.Take) of
 // PageSize bytes, the caller's to release. recordMAC is the record's tail.
 // The record is only read: one that fails is as it was handed in. pc is the
 // caller's.
@@ -576,7 +577,7 @@ func (s *Store) openMACed(pc *pageCrypto, idx uint32, record, sum []byte) (plain
 	if !hmac.Equal(recordMAC, sum) {
 		return nil, nil, fmt.Errorf("%w: page %d HMAC mismatch", ErrIntegrity, idx)
 	}
-	plain = pager.Buf(pager.PageSize)
+	plain = bufpool.Take(pager.PageSize)
 	if s.cbc != nil {
 		copy(plain, ct)
 		s.cbc.cbcDecrypt(iv, plain)
@@ -617,7 +618,7 @@ func (s *Store) openGroup(pc *pageCrypto, idxs []uint32, records, out, macs [][]
 			out[k], recordMAC, errs[k] = s.openMACed(pc, idx, records[k], sums[k][:])
 		}
 		macs[k] = append(macs[k][:0], recordMAC...)
-		pager.Release(records[k])
+		bufpool.Release(records[k])
 		records[k] = nil
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/value"
@@ -873,8 +874,10 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 		}
 		switch {
 		case encode:
-			if res.pooled == nil && len(keep) > 0 {
-				res.pooledEnc()
+			if !res.pooled && len(keep) > 0 {
+				// Grown only through bufpool.Grow, the buffer the reply ends
+				// in is one a later reply can reuse (Result.Release).
+				res.enc, res.pooled = bufpool.Take(0), true
 			}
 			res.enc = bt.AppendEncoded(res.enc, keep, cols)
 		case emit:
@@ -890,7 +893,7 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 			share = false
 		}
 		res.n += len(keep)
-		if PoisonRecycledVectors && bt.win != nil && !held {
+		if bufpool.Poison && bt.win != nil && !held {
 			for c := range full.Columns {
 				bt.Col(c).Poison()
 			}

@@ -90,9 +90,9 @@ type Result struct {
 	Sch  *schema.Schema
 	Rows []schema.Row
 
-	enc    []byte  // the encoded form: n rows of Sch.Len() columns each
-	pooled *[]byte // enc's slot in the reply pool while enc came from it (Release)
-	n      int     // rows of the encoded and the columnar form
+	enc    []byte // the encoded form: n rows of Sch.Len() columns each
+	pooled bool   // enc is a pool buffer (Release)
+	n      int    // rows of the encoded and the columnar form
 	cols   []*schema.ColVec
 	all    *Batch // every row as one batch: the index over enc, the vectors of Rows
 }

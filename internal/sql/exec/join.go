@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/value"
@@ -39,7 +40,7 @@ func chainOf(r *Result) *joinChain {
 // parts' vectors, or gathered through the position vectors, on demand. It is
 // valid until the next call on this chain or one made from it.
 func (c *joinChain) batch(off, end int) *Batch {
-	if PoisonRecycledVectors {
+	if bufpool.Poison {
 		for i := range *c.bufs {
 			(*c.bufs)[i].Vec().Poison()
 		}

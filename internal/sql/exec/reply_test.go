@@ -511,18 +511,18 @@ func BenchmarkHostScanShipped(b *testing.B) {
 }
 
 // TestReleaseTakesOnlyPooledReplies: Release empties a fragment's encoded
-// reply, whose buffer came from the reply pool, once; a retained reply and the
+// reply, whose buffer came from the pool, once; a retained reply and the
 // boxed and columnar forms own their rows some other way, and Release leaves
 // them as they are.
 func TestReleaseTakesOnlyPooledReplies(t *testing.T) {
 	mem := lineitemish(300, false)
 	sel, _ := parser.ParseSelect("SELECT l_shipmode, l_orderkey FROM lineitem WHERE l_size > 25")
 	frag, err := RunFragment(sel, memCatalog{"lineitem": mem}, nil, 64)
-	if err != nil || frag.pooled == nil || frag.NumRows() == 0 {
+	if err != nil || !frag.pooled || frag.NumRows() == 0 {
 		t.Fatalf("the fragment's reply is not in a pooled buffer: %d rows, %v", frag.NumRows(), err)
 	}
 	frag.Release()
-	if frag.pooled != nil || frag.enc != nil || frag.NumRows() != 0 {
+	if frag.pooled || frag.enc != nil || frag.NumRows() != 0 {
 		t.Errorf("a released reply still holds %d rows", frag.NumRows())
 	}
 	frag.Release() // a second release hands nothing back

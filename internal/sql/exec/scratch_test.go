@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/sql/parser"
@@ -15,12 +16,13 @@ import (
 
 // TestMain runs the package's tests — the fused scan, semi-join reduction,
 // reply codec, join and group-by differentials — with every recycled vector
-// poisoned (see PoisonRecycledVectors), so that a caller that keeps one past
-// nextBatch fails them. Benchmarks measure the executor as it ships.
+// poisoned and every released buffer scribbled (bufpool.Poison), so that a
+// caller that keeps one past nextBatch fails them. Benchmarks measure the
+// executor as it ships.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if f := flag.Lookup("test.bench"); f == nil || f.Value.String() == "" {
-		PoisonRecycledVectors = true
+		bufpool.Poison = true
 	}
 	os.Exit(m.Run())
 }
@@ -138,7 +140,7 @@ func (r *recycledWindows) ScanBatch(batchRows int, fn func(*Batch) error) error 
 // poisons those as it leaves them), while a reply's columns, which are the
 // reply's own, are shared, not copied, by a scan that keeps every row.
 func TestVectorLifetime(t *testing.T) {
-	if !PoisonRecycledVectors {
+	if !bufpool.Poison {
 		t.Skip("the hook is off (benchmark run)")
 	}
 	wins := windowsOf(lineitemish(3*64, false), 64)

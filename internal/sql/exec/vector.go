@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/value"
@@ -151,13 +152,13 @@ func (bt *Batch) AppendCol(dst *schema.ColVec, col int, sel []int) {
 }
 
 // AppendEncoded appends the rows AppendRows would box to dst in the row codec
-// instead, without boxing any for a page-backed batch.
+// instead, growing dst by bufpool.Grow, and boxes none of a page-backed batch.
 func (bt *Batch) AppendEncoded(dst []byte, sel []int, cols []int) []byte {
 	if bt.win != nil {
 		return bt.win.AppendEncoded(dst, bt.off, sel, cols)
 	}
 	for _, row := range bt.AppendRows(nil, sel, cols) {
-		dst = schema.EncodeRow(dst, row)
+		dst = schema.EncodeRow(bufpool.Grow(dst, schema.EncodedSize(row)), row)
 	}
 	return dst
 }
@@ -224,9 +225,11 @@ func (r *recycled[T]) take(n int, zeroed bool) []T {
 }
 
 // recycle makes every array available again, first overwriting what was
-// handed out with poison under the PoisonRecycledVectors test hook.
+// handed out with poison under bufpool.Poison — NaN floats, positions no batch
+// has, a string no table holds — so that a caller holding one past its
+// lifetime computes garbage or panics instead of passing by luck.
 func (r *recycled[T]) recycle(poison T) {
-	if PoisonRecycledVectors {
+	if bufpool.Poison {
 		for _, buf := range r.bufs[:r.used] {
 			buf = buf[:cap(buf)]
 			for i := range buf {
@@ -236,12 +239,6 @@ func (r *recycled[T]) recycle(poison T) {
 	}
 	r.used = 0
 }
-
-// PoisonRecycledVectors is a test hook: when set (before any query runs),
-// nextBatch overwrites every vector it recycles — NaN floats, positions no
-// batch has, a string no table holds — so that a caller holding one past its
-// lifetime computes garbage or panics instead of passing by luck.
-var PoisonRecycledVectors bool
 
 func (c *evalCtx) scratch() *vecScratch {
 	if c.vs == nil {

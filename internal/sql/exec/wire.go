@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sync"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/value"
 )
@@ -56,41 +56,17 @@ func ReplyParts(r *Result) (head, rows []byte, err error) {
 	return append(head, batch[:pre]...), batch[pre:], nil
 }
 
-// replies holds the encoded forms Release handed back, each as large as the
-// largest reply it has held.
-var replies = sync.Pool{New: func() any { return new([]byte) }}
-
-// poisonReleased is set under the race detector (release_race.go): Release
-// then scribbles over an encoded form before pooling it, so a reader that
-// outlives the result reads garbage and fails loudly instead of reading a
-// later reply's rows.
-var poisonReleased bool
-
-// pooledEnc starts r's encoded form in a buffer from the reply pool.
-func (r *Result) pooledEnc() {
-	r.pooled = replies.Get().(*[]byte)
-	r.enc = (*r.pooled)[:0]
-}
-
-// Release hands the buffer of r's encoded form back to the reply pool, for a
-// later fragment's reply to grow into, and leaves r empty. Only the last
-// holder of r may release it, once nothing reads its rows any more: the
-// storage node, once the reply is sent. A result whose rows are not in a
-// buffer from the pool — a retained reply, the boxed and the columnar form —
-// is left as it is.
+// Release hands the buffer of r's encoded form back to the pool and leaves r
+// empty. Only the last holder of r may release it, once nothing reads its
+// rows any more: the storage node, once the reply is sent or has failed. A
+// result whose rows are not in a pool buffer — a retained reply, the boxed and
+// the columnar form — is left as it is.
 func (r *Result) Release() {
-	if r.pooled == nil {
+	if !r.pooled {
 		return
 	}
-	if poisonReleased {
-		buf := r.enc[:cap(r.enc)]
-		for i := range buf {
-			buf[i] = 0xdb
-		}
-	}
-	*r.pooled = r.enc[:0]
-	replies.Put(r.pooled)
-	r.enc, r.pooled, r.n, r.all = nil, nil, 0, nil
+	bufpool.Release(r.enc)
+	r.enc, r.pooled, r.n, r.all = nil, false, 0, nil
 }
 
 // decodeHeader parses the schema header of an encoded result and returns the

@@ -356,6 +356,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 			head, rows, err := exec.ReplyParts(res)
 			if err != nil {
+				res.Release()
 				sc.Send("error", []byte(err.Error()))
 				continue
 			}

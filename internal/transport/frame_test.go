@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/simtime"
 )
 
@@ -72,8 +73,8 @@ func allocBytes(runs int, f func()) float64 {
 // before). A Recv allocates the one buffer it reads the frame into and opens
 // in place (two before).
 func TestSendRecvAllocBudget(t *testing.T) {
-	if poison {
-		t.Skip("the race detector's sync.Pool drops buffers at random")
+	if bufpool.Poison {
+		t.Skip("bufpool.Poison: the race build, whose sync.Pool drops buffers at random")
 	}
 	// The pool keeps a buffer per P and a collection empties it: one P, as the
 	// repository benchmark's timed run has, and no collection.

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/simtime"
 )
 
@@ -67,15 +68,6 @@ type SecureConn struct {
 // nonceSize is the AEAD nonce length, AES-GCM's standard 12 bytes: zeros, then
 // the frame's sequence number big-endian in the last eight.
 const nonceSize = 12
-
-// frames holds the buffers Send built its frames in, each as large as the
-// largest frame it has carried.
-var frames = sync.Pool{New: func() any { return new([]byte) }}
-
-// poison is set under the race detector (frame_race.go): Send then scribbles
-// over a frame before pooling it, so a Write that kept the frame past its
-// return sends bytes the peer rejects instead of a later frame's.
-var poison bool
 
 // SetIOTimeout makes every subsequent Send and Recv arm a deadline of d on
 // the underlying connection, so a stalled or hung peer surfaces as a timeout
@@ -283,24 +275,14 @@ func (c *SecureConn) Send(msgType string, parts ...[]byte) error {
 	if n > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	buf := frames.Get().(*[]byte)
-	size := 4 + n
-	if cap(*buf) < size {
-		*buf = make([]byte, size)
-	}
-	frame := (*buf)[:size]
+	frame := bufpool.Take(4 + n)
 	frame[4] = byte(len(msgType))
 	off := 5 + copy(frame[5:], msgType)
 	for _, p := range parts {
 		off += copy(frame[off:], p)
 	}
 	err := c.sealAndWrite(frame)
-	if poison {
-		for i := range frame {
-			frame[i] = 0xdb
-		}
-	}
-	frames.Put(buf)
+	bufpool.Release(frame)
 	return err
 }
 
