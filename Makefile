@@ -203,7 +203,10 @@ benchsmoke:
 # alone (the eight-lane kernel and crypto/hmac) and commit (1
 # and 256 pages into 1 k and 16 k pages), the page-backed row walk and column
 # decode (`schema.RowWindow`), the predicate kernels, the table
-# scan and the single-row insert acknowledgement over a real secure store,
+# scan and the single-row insert acknowledgement over a real secure store
+# (and the insert over the plain pager), one 20 000-row bulk load over the
+# secure store, the plain pager and the hos enclave store (what staging a
+# page costs shows in B/op and allocs/op),
 # fragment shipment (to the reply bytes, and through ServeConn and the channel
 # to the retained reply), the host phases a subquery's key set reduces, the
 # whole host phases of q13, q18 and q21 from the replies' bytes, and what a
@@ -214,7 +217,7 @@ benchsmoke:
 # and allocs/op per layer; `make bench-layers BENCHTIME=1x` is the CI smoke run.
 BENCHTIME ?= 1s
 bench-layers:
-	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|CBCDecrypt|PageMAC|SealPage|Commit|RowWindow|EvalVecPredicate|TableScan|InsertAck|ShipFragment|SubqueryReduce|HostPhase|Handshake|SendRecv|Audit' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/engine ./internal/storageengine ./internal/transport ./internal/audit
+	$(GO) test -run '^$$' -bench 'ReadPages|OpenPage|CBCDecrypt|PageMAC|SealPage|Commit|RowWindow|EvalVecPredicate|TableScan|InsertAck|BulkLoad|ShipFragment|SubqueryReduce|HostPhase|Handshake|SendRecv|Audit' -benchmem -benchtime $(BENCHTIME) ./internal/securestore ./internal/schema ./internal/sql/exec ./internal/engine ./internal/hostengine ./internal/storageengine ./internal/transport ./internal/audit
 
 # benchmark runs one workload of the repository benchmark the way the driver
 # does (`make benchmark W=scs-scan`): the timed run only, no trace.

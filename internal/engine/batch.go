@@ -9,27 +9,24 @@ import (
 	"ironsafe/internal/sql/exec"
 )
 
-// This file implements atomic statement batches: every DML statement in a
-// batch plus the catalog update land in ONE store transaction (one journal
-// record, one RPMB anchor advance on the secure store). A crash at any point
-// recovers to the whole-batch boundary — the pre-image or the post-image,
-// never a mix of heap and catalog, and never a partially applied statement.
-//
-// The single-statement INSERT/UPDATE/DELETE paths route through the same
-// machinery (a batch of one), which closes the crash window the two-txn
-// layout had: heap pages committed in one transaction, catalog pages in a
-// later one, with a torn statement visible in between.
+// This file implements the engine's one write path. Every DDL and DML
+// statement, every ExecuteBatch and every bulk load is one batch: its heap
+// writes and its catalog update land in ONE store transaction, and a failure
+// anywhere aborts the whole batch. On the secure store the transaction is one
+// journal record and one RPMB anchor advance, so a crash recovers to the
+// whole-batch boundary too; on a staging store (pager.Stage) it is all or
+// nothing against an abort, not against a crash.
 
 // overlayStore is a PageStore view of a store with an open transaction
 // layered on top: writes stage into the transaction, reads see staged pages
 // first (read-your-writes), and everything else falls through to the base
-// store. It deliberately does NOT implement pager.TxnStore, so heap bulk
-// paths run their plain (non-committing) bodies against it.
+// store. The batch's heaps run over it, so their writes reach the store only
+// when the batch commits.
 type overlayStore struct {
 	base   pager.PageStore
 	txn    pager.StoreTxn
-	staged map[uint32][]byte
-	max    uint32 // one past the highest staged/allocated page
+	staged map[uint32][]byte // nil for a page allocated and not yet written
+	max    uint32            // one past the highest staged/allocated page
 }
 
 func newOverlay(base pager.PageStore, txn pager.StoreTxn) *overlayStore {
@@ -39,7 +36,9 @@ func newOverlay(base pager.PageStore, txn pager.StoreTxn) *overlayStore {
 // ReadPage implements pager.PageStore with read-your-writes semantics.
 func (o *overlayStore) ReadPage(idx uint32) ([]byte, error) {
 	if b, ok := o.staged[idx]; ok {
-		return append([]byte(nil), b...), nil
+		out := make([]byte, pager.PageSize)
+		copy(out, b)
+		return out, nil
 	}
 	return o.base.ReadPage(idx)
 }
@@ -57,16 +56,17 @@ func (o *overlayStore) ReadPages(idxs []uint32) ([][]byte, error) {
 	return out, nil
 }
 
-// WritePage stages a page write into the transaction.
+// WritePage stages a page write into the transaction. The overlay's private
+// copy of the page is the one it hands the transaction, which may keep it.
 func (o *overlayStore) WritePage(idx uint32, data []byte) error {
 	if len(data) > pager.PageSize {
 		return fmt.Errorf("engine: page write of %d bytes exceeds page size", len(data))
 	}
-	if err := o.txn.WritePage(idx, data); err != nil {
-		return err
-	}
 	buf := make([]byte, pager.PageSize)
 	copy(buf, data)
+	if err := o.txn.WritePage(idx, buf); err != nil {
+		return err
+	}
 	o.staged[idx] = buf
 	if idx+1 > o.max {
 		o.max = idx + 1
@@ -80,7 +80,7 @@ func (o *overlayStore) Allocate() (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	o.staged[idx] = make([]byte, pager.PageSize)
+	o.staged[idx] = nil
 	if idx+1 > o.max {
 		o.max = idx + 1
 	}
@@ -104,8 +104,8 @@ type batchCtx struct {
 	catalog []*Table // the catalog this batch staged; nil when the store's already holds it
 }
 
-func (db *DB) newBatch(ts pager.TxnStore) *batchCtx {
-	txn := ts.BeginTxn()
+func (db *DB) newBatch() *batchCtx {
+	txn := db.store.BeginTxn()
 	return &batchCtx{
 		db:      db,
 		ov:      newOverlay(db.store, txn),
@@ -135,6 +135,17 @@ func (b *batchCtx) shadow(name string) (*Table, error) {
 	sh := &Table{Name: real.Name, Sch: real.Sch, heap: heap, db: b.db}
 	b.shadows[key] = sh
 	return sh, nil
+}
+
+// inBatch runs fn against a new batch and commits the batch, or aborts it
+// when fn fails. The caller must hold db.execMu exclusively.
+func (db *DB) inBatch(fn func(*batchCtx) error) error {
+	b := db.newBatch()
+	if err := fn(b); err != nil {
+		b.abort()
+		return err
+	}
+	return b.commit()
 }
 
 // abort discards the batch.
@@ -211,12 +222,11 @@ func (b *batchCtx) persistCatalog() error {
 }
 
 // ExecuteBatch applies a sequence of DML statements (INSERT/UPDATE/DELETE)
-// atomically: on a transactional store, every statement and the catalog
-// update commit as one group (exactly one store commit, so on the secure
-// store exactly one journal record and one RPMB advance); on a plain store
-// the statements run sequentially with no atomicity across them. On error
-// nothing is applied. This is the ingest coalescer's substrate: the commit
-// seq that anchored the batch is the store's Seq() after a successful call.
+// as one batch: every statement and the catalog update commit as one store
+// transaction (on the secure store exactly one journal record and one RPMB
+// advance), and on error nothing is applied. This is the ingest coalescer's
+// substrate: the commit seq that anchored the batch is the store's Seq()
+// after a successful call.
 func (db *DB) ExecuteBatch(stmts []ast.Statement) ([]*exec.Result, error) {
 	db.execMu.Lock()
 	defer db.execMu.Unlock()
@@ -224,29 +234,18 @@ func (db *DB) ExecuteBatch(stmts []ast.Statement) ([]*exec.Result, error) {
 }
 
 func (db *DB) executeBatchLocked(stmts []ast.Statement) ([]*exec.Result, error) {
-	ts, ok := db.store.(pager.TxnStore)
-	if !ok {
-		results := make([]*exec.Result, 0, len(stmts))
+	results := make([]*exec.Result, 0, len(stmts))
+	err := db.inBatch(func(b *batchCtx) error {
 		for _, stmt := range stmts {
-			res, err := db.applyPlain(stmt)
+			res, err := db.applyStaged(b, stmt)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			results = append(results, res)
 		}
-		return results, nil
-	}
-	b := db.newBatch(ts)
-	results := make([]*exec.Result, 0, len(stmts))
-	for _, stmt := range stmts {
-		res, err := db.applyStaged(b, stmt)
-		if err != nil {
-			b.abort()
-			return nil, err
-		}
-		results = append(results, res)
-	}
-	if err := b.commit(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -297,67 +296,4 @@ func (db *DB) applyStaged(b *batchCtx, stmt ast.Statement) (*exec.Result, error)
 	default:
 		return nil, fmt.Errorf("engine: only INSERT/UPDATE/DELETE allowed in a batch, got %T", stmt)
 	}
-}
-
-// applyPlain is the non-transactional fallback (plain pager stores): the
-// classic two-step heap-then-catalog layout, with no cross-step atomicity.
-func (db *DB) applyPlain(stmt ast.Statement) (*exec.Result, error) {
-	switch s := stmt.(type) {
-	case *ast.Insert:
-		t, err := db.Table(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := db.buildInsertRows(t, s)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.heap.AppendAll(rows); err != nil {
-			return nil, err
-		}
-		if err := db.persistCatalogLocked(); err != nil {
-			return nil, err
-		}
-		return affected(len(rows)), nil
-	case *ast.Update:
-		t, err := db.Table(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		rows, changed, err := db.buildUpdateRows(t, s)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.heap.Rewrite(rows); err != nil {
-			return nil, err
-		}
-		if err := db.persistCatalogLocked(); err != nil {
-			return nil, err
-		}
-		return affected(changed), nil
-	case *ast.Delete:
-		t, err := db.Table(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		kept, removed, err := db.buildDeleteRows(t, s)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.heap.Rewrite(kept); err != nil {
-			return nil, err
-		}
-		if err := db.persistCatalogLocked(); err != nil {
-			return nil, err
-		}
-		return affected(removed), nil
-	default:
-		return nil, fmt.Errorf("engine: only INSERT/UPDATE/DELETE allowed in a batch, got %T", stmt)
-	}
-}
-
-func (db *DB) persistCatalogLocked() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.persistCatalog()
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ironsafe/internal/pager"
@@ -144,25 +145,50 @@ func TestBatchReadYourWrites(t *testing.T) {
 }
 
 // TestBatchAbortLeavesStateUntouched: any statement failing aborts the whole
-// batch — no rows, no catalog change, no commit seq advance.
+// batch — no rows, no catalog change, no commit seq advance, not one byte of
+// the medium changed — on the secure store and on the plain pager alike.
 func TestBatchAbortLeavesStateUntouched(t *testing.T) {
-	e := newSecureEnv(t)
-	mustExec(t, e.db, "CREATE TABLE ev (id INTEGER)")
-	mustExec(t, e.db, "INSERT INTO ev (id) VALUES (1)")
+	for _, kind := range []struct {
+		name string
+		open func(*testing.T) (db *DB, dev *pager.MemDevice, seq func() uint64)
+	}{
+		{"secure", func(t *testing.T) (*DB, *pager.MemDevice, func() uint64) {
+			e := newSecureEnv(t)
+			return e.db, e.dev, e.store.Seq
+		}},
+		{"plain", func(t *testing.T) (*DB, *pager.MemDevice, func() uint64) {
+			dev := pager.NewMemDevice()
+			var m simtime.Meter
+			db, err := Open(pager.NewPager(dev, &m, 16), &m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db, dev, func() uint64 { return 0 }
+		}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			db, dev, seq := kind.open(t)
+			mustExec(t, db, "CREATE TABLE ev (id INTEGER)")
+			mustExec(t, db, "INSERT INTO ev (id) VALUES (1)")
 
-	seq0 := e.store.Seq()
-	stmts := parseStmts(t,
-		"INSERT INTO ev (id) VALUES (2)",
-		"INSERT INTO ev (bogus) VALUES (3)", // no such column
-	)
-	if _, err := e.db.ExecuteBatch(stmts); err == nil {
-		t.Fatal("batch with bad statement succeeded")
-	}
-	if got := e.store.Seq(); got != seq0 {
-		t.Errorf("aborted batch advanced seq %d -> %d", seq0, got)
-	}
-	if n := countRows(t, e.db, "ev"); n != 1 {
-		t.Errorf("ev has %d rows after aborted batch, want 1", n)
+			seq0, medium := seq(), dev.SnapshotBlocks()
+			stmts := parseStmts(t,
+				"INSERT INTO ev (id) VALUES (2)",
+				"INSERT INTO ev (bogus) VALUES (3)", // no such column
+			)
+			if _, err := db.ExecuteBatch(stmts); err == nil {
+				t.Fatal("batch with bad statement succeeded")
+			}
+			if got := seq(); got != seq0 {
+				t.Errorf("aborted batch advanced seq %d -> %d", seq0, got)
+			}
+			if !reflect.DeepEqual(dev.SnapshotBlocks(), medium) {
+				t.Error("aborted batch changed the medium")
+			}
+			if n := countRows(t, db, "ev"); n != 1 {
+				t.Errorf("ev has %d rows after aborted batch, want 1", n)
+			}
+		})
 	}
 }
 
@@ -222,8 +248,9 @@ func TestSingleStatementOneCommit(t *testing.T) {
 	}
 }
 
-// TestBatchOnPlainStore: a non-transactional store degrades to sequential
-// statement application with the same results.
+// TestBatchOnPlainStore: the plain pager runs a batch in a staged
+// transaction (pager.Stage), and later statements read the earlier ones'
+// staged writes as they do on the secure store.
 func TestBatchOnPlainStore(t *testing.T) {
 	var m simtime.Meter
 	db, err := Open(pager.NewPager(pager.NewMemDevice(), &m, 16), &m)

@@ -61,7 +61,7 @@ func (t *Table) NumPages() int { return t.heap.NumPages() }
 
 // DB is a database instance over a page store.
 type DB struct {
-	store pager.PageStore
+	store pager.TxnStore
 	meter *simtime.Meter
 
 	mu        sync.RWMutex
@@ -95,16 +95,18 @@ type columnRecord struct {
 
 // Open attaches to (or initializes) a database on the store. Page 0 is the
 // catalog root: [u32 length][u32 page count][page ids...]; catalog JSON
-// lives in separately allocated pages so it can grow.
-func Open(store pager.PageStore, meter *simtime.Meter) (*DB, error) {
+// lives in separately allocated pages so it can grow. The first catalog of
+// an empty store is written directly; every later write is a batch.
+func Open(store pager.TxnStore, meter *simtime.Meter) (*DB, error) {
 	db := &DB{store: store, meter: meter, tables: map[string]*Table{}}
 	if store.NumPages() == 0 {
 		if _, err := store.Allocate(); err != nil { // page 0 = catalog root
 			return nil, fmt.Errorf("engine: allocating catalog root: %w", err)
 		}
-		if err := db.persistCatalog(); err != nil {
+		if err := writeCatalog(store, nil); err != nil {
 			return nil, err
 		}
+		db.noteCatalog(nil)
 		return db, nil
 	}
 	if err := db.loadCatalog(); err != nil {
@@ -195,13 +197,6 @@ func (db *DB) SetExecBatchRows(n int) {
 // catalogPagesMax bounds how many catalog pages fit in the root page.
 const catalogPagesMax = (pager.PageSize - 8) / 4
 
-// catalogWriter is the write-side store subset catalog persistence needs —
-// satisfied by both a PageStore and a batch overlay.
-type catalogWriter interface {
-	WritePage(idx uint32, data []byte) error
-	Allocate() (uint32, error)
-}
-
 // catalogEntry is what the catalog records of one table beside its name.
 type catalogEntry struct {
 	sch   *schema.Schema
@@ -210,10 +205,9 @@ type catalogEntry struct {
 
 // catalogHolds reports whether the store's catalog already records exactly
 // tables — the same set, each with the schema and the page list it has now —
-// so that writing it again would change nothing a load reads. It is the one
-// question the transactional and the plain write path ask before they
-// persist: a commit that appended to a page with room pays for that page and
-// not for the schema. The caller holds db.mu.
+// so that writing it again would change nothing a load reads. A batch asks it
+// before it persists the catalog: a commit that appended to a page with room
+// pays for that page and not for the schema. The caller holds db.mu.
 func (db *DB) catalogHolds(tables []*Table) bool {
 	if db.cataloged == nil || len(tables) != len(db.cataloged) {
 		return false
@@ -244,25 +238,11 @@ func (db *DB) liveTables() []*Table {
 	return tables
 }
 
-// persistCatalog writes the live catalog to the store unless the store's
-// already holds it. The caller holds db.mu exclusively.
-func (db *DB) persistCatalog() error {
-	tables := db.liveTables()
-	if db.catalogHolds(tables) {
-		return nil
-	}
-	if err := writeCatalog(db.store, tables); err != nil {
-		return err
-	}
-	db.noteCatalog(tables)
-	return nil
-}
-
 // writeCatalog persists the catalog for the given tables through w. Tables
 // are serialized in name order so the catalog bytes are a pure function of
 // the database state — replicas applying the same statements stay
 // byte-comparable and the crash sweeps' media digests stay deterministic.
-func writeCatalog(w catalogWriter, tables []*Table) error {
+func writeCatalog(w pager.PageStore, tables []*Table) error {
 	sorted := append([]*Table(nil), tables...)
 	sort.Slice(sorted, func(i, j int) bool {
 		return strings.ToLower(sorted[i].Name) < strings.ToLower(sorted[j].Name)
@@ -407,11 +387,10 @@ func affected(n int) *exec.Result {
 	}
 }
 
+// createTable commits the new, empty table and the catalog update as one
+// batch.
 func (db *DB) createTable(s *ast.CreateTable) (*exec.Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	key := strings.ToLower(s.Name)
-	if _, exists := db.tables[key]; exists {
+	if _, err := db.Table(s.Name); err == nil {
 		return nil, fmt.Errorf("engine: table %q already exists", s.Name)
 	}
 	sch := schema.New()
@@ -424,68 +403,36 @@ func (db *DB) createTable(s *ast.CreateTable) (*exec.Result, error) {
 		seen[lc] = true
 		sch.Columns = append(sch.Columns, schema.Col(c.Name, c.Kind))
 	}
-	if ts, ok := db.store.(pager.TxnStore); ok {
-		// Atomic DDL: the new (empty) table and the catalog update land in
-		// one commit.
-		db.mu.Unlock()
-		b := db.newBatch(ts)
-		heap := pager.OpenHeapFile(b.ov, nil)
-		b.shadows[key] = &Table{Name: s.Name, Sch: sch, heap: heap, db: db}
+	err := db.inBatch(func(b *batchCtx) error {
+		key := strings.ToLower(s.Name)
+		b.shadows[key] = &Table{Name: s.Name, Sch: sch, heap: pager.OpenHeapFile(b.ov, nil), db: db}
 		b.created[key] = true
-		err := b.commit()
-		db.mu.Lock()
-		if err != nil {
-			return nil, err
-		}
-		return affected(0), nil
-	}
-	heap := pager.NewHeapFile(db.store)
-	heap.SetScanConfig(db.scanCfg)
-	db.tables[key] = &Table{Name: s.Name, Sch: sch, heap: heap, db: db}
-	if err := db.persistCatalog(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return affected(0), nil
 }
 
+// dropTable wipes the table's pages (session-cleanup semantics) and removes
+// it from the catalog in one batch.
 func (db *DB) dropTable(s *ast.DropTable) (*exec.Result, error) {
-	db.mu.Lock()
-	key := strings.ToLower(s.Name)
-	t, exists := db.tables[key]
-	if !exists {
-		db.mu.Unlock()
+	if _, err := db.Table(s.Name); err != nil {
 		if s.IfExists {
 			return affected(0), nil
 		}
-		return nil, fmt.Errorf("engine: no such table %q", s.Name)
-	}
-	if ts, ok := db.store.(pager.TxnStore); ok {
-		// Atomic drop: page wipe (session-cleanup semantics) and catalog
-		// removal commit as one group.
-		db.mu.Unlock()
-		b := db.newBatch(ts)
-		sh, err := b.shadow(s.Name)
-		if err != nil {
-			b.abort()
-			return nil, err
-		}
-		if err := sh.heap.Rewrite(nil); err != nil {
-			b.abort()
-			return nil, err
-		}
-		b.dropped[key] = true
-		if err := b.commit(); err != nil {
-			return nil, err
-		}
-		return affected(0), nil
-	}
-	defer db.mu.Unlock()
-	// Wipe the table's pages before dropping (session-cleanup semantics).
-	if err := t.heap.Rewrite(nil); err != nil {
 		return nil, err
 	}
-	delete(db.tables, key)
-	if err := db.persistCatalog(); err != nil {
+	err := db.inBatch(func(b *batchCtx) error {
+		sh, err := b.shadow(s.Name)
+		if err != nil {
+			return err
+		}
+		b.dropped[strings.ToLower(s.Name)] = true
+		return sh.heap.Rewrite(nil)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return affected(0), nil
@@ -559,10 +506,9 @@ func (db *DB) buildInsertRows(t *Table, s *ast.Insert) ([]schema.Row, error) {
 	return rows, nil
 }
 
-// applyDML runs one INSERT/UPDATE/DELETE as a batch of one: on a
-// transactional store the heap mutation and the catalog update commit
-// atomically (a crash recovers to the whole-statement boundary); a plain
-// store keeps the classic two-step layout. Callers hold execMu exclusively.
+// applyDML runs one INSERT/UPDATE/DELETE as a batch of one: the heap
+// mutation and the catalog update commit as one store transaction. Callers
+// hold execMu exclusively.
 func (db *DB) applyDML(stmt ast.Statement) (*exec.Result, error) {
 	results, err := db.executeBatchLocked([]ast.Statement{stmt})
 	if err != nil {
@@ -572,8 +518,8 @@ func (db *DB) applyDML(stmt ast.Statement) (*exec.Result, error) {
 }
 
 // InsertRows bulk-loads pre-built rows (used by the TPC-H loader); values
-// must already match the schema. On a transactional store the whole load
-// and the catalog update are one atomic commit.
+// must already match the schema. The whole load and the catalog update are
+// one batch.
 func (db *DB) InsertRows(table string, rows []schema.Row) error {
 	db.execMu.Lock()
 	defer db.execMu.Unlock()
@@ -586,25 +532,13 @@ func (db *DB) InsertRows(table string, rows []schema.Row) error {
 			return fmt.Errorf("engine: row %d has %d values, want %d", ri, len(r), t.Sch.Len())
 		}
 	}
-	if ts, ok := db.store.(pager.TxnStore); ok {
-		b := db.newBatch(ts)
+	return db.inBatch(func(b *batchCtx) error {
 		sh, err := b.shadow(table)
 		if err != nil {
-			b.abort()
 			return err
 		}
-		if err := sh.heap.AppendAll(rows); err != nil {
-			b.abort()
-			return err
-		}
-		return b.commit()
-	}
-	if err := t.heap.AppendAll(rows); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.persistCatalog()
+		return sh.heap.AppendAll(rows)
+	})
 }
 
 func (db *DB) update(s *ast.Update) (*exec.Result, error) {

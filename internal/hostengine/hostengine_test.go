@@ -296,18 +296,33 @@ func (a *memAnchor) LoadRoot(nonce []byte) ([]byte, error) {
 	return append([]byte(nil), a.tag...), nil
 }
 
+// newHosStore is the hos secure store on an in-memory medium, its keys and
+// root anchor enclave-held, metered on m.
+func newHosStore(tb testing.TB, m *simtime.Meter) *securestore.Store {
+	tb.Helper()
+	s, err := securestore.OpenWith(pager.NewMemDevice(), enclaveKeySource{secret: []byte("s")}, &memAnchor{}, m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// newEnclaveStore is the hos page store: newHosStore inside an enclave of
+// epcBytes of EPC.
+func newEnclaveStore(tb testing.TB, m *simtime.Meter, epcBytes int64) *EnclavePageStore {
+	tb.Helper()
+	platform, _ := sgx.NewPlatform("p", nil)
+	enc, err := platform.CreateEnclave([]byte("host"), sgx.Config{Meter: m, EPCLimitBytes: epcBytes})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inner := newHosStore(tb, m)
+	return &EnclavePageStore{Inner: inner, Enclave: enc, TreeBytes: inner.TreeBytes}
+}
+
 func TestEnclavePageStoreChargesTransitionsAndEPC(t *testing.T) {
 	var m simtime.Meter
-	platform, _ := sgx.NewPlatform("p", nil)
-	enc, err := platform.CreateEnclave([]byte("host"), sgx.Config{Meter: &m, EPCLimitBytes: 256 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := securestore.OpenWith(pager.NewMemDevice(), enclaveKeySource{secret: []byte("s")}, &memAnchor{}, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := &EnclavePageStore{Inner: inner, Enclave: enc, TreeBytes: inner.TreeBytes}
+	eps := newEnclaveStore(t, &m, 256<<10)
 	db, err := engine.Open(eps, &m)
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +351,45 @@ func TestEnclavePageStoreChargesTransitionsAndEPC(t *testing.T) {
 	}
 	if m.Snapshot().EPCFaults == 0 {
 		t.Error("no EPC faults under tiny EPC")
+	}
+
+	// A committed transaction of k staged pages pays what k WritePage calls
+	// pay: k enclave exits and k EPC touches, nothing while it stages.
+	const k = 40
+	write := func(eps *EnclavePageStore, m *simtime.Meter, staged bool) (simtime.Snapshot, int64) {
+		idxs := make([]uint32, k)
+		for i := range idxs {
+			if idxs[i], err = eps.Allocate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		base := m.Snapshot()
+		txn := eps.BeginTxn()
+		for _, idx := range idxs {
+			page := []byte{byte(idx)}
+			if !staged {
+				err = eps.WritePage(idx, page)
+			} else if err = txn.WritePage(idx, page); err == nil && m.Snapshot() != base {
+				t.Fatalf("staging a page cost %+v", m.Snapshot().Sub(base))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Snapshot().Sub(base), eps.Enclave.ResidentBytes()
+	}
+	var directM, stagedM simtime.Meter
+	wantCost, wantResident := write(newEnclaveStore(t, &directM, 64<<10), &directM, false)
+	gotCost, gotResident := write(newEnclaveStore(t, &stagedM, 64<<10), &stagedM, true)
+	if wantCost.EnclaveTransitions != k || wantCost.EPCFaults == 0 {
+		t.Fatalf("%d page writes cost %+v: want %d transitions and EPC faults", k, wantCost, k)
+	}
+	if gotCost != wantCost || gotResident != wantResident {
+		t.Errorf("a commit of %d staged pages cost %+v and left %d bytes resident; %d WritePage calls cost %+v and left %d",
+			k, gotCost, gotResident, k, wantCost, wantResident)
 	}
 }
 

@@ -329,6 +329,13 @@ func (e *EnclavePageStore) Allocate() (uint32, error) {
 // NumPages implements pager.PageStore.
 func (e *EnclavePageStore) NumPages() uint32 { return e.Inner.NumPages() }
 
+// BeginTxn implements pager.TxnStore with a transaction staged over e itself,
+// so a commit of k pages pays what k WritePage calls pay: k enclave exits
+// and k EPC touches. It does not forward to the inner secure store's
+// journal: a bulk load would be one journal record of several megabytes,
+// and the medium keeps its last journal record until the next commit.
+func (e *EnclavePageStore) BeginTxn() pager.StoreTxn { return pager.Stage(e) }
+
 // touch charges EPC residency for the page and its verification path.
 func (e *EnclavePageStore) touch(idx uint32) {
 	e.Enclave.Touch(dataRegionBase+uint64(idx)*pager.PageSize, pager.PageSize)
@@ -349,4 +356,4 @@ func (e *EnclavePageStore) touch(idx uint32) {
 	e.Enclave.Touch(treeRegionBase+uint64(tb), 64) // root neighbourhood
 }
 
-var _ pager.PageStore = (*EnclavePageStore)(nil)
+var _ pager.TxnStore = (*EnclavePageStore)(nil)

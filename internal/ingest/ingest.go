@@ -337,9 +337,9 @@ func (p *Pipeline) commitGroup(group []*pending) {
 		group[0].fail(err)
 		return
 	}
-	// Semantically-rejected batches touch no device state (staging is
-	// memory-only), so re-running each record alone is safe and isolates the
-	// offender.
+	// A semantically rejected batch left no row behind (every store the
+	// engine opens stages a batch in memory until it commits), so re-running
+	// each record alone is safe and isolates the offender.
 	p.logf("ingest: batch of %d rejected (%v); retrying as singletons", len(group), err)
 	for _, pd := range group {
 		p.commitGroup([]*pending{pd})

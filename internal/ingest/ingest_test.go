@@ -40,13 +40,13 @@ func newEnv(t *testing.T, name string, withCut bool) *env {
 			return e.cut
 		}
 	}
-	e.srv, e.meter = newServer(t, name, wrap)
+	e.srv, e.meter = newServer(t, name, true, wrap)
 	return e
 }
 
-// newServer boots one secure storage server holding the ev table, its medium
-// passed through wrap when set.
-func newServer(t *testing.T, name string, wrap func(string, pager.BlockDevice) pager.BlockDevice) (*storageengine.Server, *simtime.Meter) {
+// newServer boots one storage server, on the secure store when secure is
+// set, holding the ev table, its medium passed through wrap when set.
+func newServer(t *testing.T, name string, secure bool, wrap func(string, pager.BlockDevice) pager.BlockDevice) (*storageengine.Server, *simtime.Meter) {
 	t.Helper()
 	vendor, err := trustzone.NewVendor("acme")
 	if err != nil {
@@ -56,7 +56,7 @@ func newServer(t *testing.T, name string, wrap func(string, pager.BlockDevice) p
 	srv, err := storageengine.New(storageengine.Config{
 		DeviceID: name, Vendor: vendor,
 		Location: "EU", FWVersion: "3.4",
-		Secure: true, Meter: &m,
+		Secure: secure, Meter: &m,
 		MediumWrapper: wrap,
 	})
 	if err != nil {
@@ -313,45 +313,58 @@ func TestIngestPolicyGate(t *testing.T) {
 }
 
 // TestIngestSemanticSplit: one bad record in a coalesced group nacks alone —
-// its batch-mates re-commit as singletons and ack.
+// its batch-mates re-commit as singletons and ack, each stored once: the
+// rejected group left nothing behind, on the secure store or the plain pager.
+// The table already holds a row, so the group's first INSERT writes into a
+// page the live table reads, not into a page only the group knew of.
 func TestIngestSemanticSplit(t *testing.T) {
-	e := newEnv(t, "storage-01", false)
-	p, err := New(Config{Nodes: []Node{NewServerNode(e.srv)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	mk := func(sql string) *pending {
-		stmt, err := parser.Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &pending{stmt: stmt, ch: make(chan outcome, 1)}
-	}
-	group := []*pending{
-		mk("INSERT INTO ev (id, note) VALUES (1, 'good')"),
-		mk("INSERT INTO ev (bogus) VALUES (2)"), // no such column
-		mk("INSERT INTO ev (id, note) VALUES (3, 'good')"),
-	}
-	p.commitGroup(group)
-	for i, pd := range group {
-		out := <-pd.ch
-		if i == 1 {
-			if out.err == nil {
-				t.Error("bad record acked")
+	for _, kind := range []struct {
+		name   string
+		secure bool
+	}{{"secure", true}, {"plain", false}} {
+		t.Run(kind.name, func(t *testing.T) {
+			srv, _ := newServer(t, "storage-01", kind.secure, nil)
+			if _, err := srv.DB().Execute("INSERT INTO ev (id, note) VALUES (0, 'seed')"); err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if out.err != nil {
-			t.Errorf("good record %d nacked: %v", i, out.err)
-		}
-	}
-	if n := rowCount(t, e.srv); n != 2 {
-		t.Errorf("ev has %d rows, want 2", n)
-	}
-	if got := p.Batches(); got != 2 {
-		t.Errorf("split committed %d batches, want 2 singletons", got)
+			p, err := New(Config{Nodes: []Node{NewServerNode(srv)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+
+			mk := func(sql string) *pending {
+				stmt, err := parser.Parse(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &pending{stmt: stmt, ch: make(chan outcome, 1)}
+			}
+			group := []*pending{
+				mk("INSERT INTO ev (id, note) VALUES (1, 'good')"),
+				mk("INSERT INTO ev (bogus) VALUES (2)"), // no such column
+				mk("INSERT INTO ev (id, note) VALUES (3, 'good')"),
+			}
+			p.commitGroup(group)
+			for i, pd := range group {
+				out := <-pd.ch
+				if i == 1 {
+					if out.err == nil {
+						t.Error("bad record acked")
+					}
+					continue
+				}
+				if out.err != nil {
+					t.Errorf("good record %d nacked: %v", i, out.err)
+				}
+			}
+			if n := rowCount(t, srv); n != 3 {
+				t.Errorf("ev has %d rows, want 3: the seed and the two good records", n)
+			}
+			if got := p.Batches(); got != 2 {
+				t.Errorf("split committed %d batches, want 2 singletons", got)
+			}
+		})
 	}
 }
 
@@ -430,7 +443,7 @@ func (d *eioDevice) WriteBlock(idx uint32, data []byte) error {
 // rejection, so the group is neither nacked nor split and recommitted.
 func TestIngestPlainDeviceFailureIsNodeFailure(t *testing.T) {
 	var dev *eioDevice
-	srv, _ := newServer(t, "storage-01", func(_ string, inner pager.BlockDevice) pager.BlockDevice {
+	srv, _ := newServer(t, "storage-01", true, func(_ string, inner pager.BlockDevice) pager.BlockDevice {
 		if dev == nil {
 			dev = &eioDevice{BlockDevice: inner}
 		}

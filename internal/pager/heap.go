@@ -101,41 +101,13 @@ func (h *HeapFile) Append(r schema.Row) error {
 	return h.store.WritePage(idx, buf)
 }
 
-// pageWriter is the write-side subset of PageStore that both a store and an
-// open transaction satisfy, letting the bulk paths run unchanged over either.
-type pageWriter interface {
-	WritePage(idx uint32, data []byte) error
-	Allocate() (uint32, error)
-}
-
-// AppendAll bulk-loads rows, batching page writes (one write per filled page
-// rather than one per row). On a transactional store the whole load is one
-// atomic group commit: a crash mid-load leaves either all rows or none.
+// AppendAll bulk-loads rows, one page write per filled page rather than one
+// per row. Inside an engine batch the heap's store is the batch's overlay, so
+// the load commits, or aborts, with the rest of the batch.
 func (h *HeapFile) AppendAll(rows []schema.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	ts, ok := h.store.(TxnStore)
-	if !ok {
-		return h.appendAllTo(h.store, rows)
-	}
-	saved := append([]uint32(nil), h.pages...)
-	txn := ts.BeginTxn()
-	if err := h.appendAllTo(txn, rows); err != nil {
-		txn.Abort()
-		h.pages = saved
-		return err
-	}
-	if err := txn.Commit(); err != nil {
-		h.pages = saved
-		return err
-	}
-	return nil
-}
-
-// appendAllTo is AppendAll's body, parameterized over the write target (the
-// store itself, or one transaction).
-func (h *HeapFile) appendAllTo(w pageWriter, rows []schema.Row) error {
 	var buf []byte
 	var count, used int
 	var pageIdx uint32
@@ -149,7 +121,7 @@ func (h *HeapFile) appendAllTo(w pageWriter, rows []schema.Row) error {
 			buf = append(buf, make([]byte, PageSize-len(buf))...)
 		}
 		setPageHeader(buf, count, used)
-		return w.WritePage(pageIdx, buf)
+		return h.store.WritePage(pageIdx, buf)
 	}
 	// Start by trying to fill the existing tail page.
 	if len(h.pages) > 0 {
@@ -172,7 +144,7 @@ func (h *HeapFile) appendAllTo(w pageWriter, rows []schema.Row) error {
 			if err := flush(); err != nil {
 				return err
 			}
-			idx, err := w.Allocate()
+			idx, err := h.store.Allocate()
 			if err != nil {
 				return fmt.Errorf("pager: allocating heap page: %w", err)
 			}
@@ -393,54 +365,23 @@ func (h *HeapFile) scanPages(fn func(idx uint32, buf []byte) error) error {
 var ErrStopScan = fmt.Errorf("pager: stop scan")
 
 // Rewrite replaces the heap's entire contents with rows, reusing its pages
-// (used by UPDATE/DELETE and session cleanup). On a transactional store the
-// new contents and the zeroing of abandoned pages land in one atomic commit,
-// so a crash mid-rewrite can never expose half-deleted data.
+// (used by UPDATE/DELETE and session cleanup), and zeroes the pages it
+// abandons so deleted data does not linger on the medium (the paper's
+// session-cleanup requirement). Inside an engine batch the new contents and
+// the zeroing commit together, so no reader sees half-deleted data.
 func (h *HeapFile) Rewrite(rows []schema.Row) error {
 	old := h.pages
 	h.pages = nil
-	ts, ok := h.store.(TxnStore)
-	if !ok {
-		if err := h.appendAllToIfAny(h.store, rows); err != nil {
-			h.pages = old
+	if err := h.AppendAll(rows); err != nil {
+		h.pages = old
+		return err
+	}
+	for _, idx := range old {
+		if err := h.store.WritePage(idx, nil); err != nil {
 			return err
 		}
-		// Zero the abandoned pages so deleted data does not linger on the
-		// medium (the paper's session-cleanup requirement).
-		for _, idx := range old {
-			if err := h.store.WritePage(idx, make([]byte, PageSize)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	txn := ts.BeginTxn()
-	err := h.appendAllToIfAny(txn, rows)
-	if err == nil {
-		for _, idx := range old {
-			if err = txn.WritePage(idx, nil); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
-		txn.Abort()
-		h.pages = old
-		return err
-	}
-	if err := txn.Commit(); err != nil {
-		h.pages = old
-		return err
 	}
 	return nil
-}
-
-// appendAllToIfAny is appendAllTo tolerating an empty row set.
-func (h *HeapFile) appendAllToIfAny(w pageWriter, rows []schema.Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	return h.appendAllTo(w, rows)
 }
 
 // Count returns the number of rows by scanning.

@@ -148,28 +148,69 @@ type PageStore interface {
 	NumPages() uint32
 }
 
-// StoreTxn batches page writes for one atomic group commit: either every
-// staged write becomes durable or none does, even across a power cut.
+// StoreTxn batches page writes for one group commit. Against Abort it is
+// all-or-nothing on every store: Abort leaves every existing page as it was,
+// and Commit applies every staged write. Across a power cut it is
+// all-or-nothing only on the secure store, which journals the group; a store
+// that stages (Stage) may be cut between two of its Commit's page writes.
 type StoreTxn interface {
-	// WritePage stages a logical page write.
+	// WritePage stages a logical page write. The transaction may keep data,
+	// so the caller must not write into it afterwards.
 	WritePage(idx uint32, data []byte) error
-	// Allocate reserves a fresh page index, staged as a zero page. The
-	// reservation is atomic across concurrent transactions.
+	// Allocate reserves a fresh page index, zero until a staged write lands.
+	// The reservation is atomic across concurrent transactions and outlives
+	// an Abort.
 	Allocate() (uint32, error)
-	// Commit makes the staged writes durable atomically.
+	// Commit applies the staged writes.
 	Commit() error
 	// Abort discards the staged writes.
 	Abort()
 }
 
-// TxnStore is a PageStore that supports atomic multi-page transactions.
-// Callers that hold one (e.g. HeapFile bulk loads) batch their writes into a
-// single commit; stores without transaction support degrade to per-page
-// writes.
+// TxnStore is a PageStore that opens transactions: every store the engine
+// opens is one, and every engine write is one transaction.
 type TxnStore interface {
 	PageStore
 	BeginTxn() StoreTxn
 }
+
+// Stage returns a transaction over s that holds its page writes in memory
+// until Commit, which writes each staged page once through s, in the order
+// it was first staged. Allocate reserves through s at once.
+func Stage(s PageStore) StoreTxn {
+	return &stagedTxn{store: s, pages: map[uint32][]byte{}}
+}
+
+type stagedTxn struct {
+	store PageStore
+	pages map[uint32][]byte
+	order []uint32 // staged page indices, first staging first
+}
+
+func (t *stagedTxn) WritePage(idx uint32, data []byte) error {
+	if len(data) > PageSize {
+		return fmt.Errorf("pager: page %d write of %d bytes exceeds page size", idx, len(data))
+	}
+	if _, ok := t.pages[idx]; !ok {
+		t.order = append(t.order, idx)
+	}
+	t.pages[idx] = data
+	return nil
+}
+
+func (t *stagedTxn) Allocate() (uint32, error) { return t.store.Allocate() }
+
+func (t *stagedTxn) Commit() error {
+	defer t.Abort()
+	for _, idx := range t.order {
+		if err := t.store.WritePage(idx, t.pages[idx]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *stagedTxn) Abort() { t.pages, t.order = nil, nil }
 
 // Pager is a metered, caching PageStore over a raw BlockDevice, used for the
 // non-secure configurations (hons, vcs).
@@ -269,6 +310,9 @@ func (p *Pager) Allocate() (uint32, error) {
 	}
 	return idx, nil
 }
+
+// BeginTxn implements TxnStore with a staged transaction.
+func (p *Pager) BeginTxn() StoreTxn { return Stage(p) }
 
 // NumPages implements PageStore.
 func (p *Pager) NumPages() uint32 {

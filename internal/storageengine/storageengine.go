@@ -136,7 +136,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) openStore() error {
 	s.restartMu.Lock()
 	defer s.restartMu.Unlock()
-	var store pager.PageStore
+	var store pager.TxnStore
 	if s.cfg.Secure {
 		ss, err := securestore.Open(s.dev, s.nw, s.cfg.Meter, securestore.Options{})
 		if err != nil {

@@ -342,7 +342,7 @@ func (a *storageAdapter) Info() monitor.NodeInfo {
 // (the NFS-like remote mount of the host-only configurations).
 func (c *Cluster) initHostDB() error {
 	remote := &hostengine.RemoteDevice{Fetcher: c.Storage[0], HostMeter: c.HostMeter}
-	var store pager.PageStore
+	var store pager.TxnStore
 	if c.cfg.Mode == HostOnlySecure {
 		keys := enclaveKeySource{enclave: c.Host.Enclave()}
 		anchor := &enclaveAnchor{}
