@@ -10,10 +10,13 @@ package ironsafe_test
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ironsafe"
 	"ironsafe/internal/bench"
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/tpch"
 )
 
@@ -24,7 +27,7 @@ const benchSF = 0.002
 var benchData = tpch.Generate(benchSF)
 
 // benchCluster builds a loaded cluster for one mode.
-func benchCluster(b *testing.B, mode ironsafe.Mode, tweak func(*ironsafe.Config)) *ironsafe.Cluster {
+func benchCluster(b testing.TB, mode ironsafe.Mode, tweak func(*ironsafe.Config)) *ironsafe.Cluster {
 	b.Helper()
 	cfg := ironsafe.Config{Mode: mode}
 	if tweak != nil {
@@ -253,5 +256,37 @@ func TestBenchDataLoaded(t *testing.T) {
 	}
 	if len(bench.DefaultQueries()) != 16 {
 		t.Fatal("query set drifted")
+	}
+}
+
+// TestSteadyStateQueriesReuseScratch: a statement's arrays — vectors, window
+// indexes, key tables, aggregation state — go back to their pools when it
+// ends, so the same queries run again take them from there. scs q18 and q21
+// on the benchmark fixture, run a second time with the collector off (which
+// would empty the pools), allocate under half the bytes of their first run.
+// The race build's sync.Pool drops arrays at random, so it is skipped there.
+func TestSteadyStateQueriesReuseScratch(t *testing.T) {
+	if bufpool.Poison {
+		t.Skip("bufpool.Poison: the race build, whose sync.Pool drops arrays at random")
+	}
+	// The pools keep arrays per P, and the storage side runs on goroutines
+	// of its own.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := benchCluster(t, ironsafe.IronSafe, nil)
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, qn := range []int{18, 21} {
+			if _, err := c.NewSession("bench").Query(tpch.Queries[qn]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := run()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if second := run(); 2*second >= first {
+		t.Errorf("q18 and q21 allocate %d bytes run again, %d the first time: want under half", second, first)
 	}
 }

@@ -127,3 +127,95 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		t.Errorf("Take, Grow and Release make %.1f allocations per cycle, want 0", got)
 	}
 }
+
+// TestTypedClassesAndRelease: a typed pool's classes start at 64 elements and
+// double; a released array holds the pool's poison under Poison, and without
+// it an array of pointers is cleared, so that the pool keeps no string alive.
+func TestTypedClassesAndRelease(t *testing.T) {
+	ints := bufpool.New[int64](-7, false)
+	strs := bufpool.New("poison", true)
+	for _, tc := range []struct{ n, cap int }{{0, 64}, {64, 64}, {65, 128}, {64 << 15, 64 << 15}, {64<<15 + 1, 64<<15 + 1}} {
+		if a := ints.Take(nil, tc.n); len(a) != tc.n || cap(a) != tc.cap {
+			t.Errorf("Take(%d): len %d cap %d, want cap %d", tc.n, len(a), cap(a), tc.cap)
+		}
+	}
+	for _, poison := range []bool{true, false} {
+		old := bufpool.Poison
+		bufpool.Poison = poison
+		a, s := ints.Take(nil, 3), strs.Take(nil, 3)
+		copy(a, []int64{1, 2, 3})
+		copy(s, []string{"kept", "alive", "?"})
+		ints.Release(a)
+		strs.Release(s)
+		bufpool.Poison = old
+		want, wantS := int64(1), ""
+		if poison {
+			want, wantS = -7, "poison"
+		}
+		if all := s[:cap(s)]; a[0] != want || all[0] != wantS || all[63] != wantS {
+			t.Errorf("Poison=%v: released arrays hold %d… and %q…%q", poison, a[0], all[0], all[63])
+		}
+	}
+}
+
+// TestScratchOwnsWhatItTakes: a scratch hands out arrays of any pool, counts
+// them by pool, keeps them across Reset — scribbled under Poison, then handed
+// out again before anything is taken from a pool — and gives them back, with
+// those of the scratches opened from it, on Close.
+func TestScratchOwnsWhatItTakes(t *testing.T) {
+	poisoned(t)
+	ints := bufpool.New[int64](-1, false)
+	floats := bufpool.New(0.5, false)
+	s := bufpool.Open()
+	a := ints.Take(s, 10)
+	f := floats.Take(s, 100)
+	kid := s.Open()
+	k := ints.Take(kid, 1)
+	if got := ints.Held(s); got != 1 || floats.Held(s) != 1 || ints.Held(kid) != 1 {
+		t.Fatalf("held %d int64 and %d float64 arrays, the kid %d; want 1 each", got, floats.Held(s), ints.Held(kid))
+	}
+	a[0] = 42
+	s.Reset()
+	if a[0] != -1 || ints.Held(s) != 0 {
+		t.Fatalf("Reset left %d in an array and %d held", a[0], ints.Held(s))
+	}
+	if b := ints.Take(s, 64); &b[0] != &a[0] || ints.Held(s) != 1 {
+		t.Error("a Take after Reset did not hand the kept array out again")
+	}
+	if b := ints.Take(s, 65); &b[0] == &a[0] {
+		t.Error("a kept array was handed out for more elements than it holds")
+	}
+	a[0], f[0], k[0] = 42, 42, 42
+	s.Close()
+	if a[0] != -1 || f[0] != 0.5 || k[0] != -1 {
+		t.Errorf("Close left %d, %v and the kid's %d unscribbled", a[0], f[0], k[0])
+	}
+}
+
+// TestScratchSteadyStateAllocatesNothing: once the pools and the scratch pool
+// hold what a round needs, opening a scratch, taking, resetting and closing it
+// allocates nothing.
+func TestScratchSteadyStateAllocatesNothing(t *testing.T) {
+	if bufpool.Poison {
+		t.Skip("bufpool.Poison: the race build, whose sync.Pool drops arrays at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ints := bufpool.New[int64](0, false)
+	strs := bufpool.New("", true)
+	round := func() {
+		s := bufpool.Open()
+		kid := s.Open()
+		for range 3 {
+			ints.Take(kid, 4096)
+			strs.Grow(kid, strs.Take(kid, 100), 100)
+			kid.Reset()
+		}
+		ints.Grow(s, ints.Take(s, 1000), 1000)
+		s.Close()
+	}
+	round()
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("a scratch's round makes %.1f allocations, want 0", got)
+	}
+}

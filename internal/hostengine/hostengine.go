@@ -367,6 +367,7 @@ func (h *Host) absorbShipped(cat shippedCatalog, outcome *SplitOutcome, table st
 // runHostPhase executes the host-side remainder over the shipped catalog and
 // wipes the session temp tables.
 func (h *Host) runHostPhase(split *partition.Split, cat shippedCatalog) (*exec.Result, error) {
+	defer cat.release()
 	var res *exec.Result
 	run := func() error {
 		var err error
@@ -411,6 +412,16 @@ func (h *Host) ExecuteLocal(db *engine.DB, sqlText string) (*exec.Result, error)
 // shippedCatalog holds the offload replies as the host query's base tables,
 // each in the form it arrived in.
 type shippedCatalog map[string]exec.Relation
+
+// release hands back what the replies hold in pools (exec.Result.Release)
+// once the host query over them has ended: its result holds none of it.
+func (c shippedCatalog) release() {
+	for _, r := range c {
+		if res, ok := r.(*exec.Result); ok {
+			res.Release()
+		}
+	}
+}
 
 func (c shippedCatalog) Relation(name string) (exec.Relation, error) {
 	r, ok := c[strings.ToLower(name)]

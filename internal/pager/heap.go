@@ -180,7 +180,8 @@ func (h *HeapFile) Scan(fn func(schema.Row) error) error {
 // keyed on it — is identical whichever entry point drives a table scan. The
 // window is reused between callbacks and must not be retained, and neither
 // may the pages under it: a page is released once the window holding its
-// last row has been consumed. width is the table's column count.
+// last row has been consumed, the window's own arrays when the scan ends.
+// width is the table's column count.
 func (h *HeapFile) ScanWindows(batchRows, width int, fn func(*schema.RowWindow) error) error {
 	if batchRows < 1 {
 		return fmt.Errorf("pager: scan window of %d rows", batchRows)
@@ -190,6 +191,7 @@ func (h *HeapFile) ScanWindows(batchRows, width int, fn func(*schema.RowWindow) 
 	// last.
 	var held [][]byte
 	defer func() {
+		win.Release()
 		for _, p := range held {
 			bufpool.Release(p)
 		}

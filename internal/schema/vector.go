@@ -2,9 +2,17 @@ package schema
 
 import (
 	"math"
-	"slices"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/value"
+)
+
+// The pools of the arrays vectors are made of (see bufpool).
+var (
+	Int64s   = bufpool.New[int64](0x5a5a5a5a5a5a5a5a, false)
+	Float64s = bufpool.New(math.NaN(), false)
+	Strings  = bufpool.New("\x00recycled", true)
+	Values   = bufpool.New(value.Str("\x00recycled"), true)
 )
 
 // ColVec is a typed column vector: one column of a row batch, decomposed into
@@ -29,7 +37,14 @@ type ColVec struct {
 	Boxed  []value.Value
 
 	n int
+	// sc is the scratch the arrays of a vector under construction are taken
+	// for (NewVec); nil: the collector's.
+	sc *bufpool.Scratch
 }
+
+// NewVec returns an empty vector to build by Append, AppendSel or Gather,
+// whose arrays are taken for sc and go back with it.
+func NewVec(sc *bufpool.Scratch) *ColVec { return &ColVec{sc: sc} }
 
 // BoxedVec wraps vals as a boxed vector, for output built element-wise via
 // Set; a zero element is SQL NULL.
@@ -56,55 +71,40 @@ func FloatVec(floats []float64) *ColVec {
 // FromRows extracts column col of rows into a vector, choosing the unboxed
 // representation when every element shares one non-null kind.
 func FromRows(rows []Row, col int) *ColVec {
-	n := len(rows)
-	kind := value.KindNull
-	uniform := true
+	cv := &ColVec{n: len(rows)}
+	if len(rows) > 0 {
+		cv.Kind = rows[0][col].Kind()
+	}
 	for _, r := range rows {
-		v := r[col]
-		if v.IsNull() {
-			uniform = false
-			break
-		}
-		if kind == value.KindNull {
-			kind = v.Kind()
-		} else if v.Kind() != kind {
-			uniform = false
+		if v := r[col]; v.Kind() != cv.Kind || v.IsNull() {
+			cv.Kind = value.KindNull
 			break
 		}
 	}
-	if !uniform || n == 0 {
-		cv := &ColVec{Boxed: make([]value.Value, n), n: n}
-		for i, r := range rows {
-			cv.Boxed[i] = r[col]
-		}
-		return cv
-	}
-	switch kind {
+	switch cv.Kind {
 	case value.KindInt, value.KindDate, value.KindBool:
-		cv := &ColVec{Kind: kind, Ints: make([]int64, n), n: n}
+		cv.Ints = make([]int64, len(rows))
 		for i, r := range rows {
 			cv.Ints[i] = r[col].AsInt()
 		}
-		return cv
 	case value.KindFloat:
-		cv := &ColVec{Kind: kind, Floats: make([]float64, n), n: n}
+		cv.Floats = make([]float64, len(rows))
 		for i, r := range rows {
 			cv.Floats[i] = r[col].AsFloat()
 		}
-		return cv
 	case value.KindString:
-		cv := &ColVec{Kind: kind, Strs: make([]string, n), n: n}
+		cv.Strs = make([]string, len(rows))
 		for i, r := range rows {
 			cv.Strs[i] = r[col].String()
 		}
-		return cv
 	default:
-		cv := &ColVec{Boxed: make([]value.Value, n), n: n}
+		cv.Kind = value.KindNull
+		cv.Boxed = make([]value.Value, len(rows))
 		for i, r := range rows {
 			cv.Boxed[i] = r[col]
 		}
-		return cv
 	}
+	return cv
 }
 
 // Len returns the element count.
@@ -168,19 +168,21 @@ func (cv *ColVec) Append(v value.Value) {
 	switch {
 	case cv.Boxed != nil || v.Kind() != cv.Kind || v.IsNull():
 		cv.box()
-		cv.Boxed = append(cv.Boxed, v)
+		cv.Boxed = append(Values.Grow(cv.sc, cv.Boxed, 1), v)
 	case cv.Kind == value.KindFloat:
-		cv.Floats = append(cv.Floats, v.AsFloat())
+		cv.Floats = append(Float64s.Grow(cv.sc, cv.Floats, 1), v.AsFloat())
 	case cv.Kind == value.KindString:
-		cv.Strs = append(cv.Strs, v.AsString())
+		cv.Strs = append(Strings.Grow(cv.sc, cv.Strs, 1), v.AsString())
 	default:
-		cv.Ints = append(cv.Ints, v.AsInt())
+		cv.Ints = append(Int64s.Grow(cv.sc, cv.Ints, 1), v.AsInt())
 	}
 	cv.n++
 }
 
 // AppendSel is Append of src's elements at positions base+sel[k]; typed
-// elements of the vector's own kind are copied without being boxed.
+// elements of the vector's own kind are copied without being boxed. An array
+// that lacks room is at least doubled: a vector of a hundred thousand
+// elements built window by window is then copied twice its size in all.
 func (cv *ColVec) AppendSel(src *ColVec, base int, sel []int) {
 	if len(sel) == 0 {
 		return
@@ -194,17 +196,17 @@ func (cv *ColVec) AppendSel(src *ColVec, base int, sel []int) {
 	cv.Kind = src.Kind
 	switch {
 	case src.Ints != nil:
-		cv.Ints = Room(cv.Ints, len(sel))
+		cv.Ints = Int64s.Grow(cv.sc, cv.Ints, len(sel))
 		for _, i := range sel {
 			cv.Ints = append(cv.Ints, src.Ints[base+i])
 		}
 	case src.Floats != nil:
-		cv.Floats = Room(cv.Floats, len(sel))
+		cv.Floats = Float64s.Grow(cv.sc, cv.Floats, len(sel))
 		for _, i := range sel {
 			cv.Floats = append(cv.Floats, src.Floats[base+i])
 		}
 	default:
-		cv.Strs = Room(cv.Strs, len(sel))
+		cv.Strs = Strings.Grow(cv.sc, cv.Strs, len(sel))
 		for _, i := range sel {
 			cv.Strs = append(cv.Strs, src.Strs[base+i])
 		}
@@ -212,26 +214,16 @@ func (cv *ColVec) AppendSel(src *ColVec, base int, sel []int) {
 	cv.n += len(sel)
 }
 
-// Room returns s with room for n more elements, at least doubling an array
-// that lacks it: a vector of a hundred thousand elements built window by
-// window is then copied twice its size in all, not append's five times.
-func Room[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	return slices.Grow(s, max(n, len(s), 8))
-}
-
 // box turns a vector under construction into the boxed representation.
 func (cv *ColVec) box() {
 	if cv.Boxed != nil {
 		return
 	}
-	boxed := make([]value.Value, cv.n, max(2*cv.n, 8))
+	boxed := Values.Take(cv.sc, max(2*cv.n, 8))[:cv.n]
 	for i := range boxed {
 		boxed[i] = cv.Value(i)
 	}
-	*cv = ColVec{Boxed: boxed, n: cv.n}
+	*cv = ColVec{Boxed: boxed, n: cv.n, sc: cv.sc}
 }
 
 // Poison overwrites the vector's elements with values no table holds. It is
@@ -251,56 +243,49 @@ func (cv *ColVec) Poison() {
 	}
 }
 
-// ColBuf is the storage of a vector that is rebuilt again and again — one
-// column of a window, of a batch gathered through a position vector — so that
-// only the first one allocates. A vector it hands out is valid until the next.
-// A column settles on one representation, so in practice one of the four
-// arrays is ever grown.
-type ColBuf struct {
-	vec    ColVec
-	ints   []int64
-	floats []float64
-	strs   []string
-	boxed  []value.Value
-}
-
-// Vec returns the vector the buffer holds.
-func (b *ColBuf) Vec() *ColVec { return &b.vec }
-
-// Gather fills the buffer with src's elements at positions at, a negative
-// position standing for NULL: typed as src is unless there is one.
-func (b *ColBuf) Gather(src *ColVec, at []int32) *ColVec {
+// Gather refills the vector with src's elements at positions at, a negative
+// position standing for NULL: typed as src is unless there is one. The vector
+// keeps its array where it has the representation and the room, so a vector
+// refilled batch after batch takes its array once. It returns cv.
+func (cv *ColVec) Gather(src *ColVec, at []int32) *ColVec {
 	n := len(at)
+	out := ColVec{Kind: src.Kind, n: n, sc: cv.sc}
 	typed := !src.Const && src.Boxed == nil
 	if typed {
 		switch {
 		case src.Ints != nil:
-			b.ints = resize(b.ints, n)
-			typed = gather(b.ints, src.Ints, at)
-			b.vec = ColVec{Kind: src.Kind, Ints: b.ints, n: n}
+			out.Ints = sized(Int64s, cv.sc, cv.Ints, n)
+			typed = gather(out.Ints, src.Ints, at)
 		case src.Floats != nil:
-			b.floats = resize(b.floats, n)
-			typed = gather(b.floats, src.Floats, at)
-			b.vec = ColVec{Kind: src.Kind, Floats: b.floats, n: n}
+			out.Floats = sized(Float64s, cv.sc, cv.Floats, n)
+			typed = gather(out.Floats, src.Floats, at)
 		case src.Strs != nil:
-			b.strs = resize(b.strs, n)
-			typed = gather(b.strs, src.Strs, at)
-			b.vec = ColVec{Kind: src.Kind, Strs: b.strs, n: n}
+			out.Strs = sized(Strings, cv.sc, cv.Strs, n)
+			typed = gather(out.Strs, src.Strs, at)
 		default:
 			typed = false // src is empty: every position is NULL
 		}
 	}
 	if !typed {
-		b.boxed = resize(b.boxed, n)
+		out = ColVec{Boxed: sized(Values, cv.sc, cv.Boxed, n), n: n, sc: cv.sc}
 		for k, a := range at {
-			b.boxed[k] = value.Null()
+			out.Boxed[k] = value.Null()
 			if a >= 0 {
-				b.boxed[k] = src.Value(int(a))
+				out.Boxed[k] = src.Value(int(a))
 			}
 		}
-		b.vec = ColVec{Boxed: b.boxed, n: n}
 	}
-	return &b.vec
+	*cv = out
+	return cv
+}
+
+// sized returns a with length n, or an array of n elements taken for sc where
+// a lacks the room.
+func sized[T any](p *bufpool.Pool[T], sc *bufpool.Scratch, a []T, n int) []T {
+	if cap(a) < n {
+		return p.Take(sc, n)
+	}
+	return a[:n]
 }
 
 // gather copies src[at[k]] to dst[k], stopping with false at a negative

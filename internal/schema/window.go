@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"ironsafe/internal/bufpool"
@@ -20,8 +19,9 @@ import (
 // AppendRows boxes only the rows and columns a consumer keeps.
 //
 // A window is reused: Reset empties it but keeps its index and vector
-// storage, so a scan allocates them once. Vectors returned by Col are
-// therefore valid only until the next Reset. Buffers are only read.
+// storage, so a scan takes them once. Vectors returned by Col are therefore
+// valid only until the next Reset. Its arrays are pooled and held by its own
+// scratch; Release hands them back. Buffers are only read.
 type RowWindow struct {
 	width int
 	segs  []rowSeg
@@ -30,6 +30,7 @@ type RowWindow struct {
 	offs []uint16
 	cols []windowCol
 	all  []int // the identity column list, for AppendRows(…, nil)
+	sc   *bufpool.Scratch
 }
 
 // rowSeg is a run of window rows sharing one buffer; end is the window row
@@ -39,9 +40,9 @@ type rowSeg struct {
 	end int
 }
 
-// windowCol is one column's reusable vector storage.
+// windowCol is one column's vector, its arrays reused window after window.
 type windowCol struct {
-	ColBuf
+	vec   ColVec
 	fresh bool // vec holds the current window
 	// dict holds the first maxDict distinct values of a string column, so a
 	// low-cardinality column (l_shipmode, o_orderstatus) fills its vectors
@@ -99,13 +100,33 @@ func (c *windowCol) str(b []byte) (string, bool) {
 // in 16 bits (heap pages are 4 KiB).
 const maxWindowBuf = math.MaxUint16 + 1
 
+// The pools of a window's own arrays. A column's vector is cleared, not
+// poisoned: its arrays are poisoned by their own pools.
+var (
+	offsets = bufpool.New[uint16](math.MaxUint16, false)
+	columns = bufpool.New(windowCol{}, true)
+)
+
 // NewRowWindow returns an empty window over rows of width columns.
 func NewRowWindow(width int) *RowWindow {
-	w := &RowWindow{width: width, cols: make([]windowCol, width), all: make([]int, width)}
+	w := &RowWindow{width: width, sc: bufpool.Open(), all: make([]int, width)}
+	w.cols = columns.Take(w.sc, width) // zero: a released array is cleared
 	for i := range w.all {
 		w.all[i] = i
 	}
 	return w
+}
+
+// Release hands the window's index and vectors back to their pools. Nothing
+// Col returned may be read after it, and the window must not be used again;
+// a second Release does nothing.
+func (w *RowWindow) Release() {
+	if w.sc == nil {
+		return // released already
+	}
+	clear(w.segs)
+	w.sc.Close()
+	*w = RowWindow{width: w.width, all: w.all}
 }
 
 // Len returns the number of rows in the window.
@@ -118,7 +139,7 @@ func (w *RowWindow) Len() int {
 
 // Grow reserves index room for rows more rows, so that a scan which knows its
 // window size sizes the index once rather than growing it row by row.
-func (w *RowWindow) Grow(rows int) { w.offs = slices.Grow(w.offs, rows*w.width) }
+func (w *RowWindow) Grow(rows int) { w.offs = offsets.Grow(w.sc, w.offs, rows*w.width) }
 
 // Reset empties the window, keeping its storage for the next one.
 func (w *RowWindow) Reset() {
@@ -145,7 +166,10 @@ func (w *RowWindow) AppendRow(buf []byte, pos int) (int, error) {
 	}
 	pos += 2
 	base := len(w.offs)
-	w.offs = slices.Grow(w.offs, w.width)[:base+w.width]
+	if cap(w.offs)-base < w.width {
+		w.offs = offsets.Grow(w.sc, w.offs, w.width)
+	}
+	w.offs = w.offs[:base+w.width]
 	offs := w.offs[base:]
 	for i := range offs {
 		if pos >= len(buf) {
@@ -328,23 +352,22 @@ func (w *RowWindow) Col(col int) *ColVec {
 	if n > 0 {
 		kind = value.Kind(w.segs[0].buf[w.offs[col]])
 	}
+	v := &c.vec
 	uniform := true
 	switch kind {
 	case value.KindInt, value.KindDate, value.KindBool:
-		c.ints = resize(c.ints, n)
-		uniform = w.decode(col, kind, c.ints, nil)
-		c.vec = ColVec{Kind: kind, Ints: c.ints, n: n}
+		*v = ColVec{Kind: kind, Ints: sized(Int64s, w.sc, v.Ints, n), n: n, sc: w.sc}
+		uniform = w.decode(col, kind, v.Ints, nil)
 	case value.KindFloat:
-		c.floats = resize(c.floats, n)
-		uniform = w.decode(col, kind, nil, c.floats)
-		c.vec = ColVec{Kind: kind, Floats: c.floats, n: n}
+		*v = ColVec{Kind: kind, Floats: sized(Float64s, w.sc, v.Floats, n), n: n, sc: w.sc}
+		uniform = w.decode(col, kind, nil, v.Floats)
 	case value.KindString:
-		c.strs = resize(c.strs, n)
+		*v = ColVec{Kind: kind, Strs: sized(Strings, w.sc, v.Strs, n), n: n, sc: w.sc}
 		shared, size := true, 0
 		uniform = w.fill(col, kind, func(r int, buf []byte, pos int) {
 			b := fieldBytes(buf, pos)
 			if size += len(b); shared {
-				c.strs[r], shared = c.str(b)
+				v.Strs[r], shared = c.str(b)
 			}
 		})
 		if uniform && !shared {
@@ -358,19 +381,17 @@ func (w *RowWindow) Col(col int) *ColVec {
 			w.fill(col, kind, func(r int, buf []byte, pos int) {
 				start := end
 				end += len(fieldBytes(buf, pos))
-				c.strs[r] = all.String()[start:end]
+				v.Strs[r] = all.String()[start:end]
 			})
 		}
-		c.vec = ColVec{Kind: kind, Strs: c.strs, n: n}
 	default:
 		uniform = false
 	}
 	if !uniform {
-		c.boxed = resize(c.boxed, n)
-		w.fill(col, value.KindNull, func(r int, buf []byte, pos int) { c.boxed[r] = fieldValue(buf, pos) })
-		c.vec = ColVec{Boxed: c.boxed, n: n}
+		*v = ColVec{Boxed: sized(Values, w.sc, v.Boxed, n), n: n, sc: w.sc}
+		w.fill(col, value.KindNull, func(r int, buf []byte, pos int) { v.Boxed[r] = fieldValue(buf, pos) })
 	}
-	return &c.vec
+	return v
 }
 
 // decode is fill for the fixed-shape kinds, without a call per element: it
@@ -445,14 +466,6 @@ func (w *RowWindow) AppendEncoded(dst []byte, base int, sel []int, cols []int) [
 		}
 	}
 	return dst
-}
-
-// resize returns s with length n, reallocating only to grow.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // AppendRows boxes the rows at the ascending window positions base+sel[k],

@@ -639,10 +639,10 @@ func TestColumnBuildersMatchFromRows(t *testing.T) {
 				}
 				reversed = append(reversed, r)
 			}
-			var buf ColBuf
-			buf.Gather(whole, at[:1]) // the buffer is reused
-			if got, want := buf.Gather(whole, at), FromRows(reversed, c); !sameVec(got, want) {
-				t.Errorf("column %d of %v: Gather(%v) = %+v, want %+v", c, rows, at, got, want)
+			var got ColVec
+			got.Gather(whole, at[:1]) // the vector is refilled
+			if got.Gather(whole, at); !sameVec(&got, FromRows(reversed, c)) {
+				t.Errorf("column %d of %v: Gather(%v) = %+v, want %+v", c, rows, at, got, FromRows(reversed, c))
 			}
 			if got, want := whole.Slice(1, len(rows)), FromRows(rows[1:], c); len(rows) > 1 && got.Len() != want.Len() {
 				t.Errorf("column %d: Slice holds %d elements, want %d", c, got.Len(), want.Len())

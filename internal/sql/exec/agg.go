@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/value"
@@ -95,13 +96,13 @@ type aggState struct {
 	accs []accumulator
 }
 
-// open adds the accumulator of a new group.
-func (s *aggState) open() {
+// open adds the accumulator of a new group, its arrays taken for sc.
+func (s *aggState) open(sc *bufpool.Scratch) {
 	var a accumulator
 	if s.call.Distinct {
-		a.distinct = newKeyTable(1, 0, false)
+		a.distinct = newKeyTable(sc, 1, 0, false)
 	}
-	s.accs = append(schema.Room(s.accs, 1), a)
+	s.accs = append(accumulators.Grow(sc, s.accs, 1), a)
 }
 
 // add folds one evaluated argument value into group g. Both execution modes
@@ -174,15 +175,16 @@ type grouped struct {
 	keys []value.Value // the GROUP BY values, group after group
 	rep  []int32       // -1: the one group of an input without rows
 	aggs []aggState
+	sc   *bufpool.Scratch // what its arrays are taken for
 }
 
 // open adds a group that input row rep is the first of, with room for its
 // nk GROUP BY values.
 func (gr *grouped) open(rep, nk int) {
 	gr.n++
-	gr.rep, gr.keys = append(gr.rep, int32(rep)), schema.Room(gr.keys, nk)
+	gr.rep, gr.keys = append(rowIDs.Grow(gr.sc, gr.rep, 1), int32(rep)), schema.Values.Grow(gr.sc, gr.keys, nk)
 	for i := range gr.aggs {
-		gr.aggs[i].open()
+		gr.aggs[i].open(gr.sc)
 	}
 }
 
@@ -199,10 +201,10 @@ func (gr *grouped) bind(vals []value.Value, g int) {
 // key table) and computes specs.
 func (b *builder) aggregate(in *joinChain, groupBy []ast.Expr, specs []aggSpec, env *Env, subs map[ast.Expr]*subEval) (*grouped, error) {
 	ctx := newCtxWith(b, in.sch, env, nil, subs)
-	gr := &grouped{aggs: make([]aggState, len(specs))}
+	gr := &grouped{aggs: make([]aggState, len(specs)), sc: b.sc}
 	var table *keyTable
 	if len(groupBy) > 0 {
-		table = newKeyTable(len(groupBy), 0, true)
+		table = newKeyTable(b.sc, len(groupBy), 0, true)
 	}
 	pass := append([]ast.Expr{}, groupBy...)
 	for i, s := range specs {
@@ -222,12 +224,12 @@ func (b *builder) aggregate(in *joinChain, groupBy []ast.Expr, specs []aggSpec, 
 		argCols := make([]*schema.ColVec, len(specs))
 		var ids []int32
 		if table != nil {
-			ids = make([]int32, min(b.batchRows, in.n))
+			ids = rowIDs.Take(b.sc, min(b.batchRows, in.n))
 		}
 		for off := 0; off < in.n; off += b.batchRows {
 			ctx.nextBatch()
 			bt := in.batch(off, min(off+b.batchRows, in.n))
-			sel := b.fullSel(bt.Len())
+			sel := identity(bt.Len())
 			for i, ge := range groupBy {
 				cv, err := ctx.evalVec(ge, bt, sel)
 				if err != nil {

@@ -111,7 +111,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 	batched := 0 // rows emitted out of per-batch arrays (the vectorized projection)
 	var seen *keyTable
 	if sel.Distinct {
-		seen = newKeyTable(len(items), 0, true)
+		seen = newKeyTable(b.sc, len(items), 0, true)
 	}
 	emit := func(row schema.Row, keys []value.Value) {
 		if seen != nil {
@@ -193,7 +193,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env, offers ...*semiReducer)
 			for off := 0; off < input.n; off += b.batchRows {
 				ctx.nextBatch()
 				bt := input.batch(off, min(off+b.batchRows, input.n))
-				sel := b.fullSel(bt.Len())
+				sel := identity(bt.Len())
 				for i, e := range exprs {
 					if cols[i], err = ctx.evalVec(e, bt, sel); err != nil {
 						return nil, err
@@ -395,7 +395,7 @@ func substituteAliases(e ast.Expr, aliases map[string]ast.Expr, sch *schema.Sche
 func (b *builder) buildFrom(sel *ast.Select, env *Env, emit bool, offers []*semiReducer) (*joinChain, []ast.Expr, error) {
 	conjs := factorCommonDisjuncts(ast.SplitConjuncts(sel.Where))
 	if len(sel.From) == 0 {
-		return chainOf(&Result{Sch: schema.New(), Rows: []schema.Row{{}}}), conjs, nil
+		return chainOf(&Result{Sch: schema.New(), Rows: []schema.Row{{}}}, b.sc), conjs, nil
 	}
 
 	used := make([]bool, len(conjs))
@@ -785,9 +785,9 @@ func scanColumns(items []ast.SelectItem, full *schema.Schema, keep []int) ([]int
 func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *semiScan, pushdown func(*schema.Schema) ast.Expr) (*joinChain, error) {
 	filtered := func(res *Result) (*joinChain, error) {
 		if pred := pushdown(res.Sch); pred != nil {
-			return b.filter(chainOf(res), pred, env)
+			return b.filter(chainOf(res, b.sc), pred, env)
 		}
-		return chainOf(res), nil
+		return chainOf(res, b.sc), nil
 	}
 	if ref.Subquery != nil {
 		sub, err := b.buildSelect(ref.Subquery, env)
@@ -833,11 +833,11 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 	}
 	if !emit {
 		if cols == nil {
-			cols = b.fullSel(full.Len())
+			cols = identity(full.Len())
 		}
 		res.cols = make([]*schema.ColVec, len(cols))
 		for i := range res.cols {
-			res.cols[i] = &schema.ColVec{}
+			res.cols[i] = schema.NewVec(b.sc)
 		}
 	}
 	// The predicate reads table columns, so it resolves against the full
@@ -857,7 +857,7 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 		n := bt.Len()
 		scanned += n
 		b.chargeBatch(int64(n))
-		keep := b.fullSel(n)
+		keep := identity(n)
 		if pred != nil {
 			var err error
 			if keep, err = ctx.where(pred, bt, keep); err != nil {
@@ -886,7 +886,7 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 		default:
 			for i, c := range cols {
 				for off := 0; share && off < res.n; off += b.batchRows {
-					res.cols[i].AppendSel(src.col(c), off, b.fullSel(min(b.batchRows, res.n-off)))
+					res.cols[i].AppendSel(src.col(c), off, identity(min(b.batchRows, res.n-off)))
 				}
 				bt.AppendCol(res.cols[i], c, keep)
 			}
@@ -921,7 +921,7 @@ func (b *builder) buildRef(ref ast.TableRef, env *Env, out *scanOutput, semi *se
 	if encode {
 		b.trace.addf("fragment: encoded reply, %d rows", res.n)
 	}
-	return chainOf(res), nil
+	return chainOf(res, b.sc), nil
 }
 
 // semiScan is what buildFrom asks of one FROM entry's scan — the reducers the
@@ -968,7 +968,7 @@ func (rd *semiReducer) reduce(b *builder, ctx *evalCtx, bt *Batch, keep []int) (
 		return keep, nil
 	}
 	if rd.t == nil {
-		rd.t = newKeyTable(len(rd.keys), rd.src.n, false)
+		rd.t = newKeyTable(b.sc, len(rd.keys), rd.src.n, false)
 		if _, err := b.keyIDs(rd.t, rd.src, rd.srcKeys, rd.env, true); err != nil {
 			rd.sleep = math.MaxInt
 			return keep, nil

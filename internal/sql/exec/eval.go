@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/value"
@@ -24,7 +25,17 @@ type evalCtx struct {
 	// are case-insensitive linear scans, far too slow to repeat per row.
 	memo map[*ast.ColumnRef]colRes
 
-	vs *vecScratch // evalVec's arrays for the current batch; nil until one is taken
+	// vs is where evalVec takes the arrays it builds for one batch — result
+	// vectors and selection lists — opened from the statement's scratch. The
+	// lifetime rule: a vector returned by evalVec, and a list taken with sel,
+	// is valid until the loop that owns the batch calls nextBatch, which keeps
+	// them for the next batch, so that a loop over batches allocates them for
+	// its first batch only. Five loops own a batch: the fused scan
+	// (semiReducer.reduce runs inside it, on its batch), the vectorized
+	// projection, filter, aggregate and keyIDs. Each calls nextBatch as it
+	// moves to a batch and keeps nothing of the last one but what it boxed or
+	// copied out.
+	vs *bufpool.Scratch
 }
 
 // colRes is a memoized resolution: envDepth < 0 means the local schema.
@@ -36,7 +47,7 @@ type colRes struct {
 // newCtx builds an operator-level evaluation context; per-row copies made
 // with withRow share its memo.
 func newCtx(b *builder, sch *schema.Schema, env *Env) *evalCtx {
-	return &evalCtx{b: b, sch: sch, env: env, memo: map[*ast.ColumnRef]colRes{}}
+	return &evalCtx{b: b, sch: sch, env: env, memo: map[*ast.ColumnRef]colRes{}, vs: b.sc.Open()}
 }
 
 // newCtxWith is newCtx plus aggregate substitutions and prepared subqueries.

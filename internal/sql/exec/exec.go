@@ -19,6 +19,7 @@ package exec
 import (
 	"fmt"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/simtime"
 	"ironsafe/internal/sql/ast"
@@ -112,12 +113,8 @@ func (r *Result) Boxed() (*Result, error) {
 		return r, nil
 	}
 	out := &Result{Sch: r.Sch, Rows: make([]schema.Row, 0, r.n)}
-	every := make([]int, min(r.n, DefaultBatchRows))
-	for i := range every {
-		every[i] = i
-	}
-	err := r.ScanBatch(len(every), func(bt *Batch) error {
-		out.Rows = bt.AppendRows(out.Rows, every[:bt.Len()], nil)
+	err := r.ScanBatch(DefaultBatchRows, func(bt *Batch) error {
+		out.Rows = bt.AppendRows(out.Rows, identity(bt.Len()), nil)
 		return nil
 	})
 	return out, err
@@ -177,7 +174,7 @@ func (r *Result) index() error {
 	switch {
 	case r.all != nil:
 	case r.cols != nil:
-		r.all = chainOf(r).batch(0, r.n)
+		r.all = chainOf(r, nil).batch(0, r.n)
 	case r.enc == nil:
 		r.all = NewBatch(r.Sch, r.Rows)
 	default:
@@ -224,8 +221,7 @@ func Run(sel *ast.Select, cat Catalog, meter *simtime.Meter) (*Result, error) {
 // RunBatched is Run with an explicit operator batch size: 0 means
 // DefaultBatchRows, 1 forces the row-at-a-time path everywhere.
 func RunBatched(sel *ast.Select, cat Catalog, meter *simtime.Meter, batchRows int) (*Result, error) {
-	b := &builder{cat: cat, meter: meter, batchRows: normBatchRows(batchRows), stmt: sel}
-	return b.buildSelect(sel, nil)
+	return run(&builder{cat: cat, meter: meter, batchRows: normBatchRows(batchRows), stmt: sel}, nil)
 }
 
 // RunFragment is RunBatched for the storage side of a split execution, where
@@ -234,15 +230,21 @@ func RunBatched(sel *ast.Select, cat Catalog, meter *simtime.Meter, batchRows in
 // returns in the encoded form — no row of it is boxed. Any other statement
 // returns exactly what RunBatched returns.
 func RunFragment(sel *ast.Select, cat Catalog, meter *simtime.Meter, batchRows int) (*Result, error) {
-	b := &builder{cat: cat, meter: meter, batchRows: normBatchRows(batchRows), stmt: sel, fragment: true}
-	return b.buildSelect(sel, nil)
+	return run(&builder{cat: cat, meter: meter, batchRows: normBatchRows(batchRows), stmt: sel, fragment: true}, nil)
 }
 
 // RunWithEnv executes sel with an outer binding environment (used for
 // fallback correlated-subquery evaluation).
 func RunWithEnv(sel *ast.Select, cat Catalog, meter *simtime.Meter, env *Env) (*Result, error) {
-	b := &builder{cat: cat, meter: meter, batchRows: DefaultBatchRows, stmt: sel}
-	return b.buildSelect(sel, env)
+	return run(&builder{cat: cat, meter: meter, batchRows: DefaultBatchRows, stmt: sel}, env)
+}
+
+// run executes the builder's statement with its scratch open: what it returns
+// is rows of its own or a reply buffer, never a scratch array.
+func run(b *builder, env *Env) (*Result, error) {
+	b.sc = bufpool.Open()
+	defer b.sc.Close()
+	return b.buildSelect(b.stmt, env)
 }
 
 func normBatchRows(n int) int {
@@ -296,7 +298,9 @@ type builder struct {
 	// them (buildFrom), by their node; prepareSubqueries takes them over.
 	pre map[ast.Expr]*subEval
 
-	ident []int // the identity selection vector, grown on demand
+	// sc holds the statement's arrays until it ends (run); nil outside run:
+	// they are then the collector's.
+	sc *bufpool.Scratch
 }
 
 // vec reports whether operators should take their vectorized paths.

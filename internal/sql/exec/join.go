@@ -27,13 +27,15 @@ type joinChain struct {
 	n     int
 	joins int // joins composed into the chain, for the trace
 
-	// bufs holds, by column, the storage of the current batch's gathered
-	// vectors. It is scratch, shared with the chains made from this one.
-	bufs *[]schema.ColBuf
+	// bufs holds, by column, the current batch's gathered vectors. It is
+	// scratch, shared with the chains made from this one, and so is sc, what
+	// their arrays and the chains' position vectors are taken for.
+	bufs *[]schema.ColVec
+	sc   *bufpool.Scratch
 }
 
-func chainOf(r *Result) *joinChain {
-	return &joinChain{sch: r.Sch, parts: []*Result{r}, idx: [][]int32{nil}, n: r.NumRows(), bufs: new([]schema.ColBuf)}
+func chainOf(r *Result, sc *bufpool.Scratch) *joinChain {
+	return &joinChain{sch: r.Sch, parts: []*Result{r}, idx: [][]int32{nil}, n: r.NumRows(), bufs: new([]schema.ColVec), sc: sc}
 }
 
 // batch returns rows [off, end) as a batch whose columns are cut from the
@@ -42,11 +44,11 @@ func chainOf(r *Result) *joinChain {
 func (c *joinChain) batch(off, end int) *Batch {
 	if bufpool.Poison {
 		for i := range *c.bufs {
-			(*c.bufs)[i].Vec().Poison()
+			(*c.bufs)[i].Poison()
 		}
 	}
 	for len(*c.bufs) < c.sch.Len() {
-		*c.bufs = append(*c.bufs, schema.ColBuf{})
+		*c.bufs = append(*c.bufs, *schema.NewVec(c.sc))
 	}
 	return &Batch{Sch: c.sch, chain: c, off: off, n: end - off}
 }
@@ -138,7 +140,7 @@ func (c *joinChain) pick(keep []int32) *joinChain {
 			out.idx[p] = keep
 			continue
 		}
-		out.idx[p] = make([]int32, len(keep))
+		out.idx[p] = rowIDs.Take(c.sc, len(keep))
 		for k, n := range keep {
 			out.idx[p][k] = -1
 			if n >= 0 {
@@ -180,7 +182,7 @@ func (b *builder) materialize(c *joinChain) *joinChain {
 		out.Rows[k] = row
 	}
 	b.trace.addf("join chain: %d joins, %d rows x %d columns materialized", c.joins, c.n, width)
-	return chainOf(out)
+	return chainOf(out, b.sc)
 }
 
 // filter keeps the chain's rows where pred is true: in vector mode the
@@ -199,10 +201,11 @@ func (b *builder) filter(in *joinChain, pred ast.Expr, env *Env) (*joinChain, er
 		for off := 0; off < in.n; off += b.batchRows {
 			ctx.nextBatch()
 			bt := in.batch(off, min(off+b.batchRows, in.n))
-			kept, err := ctx.where(pred, bt, b.fullSel(bt.Len()))
+			kept, err := ctx.where(pred, bt, identity(bt.Len()))
 			if err != nil {
 				return nil, err
 			}
+			keep = rowIDs.Grow(b.sc, keep, len(kept))
 			for _, j := range kept {
 				keep = append(keep, int32(off+j))
 			}
@@ -221,7 +224,7 @@ func (b *builder) filter(in *joinChain, pred ast.Expr, env *Env) (*joinChain, er
 				res.Rows = append(res.Rows, row)
 			}
 		}
-		out = chainOf(res)
+		out = chainOf(res, b.sc)
 	}
 	b.chargePass(in.n, []ast.Expr{pred})
 	b.trace.addf("filter %s: %d -> %d rows", pred, in.n, out.n)
@@ -250,14 +253,14 @@ func (b *builder) chargePass(n int, exprs []ast.Expr) {
 // row's id in t (see keyTable.id). Keys are extracted column-wise per batch;
 // the row-mode evaluator reads c's rows. It charges nothing.
 func (b *builder) keyIDs(t *keyTable, c *joinChain, keys []ast.Expr, env *Env, insert bool) ([]int32, error) {
-	out := make([]int32, c.n)
+	out := rowIDs.Take(b.sc, c.n)
 	ctx := newCtx(b, c.sch, env)
 	if b.vec() {
 		cols := make([]*schema.ColVec, len(keys))
 		for off := 0; off < c.n; off += b.batchRows {
 			ctx.nextBatch()
 			bt := c.batch(off, min(off+b.batchRows, c.n))
-			sel := b.fullSel(bt.Len())
+			sel := identity(bt.Len())
 			for i, e := range keys {
 				cv, err := ctx.evalVec(e, bt, sel)
 				if err != nil {
@@ -293,7 +296,7 @@ func (b *builder) keyIDs(t *keyTable, c *joinChain, keys []ast.Expr, env *Env, i
 func (b *builder) hashInnerJoin(left, right *joinChain, keysL, keysR []ast.Expr, env *Env) (*joinChain, error) {
 	var li, ri []int32
 	if len(keysL) == 0 {
-		li, ri = make([]int32, 0, left.n*right.n), make([]int32, 0, left.n*right.n)
+		li, ri = rowIDs.Take(b.sc, left.n*right.n)[:0], rowIDs.Take(b.sc, left.n*right.n)[:0]
 		for l := 0; l < left.n; l++ {
 			for r := 0; r < right.n; r++ {
 				li, ri = append(li, int32(l)), append(ri, int32(r))
@@ -311,7 +314,7 @@ func (b *builder) hashInnerJoin(left, right *joinChain, keysL, keysR []ast.Expr,
 			side = "left"
 		}
 		// The build side inserts its keys first; the other side only looks up.
-		t := newKeyTable(len(keysL), min(left.n, right.n), false)
+		t := newKeyTable(b.sc, len(keysL), min(left.n, right.n), false)
 		var lid, rid []int32
 		var err error
 		if buildLeft {
@@ -328,14 +331,14 @@ func (b *builder) hashInnerJoin(left, right *joinChain, keysL, keysR []ast.Expr,
 		}
 		b.chargePass(right.n, keysR)
 		b.chargePass(left.n, keysL)
-		start, pos := groupPositions(rid, t.n)
+		start, pos := groupPositions(b.sc, rid, t.n)
 		total := 0
 		for _, id := range lid {
 			if id >= 0 {
 				total += int(start[id+1] - start[id])
 			}
 		}
-		li, ri = make([]int32, 0, total), make([]int32, 0, total)
+		li, ri = rowIDs.Take(b.sc, total)[:0], rowIDs.Take(b.sc, total)[:0]
 		for l, id := range lid {
 			if id < 0 {
 				continue
@@ -364,9 +367,9 @@ func (b *builder) hashLeftJoin(left, right *joinChain, keysL, keysR []ast.Expr, 
 	groups := int32(1)
 	if len(keysL) == 0 {
 		// Every right row is every left row's candidate: one group, id 0.
-		lid, rid = make([]int32, left.n), make([]int32, right.n)
+		lid, rid = rowIDs.Zeroed(b.sc, left.n), rowIDs.Zeroed(b.sc, right.n)
 	} else {
-		t := newKeyTable(len(keysR), right.n, false)
+		t := newKeyTable(b.sc, len(keysR), right.n, false)
 		var err error
 		if rid, err = b.keyIDs(t, right, keysR, env, true); err != nil {
 			return nil, err
@@ -377,7 +380,7 @@ func (b *builder) hashLeftJoin(left, right *joinChain, keysL, keysR []ast.Expr, 
 		groups = t.n
 	}
 	b.chargePass(right.n, keysR)
-	start, pos := groupPositions(rid, groups)
+	start, pos := groupPositions(b.sc, rid, groups)
 	// The residual reads a pair through a scratch row of the joined schema.
 	var octx *evalCtx
 	var lrow, rrow *rowView
@@ -392,7 +395,13 @@ func (b *builder) hashLeftJoin(left, right *joinChain, keysL, keysR []ast.Expr, 
 		reads := octx.reads(residual)
 		lrow, rrow = left.view(octx.row, 0, reads), right.view(octx.row, left.sch.Len(), reads)
 	}
-	li, ri := make([]int32, 0, left.n), make([]int32, 0, left.n)
+	li, ri := rowIDs.Take(b.sc, left.n)[:0], rowIDs.Take(b.sc, left.n)[:0]
+	pair := func(l, r int32) {
+		if len(li) == cap(li) {
+			li, ri = rowIDs.Grow(b.sc, li, 1), rowIDs.Grow(b.sc, ri, 1)
+		}
+		li, ri = append(li, l), append(ri, r)
+	}
 	for l, id := range lid {
 		matched := false
 		if id >= 0 {
@@ -411,11 +420,11 @@ func (b *builder) hashLeftJoin(left, right *joinChain, keysL, keysR []ast.Expr, 
 					}
 				}
 				matched = true
-				li, ri = append(li, int32(l)), append(ri, r)
+				pair(int32(l), r)
 			}
 		}
 		if !matched {
-			li, ri = append(li, int32(l)), append(ri, -1)
+			pair(int32(l), -1)
 		}
 	}
 	// The residual and the null extension run row by row in both modes, and

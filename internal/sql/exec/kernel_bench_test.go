@@ -254,6 +254,9 @@ func (hp *hostPhase) run(tb testing.TB) *exec.Result {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	for _, reply := range cat {
+		reply.(*exec.Result).Release() // as the host does once its phase has ended
+	}
 	return res
 }
 

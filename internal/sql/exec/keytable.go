@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/value"
 )
@@ -24,6 +25,7 @@ import (
 type keyTable struct {
 	arity int
 	nulls bool
+	sc    *bufpool.Scratch // what its arrays are taken for
 
 	slots []int32 // open addressing over ids: id+1, 0 empty; len a power of two, at most half full
 	n     int32   // ids assigned
@@ -43,13 +45,13 @@ type keyPart struct {
 }
 
 // newKeyTable returns a table for tuples of arity components, sized for keys
-// distinct tuples (0: grown on demand).
-func newKeyTable(arity, keys int, nulls bool) *keyTable {
-	t := &keyTable{arity: arity, nulls: nulls, probe: make([]keyPart, arity)}
+// distinct tuples (0: grown on demand), its arrays taken for sc.
+func newKeyTable(sc *bufpool.Scratch, arity, keys int, nulls bool) *keyTable {
+	t := &keyTable{arity: arity, nulls: nulls, sc: sc, probe: make([]keyPart, arity)}
 	if keys > 0 {
-		t.slots = make([]int32, slotsFor(keys))
-		t.kinds = make([]value.Kind, 0, keys*arity)
-		t.bits = make([]int64, 0, keys*arity)
+		t.slots = rowIDs.Zeroed(sc, slotsFor(keys))
+		t.kinds = kinds.Take(sc, keys*arity)[:0]
+		t.bits = schema.Int64s.Take(sc, keys*arity)[:0]
 	}
 	return t
 }
@@ -66,12 +68,12 @@ func slotsFor(keys int) int {
 // groupPositions inverts a row → id assignment (negative: none) over ids in
 // [0, n): the rows holding id, ascending, are pos[start[id]:start[id+1]]. It is
 // the per-key row list of a join's build side and of a subquery's candidate
-// groups, as two arrays instead of a slice per key.
-func groupPositions(ids []int32, n int32) (start, pos []int32) {
+// groups, as two arrays instead of a slice per key, taken for sc.
+func groupPositions(sc *bufpool.Scratch, ids []int32, n int32) (start, pos []int32) {
 	// Counted two slots up, the running sum leaves each id's begin one slot
 	// up, where it serves as that id's cursor; the fill moves it to the id's
 	// end, which is the next id's begin in its final place.
-	start = make([]int32, n+2)
+	start = rowIDs.Zeroed(sc, int(n+2))
 	for _, id := range ids {
 		if id >= 0 {
 			start[id+2]++
@@ -80,7 +82,7 @@ func groupPositions(ids []int32, n int32) (start, pos []int32) {
 	for i := int32(2); i < n+2; i++ {
 		start[i] += start[i-1]
 	}
-	pos = make([]int32, start[n+1])
+	pos = rowIDs.Take(sc, int(start[n+1]))
 	for row, id := range ids {
 		if id >= 0 {
 			pos[start[id+1]] = int32(row)
@@ -200,7 +202,7 @@ func (t *keyTable) lookup(insert bool) int32 {
 		if !insert {
 			return -1
 		}
-		t.slots = make([]int32, slotsFor(0))
+		t.slots = rowIDs.Zeroed(t.sc, slotsFor(0))
 	}
 	mask := uint64(len(t.slots) - 1)
 	s := h & mask
@@ -215,12 +217,12 @@ func (t *keyTable) lookup(insert bool) int32 {
 	id := t.n
 	t.n++
 	for _, p := range t.probe {
-		t.kinds, t.bits = append(t.kinds, p.kind), append(t.bits, p.bits)
+		t.kinds, t.bits = append(kinds.Grow(t.sc, t.kinds, 1), p.kind), append(schema.Int64s.Grow(t.sc, t.bits, 1), p.bits)
 		if p.kind == value.KindString && t.strs == nil {
-			t.strs = make([]string, len(t.bits)-1, cap(t.bits))
+			t.strs = schema.Strings.Zeroed(t.sc, cap(t.bits))[:len(t.bits)-1]
 		}
 		if t.strs != nil {
-			t.strs = append(t.strs, p.str)
+			t.strs = append(schema.Strings.Grow(t.sc, t.strs, 1), p.str)
 		}
 	}
 	t.slots[s] = id + 1
@@ -246,7 +248,7 @@ func (t *keyTable) equal(id int32) bool {
 
 // grow doubles the slot array and re-places every id.
 func (t *keyTable) grow() {
-	t.slots = make([]int32, 2*len(t.slots))
+	t.slots = rowIDs.Zeroed(t.sc, 2*len(t.slots))
 	mask := uint64(len(t.slots) - 1)
 	for id := int32(0); id < t.n; id++ {
 		var h uint64

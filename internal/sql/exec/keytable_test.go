@@ -43,7 +43,7 @@ var keyValues = []value.Value{
 // uniform, boxed ones where it is not — and requires the same ids.
 func checkKeyTable(t *testing.T, tuples [][]value.Value, arity int, nulls bool) {
 	t.Helper()
-	table := newKeyTable(arity, 0, nulls)
+	table := newKeyTable(nil, arity, 0, nulls)
 	want := map[string]int32{}
 	ids := make([]int32, len(tuples))
 	for i, tup := range tuples {
@@ -83,7 +83,7 @@ func checkKeyTable(t *testing.T, tuples [][]value.Value, arity int, nulls bool) 
 		}
 	}
 	// A fresh table filled through the vector entry point assigns the same ids.
-	fresh := newKeyTable(arity, len(tuples), nulls)
+	fresh := newKeyTable(nil, arity, len(tuples), nulls)
 	fresh.ids(cols, len(tuples), true, got)
 	for i := range tuples {
 		if got[i] != ids[i] {
@@ -195,7 +195,7 @@ func FuzzKeyTable(f *testing.F) {
 // TestGroupPositions pins the id -> rows inversion both joins and the
 // subquery candidate groups read.
 func TestGroupPositions(t *testing.T) {
-	start, pos := groupPositions([]int32{2, -1, 0, 2, 0, 2, -1}, 4)
+	start, pos := groupPositions(nil, []int32{2, -1, 0, 2, 0, 2, -1}, 4)
 	want := [][]int32{{2, 4}, {}, {0, 3, 5}, {}}
 	for id, rows := range want {
 		got := pos[start[id]:start[id+1]]
@@ -208,7 +208,7 @@ func TestGroupPositions(t *testing.T) {
 			}
 		}
 	}
-	if start, pos = groupPositions(nil, 0); len(start) != 1 || len(pos) != 0 {
+	if start, pos = groupPositions(nil, nil, 0); len(start) != 1 || len(pos) != 0 {
 		t.Fatalf("empty: start %v pos %v", start, pos)
 	}
 }

@@ -296,7 +296,7 @@ func TestResultFormsEncodeAlike(t *testing.T) {
 	}
 	// Nothing has indexed the scan's own encoding yet: a column read of it
 	// does, and does not see a result of no rows.
-	key := chainOf(frag).batch(0, frag.NumRows()).Col(1)
+	key := chainOf(frag, nil).batch(0, frag.NumRows()).Col(1)
 	for k, row := range boxed.Rows {
 		if key.Len() != len(boxed.Rows) || key.Value(k) != row[1] {
 			t.Fatalf("column 1 of the unindexed fragment: %d values, want %d; or value %d differs", key.Len(), len(boxed.Rows), k)
@@ -511,9 +511,9 @@ func BenchmarkHostScanShipped(b *testing.B) {
 }
 
 // TestReleaseTakesOnlyPooledReplies: Release empties a fragment's encoded
-// reply, whose buffer came from the pool, once; a retained reply and the
-// boxed and columnar forms own their rows some other way, and Release leaves
-// them as they are.
+// reply, whose buffer came from the pool, once, and a retained reply, whose
+// index is pooled; the boxed and columnar forms own their rows some other way,
+// and Release leaves them as they are.
 func TestReleaseTakesOnlyPooledReplies(t *testing.T) {
 	mem := lineitemish(300, false)
 	sel, _ := parser.ParseSelect("SELECT l_shipmode, l_orderkey FROM lineitem WHERE l_size > 25")
@@ -521,13 +521,16 @@ func TestReleaseTakesOnlyPooledReplies(t *testing.T) {
 	if err != nil || !frag.pooled || frag.NumRows() == 0 {
 		t.Fatalf("the fragment's reply is not in a pooled buffer: %d rows, %v", frag.NumRows(), err)
 	}
-	frag.Release()
-	if frag.pooled || frag.enc != nil || frag.NumRows() != 0 {
-		t.Errorf("a released reply still holds %d rows", frag.NumRows())
+	reply := retained(t, mem)
+	for form, res := range map[string]*Result{"fragment": frag, "retained": reply} {
+		res.Release()
+		if res.pooled || res.enc != nil || res.all != nil || res.NumRows() != 0 {
+			t.Errorf("a released %s reply still holds %d rows", form, res.NumRows())
+		}
+		res.Release() // a second release hands nothing back
 	}
-	frag.Release() // a second release hands nothing back
 
-	for form, res := range map[string]*Result{"boxed": {Sch: mem.Sch, Rows: mem.Rows}, "encoded": retained(t, mem), "columnar": columnar(t, mem)} {
+	for form, res := range map[string]*Result{"boxed": {Sch: mem.Sch, Rows: mem.Rows}, "columnar": columnar(t, mem)} {
 		want, _ := EncodeResult(res)
 		res.Release()
 		if got, _ := EncodeResult(res); !bytes.Equal(got, want) {

@@ -227,7 +227,7 @@ func batchForms(t testing.TB, rng *rand.Rand, rel *MemRelation) map[string]batch
 		"row-backed":  {NewBatch(rel.Sch, rel.Rows), rel.Rows},
 		"page-backed": {NewWindowBatch(rel.Sch, win), rel.Rows},
 		"window-cut":  {NewWindowBatch(rel.Sch, long).slice(1, n+1), rel.Rows},
-		"join-chain":  {chainOf(left).join(perm, chainOf(right), perm).batch(0, n), shuffled},
+		"join-chain":  {chainOf(left, nil).join(perm, chainOf(right, nil), perm).batch(0, n), shuffled},
 	}
 }
 
@@ -272,7 +272,7 @@ func TestPushedPredicatesRunTyped(t *testing.T) {
 			ctx := newCtx(b, rel.Sch, nil)
 			for k, sh := range shapes {
 				// Every position, or a random ascending subset of them.
-				sel := b.fullSel(form.bt.Len())
+				sel := identity(form.bt.Len())
 				if k%2 == 1 {
 					sel = nil
 					for i := 0; i < form.bt.Len(); i++ {
@@ -682,7 +682,7 @@ func BenchmarkEvalVecPredicate(b *testing.B) {
 			for c := range rel.Sch.Columns {
 				bt.Col(c) // decode outside the timed loop
 			}
-			sel0 := bld.fullSel(bt.Len())
+			sel0 := identity(bt.Len())
 			var keep []int
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -72,17 +72,21 @@ func TestLaterWindowsAllocateNoVector(t *testing.T) {
 		kept := 0
 		eval := func(bt *Batch) {
 			ctx.nextBatch()
-			keep, err := ctx.where(pred, bt, b.fullSel(bt.Len()))
+			keep, err := ctx.where(pred, bt, identity(bt.Len()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			kept += len(keep)
 		}
-		eval(wins[0])
-		if len(ctx.vs.ints.bufs) != 0 || len(ctx.vs.floats.bufs) != 0 {
-			t.Errorf("%s: the filter took %d int64 and %d float64 result arrays, want none", name, len(ctx.vs.ints.bufs), len(ctx.vs.floats.bufs))
+		held := func() (ints, floats, sels int) {
+			return schema.Int64s.Held(ctx.vs), schema.Float64s.Held(ctx.vs), positions.Held(ctx.vs)
 		}
-		arrays := len(ctx.vs.ints.bufs) + len(ctx.vs.floats.bufs) + len(ctx.vs.sels.bufs)
+		eval(wins[0])
+		if ints, floats, _ := held(); ints != 0 || floats != 0 {
+			t.Errorf("%s: the filter took %d int64 and %d float64 result arrays, want none", name, ints, floats)
+		}
+		ints, floats, sels := held()
+		arrays := ints + floats + sels
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, bt := range wins[1:] {
@@ -92,8 +96,8 @@ func TestLaterWindowsAllocateNoVector(t *testing.T) {
 		if kept == 0 {
 			t.Fatalf("%s keeps no row of the fixture", name)
 		}
-		if got := len(ctx.vs.ints.bufs) + len(ctx.vs.floats.bufs) + len(ctx.vs.sels.bufs); got != arrays {
-			t.Errorf("%s: %d scratch arrays after the first window, %d after the last", name, arrays, got)
+		if ints, floats, sels := held(); ints+floats+sels != arrays {
+			t.Errorf("%s: %d scratch arrays after the first window, %d after the last", name, arrays, ints+floats+sels)
 		}
 		// What is left per window is vector headers and boxed constants, a
 		// few KiB; one result vector alone is 8 bytes a row.
@@ -146,7 +150,7 @@ func TestVectorLifetime(t *testing.T) {
 	wins := windowsOf(lineitemish(3*64, false), 64)
 	pred := mustWhere(t, scanPredicates["q19"])
 	survivors := func(ctx *evalCtx, bt *Batch) []int {
-		keep, err := ctx.where(pred, bt, ctx.b.fullSel(bt.Len()))
+		keep, err := ctx.where(pred, bt, identity(bt.Len()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
 	"ironsafe/internal/sql/ast"
 	"ironsafe/internal/value"
@@ -213,12 +214,12 @@ func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, outer *jo
 	b.chargePass(inner.n, nil) // that select list's pass, though nothing is boxed for it
 	se.inner = inner
 	// NULL keys never match an equi-correlation: they get no id.
-	se.keys = newKeyTable(len(se.keysInner), inner.n, false)
+	se.keys = newKeyTable(b.sc, len(se.keysInner), inner.n, false)
 	ids, err := b.keyIDs(se.keys, inner, se.keysInner, env, true)
 	if err != nil {
 		return nil, err
 	}
-	se.start, se.pos = groupPositions(ids, se.keys.n)
+	se.start, se.pos = groupPositions(b.sc, ids, se.keys.n)
 	se.outerVals = make([]value.Value, len(se.keysOuter))
 	// Group building is charged row-at-a-time in both modes.
 	b.chargeRows(int64(inner.n))
@@ -265,6 +266,13 @@ func (se *subEval) ensureCached(c *evalCtx) error {
 	if se.cached != nil && !se.perRow {
 		return nil
 	}
+	if se.perRow {
+		// Run once per outer row, it holds its arrays for that run alone:
+		// what it returns is rows of its own.
+		outer := se.b.sc
+		se.b.sc = bufpool.Open()
+		defer func() { se.b.sc.Close(); se.b.sc = outer }()
+	}
 	res, err := se.b.buildSelect(se.sel, &Env{Parent: c.env, Sch: c.sch, Row: c.row})
 	if err != nil {
 		return err
@@ -279,7 +287,11 @@ func (se *subEval) values(c *evalCtx) (*keyTable, error) {
 		return nil, err
 	}
 	if se.inSet == nil {
-		se.inSet = newKeyTable(1, len(se.cached.Rows), false)
+		sc := se.b.sc
+		if se.perRow {
+			sc = nil // made again for the next outer row: the collector's
+		}
+		se.inSet = newKeyTable(sc, 1, len(se.cached.Rows), false)
 		for _, r := range se.cached.Rows {
 			if r[0].IsNull() {
 				se.inHasNull = true
@@ -459,7 +471,7 @@ func (se *subEval) scalar(c *evalCtx) (value.Value, error) {
 		}
 		for i, sp := range se.aggs {
 			st := aggState{call: sp.call, accs: make([]accumulator, 0, 1)}
-			st.open()
+			st.open(nil) // made per outer row: the collector's
 			for _, p := range rows {
 				if sp.call.Star {
 					st.accs[0].count++

@@ -1,7 +1,8 @@
 package exec
 
 import (
-	"math"
+	"math/bits"
+	"sync/atomic"
 
 	"ironsafe/internal/bufpool"
 	"ironsafe/internal/schema"
@@ -83,16 +84,11 @@ func (bt *Batch) AppendRows(dst []schema.Row, sel []int, cols []int) []schema.Ro
 	case bt.win != nil:
 		return bt.win.AppendRows(dst, bt.off, sel, cols)
 	case bt.chain != nil:
-		w := len(cols)
 		if cols == nil {
-			w = bt.Sch.Len()
+			cols = identity(bt.Sch.Len())
 		}
-		vecs := make([]*schema.ColVec, w)
-		for j := range vecs {
-			c := j
-			if cols != nil {
-				c = cols[j]
-			}
+		w, vecs := len(cols), make([]*schema.ColVec, len(cols))
+		for j, c := range cols {
 			vecs[j] = bt.Col(c)
 		}
 		slab := boxed(vecs, sel)
@@ -163,13 +159,25 @@ func (bt *Batch) AppendEncoded(dst []byte, sel []int, cols []int) []byte {
 	return dst
 }
 
-// fullSel returns the identity selection vector [0, n). It is one shared
-// array, grown on demand: kernels only ever read their selection.
-func (b *builder) fullSel(n int) []int {
-	for i := len(b.ident); i < n; i++ {
-		b.ident = append(b.ident, i)
+// identities holds the identity selection vector, shared by every statement
+// and only ever read: a kernel reads its selection and writes its survivors
+// elsewhere. It is replaced, never written, when a longer one is asked for,
+// so it is as long as the longest batch seen (a power of two).
+var identities atomic.Pointer[[]int]
+
+// identity returns the identity selection vector [0, n), capped at n so that
+// an append copies it.
+func identity(n int) []int {
+	p := identities.Load()
+	if p == nil || len(*p) < n {
+		all := make([]int, 1<<bits.Len(uint(max(n-1, 0))))
+		for i := range all {
+			all[i] = i
+		}
+		p = &all
+		identities.Store(p)
 	}
-	return b.ident[:n]
+	return (*p)[:n:n]
 }
 
 // isConstExpr reports whether e reads no column and runs no subquery or
@@ -186,89 +194,34 @@ func isConstExpr(e ast.Expr) bool {
 	return konst
 }
 
-// vecScratch is where evalVec takes the arrays it builds for one batch —
-// result vectors and selection lists — so that a loop over batches allocates
-// them for its first batch only, as RowWindow.Col reuses column storage
-// across windows. The lifetime rule: a vector returned by evalVec, and a list
-// taken with sel, is valid until the loop that owns the batch calls nextBatch
-// on the context. Five loops own a batch: the fused scan (semiReducer.reduce
-// runs inside it, on its batch), the vectorized projection, filter, aggregate
-// and keyIDs. Each calls nextBatch as it moves to a batch and keeps nothing of
-// the last one but what it boxed or copied out.
-type vecScratch struct {
-	ints   recycled[int64]
-	floats recycled[float64]
-	vals   recycled[value.Value]
-	sels   recycled[int]
-}
-
-// recycled hands out its arrays in order, making one where it has none or
-// one too small, and starts over from the first after recycle.
-type recycled[T any] struct {
-	bufs [][]T
-	used int
-}
-
-// take returns the next array, resized to n elements: zeroed, as make would
-// hand it out, or holding whatever the last batch left.
-func (r *recycled[T]) take(n int, zeroed bool) []T {
-	if r.used == len(r.bufs) {
-		r.bufs = append(r.bufs, nil)
-	}
-	if cap(r.bufs[r.used]) < n {
-		r.bufs[r.used] = make([]T, n)
-	} else if zeroed {
-		clear(r.bufs[r.used][:n])
-	}
-	r.used++
-	return r.bufs[r.used-1][:n]
-}
-
-// recycle makes every array available again, first overwriting what was
-// handed out with poison under bufpool.Poison — NaN floats, positions no batch
-// has, a string no table holds — so that a caller holding one past its
-// lifetime computes garbage or panics instead of passing by luck.
-func (r *recycled[T]) recycle(poison T) {
-	if bufpool.Poison {
-		for _, buf := range r.bufs[:r.used] {
-			buf = buf[:cap(buf)]
-			for i := range buf {
-				buf[i] = poison
-			}
-		}
-	}
-	r.used = 0
-}
-
-func (c *evalCtx) scratch() *vecScratch {
-	if c.vs == nil {
-		c.vs = &vecScratch{}
-	}
-	return c.vs
-}
+// The pools of exec's own arrays: selection lists, position and id vectors,
+// aggregation state, key tables' kinds.
+var (
+	positions    = bufpool.New(-1, false)
+	rowIDs       = bufpool.New[int32](-1, false)
+	accumulators = bufpool.New(accumulator{best: value.Str("\x00recycled")}, true)
+	kinds        = bufpool.New(value.Kind(0xff), false)
+)
 
 // ints returns a zeroed result array of n elements (kernels write only their
 // selection), floats its float64 twin, boxed a vector of n NULLs to Set, sel
 // an empty selection list with room for n positions; all valid until
 // nextBatch. Callers pass sel the batch length, not the selection's: a list
-// sized by what one window happened to select would be remade for the next.
-func (c *evalCtx) ints(n int) []int64     { return c.scratch().ints.take(n, true) }
-func (c *evalCtx) floats(n int) []float64 { return c.scratch().floats.take(n, true) }
-func (c *evalCtx) sel(n int) []int        { return c.scratch().sels.take(n, false)[:0] }
+// sized by what one window happened to select would take a larger one for
+// the next.
+func (c *evalCtx) ints(n int) []int64     { return schema.Int64s.Zeroed(c.vs, n) }
+func (c *evalCtx) floats(n int) []float64 { return schema.Float64s.Zeroed(c.vs, n) }
+func (c *evalCtx) sel(n int) []int        { return positions.Take(c.vs, n)[:0] }
 func (c *evalCtx) boxed(n int) *schema.ColVec {
-	return schema.BoxedVec(c.scratch().vals.take(n, true))
+	return schema.BoxedVec(schema.Values.Zeroed(c.vs, n))
 }
 
 // nextBatch ends the lifetime of every vector and list handed out since the
-// last call (see vecScratch).
-func (c *evalCtx) nextBatch() {
-	if c.vs != nil {
-		c.vs.ints.recycle(0x5a5a5a5a5a5a5a5a)
-		c.vs.floats.recycle(math.NaN())
-		c.vs.vals.recycle(value.Str("\x00recycled"))
-		c.vs.sels.recycle(-1)
-	}
-}
+// last call (see evalCtx.vs): they are poisoned under bufpool.Poison — NaN
+// floats, positions no batch has, a string no table holds — so that a caller
+// holding one past its lifetime computes garbage or panics instead of passing
+// by luck, and handed out again for the next batch.
+func (c *evalCtx) nextBatch() { c.vs.Reset() }
 
 // evalVec computes e over the batch positions listed in sel, returning a
 // dense vector of length bt.Len() whose unselected positions are never read.
@@ -297,7 +250,7 @@ func (c *evalCtx) evalRows(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, er
 	var reads []int
 	var vecs []*schema.ColVec
 	if bt.Rows == nil {
-		rc.row = c.scratch().vals.take(c.sch.Len(), true)
+		rc.row = schema.Values.Zeroed(c.vs, c.sch.Len())
 		reads = c.reads(e)
 		for _, col := range reads {
 			vecs = append(vecs, bt.Col(col))

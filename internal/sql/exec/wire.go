@@ -56,16 +56,21 @@ func ReplyParts(r *Result) (head, rows []byte, err error) {
 	return append(head, batch[:pre]...), batch[pre:], nil
 }
 
-// Release hands the buffer of r's encoded form back to the pool and leaves r
-// empty. Only the last holder of r may release it, once nothing reads its
-// rows any more: the storage node, once the reply is sent or has failed. A
-// result whose rows are not in a pool buffer — a retained reply, the boxed and
-// the columnar form — is left as it is.
+// Release hands back what r holds in pools and leaves r empty: the buffer of
+// its encoded form, where that is a pool buffer, and the index over a
+// retained reply (RetainResult). Only the last holder of r may release it,
+// once nothing reads its rows any more: the storage node once the reply is
+// sent or has failed, the host once the statement over the reply has ended.
+// The boxed and the columnar form are left as they are.
 func (r *Result) Release() {
-	if !r.pooled {
-		return
+	if r.pooled {
+		bufpool.Release(r.enc)
 	}
-	bufpool.Release(r.enc)
+	if r.all != nil && r.all.win != nil {
+		r.all.win.Release()
+	} else if !r.pooled {
+		return // the boxed or the columnar form, or released already
+	}
 	r.enc, r.pooled, r.n, r.all = nil, false, 0, nil
 }
 
