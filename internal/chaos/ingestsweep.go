@@ -331,7 +331,7 @@ func runIngestPhaseB(cfg *IngestConfig, rep *IngestReport, acc hash.Hash) error 
 		died:      func(err error) bool { return errors.Is(err, ingest.ErrClosed) },
 		recovered: stmtSweepRecovered,
 		setUp: func(env *sweepEnv, dev pager.BlockDevice, slot uint16) (*securestore.Store, func(int) error, error) {
-			s, db, err := stmtSweepSetup(env, dev, slot, cfg.Seed)
+			s, db, err := stmtSweepSetup(env, dev, slot, cfg.Seed, nil)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -4,7 +4,10 @@
 // the catalog update each statement carries — and proves that a power cut at
 // ANY device-write boundary (including inside a rewrite's zeroing pass and
 // inside the catalog persist) recovers to a whole-statement boundary: the
-// statement's pre-image or post-image, catalog included, never a mix.
+// statement's pre-image or post-image, catalog included, never a mix. With
+// Hos set the same workload runs on the hos stack — the engine over the
+// enclave page store over the secure store — which must keep the same
+// promise.
 package chaos
 
 import (
@@ -12,8 +15,10 @@ import (
 	"fmt"
 
 	"ironsafe/internal/engine"
+	"ironsafe/internal/hostengine"
 	"ironsafe/internal/pager"
 	"ironsafe/internal/securestore"
+	"ironsafe/internal/tee/sgx"
 )
 
 // StatementSweepConfig scripts one statement-level power-cut sweep.
@@ -22,6 +27,9 @@ type StatementSweepConfig struct {
 	Seed uint64
 	// Tear also sweeps every k with the k-th write torn mid-block.
 	Tear bool
+	// Hos runs the engine over hostengine.EnclavePageStore around the cut
+	// secure store, as the hos configuration does.
+	Hos bool
 }
 
 // StatementSweepReport summarizes a statement sweep.
@@ -52,13 +60,18 @@ func stmtSweepWorkload(seed uint64) []string {
 }
 
 // stmtSweepSetup opens a store+engine over the cut device and loads the
-// fixed pre-workload state. Runs unarmed: setup writes are not swept.
-func stmtSweepSetup(env *sweepEnv, dev pager.BlockDevice, slot uint16, seed uint64) (*securestore.Store, *engine.DB, error) {
+// fixed pre-workload state; with a non-nil enclave the engine runs over the
+// store inside it. Runs unarmed: setup writes are not swept.
+func stmtSweepSetup(env *sweepEnv, dev pager.BlockDevice, slot uint16, seed uint64, enclave *sgx.Enclave) (*securestore.Store, *engine.DB, error) {
 	s, err := securestore.Open(dev, env.nw, env.meter, securestore.Options{RPMBSlot: slot})
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := engine.Open(s, env.meter)
+	var store pager.TxnStore = s
+	if enclave != nil {
+		store = &hostengine.EnclavePageStore{Inner: s, Enclave: enclave, TreeBytes: s.TreeBytes}
+	}
+	db, err := engine.Open(store, env.meter)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -97,12 +110,26 @@ func stmtSweepRecovered(env *sweepEnv, s *securestore.Store) error {
 // on the first crash point whose recovery is not a whole-statement boundary.
 func RunStatementSweep(cfg StatementSweepConfig) (*StatementSweepReport, error) {
 	stmts := stmtSweepWorkload(cfg.Seed)
+	var platform *sgx.Platform
+	if cfg.Hos {
+		var err error
+		if platform, err = sgx.NewPlatform("stmtsweep-host", nil); err != nil {
+			return nil, err
+		}
+	}
 	sw := crashSweep{
 		node: "stmtsweep", seed: cfg.Seed, tear: cfg.Tear, steps: len(stmts),
 		died:      injectedDeath,
 		recovered: stmtSweepRecovered,
 		setUp: func(env *sweepEnv, dev pager.BlockDevice, slot uint16) (*securestore.Store, func(int) error, error) {
-			s, db, err := stmtSweepSetup(env, dev, slot, cfg.Seed)
+			var enclave *sgx.Enclave
+			if platform != nil {
+				var err error
+				if enclave, err = platform.CreateEnclave([]byte("host"), sgx.Config{Meter: env.meter}); err != nil {
+					return nil, nil, err
+				}
+			}
+			s, db, err := stmtSweepSetup(env, dev, slot, cfg.Seed, enclave)
 			if err != nil {
 				return nil, nil, err
 			}

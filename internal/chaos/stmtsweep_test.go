@@ -7,8 +7,15 @@ import "testing"
 // inside UPDATE/DELETE heap rewrites and inside the catalog persist, clean
 // and torn — must recover to a statement's pre- or post-image, catalog
 // included, never a mix. RunStatementSweep fails on the first violating k.
+// The workload runs twice: on the secure store, and on the hos stack (the
+// engine over the enclave page store over the same secure store).
 func TestStatementSweepEveryBoundary(t *testing.T) {
-	rep, err := RunStatementSweep(StatementSweepConfig{Seed: 42, Tear: true})
+	t.Run("secure", func(t *testing.T) { statementSweepEveryBoundary(t, "RunStatementSweep/seed=42,tear", false) })
+	t.Run("hos", func(t *testing.T) { statementSweepEveryBoundary(t, "RunStatementSweep/seed=42,tear,hos", true) })
+}
+
+func statementSweepEveryBoundary(t *testing.T, name string, hos bool) {
+	rep, err := RunStatementSweep(StatementSweepConfig{Seed: 42, Tear: true, Hos: hos})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +28,7 @@ func TestStatementSweepEveryBoundary(t *testing.T) {
 	if rep.LandedNew == 0 {
 		t.Error("no crash point replayed a statement's journaled commit (redo never ran?)")
 	}
-	checkPinned(t, "RunStatementSweep/seed=42,tear", rep.Digest)
+	checkPinned(t, name, rep.Digest)
 	t.Logf("statement sweep: %d statements, %d writes, %d points, %d landed old / %d landed new, digest %s",
 		rep.Statements, rep.Writes, rep.Points, rep.LandedOld, rep.LandedNew, rep.Digest[:16])
 }

@@ -12,10 +12,11 @@ import (
 // This file implements the engine's one write path. Every DDL and DML
 // statement, every ExecuteBatch and every bulk load is one batch: its heap
 // writes and its catalog update land in ONE store transaction, and a failure
-// anywhere aborts the whole batch. On the secure store the transaction is one
-// journal record and one RPMB anchor advance, so a crash recovers to the
-// whole-batch boundary too; on a staging store (pager.Stage) it is all or
-// nothing against an abort, not against a crash.
+// anywhere aborts the whole batch. On the secure store — bare, or inside the
+// hos enclave (hostengine.EnclavePageStore) — the transaction is one journal
+// record and one anchor advance, so a crash recovers to the whole-batch
+// boundary too; on the plain pager, which stages its pages and writes them
+// at commit, it is all or nothing against an abort, not against a crash.
 
 // overlayStore is a PageStore view of a store with an open transaction
 // layered on top: writes stage into the transaction, reads see staged pages

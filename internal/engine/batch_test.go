@@ -249,7 +249,7 @@ func TestSingleStatementOneCommit(t *testing.T) {
 }
 
 // TestBatchOnPlainStore: the plain pager runs a batch in a staged
-// transaction (pager.Stage), and later statements read the earlier ones'
+// transaction (its pages held until commit), and later statements read the earlier ones'
 // staged writes as they do on the secure store.
 func TestBatchOnPlainStore(t *testing.T) {
 	var m simtime.Meter

@@ -363,7 +363,7 @@ func BenchmarkInsertAck(b *testing.B) {
 }
 
 // BenchmarkInsertAckPlain is BenchmarkInsertAck over the plain pager: the
-// batch's one page is staged (pager.Stage) and written at commit.
+// batch's one page is staged by the pager and written at commit.
 func BenchmarkInsertAckPlain(b *testing.B) {
 	var m simtime.Meter
 	db, err := Open(pager.NewPager(pager.NewMemDevice(), &m, 256), &m)

@@ -13,7 +13,8 @@ import (
 
 // BenchmarkBulkLoad is one InsertRows of 20 000 rows (about 560 heap pages)
 // into an empty table: one batch, over the secure store (its journal), the
-// plain pager and the hos enclave store (both staged, pager.Stage). B/op and
+// plain pager (staged, written page by page at commit) and the hos enclave
+// store (the secure store's journal, charged to the enclave). B/op and
 // allocs/op show what staging a page costs.
 func BenchmarkBulkLoad(b *testing.B) {
 	rows := make([]schema.Row, 20000)

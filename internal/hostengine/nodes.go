@@ -258,7 +258,7 @@ var _ pager.BlockDevice = (*RemoteDevice)(nil)
 // Merkle verification path. When the Merkle tree outgrows the EPC (scale
 // factors 4-5 in Fig 9a), the path touches fault.
 type EnclavePageStore struct {
-	Inner   pager.PageStore
+	Inner   pager.TxnStore
 	Enclave *sgx.Enclave
 	// TreeBytes reports the current Merkle tree size (nil for non-secure
 	// inner stores).
@@ -329,12 +329,57 @@ func (e *EnclavePageStore) Allocate() (uint32, error) {
 // NumPages implements pager.PageStore.
 func (e *EnclavePageStore) NumPages() uint32 { return e.Inner.NumPages() }
 
-// BeginTxn implements pager.TxnStore with a transaction staged over e itself,
-// so a commit of k pages pays what k WritePage calls pay: k enclave exits
-// and k EPC touches. It does not forward to the inner secure store's
-// journal: a bulk load would be one journal record of several megabytes,
-// and the medium keeps its last journal record until the next commit.
-func (e *EnclavePageStore) BeginTxn() pager.StoreTxn { return pager.Stage(e) }
+// BeginTxn implements pager.TxnStore with a transaction of the inner store:
+// a batch is one group commit of the secure store — one journal record, one
+// anchor advance — all or nothing across a power cut. Allocate reserves in
+// it and pays one enclave exit; Commit charges the enclave what k WritePage
+// calls charge for the k pages staged: k exits, and k EPC touches in
+// first-staged order.
+func (e *EnclavePageStore) BeginTxn() pager.StoreTxn {
+	return &enclaveTxn{e: e, inner: e.Inner.BeginTxn(), staged: map[uint32]bool{}}
+}
+
+// enclaveTxn is EnclavePageStore's transaction: the inner store's, plus the
+// order its pages were first staged in, which Commit touches them in.
+type enclaveTxn struct {
+	e      *EnclavePageStore
+	inner  pager.StoreTxn
+	staged map[uint32]bool
+	order  []uint32
+}
+
+func (t *enclaveTxn) WritePage(idx uint32, data []byte) error {
+	if err := t.inner.WritePage(idx, data); err != nil {
+		return err
+	}
+	if !t.staged[idx] {
+		t.staged[idx] = true
+		t.order = append(t.order, idx)
+	}
+	return nil
+}
+
+func (t *enclaveTxn) Allocate() (uint32, error) {
+	var idx uint32
+	err := t.e.Enclave.OCall(func() error {
+		var err error
+		idx, err = t.inner.Allocate()
+		return err
+	})
+	return idx, err
+}
+
+func (t *enclaveTxn) Commit() error {
+	if err := t.e.Enclave.OCalls(len(t.order), t.inner.Commit); err != nil {
+		return err
+	}
+	for _, idx := range t.order {
+		t.e.touch(idx)
+	}
+	return nil
+}
+
+func (t *enclaveTxn) Abort() { t.inner.Abort() }
 
 // touch charges EPC residency for the page and its verification path.
 func (e *EnclavePageStore) touch(idx uint32) {

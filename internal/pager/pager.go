@@ -151,8 +151,10 @@ type PageStore interface {
 // StoreTxn batches page writes for one group commit. Against Abort it is
 // all-or-nothing on every store: Abort leaves every existing page as it was,
 // and Commit applies every staged write. Across a power cut it is
-// all-or-nothing only on the secure store, which journals the group; a store
-// that stages (Stage) may be cut between two of its Commit's page writes.
+// all-or-nothing on every secure configuration: the secure store journals
+// the group, and the hos enclave store commits through that journal. Only
+// the plain pager stages (stage), and may be cut between two of its Commit's
+// page writes.
 type StoreTxn interface {
 	// WritePage stages a logical page write. The transaction may keep data,
 	// so the caller must not write into it afterwards.
@@ -174,10 +176,10 @@ type TxnStore interface {
 	BeginTxn() StoreTxn
 }
 
-// Stage returns a transaction over s that holds its page writes in memory
+// stage returns a transaction over s that holds its page writes in memory
 // until Commit, which writes each staged page once through s, in the order
 // it was first staged. Allocate reserves through s at once.
-func Stage(s PageStore) StoreTxn {
+func stage(s PageStore) StoreTxn {
 	return &stagedTxn{store: s, pages: map[uint32][]byte{}}
 }
 
@@ -312,7 +314,7 @@ func (p *Pager) Allocate() (uint32, error) {
 }
 
 // BeginTxn implements TxnStore with a staged transaction.
-func (p *Pager) BeginTxn() StoreTxn { return Stage(p) }
+func (p *Pager) BeginTxn() StoreTxn { return stage(p) }
 
 // NumPages implements PageStore.
 func (p *Pager) NumPages() uint32 {

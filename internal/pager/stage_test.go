@@ -50,7 +50,7 @@ func pageIs(t *testing.T, s PageStore, idx uint32, want []byte) {
 // last staged contents, in the order the pages were first staged.
 func TestStageCommitsEachPageOnceInFirstStagedOrder(t *testing.T) {
 	dev, log := stageFixture(t)
-	txn := Stage(log)
+	txn := stage(log)
 	a, err := txn.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestStageCommitsEachPageOnceInFirstStagedOrder(t *testing.T) {
 // the aborted transaction is committed.
 func TestStageAbortLeavesPagesUnchanged(t *testing.T) {
 	_, log := stageFixture(t)
-	txn := Stage(log)
+	txn := stage(log)
 	idx, err := txn.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestStageAbortLeavesPagesUnchanged(t *testing.T) {
 // it is staged, not when the transaction commits.
 func TestStageRefusesOversizedPage(t *testing.T) {
 	_, log := stageFixture(t)
-	txn := Stage(log)
+	txn := stage(log)
 	if err := txn.WritePage(0, make([]byte, PageSize+1)); err == nil {
 		t.Fatal("oversized page staged")
 	}

@@ -42,9 +42,11 @@ import (
 )
 
 // journalBlock is the reserved device address of the redo journal record.
-// Exactly one record lives there at a time: the journal of the most recent
-// commit. Older records are overwritten; recovery never needs more than one,
-// because the anchor only ever lags the medium by a single transaction.
+// At most one record lives there: the journal of a commit whose anchor
+// advance has not been followed by its release (releaseJournal), which
+// leaves the block empty. Recovery never needs more than one record, because
+// the anchor only ever lags the medium by a single transaction, and none once
+// the anchor names a record's post-state.
 const journalBlock = uint32(0x7FFF_FFFE)
 
 // journalMagic begins every journal record; a block without it is not a
@@ -344,6 +346,24 @@ func (t *Txn) Commit() error {
 	// One anchor advance per transaction — the group-commit win.
 	if err := s.anchorRoot(postTag); err != nil {
 		return s.poison(err)
+	}
+	if err := s.releaseJournal(); err != nil {
+		return s.poison(err)
+	}
+	return nil
+}
+
+// releaseJournal empties the journal block once the anchor names the
+// record's post-state: the medium then equals the anchor, so recovery needs
+// nothing from the record, and the medium need not keep a copy of every page
+// the last commit wrote. decodeJournal reads the empty block as "no journal".
+// A crash before the release leaves a record whose post-state is the
+// anchored one, and recovery discards it (recoverState's first row). The
+// release moves no meter: like the journal write, it is not a page write.
+func (s *Store) releaseJournal() error {
+	//ironsafe:allow journalbypass -- empties a journal record the anchor has passed; recovery reads the empty block as no journal
+	if err := s.dev.WriteBlock(journalBlock, nil); err != nil {
+		return fmt.Errorf("securestore: journal release: %w", err)
 	}
 	return nil
 }

@@ -415,14 +415,97 @@ func (a *failingAnchor) StoreRoot(tag []byte) error {
 
 func (a *failingAnchor) LoadRoot(nonce []byte) ([]byte, error) { return a.inner.LoadRoot(nonce) }
 
-func TestStaleJournalSegmentDiscardedOnConsistentMedium(t *testing.T) {
-	e := newEnv(t)
-	s := e.open(t, Options{})
-	idx, _ := s.Allocate()
-	s.WritePage(idx, []byte("v1"))
-	staleJournal, err := e.dev.ReadBlock(journalBlock)
+// journalTap is a device that keeps a copy of the last journal record
+// written through it. A commit releases its record once the anchor names the
+// post-state, so the medium no longer holds it after Commit returns; the tap
+// holds what an adversary watching the medium's write stream captures, and
+// what a crash between the anchor advance and the release leaves behind.
+type journalTap struct {
+	pager.BlockDevice
+	record []byte
+}
+
+func (d *journalTap) WriteBlock(idx uint32, data []byte) error {
+	if idx == journalBlock && len(data) > 0 {
+		d.record = append([]byte(nil), data...)
+	}
+	return d.BlockDevice.WriteBlock(idx, data)
+}
+
+// openTapped opens a store on e's medium through a journalTap.
+func (e *testEnv) openTapped(t *testing.T) (*Store, *journalTap) {
+	t.Helper()
+	tap := &journalTap{BlockDevice: e.dev}
+	s, err := Open(tap, e.nw, e.meter, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return s, tap
+}
+
+// TestCommitReleasesJournalRecord: once Commit returns, the journal block
+// holds no record. Restoring the record — the medium a crash between the
+// anchor advance and the release leaves — opens in the commit's post-state;
+// after the release nothing bridges a tampered header or a one-commit rewind
+// to the anchor, so both fail closed.
+func TestCommitReleasesJournalRecord(t *testing.T) {
+	e := newEnv(t)
+	s, tap := e.openTapped(t)
+	idx, _ := s.Allocate()
+	s.WritePage(idx, []byte("v1"))
+	preV2 := e.dev.SnapshotBlocks()
+	if err := s.WritePage(idx, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	want := stateDigest(t, s)
+	blob, err := e.dev.ReadBlock(journalBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := s.decodeJournal(blob); len(blob) != 0 || j != nil || err != nil {
+		t.Fatalf("journal block after Commit holds %d bytes (record %v, %v), want none", len(blob), j != nil, err)
+	}
+	if j, err := s.decodeJournal(tap.record); j == nil || err != nil || j.Seq != s.Seq() {
+		t.Fatalf("captured record = %v, %v; want the v2 commit's", j, err)
+	}
+	released := e.dev.SnapshotBlocks()
+
+	// A crash before the release: the record's post-state is the anchored
+	// one and the medium already equals it, so recovery discards it.
+	e.dev.WriteBlock(journalBlock, tap.record)
+	s2, err := Open(e.dev, e.nw, e.meter, Options{})
+	if err != nil {
+		t.Fatalf("open with the record the release window leaves: %v", err)
+	}
+	if got := stateDigest(t, s2); got != want {
+		t.Error("store opened with an unreleased record is not in the commit's post-state")
+	}
+	if err := s2.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A tampered header after the release.
+	e.dev.RestoreBlocks(released)
+	e.dev.WriteBlock(headerBlock, make([]byte, headerSize))
+	if _, err := Open(e.dev, e.nw, e.meter, Options{}); !errors.Is(err, ErrFreshness) {
+		t.Errorf("header tamper after the release: open = %v, want ErrFreshness", err)
+	}
+
+	// A one-commit rewind after the release (v1's record was released too).
+	e.dev.RestoreBlocks(preV2)
+	if _, err := Open(e.dev, e.nw, e.meter, Options{}); !errors.Is(err, ErrFreshness) {
+		t.Errorf("one-commit rewind after the release: open = %v, want ErrFreshness", err)
+	}
+}
+
+func TestStaleJournalSegmentDiscardedOnConsistentMedium(t *testing.T) {
+	e := newEnv(t)
+	s, tap := e.openTapped(t)
+	idx, _ := s.Allocate()
+	s.WritePage(idx, []byte("v1"))
+	staleJournal := tap.record // v1's journal record, from the write stream
+	if staleJournal == nil {
+		t.Fatal("no journal record written")
 	}
 	s.WritePage(idx, []byte("v2"))
 	// Replay the old (validly MACed) journal segment onto the newer state.
@@ -442,12 +525,15 @@ func TestStaleJournalSegmentDiscardedOnConsistentMedium(t *testing.T) {
 
 func TestStaleJournalOntoRolledBackMediumRefused(t *testing.T) {
 	e := newEnv(t)
-	s := e.open(t, Options{})
+	s, tap := e.openTapped(t)
 	idx, _ := s.Allocate()
 	snap := e.dev.SnapshotBlocks() // pre-state of the v1 commit
 	s.WritePage(idx, []byte("v1"))
-	staleJournal, _ := e.dev.ReadBlock(journalBlock) // v1's journal record
-	s.WritePage(idx, []byte("v2"))                   // anchor advances past v1
+	staleJournal := tap.record     // v1's journal record, from the write stream
+	s.WritePage(idx, []byte("v2")) // anchor advances past v1
+	if staleJournal == nil {
+		t.Fatal("no journal record written")
+	}
 
 	// Roll the medium back to v1's pre-state and replay v1's journal: the
 	// journal bridges pre-v1 -> v1, but the anchor is at v2. Fail closed.
@@ -460,16 +546,19 @@ func TestStaleJournalOntoRolledBackMediumRefused(t *testing.T) {
 
 func TestRollbackToPreStateOfAnchoredCommitReplaysForward(t *testing.T) {
 	e := newEnv(t)
-	s := e.open(t, Options{})
+	s, tap := e.openTapped(t)
 	idx, _ := s.Allocate()
 	s.WritePage(idx, []byte("v1"))
-	snap := e.dev.SnapshotBlocks() // state v1 (with v1's journal)
+	snap := e.dev.SnapshotBlocks() // state v1 (v1's journal released)
 	s.WritePage(idx, []byte("v2")) // anchored
-	v2Journal, _ := e.dev.ReadBlock(journalBlock)
+	v2Journal := tap.record        // v2's journal record, from the write stream
+	if v2Journal == nil {
+		t.Fatal("no journal record written")
+	}
 
-	// Rewind the medium to v1 but leave v2's journal in place: replaying it
-	// reproduces exactly the anchored v2 state, so the rewind achieves
-	// nothing.
+	// Rewind the medium to v1 and put v2's captured journal record in place
+	// (as a crash in v2's release window leaves it): replaying it reproduces
+	// exactly the anchored v2 state, so the rewind achieves nothing.
 	e.dev.RestoreBlocks(snap)
 	e.dev.WriteBlock(journalBlock, v2Journal)
 	s2, err := Open(e.dev, e.nw, e.meter, Options{})

@@ -359,6 +359,10 @@ func (s *Store) FinalizeImport(m *RebuildManifest) error {
 			s.failed = err
 			return err
 		}
+		if err := s.releaseJournal(); err != nil {
+			s.failed = err
+			return err
+		}
 	}
 	// Clear the marker only once the anchor certifies the adopted state: a
 	// crash before this write re-runs finalize; after it, the store is an

@@ -378,18 +378,21 @@ func TestMetaRegionTamperDetectedAtOpen(t *testing.T) {
 
 func TestHeaderTamperDetectedAtOpen(t *testing.T) {
 	e := newEnv(t)
-	s := e.open(t, Options{})
+	s, tap := e.openTapped(t)
 	for i := 0; i < 4; i++ {
 		idx, _ := s.Allocate()
 		s.WritePage(idx, []byte{byte(i)})
 	}
-	// Shrink the claimed page count (suppressing recent pages). The last
-	// commit's journal record still bridges to the anchored state, so
-	// recovery repairs the header by redo and lands on the true state —
-	// the tamper achieves nothing.
+	// Shrink the claimed page count (suppressing recent pages) on a medium
+	// that still holds the last commit's journal record, as a crash between
+	// its anchor advance and its release leaves it (the commit released it;
+	// the tap captured it from the write stream). The record bridges to the
+	// anchored state, so recovery repairs the header by redo and lands on
+	// the true state — the tamper achieves nothing.
 	hdr := make([]byte, 4)
 	hdr[0] = 2
 	e.dev.WriteBlock(headerBlock, hdr)
+	e.dev.WriteBlock(journalBlock, tap.record)
 	s2, err := Open(e.dev, e.nw, e.meter, Options{})
 	if err != nil {
 		t.Fatalf("header tamper with intact journal: %v", err)

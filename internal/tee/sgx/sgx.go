@@ -78,9 +78,10 @@ type Enclave struct {
 	mu        sync.Mutex
 	destroyed bool
 	epcLimit  int64
-	resident  int64            // bytes currently resident in EPC
-	pages     map[uint64]bool  // resident page set (4 KiB granules)
-	lru       []uint64         // FIFO eviction order (clock approximation)
+	resident  int64           // bytes currently resident in EPC
+	pages     map[uint64]bool // resident page set (4 KiB granules)
+	lru       []uint64        // FIFO eviction order (clock approximation) from lruHead on
+	lruHead   int
 	heap      map[string]int64 // named allocations
 }
 
@@ -144,8 +145,13 @@ func (e *Enclave) ECall(fn func() error) error {
 
 // OCall models the enclave calling out to the untrusted runtime (e.g. for a
 // syscall); it charges a transition pair.
-func (e *Enclave) OCall(fn func() error) error {
-	e.meter.EnclaveTransitions.Add(1)
+func (e *Enclave) OCall(fn func() error) error { return e.OCalls(1, fn) }
+
+// OCalls models n calls out to the untrusted runtime that one piece of
+// untrusted work makes (e.g. the page writes of one group commit, run by fn);
+// it charges n transition pairs.
+func (e *Enclave) OCalls(n int, fn func() error) error {
+	e.meter.EnclaveTransitions.Add(int64(n))
 	return fn()
 }
 
@@ -166,9 +172,9 @@ func (e *Enclave) Touch(base uint64, size int64) {
 			continue
 		}
 		// Evict until there is room.
-		for e.resident+epcPageSize > e.epcLimit && len(e.lru) > 0 {
-			victim := e.lru[0]
-			e.lru = e.lru[1:]
+		for e.resident+epcPageSize > e.epcLimit && e.lruHead < len(e.lru) {
+			victim := e.lru[e.lruHead]
+			e.lruHead++
 			if e.pages[victim] {
 				delete(e.pages, victim)
 				e.resident -= epcPageSize
@@ -176,9 +182,20 @@ func (e *Enclave) Touch(base uint64, size int64) {
 			}
 		}
 		e.pages[pg] = true
-		e.lru = append(e.lru, pg)
+		e.pushLRU(pg)
 		e.resident += epcPageSize
 	}
+}
+
+// pushLRU appends pg to the FIFO. When the array is full it slides the queue
+// down over the slots evictions freed, if they are at least half of it, and
+// grows it otherwise: a steady state of faults allocates nothing.
+func (e *Enclave) pushLRU(pg uint64) {
+	if len(e.lru) == cap(e.lru) && e.lruHead >= len(e.lru)/2 {
+		n := copy(e.lru, e.lru[e.lruHead:])
+		e.lru, e.lruHead = e.lru[:n], 0
+	}
+	e.lru = append(e.lru, pg)
 }
 
 // Alloc registers a named allocation of the given size inside the enclave and
@@ -208,7 +225,7 @@ func (e *Enclave) Destroy() {
 	e.mu.Lock()
 	e.destroyed = true
 	e.pages = map[uint64]bool{}
-	e.lru = nil
+	e.lru, e.lruHead = nil, 0
 	e.resident = 0
 	e.mu.Unlock()
 	e.platform.mu.Lock()

@@ -107,6 +107,49 @@ func TestEPCPagingBeyondLimitFaults(t *testing.T) {
 	}
 }
 
+// TestEPCEvictsFirstInFirstOut: a touch sequence that keeps the EPC full
+// evicts exactly the pages a plain FIFO queue model evicts, fault for fault,
+// and once the queue's array has settled a cycle of faulting touches
+// allocates nothing.
+func TestEPCEvictsFirstInFirstOut(t *testing.T) {
+	p, _ := newTestPlatform(t)
+	var m simtime.Meter
+	const slots = 16
+	e, _ := p.CreateEnclave([]byte("x"), Config{Meter: &m, EPCLimitBytes: slots * epcPageSize})
+	var queue []uint64
+	resident := map[uint64]bool{}
+	var faults int64
+	rng := uint64(7)
+	for i := 0; i < 5000; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		pg := rng % (3 * slots)
+		e.Touch(pg*epcPageSize, 1)
+		if !resident[pg] {
+			if len(queue) == slots {
+				delete(resident, queue[0])
+				queue = queue[1:]
+				faults++
+			}
+			resident[pg] = true
+			queue = append(queue, pg)
+		}
+		if got := m.Snapshot().EPCFaults; got != faults {
+			t.Fatalf("touch %d (page %d): %d EPC faults, the FIFO model has %d", i, pg, got, faults)
+		}
+	}
+	pg := uint64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4*slots; i++ { // every touch faults: 4*slots distinct pages in turn
+			e.Touch((1000+pg%(4*slots))*epcPageSize, 1)
+			pg++
+		}
+	}); allocs != 0 {
+		t.Errorf("a cycle of faulting touches allocated %.1f times", allocs)
+	}
+}
+
 func TestAllocGrowsWorkingSet(t *testing.T) {
 	p, _ := newTestPlatform(t)
 	var m simtime.Meter
